@@ -66,18 +66,15 @@ let git_describe () =
     | Unix.WEXITED 0 when line <> "" -> line
     | _ | (exception _) -> "unknown")
 
-let meta_json ?wallclock_s ?(domains = 1) ~seeds ~knobs () =
-  let wall =
-    match wallclock_s with
-    | Some w -> w
-    | None -> Unix.gettimeofday () -. !wall_t0
-  in
+(* Every bench runs its simulations serially on one domain; "domains"
+   stays in the meta block so the BENCH_*.json schema is stable. *)
+let meta_json ~seeds ~knobs () =
   Printf.sprintf
     "\"meta\": {\"git\": %S, \"seeds\": [%s], \"wallclock_s\": %.3f, \
-     \"domains\": %d, \"cores\": %d, \"knobs\": {%s}}"
+     \"domains\": 1, \"cores\": %d, \"knobs\": {%s}}"
     (git_describe ())
     (String.concat ", " (List.map string_of_int seeds))
-    wall domains
+    (Unix.gettimeofday () -. !wall_t0)
     (Sim.Domains.recommended ())
     (String.concat ", " knobs)
 

@@ -31,7 +31,6 @@ let experiments : (string * (unit -> unit)) list =
     (Exp_copybw.name, Exp_copybw.run);
     (Exp_cluster.name, Exp_cluster.run);
     (Exp_pd.name, Exp_pd.run);
-    (Exp_parsim.name, Exp_parsim.run);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -150,18 +149,11 @@ let () =
     | "--pd-json" :: path :: rest ->
       Exp_pd.json_path := path;
       extract_loadcurve acc rest
-    | "--parsim-json" :: path :: rest ->
-      Exp_parsim.json_path := path;
-      extract_loadcurve acc rest
-    | "--domains" :: n :: rest ->
-      Exp_parsim.domains_arg := int_of_string n;
-      extract_loadcurve acc rest
     | "--tiny" :: rest ->
       Exp_loadcurve.tiny := true;
       Exp_copybw.tiny := true;
       Exp_cluster.tiny := true;
       Exp_pd.tiny := true;
-      Exp_parsim.tiny := true;
       extract_loadcurve acc rest
     | "--top" :: rest ->
       Exp_loadcurve.top := true;

@@ -166,14 +166,6 @@ let scale_time s t =
   if s = 1.0 || t = 0 then t
   else max 0 (int_of_float (Float.round (float_of_int t *. s)))
 
-(* Lookahead for the sharded engine: the minimum latency any message can
-   take between two machines is the (scaled) one-way wire latency — every
-   cross-machine send arrives at least this far in the future, which is
-   exactly the window a conservative parallel DES may run ahead without
-   risking an event in a shard's past. Intra-machine paths are faster but
-   never cross shards (the shard map keeps a machine whole). *)
-let min_remote_latency t = scale_time t.scale_fabric t.wire_oneway
-
 (* The copy engine divides by these knobs ([chunk_sizes] would loop forever
    on a non-positive chunk), so reject bad values at fabric construction
    instead of hanging a simulation later. *)

@@ -274,10 +274,3 @@ val scale_time : float -> Sim.Time.t -> Sim.Time.t
 (** [scale_time s t] rounds [t *. s] to nanoseconds (never negative). The
     [s = 1.0] case returns [t] unchanged with no float round-trip — the
     guarantee that unscaled configs are bit-identical to the seed. *)
-
-val min_remote_latency : t -> Sim.Time.t
-(** The (scaled) one-way wire latency: a lower bound on the delivery
-    latency of any cross-machine message under this config, and therefore
-    the lookahead window a conservative sharded engine
-    ([Sim.Engine.run_sharded]) may use when the shard map keeps each
-    machine (host plus attached SmartNICs) on one shard. *)

@@ -2,10 +2,7 @@ type 'a t = {
   name : string;
   node : Node.t;
   chan : 'a Sim.Channel.t;
-  (* Atomic because senders assign sequence numbers from *their* shard;
-     dedup only needs uniqueness per endpoint, not a global order, so
-     atomicity is all the cross-shard case requires. *)
-  next_seq : int Atomic.t;
+  mutable next_seq : int;
   seen : (int, unit) Hashtbl.t;
   order : int Queue.t;
   dup_discards : Obs.Metrics.counter;
@@ -24,7 +21,7 @@ let create ~node ?(capacity = 0) name =
     name;
     node;
     chan = Sim.Channel.create ();
-    next_seq = Atomic.make 0;
+    next_seq = 0;
     seen = Hashtbl.create 64;
     order = Queue.create ();
     dup_discards =
@@ -36,7 +33,8 @@ let create ~node ?(capacity = 0) name =
 let set_overflow ep f = ep.overflow <- Some f
 
 let post fab ~src ep ?cls ~size msg =
-  let seq = Atomic.fetch_and_add ep.next_seq 1 in
+  let seq = ep.next_seq in
+  ep.next_seq <- seq + 1;
   Fabric.send fab ~src ~dst:ep.node ?cls ~size (fun () ->
       if Hashtbl.mem ep.seen seq then Obs.Metrics.incr ep.dup_discards
       else begin

@@ -5,55 +5,28 @@ type fault_hook =
 
 type t = {
   config : Config.t;
-  (* One Stats.t per engine shard, so concurrent shards account without
-     sharing counters; index 0 is the whole story for a serial engine.
-     Sized at creation, so a fabric used under [Engine.run_sharded] must
-     be created inside that run. *)
-  stats_shards : Stats.t array;
+  stats : Stats.t;
   mutable next_id : int;
   mutable nodes : Node.t list; (* reverse creation order *)
   mutable tracer : (Trace.event -> unit) option;
   mutable fault_hook : fault_hook option;
-  (* Node -> engine shard. None (the default) keeps every delivery on the
-     caller's shard — the serial behavior. The map must keep a machine
-     whole: a host and its attached SmartNICs share pcie/loopback paths
-     faster than the lookahead, so they must land on one shard. *)
-  mutable shard_of : (Node.t -> int) option;
 }
 
 let create ?(config = Config.default) () =
   Config.validate config;
   {
     config;
-    stats_shards = Array.init (Sim.Engine.shard_count ()) (fun _ -> Stats.create ());
+    stats = Stats.create ();
     next_id = 0;
     nodes = [];
     tracer = None;
     fault_hook = None;
-    shard_of = None;
   }
 
 let set_tracer t tracer = t.tracer <- tracer
 let set_fault_hook t h = t.fault_hook <- h
-let set_shard_map t m = t.shard_of <- m
-
-let shard_of_node t node =
-  match t.shard_of with
-  | Some f when Array.length t.stats_shards > 1 -> f node
-  | _ -> Sim.Engine.shard_id ()
-
 let config t = t.config
-
-(* Serial engines read the single live instance (bit-for-bit the old
-   accessor); a sharded fabric merges its per-shard instances into a
-   fresh snapshot — additive and keyed, hence shard-order independent. *)
-let stats t =
-  if Array.length t.stats_shards = 1 then t.stats_shards.(0)
-  else begin
-    let out = Stats.create () in
-    Array.iter (fun s -> Stats.merge_into ~src:s ~into:out) t.stats_shards;
-    out
-  end
+let stats t = t.stats
 
 let add_node t ?attached_to ~name kind =
   (match (kind, attached_to) with
@@ -98,19 +71,7 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
       Pass
     | f -> f
   in
-  let cur_shard = Sim.Engine.shard_id () in
-  let dst_shard = shard_of_node t dst in
-  if (not on_network) && dst_shard <> cur_shard then
-    invalid_arg
-      (Printf.sprintf
-         "Fabric.send: shard map splits machine %s/%s across shards %d/%d"
-         src.Node.name dst.Node.name cur_shard dst_shard);
-  let shard_stats =
-    let i = cur_shard in
-    if i < Array.length t.stats_shards then t.stats_shards.(i)
-    else t.stats_shards.(0)
-  in
-  Stats.record shard_stats ~src ~dst ~cls ~bytes:size ~on_network;
+  Stats.record t.stats ~src ~dst ~cls ~bytes:size ~on_network;
   Obs.Metrics.incr src.Node.ins.Node.i_tx_msgs;
   Obs.Metrics.incr ~by:size src.Node.ins.Node.i_tx_bytes;
   (match fault with
@@ -206,29 +167,6 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
         Obs.Span.set_attr sp "fault" "drop";
         Sim.Engine.schedule (tx_done - now) (fun () -> Obs.Span.finish sp)
       end
-    | Pass | Duplicate | Delay _ when dst_shard <> cur_shard ->
-      (* Cross-shard: the sender's half (TX serialization) is booked here
-         on the source shard; the receiver's half (RX reservation and
-         delivery) runs on the destination shard, posted at the earliest
-         arrival instant. [arrive >= now + base >= now + lookahead], so
-         the post is always conservatively legal, and because the RX
-         reservation happens at arrival time the destination books its
-         NIC in arrival order — single-source receivers see exactly the
-         serial schedule. *)
-      let arrive = tx_start + base in
-      Sim.Engine.post_to ~shard:dst_shard ~time:arrive (fun () ->
-          let rx_start, rx_done =
-            Sim.Resource.reserve_at dst.Node.rx ~start:arrive ~duration:ser
-          in
-          if sp <> 0 then
-            Obs.Span.set_attr sp "q"
-              (string_of_int ((tx_start - now) + (rx_start - arrive)));
-          let dnow = Sim.Engine.now () in
-          Sim.Engine.schedule (rx_done + extra - dnow) deliver;
-          match fault with
-          | Duplicate ->
-            Sim.Engine.schedule (rx_done + extra + base - dnow) dup_deliver
-          | _ -> ())
     | Pass | Duplicate | Delay _ ->
       let rx_start, rx_done =
         Sim.Resource.reserve_at dst.Node.rx ~start:(tx_start + base)

@@ -21,33 +21,9 @@ val create : ?config:Config.t -> unit -> t
 val config : t -> Config.t
 
 val stats : t -> Stats.t
-(** Traffic accounting. On a serial engine this is the live instance (and
-    reads are free); under a sharded engine it is a fresh merged snapshot
-    of the per-shard instances, deterministic for any domain count. A
-    fabric used under [Sim.Engine.run_sharded] must be created inside
-    that run (the per-shard accounting is sized at creation). *)
 
 val set_tracer : t -> (Trace.event -> unit) option -> unit
-(** Install (or remove) a message tracer; see {!Trace}. Under a sharded
-    engine the [Arrive] callback runs on the destination node's shard. *)
-
-val set_shard_map : t -> (Node.t -> int) option -> unit
-(** Install (or remove) the node→engine-shard map used under
-    [Sim.Engine.run_sharded]. With a map installed (and a sharded engine
-    running), a cross-shard {!send} books the sender's TX on the source
-    shard and posts the RX reservation + delivery to the destination
-    shard at the earliest arrival instant — conservatively legal because
-    every cross-machine message takes at least
-    [Config.min_remote_latency]. The map must keep each machine whole
-    (host plus attached SmartNICs on one shard): intra-machine paths are
-    faster than the lookahead, and {!send} raises [Invalid_argument] on a
-    local send whose destination maps off the caller's shard. [None]
-    (the default) keeps every delivery on the caller's shard — the serial
-    behavior. *)
-
-val shard_of_node : t -> Node.t -> int
-(** The shard the installed map assigns [node] to; the caller's own shard
-    when no map is installed or the engine is not sharded. *)
+(** Install (or remove) a message tracer; see {!Trace}. *)
 
 (** {2 Fault injection}
 

@@ -68,36 +68,6 @@ let reset t =
   Array.fill t.size_buckets 0 n_buckets 0;
   Hashtbl.reset t.links
 
-(* Fold [src] into [into] (used by the sharded fabric, which keeps one
-   Stats.t per shard and merges on demand). Purely additive, so merging
-   per-shard instances in any fixed order yields the same totals; links
-   and histograms are keyed, so the result is order-independent even for
-   the breakdowns. *)
-let merge_into ~src ~into =
-  let addc a b =
-    b.msgs <- b.msgs + a.msgs;
-    b.bytes <- b.bytes + a.bytes
-  in
-  addc src.all into.all;
-  addc src.net into.net;
-  addc src.net_control into.net_control;
-  addc src.net_data into.net_data;
-  for b = 0 to n_buckets - 1 do
-    into.size_buckets.(b) <- into.size_buckets.(b) + src.size_buckets.(b)
-  done;
-  Hashtbl.iter
-    (fun key c ->
-      let d =
-        match Hashtbl.find_opt into.links key with
-        | Some d -> d
-        | None ->
-          let d = fresh () in
-          Hashtbl.add into.links key d;
-          d
-      in
-      addc c d)
-    src.links
-
 type census = {
   messages : int;
   bytes : int;

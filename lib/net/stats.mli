@@ -34,12 +34,6 @@ val record :
 val reset : t -> unit
 (** Zero all counters (used between experiment phases). *)
 
-val merge_into : src:t -> into:t -> unit
-(** Add every counter of [src] into [into] (leaving [src] untouched).
-    Purely additive and keyed, so merging a set of per-shard instances
-    yields the same result in any order — the sharded fabric keeps one
-    [t] per shard and merges for {!census}/{!per_link} reads. *)
-
 type census = {
   messages : int;  (** All messages, any path. *)
   bytes : int;

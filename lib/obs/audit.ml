@@ -50,8 +50,7 @@ type event = {
   au_detail : string;
 }
 
-(* Domain-local, like Span: fresh per sibling simulation, adopted by
-   sharded-engine worker domains via Engine.register_domain_import. *)
+(* Domain-local, like Span: fresh per sibling simulation. *)
 type state = {
   mutable a_enabled : bool;
   mutable a_capacity : int;
@@ -73,11 +72,6 @@ let state_key : state Domain.DLS.key =
       })
 
 let st () = Domain.DLS.get state_key
-
-let () =
-  Sim.Engine.register_domain_import (fun () ->
-      let s = st () in
-      fun () -> Domain.DLS.set state_key s)
 
 let enabled () = (st ()).a_enabled
 let set_enabled b = (st ()).a_enabled <- b

@@ -36,8 +36,7 @@ type event = {
 }
 
 (* Domain-local state: sibling simulations (Sim.Domains.map) get fresh
-   journals; sharded-engine worker domains adopt the coordinator's
-   (Engine.register_domain_import). *)
+   journals. *)
 type state = {
   mutable j_enabled : bool;
   mutable j_cap : int;
@@ -65,11 +64,6 @@ let state_key : state Domain.DLS.key =
       })
 
 let st () = Domain.DLS.get state_key
-
-let () =
-  Sim.Engine.register_domain_import (fun () ->
-      let s = st () in
-      fun () -> Domain.DLS.set state_key s)
 
 let enabled () = (st ()).j_enabled
 let set_enabled b = (st ()).j_enabled <- b

@@ -39,13 +39,6 @@ let bucket_upper k = Float.exp2 (float_of_int k /. float_of_int sub)
 
    The registry is domain-local (Domain.DLS), so independent simulations
    on sibling domains (Sim.Domains.map) record into disjoint registries.
-   Worker domains of a *sharded* engine instead adopt the coordinator's
-   registry via Engine.register_domain_import, so one simulation has one
-   registry no matter how many domains drain it; interning is mutex-
-   guarded for that case. Instrument handles themselves are unguarded —
-   the sharded-engine contract is that a node's instruments are only
-   touched by the shard that owns the node (the window barrier provides
-   the cross-window ordering).
 
    Reset is generational: instruments are interned forever (so a handle
    obtained before a reset is the same physical object returned after it),
@@ -75,13 +68,6 @@ let registry_key : registry Domain.DLS.key =
 
 let reg () = Domain.DLS.get registry_key
 
-let () =
-  Sim.Engine.register_domain_import (fun () ->
-      let r = reg () in
-      fun () -> Domain.DLS.set registry_key r)
-
-let intern_mutex = Mutex.create ()
-
 let refresh_counter c =
   let gen = (reg ()).generation in
   if c.c_gen <> gen then begin
@@ -109,7 +95,6 @@ let refresh_histogram h =
 
 let intern tbl make refresh ~node name =
   let key = (node, name) in
-  Mutex.lock intern_mutex;
   let v =
     match Hashtbl.find_opt tbl key with
     | Some v -> v
@@ -118,7 +103,6 @@ let intern tbl make refresh ~node name =
       Hashtbl.add tbl key v;
       v
   in
-  Mutex.unlock intern_mutex;
   refresh v;
   v
 

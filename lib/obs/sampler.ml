@@ -20,7 +20,7 @@ let reason_name = function
   | Kept_head -> "head"
 
 (* Domain-local state, same discipline as Span/Journal/Audit: fresh per
-   sibling simulation, adopted by sharded-engine worker domains. *)
+   sibling simulation. *)
 type state = {
   mutable sm_enabled : bool;
   mutable sm_threshold_ns : int; (* default 1ms *)
@@ -50,11 +50,6 @@ let state_key : state Domain.DLS.key =
       })
 
 let st () = Domain.DLS.get state_key
-
-let () =
-  Sim.Engine.register_domain_import (fun () ->
-      let s = st () in
-      fun () -> Domain.DLS.set state_key s)
 
 let reason_rank = function
   | Kept_error -> 0

@@ -17,9 +17,8 @@ type t = {
 (* One collector per domain: engines do not nest and runs are
    deterministic, so a domain-local singleton keeps every instrumentation
    site free of plumbing while independent simulations on sibling domains
-   (Sim.Domains.map) stay isolated. Worker domains of a sharded engine
-   adopt the coordinator's collector (Engine.register_domain_import).
-   Disabled (the default) every entry point is a cheap bool check. *)
+   (Sim.Domains.map) stay isolated. Disabled (the default) every entry
+   point is a cheap bool check. *)
 type state = {
   mutable s_enabled : bool;
   mutable s_limit : int;
@@ -41,11 +40,6 @@ let state_key : state Domain.DLS.key =
       })
 
 let st () = Domain.DLS.get state_key
-
-let () =
-  Sim.Engine.register_domain_import (fun () ->
-      let s = st () in
-      fun () -> Domain.DLS.set state_key s)
 
 let enabled () = (st ()).s_enabled
 let set_enabled b = (st ()).s_enabled <- b

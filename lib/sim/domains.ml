@@ -1,8 +1,8 @@
 (* Parallel runner for *independent* simulations.
 
-   Unlike Engine.run_sharded — one simulation spread over many domains —
-   this runs many self-contained simulations (sweep points, chaos seeds)
-   on a small domain pool. Determinism comes for free: results land in a
+   Each simulation is an ordinary serial Engine.run; this runs many
+   self-contained simulations (sweep points, chaos seeds) on a small
+   domain pool. Determinism comes for free: results land in a
    slot array indexed by task position, so the returned list is in task
    order no matter how the pool interleaved, and each worker domain has
    fresh domain-local state (engine, metrics, spans, journal, id

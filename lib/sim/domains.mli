@@ -1,8 +1,8 @@
 (** Parallel runner for independent simulations.
 
-    {!Engine.run_sharded} spreads one simulation over many domains; this
-    module instead runs many self-contained simulations (bench sweep
-    points, chaos seeds) on a domain pool. Each worker domain gets fresh
+    Each simulation runs on the serial {!Engine.run}; this module runs
+    many self-contained simulations (bench sweep points, chaos seeds) on a
+    domain pool. Each worker domain gets fresh
     domain-local state, so sibling simulations cannot observe each other;
     results are returned in task order regardless of scheduling, so the
     output is deterministic for any [domains]. *)

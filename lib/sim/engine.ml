@@ -1,23 +1,6 @@
 exception Deadlock of string
 
-(* A cross-shard event in flight: produced by [post_to] on the source
-   shard during a window, merged into the destination heap at the next
-   window barrier. The canonical merge order — (m_time, m_src, m_mseq) —
-   is what makes the parallel schedule independent of the domain count:
-   each source appends to its own single-producer mailbox in its own
-   deterministic drain order, and the coordinator replays the union in a
-   total order that no interleaving of domains can perturb. *)
-type msg = {
-  m_time : int;
-  m_src : int;
-  m_mseq : int;
-  m_dst : int;
-  m_ctx : int; (* sender's trace context, restored before m_fn runs *)
-  m_fn : unit -> unit;
-}
-
 type t = {
-  shard : int;
   heap : (unit -> unit) Heap.t;
   mutable now : int;
   mutable seq : int;
@@ -27,24 +10,10 @@ type t = {
   mutable ctx : int; (* fiber-local trace context, 0 = none *)
   names : (int, string) Hashtbl.t; (* live named fibers, keyed by fiber id *)
   mutable next_fiber : int;
-  mutable post_seq : int; (* per-source mailbox sequence for post_to *)
-  mutable par : t_par option;
 }
 
-and t_par = {
-  p_shards : t array;
-  p_lookahead : int;
-  mutable p_window_end : int; (* exclusive bound of the current window *)
-  (* p_boxes.(src).(dst): single-producer mailbox, newest first. Only the
-     source shard appends during a window; only the coordinator reads and
-     clears at the barrier. The window mutex orders the two. *)
-  p_boxes : msg list ref array array;
-}
-
-(* The running engine is domain-local: each worker domain of a sharded run
-   points [current] at the shard it is draining, and independent
-   simulations on sibling domains (Domains.map) never observe each
-   other. *)
+(* The running engine is domain-local, so independent simulations on
+   sibling domains (Domains.map) never observe each other. *)
 let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let current () = Domain.DLS.get current_key
 let set_current v = Domain.DLS.set current_key v
@@ -132,9 +101,8 @@ let exec t ?(root = false) ?name f =
           | _ -> None);
     }
 
-let mk_shard i =
+let create () =
   {
-    shard = i;
     heap = Heap.create ();
     now = 0;
     seq = 0;
@@ -144,35 +112,24 @@ let mk_shard i =
     ctx = 0;
     names = Hashtbl.create 16;
     next_fiber = 0;
-    post_seq = 0;
-    par = None;
   }
 
-(* Run one shard's heap until it is exhausted or the next event is at or
-   past [stop_before]. The serial engine drains with [stop_before =
-   max_int]; a sharded run drains to the window bound. Failure semantics
-   are the serial engine's, per shard: after a failure is recorded, keep
-   draining events scheduled for the *same* instant before stopping — the
+(* Run the heap until it is exhausted. After a failure is recorded, keep
+   draining events scheduled for the *same* instant before stopping: the
    root fiber may be queued right behind the failing background fiber,
    and its own error (or completion) is the one the caller should see.
    Events at a later time never run once a failure exists. *)
-let drain t ~stop_before =
+let drain t =
   let rec loop () =
-    let runnable =
-      match Heap.peek_time t.heap with
-      | None -> false
-      | Some time -> time < stop_before
-    in
-    if runnable then
-      match Heap.pop t.heap with
-      | None -> ()
-      | Some (time, _seq, run_event) ->
-        if t.failure <> None && time > t.now then ()
-        else begin
-          t.now <- time;
-          (try run_event () with e -> record_failure t ~root:false e);
-          loop ()
-        end
+    match Heap.pop t.heap with
+    | None -> ()
+    | Some (time, _seq, run_event) ->
+      if t.failure <> None && time > t.now then ()
+      else begin
+        t.now <- time;
+        (try run_event () with e -> record_failure t ~root:false e);
+        loop ()
+      end
   in
   loop ()
 
@@ -181,13 +138,10 @@ let drain t ~stop_before =
    ?name and never finished) so the survivor — not just the victim — is
    identified. Names are sorted for determinism; one occurrence of the
    root's own name is elided since the headline already states it. *)
-let raise_deadlock ~name ~now ts =
+let raise_deadlock ~name t =
   let all =
-    List.concat_map
-      (fun t -> Hashtbl.fold (fun _ n acc -> n :: acc) t.names [])
-      ts
+    List.sort compare (Hashtbl.fold (fun _ n acc -> n :: acc) t.names [])
   in
-  let all = List.sort compare all in
   let rec drop1 = function
     | [] -> []
     | x :: tl when String.equal x name -> tl
@@ -196,7 +150,7 @@ let raise_deadlock ~name ~now ts =
   let others = drop1 all in
   let base =
     Printf.sprintf "engine quiesced at t=%s but fiber %S never finished"
-      (Time.to_string now) name
+      (Time.to_string t.now) name
   in
   let msg =
     if others = [] then base
@@ -213,7 +167,7 @@ let raise_deadlock ~name ~now ts =
 
 let run ?(name = "main") main =
   if current () <> None then failwith "Fractos_sim.Engine: engines do not nest";
-  let t = mk_shard 0 in
+  let t = create () in
   set_current (Some t);
   let result = ref None in
   let finally () = set_current None in
@@ -223,13 +177,13 @@ let run ?(name = "main") main =
               let v = main () in
               result := Some v;
               t.main_done <- true));
-      drain t ~stop_before:max_int;
+      drain t;
       match t.failure with
       | Some (_, e) -> raise e
       | None -> (
         match !result with
         | Some v -> v
-        | None -> raise_deadlock ~name ~now:t.now [ t ]))
+        | None -> raise_deadlock ~name t))
 
 let now () = (get ()).now
 let sleep d = Effect.perform (Sleep d)
@@ -260,271 +214,3 @@ let fiber_count () = (get ()).fibers
 
 let get_ctx () = match current () with Some t -> t.ctx | None -> 0
 let set_ctx c = match current () with Some t -> t.ctx <- c | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Sharded engine: conservative time-window parallel DES               *)
-(* ------------------------------------------------------------------ *)
-
-let shard_id () = match current () with None -> 0 | Some t -> t.shard
-
-let shard_count () =
-  match current () with
-  | Some { par = Some p; _ } -> Array.length p.p_shards
-  | _ -> 1
-
-let lookahead () =
-  match current () with Some { par = Some p; _ } -> p.p_lookahead | _ -> 0
-
-let post_to ~shard:dst ~time f =
-  let t = get () in
-  match t.par with
-  | None ->
-    if dst <> 0 then
-      invalid_arg "Fractos_sim.Engine.post_to: engine is not sharded";
-    schedule_at t ~time:(if time < t.now then t.now else time) f
-  | Some p ->
-    let n = Array.length p.p_shards in
-    if dst < 0 || dst >= n then
-      invalid_arg
-        (Printf.sprintf "Fractos_sim.Engine.post_to: shard %d out of [0,%d)"
-           dst n);
-    if dst = t.shard then
-      schedule_at t ~time:(if time < t.now then t.now else time) f
-    else begin
-      if time < p.p_window_end then
-        invalid_arg
-          (Printf.sprintf
-             "Fractos_sim.Engine.post_to: conservative violation — event at \
-              t=%s for shard %d is inside the current window (ends t=%s); \
-              cross-shard sends must be delayed by at least the lookahead \
-              (%s)"
-             (Time.to_string time) dst
-             (Time.to_string p.p_window_end)
-             (Time.to_string p.p_lookahead));
-      t.post_seq <- t.post_seq + 1;
-      let box = p.p_boxes.(t.shard).(dst) in
-      box :=
-        {
-          m_time = time;
-          m_src = t.shard;
-          m_mseq = t.post_seq;
-          m_dst = dst;
-          m_ctx = t.ctx;
-          m_fn = f;
-        }
-        :: !box
-    end
-
-let spawn_on ?name ~shard f =
-  let t = get () in
-  if shard = t.shard then spawn ?name f
-  else
-    match t.par with
-    | None ->
-      invalid_arg "Fractos_sim.Engine.spawn_on: engine is not sharded"
-    | Some p ->
-      post_to ~shard
-        ~time:(t.now + p.p_lookahead)
-        (fun () ->
-          let d = get () in
-          exec d ?name f)
-
-(* Worker domains of a sharded run adopt the observability state of the
-   domain that called [run_sharded], so metric handles, spans and journal
-   entries land in one shared registry regardless of which domain drains
-   which shard. Modules with domain-local state register a hook; at
-   run_sharded entry each hook captures the caller's state and returns an
-   installer the worker domains invoke first thing. (Independent
-   simulations run through Domains.map do *not* import — they get fresh
-   per-domain state on purpose.) *)
-let import_hooks : (unit -> unit -> unit) list ref = ref []
-let register_domain_import h = import_hooks := h :: !import_hooks
-
-type window_barrier = {
-  wb_mutex : Mutex.t;
-  wb_cond : Condition.t;
-  mutable wb_round : int;
-  mutable wb_pending : int;
-  mutable wb_stop : bool;
-}
-
-let run_sharded ?(name = "main") ?(domains = 1) ~shards:n ~lookahead:la main =
-  if n < 1 then invalid_arg "Fractos_sim.Engine.run_sharded: shards must be >= 1";
-  if n = 1 then run ~name main
-  else begin
-    if la < 1 then
-      invalid_arg "Fractos_sim.Engine.run_sharded: lookahead must be positive";
-    if current () <> None then
-      failwith "Fractos_sim.Engine: engines do not nest";
-    let shards = Array.init n mk_shard in
-    let par =
-      {
-        p_shards = shards;
-        p_lookahead = la;
-        p_window_end = 0;
-        p_boxes = Array.init n (fun _ -> Array.init n (fun _ -> ref []));
-      }
-    in
-    Array.iter (fun s -> s.par <- Some par) shards;
-    let w = max 1 (min domains n) in
-    let imports = List.rev_map (fun h -> h ()) !import_hooks in
-    let result = ref None in
-    (* Drain every shard assigned to worker [k] (static round-robin:
-       shard i belongs to worker i mod w; the coordinator is worker 0, so
-       shard 0 — and with it the root fiber and its result — always runs
-       on the calling domain). *)
-    let drain_mine k =
-      let i = ref k in
-      while !i < n do
-        let s = shards.(!i) in
-        set_current (Some s);
-        (try drain s ~stop_before:par.p_window_end
-         with e -> record_failure s ~root:false e);
-        i := !i + w
-      done;
-      set_current None
-    in
-    let wb =
-      {
-        wb_mutex = Mutex.create ();
-        wb_cond = Condition.create ();
-        wb_round = 0;
-        wb_pending = 0;
-        wb_stop = false;
-      }
-    in
-    let worker k () =
-      List.iter (fun install -> install ()) imports;
-      let rec go last_round =
-        Mutex.lock wb.wb_mutex;
-        while wb.wb_round = last_round && not wb.wb_stop do
-          Condition.wait wb.wb_cond wb.wb_mutex
-        done;
-        let stop = wb.wb_stop and r = wb.wb_round in
-        Mutex.unlock wb.wb_mutex;
-        if not stop then begin
-          drain_mine k;
-          Mutex.lock wb.wb_mutex;
-          wb.wb_pending <- wb.wb_pending - 1;
-          if wb.wb_pending = 0 then Condition.broadcast wb.wb_cond;
-          Mutex.unlock wb.wb_mutex;
-          go r
-        end
-      in
-      go 0
-    in
-    let pool = Array.init (w - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-    let run_window () =
-      if w = 1 then drain_mine 0
-      else begin
-        Mutex.lock wb.wb_mutex;
-        wb.wb_pending <- w - 1;
-        wb.wb_round <- wb.wb_round + 1;
-        Condition.broadcast wb.wb_cond;
-        Mutex.unlock wb.wb_mutex;
-        drain_mine 0;
-        Mutex.lock wb.wb_mutex;
-        while wb.wb_pending > 0 do
-          Condition.wait wb.wb_cond wb.wb_mutex
-        done;
-        Mutex.unlock wb.wb_mutex
-      end
-    in
-    (* Barrier merge: collect every mailbox, replay in the canonical
-       (time, src, mseq) order, assigning destination-heap sequence
-       numbers in that order. The order is a pure function of each
-       shard's (deterministic) drain, so the merged schedule is identical
-       for any domain count. *)
-    let merge_boxes () =
-      let msgs = ref [] in
-      Array.iter
-        (fun row ->
-          Array.iter
-            (fun box ->
-              (match !box with [] -> () | ms -> msgs := List.rev_append ms !msgs);
-              box := [])
-            row)
-        par.p_boxes;
-      let msgs =
-        List.sort
-          (fun a b ->
-            match compare a.m_time b.m_time with
-            | 0 -> (
-              match compare a.m_src b.m_src with
-              | 0 -> compare a.m_mseq b.m_mseq
-              | c -> c)
-            | c -> c)
-          !msgs
-      in
-      List.iter
-        (fun m ->
-          let d = shards.(m.m_dst) in
-          schedule_at d ~time:m.m_time (fun () ->
-              d.ctx <- m.m_ctx;
-              m.m_fn ()))
-        msgs
-    in
-    let stop_pool () =
-      if w > 1 then begin
-        Mutex.lock wb.wb_mutex;
-        wb.wb_stop <- true;
-        Condition.broadcast wb.wb_cond;
-        Mutex.unlock wb.wb_mutex
-      end;
-      Array.iter Domain.join pool
-    in
-    let finally () = set_current None in
-    Fun.protect ~finally (fun () ->
-        let root = shards.(0) in
-        schedule_at root ~time:0 (fun () ->
-            exec root ~root:true ~name (fun () ->
-                let v = main () in
-                result := Some v;
-                root.main_done <- true));
-        let any_failure () =
-          Array.exists (fun s -> s.failure <> None) shards
-        in
-        let rec windows () =
-          if not (any_failure ()) then begin
-            let gvt =
-              Array.fold_left
-                (fun acc s ->
-                  match Heap.peek_time s.heap with
-                  | None -> acc
-                  | Some time -> min acc time)
-                max_int shards
-            in
-            if gvt <> max_int then begin
-              par.p_window_end <- gvt + la;
-              run_window ();
-              merge_boxes ();
-              windows ()
-            end
-          end
-        in
-        Fun.protect ~finally:stop_pool windows;
-        (* Failure priority mirrors the serial engine: the root fiber's
-           error outranks background failures; among background failures
-           the lowest shard id wins (deterministic — shard drains are
-           per-shard sequential, so each shard's first failure is fixed). *)
-        let failure =
-          Array.fold_left
-            (fun acc s ->
-              match (acc, s.failure) with
-              | Some (true, _), _ -> acc
-              | _, Some (true, e) -> Some (true, e)
-              | None, (Some _ as f) -> f
-              | acc, _ -> acc)
-            None shards
-        in
-        match failure with
-        | Some (_, e) -> raise e
-        | None -> (
-          match !result with
-          | Some v -> v
-          | None ->
-            let horizon =
-              Array.fold_left (fun acc s -> max acc s.now) 0 shards
-            in
-            raise_deadlock ~name ~now:horizon (Array.to_list shards)))
-  end

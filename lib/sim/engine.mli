@@ -89,88 +89,3 @@ val get_ctx : unit -> int
 val set_ctx : int -> unit
 (** Replace the current fiber's trace context (no-op outside an engine).
     Callers are expected to save and restore around scoped use. *)
-
-(** {2 Sharded engine: conservative time-window parallel DES}
-
-    {!run_sharded} partitions the event heap into [shards] independent
-    per-shard heaps and drains them on up to [domains] OCaml domains.
-    Simulated time advances in {e windows}: each window spans
-    [\[gvt, gvt + lookahead)] where [gvt] is the minimum next-event time
-    across all shards, every shard drains its own heap up to the window
-    bound in parallel, and at the window barrier cross-shard events posted
-    with {!post_to} are merged into destination heaps in the canonical
-    [(time, src_shard, seq)] order. Because a cross-shard event must be
-    timestamped at least [lookahead] in the future (the minimum cross-shard
-    fabric latency), no shard ever receives an event in its past — and
-    because the merge order is a pure function of each shard's own
-    deterministic drain, the merged schedule is {b identical for any domain
-    count}. [domains = 1] runs the same windowed schedule on the calling
-    domain; [shards = 1] delegates to {!run} (bit-for-bit the serial
-    engine).
-
-    What may cross shards: only raw timed events via {!post_to} /
-    {!spawn_on}, with a timestamp at or beyond the current window's end.
-    {!Channel}, {!Ivar}, {!Waitgroup}, {!Barrier} and {!Resource} values
-    are shard-local: their wakeup paths call [schedule_at] on the engine
-    that is current {e at wakeup time}, so sharing one across shards is a
-    race and a determinism bug. The fabric layer ([Fractos_net.Fabric])
-    enforces this by reserving the sender's TX resource on the source
-    shard and posting the arrival — RX reservation and delivery — to the
-    destination shard.
-
-    Failure semantics per shard match the serial engine (same-instant
-    drain after a failure, root outranks background); across shards, the
-    run stops at the next window boundary after any shard records a
-    failure, the root fiber's error outranks background errors, and among
-    background errors the lowest shard id wins. *)
-
-val run_sharded :
-  ?name:string ->
-  ?domains:int ->
-  shards:int ->
-  lookahead:Time.t ->
-  (unit -> 'a) ->
-  'a
-(** [run_sharded ~shards ~lookahead main] runs [main] as the root fiber on
-    shard 0 of a [shards]-way partitioned engine, draining shards on
-    [max 1 (min domains shards)] domains (default 1). [lookahead] must be
-    positive and no larger than the minimum latency of any cross-shard
-    event (use [Net.Config.min_remote_latency]); {!post_to} raises
-    [Invalid_argument] on any send that would violate it. Worker domains
-    adopt the calling domain's observability state (see
-    {!register_domain_import}). Engines do not nest. *)
-
-val shard_id : unit -> int
-(** Shard the calling fiber runs on (0 outside a sharded run). *)
-
-val shard_count : unit -> int
-(** Number of shards of the running engine; 1 for a serial engine or
-    outside any engine. *)
-
-val lookahead : unit -> Time.t
-(** The running sharded engine's lookahead window; 0 for a serial engine. *)
-
-val post_to : shard:int -> time:Time.t -> (unit -> unit) -> unit
-(** [post_to ~shard ~time f] schedules raw event [f] on [shard] at absolute
-    time [time]. Same-shard posts behave like [schedule] (minus context
-    capture at the destination: the sender's context is restored before
-    [f] runs). Cross-shard posts go through the sender's single-producer
-    mailbox and are merged at the next window barrier; they must satisfy
-    [time >= window_end] — i.e. be delayed by at least the lookahead —
-    or [Invalid_argument] is raised (a conservative-synchronization
-    violation). [f] must not block; spawn a fiber for blocking code. *)
-
-val spawn_on : ?name:string -> shard:int -> (unit -> unit) -> unit
-(** [spawn_on ~shard f] starts [f] as a fiber on [shard]. On the calling
-    fiber's own shard this is {!spawn}; on a remote shard the fiber begins
-    one lookahead in the future (the earliest conservatively-legal
-    instant). *)
-
-val register_domain_import : (unit -> unit -> unit) -> unit
-(** [register_domain_import hook] arranges for sharded worker domains to
-    adopt domain-local state from the domain that called {!run_sharded}:
-    at run entry each [hook] is invoked on the calling domain to capture
-    its state, and the returned installer runs first-thing on every worker
-    domain. Used by the observability layer so metrics/spans/journal land
-    in one shared registry regardless of which domain drains which shard.
-    Call at module-initialization time only. *)

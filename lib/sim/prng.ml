@@ -17,11 +17,10 @@ let split t =
   let seed = int64 t in
   { state = seed }
 
-(* Decorrelated per-shard stream: state = mix(seed + (id+1) * gamma), a
-   pure function of (seed, id). Unlike [split], deriving stream [i] does
-   not advance any parent generator, so shard i's draws are independent of
-   how many sibling streams exist — the property the sharded engine needs
-   for results to be invariant across shard layouts. *)
+(* Decorrelated stream: state = mix(seed + (id+1) * gamma), a pure
+   function of (seed, id). Unlike [split], deriving stream [i] does not
+   advance any parent generator, so stream i's draws are independent of
+   how many sibling streams exist or the order they are derived in. *)
 let stream ~seed ~id =
   if id < 0 then invalid_arg "Prng.stream: id must be non-negative";
   {

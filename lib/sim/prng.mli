@@ -19,8 +19,8 @@ val split : t -> t
 val stream : seed:int -> id:int -> t
 (** [stream ~seed ~id] is a decorrelated generator that is a pure function
     of [(seed, id)] — deriving stream [i] does not advance any parent
-    state, so per-shard streams are independent of the shard count and of
-    each other. [id] must be non-negative. *)
+    state, so per-client streams are independent of how many siblings
+    exist and of each other. [id] must be non-negative. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit draw. *)

@@ -9,28 +9,6 @@ let run ?config f = Sim.Engine.run (fun () -> f (create ?config ()))
 let add_host t name = Net.Fabric.add_node t.fabric ~name Net.Node.Host_cpu
 let add_wimpy t name = Net.Fabric.add_node t.fabric ~name Net.Node.Wimpy_cpu
 
-(* Node -> engine-shard affinity for Sim.Engine.run_sharded: a
-   Core.Shard-style deterministic hash of the node's *machine* id (an
-   attached SmartNIC hashes as its host), so a machine always lands whole
-   on one shard — the invariant Fabric.set_shard_map requires — and the
-   assignment is a pure function of (seed, machine id, shard count). *)
-let node_shard ?(seed = 0) ~shards (node : Net.Node.t) =
-  if shards <= 1 then 0
-  else
-    let machine =
-      match node.Net.Node.attached_to with
-      | Some h -> h.Net.Node.id
-      | None -> node.Net.Node.id
-    in
-    match Core.Shard.place ~n:shards ~live:(fun _ -> true) ~seed machine with
-    | Some s -> s
-    | None -> 0
-
-let install_shard_map ?seed t =
-  let shards = Sim.Engine.shard_count () in
-  if shards > 1 then
-    Net.Fabric.set_shard_map t.fabric (Some (node_shard ?seed ~shards))
-
 let register_ctrl t ctrl =
   t.ctrls <- ctrl :: t.ctrls;
   Core.Controller.connect t.ctrls;

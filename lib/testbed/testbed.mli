@@ -20,18 +20,6 @@ val create : ?config:Net.Config.t -> unit -> t
 val run : ?config:Net.Config.t -> (t -> 'a) -> 'a
 (** [run f] = [Sim.Engine.run (fun () -> f (create ()))]. *)
 
-val node_shard : ?seed:int -> shards:int -> Net.Node.t -> int
-(** Deterministic node→engine-shard affinity for [Sim.Engine.run_sharded]:
-    a [Core.Shard]-style hash of the node's machine id (an attached
-    SmartNIC hashes as its host, so machines stay whole — the invariant
-    [Net.Fabric.set_shard_map] requires). Pure in (seed, machine id,
-    shard count). *)
-
-val install_shard_map : ?seed:int -> t -> unit
-(** Install {!node_shard} (over the running engine's shard count) as the
-    fabric's shard map. No-op on a serial engine, so testbed code can call
-    it unconditionally. *)
-
 val add_host : t -> string -> Net.Node.t
 (** Add a host-CPU node. *)
 

@@ -465,139 +465,6 @@ let prop_transfer_monotone =
       let small = min s1 s2 and big = max s1 s2 in
       time small <= time big)
 
-(* ------------------------------------------------------------------ *)
-(* Sharded engine                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* Paired client/server hosts with every request crossing shards and every
-   RX engine fed by a single source: the one traffic shape where the
-   sharded fabric's arrival-order RX booking coincides with the serial
-   engine's send-order booking, so the delivery schedule and traffic
-   census must match the serial engine bit for bit. *)
-let sharded_traffic ~pairs ~rounds run =
-  let logs = Array.make pairs [] in
-  let fab_out = ref None in
-  run (fun () ->
-      let fab = Fabric.create () in
-      fab_out := Some fab;
-      let clients =
-        Array.init pairs (fun i ->
-            Fabric.add_node fab ~name:(Printf.sprintf "c%d" i) Node.Host_cpu)
-      in
-      let servers =
-        Array.init pairs (fun i ->
-            Fabric.add_node fab ~name:(Printf.sprintf "s%d" i) Node.Host_cpu)
-      in
-      let shards = Engine.shard_count () in
-      let shard_tbl = Hashtbl.create 16 in
-      Array.iteri
-        (fun i n -> Hashtbl.replace shard_tbl n.Node.id (i mod shards))
-        clients;
-      Array.iteri
-        (fun i n -> Hashtbl.replace shard_tbl n.Node.id ((i + 1) mod shards))
-        servers;
-      Fabric.set_shard_map fab
-        (Some (fun n -> Hashtbl.find shard_tbl n.Node.id));
-      for i = 0 to pairs - 1 do
-        Engine.spawn_on
-          ~name:(Printf.sprintf "client-%d" i)
-          ~shard:(i mod shards)
-          (fun () ->
-            (* Fixed start instant, past the remote-spawn lookahead hop, so
-               serial and sharded runs issue the same send times. *)
-            let t0 = Time.ms 1 in
-            Engine.sleep (t0 - Engine.now ());
-            for k = 1 to rounds do
-              let size = 64 + (641 * ((i * rounds) + k) mod 4093) in
-              let cls = if k mod 3 = 0 then Stats.Data else Stats.Control in
-              Fabric.send fab ~src:clients.(i) ~dst:servers.(i) ~cls ~size
-                (fun () ->
-                  (* Runs on the server's shard; slot [i] has that single
-                     writer, so per-slot accumulation is race-free. *)
-                  logs.(i) <- (Engine.now (), i, k) :: logs.(i));
-              Engine.sleep (Time.us (7 + ((i + k) mod 11)))
-            done)
-      done);
-  let entries = List.sort compare (List.concat (Array.to_list logs)) in
-  let census =
-    match !fab_out with
-    | Some fab -> Stats.census (Fabric.stats fab)
-    | None -> assert false
-  in
-  (entries, census)
-
-let test_sharded_fabric_matches_serial () =
-  let pairs = 4 and rounds = 6 in
-  let la = Config.min_remote_latency Config.default in
-  let serial = sharded_traffic ~pairs ~rounds (fun f -> Engine.run f) in
-  let entries, census = serial in
-  check_int "all deliveries" (pairs * rounds) (List.length entries);
-  check_bool "traffic counted" true (census.Stats.net_messages > 0);
-  List.iter
-    (fun domains ->
-      let sharded =
-        sharded_traffic ~pairs ~rounds (fun f ->
-            Engine.run_sharded ~domains ~shards:pairs ~lookahead:la f)
-      in
-      check_bool
-        (Printf.sprintf "domains=%d identical to serial" domains)
-        true
-        (serial = sharded))
-    [ 1; 2 ]
-
-let test_sharded_split_machine_rejected () =
-  let la = Config.min_remote_latency Config.default in
-  Engine.run_sharded ~shards:2 ~lookahead:la (fun () ->
-      let fab = Fabric.create () in
-      let h = Fabric.add_node fab ~name:"h" Node.Host_cpu in
-      let snic =
-        Fabric.add_node fab ~attached_to:h ~name:"h-snic" Node.Smart_nic
-      in
-      Fabric.set_shard_map fab
-        (Some (fun n -> if n.Node.id = snic.Node.id then 1 else 0));
-      match Fabric.send fab ~src:h ~dst:snic ~size:64 (fun () -> ()) with
-      | () -> Alcotest.fail "machine-splitting shard map was accepted"
-      | exception Invalid_argument msg ->
-        check_bool "names the invariant" true
-          (contains ~sub:"splits machine" msg))
-
-let test_sharded_endpoint_dedup () =
-  (* A Duplicate fault on a cross-shard message must still be discarded by
-     the destination endpoint's PSN window, even though the sequence number
-     was minted on the source shard. *)
-  let la = Config.min_remote_latency Config.default in
-  let got = ref [] in
-  let ep_out = ref None in
-  Engine.run_sharded ~shards:2 ~lookahead:la (fun () ->
-      let fab = Fabric.create () in
-      let a = Fabric.add_node fab ~name:"a" Node.Host_cpu in
-      let b = Fabric.add_node fab ~name:"b" Node.Host_cpu in
-      Fabric.set_shard_map fab
-        (Some (fun n -> if n.Node.id = b.Node.id then 1 else 0));
-      Fabric.set_fault_hook fab
-        (Some
-           (fun ~src:_ ~dst:_ ~cls:_ ~size ->
-             if size = 777 then Fabric.Duplicate else Fabric.Pass));
-      let ep = Endpoint.create ~node:b "srv" in
-      ep_out := Some ep;
-      Engine.spawn_on ~name:"server" ~shard:1 (fun () ->
-          let x = Endpoint.recv ep in
-          let y = Endpoint.recv ep in
-          got := [ x; y ]);
-      Engine.spawn_on ~name:"client" ~shard:0 (fun () ->
-          Engine.sleep (Time.ms 1);
-          Endpoint.post fab ~src:a ep ~size:777 1;
-          Endpoint.post fab ~src:a ep ~size:100 2));
-  Alcotest.(check (list int)) "dup discarded, order kept" [ 1; 2 ] !got;
-  match !ep_out with
-  | Some ep -> check_int "nothing left queued" 0 (Endpoint.pending ep)
-  | None -> assert false
-
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -642,15 +509,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_endpoint_roundtrip;
           Alcotest.test_case "pending" `Quick test_endpoint_pending;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "matches serial engine" `Quick
-            test_sharded_fabric_matches_serial;
-          Alcotest.test_case "split machine rejected" `Quick
-            test_sharded_split_machine_rejected;
-          Alcotest.test_case "cross-shard endpoint dedup" `Quick
-            test_sharded_endpoint_dedup;
         ] );
       ( "fault",
         [

@@ -841,7 +841,7 @@ let test_ctx_ivar_preserves_awaiter () =
       check_int "awaiter keeps its own ctx" 4 (Engine.get_ctx ()))
 
 (* ------------------------------------------------------------------ *)
-(* Heap property suite: the invariants the sharded engine leans on      *)
+(* Heap property suite: the ordering invariants the engine relies on   *)
 (* ------------------------------------------------------------------ *)
 
 (* Pop order is total on (time, seq): the popped key sequence is exactly
@@ -860,33 +860,46 @@ let prop_heap_total_order =
       drain [] = List.sort compare keys)
 
 (* Model-based: under any interleaving of pushes and pops the heap agrees
-   with a sorted-list model. *)
+   with an ordered multiset model (key -> multiplicity, plus a size). *)
+module Key_multiset = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
 let prop_heap_interleaved =
   QCheck.Test.make ~name:"heap stable under interleaved push/pop" ~count:300
     QCheck.(list (option (pair (int_bound 50) (int_bound 50))))
     (fun ops ->
       let h = Heap.create () in
-      let model = ref [] in
+      let model = ref Key_multiset.empty and size = ref 0 in
       List.for_all
         (fun op ->
           match op with
           | Some (t, s) ->
             Heap.push h ~time:t ~seq:s (t, s);
-            model := List.sort compare ((t, s) :: !model);
-            Heap.length h = List.length !model
+            model :=
+              Key_multiset.update (t, s)
+                (fun n -> Some (1 + Option.value n ~default:0))
+                !model;
+            incr size;
+            Heap.length h = !size
           | None -> (
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some (t, s, _), m :: rest ->
-              model := rest;
+            match (Heap.pop h, Key_multiset.min_binding_opt !model) with
+            | None, None -> true
+            | Some (t, s, _), Some (m, n) ->
+              model :=
+                if n = 1 then Key_multiset.remove m !model
+                else Key_multiset.add m (n - 1) !model;
+              decr size;
               (t, s) = m
             | _ -> false))
         ops)
 
 (* The engine's clamp discipline: every push is clamped to the last popped
    time (schedule_at never schedules into the past), and then no pop ever
-   yields a time below the last popped one — the invariant that lets a
-   shard's [now] advance monotonically within a window. *)
+   yields a time below the last popped one — the invariant that lets the
+   engine's [now] advance monotonically. *)
 let prop_heap_never_rewinds =
   QCheck.Test.make ~name:"heap never pops below last popped time" ~count:300
     QCheck.(list (option (int_bound 100)))
@@ -952,118 +965,6 @@ let test_finished_fiber_not_reported () =
     check_bool "finished fiber absent" false (contains ~sub:"done-worker" msg)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded engine                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* A cross-shard workload: one named fiber per shard ticks on its own
-   decorrelated Prng stream and relays hops to other shards via post_to.
-   Per-shard logs are only ever written by their owner shard; the merged
-   (sorted) log must be identical for every domain count. *)
-let sharded_workload ~shards ~domains =
-  let la = 50 in
-  let logs = Array.make shards [] in
-  let v =
-    Engine.run_sharded ~shards ~domains ~lookahead:la (fun () ->
-        for s = 0 to shards - 1 do
-          Engine.spawn_on
-            ~name:(Printf.sprintf "worker-%d" s)
-            ~shard:s
-            (fun () ->
-              let g = Prng.stream ~seed:42 ~id:s in
-              for i = 1 to 6 do
-                Engine.sleep (10 + Prng.int g 40);
-                let me = Engine.shard_id () in
-                logs.(me) <- (Engine.now (), s, i, 0) :: logs.(me);
-                let dst = (s + i) mod shards in
-                Engine.post_to ~shard:dst
-                  ~time:(Engine.now () + la + Prng.int g 20)
-                  (fun () ->
-                    logs.(dst) <- (Engine.now (), s, i, 1) :: logs.(dst))
-              done)
-        done;
-        17)
-  in
-  (v, List.sort compare (List.concat_map List.rev (Array.to_list logs)))
-
-let test_sharded_identical_across_domains () =
-  let reference = sharded_workload ~shards:4 ~domains:1 in
-  List.iter
-    (fun domains ->
-      let r = sharded_workload ~shards:4 ~domains in
-      check_bool
-        (Printf.sprintf "domains=%d matches domains=1" domains)
-        true
-        (r = reference))
-    [ 2; 3; 4; 8 ];
-  let v, log = reference in
-  check_int "main result" 17 v;
-  check_int "log entries" (4 * 6 * 2) (List.length log)
-
-let test_sharded_one_shard_is_serial () =
-  (* shards=1 delegates to the serial engine: same clock, same result. *)
-  let run_once f = f (fun () ->
-      Engine.sleep 30;
-      Engine.spawn (fun () -> Engine.sleep 100);
-      Engine.now ())
-  in
-  let serial = run_once (fun m -> Engine.run m) in
-  let sharded =
-    run_once (fun m -> Engine.run_sharded ~shards:1 ~lookahead:10 m)
-  in
-  check_int "same result" serial sharded
-
-let test_sharded_shard_identity () =
-  Engine.run_sharded ~shards:3 ~domains:2 ~lookahead:20 (fun () ->
-      check_int "root on shard 0" 0 (Engine.shard_id ());
-      check_int "shard count" 3 (Engine.shard_count ());
-      check_int "lookahead" 20 (Engine.lookahead ());
-      let seen = Array.make 3 (-1) in
-      for s = 0 to 2 do
-        Engine.spawn_on ~shard:s (fun () ->
-            seen.(s) <- Engine.shard_id ())
-      done;
-      (* Outlive the remote spawns (they begin one lookahead out). *)
-      Engine.sleep 100;
-      Array.iteri
-        (fun s got -> check_int (Printf.sprintf "fiber %d placed" s) s got)
-        seen)
-
-let test_sharded_conservative_violation () =
-  match
-    Engine.run_sharded ~shards:2 ~lookahead:50 (fun () ->
-        Engine.sleep 1;
-        (* now + 10 < window_end: conservatively illegal *)
-        Engine.post_to ~shard:1 ~time:(Engine.now () + 10) (fun () -> ()))
-  with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument msg ->
-    check_bool "names the violation" true
-      (contains ~sub:"conservative violation" msg)
-
-let test_sharded_failure_propagates () =
-  let boom = Failure "shard-1 exploded" in
-  match
-    Engine.run_sharded ~shards:2 ~domains:2 ~lookahead:10 (fun () ->
-        Engine.spawn_on ~shard:1 (fun () ->
-            Engine.sleep 5;
-            raise boom);
-        Engine.sleep 1_000)
-  with
-  | () -> Alcotest.fail "expected failure to propagate"
-  | exception Failure m -> Alcotest.(check string) "error" "shard-1 exploded" m
-
-let test_sharded_deadlock_names_remote_survivor () =
-  match
-    Engine.run_sharded ~shards:2 ~lookahead:10 (fun () ->
-        Engine.spawn_on ~name:"remote-stuck" ~shard:1 (fun () ->
-            ignore (Ivar.await (Ivar.create () : unit Ivar.t)));
-        ignore (Ivar.await (Ivar.create () : unit Ivar.t)))
-  with
-  | () -> Alcotest.fail "expected Deadlock"
-  | exception Engine.Deadlock msg ->
-    check_bool "names remote survivor" true (contains ~sub:"remote-stuck" msg)
-
-(* ------------------------------------------------------------------ *)
 (* Domains: parallel independent simulations                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1122,20 +1023,6 @@ let () =
             test_deadlock_root_only_keeps_format;
           Alcotest.test_case "finished fiber absent" `Quick
             test_finished_fiber_not_reported;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "identical across domains" `Quick
-            test_sharded_identical_across_domains;
-          Alcotest.test_case "one shard is serial" `Quick
-            test_sharded_one_shard_is_serial;
-          Alcotest.test_case "shard identity" `Quick test_sharded_shard_identity;
-          Alcotest.test_case "conservative violation" `Quick
-            test_sharded_conservative_violation;
-          Alcotest.test_case "failure propagates" `Quick
-            test_sharded_failure_propagates;
-          Alcotest.test_case "deadlock names remote survivor" `Quick
-            test_sharded_deadlock_names_remote_survivor;
         ] );
       ( "domains",
         [
