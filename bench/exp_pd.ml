@@ -153,7 +153,7 @@ let write_json points path =
               Printf.sprintf "\"prefills\": %d" prefills;
               Printf.sprintf "\"iters\": %d" iters;
               Printf.sprintf "\"router_policy\": %S"
-                pd_config.Config.router_policy;
+                (Fractos_services.Router.policy_to_string Pd.policy);
               Printf.sprintf "\"decode_counts\": [%s]"
                 (String.concat ", "
                    (List.map string_of_int (decode_counts ())));

@@ -1,14 +1,29 @@
 #!/bin/sh
-# Repo health check: build, tests, formatting (if ocamlformat is
-# installed) and the smoke runs (trace / breakdown / seeded chaos gate —
-# including the chaos seed battery byte-diffed across domains=1 and
-# domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh). Run from the
-# repo root:
+# Repo health check: no dead Net.Config knobs, build, tests, formatting
+# (if ocamlformat is installed) and the smoke runs (trace / breakdown /
+# seeded chaos gate — including the chaos seed battery byte-diffed across
+# domains=1 and domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh).
+# Run from the repo root:
 # ./bin/check.sh
 # The same checks are wired as a dune alias: dune build @check
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "== dead Net.Config knobs"
+# Every field of Net.Config.t must be read somewhere outside its own
+# definition; a field nothing reads is a dead knob.
+dead=0
+for f in $(awk '/^type t = \{/ { on = 1; next }
+                on && /^\}/ { exit }
+                on && /^  [a-z_0-9]+ :/ { print $1 }' lib/net/config.ml); do
+  if ! grep -rqw --include='*.ml' --exclude=config.ml "$f" \
+       lib bin bench benchmark; then
+    echo "dead knob: Net.Config.$f has no reader outside lib/net/config.ml"
+    dead=1
+  fi
+done
+[ "$dead" = 0 ]
 
 echo "== dune build"
 dune build

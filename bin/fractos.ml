@@ -190,11 +190,10 @@ let run_pd_cmd placement requests seed =
       in
       let client = Pd.attach pool c.Cluster.app in
       let rng = Prng.create ~seed in
-      let cfg = Net.Fabric.config tb.Tb.fabric in
       Format.printf
         "prefill/decode disaggregation on FractOS: %d requests, 2 prefill + \
          2 decode instances, policy %s@."
-        requests cfg.Net.Config.router_policy;
+        requests (Router.policy_to_string Pd.policy);
       let ttfts = ref [] and totals = ref [] in
       for r = 1 to requests do
         let prefix = Prng.int rng 4 in

@@ -115,6 +115,10 @@ let shard_owner_id (g : shard_group) minting_id =
     | None -> None
     | Some s -> Some g.sg_slots.(s).ctrl_id)
 
+(* Directory-cache entry bound; the cache is reset wholesale when full.
+   Shard groups are small, so this is a safety valve, not a tuning knob. *)
+let dir_cache_limit = 1024
+
 (* Locate the controller currently owning [addr]. Without a shard group
    this is exactly the flat peer list (bit-identical to the pre-shard
    code). With one, the directory cache memoizes minting-id -> owner-id,
@@ -129,19 +133,12 @@ let locate ctrl addr =
   | Some g ->
     if addr.a_ctrl = ctrl.ctrl_id then Some ctrl
     else begin
-      let cfg = config ctrl in
-      let cached =
-        if not cfg.shard_dir_cache then None
-        else begin
-          if ctrl.dir_gen <> g.sg_gen then begin
-            Hashtbl.reset ctrl.dir_cache;
-            ctrl.dir_gen <- g.sg_gen;
-            Obs.Metrics.incr ctrl.cm.cm_dir_invalidations
-          end;
-          Hashtbl.find_opt ctrl.dir_cache addr.a_ctrl
-        end
-      in
-      match cached with
+      if ctrl.dir_gen <> g.sg_gen then begin
+        Hashtbl.reset ctrl.dir_cache;
+        ctrl.dir_gen <- g.sg_gen;
+        Obs.Metrics.incr ctrl.cm.cm_dir_invalidations
+      end;
+      match Hashtbl.find_opt ctrl.dir_cache addr.a_ctrl with
       | Some owner_id ->
         Obs.Metrics.incr ctrl.cm.cm_dir_hits;
         if Obs.Span.enabled () then
@@ -164,11 +161,9 @@ let locate ctrl addr =
             let owner_id = g.sg_slots.(s).ctrl_id in
             if owner_id <> addr.a_ctrl then
               Obs.Metrics.incr ctrl.cm.cm_shard_reroutes;
-            if cfg.shard_dir_cache then begin
-              if Hashtbl.length ctrl.dir_cache >= cfg.dir_cache_cap then
-                Hashtbl.reset ctrl.dir_cache;
-              Hashtbl.replace ctrl.dir_cache addr.a_ctrl owner_id
-            end;
+            if Hashtbl.length ctrl.dir_cache >= dir_cache_limit then
+              Hashtbl.reset ctrl.dir_cache;
+            Hashtbl.replace ctrl.dir_cache addr.a_ctrl owner_id;
             peer_of_id ctrl owner_id))
     end
 
@@ -240,18 +235,15 @@ let insert_cap ?audit_detail ctrl space addr ~counts ~op =
           let iv = Sim.Ivar.create () in
           send_peer ctrl peer ~size:Wire.credit
             (P_ref_inc { addr; reply = { rr_ivar = iv; rr_ctrl = ctrl } });
-          let timeout = cfg.peer_ack_timeout in
-          if timeout <= 0 then ignore (Sim.Ivar.await iv)
-          else (
-            match Sim.Ivar.await_timeout iv ~timeout with
-            | Some _ -> ()
-            | None ->
-              Obs.Metrics.incr ctrl.cm.cm_ref_inc_timeouts;
-              journal ctrl Obs.Journal.Warn "ctrl.ref_inc_timeout" (fun () ->
-                  Printf.sprintf "peer=%d" addr.a_ctrl);
-              Logs.debug (fun m ->
-                  m "ref_inc ack from ctrl %d timed out; continuing"
-                    addr.a_ctrl))
+          if Option.is_none
+               (Sim.Ivar.await_timeout iv ~timeout:cfg.peer_ack_timeout)
+          then begin
+            Obs.Metrics.incr ctrl.cm.cm_ref_inc_timeouts;
+            journal ctrl Obs.Journal.Warn "ctrl.ref_inc_timeout" (fun () ->
+                Printf.sprintf "peer=%d" addr.a_ctrl);
+            Logs.debug (fun m ->
+                m "ref_inc ack from ctrl %d timed out; continuing" addr.a_ctrl)
+          end
         | None -> ());
     Ok cid
   end
@@ -709,6 +701,16 @@ let grant_credit ctrl ~src_ctrl ~copy_id ~credits =
     send_peer ctrl src ~size:Wire.credit (P_copy_credit { copy_id; credits })
   | None -> ()
 
+(* Staging memcpy of [len] bytes through a bounce buffer, charged to [res]:
+   the syscall cores on the serial engine, the copy engine on the
+   pipelined one. *)
+let stage ctrl res len =
+  let cfg = config ctrl in
+  Sim.Resource.use res
+    ~duration:
+      (Net.Config.scale_time cfg.scale_ctrl
+         (Net.Config.bytes_time ~bw_bps:cfg.memcpy_bw_bps len))
+
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
    session's chunks parked in [copy_pending] — and a dropped final chunk
    leaves an open-time failure parked in [copy_failures] — forever. Sweep
@@ -718,38 +720,34 @@ let grant_credit ctrl ~src_ctrl ~copy_id ~credits =
    stream fibers unblock. In fault-free runs the open (or final chunk)
    always lands first and the sweep is a no-op. *)
 let schedule_pending_sweep ctrl copy_id q =
-  let timeout = (config ctrl).Net.Config.copy_open_timeout in
-  if timeout > 0 then
-    Sim.Engine.schedule timeout (fun () ->
-        match Hashtbl.find_opt ctrl.copy_pending copy_id with
-        | Some q' when q' == q ->
-          Hashtbl.remove ctrl.copy_pending copy_id;
-          Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
-          journal ctrl Obs.Journal.Warn "ctrl.copy_orphan" (fun () ->
-              Printf.sprintf "copy=%d pending" copy_id);
-          (* scheduled events run outside any fiber: the refunds and the
-             Timeout reply charge cpu time, so hop into a fresh fiber *)
-          Sim.Engine.spawn (fun () ->
-              Queue.iter
-                (fun (src_ctrl, ck) ->
-                  if pipelined (config ctrl) then
-                    grant_credit ctrl ~src_ctrl ~copy_id ~credits:1;
-                  match ck.ck_last with
-                  | Some rr -> rreply_to ctrl rr (Error Error.Timeout)
-                  | None -> ())
-                q')
-        | Some _ | None -> ())
+  Sim.Engine.schedule (config ctrl).Net.Config.copy_open_timeout (fun () ->
+      match Hashtbl.find_opt ctrl.copy_pending copy_id with
+      | Some q' when q' == q ->
+        Hashtbl.remove ctrl.copy_pending copy_id;
+        Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
+        journal ctrl Obs.Journal.Warn "ctrl.copy_orphan" (fun () ->
+            Printf.sprintf "copy=%d pending" copy_id);
+        (* scheduled events run outside any fiber: the refunds and the
+           Timeout reply charge cpu time, so hop into a fresh fiber *)
+        Sim.Engine.spawn (fun () ->
+            Queue.iter
+              (fun (src_ctrl, ck) ->
+                if pipelined (config ctrl) then
+                  grant_credit ctrl ~src_ctrl ~copy_id ~credits:1;
+                match ck.ck_last with
+                | Some rr -> rreply_to ctrl rr (Error Error.Timeout)
+                | None -> ())
+              q')
+      | Some _ | None -> ())
 
 let schedule_failure_sweep ctrl copy_id =
-  let timeout = (config ctrl).Net.Config.copy_open_timeout in
-  if timeout > 0 then
-    Sim.Engine.schedule timeout (fun () ->
-        if Hashtbl.mem ctrl.copy_failures copy_id then begin
-          Hashtbl.remove ctrl.copy_failures copy_id;
-          Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
-          journal ctrl Obs.Journal.Warn "ctrl.copy_orphan" (fun () ->
-              Printf.sprintf "copy=%d failure" copy_id)
-        end)
+  Sim.Engine.schedule (config ctrl).Net.Config.copy_open_timeout (fun () ->
+      if Hashtbl.mem ctrl.copy_failures copy_id then begin
+        Hashtbl.remove ctrl.copy_failures copy_id;
+        Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
+        journal ctrl Obs.Journal.Warn "ctrl.copy_orphan" (fun () ->
+            Printf.sprintf "copy=%d failure" copy_id)
+      end)
 
 (* Destination side: one writer fiber per copy session, consuming in-order
    chunks, staging them through the bounce buffer and RDMA-writing into the
@@ -762,7 +760,6 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
   let chan = Sim.Channel.create () in
   Hashtbl.replace ctrl.copy_sessions copy_id chan;
   Sim.Engine.spawn (fun () ->
-      let cfg = config ctrl in
       let received = ref 0 in
       let rec loop () =
         let ck = Sim.Channel.recv chan in
@@ -774,11 +771,7 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
            "ctrl.copy.write"
         @@ fun () ->
         (* staging memcpy through the bounce buffer *)
-        if len > 0 then
-          Sim.Resource.use ctrl.cpu
-            ~duration:
-              (Net.Config.scale_time cfg.scale_ctrl
-                 (Net.Config.bytes_time ~bw_bps:cfg.memcpy_bw_bps len));
+        if len > 0 then stage ctrl ctrl.cpu len;
         if len > 0 then
           Membuf.write dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off) ck.ck_data;
         (* RDMA write from the bounce buffer into process memory *)
@@ -807,7 +800,6 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
   let chan = Sim.Channel.create () in
   Hashtbl.replace ctrl.copy_sessions copy_id chan;
   Sim.Engine.spawn (fun () ->
-      let cfg = config ctrl in
       let seen = Hashtbl.create 16 in
       let received = ref 0 in
       let outstanding = ref 0 in
@@ -834,10 +826,7 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
           "ctrl.copy.write"
         @@ fun () ->
         if len > 0 then begin
-          Sim.Resource.use ctrl.copy_engine
-            ~duration:
-              (Net.Config.scale_time cfg.scale_ctrl
-                 (Net.Config.bytes_time ~bw_bps:cfg.memcpy_bw_bps len));
+          stage ctrl ctrl.copy_engine len;
           Membuf.write dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off)
             ck.ck_data;
           (* asynchronous RDMA write out of the bounce buffer; the slot's
@@ -912,60 +901,55 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total =
    next chunk is read while the previous one is on the wire; without it we
    run chunks strictly in series (ablation). The final chunk carries the
    original caller's ack, so completion is signaled by the destination
-   controller directly to the origin (paper's decentralized data path). *)
-(* Serial chunk loop: the pre-windowing engine, kept verbatim as the
-   default path (bit-for-bit with copy_window = copy_streams = 1). *)
+   controller directly to the origin (paper's decentralized data path).
+
+   [post_chunk] is the step both engines share: read chunk [i] of [n]
+   (already staged in the bounce buffer) and post it to the destination
+   controller; the first chunk opens the session optimistically. *)
+let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) ~n i
+    (off, len) =
+  let data =
+    if len = 0 then Bytes.empty
+    else Membuf.read m.m_buf ~off:(m.m_off + off) ~len
+  in
+  let ck =
+    {
+      ck_off = off;
+      ck_data = data;
+      ck_last = (if i = n - 1 then Some rr else None);
+    }
+  in
+  let msg =
+    if i = 0 then
+      P_copy_open
+        { copy_id; src_ctrl = ctrl.ctrl_id; dst; total = m.m_len; chunk = ck }
+    else P_copy_chunk { copy_id; src_ctrl = ctrl.ctrl_id; chunk = ck }
+  in
+  Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
+    ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header) msg;
+  Obs.Metrics.incr ~by:len ctrl.cm.cm_copy_bytes
+
+(* Serial chunk loop: the pre-windowing engine and the default path
+   (copy_window = copy_streams = 1). *)
 let do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
     (rr : unit rreply) =
   let cfg = config ctrl in
   let chunks = chunk_sizes m.m_len cfg.bounce_chunk in
   let n = List.length chunks in
   List.iteri
-    (fun i (off, len) ->
+    (fun i ((off, len) as chunk) ->
       span ctrl
         ~attrs:(fun () ->
           [ ("off", string_of_int off); ("len", string_of_int len) ])
         "ctrl.copy.chunk"
       @@ fun () ->
-      (* RDMA read from source process memory into the bounce
-         buffer *)
-      if len > 0 then
+      if len > 0 then begin
+        (* RDMA read from source process memory into the bounce buffer *)
         Net.Fabric.transfer ctrl.fabric ~src:m.m_buf.Membuf.node
           ~dst:ctrl.cnode ~cls:Net.Stats.Data ~size:len ();
-      if len > 0 then
-        Sim.Resource.use ctrl.cpu
-          ~duration:
-              (Net.Config.scale_time cfg.scale_ctrl
-                 (Net.Config.bytes_time ~bw_bps:cfg.memcpy_bw_bps len));
-      let data =
-        if len = 0 then Bytes.empty
-        else Membuf.read m.m_buf ~off:(m.m_off + off) ~len
-      in
-      let last = i = n - 1 in
-      let ck =
-        {
-          ck_off = off;
-          ck_data = data;
-          ck_last = (if last then Some rr else None);
-        }
-      in
-      let size = len + Wire.chunk_header in
-      let msg =
-        if i = 0 then
-          (* the first chunk opens the session optimistically *)
-          P_copy_open
-            {
-              copy_id;
-              src_ctrl = ctrl.ctrl_id;
-              dst;
-              total = m.m_len;
-              chunk = ck;
-            }
-        else P_copy_chunk { copy_id; src_ctrl = ctrl.ctrl_id; chunk = ck }
-      in
-      Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
-        ~cls:Net.Stats.Data ~size msg;
-      Obs.Metrics.incr ~by:len ctrl.cm.cm_copy_bytes;
+        stage ctrl ctrl.cpu len
+      end;
+      post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i chunk;
       if not cfg.double_buffering then
         (* strict serial chunks: wait out the wire time before
            reading the next chunk *)
@@ -1009,29 +993,9 @@ let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
       (* RDMA read from source process memory into the bounce buffer *)
       Net.Fabric.transfer ctrl.fabric ~src:m.m_buf.Membuf.node ~dst:ctrl.cnode
         ~cls:Net.Stats.Data ~size:len ();
-      Sim.Resource.use ctrl.copy_engine
-        ~duration:
-              (Net.Config.scale_time cfg.scale_ctrl
-                 (Net.Config.bytes_time ~bw_bps:cfg.memcpy_bw_bps len))
+      stage ctrl ctrl.copy_engine len
     end;
-    let data =
-      if len = 0 then Bytes.empty
-      else Membuf.read m.m_buf ~off:(m.m_off + off) ~len
-    in
-    let last = i = n - 1 in
-    let ck =
-      { ck_off = off; ck_data = data; ck_last = (if last then Some rr else None) }
-    in
-    let size = len + Wire.chunk_header in
-    let msg =
-      if i = 0 then
-        P_copy_open
-          { copy_id; src_ctrl = ctrl.ctrl_id; dst; total = m.m_len; chunk = ck }
-      else P_copy_chunk { copy_id; src_ctrl = ctrl.ctrl_id; chunk = ck }
-    in
-    Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
-      ~cls:Net.Stats.Data ~size msg;
-    Obs.Metrics.incr ~by:len ctrl.cm.cm_copy_bytes
+    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i chunks.(i)
   in
   send_chunk 0;
   if n > 1 then begin
@@ -1150,14 +1114,13 @@ let shard_home ctrl =
   match ctrl.shard with
   | None -> None
   | Some g ->
-    let cfg = config ctrl in
-    if not cfg.shard_placement then None
+    if not (config ctrl).shard_placement then None
     else begin
       let key = (ctrl.ctrl_id * 1_000_003) + ctrl.place_seq in
       ctrl.place_seq <- ctrl.place_seq + 1;
       let n = Array.length g.sg_slots in
       match
-        Shard.place ~n ~live:(fun i -> g.sg_live.(i)) ~seed:cfg.shard_seed key
+        Shard.place ~n ~live:(fun i -> g.sg_live.(i)) ~seed:Shard.seed key
       with
       | None -> None
       | Some s ->
@@ -1182,8 +1145,8 @@ let place_remote ctrl (home : ctrl) ~size make_msg =
   ctrl.place_ack_seq <- ctrl.place_ack_seq + 1;
   let iv = Sim.Ivar.create () in
   send_peer ctrl home ~size (make_msg key { rr_ivar = iv; rr_ctrl = ctrl });
-  let timeout = (config ctrl).peer_ack_timeout in
-  let confirm r =
+  match Sim.Ivar.await_timeout iv ~timeout:(config ctrl).peer_ack_timeout with
+  | Some r ->
     (match r with
     | Ok _ ->
       charge ctrl [ (Net.Cost.Msg, 1) ];
@@ -1191,45 +1154,35 @@ let place_remote ctrl (home : ctrl) ~size make_msg =
         (P_place_ack { caller = ctrl.ctrl_id; key })
     | Error _ -> ());
     r
-  in
-  if timeout <= 0 then confirm (Sim.Ivar.await iv)
-  else
-    match Sim.Ivar.await_timeout iv ~timeout with
-    | Some r -> confirm r
-    | None ->
-      Obs.Metrics.incr ctrl.cm.cm_place_timeouts;
-      journal ctrl Obs.Journal.Warn "ctrl.place_timeout" (fun () ->
-          Printf.sprintf "home=%d" home.ctrl_id);
-      Error Error.Timeout
+  | None ->
+    Obs.Metrics.incr ctrl.cm.cm_place_timeouts;
+    journal ctrl Obs.Journal.Warn "ctrl.place_timeout" (fun () ->
+        Printf.sprintf "home=%d" home.ctrl_id);
+    Error Error.Timeout
 
 (* Home side of the placement lease: remember the freshly minted object
    under the caller's key and reclaim it if no P_place_ack lands within
    twice the caller's wait (once for the caller's own timeout, once as
    transit slack for the ack). Reclamation goes through the ordinary
    revocation path — the Revoke is audited and remote capabilities are
-   cleaned up — so Invariants' live-object accounting stays balanced.
-   With peer_ack_timeout <= 0 the caller waits forever and can never
-   abandon a placement, so no lease is needed. *)
+   cleaned up — so Invariants' live-object accounting stays balanced. *)
 let place_lease_arm ctrl ~caller ~key addr =
-  let timeout = (config ctrl).peer_ack_timeout in
-  if timeout > 0 then begin
-    Hashtbl.replace ctrl.placed_pending (caller, key) addr;
-    let armed_epoch = ctrl.epoch in
-    Sim.Engine.spawn (fun () ->
-        Sim.Engine.sleep (2 * timeout);
-        match Hashtbl.find_opt ctrl.placed_pending (caller, key) with
-        | None -> () (* confirmed (or the table was reset by a reboot) *)
-        | Some addr ->
-          Hashtbl.remove ctrl.placed_pending (caller, key);
-          if ctrl.running && ctrl.epoch = armed_epoch then (
-            match Objects.find ctrl addr with
-            | Ok obj when obj.o_valid ->
-              Obs.Metrics.incr ctrl.cm.cm_place_reclaims;
-              journal ctrl Obs.Journal.Warn "ctrl.place_reclaim" (fun () ->
-                  Printf.sprintf "caller=%d oid=%d" caller addr.a_oid);
-              invalidate_at_owner ctrl obj
-            | Ok _ | Error _ -> ()))
-  end
+  Hashtbl.replace ctrl.placed_pending (caller, key) addr;
+  let armed_epoch = ctrl.epoch in
+  Sim.Engine.spawn (fun () ->
+      Sim.Engine.sleep (2 * (config ctrl).peer_ack_timeout);
+      match Hashtbl.find_opt ctrl.placed_pending (caller, key) with
+      | None -> () (* confirmed (or the table was reset by a reboot) *)
+      | Some addr ->
+        Hashtbl.remove ctrl.placed_pending (caller, key);
+        if ctrl.running && ctrl.epoch = armed_epoch then (
+          match Objects.find ctrl addr with
+          | Ok obj when obj.o_valid ->
+            Obs.Metrics.incr ctrl.cm.cm_place_reclaims;
+            journal ctrl Obs.Journal.Warn "ctrl.place_reclaim" (fun () ->
+                Printf.sprintf "caller=%d oid=%d" caller addr.a_oid);
+            invalidate_at_owner ctrl obj
+          | Ok _ | Error _ -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Syscall handlers                                                    *)

@@ -17,6 +17,11 @@
    whose generation counter doubles as the directory-cache invalidation
    stamp. *)
 
+(* Seed of the placement hash used by controller placement and by the PD
+   routers. Not a secret: it only decorrelates placement across
+   deployments, and two runs with the same seed place identically. *)
+let seed = 7
+
 (* Multiplicative hash (golden-ratio constant), folded to a non-negative
    int. Deterministic across runs by construction — no randomized
    hashing anywhere near the shard map. *)

@@ -30,7 +30,6 @@ type t = {
   gpu_launch : Sim.Time.t;
   gpu_per_image : Sim.Time.t;
   gpu_alloc : Sim.Time.t;
-  gpu_dma_bw_bps : int;
   proc_syscall : Sim.Time.t;
   service_work : Sim.Time.t;
   kernel_io_path : Sim.Time.t;
@@ -43,39 +42,15 @@ type t = {
   ctrl_queue_bound : int;
   translation_cache : bool;
   peer_ack_timeout : Sim.Time.t;
-  (* Sharded capability spaces (Controller.connect_shards): placement of
-     fresh objects across the shard group, and the per-controller
-     directory cache that memoizes owner routing. All four knobs are
-     inert until a shard group exists — a lone controller (or plain
-     Controller.connect) behaves bit-identically to the pre-shard
-     code. *)
+  (* Sharded capability spaces (Controller.connect_shards): inert until a
+     shard group exists — a lone controller (or plain Controller.connect)
+     behaves bit-identically to the pre-shard code. *)
   shard_placement : bool;
       (* scatter fresh Memory / derived-Request objects across the group
          by the deterministic shard map (root Requests stay pinned to
          their provider's controller: delivery locality; diminish and
          revtree children stay on their parent's controller: revocation
          trees use controller-local oids) *)
-  shard_dir_cache : bool;
-      (* memoize directory lookups (minting controller -> live owner),
-         invalidated wholesale whenever the group's liveness generation
-         moves — the translation-cache discipline applied to routing *)
-  dir_cache_cap : int; (* directory-cache entry bound (reset when full) *)
-  shard_seed : int; (* placement-hash seed (deterministic, not secret) *)
-  (* PD (prefill/decode) router: how Services.Router picks instances for
-     the disaggregated LLM-inference workload (Workloads.Pd). *)
-  router_policy : string;
-      (* "rr" (round-robin over live instances), "least" (fewest
-         outstanding requests, deterministic tie-break), or "cache"
-         (prefix-hash affinity: same prompt prefix -> same live prefill
-         instance, SGLang-style) *)
-  router_affinity_slack : int;
-      (* cache/locality escape hatch: when the affine choice is backed up
-         by more than this many requests over the least-loaded instance,
-         fall back to least-loaded (0 = always honor affinity) *)
-  router_locality : bool;
-      (* score decode placement by projected bytes moved (prefer a decode
-         instance co-located with the KV state's controller, DaeMon-style)
-         instead of pure backlog *)
   (* What-if (causal-profiler) hooks: each factor virtually scales one
      component's service time — the Coz virtual-speedup idea made exact
      by the simulator. 1.0 is bit-identical to the calibrated model (the
@@ -121,7 +96,6 @@ let default =
     gpu_launch = Sim.Time.us 10;
     gpu_per_image = Sim.Time.us 25;
     gpu_alloc = Sim.Time.us 5;
-    gpu_dma_bw_bps = 100_000_000_000;
     proc_syscall = 150;
     service_work = 1_500;
     kernel_io_path = Sim.Time.us 8;
@@ -135,12 +109,6 @@ let default =
     translation_cache = false;
     peer_ack_timeout = Sim.Time.ms 2;
     shard_placement = false;
-    shard_dir_cache = true;
-    dir_cache_cap = 1024;
-    shard_seed = 7;
-    router_policy = "least";
-    router_affinity_slack = 4;
-    router_locality = true;
     scale_ctrl = 1.0;
     scale_fabric = 1.0;
     scale_device = 1.0;
@@ -166,33 +134,35 @@ let scale_time s t =
   if s = 1.0 || t = 0 then t
   else max 0 (int_of_float (Float.round (float_of_int t *. s)))
 
-(* The copy engine divides by these knobs ([chunk_sizes] would loop forever
-   on a non-positive chunk), so reject bad values at fabric construction
-   instead of hanging a simulation later. *)
+(* Reject, at fabric construction, every value that would otherwise fail
+   mid-simulation: the copy engine divides by the chunk/window/stream
+   knobs ([chunk_sizes] would loop forever on a non-positive chunk);
+   [bytes_time] divides by [bw_bps / 1_000_000]; a zero congestion window
+   or NVMe queue depth is a zero-permit semaphore that deadlocks the
+   first request; a non-positive timeout would expire before any peer
+   reply could land. *)
 let validate t =
   let pos name v =
     if v <= 0 then
       invalid_arg (Printf.sprintf "Net.Config: %s must be positive (got %d)" name v)
   in
+  let bw name v =
+    if v < 1_000_000 then
+      invalid_arg
+        (Printf.sprintf "Net.Config: %s must be at least 1_000_000 (got %d)"
+           name v)
+  in
   pos "bounce_chunk" t.bounce_chunk;
   pos "copy_window" t.copy_window;
   pos "copy_streams" t.copy_streams;
-  pos "dir_cache_cap" t.dir_cache_cap;
-  if t.shard_seed < 0 then
-    invalid_arg
-      (Printf.sprintf "Net.Config: shard_seed must be non-negative (got %d)"
-         t.shard_seed);
-  (match t.router_policy with
-  | "rr" | "least" | "cache" -> ()
-  | p ->
-      invalid_arg
-        (Printf.sprintf
-           "Net.Config: router_policy must be rr, least or cache (got %S)" p));
-  if t.router_affinity_slack < 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Net.Config: router_affinity_slack must be non-negative (got %d)"
-         t.router_affinity_slack);
+  bw "net_bandwidth_bps" t.net_bandwidth_bps;
+  bw "pcie_bandwidth_bps" t.pcie_bandwidth_bps;
+  bw "memcpy_bw_bps" t.memcpy_bw_bps;
+  bw "nvme_bandwidth_bps" t.nvme_bandwidth_bps;
+  pos "congestion_window" t.congestion_window;
+  pos "nvme_queue_depth" t.nvme_queue_depth;
+  pos "copy_open_timeout" t.copy_open_timeout;
+  pos "peer_ack_timeout" t.peer_ack_timeout;
   let posf name v =
     if not (v > 0.) then
       invalid_arg

@@ -102,7 +102,7 @@ type t = {
           or an open-time failure waiting for its final chunk) before
           reclaiming it. Lost opens (fault injection) would otherwise leak
           parked chunks forever; a reclaimed final chunk replies [Timeout].
-          0 = keep forever (the pre-timeout behavior). *)
+          Must be positive. *)
   (* -------- NVMe device model -------- *)
   nvme_read_latency : Sim.Time.t;
       (** 4 KiB random-read device latency. Anchor: "NVMe latency dominates
@@ -119,7 +119,6 @@ type t = {
   gpu_per_image : Sim.Time.t;
       (** Face-verification kernel time per image (K80-class). *)
   gpu_alloc : Sim.Time.t;  (** Device memory de/allocation cost. *)
-  gpu_dma_bw_bps : int;  (** On-device DMA engine bandwidth. *)
   (* -------- misc software costs -------- *)
   proc_syscall : Sim.Time.t;
       (** User-side cost of posting/polling one FractOS syscall. *)
@@ -181,7 +180,8 @@ type t = {
           ablation (the [P_ref_inc] ack). If the owner's ack does not
           arrive in time (crash mid-delegation, partition, message loss)
           the insertion proceeds best-effort instead of blocking forever.
-          0 = wait without bound. *)
+          Also bounds the wait for a shard placement ([P_place_*]), whose
+          home reclaims the object after twice this. Must be positive. *)
   (* -------- sharded capability spaces -------- *)
   shard_placement : bool;
       (** When the deployment forms a shard group
@@ -192,43 +192,6 @@ type t = {
           revtree children stay on their parent's controller (revocation
           trees use controller-local oids). Inert without a shard group.
           Default false. *)
-  shard_dir_cache : bool;
-      (** Memoize directory lookups (minting controller -> live owner)
-          per controller, invalidated wholesale whenever the group's
-          liveness generation moves (crash or reboot of any member) —
-          the {!translation_cache} discipline applied to owner routing.
-          A hit skips the priced directory walk. Default true. *)
-  dir_cache_cap : int;
-      (** Directory-cache entry bound; the cache is reset wholesale when
-          full (groups are small, so this is a safety valve, not a
-          tuning knob). Default 1024. *)
-  shard_seed : int;
-      (** Seed of the deterministic placement hash. Not a secret — it
-          only decorrelates placement across deployments; two runs with
-          the same seed place identically (bit-determinism). *)
-  (* -------- PD (prefill/decode) router -------- *)
-  router_policy : string;
-      (** Instance-selection policy of [Services.Router], used by the
-          disaggregated prefill/decode inference workload
-          ([Workloads.Pd]): ["rr"] cycles round-robin over live
-          instances; ["least"] picks the instance with the fewest
-          outstanding requests (deterministic lowest-index tie-break);
-          ["cache"] routes by prompt-prefix hash so repeated prefixes
-          land on the same live prefill instance (SGLang-style
-          cache-aware routing), re-stabilizing deterministically when
-          the live set changes. Default ["least"]. *)
-  router_affinity_slack : int;
-      (** Escape hatch for affinity policies: when the affine (or
-          locality-preferred) instance is backed up by more than this
-          many outstanding requests over the least-loaded live
-          instance, fall back to least-loaded. 0 = always honor
-          affinity. Default 4. *)
-  router_locality : bool;
-      (** Score decode placement by projected bytes moved: prefer a
-          decode instance whose controller already holds the KV state
-          (zero-copy handoff, DaeMon-style locality) over a
-          least-backlogged one, within [router_affinity_slack]. Default
-          true. *)
   (* -------- what-if (causal profiler) hooks -------- *)
   scale_ctrl : float;
       (** Virtually scale every controller service time (all cost classes,
@@ -252,11 +215,15 @@ val default : t
 (** The calibration used by all experiments unless overridden. *)
 
 val validate : t -> unit
-(** Raise [Invalid_argument] when a knob the copy engine divides the work
-    by is non-positive ([bounce_chunk], [copy_window], [copy_streams]),
-    when [router_policy] is not one of ["rr"]/["least"]/["cache"], or
-    when [router_affinity_slack] is negative. Called by [Fabric.create],
-    so a bad config fails fast instead of misbehaving mid-simulation. *)
+(** Raise [Invalid_argument], naming the knob, when a knob the copy engine
+    divides the work by is non-positive ([bounce_chunk], [copy_window],
+    [copy_streams]); when a bandwidth ([net_bandwidth_bps],
+    [pcie_bandwidth_bps], [memcpy_bw_bps], [nvme_bandwidth_bps]) is below
+    1 Mbit/s, the resolution of {!bytes_time}; when [congestion_window]
+    or [nvme_queue_depth] is below 1; when [copy_open_timeout] or
+    [peer_ack_timeout] is non-positive; or when a what-if scale factor is
+    non-positive. Called by [Fabric.create], so a bad config fails fast
+    instead of crashing or hanging mid-simulation. *)
 
 val bytes_time : bw_bps:int -> int -> Sim.Time.t
 (** [bytes_time ~bw_bps n] is the time to move [n] bytes at [bw_bps] bits

@@ -7,16 +7,9 @@
    what makes the policies property-testable (test/services/test_router.ml)
    and keeps chaos runs bit-deterministic. *)
 
-module Net = Fractos_net
 module Core = Fractos_core
 
 type policy = Round_robin | Least_loaded | Cache_aware
-
-let policy_of_string = function
-  | "rr" -> Some Round_robin
-  | "least" -> Some Least_loaded
-  | "cache" -> Some Cache_aware
-  | _ -> None
 
 let policy_to_string = function
   | Round_robin -> "rr"
@@ -37,18 +30,6 @@ let create ?(slack = 0) ?(seed = 0) ~policy ~backlog n =
   if n <= 0 then invalid_arg "Router.create: need at least one instance";
   if slack < 0 then invalid_arg "Router.create: negative slack";
   { n; policy; slack; seed; backlog; live = Array.make n true; cursor = 0 }
-
-let of_config ?seed (cfg : Net.Config.t) ~backlog n =
-  let policy =
-    match policy_of_string cfg.Net.Config.router_policy with
-    | Some p -> p
-    | None ->
-        (* Config.validate rejects unknown names; unreachable via Fabric. *)
-        invalid_arg
-          (Printf.sprintf "Router.of_config: unknown policy %S"
-             cfg.Net.Config.router_policy)
-  in
-  create ~slack:cfg.Net.Config.router_affinity_slack ?seed ~policy ~backlog n
 
 let size t = t.n
 let is_live t i = i >= 0 && i < t.n && t.live.(i)
@@ -86,7 +67,7 @@ let pick_rr t =
 
 (* Affinity escape hatch: honor the affine choice unless it is backed up
    by more than [slack] requests over the least-loaded instance. slack = 0
-   means always honor affinity (the knob doc's contract). *)
+   means always honor affinity ([create]'s contract). *)
 let with_slack t affine =
   if t.slack = 0 then Some affine
   else
@@ -122,6 +103,3 @@ let pick_min_cost t ~cost =
       | _ -> best := Some (i, c)
   done;
   match !best with None -> None | Some (i, _) -> with_slack t i
-
-let pick_placed t ?cost ~key () =
-  match cost with None -> pick t ~key | Some cost -> pick_min_cost t ~cost

@@ -8,7 +8,7 @@
     key) — no clock, no randomness — so the policies are checkable by
     plain property tests and chaos runs stay bit-deterministic.
 
-    Policies (selected by {!Net.Config.router_policy}):
+    Policies (chosen at {!create}):
     - [Round_robin]: cycle over live instances;
     - [Least_loaded]: fewest outstanding requests, lowest-index tie-break;
     - [Cache_aware]: prompt-prefix-hash affinity via the deterministic
@@ -16,16 +16,12 @@
       live instance's KV cache (SGLang-style) and re-stabilize
       deterministically when the live set changes. *)
 
-module Net = Fractos_net
 module Core = Fractos_core
 
 type policy = Round_robin | Least_loaded | Cache_aware
 
-val policy_of_string : string -> policy option
-(** ["rr"], ["least"], ["cache"] — the {!Net.Config.router_policy}
-    namespace. *)
-
 val policy_to_string : policy -> string
+(** ["rr"], ["least"] or ["cache"]. *)
 
 type t
 
@@ -33,14 +29,12 @@ val create :
   ?slack:int -> ?seed:int -> policy:policy -> backlog:(int -> int) -> int -> t
 (** [create ~policy ~backlog n] routes over instances [0..n-1], all
     initially live. [backlog i] must return instance [i]'s outstanding
-    request count. [slack] is the affinity escape hatch (see
-    {!Net.Config.router_affinity_slack}): 0 (default) always honors
-    affinity. [seed] feeds the prefix-hash placement. Raises
-    [Invalid_argument] when [n <= 0] or [slack < 0]. *)
-
-val of_config :
-  ?seed:int -> Net.Config.t -> backlog:(int -> int) -> int -> t
-(** {!create} with policy and slack taken from the config knobs. *)
+    request count. [slack] is the affinity escape hatch: when the affine
+    (or cost-preferred) instance is backed up by more than [slack]
+    requests over the least-loaded live instance, the least-loaded one
+    wins; 0 (default) always honors affinity. [seed] feeds the
+    prefix-hash placement. Raises [Invalid_argument] when [n <= 0] or
+    [slack < 0]. *)
 
 val size : t -> int
 val is_live : t -> int -> bool
@@ -56,11 +50,11 @@ val pick : t -> key:int -> int option
 (** Choose an instance for a request whose prompt-prefix hash is [key]
     (only [Cache_aware] reads it). [None] when no instance is live. *)
 
-val pick_placed : t -> ?cost:(int -> int) -> key:int -> unit -> int option
-(** {!pick}, with an optional placement scorer: when [cost] is given
-    (projected bytes a handoff to instance [i] would move across the
-    fabric), choose the live instance minimizing [(cost, backlog, index)]
-    lexicographically — prefer a zero-copy co-located instance over a
-    less-loaded remote one, within the [slack] escape hatch. Used for
-    decode placement when {!Net.Config.router_locality} is set
-    (DaeMon-style transfer-minimizing placement). *)
+val pick_min_cost : t -> cost:(int -> int) -> int option
+(** Placement scorer, ignoring the policy: [cost i] is the projected bytes
+    a handoff to instance [i] would move across the fabric; choose the
+    live instance minimizing [(cost, backlog, index)] lexicographically —
+    prefer a zero-copy co-located instance over a less-loaded remote one,
+    within the [slack] escape hatch. Used for PD decode placement
+    (DaeMon-style transfer-minimizing placement). [None] when no instance
+    is live. *)

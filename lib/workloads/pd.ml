@@ -8,8 +8,8 @@
    touch the client) and then streams decode iterations, firing a
    first-token continuation (TTFT) and a completion continuation back at
    the client. Instance selection goes through {!Services.Router}
-   ([Net.Config.router_policy]); decode placement can additionally
-   minimize projected KV bytes moved ([Net.Config.router_locality]).
+   (least-loaded); decode placement additionally minimizes projected KV
+   bytes moved.
 
    The client only ever blocks with a timeout, so a crashed instance
    yields a typed error ([Timeout] on the waits, [Stale] /
@@ -19,12 +19,18 @@
    re-routes. *)
 
 module Sim = Fractos_sim
-module Net = Fractos_net
 module Core = Fractos_core
 module Services = Fractos_services
 module Tb = Fractos_testbed.Testbed
 module Svc = Services.Svc
 module Router = Services.Router
+
+(* Router policy and affinity slack: both pools pick the least-loaded
+   live instance, and decode placement's zero-copy preference yields to
+   the least-loaded instance once it is backed up by more than
+   [router_slack] requests. *)
+let policy = Router.Least_loaded
+let router_slack = 4
 
 let prefill_tag = "pd.prefill"
 let decode_tag = "pd.decode"
@@ -78,7 +84,6 @@ type t = {
   p_decode : instance array; (* [||] when unified *)
   p_prefill_router : Router.t;
   p_decode_router : Router.t; (* = p_prefill_router when unified *)
-  p_locality : bool;
   p_prefill_ns_per_token : Sim.Time.t;
   p_decode_ns_per_iter : Sim.Time.t;
 }
@@ -206,14 +211,13 @@ let make_instance tb ~role i (s : Tb.node_setup) =
 
 let deploy_generic tb ~split ?(prefill_ns_per_token = 500)
     ?(decode_ns_per_iter = Sim.Time.us 15) ~prefill ~decode () =
-  let cfg = Net.Fabric.config tb.Tb.fabric in
   let mk role setups =
     Array.of_list (List.mapi (fun i s -> make_instance tb ~role i s) setups)
   in
   let prefill_arr = mk (if split then "prefill" else "unified") prefill in
   let decode_arr = if split then mk "decode" decode else [||] in
   let router arr =
-    Router.of_config ~seed:cfg.Net.Config.shard_seed cfg
+    Router.create ~policy ~slack:router_slack ~seed:Core.Shard.seed
       ~backlog:(fun i -> arr.(i).i_backlog)
       (Array.length arr)
   in
@@ -226,7 +230,6 @@ let deploy_generic tb ~split ?(prefill_ns_per_token = 500)
       p_prefill_router = prefill_router;
       p_decode_router =
         (if split then router decode_arr else prefill_router);
-      p_locality = cfg.Net.Config.router_locality;
       p_prefill_ns_per_token = prefill_ns_per_token;
       p_decode_ns_per_iter = decode_ns_per_iter;
     }
@@ -323,18 +326,10 @@ let request client ?(prefix = 0) ~prompt_len ~kv_len ~iters ~timeout () =
           (* decode placement: minimize projected KV bytes moved — a
              decode instance behind the chosen prefill's controller pulls
              the KV state for free (DaeMon-style locality) *)
-          let cost =
-            if pool.p_locality then
-              Some
-                (fun i ->
-                  if
-                    pool.p_decode.(i).i_ctrl_id
-                    = pool.p_prefill.(p).i_ctrl_id
-                  then 0
-                  else kv_len)
-            else None
-          in
-          Router.pick_placed pool.p_decode_router ?cost ~key:prefix ()
+          Router.pick_min_cost pool.p_decode_router ~cost:(fun i ->
+              if pool.p_decode.(i).i_ctrl_id = pool.p_prefill.(p).i_ctrl_id
+              then 0
+              else kv_len)
       in
       (match d with
       | None -> Error Core.Error.Provider_dead

@@ -8,9 +8,9 @@
     the bytes never touch the client) and streams decode iterations,
     firing a first-token continuation (TTFT) and a completion
     continuation back at the client. Instance selection goes through
-    {!Fractos_services.Router} under {!Fractos_net.Config.router_policy};
-    decode placement can minimize projected KV bytes moved
-    ({!Fractos_net.Config.router_locality}).
+    {!Fractos_services.Router} under {!policy}; decode placement
+    minimizes projected KV bytes moved
+    ({!Fractos_services.Router.pick_min_cost}).
 
     The client's waits are always timed, so instance crashes surface as
     typed errors ([Timeout] on a wait; [Stale] / [Provider_dead] /
@@ -21,6 +21,9 @@ module Sim = Fractos_sim
 module Core = Fractos_core
 module Services = Fractos_services
 module Tb = Fractos_testbed.Testbed
+
+val policy : Services.Router.policy
+(** The policy both pools route by: [Least_loaded]. *)
 
 type t
 (** A deployed pool: prefill + decode instance arrays (or a unified
@@ -36,10 +39,10 @@ val deploy :
   t
 (** Stand up a disaggregated pool: one prefill instance per [prefill]
     setup and one decode instance per [decode] setup (a Process + Svc +
-    service-root Request + single-server GPU engine each). Router policy,
-    affinity slack, locality scoring and the prefix-hash seed come from
-    the testbed fabric's config. Raises [Invalid_argument] on an empty
-    role. *)
+    service-root Request + single-server GPU engine each). The routers
+    use {!policy}, an affinity slack of 4 and the
+    {!Fractos_core.Shard.seed} prefix-hash seed. Raises
+    [Invalid_argument] on an empty role. *)
 
 val deploy_unified :
   Tb.t ->
@@ -85,11 +88,11 @@ val request :
   timeout:Sim.Time.t ->
   unit ->
   (outcome, Core.Error.t) result
-(** One end-to-end inference: route (prefix-hash key [prefix] feeds the
-    cache-aware policy), build the continuation ring back to front
-    (first/done continuations -> decode request -> prefill request),
-    invoke with a timed posting, and await first token and completion
-    with [timeout]-bounded waits. On any failure the chosen instances
+(** One end-to-end inference: route ([prefix] is the prompt-prefix hash
+    a cache-aware policy would key on; {!policy} ignores it), build the
+    continuation ring back to front (first/done continuations -> decode
+    request -> prefill request), invoke with a timed posting, and await
+    first token and completion with [timeout]-bounded waits. On any failure the chosen instances
     are probed and dead ones marked out of the routers, so the caller's
     retry re-routes; the error is always typed, never a hang. *)
 

@@ -34,25 +34,69 @@ let test_bytes_time () =
   check_bool "4MiB in range" true (t > Time.ms 3 && t < Time.ms 4)
 
 let test_config_validate () =
-  (* Non-positive chunking / windowing knobs used to send the chunker into
-     an infinite loop at copy time; they must be rejected up front, both by
-     Config.validate and by Fabric.create. *)
+  (* Each rejected value used to fail mid-simulation: non-positive
+     chunking / windowing knobs sent the chunker into an infinite loop,
+     a bandwidth below 1 Mbit/s divided by zero in bytes_time, a zero
+     congestion window or NVMe queue depth deadlocked or raised deep in
+     set-up. They must be rejected up front, both by Config.validate and
+     by Fabric.create, with a message naming the knob (the label's first
+     word). *)
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
   let rejects label cfg =
+    let knob = List.hd (String.split_on_char ' ' label) in
     match Config.validate cfg with
     | () -> Alcotest.failf "validate accepted %s" label
-    | exception Invalid_argument _ -> ()
+    | exception Invalid_argument msg ->
+        if not (contains msg knob) then
+          Alcotest.failf "rejecting %s: message %S does not name %s" label msg
+            knob
   in
   Config.validate Config.default;
   rejects "bounce_chunk = 0" { Config.default with bounce_chunk = 0 };
   rejects "bounce_chunk < 0" { Config.default with bounce_chunk = -16384 };
   rejects "copy_window = 0" { Config.default with copy_window = 0 };
   rejects "copy_streams = 0" { Config.default with copy_streams = -1 };
-  match
-    Engine.run (fun () ->
-        Fabric.create ~config:{ Config.default with bounce_chunk = 0 } ())
-  with
-  | _ -> Alcotest.fail "Fabric.create accepted bounce_chunk = 0"
-  | exception Invalid_argument _ -> ()
+  rejects "net_bandwidth_bps < 1 Mbit/s"
+    { Config.default with net_bandwidth_bps = 999_999 };
+  rejects "pcie_bandwidth_bps < 1 Mbit/s"
+    { Config.default with pcie_bandwidth_bps = 999_999 };
+  rejects "memcpy_bw_bps < 1 Mbit/s"
+    { Config.default with memcpy_bw_bps = 999_999 };
+  rejects "nvme_bandwidth_bps < 1 Mbit/s"
+    { Config.default with nvme_bandwidth_bps = 0 };
+  rejects "congestion_window = 0" { Config.default with congestion_window = 0 };
+  rejects "nvme_queue_depth = 0" { Config.default with nvme_queue_depth = 0 };
+  rejects "copy_open_timeout = 0" { Config.default with copy_open_timeout = 0 };
+  rejects "peer_ack_timeout = 0" { Config.default with peer_ack_timeout = 0 };
+  (* the smallest legal values, including test_shard's 1 ns ack timeout *)
+  Config.validate
+    {
+      Config.default with
+      net_bandwidth_bps = 1_000_000;
+      memcpy_bw_bps = 1_000_000;
+      congestion_window = 1;
+      nvme_queue_depth = 1;
+      peer_ack_timeout = 1;
+      copy_open_timeout = 1;
+    };
+  List.iter
+    (fun (label, config) ->
+      match Engine.run (fun () -> Fabric.create ~config ()) with
+      | _ -> Alcotest.failf "Fabric.create accepted %s" label
+      | exception Invalid_argument _ -> ())
+    [
+      ("bounce_chunk = 0", { Config.default with bounce_chunk = 0 });
+      ( "memcpy_bw_bps = 999_999",
+        { Config.default with memcpy_bw_bps = 999_999 } );
+      ( "congestion_window = 0",
+        { Config.default with congestion_window = 0 } );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Node                                                               *)

@@ -168,12 +168,12 @@ let test_placement_scorer () =
       2
   in
   check_bool "co-located wins within slack" true
-    (Router.pick_placed r ~cost ~key:0 () = Some 0);
+    (Router.pick_min_cost r ~cost = Some 0);
   bl.(0) <- 10;
   check_bool "drowning co-located loses" true
-    (Router.pick_placed r ~cost ~key:0 () = Some 1);
+    (Router.pick_min_cost r ~cost = Some 1);
   check_bool "without scorer falls back to policy" true
-    (Router.pick_placed r ~key:0 () = Some 1)
+    (Router.pick r ~key:0 = Some 1)
 
 (* ---------- PD workload end to end ---------- *)
 

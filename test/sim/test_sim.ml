@@ -717,46 +717,6 @@ let test_waitgroup_misuse () =
          | () -> Alcotest.fail "reuse after drain accepted"
          | exception Invalid_argument _ -> ()))
 
-(* ------------------------------------------------------------------ *)
-(* Barrier                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_barrier_releases_together () =
-  let times =
-    Engine.run (fun () ->
-        let b = Barrier.create 3 in
-        let log = ref [] in
-        List.iter
-          (fun d ->
-            Engine.spawn (fun () ->
-                Engine.sleep d;
-                let _gen = Barrier.await b in
-                log := Engine.now () :: !log))
-          [ 10; 50; 30 ];
-        Engine.sleep 100;
-        !log)
-  in
-  Alcotest.(check (list int)) "all released at the last arrival"
-    [ 50; 50; 50 ] times
-
-let test_barrier_cycles () =
-  let gens =
-    Engine.run (fun () ->
-        let b = Barrier.create 2 in
-        let gens = ref [] in
-        for _ = 1 to 2 do
-          Engine.spawn (fun () ->
-              for _ = 1 to 3 do
-                let g = Barrier.await b in
-                gens := g :: !gens;
-                Engine.yield ()
-              done)
-        done;
-        Engine.sleep 100;
-        List.sort compare !gens)
-  in
-  Alcotest.(check (list int)) "three generations" [ 0; 0; 1; 1; 2; 2 ] gens
-
 (* Property: under arbitrary interleavings, a semaphore never admits more
    than its permit count. *)
 let prop_semaphore_bound =
@@ -1135,12 +1095,6 @@ let () =
           Alcotest.test_case "multiple waiters" `Quick
             test_waitgroup_multiple_waiters;
           Alcotest.test_case "misuse" `Quick test_waitgroup_misuse;
-        ] );
-      ( "barrier",
-        [
-          Alcotest.test_case "releases together" `Quick
-            test_barrier_releases_together;
-          Alcotest.test_case "cycles" `Quick test_barrier_cycles;
         ] );
       ( "semaphore",
         [
