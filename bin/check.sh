@@ -25,6 +25,27 @@ for f in $(awk '/^type t = \{/ { on = 1; next }
 done
 [ "$dead" = 0 ]
 
+echo "== dead exports"
+# Every `val` of a lib/**/*.mli must have a whole-word reference in some
+# .ml under lib bin bench benchmark test examples other than its own
+# definition (a `let`/`and` line in the matching .ml); an export nothing
+# references is dead code.
+dead=0
+for mli in $(find lib -name '*.mli' | sort); do
+  ml=${mli%.mli}.ml
+  for v in $(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\)\( *:.*\)*$/\1/p' "$mli" \
+             | sort -u); do
+    uses=$(grep -rhw --include='*.ml' -e "$v" \
+             lib bin bench benchmark test examples | wc -l)
+    defs=$(grep -cE "^ *(let|and)( rec)? +$v( |$)" "$ml" 2>/dev/null || true)
+    if [ "$uses" -le "${defs:-0}" ]; then
+      echo "dead export: $mli: val $v has no reference outside its definition"
+      dead=1
+    fi
+  done
+done
+[ "$dead" = 0 ]
+
 echo "== dune build"
 dune build
 

@@ -82,10 +82,7 @@ let request_invoke_async proc cid =
 
 let request_invoke_timeout proc ~timeout cid =
   let t0 = Sim.Engine.now () in
-  let iv =
-    call_async proc ~size:(Wire.syscall ~caps:1 ()) (fun reply ->
-        Sys_req_invoke { cid; reply })
-  in
+  let iv = request_invoke_async proc cid in
   let r =
     match Sim.Ivar.await_timeout iv ~timeout with
     | Some r -> r
@@ -133,15 +130,3 @@ let monitor_receive proc cid ~cb =
 
 let monitor_next (proc : proc) = Sim.Channel.recv proc.monitor_box
 let try_monitor_next (proc : proc) = Sim.Channel.try_recv proc.monitor_box
-
-(* Introspection (tests and placement-aware tooling): the minting
-   controller id recorded in a capability's object address. Under shard
-   placement this is where the object actually lives, not necessarily
-   the caller's own controller. *)
-let cap_owner (proc : proc) cid =
-  match proc.pctrl with
-  | None -> None
-  | Some ctrl -> (
-    match Controller.addr_of_cid ctrl proc cid with
-    | Some addr -> Some addr.a_ctrl
-    | None -> None)

@@ -113,9 +113,3 @@ val monitor_next : proc -> monitor_event
 (** Block until the next monitor event. *)
 
 val try_monitor_next : proc -> monitor_event option
-
-val cap_owner : proc -> cid -> int option
-(** Introspection: the minting controller id in the capability's object
-    address — under shard placement, where the object actually lives
-    (not necessarily the caller's controller). [None] for an unknown cid
-    or an unattached process. *)

@@ -1,10 +1,5 @@
 type imm = bytes
 
-let framing_bytes = 4 (* length prefix per immediate *)
-
-let wire_size imms =
-  List.fold_left (fun acc i -> acc + framing_bytes + Bytes.length i) 0 imms
-
 let of_int v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 (Int64.of_int v);

@@ -15,9 +15,6 @@
 type imm = bytes
 (** One immediate argument. *)
 
-val wire_size : imm list -> int
-(** On-wire size of a list of immediates (payload + per-entry framing). *)
-
 (** {1 Codecs} *)
 
 val of_int : int -> imm

@@ -5,7 +5,6 @@ let ro = { read = true; write = false }
 let wo = { read = false; write = true }
 let none = { read = false; write = false }
 let subset a b = ((not a.read) || b.read) && ((not a.write) || b.write)
-let inter a b = { read = a.read && b.read; write = a.write && b.write }
 let drop p ~drop = { read = p.read && not drop.read; write = p.write && not drop.write }
 
 let to_string p =

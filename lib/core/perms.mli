@@ -1,6 +1,6 @@
 (** Memory-object access permissions.
 
-    Permissions only ever shrink: {!inter} and {!drop} are used by
+    Permissions only ever shrink: {!drop} is used by
     [memory_diminish] to derive views with equal-or-lesser rights, matching
     the paper's monotonic-derivation rule. *)
 
@@ -14,7 +14,6 @@ val none : t
 val subset : t -> t -> bool
 (** [subset a b] is true when [a] grants no right that [b] does not. *)
 
-val inter : t -> t -> t
 val drop : t -> drop:t -> t
 (** [drop p ~drop:d] removes the rights in [d] from [p]. *)
 

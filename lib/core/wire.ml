@@ -1,6 +1,5 @@
 let syscall_fixed = 48
 let response = 32
-let per_cap = Codec.addr_size + 1 (* address + monitored flag, per Codec *)
 let credit = 16
 let peer_fixed = 64
 let chunk_header = 48

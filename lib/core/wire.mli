@@ -13,9 +13,6 @@ val syscall_fixed : int
 val response : int
 (** A syscall/peer response message. *)
 
-val per_cap : int
-(** Serialized size of one capability reference. *)
-
 val credit : int
 (** Congestion-control credit return. *)
 

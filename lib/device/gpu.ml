@@ -76,5 +76,3 @@ let launch t ~name ~items ~bufs ~imms =
       (Obs.Metrics.histogram ~node "gpu.exec")
       (Sim.Engine.now () - t0);
     Ok ()
-
-let utilization_busy t = Sim.Resource.busy_time t.engine

@@ -48,6 +48,3 @@ val launch :
   (unit, string) result
 (** Enqueue a kernel execution: waits for the execution engine, runs for
     [launch overhead + k_cost ~items], then applies [k_run]. *)
-
-val utilization_busy : t -> Sim.Time.t
-(** Total execution-engine busy time (for bottleneck analysis). *)

@@ -104,12 +104,6 @@ let size_histogram t =
   done;
   List.rev !out
 
-let pp_size_histogram fmt t =
-  List.iter
-    (fun (bound, count) ->
-      Format.fprintf fmt "<= %7dB  %d@." bound count)
-    (size_histogram t)
-
 let pp_census fmt c =
   Format.fprintf fmt
     "@[<v>network messages: %d (control %d, data %d)@,\

@@ -58,6 +58,4 @@ val size_histogram : t -> (int * int) list
     at a glance whether a workload is control-chatter or bulk-data
     dominated. *)
 
-val pp_size_histogram : Format.formatter -> t -> unit
-
 val pp_census : Format.formatter -> census -> unit

@@ -187,9 +187,6 @@ let chrome_trace_buffer () =
 
 let chrome_trace_string () = Buffer.contents (chrome_trace_buffer ())
 
-let pp_chrome_trace fmt () =
-  Format.pp_print_string fmt (chrome_trace_string ())
-
 let warn_if_truncated path =
   if Span.dropped () > 0 then
     Printf.eprintf

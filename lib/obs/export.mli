@@ -9,7 +9,6 @@
     survives even where concurrent spans land on separate tracks. *)
 
 val chrome_trace_string : unit -> string
-val pp_chrome_trace : Format.formatter -> unit -> unit
 
 val write_chrome_trace : string -> unit
 (** Write the trace to a file (overwrites). The export's [otherData]

@@ -16,13 +16,6 @@ let severity_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let severity_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 
 type event = {
@@ -83,7 +76,6 @@ let set_capacity n =
   done
 
 let set_min_severity sev = (st ()).j_min_sev <- sev
-let min_severity () = (st ()).j_min_sev
 
 let reset () =
   let s = st () in

@@ -21,8 +21,6 @@ type severity = Debug | Info | Warn | Error
 val severity_name : severity -> string
 (** ["debug"], ["info"], ["warn"], ["error"]. *)
 
-val severity_of_string : string -> severity option
-
 type event = {
   j_seq : int;  (** global record order, monotonic across overflow *)
   j_time : Sim.Time.t;
@@ -46,7 +44,6 @@ val set_min_severity : severity -> unit
 (** Events below this severity are not stored (default [Debug] = keep
     everything). *)
 
-val min_severity : unit -> severity
 val reset : unit -> unit
 
 val record :

@@ -171,10 +171,6 @@ let hist_max h =
   refresh_histogram h;
   h.h_max
 
-let hist_sum h =
-  refresh_histogram h;
-  h.h_sum
-
 let mean h = if observations h = 0 then Float.nan else h.h_sum /. float_of_int h.h_n
 
 let percentile h p =

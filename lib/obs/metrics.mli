@@ -42,7 +42,6 @@ val bucket_upper : int -> float
 
 val observations : histogram -> int
 val hist_max : histogram -> int
-val hist_sum : histogram -> float
 val mean : histogram -> float
 
 val percentile : histogram -> float -> float

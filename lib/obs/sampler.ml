@@ -68,7 +68,6 @@ let configure ?threshold ?keep () =
     keep
 
 let threshold () = (st ()).sm_threshold_ns
-let keep_fraction () = (st ()).sm_keep_frac
 
 let reset () =
   let s = st () in
@@ -125,7 +124,6 @@ let observe ~trace ~latency ~outcome ?hist () =
 
 let retained () = List.of_seq (Queue.to_seq (st ()).sm_retained_order)
 let is_retained id = Hashtbl.mem (st ()).sm_retained_tbl id
-let retained_reason id = Hashtbl.find_opt (st ()).sm_retained_tbl id
 
 let exemplars () =
   Hashtbl.fold
@@ -143,14 +141,3 @@ let prune_spans () =
   let s = st () in
   Span.prune (fun sp ->
       Hashtbl.mem s.sm_retained_tbl (Span.root_of sp.Span.sp_id))
-
-let pp_summary fmt () =
-  let s = st () in
-  Format.fprintf fmt
-    "sampler: seen=%d kept=%d (error=%d shed=%d slow=%d head=%d of %d \
-     healthy) threshold=%s keep=%.3f exemplars=%d"
-    s.sm_seen (kept ()) (kept_by Kept_error) (kept_by Kept_shed)
-    (kept_by Kept_slow) (kept_by Kept_head) s.sm_healthy
-    (Sim.Time.to_string s.sm_threshold_ns)
-    s.sm_keep_frac
-    (Hashtbl.length s.sm_exemplar_tbl)

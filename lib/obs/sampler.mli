@@ -40,7 +40,6 @@ val configure : ?threshold:Sim.Time.t -> ?keep:float -> unit -> unit
     traces retained. *)
 
 val threshold : unit -> Sim.Time.t
-val keep_fraction : unit -> float
 val reset : unit -> unit
 (** Clear retained set, exemplars, counters, and the rate accumulator
     (configuration is kept). *)
@@ -63,7 +62,6 @@ val retained : unit -> (Span.id * reason) list
 (** Retained traces in decision order. *)
 
 val is_retained : Span.id -> bool
-val retained_reason : Span.id -> reason option
 
 val exemplars : unit -> (string * int * float * Span.id) list
 (** [(hist name, bucket index, bucket upper bound, trace id)], sorted. *)
@@ -85,6 +83,3 @@ val prune_spans : unit -> int
 (** Discard every collected span whose trace root
     ({!Span.root_of}) is not retained; returns the number removed. Call
     once at end of run, before export. *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** One-paragraph retention report (seen/kept per reason, exemplars). *)

@@ -145,8 +145,6 @@ let check t =
     rs;
   !worst
 
-let burning t = List.exists snd t.burning_windows
-
 let pp_report fmt t =
   let rs = report t in
   Format.fprintf fmt "slo %s: latency<=%s@%.3f errors@%.3f@." t.obj.o_name

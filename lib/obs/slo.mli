@@ -73,7 +73,4 @@ val check : t -> float
 (** {!report}, then publish burn gauges and journal burn-state
     transitions; returns the worst burn across windows and dimensions. *)
 
-val burning : t -> bool
-(** Whether any window's last {!check} saw burn ≥ 1.0. *)
-
 val pp_report : Format.formatter -> t -> unit

@@ -146,15 +146,3 @@ let prune keep =
   Queue.clear s.s_collected;
   Queue.transfer kept s.s_collected;
   !removed
-
-let pp_span fmt sp =
-  Format.fprintf fmt "[%d<-%d] %-10s %-24s %s +%s%s" sp.sp_id sp.sp_parent
-    (if sp.sp_node = "" then "-" else sp.sp_node)
-    sp.sp_name
-    (Sim.Time.to_string sp.sp_start)
-    (Sim.Time.to_string (sp.sp_end - sp.sp_start))
-    (match sp.sp_attrs with
-    | [] -> ""
-    | attrs ->
-      "  "
-      ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))

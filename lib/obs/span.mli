@@ -96,5 +96,3 @@ val prune : (t -> bool) -> int
     (they disappear from {!all} and {!find}) and returns the number
     removed. The basis of tail-based retention: {!Sampler.prune_spans}
     keeps only spans whose trace root was retained. *)
-
-val pp_span : Format.formatter -> t -> unit

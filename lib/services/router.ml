@@ -32,9 +32,7 @@ let create ?(slack = 0) ?(seed = 0) ~policy ~backlog n =
   { n; policy; slack; seed; backlog; live = Array.make n true; cursor = 0 }
 
 let size t = t.n
-let is_live t i = i >= 0 && i < t.n && t.live.(i)
 let mark_dead t i = if i >= 0 && i < t.n then t.live.(i) <- false
-let mark_live t i = if i >= 0 && i < t.n then t.live.(i) <- true
 
 let live_count t =
   Array.fold_left (fun n l -> if l then n + 1 else n) 0 t.live

@@ -37,13 +37,11 @@ val create :
     [slack < 0]. *)
 
 val size : t -> int
-val is_live : t -> int -> bool
 
 val mark_dead : t -> int -> unit
 (** Exclude instance [i] from routing (the pool observed a typed
     [Stale]/[Provider_dead] from it). Out-of-range indices are ignored. *)
 
-val mark_live : t -> int -> unit
 val live_count : t -> int
 
 val pick : t -> key:int -> int option

@@ -7,7 +7,6 @@ type t = { fabric : Net.Fabric.t; mutable ctrls : Core.Controller.t list }
 let create ?config () = { fabric = Net.Fabric.create ?config (); ctrls = [] }
 let run ?config f = Sim.Engine.run (fun () -> f (create ?config ()))
 let add_host t name = Net.Fabric.add_node t.fabric ~name Net.Node.Host_cpu
-let add_wimpy t name = Net.Fabric.add_node t.fabric ~name Net.Node.Wimpy_cpu
 
 let register_ctrl t ctrl =
   t.ctrls <- ctrl :: t.ctrls;

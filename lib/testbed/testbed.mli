@@ -23,9 +23,6 @@ val run : ?config:Net.Config.t -> (t -> 'a) -> 'a
 val add_host : t -> string -> Net.Node.t
 (** Add a host-CPU node. *)
 
-val add_wimpy : t -> string -> Net.Node.t
-(** Add a wimpy device-adaptor CPU node. *)
-
 val add_ctrl : t -> on:Net.Node.t -> Core.Controller.t
 (** Add and start a Controller on [on]; wires it into the peer set. *)
 

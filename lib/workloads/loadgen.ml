@@ -70,11 +70,3 @@ let run_open_loop ~rng ~rate_per_s ~n request =
      deadlocking the calling fiber *)
   if n = 0 then zero_summary 0
   else run_open_loop' ~rng ~rate_per_s ~n request
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%s p50=%s p95=%s p99=%s max=%s elapsed=%s" s.n
-    (Sim.Time.to_string s.mean) (Sim.Time.to_string s.p50)
-    (Sim.Time.to_string s.p95) (Sim.Time.to_string s.p99)
-    (Sim.Time.to_string s.max)
-    (Sim.Time.to_string s.elapsed)

@@ -39,5 +39,3 @@ val run_open_loop :
     [n = 0] returns an all-zero summary immediately (it used to deadlock:
     with no requests the internal completion ivar never filled). Raises
     [Invalid_argument] if [n < 0]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

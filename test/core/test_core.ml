@@ -194,6 +194,88 @@ let test_memory_create_bounds () =
         (Api.memory_create pa ~off:4 ~len:8 buf Perms.rw))
 
 (* ------------------------------------------------------------------ *)
+(* Hardware third-party copies (Config.hw_copies)                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Run [f] with hardware copies on, under the serial engine's knobs and
+   under the pipelined engine's: the hardware path bypasses both, so
+   every case must give the same answer. *)
+let with_hw_copies f =
+  List.iter
+    (fun (window, streams) ->
+      let config =
+        {
+          Fractos_net.Config.default with
+          hw_copies = true;
+          copy_window = window;
+          copy_streams = streams;
+        }
+      in
+      Tb.run ~config f)
+    [ (1, 1); (4, 2) ]
+
+let random_buf p n ~seed =
+  let buf = Process.alloc p n in
+  Prng.fill_bytes (Prng.create ~seed) buf.Membuf.data;
+  buf
+
+let test_hw_copy_local () =
+  with_hw_copies (fun tb ->
+      let pa, _, _, _ = two_node_setup tb in
+      let src_buf = random_buf pa 4096 ~seed:3 in
+      let dst_buf = Process.alloc pa 4096 in
+      let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
+      let dst = ok_exn (Api.memory_create pa dst_buf Perms.rw) in
+      ok_exn (Api.memory_copy pa ~src ~dst);
+      check_bool "bytes equal" true
+        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data))
+
+let test_hw_copy_cross_node () =
+  with_hw_copies (fun tb ->
+      let pa, pb, _, _ = two_node_setup tb in
+      let src_buf = random_buf pa 4096 ~seed:4 in
+      let dst_buf = Process.alloc pb 4096 in
+      let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
+      let dst =
+        Tb.grant ~src:pb ~dst:pa
+          (ok_exn (Api.memory_create pb dst_buf Perms.rw))
+      in
+      ok_exn (Api.memory_copy pa ~src ~dst);
+      check_bool "bytes equal" true
+        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data))
+
+let test_hw_copy_readonly_dst () =
+  with_hw_copies (fun tb ->
+      let pa, _, _, _ = two_node_setup tb in
+      let src = ok_exn (Api.memory_create pa (Process.alloc pa 16) Perms.ro) in
+      let dst = ok_exn (Api.memory_create pa (Process.alloc pa 16) Perms.ro) in
+      Alcotest.check (result_t Alcotest.unit) "unwritable destination"
+        (Error Error.Perm_denied)
+        (Api.memory_copy pa ~src ~dst))
+
+let test_hw_copy_bounds () =
+  with_hw_copies (fun tb ->
+      let pa, _, _, _ = two_node_setup tb in
+      let src = ok_exn (Api.memory_create pa (Process.alloc pa 64) Perms.ro) in
+      let dst = ok_exn (Api.memory_create pa (Process.alloc pa 16) Perms.rw) in
+      Alcotest.check (result_t Alcotest.unit) "dst too small"
+        (Error Error.Bounds)
+        (Api.memory_copy pa ~src ~dst))
+
+let test_hw_copy_src_ctrl_crashed () =
+  with_hw_copies (fun tb ->
+      let pa, pb, _, cb = two_node_setup tb in
+      let src =
+        Tb.grant ~src:pb ~dst:pa
+          (ok_exn (Api.memory_create pb (Process.alloc pb 16) Perms.ro))
+      in
+      let dst = ok_exn (Api.memory_create pa (Process.alloc pa 16) Perms.rw) in
+      Controller.fail cb;
+      Alcotest.check (result_t Alcotest.unit) "source owner down"
+        (Error Error.Ctrl_unreachable)
+        (Api.memory_copy pa ~src ~dst))
+
+(* ------------------------------------------------------------------ *)
 (* Windowed / multi-stream copy engine                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -851,6 +933,35 @@ let test_track_delegations_cleanup () =
       Engine.sleep (Time.ms 1);
       check_int "tombstone reclaimed" 0 (Controller.tombstones cb))
 
+(* A capability minted before its owner's reboot names an object that
+   died with it. Delegating it into a space at the rebooted owner must
+   not count as a reference to whatever object now holds its oid, or
+   that object's tombstone never drains. *)
+let test_track_delegations_stale_epoch () =
+  let config = { Fractos_net.Config.default with track_delegations = true } in
+  Tb.run ~config (fun tb ->
+      let pa, pb, _, cb = two_node_setup tb in
+      (* X: epoch 0, oid 1 at beta, held by pa *)
+      let x =
+        Tb.grant ~src:pb ~dst:pa
+          (ok_exn (Api.memory_create pb (Process.alloc pb 16) Perms.ro))
+      in
+      Controller.fail cb;
+      Controller.restart cb;
+      let pb2 = Tb.add_proc tb ~on:(Process.node pb) ~ctrl:cb "proc-b2" in
+      (* Y: epoch 1, oid 1 — the oid X named before the reboot *)
+      let y = ok_exn (Api.memory_create pb2 (Process.alloc pb2 16) Perms.ro) in
+      let svc =
+        Tb.grant ~src:pb2 ~dst:pa (ok_exn (Api.request_create pb2 ~tag:"s" ()))
+      in
+      let call = ok_exn (Api.request_derive pa svc ~caps:[ x ] ()) in
+      ok_exn (Api.request_invoke pa call);
+      ignore (Api.receive pb2);
+      ok_exn (Api.cap_revoke pb2 y);
+      Engine.sleep (Time.ms 1);
+      check_int "no tombstone pinned by a stale reference" 0
+        (Controller.tombstones cb))
+
 let test_track_delegations_critical_path_cost () =
   (* The point of the paper's design: tracking puts messages on the
      delegation critical path. Count network messages for an RPC carrying
@@ -922,6 +1033,36 @@ let test_congestion_window () =
       Engine.sleep (Time.ms 1);
       check_int "all acked after drain" 6 !acked;
       check_int "inbox drained" 0 (Sim.Channel.length pb.State.inbox))
+
+(* The non-blocking halves of the invocation API: [request_invoke_async]
+   posts without waiting for the acknowledgment, and [try_receive]
+   dequeues without blocking and returns the delivery's credit. With a
+   window of one, the second posting is held until the provider drains
+   the first delivery. *)
+let test_invoke_async_and_try_receive () =
+  let config = { Fractos_net.Config.default with congestion_window = 1 } in
+  Tb.run ~config (fun tb ->
+      let pa, pb, _, _ = two_node_setup tb in
+      let svc =
+        Tb.grant ~src:pb ~dst:pa (ok_exn (Api.request_create pb ~tag:"s" ()))
+      in
+      check_bool "empty inbox" true (Api.try_receive pb = None);
+      let first = Api.request_invoke_async pa svc in
+      let second = Api.request_invoke_async pa svc in
+      Engine.sleep (Time.ms 1);
+      Alcotest.check
+        (Alcotest.option (result_t Alcotest.unit))
+        "first posted" (Some (Ok ())) (Ivar.peek first);
+      check_bool "second held by the window" false (Ivar.is_filled second);
+      (match Api.try_receive pb with
+      | Some d -> check_str "delivered tag" "s" d.State.d_tag
+      | None -> Alcotest.fail "first delivery missing");
+      (* the credit try_receive returned lets the second through *)
+      Alcotest.check (result_t Alcotest.unit) "second posted" (Ok ())
+        (Ivar.await second);
+      Engine.sleep (Time.ms 1);
+      check_bool "second delivered" true (Api.try_receive pb <> None);
+      check_bool "inbox empty again" true (Api.try_receive pb = None))
 
 (* ------------------------------------------------------------------ *)
 (* Admission control and doorbell batching                             *)
@@ -1084,6 +1225,16 @@ let () =
           Alcotest.test_case "create bounds" `Quick test_memory_create_bounds;
           qtest prop_copy_integrity;
         ] );
+      ( "hw-copies",
+        [
+          Alcotest.test_case "copy local" `Quick test_hw_copy_local;
+          Alcotest.test_case "copy cross node" `Quick test_hw_copy_cross_node;
+          Alcotest.test_case "read-only destination" `Quick
+            test_hw_copy_readonly_dst;
+          Alcotest.test_case "copy bounds" `Quick test_hw_copy_bounds;
+          Alcotest.test_case "source controller crashed" `Quick
+            test_hw_copy_src_ctrl_crashed;
+        ] );
       ( "pipelined copy",
         [
           Alcotest.test_case "single chunk" `Quick
@@ -1176,6 +1327,8 @@ let () =
           Alcotest.test_case "capspace quota" `Quick test_capspace_quota;
           Alcotest.test_case "refcount cleanup" `Quick
             test_track_delegations_cleanup;
+          Alcotest.test_case "refcount ignores stale epoch" `Quick
+            test_track_delegations_stale_epoch;
           Alcotest.test_case "tracking critical-path cost" `Quick
             test_track_delegations_critical_path_cost;
         ] );
@@ -1193,7 +1346,11 @@ let () =
             test_monitor_delegate_client_death;
         ] );
       ( "congestion",
-        [ Alcotest.test_case "window backpressure" `Quick test_congestion_window ] );
+        [
+          Alcotest.test_case "window backpressure" `Quick test_congestion_window;
+          Alcotest.test_case "async invoke + try_receive" `Quick
+            test_invoke_async_and_try_receive;
+        ] );
       ( "admission",
         [
           Alcotest.test_case "overload shed + recovery" `Quick
