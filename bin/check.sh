@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repo health check: no dead Net.Config knobs, build, tests, formatting
-# (if ocamlformat is installed) and the smoke runs (trace / breakdown /
-# seeded chaos gate — including the chaos seed battery byte-diffed across
-# domains=1 and domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh).
+# Repo health check: no dead Net.Config knobs, exports or modules, build,
+# tests, formatting (if ocamlformat is installed) and the smoke runs
+# (trace / breakdown / seeded chaos gate — including the chaos seed
+# battery byte-diffed across domains=1 and domains=4 — / audit; see
+# bin/smoke.sh and bin/chaos.sh).
 # Run from the repo root:
 # ./bin/check.sh
 # The same checks are wired as a dune alias: dune build @check
@@ -43,6 +44,24 @@ for mli in $(find lib -name '*.mli' | sort); do
       dead=1
     fi
   done
+done
+[ "$dead" = 0 ]
+
+echo "== dead modules"
+# Every lib/**/<m>.ml must be referenced as a module (`M.`, `open M`,
+# `include M` or an alias `= M`) by some .ml under lib bin bench benchmark
+# other than its own file. The dead-export step cannot see a module that
+# only its tests and examples use; this one can.
+dead=0
+for ml in $(find lib -name '*.ml' | sort); do
+  b=$(basename "$ml" .ml)
+  m=$(printf '%s' "$b" | cut -c1 | tr a-z A-Z)$(printf '%s' "$b" | cut -c2-)
+  if ! grep -rlE --include='*.ml' \
+       "\b$m\.|\b(open!?|include) +$m\b|= *$m\b" lib bin bench benchmark \
+       | grep -Fvxq "$ml"; then
+    echo "dead module: $ml has no module reference outside its own file"
+    dead=1
+  fi
 done
 [ "$dead" = 0 ]
 

@@ -36,7 +36,8 @@ let node t = t.gnode
 
 let alloc t size =
   Sim.Engine.sleep (dt t.config t.config.Net.Config.gpu_alloc);
-  if size > t.mem_free then Error "GPU out of memory"
+  if size < 0 then Error "negative size"
+  else if size > t.mem_free then Error "GPU out of memory"
   else begin
     t.mem_free <- t.mem_free - size;
     let buf = Core.Membuf.create ~node:t.gnode size in

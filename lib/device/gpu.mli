@@ -33,7 +33,7 @@ val node : t -> Net.Node.t
 
 val alloc : t -> int -> (Core.Membuf.t, string) result
 (** Allocate device memory (charges the driver's allocation cost). Fails
-    with a message when memory is exhausted. *)
+    with a message on a negative size or when memory is exhausted. *)
 
 val free : t -> Core.Membuf.t -> unit
 (** Release device memory. *)

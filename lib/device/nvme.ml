@@ -33,7 +33,8 @@ let node t = t.dnode
 let capacity t = t.capacity
 
 let create_volume t ~size =
-  if t.next_free + size > t.capacity then Error "device full"
+  if size < 0 then Error "negative size"
+  else if t.next_free + size > t.capacity then Error "device full"
   else begin
     let vol = { vol_id = t.next_vol; vol_base = t.next_free; vol_size = size } in
     t.next_vol <- t.next_vol + 1;

@@ -28,7 +28,8 @@ val capacity : t -> int
 
 val create_volume : t -> size:int -> (volume, string) result
 (** Carve a fresh logical volume out of the device (bump allocation; no
-    volume delete — matches the experiments' needs). *)
+    volume delete — matches the experiments' needs). Fails on a negative
+    size or when the device is full. *)
 
 val read : t -> volume -> off:int -> len:int -> (bytes, string) result
 (** Random read: device latency + transfer time, then the data. *)

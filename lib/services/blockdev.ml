@@ -98,6 +98,9 @@ let handle_write t svc d =
     and len = Args.to_int len in
     match Hashtbl.find_opt t.volumes vol with
     | None -> fail_cont svc caps 3
+    | Some volume
+      when off < 0 || len < 0 || off + len > volume.Device.Nvme.vol_size ->
+      fail_cont svc caps 2
     | Some volume -> (
       let res =
         Staging.with_slot t.staging len (fun slot ->

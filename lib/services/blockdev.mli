@@ -16,7 +16,9 @@
       verbatim.
 
     - [blk.write]: immediates [[vol; off; len]]; capabilities
-      [[src_mem; next]] ([src_mem] extent must equal [len]). *)
+      [[src_mem; next]] ([src_mem] extent must equal [len]). A range
+      outside the volume takes the error continuation with code 2 before
+      any data moves. *)
 
 module Core = Fractos_core
 module Device = Fractos_device

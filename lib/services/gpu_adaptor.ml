@@ -135,7 +135,7 @@ let handle_push t svc d =
     match
       (Hashtbl.find_opt t.buffers handle, Hashtbl.find_opt t.buffer_mems handle)
     with
-    | Some buf, Some _ when len <= Membuf.size buf -> (
+    | Some buf, Some _ when 0 <= len && len <= Membuf.size buf -> (
       let proc = Svc.proc svc in
       (* stage through an exact-length registered window of device memory
          (memory_copy moves whole extents) *)

@@ -7,8 +7,6 @@ type t = {
   handlers : (string, t -> State.delivery -> unit) Hashtbl.t;
   oneshots : (string, State.delivery Sim.Ivar.t) Hashtbl.t;
   mutable next_call : int;
-  mutable monitor_handlers : (State.monitor_event -> bool) list;
-  mutable monitor_pump : bool;
 }
 
 let pump t =
@@ -40,30 +38,10 @@ let create proc =
       handlers = Hashtbl.create 8;
       oneshots = Hashtbl.create 8;
       next_call = 0;
-      monitor_handlers = [];
-      monitor_pump = false;
     }
   in
   Sim.Engine.spawn ~name:(Process.name proc ^ ".pump") (fun () -> pump t);
   t
-
-let on_monitor t handler =
-  t.monitor_handlers <- t.monitor_handlers @ [ handler ];
-  if not t.monitor_pump then begin
-    t.monitor_pump <- true;
-    Sim.Engine.spawn ~name:(Process.name t.sproc ^ ".monitors") (fun () ->
-        let rec loop () =
-          let ev = Api.monitor_next t.sproc in
-          let consumed =
-            List.exists (fun h -> h ev) t.monitor_handlers
-          in
-          if not consumed then
-            Logs.debug (fun m ->
-                m "%s: unconsumed monitor event" (Process.name t.sproc));
-          loop ()
-        in
-        loop ())
-  end
 
 let proc t = t.sproc
 let handle t ~tag h = Hashtbl.replace t.handlers tag h
@@ -181,8 +159,3 @@ let payload_imms (d : State.delivery) =
   match d.State.d_imms with
   | _ :: rest -> rest
   | [] -> invalid_arg "Svc.payload_imms: empty reply"
-
-let args_and_reply (d : State.delivery) =
-  match List.rev d.State.d_caps with
-  | [] -> invalid_arg "Svc.args_and_reply: no capabilities"
-  | cont :: rev_args -> (List.rev rev_args, cont)

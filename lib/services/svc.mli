@@ -44,13 +44,6 @@ val call :
     nanoseconds and returns [Error Timeout] (the paper leaves in-flight
     cancellation to applications — a late reply is simply dropped). *)
 
-val on_monitor : t -> (Core.State.monitor_event -> bool) -> unit
-(** Register a monitor-event consumer; the first registration spawns the
-    Process's single monitor pump. Consumers are tried in registration
-    order until one returns [true]. Use this (not [Api.monitor_next]
-    directly) when several components of one Process watch capabilities —
-    e.g. a {!Resman} and a {!Replica} front sharing a Process. *)
-
 val fresh_tag : t -> string
 (** A tag unique within this Process, for hand-built continuations. *)
 
@@ -95,9 +88,3 @@ val status : Core.State.delivery -> int
 
 val payload_imms : Core.State.delivery -> Core.Args.imm list
 (** Reply immediates after the status. *)
-
-val args_and_reply :
-  Core.State.delivery -> Core.Api.cid list * Core.Api.cid
-(** Split a handler-side delivery's capabilities into argument caps and the
-    trailing reply continuation. Raises [Invalid_argument] if there are no
-    capabilities. *)

@@ -2,7 +2,7 @@
    replayed against the FS service (in all four configurations: plain,
    cached, write-through, cached+write-through) and checked against a
    plain Bytes.t reference model. Plus tests for the newer FS operations
-   (delete / list / stat / cache behaviour) and KV compaction. *)
+   (delete / list / stat / cache behaviour). *)
 
 open Fractos_sim
 module Net = Fractos_net
@@ -190,58 +190,6 @@ let test_fs_cache_correct_after_write () =
       check_bool "fresh data after overlapping write" true
         (Bytes.equal back expect))
 
-(* ------------------------------------------------------------------ *)
-(* KV compaction                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_kv_compact () =
-  Tb.run (fun tb ->
-      let c = Cluster.make tb in
-      let app = c.Cluster.app in
-      let proc = Svc.proc app in
-      let blk_proc = Svc.proc (Blockdev.svc c.Cluster.blk) in
-      let kv_proc =
-        Tb.add_proc tb ~on:c.Cluster.fs_node
-          ~ctrl:(Option.get (Process.controller (Svc.proc (Fs.svc c.Cluster.fs))))
-          "kv"
-      in
-      let kv =
-        Result.get_ok
-          (Kvstore.start kv_proc
-             ~create_vol:
-               (Tb.grant ~src:blk_proc ~dst:kv_proc
-                  (Blockdev.create_vol_request c.Cluster.blk))
-             ~log_size:(1 lsl 20) ())
-      in
-      let kv_cap =
-        Tb.grant ~src:kv_proc ~dst:proc (Kvstore.base_request kv)
-      in
-      let put key data =
-        let b = Process.alloc proc (Bytes.length data) in
-        Membuf.write b ~off:0 data;
-        let src = ok_exn (Api.memory_create proc b Perms.ro) in
-        ok_exn (Kvstore.put app ~kv:kv_cap ~key ~src ~len:(Bytes.length data))
-      in
-      (* churn: overwrite the same keys several times *)
-      for round = 1 to 4 do
-        put "x" (Bytes.make 1000 (Char.chr (round + 48)));
-        put "y" (Bytes.make 500 (Char.chr (round + 64)))
-      done;
-      let before = Kvstore.log_used kv in
-      check_bool "log grew with churn" true (before >= 4 * 1500);
-      let reclaimed = Result.get_ok (Kvstore.compact kv) in
-      check_int "live bytes remain" 1500 (Kvstore.log_used kv);
-      check_int "reclaimed the garbage" (before - 1500) reclaimed;
-      (* values intact after compaction *)
-      let rbuf = Process.alloc proc 1000 in
-      let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
-      let len = ok_exn (Kvstore.get app ~kv:kv_cap ~key:"x" ~dst) in
-      check_bool "x intact" true
-        (Bytes.equal (Membuf.read rbuf ~off:0 ~len) (Bytes.make 1000 '4'));
-      let len = ok_exn (Kvstore.get app ~kv:kv_cap ~key:"y" ~dst) in
-      check_bool "y intact" true
-        (Bytes.equal (Membuf.read rbuf ~off:0 ~len) (Bytes.make 500 'D')))
-
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -264,5 +212,4 @@ let () =
           Alcotest.test_case "cache coherent after write" `Quick
             test_fs_cache_correct_after_write;
         ] );
-      ("kv", [ Alcotest.test_case "compaction" `Quick test_kv_compact ]);
     ]

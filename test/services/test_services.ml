@@ -1,12 +1,14 @@
-(* Integration tests: registry, GPU adaptor, block-device adaptor, the
-   two-tier file system (FS / DAX / write-through composition) and the
-   end-to-end face-verification application. *)
+(* Integration tests: GPU adaptor, block-device adaptor, the two-tier
+   file system (FS / DAX / write-through composition), the end-to-end
+   face-verification application, RPC deadlines, edge cases and failure
+   injection across the service stack. *)
 
 open Fractos_sim
 module Net = Fractos_net
 module Core = Fractos_core
 module Dev = Fractos_device
 module Tb = Fractos_testbed.Testbed
+module Cluster = Fractos_testbed.Cluster
 open Fractos_services
 module Facedata = Fractos_workloads.Facedata
 open Core
@@ -81,41 +83,6 @@ let make_cluster ?(extent_size = 1 lsl 20) ?(write_through = false) tb =
   in
   let c_fs = Tb.grant ~src:fs_proc ~dst:app_proc (Fs.base_request fs) in
   (cluster, c_fs)
-
-(* ------------------------------------------------------------------ *)
-(* Registry                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_registry_put_get () =
-  Tb.run (fun tb ->
-      let s = List.hd (Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "n" ]) in
-      let reg_proc = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "registry" in
-      let a_proc = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "a" in
-      let b_proc = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "b" in
-      let reg = Registry.start reg_proc in
-      let a = Svc.create a_proc and b = Svc.create b_proc in
-      let reg_a = Tb.grant ~src:reg_proc ~dst:a_proc (Registry.base_request reg) in
-      let reg_b = Tb.grant ~src:reg_proc ~dst:b_proc (Registry.base_request reg) in
-      (* a publishes a service request; b looks it up and invokes it *)
-      let svc_req = ok_exn (Api.request_create a_proc ~tag:"a.svc" ()) in
-      ok_exn (Registry.publish a ~registry:reg_a ~name:"the-service" svc_req);
-      let got = ok_exn (Registry.lookup b ~registry:reg_b ~name:"the-service") in
-      Svc.handle a ~tag:"a.svc" (fun svc d -> Svc.reply svc d ~status:0 ());
-      let d = ok_exn (Svc.call b ~svc:got ()) in
-      check_int "service answered" 0 (Svc.status d))
-
-let test_registry_missing () =
-  Tb.run (fun tb ->
-      let s = List.hd (Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "n" ]) in
-      let reg_proc = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "registry" in
-      let a_proc = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "a" in
-      let reg = Registry.start reg_proc in
-      let a = Svc.create a_proc in
-      let reg_a = Tb.grant ~src:reg_proc ~dst:a_proc (Registry.base_request reg) in
-      match Registry.lookup a ~registry:reg_a ~name:"absent" with
-      | Error Error.Invalid_cap -> ()
-      | Ok _ -> Alcotest.fail "lookup of absent name succeeded"
-      | Error e -> Alcotest.failf "unexpected: %s" (Error.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* GPU adaptor                                                        *)
@@ -199,6 +166,156 @@ let test_gpu_adaptor_error_continuation () =
       let d = Ivar.await iv in
       check_bool "error continuation" true (String.equal d.State.d_tag err_tag))
 
+(* Client-supplied negative sizes take the error reply; the device is
+   untouched. *)
+let test_gpu_adaptor_negative_alloc () =
+  Tb.run (fun tb ->
+      let c, _ = make_cluster tb in
+      (match Gpu_adaptor.alloc c.app ~alloc_req:c.c_gpu_alloc ~size:(-1) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "negative alloc succeeded");
+      check_int "gpu mem untouched" (1 lsl 30) (Dev.Gpu.mem_free_bytes c.gpu))
+
+let test_gpu_adaptor_negative_push () =
+  Tb.run (fun tb ->
+      let c, _ = make_cluster tb in
+      let proc = Svc.proc c.app in
+      let buf = ok_exn (Gpu_adaptor.alloc c.app ~alloc_req:c.c_gpu_alloc ~size:64) in
+      let push =
+        Tb.grant
+          ~src:(Svc.proc (Gpu_adaptor.svc c.gpu_ad))
+          ~dst:proc
+          (Gpu_adaptor.push_request c.gpu_ad)
+      in
+      let dst = ok_exn (Api.memory_create proc (Process.alloc proc 64) Perms.rw) in
+      let ok, d =
+        ok_exn
+          (Svc.call_cont c.app ~svc:push
+             ~imms:(Gpu_adaptor.push_args buf ~len:(-1))
+             ~place:(fun ~ok ~err -> [ dst; ok; err ])
+             ())
+      in
+      check_bool "error path taken" false ok;
+      check_int "bounds code" 2 (Svc.status d))
+
+(* Two disaggregated GPUs chained peer-to-peer: GPU-1 unmasks the probe
+   batch, pushes it straight into GPU-2's memory (gpu.push), and GPU-2
+   runs face verification — the paper's "data goes first through a GPU
+   and then an FPGA" scenario, with no application mediation between the
+   devices. The chain is derived back to front: the verify kernel, the
+   push that feeds it, then the unmask kernel that heads it. *)
+let test_gpu_to_gpu_pipeline () =
+  Tb.run (fun tb ->
+      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "app"; "gpu1"; "gpu2" ] in
+      let s_app = List.nth setups 0
+      and s_g1 = List.nth setups 1
+      and s_g2 = List.nth setups 2 in
+      let app_proc = Tb.add_proc tb ~on:s_app.Tb.node ~ctrl:s_app.Tb.ctrl "app" in
+      let app = Svc.create app_proc in
+      let cfg = Fractos_net.Config.default in
+      let mask = 0x55 in
+      let unmask_kernel =
+        {
+          Dev.Gpu.k_name = "unmask";
+          k_cost = (fun ~items -> items * 1000);
+          k_run =
+            (fun ~bufs ~imms ->
+              match (bufs, imms) with
+              | [ buf ], [ len; mask ] ->
+                for i = 0 to len - 1 do
+                  Membuf.write buf ~off:i
+                    (Bytes.make 1
+                       (Char.chr
+                          (Char.code (Bytes.get buf.Membuf.data i) lxor mask)))
+                done
+              | _ -> failwith "unmask: bad args");
+        }
+      in
+      let mk_gpu s name =
+        let proc = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl name in
+        let gpu = Dev.Gpu.create ~node:s.Tb.node ~config:cfg ~mem_bytes:(1 lsl 24) in
+        Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+        Dev.Gpu.load_kernel gpu unmask_kernel;
+        let ad = Gpu_adaptor.start proc gpu in
+        (proc, ad)
+      in
+      let g1_proc, g1 = mk_gpu s_g1 "gpu1-adaptor" in
+      let g2_proc, g2 = mk_gpu s_g2 "gpu2-adaptor" in
+      let grant_all proc ad =
+        let alloc_r, load_r, _ = Gpu_adaptor.base_requests ad in
+        ( Tb.grant ~src:proc ~dst:app_proc alloc_r,
+          Tb.grant ~src:proc ~dst:app_proc load_r,
+          Tb.grant ~src:proc ~dst:app_proc (Gpu_adaptor.push_request ad) )
+      in
+      let g1_alloc, g1_load, g1_push = grant_all g1_proc g1 in
+      let g2_alloc, g2_load, _ = grant_all g2_proc g2 in
+      let img_size = 256 and batch = 4 in
+      let data_len = batch * img_size in
+      (* buffers: masked probes on GPU-1; probe/db/out on GPU-2 *)
+      let b1 = ok_exn (Gpu_adaptor.alloc app ~alloc_req:g1_alloc ~size:data_len) in
+      let probe2 = ok_exn (Gpu_adaptor.alloc app ~alloc_req:g2_alloc ~size:data_len) in
+      let db2 = ok_exn (Gpu_adaptor.alloc app ~alloc_req:g2_alloc ~size:data_len) in
+      let out2 = ok_exn (Gpu_adaptor.alloc app ~alloc_req:g2_alloc ~size:batch) in
+      let proc = Svc.proc app in
+      (* upload the masked probes to GPU-1 and the database to GPU-2 *)
+      let clear = Facedata.db ~img_size ~n:batch in
+      let masked = Bytes.map (fun c -> Char.chr (Char.code c lxor mask)) clear in
+      let up data dst =
+        let b = Process.alloc proc (Bytes.length data) in
+        Membuf.write b ~off:0 data;
+        let m = ok_exn (Api.memory_create proc b Perms.ro) in
+        ok_exn (Api.memory_copy proc ~src:m ~dst)
+      in
+      up masked b1.Gpu_adaptor.mem;
+      up clear db2.Gpu_adaptor.mem;
+      let unmask_req = ok_exn (Gpu_adaptor.load app ~load_req:g1_load ~name:"unmask") in
+      let verify_req =
+        ok_exn (Gpu_adaptor.load app ~load_req:g2_load ~name:Faceverify.kernel_name)
+      in
+      Fractos_net.Stats.reset (Fractos_net.Fabric.stats tb.Tb.fabric);
+      let ok, _ =
+        ok_exn
+          (Svc.call_cont app ~svc:unmask_req
+             ~imms:
+               (Gpu_adaptor.invoke_args ~items:batch ~bufs:[ b1 ]
+                  ~user:[ Args.of_int data_len; Args.of_int mask ])
+             ~place:(fun ~ok ~err ->
+               let verify =
+                 ok_exn
+                   (Api.request_derive proc verify_req
+                      ~imms:
+                        (Gpu_adaptor.invoke_args ~items:batch
+                           ~bufs:[ probe2; db2; out2 ]
+                           ~user:[ Args.of_int batch; Args.of_int img_size ])
+                      ~caps:[ ok; err ] ())
+               in
+               let push =
+                 ok_exn
+                   (Api.request_derive proc g1_push
+                      ~imms:(Gpu_adaptor.push_args b1 ~len:data_len)
+                      ~caps:[ probe2.Gpu_adaptor.mem; verify; err ] ())
+               in
+               [ push; err ])
+             ())
+      in
+      if not ok then Alcotest.fail "pipeline stage failed";
+      (* results: every unmasked probe matched the database *)
+      let rbuf = Process.alloc proc batch in
+      let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
+      ok_exn (Api.memory_copy proc ~src:out2.Gpu_adaptor.mem ~dst);
+      check_bool "all matched after GPU->GPU hop" true
+        (Bytes.equal rbuf.Membuf.data (Bytes.make batch '\001'));
+      (* the probe batch moved gpu1 -> gpu2 directly *)
+      let links = Fractos_net.Stats.per_link (Fractos_net.Fabric.stats tb.Tb.fabric) in
+      let bytes a b =
+        match List.assoc_opt (a, b) links with Some (_, n) -> n | None -> 0
+      in
+      check_bool "gpu1 -> gpu2 data" true (bytes "gpu1" "gpu2" >= data_len);
+      (* only small control messages (invoke forwarding) touch the app's
+         link to GPU-2 — the probe batch itself never does *)
+      check_bool "no bulk data via the app" true
+        (bytes "app" "gpu2" < data_len / 2))
+
 (* ------------------------------------------------------------------ *)
 (* Block-device adaptor                                               *)
 (* ------------------------------------------------------------------ *)
@@ -251,6 +368,65 @@ let test_blockdev_oob_error_continuation () =
              ())
       in
       check_bool "error path taken" false ok)
+
+let test_blockdev_negative_write () =
+  Tb.run (fun tb ->
+      let c, _ = make_cluster tb in
+      let vol =
+        ok_exn (Blockdev.create_vol c.app ~create_req:c.c_create_vol ~size:4096)
+      in
+      let proc = Svc.proc c.app in
+      let src = ok_exn (Api.memory_create proc (Process.alloc proc 64) Perms.ro) in
+      List.iter
+        (fun (off, len) ->
+          let ok, d =
+            ok_exn
+              (Svc.call_cont c.app ~svc:vol.Blockdev.write_req
+                 ~imms:(Blockdev.write_args ~off ~len)
+                 ~place:(fun ~ok ~err -> [ src; ok; err ])
+                 ())
+          in
+          check_bool "error path taken" false ok;
+          check_int "bounds code" 2 (Svc.status d))
+        [ (0, -1); (-1, 64) ])
+
+(* A negative volume size is refused, so it cannot move the allocator back
+   and make the next tenant's volume overlap an existing one. *)
+let test_blockdev_negative_volume () =
+  Tb.run (fun tb ->
+      let c, _ = make_cluster tb in
+      let create size =
+        Blockdev.create_vol c.app ~create_req:c.c_create_vol ~size
+      in
+      let vol_a = ok_exn (create 8192) in
+      (match create (-4096) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "negative volume accepted");
+      let vol_b = ok_exn (create 4096) in
+      let proc = Svc.proc c.app in
+      let wbuf = Process.alloc proc 4096 in
+      Membuf.write wbuf ~off:0 (Bytes.make 4096 'B');
+      let src = ok_exn (Api.memory_create proc wbuf Perms.ro) in
+      let ok, _ =
+        ok_exn
+          (Svc.call_cont c.app ~svc:vol_b.Blockdev.write_req
+             ~imms:(Blockdev.write_args ~off:0 ~len:4096)
+             ~place:(fun ~ok ~err -> [ src; ok; err ])
+             ())
+      in
+      check_bool "write ok" true ok;
+      let rbuf = Process.alloc proc 4096 in
+      let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
+      let ok, _ =
+        ok_exn
+          (Svc.call_cont c.app ~svc:vol_a.Blockdev.read_req
+             ~imms:(Blockdev.read_args ~off:4096 ~len:4096)
+             ~place:(fun ~ok ~err -> [ dst; ok; err ])
+             ())
+      in
+      check_bool "read ok" true ok;
+      check_bool "volume A untouched" true
+        (Bytes.equal rbuf.Membuf.data (Bytes.make 4096 '\000')))
 
 (* The Fig. 3 pattern: the SSD reads a block, copies it into GPU memory,
    and invokes a GPU kernel Request — without knowing a GPU is behind
@@ -564,6 +740,193 @@ let test_faceverify_batch_too_large () =
       | Ok _ -> Alcotest.fail "oversized batch accepted")
 
 (* ------------------------------------------------------------------ *)
+(* RPC timeouts                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let test_call_timeout () =
+  Tb.run (fun tb ->
+      let s = List.hd (Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "n" ]) in
+      let server_p = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "server" in
+      let client_p = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "client" in
+      let server = Svc.create server_p in
+      let client = Svc.create client_p in
+      (* a server that answers only after 1 ms *)
+      Svc.handle server ~tag:"slow" (fun svc d ->
+          Engine.sleep (Time.ms 1);
+          Svc.reply svc d ~status:0 ());
+      let slow = ok_exn (Api.request_create server_p ~tag:"slow" ()) in
+      let slow_c = Tb.grant ~src:server_p ~dst:client_p slow in
+      (* 100 us deadline: expires *)
+      (match Svc.call client ~svc:slow_c ~timeout:(Time.us 100) () with
+      | Error Error.Timeout -> ()
+      | Ok _ -> Alcotest.fail "slow call met a 100us deadline"
+      | Error e -> Alcotest.failf "unexpected: %s" (Error.to_string e));
+      (* generous deadline: completes; the earlier late reply was dropped
+         harmlessly by the pump *)
+      match Svc.call client ~svc:slow_c ~timeout:(Time.ms 10) () with
+      | Ok d -> check_int "status" 0 (Svc.status d)
+      | Error e -> Alcotest.failf "unexpected: %s" (Error.to_string e))
+
+(* ------------------------------------------------------------------ *)
+(* Edge-case sweep                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_dax_range_spanning_extents () =
+  Tb.run (fun tb ->
+      let c = Cluster.make ~extent_size:4096 tb in
+      let app = c.Cluster.app in
+      ok_exn (Fs.create app ~fs:c.Cluster.fs_cap ~name:"f" ~size:16384);
+      let dh = ok_exn (Fs.open_ app ~fs:c.Cluster.fs_cap ~name:"f" Fs.Dax_ro) in
+      check_int "four extents delegated" 4 (Array.length dh.Fs.h_dax_read);
+      (* intra-extent ranges resolve; spanning ones are rejected *)
+      check_bool "intra" true
+        (Fs.read_request_args dh ~off:4096 ~len:4096 <> None);
+      check_bool "spanning" true
+        (Fs.read_request_args dh ~off:2048 ~len:4096 = None))
+
+let test_gpu_push_bounds () =
+  Tb.run (fun tb ->
+      let c = Cluster.make tb in
+      let app = c.Cluster.app in
+      let proc = Svc.proc app in
+      let buf = ok_exn (Gpu_adaptor.alloc app ~alloc_req:c.Cluster.gpu_alloc_cap ~size:64) in
+      let push =
+        Tb.grant
+          ~src:(Svc.proc (Gpu_adaptor.svc c.Cluster.gpu_adaptor))
+          ~dst:proc
+          (Gpu_adaptor.push_request c.Cluster.gpu_adaptor)
+      in
+      let dst = ok_exn (Api.memory_create proc (Process.alloc proc 256) Perms.rw) in
+      (* pushing more than the buffer holds takes the error path *)
+      match
+        Svc.call_cont app ~svc:push
+          ~imms:(Gpu_adaptor.push_args buf ~len:256)
+          ~place:(fun ~ok ~err -> [ dst; ok; err ])
+          ()
+      with
+      | Ok (false, _) -> ()
+      | Ok (true, _) -> Alcotest.fail "oversized push succeeded"
+      | Error e -> Alcotest.failf "unexpected: %s" (Core.Error.to_string e))
+
+let test_error_printing () =
+  List.iter
+    (fun e -> check_bool "non-empty" true (String.length (Error.to_string e) > 0))
+    [
+      Error.Invalid_cap; Error.Revoked; Error.Stale; Error.Perm_denied;
+      Error.Bounds; Error.Bad_argument "x"; Error.Provider_dead;
+      Error.Ctrl_unreachable; Error.Quota_exceeded; Error.Timeout;
+    ];
+  match Error.ok_exn (Error Error.Revoked) with
+  | _ -> Alcotest.fail "ok_exn did not raise"
+  | exception Error.Fractos Error.Revoked -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Failure injection across the service stack                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_blk_adaptor_death_fails_fs () =
+  Tb.run (fun tb ->
+      let c = Cluster.make tb in
+      let app = c.Cluster.app in
+      let proc = Svc.proc app in
+      ok_exn (Fs.create app ~fs:c.Cluster.fs_cap ~name:"f" ~size:4096);
+      let h = ok_exn (Fs.open_ app ~fs:c.Cluster.fs_cap ~name:"f" Fs.Fs_rw) in
+      (* the block adaptor dies: its per-volume Requests are revoked *)
+      let blk_proc = Svc.proc (Blockdev.svc c.Cluster.blk) in
+      Controller.fail_process (Option.get (Process.controller blk_proc)) blk_proc;
+      Engine.sleep (Time.ms 2);
+      let src = ok_exn (Api.memory_create proc (Process.alloc proc 64) Perms.ro) in
+      match Fs.write app h ~off:0 ~len:64 ~src with
+      | Error _ -> ()
+      | Ok () -> Alcotest.fail "write succeeded with a dead block adaptor")
+
+let test_dax_handle_dies_with_adaptor () =
+  Tb.run (fun tb ->
+      let c = Cluster.make tb in
+      let app = c.Cluster.app in
+      let proc = Svc.proc app in
+      ok_exn (Fs.create app ~fs:c.Cluster.fs_cap ~name:"f" ~size:4096);
+      let dh = ok_exn (Fs.open_ app ~fs:c.Cluster.fs_cap ~name:"f" Fs.Dax_ro) in
+      let blk_proc = Svc.proc (Blockdev.svc c.Cluster.blk) in
+      Controller.fail_process (Option.get (Process.controller blk_proc)) blk_proc;
+      Engine.sleep (Time.ms 2);
+      let dst = ok_exn (Api.memory_create proc (Process.alloc proc 64) Perms.rw) in
+      (* the delegated per-extent Request is dead: the invoke itself fails
+         (the capability chain was invalidated by failure translation) *)
+      match
+        Api.request_derive proc dh.Fs.h_dax_read.(0)
+          ~imms:(Blockdev.read_args ~off:0 ~len:64)
+          ~caps:[ dst ] ()
+      with
+      | Error _ -> ()
+      | Ok r -> (
+        match Api.request_invoke proc r with
+        | Error _ -> ()
+        | Ok () ->
+          (* invocation accepted at the local hop; the chain must die
+             before any delivery *)
+          Engine.sleep (Time.ms 2);
+          check_int "no delivery to the dead adaptor" 0
+            (Sim.Channel.length (Svc.proc (Blockdev.svc c.Cluster.blk)).State.inbox)))
+
+let test_gpu_adaptor_death_mid_pipeline () =
+  (* The GPU adaptor dies after the SSD read is posted: the chain's tail
+     fails silently, and the application's deadline fires — the paper's
+     application-level cancellation story. *)
+  Tb.run (fun tb ->
+      let c = Cluster.make tb in
+      let app = c.Cluster.app in
+      let proc = Svc.proc app in
+      let img_size = 256 and batch = 4 in
+      let vol =
+        ok_exn
+          (Blockdev.create_vol app ~create_req:c.Cluster.create_vol_cap
+             ~size:65536)
+      in
+      let gpu_buf =
+        ok_exn
+          (Gpu_adaptor.alloc app ~alloc_req:c.Cluster.gpu_alloc_cap
+             ~size:(batch * img_size))
+      in
+      let invoke_req =
+        ok_exn
+          (Gpu_adaptor.load app ~load_req:c.Cluster.gpu_load_cap
+             ~name:Faceverify.kernel_name)
+      in
+      (* kill the GPU adaptor, then fire the SSD->GPU chain *)
+      let gpu_proc = Svc.proc (Gpu_adaptor.svc c.Cluster.gpu_adaptor) in
+      Controller.fail_process (Option.get (Process.controller gpu_proc)) gpu_proc;
+      Engine.sleep (Time.ms 2);
+      let ok_tag = Svc.fresh_tag app and err_tag = Svc.fresh_tag app in
+      let ok_cont = ok_exn (Api.request_create proc ~tag:ok_tag ()) in
+      let err_cont = ok_exn (Api.request_create proc ~tag:err_tag ()) in
+      let iv = Svc.expect_pair app ~ok:ok_tag ~err:err_tag in
+      match
+        Api.request_derive proc invoke_req
+          ~imms:
+            (Gpu_adaptor.invoke_args ~items:batch ~bufs:[ gpu_buf ]
+               ~user:[ Args.of_int batch; Args.of_int img_size ])
+          ~caps:[ ok_cont; err_cont ] ()
+      with
+      | Error _ -> () (* even the derive may already fail: fine *)
+      | Ok kernel_req -> (
+        match
+          Api.request_derive proc vol.Blockdev.read_req
+            ~imms:(Blockdev.read_args ~off:0 ~len:(batch * img_size))
+            ~caps:[ gpu_buf.Gpu_adaptor.mem; kernel_req ] ()
+        with
+        | Error _ -> ()
+        | Ok pipeline -> (
+          match Api.request_invoke proc pipeline with
+          | Error _ -> ()
+          | Ok () -> (
+            match Sim.Ivar.await_timeout iv ~timeout:(Time.ms 50) with
+            | None -> () (* deadline fired: correct app-level handling *)
+            | Some d ->
+              check_bool "only the error continuation may fire" true
+                (String.equal d.State.d_tag err_tag)))))
+
+(* ------------------------------------------------------------------ *)
 (* Whole-system determinism                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -599,11 +962,6 @@ let test_deterministic_replay () =
 let () =
   Alcotest.run "fractos_services"
     [
-      ( "registry",
-        [
-          Alcotest.test_case "put/get" `Quick test_registry_put_get;
-          Alcotest.test_case "missing" `Quick test_registry_missing;
-        ] );
       ( "gpu-adaptor",
         [
           Alcotest.test_case "alloc/copy/free" `Quick
@@ -612,6 +970,12 @@ let () =
             test_gpu_adaptor_kernel_invoke;
           Alcotest.test_case "error continuation" `Quick
             test_gpu_adaptor_error_continuation;
+          Alcotest.test_case "negative alloc size" `Quick
+            test_gpu_adaptor_negative_alloc;
+          Alcotest.test_case "negative push length" `Quick
+            test_gpu_adaptor_negative_push;
+          Alcotest.test_case "gpu-to-gpu peer pipeline" `Quick
+            test_gpu_to_gpu_pipeline;
         ] );
       ( "blockdev",
         [
@@ -621,6 +985,10 @@ let () =
             test_blockdev_oob_error_continuation;
           Alcotest.test_case "continuation into GPU (Fig 3)" `Quick
             test_blockdev_continuation_into_gpu;
+          Alcotest.test_case "negative write length" `Quick
+            test_blockdev_negative_write;
+          Alcotest.test_case "negative volume size" `Quick
+            test_blockdev_negative_volume;
         ] );
       ( "fs",
         [
@@ -649,6 +1017,23 @@ let () =
             test_faceverify_concurrent_requests;
           Alcotest.test_case "batch too large" `Quick
             test_faceverify_batch_too_large;
+        ] );
+      ("timeout", [ Alcotest.test_case "call deadline" `Quick test_call_timeout ]);
+      ( "edges",
+        [
+          Alcotest.test_case "dax extent ranges" `Quick
+            test_dax_range_spanning_extents;
+          Alcotest.test_case "gpu push bounds" `Quick test_gpu_push_bounds;
+          Alcotest.test_case "error printing" `Quick test_error_printing;
+        ] );
+      ( "failure-injection",
+        [
+          Alcotest.test_case "blk adaptor death fails fs" `Quick
+            test_blk_adaptor_death_fails_fs;
+          Alcotest.test_case "dax handle dies with adaptor" `Quick
+            test_dax_handle_dies_with_adaptor;
+          Alcotest.test_case "gpu death mid-pipeline" `Quick
+            test_gpu_adaptor_death_mid_pipeline;
         ] );
       ( "determinism",
         [

@@ -1,4 +1,4 @@
-(* Soak test: a busy mixed cluster — concurrent FS, KV and GPU clients,
+(* Soak test: a busy mixed cluster — concurrent FS and GPU clients,
    open-loop arrivals, and failure injection of a non-essential client —
    runs for a long simulated stretch without crashes, deadlocks or data
    corruption, ending with consistent accounting. *)
@@ -26,7 +26,7 @@ let test_soak () =
       in
       let app = c.Cluster.app in
       let app_ctrl = Option.get (Process.controller (Svc.proc app)) in
-      (* services: faceverify app + kv store *)
+      (* services: faceverify app *)
       let db = Facedata.db ~img_size ~n:n_images in
       ok_exn
         (Faceverify.populate_db app ~fs:c.Cluster.fs_cap ~name:"facedb"
@@ -38,30 +38,11 @@ let test_soak () =
              ~gpu_load:c.Cluster.gpu_load_cap ~db_name:"facedb" ~img_size
              ~max_batch:8 ~depth:2)
       in
-      let blk_proc = Svc.proc (Blockdev.svc c.Cluster.blk) in
-      let kv_proc =
-        Tb.add_proc tb ~on:c.Cluster.fs_node
-          ~ctrl:(Option.get (Process.controller (Svc.proc (Fs.svc c.Cluster.fs))))
-          "kv"
-      in
-      let kv =
-        Result.get_ok
-          (Kvstore.start kv_proc
-             ~create_vol:
-               (Tb.grant ~src:blk_proc ~dst:kv_proc
-                  (Blockdev.create_vol_request c.Cluster.blk))
-             ~log_size:(1 lsl 20) ())
-      in
-      ignore kv;
-      let kv_cap =
-        Tb.grant ~src:kv_proc ~dst:(Svc.proc app) (Kvstore.base_request kv)
-      in
       ok_exn (Fs.create app ~fs:c.Cluster.fs_cap ~name:"scratch" ~size:65536);
       let scratch = ok_exn (Fs.open_ app ~fs:c.Cluster.fs_cap ~name:"scratch" Fs.Fs_rw) in
       (* workload fibers *)
       let verify_ok = ref 0
       and fs_ok = ref 0
-      and kv_ok = ref 0
       and failures = ref 0 in
       let wg = Waitgroup.create () in
       let rng = Prng.create ~seed:77 in
@@ -105,25 +86,6 @@ let test_soak () =
               else Alcotest.fail "fs corruption under load"
             done)
       done;
-      (* KV client *)
-      (let my = Prng.split rng in
-       Waitgroup.spawn wg (fun () ->
-           let proc = Svc.proc app in
-           for i = 1 to 15 do
-             let key = Printf.sprintf "k%d" (Prng.int my 5) in
-             let len = 64 + Prng.int my 512 in
-             let data = Bytes.make len (Char.chr (40 + (i mod 80))) in
-             let wbuf = Process.alloc proc len in
-             Membuf.write wbuf ~off:0 data;
-             let src = ok_exn (Api.memory_create proc wbuf Perms.ro) in
-             ok_exn (Kvstore.put app ~kv:kv_cap ~key ~src ~len);
-             let rbuf = Process.alloc proc len in
-             let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
-             let got = ok_exn (Kvstore.get app ~kv:kv_cap ~key ~dst) in
-             if got = len && Bytes.equal (Membuf.read rbuf ~off:0 ~len) data
-             then incr kv_ok
-             else Alcotest.fail "kv corruption under load"
-           done));
       (* a doomed bystander process that dies mid-run: its failure
          translation must not disturb anyone *)
       let doomed = Tb.add_proc tb ~on:c.Cluster.app_node ~ctrl:app_ctrl "doomed" in
@@ -134,7 +96,6 @@ let test_soak () =
       Waitgroup.wait wg;
       check_int "all verifications correct" 36 !verify_ok;
       check_int "all fs ops correct" 30 !fs_ok;
-      check_int "all kv ops correct" 15 !kv_ok;
       check_int "no request failures" 0 !failures;
       check_bool "simulation advanced past the failure injection" true
         (Engine.now () > Time.ms 3))
