@@ -32,11 +32,13 @@ let call proc ~size build = Sim.Ivar.await (call_async proc ~size build)
    named syscall in a span ("sys.<name>") and the process's hoisted
    latency histogram ("syscall.<name>", interned at Process.create). *)
 let timed name hist (proc : proc) ~size build =
-  let node = proc.pnode.Net.Node.name in
   let t0 = Sim.Engine.now () in
   let r =
-    Obs.Span.with_ ~node ~name:("sys." ^ name) (fun () ->
-        call proc ~size build)
+    if Obs.Span.enabled () then
+      let node = proc.pnode.Net.Node.name in
+      Obs.Span.with_ ~node ~name:("sys." ^ name) (fun () ->
+          call proc ~size build)
+    else call proc ~size build
   in
   Obs.Metrics.observe hist (Sim.Engine.now () - t0);
   r

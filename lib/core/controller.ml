@@ -279,9 +279,14 @@ let handle_syscall ctrl msg =
   | _ ->
     Obs.Metrics.incr ctrl.cm.cm_syscalls;
     Obs.Metrics.set ctrl.cm.cm_sys_backlog (Net.Endpoint.pending ctrl.sys_ep);
-    journal ctrl Obs.Journal.Debug "ctrl.admit" (fun () -> syscall_name msg);
-    span ctrl ("ctrl." ^ syscall_name msg) (fun () ->
-        dispatch_syscall ctrl msg)
+    (* the detail thunk and the span closure are built only when their
+       recorder is on (HACKING.md, "Hot path") *)
+    if Obs.Journal.enabled () then
+      journal ctrl Obs.Journal.Debug "ctrl.admit" (fun () -> syscall_name msg);
+    if Obs.Span.enabled () then
+      span ctrl ("ctrl." ^ syscall_name msg) (fun () ->
+          dispatch_syscall ctrl msg)
+    else dispatch_syscall ctrl msg
 
 (* Fail a syscall's reply path without running any controller software:
    used when the controller has crashed (the caller's QP times out,
@@ -410,7 +415,9 @@ let peer_name = function
 let handle_peer ctrl msg =
   Obs.Metrics.incr ctrl.cm.cm_peer_msgs;
   Obs.Metrics.set ctrl.cm.cm_peer_backlog (Net.Endpoint.pending ctrl.peer_ep);
-  span ctrl ("ctrl.peer." ^ peer_name msg) (fun () -> dispatch_peer ctrl msg)
+  if Obs.Span.enabled () then
+    span ctrl ("ctrl.peer." ^ peer_name msg) (fun () -> dispatch_peer ctrl msg)
+  else dispatch_peer ctrl msg
 
 let reject_peer msg =
   let kill : type a. a rreply -> unit =

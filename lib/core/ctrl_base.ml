@@ -58,7 +58,8 @@ let once f =
     end
 
 let send_reply ctrl ~dst iv v =
-  Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ();
+  if Obs.Span.enabled () then
+    Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ();
   charge ctrl [ (Net.Cost.Msg, 1) ];
   Net.Fabric.send ctrl.fabric ~src:ctrl.cnode ~dst ~size:Wire.response
     (fun () -> ignore (Sim.Ivar.try_fill iv v))

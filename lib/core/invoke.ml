@@ -16,14 +16,23 @@ let rreply_opt ctrl rr v =
       Logs.debug (fun m ->
           m "invoke chain failed past the ack point: %s" (Error.to_string e)))
 
-(* Deliver a fully materialized request to its provider process, delegating
-   capability arguments into the provider's space. *)
-let deliver ctrl (r : req) imms caps rr =
-  span ctrl
-    ~attrs:(fun () ->
-      [ ("tag", r.r_tag); ("caps", string_of_int (List.length caps)) ])
-    "ctrl.deliver"
-  @@ fun () ->
+(* Delegate capability arguments into the provider's space, in order,
+   stopping at the first failure; the new cids come back reversed. *)
+let rec delegate_caps ctrl space (r : req) rev_cids = function
+  | [] -> Ok rev_cids
+  | (addr, monitored) :: rest -> (
+    let counts = if monitored then Some addr else None in
+    match
+      Capspace.insert_cap ctrl space addr ~counts ~op:Obs.Audit.Delegate
+        ~audit_detail:(fun () -> "invoke tag=" ^ r.r_tag)
+    with
+    | Error _ as e -> e
+    | Ok cid ->
+      if monitored then
+        Capspace.send_counter ctrl addr (fun addr -> P_increment { addr });
+      delegate_caps ctrl space r (cid :: rev_cids) rest)
+
+let deliver_untraced ctrl (r : req) imms caps rr =
   let provider = r.r_provider in
   if not provider.alive then rreply_opt ctrl rr (Error Error.Provider_dead)
   else
@@ -32,25 +41,10 @@ let deliver ctrl (r : req) imms caps rr =
     | Ok space ->
       charge ctrl [ (Net.Cost.Cap_transfer, List.length caps) ];
       let delegated =
-        span ctrl "ctrl.delegate" @@ fun () ->
-        List.fold_left
-          (fun acc (addr, monitored) ->
-            match acc with
-            | Error _ as e -> e
-            | Ok cids -> (
-              let counts = if monitored then Some addr else None in
-              match
-                Capspace.insert_cap ctrl space addr ~counts
-                  ~op:Obs.Audit.Delegate
-                  ~audit_detail:(fun () -> "invoke tag=" ^ r.r_tag)
-              with
-              | Error _ as e -> e
-              | Ok cid ->
-                if monitored then
-                  Capspace.send_counter ctrl addr (fun addr ->
-                      P_increment { addr });
-                Ok (cid :: cids)))
-          (Ok []) caps
+        if Obs.Span.enabled () then
+          span ctrl "ctrl.delegate" (fun () ->
+              delegate_caps ctrl space r [] caps)
+        else delegate_caps ctrl space r [] caps
       in
       match delegated with
       | Error e -> rreply_opt ctrl rr (Error e)
@@ -73,16 +67,32 @@ let deliver ctrl (r : req) imms caps rr =
                    { d_tag = r.r_tag; d_imms = imms; d_caps = cids }));
         rreply_opt ctrl rr (Ok ())
 
+(* Deliver a fully materialized request to its provider process, delegating
+   capability arguments into the provider's space. The span closures are
+   built only when tracing is on (HACKING.md, "Hot path"). *)
+let deliver ctrl (r : req) imms caps rr =
+  if Obs.Span.enabled () then
+    span ctrl
+      ~attrs:(fun () ->
+        [ ("tag", r.r_tag); ("caps", string_of_int (List.length caps)) ])
+      "ctrl.deliver"
+      (fun () -> deliver_untraced ctrl r imms caps rr)
+  else deliver_untraced ctrl r imms caps rr
+
 (* Process one hop of an invocation: [addr] names a Request object at this
    controller; [suffix] holds the arguments accumulated from more-derived
    Requests. Either deliver (root) or forward toward the parent. The
    caller's posting acknowledgment is sent by the first owner that
    validates the invocation; forwarded hops carry no reply path. *)
 let rec do_invoke ctrl addr suffix_imms suffix_caps rr =
-  span ctrl
-    ~attrs:(fun () -> [ ("oid", string_of_int addr.a_oid) ])
-    "ctrl.invoke"
-  @@ fun () ->
+  if Obs.Span.enabled () then
+    span ctrl
+      ~attrs:(fun () -> [ ("oid", string_of_int addr.a_oid) ])
+      "ctrl.invoke"
+      (fun () -> invoke_hop ctrl addr suffix_imms suffix_caps rr)
+  else invoke_hop ctrl addr suffix_imms suffix_caps rr
+
+and invoke_hop ctrl addr suffix_imms suffix_caps rr =
   audit ctrl Obs.Audit.Invoke addr;
   charge ctrl [ (Net.Cost.Lookup, 1) ];
   match Objects.find ctrl addr with

@@ -50,6 +50,17 @@ let base_latency t ~src ~dst =
        cfg.loopback_oneway + cfg.pcie_extra
      else cfg.wire_oneway)
 
+let trace_event ~src ~dst ~cls ~size ~on_network kind =
+  {
+    Trace.ev_time = Sim.Engine.now ();
+    ev_kind = kind;
+    ev_src = src.Node.name;
+    ev_dst = dst.Node.name;
+    ev_cls = cls;
+    ev_bytes = size;
+    ev_local = not on_network;
+  }
+
 let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
   let cfg = t.config in
   let fault =
@@ -98,19 +109,9 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
            | Delay d -> " delay=" ^ Sim.Time.to_string d
            | _ -> ""))
        ());
-  let trace_event kind =
-    {
-      Trace.ev_time = Sim.Engine.now ();
-      ev_kind = kind;
-      ev_src = src.Node.name;
-      ev_dst = dst.Node.name;
-      ev_cls = cls;
-      ev_bytes = size;
-      ev_local = not on_network;
-    }
-  in
   (match t.tracer with
-  | Some record -> record (trace_event Trace.Depart)
+  | Some record ->
+    record (trace_event ~src ~dst ~cls ~size ~on_network Trace.Depart)
   | None -> ());
   (* The duplicate copy (fault injection) re-runs the raw callback without
      the span-finish wrapper, so the fabric.xfer span is finished exactly
@@ -120,7 +121,7 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
     | None -> deliver
     | Some record ->
       fun () ->
-        record (trace_event Trace.Arrive);
+        record (trace_event ~src ~dst ~cls ~size ~on_network Trace.Arrive);
         deliver ()
   in
   let deliver = dup_deliver in
@@ -159,7 +160,8 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
       Config.scale_time cfg.scale_fabric
         (Config.bytes_time ~bw_bps:cfg.net_bandwidth_bps wire_bytes)
     in
-    let tx_start, tx_done = Sim.Resource.reserve src.Node.tx ~duration:ser in
+    let tx_done = Sim.Resource.reserve src.Node.tx ~duration:ser in
+    let tx_start = tx_done - ser in
     match fault with
     | Drop ->
       (* serialized out of the sender's NIC, then lost in the switch *)
@@ -168,13 +170,15 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
         Sim.Engine.schedule (tx_done - now) (fun () -> Obs.Span.finish sp)
       end
     | Pass | Duplicate | Delay _ ->
-      let rx_start, rx_done =
+      let rx_done =
         Sim.Resource.reserve_at dst.Node.rx ~start:(tx_start + base)
           ~duration:ser
       in
-      if sp <> 0 then
+      if sp <> 0 then begin
+        let rx_start = rx_done - ser in
         Obs.Span.set_attr sp "q"
-          (string_of_int ((tx_start - now) + (rx_start - (tx_start + base))));
+          (string_of_int ((tx_start - now) + (rx_start - (tx_start + base))))
+      end;
       Sim.Engine.schedule (rx_done + extra - now) deliver;
       (match fault with
       | Duplicate ->
@@ -189,7 +193,8 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
       Config.scale_time cfg.scale_fabric
         (Config.bytes_time ~bw_bps:cfg.pcie_bandwidth_bps wire_bytes)
     in
-    let dma_start, dma_done = Sim.Resource.reserve src.Node.dma ~duration:ser in
+    let dma_done = Sim.Resource.reserve src.Node.dma ~duration:ser in
+    let dma_start = dma_done - ser in
     if sp <> 0 then Obs.Span.set_attr sp "q" (string_of_int (dma_start - now));
     Sim.Engine.schedule (dma_done + base + extra - now) deliver
   end
@@ -225,10 +230,8 @@ let pp_utilization fmt us =
         (100. *. u.u_tx) (100. *. u.u_rx) (100. *. u.u_dma))
     us
 
-let transfer_chunked t ~src ~dst ?cls ~size ?chunk () =
-  let chunk =
-    match chunk with Some c -> c | None -> t.config.bounce_chunk
-  in
+let transfer_chunked t ~src ~dst ?cls ~size () =
+  let chunk = t.config.bounce_chunk in
   if size <= chunk then transfer t ~src ~dst ?cls ~size ()
   else begin
     let done_ = Sim.Ivar.create () in

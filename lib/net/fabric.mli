@@ -98,14 +98,8 @@ val transfer :
     a timeout (see [Fault.Retry]). *)
 
 val transfer_chunked :
-  t ->
-  src:Node.t ->
-  dst:Node.t ->
-  ?cls:Stats.cls ->
-  size:int ->
-  ?chunk:int ->
-  unit ->
-  unit
-(** Like {!transfer} but segments the payload into [chunk]-sized messages
-    (default: the bounce-buffer chunk size), so bulk transfers by baseline
-    stacks are counted in the same units as FractOS's chunked copies. *)
+  t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit
+(** Like {!transfer} but segments the payload into messages of the
+    configured [bounce_chunk] size (which {!Config.validate} keeps
+    positive), so bulk transfers by baseline stacks are counted in the same
+    units as FractOS's chunked copies. *)

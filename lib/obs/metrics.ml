@@ -8,9 +8,11 @@ type gauge = { mutable g_v : int; mutable g_max : int; mutable g_gen : int }
 let sub = 4
 let n_buckets = 256 (* covers values up to 2^(255/4) — effectively all ints *)
 
+(* [h_sum] is an int, so [observe] boxes no float. Readers convert it to
+   a float, which is exact while the sum stays below 2^53 ns (~104 days). *)
 type histogram = {
   mutable h_n : int;
-  mutable h_sum : float;
+  mutable h_sum : int;
   mutable h_max : int;
   h_buckets : int array;
   mutable h_gen : int;
@@ -87,7 +89,7 @@ let refresh_histogram h =
   let gen = (reg ()).generation in
   if h.h_gen <> gen then begin
     h.h_n <- 0;
-    h.h_sum <- 0.;
+    h.h_sum <- 0;
     h.h_max <- 0;
     Array.fill h.h_buckets 0 n_buckets 0;
     h.h_gen <- gen
@@ -124,7 +126,7 @@ let histogram ~node name =
     (fun () ->
       {
         h_n = 0;
-        h_sum = 0.;
+        h_sum = 0;
         h_max = 0;
         h_buckets = Array.make n_buckets 0;
         h_gen = r.generation;
@@ -158,7 +160,7 @@ let observe h v =
   refresh_histogram h;
   let v = if v < 0 then 0 else v in
   h.h_n <- h.h_n + 1;
-  h.h_sum <- h.h_sum +. float_of_int v;
+  h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v;
   let k = bucket_of v in
   h.h_buckets.(k) <- h.h_buckets.(k) + 1
@@ -171,7 +173,9 @@ let hist_max h =
   refresh_histogram h;
   h.h_max
 
-let mean h = if observations h = 0 then Float.nan else h.h_sum /. float_of_int h.h_n
+let mean h =
+  if observations h = 0 then Float.nan
+  else float_of_int h.h_sum /. float_of_int h.h_n
 
 let percentile h p =
   if observations h = 0 then Float.nan
@@ -239,7 +243,12 @@ let snapshot_histogram h =
     if h.h_buckets.(k) > 0 then
       buckets := (bucket_upper k, h.h_buckets.(k)) :: !buckets
   done;
-  { hs_count = h.h_n; hs_sum = h.h_sum; hs_max = h.h_max; hs_buckets = !buckets }
+  {
+    hs_count = h.h_n;
+    hs_sum = float_of_int h.h_sum;
+    hs_max = h.h_max;
+    hs_buckets = !buckets;
+  }
 
 let histograms_list () =
   let tbl = (reg ()).histograms in

@@ -13,7 +13,7 @@ let create () = { items = Queue.create (); readers = Queue.create () }
 let send ch v =
   let m = (Engine.get_ctx (), v) in
   match Queue.take_opt ch.readers with
-  | Some r -> r.resume m
+  | Some r -> Engine.resume r m
   | None -> Queue.add m ch.items
 
 let recv ch =

@@ -1,15 +1,40 @@
 exception Deadlock of string
 
+open Effect.Deep
+
+(* Every heap entry is one typed event. Each carries the trace context
+   of the fiber or caller that scheduled it, and [dispatch] restores it
+   before running the event, so a fiber keeps its own ambient context no
+   matter how events interleave. A resumer is itself the context and
+   continuation of the suspended fiber, so [Resume] and [Fail] need only
+   point at it. *)
 type t = {
-  heap : (unit -> unit) Heap.t;
+  heap : event Heap.t;
   mutable now : int;
   mutable seq : int;
   mutable fibers : int;
   mutable failure : (bool * exn) option; (* (from_root_fiber, exn) *)
-  mutable main_done : bool;
   mutable ctx : int; (* fiber-local trace context, 0 = none *)
   names : (int, string) Hashtbl.t; (* live named fibers, keyed by fiber id *)
   mutable next_fiber : int;
+  mutable handler : (unit, unit) handler; (* shared by unnamed fibers *)
+  mutable sleep_for : int; (* the pending [Sleep]'s duration *)
+  mutable on_sleep : ((unit, unit) continuation -> unit) option;
+}
+
+and event =
+  | Nop (* fills the heap's empty payload slots; never scheduled *)
+  | Call of { ctx : int; f : unit -> unit }
+  | Spawn of { ctx : int; name : string option; f : unit -> unit }
+  | Wake of { ctx : int; k : (unit, unit) continuation }
+  | Resume : { r : 'a resumer; v : 'a } -> event
+  | Fail : { r : 'a resumer; e : exn } -> event
+
+and 'a resumer = {
+  mutable used : bool;
+  eng : t;
+  r_ctx : int;
+  k : ('a, unit) continuation;
 }
 
 (* The running engine is domain-local, so independent simulations on
@@ -23,23 +48,29 @@ let get () =
   | Some t -> t
   | None -> failwith "Fractos_sim.Engine: no engine is running"
 
-let schedule_at t ~time f =
+let schedule_at t ~time ev =
   let time = if time < t.now then t.now else time in
   t.seq <- t.seq + 1;
-  Heap.push t.heap ~time ~seq:t.seq f
+  Heap.push t.heap ~time ~seq:t.seq ev
 
-type 'a resumer = { resume : 'a -> unit; abort : exn -> unit }
+(* Continuations are one-shot; the [used] flag makes a second [resume]
+   or [abort] a no-op. *)
+let resume r v =
+  if not r.used then begin
+    r.used <- true;
+    schedule_at r.eng ~time:r.eng.now (Resume { r; v })
+  end
+
+let abort r e =
+  if not r.used then begin
+    r.used <- true;
+    schedule_at r.eng ~time:r.eng.now (Fail { r; e })
+  end
 
 type _ Effect.t +=
   | Sleep : int -> unit Effect.t
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
 
-(* Each fiber runs under this deep handler. Continuations are one-shot;
-   resumers guard against double resumption with a [used] flag. The trace
-   context [t.ctx] is fiber-local: it is captured whenever a fiber
-   suspends (or a closure is scheduled) and restored right before the
-   continuation resumes, so each fiber keeps its own ambient context no
-   matter how events interleave. *)
 (* First failure wins within an origin class, but a failure coming from the
    root fiber outranks one recorded earlier by a background fiber at the
    same instant: abandoned server fibers (e.g. of a crashed controller)
@@ -50,88 +81,107 @@ let record_failure t ~root e =
   | Some (false, _) when root -> t.failure <- Some (root, e)
   | Some _ -> ()
 
+(* One handler per engine serves every unnamed fiber. OCaml applies the
+   function [effc] returns before anything else runs, so [Sleep] can hand
+   back the preallocated [on_sleep] and leave its duration in
+   [sleep_for]. *)
+let make_handler t =
+  {
+    retc = (fun () -> ());
+    exnc = (fun e -> record_failure t ~root:false e);
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) continuation -> unit) option ->
+        match eff with
+        | Sleep d ->
+          t.sleep_for <- d;
+          t.on_sleep
+        | Suspend setup ->
+          Some
+            (fun (k : (a, unit) continuation) ->
+              setup { used = false; eng = t; r_ctx = t.ctx; k })
+        | _ -> None);
+  }
+
+let on_sleep t k =
+  let d = if t.sleep_for < 0 then 0 else t.sleep_for in
+  schedule_at t ~time:(t.now + d) (Wake { ctx = t.ctx; k })
+
+(* Named fibers (the root among them) get their own [retc]/[exnc], which
+   unregister the name the deadlock report would otherwise print. *)
 let exec t ?(root = false) ?name f =
-  let open Effect.Deep in
   t.fibers <- t.fibers + 1;
   let fid = t.next_fiber in
   t.next_fiber <- fid + 1;
-  (match name with
-  | Some n -> Hashtbl.replace t.names fid n
-  | None -> ());
-  let finished () = if name <> None then Hashtbl.remove t.names fid in
-  match_with f ()
-    {
-      retc = (fun () -> finished ());
-      exnc =
-        (fun e ->
-          finished ();
-          record_failure t ~root e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sleep d ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let d = if d < 0 then 0 else d in
-                let ctx = t.ctx in
-                schedule_at t ~time:(t.now + d) (fun () ->
-                    t.ctx <- ctx;
-                    continue k ()))
-          | Suspend setup ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let used = ref false in
-                let ctx = t.ctx in
-                let resume v =
-                  if not !used then begin
-                    used := true;
-                    schedule_at t ~time:t.now (fun () ->
-                        t.ctx <- ctx;
-                        continue k v)
-                  end
-                and abort e =
-                  if not !used then begin
-                    used := true;
-                    schedule_at t ~time:t.now (fun () ->
-                        t.ctx <- ctx;
-                        discontinue k e)
-                  end
-                in
-                setup { resume; abort })
-          | _ -> None);
-    }
+  match name with
+  | None -> match_with f () t.handler
+  | Some n ->
+    Hashtbl.replace t.names fid n;
+    let finished () = Hashtbl.remove t.names fid in
+    match_with f ()
+      {
+        t.handler with
+        retc = finished;
+        exnc =
+          (fun e ->
+            finished ();
+            record_failure t ~root e);
+      }
 
 let create () =
-  {
-    heap = Heap.create ();
-    now = 0;
-    seq = 0;
-    fibers = 0;
-    failure = None;
-    main_done = false;
-    ctx = 0;
-    names = Hashtbl.create 16;
-    next_fiber = 0;
-  }
+  let t =
+    {
+      heap = Heap.create ~dummy:Nop;
+      now = 0;
+      seq = 0;
+      fibers = 0;
+      failure = None;
+      ctx = 0;
+      names = Hashtbl.create 16;
+      next_fiber = 0;
+      handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
+      sleep_for = 0;
+      on_sleep = None;
+    }
+  in
+  t.handler <- make_handler t;
+  t.on_sleep <- Some (on_sleep t);
+  t
+
+let dispatch t = function
+  | Nop -> ()
+  | Call { ctx; f } ->
+    t.ctx <- ctx;
+    f ()
+  | Spawn { ctx; name; f } ->
+    t.ctx <- ctx;
+    exec t ?name f
+  | Wake { ctx; k } ->
+    t.ctx <- ctx;
+    continue k ()
+  | Resume { r; v } ->
+    t.ctx <- r.r_ctx;
+    continue r.k v
+  | Fail { r; e } ->
+    t.ctx <- r.r_ctx;
+    discontinue r.k e
 
 (* Run the heap until it is exhausted. After a failure is recorded, keep
    draining events scheduled for the *same* instant before stopping: the
    root fiber may be queued right behind the failing background fiber,
    and its own error (or completion) is the one the caller should see.
    Events at a later time never run once a failure exists. *)
-let drain t =
-  let rec loop () =
-    match Heap.pop t.heap with
-    | None -> ()
-    | Some (time, _seq, run_event) ->
-      if t.failure <> None && time > t.now then ()
-      else begin
-        t.now <- time;
-        (try run_event () with e -> record_failure t ~root:false e);
-        loop ()
-      end
-  in
-  loop ()
+let rec drain t =
+  if not (Heap.is_empty t.heap) then begin
+    let time = Heap.min_time t.heap in
+    match t.failure with
+    | Some _ when time > t.now -> ()
+    | _ ->
+      let ev = Heap.pop_payload t.heap in
+      t.now <- time;
+      (try dispatch t ev with e -> record_failure t ~root:false e);
+      drain t
+  end
 
 (* Deadlock report: the historical one-liner about the root fiber, plus
    the names of any other fibers still registered (i.e. spawned with
@@ -172,11 +222,14 @@ let run ?(name = "main") main =
   let result = ref None in
   let finally () = set_current None in
   Fun.protect ~finally (fun () ->
-      schedule_at t ~time:0 (fun () ->
-          exec t ~root:true ~name (fun () ->
-              let v = main () in
-              result := Some v;
-              t.main_done <- true));
+      schedule_at t ~time:0
+        (Call
+           {
+             ctx = 0;
+             f =
+               (fun () ->
+                 exec t ~root:true ~name (fun () -> result := Some (main ())));
+           });
       drain t;
       match t.failure with
       | Some (_, e) -> raise e
@@ -194,10 +247,7 @@ let sleep_until time =
 
 let spawn ?name f =
   let t = get () in
-  let ctx = t.ctx in
-  schedule_at t ~time:t.now (fun () ->
-      t.ctx <- ctx;
-      exec t ?name f)
+  schedule_at t ~time:t.now (Spawn { ctx = t.ctx; name; f })
 
 let yield () = sleep 0
 let suspend setup = Effect.perform (Suspend setup)
@@ -205,10 +255,7 @@ let suspend setup = Effect.perform (Suspend setup)
 let schedule d f =
   let t = get () in
   let d = if d < 0 then 0 else d in
-  let ctx = t.ctx in
-  schedule_at t ~time:(t.now + d) (fun () ->
-      t.ctx <- ctx;
-      f ())
+  schedule_at t ~time:(t.now + d) (Call { ctx = t.ctx; f })
 
 let fiber_count () = (get ()).fibers
 

@@ -54,14 +54,23 @@ val yield : unit -> unit
 (** Re-enqueue the calling fiber at the current instant, letting other
     runnable fibers scheduled for this instant proceed first. *)
 
-type 'a resumer = { resume : 'a -> unit; abort : exn -> unit }
-(** One-shot handle used to wake a suspended fiber. Calling either function
-    a second time is a no-op. Both are safe to call from any other fiber or
+type 'a resumer
+(** One-shot handle used to wake a suspended fiber with an ['a]. *)
+
+val resume : 'a resumer -> 'a -> unit
+(** [resume r v] makes the fiber suspended on [r] return [v], at the
+    current instant (after the caller yields), with its own trace context
+    restored. Only the first of {!resume} and {!abort} on a resumer has
+    any effect; later calls are no-ops. Safe to call from any fiber or
     scheduled event. *)
+
+val abort : 'a resumer -> exn -> unit
+(** [abort r e] makes the fiber suspended on [r] raise [e] instead; same
+    one-shot rule as {!resume}. *)
 
 val suspend : ('a resumer -> unit) -> 'a
 (** [suspend f] blocks the calling fiber and hands [f] a {!resumer} for it.
-    The fiber resumes — at the instant [resume]/[abort] is invoked — with
+    The fiber resumes — at the instant {!resume}/{!abort} is called — with
     the provided value, or raises the provided exception. This is the
     primitive from which ivars, channels and timers are built. *)
 

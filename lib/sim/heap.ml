@@ -1,65 +1,107 @@
-type 'a entry = { time : int; seq : int; payload : 'a }
+(* Struct of arrays: entry [i] is ([time.(i)], [seq.(i)], [payload.(i)]).
+   Keys live in unboxed int arrays, so neither a push nor a pop allocates
+   once the arrays have grown to the working-set size. Vacated payload
+   slots are overwritten with [dummy], so a popped payload is not kept
+   alive by the heap. *)
+type 'a t = {
+  mutable time : int array;
+  mutable seq : int array;
+  mutable payload : 'a array;
+  mutable size : int;
+  dummy : 'a;
+}
 
-type 'a t = { mutable arr : 'a entry option array; mutable size : int }
+let initial = 64
 
-let create () = { arr = Array.make 64 None; size = 0 }
+let create ~dummy =
+  {
+    time = Array.make initial 0;
+    seq = Array.make initial 0;
+    payload = Array.make initial dummy;
+    size = 0;
+    dummy;
+  }
+
 let length h = h.size
 let is_empty h = h.size = 0
 
-let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let get h i =
-  match h.arr.(i) with
-  | Some e -> e
-  | None -> assert false
-
 let grow h =
-  let arr = Array.make (2 * Array.length h.arr) None in
-  Array.blit h.arr 0 arr 0 h.size;
-  h.arr <- arr
+  let n = 2 * Array.length h.time in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 h.size;
+    b
+  in
+  h.time <- extend h.time 0;
+  h.seq <- extend h.seq 0;
+  h.payload <- extend h.payload h.dummy
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt (get h i) (get h parent) then begin
-      let tmp = h.arr.(i) in
-      h.arr.(i) <- h.arr.(parent);
-      h.arr.(parent) <- tmp;
-      sift_up h parent
-    end
-  end
-
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && lt (get h l) (get h !smallest) then smallest := l;
-  if r < h.size && lt (get h r) (get h !smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.arr.(i) in
-    h.arr.(i) <- h.arr.(!smallest);
-    h.arr.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
-
+(* Both sifts move a hole instead of swapping, and write the entry being
+   placed once, at its final slot. *)
 let push h ~time ~seq payload =
-  if h.size = Array.length h.arr then grow h;
-  h.arr.(h.size) <- Some { time; seq; payload };
+  if h.size = Array.length h.time then grow h;
+  let i = ref h.size in
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pt = h.time.(p) in
+    if time < pt || (time = pt && seq < h.seq.(p)) then begin
+      h.time.(!i) <- pt;
+      h.seq.(!i) <- h.seq.(p);
+      h.payload.(!i) <- h.payload.(p);
+      i := p
+    end
+    else moving := false
+  done;
+  h.time.(!i) <- time;
+  h.seq.(!i) <- seq;
+  h.payload.(!i) <- payload
 
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let top = get h 0 in
-    h.size <- h.size - 1;
-    h.arr.(0) <- h.arr.(h.size);
-    h.arr.(h.size) <- None;
-    if h.size > 0 then sift_down h 0;
-    Some (top.time, top.seq, top.payload)
-  end
+let min_time h =
+  if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
+  h.time.(0)
 
-let peek_time h = if h.size = 0 then None else Some (get h 0).time
+let pop_payload h =
+  if h.size = 0 then invalid_arg "Heap.pop_payload: empty heap";
+  let top = h.payload.(0) in
+  let n = h.size - 1 in
+  h.size <- n;
+  (* re-insert the last entry from the root down *)
+  let time = h.time.(n) and seq = h.seq.(n) and payload = h.payload.(n) in
+  h.payload.(n) <- h.dummy;
+  if n > 0 then begin
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < n
+            && (h.time.(r) < h.time.(l)
+               || (h.time.(r) = h.time.(l) && h.seq.(r) < h.seq.(l)))
+          then r
+          else l
+        in
+        let ct = h.time.(c) in
+        if ct < time || (ct = time && h.seq.(c) < seq) then begin
+          h.time.(!i) <- ct;
+          h.seq.(!i) <- h.seq.(c);
+          h.payload.(!i) <- h.payload.(c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    h.time.(!i) <- time;
+    h.seq.(!i) <- seq;
+    h.payload.(!i) <- payload
+  end;
+  top
 
 let clear h =
-  Array.fill h.arr 0 h.size None;
+  Array.fill h.payload 0 h.size h.dummy;
   h.size <- 0

@@ -20,13 +20,11 @@ let reserve_at r ~start ~duration =
   let finish = start + duration in
   r.free_at.(i) <- finish;
   r.booked <- r.booked + duration;
-  (start, finish)
+  finish
 
 let reserve r ~duration = reserve_at r ~start:(Engine.now ()) ~duration
 
-let use r ~duration =
-  let _start, finish = reserve r ~duration in
-  Engine.sleep_until finish
+let use r ~duration = Engine.sleep_until (reserve r ~duration)
 
 let busy_until r =
   let now = Engine.now () in

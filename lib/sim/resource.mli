@@ -10,8 +10,8 @@
     - {!use} blocks the calling fiber for queueing + service time — the
       common case for devices;
     - {!reserve} only computes and books the service interval, returning its
-      bounds — used by the fabric, which wants to schedule a delivery event
-      rather than block. *)
+      end — used by the fabric, which wants to schedule a delivery event
+      rather than block. The interval starts at [finish - duration]. *)
 
 type t
 
@@ -19,16 +19,16 @@ val create : ?servers:int -> unit -> t
 (** [create ~servers ()] is a resource with [servers] parallel servers
     (default 1). Raises [Invalid_argument] if [servers < 1]. *)
 
-val reserve : t -> duration:Time.t -> Time.t * Time.t
+val reserve : t -> duration:Time.t -> Time.t
 (** [reserve r ~duration] books the earliest available server for
     [duration] ns starting no earlier than the current instant, and returns
-    [(start, finish)] in simulated time. Does not block. *)
+    the instant the booking finishes. Does not block. *)
 
-val reserve_at : t -> start:Time.t -> duration:Time.t -> Time.t * Time.t
+val reserve_at : t -> start:Time.t -> duration:Time.t -> Time.t
 (** [reserve_at r ~start ~duration] books the earliest available server for
     [duration] ns starting no earlier than [start] (which may be in the
     future — used for booking a receiver NIC at a message's arrival time).
-    Returns [(actual_start, finish)]. Does not block. *)
+    Returns the instant the booking finishes. Does not block. *)
 
 val use : t -> duration:Time.t -> unit
 (** [use r ~duration] books a server as {!reserve} and blocks the calling

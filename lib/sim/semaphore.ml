@@ -20,7 +20,7 @@ let try_acquire s =
 
 let release s =
   match Queue.take_opt s.waiters with
-  | Some r -> r.resume ()
+  | Some r -> Engine.resume r ()
   | None -> s.permits <- s.permits + 1
 
 let with_permit s f =

@@ -16,7 +16,7 @@ let release t =
   t.drained <- true;
   let ws = t.waiters in
   t.waiters <- [];
-  List.iter (fun (w : unit Engine.resumer) -> w.resume ()) (List.rev ws)
+  List.iter (fun w -> Engine.resume w ()) (List.rev ws)
 
 let done_ t =
   if t.count <= 0 then invalid_arg "Waitgroup.done_: below zero";

@@ -9,13 +9,20 @@ let check_bool = Alcotest.(check bool)
 (* Heap                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The minimum entry as [Some (time, payload)], or [None] when empty. *)
+let heap_pop h =
+  if Heap.is_empty h then None
+  else
+    let t = Heap.min_time h in
+    Some (t, Heap.pop_payload h)
+
 let test_heap_order () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   Heap.push h ~time:5 ~seq:1 "c";
   Heap.push h ~time:1 ~seq:2 "a";
   Heap.push h ~time:3 ~seq:3 "b";
   let pop () =
-    match Heap.pop h with Some (_, _, v) -> v | None -> Alcotest.fail "empty"
+    match heap_pop h with Some (_, v) -> v | None -> Alcotest.fail "empty"
   in
   let p1 = pop () in
   let p2 = pop () in
@@ -24,14 +31,14 @@ let test_heap_order () =
   check_bool "empty at end" true (Heap.is_empty h)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:(-1) in
   for i = 0 to 9 do
     Heap.push h ~time:7 ~seq:i i
   done;
   let order = ref [] in
   let rec drain () =
-    match Heap.pop h with
-    | Some (_, _, v) ->
+    match heap_pop h with
+    | Some (_, v) ->
       order := v :: !order;
       drain ()
     | None -> ()
@@ -43,7 +50,7 @@ let test_heap_fifo_ties () =
     (List.rev !order)
 
 let test_heap_growth () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 in
   let n = 10_000 in
   for i = n downto 1 do
     Heap.push h ~time:i ~seq:i i
@@ -51,8 +58,9 @@ let test_heap_growth () =
   check_int "length" n (Heap.length h);
   let last = ref 0 in
   let rec drain () =
-    match Heap.pop h with
-    | Some (t, _, _) ->
+    match heap_pop h with
+    | Some (t, v) ->
+      if v <> t then Alcotest.fail "payload separated from its key";
       if t < !last then Alcotest.fail "heap order violated";
       last := t;
       drain ()
@@ -64,11 +72,11 @@ let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
     QCheck.(list (pair (int_bound 1000) (int_bound 1000)))
     (fun entries ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 in
       List.iteri (fun i (t, v) -> Heap.push h ~time:t ~seq:i v) entries;
       let rec drain acc =
-        match Heap.pop h with
-        | Some (t, _, _) -> drain (t :: acc)
+        match heap_pop h with
+        | Some (t, _) -> drain (t :: acc)
         | None -> List.rev acc
       in
       let times = drain [] in
@@ -521,8 +529,8 @@ let test_resource_idle_gap () =
         let r = Resource.create () in
         Resource.use r ~duration:10;
         Engine.sleep 100;
-        let start, finish = Resource.reserve r ~duration:5 in
-        check_int "starts now" 110 start;
+        let finish = Resource.reserve r ~duration:5 in
+        check_int "starts now" 110 (finish - 5);
         finish)
   in
   check_int "finish" 115 t
@@ -602,13 +610,44 @@ let test_semaphore_release_while_waiting () =
 (* ------------------------------------------------------------------ *)
 
 let test_heap_peek_and_clear () =
-  let h = Heap.create () in
-  check_bool "peek empty" true (Heap.peek_time h = None);
+  let h = Heap.create ~dummy:() in
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  check_bool "peek empty raises" true (raises (fun () -> Heap.min_time h));
   Heap.push h ~time:9 ~seq:0 ();
   Heap.push h ~time:3 ~seq:1 ();
-  check_bool "peek min" true (Heap.peek_time h = Some 3);
+  check_int "peek min" 3 (Heap.min_time h);
   Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h && Heap.pop h = None)
+  check_bool "cleared" true (Heap.is_empty h && Heap.length h = 0);
+  check_bool "pop empty raises" true (raises (fun () -> Heap.pop_payload h))
+
+(* Vacated slots hold the dummy, so the heap does not keep a popped event
+   (and whatever its closure captures) alive. *)
+let test_heap_no_retention () =
+  let h = Heap.create ~dummy:(ref 0) in
+  let w = Weak.create 2 in
+  let push_tracked slot ~time =
+    let v = ref time in
+    Weak.set w slot (Some v);
+    Heap.push h ~time ~seq:time v
+  in
+  push_tracked 0 ~time:1;
+  for i = 2 to 6 do
+    Heap.push h ~time:i ~seq:i (ref i)
+  done;
+  push_tracked 1 ~time:7;
+  ignore (Heap.pop_payload h);
+  Gc.full_major ();
+  check_bool "popped payload collected" false (Weak.check w 0);
+  check_bool "queued payload kept" true (Weak.check w 1);
+  while not (Heap.is_empty h) do
+    ignore (Heap.pop_payload h)
+  done;
+  Gc.full_major ();
+  check_bool "drained payloads collected" false (Weak.check w 1);
+  (* the heap itself must outlive the collections above *)
+  check_int "heap still reachable" 0 (Heap.length (Sys.opaque_identity h))
 
 let test_time_seconds_pp () =
   Alcotest.(check string) "s" "1.500s" (Time.to_string (Time.ms 1500));
@@ -645,7 +684,7 @@ let test_resource_busy_until () =
     (Engine.run (fun () ->
          let r = Resource.create () in
          check_int "idle now" 0 (Resource.busy_until r);
-         let _, fin = Resource.reserve r ~duration:100 in
+         let fin = Resource.reserve r ~duration:100 in
          check_int "busy until booking ends" fin (Resource.busy_until r)))
 
 let test_engine_fiber_count () =
@@ -800,6 +839,78 @@ let test_ctx_ivar_preserves_awaiter () =
       Ivar.await iv;
       check_int "awaiter keeps its own ctx" 4 (Engine.get_ctx ()))
 
+let test_ctx_abort_preserves_awaiter () =
+  Engine.run (fun () ->
+      let iv : unit Ivar.t = Ivar.create () in
+      Engine.spawn (fun () ->
+          Engine.set_ctx 8;
+          Engine.sleep 10;
+          Ivar.fill_exn iv Exit);
+      Engine.set_ctx 4;
+      (match Ivar.await iv with
+      | () -> Alcotest.fail "expected Exit"
+      | exception Exit -> ());
+      check_int "aborted awaiter keeps its own ctx" 4 (Engine.get_ctx ()))
+
+(* ------------------------------------------------------------------ *)
+(* Resumers: one-shot in every order, and the ivar timeout race        *)
+(* ------------------------------------------------------------------ *)
+
+let test_resumer_one_shot () =
+  let outcome first second =
+    Engine.run (fun () ->
+        let slot = ref None and got = ref [] in
+        Engine.spawn (fun () ->
+            let v =
+              match Engine.suspend (fun r -> slot := Some r) with
+              | v -> Ok v
+              | exception Failure m -> Error m
+            in
+            got := v :: !got);
+        Engine.sleep 1;
+        let r = Option.get !slot in
+        let act = function
+          | `Resume v -> Engine.resume r v
+          | `Abort m -> Engine.abort r (Failure m)
+        in
+        act first;
+        act second;
+        Engine.sleep 1;
+        !got)
+  in
+  let check name expect got =
+    Alcotest.(check (list (result int string))) name [ expect ] got
+  in
+  check "resume, resume" (Ok 1) (outcome (`Resume 1) (`Resume 2));
+  check "resume, abort" (Ok 1) (outcome (`Resume 1) (`Abort "b"));
+  check "abort, resume" (Error "a") (outcome (`Abort "a") (`Resume 2));
+  check "abort, abort" (Error "a") (outcome (`Abort "a") (`Abort "b"))
+
+(* A fill and the await_timeout timer due at the same instant: whichever
+   was scheduled first wins, the other is a no-op, and the waiter
+   resumes exactly once. *)
+let test_ivar_timeout_race_same_instant () =
+  let race ~fill_first =
+    Engine.run (fun () ->
+        let iv = Ivar.create () in
+        if fill_first then Engine.schedule 10 (fun () -> Ivar.fill iv 7);
+        let wakeups = ref 0 in
+        let result = ref None in
+        Engine.spawn (fun () ->
+            result := Some (Ivar.await_timeout iv ~timeout:10);
+            incr wakeups);
+        if not fill_first then
+          Engine.spawn (fun () ->
+              Engine.sleep 10;
+              Ivar.fill iv 7);
+        Engine.sleep 20;
+        check_int "resumed once" 1 !wakeups;
+        check_int "resumed at the instant" 20 (Engine.now ());
+        Option.get !result)
+  in
+  Alcotest.(check (option int)) "fill first" (Some 7) (race ~fill_first:true);
+  Alcotest.(check (option int)) "timer first" None (race ~fill_first:false)
+
 (* ------------------------------------------------------------------ *)
 (* Heap property suite: the ordering invariants the engine relies on   *)
 (* ------------------------------------------------------------------ *)
@@ -810,11 +921,12 @@ let prop_heap_total_order =
   QCheck.Test.make ~name:"heap pop order total on (time, seq)" ~count:300
     QCheck.(list (pair (int_bound 100) (int_bound 100)))
     (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun (t, s) -> Heap.push h ~time:t ~seq:s ()) keys;
+      let h = Heap.create ~dummy:(-1, -1) in
+      List.iter (fun (t, s) -> Heap.push h ~time:t ~seq:s (t, s)) keys;
       let rec drain acc =
-        match Heap.pop h with
-        | Some (t, s, ()) -> drain ((t, s) :: acc)
+        match heap_pop h with
+        | Some (t, (t', s)) when t = t' -> drain ((t, s) :: acc)
+        | Some _ -> [ (-1, -1) ]
         | None -> List.rev acc
       in
       drain [] = List.sort compare keys)
@@ -831,7 +943,7 @@ let prop_heap_interleaved =
   QCheck.Test.make ~name:"heap stable under interleaved push/pop" ~count:300
     QCheck.(list (option (pair (int_bound 50) (int_bound 50))))
     (fun ops ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:(-1, -1) in
       let model = ref Key_multiset.empty and size = ref 0 in
       List.for_all
         (fun op ->
@@ -845,14 +957,14 @@ let prop_heap_interleaved =
             incr size;
             Heap.length h = !size
           | None -> (
-            match (Heap.pop h, Key_multiset.min_binding_opt !model) with
+            match (heap_pop h, Key_multiset.min_binding_opt !model) with
             | None, None -> true
-            | Some (t, s, _), Some (m, n) ->
+            | Some (t, (t', s)), Some (m, n) ->
               model :=
                 if n = 1 then Key_multiset.remove m !model
                 else Key_multiset.add m (n - 1) !model;
               decr size;
-              (t, s) = m
+              t = t' && (t, s) = m
             | _ -> false))
         ops)
 
@@ -864,7 +976,7 @@ let prop_heap_never_rewinds =
   QCheck.Test.make ~name:"heap never pops below last popped time" ~count:300
     QCheck.(list (option (int_bound 100)))
     (fun ops ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:() in
       let now = ref 0 and seq = ref 0 and ok = ref true in
       List.iter
         (fun op ->
@@ -873,8 +985,8 @@ let prop_heap_never_rewinds =
             incr seq;
             Heap.push h ~time:(max t !now) ~seq:!seq ()
           | None -> (
-            match Heap.pop h with
-            | Some (t, _, ()) ->
+            match heap_pop h with
+            | Some (t, ()) ->
               if t < !now then ok := false;
               now := t
             | None -> ()))
@@ -923,6 +1035,39 @@ let test_finished_fiber_not_reported () =
   | () -> Alcotest.fail "expected Deadlock"
   | exception Engine.Deadlock msg ->
     check_bool "finished fiber absent" false (contains ~sub:"done-worker" msg)
+
+(* Named fibers run under their own handler, unnamed ones under the
+   engine's shared one: a named fiber aborted out of a suspension fails
+   the run with its own exception, and a named fiber blocked beside
+   unnamed ones is still the one the deadlock report names. *)
+let test_named_fiber_failure_reported () =
+  (match
+     Engine.run ~name:"root" (fun () ->
+         let iv : unit Ivar.t = Ivar.create () in
+         Engine.spawn ~name:"crasher" (fun () -> Ivar.await iv);
+         Engine.spawn (fun () -> Engine.sleep 3);
+         Engine.schedule 5 (fun () ->
+             Ivar.fill_exn iv (Failure "crasher-boom"));
+         ignore (Ivar.await (Ivar.create () : unit Ivar.t)))
+   with
+  | () -> Alcotest.fail "expected the named fiber's failure"
+  | exception Failure m -> Alcotest.(check string) "its exn" "crasher-boom" m);
+  match
+    Engine.run ~name:"root" (fun () ->
+        Engine.spawn (fun () -> Engine.sleep 1);
+        Engine.spawn ~name:"named-blocked" (fun () ->
+            ignore (Ivar.await (Ivar.create () : unit Ivar.t)));
+        Engine.spawn (fun () ->
+            ignore (Ivar.await (Ivar.create () : unit Ivar.t)));
+        ignore (Ivar.await (Ivar.create () : unit Ivar.t)))
+  with
+  | () -> Alcotest.fail "expected Deadlock"
+  | exception Engine.Deadlock msg ->
+    Alcotest.(check string)
+      "only the named survivor listed"
+      "engine quiesced at t=1ns but fiber \"root\" never finished; still \
+       blocked: \"named-blocked\""
+      msg
 
 (* ------------------------------------------------------------------ *)
 (* Domains: parallel independent simulations                           *)
@@ -974,6 +1119,8 @@ let () =
           qtest prop_heap_total_order;
           qtest prop_heap_interleaved;
           qtest prop_heap_never_rewinds;
+          Alcotest.test_case "popped payload is not retained" `Quick
+            test_heap_no_retention;
         ] );
       ( "deadlock",
         [
@@ -983,6 +1130,8 @@ let () =
             test_deadlock_root_only_keeps_format;
           Alcotest.test_case "finished fiber absent" `Quick
             test_finished_fiber_not_reported;
+          Alcotest.test_case "named fiber failure" `Quick
+            test_named_fiber_failure_reported;
         ] );
       ( "domains",
         [
@@ -1031,6 +1180,7 @@ let () =
           Alcotest.test_case "no nesting" `Quick test_engine_no_nesting;
           Alcotest.test_case "outside raises" `Quick test_engine_outside_raises;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "resumer one-shot" `Quick test_resumer_one_shot;
         ] );
       ( "ivar",
         [
@@ -1044,6 +1194,8 @@ let () =
             test_ivar_await_resumes_at_fill_time;
           Alcotest.test_case "timeout expires" `Quick test_ivar_timeout_expires;
           Alcotest.test_case "timeout wins" `Quick test_ivar_timeout_wins;
+          Alcotest.test_case "timeout race same instant" `Quick
+            test_ivar_timeout_race_same_instant;
         ] );
       ( "channel",
         [
@@ -1086,6 +1238,8 @@ let () =
             test_ctx_channel_adopts_sender;
           Alcotest.test_case "ivar preserves awaiter" `Quick
             test_ctx_ivar_preserves_awaiter;
+          Alcotest.test_case "abort preserves awaiter" `Quick
+            test_ctx_abort_preserves_awaiter;
         ] );
       ( "waitgroup",
         [
