@@ -192,7 +192,7 @@ let local_read l ~off ~len =
 
 let local_write l ~off ~len =
   Engine.sleep cfg.Net.Config.kernel_io_path;
-  ignore (Dev.Nvme.write l.ssd l.vol ~off (Bytes.create len))
+  ignore (Dev.Nvme.write l.ssd l.vol ~off ~src:(Bytes.create len) ~src_off:0 ~len)
 
 (* Random aligned offset within the file for the given I/O size. *)
 let rand_off rng ~len =

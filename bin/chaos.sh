@@ -5,10 +5,14 @@
 # 1. `fractos chaos` must pass its post-quiescence invariants (no fiber
 #    deadlock, every request settles with Ok or a typed error, no
 #    pre-crash capability usable after reboot, live/tombstone accounting
-#    balances) on ten fixed seeds under the default fault spec;
-# 2. the same seed run twice must produce bit-identical reports
-#    (deterministic fault injection — the repro contract of HACKING.md);
-# 3. the ten-seed battery fanned over 4 OS domains (--seeds 1-10
+#    balances) on ten fixed seeds under the default fault spec, for the
+#    default mix and for each of the xshard, pd, fs and faceverify
+#    workloads;
+# 2. in each of those batteries the same seed run twice must produce
+#    bit-identical reports (deterministic fault injection — the repro
+#    contract of HACKING.md);
+# 3. each workload must also pass under a crash-heavy spec;
+# 4. the ten-seed battery fanned over 4 OS domains (--seeds 1-10
 #    --domains 4) must match the single-domain battery byte for byte.
 set -eu
 
@@ -17,58 +21,34 @@ fractos=$1
 tmp=$(mktemp -d /tmp/fractos-chaos.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== chaos: 10 fixed seeds, default fault spec"
-for seed in 1 2 3 4 5 6 7 8 9 10; do
-  if ! "$fractos" chaos --seed "$seed" > "$tmp/seed$seed.txt" 2>&1; then
-    echo "chaos seed $seed FAILED:"
-    cat "$tmp/seed$seed.txt"
+# battery NAME [ARGS...]: `fractos chaos ARGS` must pass on ten fixed
+# seeds, and seed 1 run twice must give byte-identical reports.
+battery() {
+  name=$1
+  shift
+  echo "== chaos: 10 fixed seeds, $name"
+  for seed in 1 2 3 4 5 6 7 8 9 10; do
+    if ! "$fractos" chaos --seed "$seed" "$@" > "$tmp/$name$seed.txt" 2>&1
+    then
+      echo "chaos $name seed $seed FAILED:"
+      cat "$tmp/$name$seed.txt"
+      exit 1
+    fi
+  done
+  echo "== chaos: $name determinism (seed 1 twice, byte-identical)"
+  "$fractos" chaos --seed 1 "$@" > "$tmp/$name-again.txt"
+  if ! cmp -s "$tmp/${name}1.txt" "$tmp/$name-again.txt"; then
+    echo "chaos $name run is not deterministic for seed 1:"
+    diff "$tmp/${name}1.txt" "$tmp/$name-again.txt" || true
     exit 1
   fi
-done
+}
 
-echo "== chaos: determinism (seed 1 twice, byte-identical)"
-"$fractos" chaos --seed 1 > "$tmp/again.txt"
-if ! cmp -s "$tmp/seed1.txt" "$tmp/again.txt"; then
-  echo "chaos run is not deterministic for seed 1:"
-  diff "$tmp/seed1.txt" "$tmp/again.txt" || true
-  exit 1
-fi
-
-echo "== chaos: 10 fixed seeds, cross-shard battery (sharded capability space)"
-for seed in 1 2 3 4 5 6 7 8 9 10; do
-  if ! "$fractos" chaos --seed "$seed" --workload xshard \
-      > "$tmp/xshard$seed.txt" 2>&1; then
-    echo "chaos xshard seed $seed FAILED:"
-    cat "$tmp/xshard$seed.txt"
-    exit 1
-  fi
-done
-
-echo "== chaos: xshard determinism (seed 1 twice, byte-identical)"
-"$fractos" chaos --seed 1 --workload xshard > "$tmp/xagain.txt"
-if ! cmp -s "$tmp/xshard1.txt" "$tmp/xagain.txt"; then
-  echo "chaos xshard run is not deterministic for seed 1:"
-  diff "$tmp/xshard1.txt" "$tmp/xagain.txt" || true
-  exit 1
-fi
-
-echo "== chaos: 10 fixed seeds, prefill/decode disaggregation"
-for seed in 1 2 3 4 5 6 7 8 9 10; do
-  if ! "$fractos" chaos --seed "$seed" --workload pd \
-      > "$tmp/pd$seed.txt" 2>&1; then
-    echo "chaos pd seed $seed FAILED:"
-    cat "$tmp/pd$seed.txt"
-    exit 1
-  fi
-done
-
-echo "== chaos: pd determinism (seed 1 twice, byte-identical)"
-"$fractos" chaos --seed 1 --workload pd > "$tmp/pdagain.txt"
-if ! cmp -s "$tmp/pd1.txt" "$tmp/pdagain.txt"; then
-  echo "chaos pd run is not deterministic for seed 1:"
-  diff "$tmp/pd1.txt" "$tmp/pdagain.txt" || true
-  exit 1
-fi
+battery default
+battery xshard --workload xshard
+battery pd --workload pd
+battery fs --workload fs
+battery faceverify --workload faceverify
 
 echo "== chaos: crash-heavy spec, per-workload"
 for wl in faceverify fs mixed copy xshard pd; do

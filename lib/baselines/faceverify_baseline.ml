@@ -24,7 +24,10 @@ let setup ~fabric ~frontend ~nfs_server ~ssd ~gpu ~db ~img_size ~max_batch
   | Error _ as e -> e
   | Ok vol -> (
     (* provision the database onto the target *)
-    (match Device.Nvme.write ssd vol ~off:0 db with
+    (match
+       Device.Nvme.write ssd vol ~off:0 ~src:db ~src_off:0
+         ~len:(Bytes.length db)
+     with
     | Ok () -> ()
     | Error e -> failwith e);
     let backing = Nvmeof.connect fabric ~initiator:nfs_server ssd vol in

@@ -29,8 +29,10 @@ let fetch t ~off ~len =
   Net.Fabric.transfer t.fabric ~src:t.initiator ~dst:target
     ~cls:Net.Stats.Control ~size:72 ();
   match Device.Nvme.read t.ssd t.vol ~off ~len with
-  | Error _ as e -> e
-  | Ok data ->
+  | Error e -> Error e
+  | Ok () ->
+    let data = Bytes.create len in
+    Device.Nvme.blit t.ssd t.vol ~off ~dst:data ~dst_off:0 ~len;
     (* data + completion back to the initiator *)
     Net.Fabric.transfer_chunked t.fabric ~src:target ~dst:t.initiator
       ~cls:Net.Stats.Data ~size:len ();
@@ -88,4 +90,4 @@ let write t ~off data =
     List.filter
       (fun w -> not (off < w.w_end && off + len > w.w_start))
       t.windows;
-  Device.Nvme.write t.ssd t.vol ~off data
+  Device.Nvme.write t.ssd t.vol ~off ~src:data ~src_off:0 ~len

@@ -24,5 +24,13 @@ val read : t -> off:int -> len:int -> bytes
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Copy between buffers (the data side of [memory_copy]). *)
 
+val set : t -> int -> char -> unit
+(** Store one byte. Raises [Invalid_argument] out of range. *)
+
+val equal_range : t -> t -> off:int -> len:int -> bool
+(** [equal_range a b ~off ~len] is true when both buffers hold the same
+    bytes in [\[off, off+len)]. Compares in place, allocating nothing.
+    Raises [Invalid_argument] when the range overflows either buffer. *)
+
 val fill : t -> char -> unit
 val pp : Format.formatter -> t -> unit

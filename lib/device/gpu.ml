@@ -6,7 +6,7 @@ module Obs = Fractos_obs
 type kernel = {
   k_name : string;
   k_cost : items:int -> Sim.Time.t;
-  k_run : bufs:Core.Membuf.t list -> imms:int list -> unit;
+  k_run : bufs:Core.Membuf.t list -> imms:int list -> (unit, string) result;
 }
 
 type t = {
@@ -16,6 +16,7 @@ type t = {
   mutable mem_free : int;
   allocations : (int, int) Hashtbl.t; (* membuf id -> size *)
   kernels : (string, kernel) Hashtbl.t;
+  exec_hist : Obs.Metrics.histogram Lazy.t; (* interned on first launch *)
 }
 
 (* Every timed GPU step goes through [dt], so the what-if device factor
@@ -30,6 +31,7 @@ let create ~node ~config ~mem_bytes =
     mem_free = mem_bytes;
     allocations = Hashtbl.create 16;
     kernels = Hashtbl.create 8;
+    exec_hist = lazy (Obs.Metrics.histogram ~node:node.Net.Node.name "gpu.exec");
   }
 
 let node t = t.gnode
@@ -59,21 +61,22 @@ let load_kernel t kernel =
   Sim.Engine.sleep (dt t.config t.config.Net.Config.gpu_alloc);
   Hashtbl.replace t.kernels kernel.k_name kernel
 
+let exec t k ~items ~bufs ~imms =
+  let duration = dt t.config (t.config.Net.Config.gpu_launch + k.k_cost ~items) in
+  Sim.Resource.use t.engine ~duration;
+  k.k_run ~bufs ~imms
+
 let launch t ~name ~items ~bufs ~imms =
   match Hashtbl.find_opt t.kernels name with
   | None -> Error (Printf.sprintf "unknown kernel %S" name)
   | Some k ->
-    let node = t.gnode.Net.Node.name in
     let t0 = Sim.Engine.now () in
-    Obs.Span.with_ ~node ~name:"gpu.exec"
-      ~attrs:[ ("kernel", name); ("items", string_of_int items) ]
-      (fun () ->
-        let duration =
-          dt t.config (t.config.Net.Config.gpu_launch + k.k_cost ~items)
-        in
-        Sim.Resource.use t.engine ~duration;
-        k.k_run ~bufs ~imms);
-    Obs.Metrics.observe
-      (Obs.Metrics.histogram ~node "gpu.exec")
-      (Sim.Engine.now () - t0);
-    Ok ()
+    let r =
+      if Obs.Span.enabled () then
+        Obs.Span.with_ ~node:t.gnode.Net.Node.name ~name:"gpu.exec"
+          ~attrs:[ ("kernel", name); ("items", string_of_int items) ]
+          (fun () -> exec t k ~items ~bufs ~imms)
+      else exec t k ~items ~bufs ~imms
+    in
+    Obs.Metrics.observe (Lazy.force t.exec_hist) (Sim.Engine.now () - t0);
+    r

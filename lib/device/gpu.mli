@@ -22,8 +22,11 @@ type kernel = {
   k_name : string;
   k_cost : items:int -> Sim.Time.t;
       (** Execution time as a function of the work-item count. *)
-  k_run : bufs:Core.Membuf.t list -> imms:int list -> unit;
-      (** The computation itself, applied when the kernel completes. *)
+  k_run : bufs:Core.Membuf.t list -> imms:int list -> (unit, string) result;
+      (** The computation itself, applied when the kernel completes. It
+          checks its arguments against its buffers and returns [Error]
+          rather than raising, so a malformed launch fails that launch
+          and not the whole simulation. *)
 }
 
 val create : node:Net.Node.t -> config:Net.Config.t -> mem_bytes:int -> t
@@ -47,4 +50,5 @@ val launch :
   t -> name:string -> items:int -> bufs:Core.Membuf.t list -> imms:int list ->
   (unit, string) result
 (** Enqueue a kernel execution: waits for the execution engine, runs for
-    [launch overhead + k_cost ~items], then applies [k_run]. *)
+    [launch overhead + k_cost ~items], then applies [k_run] and returns
+    its result. The device time is charged even when the kernel fails. *)

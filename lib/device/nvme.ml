@@ -15,9 +15,14 @@ type t = {
   mutable next_free : int;
   mutable next_vol : int;
   blocks : (int, bytes) Hashtbl.t; (* sparse block store *)
+  read_hist : Obs.Metrics.histogram Lazy.t;
+  write_hist : Obs.Metrics.histogram Lazy.t;
 }
 
 let create ~node ~config ~capacity =
+  (* interned on first use, so a device that never reads or never writes
+     adds no empty histogram to the registry *)
+  let hist name = lazy (Obs.Metrics.histogram ~node:node.Net.Node.name name) in
   {
     dnode = node;
     config;
@@ -27,6 +32,8 @@ let create ~node ~config ~capacity =
     next_free = 0;
     next_vol = 0;
     blocks = Hashtbl.create 1024;
+    read_hist = hist "nvme.read";
+    write_hist = hist "nvme.write";
   }
 
 let node t = t.dnode
@@ -44,41 +51,21 @@ let create_volume t ~size =
     Ok vol
   end
 
-let block t i =
-  match Hashtbl.find_opt t.blocks i with
-  | Some b -> b
-  | None ->
-    let b = Bytes.make block_size '\000' in
-    Hashtbl.replace t.blocks i b;
-    b
-
-(* Byte-addressed access over the sparse block map. *)
-let store_read t ~pos ~len =
-  let out = Bytes.create len in
+(* Byte-addressed access over the sparse block map: [f bi bo boff n] for
+   each block-sized piece of [pos, pos+len), where [boff] is the piece's
+   offset into the range. *)
+let iter_blocks ~pos ~len f =
   let rec go off =
     if off < len then begin
       let abs = pos + off in
-      let bi = abs / block_size and bo = abs mod block_size in
-      let n = min (block_size - bo) (len - off) in
-      Bytes.blit (block t bi) bo out off n;
-      go (off + n)
-    end
-  in
-  go 0;
-  out
-
-let store_write t ~pos data =
-  let len = Bytes.length data in
-  let rec go off =
-    if off < len then begin
-      let abs = pos + off in
-      let bi = abs / block_size and bo = abs mod block_size in
-      let n = min (block_size - bo) (len - off) in
-      Bytes.blit data off (block t bi) bo n;
+      let n = min (block_size - (abs mod block_size)) (len - off) in
+      f (abs / block_size) (abs mod block_size) off n;
       go (off + n)
     end
   in
   go 0
+
+let in_volume vol ~off ~len = off >= 0 && len >= 0 && off + len <= vol.vol_size
 
 (* Media latency overlaps across up to [queue depth] commands; the data
    movement shares the device's internal bandwidth. *)
@@ -91,31 +78,50 @@ let service t ~latency ~len =
   in
   if xfer > 0 then Sim.Resource.use t.bus ~duration:xfer
 
-let timed t name ~len f =
-  let node = t.dnode.Net.Node.name in
+let timed t name hist ~latency ~len =
   let t0 = Sim.Engine.now () in
-  let r =
-    Obs.Span.with_ ~node ~name
+  if Obs.Span.enabled () then
+    Obs.Span.with_ ~node:t.dnode.Net.Node.name ~name
       ~attrs:[ ("len", string_of_int len) ]
-      f
-  in
-  Obs.Metrics.observe (Obs.Metrics.histogram ~node name) (Sim.Engine.now () - t0);
-  r
+      (fun () -> service t ~latency ~len)
+  else service t ~latency ~len;
+  Obs.Metrics.observe (Lazy.force hist) (Sim.Engine.now () - t0)
 
 let read t vol ~off ~len =
-  if off < 0 || len < 0 || off + len > vol.vol_size then Error "out of bounds"
-  else
-    timed t "nvme.read" ~len (fun () ->
-        service t ~latency:t.config.Net.Config.nvme_read_latency ~len;
-        Ok (store_read t ~pos:(vol.vol_base + off) ~len))
+  if not (in_volume vol ~off ~len) then Error "out of bounds"
+  else begin
+    timed t "nvme.read" t.read_hist ~latency:t.config.Net.Config.nvme_read_latency
+      ~len;
+    Ok ()
+  end
 
-let write t vol ~off data =
-  let len = Bytes.length data in
-  if off < 0 || off + len > vol.vol_size then Error "out of bounds"
-  else
-    timed t "nvme.write" ~len (fun () ->
-        service t ~latency:t.config.Net.Config.nvme_write_latency ~len;
-        store_write t ~pos:(vol.vol_base + off) data;
-        Ok ())
+let blit t vol ~off ~dst ~dst_off ~len =
+  if (not (in_volume vol ~off ~len)) || dst_off < 0
+     || dst_off + len > Bytes.length dst
+  then invalid_arg "Nvme.blit";
+  iter_blocks ~pos:(vol.vol_base + off) ~len (fun bi bo boff n ->
+      match Hashtbl.find_opt t.blocks bi with
+      | Some b -> Bytes.blit b bo dst (dst_off + boff) n
+      | None -> Bytes.fill dst (dst_off + boff) n '\000')
+
+let write t vol ~off ~src ~src_off ~len =
+  if (not (in_volume vol ~off ~len)) || src_off < 0
+     || src_off + len > Bytes.length src
+  then Error "out of bounds"
+  else begin
+    timed t "nvme.write" t.write_hist
+      ~latency:t.config.Net.Config.nvme_write_latency ~len;
+    iter_blocks ~pos:(vol.vol_base + off) ~len (fun bi bo boff n ->
+        let b =
+          match Hashtbl.find_opt t.blocks bi with
+          | Some b -> b
+          | None ->
+            let b = Bytes.make block_size '\000' in
+            Hashtbl.replace t.blocks bi b;
+            b
+        in
+        Bytes.blit src (src_off + boff) b bo n);
+    Ok ()
+  end
 
 let busy_time t = Sim.Resource.busy_time t.queue

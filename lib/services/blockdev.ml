@@ -72,10 +72,13 @@ let handle_read t svc d =
     | Some volume -> (
       match Device.Nvme.read t.ssd volume ~off ~len with
       | Error _ -> fail_cont svc caps 1
-      | Ok data -> (
+      | Ok () -> (
+        (* the slot is taken after the device time (taking it may issue a
+           memory_create), then the stored bytes go straight into it *)
         let res =
           Staging.with_slot t.staging len (fun slot ->
-              Membuf.write slot.Staging.buf ~off:0 data;
+              Device.Nvme.blit t.ssd volume ~off
+                ~dst:slot.Staging.buf.Membuf.data ~dst_off:0 ~len;
               Api.memory_copy (Svc.proc svc) ~src:slot.Staging.mem ~dst:dst_mem)
         in
         match res with
@@ -109,8 +112,10 @@ let handle_write t svc d =
             with
             | Error _ as e -> e
             | Ok () -> (
-              let data = Membuf.read slot.Staging.buf ~off:0 ~len in
-              match Device.Nvme.write t.ssd volume ~off data with
+              match
+                Device.Nvme.write t.ssd volume ~off
+                  ~src:slot.Staging.buf.Membuf.data ~src_off:0 ~len
+              with
               | Ok () -> Ok ()
               | Error _ -> Error Error.Bounds))
       in

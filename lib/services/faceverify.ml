@@ -4,6 +4,12 @@ open Core
 
 let kernel_name = "faceverify"
 
+(* [batch] images of [isz] bytes fit in [buf] (no [batch * isz], which
+   a hostile immediate could overflow) *)
+let fits ~batch ~isz buf = isz = 0 || batch <= Membuf.size buf / isz
+
+(* Compares each probe image with its database image in place and stores
+   one flag byte per image: no per-image copy. *)
 let kernel ~config =
   {
     Device.Gpu.k_name = kernel_name;
@@ -12,14 +18,17 @@ let kernel ~config =
     k_run =
       (fun ~bufs ~imms ->
         match (bufs, imms) with
-        | [ probe; db; out ], [ batch; isz ] ->
+        | [ probe; db; out ], [ batch; isz ]
+          when batch >= 0 && isz >= 0 && batch <= Membuf.size out
+               && fits ~batch ~isz probe && fits ~batch ~isz db ->
           for i = 0 to batch - 1 do
-            let p = Membuf.read probe ~off:(i * isz) ~len:isz in
-            let d = Membuf.read db ~off:(i * isz) ~len:isz in
-            Membuf.write out ~off:i
-              (Bytes.make 1 (if Bytes.equal p d then '\001' else '\000'))
-          done
-        | _ -> failwith "faceverify kernel: bad arguments");
+            Membuf.set out i
+              (if Membuf.equal_range probe db ~off:(i * isz) ~len:isz then
+                 '\001'
+               else '\000')
+          done;
+          Ok ()
+        | _ -> Error "faceverify kernel: bad arguments");
   }
 
 let populate_db svc ~fs ~name ~content =

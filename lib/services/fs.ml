@@ -35,11 +35,11 @@ let cache_lookup t file ~off ~len =
         List.find_opt (fun w -> off >= w.w_start && off + len <= w.w_end) ws
       with
       | None -> None
-      | Some w ->
+      | Some w as hit ->
         t.hits <- t.hits + 1;
         Hashtbl.replace t.windows file.f_name
           (w :: List.filter (fun x -> x != w) ws);
-        Some (Bytes.sub w.w_data (off - w.w_start) len))
+        hit)
 
 let cache_insert t file ~off data =
   if t.cache then begin
@@ -236,10 +236,11 @@ let handle_read t svc d =
             let abs_off = (ext * t.extent_size) + eoff in
             let res =
               match cache_lookup t file ~off:abs_off ~len:n with
-              | Some data ->
+              | Some w ->
                 (* cache hit: serve from FS memory, no device round trip *)
                 Staging.with_slot t.staging n (fun slot ->
-                    Membuf.write slot.Staging.buf ~off:0 data;
+                    Bytes.blit w.w_data (abs_off - w.w_start)
+                      slot.Staging.buf.Membuf.data 0 n;
                     to_client slot ~n ~range_off)
               | None -> (
                 (* miss: fetch (with sequential read-ahead when caching),

@@ -32,8 +32,9 @@ let add_one_kernel =
           let data = buf.Core.Membuf.data in
           for i = 0 to Bytes.length data - 1 do
             Bytes.set data i (Char.chr ((Char.code (Bytes.get data i) + 1) land 0xff))
-          done
-        | _ -> failwith "add-one expects one buffer");
+          done;
+          Ok ()
+        | _ -> Error "add-one expects one buffer");
   }
 
 let test_gpu_alloc_free () =
@@ -103,26 +104,83 @@ let test_gpu_serial_execution_engine () =
 (* NVMe                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A read command, then its bytes into a fresh buffer. *)
+let read_bytes ssd vol ~off ~len =
+  Result.map
+    (fun () ->
+      let dst = Bytes.create len in
+      Nvme.blit ssd vol ~off ~dst ~dst_off:0 ~len;
+      dst)
+    (Nvme.read ssd vol ~off ~len)
+
+let write_bytes ssd vol ~off src =
+  Nvme.write ssd vol ~off ~src ~src_off:0 ~len:(Bytes.length src)
+
 let test_nvme_volume_rw_roundtrip () =
   with_node (fun node ->
       let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
       let vol = Result.get_ok (Nvme.create_volume ssd ~size:65536) in
       let data = Bytes.init 1000 (fun i -> Char.chr (i land 0xff)) in
-      (match Nvme.write ssd vol ~off:123 data with
+      (match write_bytes ssd vol ~off:123 data with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
-      let back = Result.get_ok (Nvme.read ssd vol ~off:123 ~len:1000) in
+      let back = Result.get_ok (read_bytes ssd vol ~off:123 ~len:1000) in
       check_bool "roundtrip" true (Bytes.equal data back))
+
+(* Source and destination windows at unaligned offsets inside larger
+   buffers, the device range crossing three block boundaries. *)
+let test_nvme_unaligned_roundtrip () =
+  with_node (fun node ->
+      let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
+      let vol = Result.get_ok (Nvme.create_volume ssd ~size:65536) in
+      let len = 10_000 and off = 4000 in
+      let src = Bytes.init (len + 17) (fun i -> Char.chr ((7 * i) land 0xff)) in
+      (match Nvme.write ssd vol ~off ~src ~src_off:17 ~len with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      (match Nvme.read ssd vol ~off ~len with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      let dst = Bytes.make (len + 6) '#' in
+      Nvme.blit ssd vol ~off ~dst ~dst_off:3 ~len;
+      Alcotest.(check string)
+        "window round trip" (Bytes.sub_string src 17 len)
+        (Bytes.sub_string dst 3 len);
+      Alcotest.(check string)
+        "bytes around the window untouched" "######"
+        (Bytes.sub_string dst 0 3 ^ Bytes.sub_string dst (len + 3) 3);
+      (* a sub-range straddling one boundary reads back its slice *)
+      let back = Result.get_ok (read_bytes ssd vol ~off:8190 ~len:5) in
+      Alcotest.(check string)
+        "straddling slice" (Bytes.sub_string src (17 + 4190) 5)
+        (Bytes.to_string back))
+
+(* Never-written blocks, alone or beside written bytes, read as zeros
+   into a buffer that held something else. *)
+let test_nvme_unwritten_reads_zero () =
+  with_node (fun node ->
+      let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
+      let vol = Result.get_ok (Nvme.create_volume ssd ~size:65536) in
+      let zeros n = String.make n '\000' in
+      let dst = Bytes.make 9000 'x' in
+      Nvme.blit ssd vol ~off:100 ~dst ~dst_off:0 ~len:9000;
+      Alcotest.(check string) "fresh volume" (zeros 9000) (Bytes.to_string dst);
+      ignore (write_bytes ssd vol ~off:4096 (Bytes.make 10 'w'));
+      let back = Result.get_ok (read_bytes ssd vol ~off:4090 ~len:30) in
+      Alcotest.(check string)
+        "zeros around a write"
+        (zeros 6 ^ String.make 10 'w' ^ zeros 14)
+        (Bytes.to_string back))
 
 let test_nvme_volumes_isolated () =
   with_node (fun node ->
       let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
       let v1 = Result.get_ok (Nvme.create_volume ssd ~size:8192) in
       let v2 = Result.get_ok (Nvme.create_volume ssd ~size:8192) in
-      ignore (Nvme.write ssd v1 ~off:0 (Bytes.make 100 'A'));
-      ignore (Nvme.write ssd v2 ~off:0 (Bytes.make 100 'B'));
-      let r1 = Result.get_ok (Nvme.read ssd v1 ~off:0 ~len:100) in
-      let r2 = Result.get_ok (Nvme.read ssd v2 ~off:0 ~len:100) in
+      ignore (write_bytes ssd v1 ~off:0 (Bytes.make 100 'A'));
+      ignore (write_bytes ssd v2 ~off:0 (Bytes.make 100 'B'));
+      let r1 = Result.get_ok (read_bytes ssd v1 ~off:0 ~len:100) in
+      let r2 = Result.get_ok (read_bytes ssd v2 ~off:0 ~len:100) in
       check_bool "v1 intact" true (Bytes.equal r1 (Bytes.make 100 'A'));
       check_bool "v2 intact" true (Bytes.equal r2 (Bytes.make 100 'B')))
 
@@ -130,12 +188,25 @@ let test_nvme_bounds () =
   with_node (fun node ->
       let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
       let vol = Result.get_ok (Nvme.create_volume ssd ~size:4096) in
-      (match Nvme.read ssd vol ~off:4000 ~len:200 with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "read past volume end");
-      match Nvme.write ssd vol ~off:(-1) (Bytes.make 1 'x') with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "negative offset accepted")
+      let src = Bytes.make 200 'x' in
+      List.iter
+        (fun (what, r) ->
+          match r with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "%s accepted" what)
+        [
+          ("read past volume end", Nvme.read ssd vol ~off:4000 ~len:200);
+          ("read at negative offset", Nvme.read ssd vol ~off:(-1) ~len:1);
+          ("read of negative length", Nvme.read ssd vol ~off:0 ~len:(-1));
+          ( "write past volume end",
+            Nvme.write ssd vol ~off:4000 ~src ~src_off:0 ~len:200 );
+          ("write at negative offset", write_bytes ssd vol ~off:(-1) src);
+          ( "write past its source",
+            Nvme.write ssd vol ~off:0 ~src ~src_off:100 ~len:101 );
+        ];
+      match Nvme.blit ssd vol ~off:4000 ~dst:src ~dst_off:0 ~len:200 with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.fail "blit past volume end")
 
 let test_nvme_capacity () =
   with_node (fun node ->
@@ -161,7 +232,7 @@ let test_nvme_write_cache_fast () =
       let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
       let vol = Result.get_ok (Nvme.create_volume ssd ~size:65536) in
       let t0 = Engine.now () in
-      ignore (Nvme.write ssd vol ~off:0 (Bytes.make 4096 'x'));
+      ignore (write_bytes ssd vol ~off:0 (Bytes.make 4096 'x'));
       let elapsed = Engine.now () - t0 in
       check_bool "cached write below read floor" true
         (elapsed < cfg.Net.Config.nvme_read_latency))
@@ -201,8 +272,8 @@ let prop_nvme_roundtrip =
             let g = Prng.create ~seed:(off + len) in
             let data = Bytes.create len in
             Prng.fill_bytes g data;
-            ignore (Nvme.write ssd vol ~off data);
-            let back = Result.get_ok (Nvme.read ssd vol ~off ~len) in
+            ignore (write_bytes ssd vol ~off data);
+            let back = Result.get_ok (read_bytes ssd vol ~off ~len) in
             Bytes.equal data back
           end))
 
@@ -224,6 +295,10 @@ let () =
         [
           Alcotest.test_case "rw roundtrip" `Quick test_nvme_volume_rw_roundtrip;
           Alcotest.test_case "volumes isolated" `Quick test_nvme_volumes_isolated;
+          Alcotest.test_case "unaligned roundtrip" `Quick
+            test_nvme_unaligned_roundtrip;
+          Alcotest.test_case "unwritten reads zero" `Quick
+            test_nvme_unwritten_reads_zero;
           Alcotest.test_case "bounds" `Quick test_nvme_bounds;
           Alcotest.test_case "capacity" `Quick test_nvme_capacity;
           Alcotest.test_case "read latency floor" `Quick

@@ -166,6 +166,36 @@ let test_gpu_adaptor_error_continuation () =
       let d = Ivar.await iv in
       check_bool "error continuation" true (String.equal d.State.d_tag err_tag))
 
+(* A batch larger than the kernel's buffers fails that launch through
+   the error continuation; it used to raise out of [Gpu.launch] and abort
+   the whole simulation. *)
+let test_gpu_adaptor_oversized_batch () =
+  Tb.run (fun tb ->
+      let c, _ = make_cluster tb in
+      let img_size = 64 and batch = 4 in
+      let alloc size =
+        ok_exn (Gpu_adaptor.alloc c.app ~alloc_req:c.c_gpu_alloc ~size)
+      in
+      let probe = alloc (batch * img_size) in
+      let db = alloc (batch * img_size) in
+      let out = alloc batch in
+      let invoke_req =
+        ok_exn
+          (Gpu_adaptor.load c.app ~load_req:c.c_gpu_load
+             ~name:Faceverify.kernel_name)
+      in
+      let ok, _ =
+        ok_exn
+          (Svc.call_cont c.app ~svc:invoke_req
+             ~imms:
+               (Gpu_adaptor.invoke_args ~items:(2 * batch)
+                  ~bufs:[ probe; db; out ]
+                  ~user:[ Args.of_int (2 * batch); Args.of_int img_size ])
+             ~place:(fun ~ok ~err -> [ ok; err ])
+             ())
+      in
+      check_bool "error continuation" false ok)
+
 (* Client-supplied negative sizes take the error reply; the device is
    untouched. *)
 let test_gpu_adaptor_negative_alloc () =
@@ -221,14 +251,13 @@ let test_gpu_to_gpu_pipeline () =
           k_run =
             (fun ~bufs ~imms ->
               match (bufs, imms) with
-              | [ buf ], [ len; mask ] ->
+              | [ buf ], [ len; mask ] when 0 <= len && len <= Membuf.size buf ->
                 for i = 0 to len - 1 do
-                  Membuf.write buf ~off:i
-                    (Bytes.make 1
-                       (Char.chr
-                          (Char.code (Bytes.get buf.Membuf.data i) lxor mask)))
-                done
-              | _ -> failwith "unmask: bad args");
+                  Membuf.set buf i
+                    (Char.chr (Char.code (Bytes.get buf.Membuf.data i) lxor mask))
+                done;
+                Ok ()
+              | _ -> Error "unmask: bad args");
         }
       in
       let mk_gpu s name =
@@ -970,6 +999,8 @@ let () =
             test_gpu_adaptor_kernel_invoke;
           Alcotest.test_case "error continuation" `Quick
             test_gpu_adaptor_error_continuation;
+          Alcotest.test_case "oversized kernel batch" `Quick
+            test_gpu_adaptor_oversized_batch;
           Alcotest.test_case "negative alloc size" `Quick
             test_gpu_adaptor_negative_alloc;
           Alcotest.test_case "negative push length" `Quick
