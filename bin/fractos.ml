@@ -91,20 +91,6 @@ let audit =
               revoke/drop lifecycle events) and print a summary plus the \
               lineage of a revoked capability after the run.")
 
-let openmetrics =
-  Arg.(
-    value & opt (some string) None
-    & info [ "openmetrics" ] ~docv:"FILE"
-        ~doc:"Write the metrics registry to $(docv) in OpenMetrics/\
-              Prometheus text exposition format.")
-
-let hist_csv =
-  Arg.(
-    value & opt (some string) None
-    & info [ "hist-csv" ] ~docv:"FILE"
-        ~doc:"Write per-histogram summary rows (count/mean/percentiles, \
-              nanoseconds) to $(docv) as CSV.")
-
 let journal =
   Arg.(
     value & flag
@@ -119,13 +105,6 @@ let journal_cap =
     & info [ "journal-cap" ] ~docv:"N"
         ~doc:"Flight-recorder ring capacity; overflow drops the oldest \
               events and is counted per severity.")
-
-let audit_cap =
-  Arg.(
-    value & opt (some int) None
-    & info [ "audit-cap" ] ~docv:"N"
-        ~doc:"Capability audit ring capacity (default 1048576). Evicted \
-              entries are counted and reported, never silently lost.")
 
 let slo_flag =
   Arg.(
@@ -226,8 +205,7 @@ let run_pd_cmd placement requests seed =
         (List.length !totals) requests)
 
 let run_faceverify_cmd placement batch requests seed trace trace_json metrics
-    breakdown audit openmetrics hist_csv journal journal_cap audit_cap slo top
-    artifacts =
+    breakdown audit journal journal_cap slo top artifacts =
   let img_size = 4096 and n_images = 4096 in
   (* artifact capture needs the journal recording even when the user did
      not ask for the post-mortem dump *)
@@ -237,7 +215,6 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
     (* from the very start: the lineage of a capability begins with mint
        and grant events during cluster setup *)
     Obs.Audit.reset ();
-    Obs.Audit.set_capacity (Option.value ~default:(1 lsl 20) audit_cap);
     Obs.Audit.set_enabled true
   end;
   if journal_on then begin
@@ -322,16 +299,6 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
       Format.printf "@.%a@." Net.Stats.pp_census
         (Net.Stats.census (Cluster.stats c));
       if metrics then Format.printf "@.%a" Obs.Metrics.pp ();
-      (match openmetrics with
-      | Some path ->
-        Obs.Openmetrics.write path;
-        Format.printf "@.wrote OpenMetrics exposition to %s@." path
-      | None -> ());
-      (match hist_csv with
-      | Some path ->
-        Obs.Openmetrics.write_histograms_csv path;
-        Format.printf "@.wrote histogram summary CSV to %s@." path
-      | None -> ());
       if breakdown then begin
         Obs.Span.set_enabled false;
         Format.printf "@.%a" Obs.Analysis.pp_report
@@ -417,14 +384,12 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
       | None -> ())
 
 let run_cmd workload placement batch requests seed trace trace_json metrics
-    breakdown audit openmetrics hist_csv journal journal_cap audit_cap slo top
-    artifacts =
+    breakdown audit journal journal_cap slo top artifacts =
   match workload with
   | "pd" -> run_pd_cmd placement requests seed
   | "faceverify" ->
     run_faceverify_cmd placement batch requests seed trace trace_json metrics
-      breakdown audit openmetrics hist_csv journal journal_cap audit_cap slo
-      top artifacts
+      breakdown audit journal journal_cap slo top artifacts
   | w ->
     Format.eprintf "fractos run: unknown workload %S (faceverify or pd)@." w;
     exit 2
@@ -614,9 +579,18 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
         ( Time.us (Option.value ~default:1000 threshold),
           Option.value ~default:0.01 keep )
   in
-  match seeds with
-  | None ->
-    (* Single-seed path: print as we go. *)
+  (* Each seed's complete output (report, sampler retention, journal
+     dump) is rendered to a string inside its task: journal and sampler
+     state are per-domain. *)
+  let run_one seed =
+    let buf = Buffer.create 4096 in
+    let line fmt =
+      Printf.ksprintf
+        (fun s ->
+          Buffer.add_string buf s;
+          Buffer.add_char buf '\n')
+        fmt
+    in
     if journal then begin
       Obs.Journal.reset ();
       Obs.Journal.set_capacity journal_cap;
@@ -627,91 +601,45 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
       else Some (Obs.Slo.create (Obs.Slo.make ~latency:(Time.ms 1) "chaos"))
     in
     let report =
-      F.Chaos.run ~clients ~requests ~workload ?sampling ?slo ~top ~spec ~seed
-        ()
+      F.Chaos.run ~clients ~requests ~workload ?sampling ?slo ~top ~spec
+        ~seed ()
     in
-    List.iter print_endline (F.Chaos.to_lines report);
+    List.iter (fun l -> line "%s" l) (F.Chaos.to_lines report);
     (if sampling <> None then begin
        let retained = Obs.Sampler.retained () in
        let n = List.length retained in
-       Printf.printf "retained traces (%d):\n" n;
+       line "retained traces (%d):" n;
        List.iteri
          (fun i (id, reason) ->
            if i < 16 then
-             Printf.printf "  trace %d (%s)\n" id
-               (Obs.Sampler.reason_name reason)
-           else if i = 16 then Printf.printf "  ... (%d more)\n" (n - 16))
+             line "  trace %d (%s)" id (Obs.Sampler.reason_name reason)
+           else if i = 16 then line "  ... (%d more)" (n - 16))
          retained;
        match Obs.Sampler.exemplars () with
        | [] -> ()
        | ex ->
-         Printf.printf "exemplars (histogram bucket -> retained trace):\n";
+         line "exemplars (histogram bucket -> retained trace):";
          List.iter
            (fun (hist, _k, upper, trace) ->
-             Printf.printf "  %s le=%.0fns -> trace %d\n" hist upper trace)
+             line "  %s le=%.0fns -> trace %d" hist upper trace)
            ex
      end);
     if journal then begin
       Obs.Journal.set_enabled false;
-      Format.printf "@.%a" Obs.Journal.dump ()
+      Buffer.add_string buf (Format.asprintf "@.%a" Obs.Journal.dump ())
     end;
-    if not (F.Chaos.passed report) then exit 1
+    (Buffer.contents buf, F.Chaos.passed report)
+  in
+  match seeds with
+  | None ->
+    let out, ok = run_one seed in
+    print_string out;
+    if not ok then exit 1
   | Some sspec ->
     (* Multi-seed battery, fanned out over [domains] OS domains via
-       Domains.map. Each task renders its seed's complete output (report,
-       sampler retention, journal dump) to a string *inside* the task —
-       journal and sampler state are per-domain — and the coordinator
-       prints in seed order, so stdout is byte-identical for any domain
-       count. *)
+       Domains.map; the coordinator prints in seed order, so stdout is
+       byte-identical for any domain count. *)
     let seeds = parse_seeds sspec in
-    let run_one seed =
-      let buf = Buffer.create 4096 in
-      let line fmt =
-        Printf.ksprintf
-          (fun s ->
-            Buffer.add_string buf s;
-            Buffer.add_char buf '\n')
-          fmt
-      in
-      if journal then begin
-        Obs.Journal.reset ();
-        Obs.Journal.set_capacity journal_cap;
-        Obs.Journal.set_enabled true
-      end;
-      let slo =
-        if not slo then None
-        else Some (Obs.Slo.create (Obs.Slo.make ~latency:(Time.ms 1) "chaos"))
-      in
-      let report =
-        F.Chaos.run ~clients ~requests ~workload ?sampling ?slo ~top ~spec
-          ~seed ()
-      in
-      List.iter (fun l -> line "%s" l) (F.Chaos.to_lines report);
-      (if sampling <> None then begin
-         let retained = Obs.Sampler.retained () in
-         let n = List.length retained in
-         line "retained traces (%d):" n;
-         List.iteri
-           (fun i (id, reason) ->
-             if i < 16 then
-               line "  trace %d (%s)" id (Obs.Sampler.reason_name reason)
-             else if i = 16 then line "  ... (%d more)" (n - 16))
-           retained;
-         match Obs.Sampler.exemplars () with
-         | [] -> ()
-         | ex ->
-           line "exemplars (histogram bucket -> retained trace):";
-           List.iter
-             (fun (hist, _k, upper, trace) ->
-               line "  %s le=%.0fns -> trace %d" hist upper trace)
-             ex
-       end);
-      if journal then begin
-        Obs.Journal.set_enabled false;
-        Buffer.add_string buf (Format.asprintf "@.%a" Obs.Journal.dump ())
-      end;
-      (Buffer.contents buf, F.Chaos.passed report)
-    in
     let outputs = Domains.map ~domains ~prepare:(fun () -> ()) run_one seeds in
     let all_ok = ref true in
     List.iter2
@@ -1045,9 +973,8 @@ let run_t =
           prefill/decode inference with --workload pd)")
     Term.(
       const run_cmd $ run_workload $ placement $ batch $ requests $ seed
-      $ trace $ trace_json $ metrics $ breakdown $ audit $ openmetrics
-      $ hist_csv $ journal $ journal_cap $ audit_cap $ slo_flag $ top_flag
-      $ artifacts_dir)
+      $ trace $ trace_json $ metrics $ breakdown $ audit $ journal
+      $ journal_cap $ slo_flag $ top_flag $ artifacts_dir)
 
 let analyze_t =
   let dir =

@@ -7,15 +7,17 @@
 # - `fractos top` must render dashboard frames and a final SLO report;
 # - a sampled chaos run must be bit-deterministic per seed, retain every
 #   error/shed/slow trace, and keep at most ceil(keep * healthy) healthy
-#   ones (parsed from the sampling summary line);
+#   ones (parsed from the sampling summary line); `--seed N` must print
+#   exactly what `--seeds N-N` prints below its header line;
 # - the loadcurve bench must report identical goodput with and without
 #   the --top live dashboard (the dashboard fiber only reads metrics);
 # - `fractos analyze --whatif` must be bit-deterministic for the same
 #   seed and rank the controller as the dominant tax component at the
 #   knee;
-# - `fractos run --artifacts` + `fractos analyze DIR` + `fractos diff`
-#   must round-trip: self-diff quiet, cross-seed diff significant
-#   (--fail-on-change exit 1).
+# - `fractos run --artifacts` must write an OpenMetrics exposition ending
+#   in `# EOF` and a histogram CSV with its header, and round-trip
+#   through `fractos analyze DIR` + `fractos diff`: self-diff quiet,
+#   cross-seed diff significant (--fail-on-change exit 1).
 #   bin/obs_smoke.sh <fractos.exe> <bench-main.exe>
 set -eu
 
@@ -75,6 +77,10 @@ chaos="--workload copy --sample-keep 0.25 --sample-threshold-us 2000 \
 "$fractos" chaos $chaos >"$tmp/chaos1.txt" 2>&1
 "$fractos" chaos $chaos >"$tmp/chaos2.txt" 2>&1
 cmp "$tmp/chaos1.txt" "$tmp/chaos2.txt"
+# one output path: a single seed prints the battery's block for it
+"$fractos" chaos $chaos --seeds 7-7 >"$tmp/chaos_battery.txt" 2>&1
+test "$(head -n 1 "$tmp/chaos_battery.txt")" = "=== chaos seed 7 ==="
+tail -n +2 "$tmp/chaos_battery.txt" | cmp - "$tmp/chaos1.txt"
 grep -q '^sampling: seen=' "$tmp/chaos1.txt"
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$tmp/chaos1.txt" <<'EOF'
@@ -113,6 +119,10 @@ echo "== obs-smoke: artifacts round-trip through analyze and diff"
 "$fractos" run -n 4 --artifacts "$tmp/art_a" >"$tmp/art_a.txt" 2>&1
 "$fractos" run -n 6 --seed 9 --artifacts "$tmp/art_b" >/dev/null 2>&1
 grep -q 'saved run artifacts' "$tmp/art_a.txt"
+test "$(tail -n 1 "$tmp/art_a/openmetrics.txt")" = "# EOF"
+test "$(head -n 1 "$tmp/art_a/hist.csv")" = \
+  "node,name,count,sum_ns,mean_ns,p50_ns,p95_ns,p99_ns,max_ns,exemplars"
+test "$(wc -l <"$tmp/art_a/hist.csv")" -ge 2
 "$fractos" analyze "$tmp/art_a" >"$tmp/analyze.txt" 2>&1
 grep -q '^  breakdown (' "$tmp/analyze.txt"
 grep -q '^  journal: ' "$tmp/analyze.txt"

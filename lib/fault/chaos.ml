@@ -93,7 +93,6 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
   Obs.Span.reset ();
   Obs.Journal.reset ();
   Obs.Audit.reset ();
-  Obs.Audit.set_capacity (1 lsl 20);
   Obs.Audit.set_enabled true;
   Retry.reset_counters ();
   let spans_were_enabled = Obs.Span.enabled () in

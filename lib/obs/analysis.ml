@@ -7,7 +7,7 @@
    request trees the simulator produces, is exactly the critical path:
    whatever innermost activity the request was blocked on at that instant.
    Each attributed interval is then mapped to a tax category via the span
-   naming conventions (see HACKING.md), so the six category columns always
+   taxonomy (Span.layer; see HACKING.md), so the six category columns always
    sum exactly to the request's end-to-end latency. *)
 
 type category = Ctrl | Fabric | Queue | Device | Client | Idle
@@ -22,36 +22,12 @@ let category_name = function
   | Client -> "client"
   | Idle -> "idle"
 
-let category_of_string = function
-  | "ctrl" -> Some Ctrl
-  | "fabric" -> Some Fabric
-  | "queue" -> Some Queue
-  | "device" -> Some Device
-  | "client" -> Some Client
-  | "idle" -> Some Idle
-  | _ -> None
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* Category from the span name prefix; an explicit ("cat", _) attribute
-   overrides (used by adaptors whose names don't carry a device prefix). *)
 let category_of_span sp =
-  let by_name () =
-    let n = sp.Span.sp_name in
-    if has_prefix ~prefix:"ctrl." n then Ctrl
-    else if has_prefix ~prefix:"fabric." n then Fabric
-    else if
-      has_prefix ~prefix:"gpu." n
-      || has_prefix ~prefix:"nvme." n
-      || has_prefix ~prefix:"adaptor." n
-    then Device
-    else Client
-  in
-  match List.assoc_opt "cat" sp.Span.sp_attrs with
-  | Some s -> ( match category_of_string s with Some c -> c | None -> by_name ())
-  | None -> by_name ()
+  match Span.layer sp.Span.sp_name with
+  | Span.Ctrl | Span.Copy -> Ctrl
+  | Span.Fabric -> Fabric
+  | Span.Gpu | Span.Nvme | Span.Adaptor -> Device
+  | Span.Client -> Client
 
 type breakdown = {
   b_root : Span.t;
@@ -73,11 +49,6 @@ type item = {
          category Queue, the rest Fabric. *)
 }
 
-let attr_int sp k =
-  match List.assoc_opt k sp.Span.sp_attrs with
-  | Some v -> int_of_string_opt v
-  | None -> None
-
 let usable sp = sp.Span.sp_kind = Span.Complete && sp.Span.sp_finished
 
 let breakdown_of_root ~children root =
@@ -91,11 +62,8 @@ let breakdown_of_root ~children root =
       let s = max sp.Span.sp_start rs and e = min sp.Span.sp_end re in
       if e > s || sp == root then begin
         let qsplit =
-          match attr_int sp "q" with
-          | Some q when q > 0 ->
-            let split = sp.Span.sp_start + q in
-            if split > s && split < e then Some split else None
-          | _ -> None
+          let split = sp.Span.sp_start + Span.queued sp in
+          if split > s && split < e then Some split else None
         in
         items :=
           { it_start = s; it_end = e; it_depth = depth; it_span = sp;
@@ -233,14 +201,8 @@ let csv_string bds =
   String.concat "\n" (csv_header :: List.map csv_row bds) ^ "\n"
 
 let write_csv path bds =
-  let oc = open_out path in
-  output_string oc (csv_string bds);
-  close_out oc;
-  if Span.dropped () > 0 then
-    Printf.eprintf
-      "warning: %s is incomplete: trace truncated (%d spans dropped at limit \
-       %d; raise with Span.set_limit)\n%!"
-      path (Span.dropped ()) (Span.get_limit ())
+  Out_channel.with_open_text path (fun oc -> output_string oc (csv_string bds));
+  Span.warn_if_truncated path
 
 let pp_report fmt bds =
   let open Format in

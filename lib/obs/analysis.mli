@@ -4,8 +4,8 @@
     root's end-to-end interval into tax categories by attributing every
     elementary interval to the deepest covering span — the critical path
     of the serial request trees the simulator produces. The category of a
-    span comes from its name prefix ([ctrl.], [fabric.], [gpu.]/[nvme.]/
-    [adaptor.]) or an explicit [("cat", _)] attribute; fabric spans split
+    span comes from its name by {!Span.layer} ([ctrl.], [fabric.],
+    [gpu.]/[nvme.]/[adaptor.]); fabric spans split
     their first [("q", ns)] nanoseconds into the queue category. Intervals
     where the root is waiting between children are idle; the categories of
     a breakdown always sum exactly to its total. Conventions are
@@ -17,10 +17,10 @@ val categories : category list
 (** All categories, in the fixed presentation/CSV order. *)
 
 val category_name : category -> string
-val category_of_string : string -> category option
 
 val category_of_span : Span.t -> category
-(** Name-prefix mapping with [("cat", _)] attribute override. *)
+(** {!Span.layer} of the span's name, folded into a category: [Ctrl] and
+    [Copy] are ctrl; [Gpu], [Nvme] and [Adaptor] are device. *)
 
 type breakdown = {
   b_root : Span.t;

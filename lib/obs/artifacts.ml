@@ -18,10 +18,7 @@ let journal_file = "journal.txt"
 let timeline_file = "timeline.txt"
 
 let write_file path content =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc content)
+  Out_channel.with_open_text path (fun oc -> output_string oc content)
 
 let read_lines path =
   if not (Sys.file_exists path) then None
@@ -41,7 +38,7 @@ let read_lines path =
 (* Saving                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let spans_csv_header = "name,node,start_ns,end_ns,q_ns,cat"
+let spans_csv_header = "name,node,start_ns,end_ns,q_ns"
 
 let spans_csv_string () =
   let b = Buffer.create 4096 in
@@ -49,10 +46,9 @@ let spans_csv_string () =
   List.iter
     (fun r ->
       Buffer.add_string b
-        (Printf.sprintf "%s,%s,%d,%d,%d,%s\n" r.Timeline.r_name
+        (Printf.sprintf "%s,%s,%d,%d,%d\n" r.Timeline.r_name
            r.Timeline.r_node r.Timeline.r_start r.Timeline.r_end
-           r.Timeline.r_queued
-           (match r.Timeline.r_cat with Some c -> c | None -> "")))
+           r.Timeline.r_queued))
     (Timeline.rows_of_spans (Span.all ()));
   Buffer.contents b
 
@@ -61,7 +57,6 @@ let journal_digest_string () =
   let kv k v = Buffer.add_string b (Printf.sprintf "%s=%d\n" k v) in
   kv "recorded" (Journal.recorded ());
   kv "held" (Journal.count ());
-  kv "suppressed" (Journal.suppressed ());
   kv "overflowed" (Journal.overflowed ());
   List.iter
     (fun sev ->
@@ -205,7 +200,8 @@ let parse_breakdown lines =
       rows;
     (List.mapi (fun i c -> (c, sums.(i))) breakdown_categories, !n)
 
-(* spans.csv: name,node,start_ns,end_ns,q_ns,cat *)
+(* spans.csv: name,node,start_ns,end_ns,q_ns (older directories carry a
+   sixth column, cat, which is ignored) *)
 let parse_spans lines =
   match lines with
   | [] -> []
@@ -213,7 +209,7 @@ let parse_spans lines =
     List.filter_map
       (fun l ->
         let cols = Array.of_list (String.split_on_char ',' l) in
-        if Array.length cols < 6 then None
+        if Array.length cols < 5 then None
         else
           let int i = int_of_float (num cols i) in
           Some
@@ -223,7 +219,6 @@ let parse_spans lines =
               r_start = int 2;
               r_end = int 3;
               r_queued = int 4;
-              r_cat = (if cols.(5) = "" then None else Some cols.(5));
             })
       rows
 

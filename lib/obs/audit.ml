@@ -11,7 +11,8 @@
    together with {!lineage}.
 
    Like Span, collection is domain-local and off by default; when
-   disabled every record site is one branch. *)
+   disabled every record site is one branch. The store is a Ring, as
+   for Journal. *)
 
 type kind =
   | Mint
@@ -51,53 +52,19 @@ type event = {
 }
 
 (* Domain-local, like Span: fresh per sibling simulation. *)
-type state = {
-  mutable a_enabled : bool;
-  mutable a_capacity : int;
-  a_ring : event Queue.t;
-  mutable a_next : int;
-  mutable a_evicted : int;
-  a_by_kind : (kind, int) Hashtbl.t;
-}
+let ring = Ring.create ~capacity:(1 lsl 20) ()
 
-let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        a_enabled = false;
-        a_capacity = 65_536;
-        a_ring = Queue.create ();
-        a_next = 0;
-        a_evicted = 0;
-        a_by_kind = Hashtbl.create 8;
-      })
-
-let st () = Domain.DLS.get state_key
-
-let enabled () = (st ()).a_enabled
-let set_enabled b = (st ()).a_enabled <- b
-
-let set_capacity n =
-  let s = st () in
-  s.a_capacity <- max 1 n;
-  while Queue.length s.a_ring > s.a_capacity do
-    ignore (Queue.pop s.a_ring);
-    s.a_evicted <- s.a_evicted + 1
-  done
-
-let reset () =
-  let s = st () in
-  Queue.clear s.a_ring;
-  s.a_next <- 0;
-  s.a_evicted <- 0;
-  Hashtbl.reset s.a_by_kind
+let enabled () = Ring.enabled ring
+let set_enabled b = Ring.set_enabled ring b
+let set_capacity n = Ring.set_capacity ring n
+let reset () = Ring.reset ring
 
 let record ~node ~kind ~ctrl ~epoch ~oid ?(pid = -1) ?(cid = -1)
     ?(detail = "") () =
-  let s = st () in
-  if s.a_enabled then begin
-    let ev =
+  if Ring.enabled ring then
+    Ring.push ring kind
       {
-        au_seq = s.a_next;
+        au_seq = Ring.recorded ring;
         au_time = Sim.Engine.now ();
         au_node = node;
         au_kind = kind;
@@ -108,29 +75,15 @@ let record ~node ~kind ~ctrl ~epoch ~oid ?(pid = -1) ?(cid = -1)
         au_cid = cid;
         au_detail = detail;
       }
-    in
-    s.a_next <- s.a_next + 1;
-    Hashtbl.replace s.a_by_kind kind
-      (1
-      + match Hashtbl.find_opt s.a_by_kind kind with Some n -> n | None -> 0);
-    Queue.add ev s.a_ring;
-    if Queue.length s.a_ring > s.a_capacity then begin
-      ignore (Queue.pop s.a_ring);
-      s.a_evicted <- s.a_evicted + 1
-    end
-  end
 
-let events () = List.of_seq (Queue.to_seq (st ()).a_ring)
-let count () = Queue.length (st ()).a_ring
-let evicted () = (st ()).a_evicted
+let events () = Ring.events ring
+let count () = Ring.count ring
+let evicted () = Ring.overflowed ring
 
 let summary () =
-  let s = st () in
+  let counts = Ring.summary ring in
   List.filter_map
-    (fun k ->
-      match Hashtbl.find_opt s.a_by_kind k with
-      | Some n when n > 0 -> Some (k, n)
-      | _ -> None)
+    (fun k -> Option.map (fun n -> (k, n)) (List.assoc_opt k counts))
     kinds
 
 let lineage ~ctrl ~oid =

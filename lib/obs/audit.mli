@@ -7,7 +7,7 @@
     object address [(ctrl, epoch, oid)], so {!lineage} reconstructs the
     full history of one object across controllers and capspaces.
 
-    Process-global, off by default ({!set_enabled}); bounded by a ring of
+    Domain-local, off by default ({!set_enabled}); bounded by a ring of
     {!set_capacity} events (oldest evicted first, counted in
     {!evicted}). *)
 
@@ -41,7 +41,7 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val set_capacity : int -> unit
-(** Ring size (default 65536); shrinking evicts oldest events. *)
+(** Ring size (default [1 lsl 20]); shrinking evicts oldest events. *)
 
 val reset : unit -> unit
 

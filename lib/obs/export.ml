@@ -15,20 +15,6 @@ type track = {
   mutable tr_spans : Span.t list; (* reverse chronological *)
 }
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let node_label node = if node = "" then "global" else node
 
 (* Greedy track assignment (spans arrive in start-time order). *)
@@ -108,7 +94,7 @@ let add_event b ~first ~ph ~ts ~tid ~name ~args =
   Buffer.add_string b
     (Printf.sprintf "{\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"cat\":\"fractos\",\"name\":\""
        ph tid (float_of_int ts /. 1_000.));
-  json_escape b name;
+  Json.escape b name;
   Buffer.add_string b "\"";
   (match args with
   | [] -> ()
@@ -118,9 +104,9 @@ let add_event b ~first ~ph ~ts ~tid ~name ~args =
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_char b '"';
-        json_escape b k;
+        Json.escape b k;
         Buffer.add_string b "\":\"";
-        json_escape b v;
+        Json.escape b v;
         Buffer.add_char b '"')
       args;
     Buffer.add_char b '}');
@@ -187,16 +173,7 @@ let chrome_trace_buffer () =
 
 let chrome_trace_string () = Buffer.contents (chrome_trace_buffer ())
 
-let warn_if_truncated path =
-  if Span.dropped () > 0 then
-    Printf.eprintf
-      "warning: %s is incomplete: trace truncated (%d spans dropped at limit \
-       %d; raise with Span.set_limit)\n%!"
-      path (Span.dropped ()) (Span.get_limit ())
-
 let write_chrome_trace path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc (chrome_trace_buffer ()));
-  warn_if_truncated path
+  Out_channel.with_open_text path (fun oc ->
+      Buffer.output_buffer oc (chrome_trace_buffer ()));
+  Span.warn_if_truncated path

@@ -201,12 +201,12 @@ let check ?tolerance ~baseline ~fresh () =
 let emit_string ?(scale = 1.0) ~source ~tolerance metrics =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (Printf.sprintf "{\n  \"source\": %S,\n  \"tolerance\": %.3f,\n  \"metrics\": {\n"
-       source tolerance);
+    (Printf.sprintf "{\n  \"source\": %s,\n  \"tolerance\": %.3f,\n  \"metrics\": {\n"
+       (Json.quote source) tolerance);
   List.iteri
     (fun i (k, v) ->
       Buffer.add_string b
-        (Printf.sprintf "    %S: %.3f%s\n" k (v *. scale)
+        (Printf.sprintf "    %s: %.3f%s\n" (Json.quote k) (v *. scale)
            (if i = List.length metrics - 1 then "" else ",")))
     metrics;
   Buffer.add_string b "  }\n}\n";

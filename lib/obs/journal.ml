@@ -28,101 +28,51 @@ type event = {
   j_trace : int;
 }
 
-(* Domain-local state: sibling simulations (Sim.Domains.map) get fresh
-   journals. *)
-type state = {
-  mutable j_enabled : bool;
-  mutable j_cap : int;
-  mutable j_min_sev : severity;
-  j_ring : event Queue.t;
-  mutable j_next : int;
-  mutable j_overflowed : int;
-  j_overflow_by_sev : int array;
-  mutable j_suppressed : int;
-  j_by_kind : (string, int) Hashtbl.t;
-}
+let sev_count = 4
 
-let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        j_enabled = false;
-        j_cap = 16_384;
-        j_min_sev = Debug;
-        j_ring = Queue.create ();
-        j_next = 0;
-        j_overflowed = 0;
-        j_overflow_by_sev = Array.make 4 0;
-        j_suppressed = 0;
-        j_by_kind = Hashtbl.create 32;
-      })
+(* Per-severity overflow counts; domain-local like the ring itself. *)
+let overflow_by_sev : int array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make sev_count 0)
 
-let st () = Domain.DLS.get state_key
+let ring =
+  Ring.create ~capacity:16_384 ~on_drop:(fun ev ->
+      let a = Domain.DLS.get overflow_by_sev and r = severity_rank ev.j_sev in
+      a.(r) <- a.(r) + 1)
+    ()
 
-let enabled () = (st ()).j_enabled
-let set_enabled b = (st ()).j_enabled <- b
-let capacity () = (st ()).j_cap
-
-let drop_oldest s =
-  let ev = Queue.pop s.j_ring in
-  s.j_overflowed <- s.j_overflowed + 1;
-  let r = severity_rank ev.j_sev in
-  s.j_overflow_by_sev.(r) <- s.j_overflow_by_sev.(r) + 1
-
-let set_capacity n =
-  let s = st () in
-  s.j_cap <- max 1 n;
-  while Queue.length s.j_ring > s.j_cap do
-    drop_oldest s
-  done
-
-let set_min_severity sev = (st ()).j_min_sev <- sev
+let enabled () = Ring.enabled ring
+let set_enabled b = Ring.set_enabled ring b
+let set_capacity n = Ring.set_capacity ring n
 
 let reset () =
-  let s = st () in
-  Queue.clear s.j_ring;
-  s.j_next <- 0;
-  s.j_overflowed <- 0;
-  Array.fill s.j_overflow_by_sev 0 4 0;
-  s.j_suppressed <- 0;
-  Hashtbl.reset s.j_by_kind
+  Ring.reset ring;
+  Array.fill (Domain.DLS.get overflow_by_sev) 0 sev_count 0
 
 let record_lazy ~node ~sev ~kind ~detail () =
-  let s = st () in
-  if s.j_enabled then
-    if severity_rank sev < severity_rank s.j_min_sev then
-      s.j_suppressed <- s.j_suppressed + 1
-    else begin
-      let ev =
-        {
-          j_seq = s.j_next;
-          j_time = Sim.Engine.now ();
-          j_node = node;
-          j_sev = sev;
-          j_kind = kind;
-          j_detail = detail ();
-          j_trace = Sim.Engine.get_ctx ();
-        }
-      in
-      s.j_next <- s.j_next + 1;
-      Hashtbl.replace s.j_by_kind kind
-        (1 + Option.value ~default:0 (Hashtbl.find_opt s.j_by_kind kind));
-      if Queue.length s.j_ring >= s.j_cap then drop_oldest s;
-      Queue.add ev s.j_ring
-    end
+  if Ring.enabled ring then
+    Ring.push ring kind
+      {
+        j_seq = Ring.recorded ring;
+        j_time = Sim.Engine.now ();
+        j_node = node;
+        j_sev = sev;
+        j_kind = kind;
+        j_detail = detail ();
+        j_trace = Sim.Engine.get_ctx ();
+      }
 
 let record ~node ~sev ~kind ?(detail = "") () =
   record_lazy ~node ~sev ~kind ~detail:(fun () -> detail) ()
 
-let events () = List.of_seq (Queue.to_seq (st ()).j_ring)
-let count () = Queue.length (st ()).j_ring
-let recorded () = (st ()).j_next
-let overflowed () = (st ()).j_overflowed
-let overflowed_by_severity s = (st ()).j_overflow_by_sev.(severity_rank s)
-let suppressed () = (st ()).j_suppressed
+let events () = Ring.events ring
+let count () = Ring.count ring
+let recorded () = Ring.recorded ring
+let overflowed () = Ring.overflowed ring
 
-let summary () =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) (st ()).j_by_kind []
-  |> List.sort compare
+let overflowed_by_severity s =
+  (Domain.DLS.get overflow_by_sev).(severity_rank s)
+
+let summary () = List.sort compare (Ring.summary ring)
 
 let pp_event fmt ev =
   Format.fprintf fmt "%-8s %-5s %-10s %-24s%s%s"
@@ -134,14 +84,11 @@ let pp_event fmt ev =
     (if ev.j_detail = "" then "" else " " ^ ev.j_detail)
 
 let dump fmt () =
-  let s = st () in
   Format.fprintf fmt "journal: %d retained / %d recorded" (count ())
     (recorded ());
-  if s.j_overflowed > 0 then
-    Format.fprintf fmt " (%d overflowed: %d warn, %d error)" s.j_overflowed
+  if overflowed () > 0 then
+    Format.fprintf fmt " (%d overflowed: %d warn, %d error)" (overflowed ())
       (overflowed_by_severity Warn)
       (overflowed_by_severity Error);
-  if s.j_suppressed > 0 then
-    Format.fprintf fmt " (%d below min severity)" s.j_suppressed;
   Format.fprintf fmt "@.";
-  Queue.iter (fun ev -> Format.fprintf fmt "  %a@." pp_event ev) s.j_ring
+  List.iter (fun ev -> Format.fprintf fmt "  %a@." pp_event ev) (events ())

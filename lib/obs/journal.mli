@@ -9,12 +9,11 @@
     ({!Fractos_sim.Engine.get_ctx}) so a post-mortem dump correlates
     directly with retained span trees.
 
-    Process-global and off by default ({!set_enabled}); when disabled
+    Domain-local and off by default ({!set_enabled}); when disabled
     every {!record} site is a single branch. The ring holds
     {!set_capacity} events — on overflow the oldest is dropped and
     counted, overall and per severity, so a dump always says how much
-    history it is missing. Events below {!set_min_severity} are counted
-    in {!suppressed} but not stored. *)
+    history it is missing. *)
 
 type severity = Debug | Info | Warn | Error
 
@@ -37,12 +36,6 @@ val set_enabled : bool -> unit
 val set_capacity : int -> unit
 (** Ring size (default 16384); shrinking drops oldest events (counted as
     overflow). *)
-
-val capacity : unit -> int
-
-val set_min_severity : severity -> unit
-(** Events below this severity are not stored (default [Debug] = keep
-    everything). *)
 
 val reset : unit -> unit
 
@@ -73,8 +66,6 @@ val overflowed : unit -> int
 (** Events dropped from the ring head because it was full. *)
 
 val overflowed_by_severity : severity -> int
-val suppressed : unit -> int
-(** Events rejected by the {!set_min_severity} filter. *)
 
 val summary : unit -> (string * int) list
 (** Cumulative per-kind counts since reset (overflow does not decrement),
@@ -83,5 +74,5 @@ val summary : unit -> (string * int) list
 val pp_event : Format.formatter -> event -> unit
 
 val dump : Format.formatter -> unit -> unit
-(** Post-mortem listing: overflow/suppression header plus every retained
+(** Post-mortem listing: overflow header plus every retained
     event, oldest first. *)

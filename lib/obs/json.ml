@@ -1,7 +1,8 @@
-(* A minimal recursive-descent JSON reader. The image bakes in no JSON
-   library, and every JSON this repo consumes is one it also emits
-   (BENCH_*.json, bench/baselines/*.json), so a small strict parser is
-   both sufficient and keeps the gate/diff tooling dependency-free. *)
+(* A minimal recursive-descent JSON reader and the one JSON string
+   writer. The image bakes in no JSON library, and every JSON this repo
+   consumes is one it also emits (BENCH_*.json, bench/baselines/*.json),
+   so a small strict parser is both sufficient and keeps the gate/diff
+   tooling dependency-free. *)
 
 type t =
   | Null
@@ -10,6 +11,28 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+(* Bytes >= 0x80 pass through, so UTF-8 input stays UTF-8. *)
+let escape b s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s
+
+let quote s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  escape b s;
+  Buffer.add_char b '"';
+  Buffer.contents b
 
 exception Bad of string
 
@@ -80,7 +103,8 @@ let parse_string st =
             Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3f)))
           end);
         go ()
-      | Some c -> advance st; Buffer.add_char b c; go ()
+      | Some (('"' | '\\' | '/') as c) -> advance st; Buffer.add_char b c; go ()
+      | Some c -> error st (Printf.sprintf "bad escape \\%c" c)
       | None -> error st "unterminated escape")
     | Some c ->
       advance st;

@@ -1,4 +1,5 @@
-(** Minimal strict JSON reader (no external dependencies).
+(** Minimal strict JSON reader and string writer (no external
+    dependencies).
 
     Parses the JSON this repository itself emits — [BENCH_*.json] bench
     results and [bench/baselines/*.json] regression-gate baselines — for
@@ -14,8 +15,17 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val escape : Buffer.t -> string -> unit
+(** Append the body of a JSON string literal: quote, backslash and
+    control characters escaped, every other byte as is. *)
+
+val quote : string -> string
+(** [s] as a complete JSON string literal, quotes included. *)
+
 val parse : string -> (t, string) result
-(** Strict parse of a complete document (trailing garbage is an error). *)
+(** Strict parse of a complete document (trailing garbage is an error;
+    so is a backslash escape other than quote, backslash, slash, [b],
+    [f], [n], [r], [t] or [u]). *)
 
 val of_file : string -> (t, string) result
 (** {!parse} the contents of a file; I/O errors become [Error] too. *)

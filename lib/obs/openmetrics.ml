@@ -108,11 +108,6 @@ let to_string () =
   to_buffer b;
   Buffer.contents b
 
-let write path =
-  let oc = open_out path in
-  output_string oc (to_string ());
-  close_out oc
-
 (* ------------------------------------------------------------------ *)
 (* Histogram summary CSV                                               *)
 (* ------------------------------------------------------------------ *)
@@ -151,8 +146,3 @@ let histograms_csv_string () =
       end)
     (Metrics.histograms_list ());
   Buffer.contents b
-
-let write_histograms_csv path =
-  let oc = open_out path in
-  output_string oc (histograms_csv_string ());
-  close_out oc

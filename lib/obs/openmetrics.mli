@@ -25,8 +25,6 @@ val escape_label : string -> string
     sequences. Applied to every node label the exporters emit. *)
 
 val to_string : unit -> string
-val write : string -> unit
 
 val histograms_csv_header : string
 val histograms_csv_string : unit -> string
-val write_histograms_csv : string -> unit

@@ -126,6 +126,13 @@ let count () = Queue.length (st ()).s_collected
 let dropped () = (st ()).s_dropped
 let find id = Hashtbl.find_opt (st ()).s_index id
 
+let warn_if_truncated path =
+  if dropped () > 0 then
+    Printf.eprintf
+      "warning: %s is incomplete: trace truncated (%d spans dropped at limit \
+       %d; raise with Span.set_limit)\n%!"
+      path (dropped ()) (get_limit ())
+
 let rec root_of id =
   match Hashtbl.find_opt (st ()).s_index id with
   | Some sp when sp.sp_parent <> 0 -> root_of sp.sp_parent
@@ -146,3 +153,29 @@ let prune keep =
   Queue.clear s.s_collected;
   Queue.transfer kept s.s_collected;
   !removed
+
+type layer = Ctrl | Copy | Fabric | Gpu | Nvme | Adaptor | Client
+
+let layer name =
+  let is prefix = String.starts_with ~prefix name in
+  if is "fabric." then Fabric
+  else if is "ctrl.copy" then Copy
+  else if is "ctrl." then Ctrl
+  else if is "gpu." then Gpu
+  else if is "nvme." then Nvme
+  else if is "adaptor." then Adaptor
+  else Client
+
+let layer_name = function
+  | Ctrl -> "ctrl"
+  | Copy -> "copy"
+  | Fabric -> "fabric"
+  | Gpu -> "gpu"
+  | Nvme -> "nvme"
+  | Adaptor -> "device"
+  | Client -> "client"
+
+let queued sp =
+  match List.assoc_opt "q" sp.sp_attrs with
+  | Some v -> Option.value ~default:0 (int_of_string_opt v)
+  | None -> 0

@@ -87,6 +87,10 @@ val count : unit -> int
 val dropped : unit -> int
 val find : id -> t option
 
+val warn_if_truncated : string -> unit
+(** After writing a file derived from the collected spans to [path],
+    warn on stderr if the {!set_limit} cap dropped any of them. *)
+
 val root_of : id -> id
 (** Follow parent links to the trace root. Ids not in the collector (or
     already roots) map to themselves. *)
@@ -96,3 +100,30 @@ val prune : (t -> bool) -> int
     (they disappear from {!all} and {!find}) and returns the number
     removed. The basis of tail-based retention: {!Sampler.prune_spans}
     keeps only spans whose trace root was retained. *)
+
+(** {1 Span taxonomy}
+
+    The one naming rule (HACKING.md "Span naming") by which
+    {!Analysis} charges a span's time to a tax category and {!Timeline}
+    charts it as a per-node resource. *)
+
+type layer =
+  | Ctrl  (** [ctrl.*], apart from the copy engine *)
+  | Copy  (** [ctrl.copy*]: the copy engine's staging path *)
+  | Fabric  (** [fabric.*] *)
+  | Gpu  (** [gpu.*] *)
+  | Nvme  (** [nvme.*] *)
+  | Adaptor  (** [adaptor.*]: service adaptors fronting a device *)
+  | Client  (** everything else *)
+
+val layer : string -> layer
+(** The layer a span name belongs to, by prefix. *)
+
+val layer_name : layer -> string
+(** The timeline row kind: ["ctrl"], ["copy"], ["fabric"], ["gpu"],
+    ["nvme"], ["device"] (adaptors chart as the device they front) or
+    ["client"]. *)
+
+val queued : t -> int
+(** The span's leading queued share in ns: its [("q", ns)] attribute
+    (fabric spans set it), or 0. *)

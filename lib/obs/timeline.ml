@@ -5,9 +5,9 @@
    Timeline answers the dual question: "what was each *resource* doing"
    — per controller, fabric link, copy-engine staging path and
    GPU/NVMe device, over the whole run. Each finished span is mapped to
-   a resource by its naming convention (the same one Analysis
-   categorizes by), its leading ("q", ns) share is split out as queued
-   time, and the per-resource interval set is reduced to busy/queued
+   a resource by Span.layer (the taxonomy Analysis categorizes by), its
+   leading ("q", ns) share is split out as queued time, and the
+   per-resource interval set is reduced to busy/queued
    union coverage, concurrent-depth maxima and a bucketed utilization
    heatmap that renders as text. Works live (from the span collector)
    or offline (from a spans.csv artifact via {!Artifacts}). *)
@@ -18,46 +18,23 @@ type row = {
   r_start : Sim.Time.t;
   r_end : Sim.Time.t;
   r_queued : Sim.Time.t;  (* leading queued share, clipped to the span *)
-  r_cat : string option;  (* explicit ("cat", _) category override *)
 }
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* Span naming convention -> resource key "<kind>@<node>". The copy
-   engine's staging path is split out from the rest of the controller:
-   a saturated copy@ row with an idle ctrl@ row is exactly the
-   decoupling the dedicated staging resource was built to show. *)
+(* Span taxonomy -> resource key "<layer>@<node>". The copy engine's
+   staging path is split out from the rest of the controller: a
+   saturated copy@ row with an idle ctrl@ row is exactly the decoupling
+   the dedicated staging resource was built to show. *)
 let resource_of r =
-  let node = if r.r_node = "" then "-" else r.r_node in
-  let by_name () =
-    let n = r.r_name in
-    if has_prefix ~prefix:"fabric." n then "fabric@" ^ node
-    else if has_prefix ~prefix:"ctrl.copy" n then "copy@" ^ node
-    else if has_prefix ~prefix:"ctrl." n then "ctrl@" ^ node
-    else if has_prefix ~prefix:"gpu." n then "gpu@" ^ node
-    else if has_prefix ~prefix:"nvme." n then "nvme@" ^ node
-    else if has_prefix ~prefix:"adaptor." n then "adaptor@" ^ node
-    else "client@" ^ node
-  in
-  match r.r_cat with
-  | Some c when c <> "" && not (has_prefix ~prefix:"ctrl.copy" r.r_name) ->
-    c ^ "@" ^ node
-  | _ -> by_name ()
+  Span.layer_name (Span.layer r.r_name)
+  ^ "@"
+  ^ if r.r_node = "" then "-" else r.r_node
 
 let row_of_span (sp : Span.t) =
   if sp.Span.sp_kind <> Span.Complete || not sp.Span.sp_finished then None
   else if sp.Span.sp_end <= sp.Span.sp_start then None
   else
-    let q =
-      match List.assoc_opt "q" sp.Span.sp_attrs with
-      | Some v -> (
-        match int_of_string_opt v with
-        | Some q -> min (max q 0) (sp.Span.sp_end - sp.Span.sp_start)
-        | None -> 0)
-      | None -> 0
-    in
+    let dur = sp.Span.sp_end - sp.Span.sp_start in
+    let q = min (max (Span.queued sp) 0) dur in
     Some
       {
         r_name = sp.Span.sp_name;
@@ -65,7 +42,6 @@ let row_of_span (sp : Span.t) =
         r_start = sp.Span.sp_start;
         r_end = sp.Span.sp_end;
         r_queued = q;
-        r_cat = List.assoc_opt "cat" sp.Span.sp_attrs;
       }
 
 let rows_of_spans spans = List.filter_map row_of_span spans
@@ -238,16 +214,3 @@ let pp fmt t =
           (pct r.rs_busy) (pct r.rs_queued) r.rs_max_depth (heatmap r))
       t.tl_resources
   end
-
-let csv_header = "resource,spans,busy_ns,queued_ns,max_depth,heatmap"
-
-let to_csv t =
-  let b = Buffer.create 512 in
-  Buffer.add_string b (csv_header ^ "\n");
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%d,%d,%d,%s\n" r.rs_name r.rs_spans r.rs_busy
-           r.rs_queued r.rs_max_depth (heatmap r)))
-    t.tl_resources;
-  Buffer.contents b

@@ -14,15 +14,12 @@ type row = {
   r_start : Sim.Time.t;
   r_end : Sim.Time.t;
   r_queued : Sim.Time.t;  (** leading queued share, clipped to the span *)
-  r_cat : string option;  (** explicit ("cat", _) category override *)
 }
 
 val resource_of : row -> string
-(** Map a row to its resource key ["<kind>@<node>"] using the span
-    naming convention ([ctrl.], [ctrl.copy*], [fabric.], [gpu.],
-    [nvme.], [adaptor.] prefixes; everything else is client work). A
-    ("cat", c) attribute overrides the prefix except for copy-engine
-    staging spans, which always chart as their own [copy@] resource. *)
+(** Map a row to its resource key ["<layer>@<node>"], the layer being
+    {!Span.layer_name} of {!Span.layer} of its name: [ctrl@], [copy@],
+    [fabric@], [gpu@], [nvme@], [device@] (adaptors) or [client@]. *)
 
 val row_of_span : Span.t -> row option
 (** [None] for unfinished, instant, or zero-length spans. *)
@@ -56,8 +53,3 @@ val of_spans : ?buckets:int -> unit -> t
 val elapsed : t -> Sim.Time.t
 val heatmap : resource -> string
 val pp : Format.formatter -> t -> unit
-
-val csv_header : string
-(** [resource,spans,busy_ns,queued_ns,max_depth,heatmap] *)
-
-val to_csv : t -> string

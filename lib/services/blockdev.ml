@@ -57,11 +57,6 @@ let handle_create t svc d =
   | _ -> Svc.reply svc d ~status:2 ()
 
 let handle_read t svc d =
-  Obs.Span.with_
-    ~node:(Svc.proc svc).State.pnode.Net.Node.name
-    ~attrs:[ ("cat", "device") ]
-    ~name:"adaptor.blk.read"
-  @@ fun () ->
   match (d.State.d_imms, d.State.d_caps) with
   | [ vol; off; len ], (dst_mem :: next :: _ as caps) -> (
     let vol = Args.to_int vol
@@ -89,11 +84,6 @@ let handle_read t svc d =
     if List.length caps >= 3 then fail_cont svc caps 4
 
 let handle_write t svc d =
-  Obs.Span.with_
-    ~node:(Svc.proc svc).State.pnode.Net.Node.name
-    ~attrs:[ ("cat", "device") ]
-    ~name:"adaptor.blk.write"
-  @@ fun () ->
   match (d.State.d_imms, d.State.d_caps) with
   | [ vol; off; len ], (src_mem :: next :: _ as caps) -> (
     let vol = Args.to_int vol
@@ -142,8 +132,10 @@ let start proc ssd =
     }
   in
   Svc.handle bsvc ~tag:"blk.create_vol" (handle_create t);
-  Svc.handle bsvc ~tag:"blk.read" (handle_read t);
-  Svc.handle bsvc ~tag:"blk.write" (handle_write t);
+  Svc.handle bsvc ~tag:"blk.read"
+    (Svc.traced "adaptor.blk.read" (handle_read t));
+  Svc.handle bsvc ~tag:"blk.write"
+    (Svc.traced "adaptor.blk.write" (handle_write t));
   t
 
 let svc t = t.bsvc

@@ -70,11 +70,6 @@ let handle_load _t svc d =
 (* Continuation-style kernel invocation: no reply; success or error is
    signaled by invoking one of the two Request arguments verbatim. *)
 let handle_invoke t svc d =
-  Obs.Span.with_
-    ~node:(Svc.proc svc).State.pnode.Net.Node.name
-    ~attrs:[ ("cat", "device") ]
-    ~name:"adaptor.gpu.invoke"
-  @@ fun () ->
   let fail_to cont code =
     match
       Api.request_derive (Svc.proc svc) cont ~imms:[ Args.of_int code ] ()
@@ -167,7 +162,8 @@ let start proc gpu =
   Svc.handle asvc ~tag:"gpu.alloc" (handle_alloc t);
   Svc.handle asvc ~tag:"gpu.load" (handle_load t);
   Svc.handle asvc ~tag:"gpu.free" (handle_free t);
-  Svc.handle asvc ~tag:"gpu.invoke" (handle_invoke t);
+  Svc.handle asvc ~tag:"gpu.invoke"
+    (Svc.traced "adaptor.gpu.invoke" (handle_invoke t));
   Svc.handle asvc ~tag:"gpu.push" (handle_push t);
   t
 

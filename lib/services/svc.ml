@@ -46,6 +46,12 @@ let create proc =
 let proc t = t.sproc
 let handle t ~tag h = Hashtbl.replace t.handlers tag h
 
+let traced name h t d =
+  if Obs.Span.enabled () then
+    Obs.Span.with_ ~node:t.sproc.State.pnode.Net.Node.name ~name (fun () ->
+        h t d)
+  else h t d
+
 let call t ~svc ?(imms = []) ?(caps = []) ?timeout () =
   t.next_call <- t.next_call + 1;
   let tag = Printf.sprintf "~r%d.%d" (State.(t.sproc.pid)) t.next_call in

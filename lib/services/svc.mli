@@ -30,6 +30,16 @@ val handle : t -> tag:string -> (t -> Core.State.delivery -> unit) -> unit
     handler in its own fiber (handlers may block on devices or nested
     calls). *)
 
+val traced :
+  string ->
+  (t -> Core.State.delivery -> unit) ->
+  t ->
+  Core.State.delivery ->
+  unit
+(** [traced name h] is handler [h] run inside span [name] on the
+    service's node. With spans off it is a direct call that allocates
+    nothing. *)
+
 val call :
   t ->
   svc:Core.Api.cid ->

@@ -28,14 +28,6 @@ let contains ~sub s =
 (* Critical-path breakdown                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_category_names_roundtrip () =
-  List.iter
-    (fun c ->
-      match Obs.Analysis.category_of_string (Obs.Analysis.category_name c) with
-      | Some c' -> check_bool "roundtrip" true (c = c')
-      | None -> Alcotest.failf "no parse for %s" (Obs.Analysis.category_name c))
-    Obs.Analysis.categories
-
 (* A hand-built request tree with known critical-path attribution:
 
      request  [0,100]                     (root; own time -> client)
@@ -79,16 +71,42 @@ let test_breakdown_golden () =
       (List.length (String.split_on_char ',' (csv_row b)))
   | l -> Alcotest.failf "expected 1 breakdown, got %d" (List.length l)
 
-(* An explicit ("cat", _) attribute overrides the name-prefix mapping. *)
-let test_breakdown_cat_override () =
-  with_spans @@ fun () ->
-  Sim.Engine.run (fun () ->
-      Obs.Span.with_ ~node:"app" ~name:"request" (fun () ->
-          Obs.Span.with_ ~node:"ssd" ~name:"blk.op"
-            ~attrs:[ ("cat", "device") ] (fun () -> Sim.Engine.sleep 40)));
-  match Obs.Analysis.analyze ~root_name:"request" () with
-  | [ b ] -> check_int "override -> device" 40 (Obs.Analysis.get b Obs.Analysis.Device)
-  | l -> Alcotest.failf "expected 1 breakdown, got %d" (List.length l)
+(* One taxonomy: Analysis's category and Timeline's resource row both
+   follow Span.layer, adaptor spans included. *)
+let test_span_taxonomy () =
+  List.iter
+    (fun (name, cat, row) ->
+      let sp =
+        {
+          Obs.Span.sp_id = 1;
+          sp_parent = 0;
+          sp_name = name;
+          sp_node = "n";
+          sp_kind = Obs.Span.Complete;
+          sp_start = 0;
+          sp_end = 1;
+          sp_finished = true;
+          sp_attrs = [];
+        }
+      in
+      check_bool (name ^ " category") true
+        (Obs.Analysis.category_of_span sp = cat);
+      match Obs.Timeline.row_of_span sp with
+      | Some r ->
+        Alcotest.(check string)
+          (name ^ " row") (row ^ "@n") (Obs.Timeline.resource_of r)
+      | None -> Alcotest.failf "%s: no timeline row" name)
+    Obs.Analysis.
+      [
+        ("ctrl.invoke", Ctrl, "ctrl");
+        ("ctrl.copy.chunk", Ctrl, "copy");
+        ("fabric.xfer", Fabric, "fabric");
+        ("gpu.exec", Device, "gpu");
+        ("nvme.read", Device, "nvme");
+        ("adaptor.blk.read", Device, "device");
+        ("adaptor.gpu.invoke", Device, "device");
+        ("request", Client, "client");
+      ]
 
 (* A real 2-node scenario: pa invokes a delegated service request owned
    by pb's controller, then runs a third-party cross-node memory_copy —
@@ -244,7 +262,7 @@ let test_audit_ring_eviction () =
   Tb.run (fun _ ->
       with_audit @@ fun () ->
       Obs.Audit.set_capacity 8;
-      Fun.protect ~finally:(fun () -> Obs.Audit.set_capacity 65536)
+      Fun.protect ~finally:(fun () -> Obs.Audit.set_capacity (1 lsl 20))
       @@ fun () ->
       for i = 1 to 20 do
         Obs.Audit.record ~node:"n" ~kind:Obs.Audit.Mint ~ctrl:1 ~epoch:0
@@ -363,12 +381,10 @@ let () =
     [
       ( "breakdown",
         [
-          Alcotest.test_case "category names roundtrip" `Quick
-            test_category_names_roundtrip;
           Alcotest.test_case "golden synthetic tree" `Quick
             test_breakdown_golden;
-          Alcotest.test_case "cat attribute override" `Quick
-            test_breakdown_cat_override;
+          Alcotest.test_case "span taxonomy shared with timeline" `Quick
+            test_span_taxonomy;
           Alcotest.test_case "delegated invoke + copy" `Quick
             test_breakdown_real_scenario;
         ] );

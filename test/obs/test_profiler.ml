@@ -44,6 +44,8 @@ let test_json_rejects () =
     (Result.is_error (Obs.Json.parse "{} x"));
   check_bool "bare word" true (Result.is_error (Obs.Json.parse "nope"));
   check_bool "unterminated" true (Result.is_error (Obs.Json.parse "{\"a\": "));
+  check_bool "unknown escape" true
+    (Result.is_error (Obs.Json.parse {|{"source": "x\q"}|}));
   check_bool "missing file" true
     (Result.is_error (Obs.Json.of_file "/nonexistent/x.json"))
 
@@ -51,14 +53,13 @@ let test_json_rejects () =
 (* Timeline                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let row ?(queued = 0) ?cat ~name ~node ~s ~e () =
+let row ?(queued = 0) ~name ~node ~s ~e () =
   {
     Obs.Timeline.r_name = name;
     r_node = node;
     r_start = s;
     r_end = e;
     r_queued = queued;
-    r_cat = cat;
   }
 
 let test_timeline_resources () =
@@ -72,8 +73,8 @@ let test_timeline_resources () =
     (Obs.Timeline.resource_of { r with r_name = "gpu.exec" });
   check_str "client fallback" "client@snic"
     (Obs.Timeline.resource_of { r with r_name = "request" });
-  check_str "cat override" "device@snic"
-    (Obs.Timeline.resource_of { r with r_name = "svc.work"; r_cat = Some "device" });
+  check_str "adaptor charts as its device" "device@snic"
+    (Obs.Timeline.resource_of { r with r_name = "adaptor.blk.read" });
   check_str "unattributed node" "ctrl@-"
     (Obs.Timeline.resource_of { r with r_node = "" })
 
@@ -103,10 +104,7 @@ let test_timeline_intervals () =
   check_int "fabric busy excludes queued head" 60 fab.Obs.Timeline.rs_busy;
   check_int "fabric queued" 40 fab.Obs.Timeline.rs_queued;
   check_int "heatmap width = buckets" 10
-    (String.length (Obs.Timeline.heatmap ctrl));
-  let csv = Obs.Timeline.to_csv t in
-  check_bool "csv header" true (contains ~sub:Obs.Timeline.csv_header csv);
-  check_bool "csv has ctrl row" true (contains ~sub:"ctrl@snic,2,150," csv)
+    (String.length (Obs.Timeline.heatmap ctrl))
 
 let test_timeline_row_of_span () =
   let sp id name finished kind s e attrs =
@@ -247,6 +245,19 @@ let test_gate_emit_roundtrip () =
   match Obs.Gate.check ~baseline:j ~fresh () with
   | Ok g -> check_bool "inflated baseline fails" false g.Obs.Gate.r_pass
   | Error e -> Alcotest.fail e
+
+(* The digest is JSON for any source name: non-ASCII bytes and control
+   characters survive emit -> parse unchanged. *)
+let test_gate_emit_escapes () =
+  let source = "BENCH_\xc3\xa9\t\"q\"\\\x01.json" in
+  let digest =
+    Obs.Gate.emit_string ~source ~tolerance:0.10 [ ("m\n", 1.0) ]
+  in
+  let j = parse digest in
+  check_str "source" source
+    (Option.value ~default:"" (Obs.Json.string_at [ "source" ] j));
+  check_bool "metric name" true
+    (Obs.Json.number_at [ "metrics"; "m\n" ] j = Some 1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Diff                                                                *)
@@ -447,6 +458,8 @@ let () =
           Alcotest.test_case "check" `Quick test_gate_check;
           Alcotest.test_case "emit roundtrip + negative" `Quick
             test_gate_emit_roundtrip;
+          Alcotest.test_case "emit escapes non-ASCII and controls" `Quick
+            test_gate_emit_escapes;
         ] );
       ( "diff",
         [

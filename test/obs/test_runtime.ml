@@ -24,7 +24,6 @@ let with_journal ?(capacity = 16_384) f =
   Fun.protect
     ~finally:(fun () ->
       Obs.Journal.set_enabled false;
-      Obs.Journal.set_min_severity Obs.Journal.Debug;
       Obs.Journal.set_capacity 16_384;
       Obs.Journal.reset ())
     f
@@ -57,26 +56,17 @@ let test_journal_ring_overflow () =
       check_int "summary a" 3 (List.assoc "a" (Obs.Journal.summary ()));
       check_int "summary b" 4 (List.assoc "b" (Obs.Journal.summary ())))
 
-let test_journal_severity_filter () =
-  with_journal @@ fun () ->
-  Sim.Engine.run (fun () ->
-      Obs.Journal.set_min_severity Obs.Journal.Warn;
-      let evaluated = ref false in
-      Obs.Journal.record_lazy ~node:"n" ~sev:Obs.Journal.Debug ~kind:"quiet"
-        ~detail:(fun () ->
-          evaluated := true;
-          "never")
-        ();
-      check_bool "suppressed detail not built" false !evaluated;
-      check_int "suppressed" 1 (Obs.Journal.suppressed ());
-      check_int "not retained" 0 (Obs.Journal.count ());
-      Obs.Journal.record_lazy ~node:"n" ~sev:Obs.Journal.Error ~kind:"loud"
-        ~detail:(fun () ->
-          evaluated := true;
-          "kept")
-        ();
-      check_bool "stored detail built" true !evaluated;
-      check_int "retained" 1 (Obs.Journal.count ()));
+let test_journal_lazy_detail () =
+  with_journal (fun () ->
+      Sim.Engine.run (fun () ->
+          let evaluated = ref false in
+          Obs.Journal.record_lazy ~node:"n" ~sev:Obs.Journal.Error ~kind:"loud"
+            ~detail:(fun () ->
+              evaluated := true;
+              "kept")
+            ();
+          check_bool "stored detail built" true !evaluated;
+          check_int "retained" 1 (Obs.Journal.count ())));
   (* disabled: record sites are inert and build nothing *)
   Obs.Journal.set_enabled false;
   Obs.Journal.reset ();
@@ -279,8 +269,7 @@ let () =
         [
           Alcotest.test_case "ring overflow accounting" `Quick
             test_journal_ring_overflow;
-          Alcotest.test_case "severity filter and lazy detail" `Quick
-            test_journal_severity_filter;
+          Alcotest.test_case "lazy detail" `Quick test_journal_lazy_detail;
         ] );
       ( "openmetrics",
         [ Alcotest.test_case "label escaping" `Quick test_escape_label ] );

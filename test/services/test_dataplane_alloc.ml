@@ -71,7 +71,7 @@ let words_per_batch ~n =
       (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
       /. float_of_int n)
 
-(* Measured at 24 545 words per batch (x86-64, OCaml 5.1), plus ~25 %
+(* Measured at 24 536 words per batch (x86-64, OCaml 5.1), plus ~25 %
    headroom; the same harness measures 47 390 with a copy of the payload
    at the NVMe model, the block adaptor and the kernel. *)
 let budget = 30_700.
