@@ -32,12 +32,6 @@ let name = "loadcurve"
 let tiny = ref false
 let json_path = ref "BENCH_loadcurve.json"
 
-(* --top: render a live Obs.Dashboard (stderr) during every saturation
-   run. The dashboard fiber only reads the metrics registry, so the
-   measured goodput must not move by more than noise — asserted by the
-   @obs-smoke alias. *)
-let top = ref false
-
 (* ------------------------------------------------------------------ *)
 (* Part 1: face-verification service, FractOS vs baseline              *)
 (* ------------------------------------------------------------------ *)
@@ -147,21 +141,13 @@ let saturation_point ~fast ~rate ~n =
       (match Api.request_invoke client svc with
       | Ok () -> ()
       | Error e -> failwith (Fractos_core.Error.to_string e));
-      let dash =
-        if !top then
-          Some (Fractos_obs.Dashboard.start ~interval:(Time.us 200) ())
-        else None
-      in
       let rng = Prng.create ~seed:11 in
       let ok = ref 0 and err = ref 0 in
       let s =
-        Fun.protect
-          ~finally:(fun () -> Option.iter Fractos_obs.Dashboard.stop dash)
-          (fun () ->
-            Loadgen.run_open_loop ~rng ~rate_per_s:rate ~n (fun _ ->
-                match Retry.run (fun () -> Api.request_invoke client svc) with
-                | Ok () -> incr ok
-                | Error _ -> incr err))
+        Loadgen.run_open_loop ~rng ~rate_per_s:rate ~n (fun _ ->
+            match Retry.run (fun () -> Api.request_invoke client svc) with
+            | Ok () -> incr ok
+            | Error _ -> incr err)
       in
       let elapsed_s = Time.to_us_f s.Loadgen.elapsed /. 1e6 in
       {

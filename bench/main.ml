@@ -155,9 +155,6 @@ let () =
       Exp_cluster.tiny := true;
       Exp_pd.tiny := true;
       extract_loadcurve acc rest
-    | "--top" :: rest ->
-      Exp_loadcurve.top := true;
-      extract_loadcurve acc rest
     | a :: rest -> extract_loadcurve (a :: acc) rest
     | [] -> List.rev acc
   in

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Repo health check: no dead Net.Config knobs, exports or modules, build,
-# tests, formatting (if ocamlformat is installed) and the smoke runs
-# (trace / breakdown / seeded chaos gate — including the chaos seed
-# battery byte-diffed across domains=1 and domains=4 — / audit; see
-# bin/smoke.sh and bin/chaos.sh).
+# Repo health check: no dead Net.Config knobs, exports, optional
+# arguments or modules, build, tests, formatting (if ocamlformat is
+# installed) and the smoke runs (trace / breakdown / seeded chaos gate —
+# including the chaos seed battery byte-diffed across domains=1 and
+# domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh).
 # Run from the repo root:
 # ./bin/check.sh
 # The same checks are wired as a dune alias: dune build @check
@@ -47,6 +47,23 @@ for mli in $(find lib -name '*.mli' | sort); do
 done
 [ "$dead" = 0 ]
 
+echo "== dead optional arguments"
+# Every `?label:` of a lib/**/*.mli must be passed as `~label` or `?label`
+# by some .ml under lib bin bench benchmark test examples other than the
+# module's own .ml; an optional argument no caller sets is a dead knob.
+dead=0
+for mli in $(find lib -name '*.mli' | sort); do
+  ml=${mli%.mli}.ml
+  for l in $(grep -o '?[a-z_][A-Za-z0-9_]*:' "$mli" | tr -d '?:' | sort -u); do
+    if ! grep -rlE --include='*.ml' "[~?]$l\b" \
+         lib bin bench benchmark test examples | grep -Fvxq "$ml"; then
+      echo "dead optional argument: $mli: ?$l is never passed outside $ml"
+      dead=1
+    fi
+  done
+done
+[ "$dead" = 0 ]
+
 echo "== dead modules"
 # Every lib/**/<m>.ml must be referenced as a module (`M.`, `open M`,
 # `include M` or an alias `= M`) by some .ml under lib bin bench benchmark
@@ -82,7 +99,7 @@ sh bin/smoke.sh _build/default/bin/fractos.exe _build/default/bench/main.exe
 
 sh bin/bench_smoke.sh _build/default/bench/main.exe
 
-sh bin/obs_smoke.sh _build/default/bin/fractos.exe _build/default/bench/main.exe
+sh bin/obs_smoke.sh _build/default/bin/fractos.exe
 
 sh bin/bench_gate.sh _build/default/bin/fractos.exe _build/default/bench/main.exe
 

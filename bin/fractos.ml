@@ -3,7 +3,6 @@
    Subcommands:
      fractos run        end-to-end face-verification scenario
      fractos primitives core-primitive latencies (null op, RPC, copy)
-     fractos census     network-traffic census, FractOS vs baseline
      fractos chaos      seeded fault injection against real workloads
      fractos config     print the fabric/device calibration constants *)
 
@@ -55,12 +54,6 @@ let requests =
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
 
-let trace =
-  Arg.(
-    value & opt (some int) None
-    & info [ "trace" ] ~docv:"N"
-        ~doc:"Print the first $(docv) network messages of the run.")
-
 let trace_json =
   Arg.(
     value & opt (some string) None
@@ -105,20 +98,6 @@ let journal_cap =
     & info [ "journal-cap" ] ~docv:"N"
         ~doc:"Flight-recorder ring capacity; overflow drops the oldest \
               events and is counted per severity.")
-
-let slo_flag =
-  Arg.(
-    value & flag
-    & info [ "slo" ]
-        ~doc:"Track a latency/error SLO over the request stream and print \
-              the multi-window burn-rate report after the run.")
-
-let top_flag =
-  Arg.(
-    value & flag
-    & info [ "top" ]
-        ~doc:"Render a periodic live dashboard (goodput, sheds, backlogs, \
-              SLO burn) to stderr while the run progresses.")
 
 let artifacts_dir =
   Arg.(
@@ -204,8 +183,8 @@ let run_pd_cmd placement requests seed =
         (Time.to_string (mean !totals))
         (List.length !totals) requests)
 
-let run_faceverify_cmd placement batch requests seed trace trace_json metrics
-    breakdown audit journal journal_cap slo top artifacts =
+let run_faceverify_cmd placement batch requests seed trace_json metrics
+    breakdown audit journal journal_cap artifacts =
   let img_size = 4096 and n_images = 4096 in
   (* artifact capture needs the journal recording even when the user did
      not ask for the post-mortem dump *)
@@ -223,7 +202,6 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
     Obs.Journal.set_enabled true
   end;
   Tb.run (fun tb ->
-      let recorder = Fractos_net.Trace.recorder () in
       let c = Cluster.make ~placement ~extent_size:(n_images * img_size) tb in
       let db = Facedata.db ~img_size ~n:n_images in
       ok_exn
@@ -245,57 +223,28 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
         Obs.Span.reset ();
         Obs.Span.set_enabled true
       end;
-      if trace <> None then
-        Net.Fabric.set_tracer tb.Tb.fabric
-          (Some (Net.Trace.record recorder));
-      let slo_t =
-        if not slo then None
-        else
-          Some
-            (Obs.Slo.create (Obs.Slo.make ~latency:(Time.ms 1) "request"))
-      in
-      let dash =
-        if not top then None
-        else
-          Some
-            (Obs.Dashboard.start ~interval:(Time.us 200)
-               ?slos:(Option.map (fun s -> [ s ]) slo_t)
-               ())
-      in
-      (* the dashboard's final frame must render even if a request dies *)
-      Fun.protect
-        ~finally:(fun () -> Option.iter Obs.Dashboard.stop dash)
-        (fun () ->
-          for r = 1 to requests do
-            let start_id = Prng.int rng (n_images - batch) in
-            let probes =
-              Facedata.probe_batch ~img_size ~start_id ~batch
-                ~impostor_every:5
-            in
-            let t0 = Engine.now () in
-            let flags =
-              Obs.Span.with_ ~node:"app" ~name:"request"
-                ~attrs:[ ("id", string_of_int r) ]
-                (fun () ->
-                  ok_exn (Faceverify.verify fv ~start_id ~batch ~probes))
-            in
-            let latency = Engine.now () - t0 in
-            Option.iter (fun s -> Obs.Slo.observe s ~latency ~ok:true) slo_t;
-            let matches =
-              Bytes.fold_left
-                (fun acc c -> if c = '\001' then acc + 1 else acc)
-                0 flags
-            in
-            Format.printf "  request %2d: ids %5d..%5d  %2d/%2d genuine  %s@."
-              r start_id
-              (start_id + batch - 1)
-              matches batch (Time.to_string latency)
-          done);
-      (match slo_t with
-      | Some s ->
-        ignore (Obs.Slo.check s);
-        Format.printf "@.%a" Obs.Slo.pp_report s
-      | None -> ());
+      for r = 1 to requests do
+        let start_id = Prng.int rng (n_images - batch) in
+        let probes =
+          Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:5
+        in
+        let t0 = Engine.now () in
+        let flags =
+          Obs.Span.with_ ~node:"app" ~name:"request"
+            ~attrs:[ ("id", string_of_int r) ]
+            (fun () -> ok_exn (Faceverify.verify fv ~start_id ~batch ~probes))
+        in
+        let latency = Engine.now () - t0 in
+        let matches =
+          Bytes.fold_left
+            (fun acc c -> if c = '\001' then acc + 1 else acc)
+            0 flags
+        in
+        Format.printf "  request %2d: ids %5d..%5d  %2d/%2d genuine  %s@." r
+          start_id
+          (start_id + batch - 1)
+          matches batch (Time.to_string latency)
+      done;
       Format.printf "@.%a@." Net.Stats.pp_census
         (Net.Stats.census (Cluster.stats c));
       if metrics then Format.printf "@.%a" Obs.Metrics.pp ();
@@ -358,12 +307,7 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
       (match artifacts with
       | Some dir ->
         Obs.Span.set_enabled false;
-        let extra =
-          match slo_t with
-          | Some s -> [ ("slo.txt", Format.asprintf "%a" Obs.Slo.pp_report s) ]
-          | None -> []
-        in
-        Obs.Artifacts.save ~extra ~dir
+        Obs.Artifacts.save ~dir
           ~meta:
             [
               ("scenario", "run");
@@ -375,21 +319,15 @@ let run_faceverify_cmd placement batch requests seed trace trace_json metrics
             ]
           ();
         Format.printf "@.saved run artifacts to %s/@." dir
-      | None -> ());
-      match trace with
-      | Some n ->
-        Format.printf "@.first %d network messages:@." n;
-        Net.Trace.pp_timeline ~skip_local:true ~limit:n Format.std_formatter
-          recorder
-      | None -> ())
+      | None -> ()))
 
-let run_cmd workload placement batch requests seed trace trace_json metrics
-    breakdown audit journal journal_cap slo top artifacts =
+let run_cmd workload placement batch requests seed trace_json metrics
+    breakdown audit journal journal_cap artifacts =
   match workload with
   | "pd" -> run_pd_cmd placement requests seed
   | "faceverify" ->
-    run_faceverify_cmd placement batch requests seed trace trace_json metrics
-      breakdown audit journal journal_cap slo top artifacts
+    run_faceverify_cmd placement batch requests seed trace_json metrics
+      breakdown audit journal journal_cap artifacts
   | w ->
     Format.eprintf "fractos run: unknown workload %S (faceverify or pd)@." w;
     exit 2
@@ -445,92 +383,6 @@ let primitives_cmd placement =
         Core.Controller.pp_memory_report
         (Core.Controller.memory_report sb.Tb.ctrl))
 
-(* ---------------- census ------------------------------------------- *)
-
-let census_cmd batch =
-  let img_size = 4096 and n_images = 4096 and requests = 6 in
-  let module Dev = Fractos_device in
-  let module B = Fractos_baselines in
-  let cfg = Net.Config.default in
-  let fractos () =
-    Tb.run (fun tb ->
-        let c = Cluster.make ~extent_size:(n_images * img_size) tb in
-        let db = Facedata.db ~img_size ~n:n_images in
-        ok_exn
-          (Faceverify.populate_db c.Cluster.app ~fs:c.Cluster.fs_cap
-             ~name:"facedb" ~content:db);
-        let fv =
-          ok_exn
-            (Faceverify.setup c.Cluster.app ~fs:c.Cluster.fs_cap
-               ~gpu_alloc:c.Cluster.gpu_alloc_cap
-               ~gpu_load:c.Cluster.gpu_load_cap ~db_name:"facedb" ~img_size
-               ~max_batch:batch ~depth:1)
-        in
-        let rng = Prng.create ~seed:3 in
-        Net.Stats.reset (Cluster.stats c);
-        let t0 = Engine.now () in
-        for _ = 1 to requests do
-          let start_id = Prng.int rng (n_images - batch) in
-          let probes =
-            Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:0
-          in
-          ignore (ok_exn (Faceverify.verify fv ~start_id ~batch ~probes))
-        done;
-        ( Net.Stats.census (Cluster.stats c),
-          (Engine.now () - t0) / requests ))
-  in
-  let baseline () =
-    Engine.run (fun () ->
-        let fab = Net.Fabric.create () in
-        let frontend =
-          Net.Fabric.add_node fab ~name:"frontend" Net.Node.Host_cpu
-        in
-        let nfs_server = Net.Fabric.add_node fab ~name:"nfs" Net.Node.Host_cpu in
-        let target = Net.Fabric.add_node fab ~name:"target" Net.Node.Wimpy_cpu in
-        let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
-        let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 30) in
-        let gpu =
-          Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 30)
-        in
-        Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
-        let db = Facedata.db ~img_size ~n:n_images in
-        let fv =
-          Result.get_ok
-            (B.Faceverify_baseline.setup ~fabric:fab ~frontend ~nfs_server ~ssd
-               ~gpu ~db ~img_size ~max_batch:batch ~depth:1)
-        in
-        let rng = Prng.create ~seed:3 in
-        Net.Stats.reset (Net.Fabric.stats fab);
-        let t0 = Engine.now () in
-        for _ = 1 to requests do
-          let start_id = Prng.int rng (n_images - batch) in
-          let probes =
-            Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:0
-          in
-          ignore
-            (Result.get_ok
-               (B.Faceverify_baseline.verify fv ~start_id ~batch ~probes))
-        done;
-        ( Net.Stats.census (Net.Fabric.stats fab),
-          (Engine.now () - t0) / requests ))
-  in
-  let fr, fr_lat = fractos () in
-  let bl, bl_lat = baseline () in
-  let pr name (c : Net.Stats.census) lat =
-    Format.printf
-      "%-20s msgs/req %-4d data-msgs/req %-4d bytes/req %-8d latency %s@." name
-      (c.net_messages / requests)
-      (c.net_data_messages / requests)
-      (c.net_bytes / requests) (Time.to_string lat)
-  in
-  Format.printf "traffic census, batch %d, %d requests:@." batch requests;
-  pr "FractOS" fr fr_lat;
-  pr "baseline" bl bl_lat;
-  Format.printf "reduction: %.1fx messages, %.1fx bytes, %.0f%% faster@."
-    (float_of_int bl.net_messages /. float_of_int fr.net_messages)
-    (float_of_int bl.net_bytes /. float_of_int fr.net_bytes)
-    ((Time.to_us_f bl_lat /. Time.to_us_f fr_lat -. 1.) *. 100.)
-
 (* ---------------- chaos -------------------------------------------- *)
 
 (* --seeds accepts "A-B" (inclusive range) or "a,b,c". *)
@@ -552,7 +404,7 @@ let parse_seeds s =
     with _ -> bad ())
 
 let chaos_cmd seed seeds domains faults workload clients requests journal
-    journal_cap sample_keep sample_threshold_us slo top =
+    journal_cap sample_keep sample_threshold_us =
   let module F = Fractos_fault in
   let spec =
     match F.Spec.of_string faults with
@@ -596,13 +448,8 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
       Obs.Journal.set_capacity journal_cap;
       Obs.Journal.set_enabled true
     end;
-    let slo =
-      if not slo then None
-      else Some (Obs.Slo.create (Obs.Slo.make ~latency:(Time.ms 1) "chaos"))
-    in
     let report =
-      F.Chaos.run ~clients ~requests ~workload ?sampling ?slo ~top ~spec
-        ~seed ()
+      F.Chaos.run ~clients ~requests ~workload ?sampling ~spec ~seed ()
     in
     List.iter (fun l -> line "%s" l) (F.Chaos.to_lines report);
     (if sampling <> None then begin
@@ -649,78 +496,6 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
         if not ok then all_ok := false)
       seeds outputs;
     if not !all_ok then exit 1
-
-(* ---------------- top ----------------------------------------------- *)
-
-(* A self-contained live-dashboard scenario: a SmartNIC-placed controller
-   with a bounded request queue, driven past saturation by an open-loop
-   invoke workload, with the flight recorder, an SLO tracker and the
-   periodic dashboard all on — the quickest way to watch admission
-   control, burn rates and journal events interact. *)
-let top_cmd rate requests seed interval_us =
-  let module F = Fractos_fault in
-  let module Loadgen = Fractos_workloads.Loadgen in
-  Obs.Metrics.reset ();
-  Obs.Journal.reset ();
-  Obs.Journal.set_enabled true;
-  let config =
-    { Net.Config.default with ctrl_batch = 8; ctrl_queue_bound = 256 }
-  in
-  let slo =
-    Obs.Slo.create
-      (Obs.Slo.make ~latency:(Time.us 100) ~latency_goal:0.9
-         ~windows:[ Time.us 500; Time.ms 2 ] "invoke")
-  in
-  Tb.run ~config (fun tb ->
-      let host = Tb.add_host tb "host" in
-      let ctrl = Tb.add_snic_ctrl tb ~host in
-      let server = Tb.add_proc tb ~on:host ~ctrl "server" in
-      let client = Tb.add_proc tb ~on:host ~ctrl "client" in
-      Engine.spawn (fun () ->
-          let rec loop () =
-            ignore (Core.Api.receive server);
-            loop ()
-          in
-          loop ());
-      let svc = ok_exn (Core.Api.request_create server ~tag:"svc" ()) in
-      let svc = Tb.grant ~src:server ~dst:client svc in
-      ok_exn (Core.Api.request_invoke client svc);
-      Format.printf
-        "fractos top: %d invokes at %.0fk req/s offered (snic controller, \
-         queue bound %d)@."
-        requests (rate /. 1e3) config.Net.Config.ctrl_queue_bound;
-      let dash =
-        Obs.Dashboard.start
-          ~interval:(Time.us interval_us)
-          ~out:Format.std_formatter ~slos:[ slo ] ()
-      in
-      let rng = Prng.create ~seed in
-      let ok = ref 0 and err = ref 0 in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> Obs.Dashboard.stop dash)
-          (fun () ->
-            Loadgen.run_open_loop ~rng ~rate_per_s:rate ~n:requests (fun _ ->
-                let t0 = Engine.now () in
-                let r =
-                  F.Retry.run (fun () -> Core.Api.request_invoke client svc)
-                in
-                (match r with Ok () -> incr ok | Error _ -> incr err);
-                Obs.Slo.observe slo
-                  ~latency:(Engine.now () - t0)
-                  ~ok:(Result.is_ok r)))
-      in
-      ignore (Obs.Slo.check slo);
-      Format.printf "@.%d ok, %d failed, p99 %s@." !ok !err
-        (Time.to_string s.Loadgen.p99);
-      Format.printf "@.%a" Obs.Slo.pp_report slo;
-      Obs.Journal.set_enabled false;
-      let drops = Obs.Journal.overflowed () in
-      Format.printf "@.journal: %d events recorded, %d retained, %d dropped@."
-        (Obs.Journal.recorded ()) (Obs.Journal.count ()) drops;
-      List.iter
-        (fun (kind, n) -> Format.printf "  %-24s %d@." kind n)
-        (Obs.Journal.summary ()))
 
 (* ---------------- config ------------------------------------------- *)
 
@@ -973,8 +748,8 @@ let run_t =
           prefill/decode inference with --workload pd)")
     Term.(
       const run_cmd $ run_workload $ placement $ batch $ requests $ seed
-      $ trace $ trace_json $ metrics $ breakdown $ audit $ journal
-      $ journal_cap $ slo_flag $ top_flag $ artifacts_dir)
+      $ trace_json $ metrics $ breakdown $ audit $ journal $ journal_cap
+      $ artifacts_dir)
 
 let analyze_t =
   let dir =
@@ -1118,11 +893,6 @@ let primitives_t =
     (Cmd.info "primitives" ~doc:"Time core FractOS primitives")
     Term.(const primitives_cmd $ placement)
 
-let census_t =
-  Cmd.v
-    (Cmd.info "census" ~doc:"Traffic census (see bench/main.exe -- fig2)")
-    Term.(const census_cmd $ batch)
-
 let chaos_t =
   let faults =
     Arg.(
@@ -1185,31 +955,7 @@ let chaos_t =
     Term.(
       const chaos_cmd $ seed $ seeds $ domains $ faults $ workload $ clients
       $ chaos_requests $ journal $ journal_cap $ sample_keep
-      $ sample_threshold_us $ slo_flag $ top_flag)
-
-let top_t =
-  let rate =
-    Arg.(
-      value & opt float 900_000.
-      & info [ "rate" ] ~docv:"RPS"
-          ~doc:"Offered open-loop load in requests per second.")
-  in
-  let top_requests =
-    Arg.(
-      value & opt int 2000
-      & info [ "n"; "requests" ] ~docv:"N" ~doc:"Total requests to offer.")
-  in
-  let interval_us =
-    Arg.(
-      value & opt int 200
-      & info [ "interval-us" ] ~docv:"US"
-          ~doc:"Dashboard refresh interval in simulated microseconds.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:"Live dashboard over a saturating invoke workload (goodput, \
-             sheds, backlogs, SLO burn, journal)")
-    Term.(const top_cmd $ rate $ top_requests $ seed $ interval_us)
+      $ sample_threshold_us)
 
 let config_t =
   Cmd.v
@@ -1227,8 +973,8 @@ let main =
     (Cmd.info "fractos" ~version:"1.0.0"
        ~doc:"FractOS distributed-OS simulator (EuroSys'22 reproduction)")
     [
-      run_t; primitives_t; census_t; chaos_t; top_t; config_t; topology_t;
-      analyze_t; diff_t; gate_t;
+      run_t; primitives_t; chaos_t; config_t; topology_t; analyze_t; diff_t;
+      gate_t;
     ]
 
 let () = exit (Cmd.eval main)

@@ -22,6 +22,11 @@ val to_int : imm -> int
 (** 8-byte little-endian integer. [to_int] raises [Invalid_argument] on a
     wrong-size immediate. *)
 
+val is_int : imm -> bool
+(** [is_int b] holds iff [b] is an 8-byte int immediate, so [to_int b]
+    cannot raise. Service handlers guard their argument matches with it:
+    a malformed immediate from a client gets an error reply. *)
+
 val of_string : string -> imm
 val to_string : imm -> string
 

@@ -52,7 +52,6 @@ type report = {
   r_audit_digest : string;
   r_end_time : Sim.Time.t;
   r_sampling : sampling_summary option;
-  r_slo : string list option;
   r_journal : (string * int) list option;
 }
 
@@ -84,7 +83,7 @@ let policy =
   }
 
 let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
-    ?slo ?(top = false) ~spec ~seed () =
+    ~spec ~seed () =
   (* Reset process-global state so chaos runs are independent of whatever
      ran earlier in the same process (in-process determinism). *)
   Core.Controller.reset_ids ();
@@ -112,7 +111,6 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
   let violations = ref [] in
   let viol fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let plan_lines = ref [] in
-  let slo_lines = ref None in
   let ctrl_summary = ref [] in
   let end_time = ref 0 in
   let is_fs_client k =
@@ -411,13 +409,6 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
          (* Drive the clients. *)
          let master = Sim.Prng.create ~seed:(seed lxor 0x107a05) in
          let rngs = Array.init clients (fun _ -> Sim.Prng.split master) in
-         let dash =
-           if not top then None
-           else
-             Some
-               (Obs.Dashboard.start ~interval:(Sim.Time.us 200)
-                  ?slos:(Option.map (fun s -> [ s ]) slo) ())
-         in
          let req_hist = Obs.Metrics.histogram ~node:"" "chaos.request" in
          let one_request k i =
            let dispatch () =
@@ -430,79 +421,62 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
                  if is_fs_client k then do_fs k rngs.(k) i
                  else do_fv rngs.(k) i
            in
-           if sampling = None && slo = None then dispatch ()
-           else begin
-             (* one root span per request so the sampler has a trace id to
-                retain and the journal/SLO events correlate to it *)
-             let t_start = Sim.Engine.now () in
-             let root =
-               Obs.Span.start ~parent:0 ~name:"chaos.request"
-                 ~attrs:[ ("idx", string_of_int i) ]
-                 ()
-             in
-             let saved = Sim.Engine.get_ctx () in
-             Sim.Engine.set_ctx root;
-             let r =
-               Fun.protect
-                 ~finally:(fun () ->
-                   Sim.Engine.set_ctx saved;
-                   Obs.Span.finish root)
-                 dispatch
-             in
-             let latency = Sim.Engine.now () - t_start in
-             let ok = match r with Ok () -> true | Error _ -> false in
-             Obs.Metrics.observe req_hist latency;
-             (if sampling <> None then
-                let outcome =
-                  match r with
-                  | Ok () -> Obs.Sampler.Ok_
-                  | Error Core.Error.Overloaded -> Obs.Sampler.Shed
-                  | Error e -> Obs.Sampler.Err (Core.Error.to_string e)
-                in
-                ignore
-                  (Obs.Sampler.observe ~trace:root ~latency ~outcome
-                     ~hist:"chaos.request" ()));
-             Option.iter (fun s -> Obs.Slo.observe s ~latency ~ok) slo;
-             r
-           end
+           match sampling with
+           | None -> dispatch ()
+           | Some _ ->
+               (* one root span per request so the sampler has a trace id to
+                  retain and the journal events correlate to it *)
+               let t_start = Sim.Engine.now () in
+               let root =
+                 Obs.Span.start ~parent:0 ~name:"chaos.request"
+                   ~attrs:[ ("idx", string_of_int i) ]
+                   ()
+               in
+               let saved = Sim.Engine.get_ctx () in
+               Sim.Engine.set_ctx root;
+               let r =
+                 Fun.protect
+                   ~finally:(fun () ->
+                     Sim.Engine.set_ctx saved;
+                     Obs.Span.finish root)
+                   dispatch
+               in
+               let latency = Sim.Engine.now () - t_start in
+               Obs.Metrics.observe req_hist latency;
+               let outcome =
+                 match r with
+                 | Ok () -> Obs.Sampler.Ok_
+                 | Error Core.Error.Overloaded -> Obs.Sampler.Shed
+                 | Error e -> Obs.Sampler.Err (Core.Error.to_string e)
+               in
+               ignore
+                 (Obs.Sampler.observe ~trace:root ~latency ~outcome
+                    ~hist:"chaos.request" ());
+               r
          in
-         (* the dashboard's final frame must render even if the drive
-            loop dies *)
-         Fun.protect
-           ~finally:(fun () -> Option.iter Obs.Dashboard.stop dash)
-           (fun () ->
-             let wg = Sim.Waitgroup.create () in
-             for k = 0 to clients - 1 do
-               Sim.Waitgroup.spawn wg (fun () ->
-                   let idx = ref k in
-                   while !idx < requests do
-                     let i = !idx in
-                     results.(i) <- Some (one_request k i);
-                     idx := i + clients
-                   done)
-             done;
-             Sim.Waitgroup.wait wg;
-             (* Quiesce: stop injecting, let late reboots/cleanups land.
-                The margin also covers the placement-lease expiry (2x
-                peer_ack_timeout), so Invariants can assert that every
-                lease was confirmed or reclaimed. *)
-             Inject.disable tb.Tb.fabric;
-             let lease =
-               2
-               * (match config with
-                 | Some c -> c.Net.Config.peer_ack_timeout
-                 | None -> Net.Config.default.Net.Config.peer_ack_timeout)
-             in
-             Sim.Engine.sleep (spec.Spec.s_horizon + lease + Sim.Time.ms 2));
-         (match slo with
-         | Some s ->
-             ignore (Obs.Slo.check s);
-             (* render inside the engine: the report needs Engine.now *)
-             slo_lines :=
-               Some
-                 (String.split_on_char '\n'
-                    (String.trim (Format.asprintf "%a" Obs.Slo.pp_report s)))
-         | None -> ());
+         let wg = Sim.Waitgroup.create () in
+         for k = 0 to clients - 1 do
+           Sim.Waitgroup.spawn wg (fun () ->
+               let idx = ref k in
+               while !idx < requests do
+                 let i = !idx in
+                 results.(i) <- Some (one_request k i);
+                 idx := i + clients
+               done)
+         done;
+         Sim.Waitgroup.wait wg;
+         (* Quiesce: stop injecting, let late reboots/cleanups land. The
+            margin also covers the placement-lease expiry (2x
+            peer_ack_timeout), so Invariants can assert that every lease
+            was confirmed or reclaimed. *)
+         Inject.disable tb.Tb.fabric;
+         let lease =
+           2
+           * (match config with
+             | Some c -> c.Net.Config.peer_ack_timeout
+             | None -> Net.Config.default.Net.Config.peer_ack_timeout)
+         in
+         Sim.Engine.sleep (spec.Spec.s_horizon + lease + Sim.Time.ms 2);
          let inv =
            Invariants.check ~ctrls:tb.Tb.ctrls ~plan:pl ~install_time:t0 ()
          in
@@ -588,7 +562,6 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
     r_audit_digest = audit_digest;
     r_end_time = !end_time;
     r_sampling = sampling_summary;
-    r_slo = !slo_lines;
     r_journal =
       (if Obs.Journal.enabled () || Obs.Journal.recorded () > 0 then
          Some
@@ -651,9 +624,6 @@ let to_lines r =
         ^ String.concat " "
             (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) kvs);
       ])
-  @ (match r.r_slo with
-    | None -> []
-    | Some lines -> List.map (fun l -> if l = "" then l else "slo| " ^ l) lines)
   @
   if r.r_violations = [] then [ "result: OK" ]
   else

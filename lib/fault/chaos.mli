@@ -74,8 +74,6 @@ type report = {
   r_end_time : Sim.Time.t;  (** simulated instant the run settled *)
   r_sampling : sampling_summary option;
       (** present iff [run] was given [~sampling] *)
-  r_slo : string list option;
-      (** rendered {!Obs.Slo.pp_report} lines, present iff [~slo] *)
   r_journal : (string * int) list option;
       (** flight-recorder accounting — recorded/held/overflowed totals
           plus per-severity overflow counts — present iff the journal
@@ -88,8 +86,6 @@ val run :
   ?workload:workload ->
   ?config:Net.Config.t ->
   ?sampling:Sim.Time.t * float ->
-  ?slo:Obs.Slo.t ->
-  ?top:bool ->
   spec:Spec.t ->
   seed:int ->
   unit ->
@@ -107,9 +103,7 @@ val run :
     for exemplars), and unretained span trees are pruned before the
     report is built. Every errored/shed/over-threshold trace survives; at
     most [ceil (keep * healthy)] healthy ones do, deterministically per
-    seed. [slo] feeds every request into the given tracker (checked once
-    at quiescence). [top] renders an {!Obs.Dashboard} every 200us of
-    simulated time while the run progresses. *)
+    seed. *)
 
 val passed : report -> bool
 (** [r.r_violations = []]. *)

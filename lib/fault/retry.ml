@@ -23,7 +23,7 @@ let backoff policy ~attempt =
     min !d policy.p_backoff_cap
   end
 
-let default_retryable = function
+let retryable = function
   | Core.Error.Timeout | Core.Error.Ctrl_unreachable | Core.Error.Stale
   | Core.Error.Provider_dead | Core.Error.Overloaded ->
       true
@@ -48,15 +48,13 @@ let with_timeout ~timeout f =
     | Some r -> r
     | None -> Error Core.Error.Timeout
 
-let run ?(policy = default) ?(retryable = default_retryable)
-    ?(refresh = fun _ -> ()) ?(on_retry = fun ~attempt:_ _ -> ()) f =
+let run ?(policy = default) ?(refresh = fun _ -> ()) f =
   let attempts = max 1 policy.p_attempts in
   let rec go attempt =
     let r = with_timeout ~timeout:policy.p_timeout f in
     match r with
     | Ok _ -> r
     | Error e when attempt < attempts && retryable e ->
-        on_retry ~attempt e;
         (if Obs.Journal.enabled () then
            Obs.Journal.record_lazy ~node:"" ~sev:Obs.Journal.Info ~kind:"retry"
              ~detail:(fun () ->

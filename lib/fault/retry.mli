@@ -21,7 +21,7 @@ val backoff : policy -> attempt:int -> Sim.Time.t
 (** [backoff p ~attempt] is the sleep inserted after failed attempt
     [attempt] (1-based): [base * 2^(attempt-1)] capped at [p_backoff_cap]. *)
 
-val default_retryable : Core.Error.t -> bool
+val retryable : Core.Error.t -> bool
 (** [Timeout], [Ctrl_unreachable], [Stale], [Provider_dead] and
     [Overloaded] (backpressure shed — the queue will drain) are retryable;
     everything else is permanent. *)
@@ -38,17 +38,15 @@ val with_timeout :
 
 val run :
   ?policy:policy ->
-  ?retryable:(Core.Error.t -> bool) ->
   ?refresh:(Core.Error.t -> unit) ->
-  ?on_retry:(attempt:int -> Core.Error.t -> unit) ->
   (unit -> ('a, Core.Error.t) result) ->
   ('a, Core.Error.t) result
 (** [run f] retries [f] per [policy] (default {!default}). After a
-    retryable error: [refresh] is called (e.g. to re-acquire capabilities
-    after [Stale]), then the backoff sleep, then the next attempt.
-    [on_retry] observes each retry decision. Returns the first [Ok] or the
-    last error once attempts are exhausted or a non-retryable error
-    appears. Never raises on a typed failure. *)
+    {!retryable} error: [refresh] is called (e.g. to re-acquire
+    capabilities after [Stale]), then the backoff sleep, then the next
+    attempt. Returns the first [Ok] or the last error once attempts are
+    exhausted or a non-retryable error appears. Never raises on a typed
+    failure. *)
 
 val retries : unit -> int
 (** Process-wide count of retry sleeps performed since {!reset_counters} —

@@ -22,9 +22,6 @@ val config : t -> Config.t
 
 val stats : t -> Stats.t
 
-val set_tracer : t -> (Trace.event -> unit) option -> unit
-(** Install (or remove) a message tracer; see {!Trace}. *)
-
 (** {2 Fault injection}
 
     A fault hook is consulted once per {!send}, in deterministic message

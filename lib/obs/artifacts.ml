@@ -69,7 +69,7 @@ let journal_digest_string () =
     (List.sort compare (Journal.summary ()));
   Buffer.contents b
 
-let save ?(extra = []) ~dir ~meta () =
+let save ~dir ~meta () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let p name = Filename.concat dir name in
   write_file (p meta_file)
@@ -82,8 +82,7 @@ let save ?(extra = []) ~dir ~meta () =
   write_file (p spans_file) (spans_csv_string ());
   write_file (p journal_file) (journal_digest_string ());
   let tl = Timeline.of_spans () in
-  write_file (p timeline_file) (Format.asprintf "%a" Timeline.pp tl);
-  List.iter (fun (name, content) -> write_file (p name) content) extra
+  write_file (p timeline_file) (Format.asprintf "%a" Timeline.pp tl)
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)

@@ -17,14 +17,12 @@ val journal_file : string
 val timeline_file : string
 
 val spans_csv_header : string
-(** [name,node,start_ns,end_ns,q_ns,cat] *)
+(** [name,node,start_ns,end_ns,q_ns] *)
 
-val save :
-  ?extra:(string * string) list -> dir:string -> meta:(string * string) list -> unit -> unit
+val save : dir:string -> meta:(string * string) list -> unit -> unit
 (** Snapshot the live registries (metrics, histograms, spans, journal,
-    breakdown, timeline) into [dir], creating it if needed. [extra]
-    adds caller-provided [(filename, content)] pairs (e.g. an SLO
-    report). Must run where the collectors were populated. *)
+    breakdown, timeline) into [dir], creating it if needed. Must run
+    where the collectors were populated. *)
 
 type hist = {
   h_node : string;

@@ -2,20 +2,26 @@
 
     The benches are seed-deterministic, so their [--tiny] variants
     yield stable headline numbers suitable for a CI gate: knee goodput
-    per variant from [BENCH_loadcurve.json], and headline
+    per variant from [BENCH_loadcurve.json], headline
     serial/pipelined bandwidth plus speedup from [BENCH_copybw.json],
-    and per-shard-count knee goodput from [BENCH_cluster.json].
+    per-shard-count knee goodput from [BENCH_cluster.json], and
+    goodput per mode, decode count and KV size from [BENCH_pd.json].
     All gated metrics are higher-is-better; a fresh run passes when
     every baseline metric reaches [>= (1 - tolerance)] of its committed
     value. Improvements beyond [+tolerance] still pass but are called
-    out so the baseline gets re-emitted and the gate tightens. *)
+    out so the baseline gets re-emitted and the gate tightens.
+
+    [Gate] stays apart from {!Diff} because the two compare different
+    inputs by different rules: [Gate] applies a one-sided floor to bench
+    JSON, while [Diff] applies a two-sided significance test to artifact
+    directories. *)
 
 val default_tolerance : float
 (** [0.10] *)
 
 val extract : Json.t -> ((string * float) list, string) result
 (** Pull the gated metrics out of a bench JSON, dispatching on its
-    ["experiment"] field ([loadcurve], [copybw] or [cluster]). *)
+    ["experiment"] field ([loadcurve], [copybw], [cluster] or [pd]). *)
 
 val metrics_of_baseline : Json.t -> ((string * float) list, string) result
 (** A baseline is either an {!emit_string}-produced digest (read from

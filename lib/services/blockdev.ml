@@ -36,7 +36,7 @@ let fail_cont svc caps code =
 
 let handle_create t svc d =
   match d.State.d_imms with
-  | [ size ] -> (
+  | [ size ] when Args.is_int size -> (
     let size = Args.to_int size in
     match Device.Nvme.create_volume t.ssd ~size with
     | Error _ -> Svc.reply svc d ~status:1 ()
@@ -58,7 +58,8 @@ let handle_create t svc d =
 
 let handle_read t svc d =
   match (d.State.d_imms, d.State.d_caps) with
-  | [ vol; off; len ], (dst_mem :: next :: _ as caps) -> (
+  | [ vol; off; len ], (dst_mem :: next :: _ as caps)
+    when Args.is_int vol && Args.is_int off && Args.is_int len -> (
     let vol = Args.to_int vol
     and off = Args.to_int off
     and len = Args.to_int len in
@@ -85,7 +86,8 @@ let handle_read t svc d =
 
 let handle_write t svc d =
   match (d.State.d_imms, d.State.d_caps) with
-  | [ vol; off; len ], (src_mem :: next :: _ as caps) -> (
+  | [ vol; off; len ], (src_mem :: next :: _ as caps)
+    when Args.is_int vol && Args.is_int off && Args.is_int len -> (
     let vol = Args.to_int vol
     and off = Args.to_int off
     and len = Args.to_int len in

@@ -116,7 +116,7 @@ let parts ~extent_size ~off ~len =
 
 let handle_create t svc d =
   match d.State.d_imms with
-  | [ name; size ] -> (
+  | [ name; size ] when Args.is_int size -> (
     let name = Args.to_string name and size = Args.to_int size in
     if Hashtbl.mem t.files name then Svc.reply svc d ~status:3 ()
     else begin
@@ -142,7 +142,7 @@ let handle_create t svc d =
 
 let handle_open t svc d =
   match d.State.d_imms with
-  | [ name; mode ] -> (
+  | [ name; mode ] when Args.is_int mode -> (
     let name = Args.to_string name and mode = Args.to_int mode in
     match Hashtbl.find_opt t.files name with
     | None -> Svc.reply svc d ~status:1 ()
@@ -204,7 +204,8 @@ let fail_cont svc caps code =
    the client's Memory capability. *)
 let handle_read t svc d =
   match (d.State.d_imms, d.State.d_caps) with
-  | [ fid; off; len ], (dst_mem :: next :: _ as caps) -> (
+  | [ fid; off; len ], (dst_mem :: next :: _ as caps)
+    when Args.is_int fid && Args.is_int off && Args.is_int len -> (
     let fid = Args.to_int fid
     and off = Args.to_int off
     and len = Args.to_int len in
@@ -284,7 +285,8 @@ let handle_read t svc d =
    Memory and continuation — the FS leaves the data path entirely. *)
 let handle_write t svc d =
   match (d.State.d_imms, d.State.d_caps) with
-  | [ fid; off; len ], (src_mem :: next :: _ as caps) -> (
+  | [ fid; off; len ], (src_mem :: next :: _ as caps)
+    when Args.is_int fid && Args.is_int off && Args.is_int len -> (
     let fid = Args.to_int fid
     and off = Args.to_int off
     and len = Args.to_int len in

@@ -21,7 +21,7 @@ let ok_exn = Error.ok_exn
 
 let handle_alloc t svc d =
   match d.State.d_imms with
-  | [ size ] -> (
+  | [ size ] when Args.is_int size -> (
     let size = Args.to_int size in
     match Device.Gpu.alloc t.gpu size with
     | Error _ -> Svc.reply svc d ~status:1 ()
@@ -41,7 +41,7 @@ let handle_alloc t svc d =
 
 let handle_free t svc d =
   match d.State.d_imms with
-  | [ handle ] -> (
+  | [ handle ] when Args.is_int handle -> (
     let handle = Args.to_int handle in
     match Hashtbl.find_opt t.buffers handle with
     | Some buf ->
@@ -78,7 +78,9 @@ let handle_invoke t svc d =
     | Error _ -> ()
   in
   match (d.State.d_imms, d.State.d_caps) with
-  | kname :: items :: nbufs :: rest, [ success_cont; error_cont ] -> (
+  | kname :: items :: nbufs :: rest, [ success_cont; error_cont ]
+    when Args.is_int items && Args.is_int nbufs
+         && List.for_all Args.is_int rest -> (
     let items = Args.to_int items and nbufs = Args.to_int nbufs in
     let rec split n xs =
       if n = 0 then ([], xs)
@@ -125,7 +127,8 @@ let handle_push t svc d =
     | _ -> Logs.warn (fun m -> m "gpu.push failed with code %d" code)
   in
   match (d.State.d_imms, d.State.d_caps) with
-  | [ handle; len ], (dst :: next :: _ as caps) -> (
+  | [ handle; len ], (dst :: next :: _ as caps)
+    when Args.is_int handle && Args.is_int len -> (
     let handle = Args.to_int handle and len = Args.to_int len in
     match
       (Hashtbl.find_opt t.buffers handle, Hashtbl.find_opt t.buffer_mems handle)

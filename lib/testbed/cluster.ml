@@ -24,7 +24,7 @@ type t = {
 }
 
 let make ?(placement = Testbed.Ctrl_cpu) ?(extent_size = 1 lsl 20)
-    ?(write_through = false) ?(cache = false) ?(gpu_kernels = []) tb =
+    ?(write_through = false) ?(cache = false) tb =
   let config = Net.Fabric.config tb.Testbed.fabric in
   (* Two-tier storage, as in the paper: the FS service and the NVMe SSD
      are on different nodes, so FS-mode reads cost two network data
@@ -57,7 +57,6 @@ let make ?(placement = Testbed.Ctrl_cpu) ?(extent_size = 1 lsl 20)
     Device.Gpu.create ~node:s_gpu.Testbed.node ~config ~mem_bytes:(1 lsl 32)
   in
   Device.Gpu.load_kernel gpu (Services.Faceverify.kernel ~config);
-  List.iter (Device.Gpu.load_kernel gpu) gpu_kernels;
   let blk = Services.Blockdev.start blk_proc ssd in
   let gpu_adaptor = Services.Gpu_adaptor.start gpu_proc gpu in
   let fs =

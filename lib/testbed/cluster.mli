@@ -35,11 +35,10 @@ val make :
   ?extent_size:int ->
   ?write_through:bool ->
   ?cache:bool ->
-  ?gpu_kernels:Device.Gpu.kernel list ->
   Testbed.t ->
   t
 (** Build the cluster. Default placement is one host-CPU Controller per
-    node; default extent size 1 MiB. [gpu_kernels] are loaded into the GPU
-    at bring-up (the face-verification kernel is always loaded). *)
+    node; default extent size 1 MiB. The GPU comes up with the
+    face-verification kernel loaded. *)
 
 val stats : t -> Net.Stats.t

@@ -32,6 +32,11 @@ module Router = Services.Router
 let policy = Router.Least_loaded
 let router_slack = 4
 
+(* Compute model of one instance's GPU engine: the prompt pass costs
+   500 ns per prompt token, and each decode iteration 15 us. *)
+let prefill_ns_per_token = 500
+let decode_ns_per_iter = Sim.Time.us 15
+
 let prefill_tag = "pd.prefill"
 let decode_tag = "pd.decode"
 let unified_tag = "pd.unified"
@@ -84,8 +89,6 @@ type t = {
   p_decode : instance array; (* [||] when unified *)
   p_prefill_router : Router.t;
   p_decode_router : Router.t; (* = p_prefill_router when unified *)
-  p_prefill_ns_per_token : Sim.Time.t;
-  p_decode_ns_per_iter : Sim.Time.t;
 }
 
 let prefill_instances t = Array.length t.p_prefill
@@ -110,21 +113,21 @@ let fire proc cont ~status =
    rather than kill its fiber. *)
 let nth_int_opt imms i =
   match List.nth_opt imms i with
-  | Some imm when Bytes.length imm = 8 -> Some (Core.Args.to_int imm)
+  | Some imm when Core.Args.is_int imm -> Some (Core.Args.to_int imm)
   | _ -> None
 
 (* Prefill: prompt pass on the engine, then register the KV state on this
    pool and hand it to the decode continuation (the delivery's only
    capability — Svc.reply derives and invokes it, appending the status and
    the KV capability). *)
-let prefill_handler pool inst svc (d : Core.State.delivery) =
+let prefill_handler inst svc (d : Core.State.delivery) =
   let proc = Svc.proc svc in
   match
     (nth_int_opt d.Core.State.d_imms 0, nth_int_opt d.Core.State.d_imms 1)
   with
   | Some prompt_len, Some kv_len when prompt_len > 0 && kv_len > 0 -> (
       Sim.Resource.use inst.i_engine
-        ~duration:(prompt_len * pool.p_prefill_ns_per_token);
+        ~duration:(prompt_len * prefill_ns_per_token);
       let kv_buf = Core.Process.alloc proc kv_len in
       match Core.Api.memory_create proc kv_buf Core.Perms.ro with
       | Ok kv -> Svc.reply svc d ~status:0 ~caps:[ kv ] ()
@@ -136,7 +139,7 @@ let prefill_handler pool inst svc (d : Core.State.delivery) =
    iterations: first token fires the TTFT continuation, the last fires the
    completion continuation. A failed pull forwards the typed status on
    both continuations so the client sees it whichever it awaits first. *)
-let decode_handler pool inst svc (d : Core.State.delivery) =
+let decode_handler inst svc (d : Core.State.delivery) =
   let proc = Svc.proc svc in
   let imms = d.Core.State.d_imms in
   let kv_len = Option.value ~default:0 (nth_int_opt imms 0) in
@@ -156,12 +159,11 @@ let decode_handler pool inst svc (d : Core.State.delivery) =
           match Core.Api.memory_copy proc ~src:kv ~dst with
           | Error e -> fail first_c done_c (status_of_error e)
           | Ok () ->
-              Sim.Resource.use inst.i_engine
-                ~duration:pool.p_decode_ns_per_iter;
+              Sim.Resource.use inst.i_engine ~duration:decode_ns_per_iter;
               fire proc first_c ~status:0;
               if iters > 1 then
                 Sim.Resource.use inst.i_engine
-                  ~duration:((iters - 1) * pool.p_decode_ns_per_iter);
+                  ~duration:((iters - 1) * decode_ns_per_iter);
               fire proc done_c ~status:0))
   | first_c :: done_c :: _ ->
       fail first_c done_c (if status = 0 then 6 else status)
@@ -169,7 +171,7 @@ let decode_handler pool inst svc (d : Core.State.delivery) =
 
 (* Unified baseline: the whole request on one instance — prompt pass,
    KV state stays resident (no registration hop, no copy), decode. *)
-let unified_handler pool inst svc (d : Core.State.delivery) =
+let unified_handler inst svc (d : Core.State.delivery) =
   let proc = Svc.proc svc in
   let imms = d.Core.State.d_imms in
   let prompt_len = max 1 (Option.value ~default:1 (nth_int_opt imms 0)) in
@@ -177,12 +179,12 @@ let unified_handler pool inst svc (d : Core.State.delivery) =
   match d.Core.State.d_caps with
   | [ first_c; done_c ] ->
       Sim.Resource.use inst.i_engine
-        ~duration:(prompt_len * pool.p_prefill_ns_per_token);
-      Sim.Resource.use inst.i_engine ~duration:pool.p_decode_ns_per_iter;
+        ~duration:(prompt_len * prefill_ns_per_token);
+      Sim.Resource.use inst.i_engine ~duration:decode_ns_per_iter;
       fire proc first_c ~status:0;
       if iters > 1 then
         Sim.Resource.use inst.i_engine
-          ~duration:((iters - 1) * pool.p_decode_ns_per_iter);
+          ~duration:((iters - 1) * decode_ns_per_iter);
       fire proc done_c ~status:0
   | _ -> ()
 
@@ -209,8 +211,7 @@ let make_instance tb ~role i (s : Tb.node_setup) =
     i_backlog = 0;
   }
 
-let deploy_generic tb ~split ?(prefill_ns_per_token = 500)
-    ?(decode_ns_per_iter = Sim.Time.us 15) ~prefill ~decode () =
+let deploy_generic tb ~split ~prefill ~decode =
   let mk role setups =
     Array.of_list (List.mapi (fun i s -> make_instance tb ~role i s) setups)
   in
@@ -230,32 +231,28 @@ let deploy_generic tb ~split ?(prefill_ns_per_token = 500)
       p_prefill_router = prefill_router;
       p_decode_router =
         (if split then router decode_arr else prefill_router);
-      p_prefill_ns_per_token = prefill_ns_per_token;
-      p_decode_ns_per_iter = decode_ns_per_iter;
     }
   in
   Array.iter
     (fun inst ->
       if split then
-        Svc.handle inst.i_svc ~tag:prefill_tag (prefill_handler pool inst)
-      else Svc.handle inst.i_svc ~tag:unified_tag (unified_handler pool inst))
+        Svc.handle inst.i_svc ~tag:prefill_tag (prefill_handler inst)
+      else Svc.handle inst.i_svc ~tag:unified_tag (unified_handler inst))
     prefill_arr;
   Array.iter
     (fun inst ->
-      Svc.handle inst.i_svc ~tag:decode_tag (decode_handler pool inst))
+      Svc.handle inst.i_svc ~tag:decode_tag (decode_handler inst))
     decode_arr;
   pool
 
-let deploy tb ?prefill_ns_per_token ?decode_ns_per_iter ~prefill ~decode () =
+let deploy tb ~prefill ~decode () =
   if prefill = [] || decode = [] then
     invalid_arg "Pd.deploy: need at least one prefill and one decode setup";
-  deploy_generic tb ~split:true ?prefill_ns_per_token ?decode_ns_per_iter
-    ~prefill ~decode ()
+  deploy_generic tb ~split:true ~prefill ~decode
 
-let deploy_unified tb ?prefill_ns_per_token ?decode_ns_per_iter ~nodes () =
+let deploy_unified tb ~nodes () =
   if nodes = [] then invalid_arg "Pd.deploy_unified: need at least one node";
-  deploy_generic tb ~split:false ?prefill_ns_per_token ?decode_ns_per_iter
-    ~prefill:nodes ~decode:[] ()
+  deploy_generic tb ~split:false ~prefill:nodes ~decode:[]
 
 type client = {
   c_svc : Svc.t;

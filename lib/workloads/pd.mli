@@ -31,8 +31,6 @@ type t
 
 val deploy :
   Tb.t ->
-  ?prefill_ns_per_token:Sim.Time.t ->
-  ?decode_ns_per_iter:Sim.Time.t ->
   prefill:Tb.node_setup list ->
   decode:Tb.node_setup list ->
   unit ->
@@ -46,8 +44,6 @@ val deploy :
 
 val deploy_unified :
   Tb.t ->
-  ?prefill_ns_per_token:Sim.Time.t ->
-  ?decode_ns_per_iter:Sim.Time.t ->
   nodes:Tb.node_setup list ->
   unit ->
   t

@@ -393,56 +393,41 @@ let test_endpoint_dedups_duplicates () =
       check_int "later messages still flow" 2 (Endpoint.pending ep))
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                              *)
+(* Message trace: the fabric.xfer span                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The fabric.xfer span is the per-message record: who sent how many
+   bytes of which class to whom, over which path, and when it arrived. *)
 let test_trace_records_sends () =
+  let module Span = Fractos_obs.Span in
+  Span.reset ();
+  Span.set_enabled true;
   with_fabric (fun fab ->
       let a, b, _ = three_nodes fab in
-      let rec_ = Trace.recorder () in
-      Fabric.set_tracer fab (Some (Trace.record rec_));
       Fabric.transfer fab ~src:a ~dst:b ~cls:Stats.Data ~size:100 ();
       Fabric.transfer fab ~src:a ~dst:a ~size:10 ();
-      Fabric.set_tracer fab None;
-      Fabric.transfer fab ~src:a ~dst:b ~size:10 ();
-      let evs = Trace.events rec_ in
-      check_int "two traced" 2 (List.length evs);
-      match evs with
-      | [ e1; e2 ] ->
-        Alcotest.(check string) "src" "a" e1.Trace.ev_src;
-        Alcotest.(check string) "dst" "b" e1.Trace.ev_dst;
-        check_int "bytes" 100 e1.Trace.ev_bytes;
-        check_bool "network" false e1.Trace.ev_local;
-        check_bool "loopback flagged local" true e2.Trace.ev_local
-      | _ -> Alcotest.fail "unexpected events")
-
-let test_trace_bounded () =
-  with_fabric (fun fab ->
-      let a, b, _ = three_nodes fab in
-      let rec_ = Trace.recorder ~limit:5 () in
-      Fabric.set_tracer fab (Some (Trace.record rec_));
-      for _ = 1 to 12 do
-        Fabric.transfer fab ~src:a ~dst:b ~size:1 ()
-      done;
-      check_int "kept at most limit" 5 (Trace.count rec_);
-      check_int "dropped the rest" 7 (Trace.dropped rec_))
-
-let test_trace_arrivals () =
-  with_fabric (fun fab ->
-      let a, b, _ = three_nodes fab in
-      let rec_ = Trace.recorder ~arrivals:true () in
-      Fabric.set_tracer fab (Some (Trace.record rec_));
-      Fabric.transfer fab ~src:a ~dst:b ~cls:Stats.Data ~size:100 ();
-      Fabric.set_tracer fab None;
-      match Trace.events rec_ with
-      | [ dep; arr ] ->
-        check_bool "depart first" true (dep.Trace.ev_kind = Trace.Depart);
-        check_bool "arrive second" true (arr.Trace.ev_kind = Trace.Arrive);
-        check_bool "arrival is later" true (arr.Trace.ev_time > dep.Trace.ev_time);
-        Alcotest.(check string) "same src" dep.Trace.ev_src arr.Trace.ev_src;
-        check_int "same bytes" dep.Trace.ev_bytes arr.Trace.ev_bytes;
-        check_int "no drops" 0 (Trace.dropped rec_)
-      | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs))
+      Span.set_enabled false;
+      Fabric.transfer fab ~src:a ~dst:b ~size:10 ());
+  let xfers =
+    List.filter (fun s -> s.Span.sp_name = "fabric.xfer") (Span.all ())
+  in
+  Span.reset ();
+  check_int "two traced" 2 (List.length xfers);
+  let attr s k =
+    Option.value ~default:"" (List.assoc_opt k s.Span.sp_attrs)
+  in
+  match xfers with
+  | [ e1; e2 ] ->
+    Alcotest.(check string) "src" "a" (attr e1 "src");
+    Alcotest.(check string) "dst" "b" (attr e1 "dst");
+    Alcotest.(check string) "bytes" "100" (attr e1 "bytes");
+    Alcotest.(check string) "cls" "data" (attr e1 "cls");
+    Alcotest.(check string) "network" "false" (attr e1 "local");
+    check_bool "delivery after post" true (e1.Span.sp_end > e1.Span.sp_start);
+    Alcotest.(check string) "loopback dst" "a" (attr e2 "dst");
+    Alcotest.(check string) "loopback cls" "ctrl" (attr e2 "cls");
+    Alcotest.(check string) "loopback flagged local" "true" (attr e2 "local")
+  | _ -> Alcotest.fail "unexpected spans"
 
 (* ------------------------------------------------------------------ *)
 (* Utilization                                                        *)
@@ -569,8 +554,6 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "records sends" `Quick test_trace_records_sends;
-          Alcotest.test_case "bounded" `Quick test_trace_bounded;
-          Alcotest.test_case "arrivals opt-in" `Quick test_trace_arrivals;
         ] );
       ( "utilization",
         [

@@ -1,8 +1,8 @@
 (* Tests for the what-if profiler stack and artifact tooling: the JSON
    reader, per-resource timeline interval math and resource mapping,
    Whatif ranking determinism, the bench regression gate, the artifact
-   differ, the dashboard's guaranteed final frame, and the generational
-   Metrics.reset / OpenMetrics exposition interaction. *)
+   differ, and the generational Metrics.reset / OpenMetrics exposition
+   interaction. *)
 
 module Sim = Fractos_sim
 module Obs = Fractos_obs
@@ -374,28 +374,6 @@ let test_diff_appeared_vanished () =
   check_bool "both-zero hists quiet" false (Obs.Diff.significant q)
 
 (* ------------------------------------------------------------------ *)
-(* Dashboard final frame                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_dashboard_final_frame () =
-  Obs.Metrics.reset ();
-  let buf = Buffer.create 256 in
-  let fmt = Format.formatter_of_buffer buf in
-  Sim.Engine.run (fun () ->
-      let d = Obs.Dashboard.start ~interval:(Sim.Time.ms 1) ~out:fmt () in
-      (* quiesce well before the first tick: the run is shorter than one
-         interval, so only the guaranteed final frame can appear *)
-      Sim.Engine.sleep (Sim.Time.us 10);
-      Obs.Dashboard.stop d;
-      check_int "exactly one frame" 1 (Obs.Dashboard.ticks d);
-      Obs.Dashboard.stop d;
-      check_int "stop is idempotent" 1 (Obs.Dashboard.ticks d));
-  Format.pp_print_flush fmt ();
-  let out = Buffer.contents buf in
-  check_bool "frame rendered" true (contains ~sub:"[top] t=" out);
-  check_bool "final frame marked" true (contains ~sub:" fin" out)
-
-(* ------------------------------------------------------------------ *)
 (* Generational Metrics.reset x OpenMetrics exposition                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -466,11 +444,6 @@ let () =
           Alcotest.test_case "significance" `Quick test_diff_significance;
           Alcotest.test_case "appeared/vanished" `Quick
             test_diff_appeared_vanished;
-        ] );
-      ( "dashboard",
-        [
-          Alcotest.test_case "guaranteed final frame" `Quick
-            test_dashboard_final_frame;
         ] );
       ( "metrics",
         [

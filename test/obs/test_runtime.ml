@@ -2,8 +2,7 @@
    the journal flight recorder (ring overflow and severity accounting),
    OpenMetrics label-value escaping, the tail-based sampler (retention
    invariants, head-sampling bound, determinism — both in isolation and
-   across two identical chaos runs), and SLO burn-rate window math at
-   the exact window boundary. *)
+   across two identical chaos runs). *)
 
 module Sim = Fractos_sim
 module Obs = Fractos_obs
@@ -201,66 +200,6 @@ let test_chaos_sampling_deterministic () =
   check_bool "something was sampled" true (kept_a <> [])
 
 (* ------------------------------------------------------------------ *)
-(* SLO burn-rate windows                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_slo_burn_math () =
-  Sim.Engine.run (fun () ->
-      let t =
-        Obs.Slo.create
-          (Obs.Slo.make ~latency:(Sim.Time.us 10) ~latency_goal:0.9
-             ~error_goal:1.0
-             ~windows:[ Sim.Time.us 100 ]
-             "burn")
-      in
-      (* 10 samples, 2 over the latency threshold: bad fraction 0.2
-         against a 0.1 budget = burn 2.0 *)
-      for i = 1 to 10 do
-        let latency = Sim.Time.us (if i <= 2 then 50 else 1) in
-        Obs.Slo.observe t ~latency ~ok:true
-      done;
-      (match Obs.Slo.report t with
-      | [ r ] ->
-        check_int "samples" 10 r.Obs.Slo.w_samples;
-        Alcotest.(check (float 1e-9)) "latency burn" 2.0 r.Obs.Slo.w_latency_burn;
-        Alcotest.(check (float 1e-9)) "error burn" 0.0 r.Obs.Slo.w_error_burn
-      | rs -> Alcotest.failf "expected 1 window, got %d" (List.length rs));
-      (* zero error budget (goal = 1.0) and a failure: infinite burn *)
-      Obs.Slo.observe t ~latency:(Sim.Time.us 1) ~ok:false;
-      match Obs.Slo.report t with
-      | [ r ] ->
-        check_bool "zero-budget violation burns infinitely" true
-          (r.Obs.Slo.w_error_burn = infinity)
-      | _ -> Alcotest.fail "expected 1 window")
-
-let test_slo_window_boundary () =
-  Sim.Engine.run (fun () ->
-      let w = Sim.Time.us 100 in
-      let t =
-        Obs.Slo.create
-          (Obs.Slo.make ~latency:(Sim.Time.us 10) ~latency_goal:0.9
-             ~error_goal:0.99 ~windows:[ w ] "edge")
-      in
-      Sim.Engine.sleep (Sim.Time.us 7);
-      Obs.Slo.observe t ~latency:(Sim.Time.us 50) ~ok:true;
-      let samples_in_window () =
-        match Obs.Slo.report t with
-        | [ r ] -> r.Obs.Slo.w_samples
-        | _ -> Alcotest.fail "expected 1 window"
-      in
-      check_int "visible at its own instant" 1 (samples_in_window ());
-      Sim.Engine.sleep (w - 1);
-      check_int "still inside at now - w + 1" 1 (samples_in_window ());
-      (* the window is half-open: a sample aged exactly w is outside *)
-      Sim.Engine.sleep 1;
-      check_int "excluded at exactly now - w" 0 (samples_in_window ());
-      (* eviction: the next observation drops samples older than the
-         longest window from the deque entirely *)
-      Obs.Slo.observe t ~latency:(Sim.Time.us 1) ~ok:true;
-      check_int "old sample evicted" 1 (Obs.Slo.samples t);
-      check_int "total is cumulative" 2 (Obs.Slo.total t))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "fractos_obs_runtime"
@@ -281,11 +220,5 @@ let () =
             test_sampler_deterministic;
           Alcotest.test_case "chaos same-seed determinism" `Quick
             test_chaos_sampling_deterministic;
-        ] );
-      ( "slo",
-        [
-          Alcotest.test_case "burn-rate math" `Quick test_slo_burn_math;
-          Alcotest.test_case "half-open window boundary" `Quick
-            test_slo_window_boundary;
         ] );
     ]

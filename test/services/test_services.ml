@@ -206,6 +206,17 @@ let test_gpu_adaptor_negative_alloc () =
       | Ok _ -> Alcotest.fail "negative alloc succeeded");
       check_int "gpu mem untouched" (1 lsl 30) (Dev.Gpu.mem_free_bytes c.gpu))
 
+(* An untrusted client's wrong-size integer immediate takes the malformed
+   reply (status 2) instead of raising inside the adaptor. *)
+let bad_int = Bytes.make 4 '\001'
+
+let test_gpu_adaptor_malformed_alloc () =
+  Tb.run (fun tb ->
+      let c, _ = make_cluster tb in
+      let d = ok_exn (Svc.call c.app ~svc:c.c_gpu_alloc ~imms:[ bad_int ] ()) in
+      check_int "malformed status" 2 (Svc.status d);
+      check_int "gpu mem untouched" (1 lsl 30) (Dev.Gpu.mem_free_bytes c.gpu))
+
 let test_gpu_adaptor_negative_push () =
   Tb.run (fun tb ->
       let c, _ = make_cluster tb in
@@ -457,6 +468,28 @@ let test_blockdev_negative_volume () =
       check_bool "volume A untouched" true
         (Bytes.equal rbuf.Membuf.data (Bytes.make 4096 '\000')))
 
+let test_blockdev_malformed_imm () =
+  Tb.run (fun tb ->
+      let c, _ = make_cluster tb in
+      let d =
+        ok_exn (Svc.call c.app ~svc:c.c_create_vol ~imms:[ bad_int ] ())
+      in
+      check_int "create: malformed status" 2 (Svc.status d);
+      let vol =
+        ok_exn (Blockdev.create_vol c.app ~create_req:c.c_create_vol ~size:4096)
+      in
+      let proc = Svc.proc c.app in
+      let dst = ok_exn (Api.memory_create proc (Process.alloc proc 64) Perms.rw) in
+      let ok, d =
+        ok_exn
+          (Svc.call_cont c.app ~svc:vol.Blockdev.read_req
+             ~imms:[ bad_int; Args.of_int 64 ]
+             ~place:(fun ~ok ~err -> [ dst; ok; err ])
+             ())
+      in
+      check_bool "read: error path taken" false ok;
+      check_int "read: malformed code" 4 (Svc.status d))
+
 (* The Fig. 3 pattern: the SSD reads a block, copies it into GPU memory,
    and invokes a GPU kernel Request — without knowing a GPU is behind
    either capability. *)
@@ -578,6 +611,19 @@ let test_fs_open_missing () =
       match Fs.open_ c.app ~fs ~name:"ghost" Fs.Fs_ro with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "opened a missing file")
+
+let test_fs_malformed_imm () =
+  Tb.run (fun tb ->
+      let c, fs = make_cluster tb in
+      let d =
+        ok_exn
+          (Svc.call c.app ~svc:fs
+             ~imms:[ Args.of_string "create"; Args.of_string "f"; bad_int ]
+             ())
+      in
+      check_int "malformed status" 2 (Svc.status d);
+      (* nothing was created: the name is still free *)
+      ok_exn (Fs.create c.app ~fs ~name:"f" ~size:4096))
 
 let test_fs_ro_open_has_no_write () =
   Tb.run (fun tb ->
@@ -1005,6 +1051,8 @@ let () =
             test_gpu_adaptor_negative_alloc;
           Alcotest.test_case "negative push length" `Quick
             test_gpu_adaptor_negative_push;
+          Alcotest.test_case "malformed alloc immediate" `Quick
+            test_gpu_adaptor_malformed_alloc;
           Alcotest.test_case "gpu-to-gpu peer pipeline" `Quick
             test_gpu_to_gpu_pipeline;
         ] );
@@ -1020,6 +1068,8 @@ let () =
             test_blockdev_negative_write;
           Alcotest.test_case "negative volume size" `Quick
             test_blockdev_negative_volume;
+          Alcotest.test_case "malformed immediates" `Quick
+            test_blockdev_malformed_imm;
         ] );
       ( "fs",
         [
@@ -1030,6 +1080,7 @@ let () =
           Alcotest.test_case "partial read offset" `Quick
             test_fs_partial_read_offset;
           Alcotest.test_case "open missing" `Quick test_fs_open_missing;
+          Alcotest.test_case "malformed immediate" `Quick test_fs_malformed_imm;
           Alcotest.test_case "ro open has no write" `Quick
             test_fs_ro_open_has_no_write;
           Alcotest.test_case "dax read" `Quick test_fs_dax_read;
