@@ -6,7 +6,7 @@
 #    deadlock, every request settles with Ok or a typed error, no
 #    pre-crash capability usable after reboot, live/tombstone accounting
 #    balances) on ten fixed seeds under the default fault spec, for the
-#    default mix and for each of the xshard, pd, fs and faceverify
+#    default mix and for each of the xshard, pd, fs, faceverify and copy
 #    workloads;
 # 2. in each of those batteries the same seed run twice must produce
 #    bit-identical reports (deterministic fault injection — the repro
@@ -49,6 +49,7 @@ battery xshard --workload xshard
 battery pd --workload pd
 battery fs --workload fs
 battery faceverify --workload faceverify
+battery copy --workload copy
 
 echo "== chaos: crash-heavy spec, per-workload"
 for wl in faceverify fs mixed copy xshard pd; do

@@ -580,15 +580,22 @@ let shard_mark ctrl live =
    config splits one out of c_msg), then up to [ctrl_batch - 1] further
    already-queued messages are drained with [try_recv] under the same
    wakeup — doorbell coalescing. With the default knobs (batch = 1,
-   doorbell = 0) this is exactly the seed's recv/spawn loop. *)
-let service_loop ctrl ~name ep handle reject =
+   doorbell = 0) this is one plain [recv] per message.
+
+   A message whose handler never blocks ([inline msg]) runs as an engine
+   event at the current instant instead of in a fiber of its own: the
+   event takes the heap slot the fiber's start would, so same-instant
+   events keep their order. *)
+let service_loop ctrl ~name ep ~inline handle reject =
   let cfg = config ctrl in
   let batch = max 1 cfg.Net.Config.ctrl_batch in
   let doorbell = cfg.Net.Config.c_doorbell in
   Sim.Engine.spawn ~name (fun () ->
       let dispatch msg =
-        if ctrl.running then Sim.Engine.spawn (fun () -> handle ctrl msg)
-        else reject msg
+        if not ctrl.running then reject msg
+        else if inline msg then
+          Sim.Engine.schedule 0 (fun () -> handle ctrl msg)
+        else Sim.Engine.spawn (fun () -> handle ctrl msg)
       in
       let rec loop () =
         let msg = Net.Endpoint.recv ep in
@@ -607,9 +614,17 @@ let service_loop ctrl ~name ep handle reject =
       in
       loop ())
 
+(* The handlers that never block: a credit releases a semaphore, and a
+   copy chunk feeds its session's channel, parks, or answers a rejected
+   session through [rreply_from_event]. *)
+let sys_inline = function Sys_credit _ -> true | _ -> false
+let peer_inline = function P_copy_chunk _ -> true | _ -> false
+
 let start ctrl =
-  service_loop ctrl ~name:"ctrl.sys" ctrl.sys_ep handle_syscall reject_syscall;
-  service_loop ctrl ~name:"ctrl.peer" ctrl.peer_ep handle_peer reject_peer
+  service_loop ctrl ~name:"ctrl.sys" ctrl.sys_ep ~inline:sys_inline
+    handle_syscall reject_syscall;
+  service_loop ctrl ~name:"ctrl.peer" ctrl.peer_ep ~inline:peer_inline
+    handle_peer reject_peer
 
 let attach ctrl proc =
   (match proc.pctrl with

@@ -27,19 +27,17 @@ let reset ctrl =
 let pending_count ctrl = Hashtbl.length ctrl.copy_pending
 let failures_count ctrl = Hashtbl.length ctrl.copy_failures
 
-let chunk_sizes total chunk =
+(* A [total]-byte copy moves in chunks of [chunk] bytes: chunk [i] starts
+   at [i * chunk] and is [chunk_len] long, the last one short. A zero-byte
+   copy is one empty chunk, which still carries the open and the ack. *)
+let n_chunks total chunk =
   (* [Config.validate] rejects non-positive bounce_chunk at fabric
      construction; this guard is defense in depth against a hand-built
-     config reaching the engine (the recursion below would never
-     terminate). *)
+     config reaching the engine. *)
   if chunk <= 0 then invalid_arg "memory_copy: non-positive bounce_chunk";
-  let rec go off acc =
-    if off >= total then List.rev acc
-    else
-      let n = min chunk (total - off) in
-      go (off + n) ((off, n) :: acc)
-  in
-  if total = 0 then [ (0, 0) ] else go 0 []
+  if total = 0 then 1 else (total + chunk - 1) / chunk
+
+let chunk_len total chunk i = min chunk (total - (i * chunk))
 
 (* Knob defaults (window = streams = 1) select the serial engine below,
    byte- and cost-identical to the pre-windowing code path; anything else
@@ -73,11 +71,16 @@ let read_chunk ctrl res (m : mem) len =
     stage ctrl res len
   end
 
-let chunk_span ctrl name ~off ~len f =
-  span ctrl
-    ~attrs:(fun () ->
-      [ ("off", string_of_int off); ("len", string_of_int len) ])
-    name f
+(* [f x] under a chunk span. Untraced, this is the direct call: no
+   attribute thunk and no closure (HACKING.md, "Hot path"). *)
+let chunk_span ctrl name ~off ~len f x =
+  if Obs.Span.enabled () then
+    span ctrl
+      ~attrs:(fun () ->
+        [ ("off", string_of_int off); ("len", string_of_int len) ])
+      name
+      (fun () -> f x)
+  else f x
 
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
    session's chunks parked in [copy_pending] — and a dropped final chunk
@@ -128,11 +131,8 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
   Hashtbl.replace ctrl.copy_sessions copy_id chan;
   Sim.Engine.spawn (fun () ->
       let received = ref 0 in
-      let rec loop () =
-        let ck = Sim.Channel.recv chan in
+      let write ck =
         let len = Bytes.length ck.ck_data in
-        received := !received + len;
-        (chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len @@ fun () ->
         if len > 0 then begin
           (* staging memcpy through the bounce buffer *)
           stage ctrl ctrl.cpu len;
@@ -141,7 +141,13 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
           (* RDMA write from the bounce buffer into process memory *)
           Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode
             ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len ()
-        end);
+        end
+      in
+      let rec loop () =
+        let ck = Sim.Channel.recv chan in
+        let len = Bytes.length ck.ck_data in
+        received := !received + len;
+        chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len write ck;
         match ck.ck_last with
         | Some rr ->
           Hashtbl.remove ctrl.copy_sessions copy_id;
@@ -183,8 +189,8 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
           | None -> ()
         end
       in
-      let write_out ck len =
-        chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len @@ fun () ->
+      let write ck =
+        let len = Bytes.length ck.ck_data in
         if len > 0 then begin
           stage ctrl ctrl.copy_engine len;
           Membuf.write dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off)
@@ -203,6 +209,9 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
                      maybe_finish ())))
         end
         else grant ()
+      in
+      let write_out ck len =
+        chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len write ck
       in
       let rec loop () =
         let ck = Sim.Channel.recv chan in
@@ -263,7 +272,7 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total =
    (already staged in the bounce buffer) and post it to the destination
    controller; the first chunk opens the session optimistically. *)
 let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) ~n i
-    (off, len) =
+    ~off ~len =
   let data =
     if len = 0 then Bytes.empty
     else Membuf.read m.m_buf ~off:(m.m_off + off) ~len
@@ -283,26 +292,29 @@ let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) ~n i
   in
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
     ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header) msg;
-  Obs.Metrics.incr ~by:len ctrl.cm.cm_copy_bytes
+  Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len
 
 (* Serial chunk loop: the pre-windowing engine and the default path
    (copy_window = copy_streams = 1). *)
 let do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
     (rr : unit rreply) =
   let cfg = config ctrl in
-  let chunks = chunk_sizes m.m_len cfg.bounce_chunk in
-  let n = List.length chunks in
-  List.iteri
-    (fun i ((off, len) as chunk) ->
-      chunk_span ctrl "ctrl.copy.chunk" ~off ~len @@ fun () ->
-      read_chunk ctrl ctrl.cpu m len;
-      post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i chunk;
-      if not cfg.double_buffering then
-        (* strict serial chunks: wait out the wire time before
-           reading the next chunk *)
-        Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode ~dst:dst_ctrl.cnode
-          ~cls:Net.Stats.Control ~size:1 ())
-    chunks
+  let chunk = cfg.bounce_chunk in
+  let n = n_chunks m.m_len chunk in
+  let send_chunk i =
+    let off = i * chunk and len = chunk_len m.m_len chunk i in
+    read_chunk ctrl ctrl.cpu m len;
+    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len;
+    if not cfg.double_buffering then
+      (* strict serial chunks: wait out the wire time before
+         reading the next chunk *)
+      Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode ~dst:dst_ctrl.cnode
+        ~cls:Net.Stats.Control ~size:1 ()
+  in
+  for i = 0 to n - 1 do
+    chunk_span ctrl "ctrl.copy.chunk" ~off:(i * chunk)
+      ~len:(chunk_len m.m_len chunk i) send_chunk i
+  done
 
 (* Pipelined source (copy_window > 1 or copy_streams > 1): chunks fan out
    round-robin over [copy_streams] stream fibers (modeling multi-QP RDMA),
@@ -315,16 +327,15 @@ let do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
 let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
     (rr : unit rreply) =
   let cfg = config ctrl in
-  let chunks = Array.of_list (chunk_sizes m.m_len cfg.bounce_chunk) in
-  let n = Array.length chunks in
+  let chunk = cfg.bounce_chunk in
+  let n = n_chunks m.m_len chunk in
   let window = cfg.copy_window in
   let streams = min cfg.copy_streams n in
   let credits = Sim.Semaphore.create window in
   Hashtbl.replace ctrl.copy_credits copy_id credits;
   let max_inflight = ref 0 in
-  let send_chunk i =
-    let off, len = chunks.(i) in
-    chunk_span ctrl "ctrl.copy.chunk" ~off ~len @@ fun () ->
+  let post i =
+    let off = i * chunk and len = chunk_len m.m_len chunk i in
     if Sim.Semaphore.available credits = 0 then
       journal ctrl Obs.Journal.Debug "ctrl.copy.credit_stall" (fun () ->
           Printf.sprintf "copy=%d chunk=%d" copy_id i);
@@ -333,7 +344,11 @@ let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
     if inflight > !max_inflight then max_inflight := inflight;
     Obs.Metrics.add ctrl.cm.cm_copy_inflight 1;
     read_chunk ctrl ctrl.copy_engine m len;
-    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i chunks.(i)
+    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len
+  in
+  let send_chunk i =
+    chunk_span ctrl "ctrl.copy.chunk" ~off:(i * chunk)
+      ~len:(chunk_len m.m_len chunk i) post i
   in
   send_chunk 0;
   if n > 1 then begin
@@ -418,7 +433,7 @@ let do_copy_hw ctrl ~src_mem ~dst_mem (rr : unit rreply) =
   in
   Membuf.blit ~src:src_mem.m_buf ~src_off:src_mem.m_off ~dst:dst_mem.m_buf
     ~dst_off:dst_mem.m_off ~len:src_mem.m_len;
-  Obs.Metrics.incr ~by:src_mem.m_len ctrl.cm.cm_copy_bytes;
+  Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes src_mem.m_len;
   Net.Fabric.send ctrl.fabric ~src:src_mem.m_buf.Membuf.node
     ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:src_mem.m_len
     (once (fun () ->
@@ -467,13 +482,13 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
    flow-control credit comes back from here (or the pipelined source's
    stream fibers wedge on the window semaphore), and the final chunk
    carries the open's error to the caller. *)
-let reject_chunk ctrl ~src_ctrl ~copy_id e (ck : copy_chunk) =
+let reject_chunk ctrl ~reply ~src_ctrl ~copy_id e (ck : copy_chunk) =
   if pipelined (config ctrl) then
     grant_credit ctrl ~src_ctrl ~copy_id ~credits:1;
   match ck.ck_last with
   | Some rr ->
     Hashtbl.remove ctrl.copy_failures copy_id;
-    rreply_to ctrl rr (Error e)
+    reply ctrl rr (Error e)
   | None -> ()
 
 (* [P_copy_open]: open the session, then feed it the first chunk and any
@@ -494,18 +509,21 @@ let on_open ctrl ~copy_id ~src_ctrl ~dst ~total ~chunk =
       drain_pending (fun (_, ck) -> Sim.Channel.send chan ck)
     | None -> ())
   | Error e ->
-    reject_chunk ctrl ~src_ctrl ~copy_id e chunk;
-    drain_pending (fun (_, ck) -> reject_chunk ctrl ~src_ctrl ~copy_id e ck)
+    let reject = reject_chunk ctrl ~reply:rreply_to ~src_ctrl ~copy_id e in
+    reject chunk;
+    drain_pending (fun (_, ck) -> reject ck)
 
 (* [P_copy_chunk]: feed the open session, answer a rejected one, or park
    the chunk while the open is still being processed (handlers run
-   concurrently). *)
+   concurrently). Never blocks: the controller runs it as an engine event,
+   not a fiber. *)
 let on_chunk ctrl ~copy_id ~src_ctrl ~chunk =
   match Hashtbl.find_opt ctrl.copy_sessions copy_id with
   | Some chan -> Sim.Channel.send chan chunk
   | None -> (
     match Hashtbl.find_opt ctrl.copy_failures copy_id with
-    | Some e -> reject_chunk ctrl ~src_ctrl ~copy_id e chunk
+    | Some e ->
+      reject_chunk ctrl ~reply:rreply_from_event ~src_ctrl ~copy_id e chunk
     | None ->
       let q =
         match Hashtbl.find_opt ctrl.copy_pending copy_id with

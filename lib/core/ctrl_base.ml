@@ -57,12 +57,15 @@ let once f =
       f ()
     end
 
+let post_reply ctrl ~dst iv v =
+  Net.Fabric.send ctrl.fabric ~src:ctrl.cnode ~dst ~size:Wire.response
+    (fun () -> ignore (Sim.Ivar.try_fill iv v))
+
 let send_reply ctrl ~dst iv v =
   if Obs.Span.enabled () then
     Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ();
   charge ctrl [ (Net.Cost.Msg, 1) ];
-  Net.Fabric.send ctrl.fabric ~src:ctrl.cnode ~dst ~size:Wire.response
-    (fun () -> ignore (Sim.Ivar.try_fill iv v))
+  post_reply ctrl ~dst iv v
 
 (* Reply to a Process's syscall / to a peer controller's request. *)
 let reply_to ctrl (r : _ reply) v =
@@ -70,6 +73,21 @@ let reply_to ctrl (r : _ reply) v =
 
 let rreply_to ctrl (rr : _ rreply) v =
   send_reply ctrl ~dst:rr.rr_ctrl.cnode rr.rr_ivar v
+
+(* [rreply_to] from a handler that runs as an engine event, not a fiber,
+   and so cannot block in [charge]: the reply's cpu time is booked now,
+   and the reply leaves from an event at the booking's finish — the heap
+   slot a fiber's wake-up from [charge] would take. *)
+let rreply_from_event ctrl (rr : _ rreply) v =
+  if Obs.Span.enabled () then
+    Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ();
+  let post () = post_reply ctrl ~dst:rr.rr_ctrl.cnode rr.rr_ivar v in
+  let d = Net.Cost.v (config ctrl) (kind ctrl) [ (Net.Cost.Msg, 1) ] in
+  if d > 0 then
+    Sim.Engine.schedule
+      (Sim.Resource.reserve ctrl.cpu ~duration:d - Sim.Engine.now ())
+      post
+  else post ()
 
 let send_peer ctrl (dst : ctrl) ~size msg =
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst.peer_ep ~size msg

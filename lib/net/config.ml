@@ -136,8 +136,7 @@ let scale_time s t =
 
 (* Reject, at fabric construction, every value that would otherwise fail
    mid-simulation: the copy engine divides by the chunk/window/stream
-   knobs ([chunk_sizes] would loop forever on a non-positive chunk);
-   [bytes_time] divides by [bw_bps / 1_000_000]; a zero congestion window
+   knobs; [bytes_time] divides by [bw_bps / 1_000_000]; a zero congestion window
    or NVMe queue depth is a zero-permit semaphore that deadlocks the
    first request; a non-positive timeout would expire before any peer
    reply could land. *)

@@ -29,8 +29,13 @@ let one cfg kind cls =
        (float_of_int (base cfg cls) *. factor cfg kind cls
        *. cfg.Config.scale_ctrl))
 
-let v cfg kind units =
-  List.fold_left (fun acc (cls, n) -> acc + (n * one cfg kind cls)) 0 units
+(* A plain recursion, not a [List.fold_left] closure: every controller
+   charge passes through here. *)
+let rec sum cfg kind acc = function
+  | [] -> acc
+  | (cls, n) :: rest -> sum cfg kind (acc + (n * one cfg kind cls)) rest
+
+let v cfg kind units = sum cfg kind 0 units
 
 let scaled cfg kind cls base =
   int_of_float

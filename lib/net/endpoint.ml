@@ -3,8 +3,7 @@ type 'a t = {
   node : Node.t;
   chan : 'a Sim.Channel.t;
   mutable next_seq : int;
-  seen : (int, unit) Hashtbl.t;
-  order : int Queue.t;
+  seen : Dedup.t;
   dup_discards : Obs.Metrics.counter;
   capacity : int; (* 0 = unbounded *)
   mutable overflow : ('a -> bool) option;
@@ -22,8 +21,7 @@ let create ~node ?(capacity = 0) name =
     node;
     chan = Sim.Channel.create ();
     next_seq = 0;
-    seen = Hashtbl.create 64;
-    order = Queue.create ();
+    seen = Dedup.create ~window;
     dup_discards =
       Obs.Metrics.counter ~node:node.Node.name "net.dup_discards";
     capacity;
@@ -36,12 +34,8 @@ let post fab ~src ep ?cls ~size msg =
   let seq = ep.next_seq in
   ep.next_seq <- seq + 1;
   Fabric.send fab ~src ~dst:ep.node ?cls ~size (fun () ->
-      if Hashtbl.mem ep.seen seq then Obs.Metrics.incr ep.dup_discards
+      if not (Dedup.admit ep.seen seq) then Obs.Metrics.incr ep.dup_discards
       else begin
-        Hashtbl.replace ep.seen seq ();
-        Queue.add seq ep.order;
-        if Queue.length ep.order > window then
-          Hashtbl.remove ep.seen (Queue.pop ep.order);
         (* Admission control at the receive queue: above [capacity] the
            overflow callback may consume the message (receiver-not-ready
            shed); returning false admits it anyway — the callback decides

@@ -9,6 +9,9 @@ type t = {
   mutable next_id : int;
   mutable nodes : Node.t list; (* reverse creation order *)
   mutable fault_hook : fault_hook option;
+  (* [book]'s two results besides the delivery instant *)
+  mutable xfer_span : Obs.Span.id;
+  mutable dup_at : Sim.Time.t;
 }
 
 let create ?(config = Config.default) () =
@@ -19,6 +22,8 @@ let create ?(config = Config.default) () =
     next_id = 0;
     nodes = [];
     fault_hook = None;
+    xfer_span = 0;
+    dup_at = -1;
   }
 
 let set_fault_hook t h = t.fault_hook <- h
@@ -47,7 +52,14 @@ let base_latency t ~src ~dst =
        cfg.loopback_oneway + cfg.pcie_extra
      else cfg.wire_oneway)
 
-let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
+(* The one delivery model, shared by [send] and [transfer]: account the
+   message, apply its fault, book the NIC or DMA engines and return the
+   delivery instant, or -1 for a message lost in the switch. A duplicate's
+   second copy arrives one base latency after the delivery instant;
+   [book] leaves that instant in [dup_at] (-1 for no duplicate) and the
+   message's fabric.xfer span in [xfer_span] (0 untraced), for the caller
+   to schedule and finish. *)
+let book t ~src ~dst ~cls ~size =
   let cfg = t.config in
   let fault =
     match t.fault_hook with None -> Pass | Some h -> h ~src ~dst ~cls ~size
@@ -70,7 +82,7 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
   in
   Stats.record t.stats ~src ~dst ~cls ~bytes:size ~on_network;
   Obs.Metrics.incr src.Node.ins.Node.i_tx_msgs;
-  Obs.Metrics.incr ~by:size src.Node.ins.Node.i_tx_bytes;
+  Obs.Metrics.incr_by src.Node.ins.Node.i_tx_bytes size;
   (match fault with
   | Pass -> ()
   | Drop -> Obs.Metrics.incr src.Node.ins.Node.i_fault_drops
@@ -114,16 +126,8 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
         ()
     else 0
   in
-  (* The duplicate copy (fault injection) re-runs the raw [deliver]
-     without this span-finish wrapper, so the fabric.xfer span is finished
-     exactly once; receivers deduplicate at the endpoint layer. *)
-  let deliver_once =
-    if sp = 0 then deliver
-    else
-      fun () ->
-        Obs.Span.finish sp;
-        deliver ()
-  in
+  t.xfer_span <- sp;
+  t.dup_at <- -1;
   let wire_bytes = size + cfg.header_bytes in
   let base = base_latency t ~src ~dst in
   let now = Sim.Engine.now () in
@@ -141,7 +145,8 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
       if sp <> 0 then begin
         Obs.Span.set_attr sp "fault" "drop";
         Sim.Engine.schedule (tx_done - now) (fun () -> Obs.Span.finish sp)
-      end
+      end;
+      -1
     | Pass | Duplicate | Delay _ ->
       let rx_done =
         Sim.Resource.reserve_at dst.Node.rx ~start:(tx_start + base)
@@ -152,11 +157,9 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
         Obs.Span.set_attr sp "q"
           (string_of_int ((tx_start - now) + (rx_start - (tx_start + base))))
       end;
-      Sim.Engine.schedule (rx_done + extra - now) deliver_once;
-      (match fault with
-      | Duplicate ->
-        Sim.Engine.schedule (rx_done + extra + base - now) deliver
-      | _ -> ())
+      let at = rx_done + extra in
+      (match fault with Duplicate -> t.dup_at <- at + base | _ -> ());
+      at
   end
   else begin
     (* intra-machine: loopback QP / PCIe DMA, off the switch. Drop and
@@ -169,15 +172,45 @@ let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
     let dma_done = Sim.Resource.reserve src.Node.dma ~duration:ser in
     let dma_start = dma_done - ser in
     if sp <> 0 then Obs.Span.set_attr sp "q" (string_of_int (dma_start - now));
-    Sim.Engine.schedule (dma_done + base + extra - now) deliver_once
+    dma_done + base + extra
   end
 
-let transfer t ~src ~dst ?cls ~size () =
-  let done_ = Sim.Ivar.create () in
-  (* try_fill: a duplicated message (fault injection) may deliver twice *)
-  send t ~src ~dst ?cls ~size (fun () ->
-      ignore (Sim.Ivar.try_fill done_ ()));
-  Sim.Ivar.await done_
+let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
+  let at = book t ~src ~dst ~cls ~size in
+  if at >= 0 then begin
+    let sp = t.xfer_span and dup_at = t.dup_at in
+    let now = Sim.Engine.now () in
+    (* The duplicate copy (fault injection) re-runs the raw [deliver]
+       without the span-finish wrapper, so the fabric.xfer span is
+       finished exactly once; receivers deduplicate at the endpoint
+       layer. *)
+    Sim.Engine.schedule (at - now)
+      (if sp = 0 then deliver
+       else
+         fun () ->
+           Obs.Span.finish sp;
+           deliver ());
+    if dup_at >= 0 then Sim.Engine.schedule (dup_at - now) deliver
+  end
+
+(* A timed wake on the delivery instant. Sleeping puts the wake-up in
+   the heap slot [send]'s delivery event would take, and the one yield
+   after it puts the resume in the slot that event's wake-up of an
+   awaiting fiber would take, so a transfer orders against every other
+   event exactly as a [send] whose callback fills an awaited ivar. A
+   duplicate still pushes its (empty) event; a dropped message never
+   wakes the caller. *)
+let transfer t ~src ~dst ?(cls = Stats.Control) ~size () =
+  let at = book t ~src ~dst ~cls ~size in
+  if at < 0 then Sim.Engine.suspend ignore
+  else begin
+    let sp = t.xfer_span in
+    let now = Sim.Engine.now () in
+    if t.dup_at >= 0 then Sim.Engine.schedule (t.dup_at - now) ignore;
+    Sim.Engine.sleep (at - now);
+    if sp <> 0 then Obs.Span.finish sp;
+    Sim.Engine.yield ()
+  end
 
 type utilization = {
   u_node : string;
@@ -205,16 +238,13 @@ let pp_utilization fmt us =
 
 let transfer_chunked t ~src ~dst ?cls ~size () =
   let chunk = t.config.bounce_chunk in
-  if size <= chunk then transfer t ~src ~dst ?cls ~size ()
-  else begin
-    let done_ = Sim.Ivar.create () in
-    let rec post off =
-      let n = min chunk (size - off) in
-      let last = off + n >= size in
-      send t ~src ~dst ?cls ~size:n (fun () ->
-          if last then ignore (Sim.Ivar.try_fill done_ ()));
-      if not last then post (off + n)
-    in
-    post 0;
-    Sim.Ivar.await done_
-  end
+  (* every chunk but the last is sent; the caller waits for the last *)
+  let rec post off =
+    let n = min chunk (size - off) in
+    if off + n >= size then transfer t ~src ~dst ?cls ~size:n ()
+    else begin
+      send t ~src ~dst ?cls ~size:n ignore;
+      post (off + n)
+    end
+  in
+  post 0

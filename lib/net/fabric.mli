@@ -90,9 +90,12 @@ val send :
 val transfer :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit
 (** Blocking variant of {!send}: returns when the message has arrived.
-    Duplicate-safe under fault injection; if the message is {e dropped} the
-    caller blocks forever, so fault-injected code should wrap transfers in
-    a timeout (see [Fault.Retry]). *)
+    It sleeps to the delivery instant and yields once, which orders it
+    against every other event exactly as a {!send} whose callback fills
+    an ivar the caller awaits, without the ivar. Duplicate-safe under
+    fault injection; if the message is {e dropped} the caller blocks
+    forever, so fault-injected code should wrap transfers in a timeout
+    (see [Fault.Retry]). *)
 
 val transfer_chunked :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit

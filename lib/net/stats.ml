@@ -2,16 +2,23 @@ type cls = Control | Data
 
 type counter = { mutable msgs : int; mutable bytes : int }
 
+(* A directed link's counter, named for [per_link]. *)
+type link = { l_src : string; l_dst : string; l_c : counter }
+
 type t = {
   all : counter;
   net : counter;
   net_control : counter;
   net_data : counter;
-  links : (string * string, counter) Hashtbl.t;
+  (* per-link counters by node id, [src * n_ids + dst]; [no_link] where
+     the link has carried nothing *)
+  mutable links : link array;
+  mutable n_ids : int;
   size_buckets : int array; (* log2 histogram of network payload sizes *)
 }
 
 let fresh () = { msgs = 0; bytes = 0 }
+let no_link = { l_src = ""; l_dst = ""; l_c = fresh () }
 
 let n_buckets = 32
 
@@ -21,9 +28,31 @@ let create () =
     net = fresh ();
     net_control = fresh ();
     net_data = fresh ();
-    links = Hashtbl.create 16;
+    links = [||];
+    n_ids = 0;
     size_buckets = Array.make n_buckets 0;
   }
+
+(* Grow the link table to cover node id [id]. *)
+let cover t id =
+  let n = max (id + 1) (2 * t.n_ids) in
+  let links = Array.make (n * n) no_link in
+  for s = 0 to t.n_ids - 1 do
+    Array.blit t.links (s * t.n_ids) links (s * n) t.n_ids
+  done;
+  t.links <- links;
+  t.n_ids <- n
+
+let link t ~(src : Node.t) ~(dst : Node.t) =
+  if src.id >= t.n_ids || dst.id >= t.n_ids then cover t (max src.id dst.id);
+  let i = (src.id * t.n_ids) + dst.id in
+  let l = t.links.(i) in
+  if l != no_link then l.l_c
+  else begin
+    let l = { l_src = src.name; l_dst = dst.name; l_c = fresh () } in
+    t.links.(i) <- l;
+    l.l_c
+  end
 
 let bucket_of_size bytes =
   let rec go b bound =
@@ -44,16 +73,7 @@ let record t ~src ~dst ~cls ~bytes ~on_network =
     (match cls with
     | Control -> bump t.net_control bytes
     | Data -> bump t.net_data bytes);
-    let key = (src.Node.name, dst.Node.name) in
-    let c =
-      match Hashtbl.find_opt t.links key with
-      | Some c -> c
-      | None ->
-        let c = fresh () in
-        Hashtbl.add t.links key c;
-        c
-    in
-    bump c bytes
+    bump (link t ~src ~dst) bytes
   end
 
 let reset t =
@@ -66,7 +86,7 @@ let reset t =
   zero t.net_control;
   zero t.net_data;
   Array.fill t.size_buckets 0 n_buckets 0;
-  Hashtbl.reset t.links
+  Array.fill t.links 0 (Array.length t.links) no_link
 
 type census = {
   messages : int;
@@ -91,9 +111,21 @@ let census t =
     net_data_bytes = t.net_data.bytes;
   }
 
+(* Nodes that share a name share a row, as when links were keyed by
+   name. *)
 let per_link t =
-  Hashtbl.fold (fun k c acc -> (k, (c.msgs, c.bytes)) :: acc) t.links []
-  |> List.sort compare
+  let by_name = Hashtbl.create 16 in
+  Array.iter
+    (fun l ->
+      if l != no_link then begin
+        let key = (l.l_src, l.l_dst) in
+        let m, b =
+          Option.value (Hashtbl.find_opt by_name key) ~default:(0, 0)
+        in
+        Hashtbl.replace by_name key (m + l.l_c.msgs, b + l.l_c.bytes)
+      end)
+    t.links;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_name [] |> List.sort compare
 
 let size_histogram t =
   let out = ref [] in

@@ -133,9 +133,13 @@ let histogram ~node name =
       })
     refresh_histogram ~node name
 
-let incr ?(by = 1) c =
+let incr_by c n =
   refresh_counter c;
-  c.c_v <- c.c_v + by
+  c.c_v <- c.c_v + n
+
+let incr c =
+  refresh_counter c;
+  c.c_v <- c.c_v + 1
 
 let counter_value c =
   refresh_counter c;

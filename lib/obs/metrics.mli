@@ -17,7 +17,11 @@ val gauge : node:string -> string -> gauge
 val histogram : node:string -> string -> histogram
 (** Find-or-create the named instrument for [node]. *)
 
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+val incr_by : counter -> int -> unit
+(** [incr_by c n] adds [n] to [c]; a positional argument, so the hot path
+    boxes nothing. *)
+
 val counter_value : counter -> int
 
 val set : gauge -> int -> unit

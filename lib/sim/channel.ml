@@ -6,31 +6,39 @@
 type 'a t = {
   items : (int * 'a) Queue.t;
   readers : (int * 'a) Engine.resumer Queue.t;
+  reader : (int * 'a) Engine.waiter; (* built once: [recv] allocates none *)
 }
 
-let create () = { items = Queue.create (); readers = Queue.create () }
+let add_reader readers r = Queue.add r readers
+
+let create () =
+  let readers = Queue.create () in
+  {
+    items = Queue.create ();
+    readers;
+    reader = Engine.waiter add_reader readers;
+  }
 
 let send ch v =
   let m = (Engine.get_ctx (), v) in
-  match Queue.take_opt ch.readers with
-  | Some r -> Engine.resume r m
-  | None -> Queue.add m ch.items
+  if Queue.is_empty ch.readers then Queue.add m ch.items
+  else Engine.resume (Queue.take ch.readers) m
 
 let recv ch =
   let ctx, v =
-    match Queue.take_opt ch.items with
-    | Some m -> m
-    | None -> Engine.suspend (fun r -> Queue.add r ch.readers)
+    if Queue.is_empty ch.items then Engine.wait ch.reader
+    else Queue.take ch.items
   in
   Engine.set_ctx ctx;
   v
 
 let try_recv ch =
-  match Queue.take_opt ch.items with
-  | Some (ctx, v) ->
+  if Queue.is_empty ch.items then None
+  else begin
+    let ctx, v = Queue.take ch.items in
     Engine.set_ctx ctx;
     Some v
-  | None -> None
+  end
 
 let length ch = Queue.length ch.items
 let waiters ch = Queue.length ch.readers

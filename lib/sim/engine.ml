@@ -67,9 +67,16 @@ let abort r e =
     schedule_at r.eng ~time:r.eng.now (Fail { r; e })
   end
 
+(* What a suspending fiber hands the handler: the function of its
+   continuation, already in the [Some] the handler returns, so the
+   handler builds nothing per suspend. *)
+type 'a waiter = (('a, unit) continuation -> unit) option
+
+(* [Sleep] is a constant: [sleep] leaves its duration in the engine's
+   [sleep_for], so performing it allocates nothing. *)
 type _ Effect.t +=
-  | Sleep : int -> unit Effect.t
-  | Suspend : ('a resumer -> unit) -> 'a Effect.t
+  | Sleep : unit Effect.t
+  | Suspend : 'a waiter -> 'a Effect.t
 
 (* First failure wins within an origin class, but a failure coming from the
    root fiber outranks one recorded earlier by a background fiber at the
@@ -83,8 +90,9 @@ let record_failure t ~root e =
 
 (* One handler per engine serves every unnamed fiber. OCaml applies the
    function [effc] returns before anything else runs, so [Sleep] can hand
-   back the preallocated [on_sleep] and leave its duration in
-   [sleep_for]. *)
+   back the preallocated [on_sleep], which reads the duration [sleep]
+   left in [sleep_for], and a [waiter] can read the engine's clock and
+   context when it runs. *)
 let make_handler t =
   {
     retc = (fun () -> ());
@@ -93,13 +101,8 @@ let make_handler t =
       (fun (type a) (eff : a Effect.t) :
            ((a, unit) continuation -> unit) option ->
         match eff with
-        | Sleep d ->
-          t.sleep_for <- d;
-          t.on_sleep
-        | Suspend setup ->
-          Some
-            (fun (k : (a, unit) continuation) ->
-              setup { used = false; eng = t; r_ctx = t.ctx; k })
+        | Sleep -> t.on_sleep
+        | Suspend w -> w
         | _ -> None);
   }
 
@@ -239,7 +242,9 @@ let run ?(name = "main") main =
         | None -> raise_deadlock ~name t))
 
 let now () = (get ()).now
-let sleep d = Effect.perform (Sleep d)
+let sleep d =
+  (get ()).sleep_for <- d;
+  Effect.perform Sleep
 
 let sleep_until time =
   let t = now () in
@@ -250,7 +255,17 @@ let spawn ?name f =
   schedule_at t ~time:t.now (Spawn { ctx = t.ctx; name; f })
 
 let yield () = sleep 0
-let suspend setup = Effect.perform (Suspend setup)
+
+(* Applied by the handler at the suspend, so [get ()] is the suspending
+   fiber's engine and its [ctx] the fiber's own. *)
+let waiter f x =
+  Some
+    (fun k ->
+      let t = get () in
+      f x { used = false; eng = t; r_ctx = t.ctx; k })
+
+let wait w = Effect.perform (Suspend w)
+let suspend setup = wait (waiter (fun f r -> f r) setup)
 
 let schedule d f =
   let t = get () in

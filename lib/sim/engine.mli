@@ -72,7 +72,21 @@ val suspend : ('a resumer -> unit) -> 'a
 (** [suspend f] blocks the calling fiber and hands [f] a {!resumer} for it.
     The fiber resumes — at the instant {!resume}/{!abort} is called — with
     the provided value, or raises the provided exception. This is the
-    primitive from which ivars, channels and timers are built. *)
+    primitive from which semaphores, wait groups and timers are built;
+    ivars and channels use {!wait}. *)
+
+type 'a waiter
+(** A reusable suspension: what {!wait} hands the engine. *)
+
+val waiter : ('b -> 'a resumer -> unit) -> 'b -> 'a waiter
+(** [waiter f x] is the suspension that hands [f x] a fresh {!resumer}
+    each time a fiber {!wait}s on it. Build it once and keep it (a
+    channel keeps one for its readers), or build it per wait: either way
+    the engine allocates no closure of its own for the suspend. *)
+
+val wait : 'a waiter -> 'a
+(** [wait w] is {!suspend} on a prebuilt waiter: [wait (waiter f x)]
+    behaves as [suspend (f x)]. *)
 
 val schedule : Time.t -> (unit -> unit) -> unit
 (** [schedule d f] arranges for [f] to run as a raw event [d] nanoseconds

@@ -55,16 +55,17 @@ let try_fill iv v =
     true
   | Full _ | Broken _ -> false
 
+let add_waiter iv r =
+  match iv.state with
+  | Empty waiters -> iv.state <- Empty (W (r, waiters))
+  | Full v -> Engine.resume r v
+  | Broken e -> Engine.abort r e
+
 let await iv =
   match iv.state with
   | Full v -> v
   | Broken e -> raise e
-  | Empty _ ->
-    Engine.suspend (fun r ->
-        match iv.state with
-        | Empty waiters -> iv.state <- Empty (W (r, waiters))
-        | Full v -> Engine.resume r v
-        | Broken e -> Engine.abort r e)
+  | Empty _ -> Engine.wait (Engine.waiter add_waiter iv)
 
 let await_timeout iv ~timeout =
   match iv.state with

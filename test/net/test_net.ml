@@ -366,14 +366,26 @@ let test_fault_hook_removable () =
   in
   check_bool "hook removal restores delivery" true arrived
 
+(* A duplicated transfer wakes its caller once, when the first copy
+   arrives. *)
 let test_fault_transfer_duplicate_safe () =
   with_fabric (fun fab ->
       let a, b, _ = three_nodes fab in
-      Fabric.set_fault_hook fab
-        (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Fabric.Duplicate));
-      (* must not raise on the second fill of the completion ivar *)
-      Fabric.transfer fab ~src:a ~dst:b ~size:256 ();
-      Engine.sleep (Time.ms 10))
+      let latency fault =
+        Fabric.set_fault_hook fab
+          (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> fault));
+        let woke = ref 0 and t0 = Engine.now () and at = ref 0 in
+        Engine.spawn (fun () ->
+            Fabric.transfer fab ~src:a ~dst:b ~size:256 ();
+            at := Engine.now ();
+            incr woke);
+        Engine.sleep (Time.ms 10);
+        check_int "woken once" 1 !woke;
+        !at - t0
+      in
+      let pass = latency Fabric.Pass in
+      check_int "a duplicate wakes at the first copy" pass
+        (latency Fabric.Duplicate))
 
 let test_endpoint_dedups_duplicates () =
   with_fabric (fun fab ->
@@ -494,6 +506,169 @@ let prop_transfer_monotone =
       let small = min s1 s2 and big = max s1 s2 in
       time small <= time big)
 
+(* ------------------------------------------------------------------ *)
+(* Endpoint dedup window against its reference model                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The window as a Hashtbl of seen numbers plus a Queue of them in
+   admission order: the last [window] admitted numbers, the oldest
+   forgotten when one more is admitted. *)
+let model_admit ~window seen order seq =
+  if Hashtbl.mem seen seq then false
+  else begin
+    Hashtbl.replace seen seq ();
+    Queue.add seq order;
+    if Queue.length order > window then Hashtbl.remove seen (Queue.pop order);
+    true
+  end
+
+(* An arrival stream as a receiver sees it: mostly the next number, with
+   duplicates of recent ones, swapped neighbours, numbers from far back,
+   and gaps wider than the window. *)
+type arrival = Next | Dup of int | Swap | Back of int | Gap of int
+
+let arrivals ~window =
+  QCheck.Gen.(
+    list_size (int_range 0 3000)
+      (frequency
+         [
+           (20, return Next);
+           (4, map (fun k -> Dup k) (int_range 0 (2 * window)));
+           (3, return Swap);
+           (1, map (fun k -> Back k) (int_range 0 (4 * window)));
+           (1, map (fun k -> Gap k) (int_range window (3 * window)));
+         ]))
+
+let seqs_of ops =
+  let next = ref 0 and out = ref [] in
+  let emit s = if s >= 0 then out := s :: !out in
+  List.iter
+    (function
+      | Next ->
+        emit !next;
+        incr next
+      | Dup k -> emit (!next - 1 - k)
+      | Swap ->
+        emit (!next + 1);
+        emit !next;
+        next := !next + 2
+      | Back k -> emit (!next - k)
+      | Gap k -> next := !next + k)
+    ops;
+  List.rev !out
+
+let prop_dedup_matches_model ~window =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "dedup window %d matches Hashtbl+Queue" window)
+    ~count:60
+    (QCheck.make (arrivals ~window))
+    (fun ops ->
+      let d = Dedup.create ~window in
+      let seen = Hashtbl.create 64 and order = Queue.create () in
+      List.for_all
+        (fun seq -> Dedup.admit d seq = model_admit ~window seen order seq)
+        (seqs_of ops))
+
+(* Every admission far past the window keeps the filter exact: admit
+   0..n-1 in order, then each number is a duplicate exactly when it is
+   among the last [window]. *)
+let test_dedup_window_edge () =
+  let window = 1024 in
+  let d = Dedup.create ~window in
+  for s = 0 to 4999 do
+    check_bool "fresh" true (Dedup.admit d s)
+  done;
+  check_bool "newest remembered" false (Dedup.admit d 4999);
+  check_bool "oldest in window remembered" false (Dedup.admit d (5000 - window));
+  check_bool "just outside forgotten" true (Dedup.admit d (4999 - window))
+
+(* ------------------------------------------------------------------ *)
+(* Transfer: a timed wake that orders as the awaited ivar did          *)
+(* ------------------------------------------------------------------ *)
+
+(* The blocking transfer as a send whose callback fills an ivar. *)
+let ivar_transfer fab ~src ~dst ~size =
+  let iv = Ivar.create () in
+  Fabric.send fab ~src ~dst ~size (fun () -> ignore (Ivar.try_fill iv ()));
+  Ivar.await iv
+
+(* Three fibers run chains of blocking transfers and logged sends under
+   a cyclic fault pattern, fiber [f] from node [f] to node [f + 1], all
+   starting at the same instant. Sizes come from a small set, so
+   deliveries, wake-ups and the events fibers queue at their own instant
+   coincide often; the log records what ran, and when. *)
+let transfer_log ~transfer ~faults ~ops =
+  with_fabric (fun fab ->
+      let a, b, c = three_nodes fab in
+      let nodes = [| a; b; c |] in
+      let faults = Array.of_list faults in
+      let k = ref 0 in
+      Fabric.set_fault_hook fab
+        (Some
+           (fun ~src:_ ~dst:_ ~cls:_ ~size:_ ->
+             let f = faults.(!k mod Array.length faults) in
+             incr k;
+             f));
+      let log = ref [] in
+      let note tag = log := (Engine.now (), tag) :: !log in
+      List.iteri
+        (fun f ops ->
+          let src = nodes.(f) and dst = nodes.((f + 1) mod 3) in
+          Engine.spawn (fun () ->
+              List.iteri
+                (fun i (blocking, size) ->
+                  let tag = Printf.sprintf "%d.%d" f i in
+                  if blocking then begin
+                    Engine.schedule 0 (fun () -> note ("e" ^ tag));
+                    transfer fab ~src ~dst ~size;
+                    note ("w" ^ tag);
+                    Engine.schedule 0 (fun () -> note ("x" ^ tag))
+                  end
+                  else
+                    Fabric.send fab ~src ~dst ~size (fun () -> note ("d" ^ tag)))
+                ops))
+        ops;
+      Engine.sleep (Time.ms 50);
+      List.rev !log)
+
+let fault_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Fabric.Pass);
+        (2, return Fabric.Duplicate);
+        (1, return Fabric.Drop);
+        (2, map (fun d -> Fabric.Delay d) (oneofl [ 0; 500; 1500 ]));
+      ])
+
+let op_gen = QCheck.Gen.(pair bool (oneofl [ 0; 64; 1500 ]))
+
+let prop_transfer_orders_as_ivar =
+  QCheck.Test.make ~name:"transfer orders events as the ivar path" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 6) fault_gen)
+           (list_size (return 3) (list_size (int_range 1 8) op_gen))))
+    (fun (faults, ops) ->
+      transfer_log
+        ~transfer:(fun fab ~src ~dst ~size ->
+          Fabric.transfer fab ~src ~dst ~size ())
+        ~faults ~ops
+      = transfer_log ~transfer:ivar_transfer ~faults ~ops)
+
+let test_transfer_drop_never_wakes () =
+  with_fabric (fun fab ->
+      let a, b, _ = three_nodes fab in
+      Fabric.set_fault_hook fab
+        (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Fabric.Drop));
+      let woke = ref false in
+      Engine.spawn (fun () ->
+          Fabric.transfer fab ~src:a ~dst:b ~size:64 ();
+          woke := true);
+      Engine.sleep (Time.ms 10);
+      check_bool "a dropped transfer never returns" false !woke)
+
 let qtest t = QCheck_alcotest.to_alcotest t
 
 let () =
@@ -548,6 +723,12 @@ let () =
           Alcotest.test_case "hook removable" `Quick test_fault_hook_removable;
           Alcotest.test_case "transfer duplicate-safe" `Quick
             test_fault_transfer_duplicate_safe;
+          Alcotest.test_case "dedup window edge" `Quick test_dedup_window_edge;
+          qtest (prop_dedup_matches_model ~window:1024);
+          qtest (prop_dedup_matches_model ~window:5);
+          qtest prop_transfer_orders_as_ivar;
+          Alcotest.test_case "transfer drop never wakes" `Quick
+            test_transfer_drop_never_wakes;
           Alcotest.test_case "endpoint dedup" `Quick
             test_endpoint_dedups_duplicates;
         ] );

@@ -283,7 +283,7 @@ let test_audit_ring_eviction () =
 let test_openmetrics_roundtrip () =
   Obs.Metrics.reset ();
   let c = Obs.Metrics.counter ~node:"a" "reqs done" in
-  Obs.Metrics.incr ~by:7 c;
+  Obs.Metrics.incr_by c 7;
   let g = Obs.Metrics.gauge ~node:"a" "depth" in
   Obs.Metrics.set g 9;
   Obs.Metrics.set g 4;
@@ -328,7 +328,7 @@ let test_openmetrics_roundtrip () =
 let test_metrics_reset_reinterns_handles () =
   Obs.Metrics.reset ();
   let c = Obs.Metrics.counter ~node:"n" "c" in
-  Obs.Metrics.incr ~by:3 c;
+  Obs.Metrics.incr_by c 3;
   let g = Obs.Metrics.gauge ~node:"n" "g" in
   Obs.Metrics.set g 8;
   let h = Obs.Metrics.histogram ~node:"n" "h" in

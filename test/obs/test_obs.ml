@@ -66,7 +66,7 @@ let test_counters_gauges () =
   Obs.Metrics.reset ();
   let c = Obs.Metrics.counter ~node:"n" "c" in
   Obs.Metrics.incr c;
-  Obs.Metrics.incr ~by:4 c;
+  Obs.Metrics.incr_by c 4;
   check_int "counter" 5 (Obs.Metrics.counter_value c);
   check_bool "interned" true (Obs.Metrics.counter ~node:"n" "c" == c);
   check_bool "per-node" true (Obs.Metrics.counter ~node:"m" "c" != c);

@@ -380,7 +380,7 @@ let test_diff_appeared_vanished () =
 let test_exposition_across_resets () =
   Obs.Metrics.reset ();
   let c = Obs.Metrics.counter ~node:"n" "reqs" in
-  Obs.Metrics.incr ~by:5 c;
+  Obs.Metrics.incr_by c 5;
   let h = Obs.Metrics.histogram ~node:"n" "lat" in
   Obs.Metrics.observe h 1000;
   let before = Obs.Openmetrics.to_string () in
@@ -397,7 +397,7 @@ let test_exposition_across_resets () =
   check_bool "still well-formed" true (contains ~sub:"# EOF" after);
   (* a pre-reset handle lazily re-zeroes on first use: the new value, not
      the pre-reset accumulation, is what gets exposed *)
-  Obs.Metrics.incr ~by:2 c;
+  Obs.Metrics.incr_by c 2;
   Obs.Metrics.observe h 500;
   let revived = Obs.Openmetrics.to_string () in
   check_bool "revived counter re-zeroed" true

@@ -853,6 +853,85 @@ let test_ctx_abort_preserves_awaiter () =
       check_int "aborted awaiter keeps its own ctx" 4 (Engine.get_ctx ()))
 
 (* ------------------------------------------------------------------ *)
+(* Waiters and timed wakes                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* One prebuilt waiter serves every wait on it: each wait gets a fresh
+   resumer carrying the waiting fiber's own context. *)
+let test_waiter_reusable () =
+  Engine.run (fun () ->
+      let parked = Queue.create () in
+      let w = Engine.waiter (fun q r -> Queue.add r q) parked in
+      let got = ref [] in
+      for f = 1 to 3 do
+        Engine.spawn (fun () ->
+            Engine.set_ctx (10 * f);
+            let v = Engine.wait w in
+            got := (v, Engine.get_ctx ()) :: !got)
+      done;
+      Engine.sleep 5;
+      check_int "three parked" 3 (Queue.length parked);
+      List.iteri
+        (fun i r -> Engine.resume r (i + 1))
+        (List.of_seq (Queue.to_seq parked));
+      Engine.sleep 5;
+      Alcotest.(check (list (pair int int)))
+        "each fiber woke with its value and ctx"
+        [ (1, 10); (2, 20); (3, 30) ]
+        (List.sort compare !got))
+
+(* Waiting for an instant by an event that fills an awaited ivar there,
+   and by sleeping to it and yielding once. *)
+let ivar_wait at =
+  let iv = Ivar.create () in
+  Engine.schedule (at - Engine.now ()) (fun () -> Ivar.fill iv ());
+  Ivar.await iv
+
+let timed_wait at =
+  Engine.sleep (at - Engine.now ());
+  Engine.yield ()
+
+(* Fibers wait through chains of instants while raw events fire at
+   instants of their own; every waiter and event queues a follow-up at
+   its instant. Delays come from a small set, so instants coincide. *)
+let wake_log ~wait plans events =
+  Engine.run (fun () ->
+      let log = ref [] in
+      let note s = log := (Engine.now (), s) :: !log in
+      List.iteri
+        (fun i d ->
+          Engine.schedule d (fun () ->
+              note (Printf.sprintf "r%d" i);
+              Engine.schedule 0 (fun () -> note (Printf.sprintf "rr%d" i))))
+        events;
+      List.iteri
+        (fun f ds ->
+          Engine.spawn (fun () ->
+              List.iteri
+                (fun j d ->
+                  wait (Engine.now () + d);
+                  note (Printf.sprintf "w%d.%d" f j);
+                  Engine.schedule 0 (fun () ->
+                      note (Printf.sprintf "x%d.%d" f j)))
+                ds))
+        plans;
+      Engine.sleep 1_000;
+      List.rev !log)
+
+let prop_timed_wake_orders_as_ivar =
+  let step = QCheck.Gen.oneofl [ 0; 5; 10 ] in
+  QCheck.Test.make ~name:"sleep then yield orders as an ivar filled by an event"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (int_range 1 4) (list_size (int_range 1 6) step))
+           (list_size (int_range 0 6) (oneofl [ 0; 5; 10; 15; 20 ]))))
+    (fun (plans, events) ->
+      wake_log ~wait:timed_wait plans events
+      = wake_log ~wait:ivar_wait plans events)
+
+(* ------------------------------------------------------------------ *)
 (* Resumers: one-shot in every order, and the ivar timeout race        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1181,6 +1260,8 @@ let () =
           Alcotest.test_case "outside raises" `Quick test_engine_outside_raises;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "resumer one-shot" `Quick test_resumer_one_shot;
+          Alcotest.test_case "waiter reusable" `Quick test_waiter_reusable;
+          qtest prop_timed_wake_orders_as_ivar;
         ] );
       ( "ivar",
         [
