@@ -82,6 +82,44 @@ for ml in $(find lib -name '*.ml' | sort); do
 done
 [ "$dead" = 0 ]
 
+echo "== list-built charges"
+# A `charge ctrl [ ... ]` (or `charge ctrl (units @ [ ... ])`) in lib/core
+# whose counts are all integer literals is static data; a computed count
+# builds the list on every call, so it must take the positional
+# `charge_plus ctrl units cls n` instead (HACKING.md, "Hot path").
+bad=$(awk '
+  FNR == 1 { open = 0 }
+  {
+    if (!open) {
+      i = index($0, "charge ctrl")
+      if (i == 0) next
+      buf = substr($0, i + length("charge ctrl"))
+      if (buf !~ /^ *(\(.*@ *)?(\[|$)/) next
+      open = 1
+      start = FNR
+    } else buf = buf " " $0
+    j = index(buf, "]")
+    if (j == 0) next
+    open = 0
+    list = substr(buf, 1, j)
+    if (list !~ /^ *(\(.*@ *)?\[/) next
+    n = split(list, elems, ")")
+    for (k = 1; k < n; k++) {
+      count = elems[k]
+      sub(/.*,/, "", count)
+      gsub(/^ +| +$/, "", count)
+      if (count !~ /^[0-9]+$/) {
+        print FILENAME ":" start ": charge with computed count \"" count "\""
+        break
+      }
+    }
+  }' lib/core/*.ml)
+if [ -n "$bad" ]; then
+  echo "$bad"
+  echo "use charge_plus for a charge whose count is computed"
+  exit 1
+fi
+
 echo "== dune build"
 dune build
 

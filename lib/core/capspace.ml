@@ -98,75 +98,100 @@ let resolve_cid ctrl proc cid =
    epoch/validity checks still run on every use downstream, so a cached
    translation can never outlive the object or epoch it names.
 
-   [charged_resolve ctrl proc ~base cids] charges [base] plus one Lookup
-   per cid and resolves the cids in order. With the memo off this is a
-   single combined charge (identical to the pre-cache cost model); with
-   it on, memo hits skip their Lookup charge — the class with the largest
-   SmartNIC multiplier, which is exactly where the paper's wimpy-core
-   controllers hurt. *)
+   [charged_resolve1 ctrl proc ~base cid] charges [base] plus one Lookup
+   and resolves [cid]; [charged_resolve2] does the same for two cids, in
+   order, stopping at the first failure. With the memo off this is a
+   single combined charge before the resolution (identical to the
+   pre-cache cost model); with it on, the charge comes after and memo hits
+   skip their Lookup — the class with the largest SmartNIC multiplier,
+   which is exactly where the paper's wimpy-core controllers hurt. Both
+   resolve the cids directly and charge through [charge_plus], so a
+   resolve builds no list (HACKING.md, "Hot path"). *)
 let memo_invalidate ctrl =
   ctrl.cap_gen <- ctrl.cap_gen + 1;
   journal ctrl Obs.Journal.Debug "ctrl.tcache_invalidate" (fun () ->
       Printf.sprintf "gen=%d" ctrl.cap_gen)
 
-let resolve_cid_memo ctrl proc cid =
+(* [proc]'s capability space with its memo brought up to the current
+   capability generation. *)
+let memo_space ctrl proc =
   match space_of ctrl proc with
-  | Error _ as e -> (e, false)
-  | Ok space ->
+  | Error _ as e -> e
+  | Ok space as ok ->
     if space.cs_memo_gen <> ctrl.cap_gen then begin
       Hashtbl.reset space.cs_memo;
       space.cs_memo_gen <- ctrl.cap_gen
     end;
-    (match Hashtbl.find_opt space.cs_memo cid with
-    | Some entry ->
-      Obs.Metrics.incr ctrl.cm.cm_tcache_hits;
-      (Ok entry, true)
-    | None ->
-      Obs.Metrics.incr ctrl.cm.cm_tcache_misses;
-      (match Hashtbl.find_opt space.cs_caps cid with
-      | Some entry ->
-        Hashtbl.replace space.cs_memo cid entry;
-        (Ok entry, false)
-      | None -> (Error Error.Invalid_cap, false)))
+    ok
 
-let charged_resolve ctrl proc ~base cids =
-  if not (config ctrl).translation_cache then begin
-    charge ctrl (base @ [ (Net.Cost.Lookup, List.length cids) ]);
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | cid :: rest -> (
-        match resolve_cid ctrl proc cid with
-        | Error _ as e -> e
-        | Ok entry -> go (entry :: acc) rest)
-    in
-    go [] cids
-  end
-  else begin
-    let misses = ref 0 in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | cid :: rest -> (
-        match resolve_cid_memo ctrl proc cid with
-        | (Error _ as e), _ ->
-          (* a failed translation still walked the table *)
-          incr misses;
-          e
-        | Ok entry, hit ->
-          if not hit then incr misses;
-          go (entry :: acc) rest)
-    in
-    let resolved = go [] cids in
-    charge ctrl (base @ [ (Net.Cost.Lookup, !misses) ]);
-    resolved
-  end
+(* One translation through the memo, in two steps so that a caller counts
+   its Lookups without a tuple: [memo_hit] is the memoized entry, if any
+   (no Lookup); [memo_fill] walks the table after a miss (one Lookup, also
+   when the cid is unbound) and memoizes what it finds. *)
+let memo_hit ctrl space cid =
+  match Hashtbl.find_opt space.cs_memo cid with
+  | Some _ as hit ->
+    Obs.Metrics.incr ctrl.cm.cm_tcache_hits;
+    hit
+  | None ->
+    Obs.Metrics.incr ctrl.cm.cm_tcache_misses;
+    None
+
+let memo_fill space cid =
+  match Hashtbl.find_opt space.cs_caps cid with
+  | Some entry ->
+    Hashtbl.replace space.cs_memo cid entry;
+    Ok entry
+  | None -> Error Error.Invalid_cap
+
+let memo_resolve space hit cid =
+  match hit with Some entry -> Ok entry | None -> memo_fill space cid
+
+let lookups = function Some _ -> 0 | None -> 1
 
 let charged_resolve1 ctrl proc ~base cid =
-  Result.map List.hd (charged_resolve ctrl proc ~base [ cid ])
+  if not (config ctrl).translation_cache then begin
+    charge_plus ctrl base Net.Cost.Lookup 1;
+    resolve_cid ctrl proc cid
+  end
+  else
+    match memo_space ctrl proc with
+    | Error _ as e ->
+      charge_plus ctrl base Net.Cost.Lookup 1;
+      e
+    | Ok space ->
+      let hit = memo_hit ctrl space cid in
+      let resolved = memo_resolve space hit cid in
+      charge_plus ctrl base Net.Cost.Lookup (lookups hit);
+      resolved
 
 let charged_resolve2 ctrl proc ~base a b =
-  Result.map
-    (function [ ea; eb ] -> (ea, eb) | _ -> assert false)
-    (charged_resolve ctrl proc ~base [ a; b ])
+  if not (config ctrl).translation_cache then begin
+    charge_plus ctrl base Net.Cost.Lookup 2;
+    match resolve_cid ctrl proc a with
+    | Error _ as e -> e
+    | Ok ea -> (
+      match resolve_cid ctrl proc b with
+      | Error _ as e -> e
+      | Ok eb -> Ok (ea, eb))
+  end
+  else
+    match memo_space ctrl proc with
+    | Error _ as e ->
+      charge_plus ctrl base Net.Cost.Lookup 1;
+      e
+    | Ok space -> (
+      let hit_a = memo_hit ctrl space a in
+      match memo_resolve space hit_a a with
+      | Error _ as e ->
+        charge_plus ctrl base Net.Cost.Lookup (lookups hit_a);
+        e
+      | Ok ea ->
+        let hit_b = memo_hit ctrl space b in
+        let resolved = memo_resolve space hit_b b in
+        charge_plus ctrl base Net.Cost.Lookup
+          (lookups hit_a + lookups hit_b);
+        match resolved with Error _ as e -> e | Ok eb -> Ok (ea, eb))
 
 (* Resolve a list of capability arguments to (addr, monitored) pairs, where
    monitored records whether the argument came from a monitor_delegator
@@ -312,7 +337,7 @@ let cleanup_broadcast ctrl addrs =
    immediate revocation, monitor_receive callbacks, then async cleanup. *)
 let invalidate_at_owner ctrl obj =
   let invalidated = Objects.invalidate ctrl obj in
-  charge ctrl [ (Net.Cost.Revoke, List.length invalidated) ];
+  charge_plus ctrl [] Net.Cost.Revoke (List.length invalidated);
   (* one Revoke event per invalidated object, subtree root first (the
      order Objects.invalidate walks the revocation tree) *)
   List.iter

@@ -17,22 +17,43 @@ let put_u64 b v =
   put_u32 b v;
   put_u32 b (v lsr 32)
 
-let get_u8 s off = (Char.code s.[off], off + 1)
+type error = Truncated of { off : int; need : int }
 
-let get_u16 s off =
-  let a, off = get_u8 s off in
-  let b, off = get_u8 s off in
-  (a lor (b lsl 8), off)
+let ( let* ) = Result.bind
 
-let get_u32 s off =
-  let a, off = get_u16 s off in
-  let b, off = get_u16 s off in
-  (a lor (b lsl 16), off)
+(* [need] bytes at [off], or the typed error if the input ends first *)
+let check s off need =
+  if off < 0 || off + need > String.length s then
+    Error (Truncated { off; need })
+  else Ok ()
 
-let get_u64 s off =
-  let a, off = get_u32 s off in
-  let b, off = get_u32 s off in
-  (a lor (b lsl 32), off)
+(* little-endian fixed-width readers *)
+let rec le s off n =
+  if n = 0 then 0 else Char.code s.[off] lor (le s (off + 1) (n - 1) lsl 8)
+
+let get_le n s off =
+  let* () = check s off n in
+  Ok (le s off n, off + n)
+
+let get_u8 = get_le 1
+let get_u16 = get_le 2
+let get_u32 = get_le 4
+let get_u64 = get_le 8
+
+let get_sub s off len =
+  let* () = check s off len in
+  Ok (String.sub s off len, off + len)
+
+(* a u16 count, then that many [item]s *)
+let get_list item s off =
+  let* n, off = get_u16 s off in
+  let rec go acc off i =
+    if i = n then Ok (List.rev acc, off)
+    else
+      let* x, off = item s off in
+      go (x :: acc) off (i + 1)
+  in
+  go [] off 0
 
 (* ------------------------------------------------------------------ *)
 
@@ -42,40 +63,32 @@ let encode_addr b (a : addr) =
   put_u64 b a.State.a_oid
 
 let decode_addr s off =
-  let a_ctrl, off = get_u32 s off in
-  let a_epoch, off = get_u32 s off in
-  let a_oid, off = get_u64 s off in
-  ({ State.a_ctrl; a_epoch; a_oid }, off)
+  let* a_ctrl, off = get_u32 s off in
+  let* a_epoch, off = get_u32 s off in
+  let* a_oid, off = get_u64 s off in
+  Ok ({ State.a_ctrl; a_epoch; a_oid }, off)
 
 let encode_perms b (p : Perms.t) =
   put_u8 b ((if p.Perms.read then 1 else 0) lor if p.Perms.write then 2 else 0)
 
 let decode_perms s off =
-  let v, off = get_u8 s off in
-  ({ Perms.read = v land 1 <> 0; write = v land 2 <> 0 }, off)
+  let* v, off = get_u8 s off in
+  Ok ({ Perms.read = v land 1 <> 0; write = v land 2 <> 0 }, off)
 
 let encode_imm b (imm : Args.imm) =
   put_u32 b (Bytes.length imm);
   Buffer.add_bytes b imm
 
 let decode_imm s off =
-  let len, off = get_u32 s off in
-  if off + len > String.length s then failwith "Codec: truncated immediate";
-  (Bytes.of_string (String.sub s off len), off + len)
+  let* len, off = get_u32 s off in
+  let* imm, off = get_sub s off len in
+  Ok (Bytes.of_string imm, off)
 
 let encode_imms b imms =
   put_u16 b (List.length imms);
   List.iter (encode_imm b) imms
 
-let decode_imms s off =
-  let n, off = get_u16 s off in
-  let rec go acc off i =
-    if i = n then (List.rev acc, off)
-    else
-      let imm, off = decode_imm s off in
-      go (imm :: acc) off (i + 1)
-  in
-  go [] off 0
+let decode_imms = get_list decode_imm
 
 let encode_caps b caps =
   put_u16 b (List.length caps);
@@ -85,25 +98,20 @@ let encode_caps b caps =
       put_u8 b (if monitored then 1 else 0))
     caps
 
-let decode_caps s off =
-  let n, off = get_u16 s off in
-  let rec go acc off i =
-    if i = n then (List.rev acc, off)
-    else
-      let addr, off = decode_addr s off in
-      let m, off = get_u8 s off in
-      go ((addr, m <> 0) :: acc) off (i + 1)
-  in
-  go [] off 0
+let decode_cap s off =
+  let* addr, off = decode_addr s off in
+  let* m, off = get_u8 s off in
+  Ok ((addr, m <> 0), off)
+
+let decode_caps = get_list decode_cap
 
 let encode_string b s =
   put_u16 b (String.length s);
   Buffer.add_string b s
 
 let decode_string s off =
-  let len, off = get_u16 s off in
-  if off + len > String.length s then failwith "Codec: truncated string";
-  (String.sub s off len, off + len)
+  let* len, off = get_u16 s off in
+  get_sub s off len
 
 let encode_request b ~tag ~target ~imms ~caps =
   encode_string b tag;
@@ -112,11 +120,11 @@ let encode_request b ~tag ~target ~imms ~caps =
   encode_caps b caps
 
 let decode_request s off =
-  let tag, off = decode_string s off in
-  let target, off = decode_addr s off in
-  let imms, off = decode_imms s off in
-  let caps, off = decode_caps s off in
-  ((tag, target, imms, caps), off)
+  let* tag, off = decode_string s off in
+  let* target, off = decode_addr s off in
+  let* imms, off = decode_imms s off in
+  let* caps, off = decode_caps s off in
+  Ok ((tag, target, imms, caps), off)
 
 let encode_delivery b (d : State.delivery) =
   encode_string b d.State.d_tag;
@@ -125,17 +133,10 @@ let encode_delivery b (d : State.delivery) =
   List.iter (fun cid -> put_u32 b cid) d.State.d_caps
 
 let decode_delivery s off =
-  let d_tag, off = decode_string s off in
-  let d_imms, off = decode_imms s off in
-  let n, off = get_u16 s off in
-  let rec go acc off i =
-    if i = n then (List.rev acc, off)
-    else
-      let cid, off = get_u32 s off in
-      go (cid :: acc) off (i + 1)
-  in
-  let d_caps, off = go [] off 0 in
-  ({ State.d_tag; d_imms; d_caps }, off)
+  let* d_tag, off = decode_string s off in
+  let* d_imms, off = decode_imms s off in
+  let* d_caps, off = get_list get_u32 s off in
+  Ok ({ State.d_tag; d_imms; d_caps }, off)
 
 (* ------------------------------------------------------------------ *)
 (* Sizes (must agree with the encoders; checked by property tests)      *)

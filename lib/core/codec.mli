@@ -42,18 +42,24 @@ val encode_delivery : Buffer.t -> State.delivery -> unit
 (** {1 Decoders}
 
     Each takes the buffer string and an offset, returning the value and
-    the next offset. Raise [Failure] on malformed input. *)
+    the next offset, or a typed error on malformed input; none raises.
+    Every byte string long enough for a layout decodes, so the only
+    malformation is input that ends early. *)
 
-val decode_addr : string -> int -> addr * int
-val decode_perms : string -> int -> Perms.t * int
-val decode_imms : string -> int -> Args.imm list * int
-val decode_caps : string -> int -> (addr * bool) list * int
+type error =
+  | Truncated of { off : int; need : int }
+      (** The field at [off] takes [need] bytes; the input ends first. *)
+
+val decode_addr : string -> int -> (addr * int, error) result
+val decode_perms : string -> int -> (Perms.t * int, error) result
+val decode_imms : string -> int -> (Args.imm list * int, error) result
+val decode_caps : string -> int -> ((addr * bool) list * int, error) result
 
 val decode_request :
   string -> int ->
-  (string * addr * Args.imm list * (addr * bool) list) * int
+  ((string * addr * Args.imm list * (addr * bool) list) * int, error) result
 
-val decode_delivery : string -> int -> State.delivery * int
+val decode_delivery : string -> int -> (State.delivery * int, error) result
 
 (** {1 Sizes} *)
 

@@ -85,8 +85,8 @@ let sys_mem_copy ctrl ~caller ~src ~dst (reply : unit reply) =
     reply_to ctrl reply (Sim.Ivar.await rr_iv)
 
 let sys_req_create ctrl ~caller ~tag ~imms ~caps (reply : int reply) =
-  charge ctrl
-    [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1 + List.length caps) ];
+  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup
+    (1 + List.length caps);
   match space_of ctrl caller with
   | Error e -> reply_to ctrl reply (Error e)
   | Ok space -> (
@@ -102,8 +102,8 @@ let sys_req_create ctrl ~caller ~tag ~imms ~caps (reply : int reply) =
            ~audit_detail:(fun () -> "request tag=" ^ tag)))
 
 let sys_req_derive ctrl ~caller ~parent ~imms ~caps (reply : int reply) =
-  charge ctrl
-    [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 2 + List.length caps) ];
+  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup
+    (2 + List.length caps);
   match (space_of ctrl caller, resolve_cid ctrl caller parent) with
   | Error e, _ | _, Error e -> reply_to ctrl reply (Error e)
   | Ok space, Ok parent_entry -> (

@@ -37,13 +37,18 @@ let journal ctrl sev kind detail =
 
 (* Charge controller software cost: occupies one of the controller's two
    cores for the class-scaled duration (queueing under load is implicit). *)
+let use_cpu ctrl d = if d > 0 then Sim.Resource.use ctrl.cpu ~duration:d
 let charge ctrl units =
-  let d = Net.Cost.v (config ctrl) (kind ctrl) units in
-  if d > 0 then Sim.Resource.use ctrl.cpu ~duration:d
+  use_cpu ctrl (Net.Cost.v (config ctrl) (kind ctrl) units)
+
+(* [units] plus [n] units of [cls], the sum [charge] takes of the list
+   [units @ [ (cls, n) ]] but without building it: the form for a count
+   computed at run time (HACKING.md, "Hot path"). *)
+let charge_plus ctrl units cls n =
+  use_cpu ctrl (Net.Cost.v_plus (config ctrl) (kind ctrl) units cls n)
 
 let charge_scaled ctrl cls base =
-  let d = Net.Cost.scaled (config ctrl) (kind ctrl) cls base in
-  if d > 0 then Sim.Resource.use ctrl.cpu ~duration:d
+  use_cpu ctrl (Net.Cost.scaled (config ctrl) (kind ctrl) cls base)
 
 (* Replies and raw deliveries ride the fabric outside the endpoint layer,
    so they see duplicated messages (fault injection) as repeated callback
@@ -92,8 +97,13 @@ let rreply_from_event ctrl (rr : _ rreply) v =
 let send_peer ctrl (dst : ctrl) ~size msg =
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst.peer_ep ~size msg
 
+(* A plain recursion, not a [List.find_opt] closure: every directory hit
+   passes through here. *)
+let rec find_peer id = function
+  | [] -> None
+  | c :: rest -> if c.ctrl_id = id then Some c else find_peer id rest
+
 let peer_of_id ctrl id =
-  if id = ctrl.ctrl_id then Some ctrl
-  else List.find_opt (fun c -> c.ctrl_id = id) ctrl.peers
+  if id = ctrl.ctrl_id then Some ctrl else find_peer id ctrl.peers
 
 let peer_of_addr ctrl a = peer_of_id ctrl a.a_ctrl

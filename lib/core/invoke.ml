@@ -39,7 +39,7 @@ let deliver_untraced ctrl (r : req) imms caps rr =
     match Capspace.space_of ctrl provider with
     | Error e -> rreply_opt ctrl rr (Error e)
     | Ok space ->
-      charge ctrl [ (Net.Cost.Cap_transfer, List.length caps) ];
+      charge_plus ctrl [] Net.Cost.Cap_transfer (List.length caps);
       let delegated =
         if Obs.Span.enabled () then
           span ctrl "ctrl.delegate" (fun () ->
@@ -101,7 +101,7 @@ and invoke_hop ctrl addr suffix_imms suffix_caps rr =
     match Objects.resolve_payload ctrl obj with
     | Error e -> rreply_opt ctrl rr (Error e)
     | Ok (payload, hops) -> (
-      charge ctrl [ (Net.Cost.Lookup, hops) ];
+      charge_plus ctrl [] Net.Cost.Lookup hops;
       match payload.o_kind with
       | O_request r -> (
         let imms = r.r_imms @ suffix_imms in

@@ -36,6 +36,7 @@ let rec sum cfg kind acc = function
   | (cls, n) :: rest -> sum cfg kind (acc + (n * one cfg kind cls)) rest
 
 let v cfg kind units = sum cfg kind 0 units
+let v_plus cfg kind units cls n = sum cfg kind (n * one cfg kind cls) units
 
 let scaled cfg kind cls base =
   int_of_float

@@ -21,6 +21,13 @@ val v : Config.t -> Node.kind -> (cls * int) list -> Sim.Time.t
 (** [v cfg kind units] sums the scaled cost of a bag of units, e.g.
     [v cfg kind [(Msg, 2); (Lookup, 3)]]. *)
 
+val v_plus :
+  Config.t -> Node.kind -> (cls * int) list -> cls -> int -> Sim.Time.t
+(** [v_plus cfg kind units cls n] is [v cfg kind (units @ [(cls, n)])]
+    without building the list: the positional form for a charge whose
+    count is computed at run time (a list holding a computed count is
+    allocated on every call; one of literals is static data). *)
+
 val scaled : Config.t -> Node.kind -> cls -> Sim.Time.t -> Sim.Time.t
 (** [scaled cfg kind cls base] scales an arbitrary base cost by [cls]'s
     node-kind factor — for costs that belong to a class but are not unit

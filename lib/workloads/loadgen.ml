@@ -18,29 +18,31 @@ let percentile sorted p =
 let zero_summary elapsed =
   { n = 0; mean = 0; p50 = 0; p95 = 0; p99 = 0; max = 0; elapsed }
 
-let summarize' latencies elapsed =
-  let sorted = Array.of_list (List.sort compare latencies) in
-  let n = Array.length sorted in
-  let total = Array.fold_left ( + ) 0 sorted in
-  {
-    n;
-    mean = total / n;
-    p50 = percentile sorted 0.50;
-    p95 = percentile sorted 0.95;
-    p99 = percentile sorted 0.99;
-    max = sorted.(n - 1);
-    elapsed;
-  }
-
-(* under heavy shedding a workload can legitimately complete zero
-   requests; report the all-zero summary instead of crashing the report
-   path (mirrors the n = 0 run_open_loop short-circuit) *)
+(* Under heavy shedding a workload can legitimately complete zero
+   requests: report the all-zero summary instead of crashing the report
+   path (mirrors the n = 0 run_open_loop short-circuit). *)
 let summarize latencies elapsed =
-  if latencies = [] then zero_summary elapsed else summarize' latencies elapsed
+  let n = Array.length latencies in
+  if n = 0 then zero_summary elapsed
+  else begin
+    Array.sort Int.compare latencies;
+    let total = Array.fold_left ( + ) 0 latencies in
+    {
+      n;
+      mean = total / n;
+      p50 = percentile latencies 0.50;
+      p95 = percentile latencies 0.95;
+      p99 = percentile latencies 0.99;
+      max = latencies.(n - 1);
+      elapsed;
+    }
+  end
 
+(* [n] is known up front: each completion writes its latency at its
+   completion index. *)
 let run_open_loop' ~rng ~rate_per_s ~n request =
   let mean_gap_ns = 1e9 /. rate_per_s in
-  let latencies = ref [] in
+  let latencies = Array.make n 0 in
   let completed = ref 0 in
   let done_ = Sim.Ivar.create () in
   let t0 = Sim.Engine.now () in
@@ -49,7 +51,7 @@ let run_open_loop' ~rng ~rate_per_s ~n request =
       Sim.Engine.spawn (fun () ->
           let start = Sim.Engine.now () in
           request i;
-          latencies := (Sim.Engine.now () - start) :: !latencies;
+          latencies.(!completed) <- Sim.Engine.now () - start;
           incr completed;
           if !completed = n then Sim.Ivar.fill done_ ());
       let gap =
@@ -61,7 +63,7 @@ let run_open_loop' ~rng ~rate_per_s ~n request =
   in
   arrivals 0;
   Sim.Ivar.await done_;
-  summarize !latencies (Sim.Engine.now () - t0)
+  summarize latencies (Sim.Engine.now () - t0)
 
 let run_open_loop ~rng ~rate_per_s ~n request =
   if n < 0 then invalid_arg "Loadgen.run_open_loop: n < 0";

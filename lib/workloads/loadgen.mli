@@ -19,11 +19,11 @@ type summary = {
   elapsed : Sim.Time.t;  (** first arrival to last completion *)
 }
 
-val summarize : Sim.Time.t list -> Sim.Time.t -> summary
-(** [summarize latencies elapsed]. An empty sample list yields the
-    all-zero summary (n = 0) rather than raising: under heavy chaos
-    shedding a workload can complete zero requests and the report must
-    still print. *)
+val summarize : Sim.Time.t array -> Sim.Time.t -> summary
+(** [summarize latencies elapsed] sorts [latencies] in place and reads the
+    percentiles off it. An empty sample array yields the all-zero summary
+    (n = 0) rather than raising: under heavy chaos shedding a workload
+    can complete zero requests and the report must still print. *)
 
 val run_open_loop :
   rng:Sim.Prng.t ->
@@ -33,8 +33,9 @@ val run_open_loop :
   summary
 (** [run_open_loop ~rng ~rate_per_s ~n request] fires [n] requests with
     exponential inter-arrival times at mean rate [rate_per_s]; each runs
-    [request i] in its own fiber and its completion latency is recorded.
-    Blocks until all complete. Must run inside the engine.
+    [request i] in its own fiber and its completion latency is recorded
+    into an array of [n] slots, allocated once. Blocks until all
+    complete. Must run inside the engine.
 
     [n = 0] returns an all-zero summary immediately (it used to deadlock:
     with no requests the internal completion ivar never filled). Raises
