@@ -120,6 +120,19 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
+echo "== Membuf.data outside Membuf"
+# A buffer's bytes are allocated on its first store (lib/core/membuf.mli),
+# so a store straight into [Membuf.data] would bypass that. Only Membuf
+# itself (as [t.data]) and the benchmark, which reads the field after its
+# stores, may touch it; everything else goes through the Membuf API.
+bad=$(grep -rn --include='*.ml' --include='*.mli' 'Membuf\.data\b' \
+        lib bin bench test examples || true)
+if [ -n "$bad" ]; then
+  echo "$bad"
+  echo "use the Membuf API (read, write, blit, materialize) instead of .data"
+  exit 1
+fi
+
 echo "== dune build"
 dune build
 

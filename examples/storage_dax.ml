@@ -40,7 +40,7 @@ let () =
       ok_exn (Fs.read app h ~off:0 ~len:size ~dst);
       let fs_time = Engine.now () - t0 in
       let fs_census = Net.Stats.census (Cluster.stats c) in
-      assert (Bytes.equal rbuf.Membuf.data content);
+      assert (Bytes.equal (Membuf.read rbuf ~off:0 ~len:size) content);
 
       (* --- DAX mode: client drives the block device directly -------- *)
       let dh = ok_exn (Fs.open_ app ~fs:c.Cluster.fs_cap ~name:"data" Fs.Dax_ro) in
@@ -56,7 +56,7 @@ let () =
       let dax_time = Engine.now () - t1 in
       let dax_census = Net.Stats.census (Cluster.stats c) in
       assert ok;
-      assert (Bytes.equal rbuf.Membuf.data content);
+      assert (Bytes.equal (Membuf.read rbuf ~off:0 ~len:size) content);
 
       Format.printf "random read of %d KiB through the storage stack:@.@."
         (size / 1024);

@@ -66,13 +66,10 @@ let start_stage proc ~index ~max_size =
           (Net.Config.scale_time cfg.Net.Config.scale_client
              cfg.Net.Config.service_work);
         let mask = stage_mask index in
-        for i = 0 to len - 1 do
-          Membuf.write buf ~off:i
-            (Bytes.make 1
-               (Char.chr
-                  (Char.code (Bytes.get buf.Membuf.data i)
-                  lxor Char.code mask)))
-        done;
+        Membuf.write buf ~off:0
+          (Bytes.map
+             (fun c -> Char.chr (Char.code c lxor Char.code mask))
+             (Membuf.read buf ~off:0 ~len));
         match d.State.d_caps with
         | [ next ] -> ignore (Api.request_invoke (Svc.proc svc) next)
         | [ dst; next ] -> (

@@ -741,11 +741,12 @@ let dir_incoherences = Directory.dir_incoherences
 
 (* Reset the module-global id counters so two in-process simulation runs
    (e.g. back-to-back chaos runs compared for bit-determinism) mint
-   identical controller and copy-session ids. Call only between engine
+   identical controller, copy-session and buffer ids. Call only between engine
    runs. *)
 let reset_ids () =
   Domain.DLS.get next_ctrl_id := 0;
-  Copy.reset_ids ()
+  Copy.reset_ids ();
+  Membuf.reset_ids ()
 
 type memory_report = {
   mr_proc_buffers : int;

@@ -119,6 +119,17 @@ let schedule_failure_sweep ctrl copy_id =
       if Hashtbl.mem ctrl.copy_failures copy_id then
         reclaim_orphan ctrl ctrl.copy_failures copy_id "failure")
 
+(* The destination writer's store of a chunk into process memory. The
+   chunk's snapshot goes back to its free list right after the write, the
+   only place one is recycled; the chunk keeps [Bytes.empty], so a
+   duplicate delivery that slipped past the endpoint's dedup window finds
+   nothing to write instead of a buffer some later chunk now holds. *)
+let write_snapshot dst_mem ck =
+  let data = ck.ck_data in
+  Membuf.write dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off) data;
+  ck.ck_data <- Bytes.empty;
+  Membuf.recycle data
+
 (* Destination side: one writer fiber per copy session, consuming in-order
    chunks, staging them through the bounce buffer and RDMA-writing into the
    destination process's memory. The writer counts delivered bytes: if the
@@ -136,8 +147,7 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
         if len > 0 then begin
           (* staging memcpy through the bounce buffer *)
           stage ctrl ctrl.cpu len;
-          Membuf.write dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off)
-            ck.ck_data;
+          write_snapshot dst_mem ck;
           (* RDMA write from the bounce buffer into process memory *)
           Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode
             ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len ()
@@ -193,8 +203,7 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
         let len = Bytes.length ck.ck_data in
         if len > 0 then begin
           stage ctrl ctrl.copy_engine len;
-          Membuf.write dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off)
-            ck.ck_data;
+          write_snapshot dst_mem ck;
           (* asynchronous RDMA write out of the bounce buffer; the slot's
              credit is granted when the write-out completes *)
           incr outstanding;
@@ -268,19 +277,19 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total =
    original caller's ack, so completion is signaled by the destination
    controller directly to the origin (paper's decentralized data path).
 
-   [post_chunk] is the step both engines share: read chunk [i] of [n]
+   [post_chunk] is the step both engines share: snapshot chunk [i] of [n]
    (already staged in the bounce buffer) and post it to the destination
-   controller; the first chunk opens the session optimistically. *)
+   controller; the first chunk opens the session optimistically. The
+   snapshot is taken now, so bytes stored into the source afterwards (after
+   a revoke, say) never reach the destination. Only the destination
+   writer recycles it: a dropped, duplicated, parked or rejected chunk
+   leaves its snapshot to the garbage collector. *)
 let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) ~n i
     ~off ~len =
-  let data =
-    if len = 0 then Bytes.empty
-    else Membuf.read m.m_buf ~off:(m.m_off + off) ~len
-  in
   let ck =
     {
       ck_off = off;
-      ck_data = data;
+      ck_data = Membuf.snapshot m.m_buf ~off:(m.m_off + off) ~len;
       ck_last = (if i = n - 1 then Some rr else None);
     }
   in

@@ -359,7 +359,9 @@ and peer_msg =
 
 and copy_chunk = {
   ck_off : int;
-  ck_data : bytes;
+  mutable ck_data : bytes;
+      (* a snapshot owned by the chunk until the destination writer
+         recycles it, which leaves [Bytes.empty] here *)
   ck_last : unit rreply option; (* final chunk carries the caller's ack *)
 }
 

@@ -74,7 +74,8 @@ let handle_read t svc d =
         let res =
           Staging.with_slot t.staging len (fun slot ->
               Device.Nvme.blit t.ssd volume ~off
-                ~dst:slot.Staging.buf.Membuf.data ~dst_off:0 ~len;
+                ~dst:(Membuf.materialize slot.Staging.buf)
+                ~dst_off:0 ~len;
               Api.memory_copy (Svc.proc svc) ~src:slot.Staging.mem ~dst:dst_mem)
         in
         match res with
@@ -106,7 +107,8 @@ let handle_write t svc d =
             | Ok () -> (
               match
                 Device.Nvme.write t.ssd volume ~off
-                  ~src:slot.Staging.buf.Membuf.data ~src_off:0 ~len
+                  ~src:(Membuf.materialize slot.Staging.buf)
+                  ~src_off:0 ~len
               with
               | Ok () -> Ok ()
               | Error _ -> Error Error.Bounds))

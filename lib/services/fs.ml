@@ -241,7 +241,8 @@ let handle_read t svc d =
                 (* cache hit: serve from FS memory, no device round trip *)
                 Staging.with_slot t.staging n (fun slot ->
                     Bytes.blit w.w_data (abs_off - w.w_start)
-                      slot.Staging.buf.Membuf.data 0 n;
+                      (Membuf.materialize slot.Staging.buf)
+                      0 n;
                     to_client slot ~n ~range_off)
               | None -> (
                 (* miss: fetch (with sequential read-ahead when caching),

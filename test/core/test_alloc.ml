@@ -8,12 +8,16 @@
    the invokes crossing to the neighbour shard, so a closure creeping back
    onto the untraced path fails here rather than only in the benchmark.
    It pins the words and fibers per chunk of a cross-controller copy the
-   same way, so a chunk message that goes back to a fiber of its own, or
-   a transfer that goes back to an ivar, fails here too. *)
+   same way, so a chunk message that goes back to a fiber of its own, a
+   transfer that goes back to an ivar, or a chunk payload that goes back to
+   a fresh allocation, fails here too. *)
 
 open Fractos_sim
 open Fractos_core
 module Tb = Fractos_testbed.Testbed
+
+(* every byte of [b]; an unwritten buffer reads as zeros *)
+let contents b = Membuf.read b ~off:0 ~len:(Membuf.size b)
 
 let ok_exn = function
   | Ok v -> v
@@ -87,12 +91,14 @@ let test_null_invoke_budget () =
     Alcotest.failf "%.1f minor words per null invoke, budget %.0f" words
       budget
 
-(* Minor-heap words and fibers per 16 KiB chunk, over [n] sequential
-   1 MiB [memory_copy]s between two hosts (64 chunks each), the source
-   and destination on different controllers. A chunk's payload is a
-   major-heap block, so the minor words are the message plumbing alone:
-   the peer message, its dedup and fabric bookkeeping, the handler and
-   the destination writer's wake-ups. *)
+(* Minor-heap words, major-heap words and fibers per 16 KiB chunk, over
+   [n] sequential 1 MiB [memory_copy]s between two hosts (64 chunks
+   each), the source and destination on different controllers. The minor
+   words are the message plumbing: the peer message, its dedup and fabric
+   bookkeeping, the handler and the destination writer's wake-ups. The
+   major words are the chunk's payload, which after warm-up is a recycled
+   snapshot rather than a fresh major-heap block, plus whatever plumbing
+   a minor collection happens to promote. *)
 let per_chunk ~n =
   let len = 1 lsl 20 in
   let chunks = len / (16 * 1024) in
@@ -102,7 +108,7 @@ let per_chunk ~n =
       let pa = Tb.add_proc tb ~on:a ~ctrl:ca "proc-a" in
       let pb = Tb.add_proc tb ~on:b ~ctrl:cb "proc-b" in
       let src_buf = Process.alloc pa len and dst_buf = Process.alloc pb len in
-      Bytes.fill src_buf.Membuf.data 0 len 'x';
+      Membuf.fill src_buf 'x';
       let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
       let dst =
         Tb.grant ~src:pb ~dst:pa
@@ -114,15 +120,17 @@ let per_chunk ~n =
         copy ()
       done;
       let w0 = Gc.minor_words () and f0 = Engine.fiber_count () in
+      let m0 = (Gc.quick_stat ()).Gc.major_words in
       for _ = 1 to n do
         copy ()
       done;
       let w1 = Gc.minor_words () and f1 = Engine.fiber_count () in
+      let m1 = (Gc.quick_stat ()).Gc.major_words in
       Alcotest.(check bool)
         "bytes copied" true
-        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data);
+        (Bytes.equal (contents src_buf) (contents dst_buf));
       let per x = x /. float_of_int (n * chunks) in
-      (per (w1 -. w0), per (float_of_int (f1 - f0))))
+      (per (w1 -. w0), per (m1 -. m0), per (float_of_int (f1 - f0))))
 
 (* Measured at 113 words and 4 fibers per 64-chunk copy (x86-64, OCaml
    5.1); the budget is ~25 % above. Before chunk messages ran as engine
@@ -131,15 +139,24 @@ let per_chunk ~n =
 let copy_budget = 142.
 let fiber_budget = 0.1
 
+(* Measured at 13.5 major words per chunk (x86-64, OCaml 5.1): promoted
+   plumbing only, the snapshot comes off its free list. A fresh 16 KiB
+   block per chunk, as staging allocated before snapshots were recycled,
+   measures 2060 here. *)
+let major_budget = 64.
+
 let test_copy_chunk_budget () =
-  let words, fibers = per_chunk ~n:32 in
+  let words, major, fibers = per_chunk ~n:32 in
   Printf.printf
-    "minor words per copy chunk: %.1f (budget %.0f); fibers per chunk: %.3f \
-     (budget %.1f)\n"
-    words copy_budget fibers fiber_budget;
+    "minor words per copy chunk: %.1f (budget %.0f); major words: %.1f \
+     (budget %.0f); fibers per chunk: %.3f (budget %.1f)\n"
+    words copy_budget major major_budget fibers fiber_budget;
   if words > copy_budget then
     Alcotest.failf "%.1f minor words per copy chunk, budget %.0f" words
       copy_budget;
+  if major > major_budget then
+    Alcotest.failf "%.1f major words per copy chunk, budget %.0f" major
+      major_budget;
   if fibers >= fiber_budget then
     Alcotest.failf "%.3f fibers per copy chunk, budget %.1f" fibers
       fiber_budget

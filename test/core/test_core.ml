@@ -6,6 +6,15 @@ open Fractos_sim
 open Fractos_core
 module Tb = Fractos_testbed.Testbed
 
+(* every byte of [b]; an unwritten buffer reads as zeros *)
+let contents b = Membuf.read b ~off:0 ~len:(Membuf.size b)
+
+(* store [g]'s next [Membuf.size b] bytes into [b] *)
+let randomize g b =
+  let d = Bytes.create (Membuf.size b) in
+  Prng.fill_bytes g d;
+  Membuf.write b ~off:0 d
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -94,7 +103,7 @@ let test_memory_copy_cross_node () =
       let pa, pb, _, _ = two_node_setup tb in
       let src_buf = Process.alloc pa 4096 in
       let g = Prng.create ~seed:1 in
-      Prng.fill_bytes g src_buf.Membuf.data;
+      randomize g src_buf;
       let dst_buf = Process.alloc pb 4096 in
       let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
       let dst_b = ok_exn (Api.memory_create pb dst_buf Perms.rw) in
@@ -102,7 +111,7 @@ let test_memory_copy_cross_node () =
       let dst = Tb.grant ~src:pb ~dst:pa dst_b in
       ok_exn (Api.memory_copy pa ~src ~dst);
       check_bool "bytes equal" true
-        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data))
+        (Bytes.equal (contents src_buf) (contents dst_buf)))
 
 let test_memory_copy_large_chunked () =
   Tb.run (fun tb ->
@@ -110,7 +119,7 @@ let test_memory_copy_large_chunked () =
       let n = 300_000 in
       let src_buf = Process.alloc pa n in
       let g = Prng.create ~seed:7 in
-      Prng.fill_bytes g src_buf.Membuf.data;
+      randomize g src_buf;
       let dst_buf = Process.alloc pb n in
       let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
       let dst = Tb.grant ~src:pb ~dst:pa (ok_exn (Api.memory_create pb dst_buf Perms.rw)) in
@@ -118,7 +127,7 @@ let test_memory_copy_large_chunked () =
       ok_exn (Api.memory_copy pa ~src ~dst);
       let elapsed = Engine.now () - t0 in
       check_bool "bytes equal" true
-        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data);
+        (Bytes.equal (contents src_buf) (contents dst_buf));
       (* 300 kB at 10 Gbps is 240 us of pure wire; with bounce buffers and
          pipelining we should land within ~2.5x of that. *)
       check_bool "pipelined time sane" true
@@ -216,7 +225,7 @@ let with_hw_copies f =
 
 let random_buf p n ~seed =
   let buf = Process.alloc p n in
-  Prng.fill_bytes (Prng.create ~seed) buf.Membuf.data;
+  randomize (Prng.create ~seed) buf;
   buf
 
 let test_hw_copy_local () =
@@ -228,7 +237,7 @@ let test_hw_copy_local () =
       let dst = ok_exn (Api.memory_create pa dst_buf Perms.rw) in
       ok_exn (Api.memory_copy pa ~src ~dst);
       check_bool "bytes equal" true
-        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data))
+        (Bytes.equal (contents src_buf) (contents dst_buf)))
 
 let test_hw_copy_cross_node () =
   with_hw_copies (fun tb ->
@@ -242,7 +251,7 @@ let test_hw_copy_cross_node () =
       in
       ok_exn (Api.memory_copy pa ~src ~dst);
       check_bool "bytes equal" true
-        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data))
+        (Bytes.equal (contents src_buf) (contents dst_buf)))
 
 let test_hw_copy_readonly_dst () =
   with_hw_copies (fun tb ->
@@ -293,7 +302,7 @@ let timed_copy ?net_gbps ~window ~streams n =
       let pa, pb, _, _ = two_node_setup tb in
       let src_buf = Process.alloc pa n in
       let g = Prng.create ~seed:(n + (window * 131) + streams) in
-      Prng.fill_bytes g src_buf.Membuf.data;
+      randomize g src_buf;
       let dst_buf = Process.alloc pb n in
       let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
       let dst =
@@ -307,7 +316,7 @@ let timed_copy ?net_gbps ~window ~streams n =
         (Printf.sprintf "bytes equal (n=%d window=%d streams=%d)" n window
            streams)
         true
-        (Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data);
+        (Bytes.equal (contents src_buf) (contents dst_buf));
       elapsed)
 
 let test_copy_pipelined_single_chunk () =
@@ -338,7 +347,7 @@ let test_copy_pipelined_default_knobs_identical () =
         let pa, pb, _, _ = two_node_setup tb in
         let src_buf = Process.alloc pa n in
         let g = Prng.create ~seed:(n + 131 + 1) in
-        Prng.fill_bytes g src_buf.Membuf.data;
+        randomize g src_buf;
         let dst_buf = Process.alloc pb n in
         let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
         let dst =
@@ -516,7 +525,7 @@ let test_request_cap_delegation_on_invoke () =
       let dst = ok_exn (Api.memory_create pb dst_buf Perms.rw) in
       ok_exn (Api.memory_copy pb ~src:delegated ~dst);
       check_str "server read client data" "client-data!!!!!"
-        (Bytes.to_string dst_buf.Membuf.data))
+        (Bytes.to_string (contents dst_buf)))
 
 let test_request_refinement_order () =
   (* Derived arguments append after the parent's (parent-first). *)
@@ -1155,7 +1164,7 @@ let prop_copy_integrity =
           let pa, pb, _, _ = two_node_setup tb in
           let src_buf = Process.alloc pa n in
           let g = Prng.create ~seed:n in
-          Prng.fill_bytes g src_buf.Membuf.data;
+          randomize g src_buf;
           let dst_buf = Process.alloc pb n in
           let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
           let dst =
@@ -1163,7 +1172,7 @@ let prop_copy_integrity =
               (ok_exn (Api.memory_create pb dst_buf Perms.rw))
           in
           ok_exn (Api.memory_copy pa ~src ~dst);
-          Bytes.equal src_buf.Membuf.data dst_buf.Membuf.data))
+          Bytes.equal (contents src_buf) (contents dst_buf)))
 
 (* Copy integrity across the engine's knob space: any (size, window,
    streams) combination must deliver the same bytes, including the

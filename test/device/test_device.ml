@@ -29,7 +29,7 @@ let add_one_kernel =
         ignore imms;
         match bufs with
         | [ buf ] ->
-          let data = buf.Core.Membuf.data in
+          let data = Core.Membuf.materialize buf in
           for i = 0 to Bytes.length data - 1 do
             Bytes.set data i (Char.chr ((Char.code (Bytes.get data i) + 1) land 0xff))
           done;

@@ -12,6 +12,9 @@ module Cluster = Fractos_testbed.Cluster
 open Fractos_services
 open Core
 
+(* every byte of [b]; an unwritten buffer reads as zeros *)
+let contents b = Membuf.read b ~off:0 ~len:(Membuf.size b)
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let ok_exn = Error.ok_exn
@@ -74,7 +77,7 @@ let replay ~cache ~write_through ops =
             let rbuf = Process.alloc proc len in
             let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
             ok_exn (Fs.read app h ~off ~len ~dst);
-            if not (Bytes.equal rbuf.Membuf.data (Bytes.sub model off len))
+            if not (Bytes.equal (contents rbuf) (Bytes.sub model off len))
             then begin
               Format.printf "MISMATCH at read %d+%d@." off len;
               ok := false
@@ -179,7 +182,7 @@ let test_fs_cache_correct_after_write () =
         let rbuf = Process.alloc proc len in
         let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
         ok_exn (Fs.read app h ~off ~len ~dst);
-        rbuf.Membuf.data
+        (contents rbuf)
       in
       write (Bytes.make 100 'A') 0;
       ignore (read 0 100) (* populate cache *);

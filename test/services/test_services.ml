@@ -13,6 +13,9 @@ open Fractos_services
 module Facedata = Fractos_workloads.Facedata
 open Core
 
+(* every byte of [b]; an unwritten buffer reads as zeros *)
+let contents b = Membuf.read b ~off:0 ~len:(Membuf.size b)
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let ok_exn = Error.ok_exn
@@ -263,10 +266,10 @@ let test_gpu_to_gpu_pipeline () =
             (fun ~bufs ~imms ->
               match (bufs, imms) with
               | [ buf ], [ len; mask ] when 0 <= len && len <= Membuf.size buf ->
-                for i = 0 to len - 1 do
-                  Membuf.set buf i
-                    (Char.chr (Char.code (Bytes.get buf.Membuf.data i) lxor mask))
-                done;
+                Membuf.write buf ~off:0
+                  (Bytes.map
+                     (fun c -> Char.chr (Char.code c lxor mask))
+                     (Membuf.read buf ~off:0 ~len));
                 Ok ()
               | _ -> Error "unmask: bad args");
         }
@@ -344,7 +347,7 @@ let test_gpu_to_gpu_pipeline () =
       let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
       ok_exn (Api.memory_copy proc ~src:out2.Gpu_adaptor.mem ~dst);
       check_bool "all matched after GPU->GPU hop" true
-        (Bytes.equal rbuf.Membuf.data (Bytes.make batch '\001'));
+        (Bytes.equal (contents rbuf) (Bytes.make batch '\001'));
       (* the probe batch moved gpu1 -> gpu2 directly *)
       let links = Fractos_net.Stats.per_link (Fractos_net.Fabric.stats tb.Tb.fabric) in
       let bytes a b =
@@ -389,7 +392,7 @@ let test_blockdev_write_read_roundtrip () =
              ())
       in
       check_bool "read ok" true ok2;
-      check_bool "roundtrip" true (Bytes.equal data rbuf.Membuf.data))
+      check_bool "roundtrip" true (Bytes.equal data (contents rbuf)))
 
 let test_blockdev_oob_error_continuation () =
   Tb.run (fun tb ->
@@ -466,7 +469,7 @@ let test_blockdev_negative_volume () =
       in
       check_bool "read ok" true ok;
       check_bool "volume A untouched" true
-        (Bytes.equal rbuf.Membuf.data (Bytes.make 4096 '\000')))
+        (Bytes.equal (contents rbuf) (Bytes.make 4096 '\000')))
 
 let test_blockdev_malformed_imm () =
   Tb.run (fun tb ->
@@ -573,7 +576,7 @@ let fs_write_read_file tb ~extent_size ~size =
   let rbuf = Process.alloc proc size in
   let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
   ok_exn (Fs.read c.app h ~off:0 ~len:size ~dst);
-  (data, rbuf.Membuf.data)
+  (data, (contents rbuf))
 
 let test_fs_roundtrip_single_extent () =
   Tb.run (fun tb ->
@@ -603,7 +606,7 @@ let test_fs_partial_read_offset () =
       let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
       ok_exn (Fs.read c.app h ~off:10_000 ~len:20_000 ~dst);
       check_bool "windowed read" true
-        (Bytes.equal rbuf.Membuf.data (Bytes.sub data 10_000 20_000)))
+        (Bytes.equal (contents rbuf) (Bytes.sub data 10_000 20_000)))
 
 let test_fs_open_missing () =
   Tb.run (fun tb ->
@@ -668,7 +671,7 @@ let test_fs_dax_read () =
       in
       check_bool "dax read ok" true ok;
       check_bool "dax data" true
-        (Bytes.equal rbuf.Membuf.data (Bytes.sub data 2000 5000)))
+        (Bytes.equal (contents rbuf) (Bytes.sub data 2000 5000)))
 
 let test_fs_dax_faster_than_fs_mode () =
   Tb.run (fun tb ->
@@ -720,7 +723,7 @@ let test_fs_write_through_composition () =
       let rbuf = Process.alloc proc size in
       let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
       ok_exn (Fs.read c.app h ~off:0 ~len:size ~dst);
-      check_bool "write-through roundtrip" true (Bytes.equal data rbuf.Membuf.data))
+      check_bool "write-through roundtrip" true (Bytes.equal data (contents rbuf)))
 
 let test_fs_write_through_skips_fs_data_path () =
   (* With composition, the client->FS data transfer disappears: the block
