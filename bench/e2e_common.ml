@@ -53,7 +53,7 @@ let baseline ~max_batch ~depth () =
   let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
   let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 30) in
   let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 30) in
-  Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+  Dev.Gpu.load_kernel gpu Faceverify.kernel;
   let db = Facedata.db ~img_size ~n:n_images in
   let fv =
     Result.get_ok

@@ -33,19 +33,10 @@ let name = "cluster"
 let tiny = ref false
 let json_path = ref "BENCH_cluster.json"
 
-(* The PR 4 fast-path knee knobs (batching + translation cache on a
-   bounded queue), plus shard placement: fresh Memory objects and derived
+(* The fast-path preset (batching + translation cache on a bounded
+   queue), plus shard placement: fresh Memory objects and derived
    Requests scatter across the group. Every shard runs the same config. *)
-let cluster_config =
-  {
-    Config.default with
-    c_msg = 190;
-    c_doorbell = 100;
-    ctrl_batch = 16;
-    translation_cache = true;
-    ctrl_queue_bound = 256;
-    shard_placement = true;
-  }
+let cluster_config = { Config.fast_path with shard_placement = true }
 
 let shard_counts () = if !tiny then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ]
 

@@ -43,7 +43,7 @@ let fractos_setup tb ~placement ~batch ~depth =
   let client = Tb.add_proc tb ~on:sc.Tb.node ~ctrl:sc.Tb.ctrl "client" in
   let gpu_proc = Tb.add_proc tb ~on:sg.Tb.node ~ctrl:sg.Tb.ctrl "gpu-adaptor" in
   let gpu = Dev.Gpu.create ~node:sg.Tb.node ~config:cfg ~mem_bytes:(1 lsl 32) in
-  Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+  Dev.Gpu.load_kernel gpu Faceverify.kernel;
   let ad = Gpu_adaptor.start gpu_proc gpu in
   let alloc_r, load_r, _ = Gpu_adaptor.base_requests ad in
   let svc = Svc.create client in
@@ -129,7 +129,7 @@ let rcuda_setup fab ~batch ~depth =
   let client = Net.Fabric.add_node fab ~name:"client" Net.Node.Host_cpu in
   let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
   let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 32) in
-  Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+  Dev.Gpu.load_kernel gpu Faceverify.kernel;
   let rc = B.Rcuda.connect fab ~client gpu in
   let slots = Sim.Channel.create () in
   for _ = 1 to depth do
@@ -208,7 +208,7 @@ let local_verify fab node gpu ~batch ~bufs =
 let local_setup fab ~batch =
   let node = Net.Fabric.add_node fab ~name:"host" Net.Node.Host_cpu in
   let gpu = Dev.Gpu.create ~node ~config:cfg ~mem_bytes:(1 lsl 32) in
-  Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+  Dev.Gpu.load_kernel gpu Faceverify.kernel;
   let p = Result.get_ok (Dev.Gpu.alloc gpu (batch * img_size)) in
   let d = Result.get_ok (Dev.Gpu.alloc gpu (batch * img_size)) in
   let o = Result.get_ok (Dev.Gpu.alloc gpu batch) in

@@ -99,14 +99,8 @@ let run_service_curve () =
    the seed charged — the ablation varies only coalescing and caching.
    The admission bound and retry policy are identical on both sides. *)
 let fastpath_config ~fast =
-  {
-    Config.default with
-    c_msg = 190;
-    c_doorbell = 100;
-    ctrl_batch = (if fast then 16 else 1);
-    translation_cache = fast;
-    ctrl_queue_bound = 256;
-  }
+  if fast then Config.fast_path
+  else { Config.fast_path with ctrl_batch = 1; translation_cache = false }
 
 type point = {
   pt_offered : float; (* req/s *)

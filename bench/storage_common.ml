@@ -187,11 +187,11 @@ let local_setup fab =
   { fab; ssd; vol }
 
 let local_read l ~off ~len =
-  Engine.sleep cfg.Net.Config.kernel_io_path;
+  Engine.sleep Net.Config.kernel_io_path;
   ignore (Result.get_ok (Dev.Nvme.read l.ssd l.vol ~off ~len))
 
 let local_write l ~off ~len =
-  Engine.sleep cfg.Net.Config.kernel_io_path;
+  Engine.sleep Net.Config.kernel_io_path;
   ignore (Dev.Nvme.write l.ssd l.vol ~off ~src:(Bytes.create len) ~src_off:0 ~len)
 
 (* Random aligned offset within the file for the given I/O size. *)

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Repo health check: no dead Net.Config knobs, exports, optional
+# Repo health check: no dead or unset Net.Config knobs, exports, optional
 # arguments or modules, build, tests, formatting (if ocamlformat is
 # installed) and the smoke runs (trace / breakdown / seeded chaos gate —
 # including the chaos seed battery byte-diffed across domains=1 and
@@ -25,6 +25,30 @@ for f in $(awk '/^type t = \{/ { on = 1; next }
   fi
 done
 [ "$dead" = 0 ]
+
+echo "== unset Net.Config knobs"
+# Every field of Net.Config.t must also be set (`field =`, or punned as
+# `with field }`) somewhere under lib bin bench benchmark test examples
+# other than the `default` record in lib/net/config.ml (its presets and
+# scale_component count); a value no caller varies is a calibration
+# constant, not a knob.
+setters=$(awk '/^let default =/ { skip = 1 }
+               !skip { print }
+               skip && /^  }/ { skip = 0 }' lib/net/config.ml)
+unset=0
+for f in $(awk '/^type t = \{/ { on = 1; next }
+                on && /^\}/ { exit }
+                on && /^  [a-z_0-9]+ :/ { print $1 }' lib/net/config.ml); do
+  set_re="(^|[^A-Za-z0-9_'])$f *=([^=]|\$)|(with|;|\{) *$f *(;|\})"
+  if ! { printf '%s\n' "$setters"
+         grep -rhE --include='*.ml' --exclude=config.ml "$set_re" \
+           lib bin bench benchmark test examples; } \
+       | grep -E "$set_re" | grep -vqE "(let|and) +$f\b"; then
+    echo "unset knob: Net.Config.$f is never set outside Net.Config.default"
+    unset=1
+  fi
+done
+[ "$unset" = 0 ]
 
 echo "== dead exports"
 # Every `val` of a lib/**/*.mli must have a whole-word reference in some

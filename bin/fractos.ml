@@ -134,12 +134,7 @@ let run_pd_cmd placement requests seed =
   Obs.Metrics.reset ();
   Tb.run (fun tb ->
       let c = Cluster.make ~placement tb in
-      let ctrl_on node =
-        List.find
-          (fun k -> Net.Node.same_machine Core.State.(k.cnode) node)
-          tb.Tb.ctrls
-      in
-      let setup node = { Tb.node; ctrl = ctrl_on node } in
+      let setup node = { Tb.node; ctrl = Tb.ctrl_on tb node } in
       let pool =
         Pd.deploy tb
           ~prefill:[ setup c.Cluster.gpu_node; setup c.Cluster.storage_node ]
@@ -503,32 +498,35 @@ let config_cmd () =
   let c = Net.Config.default in
   let open Format in
   printf "fabric:@.";
-  printf "  loopback one-way     %s@." (Time.to_string c.loopback_oneway);
-  printf "  wire one-way         %s@." (Time.to_string c.wire_oneway);
-  printf "  PCIe extra hop       %s@." (Time.to_string c.pcie_extra);
+  printf "  loopback one-way     %s@."
+    (Time.to_string Net.Config.loopback_oneway);
+  printf "  wire one-way         %s@." (Time.to_string Net.Config.wire_oneway);
+  printf "  PCIe extra hop       %s@." (Time.to_string Net.Config.pcie_extra);
   printf "  line rate            %d Gbps@." (c.net_bandwidth_bps / 1_000_000_000);
   printf "  PCIe/DMA bandwidth   %d Gbps@."
-    (c.pcie_bandwidth_bps / 1_000_000_000);
+    (Net.Config.pcie_bandwidth_bps / 1_000_000_000);
   printf "controller cost classes (host CPU):@.";
   printf "  message handling     %s@." (Time.to_string c.c_msg);
-  printf "  table lookup         %s@." (Time.to_string c.c_lookup);
-  printf "  (de)serialization    %s@." (Time.to_string c.c_serialize);
-  printf "  capability transfer  %s@." (Time.to_string c.c_cap_transfer);
+  printf "  table lookup         %s@." (Time.to_string Net.Config.c_lookup);
+  printf "  (de)serialization    %s@." (Time.to_string Net.Config.c_serialize);
+  printf "  capability transfer  %s@."
+    (Time.to_string Net.Config.c_cap_transfer);
   printf "sNIC multipliers: msg %.1fx lookup %.1fx serialize %.1fx cap %.1fx@."
-    c.snic_m_msg c.snic_m_lookup c.snic_m_serialize c.snic_m_cap;
+    Net.Config.snic_m_msg Net.Config.snic_m_lookup Net.Config.snic_m_serialize
+    Net.Config.snic_m_cap;
   printf "devices:@.";
   printf "  NVMe 4K read         %s, write (cached) %s, QD %d@."
-    (Time.to_string c.nvme_read_latency)
-    (Time.to_string c.nvme_write_latency)
+    (Time.to_string Net.Config.nvme_read_latency)
+    (Time.to_string Net.Config.nvme_write_latency)
     c.nvme_queue_depth;
   printf "  GPU launch           %s, face-verify %s/image@."
-    (Time.to_string c.gpu_launch)
-    (Time.to_string c.gpu_per_image);
+    (Time.to_string Net.Config.gpu_launch)
+    (Time.to_string Net.Config.gpu_per_image);
   printf "copy path: chunk %d KiB, double buffering %b, hw copies %b@."
     (c.bounce_chunk / 1024) c.double_buffering c.hw_copies;
   printf "  window %d chunk(s), %d stream(s), open timeout %s@." c.copy_window
     c.copy_streams
-    (Time.to_string c.copy_open_timeout);
+    (Time.to_string Net.Config.copy_open_timeout);
   printf "congestion window: %d outstanding responses@." c.congestion_window
 
 (* ---------------- topology ------------------------------------------ *)
@@ -580,32 +578,21 @@ let topology_cmd placement =
 
 (* ---------------- analyze ------------------------------------------- *)
 
-(* The same fast-path knobs the loadcurve bench sweeps: sNIC controller
-   at the knee, doorbell coalescing and translation caching on. The
-   what-if profiler runs its virtual-speedup grid against this scenario
-   so "which component dominates the tax at saturation" is answered on
-   the configuration the paper's headline numbers use. *)
-let knee_config () =
-  {
-    Net.Config.default with
-    c_msg = 190;
-    c_doorbell = 100;
-    ctrl_batch = 16;
-    translation_cache = true;
-    ctrl_queue_bound = 256;
-  }
-
 (* One deterministic measurement: an open-loop invoke workload against a
    SmartNIC-placed controller, optionally with one component's service
-   time scaled — the exact-virtual-speedup probe of Obs.Whatif. *)
+   time scaled — the exact-virtual-speedup probe of Obs.Whatif. It runs
+   the fast-path preset the loadcurve bench sweeps (doorbell coalescing
+   and translation caching on), so "which component dominates the tax at
+   saturation" is answered on the configuration the paper's headline
+   numbers use. *)
 let whatif_measure ~rate ~n ~seed ~component ~factor =
   let module F = Fractos_fault in
   let module Loadgen = Fractos_workloads.Loadgen in
   let config =
     match component with
-    | None -> knee_config ()
+    | None -> Net.Config.fast_path
     | Some c -> (
-      match Net.Config.scale_component (knee_config ()) c factor with
+      match Net.Config.scale_component Net.Config.fast_path c factor with
       | Some cfg -> cfg
       | None ->
         Format.eprintf "fractos analyze: unknown component %S@." c;

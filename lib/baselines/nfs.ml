@@ -10,22 +10,22 @@ type t = {
 
 let mount fabric ~client ~server ~backing = { fabric; client; server; backing }
 
-let kernel_path t = Sim.Engine.sleep (Net.Fabric.config t.fabric).kernel_io_path
+let kernel_path () = Sim.Engine.sleep Net.Config.kernel_io_path
 
 let rpc_to_server t =
-  kernel_path t;
+  kernel_path ();
   Net.Fabric.transfer t.fabric ~src:t.client ~dst:t.server
     ~cls:Net.Stats.Control ~size:120 ()
 
 let open_rpc t =
   rpc_to_server t;
-  kernel_path t;
+  kernel_path ();
   Net.Fabric.transfer t.fabric ~src:t.server ~dst:t.client
     ~cls:Net.Stats.Control ~size:96 ()
 
 let read t ~off ~len =
   rpc_to_server t;
-  kernel_path t;
+  kernel_path ();
   (* server pulls from its NVMe-oF backing store *)
   match Nvmeof.read t.backing ~off ~len with
   | Error _ as e -> e
@@ -36,11 +36,11 @@ let read t ~off ~len =
     Ok data
 
 let write t ~off data =
-  kernel_path t;
+  kernel_path ();
   Net.Fabric.transfer_chunked t.fabric ~src:t.client ~dst:t.server
     ~cls:Net.Stats.Data
     ~size:(Bytes.length data) ();
-  kernel_path t;
+  kernel_path ();
   match Nvmeof.write t.backing ~off data with
   | Error _ as e -> e
   | Ok () ->

@@ -21,7 +21,7 @@ type t = {
 let connect fabric ~initiator ssd vol =
   { fabric; initiator; ssd; vol; windows = [] }
 
-let kernel_path t = Sim.Engine.sleep (Net.Fabric.config t.fabric).kernel_io_path
+let kernel_path () = Sim.Engine.sleep Net.Config.kernel_io_path
 
 let fetch t ~off ~len =
   let target = Device.Nvme.node t.ssd in
@@ -39,7 +39,7 @@ let fetch t ~off ~len =
     Ok data
 
 let read_nocache t ~off ~len =
-  kernel_path t;
+  kernel_path ();
   fetch t ~off ~len
 
 let take n xs =
@@ -51,7 +51,7 @@ let take n xs =
   go 0 xs
 
 let read t ~off ~len =
-  kernel_path t;
+  kernel_path ();
   match
     List.find_opt (fun w -> off >= w.w_start && off + len <= w.w_end) t.windows
   with
@@ -77,7 +77,7 @@ let read t ~off ~len =
       Ok (Bytes.sub data 0 len))
 
 let write t ~off data =
-  kernel_path t;
+  kernel_path ();
   (* write-back: data crosses to the target, where the device cache
      absorbs it; the initiator does not wait for media persistence *)
   let target = Device.Nvme.node t.ssd in

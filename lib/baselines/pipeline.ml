@@ -64,7 +64,7 @@ let start_stage proc ~index ~max_size =
         (* the stage's compute step: transform its buffer in place *)
         Sim.Engine.sleep
           (Net.Config.scale_time cfg.Net.Config.scale_client
-             cfg.Net.Config.service_work);
+             Net.Config.service_work);
         let mask = stage_mask index in
         Membuf.write buf ~off:0
           (Bytes.map

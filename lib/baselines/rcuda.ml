@@ -22,15 +22,14 @@ let connect fabric ~client gpu =
    round trip to the daemon. [req]/[resp] are payload sizes riding the
    call (zero for pure control). *)
 let driver_call t ~req ~resp =
-  let cfg = Net.Fabric.config t.fabric in
   let gpu_node = Device.Gpu.node t.gpu in
-  Sim.Engine.sleep cfg.Net.Config.rcuda_call_overhead;
+  Sim.Engine.sleep Net.Config.rcuda_call_overhead;
   Net.Fabric.transfer t.fabric ~src:t.client ~dst:gpu_node
     ~cls:Net.Stats.Control ~size:64 ();
   if req > 0 then
     Net.Fabric.transfer_chunked t.fabric ~src:t.client ~dst:gpu_node
       ~cls:Net.Stats.Data ~size:req ();
-  Sim.Engine.sleep cfg.Net.Config.rcuda_call_overhead;
+  Sim.Engine.sleep Net.Config.rcuda_call_overhead;
   if resp > 0 then
     Net.Fabric.transfer_chunked t.fabric ~src:gpu_node ~dst:t.client
       ~cls:Net.Stats.Data ~size:resp ();

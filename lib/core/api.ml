@@ -19,7 +19,7 @@ let call_async (proc : proc) ~size build =
       let cfg = Controller.config ctrl in
       Sim.Engine.sleep
         (Net.Config.scale_time cfg.Net.Config.scale_client
-           cfg.Net.Config.proc_syscall);
+           Net.Config.proc_syscall);
       let reply = { r_ivar = iv; r_proc = proc } in
       Controller.enqueue_syscall ctrl (build reply) ~size ~src:proc.pnode
     end);

@@ -60,7 +60,7 @@ let stage ctrl res len =
   Sim.Resource.use res
     ~duration:
       (Net.Config.scale_time cfg.scale_ctrl
-         (Net.Config.bytes_time ~bw_bps:cfg.memcpy_bw_bps len))
+         (Net.Config.bytes_time ~bw_bps:Net.Config.memcpy_bw_bps len))
 
 (* RDMA read of a [len]-byte source chunk into the bounce buffer, then
    its staging memcpy on [res]. *)
@@ -97,7 +97,7 @@ let reclaim_orphan ctrl tbl copy_id what =
       Printf.sprintf "copy=%d %s" copy_id what)
 
 let schedule_pending_sweep ctrl copy_id q =
-  Sim.Engine.schedule (config ctrl).Net.Config.copy_open_timeout (fun () ->
+  Sim.Engine.schedule Net.Config.copy_open_timeout (fun () ->
       match Hashtbl.find_opt ctrl.copy_pending copy_id with
       | Some q' when q' == q ->
         reclaim_orphan ctrl ctrl.copy_pending copy_id "pending";
@@ -115,7 +115,7 @@ let schedule_pending_sweep ctrl copy_id q =
       | Some _ | None -> ())
 
 let schedule_failure_sweep ctrl copy_id =
-  Sim.Engine.schedule (config ctrl).Net.Config.copy_open_timeout (fun () ->
+  Sim.Engine.schedule Net.Config.copy_open_timeout (fun () ->
       if Hashtbl.mem ctrl.copy_failures copy_id then
         reclaim_orphan ctrl ctrl.copy_failures copy_id "failure")
 
@@ -399,7 +399,7 @@ let do_copy_pull ctrl ~src ~dst (rr : unit rreply) =
       else base)
     "ctrl.copy"
   @@ fun () ->
-  charge_scaled ctrl Net.Cost.Serialize cfg.copy_setup;
+  charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup;
   charge ctrl [ (Net.Cost.Lookup, 2) ];
   match
     Capspace.find_memory ctrl src ~not_memory:"memory_copy source is not Memory"

@@ -37,7 +37,7 @@ let create ~node ~config ~mem_bytes =
 let node t = t.gnode
 
 let alloc t size =
-  Sim.Engine.sleep (dt t.config t.config.Net.Config.gpu_alloc);
+  Sim.Engine.sleep (dt t.config Net.Config.gpu_alloc);
   if size < 0 then Error "negative size"
   else if size > t.mem_free then Error "GPU out of memory"
   else begin
@@ -48,7 +48,7 @@ let alloc t size =
   end
 
 let free t buf =
-  Sim.Engine.sleep (dt t.config t.config.Net.Config.gpu_alloc);
+  Sim.Engine.sleep (dt t.config Net.Config.gpu_alloc);
   match Hashtbl.find_opt t.allocations buf.Core.Membuf.id with
   | Some size ->
     Hashtbl.remove t.allocations buf.Core.Membuf.id;
@@ -58,11 +58,11 @@ let free t buf =
 let mem_free_bytes t = t.mem_free
 
 let load_kernel t kernel =
-  Sim.Engine.sleep (dt t.config t.config.Net.Config.gpu_alloc);
+  Sim.Engine.sleep (dt t.config Net.Config.gpu_alloc);
   Hashtbl.replace t.kernels kernel.k_name kernel
 
 let exec t k ~items ~bufs ~imms =
-  let duration = dt t.config (t.config.Net.Config.gpu_launch + k.k_cost ~items) in
+  let duration = dt t.config (Net.Config.gpu_launch + k.k_cost ~items) in
   Sim.Resource.use t.engine ~duration;
   k.k_run ~bufs ~imms
 

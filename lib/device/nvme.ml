@@ -74,7 +74,7 @@ let service t ~latency ~len =
   let dt = Net.Config.scale_time cfg.Net.Config.scale_device in
   Sim.Resource.use t.queue ~duration:(dt latency);
   let xfer =
-    dt (Net.Config.bytes_time ~bw_bps:cfg.Net.Config.nvme_bandwidth_bps len)
+    dt (Net.Config.bytes_time ~bw_bps:Net.Config.nvme_bandwidth_bps len)
   in
   if xfer > 0 then Sim.Resource.use t.bus ~duration:xfer
 
@@ -90,7 +90,7 @@ let timed t name hist ~latency ~len =
 let read t vol ~off ~len =
   if not (in_volume vol ~off ~len) then Error "out of bounds"
   else begin
-    timed t "nvme.read" t.read_hist ~latency:t.config.Net.Config.nvme_read_latency
+    timed t "nvme.read" t.read_hist ~latency:Net.Config.nvme_read_latency
       ~len;
     Ok ()
   end
@@ -110,7 +110,7 @@ let write t vol ~off ~src ~src_off ~len =
   then Error "out of bounds"
   else begin
     timed t "nvme.write" t.write_hist
-      ~latency:t.config.Net.Config.nvme_write_latency ~len;
+      ~latency:Net.Config.nvme_write_latency ~len;
     iter_blocks ~pos:(vol.vol_base + off) ~len (fun bi bo boff n ->
         let b =
           match Hashtbl.find_opt t.blocks bi with

@@ -170,96 +170,59 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
                  Some (ref handle, name, ro, rw)
                end)
          in
-         (* Copy workload: per-client pattern-filled source on the app node
-            and destination on the storage node, owned by a process behind
-            the storage controller — every memory_copy is a third-party
-            transfer between two controllers. *)
-         let copy_clients =
-           if workload <> Copy then [||]
-           else begin
-             let sto_ctrl =
-               List.find
-                 (fun c ->
-                   Net.Node.same_machine
-                     Core.State.(c.cnode)
-                     cl.Cluster.storage_node)
-                 tb.Tb.ctrls
-             in
-             let peer =
-               Tb.add_proc tb ~on:cl.Cluster.storage_node ~ctrl:sto_ctrl
-                 "copy-peer"
-             in
-             Array.init clients (fun k ->
-                 let pattern =
-                   Bytes.init copy_len (fun i ->
-                       Char.chr ((k * 37 + i) land 0xff))
-                 in
-                 let src_buf =
-                   Core.Membuf.create ~node:cl.Cluster.app_node copy_len
-                 in
-                 Core.Membuf.write src_buf ~off:0 pattern;
-                 let dst_buf =
-                   Core.Membuf.create ~node:cl.Cluster.storage_node copy_len
-                 in
-                 let src_cap =
-                   Core.Error.ok_exn
-                     (Core.Api.memory_create proc src_buf Core.Perms.ro)
-                 in
-                 let dst_rw =
-                   Core.Error.ok_exn
-                     (Core.Api.memory_create peer dst_buf Core.Perms.rw)
-                 in
-                 let dst_cap = Tb.grant ~src:peer ~dst:proc dst_rw in
-                 (src_cap, dst_cap, dst_buf, pattern))
-           end
+         (* Per-client copy sessions: a pattern-filled source buffer on
+            [src_node] owned by [src_owner] and a destination buffer on
+            [dst_node] owned by [dst_owner], both reachable from [proc]. A
+            source [proc] owns itself is used as is, not granted. *)
+         let copy_sessions ~src_node ~src_owner ~dst_node ~dst_owner ~salt =
+           Array.init clients (fun k ->
+               let pattern =
+                 Bytes.init copy_len (fun i ->
+                     Char.chr ((k * salt + i) land 0xff))
+               in
+               let src_buf = Core.Membuf.create ~node:src_node copy_len in
+               Core.Membuf.write src_buf ~off:0 pattern;
+               let dst_buf = Core.Membuf.create ~node:dst_node copy_len in
+               let src_ro =
+                 Core.Error.ok_exn
+                   (Core.Api.memory_create src_owner src_buf Core.Perms.ro)
+               in
+               let dst_rw =
+                 Core.Error.ok_exn
+                   (Core.Api.memory_create dst_owner dst_buf Core.Perms.rw)
+               in
+               let src_cap =
+                 if src_owner == proc then src_ro
+                 else Tb.grant ~src:src_owner ~dst:proc src_ro
+               in
+               let dst_cap = Tb.grant ~src:dst_owner ~dst:proc dst_rw in
+               (src_cap, dst_cap, dst_buf, pattern))
          in
-         (* Cross-shard workload: third-party copies where the caller, the
-            source object and the destination object live behind three
-            different shards of one sharded capability space (the source
-            owner sits behind the storage controller, the destination owner
-            behind the GPU controller, the caller behind the app
-            controller), interleaved with the faceverify pipeline whose
-            derived Requests scatter under shard placement. *)
-         let xshard_clients =
-           if workload <> Xshard then [||]
-           else begin
-             let ctrl_on node =
-               List.find
-                 (fun c -> Net.Node.same_machine Core.State.(c.cnode) node)
-                 tb.Tb.ctrls
-             in
-             let xsrc =
-               Tb.add_proc tb ~on:cl.Cluster.storage_node
-                 ~ctrl:(ctrl_on cl.Cluster.storage_node) "xsrc"
-             in
-             let xdst =
-               Tb.add_proc tb ~on:cl.Cluster.gpu_node
-                 ~ctrl:(ctrl_on cl.Cluster.gpu_node) "xdst"
-             in
-             Array.init clients (fun k ->
-                 let pattern =
-                   Bytes.init copy_len (fun i ->
-                       Char.chr ((k * 53 + i) land 0xff))
-                 in
-                 let src_buf =
-                   Core.Membuf.create ~node:cl.Cluster.storage_node copy_len
-                 in
-                 Core.Membuf.write src_buf ~off:0 pattern;
-                 let dst_buf =
-                   Core.Membuf.create ~node:cl.Cluster.gpu_node copy_len
-                 in
-                 let src_ro =
-                   Core.Error.ok_exn
-                     (Core.Api.memory_create xsrc src_buf Core.Perms.ro)
-                 in
-                 let dst_rw =
-                   Core.Error.ok_exn
-                     (Core.Api.memory_create xdst dst_buf Core.Perms.rw)
-                 in
-                 let src_cap = Tb.grant ~src:xsrc ~dst:proc src_ro in
-                 let dst_cap = Tb.grant ~src:xdst ~dst:proc dst_rw in
-                 (src_cap, dst_cap, dst_buf, pattern))
-           end
+         let add_proc node name =
+           Tb.add_proc tb ~on:node ~ctrl:(Tb.ctrl_on tb node) name
+         in
+         let copy_clients =
+           match workload with
+           | Copy ->
+               (* The source on the app node, the destination owned by a
+                  process behind the storage controller: every memory_copy
+                  is a third-party transfer between two controllers. *)
+               let peer = add_proc cl.Cluster.storage_node "copy-peer" in
+               copy_sessions ~src_node:cl.Cluster.app_node ~src_owner:proc
+                 ~dst_node:cl.Cluster.storage_node ~dst_owner:peer ~salt:37
+           | Xshard ->
+               (* Third-party copies where the caller, the source object and
+                  the destination object live behind three different shards
+                  of one sharded capability space (the source owner behind
+                  the storage controller, the destination owner behind the
+                  GPU controller, the caller behind the app controller),
+                  interleaved with the faceverify pipeline whose derived
+                  Requests scatter under shard placement. *)
+               let xsrc = add_proc cl.Cluster.storage_node "xsrc" in
+               let xdst = add_proc cl.Cluster.gpu_node "xdst" in
+               copy_sessions ~src_node:cl.Cluster.storage_node ~src_owner:xsrc
+                 ~dst_node:cl.Cluster.gpu_node ~dst_owner:xdst ~salt:53
+           | Faceverify | Fs | Mixed | Pd -> [||]
          in
          (* PD workload: a disaggregated prefill/decode inference pool
             spread over the cluster's controllers — prefill on the GPU and
@@ -271,12 +234,7 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
          let pd_client =
            if workload <> Pd then None
            else begin
-             let ctrl_on node =
-               List.find
-                 (fun c -> Net.Node.same_machine Core.State.(c.cnode) node)
-                 tb.Tb.ctrls
-             in
-             let setup node = { Tb.node; ctrl = ctrl_on node } in
+             let setup node = { Tb.node; ctrl = Tb.ctrl_on tb node } in
              let pool =
                Pd.deploy tb
                  ~prefill:
@@ -358,7 +316,7 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
                    | Error _ as e -> e
                    | Ok () -> Fs.read app h ~off ~len:op_len ~dst:rw)
          in
-         let do_copy k idx =
+         let do_copy ~label k idx =
            let src_cap, dst_cap, dst_buf, pattern = copy_clients.(k) in
            Retry.run ~policy
              ~refresh:(fun _e -> ())
@@ -367,21 +325,8 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
                | Ok () ->
                    let got = Core.Membuf.read dst_buf ~off:0 ~len:copy_len in
                    if not (Bytes.equal got pattern) then
-                     viol "request %d: copy completed with corrupt bytes" idx;
-                   Ok ()
-               | Error _ as e -> e)
-         in
-         let do_xcopy k idx =
-           let src_cap, dst_cap, dst_buf, pattern = xshard_clients.(k) in
-           Retry.run ~policy
-             ~refresh:(fun _e -> ())
-             (fun () ->
-               match Core.Api.memory_copy proc ~src:src_cap ~dst:dst_cap with
-               | Ok () ->
-                   let got = Core.Membuf.read dst_buf ~off:0 ~len:copy_len in
-                   if not (Bytes.equal got pattern) then
-                     viol "request %d: cross-shard copy completed with \
-                           corrupt bytes" idx;
+                     viol "request %d: %s completed with corrupt bytes" idx
+                       label;
                    Ok ()
                | Error _ as e -> e)
          in
@@ -413,10 +358,11 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = Mixed) ?config ?sampling
          let one_request k i =
            let dispatch () =
              match workload with
-             | Copy -> do_copy k i
+             | Copy -> do_copy ~label:"copy" k i
              | Pd -> do_pd rngs.(k) i
              | Xshard ->
-                 if k land 1 = 1 then do_xcopy k i else do_fv rngs.(k) i
+                 if k land 1 = 1 then do_copy ~label:"cross-shard copy" k i
+                 else do_fv rngs.(k) i
              | Faceverify | Fs | Mixed ->
                  if is_fs_client k then do_fs k rngs.(k) i
                  else do_fv rngs.(k) i

@@ -61,19 +61,22 @@ let time_to_string (t : Sim.Time.t) =
   else if t mod 1_000 = 0 then Printf.sprintf "%dus" (t / 1_000)
   else Printf.sprintf "%dns" t
 
+(* [n] units of [unit] ns each; an [n] above [max_int / unit] would
+   wrap when scaled to nanoseconds, so it is rejected like any other bad
+   duration. *)
 let time_of_string str =
-  let num suffix =
+  let num suffix unit =
     let body = String.sub str 0 (String.length str - String.length suffix) in
     match int_of_string_opt body with
-    | Some n when n >= 0 -> Some n
+    | Some n when n >= 0 && n <= max_int / unit -> Some (n * unit)
     | _ -> None
   in
   let ends s = String.length str > String.length s && Filename.check_suffix str s in
   if str = "0" then Some 0
-  else if ends "ns" then num "ns"
-  else if ends "us" then Option.map (fun n -> Sim.Time.us n) (num "us")
-  else if ends "ms" then Option.map (fun n -> Sim.Time.ms n) (num "ms")
-  else if ends "s" then Option.map (fun n -> Sim.Time.s n) (num "s")
+  else if ends "ns" then num "ns" 1
+  else if ends "us" then num "us" (Sim.Time.us 1)
+  else if ends "ms" then num "ms" (Sim.Time.ms 1)
+  else if ends "s" then num "s" (Sim.Time.s 1)
   else None
 
 let fields s =

@@ -47,6 +47,7 @@ val of_string : string -> (t, string) result
     applied on top of {!none}, where keys are [drop], [dup], [delayp],
     [delay], [crash], [reboot], [part], [partlen], [stall], [stalllen],
     [links], [linkdrop], [horizon]. Durations accept [ns]/[us]/[ms]/[s]
-    suffixes (e.g. [delay=30us]). *)
+    suffixes (e.g. [delay=30us]); a duration that does not fit in
+    nanoseconds is an [Error]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,39 +1,42 @@
+(* Calibration constants: each is pinned to a paper measurement (see
+   config.mli for the anchors) and no workload varies it. *)
+let loopback_oneway = 1_210
+let wire_oneway = 1_650
+let pcie_extra = 630
+let pcie_bandwidth_bps = 64_000_000_000
+let header_bytes = 60
+let c_lookup = 280
+let c_serialize = 2_200
+let c_cap_transfer = 2_400
+let c_revoke = 400
+let snic_m_msg = 1.4
+let snic_m_lookup = 5.0
+let snic_m_serialize = 2.8
+let snic_m_cap = 1.6
+let wimpy_factor = 2.0
+let copy_setup = 4_000
+let memcpy_bw_bps = 80_000_000_000
+let copy_open_timeout = Sim.Time.ms 5
+let nvme_read_latency = Sim.Time.us 70
+let nvme_write_latency = Sim.Time.us 12
+let nvme_bandwidth_bps = 20_000_000_000
+let gpu_launch = Sim.Time.us 10
+let gpu_per_image = Sim.Time.us 25
+let gpu_alloc = Sim.Time.us 5
+let proc_syscall = 150
+let service_work = 1_500
+let kernel_io_path = Sim.Time.us 8
+let rcuda_call_overhead = Sim.Time.us 15
+
 type t = {
-  loopback_oneway : Sim.Time.t;
-  wire_oneway : Sim.Time.t;
-  pcie_extra : Sim.Time.t;
   net_bandwidth_bps : int;
-  pcie_bandwidth_bps : int;
-  header_bytes : int;
   c_msg : Sim.Time.t;
-  c_lookup : Sim.Time.t;
-  c_serialize : Sim.Time.t;
-  c_cap_transfer : Sim.Time.t;
-  c_revoke : Sim.Time.t;
-  snic_m_msg : float;
-  snic_m_lookup : float;
-  snic_m_serialize : float;
-  snic_m_cap : float;
-  wimpy_factor : float;
   bounce_chunk : int;
-  copy_setup : Sim.Time.t;
-  memcpy_bw_bps : int;
   hw_copies : bool;
   double_buffering : bool;
   copy_window : int;
   copy_streams : int;
-  copy_open_timeout : Sim.Time.t;
-  nvme_read_latency : Sim.Time.t;
-  nvme_write_latency : Sim.Time.t;
-  nvme_bandwidth_bps : int;
   nvme_queue_depth : int;
-  gpu_launch : Sim.Time.t;
-  gpu_per_image : Sim.Time.t;
-  gpu_alloc : Sim.Time.t;
-  proc_syscall : Sim.Time.t;
-  service_work : Sim.Time.t;
-  kernel_io_path : Sim.Time.t;
-  rcuda_call_overhead : Sim.Time.t;
   congestion_window : int;
   capspace_quota : int;
   track_delegations : bool;
@@ -65,41 +68,14 @@ type t = {
 
 let default =
   {
-    loopback_oneway = 1_210;
-    wire_oneway = 1_650;
-    pcie_extra = 630;
     net_bandwidth_bps = 10_000_000_000;
-    pcie_bandwidth_bps = 64_000_000_000;
-    header_bytes = 60;
     c_msg = 290;
-    c_lookup = 280;
-    c_serialize = 2_200;
-    c_cap_transfer = 2_400;
-    c_revoke = 400;
-    snic_m_msg = 1.4;
-    snic_m_lookup = 5.0;
-    snic_m_serialize = 2.8;
-    snic_m_cap = 1.6;
-    wimpy_factor = 2.0;
     bounce_chunk = 16 * 1024;
-    copy_setup = 4_000;
-    memcpy_bw_bps = 80_000_000_000;
     hw_copies = false;
     double_buffering = true;
     copy_window = 1;
     copy_streams = 1;
-    copy_open_timeout = Sim.Time.ms 5;
-    nvme_read_latency = Sim.Time.us 70;
-    nvme_write_latency = Sim.Time.us 12;
-    nvme_bandwidth_bps = 20_000_000_000;
     nvme_queue_depth = 8;
-    gpu_launch = Sim.Time.us 10;
-    gpu_per_image = Sim.Time.us 25;
-    gpu_alloc = Sim.Time.us 5;
-    proc_syscall = 150;
-    service_work = 1_500;
-    kernel_io_path = Sim.Time.us 8;
-    rcuda_call_overhead = Sim.Time.us 15;
     congestion_window = 64;
     capspace_quota = 4096;
     track_delegations = false;
@@ -113,6 +89,16 @@ let default =
     scale_fabric = 1.0;
     scale_device = 1.0;
     scale_client = 1.0;
+  }
+
+let fast_path =
+  {
+    default with
+    c_msg = 190;
+    c_doorbell = 100;
+    ctrl_batch = 16;
+    translation_cache = true;
+    ctrl_queue_bound = 256;
   }
 
 (* The what-if component namespace: the strings Obs.Whatif and the
@@ -145,22 +131,16 @@ let validate t =
     if v <= 0 then
       invalid_arg (Printf.sprintf "Net.Config: %s must be positive (got %d)" name v)
   in
-  let bw name v =
-    if v < 1_000_000 then
-      invalid_arg
-        (Printf.sprintf "Net.Config: %s must be at least 1_000_000 (got %d)"
-           name v)
-  in
   pos "bounce_chunk" t.bounce_chunk;
   pos "copy_window" t.copy_window;
   pos "copy_streams" t.copy_streams;
-  bw "net_bandwidth_bps" t.net_bandwidth_bps;
-  bw "pcie_bandwidth_bps" t.pcie_bandwidth_bps;
-  bw "memcpy_bw_bps" t.memcpy_bw_bps;
-  bw "nvme_bandwidth_bps" t.nvme_bandwidth_bps;
+  if t.net_bandwidth_bps < 1_000_000 then
+    invalid_arg
+      (Printf.sprintf
+         "Net.Config: net_bandwidth_bps must be at least 1_000_000 (got %d)"
+         t.net_bandwidth_bps);
   pos "congestion_window" t.congestion_window;
   pos "nvme_queue_depth" t.nvme_queue_depth;
-  pos "copy_open_timeout" t.copy_open_timeout;
   pos "peer_ack_timeout" t.peer_ack_timeout;
   let posf name v =
     if not (v > 0.) then

@@ -2,22 +2,22 @@ type cls = Msg | Lookup | Serialize | Cap_transfer | Revoke
 
 let base (cfg : Config.t) = function
   | Msg -> cfg.c_msg
-  | Lookup -> cfg.c_lookup
-  | Serialize -> cfg.c_serialize
-  | Cap_transfer -> cfg.c_cap_transfer
-  | Revoke -> cfg.c_revoke
+  | Lookup -> Config.c_lookup
+  | Serialize -> Config.c_serialize
+  | Cap_transfer -> Config.c_cap_transfer
+  | Revoke -> Config.c_revoke
 
-let factor (cfg : Config.t) (kind : Node.kind) cls =
+let factor (kind : Node.kind) cls =
   match kind with
   | Node.Host_cpu -> 1.0
-  | Node.Wimpy_cpu -> cfg.wimpy_factor
+  | Node.Wimpy_cpu -> Config.wimpy_factor
   | Node.Smart_nic -> (
     match cls with
-    | Msg -> cfg.snic_m_msg
-    | Lookup -> cfg.snic_m_lookup
-    | Serialize -> cfg.snic_m_serialize
-    | Cap_transfer -> cfg.snic_m_cap
-    | Revoke -> cfg.snic_m_lookup)
+    | Msg -> Config.snic_m_msg
+    | Lookup -> Config.snic_m_lookup
+    | Serialize -> Config.snic_m_serialize
+    | Cap_transfer -> Config.snic_m_cap
+    | Revoke -> Config.snic_m_lookup)
 
 (* Every controller charge funnels through [one]/[scaled], so applying
    the what-if factor here covers the whole control plane. The factor is
@@ -26,7 +26,7 @@ let factor (cfg : Config.t) (kind : Node.kind) cls =
 let one cfg kind cls =
   int_of_float
     (Float.round
-       (float_of_int (base cfg cls) *. factor cfg kind cls
+       (float_of_int (base cfg cls) *. factor kind cls
        *. cfg.Config.scale_ctrl))
 
 (* A plain recursion, not a [List.fold_left] closure: every controller
@@ -41,4 +41,4 @@ let v_plus cfg kind units cls n = sum cfg kind (n * one cfg kind cls) units
 let scaled cfg kind cls base =
   int_of_float
     (Float.round
-       (float_of_int base *. factor cfg kind cls *. cfg.Config.scale_ctrl))
+       (float_of_int base *. factor kind cls *. cfg.Config.scale_ctrl))

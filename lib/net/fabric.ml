@@ -47,10 +47,10 @@ let nodes t = List.rev t.nodes
 let base_latency t ~src ~dst =
   let cfg = t.config in
   Config.scale_time cfg.scale_fabric
-    (if src.Node.id = dst.Node.id then cfg.loopback_oneway
+    (if src.Node.id = dst.Node.id then Config.loopback_oneway
      else if Node.same_machine src dst then
-       cfg.loopback_oneway + cfg.pcie_extra
-     else cfg.wire_oneway)
+       Config.loopback_oneway + Config.pcie_extra
+     else Config.wire_oneway)
 
 (* The one delivery model, shared by [send] and [transfer]: account the
    message, apply its fault, book the NIC or DMA engines and return the
@@ -128,7 +128,7 @@ let book t ~src ~dst ~cls ~size =
   in
   t.xfer_span <- sp;
   t.dup_at <- -1;
-  let wire_bytes = size + cfg.header_bytes in
+  let wire_bytes = size + Config.header_bytes in
   let base = base_latency t ~src ~dst in
   let now = Sim.Engine.now () in
   let extra = match fault with Delay d when d > 0 -> d | _ -> 0 in
@@ -167,7 +167,7 @@ let book t ~src ~dst ~cls ~size =
        delivered — and its span finished — exactly once. *)
     let ser =
       Config.scale_time cfg.scale_fabric
-        (Config.bytes_time ~bw_bps:cfg.pcie_bandwidth_bps wire_bytes)
+        (Config.bytes_time ~bw_bps:Config.pcie_bandwidth_bps wire_bytes)
     in
     let dma_done = Sim.Resource.reserve src.Node.dma ~duration:ser in
     let dma_start = dma_done - ser in

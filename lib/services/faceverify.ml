@@ -10,11 +10,10 @@ let fits ~batch ~isz buf = isz = 0 || batch <= Membuf.size buf / isz
 
 (* Compares each probe image with its database image in place and stores
    one flag byte per image: no per-image copy. *)
-let kernel ~config =
+let kernel =
   {
     Device.Gpu.k_name = kernel_name;
-    k_cost =
-      (fun ~items -> items * config.Fractos_net.Config.gpu_per_image);
+    k_cost = (fun ~items -> items * Fractos_net.Config.gpu_per_image);
     k_run =
       (fun ~bufs ~imms ->
         match (bufs, imms) with

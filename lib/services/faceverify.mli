@@ -23,7 +23,7 @@ module Device = Fractos_device
 
 val kernel_name : string
 
-val kernel : config:Fractos_net.Config.t -> Device.Gpu.kernel
+val kernel : Device.Gpu.kernel
 (** The face-matching kernel: buffers [[probe; db; out]], user immediates
     [[batch; img_size]]; writes 1/0 match flags into [out]. Cost:
     [gpu_per_image * batch]. Load it into the GPU at bring-up. *)

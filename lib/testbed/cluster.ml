@@ -56,7 +56,7 @@ let make ?(placement = Testbed.Ctrl_cpu) ?(extent_size = 1 lsl 20)
   let gpu =
     Device.Gpu.create ~node:s_gpu.Testbed.node ~config ~mem_bytes:(1 lsl 32)
   in
-  Device.Gpu.load_kernel gpu (Services.Faceverify.kernel ~config);
+  Device.Gpu.load_kernel gpu Services.Faceverify.kernel;
   let blk = Services.Blockdev.start blk_proc ssd in
   let gpu_adaptor = Services.Gpu_adaptor.start gpu_proc gpu in
   let fs =

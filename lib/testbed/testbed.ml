@@ -35,6 +35,11 @@ let add_proc t ~on ~ctrl name =
   Core.Controller.attach ctrl proc;
   proc
 
+let ctrl_on t node =
+  List.find
+    (fun c -> Net.Node.same_machine Core.State.(c.cnode) node)
+    t.ctrls
+
 let fail_node t node =
   (* Controllers physically on the failed machine crash outright. *)
   let ctrl_node c = Core.State.(c.cnode) in

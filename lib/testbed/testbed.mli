@@ -39,6 +39,11 @@ val add_proc :
   t -> on:Net.Node.t -> ctrl:Core.Controller.t -> string -> Core.Process.t
 (** Create a Process on [on] attached to [ctrl]. *)
 
+val ctrl_on : t -> Net.Node.t -> Core.Controller.t
+(** The most recently added Controller on [node]'s machine (the node
+    itself or its attached SmartNIC). Raises [Not_found] when there is
+    none. *)
+
 val fail_node : t -> Net.Node.t -> unit
 (** Model a whole-node failure (power loss), as detected by the external
     monitoring service the paper assumes (§3.6): every Controller on the

@@ -28,7 +28,7 @@ let test_rcuda_roundtrip () =
       let client = Net.Fabric.add_node fab ~name:"client" Net.Node.Host_cpu in
       let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
       let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 20) in
-      Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+      Dev.Gpu.load_kernel gpu Faceverify.kernel;
       let rc = B.Rcuda.connect fab ~client gpu in
       let img_size = 256 and batch = 4 in
       let data = Facedata.db ~img_size ~n:batch in
@@ -57,7 +57,7 @@ let test_rcuda_per_call_cost () =
       let elapsed = Engine.now () - t0 in
       (* two marshalling costs + wire RTT + driver alloc *)
       check_bool "driver call costs tens of us" true
-        (elapsed >= 2 * cfg.Net.Config.rcuda_call_overhead
+        (elapsed >= 2 * Net.Config.rcuda_call_overhead
         && elapsed < Time.us 60))
 
 (* ------------------------------------------------------------------ *)
@@ -264,7 +264,7 @@ let test_faceverify_baseline_correct () =
       let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
       let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 26) in
       let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 26) in
-      Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+      Dev.Gpu.load_kernel gpu Faceverify.kernel;
       let img_size = 1024 and n = 64 in
       let db = Facedata.db ~img_size ~n in
       let fv =

@@ -77,7 +77,7 @@ let test_gpu_launch_cost () =
       ignore (Gpu.launch gpu ~name:"add-one" ~items:100 ~bufs:[ buf ] ~imms:[]);
       let elapsed = Engine.now () - t0 in
       check_int "launch + 100 items"
-        (cfg.Net.Config.gpu_launch + Time.us 100)
+        (Net.Config.gpu_launch + Time.us 100)
         elapsed)
 
 let test_gpu_serial_execution_engine () =
@@ -95,7 +95,7 @@ let test_gpu_serial_execution_engine () =
             finishes := (Engine.now () - t0) :: !finishes)
       done;
       Engine.sleep (Time.ms 10);
-      let per = cfg.Net.Config.gpu_launch + Time.us 100 in
+      let per = Net.Config.gpu_launch + Time.us 100 in
       Alcotest.(check (list int))
         "serialized" [ per; 2 * per ]
         (List.rev !finishes))
@@ -235,7 +235,7 @@ let test_nvme_write_cache_fast () =
       ignore (write_bytes ssd vol ~off:0 (Bytes.make 4096 'x'));
       let elapsed = Engine.now () - t0 in
       check_bool "cached write below read floor" true
-        (elapsed < cfg.Net.Config.nvme_read_latency))
+        (elapsed < Net.Config.nvme_read_latency))
 
 let test_nvme_queue_depth_parallelism () =
   with_node (fun node ->
@@ -256,7 +256,7 @@ let test_nvme_queue_depth_parallelism () =
       let max_first = List.fold_left max 0 first_wave in
       let min_second = List.fold_left min max_int second_wave in
       check_bool "waves separated by device latency" true
-        (min_second >= max_first + cfg.Net.Config.nvme_read_latency / 2))
+        (min_second >= max_first + Net.Config.nvme_read_latency / 2))
 
 (* Property: NVMe roundtrips preserve arbitrary data at arbitrary offsets
    (crossing internal block boundaries). *)

@@ -50,7 +50,14 @@ let test_spec_parse_errors () =
   bad "delay=30";
   bad "delay=fast";
   bad "drop";
-  bad "crash=1,,"
+  bad "crash=1,,";
+  (* durations that would wrap when scaled to nanoseconds *)
+  bad "delay=4611686018427388us";
+  bad "horizon=9300000000s";
+  match Spec.of_string "delay=4611686018427387us" with
+  | Ok s ->
+    check_int "largest us delay" (4611686018427387 * 1_000) s.Spec.s_delay
+  | Error e -> Alcotest.fail e
 
 let test_spec_lossless () =
   check_bool "none lossless" true (Spec.lossless Spec.none);
@@ -113,6 +120,41 @@ let qcheck_spec_roundtrip =
       match Spec.of_string (Spec.to_string s) with
       | Ok s' -> s' = s
       | Error e -> QCheck.Test.fail_reportf "parse failed: %s" e)
+
+(* Garbled specs — random runs of keys, numbers, unit suffixes and
+   separators, mixed with well-formed durations whose number is huge —
+   parse to [Ok] or a typed [Error], never raise, and no accepted
+   duration wraps negative. *)
+let qcheck_spec_garbled =
+  let gen =
+    let open QCheck.Gen in
+    let garbled =
+      map (String.concat "")
+        (list_size (0 -- 8)
+           (oneofl
+              [ "delay"; "horizon"; "drop"; "crash"; "="; ","; " "; "-"; "0.";
+                "1"; "9"; "ns"; "us"; "ms"; "s" ]))
+    in
+    let duration =
+      map3
+        (fun k n u -> k ^ "=" ^ n ^ u)
+        (oneofl [ "delay"; "reboot"; "partlen"; "stalllen"; "horizon" ])
+        (oneof
+           [ map string_of_int nat;
+             oneofl [ "99999999999"; "4611686018427388"; "-1" ] ])
+        (oneofl [ ""; "ns"; "us"; "ms"; "s" ])
+    in
+    map (String.concat ",") (list_size (1 -- 3) (oneof [ garbled; duration ]))
+  in
+  QCheck.Test.make ~name:"spec of_string never raises on garbled input"
+    ~count:500 (QCheck.make ~print:(Printf.sprintf "%S") gen) (fun str ->
+      match Spec.of_string str with
+      | Error _ -> true
+      | Ok s ->
+        List.for_all (fun t -> t >= 0)
+          Spec.
+            [ s.s_delay; s.s_reboot_after; s.s_partition_len; s.s_stall_len;
+              s.s_horizon ])
 
 (* ------------------------------------------------------------------ *)
 (* Plan                                                               *)
@@ -680,6 +722,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_spec_parse_errors;
           Alcotest.test_case "lossless predicate" `Quick test_spec_lossless;
           qtest qcheck_spec_roundtrip;
+          qtest qcheck_spec_garbled;
         ] );
       ( "plan",
         [

@@ -64,26 +64,17 @@ let test_config_validate () =
   rejects "copy_streams = 0" { Config.default with copy_streams = -1 };
   rejects "net_bandwidth_bps < 1 Mbit/s"
     { Config.default with net_bandwidth_bps = 999_999 };
-  rejects "pcie_bandwidth_bps < 1 Mbit/s"
-    { Config.default with pcie_bandwidth_bps = 999_999 };
-  rejects "memcpy_bw_bps < 1 Mbit/s"
-    { Config.default with memcpy_bw_bps = 999_999 };
-  rejects "nvme_bandwidth_bps < 1 Mbit/s"
-    { Config.default with nvme_bandwidth_bps = 0 };
   rejects "congestion_window = 0" { Config.default with congestion_window = 0 };
   rejects "nvme_queue_depth = 0" { Config.default with nvme_queue_depth = 0 };
-  rejects "copy_open_timeout = 0" { Config.default with copy_open_timeout = 0 };
   rejects "peer_ack_timeout = 0" { Config.default with peer_ack_timeout = 0 };
   (* the smallest legal values, including test_shard's 1 ns ack timeout *)
   Config.validate
     {
       Config.default with
       net_bandwidth_bps = 1_000_000;
-      memcpy_bw_bps = 1_000_000;
       congestion_window = 1;
       nvme_queue_depth = 1;
       peer_ack_timeout = 1;
-      copy_open_timeout = 1;
     };
   List.iter
     (fun (label, config) ->
@@ -92,8 +83,8 @@ let test_config_validate () =
       | exception Invalid_argument _ -> ())
     [
       ("bounce_chunk = 0", { Config.default with bounce_chunk = 0 });
-      ( "memcpy_bw_bps = 999_999",
-        { Config.default with memcpy_bw_bps = 999_999 } );
+      ( "net_bandwidth_bps = 999_999",
+        { Config.default with net_bandwidth_bps = 999_999 } );
       ( "congestion_window = 0",
         { Config.default with congestion_window = 0 } );
     ]
@@ -136,13 +127,10 @@ let test_base_latencies () =
         Fabric.add_node fab ~attached_to:host ~name:"s" Node.Smart_nic
       in
       let remote = Fabric.add_node fab ~name:"r" Node.Host_cpu in
-      check_int "loopback" cfg.loopback_oneway
-        (Fabric.base_latency fab ~src:host ~dst:host);
-      check_int "pcie"
-        (cfg.loopback_oneway + cfg.pcie_extra)
-        (Fabric.base_latency fab ~src:host ~dst:snic);
-      check_int "wire" cfg.wire_oneway
-        (Fabric.base_latency fab ~src:host ~dst:remote))
+      (* the calibrated values themselves (Table 3, §6.1), as literals *)
+      check_int "loopback" 1_210 (Fabric.base_latency fab ~src:host ~dst:host);
+      check_int "pcie" 1_840 (Fabric.base_latency fab ~src:host ~dst:snic);
+      check_int "wire" 1_650 (Fabric.base_latency fab ~src:host ~dst:remote))
 
 let test_transfer_latency_small () =
   (* A small cross-node message takes base + serialization of payload +
@@ -155,8 +143,8 @@ let test_transfer_latency_small () =
         Engine.now () - t0)
   in
   let expect =
-    cfg.wire_oneway
-    + Config.bytes_time ~bw_bps:cfg.net_bandwidth_bps (1 + cfg.header_bytes)
+    Config.wire_oneway
+    + Config.bytes_time ~bw_bps:cfg.net_bandwidth_bps (1 + Config.header_bytes)
   in
   check_int "1-byte transfer" expect elapsed
 
@@ -187,10 +175,11 @@ let test_tx_contention_serializes () =
         (!t1, !t2))
   in
   let ser =
-    Config.bytes_time ~bw_bps:cfg.net_bandwidth_bps (125_000 + cfg.header_bytes)
+    Config.bytes_time ~bw_bps:cfg.net_bandwidth_bps
+      (125_000 + Config.header_bytes)
   in
-  check_int "first at ser+wire" (ser + cfg.wire_oneway) d1;
-  check_int "second delayed by ser" (2 * ser + cfg.wire_oneway) d2
+  check_int "first at ser+wire" (ser + Config.wire_oneway) d1;
+  check_int "second delayed by ser" (2 * ser + Config.wire_oneway) d2
 
 let test_rx_incast_contention () =
   (* Two senders into one receiver: deliveries serialize at the receiver's
@@ -465,18 +454,32 @@ let test_utilization_accounts_busy_links () =
 let test_cost_scaling () =
   check_int "host msg" cfg.c_msg (Cost.one cfg Node.Host_cpu Cost.Msg);
   check_int "snic msg"
-    (int_of_float (Float.round (float_of_int cfg.c_msg *. cfg.snic_m_msg)))
+    (int_of_float (Float.round (float_of_int cfg.c_msg *. Config.snic_m_msg)))
     (Cost.one cfg Node.Smart_nic Cost.Msg);
   check_int "wimpy lookup"
     (int_of_float
-       (Float.round (float_of_int cfg.c_lookup *. cfg.wimpy_factor)))
-    (Cost.one cfg Node.Wimpy_cpu Cost.Lookup)
+       (Float.round (float_of_int Config.c_lookup *. Config.wimpy_factor)))
+    (Cost.one cfg Node.Wimpy_cpu Cost.Lookup);
+  (* The default cost of one unit of every class on every node kind
+     (Table 3, Figs. 6-7), pinned as literals: the calibration table that
+     folding a knob into a constant, or reordering its float expression,
+     must leave bit-identical. *)
+  let row kind =
+    List.map (Cost.one cfg kind)
+      Cost.[ Msg; Lookup; Serialize; Cap_transfer; Revoke ]
+  in
+  Alcotest.(check (list int)) "host cpu"
+    [ 290; 280; 2_200; 2_400; 400 ] (row Node.Host_cpu);
+  Alcotest.(check (list int)) "smart nic"
+    [ 406; 1_400; 6_160; 3_840; 2_000 ] (row Node.Smart_nic);
+  Alcotest.(check (list int)) "wimpy cpu"
+    [ 580; 560; 4_400; 4_800; 800 ] (row Node.Wimpy_cpu)
 
 let test_cost_bag () =
   let total =
     Cost.v cfg Node.Host_cpu [ (Cost.Msg, 2); (Cost.Lookup, 3) ]
   in
-  check_int "bag sum" ((2 * cfg.c_msg) + (3 * cfg.c_lookup)) total
+  check_int "bag sum" ((2 * cfg.c_msg) + (3 * Config.c_lookup)) total
 
 let test_cost_snic_lookup_dominates () =
   (* The paper's sNIC pain point: lookups slow down far more than plain

@@ -58,7 +58,7 @@ let make_cluster ?(extent_size = 1 lsl 20) ?(write_through = false) tb =
   let gpu =
     Dev.Gpu.create ~node:s_gpu.Tb.node ~config:cfg ~mem_bytes:(1 lsl 30)
   in
-  Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+  Dev.Gpu.load_kernel gpu Faceverify.kernel;
   let blk = Blockdev.start blk_proc ssd in
   let gpu_ad = Gpu_adaptor.start gpu_proc gpu in
   let app = Svc.create app_proc in
@@ -277,7 +277,7 @@ let test_gpu_to_gpu_pipeline () =
       let mk_gpu s name =
         let proc = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl name in
         let gpu = Dev.Gpu.create ~node:s.Tb.node ~config:cfg ~mem_bytes:(1 lsl 24) in
-        Dev.Gpu.load_kernel gpu (Faceverify.kernel ~config:cfg);
+        Dev.Gpu.load_kernel gpu Faceverify.kernel;
         Dev.Gpu.load_kernel gpu unmask_kernel;
         let ad = Gpu_adaptor.start proc gpu in
         (proc, ad)
