@@ -1,4 +1,5 @@
-(* Shared helpers for the experiment harness: table rendering and unit
+(* The experiment harness: the declaration every experiment fills in, the
+   runner that measures and renders them, table rendering and unit
    formatting. Every experiment prints the same rows/series the paper's
    table or figure reports, from deterministic simulated-time runs. *)
 
@@ -6,53 +7,97 @@ module Sim = Fractos_sim
 module Net = Fractos_net
 module Obs = Fractos_obs
 
+(* ------------------------------------------------------------------ *)
+(* Experiments as data                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One table (or group of tables) of an experiment: every point is
+   measured by [measure] in its own simulation, then [render] prints the
+   (point, result) pairs, in point order. *)
+type part =
+  | Part : {
+      points : 'p list;
+      measure : 'p -> 'r;
+      render : ('p * 'r) list -> unit;
+    }
+      -> part
+
+(* A shared input (the face database): built once, before any point runs,
+   then only read, from any domain. *)
+type input = Input : 'a Lazy.t -> input
+
+type experiment = { name : string; inputs : input list; parts : part list }
+
+let experiment name ~inputs parts = { name; inputs; parts }
+
 (* Optional machine-readable output: when [csv_dir] is set (bench main's
    --csv flag), every printed table is also written as
    <dir>/<section-slug>-<n>.csv. *)
 let csv_dir : string option ref = ref None
 
-(* Optional Chrome traces: when [trace_dir] is set (bench main's --trace
-   flag), experiments wrapped in [with_experiment] write
-   <dir>/<name>.json, loadable in Perfetto. *)
-let trace_dir : string option ref = ref None
+(* The runner measures on one domain. Two domains over the same points
+   measured 5-15 % faster on a 2-core host, below the 20 % that would pay
+   for the memory: the face-verification points allocate and free 64 MiB
+   buffers, and the page faults of two domains contend in one address
+   space. *)
+let domains = 1
 
-(* Optional critical-path breakdowns: when [breakdown_dir] is set (bench
-   main's --breakdown flag), experiments write <dir>/<name>.csv with one
-   row per traced root span — the disaggregation-tax attribution of that
-   experiment's requests (see Obs.Analysis). *)
-let breakdown_dir : string option ref = ref None
-
-(* Wall-clock start of the running experiment, stamped by
-   [with_experiment] and read back by [meta_json]: every BENCH_*.json
-   reports how long the sweep took on the host, alongside the simulated
-   results (which never depend on it). *)
+(* Wall-clock start of the running experiment, stamped by [run] and read
+   back by [meta_json]: every BENCH_*.json reports how long the sweep
+   took on the host, alongside the simulated results (which never depend
+   on it). *)
 let wall_t0 = ref (Unix.gettimeofday ())
 
-let with_experiment name f =
-  wall_t0 := Unix.gettimeofday ();
-  (* fresh metrics per experiment: counters, gauges and histograms must
-     not bleed across experiments (handles stay interned — see
-     Obs.Metrics.reset) *)
+(* Every point starts from the same domain-local state, whatever ran
+   before it: fresh metrics and id counters. *)
+let prepare () =
   Obs.Metrics.reset ();
-  if !trace_dir = None && !breakdown_dir = None then f ()
-  else begin
-    Obs.Span.reset ();
-    Obs.Span.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Span.set_enabled false;
-        (match !trace_dir with
-        | Some dir ->
-          Obs.Export.write_chrome_trace (Filename.concat dir (name ^ ".json"))
-        | None -> ());
-        match !breakdown_dir with
-        | Some dir ->
-          Obs.Analysis.write_csv
-            (Filename.concat dir (name ^ ".csv"))
-            (Obs.Analysis.analyze ())
-        | None -> ())
-      f
-  end
+  Fractos_core.Controller.reset_ids ();
+  Fractos_core.Process.reset_ids ()
+
+let measure_and_render e =
+  wall_t0 := Unix.gettimeofday ();
+  List.iter
+    (fun (Part p) ->
+      p.render
+        (Sim.Domains.map ~domains ~prepare
+           (fun x -> (x, p.measure x))
+           p.points))
+    e.parts
+
+(* Build every shared input, then measure and render [exps] in order.
+   With a [trace_dir] (bench main's --trace) each experiment also writes
+   <dir>/<name>.json, loadable in Perfetto; with a [breakdown_dir]
+   (--breakdown) it writes <dir>/<name>.csv, one row per traced root
+   span: the disaggregation-tax attribution of its requests (see
+   Obs.Analysis). *)
+let run ~trace_dir ~breakdown_dir exps =
+  List.iter
+    (fun e -> List.iter (fun (Input i) -> ignore (Lazy.force i)) e.inputs)
+    exps;
+  List.iter
+    (fun e ->
+      if trace_dir = None && breakdown_dir = None then measure_and_render e
+      else begin
+        Obs.Span.reset ();
+        Obs.Span.set_enabled true;
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.Span.set_enabled false;
+            Option.iter
+              (fun dir ->
+                Obs.Export.write_chrome_trace
+                  (Filename.concat dir (e.name ^ ".json")))
+              trace_dir;
+            Option.iter
+              (fun dir ->
+                Obs.Analysis.write_csv
+                  (Filename.concat dir (e.name ^ ".csv"))
+                  (Obs.Analysis.analyze ()))
+              breakdown_dir)
+          (fun () -> measure_and_render e)
+      end)
+    exps
 
 (* Provenance stamp for machine-readable outputs (BENCH_*.json): the
    commit the numbers came from, the PRNG seeds, and the sweep knobs.
@@ -66,17 +111,21 @@ let git_describe () =
     | Unix.WEXITED 0 when line <> "" -> line
     | _ | (exception _) -> "unknown")
 
-(* Every bench runs its simulations serially on one domain; "domains"
-   stays in the meta block so the BENCH_*.json schema is stable. *)
 let meta_json ~seeds ~knobs () =
   Printf.sprintf
     "\"meta\": {\"git\": %S, \"seeds\": [%s], \"wallclock_s\": %.3f, \
-     \"domains\": 1, \"cores\": %d, \"knobs\": {%s}}"
+     \"domains\": %d, \"cores\": %d, \"knobs\": {%s}}"
     (git_describe ())
     (String.concat ", " (List.map string_of_int seeds))
     (Unix.gettimeofday () -. !wall_t0)
+    domains
     (Sim.Domains.recommended ())
     (String.concat ", " knobs)
+
+(* Write a BENCH_*.json and say so on stdout. *)
+let write_json path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  Format.printf "[wrote %s]@." path
 
 let current_slug = ref "untitled"
 let table_counter = ref 0
@@ -210,3 +259,98 @@ let grouped_bars ~value_label ~rows =
       Format.printf "@.")
     rows;
   Format.printf "(%s, bars scaled to %.4g)@." value_label vmax
+
+(* The points of a table with one row per [x] and one column per
+   labelled series: every (x, series) pair, row by row. *)
+let grid xs series =
+  List.concat_map (fun x -> List.map (fun s -> (x, s)) series) xs
+
+(* Measure a [grid] cell whose series is a function of the row's x. *)
+let cell (x, (_, f)) = f x
+
+(* Regroup the results of a [grid] with [n] series into its rows. *)
+let rows n res =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | ((x, _), _) :: _ as res ->
+      let row = List.filteri (fun i _ -> i < n) res in
+      go ((x, List.map snd row) :: acc) (List.filteri (fun i _ -> i >= n) res)
+  in
+  go [] res
+
+(* The commonest part: a [grid] of [xs] by labelled [series], measured
+   cell by cell and printed under [title] as one table, a row per x
+   ([show] prints the x, [fmt] each result) and a column per series,
+   then the [anchor] line unless it is empty. *)
+let grid_table ~title ~corner ~show ~fmt ~anchor xs series measure =
+  Part
+    {
+      points = grid xs series;
+      measure;
+      render =
+        (fun res ->
+          section title;
+          table
+            ~header:(corner :: List.map fst series)
+            ~rows:
+              (List.map
+                 (fun (x, rs) -> show x :: List.map fmt rs)
+                 (rows (List.length series) res));
+          if anchor <> "" then Format.printf "%s@." anchor);
+    }
+
+(* A [grid_table] of latencies (usec) drawn again as grouped bars, one
+   group per x, so the output reads like the paper's figure. *)
+let latency_figure ~title ~corner ~show ~value_label ~anchor xs series measure
+    =
+  Part
+    {
+      points = grid xs series;
+      measure;
+      render =
+        (fun res ->
+          let grid =
+            List.map
+              (fun (x, ts) -> (show x, List.combine (List.map fst series) ts))
+              (rows (List.length series) res)
+          in
+          section title;
+          table
+            ~header:(corner :: List.map fst series)
+            ~rows:
+              (List.map
+                 (fun (x, bars) -> x :: List.map (fun (_, t) -> us t) bars)
+                 grid);
+          Format.printf "@.";
+          grouped_bars ~value_label
+            ~rows:
+              (List.map
+                 (fun (x, bars) ->
+                   (x, List.map (fun (s, t) -> (s, Sim.Time.to_us_f t)) bars))
+                 grid);
+          if anchor <> "" then Format.printf "%s@." anchor);
+    }
+
+(* Closed loop: [inflight] fibers issue [reqs] calls [f i] in total, [i]
+   counting issues from 0; returns the simulated time from the first
+   issue to the last completion. *)
+let closed_loop ~inflight ~reqs f =
+  let issued = ref 0 and completed = ref 0 in
+  let t0 = Sim.Engine.now () in
+  let done_ = Sim.Ivar.create () in
+  for _ = 1 to inflight do
+    Sim.Engine.spawn (fun () ->
+        let rec loop () =
+          if !issued < reqs then begin
+            let i = !issued in
+            incr issued;
+            f i;
+            incr completed;
+            if !completed = reqs then Sim.Ivar.fill done_ ();
+            loop ()
+          end
+        in
+        loop ())
+  done;
+  Sim.Ivar.await done_;
+  Sim.Engine.now () - t0

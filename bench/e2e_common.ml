@@ -1,7 +1,8 @@
 (* Shared setup for the end-to-end face-verification experiments
-   (Figs. 2, 12, 13 and the headline summary): the FractOS application on
-   the 4-node cluster under the three Controller placements, and the
-   NFS + NVMe-oF + rCUDA baseline. *)
+   (Figs. 2, 12, 13, the headline summary and the load curve): the
+   FractOS application on the 4-node cluster under the three Controller
+   placements, and the NFS + NVMe-oF + rCUDA baseline, over one face
+   database built once per process. *)
 
 open Fractos_sim
 module Net = Fractos_net
@@ -21,6 +22,11 @@ let img_size = 4096
    working sets, so its random reads miss (§6.4). *)
 let n_images = 16384
 
+(* Every experiment that reads it lists it as an [Input], so the runner
+   forces it before the first point: two domains forcing one lazy at
+   once would raise [Lazy.Undefined]. *)
+let db = lazy (Facedata.db ~img_size ~n:n_images)
+
 type sys = {
   verify : start_id:int -> batch:int -> probes:bytes -> unit;
   stats : Net.Stats.t;
@@ -28,10 +34,9 @@ type sys = {
 
 let fractos ~placement ~max_batch ~depth tb =
   let c = Cluster.make ~placement ~extent_size:(n_images * img_size) tb in
-  let db = Facedata.db ~img_size ~n:n_images in
   ok_exn
     (Faceverify.populate_db c.Cluster.app ~fs:c.Cluster.fs_cap ~name:"facedb"
-       ~content:db);
+       ~content:(Lazy.force db));
   let fv =
     ok_exn
       (Faceverify.setup c.Cluster.app ~fs:c.Cluster.fs_cap
@@ -54,11 +59,10 @@ let baseline ~max_batch ~depth () =
   let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 30) in
   let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 30) in
   Dev.Gpu.load_kernel gpu Faceverify.kernel;
-  let db = Facedata.db ~img_size ~n:n_images in
   let fv =
     Result.get_ok
       (B.Faceverify_baseline.setup ~fabric:fab ~frontend ~nfs_server ~ssd ~gpu
-         ~db ~img_size ~max_batch ~depth)
+         ~db:(Lazy.force db) ~img_size ~max_batch ~depth)
   in
   {
     verify =
@@ -69,45 +73,52 @@ let baseline ~max_batch ~depth () =
     stats = Net.Fabric.stats fab;
   }
 
-let probes_for rng ~batch =
+type system = Fractos of Tb.placement | Baseline
+
+(* The four systems of Figs. 12 and 13, labelled as their columns. *)
+let systems =
+  [
+    ("FractOS CPU", Fractos Tb.Ctrl_cpu);
+    ("FractOS sNIC", Fractos Tb.Ctrl_snic);
+    ("Shared HAL", Fractos Tb.Ctrl_shared);
+    ("Baseline", Baseline);
+  ]
+
+(* Build [system] in a fresh simulation, for batches of up to [max_batch]
+   images with [depth] requests' worth of buffers, and run [f] on it. A
+   system holds a few hundred MiB of buffers, garbage once [f] returns:
+   collecting the last one first keeps the peak heap at one system's. *)
+let run system ~max_batch ~depth f =
+  Gc.full_major ();
+  match system with
+  | Fractos placement ->
+    Tb.run (fun tb -> f (fractos ~placement ~max_batch ~depth tb))
+  | Baseline -> Engine.run (fun () -> f (baseline ~max_batch ~depth ()))
+
+(* One request for [batch] images from a random start, drawn from [rng].
+   Every probe is genuine, so the probe batch is a copy of the database
+   images it is compared with. *)
+let verify_next sys rng ~batch =
   let start_id = Prng.int rng (n_images - batch) in
-  ( start_id,
-    Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:0 )
+  let probes =
+    Bytes.sub (Lazy.force db) (start_id * img_size) (batch * img_size)
+  in
+  sys.verify ~start_id ~batch ~probes
 
 (* Mean latency over [reps] single requests at the given batch size. *)
 let latency sys ~batch ~reps =
   let rng = Prng.create ~seed:42 in
-  let start_id, probes = probes_for rng ~batch in
-  sys.verify ~start_id ~batch ~probes;
+  verify_next sys rng ~batch;
   Bench_util.mean_of reps (fun _ ->
-      let start_id, probes = probes_for rng ~batch in
-      ignore probes;
       let t0 = Engine.now () in
-      sys.verify ~start_id ~batch ~probes;
+      verify_next sys rng ~batch;
       Engine.now () - t0)
 
 (* Closed-loop throughput: [inflight] clients, [reqs] requests total.
    Returns (requests, elapsed). *)
 let throughput sys ~batch ~inflight ~reqs =
   let rng = Prng.create ~seed:43 in
-  let start_id, probes = probes_for rng ~batch in
-  sys.verify ~start_id ~batch ~probes;
-  let remaining = ref reqs and completed = ref 0 in
-  let t0 = Engine.now () in
-  let done_ = Ivar.create () in
-  for _ = 1 to inflight do
-    Engine.spawn (fun () ->
-        let rec loop () =
-          if !remaining > 0 then begin
-            decr remaining;
-            let start_id, probes = probes_for rng ~batch in
-            sys.verify ~start_id ~batch ~probes;
-            incr completed;
-            if !completed = reqs then Ivar.fill done_ ();
-            loop ()
-          end
-        in
-        loop ())
-  done;
-  Ivar.await done_;
-  (reqs, Engine.now () - t0)
+  verify_next sys rng ~batch;
+  ( reqs,
+    Bench_util.closed_loop ~inflight ~reqs (fun _ ->
+        verify_next sys rng ~batch) )

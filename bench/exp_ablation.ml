@@ -11,27 +11,11 @@ module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 open Core
 
-let name = "ablation"
 let ok_exn = Error.ok_exn
 
-let copy_latency ~chunk ~double_buffering size =
-  let config =
-    { Net.Config.default with bounce_chunk = chunk; double_buffering }
-  in
-  Tb.run ~config (fun tb ->
-      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
-      let sa = List.nth setups 0 and sb = List.nth setups 1 in
-      let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "pa" in
-      let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "pb" in
-      let src = ok_exn (Api.memory_create pa (Process.alloc pa size) Perms.ro) in
-      let dst =
-        Tb.grant ~src:pb ~dst:pa
-          (ok_exn (Api.memory_create pb (Process.alloc pb size) Perms.rw))
-      in
-      ok_exn (Api.memory_copy pa ~src ~dst);
-      let t0 = Engine.now () in
-      ok_exn (Api.memory_copy pa ~src ~dst);
-      Engine.now () - t0)
+let copy_latency ~chunk ~double_buffering =
+  Exp_fig5.copy_latency ~placement:Tb.Ctrl_cpu
+    ~config:{ Net.Config.default with bounce_chunk = chunk; double_buffering }
 
 let congestion ~window =
   let config = { Net.Config.default with congestion_window = window } in
@@ -162,80 +146,121 @@ let monitored_delegation ~monitored =
       in
       ((Engine.now () - t0) / reps, census.net_messages / reps))
 
-let run () =
-  Bench_util.section
-    "Ablation: monitored vs plain capability delegation (per handle handed \
-     to a client)";
-  let plain_t, plain_m = monitored_delegation ~monitored:false in
-  let mon_t, mon_m = monitored_delegation ~monitored:true in
-  Bench_util.table
-    ~header:[ ""; "latency (us)"; "net msgs" ]
-    ~rows:
-      [
-        [ "plain delegation"; Bench_util.us plain_t; string_of_int plain_m ];
-        [ "monitored delegation"; Bench_util.us mon_t; string_of_int mon_m ];
-      ];
-  Format.printf
-    "[the monitor costs one extra syscall round trip at setup and one \
-     async increment per delegation — cheap enough to keep on by default \
-     for resource-managed services]@.";
-  Bench_util.section
-    "Ablation: owner-centric revocation vs delegation tracking (16 RPCs x 2 \
-     caps, then 32 revokes)";
-  Bench_util.table
-    ~header:
-      [
-        "ctrls"; "deleg us (owner)"; "deleg us (track)"; "revoke us (owner)";
-        "revoke us (track)"; "msgs (owner)"; "msgs (track)";
-      ]
-    ~rows:
-      (List.map
-         (fun n_ctrls ->
-           let od, orv, om = cleanup_design ~track:false ~n_ctrls in
-           let td, trv, tm = cleanup_design ~track:true ~n_ctrls in
-           [
-             string_of_int n_ctrls;
-             Bench_util.us od;
-             Bench_util.us td;
-             Bench_util.us orv;
-             Bench_util.us trv;
-             string_of_int om;
-             string_of_int tm;
-           ])
-         [ 2; 4; 8; 16 ]);
-  Format.printf
-    "[the paper's tradeoff: tracking keeps revocation-cleanup traffic \
-     constant but taxes every delegation; the owner-centric design keeps \
-     the critical path clean and pays a broadcast per revocation, growing \
-     with the controller count]@.";
-  Bench_util.section
-    "Ablation: memory_copy chunking and double buffering (1 MiB cross-node \
-     copy, usec)";
-  Bench_util.table
-    ~header:[ "chunk"; "pipelined"; "serial"; "penalty" ]
-    ~rows:
-      (List.map
-         (fun chunk ->
-           let on = copy_latency ~chunk ~double_buffering:true (1 lsl 20) in
-           let off = copy_latency ~chunk ~double_buffering:false (1 lsl 20) in
-           [
-             Bench_util.show_size chunk;
-             Bench_util.us on;
-             Bench_util.us off;
-             Printf.sprintf "%.2fx"
-               (Sim.Time.to_us_f off /. Sim.Time.to_us_f on);
-           ])
-         [ 4096; 16384; 65536; 262144 ]);
-  Bench_util.section
-    "Ablation: congestion-control window (64 invocations to a slow server)";
-  Bench_util.table
-    ~header:[ "window"; "time to accept all (us)"; "queued at server" ]
-    ~rows:
-      (List.map
-         (fun window ->
-           let t, backlog = congestion ~window in
-           [ string_of_int window; Bench_util.us t; string_of_int backlog ])
-         [ 1; 4; 16; 64 ]);
-  Format.printf
-    "[small windows bound the provider's queue at the cost of invoke \
-     latency; the window is the knob between isolation and pipelining]@."
+let experiment =
+  Bench_util.experiment "ablation" ~inputs:[]
+    [
+      Part
+        {
+          points =
+            [ ("plain delegation", false); ("monitored delegation", true) ];
+          measure = (fun (_, monitored) -> monitored_delegation ~monitored);
+          render =
+            (fun res ->
+              Bench_util.section
+                "Ablation: monitored vs plain capability delegation (per \
+                 handle handed to a client)";
+              Bench_util.table
+                ~header:[ ""; "latency (us)"; "net msgs" ]
+                ~rows:
+                  (List.map
+                     (fun ((label, _), (t, m)) ->
+                       [ label; Bench_util.us t; string_of_int m ])
+                     res);
+              Format.printf
+                "[the monitor costs one extra syscall round trip at setup \
+                 and one async increment per delegation — cheap enough to \
+                 keep on by default for resource-managed services]@.");
+        };
+      Part
+        {
+          points = Bench_util.grid [ 2; 4; 8; 16 ] [ false; true ];
+          measure = (fun (n_ctrls, track) -> cleanup_design ~track ~n_ctrls);
+          render =
+            (fun res ->
+              Bench_util.section
+                "Ablation: owner-centric revocation vs delegation tracking \
+                 (16 RPCs x 2 caps, then 32 revokes)";
+              Bench_util.table
+                ~header:
+                  [
+                    "ctrls"; "deleg us (owner)"; "deleg us (track)";
+                    "revoke us (owner)"; "revoke us (track)"; "msgs (owner)";
+                    "msgs (track)";
+                  ]
+                ~rows:
+                  (List.map
+                     (function
+                       | n_ctrls, [ (od, orv, om); (td, trv, tm) ] ->
+                         [
+                           string_of_int n_ctrls;
+                           Bench_util.us od;
+                           Bench_util.us td;
+                           Bench_util.us orv;
+                           Bench_util.us trv;
+                           string_of_int om;
+                           string_of_int tm;
+                         ]
+                       | _ -> assert false)
+                     (Bench_util.rows 2 res));
+              Format.printf
+                "[the paper's tradeoff: tracking keeps revocation-cleanup \
+                 traffic constant but taxes every delegation; the \
+                 owner-centric design keeps the critical path clean and \
+                 pays a broadcast per revocation, growing with the \
+                 controller count]@.");
+        };
+      Part
+        {
+          points =
+            Bench_util.grid [ 4096; 16384; 65536; 262144 ] [ true; false ];
+          measure =
+            (fun (chunk, double_buffering) ->
+              copy_latency ~chunk ~double_buffering (1 lsl 20));
+          render =
+            (fun res ->
+              Bench_util.section
+                "Ablation: memory_copy chunking and double buffering (1 MiB \
+                 cross-node copy, usec)";
+              Bench_util.table
+                ~header:[ "chunk"; "pipelined"; "serial"; "penalty" ]
+                ~rows:
+                  (List.map
+                     (function
+                       | chunk, [ on; off ] ->
+                         [
+                           Bench_util.show_size chunk;
+                           Bench_util.us on;
+                           Bench_util.us off;
+                           Printf.sprintf "%.2fx"
+                             (Sim.Time.to_us_f off /. Sim.Time.to_us_f on);
+                         ]
+                       | _ -> assert false)
+                     (Bench_util.rows 2 res)));
+        };
+      Part
+        {
+          points = [ 1; 4; 16; 64 ];
+          measure = (fun window -> congestion ~window);
+          render =
+            (fun res ->
+              Bench_util.section
+                "Ablation: congestion-control window (64 invocations to a \
+                 slow server)";
+              Bench_util.table
+                ~header:
+                  [ "window"; "time to accept all (us)"; "queued at server" ]
+                ~rows:
+                  (List.map
+                     (fun (window, (t, backlog)) ->
+                       [
+                         string_of_int window;
+                         Bench_util.us t;
+                         string_of_int backlog;
+                       ])
+                     res);
+              Format.printf
+                "[small windows bound the provider's queue at the cost of \
+                 invoke latency; the window is the knob between isolation \
+                 and pipelining]@.");
+        };
+    ]

@@ -25,29 +25,21 @@ module Api = Fractos_core.Api
 module Retry = Fractos_fault.Retry
 module Loadgen = Fractos_workloads.Loadgen
 
-let name = "cluster"
-
-(* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke / @bench-gate aliases; --cluster-json overrides the
-   output path. *)
-let tiny = ref false
-let json_path = ref "BENCH_cluster.json"
-
 (* The fast-path preset (batching + translation cache on a bounded
    queue), plus shard placement: fresh Memory objects and derived
    Requests scatter across the group. Every shard runs the same config. *)
 let cluster_config = { Config.fast_path with shard_placement = true }
 
-let shard_counts () = if !tiny then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ]
+let shard_counts ~tiny = if tiny then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ]
 
 (* Offered load is per shard (each shard has its own open-loop client),
    so the aggregate offered load is rate * shards. The per-shard rates
    deliberately run past the single-controller knee. *)
-let sweep_rates () =
-  if !tiny then [ 600_000.; 1_900_000.; 2_500_000. ]
+let sweep_rates ~tiny =
+  if tiny then [ 600_000.; 1_900_000.; 2_500_000. ]
   else [ 200_000.; 600_000.; 1_200_000.; 1_800_000.; 2_500_000. ]
 
-let sweep_n () = if !tiny then 1000 else 2500
+let sweep_n ~tiny = if tiny then 1000 else 2500
 let seed_base = 11
 let cross_every = 32 (* 1 in 32 invokes crosses to the neighbour shard *)
 
@@ -164,25 +156,25 @@ let saturation_point ~shards ~rate ~n =
 let knee points = List.fold_left (fun m p -> Float.max m p.pt_goodput) 0. points
 
 (* Hand-rolled JSON, same style as exp_loadcurve. *)
-let write_json sweeps path =
+let write_json ~tiny sweeps path =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\n  \"experiment\": \"cluster\",\n  \"schema\": 1,\n  \"tiny\": \
         %b,\n  %s,\n  \"points\": [\n"
-       !tiny
+       tiny
        (Bench_util.meta_json ~seeds:[ seed_base ]
           ~knobs:
             [
-              Printf.sprintf "\"tiny\": %b" !tiny;
-              Printf.sprintf "\"n_per_shard\": %d" (sweep_n ());
+              Printf.sprintf "\"tiny\": %b" tiny;
+              Printf.sprintf "\"n_per_shard\": %d" (sweep_n ~tiny);
               Printf.sprintf "\"cross_every\": %d" cross_every;
               Printf.sprintf "\"shard_counts\": [%s]"
                 (String.concat ", "
-                   (List.map string_of_int (shard_counts ())));
+                   (List.map string_of_int (shard_counts ~tiny)));
               Printf.sprintf "\"rates_per_shard_rps\": [%s]"
                 (String.concat ", "
-                   (List.map (Printf.sprintf "%.0f") (sweep_rates ())));
+                   (List.map (Printf.sprintf "%.0f") (sweep_rates ~tiny)));
             ] ()));
   List.iteri
     (fun i (shards, points) ->
@@ -207,24 +199,13 @@ let write_json sweeps path =
            (if i = List.length sweeps - 1 then "" else ",")))
     sweeps;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+  Bench_util.write_json path (Buffer.contents buf)
 
-let run () =
+let render ~tiny ~json res =
   Bench_util.section
     "Extension: aggregate knee goodput vs shard count (sharded capability \
      space)";
-  let n = sweep_n () in
-  let sweeps =
-    List.map
-      (fun shards ->
-        ( shards,
-          List.map (fun rate -> saturation_point ~shards ~rate ~n)
-            (sweep_rates ()) ))
-      (shard_counts ())
-  in
+  let sweeps = Bench_util.rows (List.length (sweep_rates ~tiny)) res in
   let rows =
     List.map
       (fun (shards, points) ->
@@ -252,4 +233,19 @@ let run () =
       (knee one /. 1e3) (knee four /. 1e3)
       (if knee one > 0. then knee four /. knee one else 0.)
   | _ -> ());
-  write_json sweeps !json_path
+  write_json ~tiny sweeps json
+
+(* --tiny (the @bench-smoke and @bench-gate aliases) shrinks the sweep;
+   [json] is the output path. *)
+let experiment ~tiny ~json =
+  Bench_util.experiment "cluster" ~inputs:[]
+    [
+      Part
+        {
+          points = Bench_util.grid (shard_counts ~tiny) (sweep_rates ~tiny);
+          measure =
+            (fun (shards, rate) ->
+              saturation_point ~shards ~rate ~n:(sweep_n ~tiny));
+          render = render ~tiny ~json;
+        };
+    ]

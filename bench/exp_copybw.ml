@@ -26,13 +26,7 @@ module Tb = Fractos_testbed.Testbed
 module S = Storage_common
 open Fractos_core
 
-let name = "copybw"
 let ok_exn = Error.ok_exn
-
-(* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke alias; --copybw-json overrides the output path. *)
-let tiny = ref false
-let json_path = ref "BENCH_copybw.json"
 
 let gbit = 1_000_000_000
 let headline_size = 1 lsl 20
@@ -47,72 +41,36 @@ let copy_config ~net_gbps ~window ~streams =
     copy_streams = streams;
   }
 
-type point = {
-  p_size : int;
-  p_window : int;
-  p_streams : int;
-  p_net_gbps : int;
-  p_ns : int;
-  p_gbps : float;
-}
-
 let gbps ~bytes ns =
   if ns <= 0 then 0. else float_of_int (bytes * 8) /. float_of_int ns
 
-(* Fig. 5's topology: two hosts with CPU controllers, a third-party copy
-   from pa@a into pb@b. The source is pattern-filled and the destination
-   byte-checked after the warm-up copy, so every sweep point also
-   re-validates engine correctness at its knob setting. *)
-let copy_latency ~net_gbps ~window ~streams size =
-  Tb.run ~config:(copy_config ~net_gbps ~window ~streams) (fun tb ->
-      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
-      let sa = List.nth setups 0 and sb = List.nth setups 1 in
-      let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "pa" in
-      let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "pb" in
-      let src_buf = Process.alloc pa size in
-      let dst_buf = Process.alloc pb size in
-      let pattern = Bytes.init size (fun i -> Char.chr ((i * 131) land 0xff)) in
-      Membuf.write src_buf ~off:0 pattern;
-      let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
-      let dst =
-        Tb.grant ~src:pb ~dst:pa (ok_exn (Api.memory_create pb dst_buf Perms.rw))
-      in
-      (* warm-up (allocators, caches) + integrity check *)
-      ok_exn (Api.memory_copy pa ~src ~dst);
-      if not (Bytes.equal (Membuf.read dst_buf ~off:0 ~len:size) pattern) then
-        failwith
-          (Printf.sprintf "copybw: corrupt copy at window=%d streams=%d" window
-             streams);
-      let t0 = Engine.now () in
-      ok_exn (Api.memory_copy pa ~src ~dst);
-      Engine.now () - t0)
+(* A sweep point: a copy of [size] bytes, or a 1 MiB storage read at the
+   headline line rate ([size] is then the read length), under one engine
+   setting. *)
+type path = Copy | Fs_read | Dax_read
 
-let measure ~net_gbps ~window ~streams size =
-  let ns = copy_latency ~net_gbps ~window ~streams size in
-  {
-    p_size = size;
-    p_window = window;
-    p_streams = streams;
-    p_net_gbps = net_gbps;
-    p_ns = ns;
-    p_gbps = gbps ~bytes:size ns;
-  }
+type point = {
+  path : path;
+  size : int;
+  net_gbps : int;
+  window : int;
+  streams : int;
+}
 
-let sizes () = if !tiny then [ headline_size ] else [ 65536; 262144; 1 lsl 20 ]
-let engines () = if !tiny then [ (1, 1); (8, 4) ] else [ (1, 1); (4, 1); (8, 4); (16, 4) ]
-let nets () = if !tiny then [ headline_net ] else [ 10; headline_net ]
+let copy_points ~tiny =
+  let sizes = if tiny then [ headline_size ] else [ 65536; 262144; 1 lsl 20 ] in
+  let engines =
+    if tiny then [ (1, 1); (8, 4) ] else [ (1, 1); (4, 1); (8, 4); (16, 4) ]
+  in
+  let nets = if tiny then [ headline_net ] else [ 10; headline_net ] in
+  List.map
+    (fun ((net_gbps, size), (window, streams)) ->
+      { path = Copy; size; net_gbps; window; streams })
+    Bench_util.(grid (grid nets sizes) engines)
 
 (* ------------------------------------------------------------------ *)
 (* Storage read path under the same knobs                              *)
 (* ------------------------------------------------------------------ *)
-
-type fs_point = {
-  f_mode : string; (* "fs" | "dax" *)
-  f_len : int;
-  f_window : int;
-  f_streams : int;
-  f_ns : int;
-}
 
 let fs_read_latency ~dax ~window ~streams ~len =
   Tb.run ~config:(copy_config ~net_gbps:headline_net ~window ~streams)
@@ -126,17 +84,25 @@ let fs_read_latency ~dax ~window ~streams ~len =
       op ~off:len;
       Engine.now () - t0)
 
-let fs_points () =
-  List.concat_map
-    (fun (mode, dax) ->
-      List.map
-        (fun (window, streams) ->
-          let len = headline_size in
-          let ns = fs_read_latency ~dax ~window ~streams ~len in
-          { f_mode = mode; f_len = len; f_window = window; f_streams = streams;
-            f_ns = ns })
-        [ (1, 1); headline_engine ])
-    [ ("fs", false); ("dax", true) ]
+let fs_points =
+  List.map
+    (fun (path, (window, streams)) ->
+      { path; size = headline_size; net_gbps = headline_net; window; streams })
+    (Bench_util.grid [ Fs_read; Dax_read ] [ (1, 1); headline_engine ])
+
+let measure p =
+  match p.path with
+  | Copy ->
+    (* Fig. 5's copy, which also checks the bytes at every knob setting *)
+    Exp_fig5.copy_latency ~placement:Tb.Ctrl_cpu
+      ~config:
+        (copy_config ~net_gbps:p.net_gbps ~window:p.window ~streams:p.streams)
+      p.size
+  | Fs_read | Dax_read ->
+    fs_read_latency ~dax:(p.path = Dax_read) ~window:p.window
+      ~streams:p.streams ~len:p.size
+
+let gbps_of (p, ns) = gbps ~bytes:p.size ns
 
 (* ------------------------------------------------------------------ *)
 (* JSON output                                                          *)
@@ -144,17 +110,17 @@ let fs_points () =
 
 (* Hand-rolled JSON (no JSON library in the image), same style as the
    loadcurve export. *)
-let write_json ~points ~fs ~headline path =
+let write_json ~tiny ~points ~fs ~headline path =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\n  \"experiment\": \"copybw\",\n  \"schema\": 1,\n  \"tiny\": %b,\n  \
         %s,\n"
-       !tiny
+       tiny
        (Bench_util.meta_json ~seeds:[]
           ~knobs:
             [
-              Printf.sprintf "\"tiny\": %b" !tiny;
+              Printf.sprintf "\"tiny\": %b" tiny;
               Printf.sprintf "\"headline_size\": %d" headline_size;
               Printf.sprintf "\"headline_net_gbps\": %d" headline_net;
               Printf.sprintf "\"headline_window\": %d" (fst headline_engine);
@@ -162,22 +128,23 @@ let write_json ~points ~fs ~headline path =
             ] ()));
   Buffer.add_string buf "  \"points\": [\n";
   List.iteri
-    (fun i p ->
+    (fun i ((p, ns) as r) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"size\": %d, \"window\": %d, \"streams\": %d, \
             \"net_gbps\": %d, \"ns\": %d, \"gbps\": %.2f}%s\n"
-           p.p_size p.p_window p.p_streams p.p_net_gbps p.p_ns p.p_gbps
+           p.size p.window p.streams p.net_gbps ns (gbps_of r)
            (if i = List.length points - 1 then "" else ",")))
     points;
   Buffer.add_string buf "  ],\n  \"fs_read\": [\n";
   List.iteri
-    (fun i f ->
+    (fun i (f, ns) ->
       Buffer.add_string buf
         (Printf.sprintf
            "    {\"mode\": %S, \"len\": %d, \"window\": %d, \"streams\": %d, \
             \"net_gbps\": %d, \"ns\": %d}%s\n"
-           f.f_mode f.f_len f.f_window f.f_streams headline_net f.f_ns
+           (if f.path = Fs_read then "fs" else "dax")
+           f.size f.window f.streams f.net_gbps ns
            (if i = List.length fs - 1 then "" else ",")))
     fs;
   let serial, pipelined = headline in
@@ -187,76 +154,74 @@ let write_json ~points ~fs ~headline path =
         \"window\": %d, \"streams\": %d, \"serial_gbps\": %.2f, \
         \"pipelined_gbps\": %.2f, \"speedup\": %.2f}\n}\n"
        headline_size headline_net (fst headline_engine) (snd headline_engine)
-       serial.p_gbps pipelined.p_gbps
-       (if serial.p_gbps > 0. then pipelined.p_gbps /. serial.p_gbps else 0.));
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+       serial pipelined
+       (if serial > 0. then pipelined /. serial else 0.));
+  Bench_util.write_json path (Buffer.contents buf)
 
-let run () =
+let render ~tiny ~json res =
+  let points, fs = List.partition (fun (p, _) -> p.path = Copy) res in
   Bench_util.section
     "Extension: memory_copy bandwidth, serial vs windowed/multi-stream \
      engine (Gbit/s)";
-  let points =
-    List.concat_map
-      (fun net_gbps ->
-        List.concat_map
-          (fun size ->
-            List.map
-              (fun (window, streams) -> measure ~net_gbps ~window ~streams size)
-              (engines ()))
-          (sizes ()))
-      (nets ())
-  in
   Bench_util.table
     ~header:[ "fabric"; "size"; "window"; "streams"; "us"; "Gbit/s" ]
     ~rows:
       (List.map
-         (fun p ->
+         (fun ((p, ns) as r) ->
            [
-             Printf.sprintf "%dG" p.p_net_gbps;
-             Bench_util.show_size p.p_size;
-             string_of_int p.p_window;
-             string_of_int p.p_streams;
-             Bench_util.us p.p_ns;
-             Printf.sprintf "%.1f" p.p_gbps;
+             Printf.sprintf "%dG" p.net_gbps;
+             Bench_util.show_size p.size;
+             string_of_int p.window;
+             string_of_int p.streams;
+             Bench_util.us ns;
+             Printf.sprintf "%.1f" (gbps_of r);
            ])
          points);
-  let find ~net ~engine size =
-    List.find
-      (fun p ->
-        p.p_size = size && p.p_net_gbps = net
-        && (p.p_window, p.p_streams) = engine)
-      points
+  let find engine =
+    gbps_of
+      (List.find
+         (fun (p, _) ->
+           p.size = headline_size && p.net_gbps = headline_net
+           && (p.window, p.streams) = engine)
+         points)
   in
-  let serial = find ~net:headline_net ~engine:(1, 1) headline_size in
-  let pipelined = find ~net:headline_net ~engine:headline_engine headline_size in
+  let serial = find (1, 1) and pipelined = find headline_engine in
   Format.printf
     "[headline: 1 MiB at %d Gbps — %.1f Gbit/s serial vs %.1f Gbit/s with \
      window %d x %d streams (%.2fx); at 10 Gbps both engines are \
      wire-bound and the knobs are neutral]@."
-    headline_net serial.p_gbps pipelined.p_gbps (fst headline_engine)
-    (snd headline_engine)
-    (pipelined.p_gbps /. serial.p_gbps);
-  let fs = if !tiny then [] else fs_points () in
-  if not !tiny then begin
+    headline_net serial pipelined (fst headline_engine)
+    (snd headline_engine) (pipelined /. serial);
+  if not tiny then begin
     Bench_util.section
       "Extension (cont.): 1 MiB storage reads under the same knobs (usec)";
     Bench_util.table
       ~header:[ "path"; "window"; "streams"; "us" ]
       ~rows:
         (List.map
-           (fun f ->
+           (fun (f, ns) ->
              [
-               (if f.f_mode = "fs" then "FS read" else "DAX read");
-               string_of_int f.f_window;
-               string_of_int f.f_streams;
-               Bench_util.us f.f_ns;
+               (if f.path = Fs_read then "FS read" else "DAX read");
+               string_of_int f.window;
+               string_of_int f.streams;
+               Bench_util.us ns;
              ])
            fs);
     Format.printf
       "[both stacks move bulk data via third-party memory_copy and inherit \
        part of the win, bounded by the NVMe device model]@."
   end;
-  write_json ~points ~fs ~headline:(serial, pipelined) !json_path
+  write_json ~tiny ~points ~fs ~headline:(serial, pipelined) json
+
+(* --tiny (the @bench-smoke and @bench-gate aliases) shrinks the copy
+   sweep and skips the storage reads; [json] is the output path. *)
+let experiment ~tiny ~json =
+  Bench_util.experiment "copybw" ~inputs:[]
+    [
+      Part
+        {
+          points = copy_points ~tiny @ (if tiny then [] else fs_points);
+          measure;
+          render = render ~tiny ~json;
+        };
+    ]

@@ -13,9 +13,16 @@ module Tb = Fractos_testbed.Testbed
 module B = Fractos_baselines
 module S = Storage_common
 
-let name = "fig10"
 let sizes = [ 4096; 16384; 65536; 262144; 1048576 ]
 let reps = 4
+
+(* Mean latency of [reps] ops at random offsets drawn from [rng]. *)
+let mean_lat rng ~len op =
+  Bench_util.mean_of reps (fun _ ->
+      let off = S.rand_off rng ~len in
+      let t0 = Engine.now () in
+      op ~off;
+      Engine.now () - t0)
 
 let fractos_lat ~write ~dax ~len =
   Tb.run (fun tb ->
@@ -27,11 +34,7 @@ let fractos_lat ~write ~dax ~len =
         else S.fs_read st ~off ~len
       in
       op ~off:(S.rand_off rng ~len);
-      Bench_util.mean_of reps (fun _ ->
-          let off = S.rand_off rng ~len in
-          let t0 = Engine.now () in
-          op ~off;
-          Engine.now () - t0))
+      mean_lat rng ~len op)
 
 let disagg_lat ~write ~len =
   Tb.run (fun tb ->
@@ -39,11 +42,7 @@ let disagg_lat ~write ~len =
       let rng = Prng.create ~seed:len in
       let op ~off = S.disagg_op st ~write ~off ~len in
       op ~off:0;
-      Bench_util.mean_of reps (fun _ ->
-          let off = S.rand_off rng ~len in
-          let t0 = Engine.now () in
-          op ~off;
-          Engine.now () - t0))
+      mean_lat rng ~len op)
 
 let local_lat ~write ~len =
   Engine.run (fun () ->
@@ -54,25 +53,19 @@ let local_lat ~write ~len =
         if write then S.local_write l ~off ~len else S.local_read l ~off ~len
       in
       op ~off:0;
-      Bench_util.mean_of reps (fun _ ->
-          let off = S.rand_off rng ~len in
-          let t0 = Engine.now () in
-          op ~off;
-          Engine.now () - t0))
+      mean_lat rng ~len op)
 
-let half ~write =
-  List.map
-    (fun len ->
-      [
-        Bench_util.show_size len;
-        Bench_util.us (fractos_lat ~write ~dax:false ~len);
-        Bench_util.us (fractos_lat ~write ~dax:true ~len);
-        Bench_util.us (disagg_lat ~write ~len);
-        Bench_util.us (local_lat ~write ~len);
-      ])
-    sizes
-
-let header = [ "I/O size"; "FS"; "DAX"; "Disagg (NVMe-oF)"; "Local" ]
+(* One half of the figure: reads or writes, latency (usec) per stack. *)
+let half ~write ~title ~anchor =
+  Bench_util.grid_table ~title ~corner:"I/O size" ~show:Bench_util.show_size
+    ~fmt:Bench_util.us ~anchor sizes
+    [
+      ("FS", fractos_lat ~write ~dax:false);
+      ("DAX", fractos_lat ~write ~dax:true);
+      ("Disagg (NVMe-oF)", disagg_lat ~write);
+      ("Local", local_lat ~write);
+    ]
+    (fun (len, (_, f)) -> f ~len)
 
 (* Extension: sequential reads, where the FS read cache (the feature the
    paper's prototype omitted) and the NVMe-oF block cache both help. *)
@@ -104,29 +97,26 @@ let sequential_lat ~cached ~len =
           ok_exn (Fractos_services.Fs.read app h ~off ~len ~dst);
           Engine.now () - t0))
 
-let run () =
-  Bench_util.section "Figure 10 (left): random-read latency (usec)";
-  Bench_util.table ~header ~rows:(half ~write:false);
-  Bench_util.section "Figure 10 (right): random-write latency (usec)";
-  Bench_util.table ~header ~rows:(half ~write:true);
-  Format.printf
-    "[paper shape: DAX read speedup 1.1x at 4K (NVMe-bound) to ~1.3x at \
-     large sizes; NVMe-oF writes absorbed by the block cache; FS writes \
-     slowest (no cache)]@.";
-  Bench_util.section
-    "Extension: sequential-read latency (usec) with the FS read cache \
-     enabled (the feature the paper's FS omitted)";
-  Bench_util.table
-    ~header:[ "I/O size"; "FS (no cache)"; "FS (cached)" ]
-    ~rows:
-      (List.map
-         (fun len ->
-           [
-             Bench_util.show_size len;
-             Bench_util.us (sequential_lat ~cached:false ~len);
-             Bench_util.us (sequential_lat ~cached:true ~len);
-           ])
-         [ 4096; 16384; 65536 ]);
-  Format.printf
-    "[read-ahead serves most sequential reads from FS memory, recovering \
-     the competitiveness the paper conceded to the cache-backed baseline]@."
+let experiment =
+  Bench_util.experiment "fig10" ~inputs:[]
+    [
+      half ~write:false ~title:"Figure 10 (left): random-read latency (usec)"
+        ~anchor:"";
+      half ~write:true ~title:"Figure 10 (right): random-write latency (usec)"
+        ~anchor:
+          "[paper shape: DAX read speedup 1.1x at 4K (NVMe-bound) to ~1.3x \
+           at large sizes; NVMe-oF writes absorbed by the block cache; FS \
+           writes slowest (no cache)]";
+      Bench_util.grid_table
+        ~title:
+          "Extension: sequential-read latency (usec) with the FS read cache \
+           enabled (the feature the paper's FS omitted)"
+        ~corner:"I/O size" ~show:Bench_util.show_size ~fmt:Bench_util.us
+        ~anchor:
+          "[read-ahead serves most sequential reads from FS memory, \
+           recovering the competitiveness the paper conceded to the \
+           cache-backed baseline]"
+        [ 4096; 16384; 65536 ]
+        [ ("FS (no cache)", false); ("FS (cached)", true) ]
+        (fun (len, (_, cached)) -> sequential_lat ~cached ~len);
+    ]

@@ -10,7 +10,6 @@ module Tb = Fractos_testbed.Testbed
 module B = Fractos_baselines
 module S = Storage_common
 
-let name = "fig11"
 let block = 1 lsl 20
 let inflight = 4
 let total_reqs = 24
@@ -18,80 +17,49 @@ let total_reqs = 24
 (* Closed-loop offsets: sequential walks the file; random jumps. *)
 let offsets ~sequential =
   let rng = Prng.create ~seed:99 in
-  List.init total_reqs (fun i ->
+  Array.init total_reqs (fun i ->
       if sequential then i * block mod S.file_size
       else S.rand_off rng ~len:block)
 
-let closed_loop offs op =
-  let remaining = ref offs and completed = ref 0 in
-  let total = List.length offs in
-  let t0 = Engine.now () in
-  let done_ = Ivar.create () in
-  for _ = 1 to inflight do
-    Engine.spawn (fun () ->
-        let rec loop () =
-          match !remaining with
-          | [] -> ()
-          | off :: rest ->
-            remaining := rest;
-            op ~off;
-            incr completed;
-            if !completed = total then Ivar.fill done_ ();
-            loop ()
-        in
-        loop ())
-  done;
-  Ivar.await done_;
-  Engine.now () - t0
+let closed_loop ~sequential op =
+  let offs = offsets ~sequential in
+  Bench_util.closed_loop ~inflight ~reqs:total_reqs (fun i -> op ~off:offs.(i))
 
 let fractos_tput ~dax ~sequential =
   Tb.run (fun tb ->
       let st = S.fractos_setup tb in
       S.fs_read st ~off:0 ~len:block;
-      let op ~off =
-        if dax then S.dax_op st ~write:false ~off ~len:block
-        else S.fs_read st ~off ~len:block
-      in
-      let t = closed_loop (offsets ~sequential) op in
-      (total_reqs * block, t))
+      closed_loop ~sequential (fun ~off ->
+          if dax then S.dax_op st ~write:false ~off ~len:block
+          else S.fs_read st ~off ~len:block))
 
 let disagg_tput ~sequential =
   Tb.run (fun tb ->
       let st = S.disagg_setup tb in
       S.disagg_op st ~write:false ~off:0 ~len:block;
-      let op ~off = S.disagg_op st ~write:false ~off ~len:block in
-      let t = closed_loop (offsets ~sequential) op in
-      (total_reqs * block, t))
+      closed_loop ~sequential (S.disagg_op st ~write:false ~len:block))
 
 let local_tput ~sequential =
   Engine.run (fun () ->
-      let fab = Net.Fabric.create () in
-      let l = S.local_setup fab in
-      let op ~off = S.local_read l ~off ~len:block in
-      let t = closed_loop (offsets ~sequential) op in
-      (total_reqs * block, t))
+      let l = S.local_setup (Net.Fabric.create ()) in
+      closed_loop ~sequential (S.local_read l ~len:block))
 
-let run () =
-  Bench_util.section
-    "Figure 11: read throughput (MB/s), 1 MiB blocks, 4 in flight";
-  let row label f =
-    let rand_bytes, rand_t = f ~sequential:false in
-    let seq_bytes, seq_t = f ~sequential:true in
+let experiment =
+  Bench_util.experiment "fig11" ~inputs:[]
     [
-      label;
-      Bench_util.mbps ~bytes:rand_bytes rand_t;
-      Bench_util.mbps ~bytes:seq_bytes seq_t;
+      Bench_util.grid_table
+        ~title:"Figure 11: read throughput (MB/s), 1 MiB blocks, 4 in flight"
+        ~corner:"stack" ~show:fst
+        ~fmt:(Bench_util.mbps ~bytes:(total_reqs * block))
+        ~anchor:
+          "[paper shape: DAX saturates the ~1250 MB/s line rate; FS and \
+           NVMe-oF about 20% lower]"
+        [
+          ("FS", fractos_tput ~dax:false);
+          ("DAX", fractos_tput ~dax:true);
+          ("Disagg (NVMe-oF)", disagg_tput);
+          ("Local", local_tput);
+        ]
+        [ ("random", false); ("sequential", true) ]
+        (fun ((_, f), (_, sequential)) -> f ~sequential);
     ]
-  in
-  Bench_util.table
-    ~header:[ "stack"; "random"; "sequential" ]
-    ~rows:
-      [
-        row "FS" (fun ~sequential -> fractos_tput ~dax:false ~sequential);
-        row "DAX" (fun ~sequential -> fractos_tput ~dax:true ~sequential);
-        row "Disagg (NVMe-oF)" disagg_tput;
-        row "Local" local_tput;
-      ];
-  Format.printf
-    "[paper shape: DAX saturates the ~1250 MB/s line rate; FS and NVMe-oF \
-     about 20%% lower]@."

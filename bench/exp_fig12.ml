@@ -9,50 +9,22 @@
 module Tb = Fractos_testbed.Testbed
 module E = E2e_common
 
-let name = "fig12"
-let batches = [ 1; 4; 16; 64; 256; 1024 ]
-let reps = 3
+let latency (batch, (_, system)) =
+  E.run system ~max_batch:batch ~depth:1 (fun sys ->
+      E.latency sys ~batch ~reps:3)
 
-let fractos_lat ~placement ~batch =
-  Tb.run (fun tb ->
-      let sys = E.fractos ~placement ~max_batch:batch ~depth:1 tb in
-      E.latency sys ~batch ~reps)
-
-let baseline_lat ~batch =
-  Fractos_sim.Engine.run (fun () ->
-      let sys = E.baseline ~max_batch:batch ~depth:1 () in
-      E.latency sys ~batch ~reps)
-
-let run () =
-  Bench_util.section
-    "Figure 12: end-to-end face-verification latency (usec) vs batch size";
-  let grid =
-    List.map
-      (fun batch ->
-        ( string_of_int batch,
-          [
-            ("FractOS CPU", fractos_lat ~placement:Tb.Ctrl_cpu ~batch);
-            ("FractOS sNIC", fractos_lat ~placement:Tb.Ctrl_snic ~batch);
-            ("Shared HAL", fractos_lat ~placement:Tb.Ctrl_shared ~batch);
-            ("Baseline", baseline_lat ~batch);
-          ] ))
-      batches
-  in
-  Bench_util.table
-    ~header:
-      [ "batch"; "FractOS CPU"; "FractOS sNIC"; "Shared HAL"; "Baseline" ]
-    ~rows:
-      (List.map
-         (fun (x, bars) -> x :: List.map (fun (_, v) -> Bench_util.us v) bars)
-         grid);
-  Format.printf "@.";
-  Bench_util.grouped_bars ~value_label:"latency, us (log-ish growth with batch)"
-    ~rows:
-      (List.map
-         (fun (x, bars) ->
-           (x, List.map (fun (s, v) -> (s, Fractos_sim.Time.to_us_f v)) bars))
-         grid);
-  Format.printf
-    "[paper shape: FractOS (all placements) below the baseline at every \
-     batch size; the single data transfer NVMe->GPU vs three for the \
-     baseline]@."
+let experiment =
+  Bench_util.experiment "fig12" ~inputs:[ Input E.db ]
+    [
+      Bench_util.latency_figure
+        ~title:
+          "Figure 12: end-to-end face-verification latency (usec) vs batch \
+           size"
+        ~corner:"batch" ~show:string_of_int
+        ~value_label:"latency, us (log-ish growth with batch)"
+        ~anchor:
+          "[paper shape: FractOS (all placements) below the baseline at \
+           every batch size; the single data transfer NVMe->GPU vs three for \
+           the baseline]"
+        [ 1; 4; 16; 64; 256; 1024 ] E.systems latency;
+    ]

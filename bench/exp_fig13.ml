@@ -8,44 +8,25 @@
 module Tb = Fractos_testbed.Testbed
 module E = E2e_common
 
-let name = "fig13"
 let batch = 64
-let reqs = 32
-let inflights = [ 1; 2; 4; 8 ]
 
-let fractos_tput ~placement ~inflight =
-  Tb.run (fun tb ->
-      let sys = E.fractos ~placement ~max_batch:batch ~depth:inflight tb in
-      E.throughput sys ~batch ~inflight ~reqs)
+let throughput (inflight, (_, system)) =
+  E.run system ~max_batch:batch ~depth:inflight (fun sys ->
+      E.throughput sys ~batch ~inflight ~reqs:32)
 
-let baseline_tput ~inflight =
-  Fractos_sim.Engine.run (fun () ->
-      let sys = E.baseline ~max_batch:batch ~depth:inflight () in
-      E.throughput sys ~batch ~inflight ~reqs)
-
-let run () =
-  Bench_util.section
-    (Printf.sprintf
-       "Figure 13: end-to-end throughput (requests/s), batch %d, vs in-flight"
-       batch);
-  Bench_util.table
-    ~header:
-      [ "in-flight"; "FractOS CPU"; "FractOS sNIC"; "Shared HAL"; "Baseline" ]
-    ~rows:
-      (List.map
-         (fun inflight ->
-           let t f =
-             let n, el = f ~inflight in
-             Bench_util.per_sec ~n el
-           in
-           [
-             string_of_int inflight;
-             t (fractos_tput ~placement:Tb.Ctrl_cpu);
-             t (fractos_tput ~placement:Tb.Ctrl_snic);
-             t (fractos_tput ~placement:Tb.Ctrl_shared);
-             t baseline_tput;
-           ])
-         inflights);
-  Format.printf
-    "[paper shape: FractOS above the baseline; FractOS saturates on the GPU \
-     at ~4 in flight]@."
+let experiment =
+  Bench_util.experiment "fig13" ~inputs:[ Input E.db ]
+    [
+      Bench_util.grid_table
+        ~title:
+          (Printf.sprintf
+             "Figure 13: end-to-end throughput (requests/s), batch %d, vs \
+              in-flight"
+             batch)
+        ~corner:"in-flight" ~show:string_of_int
+        ~fmt:(fun (n, el) -> Bench_util.per_sec ~n el)
+        ~anchor:
+          "[paper shape: FractOS above the baseline; FractOS saturates on \
+           the GPU at ~4 in flight]"
+        [ 1; 2; 4; 8 ] E.systems throughput;
+    ]

@@ -13,7 +13,6 @@ module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 open Core
 
-let name = "fig5"
 let ok_exn = Error.ok_exn
 let sizes = [ 1; 4096; 16384; 65536; 262144; 1048576; 4194304 ]
 
@@ -26,8 +25,12 @@ let raw_rdma size =
       Net.Fabric.transfer fab ~src:a ~dst:b ~cls:Net.Stats.Data ~size ();
       Engine.now () - t0)
 
-let fractos_copy ~placement ~hw size =
-  let config = { Net.Config.default with hw_copies = hw } in
+(* One cross-node memory_copy of [size] bytes from pa@a into pb@b under
+   [config], after a warm-up copy (allocators, caches). The source is
+   pattern-filled and the destination byte-checked after the warm-up, so
+   every point also re-validates the copy engine at its knob setting.
+   The ablation and copybw sweeps measure the same copy. *)
+let copy_latency ~config ~placement size =
   Tb.run ~config (fun tb ->
       let setups = Tb.nodes_with_ctrls tb placement [ "a"; "b" ] in
       let sa = List.nth setups 0 and sb = List.nth setups 1 in
@@ -35,15 +38,21 @@ let fractos_copy ~placement ~hw size =
       let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "pb" in
       let src_buf = Process.alloc pa size in
       let dst_buf = Process.alloc pb size in
+      let pattern = Bytes.init size (fun i -> Char.chr ((i * 131) land 0xff)) in
+      Membuf.write src_buf ~off:0 pattern;
       let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
       let dst =
         Tb.grant ~src:pb ~dst:pa (ok_exn (Api.memory_create pb dst_buf Perms.rw))
       in
-      (* warm-up (allocators, caches) *)
       ok_exn (Api.memory_copy pa ~src ~dst);
+      if not (Bytes.equal (Membuf.read dst_buf ~off:0 ~len:size) pattern) then
+        failwith "copy_latency: corrupt copy";
       let t0 = Engine.now () in
       ok_exn (Api.memory_copy pa ~src ~dst);
       Engine.now () - t0)
+
+let fractos_copy ~placement ~hw =
+  copy_latency ~config:{ Net.Config.default with hw_copies = hw } ~placement
 
 (* Concurrent copies from one process (the paper: "Concurrent copies (not
    shown for brevity) quickly saturate throughput at 4 KB and 32 KB for
@@ -83,53 +92,56 @@ let concurrent_copies ~placement size =
       let elapsed = Engine.now () - t0 in
       (size * inflight * rounds, elapsed))
 
-let run () =
-  Bench_util.section
-    "Figure 5: single memory_copy throughput across nodes (MB/s) and latency";
-  let rows =
-    List.map
-      (fun size ->
-        let raw = raw_rdma size in
-        let cpu = fractos_copy ~placement:Tb.Ctrl_cpu ~hw:false size in
-        let snic = fractos_copy ~placement:Tb.Ctrl_snic ~hw:false size in
-        let hw = fractos_copy ~placement:Tb.Ctrl_cpu ~hw:true size in
+let series =
+  [
+    ("raw", raw_rdma);
+    ("CPU", fractos_copy ~placement:Tb.Ctrl_cpu ~hw:false);
+    ("sNIC", fractos_copy ~placement:Tb.Ctrl_snic ~hw:false);
+    ("HW-copies", fractos_copy ~placement:Tb.Ctrl_cpu ~hw:true);
+  ]
+
+let experiment =
+  Bench_util.experiment "fig5" ~inputs:[]
+    [
+      Part
+        {
+          points = Bench_util.grid sizes series;
+          measure = Bench_util.cell;
+          render =
+            (fun res ->
+              Bench_util.section
+                "Figure 5: single memory_copy throughput across nodes \
+                 (MB/s) and latency";
+              Bench_util.table
+                ~header:
+                  [
+                    "size"; "raw MB/s"; "CPU MB/s"; "sNIC MB/s";
+                    "HW-copies MB/s"; "raw us"; "CPU us"; "sNIC us";
+                  ]
+                ~rows:
+                  (List.map
+                     (fun (size, ts) ->
+                       (Bench_util.show_size size
+                       :: List.map (Bench_util.mbps ~bytes:size) ts)
+                       @ List.map Bench_util.us
+                           (List.filteri (fun i _ -> i < 3) ts))
+                     (Bench_util.rows (List.length series) res));
+              Format.printf
+                "[paper anchors: 1B = 3.3us raw / 12.7us CPU / 24.5us \
+                 sNIC; full line rate (~1250 MB/s) reached at 256K]@.");
+        };
+      Bench_util.grid_table
+        ~title:
+          "Figure 5 (cont.): 8 concurrent copies, aggregate throughput (MB/s)"
+        ~corner:"size" ~show:Bench_util.show_size
+        ~fmt:(fun (b, t) -> Bench_util.mbps ~bytes:b t)
+        ~anchor:
+          "[paper: concurrent copies saturate throughput at 4K (CPU) and 32K \
+           (sNIC) — in-flight copies hide the per-copy software costs]"
+        [ 1024; 4096; 16384; 32768; 65536 ]
         [
-          Bench_util.show_size size;
-          Bench_util.mbps ~bytes:size raw;
-          Bench_util.mbps ~bytes:size cpu;
-          Bench_util.mbps ~bytes:size snic;
-          Bench_util.mbps ~bytes:size hw;
-          Bench_util.us raw;
-          Bench_util.us cpu;
-          Bench_util.us snic;
-        ])
-      sizes
-  in
-  Bench_util.table
-    ~header:
-      [
-        "size"; "raw MB/s"; "CPU MB/s"; "sNIC MB/s"; "HW-copies MB/s";
-        "raw us"; "CPU us"; "sNIC us";
-      ]
-    ~rows;
-  Format.printf
-    "[paper anchors: 1B = 3.3us raw / 12.7us CPU / 24.5us sNIC; full line \
-     rate (~1250 MB/s) reached at 256K]@.";
-  Bench_util.section
-    "Figure 5 (cont.): 8 concurrent copies, aggregate throughput (MB/s)";
-  Bench_util.table
-    ~header:[ "size"; "CPU ctrl"; "sNIC ctrl" ]
-    ~rows:
-      (List.map
-         (fun size ->
-           let b1, t1 = concurrent_copies ~placement:Tb.Ctrl_cpu size in
-           let b2, t2 = concurrent_copies ~placement:Tb.Ctrl_snic size in
-           [
-             Bench_util.show_size size;
-             Bench_util.mbps ~bytes:b1 t1;
-             Bench_util.mbps ~bytes:b2 t2;
-           ])
-         [ 1024; 4096; 16384; 32768; 65536 ]);
-  Format.printf
-    "[paper: concurrent copies saturate throughput at 4K (CPU) and 32K \
-     (sNIC) — in-flight copies hide the per-copy software costs]@."
+          ("CPU ctrl", concurrent_copies ~placement:Tb.Ctrl_cpu);
+          ("sNIC ctrl", concurrent_copies ~placement:Tb.Ctrl_snic);
+        ]
+        Bench_util.cell;
+    ]

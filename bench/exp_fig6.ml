@@ -12,7 +12,6 @@ module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 open Core
 
-let name = "fig6"
 let ok_exn = Error.ok_exn
 let arg_sizes = [ 0; 64; 1024; 4096; 16384 ]
 
@@ -54,31 +53,24 @@ let rpc_latency ~placement ~two_nodes ~arg_size =
       done;
       (Engine.now () - t0) / reps)
 
-let run () =
-  Bench_util.section
-    "Figure 6: two-way Request (RPC) latency (usec) vs argument size";
-  let config ~placement ~two_nodes = (placement, two_nodes) in
-  let cases =
+let cases =
+  [
+    ("CPU 1x", rpc_latency ~placement:Tb.Ctrl_cpu ~two_nodes:false);
+    ("CPU 2x", rpc_latency ~placement:Tb.Ctrl_cpu ~two_nodes:true);
+    ("sNIC 1x", rpc_latency ~placement:Tb.Ctrl_snic ~two_nodes:false);
+    ("sNIC 2x", rpc_latency ~placement:Tb.Ctrl_snic ~two_nodes:true);
+  ]
+
+let experiment =
+  Bench_util.experiment "fig6" ~inputs:[]
     [
-      ("CPU 1x", config ~placement:Tb.Ctrl_cpu ~two_nodes:false);
-      ("CPU 2x", config ~placement:Tb.Ctrl_cpu ~two_nodes:true);
-      ("sNIC 1x", config ~placement:Tb.Ctrl_snic ~two_nodes:false);
-      ("sNIC 2x", config ~placement:Tb.Ctrl_snic ~two_nodes:true);
+      Bench_util.grid_table
+        ~title:
+          "Figure 6: two-way Request (RPC) latency (usec) vs argument size"
+        ~corner:"arg size" ~show:Bench_util.show_size ~fmt:Bench_util.us
+        ~anchor:
+          "[paper anchors: Request handling +1.41us @CPU both ways; \
+           cross-node (de)serialization +4.41us @CPU, +12.21us @sNIC]"
+        arg_sizes cases
+        (fun (arg_size, (_, f)) -> f ~arg_size);
     ]
-  in
-  let rows =
-    List.map
-      (fun arg_size ->
-        Bench_util.show_size arg_size
-        :: List.map
-             (fun (_, (placement, two_nodes)) ->
-               Bench_util.us (rpc_latency ~placement ~two_nodes ~arg_size))
-             cases)
-      arg_sizes
-  in
-  Bench_util.table
-    ~header:("arg size" :: List.map fst cases)
-    ~rows;
-  Format.printf
-    "[paper anchors: Request handling +1.41us @CPU both ways; cross-node \
-     (de)serialization +4.41us @CPU, +12.21us @sNIC]@."

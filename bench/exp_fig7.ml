@@ -14,9 +14,7 @@ module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 open Core
 
-let name = "fig7"
 let ok_exn = Error.ok_exn
-let counts = [ 1; 2; 4; 8; 16; 32; 64 ]
 
 let two_procs tb placement =
   let setups = Tb.nodes_with_ctrls tb placement [ "a"; "b" ] in
@@ -93,33 +91,33 @@ let revoke_shared ~placement n =
       ok_exn (Api.cap_revoke pb tree);
       Engine.now () - t0)
 
-let run () =
-  Bench_util.section "Figure 7 (left): RPC with n delegated capabilities (usec)";
-  Bench_util.table
-    ~header:[ "caps"; "CPU"; "sNIC" ]
-    ~rows:
-      (List.map
-         (fun n ->
-           [
-             string_of_int n;
-             Bench_util.us (delegation_latency ~placement:Tb.Ctrl_cpu n);
-             Bench_util.us (delegation_latency ~placement:Tb.Ctrl_snic n);
-           ])
-         [ 0; 1; 2; 4; 8 ]);
-  Format.printf
-    "[paper anchors: ~2.4us/cap CPU, ~3.8us/cap sNIC on top of the null RPC]@.";
-  Bench_util.section
-    "Figure 7 (right): revocation latency (usec), 1 revtree/cap vs shared tree";
-  Bench_util.table
-    ~header:[ "caps"; "1 revtree/cap"; "shared revtree" ]
-    ~rows:
-      (List.map
-         (fun n ->
-           [
-             string_of_int n;
-             Bench_util.us (revoke_per_cap ~placement:Tb.Ctrl_cpu n);
-             Bench_util.us (revoke_shared ~placement:Tb.Ctrl_cpu n);
-           ])
-         counts);
-  Format.printf
-    "[paper shape: linear growth for per-cap trees, ~flat for the shared tree]@."
+let experiment =
+  Bench_util.experiment "fig7" ~inputs:[]
+    [
+      Bench_util.grid_table
+        ~title:"Figure 7 (left): RPC with n delegated capabilities (usec)"
+        ~corner:"caps" ~show:string_of_int ~fmt:Bench_util.us
+        ~anchor:
+          "[paper anchors: ~2.4us/cap CPU, ~3.8us/cap sNIC on top of the \
+           null RPC]"
+        [ 0; 1; 2; 4; 8 ]
+        [
+          ("CPU", delegation_latency ~placement:Tb.Ctrl_cpu);
+          ("sNIC", delegation_latency ~placement:Tb.Ctrl_snic);
+        ]
+        Bench_util.cell;
+      Bench_util.grid_table
+        ~title:
+          "Figure 7 (right): revocation latency (usec), 1 revtree/cap vs \
+           shared tree"
+        ~corner:"caps" ~show:string_of_int ~fmt:Bench_util.us
+        ~anchor:
+          "[paper shape: linear growth for per-cap trees, ~flat for the \
+           shared tree]"
+        [ 1; 2; 4; 8; 16; 32; 64 ]
+        [
+          ("1 revtree/cap", revoke_per_cap ~placement:Tb.Ctrl_cpu);
+          ("shared revtree", revoke_shared ~placement:Tb.Ctrl_cpu);
+        ]
+        Bench_util.cell;
+    ]

@@ -12,8 +12,6 @@ module Tb = Fractos_testbed.Testbed
 module B = Fractos_baselines
 module Svc = Fractos_services.Svc
 
-let name = "fig8"
-
 let pipeline tb ~n_stages ~max_size =
   let names = "app" :: List.init n_stages (fun i -> Printf.sprintf "s%d" i) in
   let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu names in
@@ -42,46 +40,26 @@ let latency ~n_stages ~size mode =
       | Error e -> failwith (Core.Error.to_string e));
       Engine.now () - t0)
 
-let modes = [ B.Pipeline.Star; B.Pipeline.Fast_star; B.Pipeline.Chain ]
+let modes =
+  List.map
+    (fun m -> (B.Pipeline.mode_name m, m))
+    [ B.Pipeline.Star; B.Pipeline.Fast_star; B.Pipeline.Chain ]
 
-let run () =
-  Bench_util.section
-    "Figure 8a: pipeline latency (usec) vs copy size, 4 stages";
-  let grid =
-    List.map
-      (fun size ->
-        ( Bench_util.show_size size,
-          List.map
-            (fun m ->
-              (B.Pipeline.mode_name m, latency ~n_stages:4 ~size m))
-            modes ))
-      [ 1024; 4096; 16384; 65536 ]
-  in
-  Bench_util.table
-    ~header:("size" :: List.map B.Pipeline.mode_name modes)
-    ~rows:
-      (List.map
-         (fun (x, bars) -> x :: List.map (fun (_, v) -> Bench_util.us v) bars)
-         grid);
-  Format.printf "@.";
-  Bench_util.grouped_bars ~value_label:"latency, us"
-    ~rows:
-      (List.map
-         (fun (x, bars) ->
-           (x, List.map (fun (s, v) -> (s, Fractos_sim.Time.to_us_f v)) bars))
-         grid);
-  Bench_util.section
-    "Figure 8b: pipeline latency (usec) vs stage count, 4 KiB copies";
-  Bench_util.table
-    ~header:("stages" :: List.map B.Pipeline.mode_name modes)
-    ~rows:
-      (List.map
-         (fun n ->
-           string_of_int n
-           :: List.map
-                (fun m -> Bench_util.us (latency ~n_stages:n ~size:4096 m))
-                modes)
-         [ 2; 4; 6; 8 ]);
-  Format.printf
-    "[paper anchors: star/fast-star ~1.6x at 64K; fast-star/chain ~1.45x and \
-     star/fast-star ~1.4x at 4K]@."
+let experiment =
+  Bench_util.experiment "fig8" ~inputs:[]
+    [
+      Bench_util.latency_figure
+        ~title:"Figure 8a: pipeline latency (usec) vs copy size, 4 stages"
+        ~corner:"size" ~show:Bench_util.show_size ~value_label:"latency, us"
+        ~anchor:"" [ 1024; 4096; 16384; 65536 ] modes
+        (fun (size, (_, m)) -> latency ~n_stages:4 ~size m);
+      Bench_util.grid_table
+        ~title:
+          "Figure 8b: pipeline latency (usec) vs stage count, 4 KiB copies"
+        ~corner:"stages" ~show:string_of_int ~fmt:Bench_util.us
+        ~anchor:
+          "[paper anchors: star/fast-star ~1.6x at 64K; fast-star/chain \
+           ~1.45x and star/fast-star ~1.4x at 4K]"
+        [ 2; 4; 6; 8 ] modes
+        (fun (n, (_, m)) -> latency ~n_stages:n ~size:4096 m);
+    ]

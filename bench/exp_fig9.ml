@@ -18,7 +18,6 @@ module B = Fractos_baselines
 open Fractos_services
 open Core
 
-let name = "fig9"
 let ok_exn = Error.ok_exn
 let img_size = 4096
 let cfg = Net.Config.default
@@ -92,37 +91,6 @@ let fractos_verify fr ~batch =
   ok_exn (Api.memory_copy proc ~src:slot.out.Gpu_adaptor.mem ~dst:slot.outmem);
   Sim.Channel.send fr.slots slot
 
-let fractos_latency ~placement ~batch =
-  Tb.run (fun tb ->
-      let fr = fractos_setup tb ~placement ~batch ~depth:1 in
-      fractos_verify fr ~batch;
-      let t0 = Engine.now () in
-      fractos_verify fr ~batch;
-      Engine.now () - t0)
-
-let fractos_throughput ~placement ~batch ~inflight ~reqs =
-  Tb.run (fun tb ->
-      let fr = fractos_setup tb ~placement ~batch ~depth:inflight in
-      fractos_verify fr ~batch;
-      let remaining = ref reqs and completed = ref 0 in
-      let t0 = Engine.now () in
-      let done_ = Sim.Ivar.create () in
-      for _ = 1 to inflight do
-        Engine.spawn (fun () ->
-            let rec loop () =
-              if !remaining > 0 then begin
-                decr remaining;
-                fractos_verify fr ~batch;
-                incr completed;
-                if !completed = reqs then Sim.Ivar.fill done_ ();
-                loop ()
-              end
-            in
-            loop ())
-      done;
-      Sim.Ivar.await done_;
-      (reqs * batch, Engine.now () - t0))
-
 (* ---------------- rCUDA client ------------------------------------ *)
 
 let rcuda_setup fab ~batch ~depth =
@@ -153,41 +121,6 @@ let rcuda_verify rc slots ~batch ~input =
   ignore (B.Rcuda.memcpy_d2h rc ~src:o ~len:batch);
   Sim.Channel.send slots (p, d, o)
 
-let rcuda_latency ~batch =
-  Engine.run (fun () ->
-      let fab = Net.Fabric.create () in
-      let rc, slots = rcuda_setup fab ~batch ~depth:1 in
-      let input = Bytes.create (batch * img_size) in
-      rcuda_verify rc slots ~batch ~input;
-      let t0 = Engine.now () in
-      rcuda_verify rc slots ~batch ~input;
-      Engine.now () - t0)
-
-let rcuda_throughput ~batch ~inflight ~reqs =
-  Engine.run (fun () ->
-      let fab = Net.Fabric.create () in
-      let rc, slots = rcuda_setup fab ~batch ~depth:inflight in
-      let input = Bytes.create (batch * img_size) in
-      rcuda_verify rc slots ~batch ~input;
-      let remaining = ref reqs and completed = ref 0 in
-      let t0 = Engine.now () in
-      let done_ = Sim.Ivar.create () in
-      for _ = 1 to inflight do
-        Engine.spawn (fun () ->
-            let rec loop () =
-              if !remaining > 0 then begin
-                decr remaining;
-                rcuda_verify rc slots ~batch ~input;
-                incr completed;
-                if !completed = reqs then Sim.Ivar.fill done_ ();
-                loop ()
-              end
-            in
-            loop ())
-      done;
-      Sim.Ivar.await done_;
-      (reqs * batch, Engine.now () - t0))
-
 (* ---------------- local GPU ---------------------------------------- *)
 
 let local_verify fab node gpu ~batch ~bufs =
@@ -214,76 +147,73 @@ let local_setup fab ~batch =
   let o = Result.get_ok (Dev.Gpu.alloc gpu batch) in
   (node, gpu, (p, d, o))
 
-let local_latency ~batch =
-  Engine.run (fun () ->
-      let fab = Net.Fabric.create () in
-      let node, gpu, bufs = local_setup fab ~batch in
-      local_verify fab node gpu ~batch ~bufs;
+(* ---------------- the three GPUs, one entry point ---------------- *)
+
+type gpu = Local | Fractos of Tb.placement | Rcuda
+
+(* Run [f] on [gpu] in a fresh simulation, with buffers for [depth]
+   in-flight batches; [f] gets a function that verifies one batch. *)
+let with_gpu gpu ~batch ~depth f =
+  match gpu with
+  | Local ->
+    Engine.run (fun () ->
+        let fab = Net.Fabric.create () in
+        let node, gpu, bufs = local_setup fab ~batch in
+        f (fun () -> local_verify fab node gpu ~batch ~bufs))
+  | Fractos placement ->
+    Tb.run (fun tb ->
+        let fr = fractos_setup tb ~placement ~batch ~depth in
+        f (fun () -> fractos_verify fr ~batch))
+  | Rcuda ->
+    Engine.run (fun () ->
+        let fab = Net.Fabric.create () in
+        let rc, slots = rcuda_setup fab ~batch ~depth in
+        let input = Bytes.create (batch * img_size) in
+        f (fun () -> rcuda_verify rc slots ~batch ~input))
+
+(* Latency of one batch, after a warm-up one. *)
+let latency gpu ~batch =
+  with_gpu gpu ~batch ~depth:1 (fun verify ->
+      verify ();
       let t0 = Engine.now () in
-      local_verify fab node gpu ~batch ~bufs;
+      verify ();
       Engine.now () - t0)
 
-let local_throughput ~batch ~inflight ~reqs =
-  Engine.run (fun () ->
-      let fab = Net.Fabric.create () in
-      let node, gpu, bufs = local_setup fab ~batch in
-      local_verify fab node gpu ~batch ~bufs;
-      let remaining = ref reqs and completed = ref 0 in
-      let t0 = Engine.now () in
-      let done_ = Sim.Ivar.create () in
-      for _ = 1 to inflight do
-        Engine.spawn (fun () ->
-            let rec loop () =
-              if !remaining > 0 then begin
-                decr remaining;
-                local_verify fab node gpu ~batch ~bufs;
-                incr completed;
-                if !completed = reqs then Sim.Ivar.fill done_ ();
-                loop ()
-              end
-            in
-            loop ())
-      done;
-      Sim.Ivar.await done_;
-      (reqs * batch, Engine.now () - t0))
+(* Closed loop after a warm-up batch: (images verified, elapsed). *)
+let throughput gpu ~batch ~inflight ~reqs =
+  with_gpu gpu ~batch ~depth:inflight (fun verify ->
+      verify ();
+      ( reqs * batch,
+        Bench_util.closed_loop ~inflight ~reqs (fun _ -> verify ()) ))
 
-let run () =
-  Bench_util.section
-    "Figure 9 (left): GPU face-verification latency (usec) vs batch size";
-  Bench_util.table
-    ~header:[ "batch"; "Local GPU"; "FractOS CPU"; "FractOS sNIC"; "rCUDA" ]
-    ~rows:
-      (List.map
-         (fun batch ->
-           [
-             string_of_int batch;
-             Bench_util.us (local_latency ~batch);
-             Bench_util.us (fractos_latency ~placement:Tb.Ctrl_cpu ~batch);
-             Bench_util.us (fractos_latency ~placement:Tb.Ctrl_snic ~batch);
-             Bench_util.us (rcuda_latency ~batch);
-           ])
-         [ 1; 4; 16; 64; 256 ]);
-  Bench_util.section
-    "Figure 9 (right): throughput (images/s), batch 1024, vs in-flight requests";
-  let batch = 1024 and reqs = 24 in
-  Bench_util.table
-    ~header:
-      [ "in-flight"; "Local GPU"; "FractOS CPU"; "FractOS sNIC"; "rCUDA" ]
-    ~rows:
-      (List.map
-         (fun inflight ->
-           let tput f =
-             let imgs, t = f ~batch ~inflight ~reqs in
-             Bench_util.per_sec ~n:imgs t
-           in
-           [
-             string_of_int inflight;
-             tput local_throughput;
-             tput (fractos_throughput ~placement:Tb.Ctrl_cpu);
-             tput (fractos_throughput ~placement:Tb.Ctrl_snic);
-             tput rcuda_throughput;
-           ])
-         [ 1; 2; 4; 8 ]);
-  Format.printf
-    "[paper shape: FractOS well below rCUDA latency at all batch sizes; \
-     near-local throughput with >1 in-flight, even on sNICs]@."
+let gpus =
+  [
+    ("Local GPU", Local);
+    ("FractOS CPU", Fractos Tb.Ctrl_cpu);
+    ("FractOS sNIC", Fractos Tb.Ctrl_snic);
+    ("rCUDA", Rcuda);
+  ]
+
+let experiment =
+  Bench_util.experiment "fig9" ~inputs:[]
+    [
+      Bench_util.grid_table
+        ~title:
+          "Figure 9 (left): GPU face-verification latency (usec) vs batch \
+           size"
+        ~corner:"batch" ~show:string_of_int ~fmt:Bench_util.us ~anchor:""
+        [ 1; 4; 16; 64; 256 ] gpus
+        (fun (batch, (_, gpu)) -> latency gpu ~batch);
+      Bench_util.grid_table
+        ~title:
+          "Figure 9 (right): throughput (images/s), batch 1024, vs \
+           in-flight requests"
+        ~corner:"in-flight" ~show:string_of_int
+        ~fmt:(fun (n, t) -> Bench_util.per_sec ~n t)
+        ~anchor:
+          "[paper shape: FractOS well below rCUDA latency at all batch \
+           sizes; near-local throughput with >1 in-flight, even on sNICs]"
+        [ 1; 2; 4; 8 ] gpus
+        (fun (inflight, (_, gpu)) ->
+          throughput gpu ~batch:1024 ~inflight ~reqs:24);
+    ]

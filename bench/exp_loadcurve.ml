@@ -25,13 +25,6 @@ module Retry = Fractos_fault.Retry
 module Loadgen = Fractos_workloads.Loadgen
 module E = E2e_common
 
-let name = "loadcurve"
-
-(* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke alias; --loadcurve-json overrides the output path. *)
-let tiny = ref false
-let json_path = ref "BENCH_loadcurve.json"
-
 (* ------------------------------------------------------------------ *)
 (* Part 1: face-verification service, FractOS vs baseline              *)
 (* ------------------------------------------------------------------ *)
@@ -40,55 +33,47 @@ let batch = 64
 let n_requests = 40
 let depth = 8 (* buffer slots: admission bound, not the bottleneck *)
 
-let fractos_curve ~rate =
-  Tb.run (fun tb ->
-      let sys = E.fractos ~placement:Tb.Ctrl_cpu ~max_batch:batch ~depth tb in
+let service_curve (rate, system) =
+  E.run system ~max_batch:batch ~depth (fun sys ->
       let rng = Prng.create ~seed:5 in
       let workload = Prng.create ~seed:6 in
       (* warm-up *)
-      let start_id, probes = E.probes_for workload ~batch in
-      sys.E.verify ~start_id ~batch ~probes;
+      E.verify_next sys workload ~batch;
       Loadgen.run_open_loop ~rng ~rate_per_s:rate ~n:n_requests (fun _ ->
-          let start_id, probes = E.probes_for workload ~batch in
-          sys.E.verify ~start_id ~batch ~probes))
+          E.verify_next sys workload ~batch))
 
-let baseline_curve ~rate =
-  Engine.run (fun () ->
-      let sys = E.baseline ~max_batch:batch ~depth () in
-      let rng = Prng.create ~seed:5 in
-      let workload = Prng.create ~seed:6 in
-      let start_id, probes = E.probes_for workload ~batch in
-      sys.E.verify ~start_id ~batch ~probes;
-      Loadgen.run_open_loop ~rng ~rate_per_s:rate ~n:n_requests (fun _ ->
-          let start_id, probes = E.probes_for workload ~batch in
-          sys.E.verify ~start_id ~batch ~probes))
-
-let run_service_curve () =
-  Bench_util.section
-    (Printf.sprintf
-       "Extension: latency vs offered load (open loop, batch %d, usec)" batch);
-  let rows =
-    List.map
-      (fun rate ->
-        let f = fractos_curve ~rate in
-        let b = baseline_curve ~rate in
-        [
-          Printf.sprintf "%.0f req/s" rate;
-          Bench_util.us f.Loadgen.mean;
-          Bench_util.us f.Loadgen.p99;
-          Bench_util.us b.Loadgen.mean;
-          Bench_util.us b.Loadgen.p99;
-        ])
-      [ 50.; 100.; 200.; 300.; 400. ]
-  in
-  Bench_util.table
-    ~header:
-      [ "offered load"; "FractOS mean"; "FractOS p99"; "baseline mean";
-        "baseline p99" ]
-    ~rows;
-  Format.printf
-    "[the baseline saturates near its ~350 req/s closed-loop capacity: its \
-     tail latency blows up one load step earlier than FractOS's]@."
+let service_part =
+  Bench_util.Part
+    {
+      points =
+        Bench_util.grid [ 50.; 100.; 200.; 300.; 400. ]
+          [ E.Fractos Tb.Ctrl_cpu; E.Baseline ];
+      measure = service_curve;
+      render =
+        (fun res ->
+          Bench_util.section
+            (Printf.sprintf
+               "Extension: latency vs offered load (open loop, batch %d, usec)"
+               batch);
+          Bench_util.table
+            ~header:
+              [ "offered load"; "FractOS mean"; "FractOS p99"; "baseline mean";
+                "baseline p99" ]
+            ~rows:
+              (List.map
+                 (fun (rate, ss) ->
+                   Printf.sprintf "%.0f req/s" rate
+                   :: List.concat_map
+                        (fun s ->
+                          [ Bench_util.us s.Loadgen.mean;
+                            Bench_util.us s.Loadgen.p99 ])
+                        ss)
+                 (Bench_util.rows 2 res));
+          Format.printf
+            "[the baseline saturates near its ~350 req/s closed-loop \
+             capacity: its tail latency blows up one load step earlier than \
+             FractOS's]@.");
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: controller saturation, fast path on vs off                  *)
@@ -155,11 +140,11 @@ let saturation_point ~fast ~rate ~n =
         pt_elapsed_us = Time.to_us_f s.Loadgen.elapsed;
       })
 
-let sweep_rates () =
-  if !tiny then [ 50_000.; 200_000.; 800_000. ]
+let sweep_rates ~tiny =
+  if tiny then [ 50_000.; 200_000.; 800_000. ]
   else [ 100_000.; 200_000.; 400_000.; 600_000.; 800_000.; 1_000_000.; 1_200_000. ]
 
-let sweep_n () = if !tiny then 30 else 300
+let sweep_n ~tiny = if tiny then 30 else 300
 
 (* Hand-rolled JSON (no JSON library in the image): the schema is flat
    enough that printf is fine. *)
@@ -186,68 +171,81 @@ let json_of_variant buf ~vname ~fast points =
     points;
   Buffer.add_string buf "      ]\n    }"
 
-let write_json ~off ~on path =
+let write_json ~tiny ~off ~on path =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\n  \"experiment\": \"loadcurve\",\n  \"schema\": 1,\n  \
         \"tiny\": %b,\n  %s,\n  \"variants\": [\n"
-       !tiny
+       tiny
        (Bench_util.meta_json ~seeds:[ 5; 6; 11 ]
           ~knobs:
             [
-              Printf.sprintf "\"tiny\": %b" !tiny;
-              Printf.sprintf "\"n_per_rate\": %d" (sweep_n ());
+              Printf.sprintf "\"tiny\": %b" tiny;
+              Printf.sprintf "\"n_per_rate\": %d" (sweep_n ~tiny);
               Printf.sprintf "\"rates_rps\": [%s]"
                 (String.concat ", "
-                   (List.map (Printf.sprintf "%.0f") (sweep_rates ())));
+                   (List.map (Printf.sprintf "%.0f") (sweep_rates ~tiny)));
             ] ()));
   json_of_variant buf ~vname:"fastpath-off" ~fast:false off;
   Buffer.add_string buf ",\n";
   json_of_variant buf ~vname:"fastpath-on" ~fast:true on;
   Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+  Bench_util.write_json path (Buffer.contents buf)
 
-let run_saturation_sweep () =
-  Bench_util.section
-    "Extension: controller saturation, fast path off vs on (sNIC controller)";
-  let rates = sweep_rates () in
-  let n = sweep_n () in
-  let sweep ~fast = List.map (fun rate -> saturation_point ~fast ~rate ~n) rates in
-  let off = sweep ~fast:false in
-  let on = sweep ~fast:true in
-  let rows =
-    List.map2
-      (fun o f ->
-        [
-          Printf.sprintf "%.0fk req/s" (o.pt_offered /. 1e3);
-          Printf.sprintf "%.0fk" (o.pt_goodput /. 1e3);
-          Printf.sprintf "%.1f" o.pt_p99_us;
-          Printf.sprintf "%.0fk" (f.pt_goodput /. 1e3);
-          Printf.sprintf "%.1f" f.pt_p99_us;
-          Printf.sprintf "%+.0f%%"
-            (if o.pt_goodput > 0. then
-               (f.pt_goodput -. o.pt_goodput) /. o.pt_goodput *. 100.
-             else 0.);
-        ])
-      off on
-  in
-  Bench_util.table
-    ~header:
-      [ "offered"; "off goodput"; "off p99 us"; "on goodput"; "on p99 us";
-        "delta" ]
-    ~rows;
-  (* the headline number: goodput at the knee (best observed goodput) *)
-  let best ps = List.fold_left (fun m p -> Float.max m p.pt_goodput) 0. ps in
-  Format.printf
-    "[knee goodput: %.0fk req/s off -> %.0fk req/s on (batching + \
-     translation cache)]@."
-    (best off /. 1e3) (best on /. 1e3);
-  write_json ~off ~on !json_path
+let saturation_part ~tiny ~json =
+  Bench_util.Part
+    {
+      points = Bench_util.grid [ false; true ] (sweep_rates ~tiny);
+      measure =
+        (fun (fast, rate) -> saturation_point ~fast ~rate ~n:(sweep_n ~tiny));
+      render =
+        (fun res ->
+          Bench_util.section
+            "Extension: controller saturation, fast path off vs on (sNIC \
+             controller)";
+          let sweep fast =
+            List.filter_map
+              (fun ((f, _), p) -> if f = fast then Some p else None)
+              res
+          in
+          let off = sweep false and on = sweep true in
+          let rows =
+            List.map2
+              (fun o f ->
+                [
+                  Printf.sprintf "%.0fk req/s" (o.pt_offered /. 1e3);
+                  Printf.sprintf "%.0fk" (o.pt_goodput /. 1e3);
+                  Printf.sprintf "%.1f" o.pt_p99_us;
+                  Printf.sprintf "%.0fk" (f.pt_goodput /. 1e3);
+                  Printf.sprintf "%.1f" f.pt_p99_us;
+                  Printf.sprintf "%+.0f%%"
+                    (if o.pt_goodput > 0. then
+                       (f.pt_goodput -. o.pt_goodput) /. o.pt_goodput *. 100.
+                     else 0.);
+                ])
+              off on
+          in
+          Bench_util.table
+            ~header:
+              [ "offered"; "off goodput"; "off p99 us"; "on goodput";
+                "on p99 us"; "delta" ]
+            ~rows;
+          (* the headline number: goodput at the knee (best observed
+             goodput) *)
+          let best ps =
+            List.fold_left (fun m p -> Float.max m p.pt_goodput) 0. ps
+          in
+          Format.printf
+            "[knee goodput: %.0fk req/s off -> %.0fk req/s on (batching + \
+             translation cache)]@."
+            (best off /. 1e3) (best on /. 1e3);
+          write_json ~tiny ~off ~on json);
+    }
 
-let run () =
-  if not !tiny then run_service_curve ();
-  run_saturation_sweep ()
+(* --tiny (the @bench-smoke and @bench-gate aliases) runs only the
+   saturation sweep, shrunk; [json] is the output path. *)
+let experiment ~tiny ~json =
+  Bench_util.experiment "loadcurve"
+    ~inputs:(if tiny then [] else [ Input E.db ])
+    ((if tiny then [] else [ service_part ]) @ [ saturation_part ~tiny ~json ])

@@ -22,23 +22,15 @@ module Svc = Fractos_services.Svc
 module Pd = Fractos_workloads.Pd
 module Retry = Fractos_fault.Retry
 
-let name = "pd"
-
-(* Set from bench/main.ml flags: --tiny shrinks the sweep for the
-   @bench-smoke / @bench-gate aliases; --pd-json overrides the output
-   path. *)
-let tiny = ref false
-let json_path = ref "BENCH_pd.json"
-
 (* Every request mints KV Memory objects on the instance pools (prefill
    registers the KV state, decode registers its pulled copy), so a long
    closed-loop run needs headroom over the default capability-space
    quota. Router knobs stay at their defaults: least-loaded with
    locality-aware decode placement. *)
 let pd_config = { Config.default with capspace_quota = 1 lsl 20 }
-let decode_counts () = if !tiny then [ 1; 2 ] else [ 1; 2; 4 ]
-let kv_sizes () = if !tiny then [ 64 * 1024 ] else [ 64 * 1024; 512 * 1024 ]
-let sweep_n () = if !tiny then 96 else 320
+let decode_counts ~tiny = if tiny then [ 1; 2 ] else [ 1; 2; 4 ]
+let kv_sizes ~tiny = if tiny then [ 64 * 1024 ] else [ 64 * 1024; 512 * 1024 ]
+let sweep_n ~tiny = if tiny then 96 else 320
 let prefills = 2
 let iters = 16
 let seed_base = 17
@@ -138,27 +130,27 @@ let measure ~split ~decodes ~kv_len ~n =
       })
 
 (* Hand-rolled JSON, same style as exp_cluster. *)
-let write_json points path =
+let write_json ~tiny points path =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\n  \"experiment\": \"pd\",\n  \"schema\": 1,\n  \"tiny\": %b,\n  \
         %s,\n  \"points\": [\n"
-       !tiny
+       tiny
        (Bench_util.meta_json ~seeds:[ seed_base ]
           ~knobs:
             [
-              Printf.sprintf "\"tiny\": %b" !tiny;
-              Printf.sprintf "\"n\": %d" (sweep_n ());
+              Printf.sprintf "\"tiny\": %b" tiny;
+              Printf.sprintf "\"n\": %d" (sweep_n ~tiny);
               Printf.sprintf "\"prefills\": %d" prefills;
               Printf.sprintf "\"iters\": %d" iters;
               Printf.sprintf "\"router_policy\": %S"
                 (Fractos_services.Router.policy_to_string Pd.policy);
               Printf.sprintf "\"decode_counts\": [%s]"
                 (String.concat ", "
-                   (List.map string_of_int (decode_counts ())));
+                   (List.map string_of_int (decode_counts ~tiny)));
               Printf.sprintf "\"kv_bytes\": [%s]"
-                (String.concat ", " (List.map string_of_int (kv_sizes ())));
+                (String.concat ", " (List.map string_of_int (kv_sizes ~tiny)));
             ] ()));
   List.iteri
     (fun i p ->
@@ -172,28 +164,13 @@ let write_json points path =
            (if i = List.length points - 1 then "" else ",")))
     points;
   Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "[wrote %s]@." path
+  Bench_util.write_json path (Buffer.contents buf)
 
-let run () =
+let render ~tiny ~json res =
   Bench_util.section
     "Extension: prefill/decode disaggregation — TTFT and goodput vs unified \
      baseline";
-  let n = sweep_n () in
-  let points =
-    List.concat_map
-      (fun kv_len ->
-        List.concat_map
-          (fun decodes ->
-            [
-              measure ~split:true ~decodes ~kv_len ~n;
-              measure ~split:false ~decodes ~kv_len ~n;
-            ])
-          (decode_counts ()))
-      (kv_sizes ())
-  in
+  let points = List.map snd res in
   let rows =
     List.map
       (fun p ->
@@ -218,8 +195,8 @@ let run () =
       (fun p -> p.pt_mode = mode && p.pt_decodes = decodes && p.pt_kv = kv)
       points
   in
-  let kv0 = List.hd (kv_sizes ()) in
-  let dmax = List.fold_left max 1 (decode_counts ()) in
+  let kv0 = List.hd (kv_sizes ~tiny) in
+  let dmax = List.fold_left max 1 (decode_counts ~tiny) in
   (match (find "split" 1 kv0, find "unified" 1 kv0, find "split" dmax kv0) with
   | Some s1, Some u1, Some sd ->
     Format.printf
@@ -232,4 +209,23 @@ let run () =
        else 0.)
       s1.pt_goodput sd.pt_goodput dmax
   | _ -> ());
-  write_json points !json_path
+  write_json ~tiny points json
+
+(* --tiny (the @bench-smoke and @bench-gate aliases) shrinks the sweep;
+   [json] is the output path. *)
+let experiment ~tiny ~json =
+  Bench_util.experiment "pd" ~inputs:[]
+    [
+      Part
+        {
+          points =
+            Bench_util.(
+              grid
+                (grid (kv_sizes ~tiny) (decode_counts ~tiny))
+                [ true; false ]);
+          measure =
+            (fun ((kv_len, decodes), split) ->
+              measure ~split ~decodes ~kv_len ~n:(sweep_n ~tiny));
+          render = render ~tiny ~json;
+        };
+    ]

@@ -9,11 +9,10 @@ module Net = Fractos_net
 module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 
-let name = "table3"
 let ok_exn = Core.Error.ok_exn
 
 (* ibv_rc_pingpong: a minimal message bounced off the serving location. *)
-let raw_loopback ~snic =
+let raw_loopback ~snic () =
   Engine.run (fun () ->
       let fab = Net.Fabric.create () in
       let host = Net.Fabric.add_node fab ~name:"host" Net.Node.Host_cpu in
@@ -33,7 +32,7 @@ let raw_loopback ~snic =
       done;
       (Engine.now () - t0) / reps)
 
-let fractos_null ~snic =
+let fractos_null ~snic () =
   Tb.run (fun tb ->
       let host = Tb.add_host tb "host" in
       let ctrl =
@@ -48,15 +47,20 @@ let fractos_null ~snic =
       done;
       (Engine.now () - t0) / reps)
 
-let run () =
-  Bench_util.section
-    "Table 3: null-operation latency (usec) [paper: 2.42 / 3.68 / 3.00 / 4.50]";
-  Bench_util.table
-    ~header:[ "configuration"; "latency (us)" ]
-    ~rows:
-      [
-        [ "Raw loopback w/ server @ CPU"; Bench_util.us (raw_loopback ~snic:false) ];
-        [ "Raw loopback w/ server @ sNIC"; Bench_util.us (raw_loopback ~snic:true) ];
-        [ "FractOS @ CPU"; Bench_util.us (fractos_null ~snic:false) ];
-        [ "FractOS @ sNIC"; Bench_util.us (fractos_null ~snic:true) ];
-      ]
+let experiment =
+  Bench_util.experiment "table3" ~inputs:[]
+    [
+      Bench_util.grid_table
+        ~title:
+          "Table 3: null-operation latency (usec) [paper: 2.42 / 3.68 / 3.00 \
+           / 4.50]"
+        ~corner:"configuration" ~show:fst ~fmt:Bench_util.us ~anchor:""
+        [
+          ("Raw loopback w/ server @ CPU", raw_loopback ~snic:false);
+          ("Raw loopback w/ server @ sNIC", raw_loopback ~snic:true);
+          ("FractOS @ CPU", fractos_null ~snic:false);
+          ("FractOS @ sNIC", fractos_null ~snic:true);
+        ]
+        [ ("latency (us)", ()) ]
+        (fun ((_, f), _) -> f ());
+    ]

@@ -13,24 +13,26 @@
 module Tb = Fractos_testbed.Testbed
 module B = Fractos_baselines
 
-let experiments : (string * (unit -> unit)) list =
+(* Every experiment, in the order a full run prints them. The four that
+   write a BENCH_<name>.json take --tiny and their JSON path. *)
+let experiments ~tiny ~json =
   [
-    (Exp_table3.name, Exp_table3.run);
-    (Exp_fig2.name, Exp_fig2.run);
-    (Exp_fig5.name, Exp_fig5.run);
-    (Exp_fig6.name, Exp_fig6.run);
-    (Exp_fig7.name, Exp_fig7.run);
-    (Exp_fig8.name, Exp_fig8.run);
-    (Exp_fig9.name, Exp_fig9.run);
-    (Exp_fig10.name, Exp_fig10.run);
-    (Exp_fig11.name, Exp_fig11.run);
-    (Exp_fig12.name, Exp_fig12.run);
-    (Exp_fig13.name, Exp_fig13.run);
-    (Exp_ablation.name, Exp_ablation.run);
-    (Exp_loadcurve.name, Exp_loadcurve.run);
-    (Exp_copybw.name, Exp_copybw.run);
-    (Exp_cluster.name, Exp_cluster.run);
-    (Exp_pd.name, Exp_pd.run);
+    Exp_table3.experiment;
+    Exp_fig2.experiment;
+    Exp_fig5.experiment;
+    Exp_fig6.experiment;
+    Exp_fig7.experiment;
+    Exp_fig8.experiment;
+    Exp_fig9.experiment;
+    Exp_fig10.experiment;
+    Exp_fig11.experiment;
+    Exp_fig12.experiment;
+    Exp_fig13.experiment;
+    Exp_ablation.experiment;
+    Exp_loadcurve.experiment ~tiny ~json:(json "loadcurve");
+    Exp_copybw.experiment ~tiny ~json:(json "copybw");
+    Exp_cluster.experiment ~tiny ~json:(json "cluster");
+    Exp_pd.experiment ~tiny ~json:(json "pd");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -43,7 +45,7 @@ let bechamel_tests () =
   Test.make_grouped ~name:"fractos-sim"
     [
       t "table3: null syscall" (fun () ->
-          ignore (Exp_table3.fractos_null ~snic:false));
+          ignore (Exp_table3.fractos_null ~snic:false ()));
       t "fig2: delegated RPC" (fun () ->
           ignore
             (Exp_fig6.rpc_latency ~placement:Tb.Ctrl_cpu ~two_nodes:true
@@ -59,15 +61,15 @@ let bechamel_tests () =
       t "fig8: 2-stage chain" (fun () ->
           ignore (Exp_fig8.latency ~n_stages:2 ~size:4096 B.Pipeline.Chain));
       t "fig9: GPU invoke (batch 4)" (fun () ->
-          ignore (Exp_fig9.fractos_latency ~placement:Tb.Ctrl_cpu ~batch:4));
+          ignore Exp_fig9.(latency (Fractos Tb.Ctrl_cpu) ~batch:4));
       t "fig10: DAX 4K read" (fun () ->
           ignore (Exp_fig10.fractos_lat ~write:false ~dax:true ~len:4096));
       t "fig11: local 1M read" (fun () ->
           ignore (Exp_fig10.local_lat ~write:false ~len:(1 lsl 20)));
       t "fig12: e2e request (batch 1)" (fun () ->
-          ignore (Exp_fig12.fractos_lat ~placement:Tb.Ctrl_cpu ~batch:1));
+          ignore (Exp_fig12.latency (1, List.hd E2e_common.systems)));
       t "fig13: e2e closed loop" (fun () ->
-          ignore (Exp_fig13.fractos_tput ~placement:Tb.Ctrl_cpu ~inflight:2));
+          ignore (Exp_fig13.throughput (2, List.hd E2e_common.systems)));
       t "ablation: 1M copy" (fun () ->
           ignore
             (Exp_ablation.copy_latency ~chunk:16384 ~double_buffering:true
@@ -100,81 +102,68 @@ let run_bechamel () =
     ~rows:(List.sort compare !rows)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let no_bechamel = List.mem "--no-bechamel" args in
-  let args = List.filter (fun a -> a <> "--no-bechamel") args in
-  (* --csv DIR: also write every table as CSV *)
-  let rec extract_csv acc = function
-    | "--csv" :: dir :: rest ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Bench_util.csv_dir := Some dir;
-      extract_csv acc rest
-    | a :: rest -> extract_csv (a :: acc) rest
-    | [] -> List.rev acc
+  let dir d =
+    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+    Some d
   in
-  let args = extract_csv [] args in
-  (* --trace DIR: write a Chrome trace per experiment *)
-  let rec extract_trace acc = function
-    | "--trace" :: dir :: rest ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Bench_util.trace_dir := Some dir;
-      extract_trace acc rest
-    | a :: rest -> extract_trace (a :: acc) rest
-    | [] -> List.rev acc
-  in
-  let args = extract_trace [] args in
-  (* --breakdown DIR: write a critical-path/tax-breakdown CSV per
-     experiment *)
-  let rec extract_breakdown acc = function
-    | "--breakdown" :: dir :: rest ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      Bench_util.breakdown_dir := Some dir;
-      extract_breakdown acc rest
-    | a :: rest -> extract_breakdown (a :: acc) rest
-    | [] -> List.rev acc
-  in
-  let args = extract_breakdown [] args in
-  (* --loadcurve-json PATH / --copybw-json PATH / --tiny: JSON-sweep output
-     paths and size (consumed by the @bench-smoke alias) *)
-  let rec extract_loadcurve acc = function
-    | "--loadcurve-json" :: path :: rest ->
-      Exp_loadcurve.json_path := path;
-      extract_loadcurve acc rest
-    | "--copybw-json" :: path :: rest ->
-      Exp_copybw.json_path := path;
-      extract_loadcurve acc rest
-    | "--cluster-json" :: path :: rest ->
-      Exp_cluster.json_path := path;
-      extract_loadcurve acc rest
-    | "--pd-json" :: path :: rest ->
-      Exp_pd.json_path := path;
-      extract_loadcurve acc rest
+  let no_bechamel = ref false and tiny = ref false in
+  let trace_dir = ref None and breakdown_dir = ref None in
+  let json_paths = ref [] in
+  (* Flags anywhere on the line; everything else names an experiment.
+     --csv/--trace/--breakdown DIR write every table as CSV, a Chrome
+     trace per experiment and a tax-breakdown CSV per experiment;
+     --tiny and --<name>-json PATH shrink the JSON-writing sweeps and
+     redirect their output (the @bench-smoke and @bench-gate aliases). *)
+  let rec parse = function
+    | "--no-bechamel" :: rest ->
+      no_bechamel := true;
+      parse rest
     | "--tiny" :: rest ->
-      Exp_loadcurve.tiny := true;
-      Exp_copybw.tiny := true;
-      Exp_cluster.tiny := true;
-      Exp_pd.tiny := true;
-      extract_loadcurve acc rest
-    | a :: rest -> extract_loadcurve (a :: acc) rest
-    | [] -> List.rev acc
+      tiny := true;
+      parse rest
+    | "--csv" :: d :: rest ->
+      Bench_util.csv_dir := dir d;
+      parse rest
+    | "--trace" :: d :: rest ->
+      trace_dir := dir d;
+      parse rest
+    | "--breakdown" :: d :: rest ->
+      breakdown_dir := dir d;
+      parse rest
+    | ("--loadcurve-json" | "--copybw-json" | "--cluster-json" | "--pd-json")
+      as flag
+      :: path :: rest ->
+      json_paths :=
+        (String.sub flag 2 (String.length flag - 7), path) :: !json_paths;
+      parse rest
+    | name :: rest -> name :: parse rest
+    | [] -> []
   in
-  let args = extract_loadcurve [] args in
-  if List.mem "--list" args then
-    List.iter (fun (n, _) -> print_endline n) experiments
+  let names = parse (List.tl (Array.to_list Sys.argv)) in
+  let json name =
+    Option.value (List.assoc_opt name !json_paths)
+      ~default:("BENCH_" ^ name ^ ".json")
+  in
+  let experiments = experiments ~tiny:!tiny ~json in
+  if List.mem "--list" names then
+    List.iter (fun e -> print_endline e.Bench_util.name) experiments
   else begin
     let selected =
-      match args with
+      match names with
       | [] -> experiments
       | names ->
-        List.filter_map
+        List.map
           (fun n ->
-            match List.assoc_opt n experiments with
-            | Some f -> Some (n, f)
+            match
+              List.find_opt (fun e -> e.Bench_util.name = n) experiments
+            with
+            | Some e -> e
             | None ->
               Printf.eprintf "unknown experiment %S (try --list)\n" n;
               exit 1)
           names
     in
-    List.iter (fun (n, f) -> Bench_util.with_experiment n f) selected;
-    if (not no_bechamel) && args = [] then run_bechamel ()
+    Bench_util.run ~trace_dir:!trace_dir ~breakdown_dir:!breakdown_dir
+      selected;
+    if (not !no_bechamel) && names = [] then run_bechamel ()
   end

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Repo health check: no dead or unset Net.Config knobs, exports, optional
 # arguments or modules, build, tests, formatting (if ocamlformat is
-# installed) and the smoke runs (trace / breakdown / seeded chaos gate —
+# installed), the smoke runs (trace / breakdown / seeded chaos gate —
 # including the chaos seed battery byte-diffed across domains=1 and
-# domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh).
+# domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh) and the
+# figures golden (every bench table, byte for byte).
 # Run from the repo root:
 # ./bin/check.sh
 # The same checks are wired as a dune alias: dune build @check
@@ -177,5 +178,22 @@ sh bin/bench_smoke.sh _build/default/bench/main.exe
 sh bin/obs_smoke.sh _build/default/bin/fractos.exe
 
 sh bin/bench_gate.sh _build/default/bin/fractos.exe _build/default/bench/main.exe
+
+echo "== figures golden (bench/baselines/figures.txt)"
+# Every table and figure of the evaluation must print byte for byte as
+# committed. The run writes its BENCH_*.json into a temp dir, never over
+# the committed ones; the golden was produced the same way, so the
+# "[wrote BENCH_<name>.json]" lines match. A change that moves simulated
+# numbers on purpose regenerates the golden (HACKING.md, "Adding an
+# experiment") and says why in CHANGES.md.
+root=$(pwd)
+fig=$(mktemp -d /tmp/fractos-figures.XXXXXX)
+(cd "$fig" && "$root/_build/default/bench/main.exe" --no-bechamel >figures.txt)
+if ! cmp "$fig/figures.txt" bench/baselines/figures.txt; then
+  diff "$fig/figures.txt" bench/baselines/figures.txt | head -40
+  rm -rf "$fig"
+  exit 1
+fi
+rm -rf "$fig"
 
 echo "== OK"

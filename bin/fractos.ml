@@ -318,14 +318,19 @@ let run_faceverify_cmd placement batch requests seed trace_json metrics
 
 let run_cmd workload placement batch requests seed trace_json metrics
     breakdown audit journal journal_cap artifacts =
-  match workload with
-  | "pd" -> run_pd_cmd placement requests seed
-  | "faceverify" ->
-    run_faceverify_cmd placement batch requests seed trace_json metrics
-      breakdown audit journal journal_cap artifacts
-  | w ->
-    Format.eprintf "fractos run: unknown workload %S (faceverify or pd)@." w;
-    exit 2
+  try
+    match workload with
+    | "pd" -> run_pd_cmd placement requests seed
+    | "faceverify" ->
+      run_faceverify_cmd placement batch requests seed trace_json metrics
+        breakdown audit journal journal_cap artifacts
+    | w ->
+      Format.eprintf "fractos run: unknown workload %S (faceverify or pd)@." w;
+      exit 2
+  with Core.Error.Fractos e ->
+    Format.printf "@?";
+    Format.eprintf "fractos run: %s@." (Core.Error.to_string e);
+    exit 1
 
 (* ---------------- primitives --------------------------------------- *)
 

@@ -11,7 +11,9 @@
 #    schedules settle with the failure-to-revocation invariants intact
 #    and bit-identical reports per seed;
 # 4. `run --audit` must print a capability lineage that reads
-#    delegate -> invoke -> revoke.
+#    delegate -> invoke -> revoke;
+# 5. a run that exhausts its capability-space quota must exit 1 with a
+#    one-line `fractos run: <error>`, not an uncaught exception.
 set -eu
 
 fractos=$1
@@ -79,5 +81,19 @@ for kind in delegate invoke revoke; do
     exit 1
   fi
 done
+
+echo "== smoke: fractos run past the capability quota"
+if "$fractos" run -n 1100 >/dev/null 2>"$tmp/quota.err"; then
+  echo "run -n 1100 exited 0; expected a quota error"
+  exit 1
+else
+  status=$?
+fi
+if [ "$status" != 1 ] ||
+   ! grep -q '^fractos run: .*quota exceeded' "$tmp/quota.err"; then
+  echo "run -n 1100: exit $status, stderr:"
+  cat "$tmp/quota.err"
+  exit 1
+fi
 
 echo "== smoke OK"

@@ -29,4 +29,9 @@ let equal a b = a = b
 
 exception Fractos of t
 
+let () =
+  Printexc.register_printer (function
+    | Fractos e -> Some ("Fractos(" ^ to_string e ^ ")")
+    | _ -> None)
+
 let ok_exn = function Ok v -> v | Error e -> raise (Fractos e)

@@ -29,7 +29,8 @@ val equal : t -> t -> bool
 
 exception Fractos of t
 (** Used by convenience wrappers that prefer raising; the core API itself
-    always returns [result]. *)
+    always returns [result]. [Printexc.to_string] shows it as
+    [Fractos(<to_string e>)]. *)
 
 val ok_exn : ('a, t) result -> 'a
 (** Unwrap, raising {!Fractos} on error. *)

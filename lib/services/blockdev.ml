@@ -152,7 +152,7 @@ let create_vol svc ~create_req ~size =
     if Svc.status d <> 0 then Error (Error.Bad_argument "create_vol failed")
     else
       match (Svc.payload_imms d, d.State.d_caps) with
-      | [ handle ], [ rd; wr ] ->
+      | [ handle ], [ rd; wr ] when Args.is_int handle ->
         Ok
           {
             vol_handle = Args.to_int handle;

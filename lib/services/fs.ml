@@ -476,7 +476,8 @@ let list svc ~fs =
   | Error _ as e -> e
   | Ok d -> (
     match Svc.payload_imms d with
-    | count :: names when Args.to_int count = List.length names ->
+    | count :: names
+      when Args.is_int count && Args.to_int count = List.length names ->
       Ok (List.map Args.to_string names)
     | _ -> Error (Error.Bad_argument "fs.list: malformed reply"))
 
@@ -489,7 +490,7 @@ let stat svc ~fs ~name =
     if Svc.status d <> 0 then Error Error.Invalid_cap
     else
       match Svc.payload_imms d with
-      | [ size ] -> Ok (Args.to_int size)
+      | [ size ] when Args.is_int size -> Ok (Args.to_int size)
       | _ -> Error (Error.Bad_argument "fs.stat: malformed reply"))
 
 let open_ svc ~fs ~name mode =
@@ -508,7 +509,8 @@ let open_ svc ~fs ~name mode =
     if Svc.status d <> 0 then Error (Error.Bad_argument "fs.open failed")
     else
       match Svc.payload_imms d with
-      | [ size; extent_size ] -> (
+      | [ size; extent_size ]
+        when Args.is_int size && Args.is_int extent_size -> (
         let h_size = Args.to_int size
         and h_extent_size = Args.to_int extent_size in
         let caps = d.State.d_caps in

@@ -185,7 +185,7 @@ let alloc svc ~alloc_req ~size =
     if Svc.status d <> 0 then Error (Error.Bad_argument "gpu alloc failed")
     else
       match (Svc.payload_imms d, d.State.d_caps) with
-      | [ handle ], [ mem ] ->
+      | [ handle ], [ mem ] when Args.is_int handle ->
         Ok { mem; handle = Args.to_int handle; size }
       | _ -> Error (Error.Bad_argument "gpu alloc: malformed reply"))
 

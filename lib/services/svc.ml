@@ -156,12 +156,12 @@ let reply t (d : State.delivery) ~status ?(imms = []) ?(caps = []) () =
             m "%s: reply invoke failed: %s" (Process.name t.sproc)
               (Error.to_string e))))
 
+(* A reply is whatever the replier derived: an empty or malformed one
+   (from a buggy or hostile service) is a failure, never an exception. *)
 let status (d : State.delivery) =
   match d.State.d_imms with
-  | s :: _ -> Args.to_int s
-  | [] -> invalid_arg "Svc.status: empty reply"
+  | s :: _ when Args.is_int s -> Args.to_int s
+  | _ -> -1
 
 let payload_imms (d : State.delivery) =
-  match d.State.d_imms with
-  | _ :: rest -> rest
-  | [] -> invalid_arg "Svc.payload_imms: empty reply"
+  match d.State.d_imms with _ :: rest -> rest | [] -> []

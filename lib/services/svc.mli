@@ -94,7 +94,9 @@ val reply :
     continuation) with [status :: imms] and [caps], and invoke it. *)
 
 val status : Core.State.delivery -> int
-(** First immediate of an RPC reply. [0] is success. *)
+(** First immediate of an RPC reply. [0] is success; an empty reply, or
+    one whose first immediate is not an int, reads as [-1]. Never
+    raises. *)
 
 val payload_imms : Core.State.delivery -> Core.Args.imm list
-(** Reply immediates after the status. *)
+(** Reply immediates after the status ([[]] for an empty reply). *)

@@ -4,7 +4,7 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -46,10 +46,16 @@ let float t bound =
 let bool t = Int64.logand (int64 t) 1L = 1L
 let byte t = Char.chr (int t 256)
 
+(* The bytes successive [byte] draws would give (the low 8 bits of each
+   masked draw), with the state in a local: boxing it per byte made
+   building the 64 MiB face database take about a second. *)
 let fill_bytes t b =
+  let s = ref t.state in
   for i = 0 to Bytes.length b - 1 do
-    Bytes.set b i (byte t)
-  done
+    s := Int64.add !s golden_gamma;
+    Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int (mix !s) land 0xff))
+  done;
+  t.state <- !s
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -916,6 +916,14 @@ let test_capspace_quota () =
       in
       check_int "quota enforced" 4 (fill 0))
 
+(* A raised [Error.Fractos] prints its error, not the constructor index:
+   uncaught in a tool, it must say what went wrong. *)
+let test_fractos_exn_printer () =
+  check_str "quota" "Fractos(capability-space quota exceeded)"
+    (Printexc.to_string (Error.Fractos Error.Quota_exceeded));
+  check_str "with argument" "Fractos(bad argument: x)"
+    (Printexc.to_string (Error.Fractos (Error.Bad_argument "x")))
+
 let test_track_delegations_cleanup () =
   (* Under the (rejected) delegation-tracking design, revocation needs no
      broadcast: the tombstone dies when the reference count drains. *)
@@ -1334,6 +1342,8 @@ let () =
       ( "quota-tracking",
         [
           Alcotest.test_case "capspace quota" `Quick test_capspace_quota;
+          Alcotest.test_case "Fractos exception printer" `Quick
+            test_fractos_exn_printer;
           Alcotest.test_case "refcount cleanup" `Quick
             test_track_delegations_cleanup;
           Alcotest.test_case "refcount ignores stale epoch" `Quick

@@ -49,6 +49,35 @@ let test_json_rejects () =
   check_bool "missing file" true
     (Result.is_error (Obs.Json.of_file "/nonexistent/x.json"))
 
+(* The reader takes files from the command line (gate, diff, analyze):
+   any input parses or is an [Error], never an exception. *)
+let parses_or_errors s =
+  match Obs.Json.parse s with Ok _ | Error _ -> true
+
+let prop_json_random_bytes =
+  QCheck.Test.make ~name:"random bytes never raise" ~count:500
+    QCheck.(string_of_size Gen.(int_bound 64))
+    parses_or_errors
+
+(* Overwrite, insert or truncate at a position, applied in order to a
+   valid document that exercises every value kind and escape. *)
+let mutate s (pos, c, op) =
+  let n = String.length s in
+  let i = if n = 0 then 0 else pos mod n in
+  match op mod 3 with
+  | 0 when n > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+  | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | _ -> String.sub s 0 i
+
+let prop_json_mutated_documents =
+  let doc =
+    {|{"a": [1, -2.5e3, true, false, null, "xé
+"\/"], "b": {"c": {}, "d": []}}|}
+  in
+  QCheck.Test.make ~name:"mutated documents never raise" ~count:1000
+    QCheck.(list_of_size Gen.(int_range 1 4) (triple small_nat char small_nat))
+    (fun muts -> parses_or_errors (List.fold_left mutate doc muts))
+
 (* ------------------------------------------------------------------ *)
 (* Timeline                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -417,6 +446,8 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_json_parse;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
+          QCheck_alcotest.to_alcotest prop_json_random_bytes;
+          QCheck_alcotest.to_alcotest prop_json_mutated_documents;
         ] );
       ( "timeline",
         [

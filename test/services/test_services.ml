@@ -845,6 +845,73 @@ let test_call_timeout () =
       | Ok d -> check_int "status" 0 (Svc.status d)
       | Error e -> Alcotest.failf "unexpected: %s" (Error.to_string e))
 
+(* A hostile service answers every call with raw [imms] and [ncaps]
+   Memory capabilities, skipping the status convention. Returns the
+   client's Svc and its capability for the service. *)
+let hostile_service tb ~imms ~ncaps =
+  let s = List.hd (Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "n" ]) in
+  let evil_p = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "evil" in
+  let client_p = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "client" in
+  let evil = Svc.create evil_p in
+  let mem =
+    ok_exn (Api.memory_create evil_p (Process.alloc evil_p 64) Perms.rw)
+  in
+  Svc.handle evil ~tag:"evil" (fun _ d ->
+      match List.rev d.State.d_caps with
+      | cont :: _ ->
+        let caps = List.init ncaps (fun _ -> mem) in
+        let r = ok_exn (Api.request_derive evil_p cont ~imms ~caps ()) in
+        ok_exn (Api.request_invoke evil_p r)
+      | [] -> ());
+  let svc = ok_exn (Api.request_create evil_p ~tag:"evil" ()) in
+  (Svc.create client_p, Tb.grant ~src:evil_p ~dst:client_p svc)
+
+let is_error = function Ok _ -> false | Error _ -> true
+
+(* An empty reply, or one whose status is not an 8-byte int, is a failed
+   call for every client: an [Error], never an exception out of
+   [Engine.run]. *)
+let test_malformed_reply_status () =
+  List.iter
+    (fun (label, imms) ->
+      Tb.run (fun tb ->
+          let app, svc = hostile_service tb ~imms ~ncaps:0 in
+          let check what r =
+            check_bool (label ^ ": " ^ what) true (is_error r)
+          in
+          check "fs.create" (Fs.create app ~fs:svc ~name:"f" ~size:4096);
+          check "fs.list" (Fs.list app ~fs:svc);
+          check "fs.stat" (Fs.stat app ~fs:svc ~name:"f");
+          check "fs.open" (Fs.open_ app ~fs:svc ~name:"f" Fs.Fs_rw);
+          check "gpu.alloc" (Gpu_adaptor.alloc app ~alloc_req:svc ~size:64);
+          check "gpu.load" (Gpu_adaptor.load app ~load_req:svc ~name:"k");
+          check "blk.create_vol"
+            (Blockdev.create_vol app ~create_req:svc ~size:4096)))
+    [ ("no immediates", []); ("3-byte status", [ Bytes.make 3 '\000' ]) ]
+
+(* A success status followed by a wrong-size payload immediate: the
+   clients that parse the payload return their typed errors. *)
+let test_malformed_reply_payload () =
+  let short = Bytes.make 3 '\000' in
+  let reply ~imms ~ncaps f =
+    Tb.run (fun tb ->
+        let app, svc =
+          hostile_service tb ~imms:(Args.of_int 0 :: imms) ~ncaps
+        in
+        f app svc)
+  in
+  reply ~imms:[ short ] ~ncaps:1 (fun app svc ->
+      check_bool "fs.list" true (is_error (Fs.list app ~fs:svc));
+      check_bool "fs.stat" true (is_error (Fs.stat app ~fs:svc ~name:"f"));
+      check_bool "gpu.alloc" true
+        (is_error (Gpu_adaptor.alloc app ~alloc_req:svc ~size:64)));
+  reply ~imms:[ short; short ] ~ncaps:0 (fun app svc ->
+      check_bool "fs.open" true
+        (is_error (Fs.open_ app ~fs:svc ~name:"f" Fs.Fs_rw)));
+  reply ~imms:[ short ] ~ncaps:2 (fun app svc ->
+      check_bool "blk.create_vol" true
+        (is_error (Blockdev.create_vol app ~create_req:svc ~size:4096)))
+
 (* ------------------------------------------------------------------ *)
 (* Edge-case sweep                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1104,6 +1171,13 @@ let () =
             test_faceverify_batch_too_large;
         ] );
       ("timeout", [ Alcotest.test_case "call deadline" `Quick test_call_timeout ]);
+      ( "malformed-replies",
+        [
+          Alcotest.test_case "empty or short status" `Quick
+            test_malformed_reply_status;
+          Alcotest.test_case "short payload" `Quick
+            test_malformed_reply_payload;
+        ] );
       ( "edges",
         [
           Alcotest.test_case "dax extent ranges" `Quick

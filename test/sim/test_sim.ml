@@ -127,7 +127,12 @@ let test_prng_fill_bytes () =
   let g' = Prng.create ~seed:9 in
   let b' = Bytes.create 256 in
   Prng.fill_bytes g' b';
-  check_bool "deterministic bytes" true (Bytes.equal b b')
+  check_bool "deterministic bytes" true (Bytes.equal b b');
+  (* the same bytes, and the same state after, as one [byte] draw each *)
+  let h = Prng.create ~seed:9 in
+  check_bool "bytes are byte draws" true
+    (Bytes.equal b (Bytes.init 256 (fun _ -> Prng.byte h)));
+  Alcotest.(check int64) "state after" (Prng.int64 h) (Prng.int64 g)
 
 (* ------------------------------------------------------------------ *)
 (* Time                                                               *)
