@@ -158,6 +158,9 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
+echo "== sh -n bin/bench_ab.sh"
+sh -n bin/bench_ab.sh
+
 echo "== dune build"
 dune build
 

@@ -24,10 +24,10 @@ let setup ~fabric ~frontend ~nfs_server ~ssd ~gpu ~db ~img_size ~max_batch
   | Error _ as e -> e
   | Ok vol -> (
     (* provision the database onto the target *)
-    (match
-       Device.Nvme.write ssd vol ~off:0 ~src:db ~src_off:0
-         ~len:(Bytes.length db)
-     with
+    let len = Bytes.length db in
+    let src = Core.Membuf.create ~node:(Device.Nvme.node ssd) len in
+    Core.Membuf.write src ~off:0 db;
+    (match Device.Nvme.write ssd vol ~off:0 ~src ~src_off:0 ~len with
     | Ok () -> ()
     | Error e -> failwith e);
     let backing = Nvmeof.connect fabric ~initiator:nfs_server ssd vol in

@@ -1,6 +1,7 @@
 module Sim = Fractos_sim
 module Net = Fractos_net
 module Device = Fractos_device
+module Membuf = Fractos_core.Membuf
 
 let read_ahead_factor = 4
 let max_windows = 8
@@ -31,12 +32,12 @@ let fetch t ~off ~len =
   match Device.Nvme.read t.ssd t.vol ~off ~len with
   | Error e -> Error e
   | Ok () ->
-    let data = Bytes.create len in
-    Device.Nvme.blit t.ssd t.vol ~off ~dst:data ~dst_off:0 ~len;
+    let buf = Membuf.create ~node:t.initiator len in
+    Device.Nvme.blit t.ssd t.vol ~off ~dst:buf ~dst_off:0 ~len;
     (* data + completion back to the initiator *)
     Net.Fabric.transfer_chunked t.fabric ~src:target ~dst:t.initiator
       ~cls:Net.Stats.Data ~size:len ();
-    Ok data
+    Ok (Membuf.materialize buf)
 
 let read_nocache t ~off ~len =
   kernel_path ();
@@ -90,4 +91,6 @@ let write t ~off data =
     List.filter
       (fun w -> not (off < w.w_end && off + len > w.w_start))
       t.windows;
-  Device.Nvme.write t.ssd t.vol ~off ~src:data ~src_off:0 ~len
+  let src = Membuf.create ~node:target len in
+  Membuf.write src ~off:0 data;
+  Device.Nvme.write t.ssd t.vol ~off ~src ~src_off:0 ~len

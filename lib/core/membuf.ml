@@ -105,6 +105,15 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
     if written src then Bytes.blit src.data src_off (materialize dst) dst_off len
     else if written dst then Bytes.fill dst.data dst_off len '\000'
 
+let clear t = if t.size > 0 then t.data <- Bytes.empty
+
+let move ~src ~dst =
+  if src.size <> dst.size then invalid_arg "Membuf.move";
+  if src != dst then begin
+    dst.data <- src.data;
+    clear src
+  end
+
 let set t i c =
   if i < 0 || i >= t.size then invalid_arg "Membuf.set";
   if c <> '\000' || written t then Bytes.set (materialize t) i c

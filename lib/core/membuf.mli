@@ -53,6 +53,18 @@ val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Copy between buffers (the data side of [memory_copy]). Raises
     [Invalid_argument] when the range overflows either buffer. *)
 
+val move : src:t -> dst:t -> unit
+(** [move ~src ~dst] hands the contents of [src] to [dst] without a copy:
+    afterwards [dst] reads as [src] read before, and [src] is unwritten,
+    so it reads as zeros and a later store into it allocates fresh bytes
+    that never reach [dst]. An unwritten [src] leaves [dst] unwritten. A
+    buffer moved onto itself is unchanged. Raises [Invalid_argument] when
+    the sizes differ. *)
+
+val clear : t -> unit
+(** Drop the bytes of [t]: it is unwritten again and reads as zeros. An
+    earlier {!materialize} result no longer belongs to [t]. *)
+
 val set : t -> int -> char -> unit
 (** Store one byte. Raises [Invalid_argument] out of range. *)
 

@@ -1,10 +1,17 @@
 module Sim = Fractos_sim
 module Net = Fractos_net
 module Obs = Fractos_obs
+module Core = Fractos_core
+module Membuf = Core.Membuf
 
 let block_size = 4096
 
-type volume = { vol_id : int; vol_base : int; vol_size : int }
+type volume = {
+  vol_id : int;
+  vol_base : int;
+  vol_size : int;
+  vol_store : Membuf.t;
+}
 
 type t = {
   dnode : Net.Node.t;
@@ -14,7 +21,6 @@ type t = {
   capacity : int;
   mutable next_free : int;
   mutable next_vol : int;
-  blocks : (int, bytes) Hashtbl.t; (* sparse block store *)
   read_hist : Obs.Metrics.histogram Lazy.t;
   write_hist : Obs.Metrics.histogram Lazy.t;
 }
@@ -31,7 +37,6 @@ let create ~node ~config ~capacity =
     capacity;
     next_free = 0;
     next_vol = 0;
-    blocks = Hashtbl.create 1024;
     read_hist = hist "nvme.read";
     write_hist = hist "nvme.write";
   }
@@ -43,27 +48,20 @@ let create_volume t ~size =
   if size < 0 then Error "negative size"
   else if t.next_free + size > t.capacity then Error "device full"
   else begin
-    let vol = { vol_id = t.next_vol; vol_base = t.next_free; vol_size = size } in
+    let vol =
+      {
+        vol_id = t.next_vol;
+        vol_base = t.next_free;
+        vol_size = size;
+        vol_store = Membuf.create ~node:t.dnode size;
+      }
+    in
     t.next_vol <- t.next_vol + 1;
     (* align the next volume to a block boundary *)
     let aligned = (t.next_free + size + block_size - 1) / block_size * block_size in
     t.next_free <- aligned;
     Ok vol
   end
-
-(* Byte-addressed access over the sparse block map: [f bi bo boff n] for
-   each block-sized piece of [pos, pos+len), where [boff] is the piece's
-   offset into the range. *)
-let iter_blocks ~pos ~len f =
-  let rec go off =
-    if off < len then begin
-      let abs = pos + off in
-      let n = min (block_size - (abs mod block_size)) (len - off) in
-      f (abs / block_size) (abs mod block_size) off n;
-      go (off + n)
-    end
-  in
-  go 0
 
 let in_volume vol ~off ~len = off >= 0 && len >= 0 && off + len <= vol.vol_size
 
@@ -95,32 +93,22 @@ let read t vol ~off ~len =
     Ok ()
   end
 
-let blit t vol ~off ~dst ~dst_off ~len =
-  if (not (in_volume vol ~off ~len)) || dst_off < 0
-     || dst_off + len > Bytes.length dst
-  then invalid_arg "Nvme.blit";
-  iter_blocks ~pos:(vol.vol_base + off) ~len (fun bi bo boff n ->
-      match Hashtbl.find_opt t.blocks bi with
-      | Some b -> Bytes.blit b bo dst (dst_off + boff) n
-      | None -> Bytes.fill dst (dst_off + boff) n '\000')
+let blit _ vol ~off ~dst ~dst_off ~len =
+  if not (in_volume vol ~off ~len) then invalid_arg "Nvme.blit";
+  Membuf.blit ~src:vol.vol_store ~src_off:off ~dst ~dst_off ~len
 
 let write t vol ~off ~src ~src_off ~len =
   if (not (in_volume vol ~off ~len)) || src_off < 0
-     || src_off + len > Bytes.length src
+     || src_off > Membuf.size src - len
   then Error "out of bounds"
   else begin
     timed t "nvme.write" t.write_hist
       ~latency:Net.Config.nvme_write_latency ~len;
-    iter_blocks ~pos:(vol.vol_base + off) ~len (fun bi bo boff n ->
-        let b =
-          match Hashtbl.find_opt t.blocks bi with
-          | Some b -> b
-          | None ->
-            let b = Bytes.make block_size '\000' in
-            Hashtbl.replace t.blocks bi b;
-            b
-        in
-        Bytes.blit src (src_off + boff) b bo n);
+    (* a whole-volume write from a buffer of the volume's size takes the
+       buffer's bytes, leaving it unwritten; anything else copies *)
+    if off = 0 && len = vol.vol_size && Membuf.size src = len then
+      Membuf.move ~src ~dst:vol.vol_store
+    else Membuf.blit ~src ~src_off ~dst:vol.vol_store ~dst_off:off ~len;
     Ok ()
   end
 

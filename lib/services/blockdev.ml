@@ -73,8 +73,7 @@ let handle_read t svc d =
            memory_create), then the stored bytes go straight into it *)
         let res =
           Staging.with_slot t.staging len (fun slot ->
-              Device.Nvme.blit t.ssd volume ~off
-                ~dst:(Membuf.materialize slot.Staging.buf)
+              Device.Nvme.blit t.ssd volume ~off ~dst:slot.Staging.buf
                 ~dst_off:0 ~len;
               Api.memory_copy (Svc.proc svc) ~src:slot.Staging.mem ~dst:dst_mem)
         in
@@ -98,6 +97,8 @@ let handle_write t svc d =
       when off < 0 || len < 0 || off + len > volume.Device.Nvme.vol_size ->
       fail_cont svc caps 2
     | Some volume -> (
+      (* a whole-volume write hands the slot's bytes to the volume, so the
+         slot goes back to the pool holding none *)
       let res =
         Staging.with_slot t.staging len (fun slot ->
             match
@@ -106,8 +107,7 @@ let handle_write t svc d =
             | Error _ as e -> e
             | Ok () -> (
               match
-                Device.Nvme.write t.ssd volume ~off
-                  ~src:(Membuf.materialize slot.Staging.buf)
+                Device.Nvme.write t.ssd volume ~off ~src:slot.Staging.buf
                   ~src_off:0 ~len
               with
               | Ok () -> Ok ()

@@ -348,7 +348,11 @@ let handle_write t svc d =
                         with
                         | Error _ as e -> e
                         | Ok (false, _) -> Error Error.Bounds
-                        | Ok (true, _) -> Ok ())))
+                        | Ok (true, _) ->
+                          (* the device holds the bytes now: drop the
+                             slot's rather than pool a dead copy *)
+                          Membuf.clear slot.Staging.buf;
+                          Ok ())))
               in
               match res with
               | Ok () -> go rest

@@ -6,7 +6,15 @@
     adaptors keep a pool of registered buffers per size and recycle them —
     the moral equivalent of a pinned-buffer pool in an RDMA program.
     Buffers are checked out exclusively, so concurrent operations never
-    share a slot. *)
+    share a slot.
+
+    Like every buffer, a slot is unwritten until its first store. Write
+    slots come back to the pool holding no bytes once the device holds
+    them: the block adaptor's whole-volume write moves its slot's bytes
+    into the volume ({!Fractos_device.Nvme.write}), and the file system
+    clears its slot when the block device acks. A partial block write
+    copies, and its slot keeps its bytes. Read slots keep theirs too:
+    they are small, and the next read reuses them. *)
 
 module Core = Fractos_core
 

@@ -129,6 +129,74 @@ let test_snapshot_ownership () =
   check_bool "which stays zero" true (Bytes.equal z (zeros 32))
 
 (* ------------------------------------------------------------------ *)
+(* Handing bytes on                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let test_move () =
+  let n = 4 lsl 20 in
+  let p = pattern ~seed:3 n in
+  let src = Membuf.create ~node n and dst = Membuf.create ~node n in
+  Membuf.write src ~off:0 p;
+  let bytes, () = allocated (fun () -> Membuf.move ~src ~dst) in
+  check_bool (Printf.sprintf "move cost %.0f bytes" bytes) true (bytes < small);
+  check_bool "the destination reads the source's bytes" true
+    (Bytes.equal (contents dst) p);
+  check_bool "the source reads as zeros" true
+    (Bytes.equal (contents src) (zeros n));
+  (* neither side aliases the other afterwards *)
+  Membuf.set src 0 (Char.chr (Char.code (Bytes.get p 0) lxor 1));
+  Membuf.fill src 'y';
+  check_bool "a store into the source misses the destination" true
+    (Bytes.equal (contents dst) p);
+  Membuf.set dst 1 'z';
+  check_bool "a store into the destination misses the source" true
+    (Bytes.equal (Membuf.read src ~off:0 ~len:2) (Bytes.of_string "yy"));
+  Membuf.move ~src:dst ~dst:dst;
+  check_bool "moved onto itself, unchanged" true
+    (Bytes.equal (Membuf.read dst ~off:0 ~len:2)
+       (Bytes.of_string (Printf.sprintf "%cz" (Bytes.get p 0))));
+  Alcotest.check_raises "sizes differ" (Invalid_argument "Membuf.move")
+    (fun () -> Membuf.move ~src ~dst:(Membuf.create ~node 64))
+
+let test_move_unwritten () =
+  let n = 4 lsl 20 in
+  let u = Membuf.create ~node n and v = Membuf.create ~node n in
+  let bytes, () = allocated (fun () -> Membuf.move ~src:u ~dst:v) in
+  check_bool
+    (Printf.sprintf "unwritten onto unwritten cost %.0f bytes" bytes)
+    true (bytes < small);
+  (* an unwritten source leaves the destination reading as zeros *)
+  let w = Membuf.create ~node 64 in
+  Membuf.fill w 'x';
+  Membuf.move ~src:(Membuf.create ~node 64) ~dst:w;
+  check_bool "written destination now zeros" true
+    (Bytes.equal (contents w) (zeros 64));
+  (* only an unwritten range snapshots as the shared zero snapshot *)
+  check_bool "and unwritten" true
+    (Membuf.snapshot w ~off:0 ~len:64
+    == Membuf.snapshot (Membuf.create ~node 64) ~off:0 ~len:64)
+
+let test_clear () =
+  let b = Membuf.create ~node 64 in
+  Membuf.fill b 'x';
+  let old = Membuf.materialize b in
+  Membuf.clear b;
+  check_bool "reads as zeros" true (Bytes.equal (contents b) (zeros 64));
+  Bytes.set old 0 'o';
+  check_bool "the old bytes no longer reach it" true
+    (Bytes.equal (contents b) (zeros 64));
+  Membuf.set b 1 'n';
+  check_bool "the next store allocates afresh" true
+    (Bytes.get old 1 = 'x'
+    && Bytes.equal (Membuf.read b ~off:0 ~len:3) (Bytes.of_string "\000n\000"));
+  let u = Membuf.create ~node (4 lsl 20) in
+  let bytes, () = allocated (fun () -> Membuf.clear u) in
+  check_bool
+    (Printf.sprintf "clearing an unwritten buffer cost %.0f bytes" bytes)
+    true
+    (bytes < small && Bytes.equal (Membuf.read u ~off:0 ~len:8) (zeros 8))
+
+(* ------------------------------------------------------------------ *)
 (* Copies                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -264,6 +332,12 @@ let () =
           Alcotest.test_case "zero stores keep it unwritten" `Quick
             test_zero_stores_keep_unwritten;
           Alcotest.test_case "copy from and into" `Quick test_copy_unwritten;
+        ] );
+      ( "hand-off",
+        [
+          Alcotest.test_case "move" `Quick test_move;
+          Alcotest.test_case "move unwritten" `Quick test_move_unwritten;
+          Alcotest.test_case "clear" `Quick test_clear;
         ] );
       ( "snapshot",
         [

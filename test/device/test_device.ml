@@ -104,17 +104,28 @@ let test_gpu_serial_execution_engine () =
 (* NVMe                                                               *)
 (* ------------------------------------------------------------------ *)
 
+module Membuf = Core.Membuf
+
+(* A buffer on the device's node holding [b]. *)
+let membuf ssd b =
+  let m = Membuf.create ~node:(Nvme.node ssd) (Bytes.length b) in
+  Membuf.write m ~off:0 b;
+  m
+
+let contents m = Membuf.read m ~off:0 ~len:(Membuf.size m)
+
 (* A read command, then its bytes into a fresh buffer. *)
 let read_bytes ssd vol ~off ~len =
   Result.map
     (fun () ->
-      let dst = Bytes.create len in
+      let dst = Membuf.create ~node:(Nvme.node ssd) len in
       Nvme.blit ssd vol ~off ~dst ~dst_off:0 ~len;
-      dst)
+      contents dst)
     (Nvme.read ssd vol ~off ~len)
 
 let write_bytes ssd vol ~off src =
-  Nvme.write ssd vol ~off ~src ~src_off:0 ~len:(Bytes.length src)
+  Nvme.write ssd vol ~off ~src:(membuf ssd src) ~src_off:0
+    ~len:(Bytes.length src)
 
 let test_nvme_volume_rw_roundtrip () =
   with_node (fun node ->
@@ -135,14 +146,15 @@ let test_nvme_unaligned_roundtrip () =
       let vol = Result.get_ok (Nvme.create_volume ssd ~size:65536) in
       let len = 10_000 and off = 4000 in
       let src = Bytes.init (len + 17) (fun i -> Char.chr ((7 * i) land 0xff)) in
-      (match Nvme.write ssd vol ~off ~src ~src_off:17 ~len with
+      (match Nvme.write ssd vol ~off ~src:(membuf ssd src) ~src_off:17 ~len with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
       (match Nvme.read ssd vol ~off ~len with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
-      let dst = Bytes.make (len + 6) '#' in
-      Nvme.blit ssd vol ~off ~dst ~dst_off:3 ~len;
+      let m = membuf ssd (Bytes.make (len + 6) '#') in
+      Nvme.blit ssd vol ~off ~dst:m ~dst_off:3 ~len;
+      let dst = contents m in
       Alcotest.(check string)
         "window round trip" (Bytes.sub_string src 17 len)
         (Bytes.sub_string dst 3 len);
@@ -162,15 +174,100 @@ let test_nvme_unwritten_reads_zero () =
       let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
       let vol = Result.get_ok (Nvme.create_volume ssd ~size:65536) in
       let zeros n = String.make n '\000' in
-      let dst = Bytes.make 9000 'x' in
+      let dst = membuf ssd (Bytes.make 9000 'x') in
       Nvme.blit ssd vol ~off:100 ~dst ~dst_off:0 ~len:9000;
-      Alcotest.(check string) "fresh volume" (zeros 9000) (Bytes.to_string dst);
+      Alcotest.(check string)
+        "fresh volume" (zeros 9000)
+        (Bytes.to_string (contents dst));
       ignore (write_bytes ssd vol ~off:4096 (Bytes.make 10 'w'));
       let back = Result.get_ok (read_bytes ssd vol ~off:4090 ~len:30) in
       Alcotest.(check string)
         "zeros around a write"
         (zeros 6 ^ String.make 10 'w' ^ zeros 14)
         (Bytes.to_string back))
+
+(* Host bytes allocated while [f] runs. *)
+let allocated f =
+  let a0 = Gc.allocated_bytes () in
+  let r = f () in
+  (Gc.allocated_bytes () -. a0, r)
+
+(* An unwritten range costs nothing to read into an unwritten buffer. *)
+let test_nvme_unwritten_keeps_dst_unwritten () =
+  with_node (fun node ->
+      let n = 4 lsl 20 in
+      let ssd = Nvme.create ~node ~config:cfg ~capacity:(2 * n) in
+      let vol = Result.get_ok (Nvme.create_volume ssd ~size:n) in
+      let dst = Membuf.create ~node n in
+      let bytes, () =
+        allocated (fun () -> Nvme.blit ssd vol ~off:0 ~dst ~dst_off:0 ~len:n)
+      in
+      check_bool
+        (Printf.sprintf "unwritten blit cost %.0f bytes" bytes)
+        true (bytes < 4096.);
+      check_bool "reads as zeros" true
+        (Bytes.equal (Membuf.read dst ~off:(n - 8) ~len:8) (Bytes.make 8 '\000')))
+
+(* A whole-volume write takes the slot's bytes: the slot comes back
+   unwritten, and neither a later store into it nor its reuse for
+   another write reaches what the volume holds. *)
+let test_nvme_whole_volume_write_moves () =
+  with_node (fun node ->
+      let n = 1 lsl 20 in
+      let ssd = Nvme.create ~node ~config:cfg ~capacity:(4 * n) in
+      let vol = Result.get_ok (Nvme.create_volume ssd ~size:n) in
+      let other = Result.get_ok (Nvme.create_volume ssd ~size:n) in
+      let data = Bytes.init n (fun i -> Char.chr ((i * 13) land 0xff)) in
+      let slot = membuf ssd data in
+      let bytes, r =
+        allocated (fun () -> Nvme.write ssd vol ~off:0 ~src:slot ~src_off:0 ~len:n)
+      in
+      (match r with Ok () -> () | Error e -> Alcotest.fail e);
+      check_bool
+        (Printf.sprintf "whole-volume write cost %.0f bytes" bytes)
+        true (bytes < 4096.);
+      check_bool "the slot comes back reading zeros" true
+        (Bytes.equal (contents slot) (Bytes.make n '\000'));
+      Membuf.fill slot 'S';
+      check_bool "a later store into the slot misses the volume" true
+        (Bytes.equal (Result.get_ok (read_bytes ssd vol ~off:0 ~len:n)) data);
+      ignore (Nvme.write ssd other ~off:0 ~src:slot ~src_off:0 ~len:n);
+      Membuf.write slot ~off:0 (Bytes.make 100 'T');
+      check_bool "reusing the slot for another volume misses it too" true
+        (Bytes.equal (Result.get_ok (read_bytes ssd vol ~off:0 ~len:n)) data);
+      check_bool "the other volume holds what was written to it" true
+        (Bytes.equal
+           (Result.get_ok (read_bytes ssd other ~off:0 ~len:n))
+           (Bytes.make n 'S')))
+
+(* A partial write copies: the source keeps its bytes and stays usable,
+   and stores into it afterwards miss the volume. *)
+let test_nvme_partial_write_copies () =
+  with_node (fun node ->
+      let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
+      let vol = Result.get_ok (Nvme.create_volume ssd ~size:8192) in
+      let cases =
+        [
+          ("shorter than the volume", 4096, 0, 4096);
+          ("at an offset", 8192, 4096, 4096);
+          ("from a larger buffer", 16384, 0, 8192);
+        ]
+      in
+      List.iter
+        (fun (what, size, off, len) ->
+          let data = Bytes.init size (fun i -> Char.chr ((i + size) land 0xff)) in
+          let src = membuf ssd data in
+          (match Nvme.write ssd vol ~off ~src ~src_off:0 ~len with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e);
+          check_bool (what ^ ": the source keeps its bytes") true
+            (Bytes.equal (contents src) data);
+          Membuf.fill src 'q';
+          check_bool (what ^ ": a later store misses the volume") true
+            (Bytes.equal
+               (Result.get_ok (read_bytes ssd vol ~off ~len))
+               (Bytes.sub data 0 len)))
+        cases)
 
 let test_nvme_volumes_isolated () =
   with_node (fun node ->
@@ -188,7 +285,7 @@ let test_nvme_bounds () =
   with_node (fun node ->
       let ssd = Nvme.create ~node ~config:cfg ~capacity:(1 lsl 20) in
       let vol = Result.get_ok (Nvme.create_volume ssd ~size:4096) in
-      let src = Bytes.make 200 'x' in
+      let src = membuf ssd (Bytes.make 200 'x') in
       List.iter
         (fun (what, r) ->
           match r with
@@ -200,7 +297,8 @@ let test_nvme_bounds () =
           ("read of negative length", Nvme.read ssd vol ~off:0 ~len:(-1));
           ( "write past volume end",
             Nvme.write ssd vol ~off:4000 ~src ~src_off:0 ~len:200 );
-          ("write at negative offset", write_bytes ssd vol ~off:(-1) src);
+          ( "write at negative offset",
+            Nvme.write ssd vol ~off:(-1) ~src ~src_off:0 ~len:200 );
           ( "write past its source",
             Nvme.write ssd vol ~off:0 ~src ~src_off:100 ~len:101 );
         ];
@@ -299,6 +397,12 @@ let () =
             test_nvme_unaligned_roundtrip;
           Alcotest.test_case "unwritten reads zero" `Quick
             test_nvme_unwritten_reads_zero;
+          Alcotest.test_case "unwritten keeps dst unwritten" `Quick
+            test_nvme_unwritten_keeps_dst_unwritten;
+          Alcotest.test_case "whole-volume write moves" `Quick
+            test_nvme_whole_volume_write_moves;
+          Alcotest.test_case "partial write copies" `Quick
+            test_nvme_partial_write_copies;
           Alcotest.test_case "bounds" `Quick test_nvme_bounds;
           Alcotest.test_case "capacity" `Quick test_nvme_capacity;
           Alcotest.test_case "read latency floor" `Quick
