@@ -16,8 +16,13 @@ module S = Storage_common
 let sizes = [ 4096; 16384; 65536; 262144; 1048576 ]
 let reps = 4
 
-(* Mean latency of [reps] ops at random offsets drawn from [rng]. *)
-let mean_lat rng ~len op =
+(* Mean latency of [reps] ops. Every stack times the same I/O sequence
+   for a given size, reads and writes alike: one untimed warm-up at
+   offset 0, then [reps] ops at random aligned offsets from a stream
+   seeded by the size. *)
+let mean_lat ~len op =
+  let rng = Prng.create ~seed:len in
+  op ~off:0;
   Bench_util.mean_of reps (fun _ ->
       let off = S.rand_off rng ~len in
       let t0 = Engine.now () in
@@ -27,33 +32,21 @@ let mean_lat rng ~len op =
 let fractos_lat ~write ~dax ~len =
   Tb.run (fun tb ->
       let st = S.fractos_setup tb in
-      let rng = Prng.create ~seed:(len + if write then 1 else 0) in
-      let op ~off =
-        if dax then S.dax_op st ~write ~off ~len
-        else if write then S.fs_write st ~off ~len
-        else S.fs_read st ~off ~len
-      in
-      op ~off:(S.rand_off rng ~len);
-      mean_lat rng ~len op)
+      mean_lat ~len (fun ~off ->
+          if dax then S.dax_op st ~write ~off ~len
+          else if write then S.fs_write st ~off ~len
+          else S.fs_read st ~off ~len))
 
 let disagg_lat ~write ~len =
   Tb.run (fun tb ->
       let st = S.disagg_setup tb in
-      let rng = Prng.create ~seed:len in
-      let op ~off = S.disagg_op st ~write ~off ~len in
-      op ~off:0;
-      mean_lat rng ~len op)
+      mean_lat ~len (S.disagg_op st ~write ~len))
 
 let local_lat ~write ~len =
   Engine.run (fun () ->
-      let fab = Net.Fabric.create () in
-      let l = S.local_setup fab in
-      let rng = Prng.create ~seed:len in
-      let op ~off =
-        if write then S.local_write l ~off ~len else S.local_read l ~off ~len
-      in
-      op ~off:0;
-      mean_lat rng ~len op)
+      let l = S.local_setup (Net.Fabric.create ()) in
+      mean_lat ~len (fun ~off ->
+          if write then S.local_write l ~off ~len else S.local_read l ~off ~len))
 
 (* One half of the figure: reads or writes, latency (usec) per stack. *)
 let half ~write ~title ~anchor =
