@@ -105,7 +105,7 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
     if written src then Bytes.blit src.data src_off (materialize dst) dst_off len
     else if written dst then Bytes.fill dst.data dst_off len '\000'
 
-let clear t = if t.size > 0 then t.data <- Bytes.empty
+let clear t = t.data <- Bytes.empty
 
 let move ~src ~dst =
   if src.size <> dst.size then invalid_arg "Membuf.move";
