@@ -13,10 +13,14 @@
 #    contract of HACKING.md);
 # 3. each workload must also pass under a crash-heavy spec;
 # 4. the ten-seed battery fanned over 4 OS domains (--seeds 1-10
-#    --domains 4) must match the single-domain battery byte for byte.
+#    --domains 4) must match the single-domain battery byte for byte;
+# 5. the ten-seed battery of every workload must print byte for byte as
+#    committed in bench/baselines/chaos.txt (each report carries its
+#    run's audit digest).
 set -eu
 
 fractos=$1
+golden=$(dirname "$0")/../bench/baselines/chaos.txt
 
 tmp=$(mktemp -d /tmp/fractos-chaos.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
@@ -82,6 +86,18 @@ fi
 if ! cmp -s "$tmp/battery-d1.txt" "$tmp/battery-d4.txt"; then
   echo "chaos seed battery diverges between domains=1 and domains=4:"
   diff "$tmp/battery-d1.txt" "$tmp/battery-d4.txt" || true
+  exit 1
+fi
+
+# The chaos golden: a change that moves any report on purpose
+# regenerates it (HACKING.md, "Fault injection and chaos repro") and says
+# why in CHANGES.md.
+echo "== chaos golden (bench/baselines/chaos.txt)"
+for wl in mixed faceverify fs copy xshard pd; do
+  "$fractos" chaos --seeds 1-10 --workload "$wl"
+done > "$tmp/chaos-golden.txt"
+if ! cmp "$tmp/chaos-golden.txt" "$golden"; then
+  diff "$tmp/chaos-golden.txt" "$golden" | head -40
   exit 1
 fi
 

@@ -13,11 +13,14 @@
 # 4. `run --audit` must print a capability lineage that reads
 #    delegate -> invoke -> revoke;
 # 5. a run that exhausts its capability-space quota must exit 1 with a
-#    one-line `fractos run: <error>`, not an uncaught exception.
+#    one-line `fractos run: <error>`, not an uncaught exception;
+# 6. `fractos run` must print byte for byte as committed in
+#    bench/baselines/run.txt.
 set -eu
 
 fractos=$1
 bench=$2
+run_golden=$(dirname "$0")/../bench/baselines/run.txt
 
 tmp=$(mktemp -d /tmp/fractos-smoke.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
@@ -93,6 +96,20 @@ if [ "$status" != 1 ] ||
    ! grep -q '^fractos run: .*quota exceeded' "$tmp/quota.err"; then
   echo "run -n 1100: exit $status, stderr:"
   cat "$tmp/quota.err"
+  exit 1
+fi
+
+# The run golden: a change that moves this output on purpose
+# regenerates it (HACKING.md, "Fault injection and chaos repro") and says
+# why in CHANGES.md.
+echo "== smoke: fractos run golden (bench/baselines/run.txt)"
+for args in "-n 8" "-n 8 --workload pd" "-n 4 --audit --journal"; do
+  echo "== fractos run $args"
+  # shellcheck disable=SC2086 # $args is a word list on purpose
+  "$fractos" run $args
+done > "$tmp/run-golden.txt"
+if ! cmp "$tmp/run-golden.txt" "$run_golden"; then
+  diff "$tmp/run-golden.txt" "$run_golden" | head -40
   exit 1
 fi
 
