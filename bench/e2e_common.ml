@@ -6,15 +6,14 @@
 
 open Fractos_sim
 module Net = Fractos_net
-module Dev = Fractos_device
 module Tb = Fractos_testbed.Testbed
 module Cluster = Fractos_testbed.Cluster
 module B = Fractos_baselines
 module Facedata = Fractos_workloads.Facedata
+module Scenario = Fractos_workloads.Scenario
 open Fractos_services
 
 let ok_exn = Fractos_core.Error.ok_exn
-let cfg = Net.Config.default
 let img_size = 4096
 
 (* Large enough that the baseline's page cache cannot hold a useful
@@ -33,15 +32,9 @@ type sys = {
 }
 
 let fractos ~placement ~max_batch ~depth tb =
-  let c = Cluster.make ~placement ~extent_size:(n_images * img_size) tb in
-  ok_exn
-    (Faceverify.populate_db c.Cluster.app ~fs:c.Cluster.fs_cap ~name:"facedb"
-       ~content:(Lazy.force db));
-  let fv =
-    ok_exn
-      (Faceverify.setup c.Cluster.app ~fs:c.Cluster.fs_cap
-         ~gpu_alloc:c.Cluster.gpu_alloc_cap ~gpu_load:c.Cluster.gpu_load_cap
-         ~db_name:"facedb" ~img_size ~max_batch ~depth)
+  let c, fv =
+    Scenario.faceverify tb ~placement ~db:(Lazy.force db) ~img_size ~max_batch
+      ~depth
   in
   {
     verify =
@@ -51,18 +44,10 @@ let fractos ~placement ~max_batch ~depth tb =
   }
 
 let baseline ~max_batch ~depth () =
-  let fab = Net.Fabric.create () in
-  let frontend = Net.Fabric.add_node fab ~name:"frontend" Net.Node.Host_cpu in
-  let nfs_server = Net.Fabric.add_node fab ~name:"nfs" Net.Node.Host_cpu in
-  let target = Net.Fabric.add_node fab ~name:"target" Net.Node.Wimpy_cpu in
-  let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
-  let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 30) in
-  let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 30) in
-  Dev.Gpu.load_kernel gpu Faceverify.kernel;
-  let fv =
+  let fv, fab =
     Result.get_ok
-      (B.Faceverify_baseline.setup ~fabric:fab ~frontend ~nfs_server ~ssd ~gpu
-         ~db:(Lazy.force db) ~img_size ~max_batch ~depth)
+      (B.Faceverify_baseline.build ~db:(Lazy.force db) ~img_size ~max_batch
+         ~depth)
   in
   {
     verify =

@@ -2,21 +2,16 @@
 # Chaos gate against an already-built fractos executable (no recursive
 # dune, so the @chaos alias can run this from a dune action):
 #   bin/chaos.sh <fractos.exe>
-# 1. `fractos chaos` must pass its post-quiescence invariants (no fiber
-#    deadlock, every request settles with Ok or a typed error, no
+# 1. the ten-seed battery of every scenario-table entry, under the
+#    default fault spec, must pass its post-quiescence invariants (no
+#    fiber deadlock, every request settles with Ok or a typed error, no
 #    pre-crash capability usable after reboot, live/tombstone accounting
-#    balances) on ten fixed seeds under the default fault spec, for the
-#    default mix and for each of the xshard, pd, fs, faceverify and copy
-#    workloads;
-# 2. in each of those batteries the same seed run twice must produce
-#    bit-identical reports (deterministic fault injection — the repro
-#    contract of HACKING.md);
-# 3. each workload must also pass under a crash-heavy spec;
-# 4. the ten-seed battery fanned over 4 OS domains (--seeds 1-10
-#    --domains 4) must match the single-domain battery byte for byte;
-# 5. the ten-seed battery of every workload must print byte for byte as
-#    committed in bench/baselines/chaos.txt (each report carries its
-#    run's audit digest).
+#    balances) and print byte for byte as committed in
+#    bench/baselines/chaos.txt (each report carries its run's audit
+#    digest, so this is also the determinism check of HACKING.md);
+# 2. each entry must also pass under a crash-heavy spec;
+# 3. the ten-seed battery fanned over 4 OS domains (--seeds 1-10
+#    --domains 4) must match the single-domain battery byte for byte.
 set -eu
 
 fractos=$1
@@ -25,38 +20,34 @@ golden=$(dirname "$0")/../bench/baselines/chaos.txt
 tmp=$(mktemp -d /tmp/fractos-chaos.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
 
-# battery NAME [ARGS...]: `fractos chaos ARGS` must pass on ten fixed
-# seeds, and seed 1 run twice must give byte-identical reports.
-battery() {
-  name=$1
-  shift
-  echo "== chaos: 10 fixed seeds, $name"
-  for seed in 1 2 3 4 5 6 7 8 9 10; do
-    if ! "$fractos" chaos --seed "$seed" "$@" > "$tmp/$name$seed.txt" 2>&1
-    then
-      echo "chaos $name seed $seed FAILED:"
-      cat "$tmp/$name$seed.txt"
-      exit 1
-    fi
-  done
-  echo "== chaos: $name determinism (seed 1 twice, byte-identical)"
-  "$fractos" chaos --seed 1 "$@" > "$tmp/$name-again.txt"
-  if ! cmp -s "$tmp/${name}1.txt" "$tmp/$name-again.txt"; then
-    echo "chaos $name run is not deterministic for seed 1:"
-    diff "$tmp/${name}1.txt" "$tmp/$name-again.txt" || true
+# The scenario table's entry names, in table order, as the
+# unknown-workload error lists them ("... (one of: a, b, c)").
+workloads=$("$fractos" chaos --workload '?' 2>&1 >/dev/null |
+  sed -n 's/.*(one of: \(.*\))$/\1/p' | tr -d ,)
+if [ -z "$workloads" ]; then
+  echo "fractos chaos --workload '?' did not list the scenario table"
+  exit 1
+fi
+
+# The chaos golden: a change that moves any report on purpose
+# regenerates it (HACKING.md, "Fault injection and chaos repro") and says
+# why in CHANGES.md.
+echo "== chaos: 10 fixed seeds per workload vs bench/baselines/chaos.txt"
+for wl in $workloads; do
+  if ! "$fractos" chaos --seeds 1-10 --workload "$wl" >> "$tmp/golden.txt"
+  then
+    echo "chaos $wl FAILED:"
+    cat "$tmp/golden.txt"
     exit 1
   fi
-}
-
-battery default
-battery xshard --workload xshard
-battery pd --workload pd
-battery fs --workload fs
-battery faceverify --workload faceverify
-battery copy --workload copy
+done
+if ! cmp "$tmp/golden.txt" "$golden"; then
+  diff "$tmp/golden.txt" "$golden" | head -40
+  exit 1
+fi
 
 echo "== chaos: crash-heavy spec, per-workload"
-for wl in faceverify fs mixed copy xshard pd; do
+for wl in $workloads; do
   if ! "$fractos" chaos --seed 2 --workload "$wl" \
       --faults "crash=1,reboot=200us,horizon=500us" > "$tmp/$wl.txt" 2>&1
   then
@@ -86,18 +77,6 @@ fi
 if ! cmp -s "$tmp/battery-d1.txt" "$tmp/battery-d4.txt"; then
   echo "chaos seed battery diverges between domains=1 and domains=4:"
   diff "$tmp/battery-d1.txt" "$tmp/battery-d4.txt" || true
-  exit 1
-fi
-
-# The chaos golden: a change that moves any report on purpose
-# regenerates it (HACKING.md, "Fault injection and chaos repro") and says
-# why in CHANGES.md.
-echo "== chaos golden (bench/baselines/chaos.txt)"
-for wl in mixed faceverify fs copy xshard pd; do
-  "$fractos" chaos --seeds 1-10 --workload "$wl"
-done > "$tmp/chaos-golden.txt"
-if ! cmp "$tmp/chaos-golden.txt" "$golden"; then
-  diff "$tmp/chaos-golden.txt" "$golden" | head -40
   exit 1
 fi
 

@@ -1,7 +1,7 @@
 (* The fractos CLI: run simulated FractOS scenarios from the command line.
 
    Subcommands:
-     fractos run        end-to-end face-verification scenario
+     fractos run        an end-to-end scenario from Workloads.Scenario
      fractos primitives core-primitive latencies (null op, RPC, copy)
      fractos chaos      seeded fault injection against real workloads
      fractos config     print the fabric/device calibration constants *)
@@ -13,31 +13,18 @@ module Obs = Fractos_obs
 module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 module Cluster = Fractos_testbed.Cluster
-module Facedata = Fractos_workloads.Facedata
+module Scenario = Fractos_workloads.Scenario
 open Fractos_services
 
 let ok_exn = Core.Error.ok_exn
 
-let placement_conv =
-  let parse = function
-    | "cpu" -> Ok Tb.Ctrl_cpu
-    | "snic" -> Ok Tb.Ctrl_snic
-    | "shared" -> Ok Tb.Ctrl_shared
-    | s -> Error (`Msg (Printf.sprintf "unknown placement %S" s))
-  in
-  let print fmt p =
-    Format.pp_print_string fmt
-      (match p with
-      | Tb.Ctrl_cpu -> "cpu"
-      | Tb.Ctrl_snic -> "snic"
-      | Tb.Ctrl_shared -> "shared")
-  in
-  Arg.conv (parse, print)
+let placements =
+  [ ("cpu", Tb.Ctrl_cpu); ("snic", Tb.Ctrl_snic); ("shared", Tb.Ctrl_shared) ]
 
 let placement =
   Arg.(
     value
-    & opt placement_conv Tb.Ctrl_cpu
+    & opt (enum placements) Tb.Ctrl_cpu
     & info [ "p"; "placement" ] ~docv:"PLACEMENT"
         ~doc:"Controller placement: cpu, snic or shared.")
 
@@ -99,6 +86,11 @@ let journal_cap =
         ~doc:"Flight-recorder ring capacity; overflow drops the oldest \
               events and is counted per severity.")
 
+let start_journal cap =
+  Obs.Journal.reset ();
+  Obs.Journal.set_capacity cap;
+  Obs.Journal.set_enabled true
+
 let artifacts_dir =
   Arg.(
     value & opt (some string) None
@@ -108,79 +100,40 @@ let artifacts_dir =
               timeline) into $(docv) for later $(b,fractos analyze) / \
               $(b,fractos diff).")
 
-let placement_name = function
-  | Tb.Ctrl_cpu -> "cpu"
-  | Tb.Ctrl_snic -> "snic"
-  | Tb.Ctrl_shared -> "shared"
-
 (* ---------------- run ---------------------------------------------- *)
+
+(* Every entry of the scenario table, for the --workload docs. *)
+let workload_doc =
+  String.concat ", "
+    (List.map
+       (fun e ->
+         Printf.sprintf "$(b,%s) (%s)" (Scenario.name e) (Scenario.title e))
+       Scenario.all)
+
+let scenario cmd name =
+  match Scenario.find name with
+  | Ok e -> e
+  | Error msg ->
+    Format.eprintf "fractos %s: %s@." cmd msg;
+    exit 2
 
 let run_workload =
   Arg.(
     value
     & opt string "faceverify"
     & info [ "workload" ] ~docv:"W"
-        ~doc:"Scenario to run: $(b,faceverify) (end-to-end face \
-              verification) or $(b,pd) (disaggregated prefill/decode \
-              inference with KV-state handoff between instances).")
+        ~doc:("Scenario to run: " ^ workload_doc ^ "."))
 
-(* Disaggregated prefill/decode inference: the canonical cluster hosts
-   prefill instances on the GPU and storage controllers and decode
-   instances on the FS and GPU controllers; each seeded request runs
-   prompt pass -> third-party KV copy -> streamed decode, routed by the
-   configured policy, and reports time-to-first-token vs total latency. *)
-let run_pd_cmd placement requests seed =
-  let module Pd = Fractos_workloads.Pd in
-  Obs.Metrics.reset ();
-  Tb.run (fun tb ->
-      let c = Cluster.make ~placement tb in
-      let setup node = { Tb.node; ctrl = Tb.ctrl_on tb node } in
-      let pool =
-        Pd.deploy tb
-          ~prefill:[ setup c.Cluster.gpu_node; setup c.Cluster.storage_node ]
-          ~decode:[ setup c.Cluster.fs_node; setup c.Cluster.gpu_node ]
-          ()
-      in
-      let client = Pd.attach pool c.Cluster.app in
-      let rng = Prng.create ~seed in
-      Format.printf
-        "prefill/decode disaggregation on FractOS: %d requests, 2 prefill + \
-         2 decode instances, policy %s@."
-        requests (Router.policy_to_string Pd.policy);
-      let ttfts = ref [] and totals = ref [] in
-      for r = 1 to requests do
-        let prefix = Prng.int rng 4 in
-        let prompt_len = 64 * (1 + Prng.int rng 4) in
-        let kv_len = 256 * prompt_len in
-        let iters = 2 + Prng.int rng 6 in
-        match
-          Pd.request client ~prefix ~prompt_len ~kv_len ~iters
-            ~timeout:(Time.ms 50) ()
-        with
-        | Ok o ->
-          ttfts := o.Pd.o_ttft :: !ttfts;
-          totals := o.Pd.o_latency :: !totals;
-          Format.printf
-            "  request %2d: prompt %4d  kv %8d B  iters %d  p%d->d%d  ttft \
-             %-10s total %s@."
-            r prompt_len kv_len iters o.Pd.o_prefill o.Pd.o_decode
-            (Time.to_string o.Pd.o_ttft)
-            (Time.to_string o.Pd.o_latency)
-        | Error e ->
-          Format.printf "  request %2d: error %s@." r (Core.Error.to_string e)
-      done;
-      let mean = function
-        | [] -> 0
-        | l -> List.fold_left ( + ) 0 l / List.length l
-      in
-      Format.printf "@.mean ttft %s  mean total %s  (%d/%d ok)@."
-        (Time.to_string (mean !ttfts))
-        (Time.to_string (mean !totals))
-        (List.length !totals) requests)
-
-let run_faceverify_cmd placement batch requests seed trace_json metrics
+(* Requests go one at a time, round-robin over two clients (a mixed
+   entry alternates its two halves), and all draw from one seeded
+   stream. *)
+let run_cmd workload placement batch requests seed trace_json metrics
     breakdown audit journal journal_cap artifacts =
-  let img_size = 4096 and n_images = 4096 in
+  let entry = scenario "run" workload in
+  let dims =
+    { Scenario.img_size = 4096; n_images = 4096; batch; depth = 2;
+      clients = 2; timeout = Time.ms 50 }
+  in
   (* artifact capture needs the journal recording even when the user did
      not ask for the post-mortem dump *)
   let journal_on = journal || artifacts <> None in
@@ -191,142 +144,81 @@ let run_faceverify_cmd placement batch requests seed trace_json metrics
     Obs.Audit.reset ();
     Obs.Audit.set_enabled true
   end;
-  if journal_on then begin
-    Obs.Journal.reset ();
-    Obs.Journal.set_capacity journal_cap;
-    Obs.Journal.set_enabled true
-  end;
-  Tb.run (fun tb ->
-      let c = Cluster.make ~placement ~extent_size:(n_images * img_size) tb in
-      let db = Facedata.db ~img_size ~n:n_images in
-      ok_exn
-        (Faceverify.populate_db c.Cluster.app ~fs:c.Cluster.fs_cap
-           ~name:"facedb" ~content:db);
-      let fv =
-        ok_exn
-          (Faceverify.setup c.Cluster.app ~fs:c.Cluster.fs_cap
-             ~gpu_alloc:c.Cluster.gpu_alloc_cap
-             ~gpu_load:c.Cluster.gpu_load_cap ~db_name:"facedb" ~img_size
-             ~max_batch:batch ~depth:2)
-      in
-      let rng = Prng.create ~seed in
-      Format.printf "face-verification on FractOS: %d requests, batch %d@."
-        requests batch;
-      Net.Stats.reset (Cluster.stats c);
-      (* trace the request phase only: setup (db population) would dwarf it *)
-      if trace_json <> None || breakdown || artifacts <> None then begin
-        Obs.Span.reset ();
-        Obs.Span.set_enabled true
-      end;
-      for r = 1 to requests do
-        let start_id = Prng.int rng (n_images - batch) in
-        let probes =
-          Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:5
-        in
-        let t0 = Engine.now () in
-        let flags =
-          Obs.Span.with_ ~node:"app" ~name:"request"
-            ~attrs:[ ("id", string_of_int r) ]
-            (fun () -> ok_exn (Faceverify.verify fv ~start_id ~batch ~probes))
-        in
-        let latency = Engine.now () - t0 in
-        let matches =
-          Bytes.fold_left
-            (fun acc c -> if c = '\001' then acc + 1 else acc)
-            0 flags
-        in
-        Format.printf "  request %2d: ids %5d..%5d  %2d/%2d genuine  %s@." r
-          start_id
-          (start_id + batch - 1)
-          matches batch (Time.to_string latency)
-      done;
-      Format.printf "@.%a@." Net.Stats.pp_census
-        (Net.Stats.census (Cluster.stats c));
-      if metrics then Format.printf "@.%a" Obs.Metrics.pp ();
-      if breakdown then begin
-        Obs.Span.set_enabled false;
-        Format.printf "@.%a" Obs.Analysis.pp_report
-          (Obs.Analysis.analyze ~root_name:"request" ())
-      end;
-      (match trace_json with
-      | Some path -> (
-        Obs.Span.set_enabled false;
-        try
-          Obs.Export.write_chrome_trace path;
-          Format.printf "@.wrote %d spans to %s@." (Obs.Span.count ()) path
-        with Sys_error msg ->
-          Format.eprintf "@.fractos: cannot write trace: %s@." msg;
-          exit 1)
-      | None -> ());
-      if audit then begin
-        (* teardown: revoke the app's FS service capability, so the log
-           closes with the full delegate -> invoke -> revoke lineage *)
-        ignore (Core.Api.cap_revoke (Svc.proc c.Cluster.app) c.Cluster.fs_cap);
-        Obs.Audit.set_enabled false;
-        let module Au = Obs.Audit in
-        Format.printf "@.capability audit log: %d events retained (%d evicted)@."
-          (Au.count ()) (Au.evicted ());
-        List.iter
-          (fun (k, n) -> Format.printf "  %-18s %d@." (Au.kind_name k) n)
-          (Au.summary ());
-        let revoked =
-          List.filter
-            (fun (e : Au.event) -> e.Au.au_kind = Au.Revoke)
-            (Au.events ())
-        in
-        let interesting =
-          List.filter
-            (fun (e : Au.event) ->
-              let l = Au.lineage ~ctrl:e.Au.au_ctrl ~oid:e.Au.au_oid in
-              List.exists (fun (x : Au.event) -> x.Au.au_kind = Au.Delegate) l
-              && List.exists (fun (x : Au.event) -> x.Au.au_kind = Au.Invoke) l)
-            revoked
-        in
-        match (interesting, revoked) with
-        | e :: _, _ | [], e :: _ ->
-          Format.printf "@.lineage of obj(c%d.e%d.%d):@." e.Au.au_ctrl
-            e.Au.au_epoch e.Au.au_oid;
-          let l = Au.lineage ~ctrl:e.Au.au_ctrl ~oid:e.Au.au_oid in
-          let n = List.length l in
-          List.iteri
-            (fun i ev ->
-              if i < 10 || i >= n - 5 then
-                Format.printf "  %a@." Au.pp_event ev
-              else if i = 10 then
-                Format.printf "  ... (%d more events) ...@." (n - 15))
-            l
-        | [], [] -> Format.printf "@.no revocation events recorded@."
-      end;
-      if journal_on then Obs.Journal.set_enabled false;
-      if journal then Format.printf "@.%a" Obs.Journal.dump ();
-      (match artifacts with
-      | Some dir ->
-        Obs.Span.set_enabled false;
-        Obs.Artifacts.save ~dir
-          ~meta:
-            [
-              ("scenario", "run");
-              ("placement", placement_name placement);
-              ("batch", string_of_int batch);
-              ("requests", string_of_int requests);
-              ("seed", string_of_int seed);
-              ("elapsed_ns", string_of_int (Engine.now ()));
-            ]
-          ();
-        Format.printf "@.saved run artifacts to %s/@." dir
-      | None -> ()))
-
-let run_cmd workload placement batch requests seed trace_json metrics
-    breakdown audit journal journal_cap artifacts =
+  if journal_on then start_journal journal_cap;
   try
-    match workload with
-    | "pd" -> run_pd_cmd placement requests seed
-    | "faceverify" ->
-      run_faceverify_cmd placement batch requests seed trace_json metrics
-        breakdown audit journal journal_cap artifacts
-    | w ->
-      Format.eprintf "fractos run: unknown workload %S (faceverify or pd)@." w;
-      exit 2
+    Tb.run ~config:(Scenario.config entry Net.Config.default) (fun tb ->
+        let sc = Scenario.deploy entry dims ~placement tb in
+        let c = sc.Scenario.cluster in
+        let rng = Prng.create ~seed in
+        Format.printf "%s on FractOS: %d requests%s@." (Scenario.title entry)
+          requests sc.Scenario.detail;
+        Net.Stats.reset (Cluster.stats c);
+        (* trace the request phase only: setup (db population) would
+           dwarf it *)
+        if trace_json <> None || breakdown || artifacts <> None then begin
+          Obs.Span.reset ();
+          Obs.Span.set_enabled true
+        end;
+        for r = 1 to requests do
+          let client = sc.Scenario.client ((r - 1) mod dims.Scenario.clients) in
+          match
+            Obs.Span.with_ ~node:"app" ~name:"request"
+              ~attrs:[ ("id", string_of_int r) ]
+              (client.Scenario.request rng)
+          with
+          | Ok { Scenario.line; bad = None } ->
+            Format.printf "  request %2d: %s@." r line
+          | Ok { Scenario.bad = Some why; _ } ->
+            Format.printf "@?";
+            Format.eprintf "fractos run: request %d: %s@." r why;
+            exit 1
+          | Error e -> raise (Core.Error.Fractos e)
+        done;
+        Format.printf "@.%s@." (sc.Scenario.summary ());
+        if metrics then Format.printf "@.%a" Obs.Metrics.pp ();
+        if breakdown then begin
+          Obs.Span.set_enabled false;
+          Format.printf "@.%a" Obs.Analysis.pp_report
+            (Obs.Analysis.analyze ~root_name:"request" ())
+        end;
+        (match trace_json with
+        | Some path -> (
+          Obs.Span.set_enabled false;
+          try
+            Obs.Export.write_chrome_trace path;
+            Format.printf "@.wrote %d spans to %s@." (Obs.Span.count ()) path
+          with Sys_error msg ->
+            Format.eprintf "@.fractos: cannot write trace: %s@." msg;
+            exit 1)
+        | None -> ());
+        if audit then begin
+          (* teardown: revoke the app's FS service capability, so the log
+             closes with the full delegate -> invoke -> revoke lineage *)
+          ignore
+            (Core.Api.cap_revoke (Svc.proc c.Cluster.app) c.Cluster.fs_cap);
+          Obs.Audit.set_enabled false;
+          Format.printf "@.%a" Obs.Audit.dump ()
+        end;
+        if journal_on then Obs.Journal.set_enabled false;
+        if journal then Format.printf "@.%a" Obs.Journal.dump ();
+        match artifacts with
+        | Some dir ->
+          Obs.Span.set_enabled false;
+          Obs.Artifacts.save ~dir
+            ~meta:
+              [
+                ("scenario", "run");
+                ("workload", Scenario.name entry);
+                ( "placement",
+                  fst (List.find (fun (_, p) -> p = placement) placements) );
+                ("batch", string_of_int batch);
+                ("requests", string_of_int requests);
+                ("seed", string_of_int seed);
+                ("elapsed_ns", string_of_int (Engine.now ()));
+              ]
+            ();
+          Format.printf "@.saved run artifacts to %s/@." dir
+        | None -> ())
   with Core.Error.Fractos e ->
     Format.printf "@?";
     Format.eprintf "fractos run: %s@." (Core.Error.to_string e);
@@ -413,16 +305,7 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
       Format.eprintf "fractos chaos: bad --faults spec: %s@." msg;
       exit 2
   in
-  let workload =
-    match F.Chaos.workload_of_string workload with
-    | Some w -> w
-    | None ->
-      Format.eprintf
-        "fractos chaos: unknown workload %S (faceverify, fs, mixed, copy, \
-         xshard or pd)@."
-        workload;
-      exit 2
-  in
+  let workload = scenario "chaos" workload in
   let sampling =
     match (sample_keep, sample_threshold_us) with
     | None, None -> None
@@ -443,11 +326,7 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
           Buffer.add_char buf '\n')
         fmt
     in
-    if journal then begin
-      Obs.Journal.reset ();
-      Obs.Journal.set_capacity journal_cap;
-      Obs.Journal.set_enabled true
-    end;
+    if journal then start_journal journal_cap;
     let report =
       F.Chaos.run ~clients ~requests ~workload ?sampling ~spec ~seed ()
     in
@@ -488,14 +367,12 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
        byte-identical for any domain count. *)
     let seeds = parse_seeds sspec in
     let outputs = Domains.map ~domains ~prepare:(fun () -> ()) run_one seeds in
-    let all_ok = ref true in
     List.iter2
-      (fun sd (out, ok) ->
+      (fun sd (out, _) ->
         Printf.printf "=== chaos seed %d ===\n" sd;
-        print_string out;
-        if not ok then all_ok := false)
+        print_string out)
       seeds outputs;
-    if not !all_ok then exit 1
+    if not (List.for_all snd outputs) then exit 1
 
 (* ---------------- config ------------------------------------------- *)
 
@@ -735,9 +612,7 @@ let gate_cmd fresh baseline tolerance emit scale out =
 let run_t =
   Cmd.v
     (Cmd.info "run"
-       ~doc:
-         "Run an end-to-end scenario (face verification, or disaggregated \
-          prefill/decode inference with --workload pd)")
+       ~doc:"Run an end-to-end scenario from the scenario table")
     Term.(
       const run_cmd $ run_workload $ placement $ batch $ requests $ seed
       $ trace_json $ metrics $ breakdown $ audit $ journal $ journal_cap
@@ -897,9 +772,7 @@ let chaos_t =
     Arg.(
       value & opt string "mixed"
       & info [ "workload" ] ~docv:"W"
-          ~doc:"Workload mix: faceverify, fs, mixed, copy, xshard \
-                (cross-shard battery on a sharded capability space) or pd \
-                (disaggregated prefill/decode inference).")
+          ~doc:("Workload: " ^ workload_doc ^ "."))
   in
   let clients =
     Arg.(

@@ -15,7 +15,10 @@
 # 5. a run that exhausts its capability-space quota must exit 1 with a
 #    one-line `fractos run: <error>`, not an uncaught exception;
 # 6. `fractos run` must print byte for byte as committed in
-#    bench/baselines/run.txt.
+#    bench/baselines/run.txt;
+# 7. `fractos run -n 2 --workload W` must pass for every entry W of the
+#    scenario table, and `run --workload pd --trace-json` must write a
+#    trace with one root `request` span per request.
 set -eu
 
 fractos=$1
@@ -44,6 +47,33 @@ else
   # contain the invoke spans.
   grep -q '"traceEvents"' "$tmp/fv.json"
   grep -q '"ctrl.invoke"' "$tmp/fv.json"
+fi
+
+# The scenario table's entry names, as the unknown-workload error lists
+# them ("... (one of: a, b, c)").
+workloads=$("$fractos" run --workload '?' 2>&1 >/dev/null |
+  sed -n 's/.*(one of: \(.*\))$/\1/p' | tr -d ,)
+if [ -z "$workloads" ]; then
+  echo "fractos run --workload '?' did not list the scenario table"
+  exit 1
+fi
+for wl in $workloads; do
+  echo "== smoke: fractos run -n 2 --workload $wl"
+  "$fractos" run -n 2 --workload "$wl" >/dev/null
+done
+
+echo "== smoke: fractos run --workload pd --trace-json"
+"$fractos" run -n 2 --workload pd --trace-json "$tmp/pd.json" >/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$tmp/pd.json" <<'EOF'
+import json, sys
+evs = json.load(open(sys.argv[1]))["traceEvents"]
+roots = [e for e in evs if e.get("name") == "request" and e.get("ph") == "B"
+         and e.get("args", {}).get("parent") == "0"]
+assert len(roots) == 2, f"want 2 root request spans, got {len(roots)}"
+EOF
+else
+  grep -q '"name": *"request"' "$tmp/pd.json"
 fi
 
 echo "== smoke: bench fig5 --breakdown"

@@ -14,87 +14,63 @@
 open Fractos_sim
 module Net = Fractos_net
 module Core = Fractos_core
-module Dev = Fractos_device
 module Tb = Fractos_testbed.Testbed
 module Cluster = Fractos_testbed.Cluster
 module B = Fractos_baselines
 module Facedata = Fractos_workloads.Facedata
+module Scenario = Fractos_workloads.Scenario
 open Fractos_services
 
 let img_size = 4096 (* a small "photo" *)
 let n_images = 4096
 let batch = 4
 let requests = 8
-let cfg = Net.Config.default
 let ok_exn = Core.Error.ok_exn
+
+(* Mean latency of [requests] checked verifications, then the traffic
+   census and per-link bytes: steady state only, set-up excluded. *)
+let measure verify stats =
+  Net.Stats.reset stats;
+  let total = ref 0 in
+  let rng = Prng.create ~seed:7 in
+  for _ = 0 to requests - 1 do
+    let start_id = Prng.int rng (n_images - batch) in
+    let probes =
+      Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:4
+    in
+    let t0 = Engine.now () in
+    let flags = verify ~start_id ~probes in
+    total := !total + (Engine.now () - t0);
+    assert (
+      Bytes.equal flags (Facedata.expected_matches ~batch ~impostor_every:4))
+  done;
+  (!total / requests, Net.Stats.census stats, Net.Stats.per_link stats)
 
 let run_fractos () =
   Tb.run (fun tb ->
-      let c = Cluster.make ~extent_size:(n_images * img_size) tb in
-      let db = Facedata.db ~img_size ~n:n_images in
-      ok_exn (Faceverify.populate_db c.Cluster.app ~fs:c.Cluster.fs_cap
-                ~name:"facedb" ~content:db);
-      let fv =
-        ok_exn
-          (Faceverify.setup c.Cluster.app ~fs:c.Cluster.fs_cap
-             ~gpu_alloc:c.Cluster.gpu_alloc_cap
-             ~gpu_load:c.Cluster.gpu_load_cap ~db_name:"facedb" ~img_size
-             ~max_batch:batch ~depth:2)
+      let c, fv =
+        Scenario.faceverify tb ~placement:Tb.Ctrl_cpu
+          ~db:(Facedata.db ~img_size ~n:n_images)
+          ~img_size ~max_batch:batch ~depth:2
       in
-      (* measure steady state only *)
-      Net.Stats.reset (Cluster.stats c);
-      let total = ref 0 in
-      let rng = Prng.create ~seed:7 in
-      for _ = 0 to requests - 1 do
-        let start_id = Prng.int rng (n_images - batch) in
-        let probes =
-          Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:4
-        in
-        let t0 = Engine.now () in
-        let flags = ok_exn (Faceverify.verify fv ~start_id ~batch ~probes) in
-        total := !total + (Engine.now () - t0);
-        assert (
-          Bytes.equal flags (Facedata.expected_matches ~batch ~impostor_every:4))
-      done;
-      ( !total / requests,
-        Net.Stats.census (Cluster.stats c),
-        Net.Stats.per_link (Cluster.stats c) ))
+      measure
+        (fun ~start_id ~probes ->
+          ok_exn (Faceverify.verify fv ~start_id ~batch ~probes))
+        (Cluster.stats c))
 
 let run_baseline () =
   Engine.run (fun () ->
-      let fab = Net.Fabric.create () in
-      let frontend = Net.Fabric.add_node fab ~name:"frontend" Net.Node.Host_cpu in
-      let nfs_server = Net.Fabric.add_node fab ~name:"nfs" Net.Node.Host_cpu in
-      let target = Net.Fabric.add_node fab ~name:"target" Net.Node.Wimpy_cpu in
-      let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
-      let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 30) in
-      let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 30) in
-      Dev.Gpu.load_kernel gpu Faceverify.kernel;
-      let db = Facedata.db ~img_size ~n:n_images in
-      let fv =
+      let fv, fab =
         Result.get_ok
-          (B.Faceverify_baseline.setup ~fabric:fab ~frontend ~nfs_server ~ssd
-             ~gpu ~db ~img_size ~max_batch:batch ~depth:2)
+          (B.Faceverify_baseline.build
+             ~db:(Facedata.db ~img_size ~n:n_images)
+             ~img_size ~max_batch:batch ~depth:2)
       in
-      Net.Stats.reset (Net.Fabric.stats fab);
-      let total = ref 0 in
-      let rng = Prng.create ~seed:7 in
-      for _ = 0 to requests - 1 do
-        let start_id = Prng.int rng (n_images - batch) in
-        let probes =
-          Facedata.probe_batch ~img_size ~start_id ~batch ~impostor_every:4
-        in
-        let t0 = Engine.now () in
-        let flags =
-          Result.get_ok (B.Faceverify_baseline.verify fv ~start_id ~batch ~probes)
-        in
-        total := !total + (Engine.now () - t0);
-        assert (
-          Bytes.equal flags (Facedata.expected_matches ~batch ~impostor_every:4))
-      done;
-      ( !total / requests,
-        Net.Stats.census (Net.Fabric.stats fab),
-        Net.Stats.per_link (Net.Fabric.stats fab) ))
+      measure
+        (fun ~start_id ~probes ->
+          Result.get_ok
+            (B.Faceverify_baseline.verify fv ~start_id ~batch ~probes))
+        (Net.Fabric.stats fab))
 
 let link_bytes links a b =
   match List.assoc_opt (a, b) links with Some (_, bytes) -> bytes | None -> 0

@@ -52,6 +52,22 @@ let setup ~fabric ~frontend ~nfs_server ~ssd ~gpu ~db ~img_size ~max_batch
     | Error _ as e -> e
     | Ok () -> Ok { nfs; rcuda; img_size; max_batch; slots })
 
+let build ~db ~img_size ~max_batch ~depth =
+  let config = Net.Config.default in
+  let fabric = Net.Fabric.create () in
+  let host name kind = Net.Fabric.add_node fabric ~name kind in
+  let frontend = host "frontend" Net.Node.Host_cpu in
+  let nfs_server = host "nfs" Net.Node.Host_cpu in
+  let target = host "target" Net.Node.Wimpy_cpu in
+  let gpu_node = host "gpu" Net.Node.Host_cpu in
+  let ssd = Device.Nvme.create ~node:target ~config ~capacity:(1 lsl 30) in
+  let gpu = Device.Gpu.create ~node:gpu_node ~config ~mem_bytes:(1 lsl 30) in
+  Device.Gpu.load_kernel gpu Services.Faceverify.kernel;
+  Result.map
+    (fun t -> (t, fabric))
+    (setup ~fabric ~frontend ~nfs_server ~ssd ~gpu ~db ~img_size ~max_batch
+       ~depth)
+
 let verify t ~start_id ~batch ~probes =
   if batch > t.max_batch then Error "batch too large"
   else begin

@@ -29,6 +29,17 @@ val setup :
 (** Provision the volume with the database bytes, mount NFS, connect
     rCUDA, and pre-allocate [depth] GPU buffer sets. *)
 
+val build :
+  db:bytes ->
+  img_size:int ->
+  max_batch:int ->
+  depth:int ->
+  (t * Net.Fabric.t, string) result
+(** The stack of §6.5 on a fresh 4-node fabric at the default
+    calibration: a frontend, an NFS server, an NVMe-oF target (wimpy CPU)
+    with a 1 GiB SSD, and a GPU node with 1 GiB of device memory and the
+    face-verification kernel; then {!setup}. Runs inside a simulation. *)
+
 val verify :
   t -> start_id:int -> batch:int -> probes:bytes -> (bytes, string) result
 (** One verification request on the baseline stack. Blocking; up to

@@ -1,49 +1,19 @@
 (** Randomized chaos harness: run real workloads under a seeded fault plan
     and check the failure-to-revocation invariants afterwards.
 
-    One chaos run stands up the canonical 3-node cluster, populates a face
-    database and per-client files {e before} faults arm, expands the spec
-    into a {!Plan.t}, installs it with {!Inject.install}, then drives client
-    fibers that mix face-verification and file-system traffic through
-    {!Retry.run}. After the clients drain and the fabric hook is removed,
-    the run settles and {!Invariants.check} cross-references controller
-    state against the audit log.
+    One chaos run deploys a {!Fractos_workloads.Scenario} entry on the
+    canonical 4-node cluster (app, storage, fs and gpu) {e before} faults
+    arm, expands the spec into a {!Plan.t}, installs it with
+    {!Inject.install}, then drives client fibers whose requests go through
+    {!Retry.run}, with the entry's refresh on a stale capability and its
+    output check on every completion. After the clients drain and the
+    fabric hook is removed, the run settles and {!Invariants.check}
+    cross-references controller state against the audit log.
 
     Everything — plan expansion, per-message faults, workload choices — is
     driven by splitmix64 streams derived from [seed], so a given
     [(seed, spec, workload, clients, requests)] reproduces bit-for-bit:
     same report text, same audit digest. *)
-
-type workload =
-  | Faceverify
-  | Fs
-  | Mixed
-  | Copy
-      (** Per-client third-party [memory_copy] of a pattern-filled buffer
-          from the app node to a destination behind the storage controller,
-          with post-completion byte-equality checking — exercises the copy
-          engine's session, credit and reorder paths under faults. *)
-  | Xshard
-      (** Cross-shard battery: the cluster's controllers are formed into
-          one sharded capability space ({!Fractos_testbed.Testbed.shard_all})
-          with {!Net.Config.shard_placement} forced on. Odd clients issue
-          third-party copies whose caller, source object and destination
-          object live behind three different shards; even clients drive the
-          faceverify pipeline, whose derived Requests scatter under
-          placement. Invariants pass 6 (directory coherence) then proves no
-          orphaned directory entries survive the fault plan. *)
-  | Pd
-      (** Disaggregated prefill/decode inference ({!Fractos_workloads.Pd}):
-          prefill instances on the GPU and storage controllers, decode
-          instances on the FS and GPU controllers; every request runs
-          prompt pass -> KV-state handoff via third-party copy -> streamed
-          decode, routed by {!Fractos_services.Router}. A crashed instance
-          must surface typed errors at the client ([Stale] /
-          [Provider_dead] / [Ctrl_unreachable] / [Timeout]) and be routed
-          around on retry — never hang a request. *)
-
-val workload_to_string : workload -> string
-val workload_of_string : string -> workload option
 
 type sampling_summary = {
   s_seen : int;  (** requests the sampler decided over *)
@@ -59,7 +29,7 @@ type sampling_summary = {
 
 type report = {
   r_seed : int;
-  r_workload : workload;
+  r_workload : string;  (** the scenario entry's name *)
   r_spec : string;  (** canonical [Spec.to_string] rendering *)
   r_plan : string list;  (** [Plan.to_lines] of the expanded plan *)
   r_requests : int;
@@ -83,17 +53,18 @@ type report = {
 val run :
   ?clients:int ->
   ?requests:int ->
-  ?workload:workload ->
+  ?workload:Fractos_workloads.Scenario.t ->
   ?config:Net.Config.t ->
   ?sampling:Sim.Time.t * float ->
   spec:Spec.t ->
   seed:int ->
   unit ->
   report
-(** Execute one chaos run (defaults: 6 clients, 24 requests, {!Mixed},
-    default fabric calibration). [config] overrides the fabric knobs — in
-    particular [copy_window]/[copy_streams], so the {!Copy} workload can
-    chaos-test the pipelined engine. Never raises on injected faults: a
+(** Execute one chaos run (defaults: 6 clients, 24 requests, the [mixed]
+    entry, default fabric calibration). [config] overrides the fabric knobs
+    — in particular [copy_window]/[copy_streams], so the [copy] entry can
+    chaos-test the pipelined engine; the entry may adjust it further
+    ({!Fractos_workloads.Scenario.config}). Never raises on injected faults: a
     fiber deadlock or an escaped typed error is folded into
     [r_violations].
 
@@ -110,5 +81,3 @@ val passed : report -> bool
 
 val to_lines : report -> string list
 (** Deterministic human-readable rendering (what [fractos chaos] prints). *)
-
-val pp : Format.formatter -> report -> unit

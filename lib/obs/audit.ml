@@ -97,3 +97,32 @@ let pp_event fmt ev =
     (if ev.au_pid >= 0 then Printf.sprintf " pid=%d" ev.au_pid else "")
     (if ev.au_cid >= 0 then Printf.sprintf " cid=%d" ev.au_cid else "")
     (if ev.au_detail = "" then "" else "  " ^ ev.au_detail)
+
+let dump fmt () =
+  Format.fprintf fmt "capability audit log: %d events retained (%d evicted)@."
+    (count ()) (evicted ());
+  List.iter
+    (fun (k, n) -> Format.fprintf fmt "  %-18s %d@." (kind_name k) n)
+    (summary ());
+  let has k (x : event) = x.au_kind = k in
+  let revoked = List.filter (has Revoke) (events ()) in
+  let interesting =
+    List.filter
+      (fun e ->
+        let l = lineage ~ctrl:e.au_ctrl ~oid:e.au_oid in
+        List.exists (has Delegate) l && List.exists (has Invoke) l)
+      revoked
+  in
+  match (interesting, revoked) with
+  | e :: _, _ | [], e :: _ ->
+      Format.fprintf fmt "@.lineage of obj(c%d.e%d.%d):@." e.au_ctrl
+        e.au_epoch e.au_oid;
+      let l = lineage ~ctrl:e.au_ctrl ~oid:e.au_oid in
+      let n = List.length l in
+      List.iteri
+        (fun i ev ->
+          if i < 10 || i >= n - 5 then Format.fprintf fmt "  %a@." pp_event ev
+          else if i = 10 then
+            Format.fprintf fmt "  ... (%d more events) ...@." (n - 15))
+        l
+  | [], [] -> Format.fprintf fmt "@.no revocation events recorded@."

@@ -73,3 +73,8 @@ val lineage : ctrl:int -> oid:int -> event list
     every delegation/invoke/monitor event, and its revocation/drops. *)
 
 val pp_event : Format.formatter -> event -> unit
+
+val dump : Format.formatter -> unit -> unit
+(** Post-mortem report: the per-kind summary, then the lineage of a
+    revoked object, preferring one that was delegated and invoked (at
+    most its first 10 and last 5 events). *)

@@ -1,8 +1,10 @@
-(** The canonical 3-node heterogeneous cluster of the paper's evaluation:
-    an application node, a storage node (NVMe SSD + block adaptor + FS
-    service), and a GPU node (GPU + adaptor), with Controllers placed per
-    {!Testbed.placement} (host CPUs, SmartNICs, or one shared Controller —
-    the "Shared HAL" configuration of Figs. 12/13). *)
+(** The canonical 4-node heterogeneous cluster of the paper's evaluation:
+    an application node, a storage node (NVMe SSD + block adaptor), an FS
+    node (the file-system service, so the FS and the SSD sit on different
+    nodes as in the paper's two-tier storage), and a GPU node (GPU +
+    adaptor), with Controllers placed per {!Testbed.placement} (host
+    CPUs, SmartNICs, or one shared Controller — the "Shared HAL"
+    configuration of Figs. 12/13). *)
 
 module Sim = Fractos_sim
 module Net = Fractos_net

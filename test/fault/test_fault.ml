@@ -6,6 +6,7 @@ module Net = Fractos_net
 module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 module Svc = Fractos_services.Svc
+module Scenario = Fractos_workloads.Scenario
 open Fractos_fault
 
 let ok_exn = Core.Error.ok_exn
@@ -430,7 +431,9 @@ let test_local_faults_ignored () =
 (* Chaos harness                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let small_chaos ?(spec = Spec.none) ?(workload = Chaos.Mixed) ?config seed =
+(* Chaos runs take their workload by scenario-table name. *)
+let small_chaos ?(spec = Spec.none) ?(workload = "mixed") ?config seed =
+  let workload = Result.get_ok (Scenario.find workload) in
   Chaos.run ~clients:4 ~requests:8 ~workload ?config ~spec ~seed ()
 
 let pipelined_config =
@@ -488,23 +491,22 @@ let test_chaos_crash_epoch_bump () =
     (fun workload ->
       let r = small_chaos ~spec ~workload 2 in
       check_bool
-        (Printf.sprintf "workload %s: %s"
-           (Chaos.workload_to_string workload)
+        (Printf.sprintf "workload %s: %s" workload
            (String.concat "; " r.Chaos.r_violations))
         true (Chaos.passed r);
       check_bool "some controller rebooted" true
         (List.exists (fun (_, epoch, _, _) -> epoch = 1) r.Chaos.r_ctrls))
-    [ Chaos.Faceverify; Chaos.Fs; Chaos.Mixed; Chaos.Copy; Chaos.Xshard ]
+    [ "faceverify"; "fs"; "mixed"; "copy"; "xshard" ]
 
 let test_chaos_copy_workload () =
   (* large third-party copies under drop/dup/delay: every request must end
      in a typed completion (ok or error, no hangs), delivered bytes must be
-     intact (Chaos.Copy byte-checks each completion), and no copy-session
+     intact (the copy entry byte-checks each completion), and no copy-session
      state may leak (Invariants pass 5) — for both the serial engine and
      the windowed multi-stream one *)
   List.iter
     (fun config ->
-      let r = small_chaos ~spec:Spec.default ~workload:Chaos.Copy ?config 11 in
+      let r = small_chaos ~spec:Spec.default ~workload:"copy" ?config 11 in
       check_bool
         (String.concat "; " r.Chaos.r_violations)
         true (Chaos.passed r);
@@ -522,10 +524,10 @@ let test_chaos_copy_deterministic () =
     | Error e -> Alcotest.fail e
   in
   let a =
-    small_chaos ~spec ~workload:Chaos.Copy ~config:pipelined_config 13
+    small_chaos ~spec ~workload:"copy" ~config:pipelined_config 13
   in
   let b =
-    small_chaos ~spec ~workload:Chaos.Copy ~config:pipelined_config 13
+    small_chaos ~spec ~workload:"copy" ~config:pipelined_config 13
   in
   check_string "same audit digest" a.Chaos.r_audit_digest
     b.Chaos.r_audit_digest;
@@ -581,14 +583,14 @@ let test_copy_open_drop_cleanup () =
             (Core.Controller.copy_failures_count c))
         tb.Tb.ctrls)
 
-(* Cross-shard battery: the Xshard workload forces shard placement and
+(* Cross-shard battery: the xshard entry forces shard placement and
    shard_all, drives odd clients through three-shard third-party copies
    (caller, source owner and destination owner on three different
    shards) and even clients through faceverify. A clean run must
    complete every request and pass every invariant — pass 6 proves no
    directory entry was orphaned. *)
 let test_chaos_xshard_clean () =
-  let r = small_chaos ~workload:Chaos.Xshard 1 in
+  let r = small_chaos ~workload:"xshard" 1 in
   check_bool
     (String.concat "; " r.Chaos.r_violations)
     true (Chaos.passed r);
@@ -600,7 +602,7 @@ let test_chaos_xshard_under_faults () =
   (* under the default fault spec every request must still end in a
      typed completion, with the invariants (including directory
      coherence) intact *)
-  let r = small_chaos ~spec:Spec.default ~workload:Chaos.Xshard 3 in
+  let r = small_chaos ~spec:Spec.default ~workload:"xshard" 3 in
   check_bool
     (String.concat "; " r.Chaos.r_violations)
     true (Chaos.passed r);
@@ -615,12 +617,12 @@ let test_chaos_xshard_deterministic () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let a = small_chaos ~spec ~workload:Chaos.Xshard 7 in
-  let b = small_chaos ~spec ~workload:Chaos.Xshard 7 in
+  let a = small_chaos ~spec ~workload:"xshard" 7 in
+  let b = small_chaos ~spec ~workload:"xshard" 7 in
   check_string "same audit digest" a.Chaos.r_audit_digest
     b.Chaos.r_audit_digest;
   check_bool "bit-identical report" true (Chaos.to_lines a = Chaos.to_lines b);
-  let c = small_chaos ~spec ~workload:Chaos.Xshard 8 in
+  let c = small_chaos ~spec ~workload:"xshard" 8 in
   check_bool "different seed, different digest" true
     (a.Chaos.r_audit_digest <> c.Chaos.r_audit_digest)
 
@@ -636,7 +638,7 @@ let test_chaos_xshard_place_timeouts () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let r = small_chaos ~spec ~workload:Chaos.Xshard 5 in
+  let r = small_chaos ~spec ~workload:"xshard" 5 in
   check_bool
     (String.concat "; " r.Chaos.r_violations)
     true (Chaos.passed r);
@@ -655,7 +657,7 @@ let test_chaos_xshard_place_timeouts () =
    instances must be routed around, and the invariants must hold over the
    KV Memory objects the pool mints. *)
 let test_chaos_pd_clean () =
-  let r = small_chaos ~workload:Chaos.Pd 1 in
+  let r = small_chaos ~workload:"pd" 1 in
   check_bool
     (String.concat "; " r.Chaos.r_violations)
     true (Chaos.passed r);
@@ -663,7 +665,7 @@ let test_chaos_pd_clean () =
   check_int "no retries without faults" 0 r.Chaos.r_retries
 
 let test_chaos_pd_under_faults () =
-  let r = small_chaos ~spec:Spec.default ~workload:Chaos.Pd 3 in
+  let r = small_chaos ~spec:Spec.default ~workload:"pd" 3 in
   check_bool
     (String.concat "; " r.Chaos.r_violations)
     true (Chaos.passed r);
@@ -678,7 +680,7 @@ let test_chaos_pd_crashes () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let r = small_chaos ~spec ~workload:Chaos.Pd 9 in
+  let r = small_chaos ~spec ~workload:"pd" 9 in
   check_bool
     (String.concat "; " r.Chaos.r_violations)
     true (Chaos.passed r);
@@ -691,12 +693,12 @@ let test_chaos_pd_deterministic () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let a = small_chaos ~spec ~workload:Chaos.Pd 7 in
-  let b = small_chaos ~spec ~workload:Chaos.Pd 7 in
+  let a = small_chaos ~spec ~workload:"pd" 7 in
+  let b = small_chaos ~spec ~workload:"pd" 7 in
   check_string "same audit digest" a.Chaos.r_audit_digest
     b.Chaos.r_audit_digest;
   check_bool "bit-identical report" true (Chaos.to_lines a = Chaos.to_lines b);
-  let c = small_chaos ~spec ~workload:Chaos.Pd 8 in
+  let c = small_chaos ~spec ~workload:"pd" 8 in
   check_bool "different seed, different digest" true
     (a.Chaos.r_audit_digest <> c.Chaos.r_audit_digest)
 

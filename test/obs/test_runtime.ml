@@ -188,7 +188,8 @@ let test_chaos_sampling_deterministic () =
   let spec = Fault.Spec.default in
   let go () =
     let r =
-      Fault.Chaos.run ~clients:3 ~requests:12 ~workload:Fault.Chaos.Mixed
+      Fault.Chaos.run ~clients:3 ~requests:12
+        ~workload:(Result.get_ok (Fractos_workloads.Scenario.find "mixed"))
         ~sampling:(Sim.Time.us 500, 0.2) ~spec ~seed:1234 ()
     in
     (Fault.Chaos.to_lines r, Obs.Sampler.retained ())

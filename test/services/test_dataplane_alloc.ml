@@ -6,7 +6,7 @@
    and the kernel move those bytes in place (HACKING.md, "Hot path"), so
    what a batch allocates is the control path plus the copy engine's
    chunks. This test pins the words allocated per batch on the canonical
-   3-node cluster, so a per-request copy of the payload creeping back
+   4-node cluster, so a per-request copy of the payload creeping back
    into the data plane fails here rather than only in the benchmark. *)
 
 open Fractos_core
@@ -71,10 +71,10 @@ let words_per_batch ~n =
       (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
       /. float_of_int n)
 
-(* Measured at 24 536 words per batch (x86-64, OCaml 5.1), plus ~25 %
-   headroom; the same harness measures 47 390 with a copy of the payload
-   at the NVMe model, the block adaptor and the kernel. *)
-let budget = 30_700.
+(* Measured at 4 365 words per batch (x86-64, OCaml 5.1), plus ~25 %
+   headroom. One per-request copy of the batch's 64 KiB payload adds
+   about 8 200 words, so it fails here. *)
+let budget = 5_460.
 
 let test_faceverify_batch_budget () =
   let words = words_per_batch ~n:64 in

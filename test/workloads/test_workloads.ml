@@ -1,9 +1,11 @@
-(* Tests for the workload generators: the face dataset and the open-loop
-   load generator. *)
+(* Tests for the workload generators: the face dataset, the open-loop
+   load generator and the scenario table. *)
 
 open Fractos_sim
 module Facedata = Fractos_workloads.Facedata
 module Loadgen = Fractos_workloads.Loadgen
+module Scenario = Fractos_workloads.Scenario
+module Tb = Fractos_testbed.Testbed
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -212,6 +214,82 @@ let test_open_loop_negative_rejected () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "n = -1 accepted")
 
+(* ------------------------------------------------------------------ *)
+(* Scenario table                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let small =
+  {
+    Scenario.img_size = 512;
+    n_images = 64;
+    batch = 4;
+    depth = 2;
+    clients = 2;
+    timeout = Time.ms 50;
+  }
+
+(* Run [n] fault-free requests, round-robin over the clients; each must
+   complete and pass the entry's own check. *)
+let serve e sc rng n =
+  for r = 0 to n - 1 do
+    let k = r mod small.Scenario.clients in
+    match (sc.Scenario.client k).Scenario.request rng () with
+    | Ok { Scenario.line; bad = None } ->
+        check_bool
+          (Printf.sprintf "%s request %d has a line" (Scenario.name e) r)
+          true (line <> "")
+    | Ok { Scenario.bad = Some why; _ } ->
+        Alcotest.failf "%s request %d: %s" (Scenario.name e) r why
+    | Error err ->
+        Alcotest.failf "%s request %d: %s" (Scenario.name e) r
+          (Fractos_core.Error.to_string err)
+  done
+
+let test_every_entry_serves () =
+  List.iter
+    (fun e ->
+      Tb.run ~config:(Scenario.config e Fractos_net.Config.default) (fun tb ->
+          let sc = Scenario.deploy e small ~placement:Tb.Ctrl_cpu tb in
+          let rng = Prng.create ~seed:3 in
+          serve e sc rng 4;
+          (* a refresh re-acquires what it can and leaves the client
+             serving *)
+          let now = { Scenario.within = (fun f -> f ()) } in
+          for k = 0 to small.Scenario.clients - 1 do
+            (sc.Scenario.client k).Scenario.refresh now
+          done;
+          serve e sc rng 2;
+          check_bool
+            (Scenario.name e ^ " has a summary")
+            true
+            (sc.Scenario.summary () <> "")))
+    Scenario.all
+
+let test_unknown_entry_lists_all () =
+  match Scenario.find "no-such-workload" with
+  | Ok _ -> Alcotest.fail "an unknown name resolved"
+  | Error msg ->
+      (* the names follow "one of: ", comma-separated, before the ")" *)
+      let listed =
+        match String.index_opt msg ':' with
+        | None -> []
+        | Some i ->
+            String.sub msg (i + 2) (String.length msg - i - 3)
+            |> String.split_on_char ',' |> List.map String.trim
+      in
+      Alcotest.(check (list string))
+        msg
+        (List.map Scenario.name Scenario.all)
+        listed
+
+let test_find_round_trips () =
+  List.iter
+    (fun e ->
+      match Scenario.find (Scenario.name e) with
+      | Ok e' -> check_bool (Scenario.name e) true (e' == e)
+      | Error msg -> Alcotest.fail msg)
+    Scenario.all
+
 let () =
   Alcotest.run "fractos_workloads"
     [
@@ -239,5 +317,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_summarize_matches_list_reference;
           Alcotest.test_case "open loop alloc budget" `Quick
             test_open_loop_alloc_budget;
+        ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "every entry serves and checks" `Quick
+            test_every_entry_serves;
+          Alcotest.test_case "unknown name lists every entry" `Quick
+            test_unknown_entry_lists_all;
+          Alcotest.test_case "find round-trips every name" `Quick
+            test_find_round_trips;
         ] );
     ]
