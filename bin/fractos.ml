@@ -130,6 +130,11 @@ let run_workload =
 let run_cmd workload placement batch requests seed trace_json metrics
     breakdown audit journal journal_cap artifacts =
   let entry = scenario "run" workload in
+  let fail msg =
+    Format.printf "@?";
+    Format.eprintf "fractos run: %s@." msg;
+    exit 1
+  in
   let dims =
     { Scenario.img_size = 4096; n_images = 4096; batch; depth = 2;
       clients = 2; timeout = Time.ms 50 }
@@ -169,10 +174,8 @@ let run_cmd workload placement batch requests seed trace_json metrics
           | Ok { Scenario.line; bad = None } ->
             Format.printf "  request %2d: %s@." r line
           | Ok { Scenario.bad = Some why; _ } ->
-            Format.printf "@?";
-            Format.eprintf "fractos run: request %d: %s@." r why;
-            exit 1
-          | Error e -> raise (Core.Error.Fractos e)
+            fail (Printf.sprintf "request %d: %s" r why)
+          | Error e -> fail (Core.Error.to_string e)
         done;
         Format.printf "@.%s@." (sc.Scenario.summary ());
         if metrics then Format.printf "@.%a" Obs.Metrics.pp ();
@@ -219,10 +222,7 @@ let run_cmd workload placement batch requests seed trace_json metrics
             ();
           Format.printf "@.saved run artifacts to %s/@." dir
         | None -> ())
-  with Core.Error.Fractos e ->
-    Format.printf "@?";
-    Format.eprintf "fractos run: %s@." (Core.Error.to_string e);
-    exit 1
+  with Core.Error.Fractos e -> fail (Core.Error.to_string e)
 
 (* ---------------- primitives --------------------------------------- *)
 
