@@ -52,19 +52,32 @@ done
 [ "$unset" = 0 ]
 
 echo "== dead exports"
-# Every `val` of a lib/**/*.mli must have a whole-word reference in some
-# .ml under lib bin bench benchmark test examples other than its own
-# definition (a `let`/`and` line in the matching .ml); an export nothing
-# references is dead code.
+# Every `val` of a lib/**/*.mli must have a whole-word reference in its
+# module's own .ml beyond its definition (a `let`/`and` line), or in some
+# other .ml under lib bin bench benchmark test examples that names the
+# module (`M.`, `open M`, `include M` or an alias `= M`, possibly
+# qualified by its library). A match in a file that never names the
+# module is another module's value of the same name, so an unused
+# `val pp` or `val run` is still caught; an export nothing references is
+# dead code.
 dead=0
 for mli in $(find lib -name '*.mli' | sort); do
   ml=${mli%.mli}.ml
+  b=$(basename "$ml" .ml)
+  m=$(printf '%s' "$b" | cut -c1 | tr a-z A-Z)$(printf '%s' "$b" | cut -c2-)
+  q='([A-Z][A-Za-z0-9_]*\.)*'
+  users=$(grep -rlE --include='*.ml' \
+            "\b$m\.|\b(open!?|include) +$q$m\b|= *$q$m\b" \
+            lib bin bench benchmark test examples | grep -Fvx "$ml" || true)
   for v in $(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\)\( *:.*\)*$/\1/p' "$mli" \
              | sort -u); do
-    uses=$(grep -rhw --include='*.ml' -e "$v" \
-             lib bin bench benchmark test examples | wc -l)
+    own=$(grep -cw -e "$v" "$ml" 2>/dev/null || true)
     defs=$(grep -cE "^ *(let|and)( rec)? +$v( |$)" "$ml" 2>/dev/null || true)
-    if [ "$uses" -le "${defs:-0}" ]; then
+    ext=0
+    if [ -n "$users" ]; then
+      ext=$(printf '%s\n' "$users" | xargs grep -hw -e "$v" | wc -l)
+    fi
+    if [ "$ext" -eq 0 ] && [ "${own:-0}" -le "${defs:-0}" ]; then
       echo "dead export: $mli: val $v has no reference outside its definition"
       dead=1
     fi

@@ -41,11 +41,6 @@ let malloc t size =
       driver_call t ~req:0 ~resp:0;
       Device.Gpu.alloc t.gpu size)
 
-let mem_free t buf =
-  Sim.Semaphore.with_permit t.lock (fun () ->
-      driver_call t ~req:0 ~resp:0;
-      Device.Gpu.free t.gpu buf)
-
 let memcpy_h2d t ~src ~dst =
   Sim.Semaphore.with_permit t.lock (fun () ->
       driver_call t ~req:(Bytes.length src) ~resp:0;

@@ -22,7 +22,6 @@ val connect : Net.Fabric.t -> client:Net.Node.t -> Device.Gpu.t -> t
 (** Point the client at the remote GPU's daemon. *)
 
 val malloc : t -> int -> (Core.Membuf.t, string) result
-val mem_free : t -> Core.Membuf.t -> unit
 
 val memcpy_h2d : t -> src:bytes -> dst:Core.Membuf.t -> unit
 (** Synchronous host-to-device copy: data crosses the network to the GPU

@@ -39,6 +39,18 @@ let n_chunks total chunk =
 
 let chunk_len total chunk i = min chunk (total - (i * chunk))
 
+(* The bytes chunk [ck] of a [total]-byte copy still carries: none once
+   written or dropped. *)
+let ck_len ctrl ~total ck =
+  if ck.ck_pin == Membuf.no_pin then 0
+  else min (config ctrl).bounce_chunk (total - ck.ck_off)
+
+(* Release a chunk that will not be written. Emptying it keeps a
+   duplicate of its message from releasing the pin twice. *)
+let drop_chunk ck =
+  Membuf.unpin ck.ck_pin;
+  ck.ck_pin <- Membuf.no_pin
+
 (* Knob defaults (window = streams = 1) select the serial engine below,
    byte- and cost-identical to the pre-windowing code path; anything else
    selects the pipelined engine. *)
@@ -85,11 +97,12 @@ let chunk_span ctrl name ~off ~len f x =
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
    session's chunks parked in [copy_pending] — and a dropped final chunk
    leaves an open-time failure parked in [copy_failures] — forever. Sweep
-   the entry after [copy_open_timeout]: a reclaimed final chunk replies
-   [Timeout] so the caller's retry path gets a typed completion, and parked
-   pipelined chunks refund their flow-control credits so the source's
-   stream fibers unblock. In fault-free runs the open (or final chunk)
-   always lands first and the sweep is a no-op. *)
+   the entry after [copy_open_timeout]: parked chunks release their pins,
+   a reclaimed final chunk replies [Timeout] so the caller's retry path
+   gets a typed completion, and parked pipelined chunks refund their
+   flow-control credits so the source's stream fibers unblock. In
+   fault-free runs the open (or final chunk) always lands first and the
+   sweep is a no-op. *)
 let reclaim_orphan ctrl tbl copy_id what =
   Hashtbl.remove tbl copy_id;
   Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
@@ -106,6 +119,7 @@ let schedule_pending_sweep ctrl copy_id q =
         Sim.Engine.spawn (fun () ->
             Queue.iter
               (fun (src_ctrl, ck) ->
+                drop_chunk ck;
                 if pipelined (config ctrl) then
                   grant_credit ctrl ~src_ctrl ~copy_id ~credits:1;
                 match ck.ck_last with
@@ -119,16 +133,13 @@ let schedule_failure_sweep ctrl copy_id =
       if Hashtbl.mem ctrl.copy_failures copy_id then
         reclaim_orphan ctrl ctrl.copy_failures copy_id "failure")
 
-(* The destination writer's store of a chunk into process memory. The
-   chunk's snapshot goes back to its free list right after the write, the
-   only place one is recycled; the chunk keeps [Bytes.empty], so a
-   duplicate delivery that slipped past the endpoint's dedup window finds
-   nothing to write instead of a buffer some later chunk now holds. *)
-let write_snapshot dst_mem ck =
-  let data = ck.ck_data in
-  Membuf.write dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off) data;
-  ck.ck_data <- Bytes.empty;
-  Membuf.recycle data
+(* The destination writer's store of a [len]-byte chunk: one blit out of
+   the pinned bytes, which releases the pin. A duplicate delivery that
+   slipped past the endpoint's dedup window then finds nothing to write. *)
+let write_chunk dst_mem ck len =
+  Membuf.write_pin dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off) ck.ck_pin
+    ~src_off:ck.ck_off ~len;
+  ck.ck_pin <- Membuf.no_pin
 
 (* Destination side: one writer fiber per copy session, consuming in-order
    chunks, staging them through the bounce buffer and RDMA-writing into the
@@ -143,11 +154,11 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
   Sim.Engine.spawn (fun () ->
       let received = ref 0 in
       let write ck =
-        let len = Bytes.length ck.ck_data in
+        let len = ck_len ctrl ~total ck in
         if len > 0 then begin
           (* staging memcpy through the bounce buffer *)
           stage ctrl ctrl.cpu len;
-          write_snapshot dst_mem ck;
+          write_chunk dst_mem ck len;
           (* RDMA write from the bounce buffer into process memory *)
           Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode
             ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len ()
@@ -155,7 +166,7 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
       in
       let rec loop () =
         let ck = Sim.Channel.recv chan in
-        let len = Bytes.length ck.ck_data in
+        let len = ck_len ctrl ~total ck in
         received := !received + len;
         chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len write ck;
         match ck.ck_last with
@@ -200,10 +211,10 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
         end
       in
       let write ck =
-        let len = Bytes.length ck.ck_data in
+        let len = ck_len ctrl ~total ck in
         if len > 0 then begin
           stage ctrl ctrl.copy_engine len;
-          write_snapshot dst_mem ck;
+          write_chunk dst_mem ck len;
           (* asynchronous RDMA write out of the bounce buffer; the slot's
              credit is granted when the write-out completes *)
           incr outstanding;
@@ -224,7 +235,7 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
       in
       let rec loop () =
         let ck = Sim.Channel.recv chan in
-        let len = Bytes.length ck.ck_data in
+        let len = ck_len ctrl ~total ck in
         if Hashtbl.mem seen ck.ck_off then
           (* duplicate delivery: its slot was already drained *)
           grant ()
@@ -277,21 +288,24 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total =
    original caller's ack, so completion is signaled by the destination
    controller directly to the origin (paper's decentralized data path).
 
-   [post_chunk] is the step both engines share: snapshot chunk [i] of [n]
-   (already staged in the bounce buffer) and post it to the destination
-   controller; the first chunk opens the session optimistically. The
-   snapshot is taken now, so bytes stored into the source afterwards (after
-   a revoke, say) never reach the destination. Only the destination
-   writer recycles it: a dropped, duplicated, parked or rejected chunk
-   leaves its snapshot to the garbage collector. *)
-let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) ~n i
-    ~off ~len =
+   [post_chunk] is the step both engines share: stage chunk [i] of [n]
+   (already read into the bounce buffer) and post it to the destination
+   controller; the first chunk opens the session optimistically. Staging
+   pins the source's current bytes, sharing [staged] with the copy's
+   earlier chunks, and copies nothing: a store into the source afterwards
+   (after a revoke, say) copies the source's bytes instead, so it never
+   reaches the destination. *)
+let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~staged ~copy_id
+    (rr : unit rreply) ~n i ~off ~len =
+  let ck_pin =
+    if len = 0 then Membuf.no_pin
+    else begin
+      staged := Membuf.pin !staged m.m_buf ~off:m.m_off ~len:m.m_len;
+      !staged
+    end
+  in
   let ck =
-    {
-      ck_off = off;
-      ck_data = Membuf.snapshot m.m_buf ~off:(m.m_off + off) ~len;
-      ck_last = (if i = n - 1 then Some rr else None);
-    }
+    { ck_off = off; ck_pin; ck_last = (if i = n - 1 then Some rr else None) }
   in
   let msg =
     if i = 0 then
@@ -310,10 +324,11 @@ let do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
   let cfg = config ctrl in
   let chunk = cfg.bounce_chunk in
   let n = n_chunks m.m_len chunk in
+  let staged = ref Membuf.no_pin in
   let send_chunk i =
     let off = i * chunk and len = chunk_len m.m_len chunk i in
     read_chunk ctrl ctrl.cpu m len;
-    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len;
+    post_chunk ctrl ~dst ~dst_ctrl ~m ~staged ~copy_id rr ~n i ~off ~len;
     if not cfg.double_buffering then
       (* strict serial chunks: wait out the wire time before
          reading the next chunk *)
@@ -343,6 +358,7 @@ let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
   let credits = Sim.Semaphore.create window in
   Hashtbl.replace ctrl.copy_credits copy_id credits;
   let max_inflight = ref 0 in
+  let staged = ref Membuf.no_pin in
   let post i =
     let off = i * chunk and len = chunk_len m.m_len chunk i in
     if Sim.Semaphore.available credits = 0 then
@@ -353,7 +369,7 @@ let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
     if inflight > !max_inflight then max_inflight := inflight;
     Obs.Metrics.add ctrl.cm.cm_copy_inflight 1;
     read_chunk ctrl ctrl.copy_engine m len;
-    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len
+    post_chunk ctrl ~dst ~dst_ctrl ~m ~staged ~copy_id rr ~n i ~off ~len
   in
   let send_chunk i =
     chunk_span ctrl "ctrl.copy.chunk" ~off:(i * chunk)
@@ -487,11 +503,12 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
 (* Destination-side peer handlers                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A chunk of a session rejected at open time never reaches a writer: its
-   flow-control credit comes back from here (or the pipelined source's
-   stream fibers wedge on the window semaphore), and the final chunk
-   carries the open's error to the caller. *)
+(* A chunk of a session rejected at open time never reaches a writer: it
+   releases its pin here, its flow-control credit comes back from here (or
+   the pipelined source's stream fibers wedge on the window semaphore),
+   and the final chunk carries the open's error to the caller. *)
 let reject_chunk ctrl ~reply ~src_ctrl ~copy_id e (ck : copy_chunk) =
+  drop_chunk ck;
   if pipelined (config ctrl) then
     grant_credit ctrl ~src_ctrl ~copy_id ~credits:1;
   match ck.ck_last with

@@ -1,11 +1,14 @@
 (* [data] is [Bytes.empty] until the first store that can be non-zero
    (see membuf.mli); an unwritten buffer reads as zeros. A zero-size
-   buffer counts as written: it has nothing to materialize. *)
+   buffer counts as written: it has nothing to materialize. [pins] counts
+   the staged copy chunks that still read [data]; a store makes a private
+   copy first while it is positive. *)
 type t = {
   id : int;
   node : Fractos_net.Node.t;
   size : int;
   mutable data : Bytes.t;
+  mutable pins : int;
 }
 
 (* Domain-local, like the controller, copy and pid counters: sibling
@@ -19,80 +22,29 @@ let create ~node size =
   if size < 0 then invalid_arg "Membuf.create: negative size";
   let next_id = Domain.DLS.get next_id in
   incr next_id;
-  { id = !next_id; node; size; data = Bytes.empty }
+  { id = !next_id; node; size; data = Bytes.empty; pins = 0 }
 
 let size t = t.size
 let written t = Bytes.length t.data = t.size
 
+let set_data t b =
+  t.data <- b;
+  t.pins <- 0
+
+(* The bytes of [t], ready for a store: allocated zeroed if [t] is
+   unwritten, copied if a staged chunk still reads them. *)
 let materialize t =
-  if not (written t) then t.data <- Bytes.make t.size '\000';
+  if not (written t) then set_data t (Bytes.make t.size '\000')
+  else if t.pins > 0 then set_data t (Bytes.copy t.data);
   t.data
 
 let check t ~off ~len what =
   if off < 0 || len < 0 || off > t.size - len then invalid_arg what
 
-(* Chunk snapshots. Per length, a domain-local free list of recycled
-   buffers and the one shared zero snapshot, which is never written and
-   never recycled. *)
-type pool = { zero : bytes; mutable free : bytes array; mutable n : int }
-
-let pools : (int, pool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let pool len =
-  let pools = Domain.DLS.get pools in
-  match Hashtbl.find pools len with
-  | p -> p
-  | exception Not_found ->
-    let p = { zero = Bytes.make len '\000'; free = [||]; n = 0 } in
-    Hashtbl.add pools len p;
-    p
-
-let is_zero_snapshot b =
-  match Hashtbl.find (Domain.DLS.get pools) (Bytes.length b) with
-  | p -> p.zero == b
-  | exception Not_found -> false
-
-let snapshot t ~off ~len =
-  check t ~off ~len "Membuf.snapshot";
-  if len = 0 then Bytes.empty
-  else
-    let p = pool len in
-    if not (written t) then p.zero
-    else begin
-      let b =
-        if p.n = 0 then Bytes.create len
-        else begin
-          p.n <- p.n - 1;
-          let b = p.free.(p.n) in
-          p.free.(p.n) <- Bytes.empty;
-          b
-        end
-      in
-      Bytes.blit t.data off b 0 len;
-      b
-    end
-
-let recycle b =
-  let len = Bytes.length b in
-  if len > 0 then begin
-    let p = pool len in
-    if b != p.zero then begin
-      if p.n = Array.length p.free then begin
-        let free = Array.make (max 8 (2 * p.n)) Bytes.empty in
-        Array.blit p.free 0 free 0 p.n;
-        p.free <- free
-      end;
-      p.free.(p.n) <- b;
-      p.n <- p.n + 1
-    end
-  end
-
 let write t ~off b =
   let len = Bytes.length b in
   check t ~off ~len "Membuf.write";
-  if len > 0 && (written t || not (is_zero_snapshot b)) then
-    Bytes.blit b 0 (materialize t) off len
+  if len > 0 then Bytes.blit b 0 (materialize t) off len
 
 let read t ~off ~len =
   check t ~off ~len "Membuf.read";
@@ -103,14 +55,15 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
   check dst ~off:dst_off ~len "Membuf.blit";
   if len > 0 then
     if written src then Bytes.blit src.data src_off (materialize dst) dst_off len
-    else if written dst then Bytes.fill dst.data dst_off len '\000'
+    else if written dst then Bytes.fill (materialize dst) dst_off len '\000'
 
-let clear t = t.data <- Bytes.empty
+let clear t = set_data t Bytes.empty
 
 let move ~src ~dst =
   if src.size <> dst.size then invalid_arg "Membuf.move";
   if src != dst then begin
     dst.data <- src.data;
+    dst.pins <- src.pins;
     clear src
   end
 
@@ -119,8 +72,37 @@ let set t i c =
   if c <> '\000' || written t then Bytes.set (materialize t) i c
 
 let fill t c =
-  if written t then Bytes.fill t.data 0 t.size c
-  else if c <> '\000' then t.data <- Bytes.make t.size c
+  if written t && t.pins = 0 then Bytes.fill t.data 0 t.size c
+  else if c <> '\000' || written t then set_data t (Bytes.make t.size c)
+
+(* Pins. A pin holds the bytes its source had when it was taken; the
+   source counts it in [pins] for as long as it still has those bytes. *)
+type pin = No_pin | Pin of { src : t; bytes : Bytes.t; base : int }
+
+let no_pin = No_pin
+
+let pin p t ~off ~len =
+  check t ~off ~len "Membuf.pin";
+  t.pins <- t.pins + 1;
+  match p with
+  | Pin { src; bytes; base } when src == t && bytes == t.data && base = off ->
+    p
+  | No_pin | Pin _ -> Pin { src = t; bytes = t.data; base = off }
+
+let unpin = function
+  | Pin { src; bytes; _ } when src.data == bytes -> src.pins <- src.pins - 1
+  | No_pin | Pin _ -> ()
+
+let write_pin t ~off p ~src_off ~len =
+  check t ~off ~len "Membuf.write_pin";
+  (match p with
+  | Pin { bytes; base; _ } when len > 0 ->
+    (* the bytes of an unwritten source are empty: they read as zeros *)
+    if Bytes.length bytes > 0 then
+      Bytes.blit bytes (base + src_off) (materialize t) off len
+    else if written t then Bytes.fill (materialize t) off len '\000'
+  | No_pin | Pin _ -> ());
+  unpin p
 
 (* Eight bytes per step: kernels compare whole images with this, once per
    image per request. An unwritten side compares as zeros. *)

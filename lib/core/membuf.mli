@@ -11,7 +11,12 @@
     it holds no bytes and reads as zeros. Its bytes are allocated, zeroed,
     on the first store that can be non-zero: {!write}, {!set} or {!fill}
     with a non-zero char, {!blit} from a written buffer, or {!materialize}.
-    A store of zeros into an unwritten buffer changes nothing. *)
+    A store of zeros into an unwritten buffer changes nothing.
+
+    A store into bytes that a staged copy chunk still reads (see {!pin})
+    first gives the buffer a private copy of them, so the chunk keeps the
+    bytes it was staged with. A store into bytes no chunk reads is made in
+    place. *)
 
 type t = private {
   id : int;
@@ -21,7 +26,10 @@ type t = private {
       (** The backing bytes: [Bytes.empty] while the buffer is unwritten,
           then exactly [size] bytes. Read it only after a store; every
           store goes through the functions below, so that the first one
-          allocates it. *)
+          allocates it, and so that it never lands in pinned bytes. *)
+  mutable pins : int;
+      (** The staged chunks that read [data]: at least as many as are
+          outstanding, never fewer. *)
 }
 
 val create : node:Fractos_net.Node.t -> int -> t
@@ -36,14 +44,13 @@ val reset_ids : unit -> unit
 val size : t -> int
 
 val materialize : t -> bytes
-(** The backing bytes of [t], allocated zeroed if [t] is unwritten. A
-    store into the result is a store into [t]: this is how a device DMAs
-    into a buffer. *)
+(** The backing bytes of [t], allocated zeroed if [t] is unwritten and
+    copied first if a staged chunk reads them. A store into the result is
+    a store into [t]: this is how a device DMAs into a buffer. Store into
+    it at once: a chunk staged afterwards reads the same bytes. *)
 
 val write : t -> off:int -> bytes -> unit
-(** Store bytes at [off]. Writing a zero snapshot (see {!snapshot}) into
-    an unwritten buffer is a no-op. Raises [Invalid_argument] on
-    overflow. *)
+(** Store bytes at [off]. Raises [Invalid_argument] on overflow. *)
 
 val read : t -> off:int -> len:int -> bytes
 (** Load a fresh copy of [len] bytes from [off]. Raises
@@ -58,12 +65,15 @@ val move : src:t -> dst:t -> unit
     afterwards [dst] reads as [src] read before, and [src] is unwritten,
     so it reads as zeros and a later store into it allocates fresh bytes
     that never reach [dst]. An unwritten [src] leaves [dst] unwritten. A
-    buffer moved onto itself is unchanged. Raises [Invalid_argument] when
-    the sizes differ. *)
+    buffer moved onto itself is unchanged. The pins on [src]'s bytes move
+    with them: if a chunk staged from [src] was outstanding at the move,
+    the next store into [dst] copies them first. Raises
+    [Invalid_argument] when the sizes differ. *)
 
 val clear : t -> unit
 (** Drop the bytes of [t]: it is unwritten again and reads as zeros. An
-    earlier {!materialize} result no longer belongs to [t]. *)
+    earlier {!materialize} result no longer belongs to [t], and chunks
+    staged from [t] keep the dropped bytes. *)
 
 val set : t -> int -> char -> unit
 (** Store one byte. Raises [Invalid_argument] out of range. *)
@@ -77,25 +87,44 @@ val fill : t -> char -> unit
 (** Store [c] in every byte. [fill t '\000'] keeps an unwritten [t]
     unwritten. *)
 
-(** {2 Snapshots}
+(** {2 Pins}
 
-    A snapshot is a copy of a buffer range taken at one instant, as a
-    controller stages a [memory_copy] chunk in a bounce buffer: bytes
-    stored into the buffer afterwards never reach it. *)
+    A [memory_copy] stages each chunk by reference: the chunk pins the
+    bytes its source holds at staging, and a store into the source
+    afterwards gives the source a private copy instead of reaching the
+    chunk. So the destination receives the bytes as they stood at
+    staging, though nothing was copied then. A pin of an unwritten source
+    reads as zeros. *)
 
-val snapshot : t -> off:int -> len:int -> bytes
-(** [snapshot t ~off ~len] copies [len] bytes from [off] into a buffer
-    taken from a domain-local free list of [len]-byte buffers, allocating
-    one only when the list is empty. The caller owns the snapshot: it may
-    read it, and it hands it back with {!recycle} once nothing will read
-    it again, or drops it to the garbage collector. A snapshot of an
-    unwritten range is instead the shared zero snapshot of that length:
-    nobody owns it, it is never written, and {!recycle} ignores it.
-    Raises [Invalid_argument] on overflow. *)
+type pin
+(** The bytes of one buffer as they stood when pinned, from a base
+    offset. One pin serves every chunk of a copy staged before the next
+    store into its source. *)
 
-val recycle : bytes -> unit
-(** Return a snapshot to its free list. Neither the caller nor anyone it
-    shared the snapshot with may touch it afterwards, and it must be
-    recycled at most once. *)
+val no_pin : pin
+(** A pin that holds nothing: writing it stores nothing, and
+    {!unpin} ignores it. *)
+
+val pin : pin -> t -> off:int -> len:int -> pin
+(** [pin p t ~off ~len] stages one more chunk of the range
+    [\[off, off+len)] of [t]: it counts one pin on [t]'s current bytes
+    and returns a pin of them based at [off]. That is [p] itself when [p]
+    already holds exactly these bytes of [t] from [off], so a copy's
+    chunks share one pin until a store into [t] lands between them. Each
+    call must be matched by one {!write_pin} or {!unpin}. Raises
+    [Invalid_argument] on overflow. *)
+
+val write_pin : t -> off:int -> pin -> src_off:int -> len:int -> unit
+(** [write_pin t ~off p ~src_off ~len] stores the [len] pinned bytes at
+    [src_off] from [p]'s base into [t] at [off], in one blit, then
+    releases the pin as {!unpin} does. A pin of an unwritten source
+    stores zeros, and nothing into an unwritten [t]. Raises
+    [Invalid_argument] when the range overflows [t]. *)
+
+val unpin : pin -> unit
+(** Release one chunk's pin: its source no longer counts it, unless the
+    source has dropped or replaced the pinned bytes since. A pin never
+    released (its chunk was dropped) costs the source one copy of its
+    bytes at its next store, nothing else. *)
 
 val pp : Format.formatter -> t -> unit

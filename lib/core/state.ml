@@ -359,9 +359,11 @@ and peer_msg =
 
 and copy_chunk = {
   ck_off : int;
-  mutable ck_data : bytes;
-      (* a snapshot owned by the chunk until the destination writer
-         recycles it, which leaves [Bytes.empty] here *)
+  mutable ck_pin : Membuf.pin;
+      (* the source's bytes as staged, shared by the copy's chunks; the
+         destination writer writes the chunk's range of them and leaves
+         [Membuf.no_pin] here. The length follows from [ck_off], the
+         copy's total and [bounce_chunk]. *)
   ck_last : unit rreply option; (* final chunk carries the caller's ack *)
 }
 

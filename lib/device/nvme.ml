@@ -111,5 +111,3 @@ let write t vol ~off ~src ~src_off ~len =
     else Membuf.blit ~src ~src_off ~dst:vol.vol_store ~dst_off:off ~len;
     Ok ()
   end
-
-let busy_time t = Sim.Resource.busy_time t.queue

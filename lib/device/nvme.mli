@@ -74,5 +74,3 @@ val write :
     unwritten, and nothing later stored into it reaches the volume. Any
     other write copies and leaves [src] as it was. [Error] when either
     range is out of bounds. *)
-
-val busy_time : t -> Sim.Time.t

@@ -103,8 +103,3 @@ let to_lines t =
         Printf.sprintf "lossy link nodes=(%d,%d) drop=%g" a b
           t.pl_spec.Spec.s_lossy_drop)
       t.pl_lossy
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%a@]"
-    (Format.pp_print_list Format.pp_print_string)
-    (to_lines t)

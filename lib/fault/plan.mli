@@ -39,5 +39,3 @@ val equal : t -> t -> bool
 
 val to_lines : t -> string list
 (** Human-readable one-line-per-event rendering, used by [fractos chaos]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -9,8 +9,8 @@
    onto the untraced path fails here rather than only in the benchmark.
    It pins the words and fibers per chunk of a cross-controller copy the
    same way, so a chunk message that goes back to a fiber of its own, a
-   transfer that goes back to an ivar, or a chunk payload that goes back to
-   a fresh allocation, fails here too. *)
+   transfer that goes back to an ivar, a chunk that gets a record of its
+   own, or a chunk payload that goes back to a copy, fails here too. *)
 
 open Fractos_sim
 open Fractos_core
@@ -93,12 +93,13 @@ let test_null_invoke_budget () =
 
 (* Minor-heap words, major-heap words and fibers per 16 KiB chunk, over
    [n] sequential 1 MiB [memory_copy]s between two hosts (64 chunks
-   each), the source and destination on different controllers. The minor
-   words are the message plumbing: the peer message, its dedup and fabric
-   bookkeeping, the handler and the destination writer's wake-ups. The
-   major words are the chunk's payload, which after warm-up is a recycled
-   snapshot rather than a fresh major-heap block, plus whatever plumbing
-   a minor collection happens to promote. *)
+   each), the source and destination on different controllers, and the
+   bytes allocated by a store into the source once they are done. The
+   minor words are the message plumbing: the peer message, its dedup and
+   fabric bookkeeping, the handler and the destination writer's wake-ups.
+   A chunk stages by reference, so its payload allocates nothing; the
+   major words are whatever plumbing a minor collection happens to
+   promote. *)
 let per_chunk ~n =
   let len = 1 lsl 20 in
   let chunks = len / (16 * 1024) in
@@ -129,28 +130,45 @@ let per_chunk ~n =
       Alcotest.(check bool)
         "bytes copied" true
         (Bytes.equal (contents src_buf) (contents dst_buf));
+      let a0 = Gc.allocated_bytes () in
+      Membuf.fill src_buf 'y';
+      let stored = Gc.allocated_bytes () -. a0 in
+      copy ();
+      Alcotest.(check bool)
+        "the stored bytes copied" true
+        (Bytes.equal (contents dst_buf) (Bytes.make len 'y'));
       let per x = x /. float_of_int (n * chunks) in
-      (per (w1 -. w0), per (m1 -. m0), per (float_of_int (f1 - f0))))
+      (per (w1 -. w0), per (m1 -. m0), per (float_of_int (f1 - f0)), stored))
 
-(* Measured at 113 words and 4 fibers per 64-chunk copy (x86-64, OCaml
-   5.1); the budget is ~25 % above. Before chunk messages ran as engine
+(* Measured at 112.6 minor words per chunk and 4 fibers per 64-chunk
+   copy (x86-64, OCaml 5.1), 112.8 words since a copy allocates one pin
+   for its chunks to share. The budget leaves less than one word of
+   headroom: a record of its own per chunk (a slice of the source, say)
+   adds four words and fails here. Before chunk messages ran as engine
    events and transfers as timed wakes, the same harness measured 277
    words and one fiber per chunk. *)
-let copy_budget = 142.
+let copy_budget = 113.
 let fiber_budget = 0.1
 
-(* Measured at 13.5 major words per chunk (x86-64, OCaml 5.1): promoted
-   plumbing only, the snapshot comes off its free list. A fresh 16 KiB
-   block per chunk, as staging allocated before snapshots were recycled,
-   measures 2060 here. *)
-let major_budget = 64.
+(* Measured at 2.5 major words per chunk (x86-64, OCaml 5.1): promoted
+   plumbing only. A recycled snapshot per chunk, copied at staging,
+   measured 13.5 here, and a fresh 16 KiB block per chunk 2060. *)
+let major_budget = 8.
+
+(* A store into the 1 MiB source of a completed copy: the chunks released
+   their pins, so it is made in place and allocates nothing beyond the
+   measurement's own boxed floats (12 bytes). A copy of the source would
+   be 1 MiB. *)
+let store_budget = 64.
 
 let test_copy_chunk_budget () =
-  let words, major, fibers = per_chunk ~n:32 in
+  let words, major, fibers, stored = per_chunk ~n:32 in
   Printf.printf
     "minor words per copy chunk: %.1f (budget %.0f); major words: %.1f \
-     (budget %.0f); fibers per chunk: %.3f (budget %.1f)\n"
-    words copy_budget major major_budget fibers fiber_budget;
+     (budget %.0f); fibers per chunk: %.3f (budget %.1f); store into the \
+     source: %.0f bytes (budget %.0f)\n"
+    words copy_budget major major_budget fibers fiber_budget stored
+    store_budget;
   if words > copy_budget then
     Alcotest.failf "%.1f minor words per copy chunk, budget %.0f" words
       copy_budget;
@@ -159,7 +177,10 @@ let test_copy_chunk_budget () =
       major_budget;
   if fibers >= fiber_budget then
     Alcotest.failf "%.3f fibers per copy chunk, budget %.1f" fibers
-      fiber_budget
+      fiber_budget;
+  if stored > store_budget then
+    Alcotest.failf "a store into a copied source cost %.0f bytes, budget %.0f"
+      stored store_budget
 
 let () =
   Alcotest.run "fractos_alloc"

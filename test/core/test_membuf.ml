@@ -1,9 +1,10 @@
-(* Unwritten memory and copy-chunk snapshots.
+(* Unwritten memory and copy-chunk pins.
 
    A buffer allocates its bytes on the first store that can be non-zero;
    until then it reads, blits, compares and copies as zeros, and stores
-   of zeros leave it unwritten. A [memory_copy] stages each chunk into a
-   snapshot taken at staging time, so bytes stored into the source in the
+   of zeros leave it unwritten. A [memory_copy] stages each chunk by
+   pinning its source's bytes, and a store into pinned bytes gives the
+   source a private copy first, so bytes stored into the source in the
    middle of a copy reach the destination only through the chunks staged
    after the store, a whole chunk at a time. *)
 
@@ -98,8 +99,9 @@ let test_zero_stores_keep_unwritten () =
     allocated (fun () ->
         Membuf.fill b '\000';
         Membuf.set b 12345 '\000';
-        Membuf.write b ~off:0
-          (Membuf.snapshot (Membuf.create ~node 64) ~off:0 ~len:64))
+        Membuf.write_pin b ~off:0
+          (Membuf.pin Membuf.no_pin (Membuf.create ~node 64) ~off:0 ~len:64)
+          ~src_off:0 ~len:64)
   in
   check_bool
     (Printf.sprintf "zero stores cost %.0f bytes" bytes)
@@ -107,26 +109,6 @@ let test_zero_stores_keep_unwritten () =
   Membuf.set b 7 'z';
   check_bool "first non-zero store" true
     (Bytes.equal (Membuf.read b ~off:6 ~len:3) (Bytes.of_string "\000z\000"))
-
-let test_snapshot_ownership () =
-  let b = Membuf.create ~node 64 in
-  Membuf.write b ~off:0 (Bytes.make 64 'a');
-  let s = Membuf.snapshot b ~off:0 ~len:32 in
-  Membuf.fill b 'b';
-  check_bool "a later store misses the snapshot" true
-    (Bytes.equal s (Bytes.make 32 'a'));
-  Membuf.recycle s;
-  let s' = Membuf.snapshot b ~off:32 ~len:32 in
-  check_bool "the free list hands the buffer back" true (s == s');
-  check_bool "with the new bytes" true (Bytes.equal s' (Bytes.make 32 'b'));
-  let u = Membuf.create ~node 64 in
-  let z = Membuf.snapshot u ~off:0 ~len:32 in
-  check_bool "unwritten ranges share one zero snapshot" true
-    (z == Membuf.snapshot u ~off:32 ~len:32);
-  Membuf.recycle z;
-  check_bool "recycle ignores the zero snapshot" true
-    (Membuf.snapshot b ~off:0 ~len:32 != z);
-  check_bool "which stays zero" true (Bytes.equal z (zeros 32))
 
 (* ------------------------------------------------------------------ *)
 (* Handing bytes on                                                    *)
@@ -166,15 +148,16 @@ let test_move_unwritten () =
     (Printf.sprintf "unwritten onto unwritten cost %.0f bytes" bytes)
     true (bytes < small);
   (* an unwritten source leaves the destination reading as zeros *)
-  let w = Membuf.create ~node 64 in
+  let w = Membuf.create ~node n in
   Membuf.fill w 'x';
-  Membuf.move ~src:(Membuf.create ~node 64) ~dst:w;
+  Membuf.move ~src:(Membuf.create ~node n) ~dst:w;
   check_bool "written destination now zeros" true
-    (Bytes.equal (contents w) (zeros 64));
-  (* only an unwritten range snapshots as the shared zero snapshot *)
-  check_bool "and unwritten" true
-    (Membuf.snapshot w ~off:0 ~len:64
-    == Membuf.snapshot (Membuf.create ~node 64) ~off:0 ~len:64)
+    (Bytes.equal (contents w) (zeros n));
+  let bytes, () = allocated (fun () -> Membuf.set w 5 'y') in
+  check_bool
+    (Printf.sprintf "and unwritten: its next store cost %.0f bytes" bytes)
+    true
+    (bytes >= float_of_int n)
 
 let test_clear () =
   let b = Membuf.create ~node 64 in
@@ -197,26 +180,162 @@ let test_clear () =
     (bytes < small && Bytes.equal (Membuf.read u ~off:0 ~len:8) (zeros 8))
 
 (* ------------------------------------------------------------------ *)
+(* Pins                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A chunk staged from [src]: [src]'s bytes from [off], as they stand. *)
+let stage ?(off = 0) src =
+  Membuf.pin Membuf.no_pin src ~off ~len:(Membuf.size src - off)
+
+(* The [len] bytes at [src_off] of pin [p], written out and released. *)
+let written_out p ~src_off ~len =
+  let out = Membuf.create ~node len in
+  Membuf.write_pin out ~off:0 p ~src_off ~len;
+  contents out
+
+(* Every kind of store into a source with a staged chunk: the source
+   reads the store, the chunk keeps the bytes it was staged with. *)
+let test_pin_store_isolation () =
+  let n = 64 in
+  let a = Bytes.make n 'a' in
+  let written c =
+    let b = Membuf.create ~node n in
+    Membuf.fill b c;
+    b
+  in
+  let stores =
+    [
+      ("write", fun b -> Membuf.write b ~off:8 (Bytes.make 8 'w'));
+      ("set", fun b -> Membuf.set b 8 's');
+      ("fill", fun b -> Membuf.fill b 'f');
+      ("fill zeros", fun b -> Membuf.fill b '\000');
+      ( "blit",
+        fun b ->
+          Membuf.blit ~src:(written 'c') ~src_off:0 ~dst:b ~dst_off:8 ~len:8 );
+      ( "zero blit",
+        fun b ->
+          Membuf.blit ~src:(Membuf.create ~node n) ~src_off:0 ~dst:b
+            ~dst_off:8 ~len:8 );
+      ("materialize", fun b -> Bytes.set (Membuf.materialize b) 8 'm');
+      ( "chunk write",
+        fun b ->
+          Membuf.write_pin b ~off:8 (stage (written 'k')) ~src_off:0 ~len:8 );
+    ]
+  in
+  List.iter
+    (fun (what, store) ->
+      let src = Membuf.create ~node n in
+      Membuf.write src ~off:0 a;
+      let p = stage src in
+      store src;
+      let after = contents src in
+      check_bool (what ^ " reaches the source") false (Bytes.equal after a);
+      check_bool (what ^ " misses the staged chunk") true
+        (Bytes.equal (written_out p ~src_off:0 ~len:n) a);
+      check_bool (what ^ ": the source keeps its store") true
+        (Bytes.equal (contents src) after))
+    stores
+
+(* Chunks of one copy share one pin, read from its base offset, and once
+   they are written out the source's bytes are its own again: a store is
+   made in place and allocates nothing. *)
+let test_pin_in_place () =
+  let n = 4 lsl 20 in
+  let p = pattern ~seed:4 n in
+  let src = Membuf.create ~node n and dst = Membuf.create ~node n in
+  Membuf.write src ~off:0 p;
+  Membuf.fill dst 'd';
+  let half = n / 2 in
+  let bytes, () =
+    allocated (fun () ->
+        let p0 = stage src in
+        let p1 = Membuf.pin p0 src ~off:0 ~len:n in
+        check_bool "the chunks share one pin" true (p0 == p1);
+        Membuf.write_pin dst ~off:0 p0 ~src_off:0 ~len:half;
+        Membuf.write_pin dst ~off:half p1 ~src_off:half ~len:half)
+  in
+  check_bool
+    (Printf.sprintf "staging and writing out cost %.0f bytes" bytes)
+    true (bytes < small);
+  check_bool "the chunks carry the source" true (Bytes.equal (contents dst) p);
+  let w = Bytes.make 8 'w' in
+  let bytes, () =
+    allocated (fun () ->
+        Membuf.fill src 'y';
+        Membuf.set src 0 'z';
+        Membuf.write src ~off:8 w;
+        Membuf.blit ~src:dst ~src_off:0 ~dst:src ~dst_off:16 ~len:8;
+        ignore (Membuf.materialize src))
+  in
+  check_bool
+    (Printf.sprintf "stores with no chunk outstanding cost %.0f bytes" bytes)
+    true (bytes < small);
+  check_bool "made in place" true
+    (Bytes.equal (Membuf.read src ~off:0 ~len:24)
+       (Bytes.cat (Bytes.of_string "zyyyyyyywwwwwwww") (Bytes.sub p 0 8)));
+  let q = stage ~off:64 src in
+  check_bool "a pin from another base" true
+    (Bytes.equal
+       (written_out q ~src_off:8 ~len:8)
+       (Membuf.read src ~off:72 ~len:8))
+
+(* [move] hands the pin on with the bytes, [clear] leaves them to the
+   chunk; either way the chunk keeps the staged bytes and both buffers
+   read their own stores. *)
+let test_pin_move_clear () =
+  let n = 64 in
+  let a = Bytes.make n 'a' in
+  let src = Membuf.create ~node n and dst = Membuf.create ~node n in
+  Membuf.write src ~off:0 a;
+  let p = stage src in
+  Membuf.move ~src ~dst;
+  Membuf.set dst 0 'b';
+  Membuf.set src 1 'c';
+  check_bool "a moved pin still guards the bytes" true
+    (Bytes.equal (written_out p ~src_off:0 ~len:n) a);
+  check_bool "the destination reads its store" true
+    (Bytes.equal (Membuf.read dst ~off:0 ~len:2) (Bytes.of_string "ba"));
+  check_bool "the source reads its store" true
+    (Bytes.equal (Membuf.read src ~off:0 ~len:3) (Bytes.of_string "\000c\000"));
+  let b = Membuf.create ~node n in
+  Membuf.write b ~off:0 a;
+  let p = stage b in
+  Membuf.clear b;
+  check_bool "cleared" true (Bytes.equal (contents b) (zeros n));
+  Membuf.fill b 'x';
+  check_bool "a cleared pin keeps the dropped bytes" true
+    (Bytes.equal (written_out p ~src_off:0 ~len:n) a);
+  check_bool "the buffer reads its own store" true
+    (Bytes.equal (contents b) (Bytes.make n 'x'));
+  (* a pin of an unwritten source stores zeros, and nothing into an
+     unwritten buffer *)
+  let u = Membuf.create ~node n in
+  let p = stage u in
+  Membuf.fill u 'u';
+  check_bool "an unwritten pin reads zeros" true
+    (Bytes.equal (written_out p ~src_off:0 ~len:n) (zeros n))
+
+(* ------------------------------------------------------------------ *)
 (* Copies                                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Two hosts, one controller each. [f] gets the testbed, the alpha
    controller and [pair n], which makes an [n]-byte buffer on each host
    and a copy from alpha's into beta's ([~back:true]: from beta's into
-   alpha's). *)
+   alpha's), the destination granted with [dst_perms]. *)
 let with_pair ?config f =
   Tb.run ?config (fun tb ->
       let a = Tb.add_host tb "alpha" and b = Tb.add_host tb "beta" in
       let ca = Tb.add_ctrl tb ~on:a and cb = Tb.add_ctrl tb ~on:b in
       let pa = Tb.add_proc tb ~on:a ~ctrl:ca "proc-a" in
       let pb = Tb.add_proc tb ~on:b ~ctrl:cb "proc-b" in
-      let pair ?(back = false) n =
+      let pair ?(back = false) ?(dst_perms = Perms.rw) n =
         let ps, pd = if back then (pb, pa) else (pa, pb) in
         let src_buf = Process.alloc ps n and dst_buf = Process.alloc pd n in
         let src = ok_exn (Api.memory_create ps src_buf Perms.ro) in
         let dst =
           Tb.grant ~src:pd ~dst:ps
-            (ok_exn (Api.memory_create pd dst_buf Perms.rw))
+            (ok_exn (Api.memory_create pd dst_buf dst_perms))
         in
         (src_buf, dst_buf, fun () -> ok_exn (Api.memory_copy ps ~src ~dst))
       in
@@ -317,6 +436,63 @@ let isolation ?(dup = false) config () =
         check_bool "chunks were duplicated" true (dups > n / chunk)
       end)
 
+(* A fault hook drops the [drop]th cross-host chunk message of one copy
+   (chunk 0 carries the session open). The copy fails typed. Only the
+   dropped chunk's pin stays held: the writer releases the chunks it
+   writes, and the orphan sweep the chunks parked behind a lost open. The
+   held pin costs the source one copy of its bytes at its next store, the
+   store after that is made in place, and the next copy is exact. *)
+let leaked_pin ~drop () =
+  let n = 128 * 1024 in
+  with_pair (fun tb _ pair ->
+      let src_buf, dst_buf, copy = pair n in
+      Membuf.write src_buf ~off:0 (pattern ~seed:6 n);
+      let seen = ref 0 in
+      Net.Fabric.set_fault_hook tb.Tb.fabric
+        (Some
+           (fun ~src ~dst ~cls ~size ->
+             if
+               cls = Net.Stats.Data && size > 1024
+               && not (Net.Node.same_machine src dst)
+             then begin
+               incr seen;
+               if !seen = drop + 1 then Net.Fabric.Drop else Net.Fabric.Pass
+             end
+             else Net.Fabric.Pass));
+      Alcotest.check_raises "the copy fails typed"
+        (Error.Fractos Error.Timeout) copy;
+      Net.Fabric.set_fault_hook tb.Tb.fabric None;
+      Engine.sleep (Time.ms 7);
+      check_int "pins still held" 1 src_buf.Membuf.pins;
+      let bytes, () = allocated (fun () -> Membuf.set src_buf 0 'q') in
+      check_bool
+        (Printf.sprintf "the next store cost %.0f bytes" bytes)
+        true
+        (bytes >= float_of_int n && bytes < float_of_int (2 * n));
+      let bytes, () = allocated (fun () -> Membuf.set src_buf 1 'r') in
+      check_bool
+        (Printf.sprintf "the store after it cost %.0f bytes" bytes)
+        true (bytes < small);
+      copy ();
+      check_bool "the next copy is exact" true
+        (Bytes.equal (contents dst_buf) (contents src_buf)))
+
+(* A copy into a destination it may not write is refused at the
+   destination's open, and every chunk releases its pin there: the next
+   store into the source is made in place. *)
+let test_refused_copy () =
+  let n = 128 * 1024 in
+  with_pair (fun _ _ pair ->
+      let src_buf, _, copy = pair ~dst_perms:Perms.ro n in
+      Membuf.write src_buf ~off:0 (pattern ~seed:7 n);
+      Alcotest.check_raises "the copy is refused"
+        (Error.Fractos Error.Perm_denied) copy;
+      check_int "pins still held" 0 src_buf.Membuf.pins;
+      let bytes, () = allocated (fun () -> Membuf.set src_buf 0 'q') in
+      check_bool
+        (Printf.sprintf "the next store cost %.0f bytes" bytes)
+        true (bytes < small))
+
 let serial = Net.Config.default
 let pipelined = { Net.Config.default with copy_window = 4; copy_streams = 2 }
 
@@ -339,9 +515,22 @@ let () =
           Alcotest.test_case "move unwritten" `Quick test_move_unwritten;
           Alcotest.test_case "clear" `Quick test_clear;
         ] );
+      ( "pin",
+        [
+          Alcotest.test_case "stores miss a staged chunk" `Quick
+            test_pin_store_isolation;
+          Alcotest.test_case "released stores are in place" `Quick
+            test_pin_in_place;
+          Alcotest.test_case "move and clear" `Quick test_pin_move_clear;
+          Alcotest.test_case "dropped open leaks one pin" `Quick
+            (leaked_pin ~drop:0);
+          Alcotest.test_case "dropped chunk leaks one pin" `Quick
+            (leaked_pin ~drop:3);
+          Alcotest.test_case "refused copy releases its pins" `Quick
+            test_refused_copy;
+        ] );
       ( "snapshot",
         [
-          Alcotest.test_case "ownership" `Quick test_snapshot_ownership;
           Alcotest.test_case "isolation, serial engine" `Quick
             (isolation serial);
           Alcotest.test_case "isolation, pipelined engine" `Quick
