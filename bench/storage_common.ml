@@ -28,76 +28,48 @@ type fractos_stack = {
   app : Svc.t;
   fs_handle : Fs.handle;
   dax_handle : Fs.handle;
-  buf : Membuf.t;
-  mem_ro : Api.cid;
-  mem_rw : Api.cid;
-  ro_views : (int, Api.cid) Hashtbl.t;
-  rw_views : (int, Api.cid) Hashtbl.t;
+  ro : Svc.views; (* of one 1 MiB buffer, read-only and read-write *)
+  rw : Svc.views;
 }
+
+(* Read-only and read-write views of a fresh 1 MiB buffer. *)
+let buffer_views proc =
+  let buf = Process.alloc proc (1 lsl 20) in
+  let views perms =
+    Svc.views proc (ok_exn (Api.memory_create proc buf perms)) ~full:(1 lsl 20)
+  in
+  let ro = views Perms.ro in
+  (ro, views Perms.rw)
 
 let fractos_setup tb =
   let c = Cluster.make ~extent_size:file_size tb in
   let app = c.Cluster.app in
-  let proc = Svc.proc app in
   ok_exn (Fs.create app ~fs:c.Cluster.fs_cap ~name:"bench" ~size:file_size);
   let fs_handle = ok_exn (Fs.open_ app ~fs:c.Cluster.fs_cap ~name:"bench" Fs.Fs_rw) in
   let dax_handle =
     ok_exn (Fs.open_ app ~fs:c.Cluster.fs_cap ~name:"bench" Fs.Dax_rw)
   in
-  let buf = Process.alloc proc (1 lsl 20) in
-  let mem_ro = ok_exn (Api.memory_create proc buf Perms.ro) in
-  let mem_rw = ok_exn (Api.memory_create proc buf Perms.rw) in
-  {
-    app;
-    fs_handle;
-    dax_handle;
-    buf;
-    mem_ro;
-    mem_rw;
-    ro_views = Hashtbl.create 4;
-    rw_views = Hashtbl.create 4;
-  }
-
-let view st cache mem len =
-  if len = 1 lsl 20 then mem
-  else
-    match Hashtbl.find_opt cache len with
-    | Some v -> v
-    | None ->
-      let v =
-        ok_exn
-          (Api.memory_diminish (Svc.proc st.app) mem ~off:0 ~len
-             ~drop:Perms.none)
-      in
-      Hashtbl.replace cache len v;
-      v
+  let ro, rw = buffer_views (Svc.proc app) in
+  { app; fs_handle; dax_handle; ro; rw }
 
 let fs_read st ~off ~len =
   ok_exn
-    (Fs.read st.app st.fs_handle ~off ~len
-       ~dst:(view st st.rw_views st.mem_rw len))
+    (Fs.read st.app st.fs_handle ~off ~len ~dst:(ok_exn (Svc.view st.rw len)))
 
 let fs_write st ~off ~len =
   ok_exn
-    (Fs.write st.app st.fs_handle ~off ~len
-       ~src:(view st st.ro_views st.mem_ro len))
+    (Fs.write st.app st.fs_handle ~off ~len ~src:(ok_exn (Svc.view st.ro len)))
 
 let dax_op st ~write ~off ~len =
   let reqs =
     if write then st.dax_handle.Fs.h_dax_write else st.dax_handle.Fs.h_dax_read
   in
   let ext, imms = Option.get (Fs.read_request_args st.dax_handle ~off ~len) in
-  let mem =
-    if write then view st st.ro_views st.mem_ro len
-    else view st st.rw_views st.mem_rw len
-  in
-  let ok, _ =
-    ok_exn
-      (Svc.call_cont st.app ~svc:reqs.(ext) ~imms
-         ~place:(fun ~ok ~err -> [ mem; ok; err ])
-         ())
-  in
-  assert ok
+  let mem = ok_exn (Svc.view (if write then st.ro else st.rw) len) in
+  ok_exn
+    (Svc.call_cont st.app ~svc:reqs.(ext) ~imms
+       ~place:(fun ~ok ~err -> [ mem; ok; err ])
+       ())
 
 (* NVMe-oF: client initiator against a remote target. *)
 let nvmeof_setup fab =
@@ -113,11 +85,8 @@ type disagg = {
   d_app : Svc.t;
   d_read : Api.cid;
   d_write : Api.cid;
-  d_mem_ro : Api.cid;
-  d_mem_rw : Api.cid;
-  d_app_proc : Process.t;
-  d_ro_views : (int, Api.cid) Hashtbl.t;
-  d_rw_views : (int, Api.cid) Hashtbl.t;
+  d_ro : Svc.views;
+  d_rw : Svc.views;
 }
 
 let disagg_setup tb =
@@ -133,48 +102,24 @@ let disagg_setup tb =
   let bfs = B.Nvmeof_fs.start fs_proc ~backing in
   let app_proc = Tb.add_proc tb ~on:sc.Tb.node ~ctrl:sc.Tb.ctrl "client" in
   let app = Svc.create app_proc in
-  let buf = Process.alloc app_proc (1 lsl 20) in
-  let mem_ro = ok_exn (Api.memory_create app_proc buf Perms.ro) in
-  let mem_rw = ok_exn (Api.memory_create app_proc buf Perms.rw) in
+  let d_ro, d_rw = buffer_views app_proc in
   {
     d_app = app;
     d_read = Tb.grant ~src:fs_proc ~dst:app_proc (B.Nvmeof_fs.read_request bfs);
     d_write =
       Tb.grant ~src:fs_proc ~dst:app_proc (B.Nvmeof_fs.write_request bfs);
-    d_mem_ro = mem_ro;
-    d_mem_rw = mem_rw;
-    d_app_proc = app_proc;
-    d_ro_views = Hashtbl.create 4;
-    d_rw_views = Hashtbl.create 4;
+    d_ro;
+    d_rw;
   }
-
-let disagg_view st cache mem len =
-  if len = 1 lsl 20 then mem
-  else
-    match Hashtbl.find_opt cache len with
-    | Some v -> v
-    | None ->
-      let v =
-        ok_exn
-          (Api.memory_diminish st.d_app_proc mem ~off:0 ~len ~drop:Perms.none)
-      in
-      Hashtbl.replace cache len v;
-      v
 
 let disagg_op st ~write ~off ~len =
   let req = if write then st.d_write else st.d_read in
-  let mem =
-    if write then disagg_view st st.d_ro_views st.d_mem_ro len
-    else disagg_view st st.d_rw_views st.d_mem_rw len
-  in
-  let ok, _ =
-    ok_exn
-      (Svc.call_cont st.d_app ~svc:req
-         ~imms:[ Args.of_int off; Args.of_int len ]
-         ~place:(fun ~ok ~err -> [ mem; ok; err ])
-         ())
-  in
-  assert ok
+  let mem = ok_exn (Svc.view (if write then st.d_ro else st.d_rw) len) in
+  ok_exn
+    (Svc.call_cont st.d_app ~svc:req
+       ~imms:[ Args.of_int off; Args.of_int len ]
+       ~place:(fun ~ok ~err -> [ mem; ok; err ])
+       ())
 
 (* Local block device: same node, kernel path only. *)
 type local = { fab : Net.Fabric.t; ssd : Dev.Nvme.t; vol : Dev.Nvme.volume }

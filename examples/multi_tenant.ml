@@ -58,14 +58,11 @@ let () =
       let a_buf = Process.alloc a_proc (Bytes.length secret) in
       Membuf.write a_buf ~off:0 secret;
       let a_mem = ok_exn (Api.memory_create a_proc a_buf Perms.rw) in
-      let stored, _ =
-        ok_exn
-          (Svc.call_cont a ~svc:vol_a.Blockdev.write_req
-             ~imms:(Blockdev.write_args ~off:0 ~len:(Bytes.length secret))
-             ~place:(fun ~ok ~err -> [ a_mem; ok; err ])
-             ())
-      in
-      assert stored;
+      ok_exn
+        (Svc.call_cont a ~svc:vol_a.Blockdev.write_req
+           ~imms:(Blockdev.write_args ~off:0 ~len:(Bytes.length secret))
+           ~place:(fun ~ok ~err -> [ a_mem; ok; err ])
+           ());
       say "tenant-a" "secret stored on the disaggregated SSD";
 
       (* 1. confinement: B holds no capability to A's volume — there is no

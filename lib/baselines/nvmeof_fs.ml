@@ -12,24 +12,15 @@ type t = {
   write_req : Api.cid;
 }
 
-let invoke_cont svc cont = ignore (Api.request_invoke (Svc.proc svc) cont)
-
-let fail_cont svc caps code =
-  match caps with
-  | [ _; _; err ] -> (
-    match
-      Api.request_derive (Svc.proc svc) err ~imms:[ Args.of_int code ] ()
-    with
-    | Ok r -> ignore (Api.request_invoke (Svc.proc svc) r)
-    | Error _ -> ())
-  | _ -> ()
+let malformed = Error.Bad_argument "bfs: malformed arguments"
 
 let handle_read t svc d =
-  match (d.State.d_imms, d.State.d_caps) with
-  | [ off; len ], (dst_mem :: next :: _ as caps) -> (
-    let off = Args.to_int off and len = Args.to_int len in
+  match (Svc.ints d.State.d_imms, d.State.d_caps) with
+  | Some [| off; len |], _ :: _ :: errs when off < 0 || len < 0 ->
+    Svc.resolve svc errs (Error Error.Bounds)
+  | Some [| off; len |], dst_mem :: next :: errs -> (
     match Nvmeof.read t.backing ~off ~len with
-    | Error _ -> fail_cont svc caps 1
+    | Error _ -> Svc.resolve svc errs (Error Error.Bounds)
     | Ok data -> (
       let res =
         Staging.with_slot t.staging len (fun slot ->
@@ -37,14 +28,16 @@ let handle_read t svc d =
             Api.memory_copy (Svc.proc svc) ~src:slot.Staging.mem ~dst:dst_mem)
       in
       match res with
-      | Ok () -> invoke_cont svc next
-      | Error _ -> fail_cont svc caps 2))
-  | _, caps -> fail_cont svc caps 3
+      | Ok () -> Svc.next svc next
+      | Error e -> Svc.resolve svc errs (Error e)))
+  | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
+  | _ -> ()
 
 let handle_write t svc d =
-  match (d.State.d_imms, d.State.d_caps) with
-  | [ off; len ], (src_mem :: next :: _ as caps) -> (
-    let off = Args.to_int off and len = Args.to_int len in
+  match (Svc.ints d.State.d_imms, d.State.d_caps) with
+  | Some [| off; len |], _ :: _ :: errs when off < 0 || len < 0 ->
+    Svc.resolve svc errs (Error Error.Bounds)
+  | Some [| off; len |], src_mem :: next :: errs -> (
     let res =
       Staging.with_slot t.staging len (fun slot ->
           match
@@ -58,9 +51,10 @@ let handle_write t svc d =
             | Error _ -> Error Error.Bounds))
     in
     match res with
-    | Ok () -> invoke_cont svc next
-    | Error _ -> fail_cont svc caps 2)
-  | _, caps -> fail_cont svc caps 3
+    | Ok () -> Svc.next svc next
+    | Error e -> Svc.resolve svc errs (Error e))
+  | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
+  | _ -> ()
 
 let start proc ~backing =
   let fsvc = Svc.create proc in

@@ -25,10 +25,8 @@ type t = {
   stages : stage array;
   max_size : int;
   app_buf : Membuf.t;
-  app_mem : Api.cid;
-  app_views : (int, Api.cid) Hashtbl.t;
-  stage_view_caches : (int, Api.cid) Hashtbl.t array;
-      (** app-held per-size views of each stage buffer *)
+  app_views : Svc.views;
+  stage_views : Svc.views array; (* app-held views of each stage buffer *)
 }
 
 (* Stage handler: transform the local buffer, then either hand control
@@ -39,23 +37,10 @@ let start_stage proc ~index ~max_size =
   let buf = Process.alloc proc max_size in
   let mem = Error.ok_exn (Api.memory_create proc buf Perms.rw) in
   let run = Error.ok_exn (Api.request_create proc ~tag:"stage.run" ()) in
-  let views : (int, Api.cid) Hashtbl.t = Hashtbl.create 4 in
-  let view len =
-    if len = max_size then Ok mem
-    else
-      match Hashtbl.find_opt views len with
-      | Some v -> Ok v
-      | None -> (
-        match Api.memory_diminish proc mem ~off:0 ~len ~drop:Perms.none with
-        | Error _ as e -> e
-        | Ok v ->
-          Hashtbl.replace views len v;
-          Ok v)
-  in
+  let views = Svc.views proc mem ~full:max_size in
   Svc.handle svc ~tag:"stage.run" (fun svc d ->
-      match d.State.d_imms with
-      | [ len ] -> (
-        let len = Args.to_int len in
+      match Svc.ints d.State.d_imms with
+      | Some [| len |] when 0 <= len && len <= max_size -> (
         let cfg =
           match Process.controller proc with
           | Some c -> Fractos_core.Controller.config c
@@ -71,16 +56,16 @@ let start_stage proc ~index ~max_size =
              (fun c -> Char.chr (Char.code c lxor Char.code mask))
              (Membuf.read buf ~off:0 ~len));
         match d.State.d_caps with
-        | [ next ] -> ignore (Api.request_invoke (Svc.proc svc) next)
+        | [ next ] -> Svc.next svc next
         | [ dst; next ] -> (
-          match view len with
+          match Svc.view views len with
           | Error _ -> ()
           | Ok src -> (
             match Api.memory_copy (Svc.proc svc) ~src ~dst with
-            | Ok () -> ignore (Api.request_invoke (Svc.proc svc) next)
+            | Ok () -> Svc.next svc next
             | Error _ -> ()))
         | _ -> Logs.warn (fun m -> m "stage.run: malformed capabilities"))
-      | _ -> Logs.warn (fun m -> m "stage.run: malformed immediates"));
+      | _ -> Logs.warn (fun m -> m "stage.run: malformed or out-of-range length"));
   (run, mem)
 
 let deploy ~app ~stages ~max_size ~grant =
@@ -104,30 +89,13 @@ let deploy ~app ~stages ~max_size ~grant =
     stages = stage_arr;
     max_size;
     app_buf;
-    app_mem;
-    app_views = Hashtbl.create 4;
-    stage_view_caches =
-      Array.init (Array.length stage_arr) (fun _ -> Hashtbl.create 4);
+    app_views = Svc.views app_proc app_mem ~full:max_size;
+    stage_views =
+      Array.map (fun st -> Svc.views app_proc st.st_mem ~full:max_size) stage_arr;
   }
 
-let cached_view proc cache mem ~len ~full =
-  if len = full then Ok mem
-  else
-    match Hashtbl.find_opt cache len with
-    | Some v -> Ok v
-    | None -> (
-      match Api.memory_diminish proc mem ~off:0 ~len ~drop:Perms.none with
-      | Error _ as e -> e
-      | Ok v ->
-        Hashtbl.replace cache len v;
-        Ok v)
-
-let app_view t len =
-  cached_view (Svc.proc t.app) t.app_views t.app_mem ~len ~full:t.max_size
-
-let stage_view t i len =
-  cached_view (Svc.proc t.app) t.stage_view_caches.(i) t.stages.(i).st_mem ~len
-    ~full:t.max_size
+let app_view t len = Svc.view t.app_views len
+let stage_view t i len = Svc.view t.stage_views.(i) len
 
 (* Invoke one stage synchronously from the app. [dst] = None for star mode
    (the app will pull the data itself). *)

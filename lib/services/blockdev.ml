@@ -18,28 +18,13 @@ type vol = {
   vol_size : int;
 }
 
-let invoke_cont svc cont =
-  match Api.request_invoke (Svc.proc svc) cont with
-  | Ok () -> ()
-  | Error e ->
-    Logs.warn (fun m -> m "blockdev: continuation failed: %s" (Error.to_string e))
-
-let fail_cont svc caps code =
-  match caps with
-  | [ _; _; err ] -> (
-    match
-      Api.request_derive (Svc.proc svc) err ~imms:[ Args.of_int code ] ()
-    with
-    | Ok r -> ignore (Api.request_invoke (Svc.proc svc) r)
-    | Error _ -> ())
-  | _ -> Logs.warn (fun m -> m "blockdev: operation failed with code %d" code)
+let malformed = Error.Bad_argument "blockdev: malformed arguments"
 
 let handle_create t svc d =
-  match d.State.d_imms with
-  | [ size ] when Args.is_int size -> (
-    let size = Args.to_int size in
+  match Svc.ints d.State.d_imms with
+  | Some [| size |] -> (
     match Device.Nvme.create_volume t.ssd ~size with
-    | Error _ -> Svc.reply svc d ~status:1 ()
+    | Error msg -> Svc.fail svc d (Error.Bad_argument msg)
     | Ok volume -> (
       t.next_vol <- t.next_vol + 1;
       let handle = t.next_vol in
@@ -50,24 +35,18 @@ let handle_create t svc d =
       in
       match (mk "blk.read", mk "blk.write") with
       | Ok rd, Ok wr ->
-        Svc.reply svc d ~status:0
-          ~imms:[ Args.of_int handle ]
-          ~caps:[ rd; wr ] ()
-      | _ -> Svc.reply svc d ~status:1 ()))
-  | _ -> Svc.reply svc d ~status:2 ()
+        Svc.reply svc d ~imms:[ Args.of_int handle ] ~caps:[ rd; wr ] ()
+      | Error e, _ | _, Error e -> Svc.fail svc d e))
+  | _ -> Svc.fail svc d malformed
 
 let handle_read t svc d =
-  match (d.State.d_imms, d.State.d_caps) with
-  | [ vol; off; len ], (dst_mem :: next :: _ as caps)
-    when Args.is_int vol && Args.is_int off && Args.is_int len -> (
-    let vol = Args.to_int vol
-    and off = Args.to_int off
-    and len = Args.to_int len in
+  match (Svc.ints d.State.d_imms, d.State.d_caps) with
+  | Some [| vol; off; len |], dst_mem :: next :: errs -> (
     match Hashtbl.find_opt t.volumes vol with
-    | None -> fail_cont svc caps 3
+    | None -> Svc.resolve svc errs (Error Error.Invalid_cap)
     | Some volume -> (
       match Device.Nvme.read t.ssd volume ~off ~len with
-      | Error _ -> fail_cont svc caps 1
+      | Error _ -> Svc.resolve svc errs (Error Error.Bounds)
       | Ok () -> (
         (* the slot is taken after the device time (taking it may issue a
            memory_create), then the stored bytes go straight into it *)
@@ -78,24 +57,19 @@ let handle_read t svc d =
               Api.memory_copy (Svc.proc svc) ~src:slot.Staging.mem ~dst:dst_mem)
         in
         match res with
-        | Ok () -> invoke_cont svc next
-        | Error _ -> fail_cont svc caps 2)))
-  | _, caps ->
-    Logs.warn (fun m -> m "blk.read: malformed arguments");
-    if List.length caps >= 3 then fail_cont svc caps 4
+        | Ok () -> Svc.next svc next
+        | Error e -> Svc.resolve svc errs (Error e))))
+  | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
+  | _ -> Logs.warn (fun m -> m "blk.read: malformed arguments")
 
 let handle_write t svc d =
-  match (d.State.d_imms, d.State.d_caps) with
-  | [ vol; off; len ], (src_mem :: next :: _ as caps)
-    when Args.is_int vol && Args.is_int off && Args.is_int len -> (
-    let vol = Args.to_int vol
-    and off = Args.to_int off
-    and len = Args.to_int len in
+  match (Svc.ints d.State.d_imms, d.State.d_caps) with
+  | Some [| vol; off; len |], src_mem :: next :: errs -> (
     match Hashtbl.find_opt t.volumes vol with
-    | None -> fail_cont svc caps 3
+    | None -> Svc.resolve svc errs (Error Error.Invalid_cap)
     | Some volume
       when off < 0 || len < 0 || off + len > volume.Device.Nvme.vol_size ->
-      fail_cont svc caps 2
+      Svc.resolve svc errs (Error Error.Bounds)
     | Some volume -> (
       (* a whole-volume write hands the slot's bytes to the volume, so the
          slot goes back to the pool holding none *)
@@ -114,11 +88,10 @@ let handle_write t svc d =
               | Error _ -> Error Error.Bounds))
       in
       match res with
-      | Ok () -> invoke_cont svc next
-      | Error _ -> fail_cont svc caps 2))
-  | _, caps ->
-    Logs.warn (fun m -> m "blk.write: malformed arguments");
-    if List.length caps >= 3 then fail_cont svc caps 4
+      | Ok () -> Svc.next svc next
+      | Error e -> Svc.resolve svc errs (Error e)))
+  | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
+  | _ -> Logs.warn (fun m -> m "blk.write: malformed arguments")
 
 let start proc ssd =
   let bsvc = Svc.create proc in
@@ -149,18 +122,10 @@ let create_vol svc ~create_req ~size =
   match Svc.call svc ~svc:create_req ~imms:[ Args.of_int size ] () with
   | Error _ as e -> e
   | Ok d -> (
-    if Svc.status d <> 0 then Error (Error.Bad_argument "create_vol failed")
-    else
-      match (Svc.payload_imms d, d.State.d_caps) with
-      | [ handle ], [ rd; wr ] when Args.is_int handle ->
-        Ok
-          {
-            vol_handle = Args.to_int handle;
-            read_req = rd;
-            write_req = wr;
-            vol_size = size;
-          }
-      | _ -> Error (Error.Bad_argument "create_vol: malformed reply"))
+    match (Svc.ints (Svc.payload_imms d), d.State.d_caps) with
+    | Some [| handle |], [ rd; wr ] ->
+      Ok { vol_handle = handle; read_req = rd; write_req = wr; vol_size = size }
+    | _ -> Error (Error.Bad_argument "create_vol: malformed reply"))
 
 let read_args ~off ~len = [ Args.of_int off; Args.of_int len ]
 let write_args ~off ~len = [ Args.of_int off; Args.of_int len ]

@@ -51,12 +51,10 @@ type slot = {
   db_gpu : Gpu_adaptor.buffer;
   out_gpu : Gpu_adaptor.buffer;
   probe_host : Membuf.t;
-  probe_mem : Api.cid; (* full-extent registration of probe_host *)
   out_host : Membuf.t;
   out_mem : Api.cid;
-  (* diminished views cache: length -> capability *)
-  probe_views : (int, Api.cid) Hashtbl.t;
-  out_gpu_views : (int, Api.cid) Hashtbl.t;
+  probe_views : Svc.views; (* of the registration of probe_host *)
+  out_gpu_views : Svc.views;
 }
 
 type t = {
@@ -90,11 +88,10 @@ let make_slot svc ~gpu_alloc ~img_size ~max_batch =
           db_gpu;
           out_gpu;
           probe_host;
-          probe_mem;
           out_host;
           out_mem;
-          probe_views = Hashtbl.create 4;
-          out_gpu_views = Hashtbl.create 4;
+          probe_views = Svc.views proc probe_mem ~full:data_len;
+          out_gpu_views = Svc.views proc out_gpu.Gpu_adaptor.mem ~full:max_batch;
         }
     | Error e, _ | _, Error e -> Error e)
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
@@ -121,19 +118,6 @@ let setup svc ~fs ~gpu_alloc ~gpu_load ~db_name ~img_size ~max_batch ~depth =
       | Ok () ->
         Ok { fsvc = svc; handle; invoke_req; img_size; max_batch; slots }))
 
-(* Cached diminished view of a full-buffer registration. *)
-let view proc cache mem ~len ~full =
-  if len = full then Ok mem
-  else
-    match Hashtbl.find_opt cache len with
-    | Some v -> Ok v
-    | None -> (
-      match Api.memory_diminish proc mem ~off:0 ~len ~drop:Perms.none with
-      | Error _ as e -> e
-      | Ok v ->
-        Hashtbl.replace cache len v;
-        Ok v)
-
 let verify t ~start_id ~batch ~probes =
   let svc = t.fsvc in
   let proc = Svc.proc svc in
@@ -158,10 +142,7 @@ let verify t ~start_id ~batch ~probes =
     (* 1. probes into GPU memory *)
     Membuf.write slot.probe_host ~off:0 probes;
     let step1 =
-      match
-        view proc slot.probe_views slot.probe_mem ~len:data_len
-          ~full:(t.max_batch * t.img_size)
-      with
+      match Svc.view slot.probe_views data_len with
       | Error _ as e -> e
       | Ok probe_view ->
         Api.memory_copy proc ~src:probe_view ~dst:slot.probe_gpu.Gpu_adaptor.mem
@@ -221,16 +202,16 @@ let verify t ~start_id ~batch ~probes =
                     let d = Sim.Ivar.await iv in
                     cleanup ();
                     if String.equal d.State.d_tag ok_tag then Ok ()
-                    else Error (Error.Bad_argument "pipeline failed"))))
+                    else
+                      match Svc.status d.State.d_imms with
+                      | Error _ as e -> e
+                      | Ok () -> Error (Error.Bad_argument "pipeline failed"))))
           in
           match result with
           | Error e -> finish (Error e)
           | Ok () -> (
             (* 4. results back to application memory *)
-            match
-              view proc slot.out_gpu_views slot.out_gpu.Gpu_adaptor.mem
-                ~len:batch ~full:t.max_batch
-            with
+            match Svc.view slot.out_gpu_views batch with
             | Error e -> finish (Error e)
             | Ok gpu_out_view -> (
               match

@@ -12,7 +12,6 @@ type t = {
   base : Api.cid;
   create_vol : Api.cid;
   extent_size : int;
-  write_through : bool;
   cache : bool;
   windows : (string, window list) Hashtbl.t; (* file name -> LRU windows *)
   mutable hits : int;
@@ -114,12 +113,16 @@ let parts ~extent_size ~off ~len =
 (* Handlers                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let malformed = Error.Bad_argument "fs: malformed arguments"
+
 let handle_create t svc d =
   match d.State.d_imms with
-  | [ name; size ] when Args.is_int size -> (
-    let name = Args.to_string name and size = Args.to_int size in
-    if Hashtbl.mem t.files name then Svc.reply svc d ~status:3 ()
-    else begin
+  | name :: ints -> (
+    let name = Args.to_string name in
+    match Svc.ints ints with
+    | Some [| _ |] when Hashtbl.mem t.files name ->
+      Svc.fail svc d (Error.Bad_argument "fs.create: file exists")
+    | Some [| size |] -> (
       let n_ext = max 1 ((size + t.extent_size - 1) / t.extent_size) in
       let rec alloc acc i =
         if i = n_ext then Ok (List.rev acc)
@@ -132,87 +135,66 @@ let handle_create t svc d =
           | Ok vol -> alloc (vol :: acc) (i + 1)
       in
       match alloc [] 0 with
-      | Error _ -> Svc.reply svc d ~status:1 ()
+      | Error e -> Svc.fail svc d e
       | Ok vols ->
         Hashtbl.replace t.files name
           { f_name = name; f_size = size; f_extents = Array.of_list vols };
-        Svc.reply svc d ~status:0 ()
-    end)
-  | _ -> Svc.reply svc d ~status:2 ()
+        Svc.reply svc d ())
+    | _ -> Svc.fail svc d malformed)
+  | [] -> Svc.fail svc d malformed
 
 let handle_open t svc d =
   match d.State.d_imms with
-  | [ name; mode ] when Args.is_int mode -> (
-    let name = Args.to_string name and mode = Args.to_int mode in
-    match Hashtbl.find_opt t.files name with
-    | None -> Svc.reply svc d ~status:1 ()
-    | Some file -> (
-      let proc = Svc.proc svc in
-      match mode with
-      | 0 | 1 -> (
-        (* FS mode: per-open mediation Requests *)
-        t.next_open <- t.next_open + 1;
-        let fid = t.next_open in
-        Hashtbl.replace t.opens fid file;
-        let mk tag = Api.request_create proc ~tag ~imms:[ Args.of_int fid ] () in
-        match mk "fs.read" with
-        | Error _ -> Svc.reply svc d ~status:1 ()
-        | Ok rd ->
-          let caps =
-            if mode = 1 then
-              match mk "fs.write" with Ok wr -> [ rd; wr ] | Error _ -> [ rd ]
-            else [ rd ]
-          in
-          Svc.reply svc d ~status:0
-            ~imms:[ Args.of_int file.f_size; Args.of_int t.extent_size ]
-            ~caps ())
-      | 2 | 3 ->
-        (* DAX mode: delegate the block device's own per-extent Requests,
-           withholding writes on read-only opens *)
-        let reads =
-          Array.to_list (Array.map (fun v -> v.Blockdev.read_req) file.f_extents)
+  | name :: ints -> (
+    match (Hashtbl.find_opt t.files (Args.to_string name), Svc.ints ints) with
+    | None, Some [| _ |] -> Svc.fail svc d Error.Invalid_cap
+    | Some file, Some [| (0 | 1) as mode |] -> (
+      (* FS mode: per-open mediation Requests *)
+      t.next_open <- t.next_open + 1;
+      let fid = t.next_open in
+      Hashtbl.replace t.opens fid file;
+      let mk tag =
+        Api.request_create (Svc.proc svc) ~tag ~imms:[ Args.of_int fid ] ()
+      in
+      match mk "fs.read" with
+      | Error e -> Svc.fail svc d e
+      | Ok rd ->
+        let caps =
+          if mode = 1 then
+            match mk "fs.write" with Ok wr -> [ rd; wr ] | Error _ -> [ rd ]
+          else [ rd ]
         in
-        let writes =
-          if mode = 3 then
-            Array.to_list
-              (Array.map (fun v -> v.Blockdev.write_req) file.f_extents)
-          else []
-        in
-        Svc.reply svc d ~status:0
+        Svc.reply svc d
           ~imms:[ Args.of_int file.f_size; Args.of_int t.extent_size ]
-          ~caps:(reads @ writes) ()
-      | _ -> Svc.reply svc d ~status:2 ()))
-  | _ -> Svc.reply svc d ~status:2 ()
-
-let invoke_cont svc cont =
-  match Api.request_invoke (Svc.proc svc) cont with
-  | Ok () -> ()
-  | Error e ->
-    Logs.warn (fun m -> m "fs: continuation failed: %s" (Error.to_string e))
-
-let fail_cont svc caps code =
-  match caps with
-  | [ _; _; err ] -> (
-    match
-      Api.request_derive (Svc.proc svc) err ~imms:[ Args.of_int code ] ()
-    with
-    | Ok r -> ignore (Api.request_invoke (Svc.proc svc) r)
-    | Error _ -> ())
-  | _ -> Logs.warn (fun m -> m "fs: operation failed with code %d" code)
+          ~caps ())
+    | Some file, Some [| (2 | 3) as mode |] ->
+      (* DAX mode: delegate the block device's own per-extent Requests,
+         withholding writes on read-only opens *)
+      let reads =
+        Array.to_list (Array.map (fun v -> v.Blockdev.read_req) file.f_extents)
+      in
+      let writes =
+        if mode = 3 then
+          Array.to_list
+            (Array.map (fun v -> v.Blockdev.write_req) file.f_extents)
+        else []
+      in
+      Svc.reply svc d
+        ~imms:[ Args.of_int file.f_size; Args.of_int t.extent_size ]
+        ~caps:(reads @ writes) ()
+    | _ -> Svc.fail svc d malformed)
+  | [] -> Svc.fail svc d malformed
 
 (* FS-mode read: stage each extent part through FS memory, then copy into
    the client's Memory capability. *)
 let handle_read t svc d =
-  match (d.State.d_imms, d.State.d_caps) with
-  | [ fid; off; len ], (dst_mem :: next :: _ as caps)
-    when Args.is_int fid && Args.is_int off && Args.is_int len -> (
-    let fid = Args.to_int fid
-    and off = Args.to_int off
-    and len = Args.to_int len in
+  match (Svc.ints d.State.d_imms, d.State.d_caps) with
+  | Some [| fid; off; len |], dst_mem :: next :: errs -> (
     match Hashtbl.find_opt t.opens fid with
-    | None -> fail_cont svc caps 3
+    | None -> Svc.resolve svc errs (Error Error.Invalid_cap)
     | Some file ->
-      if off < 0 || len < 0 || off + len > file.f_size then fail_cont svc caps 4
+      if off < 0 || len < 0 || off + len > file.f_size then
+        Svc.resolve svc errs (Error Error.Bounds)
       else begin
         let proc = Svc.proc svc in
         let plist = parts ~extent_size:t.extent_size ~off ~len in
@@ -231,7 +213,7 @@ let handle_read t svc d =
             Api.memory_copy proc ~src:slot.Staging.mem ~dst:dst_view
         in
         let rec go = function
-          | [] -> invoke_cont svc next
+          | [] -> Svc.next svc next
           | (ext, eoff, n, range_off) :: rest -> (
             let vol = file.f_extents.(ext) in
             let abs_off = (ext * t.extent_size) + eoff in
@@ -259,8 +241,7 @@ let handle_read t svc d =
                         ()
                     with
                     | Error _ as e -> e
-                    | Ok (false, _) -> Error Error.Bounds
-                    | Ok (true, _) ->
+                    | Ok () ->
                       cache_insert t file ~off:abs_off
                         (Membuf.read slot.Staging.buf ~off:0 ~len:fetch);
                       if fetch = n then to_client slot ~n ~range_off
@@ -272,29 +253,23 @@ let handle_read t svc d =
             in
             match res with
             | Ok () -> go rest
-            | Error _ -> fail_cont svc caps 1)
+            | Error e -> Svc.resolve svc errs (Error e))
         in
         go plist
       end)
-  | _, caps ->
-    Logs.warn (fun m -> m "fs.read: malformed arguments");
-    if List.length caps >= 3 then fail_cont svc caps 5
+  | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
+  | _ -> Logs.warn (fun m -> m "fs.read: malformed arguments")
 
 (* FS-mode write: stage from the client, push each part to the block
-   device. With write_through enabled and a single-extent range, compose
-   instead: refine the device's write Request with the client's source
-   Memory and continuation — the FS leaves the data path entirely. *)
+   device. *)
 let handle_write t svc d =
-  match (d.State.d_imms, d.State.d_caps) with
-  | [ fid; off; len ], (src_mem :: next :: _ as caps)
-    when Args.is_int fid && Args.is_int off && Args.is_int len -> (
-    let fid = Args.to_int fid
-    and off = Args.to_int off
-    and len = Args.to_int len in
+  match (Svc.ints d.State.d_imms, d.State.d_caps) with
+  | Some [| fid; off; len |], src_mem :: next :: errs -> (
     match Hashtbl.find_opt t.opens fid with
-    | None -> fail_cont svc caps 3
+    | None -> Svc.resolve svc errs (Error Error.Invalid_cap)
     | Some file ->
-      if off < 0 || len < 0 || off + len > file.f_size then fail_cont svc caps 4
+      if off < 0 || len < 0 || off + len > file.f_size then
+        Svc.resolve svc errs (Error Error.Bounds)
       else begin
         let proc = Svc.proc svc in
         let plist = parts ~extent_size:t.extent_size ~off ~len in
@@ -302,67 +277,48 @@ let handle_write t svc d =
           (fun (ext, eoff, n, _) ->
             cache_invalidate t file ~off:((ext * t.extent_size) + eoff) ~len:n)
           plist;
-        match (t.write_through, plist) with
-        | true, [ (ext, eoff, n, _) ] -> (
-          let vol = file.f_extents.(ext) in
-          match
-            Api.request_derive proc vol.Blockdev.write_req
-              ~imms:(Blockdev.write_args ~off:eoff ~len:n)
-              ~caps:[ src_mem; next ]
-              ()
-          with
-          | Error _ -> fail_cont svc caps 1
-          | Ok r -> (
-            match Api.request_invoke proc r with
-            | Ok () -> ()
-            | Error _ -> fail_cont svc caps 1))
-        | _ ->
-          let single = match plist with [ _ ] -> true | _ -> false in
-          let rec go = function
-            | [] -> invoke_cont svc next
-            | (ext, eoff, n, range_off) :: rest -> (
-              let vol = file.f_extents.(ext) in
-              let res =
-                Staging.with_slot t.staging n (fun slot ->
-                    let src_view =
-                      if single then Ok src_mem
-                      else
-                        Api.memory_diminish proc src_mem ~off:range_off ~len:n
-                          ~drop:Perms.none
-                    in
-                    match src_view with
+        let single = match plist with [ _ ] -> true | _ -> false in
+        let rec go = function
+          | [] -> Svc.next svc next
+          | (ext, eoff, n, range_off) :: rest -> (
+            let vol = file.f_extents.(ext) in
+            let res =
+              Staging.with_slot t.staging n (fun slot ->
+                  let src_view =
+                    if single then Ok src_mem
+                    else
+                      Api.memory_diminish proc src_mem ~off:range_off ~len:n
+                        ~drop:Perms.none
+                  in
+                  match src_view with
+                  | Error _ as e -> e
+                  | Ok src_view -> (
+                    match
+                      Api.memory_copy proc ~src:src_view ~dst:slot.Staging.mem
+                    with
                     | Error _ as e -> e
-                    | Ok src_view -> (
+                    | Ok () -> (
                       match
-                        Api.memory_copy proc ~src:src_view
-                          ~dst:slot.Staging.mem
+                        Svc.call_cont svc ~svc:vol.Blockdev.write_req
+                          ~imms:(Blockdev.write_args ~off:eoff ~len:n)
+                          ~place:(fun ~ok ~err -> [ slot.Staging.mem; ok; err ])
+                          ()
                       with
                       | Error _ as e -> e
-                      | Ok () -> (
-                        match
-                          Svc.call_cont svc ~svc:vol.Blockdev.write_req
-                            ~imms:(Blockdev.write_args ~off:eoff ~len:n)
-                            ~place:(fun ~ok ~err ->
-                              [ slot.Staging.mem; ok; err ])
-                            ()
-                        with
-                        | Error _ as e -> e
-                        | Ok (false, _) -> Error Error.Bounds
-                        | Ok (true, _) ->
-                          (* the device holds the bytes now: drop the
-                             slot's rather than pool a dead copy *)
-                          Membuf.clear slot.Staging.buf;
-                          Ok ())))
-              in
-              match res with
-              | Ok () -> go rest
-              | Error _ -> fail_cont svc caps 1)
-          in
-          go plist
+                      | Ok () ->
+                        (* the device holds the bytes now: drop the slot's
+                           rather than pool a dead copy *)
+                        Membuf.clear slot.Staging.buf;
+                        Ok ())))
+            in
+            match res with
+            | Ok () -> go rest
+            | Error e -> Svc.resolve svc errs (Error e))
+        in
+        go plist
       end)
-  | _, caps ->
-    Logs.warn (fun m -> m "fs.write: malformed arguments");
-    if List.length caps >= 3 then fail_cont svc caps 5
+  | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
+  | _ -> Logs.warn (fun m -> m "fs.write: malformed arguments")
 
 (* Unlink: drop the file, its open handles, and its cache windows, and
    revoke the underlying volume Requests — outstanding FS and DAX handles
@@ -372,7 +328,7 @@ let handle_delete t svc d =
   | [ name ] -> (
     let name = Args.to_string name in
     match Hashtbl.find_opt t.files name with
-    | None -> Svc.reply svc d ~status:1 ()
+    | None -> Svc.fail svc d Error.Invalid_cap
     | Some file ->
       Hashtbl.remove t.files name;
       Hashtbl.remove t.windows name;
@@ -389,15 +345,15 @@ let handle_delete t svc d =
           match Api.cap_revoke (Svc.proc svc) vol.Blockdev.write_req with
           | Ok () | Error _ -> ())
         file.f_extents;
-      Svc.reply svc d ~status:0 ())
-  | _ -> Svc.reply svc d ~status:2 ()
+      Svc.reply svc d ())
+  | _ -> Svc.fail svc d malformed
 
 let handle_list t svc d =
   let names =
     Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
     |> List.sort compare
   in
-  Svc.reply svc d ~status:0
+  Svc.reply svc d
     ~imms:(Args.of_int (List.length names) :: List.map Args.of_string names)
     ()
 
@@ -405,16 +361,15 @@ let handle_stat t svc d =
   match d.State.d_imms with
   | [ name ] -> (
     match Hashtbl.find_opt t.files (Args.to_string name) with
-    | None -> Svc.reply svc d ~status:1 ()
-    | Some file -> Svc.reply svc d ~status:0 ~imms:[ Args.of_int file.f_size ] ())
-  | _ -> Svc.reply svc d ~status:2 ()
+    | None -> Svc.fail svc d Error.Invalid_cap
+    | Some file -> Svc.reply svc d ~imms:[ Args.of_int file.f_size ] ())
+  | _ -> Svc.fail svc d malformed
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle and client wrappers                                       *)
 (* ------------------------------------------------------------------ *)
 
-let start proc ~create_vol ?(extent_size = 1 lsl 20) ?(write_through = false)
-    ?(cache = false) () =
+let start proc ~create_vol ?(extent_size = 1 lsl 20) ?(cache = false) () =
   let fsvc = Svc.create proc in
   let base = Error.ok_exn (Api.request_create proc ~tag:"fs" ()) in
   let t =
@@ -423,7 +378,6 @@ let start proc ~create_vol ?(extent_size = 1 lsl 20) ?(write_through = false)
       base;
       create_vol;
       extent_size;
-      write_through;
       cache;
       windows = Hashtbl.create 8;
       hits = 0;
@@ -443,8 +397,8 @@ let start proc ~create_vol ?(extent_size = 1 lsl 20) ?(write_through = false)
         | "delete" -> handle_delete t svc d'
         | "list" -> handle_list t svc d'
         | "stat" -> handle_stat t svc d'
-        | _ -> Svc.reply svc d ~status:2 ())
-      | [] -> Svc.reply svc d ~status:2 ());
+        | _ -> Svc.fail svc d malformed)
+      | [] -> Svc.fail svc d malformed);
   Svc.handle fsvc ~tag:"fs.read" (handle_read t);
   Svc.handle fsvc ~tag:"fs.write" (handle_write t);
   t
@@ -454,34 +408,23 @@ let base_request t = t.base
 let cache_hits t = t.hits
 
 let create svc ~fs ~name ~size =
-  match
-    Svc.call svc ~svc:fs
-      ~imms:[ Args.of_string "create"; Args.of_string name; Args.of_int size ]
-      ()
-  with
-  | Error _ as e -> e
-  | Ok d ->
-    if Svc.status d = 0 then Ok ()
-    else Error (Error.Bad_argument "fs.create failed")
+  Result.map ignore
+    (Svc.call svc ~svc:fs
+       ~imms:[ Args.of_string "create"; Args.of_string name; Args.of_int size ]
+       ())
 
 let delete svc ~fs ~name =
-  match
-    Svc.call svc ~svc:fs
-      ~imms:[ Args.of_string "delete"; Args.of_string name ]
-      ()
-  with
-  | Error _ as e -> e
-  | Ok d ->
-    if Svc.status d = 0 then Ok ()
-    else Error Error.Invalid_cap
+  Result.map ignore
+    (Svc.call svc ~svc:fs
+       ~imms:[ Args.of_string "delete"; Args.of_string name ]
+       ())
 
 let list svc ~fs =
   match Svc.call svc ~svc:fs ~imms:[ Args.of_string "list" ] () with
   | Error _ as e -> e
   | Ok d -> (
     match Svc.payload_imms d with
-    | count :: names
-      when Args.is_int count && Args.to_int count = List.length names ->
+    | count :: names when Svc.ints [ count ] = Some [| List.length names |] ->
       Ok (List.map Args.to_string names)
     | _ -> Error (Error.Bad_argument "fs.list: malformed reply"))
 
@@ -491,11 +434,9 @@ let stat svc ~fs ~name =
   with
   | Error _ as e -> e
   | Ok d -> (
-    if Svc.status d <> 0 then Error Error.Invalid_cap
-    else
-      match Svc.payload_imms d with
-      | [ size ] when Args.is_int size -> Ok (Args.to_int size)
-      | _ -> Error (Error.Bad_argument "fs.stat: malformed reply"))
+    match Svc.ints (Svc.payload_imms d) with
+    | Some [| size |] -> Ok size
+    | _ -> Error (Error.Bad_argument "fs.stat: malformed reply"))
 
 let open_ svc ~fs ~name mode =
   match
@@ -510,69 +451,59 @@ let open_ svc ~fs ~name mode =
   with
   | Error _ as e -> e
   | Ok d -> (
-    if Svc.status d <> 0 then Error (Error.Bad_argument "fs.open failed")
-    else
-      match Svc.payload_imms d with
-      | [ size; extent_size ]
-        when Args.is_int size && Args.is_int extent_size -> (
-        let h_size = Args.to_int size
-        and h_extent_size = Args.to_int extent_size in
-        let caps = d.State.d_caps in
-        match mode with
-        | Fs_ro ->
-          Ok
-            {
-              h_size;
-              h_extent_size;
-              h_read = List.nth_opt caps 0;
-              h_write = None;
-              h_dax_read = [||];
-              h_dax_write = [||];
-            }
-        | Fs_rw ->
-          Ok
-            {
-              h_size;
-              h_extent_size;
-              h_read = List.nth_opt caps 0;
-              h_write = List.nth_opt caps 1;
-              h_dax_read = [||];
-              h_dax_write = [||];
-            }
-        | Dax_ro ->
-          Ok
-            {
-              h_size;
-              h_extent_size;
-              h_read = None;
-              h_write = None;
-              h_dax_read = Array.of_list caps;
-              h_dax_write = [||];
-            }
-        | Dax_rw ->
-          let n = List.length caps / 2 in
-          let arr = Array.of_list caps in
-          Ok
-            {
-              h_size;
-              h_extent_size;
-              h_read = None;
-              h_write = None;
-              h_dax_read = Array.sub arr 0 n;
-              h_dax_write = Array.sub arr n n;
-            })
-      | _ -> Error (Error.Bad_argument "fs.open: malformed reply"))
+    match Svc.ints (Svc.payload_imms d) with
+    | Some [| h_size; h_extent_size |] -> (
+      let caps = d.State.d_caps in
+      match mode with
+      | Fs_ro ->
+        Ok
+          {
+            h_size;
+            h_extent_size;
+            h_read = List.nth_opt caps 0;
+            h_write = None;
+            h_dax_read = [||];
+            h_dax_write = [||];
+          }
+      | Fs_rw ->
+        Ok
+          {
+            h_size;
+            h_extent_size;
+            h_read = List.nth_opt caps 0;
+            h_write = List.nth_opt caps 1;
+            h_dax_read = [||];
+            h_dax_write = [||];
+          }
+      | Dax_ro ->
+        Ok
+          {
+            h_size;
+            h_extent_size;
+            h_read = None;
+            h_write = None;
+            h_dax_read = Array.of_list caps;
+            h_dax_write = [||];
+          }
+      | Dax_rw ->
+        let n = List.length caps / 2 in
+        let arr = Array.of_list caps in
+        Ok
+          {
+            h_size;
+            h_extent_size;
+            h_read = None;
+            h_write = None;
+            h_dax_read = Array.sub arr 0 n;
+            h_dax_write = Array.sub arr n n;
+          })
+    | _ -> Error (Error.Bad_argument "fs.open: malformed reply"))
 
 let rw_op svc req ~off ~len ~mem =
-  match
-    Svc.call_cont svc ~svc:req
-      ~imms:[ Args.of_int off; Args.of_int len ]
-      ~place:(fun ~ok ~err -> [ mem; ok; err ])
-      ()
-  with
-  | Error _ as e -> e
-  | Ok (true, _) -> Ok ()
-  | Ok (false, _) -> Error (Error.Bad_argument "fs operation failed")
+  Svc.call_cont svc ~svc:req
+    ~imms:[ Args.of_int off; Args.of_int len ]
+    ~place:(fun ~ok ~err -> [ mem; ok; err ])
+    ()
 
 let read svc handle ~off ~len ~dst =
   match handle.h_read with

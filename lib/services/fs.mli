@@ -13,13 +13,7 @@
       per-extent Requests, with the write Request withheld on read-only
       opens — clients then move data straight between the SSD and their
       buffers (or a GPU's), cutting the FS out of the data path without
-      breaking encapsulation.
-
-    The FS additionally supports {e write-through composition} (the
-    dynamic-composition pattern of §3.4): when enabled, a single-extent
-    [fs.write] is not staged; the FS refines the block device's write
-    Request with the client's source Memory and continuation, so the SSD
-    pulls directly from the client and resumes the client itself. *)
+      breaking encapsulation. *)
 
 module Core = Fractos_core
 
@@ -29,14 +23,12 @@ val start :
   Core.Process.t ->
   create_vol:Core.Api.cid ->
   ?extent_size:int ->
-  ?write_through:bool ->
   ?cache:bool ->
   unit ->
   t
 (** Run the FS on the given Process. [create_vol] is the block adaptor's
     volume-management Request (bootstrap). [extent_size] defaults to
-    1 MiB. [write_through] enables the composition path (default false).
-    [cache] (default false) enables a read cache with sequential
+    1 MiB. [cache] (default false) enables a read cache with sequential
     read-ahead on the FS node — the feature §6.4 notes the prototype
     omitted "for simplicity", which is why its FS lost to the
     cache-backed NVMe-oF baseline on writes and sequential reads. *)

@@ -10,7 +10,6 @@ type t = {
   free_req : Api.cid;
   push_req : Api.cid;
   buffers : (int, Membuf.t) Hashtbl.t;
-  buffer_mems : (int, Api.cid) Hashtbl.t; (* handle -> adaptor's Memory cap *)
   staging : Staging.t;
   mutable next_handle : int;
 }
@@ -19,38 +18,37 @@ type buffer = { mem : Api.cid; handle : int; size : int }
 
 let ok_exn = Error.ok_exn
 
+let malformed = Error.Bad_argument "gpu: malformed arguments"
+
+(* A buffer is registered (its handle issued) only once its Memory
+   capability exists. *)
 let handle_alloc t svc d =
-  match d.State.d_imms with
-  | [ size ] when Args.is_int size -> (
-    let size = Args.to_int size in
+  match Svc.ints d.State.d_imms with
+  | Some [| size |] -> (
     match Device.Gpu.alloc t.gpu size with
-    | Error _ -> Svc.reply svc d ~status:1 ()
+    | Error msg -> Svc.fail svc d (Error.Bad_argument msg)
     | Ok buf -> (
-      t.next_handle <- t.next_handle + 1;
-      let handle = t.next_handle in
-      Hashtbl.replace t.buffers handle buf;
       (* register the device buffer so clients can memory_copy into it *)
       match Api.memory_create (Svc.proc svc) buf Perms.rw with
-      | Error _ ->
+      | Error e ->
         Device.Gpu.free t.gpu buf;
-        Svc.reply svc d ~status:1 ()
+        Svc.fail svc d e
       | Ok mem ->
-        Hashtbl.replace t.buffer_mems handle mem;
-        Svc.reply svc d ~status:0 ~imms:[ Args.of_int handle ] ~caps:[ mem ] ()))
-  | _ -> Svc.reply svc d ~status:2 ()
+        t.next_handle <- t.next_handle + 1;
+        Hashtbl.replace t.buffers t.next_handle buf;
+        Svc.reply svc d ~imms:[ Args.of_int t.next_handle ] ~caps:[ mem ] ()))
+  | _ -> Svc.fail svc d malformed
 
 let handle_free t svc d =
-  match d.State.d_imms with
-  | [ handle ] when Args.is_int handle -> (
-    let handle = Args.to_int handle in
+  match Svc.ints d.State.d_imms with
+  | Some [| handle |] -> (
     match Hashtbl.find_opt t.buffers handle with
     | Some buf ->
       Hashtbl.remove t.buffers handle;
-      Hashtbl.remove t.buffer_mems handle;
       Device.Gpu.free t.gpu buf;
-      Svc.reply svc d ~status:0 ()
-    | None -> Svc.reply svc d ~status:1 ())
-  | _ -> Svc.reply svc d ~status:2 ()
+      Svc.reply svc d ()
+    | None -> Svc.fail svc d Error.Invalid_cap)
+  | _ -> Svc.fail svc d malformed
 
 let handle_load _t svc d =
   match d.State.d_imms with
@@ -63,93 +61,68 @@ let handle_load _t svc d =
       Api.request_create (Svc.proc svc) ~tag:"gpu.invoke"
         ~imms:[ Args.of_string name ] ()
     with
-    | Error _ -> Svc.reply svc d ~status:1 ()
-    | Ok invoke_req -> Svc.reply svc d ~status:0 ~caps:[ invoke_req ] ())
-  | _ -> Svc.reply svc d ~status:2 ()
+    | Error e -> Svc.fail svc d e
+    | Ok invoke_req -> Svc.reply svc d ~caps:[ invoke_req ] ())
+  | _ -> Svc.fail svc d malformed
+
+(* The buffers whose handles are [a.(2)] .. [a.(i)], in that order. *)
+let rec buffers t a i acc =
+  if i < 2 then Some acc
+  else
+    match Hashtbl.find_opt t.buffers a.(i) with
+    | Some b -> buffers t a (i - 1) (b :: acc)
+    | None -> None
 
 (* Continuation-style kernel invocation: no reply; success or error is
-   signaled by invoking one of the two Request arguments verbatim. *)
+   signaled by invoking one of the two Request arguments. The ints are
+   [items; nbufs; handles...; user...]. *)
 let handle_invoke t svc d =
-  let fail_to cont code =
-    match
-      Api.request_derive (Svc.proc svc) cont ~imms:[ Args.of_int code ] ()
-    with
-    | Ok r -> ignore (Api.request_invoke (Svc.proc svc) r)
-    | Error _ -> ()
-  in
   match (d.State.d_imms, d.State.d_caps) with
-  | kname :: items :: nbufs :: rest, [ success_cont; error_cont ]
-    when Args.is_int items && Args.is_int nbufs
-         && List.for_all Args.is_int rest -> (
-    let items = Args.to_int items and nbufs = Args.to_int nbufs in
-    let rec split n xs =
-      if n = 0 then ([], xs)
-      else
-        match xs with
-        | [] -> ([], [])
-        | x :: tl ->
-          let a, b = split (n - 1) tl in
-          (x :: a, b)
-    in
-    let buf_handles, user = split nbufs rest in
-    let bufs =
-      List.filter_map
-        (fun h -> Hashtbl.find_opt t.buffers (Args.to_int h))
-        buf_handles
-    in
-    if List.length bufs <> nbufs then fail_to error_cont 2
-    else
-      match
-        Device.Gpu.launch t.gpu ~name:(Args.to_string kname) ~items ~bufs
-          ~imms:(List.map Args.to_int user)
-      with
-      | Ok () -> (
-        match Api.request_invoke (Svc.proc svc) success_cont with
-        | Ok () -> ()
-        | Error _ -> ())
-      | Error _ -> fail_to error_cont 1)
-  | _, _ ->
-    Logs.warn (fun m -> m "gpu.invoke: malformed arguments");
-    ()
+  | kname :: imms, [ next; err ] -> (
+    match Svc.ints imms with
+    | Some a
+      when Array.length a >= 2 && 0 <= a.(1) && a.(1) <= Array.length a - 2
+      -> (
+      let nbufs = a.(1) in
+      match buffers t a (1 + nbufs) [] with
+      | None -> Svc.resolve svc [ err ] (Error Error.Invalid_cap)
+      | Some bufs -> (
+        let user =
+          Array.to_list (Array.sub a (2 + nbufs) (Array.length a - 2 - nbufs))
+        in
+        match
+          Device.Gpu.launch t.gpu ~name:(Args.to_string kname) ~items:a.(0)
+            ~bufs ~imms:user
+        with
+        | Ok () -> Svc.next svc next
+        | Error msg -> Svc.resolve svc [ err ] (Error (Error.Bad_argument msg))))
+    | _ -> Svc.resolve svc [ err ] (Error malformed))
+  | _ -> Logs.warn (fun m -> m "gpu.invoke: malformed arguments")
 
 (* gpu.push: copy [len] bytes of a device buffer into any Memory
    capability, then invoke the continuation — the outbound half of
    peer-to-peer device pipelines. *)
 let handle_push t svc d =
-  let fail caps code =
-    match caps with
-    | [ _; _; err ] -> (
-      match
-        Api.request_derive (Svc.proc svc) err ~imms:[ Args.of_int code ] ()
-      with
-      | Ok r -> ignore (Api.request_invoke (Svc.proc svc) r)
-      | Error _ -> ())
-    | _ -> Logs.warn (fun m -> m "gpu.push failed with code %d" code)
-  in
-  match (d.State.d_imms, d.State.d_caps) with
-  | [ handle; len ], (dst :: next :: _ as caps)
-    when Args.is_int handle && Args.is_int len -> (
-    let handle = Args.to_int handle and len = Args.to_int len in
-    match
-      (Hashtbl.find_opt t.buffers handle, Hashtbl.find_opt t.buffer_mems handle)
-    with
-    | Some buf, Some _ when 0 <= len && len <= Membuf.size buf -> (
-      let proc = Svc.proc svc in
+  match (Svc.ints d.State.d_imms, d.State.d_caps) with
+  | Some [| handle; len |], dst :: next :: errs -> (
+    match Hashtbl.find_opt t.buffers handle with
+    | None -> Svc.resolve svc errs (Error Error.Invalid_cap)
+    | Some buf when len < 0 || len > Membuf.size buf ->
+      Svc.resolve svc errs (Error Error.Bounds)
+    | Some buf -> (
       (* stage through an exact-length registered window of device memory
          (memory_copy moves whole extents) *)
       let res =
         Staging.with_slot t.staging len (fun slot ->
             Membuf.blit ~src:buf ~src_off:0 ~dst:slot.Staging.buf ~dst_off:0
               ~len;
-            Api.memory_copy proc ~src:slot.Staging.mem ~dst)
+            Api.memory_copy (Svc.proc svc) ~src:slot.Staging.mem ~dst)
       in
       match res with
-      | Ok () -> ignore (Api.request_invoke proc next)
-      | Error _ -> fail caps 1)
-    | _ -> fail caps 2)
-  | _, caps ->
-    Logs.warn (fun m -> m "gpu.push: malformed arguments");
-    if List.length caps >= 3 then fail caps 3
+      | Ok () -> Svc.next svc next
+      | Error e -> Svc.resolve svc errs (Error e)))
+  | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
+  | _ -> Logs.warn (fun m -> m "gpu.push: malformed arguments")
 
 let start proc gpu =
   let asvc = Svc.create proc in
@@ -159,7 +132,7 @@ let start proc gpu =
   let push_req = ok_exn (Api.request_create proc ~tag:"gpu.push" ()) in
   let t =
     { asvc; gpu; alloc_req; load_req; free_req; push_req;
-      buffers = Hashtbl.create 16; buffer_mems = Hashtbl.create 16;
+      buffers = Hashtbl.create 16;
       staging = Staging.create proc; next_handle = 0 }
   in
   Svc.handle asvc ~tag:"gpu.alloc" (handle_alloc t);
@@ -182,31 +155,21 @@ let alloc svc ~alloc_req ~size =
   match Svc.call svc ~svc:alloc_req ~imms:[ Args.of_int size ] () with
   | Error _ as e -> e
   | Ok d -> (
-    if Svc.status d <> 0 then Error (Error.Bad_argument "gpu alloc failed")
-    else
-      match (Svc.payload_imms d, d.State.d_caps) with
-      | [ handle ], [ mem ] when Args.is_int handle ->
-        Ok { mem; handle = Args.to_int handle; size }
-      | _ -> Error (Error.Bad_argument "gpu alloc: malformed reply"))
+    match (Svc.ints (Svc.payload_imms d), d.State.d_caps) with
+    | Some [| handle |], [ mem ] -> Ok { mem; handle; size }
+    | _ -> Error (Error.Bad_argument "gpu alloc: malformed reply"))
 
 let free svc ~free_req buffer =
-  match
-    Svc.call svc ~svc:free_req ~imms:[ Args.of_int buffer.handle ] ()
-  with
-  | Error _ as e -> e
-  | Ok d ->
-    if Svc.status d = 0 then Ok ()
-    else Error (Error.Bad_argument "gpu free failed")
+  Result.map ignore
+    (Svc.call svc ~svc:free_req ~imms:[ Args.of_int buffer.handle ] ())
 
 let load svc ~load_req ~name =
   match Svc.call svc ~svc:load_req ~imms:[ Args.of_string name ] () with
   | Error _ as e -> e
   | Ok d -> (
-    if Svc.status d <> 0 then Error (Error.Bad_argument "gpu load failed")
-    else
-      match d.State.d_caps with
-      | [ invoke_req ] -> Ok invoke_req
-      | _ -> Error (Error.Bad_argument "gpu load: malformed reply"))
+    match d.State.d_caps with
+    | [ invoke_req ] -> Ok invoke_req
+    | _ -> Error (Error.Bad_argument "gpu load: malformed reply"))
 
 let invoke_args ~items ~bufs ~user =
   (Args.of_int items :: Args.of_int (List.length bufs)

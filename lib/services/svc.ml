@@ -52,6 +52,53 @@ let traced name h t d =
         h t d)
   else h t d
 
+(* Status codes on the wire: 0 is success and code [c > 0] is
+   [errors.(c - 1)]. No other module reads or writes a status integer. *)
+let errors =
+  Error.
+    [|
+      Invalid_cap;
+      Revoked;
+      Stale;
+      Perm_denied;
+      Bounds;
+      Bad_argument "remote failure";
+      Provider_dead;
+      Ctrl_unreachable;
+      Quota_exceeded;
+      Timeout;
+      Overloaded;
+    |]
+
+let code : Error.t -> int = function
+  | Invalid_cap -> 1
+  | Revoked -> 2
+  | Stale -> 3
+  | Perm_denied -> 4
+  | Bounds -> 5
+  | Bad_argument _ -> 6
+  | Provider_dead -> 7
+  | Ctrl_unreachable -> 8
+  | Quota_exceeded -> 9
+  | Timeout -> 10
+  | Overloaded -> 11
+
+(* A reply is whatever the replier derived: an empty or malformed one
+   (from a buggy or hostile service) is a failure, never an exception. *)
+let status = function
+  | s :: _ when Args.is_int s -> (
+    match Args.to_int s with
+    | 0 -> Ok ()
+    | c when c > 0 && c <= Array.length errors -> Error errors.(c - 1)
+    | c -> Error (Error.Bad_argument (Printf.sprintf "unknown status %d" c)))
+  | _ -> Error (Error.Bad_argument "malformed status")
+
+(* An error continuation that reports success is malformed too. *)
+let failure imms =
+  match status imms with
+  | Error e -> e
+  | Ok () -> Error.Bad_argument "error continuation reported success"
+
 let call t ~svc ?(imms = []) ?(caps = []) ?timeout () =
   t.next_call <- t.next_call + 1;
   let tag = Printf.sprintf "~r%d.%d" (State.(t.sproc.pid)) t.next_call in
@@ -70,11 +117,14 @@ let call t ~svc ?(imms = []) ?(caps = []) ?timeout () =
         Hashtbl.remove t.oneshots tag;
         Error e
       | Ok () -> (
+        let replied d =
+          match status d.State.d_imms with Ok () -> Ok d | Error e -> Error e
+        in
         match timeout with
-        | None -> Ok (Sim.Ivar.await iv)
+        | None -> replied (Sim.Ivar.await iv)
         | Some timeout -> (
           match Sim.Ivar.await_timeout iv ~timeout with
-          | Some d -> Ok d
+          | Some d -> replied d
           | None ->
             (* stop waiting; a late reply delivery is dropped by the pump *)
             Hashtbl.remove t.oneshots tag;
@@ -131,37 +181,93 @@ let call_cont t ~svc ?(imms = []) ~place () =
       | Ok () ->
         let d = Sim.Ivar.await iv in
         cleanup ();
-        Ok (String.equal d.State.d_tag ok_tag, d)))
+        if String.equal d.State.d_tag ok_tag then Ok ()
+        else Error (failure d.State.d_imms)))
 
-let reply t (d : State.delivery) ~status ?(imms = []) ?(caps = []) () =
-  match List.rev d.State.d_caps with
+let warn t what e =
+  Logs.warn (fun m ->
+      m "%s: %s failed: %s" (Process.name t.sproc) what (Error.to_string e))
+
+(* Derive [cont] with [imms] and [caps] and invoke it. A service has
+   nobody to tell when that fails, so the failure is only logged. *)
+let send t cont ~imms ~caps =
+  match Api.request_derive t.sproc cont ~imms ~caps () with
+  | Error e -> warn t "continuation derive" e
+  | Ok r -> (
+    match Api.request_invoke t.sproc r with
+    | Ok () -> ()
+    | Error e -> warn t "continuation invoke" e)
+
+let rec last c = function [] -> c | c :: tl -> last c tl
+
+(* The reply continuation is the delivery's last capability. *)
+let answer t (d : State.delivery) ~imms ~caps =
+  match d.State.d_caps with
   | [] ->
     Logs.warn (fun m ->
         m "%s: reply to a delivery with no continuation"
           (Process.name t.sproc))
-  | cont :: _ -> (
-    match
-      Api.request_derive t.sproc cont ~imms:(Args.of_int status :: imms) ~caps
-        ()
-    with
-    | Error e ->
-      Logs.warn (fun m ->
-          m "%s: reply derive failed: %s" (Process.name t.sproc)
-            (Error.to_string e))
-    | Ok r -> (
-      match Api.request_invoke t.sproc r with
-      | Ok () -> ()
-      | Error e ->
-        Logs.warn (fun m ->
-            m "%s: reply invoke failed: %s" (Process.name t.sproc)
-              (Error.to_string e))))
+  | c :: tl -> send t (last c tl) ~imms ~caps
 
-(* A reply is whatever the replier derived: an empty or malformed one
-   (from a buggy or hostile service) is a failure, never an exception. *)
-let status (d : State.delivery) =
-  match d.State.d_imms with
-  | s :: _ when Args.is_int s -> Args.to_int s
-  | _ -> -1
+let reply t d ?(imms = []) ?(caps = []) () =
+  answer t d ~imms:(Args.of_int 0 :: imms) ~caps
+
+let fail t d e = answer t d ~imms:[ Args.of_int (code e) ] ~caps:[]
+
+let next t cont =
+  match Api.request_invoke t.sproc cont with
+  | Ok () -> ()
+  | Error e -> warn t "continuation invoke" e
+
+let rec send_all t c = function
+  | [] -> ()
+  | cont :: tl ->
+    send t cont ~imms:[ Args.of_int c ] ~caps:[];
+    send_all t c tl
+
+let resolve t conts r =
+  match (r, conts) with
+  | Ok (), _ -> send_all t 0 conts
+  | Error e, [] -> warn t "operation with no error continuation" e
+  | Error e, _ -> send_all t (code e) conts
 
 let payload_imms (d : State.delivery) =
   match d.State.d_imms with _ :: rest -> rest | [] -> []
+
+let rec fill a i = function
+  | [] -> ()
+  | x :: tl ->
+    a.(i) <- Args.to_int x;
+    fill a (i + 1) tl
+
+let ints imms =
+  if List.for_all Args.is_int imms then begin
+    let a = Array.make (List.length imms) 0 in
+    fill a 0 imms;
+    Some a
+  end
+  else None
+
+type views = {
+  v_proc : Process.t;
+  v_mem : Api.cid;
+  v_full : int;
+  v_cache : (int, Api.cid) Hashtbl.t;
+}
+
+let views proc mem ~full =
+  { v_proc = proc; v_mem = mem; v_full = full; v_cache = Hashtbl.create 4 }
+
+let view v len =
+  if len = v.v_full then Ok v.v_mem
+  else
+    match Hashtbl.find_opt v.v_cache len with
+    | Some c -> Ok c
+    | None -> (
+      match
+        Api.memory_diminish v.v_proc v.v_mem ~off:0 ~len ~drop:Perms.none
+      with
+      | Error _ as e -> e
+      | Ok c ->
+        Hashtbl.replace v.v_cache len c;
+        Ok c)

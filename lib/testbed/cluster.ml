@@ -24,7 +24,7 @@ type t = {
 }
 
 let make ?(placement = Testbed.Ctrl_cpu) ?(extent_size = 1 lsl 20)
-    ?(write_through = false) ?(cache = false) tb =
+    ?(cache = false) tb =
   let config = Net.Fabric.config tb.Testbed.fabric in
   (* Two-tier storage, as in the paper: the FS service and the NVMe SSD
      are on different nodes, so FS-mode reads cost two network data
@@ -64,7 +64,7 @@ let make ?(placement = Testbed.Ctrl_cpu) ?(extent_size = 1 lsl 20)
       ~create_vol:
         (Testbed.grant ~src:blk_proc ~dst:fs_proc
            (Services.Blockdev.create_vol_request blk))
-      ~extent_size ~write_through ~cache ()
+      ~extent_size ~cache ()
   in
   let app = Services.Svc.create app_proc in
   let alloc_r, load_r, free_r = Services.Gpu_adaptor.base_requests gpu_adaptor in

@@ -35,7 +35,6 @@ type t = {
 val make :
   ?placement:Testbed.placement ->
   ?extent_size:int ->
-  ?write_through:bool ->
   ?cache:bool ->
   Testbed.t ->
   t

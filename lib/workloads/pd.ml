@@ -41,38 +41,6 @@ let prefill_tag = "pd.prefill"
 let decode_tag = "pd.decode"
 let unified_tag = "pd.unified"
 
-(* Status codes on the reply/first/done continuations: 0 = ok, otherwise
-   the typed error the instance hit, so a remote failure surfaces at the
-   client with its type intact (a decode pulling KV from a crashed
-   prefill pool reports the Stale/Ctrl_unreachable it saw, not a blind
-   timeout). *)
-let status_of_error = function
-  | Core.Error.Invalid_cap -> 1
-  | Core.Error.Revoked -> 2
-  | Core.Error.Stale -> 3
-  | Core.Error.Perm_denied -> 4
-  | Core.Error.Bounds -> 5
-  | Core.Error.Bad_argument _ -> 6
-  | Core.Error.Provider_dead -> 7
-  | Core.Error.Ctrl_unreachable -> 8
-  | Core.Error.Quota_exceeded -> 9
-  | Core.Error.Timeout -> 10
-  | Core.Error.Overloaded -> 11
-
-let error_of_status = function
-  | 1 -> Core.Error.Invalid_cap
-  | 2 -> Core.Error.Revoked
-  | 3 -> Core.Error.Stale
-  | 4 -> Core.Error.Perm_denied
-  | 5 -> Core.Error.Bounds
-  | 6 -> Core.Error.Bad_argument "pd: remote failure"
-  | 7 -> Core.Error.Provider_dead
-  | 8 -> Core.Error.Ctrl_unreachable
-  | 9 -> Core.Error.Quota_exceeded
-  | 10 -> Core.Error.Timeout
-  | 11 -> Core.Error.Overloaded
-  | n -> Core.Error.Bad_argument (Printf.sprintf "pd: bad status %d" n)
-
 type instance = {
   i_index : int;
   i_svc : Svc.t;
@@ -98,23 +66,15 @@ let mark_decode_dead t i =
   Router.mark_dead t.p_decode_router i;
   if not t.p_split then Router.mark_dead t.p_prefill_router i
 
-(* Fire a completion continuation, appending the status. Invocation
-   failures are swallowed: if the client's controller died there is nobody
-   to tell, and the client's timed wait covers it. *)
-let fire proc cont ~status =
-  match
-    Core.Api.request_derive proc cont ~imms:[ Core.Args.of_int status ] ()
-  with
-  | Error _ -> ()
-  | Ok r -> ignore (Core.Api.request_invoke proc r)
+(* The reply, first and done continuations carry a status: success, or
+   the typed error the instance hit, so a remote failure surfaces at the
+   client with its type intact (a decode pulling KV from a crashed prefill
+   pool reports the Stale/Ctrl_unreachable it saw, not a blind timeout).
+   Handlers decode their ints with [Svc.ints]: liveness probes invoke
+   service roots with no payload, and a handler must shrug at a malformed
+   delivery rather than kill its fiber. *)
 
-(* Length-checked immediate access: liveness probes invoke service roots
-   with no payload, and a handler must shrug at a malformed delivery
-   rather than kill its fiber. *)
-let nth_int_opt imms i =
-  match List.nth_opt imms i with
-  | Some imm when Core.Args.is_int imm -> Some (Core.Args.to_int imm)
-  | _ -> None
+let malformed = Core.Error.Bad_argument "pd: malformed arguments"
 
 (* Prefill: prompt pass on the engine, then register the KV state on this
    pool and hand it to the decode continuation (the delivery's only
@@ -122,70 +82,69 @@ let nth_int_opt imms i =
    the KV capability). *)
 let prefill_handler inst svc (d : Core.State.delivery) =
   let proc = Svc.proc svc in
-  match
-    (nth_int_opt d.Core.State.d_imms 0, nth_int_opt d.Core.State.d_imms 1)
-  with
-  | Some prompt_len, Some kv_len when prompt_len > 0 && kv_len > 0 -> (
+  match Svc.ints d.Core.State.d_imms with
+  | Some [| prompt_len; kv_len |] when prompt_len > 0 && kv_len > 0 -> (
       Sim.Resource.use inst.i_engine
         ~duration:(prompt_len * prefill_ns_per_token);
       let kv_buf = Core.Process.alloc proc kv_len in
       match Core.Api.memory_create proc kv_buf Core.Perms.ro with
-      | Ok kv -> Svc.reply svc d ~status:0 ~caps:[ kv ] ()
-      | Error e -> Svc.reply svc d ~status:(status_of_error e) ())
+      | Ok kv -> Svc.reply svc d ~caps:[ kv ] ()
+      | Error e -> Svc.fail svc d e)
   | _ -> () (* liveness probe or malformed delivery: nothing to do *)
 
 (* Decode: pull the KV state from the prefill pool (third-party copy —
    controller to controller, never through the client), then stream
    iterations: first token fires the TTFT continuation, the last fires the
-   completion continuation. A failed pull forwards the typed status on
-   both continuations so the client sees it whichever it awaits first. *)
+   completion continuation. The delivery's immediates are
+   [kv_len; iters] and the prefill's reply (its status), and its
+   capabilities [first; done] and the reply's KV capability. A failed
+   prefill or pull forwards the typed error on both continuations so the
+   client sees it whichever it awaits first. *)
 let decode_handler inst svc (d : Core.State.delivery) =
   let proc = Svc.proc svc in
-  let imms = d.Core.State.d_imms in
-  let kv_len = Option.value ~default:0 (nth_int_opt imms 0) in
-  let iters = max 1 (Option.value ~default:1 (nth_int_opt imms 1)) in
-  let status = Option.value ~default:6 (nth_int_opt imms 2) in
-  let status = if status = 0 && kv_len <= 0 then 6 else status in
-  let fail first_c done_c status =
-    fire proc first_c ~status;
-    fire proc done_c ~status
-  in
   match d.Core.State.d_caps with
-  | [ first_c; done_c; kv ] when status = 0 -> (
-      let dst_buf = Core.Process.alloc proc kv_len in
-      match Core.Api.memory_create proc dst_buf Core.Perms.rw with
-      | Error e -> fail first_c done_c (status_of_error e)
-      | Ok dst -> (
-          match Core.Api.memory_copy proc ~src:kv ~dst with
-          | Error e -> fail first_c done_c (status_of_error e)
+  | first_c :: done_c :: kv -> (
+      let prefill =
+        match d.Core.State.d_imms with
+        | _ :: _ :: reply -> Svc.status reply
+        | _ -> Error malformed
+      in
+      match (prefill, Svc.ints d.Core.State.d_imms, kv) with
+      | Ok (), Some [| kv_len; iters; _ |], [ kv ] when kv_len > 0 -> (
+          let pulled =
+            let dst_buf = Core.Process.alloc proc kv_len in
+            match Core.Api.memory_create proc dst_buf Core.Perms.rw with
+            | Error _ as e -> e
+            | Ok dst -> Core.Api.memory_copy proc ~src:kv ~dst
+          in
+          match pulled with
+          | Error e -> Svc.resolve svc [ first_c; done_c ] (Error e)
           | Ok () ->
               Sim.Resource.use inst.i_engine ~duration:decode_ns_per_iter;
-              fire proc first_c ~status:0;
+              Svc.resolve svc [ first_c ] (Ok ());
               if iters > 1 then
                 Sim.Resource.use inst.i_engine
                   ~duration:((iters - 1) * decode_ns_per_iter);
-              fire proc done_c ~status:0))
-  | first_c :: done_c :: _ ->
-      fail first_c done_c (if status = 0 then 6 else status)
+              Svc.resolve svc [ done_c ] (Ok ()))
+      | Error e, _, _ -> Svc.resolve svc [ first_c; done_c ] (Error e)
+      | Ok (), _, _ -> Svc.resolve svc [ first_c; done_c ] (Error malformed))
   | _ -> ()
 
 (* Unified baseline: the whole request on one instance — prompt pass,
    KV state stays resident (no registration hop, no copy), decode. *)
 let unified_handler inst svc (d : Core.State.delivery) =
-  let proc = Svc.proc svc in
-  let imms = d.Core.State.d_imms in
-  let prompt_len = max 1 (Option.value ~default:1 (nth_int_opt imms 0)) in
-  let iters = max 1 (Option.value ~default:1 (nth_int_opt imms 2)) in
-  match d.Core.State.d_caps with
-  | [ first_c; done_c ] ->
+  match (Svc.ints d.Core.State.d_imms, d.Core.State.d_caps) with
+  | Some [| prompt_len; _; iters |], [ first_c; done_c ] ->
       Sim.Resource.use inst.i_engine
-        ~duration:(prompt_len * prefill_ns_per_token);
+        ~duration:(max 1 prompt_len * prefill_ns_per_token);
       Sim.Resource.use inst.i_engine ~duration:decode_ns_per_iter;
-      fire proc first_c ~status:0;
+      Svc.resolve svc [ first_c ] (Ok ());
       if iters > 1 then
         Sim.Resource.use inst.i_engine
           ~duration:((iters - 1) * decode_ns_per_iter);
-      fire proc done_c ~status:0
+      Svc.resolve svc [ done_c ] (Ok ())
+  | _, [ first_c; done_c ] ->
+      Svc.resolve svc [ first_c; done_c ] (Error malformed)
   | _ -> ()
 
 let make_instance tb ~role i (s : Tb.node_setup) =
@@ -398,27 +357,26 @@ let request client ?(prefix = 0) ~prompt_len ~kv_len ~iters ~timeout () =
                 | None ->
                     cleanup ();
                     Error Core.Error.Timeout
-                | Some fd ->
-                    let st = Svc.status fd in
-                    if st <> 0 then begin
-                      cleanup ();
-                      Error (error_of_status st)
-                    end
-                    else
-                      let ttft = Sim.Engine.now () - t0 in
-                      (match Sim.Ivar.await_timeout done_iv ~timeout with
-                      | None ->
-                          cleanup ();
-                          Error Core.Error.Timeout
-                      | Some dd ->
-                          let st = Svc.status dd in
-                          cleanup ();
-                          if st <> 0 then Error (error_of_status st)
-                          else
-                            Ok
-                              {
-                                o_ttft = ttft;
-                                o_latency = Sim.Engine.now () - t0;
-                                o_prefill = p;
-                                o_decode = d;
-                              }))))
+                | Some fd -> (
+                    match Svc.status fd.Core.State.d_imms with
+                    | Error e ->
+                        cleanup ();
+                        Error e
+                    | Ok () -> (
+                        let ttft = Sim.Engine.now () - t0 in
+                        match Sim.Ivar.await_timeout done_iv ~timeout with
+                        | None ->
+                            cleanup ();
+                            Error Core.Error.Timeout
+                        | Some dd -> (
+                            cleanup ();
+                            match Svc.status dd.Core.State.d_imms with
+                            | Error e -> Error e
+                            | Ok () ->
+                                Ok
+                                  {
+                                    o_ttft = ttft;
+                                    o_latency = Sim.Engine.now () - t0;
+                                    o_prefill = p;
+                                    o_decode = d;
+                                  }))))))

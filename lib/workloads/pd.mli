@@ -91,10 +91,3 @@ val request :
     first token and completion with [timeout]-bounded waits. On any failure the chosen instances
     are probed and dead ones marked out of the routers, so the caller's
     retry re-routes; the error is always typed, never a hang. *)
-
-(**/**)
-
-(** Wire internals exposed for tests. *)
-
-val status_of_error : Core.Error.t -> int
-val error_of_status : int -> Core.Error.t

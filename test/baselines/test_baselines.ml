@@ -122,6 +122,53 @@ let test_nvmeof_write_invalidates_cache () =
       check_bool "fresh data after overlapping write" true
         (Bytes.equal back (Bytes.make 4096 'Z')))
 
+(* The NVMe-oF-backed file service of the disaggregated baseline answers
+   a wrong-size immediate with [Bad_argument] and a negative offset or
+   length with [Bounds] on the error continuation; a wrong-size one used
+   to raise out of its handler and end the simulation. *)
+let test_nvmeof_fs_malformed_imms () =
+  Tb.run (fun tb ->
+      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "client"; "fs" ] in
+      let sc = List.nth setups 0 and sf = List.nth setups 1 in
+      let target =
+        Net.Fabric.add_node tb.Tb.fabric ~name:"target" Net.Node.Wimpy_cpu
+      in
+      let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 20) in
+      let vol = Result.get_ok (Dev.Nvme.create_volume ssd ~size:(1 lsl 16)) in
+      let backing = B.Nvmeof.connect tb.Tb.fabric ~initiator:sf.Tb.node ssd vol in
+      let fs_proc = Tb.add_proc tb ~on:sf.Tb.node ~ctrl:sf.Tb.ctrl "bfs" in
+      let bfs = B.Nvmeof_fs.start fs_proc ~backing in
+      let proc = Tb.add_proc tb ~on:sc.Tb.node ~ctrl:sc.Tb.ctrl "client" in
+      let app = Svc.create proc in
+      let read = Tb.grant ~src:fs_proc ~dst:proc (B.Nvmeof_fs.read_request bfs) in
+      let write =
+        Tb.grant ~src:fs_proc ~dst:proc (B.Nvmeof_fs.write_request bfs)
+      in
+      let buf = Core.Process.alloc proc 64 in
+      let mem = Core.Error.ok_exn (Core.Api.memory_create proc buf Core.Perms.rw) in
+      let op req imms =
+        Svc.call_cont app ~svc:req ~imms ~place:(fun ~ok ~err -> [ mem; ok; err ]) ()
+      in
+      let short = Bytes.make 3 '\001' and i = Core.Args.of_int in
+      List.iter
+        (fun (what, req, imms, bad) ->
+          check_bool what true
+            (match (op req imms, bad) with
+            | Error (Core.Error.Bad_argument _), `Malformed -> true
+            | Error Core.Error.Bounds, `Bounds -> true
+            | _ -> false))
+        [
+          ("read: 3-byte off", read, [ short; i 64 ], `Malformed);
+          ("write: 3-byte len", write, [ i 0; short ], `Malformed);
+          ("read: negative len", read, [ i 0; i (-1) ], `Bounds);
+          ("write: negative off", write, [ i (-1); i 64 ], `Bounds);
+        ];
+      Core.Membuf.write buf ~off:0 (Bytes.make 64 'z');
+      Core.Error.ok_exn (op write [ i 0; i 64 ]);
+      Core.Error.ok_exn (op read [ i 0; i 64 ]);
+      check_bool "still serves" true
+        (Bytes.equal (Core.Membuf.read buf ~off:0 ~len:64) (Bytes.make 64 'z')))
+
 (* ------------------------------------------------------------------ *)
 (* NFS                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -254,6 +301,56 @@ let test_star_central_node_bottleneck () =
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end baseline                                                *)
+(* A hostile caller's malformed immediates: a 3-byte length, a negative
+   one, and one past the stage buffer. Each used to raise out of the
+   stage's handler and end the simulation; the stage now drops the
+   invocation, fires nothing and keeps serving. *)
+let test_pipeline_stage_malformed_len () =
+  Tb.run (fun tb ->
+      let granted = ref [] in
+      let grant ~src ~dst cid =
+        let c = Tb.grant ~src ~dst cid in
+        granted := c :: !granted;
+        c
+      in
+      let max_size = 4096 in
+      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "app"; "stage" ] in
+      let proc_on (s : Tb.node_setup) name =
+        Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl name
+      in
+      let proc = proc_on (List.nth setups 0) "app" in
+      let app = Svc.create proc in
+      let stage = proc_on (List.nth setups 1) "stage" in
+      let p = B.Pipeline.deploy ~app ~stages:[ stage ] ~max_size ~grant in
+      (* the stage's run Request is the granted capability that derives *)
+      let run =
+        List.find
+          (fun c -> Result.is_ok (Core.Api.request_derive proc c ()))
+          !granted
+      in
+      List.iter
+        (fun len ->
+          let tag = Svc.fresh_tag app in
+          let iv = Svc.expect app ~tag in
+          let next = Core.Error.ok_exn (Core.Api.request_create proc ~tag ()) in
+          let r =
+            Core.Error.ok_exn
+              (Core.Api.request_derive proc run ~imms:[ len ] ~caps:[ next ] ())
+          in
+          Core.Error.ok_exn (Core.Api.request_invoke proc r);
+          Engine.sleep (Time.ms 1);
+          check_bool "no continuation" false (Ivar.is_filled iv);
+          Svc.unexpect app ~tag)
+        [
+          Bytes.make 3 '\001';
+          Core.Args.of_int (-1);
+          Core.Args.of_int (max_size + 1);
+        ];
+      B.Pipeline.set_input p (Bytes.make 64 'a');
+      match B.Pipeline.run p B.Pipeline.Chain ~size:64 with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "pipeline: %s" (Core.Error.to_string e))
+
 (* ------------------------------------------------------------------ *)
 
 let test_faceverify_baseline_correct () =
@@ -304,6 +401,8 @@ let () =
           Alcotest.test_case "read-ahead" `Quick test_nvmeof_read_ahead;
           Alcotest.test_case "write invalidates" `Quick
             test_nvmeof_write_invalidates_cache;
+          Alcotest.test_case "fs service malformed immediates" `Quick
+            test_nvmeof_fs_malformed_imms;
         ] );
       ("nfs", [ Alcotest.test_case "proxies data" `Quick test_nfs_proxies_data ]);
       ( "pipeline",
@@ -317,6 +416,8 @@ let () =
             test_pipeline_ordering_small;
           Alcotest.test_case "star central-node bottleneck" `Quick
             test_star_central_node_bottleneck;
+          Alcotest.test_case "malformed stage length" `Quick
+            test_pipeline_stage_malformed_len;
         ] );
       ( "faceverify-baseline",
         [

@@ -356,7 +356,7 @@ let test_duplicated_invoke_single_side_effect () =
       let effects = ref 0 in
       Svc.handle server ~tag:"incr" (fun svc d ->
           incr effects;
-          Svc.reply svc d ~status:!effects ());
+          Svc.reply svc d ~imms:[ Core.Args.of_int !effects ] ());
       let svc =
         Tb.grant ~src:pb ~dst:pa
           (ok_exn (Core.Api.request_create pb ~tag:"incr" ()))
@@ -366,7 +366,8 @@ let test_duplicated_invoke_single_side_effect () =
         (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Net.Fabric.Duplicate));
       for i = 1 to 5 do
         let d = ok_exn (Svc.call client ~svc ()) in
-        check_int "reply status is the effect count" i (Svc.status d)
+        check_bool "reply payload is the effect count" true
+          (Svc.ints (Svc.payload_imms d) = Some [| i |])
       done;
       Net.Fabric.set_fault_hook tb.Tb.fabric None;
       check_int "handler ran once per logical invoke" 5 !effects)

@@ -14,6 +14,9 @@ module Tb = Fractos_testbed.Testbed
 module Cluster = Fractos_testbed.Cluster
 module Faceverify = Fractos_services.Faceverify
 module Facedata = Fractos_workloads.Facedata
+module Pd = Fractos_workloads.Pd
+module Svc = Fractos_services.Svc
+module Time = Fractos_sim.Time
 
 let img_size = 4096
 let n_images = 256
@@ -24,7 +27,22 @@ let ok_exn = function
   | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
 
 (* Words allocated (minor + major - promoted, so a promoted word counts
-   once), per batch, over [n] sequential batches: one DAX read of [batch]
+   once) per call of [f k], over [f 0] .. [f (n - 1)] after 8 warm-up
+   calls (staging slots, diminished views, directory caches, hash tables
+   at their working size). *)
+let words_per ~n f =
+  for k = 0 to 7 do
+    f k
+  done;
+  let minor0, promoted0, major0 = Gc.counters () in
+  for k = 0 to n - 1 do
+    f k
+  done;
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int n
+
+(* Words per batch over [n] sequential batches: one DAX read of [batch]
    database images from the block adaptor into GPU memory, then the
    kernel over them. *)
 let words_per_batch ~n =
@@ -59,17 +77,7 @@ let words_per_batch ~n =
         if not (Bytes.equal flags expected) then
           Alcotest.failf "batch %d: wrong match flags" k
       in
-      (* warm-up: staging slots, diminished views, directory caches *)
-      for k = 0 to 7 do
-        verify k
-      done;
-      let minor0, promoted0, major0 = Gc.counters () in
-      for k = 0 to n - 1 do
-        verify k
-      done;
-      let minor1, promoted1, major1 = Gc.counters () in
-      (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-      /. float_of_int n)
+      words_per ~n verify)
 
 (* Measured at 4 365 words per batch (x86-64, OCaml 5.1), plus ~25 %
    headroom. One per-request copy of the batch's 64 KiB payload adds
@@ -81,6 +89,40 @@ let test_faceverify_batch_budget () =
   Printf.printf "words per faceverify batch: %.0f (budget %.0f)\n" words budget;
   if words > budget then
     Alcotest.failf "%.0f words per faceverify batch, budget %.0f" words budget
+
+(* Words per [Pd.request] over [n] sequential requests on the
+   benchmark's pd-split pool (two prefill and two decode instances, one
+   controller per node): routing, the continuation ring, a prefill reply,
+   two handler decodes, the KV copy and the two status continuations the
+   client decodes. *)
+let words_per_pd_request ~n =
+  Tb.run (fun tb ->
+      match
+        Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "client"; "p0"; "p1"; "d0"; "d1" ]
+      with
+      | [ sc; p0; p1; d0; d1 ] ->
+        let pool = Pd.deploy tb ~prefill:[ p0; p1 ] ~decode:[ d0; d1 ] () in
+        let proc = Tb.add_proc tb ~on:sc.Tb.node ~ctrl:sc.Tb.ctrl "pd-client" in
+        let client = Pd.attach pool (Svc.create proc) in
+        let request k =
+          ignore
+            (ok_exn
+               (Pd.request client ~prefix:(k mod 8) ~prompt_len:256
+                  ~kv_len:(64 * 1024) ~iters:16 ~timeout:(Time.ms 50) ()))
+        in
+        words_per ~n request
+      | _ -> assert false)
+
+(* Measured at 4 344 words per request (x86-64, OCaml 5.1), plus 2 %:
+   the request path runs a reply, two handler decodes, two status decodes
+   and two status fires, and this holds their cost to the measured one. *)
+let pd_budget = 4_431.
+
+let test_pd_request_budget () =
+  let words = words_per_pd_request ~n:64 in
+  Printf.printf "words per pd request: %.0f (budget %.0f)\n" words pd_budget;
+  if words > pd_budget then
+    Alcotest.failf "%.0f words per pd request, budget %.0f" words pd_budget
 
 (* Bytes the live heap grows by across [Faceverify.populate_db] of an
    [n]-byte database, both ends measured after a full major collection:
@@ -160,6 +202,7 @@ let () =
         [
           Alcotest.test_case "faceverify batch budget" `Quick
             test_faceverify_batch_budget;
+          Alcotest.test_case "pd request budget" `Quick test_pd_request_budget;
           Alcotest.test_case "populate heap" `Quick test_populate_heap;
           Alcotest.test_case "run returns its heap" `Quick
             test_run_returns_heap;

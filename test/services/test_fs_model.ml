@@ -1,7 +1,6 @@
 (* Model-based tests for the file system: random operation sequences are
-   replayed against the FS service (in all four configurations: plain,
-   cached, write-through, cached+write-through) and checked against a
-   plain Bytes.t reference model. Plus tests for the newer FS operations
+   replayed against the FS service (plain and cached) and checked
+   against a plain Bytes.t reference model. Plus tests for the newer FS operations
    (delete / list / stat / cache behaviour). *)
 
 open Fractos_sim
@@ -54,9 +53,9 @@ let payload ~len ~seed =
   Prng.fill_bytes g b;
   b
 
-let replay ~cache ~write_through ops =
+let replay ~cache ops =
   Tb.run (fun tb ->
-      let c = Cluster.make ~extent_size ~write_through ~cache tb in
+      let c = Cluster.make ~extent_size ~cache tb in
       let app = c.Cluster.app in
       let proc = Svc.proc app in
       ok_exn (Fs.create app ~fs:c.Cluster.fs_cap ~name:"f" ~size:file_size);
@@ -85,13 +84,11 @@ let replay ~cache ~write_through ops =
         ops;
       !ok)
 
-let prop config_name ~cache ~write_through =
+let prop config_name ~cache =
   QCheck.Test.make
     ~name:(Printf.sprintf "fs agrees with model (%s)" config_name)
     ~count:25 ops_arb
-    (replay ~cache ~write_through)
-
-(* Cluster.make lacks ~cache; route it through. *)
+    (replay ~cache)
 
 (* ------------------------------------------------------------------ *)
 (* Directed tests for the newer FS operations                          *)
@@ -200,10 +197,8 @@ let () =
     [
       ( "model-based",
         [
-          qtest (prop "plain" ~cache:false ~write_through:false);
-          qtest (prop "cached" ~cache:true ~write_through:false);
-          qtest (prop "write-through" ~cache:false ~write_through:true);
-          qtest (prop "cached+write-through" ~cache:true ~write_through:true);
+          qtest (prop "plain" ~cache:false);
+          qtest (prop "cached" ~cache:true);
         ] );
       ( "fs-ops",
         [

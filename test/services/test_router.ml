@@ -282,19 +282,6 @@ let test_pd_decode_crash_reroutes () =
       check_bool "rerouted to the survivor" true
         (retried.Pd.o_decode <> first.Pd.o_decode))
 
-(* Status codec round-trips every typed error. *)
-let test_pd_status_codec () =
-  List.iter
-    (fun e ->
-      check_bool (Core.Error.to_string e) true
-        (Core.Error.equal e (Pd.error_of_status (Pd.status_of_error e))))
-    [
-      Core.Error.Invalid_cap; Core.Error.Revoked; Core.Error.Stale;
-      Core.Error.Perm_denied; Core.Error.Bounds; Core.Error.Provider_dead;
-      Core.Error.Ctrl_unreachable; Core.Error.Quota_exceeded;
-      Core.Error.Timeout; Core.Error.Overloaded;
-    ]
-
 let () =
   Alcotest.run "fractos_router"
     [
@@ -313,6 +300,5 @@ let () =
           Alcotest.test_case "disaggregation tax" `Quick test_pd_tax_is_the_copy;
           Alcotest.test_case "decode crash reroutes" `Quick
             test_pd_decode_crash_reroutes;
-          Alcotest.test_case "status codec" `Quick test_pd_status_codec;
         ] );
     ]
