@@ -161,14 +161,22 @@ fi
 
 echo "== Membuf.data outside Membuf"
 # A buffer's bytes are allocated on its first store (lib/core/membuf.mli),
-# so a store straight into [Membuf.data] would bypass that. Only Membuf
-# itself (as [t.data]) and the benchmark, which reads the field after its
-# stores, may touch it; everything else goes through the Membuf API.
-bad=$(grep -rn --include='*.ml' --include='*.mli' 'Membuf\.data\b' \
-        lib bin bench test examples || true)
+# and other buffers and staged copy chunks may share them, so a store
+# straight into [Membuf.data] would bypass both the allocation and the
+# copy-on-write. Only Membuf itself (as [t.data]) and the benchmark,
+# which reads the field after its stores, may touch it; everything else
+# goes through the Membuf API. The [store] field, which counts the
+# holders of the bytes, is Membuf's alone, qualified or not: a caller
+# that kept or swapped it would miscount them.
+bad=$( (grep -rn --include='*.ml' --include='*.mli' 'Membuf\.data\b' \
+          lib bin bench test examples
+        grep -rn --include='*.ml' --include='*.mli' '\.store\b' \
+          lib bin bench benchmark test examples |
+          grep -v '^lib/core/membuf\.mli\?:') || true)
 if [ -n "$bad" ]; then
   echo "$bad"
-  echo "use the Membuf API (read, write, blit, materialize) instead of .data"
+  echo "use the Membuf API (read, write, blit, materialize, holders) instead"
+  echo "of .data or .store"
   exit 1
 fi
 

@@ -371,9 +371,9 @@ let dispatch_peer ctrl msg =
   | P_copy_pull { src; dst; reply } ->
     charge ctrl [ (Net.Cost.Msg, 1) ];
     Copy.do_copy_pull ctrl ~src ~dst reply
-  | P_copy_open { copy_id; src_ctrl; dst; total; chunk } ->
+  | P_copy_open { copy_id; src_ctrl; dst; base; total; chunk } ->
     charge ctrl [ (Net.Cost.Msg, 1) ];
-    Copy.on_open ctrl ~copy_id ~src_ctrl ~dst ~total ~chunk
+    Copy.on_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total ~chunk
   | P_copy_chunk { copy_id; src_ctrl; chunk } ->
     Copy.on_chunk ctrl ~copy_id ~src_ctrl ~chunk
   | P_copy_credit { copy_id; credits } ->

@@ -133,12 +133,19 @@ let schedule_failure_sweep ctrl copy_id =
       if Hashtbl.mem ctrl.copy_failures copy_id then
         reclaim_orphan ctrl ctrl.copy_failures copy_id "failure")
 
-(* The destination writer's store of a [len]-byte chunk: one blit out of
-   the pinned bytes, which releases the pin. A duplicate delivery that
-   slipped past the endpoint's dedup window then finds nothing to write. *)
-let write_chunk dst_mem ck len =
+(* The destination writer's store of a [len]-byte chunk of a [total]-byte
+   copy whose source view starts at [base], which releases the chunk's
+   pin. The chunk at offset 0 carries the session open, so the writer
+   always gets it first; when the copy is as long as the destination
+   buffer, it may hand an unwritten destination the source's store
+   ([Membuf.write_pin] checks that the source is that long too), and the
+   copy's later chunks of that store then find their bytes in place. A
+   duplicate delivery that slipped past the endpoint's dedup window
+   finds nothing to write. *)
+let write_chunk dst_mem ~base ~total ck len =
   Membuf.write_pin dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off) ck.ck_pin
-    ~src_off:ck.ck_off ~len;
+    ~src_off:(base + ck.ck_off) ~len
+    ~whole:(ck.ck_off = 0 && total = Membuf.size dst_mem.m_buf);
   ck.ck_pin <- Membuf.no_pin
 
 (* Destination side: one writer fiber per copy session, consuming in-order
@@ -148,35 +155,33 @@ let write_chunk dst_mem ck len =
    by fault injection — the endpoint layer already absorbs duplicates), it
    must answer with a typed error, not ack a silent hole. Fault-free
    sessions always cover [total] exactly. *)
-let start_copy_session ctrl ~copy_id ~total ~dst_mem =
+let start_copy_session ctrl ~copy_id ~base ~total ~dst_mem =
   let chan = Sim.Channel.create () in
   Hashtbl.replace ctrl.copy_sessions copy_id chan;
-  Sim.Engine.spawn (fun () ->
-      let received = ref 0 in
-      let write ck =
-        let len = ck_len ctrl ~total ck in
-        if len > 0 then begin
-          (* staging memcpy through the bounce buffer *)
-          stage ctrl ctrl.cpu len;
-          write_chunk dst_mem ck len;
-          (* RDMA write from the bounce buffer into process memory *)
-          Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode
-            ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len ()
-        end
-      in
-      let rec loop () =
-        let ck = Sim.Channel.recv chan in
-        let len = ck_len ctrl ~total ck in
-        received := !received + len;
-        chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len write ck;
-        match ck.ck_last with
-        | Some rr ->
-          Hashtbl.remove ctrl.copy_sessions copy_id;
-          rreply_to ctrl rr
-            (if !received >= total then Ok () else Error Error.Timeout)
-        | None -> loop ()
-      in
-      loop ())
+  (* one closure block for both functions, shared by the fiber *)
+  let rec write ck =
+    let len = ck_len ctrl ~total ck in
+    if len > 0 then begin
+      (* staging memcpy through the bounce buffer *)
+      stage ctrl ctrl.cpu len;
+      write_chunk dst_mem ~base ~total ck len;
+      (* RDMA write from the bounce buffer into process memory *)
+      Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode
+        ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len ()
+    end
+  and loop received =
+    let ck = Sim.Channel.recv chan in
+    let len = ck_len ctrl ~total ck in
+    let received = received + len in
+    chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len write ck;
+    match ck.ck_last with
+    | Some rr ->
+      Hashtbl.remove ctrl.copy_sessions copy_id;
+      rreply_to ctrl rr
+        (if received >= total then Ok () else Error Error.Timeout)
+    | None -> loop received
+  in
+  Sim.Engine.spawn (fun () -> loop 0)
 
 (* Pipelined destination writer (copy_window > 1 or copy_streams > 1).
    Chunks may arrive out of order — multiple source streams, fault-injected
@@ -187,7 +192,8 @@ let start_copy_session ctrl ~copy_id ~total ~dst_mem =
    controller's copy engine, not its syscall cores, so a bulk copy does not
    head-of-line-block unrelated traffic. Completion needs full byte
    coverage, the final-chunk marker, and every RDMA write-out landed. *)
-let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
+let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~base ~total
+    ~dst_mem =
   let chan = Sim.Channel.create () in
   Hashtbl.replace ctrl.copy_sessions copy_id chan;
   Sim.Engine.spawn (fun () ->
@@ -214,7 +220,7 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
         let len = ck_len ctrl ~total ck in
         if len > 0 then begin
           stage ctrl ctrl.copy_engine len;
-          write_chunk dst_mem ck len;
+          write_chunk dst_mem ~base ~total ck len;
           (* asynchronous RDMA write out of the bounce buffer; the slot's
              credit is granted when the write-out completes *)
           incr outstanding;
@@ -256,7 +262,7 @@ let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem =
 
 (* Validate and open a copy session on the first (optimistic) chunk. On
    failure the error is parked until the final chunk's reply path. *)
-let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total =
+let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total =
   charge ctrl [ (Net.Cost.Lookup, 2) ];
   let validated =
     match
@@ -273,8 +279,9 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total =
   match validated with
   | Ok m ->
     if pipelined (config ctrl) then
-      start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~total ~dst_mem:m
-    else start_copy_session ctrl ~copy_id ~total ~dst_mem:m;
+      start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~base ~total
+        ~dst_mem:m
+    else start_copy_session ctrl ~copy_id ~base ~total ~dst_mem:m;
     Ok ()
   | Error e ->
     Hashtbl.replace ctrl.copy_failures copy_id e;
@@ -290,19 +297,16 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total =
 
    [post_chunk] is the step both engines share: stage chunk [i] of [n]
    (already read into the bounce buffer) and post it to the destination
-   controller; the first chunk opens the session optimistically. Staging
-   pins the source's current bytes, sharing [staged] with the copy's
-   earlier chunks, and copies nothing: a store into the source afterwards
-   (after a revoke, say) copies the source's bytes instead, so it never
-   reaches the destination. *)
-let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~staged ~copy_id
-    (rr : unit rreply) ~n i ~off ~len =
+   controller; the first chunk opens the session optimistically, and
+   carries the source view's base offset with it. Staging pins the
+   source's current store and copies or allocates nothing: a store into
+   the source afterwards (after a revoke, say) copies the source's bytes
+   instead, so it never reaches the destination. *)
+let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) ~n
+    i ~off ~len =
   let ck_pin =
     if len = 0 then Membuf.no_pin
-    else begin
-      staged := Membuf.pin !staged m.m_buf ~off:m.m_off ~len:m.m_len;
-      !staged
-    end
+    else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len
   in
   let ck =
     { ck_off = off; ck_pin; ck_last = (if i = n - 1 then Some rr else None) }
@@ -310,7 +314,14 @@ let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~staged ~copy_id
   let msg =
     if i = 0 then
       P_copy_open
-        { copy_id; src_ctrl = ctrl.ctrl_id; dst; total = m.m_len; chunk = ck }
+        {
+          copy_id;
+          src_ctrl = ctrl.ctrl_id;
+          dst;
+          base = m.m_off;
+          total = m.m_len;
+          chunk = ck;
+        }
     else P_copy_chunk { copy_id; src_ctrl = ctrl.ctrl_id; chunk = ck }
   in
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
@@ -324,11 +335,10 @@ let do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
   let cfg = config ctrl in
   let chunk = cfg.bounce_chunk in
   let n = n_chunks m.m_len chunk in
-  let staged = ref Membuf.no_pin in
   let send_chunk i =
     let off = i * chunk and len = chunk_len m.m_len chunk i in
     read_chunk ctrl ctrl.cpu m len;
-    post_chunk ctrl ~dst ~dst_ctrl ~m ~staged ~copy_id rr ~n i ~off ~len;
+    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len;
     if not cfg.double_buffering then
       (* strict serial chunks: wait out the wire time before
          reading the next chunk *)
@@ -358,7 +368,6 @@ let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
   let credits = Sim.Semaphore.create window in
   Hashtbl.replace ctrl.copy_credits copy_id credits;
   let max_inflight = ref 0 in
-  let staged = ref Membuf.no_pin in
   let post i =
     let off = i * chunk and len = chunk_len m.m_len chunk i in
     if Sim.Semaphore.available credits = 0 then
@@ -369,7 +378,7 @@ let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
     if inflight > !max_inflight then max_inflight := inflight;
     Obs.Metrics.add ctrl.cm.cm_copy_inflight 1;
     read_chunk ctrl ctrl.copy_engine m len;
-    post_chunk ctrl ~dst ~dst_ctrl ~m ~staged ~copy_id rr ~n i ~off ~len
+    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len
   in
   let send_chunk i =
     chunk_span ctrl "ctrl.copy.chunk" ~off:(i * chunk)
@@ -519,7 +528,7 @@ let reject_chunk ctrl ~reply ~src_ctrl ~copy_id e (ck : copy_chunk) =
 
 (* [P_copy_open]: open the session, then feed it the first chunk and any
    that overtook the open. *)
-let on_open ctrl ~copy_id ~src_ctrl ~dst ~total ~chunk =
+let on_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total ~chunk =
   let drain_pending deliver =
     match Hashtbl.find_opt ctrl.copy_pending copy_id with
     | None -> ()
@@ -527,7 +536,7 @@ let on_open ctrl ~copy_id ~src_ctrl ~dst ~total ~chunk =
       Hashtbl.remove ctrl.copy_pending copy_id;
       Queue.iter deliver q
   in
-  match do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~total with
+  match do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total with
   | Ok () -> (
     match Hashtbl.find_opt ctrl.copy_sessions copy_id with
     | Some chan ->

@@ -1,15 +1,23 @@
-(* [data] is [Bytes.empty] until the first store that can be non-zero
-   (see membuf.mli); an unwritten buffer reads as zeros. A zero-size
-   buffer counts as written: it has nothing to materialize. [pins] counts
-   the staged copy chunks that still read [data]; a store makes a private
-   copy first while it is positive. *)
+(* A store is the bytes of one or more buffers and of the staged copy
+   chunks that read them; [holders] counts both. A buffer holds exactly
+   one store, and [data] is its bytes, kept in a field of their own for
+   readers outside Membuf. A store with no bytes (the [unwritten] store
+   of every unwritten buffer, and [no_pin]) is never counted, so these
+   two constants are never mutated. A store into a buffer whose store
+   has another holder first gives the buffer a store of its own, so a
+   held store's bytes never change. A zero-size buffer counts as
+   written: it has nothing to materialize. *)
+type store = { bytes : Bytes.t; mutable holders : int }
+
 type t = {
   id : int;
   node : Fractos_net.Node.t;
   size : int;
   mutable data : Bytes.t;
-  mutable pins : int;
+  mutable store : store;
 }
+
+let unwritten = { bytes = Bytes.empty; holders = 0 }
 
 (* Domain-local, like the controller, copy and pid counters: sibling
    simulations under [Domains.map] must not race one counter, or two
@@ -22,20 +30,28 @@ let create ~node size =
   if size < 0 then invalid_arg "Membuf.create: negative size";
   let next_id = Domain.DLS.get next_id in
   incr next_id;
-  { id = !next_id; node; size; data = Bytes.empty; pins = 0 }
+  { id = !next_id; node; size; data = Bytes.empty; store = unwritten }
 
 let size t = t.size
+let holders t = t.store.holders
 let written t = Bytes.length t.data = t.size
+let counted s = Bytes.length s.bytes > 0
+let retain s = if counted s then s.holders <- s.holders + 1
+let release s = if counted s then s.holders <- s.holders - 1
 
-let set_data t b =
-  t.data <- b;
-  t.pins <- 0
+(* [t] drops its store for [s], whose count already includes [t]. *)
+let hold t s =
+  release t.store;
+  t.store <- s;
+  t.data <- s.bytes
+
+let own t bytes = hold t { bytes; holders = 1 }
 
 (* The bytes of [t], ready for a store: allocated zeroed if [t] is
-   unwritten, copied if a staged chunk still reads them. *)
+   unwritten, copied if another buffer or a staged chunk holds them. *)
 let materialize t =
-  if not (written t) then set_data t (Bytes.make t.size '\000')
-  else if t.pins > 0 then set_data t (Bytes.copy t.data);
+  if not (written t) then own t (Bytes.make t.size '\000')
+  else if t.store.holders > 1 then own t (Bytes.copy t.data);
   t.data
 
 let check t ~off ~len what =
@@ -57,14 +73,16 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
     if written src then Bytes.blit src.data src_off (materialize dst) dst_off len
     else if written dst then Bytes.fill (materialize dst) dst_off len '\000'
 
-let clear t = set_data t Bytes.empty
+let clear t = hold t unwritten
 
+(* [src]'s count passes to [dst], so a store both held loses one. *)
 let move ~src ~dst =
   if src.size <> dst.size then invalid_arg "Membuf.move";
   if src != dst then begin
-    dst.data <- src.data;
-    dst.pins <- src.pins;
-    clear src
+    let s = src.store in
+    src.store <- unwritten;
+    src.data <- Bytes.empty;
+    hold dst s
   end
 
 let set t i c =
@@ -72,36 +90,35 @@ let set t i c =
   if c <> '\000' || written t then Bytes.set (materialize t) i c
 
 let fill t c =
-  if written t && t.pins = 0 then Bytes.fill t.data 0 t.size c
-  else if c <> '\000' || written t then set_data t (Bytes.make t.size c)
+  if written t && t.store.holders <= 1 then Bytes.fill t.data 0 t.size c
+  else if c <> '\000' || written t then own t (Bytes.make t.size c)
 
-(* Pins. A pin holds the bytes its source had when it was taken; the
-   source counts it in [pins] for as long as it still has those bytes. *)
-type pin = No_pin | Pin of { src : t; bytes : Bytes.t; base : int }
+(* Pins. A pin is the store its source held when it was taken, counted
+   as one more holder until it is written out or released. *)
+type pin = store
 
-let no_pin = No_pin
+let no_pin = { bytes = Bytes.empty; holders = 0 }
 
-let pin p t ~off ~len =
+let pin t ~off ~len =
   check t ~off ~len "Membuf.pin";
-  t.pins <- t.pins + 1;
-  match p with
-  | Pin { src; bytes; base } when src == t && bytes == t.data && base = off ->
-    p
-  | No_pin | Pin _ -> Pin { src = t; bytes = t.data; base = off }
+  retain t.store;
+  t.store
 
-let unpin = function
-  | Pin { src; bytes; _ } when src.data == bytes -> src.pins <- src.pins - 1
-  | No_pin | Pin _ -> ()
+let unpin = release
 
-let write_pin t ~off p ~src_off ~len =
+let write_pin t ~off p ~src_off ~len ~whole =
   check t ~off ~len "Membuf.write_pin";
-  (match p with
-  | Pin { bytes; base; _ } when len > 0 ->
+  if len > 0 && p != no_pin then begin
+    if whole && (not (written t)) && Bytes.length p.bytes = t.size then begin
+      (* adopt: [t] reads as the whole source, with no allocation *)
+      retain p;
+      hold t p
+    end;
     (* the bytes of an unwritten source are empty: they read as zeros *)
-    if Bytes.length bytes > 0 then
-      Bytes.blit bytes (base + src_off) (materialize t) off len
+    if t.store == p && off = src_off then () (* already [t]'s bytes *)
+    else if counted p then Bytes.blit p.bytes src_off (materialize t) off len
     else if written t then Bytes.fill (materialize t) off len '\000'
-  | No_pin | Pin _ -> ());
+  end;
   unpin p
 
 (* Eight bytes per step: kernels compare whole images with this, once per

@@ -315,6 +315,7 @@ and peer_msg =
       copy_id : int;
       src_ctrl : int; (* where credit grants go *)
       dst : addr;
+      base : int; (* the source view's offset in its buffer *)
       total : int;
       chunk : copy_chunk;
     }
@@ -360,10 +361,11 @@ and peer_msg =
 and copy_chunk = {
   ck_off : int;
   mutable ck_pin : Membuf.pin;
-      (* the source's bytes as staged, shared by the copy's chunks; the
-         destination writer writes the chunk's range of them and leaves
+      (* the source's store as staged, shared by the copy's chunks; the
+         destination writer writes the chunk's range of it and leaves
          [Membuf.no_pin] here. The length follows from [ck_off], the
-         copy's total and [bounce_chunk]. *)
+         copy's total and [bounce_chunk], and the source offset from the
+         session's base. *)
   ck_last : unit rreply option; (* final chunk carries the caller's ack *)
 }
 

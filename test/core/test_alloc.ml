@@ -95,11 +95,15 @@ let test_null_invoke_budget () =
    [n] sequential 1 MiB [memory_copy]s between two hosts (64 chunks
    each), the source and destination on different controllers, and the
    bytes allocated by a store into the source once they are done. The
+   destination is written before the first copy, so it takes no share of
+   the source's store and every chunk is written out with a blit. The
    minor words are the message plumbing: the peer message, its dedup and
    fabric bookkeeping, the handler and the destination writer's wake-ups.
    A chunk stages by reference, so its payload allocates nothing; the
    major words are whatever plumbing a minor collection happens to
-   promote. *)
+   promote. Last, a copy into an unwritten destination, which adopts the
+   source's store, and the bytes allocated by the two stores into the
+   source after it. *)
 let per_chunk ~n =
   let len = 1 lsl 20 in
   let chunks = len / (16 * 1024) in
@@ -108,14 +112,18 @@ let per_chunk ~n =
       let ca = Tb.add_ctrl tb ~on:a and cb = Tb.add_ctrl tb ~on:b in
       let pa = Tb.add_proc tb ~on:a ~ctrl:ca "proc-a" in
       let pb = Tb.add_proc tb ~on:b ~ctrl:cb "proc-b" in
-      let src_buf = Process.alloc pa len and dst_buf = Process.alloc pb len in
-      Membuf.fill src_buf 'x';
-      let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
-      let dst =
-        Tb.grant ~src:pb ~dst:pa
-          (ok_exn (Api.memory_create pb dst_buf Perms.rw))
+      let pair () =
+        let src_buf = Process.alloc pa len and dst_buf = Process.alloc pb len in
+        Membuf.fill src_buf 'x';
+        let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
+        let dst =
+          Tb.grant ~src:pb ~dst:pa
+            (ok_exn (Api.memory_create pb dst_buf Perms.rw))
+        in
+        (src_buf, dst_buf, fun () -> ok_exn (Api.memory_copy pa ~src ~dst))
       in
-      let copy () = ok_exn (Api.memory_copy pa ~src ~dst) in
+      let src_buf, dst_buf, copy = pair () in
+      Membuf.fill dst_buf 'd';
       (* warm-up: grow the event heap and the dedup windows *)
       for _ = 1 to 4 do
         copy ()
@@ -130,23 +138,38 @@ let per_chunk ~n =
       Alcotest.(check bool)
         "bytes copied" true
         (Bytes.equal (contents src_buf) (contents dst_buf));
-      let a0 = Gc.allocated_bytes () in
-      Membuf.fill src_buf 'y';
-      let stored = Gc.allocated_bytes () -. a0 in
+      let store_cost b c =
+        let a0 = Gc.allocated_bytes () in
+        Membuf.fill b c;
+        Gc.allocated_bytes () -. a0
+      in
+      let stored = store_cost src_buf 'y' in
       copy ();
       Alcotest.(check bool)
         "the stored bytes copied" true
         (Bytes.equal (contents dst_buf) (Bytes.make len 'y'));
+      let src_buf, dst_buf, copy = pair () in
+      copy ();
+      let first = store_cost src_buf 'y' in
+      let next = store_cost src_buf 'z' in
+      Alcotest.(check bool)
+        "the adopting destination keeps the copied bytes" true
+        (Bytes.equal (contents dst_buf) (Bytes.make len 'x'));
       let per x = x /. float_of_int (n * chunks) in
-      (per (w1 -. w0), per (m1 -. m0), per (float_of_int (f1 - f0)), stored))
+      ( per (w1 -. w0),
+        per (m1 -. m0),
+        per (float_of_int (f1 - f0)),
+        stored,
+        (float_of_int len, first, next) ))
 
 (* Measured at 112.6 minor words per chunk and 4 fibers per 64-chunk
-   copy (x86-64, OCaml 5.1), 112.8 words since a copy allocates one pin
-   for its chunks to share. The budget leaves less than one word of
-   headroom: a record of its own per chunk (a slice of the source, say)
-   adds four words and fails here. Before chunk messages ran as engine
-   events and transfers as timed wakes, the same harness measured 277
-   words and one fiber per chunk. *)
+   copy (x86-64, OCaml 5.1), as before a copy's chunks shared a pin
+   record (112.8 with it): 112.5 now that a chunk pins its source's
+   store itself. The budget leaves less than one word of headroom: a
+   record of its own per chunk (a slice of the source, say) adds four
+   words and fails here. Before chunk messages ran as engine events and
+   transfers as timed wakes, the same harness measured 277 words and one
+   fiber per chunk. *)
 let copy_budget = 113.
 let fiber_budget = 0.1
 
@@ -155,20 +178,24 @@ let fiber_budget = 0.1
    measured 13.5 here, and a fresh 16 KiB block per chunk 2060. *)
 let major_budget = 8.
 
-(* A store into the 1 MiB source of a completed copy: the chunks released
-   their pins, so it is made in place and allocates nothing beyond the
-   measurement's own boxed floats (12 bytes). A copy of the source would
-   be 1 MiB. *)
+(* A store into the 1 MiB source of a completed copy into a destination
+   written before it: the chunks released their pins, so it is made in
+   place and allocates nothing beyond the measurement's own boxed floats
+   (12 bytes). A copy of the source would be 1 MiB. After a copy into an
+   unwritten destination, which adopted the source's store, the first
+   store into the source costs one copy of it (at least [len], under
+   [2 * len]) and the next one is made in place, within [store_budget]. *)
 let store_budget = 64.
 
 let test_copy_chunk_budget () =
-  let words, major, fibers, stored = per_chunk ~n:32 in
+  let words, major, fibers, stored, (len, first, next) = per_chunk ~n:32 in
   Printf.printf
     "minor words per copy chunk: %.1f (budget %.0f); major words: %.1f \
      (budget %.0f); fibers per chunk: %.3f (budget %.1f); store into the \
-     source: %.0f bytes (budget %.0f)\n"
+     source: %.0f bytes (budget %.0f); after an adopting copy: %.0f then \
+     %.0f bytes\n"
     words copy_budget major major_budget fibers fiber_budget stored
-    store_budget;
+    store_budget first next;
   if words > copy_budget then
     Alcotest.failf "%.1f minor words per copy chunk, budget %.0f" words
       copy_budget;
@@ -180,7 +207,15 @@ let test_copy_chunk_budget () =
       fiber_budget;
   if stored > store_budget then
     Alcotest.failf "a store into a copied source cost %.0f bytes, budget %.0f"
-      stored store_budget
+      stored store_budget;
+  if first < len || first >= 2. *. len then
+    Alcotest.failf
+      "the first store into a shared source cost %.0f bytes, not one copy \
+       of its %.0f"
+      first len;
+  if next > store_budget then
+    Alcotest.failf
+      "the store after it cost %.0f bytes, budget %.0f" next store_budget
 
 let () =
   Alcotest.run "fractos_alloc"

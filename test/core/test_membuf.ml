@@ -1,12 +1,14 @@
-(* Unwritten memory and copy-chunk pins.
+(* Unwritten memory, copy-chunk pins and shared stores.
 
    A buffer allocates its bytes on the first store that can be non-zero;
    until then it reads, blits, compares and copies as zeros, and stores
    of zeros leave it unwritten. A [memory_copy] stages each chunk by
-   pinning its source's bytes, and a store into pinned bytes gives the
-   source a private copy first, so bytes stored into the source in the
-   middle of a copy reach the destination only through the chunks staged
-   after the store, a whole chunk at a time. *)
+   pinning its source's store, and a store into a shared store gives the
+   storing buffer a private copy first, so bytes stored into the source
+   in the middle of a copy reach the destination only through the chunks
+   staged after the store, a whole chunk at a time. A whole-buffer copy
+   into an unwritten buffer of the same size hands the destination the
+   source's store, and the first store into either side copies it. *)
 
 open Fractos_sim
 open Fractos_core
@@ -100,8 +102,8 @@ let test_zero_stores_keep_unwritten () =
         Membuf.fill b '\000';
         Membuf.set b 12345 '\000';
         Membuf.write_pin b ~off:0
-          (Membuf.pin Membuf.no_pin (Membuf.create ~node 64) ~off:0 ~len:64)
-          ~src_off:0 ~len:64)
+          (Membuf.pin (Membuf.create ~node 64) ~off:0 ~len:64)
+          ~src_off:0 ~len:64 ~whole:false)
   in
   check_bool
     (Printf.sprintf "zero stores cost %.0f bytes" bytes)
@@ -185,12 +187,13 @@ let test_clear () =
 
 (* A chunk staged from [src]: [src]'s bytes from [off], as they stand. *)
 let stage ?(off = 0) src =
-  Membuf.pin Membuf.no_pin src ~off ~len:(Membuf.size src - off)
+  Membuf.pin src ~off ~len:(Membuf.size src - off)
 
-(* The [len] bytes at [src_off] of pin [p], written out and released. *)
+(* The [len] bytes at [src_off] of pin [p]'s source, written out and
+   released. *)
 let written_out p ~src_off ~len =
   let out = Membuf.create ~node len in
-  Membuf.write_pin out ~off:0 p ~src_off ~len;
+  Membuf.write_pin out ~off:0 p ~src_off ~len ~whole:false;
   contents out
 
 (* Every kind of store into a source with a staged chunk: the source
@@ -219,7 +222,8 @@ let test_pin_store_isolation () =
       ("materialize", fun b -> Bytes.set (Membuf.materialize b) 8 'm');
       ( "chunk write",
         fun b ->
-          Membuf.write_pin b ~off:8 (stage (written 'k')) ~src_off:0 ~len:8 );
+          Membuf.write_pin b ~off:8 (stage (written 'k')) ~src_off:0 ~len:8
+            ~whole:false );
     ]
   in
   List.iter
@@ -236,9 +240,9 @@ let test_pin_store_isolation () =
         (Bytes.equal (contents src) after))
     stores
 
-(* Chunks of one copy share one pin, read from its base offset, and once
-   they are written out the source's bytes are its own again: a store is
-   made in place and allocates nothing. *)
+(* Chunks of one copy share one pin, and once they are written out the
+   source's bytes are its own again: a store is made in place and
+   allocates nothing. *)
 let test_pin_in_place () =
   let n = 4 lsl 20 in
   let p = pattern ~seed:4 n in
@@ -249,10 +253,12 @@ let test_pin_in_place () =
   let bytes, () =
     allocated (fun () ->
         let p0 = stage src in
-        let p1 = Membuf.pin p0 src ~off:0 ~len:n in
+        let p1 = Membuf.pin src ~off:0 ~len:n in
         check_bool "the chunks share one pin" true (p0 == p1);
-        Membuf.write_pin dst ~off:0 p0 ~src_off:0 ~len:half;
-        Membuf.write_pin dst ~off:half p1 ~src_off:half ~len:half)
+        check_int "counted twice" 3 (Membuf.holders src);
+        Membuf.write_pin dst ~off:0 p0 ~src_off:0 ~len:half ~whole:false;
+        Membuf.write_pin dst ~off:half p1 ~src_off:half ~len:half
+          ~whole:false)
   in
   check_bool
     (Printf.sprintf "staging and writing out cost %.0f bytes" bytes)
@@ -273,10 +279,11 @@ let test_pin_in_place () =
   check_bool "made in place" true
     (Bytes.equal (Membuf.read src ~off:0 ~len:24)
        (Bytes.cat (Bytes.of_string "zyyyyyyywwwwwwww") (Bytes.sub p 0 8)));
+  check_int "released" 1 (Membuf.holders src);
   let q = stage ~off:64 src in
-  check_bool "a pin from another base" true
+  check_bool "a pin of a sub-range reads at its source's offsets" true
     (Bytes.equal
-       (written_out q ~src_off:8 ~len:8)
+       (written_out q ~src_off:72 ~len:8)
        (Membuf.read src ~off:72 ~len:8))
 
 (* [move] hands the pin on with the bytes, [clear] leaves them to the
@@ -320,22 +327,32 @@ let test_pin_move_clear () =
 (* ------------------------------------------------------------------ *)
 
 (* Two hosts, one controller each. [f] gets the testbed, the alpha
-   controller and [pair n], which makes an [n]-byte buffer on each host
-   and a copy from alpha's into beta's ([~back:true]: from beta's into
-   alpha's), the destination granted with [dst_perms]. *)
+   controller and [pair n], which makes an [n]-byte buffer on alpha and
+   a [dst_n]-byte one (default [n]) on beta, and a copy from alpha's
+   into beta's ([~back:true]: from beta's into alpha's). The source is
+   registered from [src_off], [src_len] bytes (default: to its end), the
+   destination from [dst_off] to its end and granted with [dst_perms]. *)
 let with_pair ?config f =
   Tb.run ?config (fun tb ->
       let a = Tb.add_host tb "alpha" and b = Tb.add_host tb "beta" in
       let ca = Tb.add_ctrl tb ~on:a and cb = Tb.add_ctrl tb ~on:b in
       let pa = Tb.add_proc tb ~on:a ~ctrl:ca "proc-a" in
       let pb = Tb.add_proc tb ~on:b ~ctrl:cb "proc-b" in
-      let pair ?(back = false) ?(dst_perms = Perms.rw) n =
+      let pair ?(back = false) ?(dst_perms = Perms.rw) ?dst_n ?(src_off = 0)
+          ?src_len ?(dst_off = 0) n =
         let ps, pd = if back then (pb, pa) else (pa, pb) in
-        let src_buf = Process.alloc ps n and dst_buf = Process.alloc pd n in
-        let src = ok_exn (Api.memory_create ps src_buf Perms.ro) in
+        let dst_n = Option.value dst_n ~default:n in
+        let src_len = Option.value src_len ~default:(n - src_off) in
+        let src_buf = Process.alloc ps n and dst_buf = Process.alloc pd dst_n in
+        let src =
+          ok_exn
+            (Api.memory_create ps ~off:src_off ~len:src_len src_buf Perms.ro)
+        in
         let dst =
           Tb.grant ~src:pd ~dst:ps
-            (ok_exn (Api.memory_create pd dst_buf dst_perms))
+            (ok_exn
+               (Api.memory_create pd ~off:dst_off ~len:(dst_n - dst_off)
+                  dst_buf dst_perms))
         in
         (src_buf, dst_buf, fun () -> ok_exn (Api.memory_copy ps ~src ~dst))
       in
@@ -371,10 +388,12 @@ let test_copy_unwritten () =
    store hold the old ones, and they come first (a chunk that read the
    source at write-out instead would carry the new bytes). The
    undisturbed copy, and a later copy of the disturbed source, land
-   exactly. *)
-let isolation ?(dup = false) config () =
+   exactly. With [~unwritten:true] the source is unwritten until the
+   store, so its old bytes are zeros and the destination, unwritten too,
+   must not adopt the store of a chunk staged after it. *)
+let isolation ?(dup = false) ?(unwritten = false) config () =
   let n = 1 lsl 20 and chunk = config.Net.Config.bounce_chunk in
-  let old_b = pattern ~seed:1 n
+  let old_b = if unwritten then zeros n else pattern ~seed:1 n
   and new_b = pattern ~seed:2 n
   and other = pattern ~seed:3 n in
   with_pair ~config (fun tb ctrl pair ->
@@ -383,7 +402,7 @@ let isolation ?(dup = false) config () =
           (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Net.Fabric.Duplicate));
       let src_buf, dst_buf, copy = pair n in
       let quiet_src, quiet_dst, quiet_copy = pair ~back:true n in
-      Membuf.write src_buf ~off:0 old_b;
+      if not unwritten then Membuf.write src_buf ~off:0 old_b;
       Membuf.write quiet_src ~off:0 other;
       let staged =
         Obs.Metrics.counter ~node:(Controller.node_name ctrl) "ctrl.copy_bytes"
@@ -436,14 +455,11 @@ let isolation ?(dup = false) config () =
         check_bool "chunks were duplicated" true (dups > n / chunk)
       end)
 
-(* A fault hook drops the [drop]th cross-host chunk message of one copy
-   (chunk 0 carries the session open). The copy fails typed. Only the
-   dropped chunk's pin stays held: the writer releases the chunks it
-   writes, and the orphan sweep the chunks parked behind a lost open. The
-   held pin costs the source one copy of its bytes at its next store, the
-   store after that is made in place, and the next copy is exact. *)
-let leaked_pin ~drop () =
-  let n = 128 * 1024 in
+(* A fault hook drops the [drop]th cross-host chunk message of a copy
+   of [pair n] (chunk 0 carries the session open) and [f] gets the
+   testbed, the two buffers and the copy once it has failed typed and
+   the orphan sweeps have run. *)
+let dropped_copy ~drop ~n f =
   with_pair (fun tb _ pair ->
       let src_buf, dst_buf, copy = pair n in
       Membuf.write src_buf ~off:0 (pattern ~seed:6 n);
@@ -463,7 +479,26 @@ let leaked_pin ~drop () =
         (Error.Fractos Error.Timeout) copy;
       Net.Fabric.set_fault_hook tb.Tb.fabric None;
       Engine.sleep (Time.ms 7);
-      check_int "pins still held" 1 src_buf.Membuf.pins;
+      f src_buf dst_buf copy)
+
+(* Only the dropped chunk's pin stays held: the writer releases the
+   chunks it writes, and the orphan sweep the chunks parked behind a
+   lost open. The source's store then has exactly three holders when
+   the first chunk reached the destination, which adopted the store
+   (the source, the destination and the dropped chunk), and two when the
+   open was lost and no chunk did. The held pin costs the source one
+   copy of its bytes at its next store, the store after that is made in
+   place, and the next copy is exact. *)
+let leaked_pin ~drop () =
+  let n = 128 * 1024 in
+  dropped_copy ~drop ~n (fun src_buf dst_buf copy ->
+      let adopted = drop > 0 in
+      check_int "the source, the destination's share and one leaked pin"
+        (if adopted then 3 else 2)
+        (Membuf.holders src_buf);
+      check_int "the destination shares the source's store, or holds nothing"
+        (if adopted then 3 else 0)
+        (Membuf.holders dst_buf);
       let bytes, () = allocated (fun () -> Membuf.set src_buf 0 'q') in
       check_bool
         (Printf.sprintf "the next store cost %.0f bytes" bytes)
@@ -478,20 +513,248 @@ let leaked_pin ~drop () =
         (Bytes.equal (contents dst_buf) (contents src_buf)))
 
 (* A copy into a destination it may not write is refused at the
-   destination's open, and every chunk releases its pin there: the next
-   store into the source is made in place. *)
+   destination's open, and every chunk releases its pin there: the
+   source is its store's only holder, the destination holds nothing,
+   and the next store into the source is made in place. *)
 let test_refused_copy () =
   let n = 128 * 1024 in
   with_pair (fun _ _ pair ->
-      let src_buf, _, copy = pair ~dst_perms:Perms.ro n in
+      let src_buf, dst_buf, copy = pair ~dst_perms:Perms.ro n in
       Membuf.write src_buf ~off:0 (pattern ~seed:7 n);
       Alcotest.check_raises "the copy is refused"
         (Error.Fractos Error.Perm_denied) copy;
-      check_int "pins still held" 0 src_buf.Membuf.pins;
+      check_int "no pin left on the source" 1 (Membuf.holders src_buf);
+      check_int "no share taken" 0 (Membuf.holders dst_buf);
       let bytes, () = allocated (fun () -> Membuf.set src_buf 0 'q') in
       check_bool
         (Printf.sprintf "the next store cost %.0f bytes" bytes)
         true (bytes < small))
+
+(* ------------------------------------------------------------------ *)
+(* Shared stores                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A whole-buffer copy of a written source into an unwritten destination
+   of its size allocates nothing for the bytes: the destination adopts
+   the source's store, on both engines. *)
+let test_adopt config () =
+  let n = 1 lsl 20 in
+  let p = pattern ~seed:8 n in
+  with_pair ~config (fun _ _ pair ->
+      let src_buf, dst_buf, copy = pair n in
+      Membuf.write src_buf ~off:0 p;
+      let bytes, () = allocated copy in
+      check_bool
+        (Printf.sprintf "the copy cost %.0f bytes" bytes)
+        true
+        (bytes < float_of_int (n / 2));
+      check_bool "the destination reads the source" true
+        (Bytes.equal (contents dst_buf) p);
+      check_int "both hold one store" 2 (Membuf.holders src_buf);
+      check_int "the destination counts the same" 2 (Membuf.holders dst_buf);
+      check_bool "and compare equal" true
+        (Membuf.equal_range src_buf dst_buf ~off:0 ~len:n);
+      (* a second copy finds every chunk's bytes in place *)
+      let bytes, () = allocated copy in
+      check_bool
+        (Printf.sprintf "a copy between sharers cost %.0f bytes" bytes)
+        true
+        (bytes < float_of_int (n / 2));
+      check_int "still one store" 2 (Membuf.holders src_buf))
+
+(* After an adoption, the first store into either side costs one copy of
+   the bytes and leaves the other side as it was; the store after it is
+   made in place. *)
+let test_shared_store_is_copy_on_write () =
+  let n = 1 lsl 20 in
+  let p = pattern ~seed:9 n in
+  with_pair (fun _ _ pair ->
+      List.iter
+        (fun (side, store_into_dst) ->
+          let src_buf, dst_buf, copy = pair n in
+          Membuf.write src_buf ~off:0 p;
+          copy ();
+          let stored, other =
+            if store_into_dst then (dst_buf, src_buf) else (src_buf, dst_buf)
+          in
+          let bytes, () = allocated (fun () -> Membuf.set stored 0 'x') in
+          check_bool
+            (Printf.sprintf "%s: the first store cost %.0f bytes" side bytes)
+            true
+            (bytes >= float_of_int n && bytes < float_of_int (2 * n));
+          check_bool (side ^ ": the other side is unchanged") true
+            (Bytes.equal (contents other) p);
+          check_bool (side ^ ": the stored side reads its store") true
+            (Membuf.read stored ~off:0 ~len:1 = Bytes.of_string "x"
+            && Bytes.equal
+                 (Membuf.read stored ~off:1 ~len:(n - 1))
+                 (Bytes.sub p 1 (n - 1)));
+          check_int (side ^ ": the stored side holds its own") 1
+            (Membuf.holders stored);
+          check_int (side ^ ": so does the other") 1 (Membuf.holders other);
+          let bytes, () = allocated (fun () -> Membuf.set stored 1 'y') in
+          check_bool
+            (Printf.sprintf "%s: the next store cost %.0f bytes" side bytes)
+            true (bytes < small))
+        [ ("into the destination", true); ("into the source", false) ])
+
+(* No share where the copy does not cover both buffers whole from offset
+   0, or where the destination was written before: the destination gets
+   its own bytes, and neither side's next store copies. *)
+let test_no_share () =
+  let n = 256 * 1024 in
+  let p = pattern ~seed:10 n in
+  let half = n / 2 in
+  with_pair (fun _ _ pair ->
+      let cases =
+        [
+          ( "a sub-range copy",
+            pair ~dst_n:(2 * n) n,
+            fun d -> Bytes.cat p (zeros n) = contents d );
+          ( "a prefix into a buffer of the source's size",
+            pair ~src_len:half n,
+            fun d ->
+              Bytes.cat (Bytes.sub p 0 half) (zeros half) = contents d );
+          ( "from a prefix view",
+            pair ~src_len:half ~dst_n:half n,
+            fun d -> Bytes.sub p 0 half = contents d );
+          ( "from an offset view",
+            pair ~src_off:half ~dst_n:half n,
+            fun d -> Bytes.sub p half half = contents d );
+          ( "into an offset view",
+            pair ~dst_n:(n + half) ~dst_off:half n,
+            fun d -> Bytes.cat (zeros half) p = contents d );
+          ( "into a written destination",
+            (let ((_, dst_buf, _) as c) = pair n in
+             Membuf.fill dst_buf 'd';
+             c),
+            fun d -> p = contents d );
+        ]
+      in
+      List.iter
+        (fun (what, (src_buf, dst_buf, copy), expect) ->
+          Membuf.write src_buf ~off:0 p;
+          copy ();
+          check_bool (what ^ " lands") true (expect dst_buf);
+          check_int (what ^ ": the source holds its own") 1
+            (Membuf.holders src_buf);
+          check_int (what ^ ": the destination holds its own") 1
+            (Membuf.holders dst_buf);
+          let bytes, () =
+            allocated (fun () ->
+                Membuf.set src_buf 0 'x';
+                Membuf.set dst_buf 0 'x')
+          in
+          check_bool
+            (Printf.sprintf "%s: stores afterwards cost %.0f bytes" what bytes)
+            true (bytes < small))
+        cases)
+
+(* A buffer copied onto itself: whole, every chunk finds its bytes in
+   place and nothing is stored; between two halves of it, the pinned
+   bytes are read as they stood, so the copy is exact though it
+   overwrites its own source's store. *)
+let test_self_copy () =
+  let n = 256 * 1024 in
+  let p = pattern ~seed:11 n in
+  Tb.run (fun tb ->
+      let h = Tb.add_host tb "h" in
+      let proc = Tb.add_proc tb ~on:h ~ctrl:(Tb.add_ctrl tb ~on:h) "p" in
+      let buf = Process.alloc proc n in
+      Membuf.write buf ~off:0 p;
+      let view ~off ~len =
+        ok_exn (Api.memory_create proc ~off ~len buf Perms.rw)
+      in
+      let whole = view ~off:0 ~len:n in
+      let bytes, () =
+        allocated (fun () ->
+            ok_exn (Api.memory_copy proc ~src:whole ~dst:whole))
+      in
+      check_bool
+        (Printf.sprintf "a whole self-copy cost %.0f bytes" bytes)
+        true
+        (bytes < float_of_int (n / 2));
+      check_bool "unchanged" true (Bytes.equal (contents buf) p);
+      check_int "its store's only holder" 1 (Membuf.holders buf);
+      let half = n / 2 in
+      ok_exn
+        (Api.memory_copy proc ~src:(view ~off:0 ~len:half)
+           ~dst:(view ~off:half ~len:half));
+      let first = Bytes.sub p 0 half in
+      check_bool "first half onto second half" true
+        (Bytes.equal (contents buf) (Bytes.cat first first));
+      check_int "still its store's only holder" 1 (Membuf.holders buf))
+
+(* [share p] is two buffers of [p]'s length holding one store of [p],
+   made as a whole copy makes it: the destination adopts the pinned
+   store. *)
+let share p =
+  let n = Bytes.length p in
+  let a = Membuf.create ~node n and b = Membuf.create ~node n in
+  Membuf.write a ~off:0 p;
+  Membuf.write_pin b ~off:0 (Membuf.pin a ~off:0 ~len:n) ~src_off:0 ~len:n
+    ~whole:true;
+  (a, b)
+
+let test_shared_move_clear_materialize () =
+  let n = 64 * 1024 in
+  let p = pattern ~seed:12 n in
+  let a, b = share p in
+  check_int "shared" 2 (Membuf.holders b);
+  (* move hands [a]'s share on *)
+  let c = Membuf.create ~node n in
+  let bytes, () = allocated (fun () -> Membuf.move ~src:a ~dst:c) in
+  check_bool (Printf.sprintf "move cost %.0f bytes" bytes) true (bytes < small);
+  check_int "the moved-from side holds nothing" 0 (Membuf.holders a);
+  check_int "the moved-to side shares" 2 (Membuf.holders c);
+  Membuf.set c 0 'c';
+  check_bool "a store into the moved-to side misses the other" true
+    (Bytes.equal (contents b) p);
+  (* a move between the two sharers leaves one holder *)
+  let a, b = share p in
+  Membuf.move ~src:a ~dst:b;
+  check_int "one holder after a move between sharers" 1 (Membuf.holders b);
+  let bytes, () = allocated (fun () -> Membuf.set b 0 'b') in
+  check_bool
+    (Printf.sprintf "and its store cost %.0f bytes" bytes)
+    true (bytes < small);
+  (* clear releases a share *)
+  let a, b = share p in
+  Membuf.clear a;
+  check_bool "cleared" true (Bytes.equal (contents a) (zeros n));
+  check_int "the other side alone" 1 (Membuf.holders b);
+  let bytes, () = allocated (fun () -> Membuf.set b 0 'b') in
+  check_bool
+    (Printf.sprintf "its store cost %.0f bytes" bytes)
+    true (bytes < small);
+  (* materialize gives a private copy *)
+  let a, b = share p in
+  let bytes, m = allocated (fun () -> Membuf.materialize a) in
+  check_bool
+    (Printf.sprintf "materialize cost %.0f bytes" bytes)
+    true
+    (bytes >= float_of_int n);
+  Bytes.set m 0 'm';
+  check_bool "a store into its result misses the other side" true
+    (Bytes.equal (contents b) p);
+  check_int "one store each" 1 (Membuf.holders a);
+  check_int "and the other side's" 1 (Membuf.holders b)
+
+(* A chunk dropped in the middle of a copy that the destination adopted:
+   the copy still fails typed, the hole reads the source's bytes as the
+   adopting chunk found them (membuf.mli), and the next copy is exact. *)
+let test_shared_hole () =
+  let n = 128 * 1024 and chunk = Net.Config.default.bounce_chunk in
+  dropped_copy ~drop:3 ~n (fun src_buf dst_buf copy ->
+      let p = pattern ~seed:6 n in
+      check_bool "the hole reads the adopted bytes" true
+        (Bytes.equal
+           (Membuf.read dst_buf ~off:(3 * chunk) ~len:chunk)
+           (Bytes.sub p (3 * chunk) chunk));
+      Membuf.fill src_buf 's';
+      copy ();
+      check_bool "the next copy is exact" true
+        (Bytes.equal (contents dst_buf) (Bytes.make n 's')))
 
 let serial = Net.Config.default
 let pipelined = { Net.Config.default with copy_window = 4; copy_streams = 2 }
@@ -528,6 +791,27 @@ let () =
             (leaked_pin ~drop:3);
           Alcotest.test_case "refused copy releases its pins" `Quick
             test_refused_copy;
+        ] );
+      ( "shared store",
+        [
+          Alcotest.test_case "whole copy adopts, serial engine" `Quick
+            (test_adopt serial);
+          Alcotest.test_case "whole copy adopts, pipelined engine" `Quick
+            (test_adopt pipelined);
+          Alcotest.test_case "a store into either side copies once" `Quick
+            test_shared_store_is_copy_on_write;
+          Alcotest.test_case "sub-range, offset views, written: no share"
+            `Quick test_no_share;
+          Alcotest.test_case "self-copy" `Quick test_self_copy;
+          Alcotest.test_case "move, clear and materialize" `Quick
+            test_shared_move_clear_materialize;
+          Alcotest.test_case "dropped middle chunk under a share" `Quick
+            test_shared_hole;
+          Alcotest.test_case "source written mid-copy, serial engine" `Quick
+            (isolation ~unwritten:true serial);
+          Alcotest.test_case "source written mid-copy, pipelined engine"
+            `Quick
+            (isolation ~unwritten:true pipelined);
         ] );
       ( "snapshot",
         [
