@@ -792,7 +792,7 @@ let () =
           Alcotest.test_case "refused copy releases its pins" `Quick
             test_refused_copy;
         ] );
-      ( "shared store",
+      ( "shared",
         [
           Alcotest.test_case "whole copy adopts, serial engine" `Quick
             (test_adopt serial);
