@@ -222,7 +222,7 @@ let experiment =
                 "Ablation: memory_copy chunking and double buffering (1 MiB \
                  cross-node copy, usec)";
               Bench_util.table
-                ~header:[ "chunk"; "pipelined"; "serial"; "penalty" ]
+                ~header:[ "chunk"; "double-buffered"; "one at a time"; "penalty" ]
                 ~rows:
                   (List.map
                      (function

@@ -29,7 +29,7 @@ let raw_rdma size =
    [config], after a warm-up copy (allocators, caches). The source is
    pattern-filled and the destination byte-checked after the warm-up, so
    every point also re-validates the copy engine at its knob setting.
-   The ablation and copybw sweeps measure the same copy. *)
+   The ablation's chunking sweep measures the same copy. *)
 let copy_latency ~config ~placement size =
   Tb.run ~config (fun tb ->
       let setups = Tb.nodes_with_ctrls tb placement [ "a"; "b" ] in

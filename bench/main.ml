@@ -13,7 +13,7 @@
 module Tb = Fractos_testbed.Testbed
 module B = Fractos_baselines
 
-(* Every experiment, in the order a full run prints them. The four that
+(* Every experiment, in the order a full run prints them. The three that
    write a BENCH_<name>.json take --tiny and their JSON path. *)
 let experiments ~tiny ~json =
   [
@@ -30,7 +30,6 @@ let experiments ~tiny ~json =
     Exp_fig13.experiment;
     Exp_ablation.experiment;
     Exp_loadcurve.experiment ~tiny ~json:(json "loadcurve");
-    Exp_copybw.experiment ~tiny ~json:(json "copybw");
     Exp_cluster.experiment ~tiny ~json:(json "cluster");
     Exp_pd.experiment ~tiny ~json:(json "pd");
   ]
@@ -130,8 +129,7 @@ let () =
     | "--breakdown" :: d :: rest ->
       breakdown_dir := dir d;
       parse rest
-    | ("--loadcurve-json" | "--copybw-json" | "--cluster-json" | "--pd-json")
-      as flag
+    | ("--loadcurve-json" | "--cluster-json" | "--pd-json") as flag
       :: path :: rest ->
       json_paths :=
         (String.sub flag 2 (String.length flag - 7), path) :: !json_paths;

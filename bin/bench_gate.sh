@@ -1,10 +1,11 @@
 #!/bin/sh
 # Perf regression gate (the @bench-gate dune alias):
-# - run both benches in --tiny mode (seed-deterministic, seconds of
-#   wall clock) and check their headline metrics against the committed
-#   baselines in bench/baselines/ with `fractos gate`: knee goodput per
-#   loadcurve variant, serial/pipelined bandwidth and speedup for the
-#   copy path, each within the baseline's embedded tolerance;
+# - run the loadcurve, cluster and pd benches in --tiny mode
+#   (seed-deterministic, seconds of wall clock) and check their headline
+#   metrics against the committed baselines in bench/baselines/ with
+#   `fractos gate`: knee goodput per loadcurve variant, knee goodput per
+#   cluster shard count, goodput per pd mode and decode count, each
+#   within the baseline's embedded tolerance;
 # - negative self-test: emit a deliberately inflated baseline
 #   (--emit --scale 1.3) and prove the gate FAILS against it — a gate
 #   that cannot fail guards nothing.
@@ -21,21 +22,16 @@ tmp=$(mktemp -d /tmp/fractos-bench-gate.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
 
 lc="$tmp/BENCH_loadcurve.json"
-cb="$tmp/BENCH_copybw.json"
 cl="$tmp/BENCH_cluster.json"
 pd="$tmp/BENCH_pd.json"
 
 echo "== bench-gate: producing fresh --tiny bench JSON"
 "$bench" loadcurve --tiny --no-bechamel --loadcurve-json "$lc" >/dev/null
-"$bench" copybw --tiny --no-bechamel --copybw-json "$cb" >/dev/null
 "$bench" cluster --tiny --no-bechamel --cluster-json "$cl" >/dev/null
 "$bench" pd --tiny --no-bechamel --pd-json "$pd" >/dev/null
 
 echo "== bench-gate: loadcurve vs $baselines/loadcurve_tiny.json"
 "$fractos" gate "$lc" --baseline "$baselines/loadcurve_tiny.json"
-
-echo "== bench-gate: copybw vs $baselines/copybw_tiny.json"
-"$fractos" gate "$cb" --baseline "$baselines/copybw_tiny.json"
 
 echo "== bench-gate: cluster vs $baselines/cluster_tiny.json"
 "$fractos" gate "$cl" --baseline "$baselines/cluster_tiny.json"

@@ -406,9 +406,6 @@ let config_cmd () =
     (Time.to_string Net.Config.gpu_per_image);
   printf "copy path: chunk %d KiB, double buffering %b, hw copies %b@."
     (c.bounce_chunk / 1024) c.double_buffering c.hw_copies;
-  printf "  window %d chunk(s), %d stream(s), open timeout %s@." c.copy_window
-    c.copy_streams
-    (Time.to_string Net.Config.copy_open_timeout);
   printf "congestion window: %d outstanding responses@." c.congestion_window
 
 (* ---------------- topology ------------------------------------------ *)
@@ -712,8 +709,8 @@ let gate_t =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FRESH"
-          ~doc:"Freshly produced bench JSON (BENCH_loadcurve.json or \
-                BENCH_copybw.json).")
+          ~doc:"Freshly produced bench JSON (BENCH_loadcurve.json, \
+                BENCH_cluster.json or BENCH_pd.json).")
   in
   let baseline =
     Arg.(

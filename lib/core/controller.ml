@@ -371,14 +371,10 @@ let dispatch_peer ctrl msg =
   | P_copy_pull { src; dst; reply } ->
     charge ctrl [ (Net.Cost.Msg, 1) ];
     Copy.do_copy_pull ctrl ~src ~dst reply
-  | P_copy_open { copy_id; src_ctrl; dst; base; total; chunk } ->
+  | P_copy_open { copy_id; dst; base; total; chunk } ->
     charge ctrl [ (Net.Cost.Msg, 1) ];
-    Copy.on_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total ~chunk
-  | P_copy_chunk { copy_id; src_ctrl; chunk } ->
-    Copy.on_chunk ctrl ~copy_id ~src_ctrl ~chunk
-  | P_copy_credit { copy_id; credits } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    Copy.on_credit ctrl ~copy_id ~credits
+    Copy.on_open ctrl ~copy_id ~dst ~base ~total ~chunk
+  | P_copy_chunk { copy_id; chunk } -> Copy.on_chunk ctrl ~copy_id ~chunk
   | P_place_mem { buf; off; len; perms; owner; key; reply } ->
     charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ];
     Directory.place_at_home ctrl reply ~key
@@ -407,7 +403,6 @@ let peer_name = function
   | P_copy_pull _ -> "copy_pull"
   | P_copy_open _ -> "copy_open"
   | P_copy_chunk _ -> "copy_chunk"
-  | P_copy_credit _ -> "copy_credit"
   | P_place_mem _ -> "place_mem"
   | P_place_req _ -> "place_req"
   | P_place_ack _ -> "place_ack"
@@ -441,7 +436,6 @@ let reject_peer msg =
     match chunk.ck_last with
     | Some rr -> kill rr
     | None -> ())
-  | P_copy_credit _ -> ()
   | P_place_mem { reply; _ } -> kill reply
   | P_place_req { reply; _ } -> kill reply
   | P_place_ack _ -> ()
@@ -456,16 +450,13 @@ let create fabric ~node =
   let id = !next_ctrl_id in
   let cfg = Net.Fabric.config fabric in
   let nn = node.Net.Node.name in
-  let copy_sessions, copy_failures, copy_pending, copy_credits =
-    Copy.tables ()
-  in
+  let copy_sessions, copy_failures, copy_pending = Copy.tables () in
   let ctrl =
     {
       ctrl_id = id;
       cnode = node;
       epoch = 0;
       cpu = Sim.Resource.create ~servers:2 ();
-      copy_engine = Sim.Resource.create ~servers:2 ();
       sys_ep =
         (* the syscall queue carries the admission bound; the peer queue
            stays unbounded — shedding the peer protocol (acks, copy
@@ -485,7 +476,6 @@ let create fabric ~node =
       copy_sessions;
       copy_failures;
       copy_pending;
-      copy_credits;
       cap_gen = 0;
       shard = None;
       shard_slot = -1;
@@ -509,7 +499,6 @@ let create fabric ~node =
           cm_ref_inc_timeouts =
             Obs.Metrics.counter ~node:nn "ctrl.ref_inc_timeouts";
           cm_copy_bytes = Obs.Metrics.counter ~node:nn "ctrl.copy_bytes";
-          cm_copy_inflight = Obs.Metrics.gauge ~node:nn "ctrl.copy_inflight";
           cm_copy_orphans = Obs.Metrics.counter ~node:nn "ctrl.copy_orphans";
           cm_dir_hits = Obs.Metrics.counter ~node:nn "ctrl.dir_hits";
           cm_dir_misses = Obs.Metrics.counter ~node:nn "ctrl.dir_misses";

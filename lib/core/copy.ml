@@ -1,9 +1,8 @@
-(* The memory_copy engine: the source side (serial and pipelined chunk
-   loops), the destination's copy sessions and their peer handlers, the
-   orphan sweeps, and the hardware third-party RDMA path. This module is
-   the only one that creates, resets or counts the controller's copy
-   tables ([copy_sessions], [copy_failures], [copy_pending],
-   [copy_credits]). *)
+(* The memory_copy engine: the source side (the chunk loop), the
+   destination's copy sessions and their peer handlers, the orphan sweeps,
+   and the hardware third-party RDMA path. This module is the only one
+   that creates, resets or counts the controller's copy tables
+   ([copy_sessions], [copy_failures], [copy_pending]). *)
 
 open State
 open Ctrl_base
@@ -13,16 +12,14 @@ open Ctrl_base
 let next_copy_id : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let reset_ids () = Domain.DLS.get next_copy_id := 0
 
-(* A fresh controller's copy tables: sessions, failures, pending, credits. *)
-let tables () =
-  (Hashtbl.create 8, Hashtbl.create 8, Hashtbl.create 8, Hashtbl.create 8)
+(* A fresh controller's copy tables: sessions, failures, pending. *)
+let tables () = (Hashtbl.create 8, Hashtbl.create 8, Hashtbl.create 8)
 
 (* A reboot forgets every copy in flight. *)
 let reset ctrl =
   Hashtbl.reset ctrl.copy_sessions;
   Hashtbl.reset ctrl.copy_failures;
-  Hashtbl.reset ctrl.copy_pending;
-  Hashtbl.reset ctrl.copy_credits
+  Hashtbl.reset ctrl.copy_pending
 
 let pending_count ctrl = Hashtbl.length ctrl.copy_pending
 let failures_count ctrl = Hashtbl.length ctrl.copy_failures
@@ -51,36 +48,22 @@ let drop_chunk ck =
   Membuf.unpin ck.ck_pin;
   ck.ck_pin <- Membuf.no_pin
 
-(* Knob defaults (window = streams = 1) select the serial engine below,
-   byte- and cost-identical to the pre-windowing code path; anything else
-   selects the pipelined engine. *)
-let pipelined (cfg : Net.Config.t) = cfg.copy_window > 1 || cfg.copy_streams > 1
-
-(* Grant [credits] flow-control credits for [copy_id] back to the source
-   controller (pipelined engine only; the serial source never waits). *)
-let grant_credit ctrl ~src_ctrl ~copy_id ~credits =
-  match peer_of_id ctrl src_ctrl with
-  | Some src ->
-    send_peer ctrl src ~size:Wire.credit (P_copy_credit { copy_id; credits })
-  | None -> ()
-
-(* Staging memcpy of [len] bytes through a bounce buffer, charged to [res]:
-   the syscall cores on the serial engine, the copy engine on the
-   pipelined one. *)
-let stage ctrl res len =
+(* Staging memcpy of [len] bytes through a bounce buffer, charged to the
+   controller's cores. *)
+let stage ctrl len =
   let cfg = config ctrl in
-  Sim.Resource.use res
+  Sim.Resource.use ctrl.cpu
     ~duration:
       (Net.Config.scale_time cfg.scale_ctrl
          (Net.Config.bytes_time ~bw_bps:Net.Config.memcpy_bw_bps len))
 
 (* RDMA read of a [len]-byte source chunk into the bounce buffer, then
-   its staging memcpy on [res]. *)
-let read_chunk ctrl res (m : mem) len =
+   its staging memcpy. *)
+let read_chunk ctrl (m : mem) len =
   if len > 0 then begin
     Net.Fabric.transfer ctrl.fabric ~src:m.m_buf.Membuf.node ~dst:ctrl.cnode
       ~cls:Net.Stats.Data ~size:len ();
-    stage ctrl res len
+    stage ctrl len
   end
 
 (* [f x] under a chunk span. Untraced, this is the direct call: no
@@ -97,12 +80,10 @@ let chunk_span ctrl name ~off ~len f x =
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
    session's chunks parked in [copy_pending] — and a dropped final chunk
    leaves an open-time failure parked in [copy_failures] — forever. Sweep
-   the entry after [copy_open_timeout]: parked chunks release their pins,
-   a reclaimed final chunk replies [Timeout] so the caller's retry path
-   gets a typed completion, and parked pipelined chunks refund their
-   flow-control credits so the source's stream fibers unblock. In
-   fault-free runs the open (or final chunk) always lands first and the
-   sweep is a no-op. *)
+   the entry after [copy_open_timeout]: parked chunks release their pins
+   and a reclaimed final chunk replies [Timeout] so the caller's retry
+   path gets a typed completion. In fault-free runs the open (or final
+   chunk) always lands first and the sweep is a no-op. *)
 let reclaim_orphan ctrl tbl copy_id what =
   Hashtbl.remove tbl copy_id;
   Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
@@ -114,14 +95,12 @@ let schedule_pending_sweep ctrl copy_id q =
       match Hashtbl.find_opt ctrl.copy_pending copy_id with
       | Some q' when q' == q ->
         reclaim_orphan ctrl ctrl.copy_pending copy_id "pending";
-        (* scheduled events run outside any fiber: the refunds and the
-           Timeout reply charge cpu time, so hop into a fresh fiber *)
+        (* scheduled events run outside any fiber: the Timeout reply
+           charges cpu time, so hop into a fresh fiber *)
         Sim.Engine.spawn (fun () ->
             Queue.iter
-              (fun (src_ctrl, ck) ->
+              (fun ck ->
                 drop_chunk ck;
-                if pipelined (config ctrl) then
-                  grant_credit ctrl ~src_ctrl ~copy_id ~credits:1;
                 match ck.ck_last with
                 | Some rr -> rreply_to ctrl rr (Error Error.Timeout)
                 | None -> ())
@@ -163,7 +142,7 @@ let start_copy_session ctrl ~copy_id ~base ~total ~dst_mem =
     let len = ck_len ctrl ~total ck in
     if len > 0 then begin
       (* staging memcpy through the bounce buffer *)
-      stage ctrl ctrl.cpu len;
+      stage ctrl len;
       write_chunk dst_mem ~base ~total ck len;
       (* RDMA write from the bounce buffer into process memory *)
       Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode
@@ -183,86 +162,9 @@ let start_copy_session ctrl ~copy_id ~base ~total ~dst_mem =
   in
   Sim.Engine.spawn (fun () -> loop 0)
 
-(* Pipelined destination writer (copy_window > 1 or copy_streams > 1).
-   Chunks may arrive out of order — multiple source streams, fault-injected
-   delays — so the writer keeps a reorder set of staged offsets and writes
-   each fresh chunk at its own offset as it lands (destination-side
-   coalescing); duplicates are absorbed. One flow-control credit goes back
-   to the source per drained bounce-buffer slot. Staging is charged to the
-   controller's copy engine, not its syscall cores, so a bulk copy does not
-   head-of-line-block unrelated traffic. Completion needs full byte
-   coverage, the final-chunk marker, and every RDMA write-out landed. *)
-let start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~base ~total
-    ~dst_mem =
-  let chan = Sim.Channel.create () in
-  Hashtbl.replace ctrl.copy_sessions copy_id chan;
-  Sim.Engine.spawn (fun () ->
-      let seen = Hashtbl.create 16 in
-      let received = ref 0 in
-      let outstanding = ref 0 in
-      let rr_slot = ref None in
-      let last_seen = ref false in
-      let replied = ref false in
-      let grant () = grant_credit ctrl ~src_ctrl ~copy_id ~credits:1 in
-      let maybe_finish () =
-        if
-          !last_seen && (not !replied) && !received >= total
-          && !outstanding = 0
-        then begin
-          replied := true;
-          Hashtbl.remove ctrl.copy_sessions copy_id;
-          match !rr_slot with
-          | Some rr -> rreply_to ctrl rr (Ok ())
-          | None -> ()
-        end
-      in
-      let write ck =
-        let len = ck_len ctrl ~total ck in
-        if len > 0 then begin
-          stage ctrl ctrl.copy_engine len;
-          write_chunk dst_mem ~base ~total ck len;
-          (* asynchronous RDMA write out of the bounce buffer; the slot's
-             credit is granted when the write-out completes *)
-          incr outstanding;
-          Net.Fabric.send ctrl.fabric ~src:ctrl.cnode
-            ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len
-            (once (fun () ->
-                 (* completion callbacks run outside any fiber; granting the
-                    credit sends a peer message, so hop into a fresh fiber *)
-                 Sim.Engine.spawn (fun () ->
-                     decr outstanding;
-                     grant ();
-                     maybe_finish ())))
-        end
-        else grant ()
-      in
-      let write_out ck len =
-        chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len write ck
-      in
-      let rec loop () =
-        let ck = Sim.Channel.recv chan in
-        let len = ck_len ctrl ~total ck in
-        if Hashtbl.mem seen ck.ck_off then
-          (* duplicate delivery: its slot was already drained *)
-          grant ()
-        else begin
-          Hashtbl.replace seen ck.ck_off ();
-          received := !received + len;
-          write_out ck len
-        end;
-        (match ck.ck_last with
-        | Some rr ->
-          last_seen := true;
-          (match !rr_slot with None -> rr_slot := Some rr | Some _ -> ())
-        | None -> ());
-        maybe_finish ();
-        if not (!last_seen && !received >= total) then loop ()
-      in
-      loop ())
-
 (* Validate and open a copy session on the first (optimistic) chunk. On
    failure the error is parked until the final chunk's reply path. *)
-let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total =
+let do_copy_open ctrl ~copy_id ~dst ~base ~total =
   charge ctrl [ (Net.Cost.Lookup, 2) ];
   let validated =
     match
@@ -278,10 +180,7 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total =
   in
   match validated with
   | Ok m ->
-    if pipelined (config ctrl) then
-      start_copy_session_pipelined ctrl ~copy_id ~src_ctrl ~base ~total
-        ~dst_mem:m
-    else start_copy_session ctrl ~copy_id ~base ~total ~dst_mem:m;
+    start_copy_session ctrl ~copy_id ~base ~total ~dst_mem:m;
     Ok ()
   | Error e ->
     Hashtbl.replace ctrl.copy_failures copy_id e;
@@ -295,50 +194,37 @@ let do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total =
    original caller's ack, so completion is signaled by the destination
    controller directly to the origin (paper's decentralized data path).
 
-   [post_chunk] is the step both engines share: stage chunk [i] of [n]
-   (already read into the bounce buffer) and post it to the destination
-   controller; the first chunk opens the session optimistically, and
-   carries the source view's base offset with it. Staging pins the
-   source's current store and copies or allocates nothing: a store into
-   the source afterwards (after a revoke, say) copies the source's bytes
-   instead, so it never reaches the destination. *)
-let post_chunk ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) ~n
-    i ~off ~len =
-  let ck_pin =
-    if len = 0 then Membuf.no_pin
-    else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len
-  in
-  let ck =
-    { ck_off = off; ck_pin; ck_last = (if i = n - 1 then Some rr else None) }
-  in
-  let msg =
-    if i = 0 then
-      P_copy_open
-        {
-          copy_id;
-          src_ctrl = ctrl.ctrl_id;
-          dst;
-          base = m.m_off;
-          total = m.m_len;
-          chunk = ck;
-        }
-    else P_copy_chunk { copy_id; src_ctrl = ctrl.ctrl_id; chunk = ck }
-  in
-  Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
-    ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header) msg;
-  Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len
-
-(* Serial chunk loop: the pre-windowing engine and the default path
-   (copy_window = copy_streams = 1). *)
-let do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
+   Each chunk is read into the bounce buffer, staged and posted to the
+   destination controller; the first chunk opens the session
+   optimistically, and carries the source view's base offset with it.
+   Staging pins the source's current store and copies or allocates
+   nothing: a store into the source afterwards (after a revoke, say)
+   copies the source's bytes instead, so it never reaches the
+   destination. *)
+let do_copy_chunks ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
     (rr : unit rreply) =
   let cfg = config ctrl in
   let chunk = cfg.bounce_chunk in
   let n = n_chunks m.m_len chunk in
   let send_chunk i =
     let off = i * chunk and len = chunk_len m.m_len chunk i in
-    read_chunk ctrl ctrl.cpu m len;
-    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len;
+    read_chunk ctrl m len;
+    let ck_pin =
+      if len = 0 then Membuf.no_pin
+      else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len
+    in
+    let ck =
+      { ck_off = off; ck_pin; ck_last = (if i = n - 1 then Some rr else None) }
+    in
+    let msg =
+      if i = 0 then
+        P_copy_open
+          { copy_id; dst; base = m.m_off; total = m.m_len; chunk = ck }
+      else P_copy_chunk { copy_id; chunk = ck }
+    in
+    Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
+      ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header) msg;
+    Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len;
     if not cfg.double_buffering then
       (* strict serial chunks: wait out the wire time before
          reading the next chunk *)
@@ -350,78 +236,9 @@ let do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
       ~len:(chunk_len m.m_len chunk i) send_chunk i
   done
 
-(* Pipelined source (copy_window > 1 or copy_streams > 1): chunks fan out
-   round-robin over [copy_streams] stream fibers (modeling multi-QP RDMA),
-   each chunk waiting for a flow-control credit before its RDMA read, so at
-   most [copy_window] uncredited chunks are in flight. Staging memcpys are
-   charged to the copy engine, keeping the syscall cores free for unrelated
-   traffic. The chunk at index 0 carries the session open and is posted
-   before the streams start, so the destination cannot see data from this
-   controller ahead of the session parameters. *)
-let do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
-    (rr : unit rreply) =
-  let cfg = config ctrl in
-  let chunk = cfg.bounce_chunk in
-  let n = n_chunks m.m_len chunk in
-  let window = cfg.copy_window in
-  let streams = min cfg.copy_streams n in
-  let credits = Sim.Semaphore.create window in
-  Hashtbl.replace ctrl.copy_credits copy_id credits;
-  let max_inflight = ref 0 in
-  let post i =
-    let off = i * chunk and len = chunk_len m.m_len chunk i in
-    if Sim.Semaphore.available credits = 0 then
-      journal ctrl Obs.Journal.Debug "ctrl.copy.credit_stall" (fun () ->
-          Printf.sprintf "copy=%d chunk=%d" copy_id i);
-    Sim.Semaphore.acquire credits;
-    let inflight = window - Sim.Semaphore.available credits in
-    if inflight > !max_inflight then max_inflight := inflight;
-    Obs.Metrics.add ctrl.cm.cm_copy_inflight 1;
-    read_chunk ctrl ctrl.copy_engine m len;
-    post_chunk ctrl ~dst ~dst_ctrl ~m ~copy_id rr ~n i ~off ~len
-  in
-  let send_chunk i =
-    chunk_span ctrl "ctrl.copy.chunk" ~off:(i * chunk)
-      ~len:(chunk_len m.m_len chunk i) post i
-  in
-  send_chunk 0;
-  if n > 1 then begin
-    let wg = Sim.Waitgroup.create () in
-    for s = 0 to streams - 1 do
-      Sim.Waitgroup.spawn wg (fun () ->
-          span ctrl
-            ~attrs:(fun () -> [ ("stream", string_of_int s) ])
-            "ctrl.copy.stream"
-          @@ fun () ->
-          let i = ref (1 + s) in
-          while !i < n do
-            send_chunk !i;
-            i := !i + streams
-          done)
-    done;
-    Sim.Waitgroup.wait wg
-  end;
-  (* all chunks posted: retire the window. Credits still in flight find no
-     session and are dropped; the inflight gauge gives back exactly the
-     permits this session still holds. *)
-  Hashtbl.remove ctrl.copy_credits copy_id;
-  Obs.Metrics.add ctrl.cm.cm_copy_inflight
-    (Sim.Semaphore.available credits - window);
-  Obs.Span.set_attr (Obs.Span.current ()) "max_inflight"
-    (string_of_int !max_inflight)
-
 let do_copy_pull ctrl ~src ~dst (rr : unit rreply) =
-  let cfg = config ctrl in
   span ctrl
-    ~attrs:(fun () ->
-      let base = [ ("src_oid", string_of_int src.a_oid) ] in
-      if pipelined cfg then
-        base
-        @ [
-            ("window", string_of_int cfg.copy_window);
-            ("streams", string_of_int cfg.copy_streams);
-          ]
-      else base)
+    ~attrs:(fun () -> [ ("src_oid", string_of_int src.a_oid) ])
     "ctrl.copy"
   @@ fun () ->
   charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup;
@@ -447,9 +264,7 @@ let do_copy_pull ctrl ~src ~dst (rr : unit rreply) =
         let next_copy_id = Domain.DLS.get next_copy_id in
         incr next_copy_id;
         let copy_id = !next_copy_id in
-        if pipelined cfg then
-          do_copy_chunks_pipelined ctrl ~dst ~dst_ctrl ~m ~copy_id rr
-        else do_copy_chunks_serial ctrl ~dst ~dst_ctrl ~m ~copy_id rr)
+        do_copy_chunks ctrl ~dst ~dst_ctrl ~m ~copy_id rr)
 
 (* Hardware third-party RDMA (the paper's "HW copies" projection): the
    caller's controller programs the NIC; data moves once, directly between
@@ -513,13 +328,10 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
 (* ------------------------------------------------------------------ *)
 
 (* A chunk of a session rejected at open time never reaches a writer: it
-   releases its pin here, its flow-control credit comes back from here (or
-   the pipelined source's stream fibers wedge on the window semaphore),
-   and the final chunk carries the open's error to the caller. *)
-let reject_chunk ctrl ~reply ~src_ctrl ~copy_id e (ck : copy_chunk) =
+   releases its pin here, and the final chunk carries the open's error to
+   the caller. *)
+let reject_chunk ctrl ~reply ~copy_id e (ck : copy_chunk) =
   drop_chunk ck;
-  if pipelined (config ctrl) then
-    grant_credit ctrl ~src_ctrl ~copy_id ~credits:1;
   match ck.ck_last with
   | Some rr ->
     Hashtbl.remove ctrl.copy_failures copy_id;
@@ -528,7 +340,7 @@ let reject_chunk ctrl ~reply ~src_ctrl ~copy_id e (ck : copy_chunk) =
 
 (* [P_copy_open]: open the session, then feed it the first chunk and any
    that overtook the open. *)
-let on_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total ~chunk =
+let on_open ctrl ~copy_id ~dst ~base ~total ~chunk =
   let drain_pending deliver =
     match Hashtbl.find_opt ctrl.copy_pending copy_id with
     | None -> ()
@@ -536,29 +348,29 @@ let on_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total ~chunk =
       Hashtbl.remove ctrl.copy_pending copy_id;
       Queue.iter deliver q
   in
-  match do_copy_open ctrl ~copy_id ~src_ctrl ~dst ~base ~total with
+  match do_copy_open ctrl ~copy_id ~dst ~base ~total with
   | Ok () -> (
     match Hashtbl.find_opt ctrl.copy_sessions copy_id with
     | Some chan ->
       Sim.Channel.send chan chunk;
-      drain_pending (fun (_, ck) -> Sim.Channel.send chan ck)
+      drain_pending (fun ck -> Sim.Channel.send chan ck)
     | None -> ())
   | Error e ->
-    let reject = reject_chunk ctrl ~reply:rreply_to ~src_ctrl ~copy_id e in
+    let reject = reject_chunk ctrl ~reply:rreply_to ~copy_id e in
     reject chunk;
-    drain_pending (fun (_, ck) -> reject ck)
+    drain_pending reject
 
 (* [P_copy_chunk]: feed the open session, answer a rejected one, or park
    the chunk while the open is still being processed (handlers run
    concurrently). Never blocks: the controller runs it as an engine event,
    not a fiber. *)
-let on_chunk ctrl ~copy_id ~src_ctrl ~chunk =
+let on_chunk ctrl ~copy_id ~chunk =
   match Hashtbl.find_opt ctrl.copy_sessions copy_id with
   | Some chan -> Sim.Channel.send chan chunk
   | None -> (
     match Hashtbl.find_opt ctrl.copy_failures copy_id with
     | Some e ->
-      reject_chunk ctrl ~reply:rreply_from_event ~src_ctrl ~copy_id e chunk
+      reject_chunk ctrl ~reply:rreply_from_event ~copy_id e chunk
     | None ->
       let q =
         match Hashtbl.find_opt ctrl.copy_pending copy_id with
@@ -571,17 +383,4 @@ let on_chunk ctrl ~copy_id ~src_ctrl ~chunk =
           schedule_pending_sweep ctrl copy_id q;
           q
       in
-      Queue.add (src_ctrl, chunk) q)
-
-(* [P_copy_credit], at the source of a pipelined copy. *)
-let on_credit ctrl ~copy_id ~credits =
-  match Hashtbl.find_opt ctrl.copy_credits copy_id with
-  | Some sem ->
-    for _ = 1 to credits do
-      Sim.Semaphore.release sem
-    done;
-    Obs.Metrics.add ctrl.cm.cm_copy_inflight (-credits)
-  | None ->
-    (* session already retired (all chunks posted): late credits are
-       dropped; the source settled the inflight gauge at retirement *)
-    ()
+      Queue.add chunk q)

@@ -53,10 +53,6 @@ and ctrl = {
   cnode : Net.Node.t;
   mutable epoch : int; (* reboot counter *)
   cpu : Sim.Resource.t; (* controller cores (2, per the paper) *)
-  copy_engine : Sim.Resource.t;
-      (* DMA/copy engines used by the pipelined copy path for bounce-buffer
-         staging, so a bulk copy contends with other copies, not with the
-         syscall cores (the serial engine keeps charging [cpu]) *)
   sys_ep : syscall Net.Endpoint.t;
   peer_ep : peer_msg Net.Endpoint.t;
   objects : (int, obj) Hashtbl.t;
@@ -70,13 +66,10 @@ and ctrl = {
   copy_sessions : (int, copy_chunk Sim.Channel.t) Hashtbl.t;
   copy_failures : (int, Error.t) Hashtbl.t;
       (* sessions rejected at open; the error is replied on the last chunk *)
-  copy_pending : (int, (int * copy_chunk) Queue.t) Hashtbl.t;
-      (* (src_ctrl, chunk) pairs that overtook their session's open
+  copy_pending : (int, copy_chunk Queue.t) Hashtbl.t;
+      (* chunks that overtook their session's open
          (handlers run concurrently; delivery order alone does not
          serialize them); reclaimed after Config.copy_open_timeout *)
-  copy_credits : (int, Sim.Semaphore.t) Hashtbl.t;
-      (* source side of the pipelined engine: per-session flow-control
-         window, replenished by P_copy_credit grants from the destination *)
   mutable cap_gen : int;
       (* capability generation: bumped by every entry removal (revoke,
          cleanup, process death) and by reboot; stamps the per-capspace
@@ -134,8 +127,6 @@ and ctrl_metrics = {
   cm_tcache_misses : Obs.Metrics.counter;
   cm_ref_inc_timeouts : Obs.Metrics.counter;
   cm_copy_bytes : Obs.Metrics.counter; (* payload bytes shipped by copies *)
-  cm_copy_inflight : Obs.Metrics.gauge;
-      (* chunks posted but not yet credited back (pipelined engine) *)
   cm_copy_orphans : Obs.Metrics.counter;
       (* copy_pending/copy_failures entries reclaimed by the open timeout *)
   cm_dir_hits : Obs.Metrics.counter; (* directory-cache hits *)
@@ -313,7 +304,6 @@ and peer_msg =
   | P_copy_pull of { src : addr; dst : addr; reply : unit rreply }
   | P_copy_open of {
       copy_id : int;
-      src_ctrl : int; (* where credit grants go *)
       dst : addr;
       base : int; (* the source view's offset in its buffer *)
       total : int;
@@ -322,11 +312,7 @@ and peer_msg =
       (* Optimistic session open: the first data chunk carries the session
          parameters, saving the begin/ack round trip; validation failures
          surface on the final chunk's reply. *)
-  | P_copy_chunk of { copy_id : int; src_ctrl : int; chunk : copy_chunk }
-  | P_copy_credit of { copy_id : int; credits : int }
-      (* Flow control for the windowed copy engine: the destination grants
-         credits as its writer drains bounce-buffer slots; the source may
-         keep at most Config.copy_window uncredited chunks in flight. *)
+  | P_copy_chunk of { copy_id : int; chunk : copy_chunk }
   | P_place_mem of {
       buf : Membuf.t;
       off : int;

@@ -58,7 +58,7 @@ let within =
 
 let mixed = Result.get_ok (Scenario.find "mixed")
 
-let run ?(clients = 6) ?(requests = 24) ?(workload = mixed) ?config ?sampling
+let run ?(clients = 6) ?(requests = 24) ?(workload = mixed) ?sampling
     ~spec ~seed () =
   (* Reset process-global state so chaos runs are independent of whatever
      ran earlier in the same process (in-process determinism). *)
@@ -89,9 +89,7 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = mixed) ?config ?sampling
   let plan_lines = ref [] in
   let ctrl_summary = ref [] in
   let end_time = ref 0 in
-  let config =
-    Scenario.config workload (Option.value config ~default:Net.Config.default)
-  in
+  let config = Scenario.config workload Net.Config.default in
   (try
      Tb.run ~config (fun tb ->
          (* Fault-free setup phase. *)

@@ -54,17 +54,14 @@ val run :
   ?clients:int ->
   ?requests:int ->
   ?workload:Fractos_workloads.Scenario.t ->
-  ?config:Net.Config.t ->
   ?sampling:Sim.Time.t * float ->
   spec:Spec.t ->
   seed:int ->
   unit ->
   report
 (** Execute one chaos run (defaults: 6 clients, 24 requests, the [mixed]
-    entry, default fabric calibration). [config] overrides the fabric knobs
-    — in particular [copy_window]/[copy_streams], so the [copy] entry can
-    chaos-test the pipelined engine; the entry may adjust it further
-    ({!Fractos_workloads.Scenario.config}). Never raises on injected faults: a
+    entry, default fabric calibration, which the entry may adjust:
+    {!Fractos_workloads.Scenario.config}). Never raises on injected faults: a
     fiber deadlock or an escaped typed error is folded into
     [r_violations].
 

@@ -34,8 +34,6 @@ type t = {
   bounce_chunk : int;
   hw_copies : bool;
   double_buffering : bool;
-  copy_window : int;
-  copy_streams : int;
   nvme_queue_depth : int;
   congestion_window : int;
   capspace_quota : int;
@@ -73,8 +71,6 @@ let default =
     bounce_chunk = 16 * 1024;
     hw_copies = false;
     double_buffering = true;
-    copy_window = 1;
-    copy_streams = 1;
     nvme_queue_depth = 8;
     congestion_window = 64;
     capspace_quota = 4096;
@@ -121,8 +117,7 @@ let scale_time s t =
   else max 0 (int_of_float (Float.round (float_of_int t *. s)))
 
 (* Reject, at fabric construction, every value that would otherwise fail
-   mid-simulation: the copy engine divides by the chunk/window/stream
-   knobs; [bytes_time] divides by [bw_bps / 1_000_000]; a zero congestion window
+   mid-simulation: the copy engine divides by the chunk size; [bytes_time] divides by [bw_bps / 1_000_000]; a zero congestion window
    or NVMe queue depth is a zero-permit semaphore that deadlocks the
    first request; a non-positive timeout would expire before any peer
    reply could land. *)
@@ -132,8 +127,6 @@ let validate t =
       invalid_arg (Printf.sprintf "Net.Config: %s must be positive (got %d)" name v)
   in
   pos "bounce_chunk" t.bounce_chunk;
-  pos "copy_window" t.copy_window;
-  pos "copy_streams" t.copy_streams;
   if t.net_bandwidth_bps < 1_000_000 then
     invalid_arg
       (Printf.sprintf

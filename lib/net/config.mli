@@ -165,20 +165,7 @@ type t = {
   double_buffering : bool;
       (** Pipeline bounce-buffer chunks (read chunk i+1 while chunk i is in
           flight). The prototype enables this for copies > 16 KiB; turning
-          it off is the ablation knob. Only meaningful on the serial engine
-          (see [copy_window]/[copy_streams]). *)
-  copy_window : int;
-      (** Maximum chunks in flight per copy session (windowed pipelining
-          with credit-based flow control: the destination grants one credit
-          back per drained bounce-buffer slot, bounding its staging memory
-          to [copy_window * bounce_chunk]). 1 (default) selects the serial
-          engine — bit-for-bit the pre-windowing behavior. *)
-  copy_streams : int;
-      (** Parallel chunk streams per copy session (modeling multi-QP RDMA):
-          chunks are assigned round-robin to this many source fibers, and
-          the destination writer coalesces them by offset. Streams share
-          the session's [copy_window] credit pool. 1 (default) = single
-          stream; any value > 1 selects the pipelined engine. *)
+          it off is the ablation knob. *)
   (* -------- NVMe device model -------- *)
   nvme_queue_depth : int;  (** Parallel in-flight device commands. *)
   (* -------- per-Process limits -------- *)
@@ -271,9 +258,8 @@ val fast_path : t
     preset the cluster, load-curve and knee experiments start from. *)
 
 val validate : t -> unit
-(** Raise [Invalid_argument], naming the knob, when a knob the copy engine
-    divides the work by is non-positive ([bounce_chunk], [copy_window],
-    [copy_streams]); when [net_bandwidth_bps] is below 1 Mbit/s, the
+(** Raise [Invalid_argument], naming the knob, when [bounce_chunk], which
+    the copy engine divides the work by, is non-positive; when [net_bandwidth_bps] is below 1 Mbit/s, the
     resolution of {!bytes_time}; when [congestion_window] or
     [nvme_queue_depth] is below 1; when [peer_ack_timeout] is
     non-positive; or when a what-if scale factor is non-positive. Called

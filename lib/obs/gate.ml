@@ -3,9 +3,8 @@
 
    The benches are seed-deterministic, so their --tiny variants produce
    stable headline numbers suitable for an exact-ish CI gate: knee
-   goodput for the loadcurve sweep, serial/pipelined bandwidth and
-   speedup for the copy path, per-shard-count knee goodput for the
-   cluster scaling sweep. All gated metrics are higher-is-better
+   goodput for the loadcurve sweep, per-shard-count knee goodput for the
+   cluster scaling sweep, goodput per mode for the prefill/decode sweep. All gated metrics are higher-is-better
    throughputs; a run passes when every baseline metric is reproduced
    at >= (1 - tolerance) of its committed value. Improvements beyond
    the tolerance pass but are called out, nudging the baseline to be
@@ -40,21 +39,6 @@ let extract_loadcurve j =
              Some ("knee_goodput_rps/" ^ name, knee points)
            | _ -> None)
          variants)
-
-let extract_copybw j =
-  match Json.member "headline" j with
-  | None -> Error "copybw JSON has no headline object"
-  | Some h ->
-    let get k =
-      match Json.number_at [ k ] h with
-      | Some v -> Ok (k, v)
-      | None -> Error ("copybw headline misses " ^ k)
-    in
-    let rec all acc = function
-      | [] -> Ok (List.rev acc)
-      | k :: tl -> ( match get k with Ok kv -> all (kv :: acc) tl | Error _ as e -> e)
-    in
-    all [] [ "serial_gbps"; "pipelined_gbps"; "speedup" ]
 
 let extract_cluster j =
   match Option.bind (Json.member "points" j) Json.to_list with
@@ -98,7 +82,6 @@ let extract_pd j =
 let extract j =
   match Json.string_at [ "experiment" ] j with
   | Some "loadcurve" -> extract_loadcurve j
-  | Some "copybw" -> extract_copybw j
   | Some "cluster" -> extract_cluster j
   | Some "pd" -> extract_pd j
   | Some other -> Error ("unknown experiment kind " ^ other)

@@ -2,9 +2,7 @@
 
     The benches are seed-deterministic, so their [--tiny] variants
     yield stable headline numbers suitable for a CI gate: knee goodput
-    per variant from [BENCH_loadcurve.json], headline
-    serial/pipelined bandwidth plus speedup from [BENCH_copybw.json],
-    per-shard-count knee goodput from [BENCH_cluster.json], and
+    per variant from [BENCH_loadcurve.json], per-shard-count knee goodput from [BENCH_cluster.json], and
     goodput per mode, decode count and KV size from [BENCH_pd.json].
     All gated metrics are higher-is-better; a fresh run passes when
     every baseline metric reaches [>= (1 - tolerance)] of its committed
@@ -21,7 +19,7 @@ val default_tolerance : float
 
 val extract : Json.t -> ((string * float) list, string) result
 (** Pull the gated metrics out of a bench JSON, dispatching on its
-    ["experiment"] field ([loadcurve], [copybw], [cluster] or [pd]). *)
+    ["experiment"] field ([loadcurve], [cluster] or [pd]). *)
 
 val metrics_of_baseline : Json.t -> ((string * float) list, string) result
 (** A baseline is either an {!emit_string}-produced digest (read from

@@ -31,5 +31,3 @@ let spawn t f =
   add t 1;
   Engine.spawn (fun () ->
       Fun.protect ~finally:(fun () -> done_ t) f)
-
-let pending t = t.count

@@ -24,5 +24,3 @@ val wait : t -> unit
 val spawn : t -> (unit -> unit) -> unit
 (** [spawn wg f] = [add wg 1] + run [f] in a fresh fiber, marking the task
     done when [f] returns (or re-raising its exception after marking). *)
-
-val pending : t -> int

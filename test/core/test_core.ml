@@ -206,22 +206,10 @@ let test_memory_create_bounds () =
 (* Hardware third-party copies (Config.hw_copies)                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [f] with hardware copies on, under the serial engine's knobs and
-   under the pipelined engine's: the hardware path bypasses both, so
-   every case must give the same answer. *)
+(* Run [f] with hardware copies on: the hardware path bypasses the
+   bounce-buffer engine. *)
 let with_hw_copies f =
-  List.iter
-    (fun (window, streams) ->
-      let config =
-        {
-          Fractos_net.Config.default with
-          hw_copies = true;
-          copy_window = window;
-          copy_streams = streams;
-        }
-      in
-      Tb.run ~config f)
-    [ (1, 1); (4, 2) ]
+  Tb.run ~config:{ Fractos_net.Config.default with hw_copies = true } f
 
 let random_buf p n ~seed =
   let buf = Process.alloc p n in
@@ -285,23 +273,19 @@ let test_hw_copy_src_ctrl_crashed () =
         (Api.memory_copy pa ~src ~dst))
 
 (* ------------------------------------------------------------------ *)
-(* Windowed / multi-stream copy engine                                 *)
+(* Copy engine chunking (Config.bounce_chunk, Config.double_buffering)  *)
 (* ------------------------------------------------------------------ *)
 
-let copy_config ?(net_gbps = 10) ~window ~streams () =
-  {
-    Fractos_net.Config.default with
-    net_bandwidth_bps = net_gbps * 1_000_000_000;
-    copy_window = window;
-    copy_streams = streams;
-  }
-
-(* Cross-node copy round trip at the given knobs; returns elapsed time. *)
-let timed_copy ?net_gbps ~window ~streams n =
-  Tb.run ~config:(copy_config ?net_gbps ~window ~streams ()) (fun tb ->
+(* Cross-node copy of [n] bytes at the given chunking knobs; the bytes
+   must land exactly. *)
+let chunked_copy ~bounce_chunk ~double_buffering n =
+  let config =
+    { Fractos_net.Config.default with bounce_chunk; double_buffering }
+  in
+  Tb.run ~config (fun tb ->
       let pa, pb, _, _ = two_node_setup tb in
       let src_buf = Process.alloc pa n in
-      let g = Prng.create ~seed:(n + (window * 131) + streams) in
+      let g = Prng.create ~seed:(n + bounce_chunk) in
       randomize g src_buf;
       let dst_buf = Process.alloc pb n in
       let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
@@ -309,87 +293,17 @@ let timed_copy ?net_gbps ~window ~streams n =
         Tb.grant ~src:pb ~dst:pa
           (ok_exn (Api.memory_create pb dst_buf Perms.rw))
       in
-      let t0 = Engine.now () in
       ok_exn (Api.memory_copy pa ~src ~dst);
-      let elapsed = Engine.now () - t0 in
       check_bool
-        (Printf.sprintf "bytes equal (n=%d window=%d streams=%d)" n window
-           streams)
+        (Printf.sprintf "bytes equal (n=%d chunk=%d double buffering=%b)" n
+           bounce_chunk double_buffering)
         true
-        (Bytes.equal (contents src_buf) (contents dst_buf));
-      elapsed)
+        (Bytes.equal (contents src_buf) (contents dst_buf)))
 
-let test_copy_pipelined_single_chunk () =
-  (* a sub-chunk copy must still work when the pipelined engine is on *)
-  ignore (timed_copy ~window:8 ~streams:4 100)
-
-let test_copy_pipelined_faster_on_fast_fabric () =
-  (* On a 100 Gbps fabric the serial engine is latency-bound on its
-     per-chunk staging round trip; the windowed multi-stream engine must
-     recover at least 2x effective bandwidth on a 1 MiB copy (the ISSUE's
-     acceptance bar, also asserted by bin/bench_smoke.sh). *)
-  let n = 1 lsl 20 in
-  let serial = timed_copy ~net_gbps:100 ~window:1 ~streams:1 n in
-  let pipelined = timed_copy ~net_gbps:100 ~window:8 ~streams:4 n in
-  check_bool
-    (Printf.sprintf "pipelined (%s) at least 2x faster than serial (%s)"
-       (Time.to_string pipelined) (Time.to_string serial))
-    true
-    (2 * pipelined <= serial)
-
-let test_copy_pipelined_default_knobs_identical () =
-  (* window = streams = 1 must reproduce the serial engine bit-for-bit:
-     same simulated completion time, not just same bytes *)
-  let n = 300_000 in
-  let explicit = timed_copy ~window:1 ~streams:1 n in
-  let default_cfg =
-    Tb.run (fun tb ->
-        let pa, pb, _, _ = two_node_setup tb in
-        let src_buf = Process.alloc pa n in
-        let g = Prng.create ~seed:(n + 131 + 1) in
-        randomize g src_buf;
-        let dst_buf = Process.alloc pb n in
-        let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
-        let dst =
-          Tb.grant ~src:pb ~dst:pa
-            (ok_exn (Api.memory_create pb dst_buf Perms.rw))
-        in
-        let t0 = Engine.now () in
-        ok_exn (Api.memory_copy pa ~src ~dst);
-        Engine.now () - t0)
-  in
-  check_int "default config = serial engine timing" explicit default_cfg
-
-let test_copy_pipelined_decoupled_from_invokes () =
-  (* A bulk pipelined copy stages through the controller's copy engine,
-     not its syscall cores: an unrelated null syscall issued mid-copy must
-     not be head-of-line blocked behind ~64 chunk memcpys. *)
-  Tb.run ~config:(copy_config ~net_gbps:100 ~window:8 ~streams:4 ())
-    (fun tb ->
-      let pa, pb, _, _ = two_node_setup tb in
-      let n = 1 lsl 20 in
-      let src_buf = Process.alloc pa n in
-      let dst_buf = Process.alloc pb n in
-      let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
-      let dst =
-        Tb.grant ~src:pb ~dst:pa
-          (ok_exn (Api.memory_create pb dst_buf Perms.rw))
-      in
-      let t0 = Engine.now () in
-      ignore (ok_exn (Api.null pa));
-      let idle_null = Engine.now () - t0 in
-      let copy_done = Api.memory_copy_async pa ~src ~dst in
-      (* land in the middle of the copy's lifetime *)
-      Engine.sleep (Time.us 30);
-      let t1 = Engine.now () in
-      ignore (ok_exn (Api.null pa));
-      let busy_null = Engine.now () - t1 in
-      ok_exn (Ivar.await copy_done);
-      check_bool
-        (Printf.sprintf "null during copy (%s) close to idle null (%s)"
-           (Time.to_string busy_null) (Time.to_string idle_null))
-        true
-        (busy_null <= 3 * idle_null))
+let test_copy_single_chunk () =
+  (* a copy shorter than one bounce chunk is one chunk, open and ack *)
+  chunked_copy ~bounce_chunk:Fractos_net.Config.default.bounce_chunk
+    ~double_buffering:true 100
 
 let test_invalid_cid () =
   Tb.run (fun tb ->
@@ -1182,17 +1096,15 @@ let prop_copy_integrity =
           ok_exn (Api.memory_copy pa ~src ~dst);
           Bytes.equal (contents src_buf) (contents dst_buf)))
 
-(* Copy integrity across the engine's knob space: any (size, window,
-   streams) combination must deliver the same bytes, including the
-   out-of-order multi-stream arrivals the reorder buffer absorbs. *)
+(* Copy integrity across the engine's knob space: any (size,
+   bounce_chunk, double_buffering) combination must deliver the same
+   bytes, including a short last chunk. *)
 let prop_copy_integrity_knobs =
-  QCheck.Test.make ~name:"memory_copy integrity at any window/streams"
-    ~count:15
-    QCheck.(
-      triple (int_range 1 100_000) (int_range 1 16) (int_range 1 8))
-    (fun (n, window, streams) ->
-      ignore (timed_copy ~window ~streams n);
-      (* byte equality is checked (and fails the test) inside timed_copy *)
+  QCheck.Test.make ~name:"memory_copy integrity at any chunking" ~count:15
+    QCheck.(triple (int_range 1 100_000) (int_range 256 65_536) bool)
+    (fun (n, bounce_chunk, double_buffering) ->
+      chunked_copy ~bounce_chunk ~double_buffering n;
+      (* byte equality is checked (and fails the test) inside chunked_copy *)
       true)
 
 (* Derivation never widens permissions. *)
@@ -1252,16 +1164,9 @@ let () =
           Alcotest.test_case "source controller crashed" `Quick
             test_hw_copy_src_ctrl_crashed;
         ] );
-      ( "pipelined copy",
+      ( "copy chunking",
         [
-          Alcotest.test_case "single chunk" `Quick
-            test_copy_pipelined_single_chunk;
-          Alcotest.test_case "2x faster on 100G fabric" `Quick
-            test_copy_pipelined_faster_on_fast_fabric;
-          Alcotest.test_case "default knobs identical" `Quick
-            test_copy_pipelined_default_knobs_identical;
-          Alcotest.test_case "decoupled from invokes" `Quick
-            test_copy_pipelined_decoupled_from_invokes;
+          Alcotest.test_case "single chunk" `Quick test_copy_single_chunk;
           qtest prop_copy_integrity_knobs;
         ] );
       ( "diminish",

@@ -332,8 +332,8 @@ let test_pin_move_clear () =
    into beta's ([~back:true]: from beta's into alpha's). The source is
    registered from [src_off], [src_len] bytes (default: to its end), the
    destination from [dst_off] to its end and granted with [dst_perms]. *)
-let with_pair ?config f =
-  Tb.run ?config (fun tb ->
+let with_pair f =
+  Tb.run (fun tb ->
       let a = Tb.add_host tb "alpha" and b = Tb.add_host tb "beta" in
       let ca = Tb.add_ctrl tb ~on:a and cb = Tb.add_ctrl tb ~on:b in
       let pa = Tb.add_proc tb ~on:a ~ctrl:ca "proc-a" in
@@ -391,12 +391,12 @@ let test_copy_unwritten () =
    exactly. With [~unwritten:true] the source is unwritten until the
    store, so its old bytes are zeros and the destination, unwritten too,
    must not adopt the store of a chunk staged after it. *)
-let isolation ?(dup = false) ?(unwritten = false) config () =
-  let n = 1 lsl 20 and chunk = config.Net.Config.bounce_chunk in
+let isolation ?(dup = false) ?(unwritten = false) () =
+  let n = 1 lsl 20 and chunk = Net.Config.default.bounce_chunk in
   let old_b = if unwritten then zeros n else pattern ~seed:1 n
   and new_b = pattern ~seed:2 n
   and other = pattern ~seed:3 n in
-  with_pair ~config (fun tb ctrl pair ->
+  with_pair (fun tb ctrl pair ->
       if dup then
         Net.Fabric.set_fault_hook tb.Tb.fabric
           (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Net.Fabric.Duplicate));
@@ -536,11 +536,11 @@ let test_refused_copy () =
 
 (* A whole-buffer copy of a written source into an unwritten destination
    of its size allocates nothing for the bytes: the destination adopts
-   the source's store, on both engines. *)
-let test_adopt config () =
+   the source's store. *)
+let test_adopt () =
   let n = 1 lsl 20 in
   let p = pattern ~seed:8 n in
-  with_pair ~config (fun _ _ pair ->
+  with_pair (fun _ _ pair ->
       let src_buf, dst_buf, copy = pair n in
       Membuf.write src_buf ~off:0 p;
       let bytes, () = allocated copy in
@@ -756,9 +756,6 @@ let test_shared_hole () =
       check_bool "the next copy is exact" true
         (Bytes.equal (contents dst_buf) (Bytes.make n 's')))
 
-let serial = Net.Config.default
-let pipelined = { Net.Config.default with copy_window = 4; copy_streams = 2 }
-
 let () =
   Alcotest.run "fractos_membuf"
     [
@@ -795,9 +792,7 @@ let () =
       ( "shared",
         [
           Alcotest.test_case "whole copy adopts, serial engine" `Quick
-            (test_adopt serial);
-          Alcotest.test_case "whole copy adopts, pipelined engine" `Quick
-            (test_adopt pipelined);
+            test_adopt;
           Alcotest.test_case "a store into either side copies once" `Quick
             test_shared_store_is_copy_on_write;
           Alcotest.test_case "sub-range, offset views, written: no share"
@@ -808,20 +803,12 @@ let () =
           Alcotest.test_case "dropped middle chunk under a share" `Quick
             test_shared_hole;
           Alcotest.test_case "source written mid-copy, serial engine" `Quick
-            (isolation ~unwritten:true serial);
-          Alcotest.test_case "source written mid-copy, pipelined engine"
-            `Quick
-            (isolation ~unwritten:true pipelined);
+            (isolation ~unwritten:true);
         ] );
       ( "snapshot",
         [
-          Alcotest.test_case "isolation, serial engine" `Quick
-            (isolation serial);
-          Alcotest.test_case "isolation, pipelined engine" `Quick
-            (isolation pipelined);
+          Alcotest.test_case "isolation, serial engine" `Quick isolation;
           Alcotest.test_case "isolation, serial, every message duplicated"
-            `Quick (isolation ~dup:true serial);
-          Alcotest.test_case "isolation, pipelined, every message duplicated"
-            `Quick (isolation ~dup:true pipelined);
+            `Quick (isolation ~dup:true);
         ] );
     ]

@@ -433,12 +433,9 @@ let test_local_faults_ignored () =
 (* ------------------------------------------------------------------ *)
 
 (* Chaos runs take their workload by scenario-table name. *)
-let small_chaos ?(spec = Spec.none) ?(workload = "mixed") ?config seed =
+let small_chaos ?(spec = Spec.none) ?(workload = "mixed") seed =
   let workload = Result.get_ok (Scenario.find workload) in
-  Chaos.run ~clients:4 ~requests:8 ~workload ?config ~spec ~seed ()
-
-let pipelined_config =
-  { Net.Config.default with copy_window = 8; copy_streams = 4 }
+  Chaos.run ~clients:4 ~requests:8 ~workload ~spec ~seed ()
 
 let test_chaos_clean_run () =
   let r = small_chaos 1 in
@@ -503,33 +500,24 @@ let test_chaos_copy_workload () =
   (* large third-party copies under drop/dup/delay: every request must end
      in a typed completion (ok or error, no hangs), delivered bytes must be
      intact (the copy entry byte-checks each completion), and no copy-session
-     state may leak (Invariants pass 5) — for both the serial engine and
-     the windowed multi-stream one *)
-  List.iter
-    (fun config ->
-      let r = small_chaos ~spec:Spec.default ~workload:"copy" ?config 11 in
-      check_bool
-        (String.concat "; " r.Chaos.r_violations)
-        true (Chaos.passed r);
-      let errs = List.fold_left (fun n (_, c) -> n + c) 0 r.Chaos.r_errors in
-      check_int "ok + errors = requests" r.Chaos.r_requests
-        (r.Chaos.r_ok + errs))
-    [ None; Some pipelined_config ]
+     state may leak (Invariants pass 5) *)
+  let r = small_chaos ~spec:Spec.default ~workload:"copy" 11 in
+  check_bool
+    (String.concat "; " r.Chaos.r_violations)
+    true (Chaos.passed r);
+  let errs = List.fold_left (fun n (_, c) -> n + c) 0 r.Chaos.r_errors in
+  check_int "ok + errors = requests" r.Chaos.r_requests (r.Chaos.r_ok + errs)
 
 let test_chaos_copy_deterministic () =
-  (* the pipelined engine keeps the harness bit-deterministic: same seed,
-     same digest — even with multi-stream reordering in play *)
+  (* copies under drop, dup and delay keep the harness bit-deterministic:
+     same seed, same digest *)
   let spec =
     match Spec.of_string "drop=0.01,dup=0.01,delayp=0.05,delay=30us" with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let a =
-    small_chaos ~spec ~workload:"copy" ~config:pipelined_config 13
-  in
-  let b =
-    small_chaos ~spec ~workload:"copy" ~config:pipelined_config 13
-  in
+  let a = small_chaos ~spec ~workload:"copy" 13 in
+  let b = small_chaos ~spec ~workload:"copy" 13 in
   check_string "same audit digest" a.Chaos.r_audit_digest
     b.Chaos.r_audit_digest;
   check_bool "bit-identical report" true (Chaos.to_lines a = Chaos.to_lines b)
@@ -539,7 +527,7 @@ let test_chaos_copy_deterministic () =
    open timeout must reclaim the parked state and fail the copy with a
    typed error. *)
 let test_copy_open_drop_cleanup () =
-  Tb.run ~config:pipelined_config (fun tb ->
+  Tb.run (fun tb ->
       let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
       let sa = List.nth setups 0 and sb = List.nth setups 1 in
       let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "pa" in
@@ -553,7 +541,7 @@ let test_copy_open_drop_cleanup () =
           (ok_exn (Core.Api.memory_create pb dst_buf Core.Perms.rw))
       in
       (* drop exactly the first cross-node bulk Data message: the
-         session-opening chunk; the rest of the window sails past it *)
+         session-opening chunk; the later chunks sail past it *)
       let dropped = ref false in
       Net.Fabric.set_fault_hook tb.Tb.fabric
         (Some

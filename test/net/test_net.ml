@@ -60,8 +60,6 @@ let test_config_validate () =
   Config.validate Config.default;
   rejects "bounce_chunk = 0" { Config.default with bounce_chunk = 0 };
   rejects "bounce_chunk < 0" { Config.default with bounce_chunk = -16384 };
-  rejects "copy_window = 0" { Config.default with copy_window = 0 };
-  rejects "copy_streams = 0" { Config.default with copy_streams = -1 };
   rejects "net_bandwidth_bps < 1 Mbit/s"
     { Config.default with net_bandwidth_bps = 999_999 };
   rejects "congestion_window = 0" { Config.default with congestion_window = 0 };
