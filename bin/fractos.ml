@@ -406,6 +406,7 @@ let config_cmd () =
     (Time.to_string Net.Config.gpu_per_image);
   printf "copy path: chunk %d KiB, double buffering %b, hw copies %b@."
     (c.bounce_chunk / 1024) c.double_buffering c.hw_copies;
+  printf "  open timeout %s@." (Time.to_string Net.Config.copy_open_timeout);
   printf "congestion window: %d outstanding responses@." c.congestion_window
 
 (* ---------------- topology ------------------------------------------ *)

@@ -67,9 +67,9 @@ and ctrl = {
   copy_failures : (int, Error.t) Hashtbl.t;
       (* sessions rejected at open; the error is replied on the last chunk *)
   copy_pending : (int, copy_chunk Queue.t) Hashtbl.t;
-      (* chunks that overtook their session's open
-         (handlers run concurrently; delivery order alone does not
-         serialize them); reclaimed after Config.copy_open_timeout *)
+      (* chunks that overtook their session's open (handlers run
+         concurrently; delivery order alone does not serialize them);
+         reclaimed after Config.copy_open_timeout *)
   mutable cap_gen : int;
       (* capability generation: bumped by every entry removal (revoke,
          cleanup, process death) and by reboot; stamps the per-capspace

@@ -117,9 +117,10 @@ let scale_time s t =
   else max 0 (int_of_float (Float.round (float_of_int t *. s)))
 
 (* Reject, at fabric construction, every value that would otherwise fail
-   mid-simulation: the copy engine divides by the chunk size; [bytes_time] divides by [bw_bps / 1_000_000]; a zero congestion window
-   or NVMe queue depth is a zero-permit semaphore that deadlocks the
-   first request; a non-positive timeout would expire before any peer
+   mid-simulation: the copy engine divides by the chunk size;
+   [bytes_time] divides by [bw_bps / 1_000_000]; a zero congestion
+   window or NVMe queue depth is a zero-permit semaphore that deadlocks
+   the first request; a non-positive timeout would expire before any peer
    reply could land. *)
 let validate t =
   let pos name v =

@@ -259,8 +259,9 @@ val fast_path : t
 
 val validate : t -> unit
 (** Raise [Invalid_argument], naming the knob, when [bounce_chunk], which
-    the copy engine divides the work by, is non-positive; when [net_bandwidth_bps] is below 1 Mbit/s, the
-    resolution of {!bytes_time}; when [congestion_window] or
+    the copy engine divides the work by, is non-positive; when
+    [net_bandwidth_bps] is below 1 Mbit/s, the resolution of
+    {!bytes_time}; when [congestion_window] or
     [nvme_queue_depth] is below 1; when [peer_ack_timeout] is
     non-positive; or when a what-if scale factor is non-positive. Called
     by [Fabric.create], so a bad config fails fast instead of crashing or

@@ -4,11 +4,12 @@
    The benches are seed-deterministic, so their --tiny variants produce
    stable headline numbers suitable for an exact-ish CI gate: knee
    goodput for the loadcurve sweep, per-shard-count knee goodput for the
-   cluster scaling sweep, goodput per mode for the prefill/decode sweep. All gated metrics are higher-is-better
-   throughputs; a run passes when every baseline metric is reproduced
-   at >= (1 - tolerance) of its committed value. Improvements beyond
-   the tolerance pass but are called out, nudging the baseline to be
-   re-emitted so the gate tightens as the system gets faster. *)
+   cluster scaling sweep, goodput per mode for the prefill/decode sweep.
+   All gated metrics are higher-is-better throughputs; a run passes when
+   every baseline metric is reproduced at >= (1 - tolerance) of its
+   committed value. Improvements beyond the tolerance pass but are
+   called out, nudging the baseline to be re-emitted so the gate
+   tightens as the system gets faster. *)
 
 let default_tolerance = 0.10
 

@@ -2,7 +2,8 @@
 
     The benches are seed-deterministic, so their [--tiny] variants
     yield stable headline numbers suitable for a CI gate: knee goodput
-    per variant from [BENCH_loadcurve.json], per-shard-count knee goodput from [BENCH_cluster.json], and
+    per variant from [BENCH_loadcurve.json], per-shard-count knee
+    goodput from [BENCH_cluster.json], and
     goodput per mode, decode count and KV size from [BENCH_pd.json].
     All gated metrics are higher-is-better; a fresh run passes when
     every baseline metric reaches [>= (1 - tolerance)] of its committed
