@@ -59,9 +59,18 @@ echo "== dead exports"
 # qualified by its library). A match in a file that never names the
 # module is another module's value of the same name, so an unused
 # `val pp` or `val run` is still caught; an export nothing references is
-# dead code.
+# dead code. Only code counts: the .ml files are searched with their
+# comments and string literals blanked (bin/code_only.awk), so a value
+# whose name a comment mentions or a message prints is still caught.
+code=$(mktemp -d /tmp/fractos-code.XXXXXX)
+for f in $(find lib bin bench benchmark test examples -name '*.ml'); do
+  mkdir -p "$code/$(dirname "$f")"
+  awk -f bin/code_only.awk "$f" >"$code/$f"
+done
+root=$(pwd)
+cd "$code"
 dead=0
-for mli in $(find lib -name '*.mli' | sort); do
+for mli in $(cd "$root" && find lib -name '*.mli' | sort); do
   ml=${mli%.mli}.ml
   b=$(basename "$ml" .ml)
   m=$(printf '%s' "$b" | cut -c1 | tr a-z A-Z)$(printf '%s' "$b" | cut -c2-)
@@ -69,8 +78,8 @@ for mli in $(find lib -name '*.mli' | sort); do
   users=$(grep -rlE --include='*.ml' \
             "\b$m\.|\b(open!?|include) +$q$m\b|= *$q$m\b" \
             lib bin bench benchmark test examples | grep -Fvx "$ml" || true)
-  for v in $(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\)\( *:.*\)*$/\1/p' "$mli" \
-             | sort -u); do
+  for v in $(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\)\( *:.*\)*$/\1/p' \
+               "$root/$mli" | sort -u); do
     own=$(grep -cw -e "$v" "$ml" 2>/dev/null || true)
     defs=$(grep -cE "^ *(let|and)( rec)? +$v( |$)" "$ml" 2>/dev/null || true)
     ext=0
@@ -83,6 +92,8 @@ for mli in $(find lib -name '*.mli' | sort); do
     fi
   done
 done
+cd "$root"
+rm -rf "$code"
 [ "$dead" = 0 ]
 
 echo "== dead optional arguments"

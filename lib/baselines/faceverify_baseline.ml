@@ -25,8 +25,7 @@ let setup ~fabric ~frontend ~nfs_server ~ssd ~gpu ~db ~img_size ~max_batch
   | Ok vol -> (
     (* provision the database onto the target *)
     let len = Bytes.length db in
-    let src = Core.Membuf.create ~node:(Device.Nvme.node ssd) len in
-    Core.Membuf.write src ~off:0 db;
+    let src = Core.Membuf.of_bytes ~node:(Device.Nvme.node ssd) db in
     (match Device.Nvme.write ssd vol ~off:0 ~src ~src_off:0 ~len with
     | Ok () -> ()
     | Error e -> failwith e);

@@ -27,7 +27,9 @@ val setup :
   depth:int ->
   (t, string) result
 (** Provision the volume with the database bytes, mount NFS, connect
-    rCUDA, and pre-allocate [depth] GPU buffer sets. *)
+    rCUDA, and pre-allocate [depth] GPU buffer sets. The volume borrows
+    [db] (see {!Fractos_core.Membuf.of_bytes}): [db] must not change
+    while the simulation may read the volume. *)
 
 val build :
   db:bytes ->

@@ -47,6 +47,13 @@ let hold t s =
 
 let own t bytes = hold t { bytes; holders = 1 }
 
+(* The caller keeps the one holder never released, so any store into
+   [t], or into a buffer that adopted its store, copies first. *)
+let of_bytes ~node bytes =
+  let t = create ~node (Bytes.length bytes) in
+  if Bytes.length bytes > 0 then hold t { bytes; holders = 2 };
+  t
+
 (* The bytes of [t], ready for a store: allocated zeroed if [t] is
    unwritten, copied if another buffer or a staged chunk holds them. *)
 let materialize t =
@@ -140,7 +147,7 @@ let rec zero_words x i stop =
   else Bytes.get_int64_ne x i = 0L && zero_words x (i + 8) stop
 
 let equal_range a b ~off ~len =
-  if off < 0 || len < 0 || off + len > size a || off + len > size b then
+  if off < 0 || len < 0 || off > size a - len || off > size b - len then
     invalid_arg "Membuf.equal_range";
   let stop = off + len in
   match (written a, written b) with

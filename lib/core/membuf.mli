@@ -20,7 +20,10 @@
     {!write_pin}), and {!move} hands a store on. A store into a buffer
     whose store has another holder first gives the buffer a private copy
     of its bytes (copy-on-write), so the other holders keep the bytes
-    they had; a store into bytes no one else holds is made in place. *)
+    they had; a store into bytes no one else holds is made in place. A
+    buffer made by {!of_bytes} borrows its caller's bytes, and its
+    store counts the caller as a holder that never lets go, so no store
+    through [Membuf] reaches them. *)
 
 type store
 (** The bytes of one or more buffers, counting their holders. Only
@@ -43,6 +46,16 @@ val create : node:Fractos_net.Node.t -> int -> t
 (** [create ~node size] is an unwritten [size]-byte buffer on [node]. It
     allocates no bytes, whatever its size. Ids are minted from a
     domain-local counter. Raises [Invalid_argument] on a negative size. *)
+
+val of_bytes : node:Fractos_net.Node.t -> bytes -> t
+(** [of_bytes ~node b] is a [Bytes.length b]-byte buffer on [node] that
+    reads as [b], without copying it: the buffer {e borrows} [b]. Its id
+    is minted as {!create} mints one. The store counts one holder that is
+    never released, the caller's, so a store into the buffer, or into a
+    buffer that adopted its store through a whole-buffer copy, copies
+    first: [Membuf] never writes into [b]. The caller must not change
+    [b] while a simulation may read the buffer or a buffer that adopted
+    its store. [holders] of a non-empty borrowed buffer is at least 2. *)
 
 val reset_ids : unit -> unit
 (** Reset this domain's buffer-id counter; see {!Controller.reset_ids},

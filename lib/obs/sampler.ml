@@ -133,7 +133,6 @@ let exemplars () =
 
 let exemplar ~hist ~bucket = Hashtbl.find_opt (st ()).sm_exemplar_tbl (hist, bucket)
 let seen () = (st ()).sm_seen
-let kept () = Array.fold_left ( + ) 0 (st ()).sm_kept_counts
 let kept_by r = (st ()).sm_kept_counts.(reason_rank r)
 let healthy_seen () = (st ()).sm_healthy
 

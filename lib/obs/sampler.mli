@@ -71,7 +71,6 @@ val exemplar : hist:string -> bucket:int -> Span.id option
 val seen : unit -> int
 (** Total observations. *)
 
-val kept : unit -> int
 val kept_by : reason -> int
 
 val healthy_seen : unit -> int

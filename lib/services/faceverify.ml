@@ -39,8 +39,7 @@ let populate_db svc ~fs ~name ~content =
     | Error _ as e -> e
     | Ok handle -> (
       let proc = Svc.proc svc in
-      let buf = Process.alloc proc size in
-      Membuf.write buf ~off:0 content;
+      let buf = Membuf.of_bytes ~node:(Process.node proc) content in
       match Api.memory_create proc buf Perms.ro with
       | Error _ as e -> e
       | Ok src -> Fs.write svc handle ~off:0 ~len:size ~src))

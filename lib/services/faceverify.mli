@@ -34,7 +34,11 @@ val populate_db :
   name:string ->
   content:bytes ->
   (unit, Core.Error.t) result
-(** Create the database file and write [content] through the FS service. *)
+(** Create the database file and write [content] through the FS service.
+    The upload borrows [content] (see {!Core.Membuf.of_bytes}): the file
+    may keep reading it after the call returns, so [content] must not
+    change while the simulation may read the file. A store into the file
+    copies first, and never reaches [content]. *)
 
 type t
 

@@ -217,8 +217,7 @@ let copies ~label ~salt ~src ~dst : deploy =
     let pattern =
       Bytes.init copy_len (fun i -> Char.chr ((k * salt + i) land 0xff))
     in
-    let src_buf = Core.Membuf.create ~node:src_node copy_len in
-    Core.Membuf.write src_buf ~off:0 pattern;
+    let src_buf = Core.Membuf.of_bytes ~node:src_node pattern in
     let dst_buf = Core.Membuf.create ~node:dst_node copy_len in
     let src_ro =
       ok_exn (Core.Api.memory_create src_owner src_buf Core.Perms.ro)

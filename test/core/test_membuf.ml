@@ -70,6 +70,22 @@ let test_unwritten_reads_zeros () =
   Alcotest.check_raises "read overflow" (Invalid_argument "Membuf.read")
     (fun () -> ignore (Membuf.read u ~off:90 ~len:11))
 
+(* A range whose end overflows [max_int] is out of range, not a wrapped
+   short one: [equal_range] checks it as [read] does. *)
+let test_equal_range_overflow () =
+  let w = Membuf.create ~node 16 and u = Membuf.create ~node 16 in
+  Membuf.write w ~off:0 (Bytes.make 16 'w');
+  List.iter
+    (fun (what, a, b, off, len) ->
+      Alcotest.check_raises what (Invalid_argument "Membuf.equal_range")
+        (fun () -> ignore (Membuf.equal_range a b ~off ~len)))
+    [
+      ("written, len max_int", w, w, 1, max_int);
+      ("unwritten, len max_int", u, u, 1, max_int);
+      ("off max_int", w, u, max_int, 1);
+      ("one past the end", w, w, 1, 16);
+    ]
+
 let test_unwritten_blit () =
   let u = Membuf.create ~node 64 in
   (* unwritten into written: the range becomes zeros *)
@@ -756,6 +772,94 @@ let test_shared_hole () =
       check_bool "the next copy is exact" true
         (Bytes.equal (contents dst_buf) (Bytes.make n 's')))
 
+(* ------------------------------------------------------------------ *)
+(* Borrowed bytes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A borrowed buffer reads as its caller's bytes at no cost, takes the
+   next id as [create] would, and counts the caller as a holder. *)
+let test_borrow () =
+  let n = 4 lsl 20 in
+  let p = pattern ~seed:13 n in
+  let before = Membuf.create ~node 1 in
+  let bytes, b = allocated (fun () -> Membuf.of_bytes ~node p) in
+  let after = Membuf.create ~node 1 in
+  check_bool
+    (Printf.sprintf "borrowing 4 MiB cost %.0f bytes" bytes)
+    true (bytes < small);
+  check_int "size" n (Membuf.size b);
+  check_bool "reads as the caller's bytes" true (Bytes.equal (contents b) p);
+  check_int "the next id" (before.Membuf.id + 1) b.Membuf.id;
+  check_int "then the one after" (b.Membuf.id + 1) after.Membuf.id;
+  check_int "the caller holds it too" 2 (Membuf.holders b);
+  let e = Membuf.of_bytes ~node Bytes.empty in
+  check_int "an empty borrow holds nothing" 0 (Membuf.holders e)
+
+(* Every kind of store into a borrowed buffer, or into a buffer that
+   adopted its store through a whole-buffer copy, leaves the caller's
+   bytes as they were: the store copies first, and the buffer reads it. *)
+let test_borrow_stores () =
+  let n = 64 in
+  let p = pattern ~seed:14 n in
+  let written c =
+    let b = Membuf.create ~node n in
+    Membuf.fill b c;
+    b
+  in
+  let stores =
+    [
+      ("write", fun b -> Membuf.write b ~off:8 (Bytes.make 8 'w'));
+      ("set", fun b -> Membuf.set b 8 's');
+      ("fill", fun b -> Membuf.fill b 'f');
+      ("fill zeros", fun b -> Membuf.fill b '\000');
+      ( "blit",
+        fun b ->
+          Membuf.blit ~src:(written 'c') ~src_off:0 ~dst:b ~dst_off:8 ~len:8 );
+      ( "zero blit",
+        fun b ->
+          Membuf.blit ~src:(Membuf.create ~node n) ~src_off:0 ~dst:b
+            ~dst_off:8 ~len:8 );
+      ( "write_pin",
+        fun b ->
+          Membuf.write_pin b ~off:8 (stage (written 'k')) ~src_off:0 ~len:8
+            ~whole:false );
+      ("materialize", fun b -> Bytes.set (Membuf.materialize b) 8 'm');
+      ("move onto it", fun b -> Membuf.move ~src:(written 'v') ~dst:b);
+      ( "move off it, then a store",
+        fun b ->
+          let c = Membuf.create ~node n in
+          Membuf.move ~src:b ~dst:c;
+          Membuf.set c 8 'v';
+          Membuf.move ~src:c ~dst:b );
+      ( "clear, then a store",
+        fun b ->
+          Membuf.clear b;
+          Membuf.set b 8 'c' );
+    ]
+  in
+  let adopter b =
+    let a = Membuf.create ~node n in
+    Membuf.write_pin a ~off:0 (Membuf.pin b ~off:0 ~len:n) ~src_off:0 ~len:n
+      ~whole:true;
+    a
+  in
+  List.iter
+    (fun (what, store) ->
+      List.iter
+        (fun (into, target) ->
+          let mine = Bytes.copy p in
+          let b = Membuf.of_bytes ~node mine in
+          let t = target b in
+          store t;
+          let what = Printf.sprintf "%s into %s" what into in
+          check_bool (what ^ " reaches it") false (Bytes.equal (contents t) p);
+          check_bool (what ^ ": the caller's bytes are unchanged") true
+            (Bytes.equal mine p);
+          check_bool (what ^ ": the borrowed buffer still reads them") true
+            (t == b || Bytes.equal (contents b) p))
+        [ ("the borrowed buffer", Fun.id); ("an adopting buffer", adopter) ])
+    stores
+
 let () =
   Alcotest.run "fractos_membuf"
     [
@@ -764,6 +868,8 @@ let () =
           Alcotest.test_case "create allocates nothing" `Quick
             test_create_allocates_nothing;
           Alcotest.test_case "reads as zeros" `Quick test_unwritten_reads_zeros;
+          Alcotest.test_case "equal_range rejects a wrapping range" `Quick
+            test_equal_range_overflow;
           Alcotest.test_case "blit" `Quick test_unwritten_blit;
           Alcotest.test_case "zero stores keep it unwritten" `Quick
             test_zero_stores_keep_unwritten;
@@ -804,6 +910,13 @@ let () =
             test_shared_hole;
           Alcotest.test_case "source written mid-copy, serial engine" `Quick
             (isolation ~unwritten:true);
+        ] );
+      ( "borrowed",
+        [
+          Alcotest.test_case "reads the caller's bytes, no copy" `Quick
+            test_borrow;
+          Alcotest.test_case "stores never reach the caller's bytes" `Quick
+            test_borrow_stores;
         ] );
       ( "snapshot",
         [

@@ -29,11 +29,14 @@ let ok_exn = function
 (* Words allocated (minor + major - promoted, so a promoted word counts
    once) per call of [f k], over [f 0] .. [f (n - 1)] after 8 warm-up
    calls (staging slots, diminished views, directory caches, hash tables
-   at their working size). *)
+   at their working size). The window starts on an empty minor heap: on
+   OCaml 5.1 one that starts on a partly filled heap miscounts with what
+   ran before it. *)
 let words_per ~n f =
   for k = 0 to 7 do
     f k
   done;
+  Gc.minor ();
   let minor0, promoted0, major0 = Gc.counters () in
   for k = 0 to n - 1 do
     f k
@@ -145,18 +148,21 @@ let populate_growth ~n_images =
       ignore (Sys.opaque_identity (content, c));
       float_of_int growth /. float_of_int (Bytes.length content))
 
-(* After the upload the database lives once, shared by the
-   application's buffer and the volume. Each whole-buffer copy hands its
-   unwritten destination the source's bytes instead of copying them (the
-   file system's staging slot, then the block adaptor's), the block
-   adaptor's slot hands them on to the volume, and the file system's
-   slot drops its share; the copy engine's chunks hold only pins,
-   released at write-out. Measured at 1.01 N (x86-64, OCaml 5.1). With
-   each copy into a staging slot allocating its own bytes, the same
-   harness measured 2.01 N; with 0.48 N of 16 KiB chunk snapshots kept
-   on a free list for the next copy as well, 2.48 N; with both slots
-   holding a copy and the NVMe model storing 4 KiB blocks, 4.50 N. *)
-let populate_budget = 1.1
+(* The upload allocates no copy of the database: the application's
+   buffer borrows the content, which was live before the upload started
+   ([Membuf.of_bytes]). Each whole-buffer copy hands its unwritten
+   destination the source's bytes instead of copying them (the file
+   system's staging slot, then the block adaptor's), the block adaptor's
+   slot hands them on to the volume, and the file system's slot drops
+   its share; the copy engine's chunks hold only pins, released at
+   write-out. Measured at 0.01 N (x86-64, OCaml 5.1), bookkeeping only.
+   With the application's buffer allocating and filling its own copy of
+   the content, the same harness measured 1.01 N; with each copy into a
+   staging slot allocating its own bytes as well, 2.01 N; with 0.48 N of
+   16 KiB chunk snapshots kept on a free list for the next copy too,
+   2.48 N; with both slots holding a copy and the NVMe model storing
+   4 KiB blocks, 4.50 N. *)
+let populate_budget = 0.1
 
 let test_populate_heap () =
   let ratio = populate_growth ~n_images:1024 in

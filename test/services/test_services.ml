@@ -688,6 +688,34 @@ let setup_faceverify tb ~img_size ~n_images ~max_batch ~depth =
   in
   (c, fv)
 
+(* The upload borrows the database bytes (Membuf.of_bytes): a partial
+   write into the file afterwards copies the volume's bytes first, so the
+   caller's content is untouched and the file reads the new bytes. *)
+let test_faceverify_populate_then_write () =
+  Tb.run (fun tb ->
+      let img_size = 1024 and n_images = 64 in
+      let c, fs = make_cluster ~extent_size:(n_images * img_size) tb in
+      let proc = Svc.proc c.app in
+      let db = Facedata.db ~img_size ~n:n_images in
+      let orig = Bytes.copy db in
+      ok_exn (Faceverify.populate_db c.app ~fs ~name:"facedb" ~content:db);
+      let h = ok_exn (Fs.open_ c.app ~fs ~name:"facedb" Fs.Fs_rw) in
+      let off = 5_000 and len = 3_000 in
+      let patch = Bytes.make len 'p' in
+      let wbuf = Process.alloc proc len in
+      Membuf.write wbuf ~off:0 patch;
+      let src = ok_exn (Api.memory_create proc wbuf Perms.ro) in
+      ok_exn (Fs.write c.app h ~off ~len ~src);
+      check_bool "the content is intact" true (Bytes.equal db orig);
+      let size = Bytes.length db in
+      let rbuf = Process.alloc proc size in
+      let dst = ok_exn (Api.memory_create proc rbuf Perms.rw) in
+      ok_exn (Fs.read c.app h ~off:0 ~len:size ~dst);
+      let expect = Bytes.copy orig in
+      Bytes.blit patch 0 expect off len;
+      check_bool "the file reads the new bytes" true
+        (Bytes.equal (contents rbuf) expect))
+
 let test_faceverify_end_to_end () =
   Tb.run (fun tb ->
       let img_size = 1024 and n_images = 64 in
@@ -1130,6 +1158,8 @@ let () =
             test_faceverify_concurrent_requests;
           Alcotest.test_case "batch too large" `Quick
             test_faceverify_batch_too_large;
+          Alcotest.test_case "populate, then a partial write" `Quick
+            test_faceverify_populate_then_write;
         ] );
       ("timeout", [ Alcotest.test_case "call deadline" `Quick test_call_timeout ]);
       ( "malformed-replies",
