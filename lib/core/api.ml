@@ -2,12 +2,18 @@ open State
 
 type cid = int
 
-(* Post one syscall, returning the completion ivar. The user-side cost of
-   building and posting the descriptor is charged to the calling fiber;
-   the syscall itself proceeds asynchronously (Table 1: "all syscalls are
-   fully asynchronous and posted into a message-passing channel"). *)
-let call_async (proc : proc) ~size build =
-  let iv = Sim.Ivar.create () in
+(* A fresh reply path for one syscall of [proc]. Each call builds its
+   message around one, so posting takes the message itself rather than a
+   closure that builds it. *)
+let reply_of (proc : proc) = { r_ivar = Sim.Ivar.create (); r_proc = proc }
+
+(* Post syscall [msg], whose reply path is [reply], returning the
+   completion ivar. The user-side cost of building and posting the
+   descriptor is charged to the calling fiber; the syscall itself proceeds
+   asynchronously (Table 1: "all syscalls are fully asynchronous and
+   posted into a message-passing channel"). *)
+let call_async (proc : proc) ~size msg (reply : _ reply) =
+  let iv = reply.r_ivar in
   (match proc.pctrl with
   | None ->
     Sim.Ivar.fill iv
@@ -20,67 +26,83 @@ let call_async (proc : proc) ~size build =
       Sim.Engine.sleep
         (Net.Config.scale_time cfg.Net.Config.scale_client
            Net.Config.proc_syscall);
-      let reply = { r_ivar = iv; r_proc = proc } in
-      Controller.enqueue_syscall ctrl (build reply) ~size ~src:proc.pnode
+      Controller.enqueue_syscall ctrl msg ~size ~src:proc.pnode
     end);
   iv
 
 (* Synchronous veneer: post and await. *)
-let call proc ~size build = Sim.Ivar.await (call_async proc ~size build)
+let call proc ~size msg reply = Sim.Ivar.await (call_async proc ~size msg reply)
 
 (* Timed synchronous veneer: wraps the post-to-completion interval of one
    named syscall in a span ("sys.<name>") and the process's hoisted
    latency histogram ("syscall.<name>", interned at Process.create). *)
-let timed name hist (proc : proc) ~size build =
+let timed name hist (proc : proc) ~size msg reply =
   let t0 = Sim.Engine.now () in
   let r =
     if Obs.Span.enabled () then
       let node = proc.pnode.Net.Node.name in
       Obs.Span.with_ ~node ~name:("sys." ^ name) (fun () ->
-          call proc ~size build)
-    else call proc ~size build
+          call proc ~size msg reply)
+    else call proc ~size msg reply
   in
   Obs.Metrics.observe hist (Sim.Engine.now () - t0);
   r
 
 let null proc =
-  timed "null" proc.pm.pm_null proc ~size:(Wire.syscall ()) (fun reply ->
-      Sys_null reply)
+  let reply = reply_of proc in
+  timed "null" proc.pm.pm_null proc ~size:(Wire.syscall ()) (Sys_null reply)
+    reply
 
 let memory_create proc ?(off = 0) ?len buf perms =
   let len = match len with Some l -> l | None -> Membuf.size buf - off in
+  let reply = reply_of proc in
   timed "memory_create" proc.pm.pm_mem_create proc ~size:(Wire.syscall ())
-    (fun reply -> Sys_mem_create { buf; off; len; perms; reply })
+    (Sys_mem_create { buf; off; len; perms; reply })
+    reply
 
 let memory_diminish proc cid ~off ~len ~drop =
+  let reply = reply_of proc in
   timed "memory_diminish" proc.pm.pm_mem_diminish proc ~size:(Wire.syscall ())
-    (fun reply -> Sys_mem_diminish { cid; off; len; drop; reply })
+    (Sys_mem_diminish { cid; off; len; drop; reply })
+    reply
 
 let memory_copy proc ~src ~dst =
+  let reply = reply_of proc in
   timed "memory_copy" proc.pm.pm_mem_copy proc ~size:(Wire.syscall ~caps:2 ())
-    (fun reply -> Sys_mem_copy { src; dst; reply })
+    (Sys_mem_copy { src; dst; reply })
+    reply
 
 let memory_copy_async proc ~src ~dst =
-  call_async proc ~size:(Wire.syscall ~caps:2 ()) (fun reply ->
-      Sys_mem_copy { src; dst; reply })
+  let reply = reply_of proc in
+  call_async proc ~size:(Wire.syscall ~caps:2 ())
+    (Sys_mem_copy { src; dst; reply })
+    reply
 
 let request_create proc ~tag ?(imms = []) ?(caps = []) () =
+  let reply = reply_of proc in
   timed "request_create" proc.pm.pm_req_create proc
     ~size:(Wire.syscall ~imms ~caps:(List.length caps) ())
-    (fun reply -> Sys_req_create { tag; imms; caps; reply })
+    (Sys_req_create { tag; imms; caps; reply })
+    reply
 
 let request_derive proc parent ?(imms = []) ?(caps = []) () =
+  let reply = reply_of proc in
   timed "request_derive" proc.pm.pm_req_derive proc
     ~size:(Wire.syscall ~imms ~caps:(1 + List.length caps) ())
-    (fun reply -> Sys_req_derive { parent; imms; caps; reply })
+    (Sys_req_derive { parent; imms; caps; reply })
+    reply
 
 let request_invoke proc cid =
+  let reply = reply_of proc in
   timed "request_invoke" proc.pm.pm_req_invoke proc
-    ~size:(Wire.syscall ~caps:1 ()) (fun reply -> Sys_req_invoke { cid; reply })
+    ~size:(Wire.syscall ~caps:1 ())
+    (Sys_req_invoke { cid; reply })
+    reply
 
 let request_invoke_async proc cid =
-  call_async proc ~size:(Wire.syscall ~caps:1 ()) (fun reply ->
-      Sys_req_invoke { cid; reply })
+  let reply = reply_of proc in
+  call_async proc ~size:(Wire.syscall ~caps:1 ()) (Sys_req_invoke { cid; reply })
+    reply
 
 let request_invoke_timeout proc ~timeout cid =
   let t0 = Sim.Engine.now () in
@@ -113,22 +135,31 @@ let try_receive (proc : proc) =
   | None -> None
 
 let cap_create_revtree proc cid =
+  let reply = reply_of proc in
   timed "cap_create_revtree" proc.pm.pm_revtree proc
-    ~size:(Wire.syscall ~caps:1 ()) (fun reply -> Sys_revtree_create { cid; reply })
+    ~size:(Wire.syscall ~caps:1 ())
+    (Sys_revtree_create { cid; reply })
+    reply
 
 let cap_revoke proc cid =
+  let reply = reply_of proc in
   timed "cap_revoke" proc.pm.pm_revoke proc ~size:(Wire.syscall ~caps:1 ())
-    (fun reply -> Sys_revoke { cid; reply })
+    (Sys_revoke { cid; reply })
+    reply
 
 let monitor_delegate proc cid ~cb =
+  let reply = reply_of proc in
   timed "monitor_delegate" proc.pm.pm_mon_delegate proc
-    ~size:(Wire.syscall ~caps:1 ()) (fun reply ->
-      Sys_mon_delegate { cid; cb; reply })
+    ~size:(Wire.syscall ~caps:1 ())
+    (Sys_mon_delegate { cid; cb; reply })
+    reply
 
 let monitor_receive proc cid ~cb =
+  let reply = reply_of proc in
   timed "monitor_receive" proc.pm.pm_mon_receive proc
-    ~size:(Wire.syscall ~caps:1 ()) (fun reply ->
-      Sys_mon_receive { cid; cb; reply })
+    ~size:(Wire.syscall ~caps:1 ())
+    (Sys_mon_receive { cid; cb; reply })
+    reply
 
 let monitor_next (proc : proc) = Sim.Channel.recv proc.monitor_box
 let try_monitor_next (proc : proc) = Sim.Channel.try_recv proc.monitor_box

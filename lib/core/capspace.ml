@@ -7,10 +7,15 @@
 open State
 open Ctrl_base
 
+(* [proc]'s capability space; raises [Error.Fractos] for a process this
+   controller does not manage, so a hit allocates nothing. *)
+let not_attached =
+  Error.Fractos (Error.Bad_argument "process not attached to controller")
+
 let space_of ctrl (proc : proc) =
-  match Hashtbl.find_opt ctrl.capspaces proc.pid with
-  | Some s -> Ok s
-  | None -> Error (Error.Bad_argument "process not attached to controller")
+  match Hashtbl.find ctrl.capspaces proc.pid with
+  | s -> s
+  | exception Not_found -> raise not_attached
 
 (* Owner side of the track_delegations ablation's remote-reference count
    ([P_ref_inc] / [P_ref_dec], or the local shortcut when the owner is
@@ -54,8 +59,9 @@ let insert_cap ?audit_detail ctrl space addr ~counts ~op =
     audit ctrl op ~pid:space.cs_proc.pid ~cid ?detail:audit_detail addr;
     if cfg.track_delegations then (
       match peer_of_addr ctrl addr with
-      | Some owner when owner == ctrl -> ref_inc ctrl addr
-      | Some peer ->
+      | exception Error.Fractos _ -> ()
+      | owner when owner == ctrl -> ref_inc ctrl addr
+      | peer ->
         (* reliable tracking: wait for the owner's acknowledgment — the
            critical-path cost the paper's design avoids. The wait is
            bounded: if the ack never arrives (owner crashed
@@ -74,15 +80,14 @@ let insert_cap ?audit_detail ctrl space addr ~counts ~op =
               Printf.sprintf "peer=%d" addr.a_ctrl);
           Logs.debug (fun m ->
               m "ref_inc ack from ctrl %d timed out; continuing" addr.a_ctrl)
-        end
-      | None -> ());
+        end);
     Ok cid
   end
 
 let resolve_cid ctrl proc cid =
   match space_of ctrl proc with
-  | Error _ as e -> e
-  | Ok space -> (
+  | exception Error.Fractos e -> Error e
+  | space -> (
     match Hashtbl.find_opt space.cs_caps cid with
     | Some entry -> Ok entry
     | None -> Error Error.Invalid_cap)
@@ -115,14 +120,12 @@ let memo_invalidate ctrl =
 (* [proc]'s capability space with its memo brought up to the current
    capability generation. *)
 let memo_space ctrl proc =
-  match space_of ctrl proc with
-  | Error _ as e -> e
-  | Ok space as ok ->
-    if space.cs_memo_gen <> ctrl.cap_gen then begin
-      Hashtbl.reset space.cs_memo;
-      space.cs_memo_gen <- ctrl.cap_gen
-    end;
-    ok
+  let space = space_of ctrl proc in
+  if space.cs_memo_gen <> ctrl.cap_gen then begin
+    Hashtbl.reset space.cs_memo;
+    space.cs_memo_gen <- ctrl.cap_gen
+  end;
+  space
 
 (* One translation through the memo, in two steps so that a caller counts
    its Lookups without a tuple: [memo_hit] is the memoized entry, if any
@@ -156,10 +159,10 @@ let charged_resolve1 ctrl proc ~base cid =
   end
   else
     match memo_space ctrl proc with
-    | Error _ as e ->
+    | exception Error.Fractos e ->
       charge_plus ctrl base Net.Cost.Lookup 1;
-      e
-    | Ok space ->
+      Error e
+    | space ->
       let hit = memo_hit ctrl space cid in
       let resolved = memo_resolve space hit cid in
       charge_plus ctrl base Net.Cost.Lookup (lookups hit);
@@ -177,10 +180,10 @@ let charged_resolve2 ctrl proc ~base a b =
   end
   else
     match memo_space ctrl proc with
-    | Error _ as e ->
+    | exception Error.Fractos e ->
       charge_plus ctrl base Net.Cost.Lookup 1;
-      e
-    | Ok space -> (
+      Error e
+    | space -> (
       let hit_a = memo_hit ctrl space a in
       match memo_resolve space hit_a a with
       | Error _ as e ->
@@ -210,12 +213,13 @@ let resolve_cap_args ctrl proc cids =
 (* Monitor plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let monitor_once o =
+  if first_arrival o && o.to_.alive then Sim.Channel.send o.to_.monitor_box o.d
+
 let post_monitor_event ctrl (watcher : proc) ev =
   charge ctrl [ (Net.Cost.Msg, 1) ];
-  Net.Fabric.send ctrl.fabric ~src:ctrl.cnode ~dst:watcher.pnode
-    ~size:Wire.monitor_cb
-    (once (fun () ->
-         if watcher.alive then Sim.Channel.send watcher.monitor_box ev))
+  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:watcher.pnode
+    ~size:Wire.monitor_cb monitor_once (one_shot watcher ev)
 
 (* Fire-and-forget counter update at the owner of a monitored delegator
    object. *)
@@ -223,13 +227,13 @@ let send_counter ctrl addr msg_of_addr =
   (* Even self-directed updates travel the loopback queue pair, so the
      accounting is uniform across placements. *)
   match peer_of_addr ctrl addr with
-  | None -> ()
-  | Some peer -> send_peer ctrl peer ~size:Wire.credit (msg_of_addr addr)
+  | exception Error.Fractos _ -> ()
+  | peer -> send_peer ctrl peer ~size:Wire.credit (msg_of_addr addr)
 
 let apply_increment ctrl addr =
   match Objects.find ctrl addr with
-  | Error _ -> ()
-  | Ok obj -> (
+  | exception Error.Fractos _ -> ()
+  | obj -> (
     match obj.o_mon_delegator with
     | Some md -> md.md_outstanding <- md.md_outstanding + 1
     | None -> ())
@@ -250,8 +254,8 @@ let apply_decrement ctrl addr =
    [addr] (we are its owner). *)
 let do_mon_delegate ctrl addr ~watcher ~cb =
   match Objects.find ctrl addr with
-  | Error e -> Error e
-  | Ok obj ->
+  | exception Error.Fractos e -> Error e
+  | obj ->
     if obj.o_rev_children <> [] then
       Error (Error.Bad_argument "monitor_delegate: object has children")
     else if obj.o_mon_delegator <> None then
@@ -264,8 +268,8 @@ let do_mon_delegate ctrl addr ~watcher ~cb =
 
 let do_mon_receive ctrl addr ~watcher ~cb =
   match Objects.find ctrl addr with
-  | Error e -> Error e
-  | Ok obj ->
+  | exception Error.Fractos e -> Error e
+  | obj ->
     obj.o_mon_receivers <- (watcher, cb) :: obj.o_mon_receivers;
     Ok ()
 
@@ -286,9 +290,9 @@ let drop_entry ctrl space cid (entry : entry) =
   (if (config ctrl).track_delegations then
      let addr = entry.e_addr in
      match peer_of_addr ctrl addr with
-     | Some owner when owner == ctrl -> ref_dec ctrl addr
-     | Some peer -> send_peer ctrl peer ~size:Wire.credit (P_ref_dec { addr })
-     | None -> ());
+     | exception Error.Fractos _ -> ()
+     | owner when owner == ctrl -> ref_dec ctrl addr
+     | peer -> send_peer ctrl peer ~size:Wire.credit (P_ref_dec { addr }));
   match entry.e_counts with
   | Some a -> send_counter ctrl a (fun addr -> P_decrement { addr })
   | None -> ()
@@ -369,8 +373,8 @@ let invalidate_at_owner ctrl obj =
 let do_revoke ctrl addr =
   charge ctrl [ (Net.Cost.Lookup, 1) ];
   match Objects.find ctrl addr with
-  | Error e -> Error e
-  | Ok obj ->
+  | exception Error.Fractos e -> Error e
+  | obj ->
     invalidate_at_owner ctrl obj;
     Ok ()
 
@@ -383,11 +387,11 @@ let do_revoke ctrl addr =
    to. [not_memory] is the [Bad_argument] text for any other kind. *)
 let find_memory ctrl addr ~not_memory =
   match Objects.find ctrl addr with
-  | Error e -> Error e
-  | Ok obj -> (
+  | exception Error.Fractos e -> Error e
+  | obj -> (
     match Objects.resolve_payload ctrl obj with
-    | Error e -> Error e
-    | Ok (payload, _hops) -> (
+    | exception Error.Fractos e -> Error e
+    | payload -> (
       match payload.o_kind with
       | O_memory m -> Ok (obj, m)
       | O_request _ | O_indirect -> Error (Error.Bad_argument not_memory)))
@@ -414,5 +418,5 @@ let do_diminish ctrl addr ~off ~len ~drop =
 let do_revtree ctrl addr =
   charge ctrl [ (Net.Cost.Lookup, 1) ];
   match Objects.find ctrl addr with
-  | Error e -> Error e
-  | Ok obj -> Ok (Objects.add_indirect ctrl ~parent:obj)
+  | exception Error.Fractos e -> Error e
+  | obj -> Ok (Objects.add_indirect ctrl ~parent:obj)

@@ -22,8 +22,8 @@ let next_ctrl_id : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 let sys_mem_create ctrl ~caller buf ~off ~len perms (reply : int reply) =
   charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ];
   match space_of ctrl caller with
-  | Error e -> reply_to ctrl reply (Error e)
-  | Ok space ->
+  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
+  | space ->
     if off < 0 || len < 0 || off + len > Membuf.size buf then
       reply_to ctrl reply (Error Error.Bounds)
     else (
@@ -54,12 +54,17 @@ let sys_mem_diminish ctrl ~caller cid ~off ~len ~drop (reply : int reply) =
     | Error e -> reply_to ctrl reply (Error e)
     | Ok child_addr -> (
       match space_of ctrl caller with
-      | Error e -> reply_to ctrl reply (Error e)
-      | Ok space ->
+      | exception Error.Fractos e -> reply_to ctrl reply (Error e)
+      | space ->
         reply_to ctrl reply
           (insert_cap ctrl space child_addr ~counts:None ~op:Obs.Audit.Mint
              ~audit_detail:(fun () ->
                "memory diminish drop=" ^ Perms.to_string drop))))
+
+(* The fibers that run a copy or an invocation chain here, spawned with
+   their arguments rather than a closure over them. *)
+let pull_here (ctrl, src, dst, rr) = Copy.do_copy_pull ctrl ~src ~dst rr
+let invoke_here (ctrl, addr, rr) = Invoke.do_invoke ctrl addr [] [] (Some rr)
 
 let sys_mem_copy ctrl ~caller ~src ~dst (reply : unit reply) =
   match charged_resolve2 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] src dst with
@@ -75,10 +80,10 @@ let sys_mem_copy ctrl ~caller ~src ~dst (reply : unit reply) =
     (if (config ctrl).hw_copies then Copy.hw_copy ctrl ~src ~dst rr
      else
        match Directory.locate ctrl src with
-       | None -> Sim.Ivar.fill rr_iv (Error Error.Ctrl_unreachable)
-       | Some owner when owner == ctrl ->
-         Sim.Engine.spawn (fun () -> Copy.do_copy_pull ctrl ~src ~dst rr)
-       | Some peer ->
+       | exception Error.Fractos e -> Sim.Ivar.fill rr_iv (Error e)
+       | owner when owner == ctrl ->
+         Sim.Engine.spawn_with pull_here (ctrl, src, dst, rr)
+       | peer ->
          charge ctrl [ (Net.Cost.Serialize, 1) ];
          send_peer ctrl peer ~size:Wire.peer_fixed
            (P_copy_pull { src; dst; reply = rr }));
@@ -88,8 +93,8 @@ let sys_req_create ctrl ~caller ~tag ~imms ~caps (reply : int reply) =
   charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup
     (1 + List.length caps);
   match space_of ctrl caller with
-  | Error e -> reply_to ctrl reply (Error e)
-  | Ok space -> (
+  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
+  | space -> (
     match resolve_cap_args ctrl caller caps with
     | Error e -> reply_to ctrl reply (Error e)
     | Ok cap_args ->
@@ -104,28 +109,31 @@ let sys_req_create ctrl ~caller ~tag ~imms ~caps (reply : int reply) =
 let sys_req_derive ctrl ~caller ~parent ~imms ~caps (reply : int reply) =
   charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup
     (2 + List.length caps);
-  match (space_of ctrl caller, resolve_cid ctrl caller parent) with
-  | Error e, _ | _, Error e -> reply_to ctrl reply (Error e)
-  | Ok space, Ok parent_entry -> (
-    match resolve_cap_args ctrl caller caps with
+  match space_of ctrl caller with
+  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
+  | space -> (
+    match resolve_cid ctrl caller parent with
     | Error e -> reply_to ctrl reply (Error e)
-    | Ok cap_args -> (
-      let parent = parent_entry.e_addr in
-      match Directory.shard_home ctrl with
-      | Some home ->
-        Directory.place_remote ctrl home space reply (fun key rr ->
-            P_place_req
-              { provider = caller; imms; caps = cap_args; parent; key;
-                reply = rr })
-      | None ->
-        let addr =
-          Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms
-            ~caps:cap_args ~parent:(Some parent)
-        in
-        reply_to ctrl reply
-          (insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
-             ~audit_detail:(fun () ->
-               Printf.sprintf "request derive parent_oid=%d" parent.a_oid))))
+    | Ok parent_entry -> (
+      match resolve_cap_args ctrl caller caps with
+      | Error e -> reply_to ctrl reply (Error e)
+      | Ok cap_args -> (
+        let parent = parent_entry.e_addr in
+        match Directory.shard_home ctrl with
+        | Some home ->
+          Directory.place_remote ctrl home space reply (fun key rr ->
+              P_place_req
+                { provider = caller; imms; caps = cap_args; parent; key;
+                  reply = rr })
+        | None ->
+          let addr =
+            Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms
+              ~caps:cap_args ~parent:(Some parent)
+          in
+          reply_to ctrl reply
+            (insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
+               ~audit_detail:(fun () ->
+                 Printf.sprintf "request derive parent_oid=%d" parent.a_oid)))))
 
 let sys_req_invoke ctrl ~caller cid (reply : unit reply) =
   match charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid with
@@ -134,14 +142,13 @@ let sys_req_invoke ctrl ~caller cid (reply : unit reply) =
     let rr_iv = Sim.Ivar.create () in
     let rr = { rr_ivar = rr_iv; rr_ctrl = ctrl } in
     (match Directory.locate ctrl entry.e_addr with
-    | None -> Sim.Ivar.fill rr_iv (Error Error.Ctrl_unreachable)
-    | Some owner when owner == ctrl ->
+    | exception Error.Fractos e -> Sim.Ivar.fill rr_iv (Error e)
+    | owner when owner == ctrl ->
       (* ours, or we are the failover successor of the minter: run the
          chain here (the lookup answers a foreign address with typed
          Stale) *)
-      Sim.Engine.spawn (fun () ->
-          Invoke.do_invoke ctrl entry.e_addr [] [] (Some rr))
-    | Some peer ->
+      Sim.Engine.spawn_with invoke_here (ctrl, entry.e_addr, rr)
+    | peer ->
       charge ctrl [ (Net.Cost.Serialize, 1) ];
       send_peer ctrl peer
         ~size:(Wire.invoke ~imms:[] ~caps:0)
@@ -150,13 +157,14 @@ let sys_req_invoke ctrl ~caller cid (reply : unit reply) =
              reply = Some rr }));
     reply_to ctrl reply (Sim.Ivar.await rr_iv)
 
+(* Here and in [sys_revoke] the resolve runs (and charges) before the
+   space lookup, whose error wins when both fail. *)
 let sys_revtree_create ctrl ~caller cid (reply : int reply) =
-  match
-    ( space_of ctrl caller,
-      charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid )
-  with
-  | Error e, _ | _, Error e -> reply_to ctrl reply (Error e)
-  | Ok space, Ok entry -> (
+  let resolved = charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid in
+  match (space_of ctrl caller, resolved) with
+  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
+  | _, Error e -> reply_to ctrl reply (Error e)
+  | space, Ok entry -> (
     let res =
       Directory.at_owner ctrl entry.e_addr ~size:Wire.peer_fixed
         ~local:(fun () -> do_revtree ctrl entry.e_addr)
@@ -170,12 +178,11 @@ let sys_revtree_create ctrl ~caller cid (reply : int reply) =
            ~audit_detail:(fun () -> "revtree")))
 
 let sys_revoke ctrl ~caller cid (reply : unit reply) =
-  match
-    ( space_of ctrl caller,
-      charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid )
-  with
-  | Error e, _ | _, Error e -> reply_to ctrl reply (Error e)
-  | Ok space, Ok entry ->
+  let resolved = charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid in
+  match (space_of ctrl caller, resolved) with
+  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
+  | _, Error e -> reply_to ctrl reply (Error e)
+  | space, Ok entry ->
     drop_entry ctrl space cid entry;
     if entry.e_counts <> None then
       (* A monitored-delegation capability is a counted reference: revoking
@@ -252,9 +259,9 @@ let dispatch_syscall ctrl msg =
   | Sys_mon_receive { cid; cb; reply } ->
     sys_mon_receive ctrl ~caller:reply.r_proc cid ~cb reply
   | Sys_credit proc -> (
-    match Hashtbl.find_opt ctrl.windows proc.pid with
-    | Some w -> Sim.Semaphore.release w
-    | None -> ())
+    match Hashtbl.find ctrl.windows proc.pid with
+    | w -> Sim.Semaphore.release w
+    | exception Not_found -> ())
 
 let syscall_name = function
   | Sys_null _ -> "null"
@@ -484,6 +491,7 @@ let create fabric ~node =
       place_seq = 0;
       place_ack_seq = 0;
       placed_pending = Hashtbl.create 8;
+      payload_hops = 0;
       cm =
         {
           cm_captable = Obs.Metrics.gauge ~node:nn "ctrl.captable";
@@ -574,30 +582,32 @@ let shard_mark ctrl live =
    A message whose handler never blocks ([inline msg]) runs as an engine
    event at the current instant instead of in a fiber of its own: the
    event takes the heap slot the fiber's start would, so same-instant
-   events keep their order. *)
+   events keep their order. The loop's functions, [handle ctrl] among
+   them, are built once per loop, so a message costs its event and, for
+   a blocking handler, its fiber, but no closure. *)
 let service_loop ctrl ~name ep ~inline handle reject =
   let cfg = config ctrl in
   let batch = max 1 cfg.Net.Config.ctrl_batch in
   let doorbell = cfg.Net.Config.c_doorbell in
   Sim.Engine.spawn ~name (fun () ->
+      let handle = handle ctrl in
       let dispatch msg =
         if not ctrl.running then reject msg
-        else if inline msg then
-          Sim.Engine.schedule 0 (fun () -> handle ctrl msg)
-        else Sim.Engine.spawn (fun () -> handle ctrl msg)
+        else if inline msg then Sim.Engine.schedule_with 0 handle msg
+        else Sim.Engine.spawn_with handle msg
+      in
+      let rec drain k =
+        if k < batch then
+          match Net.Endpoint.try_recv ep with
+          | Some msg ->
+            dispatch msg;
+            drain (k + 1)
+          | None -> ()
       in
       let rec loop () =
         let msg = Net.Endpoint.recv ep in
         if doorbell > 0 then charge_scaled ctrl Net.Cost.Msg doorbell;
         dispatch msg;
-        let rec drain k =
-          if k < batch then
-            match Net.Endpoint.try_recv ep with
-            | Some msg ->
-              dispatch msg;
-              drain (k + 1)
-            | None -> ()
-        in
         drain 1;
         loop ()
       in
@@ -634,8 +644,9 @@ let attach ctrl proc =
 
 let grant ctrl proc addr =
   match space_of ctrl proc with
-  | Error _ -> invalid_arg "Controller.grant: process not attached"
-  | Ok space -> (
+  | exception Error.Fractos _ ->
+    invalid_arg "Controller.grant: process not attached"
+  | space -> (
     match
       insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Delegate
         ~audit_detail:(fun () -> "grant")

@@ -259,12 +259,22 @@ let do_copy_pull ctrl ~src ~dst (rr : unit rreply) =
          endpoint, where the open fails typed-Stale and the final chunk
          carries the error home *)
       match Directory.locate ctrl dst with
-      | None -> rreply_to ctrl rr (Error Error.Ctrl_unreachable)
-      | Some dst_ctrl ->
+      | exception Error.Fractos e -> rreply_to ctrl rr (Error e)
+      | dst_ctrl ->
         let next_copy_id = Domain.DLS.get next_copy_id in
         incr next_copy_id;
         let copy_id = !next_copy_id in
         do_copy_chunks ctrl ~dst ~dst_ctrl ~m ~copy_id rr)
+
+(* The one-sided write has landed at the destination node [dst]: finish
+   its span and acknowledge to the waiting controller, once. *)
+let hw_landed o =
+  if first_arrival o then begin
+    let rr = o.to_ and dst, sp = o.d in
+    Obs.Span.finish sp;
+    Net.Fabric.send_with rr.rr_ctrl.fabric ~src:dst ~dst:rr.rr_ctrl.cnode
+      ~size:Wire.response fill_reply (rr.rr_ivar, Ok ())
+  end
 
 (* Hardware third-party RDMA (the paper's "HW copies" projection): the
    caller's controller programs the NIC; data moves once, directly between
@@ -283,13 +293,10 @@ let do_copy_hw ctrl ~src_mem ~dst_mem (rr : unit rreply) =
   Membuf.blit ~src:src_mem.m_buf ~src_off:src_mem.m_off ~dst:dst_mem.m_buf
     ~dst_off:dst_mem.m_off ~len:src_mem.m_len;
   Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes src_mem.m_len;
-  Net.Fabric.send ctrl.fabric ~src:src_mem.m_buf.Membuf.node
+  Net.Fabric.send_with ctrl.fabric ~src:src_mem.m_buf.Membuf.node
     ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:src_mem.m_len
-    (once (fun () ->
-         Obs.Span.finish sp;
-         Net.Fabric.send ctrl.fabric ~src:dst_mem.m_buf.Membuf.node
-           ~dst:rr.rr_ctrl.cnode ~size:Wire.response (fun () ->
-             ignore (Sim.Ivar.try_fill rr.rr_ivar (Ok ())))))
+    hw_landed
+    (one_shot rr (dst_mem.m_buf.Membuf.node, sp))
 
 (* The caller's controller must be able to resolve both extents. The
    hw-copies projection (Fig. 5) is measured with objects registered at
@@ -298,8 +305,8 @@ let do_copy_hw ctrl ~src_mem ~dst_mem (rr : unit rreply) =
 let hw_copy ctrl ~src ~dst (rr : unit rreply) =
   let resolve addr =
     match peer_of_addr ctrl addr with
-    | None -> Error Error.Ctrl_unreachable
-    | Some owner -> (
+    | exception Error.Fractos e -> Error e
+    | owner -> (
       match Capspace.find_memory owner addr ~not_memory:"not memory" with
       | Error e -> Error e
       | Ok (_, m) ->

@@ -51,20 +51,28 @@ let charge_scaled ctrl cls base =
   use_cpu ctrl (Net.Cost.scaled (config ctrl) (kind ctrl) cls base)
 
 (* Replies and raw deliveries ride the fabric outside the endpoint layer,
-   so they see duplicated messages (fault injection) as repeated callback
-   runs: fill ivars with [try_fill] and guard side-effecting deliveries
-   with [once] so a retransmission is absorbed, as an RDMA RC QP would. *)
-let once f =
-  let fired = ref false in
-  fun () ->
-    if not !fired then begin
-      fired := true;
-      f ()
-    end
+   so they see duplicated messages (fault injection) as repeated
+   deliveries: fill ivars with [try_fill], and send a side-effecting
+   delivery as a [one_shot] to a function that acts only on its
+   [first_arrival], so a retransmission is absorbed, as an RDMA RC QP
+   would. The flag lives in the message, so the delivery needs no
+   closure ([Net.Fabric.send_with]). *)
+type ('a, 'b) one_shot = { mutable fired : bool; to_ : 'a; d : 'b }
+
+let one_shot to_ d = { fired = false; to_; d }
+
+let first_arrival o =
+  if o.fired then false
+  else begin
+    o.fired <- true;
+    true
+  end
+
+let fill_reply (iv, v) = ignore (Sim.Ivar.try_fill iv v)
 
 let post_reply ctrl ~dst iv v =
-  Net.Fabric.send ctrl.fabric ~src:ctrl.cnode ~dst ~size:Wire.response
-    (fun () -> ignore (Sim.Ivar.try_fill iv v))
+  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst ~size:Wire.response
+    fill_reply (iv, v)
 
 let send_reply ctrl ~dst iv v =
   if Obs.Span.enabled () then
@@ -97,13 +105,17 @@ let rreply_from_event ctrl (rr : _ rreply) v =
 let send_peer ctrl (dst : ctrl) ~size msg =
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst.peer_ep ~size msg
 
-(* A plain recursion, not a [List.find_opt] closure: every directory hit
-   passes through here. *)
+(* The controller with id [id], this one included. An id no controller
+   has raises [Error.Fractos Ctrl_unreachable], so a hit allocates no
+   [Some]. A plain recursion, not a [List.find] closure: every directory
+   hit passes through here. *)
+let unreachable = Error.Fractos Error.Ctrl_unreachable
+
 let rec find_peer id = function
-  | [] -> None
-  | c :: rest -> if c.ctrl_id = id then Some c else find_peer id rest
+  | [] -> raise unreachable
+  | c :: rest -> if c.ctrl_id = id then c else find_peer id rest
 
 let peer_of_id ctrl id =
-  if id = ctrl.ctrl_id then Some ctrl else find_peer id ctrl.peers
+  if id = ctrl.ctrl_id then ctrl else find_peer id ctrl.peers
 
 let peer_of_addr ctrl a = peer_of_id ctrl a.a_ctrl

@@ -36,25 +36,27 @@ let dir_cache_limit = 1024
    A miss is priced controller work (one Lookup): the directory is
    consulted locally from the shared map, never over the fabric, so a
    lookup can neither be dropped nor hang. A self-minted address is
-   [Some ctrl] on both paths, with no charge and no metric. *)
+   [ctrl] on both paths, with no charge and no metric. An address no live
+   controller owns raises [Error.Fractos Ctrl_unreachable], so a hit
+   allocates nothing. *)
 let locate ctrl addr =
   match ctrl.shard with
   | None -> peer_of_addr ctrl addr
   | Some g ->
-    if addr.a_ctrl = ctrl.ctrl_id then Some ctrl
+    if addr.a_ctrl = ctrl.ctrl_id then ctrl
     else begin
       if ctrl.dir_gen <> g.sg_gen then begin
         Hashtbl.reset ctrl.dir_cache;
         ctrl.dir_gen <- g.sg_gen;
         Obs.Metrics.incr ctrl.cm.cm_dir_invalidations
       end;
-      match Hashtbl.find_opt ctrl.dir_cache addr.a_ctrl with
-      | Some owner_id ->
+      match Hashtbl.find ctrl.dir_cache addr.a_ctrl with
+      | owner_id ->
         Obs.Metrics.incr ctrl.cm.cm_dir_hits;
         if Obs.Span.enabled () then
           Obs.Span.set_attr (Obs.Span.current ()) "dir" "hit";
         peer_of_id ctrl owner_id
-      | None -> (
+      | exception Not_found -> (
         Obs.Metrics.incr ctrl.cm.cm_dir_misses;
         charge ctrl [ (Net.Cost.Lookup, 1) ];
         if Obs.Span.enabled () then
@@ -64,7 +66,7 @@ let locate ctrl addr =
           peer_of_addr ctrl addr
         else
           match shard_owner_id g addr.a_ctrl with
-          | None -> None (* every slot down *)
+          | None -> raise unreachable (* every slot down *)
           | Some owner_id ->
             if owner_id <> addr.a_ctrl then
               Obs.Metrics.incr ctrl.cm.cm_shard_reroutes;
@@ -83,9 +85,9 @@ let locate ctrl addr =
    metadata handoff surfaces as staleness, exactly like a reboot. *)
 let at_owner ctrl addr ~size ~local ~make_msg =
   match locate ctrl addr with
-  | None -> Error Error.Ctrl_unreachable
-  | Some owner when owner == ctrl -> local ()
-  | Some peer ->
+  | exception Error.Fractos e -> Error e
+  | owner when owner == ctrl -> local ()
+  | peer ->
     charge ctrl [ (Net.Cost.Serialize, 1) ];
     let iv = Sim.Ivar.create () in
     send_peer ctrl peer ~size (make_msg { rr_ivar = iv; rr_ctrl = ctrl });
@@ -108,8 +110,8 @@ let dir_incoherences ctrl =
           let expect = shard_owner_id g minting in
           let owner_running =
             match peer_of_id ctrl owner with
-            | Some c -> c.running
-            | None -> false
+            | c -> c.running
+            | exception Error.Fractos _ -> false
           in
           if expect = Some owner && owner_running then acc
           else
@@ -222,12 +224,12 @@ let place_lease_arm ctrl ~caller ~key addr =
         Hashtbl.remove ctrl.placed_pending (caller, key);
         if ctrl.running && ctrl.epoch = armed_epoch then (
           match Objects.find ctrl addr with
-          | Ok obj when obj.o_valid ->
+          | obj when obj.o_valid ->
             Obs.Metrics.incr ctrl.cm.cm_place_reclaims;
             journal ctrl Obs.Journal.Warn "ctrl.place_reclaim" (fun () ->
                 Printf.sprintf "caller=%d oid=%d" caller addr.a_oid);
             Capspace.invalidate_at_owner ctrl obj
-          | Ok _ | Error _ -> ()))
+          | _ | (exception Error.Fractos _) -> ()))
 
 (* Home side of [P_place_mem] / [P_place_req], given the freshly minted
    [addr]: record the Mint (so live-object accounting balances even when

@@ -32,13 +32,17 @@ let rec delegate_caps ctrl space (r : req) rev_cids = function
         Capspace.send_counter ctrl addr (fun addr -> P_increment { addr });
       delegate_caps ctrl space r (cid :: rev_cids) rest)
 
+(* The provider's delivery, absorbing a duplicated message. *)
+let deliver_once o =
+  if first_arrival o && o.to_.alive then Sim.Channel.send o.to_.inbox o.d
+
 let deliver_untraced ctrl (r : req) imms caps rr =
   let provider = r.r_provider in
   if not provider.alive then rreply_opt ctrl rr (Error Error.Provider_dead)
   else
     match Capspace.space_of ctrl provider with
-    | Error e -> rreply_opt ctrl rr (Error e)
-    | Ok space ->
+    | exception Error.Fractos e -> rreply_opt ctrl rr (Error e)
+    | space ->
       charge_plus ctrl [] Net.Cost.Cap_transfer (List.length caps);
       let delegated =
         if Obs.Span.enabled () then
@@ -50,21 +54,19 @@ let deliver_untraced ctrl (r : req) imms caps rr =
       | Error e -> rreply_opt ctrl rr (Error e)
       | Ok rev_cids ->
       let cids = List.rev rev_cids in
-      match Hashtbl.find_opt ctrl.windows provider.pid with
-      | None ->
+      match Hashtbl.find ctrl.windows provider.pid with
+      | exception Not_found ->
         (* the controller restarted while this invoke was in flight: the
            window table was reset, so this epoch no longer knows the
            provider — surface it as a dead provider, don't crash *)
         rreply_opt ctrl rr (Error Error.Provider_dead)
-      | Some window ->
+      | window ->
         Sim.Semaphore.acquire window;
         Obs.Metrics.incr ctrl.cm.cm_delivered;
         let size = Wire.invoke ~imms ~caps:(List.length caps) in
-        Net.Fabric.send ctrl.fabric ~src:ctrl.cnode ~dst:provider.pnode ~size
-          (once (fun () ->
-               if provider.alive then
-                 Sim.Channel.send provider.inbox
-                   { d_tag = r.r_tag; d_imms = imms; d_caps = cids }));
+        Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:provider.pnode
+          ~size deliver_once
+          (one_shot provider { d_tag = r.r_tag; d_imms = imms; d_caps = cids });
         rreply_opt ctrl rr (Ok ())
 
 (* Deliver a fully materialized request to its provider process, delegating
@@ -96,12 +98,12 @@ and invoke_hop ctrl addr suffix_imms suffix_caps rr =
   audit ctrl Obs.Audit.Invoke addr;
   charge ctrl [ (Net.Cost.Lookup, 1) ];
   match Objects.find ctrl addr with
-  | Error e -> rreply_opt ctrl rr (Error e)
-  | Ok obj -> (
+  | exception Error.Fractos e -> rreply_opt ctrl rr (Error e)
+  | obj -> (
     match Objects.resolve_payload ctrl obj with
-    | Error e -> rreply_opt ctrl rr (Error e)
-    | Ok (payload, hops) -> (
-      charge_plus ctrl [] Net.Cost.Lookup hops;
+    | exception Error.Fractos e -> rreply_opt ctrl rr (Error e)
+    | payload -> (
+      charge_plus ctrl [] Net.Cost.Lookup ctrl.payload_hops;
       match payload.o_kind with
       | O_request r -> (
         let imms = r.r_imms @ suffix_imms in
@@ -110,14 +112,14 @@ and invoke_hop ctrl addr suffix_imms suffix_caps rr =
         | None -> deliver ctrl r imms caps rr
         | Some parent_addr -> (
           match Directory.locate ctrl parent_addr with
-          | None -> rreply_opt ctrl rr (Error Error.Ctrl_unreachable)
-          | Some owner when owner == ctrl ->
+          | exception Error.Fractos e -> rreply_opt ctrl rr (Error e)
+          | owner when owner == ctrl ->
             (* self, or we are the failover successor of the parent's
                dead minter: continue the chain here. The recursion is
                bounded — a foreign parent address fails typed-Stale in
                the recursive call's own lookup. *)
             do_invoke ctrl parent_addr imms caps rr
-          | Some peer ->
+          | peer ->
             charge ctrl [ (Net.Cost.Serialize, 1) ];
             (* acknowledge the posting before forwarding: the local part
                of the chain validated *)

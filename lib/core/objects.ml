@@ -49,8 +49,12 @@ let add_indirect ctrl ~parent =
   link_child ~parent ~child;
   addr
 
+(* Lookups on the invoke hop fail by raising [Error.Fractos], so a hit
+   returns the object itself and allocates no [Ok] box. *)
+let revoked = Error.Fractos Error.Revoked
+
 let find ctrl addr =
-  if not ctrl.running then Error Error.Ctrl_unreachable
+  if not ctrl.running then raise (Error.Fractos Error.Ctrl_unreachable)
   else if addr.a_ctrl <> ctrl.ctrl_id then (
     match ctrl.shard with
     | Some _ ->
@@ -65,8 +69,11 @@ let find ctrl addr =
         ~oid:addr.a_oid
         ~detail:(Printf.sprintf "handoff successor=%d" ctrl.ctrl_id)
         ();
-      Error Error.Stale
-    | None -> Error (Error.Bad_argument "address not owned by this controller"))
+      raise (Error.Fractos Error.Stale)
+    | None ->
+      raise
+        (Error.Fractos
+           (Error.Bad_argument "address not owned by this controller")))
   else if addr.a_epoch <> ctrl.epoch then begin
     (* stale-epoch rejection: the capability predates this controller's
        restart — the audit log records the attempted use *)
@@ -74,26 +81,30 @@ let find ctrl addr =
       ~ctrl:addr.a_ctrl ~epoch:addr.a_epoch ~oid:addr.a_oid
       ~detail:(Printf.sprintf "current_epoch=%d" ctrl.epoch)
       ();
-    Error Error.Stale
+    raise (Error.Fractos Error.Stale)
   end
   else
-    match Hashtbl.find_opt ctrl.objects addr.a_oid with
-    | None -> Error Error.Revoked (* cleaned-up tombstone *)
-    | Some obj -> if obj.o_valid then Ok obj else Error Error.Revoked
+    match Hashtbl.find ctrl.objects addr.a_oid with
+    | exception Not_found -> raise revoked (* cleaned-up tombstone *)
+    | obj -> if obj.o_valid then obj else raise revoked
 
 let resolve_payload ctrl obj =
   let rec walk obj hops =
-    if not obj.o_valid then Error Error.Revoked
+    if not obj.o_valid then raise revoked
     else
       match obj.o_kind with
-      | O_memory _ | O_request _ -> Ok (obj, hops)
+      | O_memory _ | O_request _ ->
+        ctrl.payload_hops <- hops;
+        obj
       | O_indirect -> (
         match obj.o_rev_parent with
-        | None -> Error (Error.Bad_argument "dangling indirection object")
+        | None ->
+          raise
+            (Error.Fractos (Error.Bad_argument "dangling indirection object"))
         | Some poid -> (
-          match Hashtbl.find_opt ctrl.objects poid with
-          | None -> Error Error.Revoked
-          | Some parent -> walk parent (hops + 1)))
+          match Hashtbl.find ctrl.objects poid with
+          | exception Not_found -> raise revoked
+          | parent -> walk parent (hops + 1)))
   in
   walk obj 0
 

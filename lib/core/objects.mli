@@ -32,16 +32,18 @@ val add_indirect : ctrl -> parent:obj -> addr
 val link_child : parent:obj -> child:obj -> unit
 (** Record [child] as a revocation child of [parent] (both local). *)
 
-val find : ctrl -> addr -> (obj, Error.t) result
+val find : ctrl -> addr -> obj
 (** Resolve an address at its owner: checks the controller is the owner and
     running, the epoch matches ([Error.Stale] otherwise — implicit
     revocation after a Controller reboot), the object exists and is valid
-    ([Error.Revoked] otherwise). *)
+    ([Error.Revoked] otherwise). Fails by raising [Error.Fractos], so a
+    hit allocates nothing. *)
 
-val resolve_payload : ctrl -> obj -> (obj * int, Error.t) result
+val resolve_payload : ctrl -> obj -> obj
 (** Walk revocation-tree indirection nodes down to the underlying Memory or
-    Request object. Returns the payload and the number of hops (each hop is
-    a table lookup the Controller charges for). *)
+    Request object, raising [Error.Fractos] on a revoked or dangling
+    chain. Returns the payload and leaves the number of hops (each hop is
+    a table lookup the Controller charges for) in [ctrl.payload_hops]. *)
 
 val invalidate : ctrl -> obj -> obj list
 (** Mark [obj] and all its revocation-tree descendants invalid. Returns

@@ -97,6 +97,9 @@ and ctrl = {
          timed out, or the address reply was dropped), the object is
          reclaimed — otherwise a placement timeout would leak remote
          metadata forever. *)
+  mutable payload_hops : int;
+      (* [Objects.resolve_payload]'s second result: the indirection hops
+         of the last walk, left here so the walk returns no tuple *)
   cm : ctrl_metrics;
 }
 

@@ -30,23 +30,30 @@ let create ~node ?(capacity = 0) name =
 
 let set_overflow ep f = ep.overflow <- Some f
 
+(* One posted message in flight: what the static [arrive] needs at the
+   receive side, so a post allocates this record and its delivery event
+   but no closure. *)
+type 'a arrival = { ep : 'a t; seq : int; msg : 'a }
+
+let arrive { ep; seq; msg } =
+  if not (Dedup.admit ep.seen seq) then Obs.Metrics.incr ep.dup_discards
+  else begin
+    (* Admission control at the receive queue: above [capacity] the
+       overflow callback may consume the message (receiver-not-ready
+       shed); returning false admits it anyway — the callback decides
+       what must never be shed (e.g. flow-control credits). *)
+    if
+      ep.capacity > 0
+      && Sim.Channel.length ep.chan >= ep.capacity
+      && (match ep.overflow with Some f -> f msg | None -> false)
+    then ()
+    else Sim.Channel.send ep.chan msg
+  end
+
 let post fab ~src ep ?cls ~size msg =
   let seq = ep.next_seq in
   ep.next_seq <- seq + 1;
-  Fabric.send fab ~src ~dst:ep.node ?cls ~size (fun () ->
-      if not (Dedup.admit ep.seen seq) then Obs.Metrics.incr ep.dup_discards
-      else begin
-        (* Admission control at the receive queue: above [capacity] the
-           overflow callback may consume the message (receiver-not-ready
-           shed); returning false admits it anyway — the callback decides
-           what must never be shed (e.g. flow-control credits). *)
-        if
-          ep.capacity > 0
-          && Sim.Channel.length ep.chan >= ep.capacity
-          && (match ep.overflow with Some f -> f msg | None -> false)
-        then ()
-        else Sim.Channel.send ep.chan msg
-      end)
+  Fabric.send_with fab ~src ~dst:ep.node ?cls ~size arrive { ep; seq; msg }
 
 let recv ep = Sim.Channel.recv ep.chan
 let try_recv ep = Sim.Channel.try_recv ep.chan

@@ -175,23 +175,24 @@ let book t ~src ~dst ~cls ~size =
     dma_done + base + extra
   end
 
-let send t ~src ~dst ?(cls = Stats.Control) ~size deliver =
+(* The duplicate copy (fault injection) re-runs the raw delivery without
+   the span-finish wrapper, so the fabric.xfer span is finished exactly
+   once; receivers deduplicate at the endpoint layer. *)
+let send_with t ~src ~dst ?(cls = Stats.Control) ~size g x =
   let at = book t ~src ~dst ~cls ~size in
   if at >= 0 then begin
     let sp = t.xfer_span and dup_at = t.dup_at in
     let now = Sim.Engine.now () in
-    (* The duplicate copy (fault injection) re-runs the raw [deliver]
-       without the span-finish wrapper, so the fabric.xfer span is
-       finished exactly once; receivers deduplicate at the endpoint
-       layer. *)
-    Sim.Engine.schedule (at - now)
-      (if sp = 0 then deliver
-       else
-         fun () ->
-           Obs.Span.finish sp;
-           deliver ());
-    if dup_at >= 0 then Sim.Engine.schedule (dup_at - now) deliver
+    if sp = 0 then Sim.Engine.schedule_with (at - now) g x
+    else
+      Sim.Engine.schedule (at - now) (fun () ->
+          Obs.Span.finish sp;
+          g x);
+    if dup_at >= 0 then Sim.Engine.schedule_with (dup_at - now) g x
   end
+
+let send t ~src ~dst ?cls ~size deliver =
+  send_with t ~src ~dst ?cls ~size deliver ()
 
 (* A timed wake on the delivery instant. Sleeping puts the wake-up in
    the heap slot [send]'s delivery event would take, and the one yield

@@ -87,6 +87,21 @@ val send :
     or send on a channel. Never blocks the caller. [cls] defaults to
     [Control]. *)
 
+val send_with :
+  t ->
+  src:Node.t ->
+  dst:Node.t ->
+  ?cls:Stats.cls ->
+  size:int ->
+  ('a -> unit) ->
+  'a ->
+  unit
+(** [send_with t ~src ~dst ~size g x] is [send t ~src ~dst ~size (fun () ->
+    g x)] without the closure: the delivery event carries [g] and [x]
+    (see {!Sim.Engine.schedule_with}). A duplicated message runs [g x]
+    twice; a delivery that must absorb the duplicate keeps its own flag
+    in [x]. *)
+
 val transfer :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit
 (** Blocking variant of {!send}: returns when the message has arrived.

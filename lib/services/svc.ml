@@ -4,7 +4,8 @@ open Core
 
 type t = {
   sproc : Process.t;
-  handlers : (string, t -> State.delivery -> unit) Hashtbl.t;
+  handlers : (string, State.delivery -> unit) Hashtbl.t;
+      (* each applied to its service at registration *)
   oneshots : (string, State.delivery Sim.Ivar.t) Hashtbl.t;
   mutable next_call : int;
 }
@@ -18,7 +19,7 @@ let pump t =
       Sim.Ivar.fill iv d
     | None -> (
       match Hashtbl.find_opt t.handlers d.State.d_tag with
-      | Some h -> Sim.Engine.spawn (fun () -> h t d)
+      | Some h -> Sim.Engine.spawn_with h d
       | None ->
         (* "~"-tags are internal one-shot continuations; an unclaimed one
            is a reply that arrived after its caller timed out — drop it *)
@@ -44,7 +45,7 @@ let create proc =
   t
 
 let proc t = t.sproc
-let handle t ~tag h = Hashtbl.replace t.handlers tag h
+let handle t ~tag h = Hashtbl.replace t.handlers tag (h t)
 
 let traced name h t d =
   if Obs.Span.enabled () then

@@ -7,12 +7,15 @@ open Effect.Deep
    before running the event, so a fiber keeps its own ambient context no
    matter how events interleave. A resumer is itself the context and
    continuation of the suspended fiber, so [Resume] and [Fail] need only
-   point at it. *)
+   point at it. [Call_with] and [Spawn_with] carry a function and its
+   argument instead of a closure over them, so a per-message event whose
+   function is built once allocates only the event. *)
 type t = {
   heap : event Heap.t;
   mutable now : int;
   mutable seq : int;
   mutable fibers : int;
+  mutable events : int; (* events dispatched *)
   mutable failure : (bool * exn) option; (* (from_root_fiber, exn) *)
   mutable ctx : int; (* fiber-local trace context, 0 = none *)
   names : (int, string) Hashtbl.t; (* live named fibers, keyed by fiber id *)
@@ -25,7 +28,9 @@ type t = {
 and event =
   | Nop (* fills the heap's empty payload slots; never scheduled *)
   | Call of { ctx : int; f : unit -> unit }
+  | Call_with : { ctx : int; g : 'a -> unit; x : 'a } -> event
   | Spawn of { ctx : int; name : string option; f : unit -> unit }
+  | Spawn_with : { ctx : int; g : 'a -> unit; x : 'a } -> event
   | Wake of { ctx : int; k : (unit, unit) continuation }
   | Resume : { r : 'a resumer; v : 'a } -> event
   | Fail : { r : 'a resumer; e : exn } -> event
@@ -110,12 +115,16 @@ let on_sleep t k =
   let d = if t.sleep_for < 0 then 0 else t.sleep_for in
   schedule_at t ~time:(t.now + d) (Wake { ctx = t.ctx; k })
 
-(* Named fibers (the root among them) get their own [retc]/[exnc], which
-   unregister the name the deadlock report would otherwise print. *)
-let exec t ?(root = false) ?name f =
+let new_fiber t =
   t.fibers <- t.fibers + 1;
   let fid = t.next_fiber in
   t.next_fiber <- fid + 1;
+  fid
+
+(* Named fibers (the root among them) get their own [retc]/[exnc], which
+   unregister the name the deadlock report would otherwise print. *)
+let exec t ?(root = false) ?name f =
+  let fid = new_fiber t in
   match name with
   | None -> match_with f () t.handler
   | Some n ->
@@ -138,6 +147,7 @@ let create () =
       now = 0;
       seq = 0;
       fibers = 0;
+      events = 0;
       failure = None;
       ctx = 0;
       names = Hashtbl.create 16;
@@ -156,9 +166,16 @@ let dispatch t = function
   | Call { ctx; f } ->
     t.ctx <- ctx;
     f ()
+  | Call_with { ctx; g; x } ->
+    t.ctx <- ctx;
+    g x
   | Spawn { ctx; name; f } ->
     t.ctx <- ctx;
     exec t ?name f
+  | Spawn_with { ctx; g; x } ->
+    t.ctx <- ctx;
+    ignore (new_fiber t : int);
+    match_with g x t.handler
   | Wake { ctx; k } ->
     t.ctx <- ctx;
     continue k ()
@@ -182,6 +199,7 @@ let rec drain t =
     | _ ->
       let ev = Heap.pop_payload t.heap in
       t.now <- time;
+      t.events <- t.events + 1;
       (try dispatch t ev with e -> record_failure t ~root:false e);
       drain t
   end
@@ -254,6 +272,10 @@ let spawn ?name f =
   let t = get () in
   schedule_at t ~time:t.now (Spawn { ctx = t.ctx; name; f })
 
+let spawn_with g x =
+  let t = get () in
+  schedule_at t ~time:t.now (Spawn_with { ctx = t.ctx; g; x })
+
 let yield () = sleep 0
 
 (* Applied by the handler at the suspend, so [get ()] is the suspending
@@ -272,7 +294,13 @@ let schedule d f =
   let d = if d < 0 then 0 else d in
   schedule_at t ~time:(t.now + d) (Call { ctx = t.ctx; f })
 
+let schedule_with d g x =
+  let t = get () in
+  let d = if d < 0 then 0 else d in
+  schedule_at t ~time:(t.now + d) (Call_with { ctx = t.ctx; g; x })
+
 let fiber_count () = (get ()).fibers
+let event_count () = (get ()).events
 
 let get_ctx () = match current () with Some t -> t.ctx | None -> 0
 let set_ctx c = match current () with Some t -> t.ctx <- c | None -> ()

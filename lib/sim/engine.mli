@@ -50,6 +50,11 @@ val spawn : ?name:string -> (unit -> unit) -> unit
     whole simulation. [?name] registers the fiber so that a {!Deadlock}
     report can name it if it never finishes. *)
 
+val spawn_with : ('a -> unit) -> 'a -> unit
+(** [spawn_with g x] is [spawn (fun () -> g x)] without the closure: the
+    event carries [g] and [x], so a per-message fiber whose function is
+    built once allocates only its event. The fiber is unnamed. *)
+
 val yield : unit -> unit
 (** Re-enqueue the calling fiber at the current instant, letting other
     runnable fibers scheduled for this instant proceed first. *)
@@ -93,8 +98,16 @@ val schedule : Time.t -> (unit -> unit) -> unit
     from now. [f] must not block; to run blocking code later, use
     [schedule d (fun () -> spawn g)]. *)
 
+val schedule_with : Time.t -> ('a -> unit) -> 'a -> unit
+(** [schedule_with d g x] is [schedule d (fun () -> g x)] without the
+    closure, as {!spawn_with} is to {!spawn}. *)
+
 val fiber_count : unit -> int
 (** Number of fibers spawned so far in this run (diagnostic). *)
+
+val event_count : unit -> int
+(** Number of events dispatched so far in this run: every timer, raw
+    event, fiber start, wake-up and resume (diagnostic). *)
 
 (** {2 Fiber-local trace context}
 

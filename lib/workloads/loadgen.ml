@@ -39,21 +39,24 @@ let summarize latencies elapsed =
   end
 
 (* [n] is known up front: each completion writes its latency at its
-   completion index. *)
+   completion index. One [serve] is built per run, so an arrival's fiber
+   carries only its index. *)
 let run_open_loop' ~rng ~rate_per_s ~n request =
   let mean_gap_ns = 1e9 /. rate_per_s in
   let latencies = Array.make n 0 in
   let completed = ref 0 in
   let done_ = Sim.Ivar.create () in
   let t0 = Sim.Engine.now () in
+  let serve i =
+    let start = Sim.Engine.now () in
+    request i;
+    latencies.(!completed) <- Sim.Engine.now () - start;
+    incr completed;
+    if !completed = n then Sim.Ivar.fill done_ ()
+  in
   let rec arrivals i =
     if i < n then begin
-      Sim.Engine.spawn (fun () ->
-          let start = Sim.Engine.now () in
-          request i;
-          latencies.(!completed) <- Sim.Engine.now () - start;
-          incr completed;
-          if !completed = n then Sim.Ivar.fill done_ ());
+      Sim.Engine.spawn_with serve i;
       let gap =
         int_of_float (Sim.Prng.exponential rng ~mean:mean_gap_ns)
       in

@@ -23,12 +23,13 @@ let ok_exn = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Error.to_string e)
 
-(* Minor-heap words allocated per invoke, over [n] sequential invokes
-   alternating between a service on the client's own shard and one on the
-   neighbour shard, including the deliveries to the servers. Each
-   measured window starts on an empty minor heap: on OCaml 5.1 one that
-   starts on a partly filled heap miscounts with what ran before it. *)
-let words_per_invoke ~n =
+(* Minor-heap words allocated and engine events dispatched per invoke,
+   over [n] sequential invokes, including the deliveries to the servers.
+   [target k] picks the service of the [k]th invoke: 0 is a service on the
+   client's own shard, 1 one on the neighbour shard. Each measured window
+   starts on an empty minor heap: on OCaml 5.1 one that starts on a
+   partly filled heap miscounts with what ran before it. *)
+let per_invoke ~n ~target =
   Tb.run (fun tb ->
       let hosts =
         Array.init 2 (fun i -> Tb.add_host tb (Printf.sprintf "h%d" i))
@@ -56,11 +57,8 @@ let words_per_invoke ~n =
         Tb.grant ~src:s ~dst:client
           (ok_exn (Api.request_create s ~tag:"svc" ()))
       in
-      let own = svc servers.(0) and neighbour = svc servers.(1) in
-      let invoke k =
-        ok_exn
-          (Api.request_invoke client (if k mod 2 = 0 then own else neighbour))
-      in
+      let services = [| svc servers.(0); svc servers.(1) |] in
+      let invoke k = ok_exn (Api.request_invoke client services.(target k)) in
       (* warm-up: fill the directory caches and grow the event heap *)
       for k = 1 to 64 do
         invoke k
@@ -68,14 +66,19 @@ let words_per_invoke ~n =
       Engine.sleep (Time.ms 1);
       let before = !received in
       Gc.minor ();
-      let w0 = Gc.minor_words () in
+      let w0 = Gc.minor_words () and e0 = Engine.event_count () in
       for k = 1 to n do
         invoke k
       done;
       Engine.sleep (Time.ms 1);
-      let w1 = Gc.minor_words () in
+      let w1 = Gc.minor_words () and e1 = Engine.event_count () in
       Alcotest.(check int) "every invoke delivered" n (!received - before);
-      (w1 -. w0) /. float_of_int n)
+      let per x = x /. float_of_int n in
+      (per (w1 -. w0), per (float_of_int (e1 - e0))))
+
+(* half of the invokes cross to the neighbour shard *)
+let alternating k = k mod 2
+let words_per_invoke ~n = fst (per_invoke ~n ~target:alternating)
 
 (* Measured at 328 words per invoke (x86-64, OCaml 5.1), plus ~10 %
    headroom: tight enough that the 370 measured before list-free charges,
@@ -135,9 +138,11 @@ let per_chunk ~n =
       Gc.minor ();
       let w0 = Gc.minor_words () and f0 = Engine.fiber_count () in
       let m0 = (Gc.quick_stat ()).Gc.major_words in
+      let e0 = Engine.event_count () in
       for _ = 1 to n do
         copy ()
       done;
+      let e1 = Engine.event_count () in
       let w1 = Gc.minor_words () and f1 = Engine.fiber_count () in
       let m1 = (Gc.quick_stat ()).Gc.major_words in
       Alcotest.(check bool)
@@ -164,6 +169,7 @@ let per_chunk ~n =
       ( per (w1 -. w0),
         per (m1 -. m0),
         per (float_of_int (f1 - f0)),
+        per (float_of_int (e1 - e0)),
         stored,
         (float_of_int len, first, next) ))
 
@@ -193,7 +199,10 @@ let major_budget = 8.
 let store_budget = 64.
 
 let test_copy_chunk_budget () =
-  let words, major, fibers, stored, (len, first, next) = per_chunk ~n:32 in
+  let words, major, fibers, events, stored, (len, first, next) =
+    per_chunk ~n:32
+  in
+  Printf.printf "events per copy chunk: %.4f\n" events;
   Printf.printf
     "minor words per copy chunk: %.1f (budget %.0f); major words: %.1f \
      (budget %.0f); fibers per chunk: %.3f (budget %.1f); store into the \
@@ -222,6 +231,12 @@ let test_copy_chunk_budget () =
     Alcotest.failf
       "the store after it cost %.0f bytes, budget %.0f" next store_budget
 
+let test_invoke_events () =
+  let lw, local = per_invoke ~n:2000 ~target:(fun _ -> 0) in
+  let cw, cross = per_invoke ~n:2000 ~target:(fun _ -> 1) in
+  Printf.printf "events per null invoke: %.2f local, %.2f cross-shard (words %.1f, %.1f)\n" local
+    cross lw cw
+
 let () =
   Alcotest.run "fractos_alloc"
     [
@@ -230,5 +245,6 @@ let () =
           Alcotest.test_case "null invoke budget" `Quick
             test_null_invoke_budget;
           Alcotest.test_case "copy chunk budget" `Quick test_copy_chunk_budget;
+          Alcotest.test_case "null invoke events" `Quick test_invoke_events;
         ] );
     ]
