@@ -101,7 +101,8 @@ let request_invoke proc cid =
 
 let request_invoke_async proc cid =
   let reply = reply_of proc in
-  call_async proc ~size:(Wire.syscall ~caps:1 ()) (Sys_req_invoke { cid; reply })
+  call_async proc ~size:(Wire.syscall ~caps:1 ())
+    (Sys_req_invoke { cid; reply })
     reply
 
 let request_invoke_timeout proc ~timeout cid =

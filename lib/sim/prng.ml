@@ -49,13 +49,17 @@ let byte t = Char.chr (int t 256)
 (* The bytes successive [byte] draws would give (the low 8 bits of each
    masked draw), with the state in a local: boxing it per byte made
    building the 64 MiB face database take about a second. *)
-let fill_bytes t b =
+let fill_sub t b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Prng.fill_sub: range outside the buffer";
   let s = ref t.state in
-  for i = 0 to Bytes.length b - 1 do
+  for i = off to off + len - 1 do
     s := Int64.add !s golden_gamma;
     Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int (mix !s) land 0xff))
   done;
   t.state <- !s
+
+let fill_bytes t b = fill_sub t b ~off:0 ~len:(Bytes.length b)
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -39,6 +39,12 @@ val byte : t -> char
 val fill_bytes : t -> Bytes.t -> unit
 (** Fill a buffer with deterministic pseudo-random bytes. *)
 
+val fill_sub : t -> Bytes.t -> off:int -> len:int -> unit
+(** [fill_sub t b ~off ~len] fills bytes [off .. off+len-1] of [b] as
+    {!fill_bytes} fills a buffer of [len] bytes, leaving the rest of [b]
+    untouched. Raises [Invalid_argument] if the range is not inside
+    [b]. *)
+
 val exponential : t -> mean:float -> float
 (** [exponential t ~mean] draws from an exponential distribution; used for
     open-loop arrival processes. *)

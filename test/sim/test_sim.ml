@@ -134,6 +134,25 @@ let test_prng_fill_bytes () =
     (Bytes.equal b (Bytes.init 256 (fun _ -> Prng.byte h)));
   Alcotest.(check int64) "state after" (Prng.int64 h) (Prng.int64 g)
 
+(* [fill_sub] writes exactly its range, with the bytes and final state
+   [fill_bytes] gives a buffer of that length. *)
+let test_prng_fill_sub () =
+  let b = Bytes.make 64 '.' in
+  let g = Prng.create ~seed:9 in
+  Prng.fill_sub g b ~off:10 ~len:40;
+  let g' = Prng.create ~seed:9 in
+  let b' = Bytes.create 40 in
+  Prng.fill_bytes g' b';
+  check_bool "range holds the fill_bytes bytes" true
+    (Bytes.equal (Bytes.sub b 10 40) b');
+  check_bool "bytes outside the range untouched" true
+    (Bytes.sub b 0 10 = Bytes.make 10 '.'
+    && Bytes.sub b 50 14 = Bytes.make 14 '.');
+  Alcotest.(check int64) "state after" (Prng.int64 g') (Prng.int64 g);
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Prng.fill_sub: range outside the buffer") (fun () ->
+      Prng.fill_sub g b ~off:60 ~len:5)
+
 (* ------------------------------------------------------------------ *)
 (* Time                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -212,6 +231,43 @@ let test_engine_same_instant_fifo () =
          done;
          Engine.sleep 1));
   Alcotest.(check (list int)) "spawn order" [ 0; 1; 2; 3; 4 ] (List.rev !log)
+
+(* [spawn_with g x] and [schedule_with d g x] run [g x] in the heap slots
+   [spawn (fun () -> g x)] and [schedule d (fun () -> g x)] take, with the
+   caller's trace context, and count as a fiber and as events as those
+   do. *)
+let test_engine_with_matches_closures () =
+  let trace ~with_ =
+    let log = ref [] in
+    let push x = log := (x, Engine.get_ctx ()) :: !log in
+    let fibers, events =
+      Engine.run (fun () ->
+          Engine.set_ctx 7;
+          let f0 = Engine.fiber_count () and e0 = Engine.event_count () in
+          for i = 0 to 2 do
+            if with_ then begin
+              Engine.schedule_with 3 push (10 + i);
+              Engine.spawn_with push i
+            end
+            else begin
+              Engine.schedule 3 (fun () -> push (10 + i));
+              Engine.spawn (fun () -> push i)
+            end
+          done;
+          Engine.schedule 0 (fun () -> push 99);
+          Engine.sleep 5;
+          (Engine.fiber_count () - f0, Engine.event_count () - e0))
+    in
+    (List.rev !log, fibers, events)
+  in
+  let log, fibers, events = trace ~with_:true in
+  let log', fibers', events' = trace ~with_:false in
+  Alcotest.(check (list (pair int int))) "same order and context" log' log;
+  check_int "same fibers" fibers' fibers;
+  check_int "three fibers" 3 fibers;
+  check_int "same events" events' events;
+  (* three spawns, three calls, one raw event and the root's wake *)
+  check_int "eight events" 8 events
 
 let test_engine_exception_propagates () =
   let failing () =
@@ -1232,6 +1288,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "fill_bytes" `Quick test_prng_fill_bytes;
+          Alcotest.test_case "fill_sub" `Quick test_prng_fill_sub;
         ] );
       ( "time",
         [
@@ -1249,6 +1306,8 @@ let () =
             test_engine_spawn_interleave;
           Alcotest.test_case "same-instant fifo" `Quick
             test_engine_same_instant_fifo;
+          Alcotest.test_case "spawn_with and schedule_with" `Quick
+            test_engine_with_matches_closures;
           Alcotest.test_case "exception propagates" `Quick
             test_engine_exception_propagates;
           Alcotest.test_case "deadlock" `Quick test_engine_deadlock_detected;
