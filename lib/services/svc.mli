@@ -32,7 +32,8 @@ val proc : t -> Core.Process.t
 val handle : t -> tag:string -> (t -> Core.State.delivery -> unit) -> unit
 (** Register a persistent handler: every delivery with this tag spawns the
     handler in its own fiber (handlers may block on devices or nested
-    calls). *)
+    calls). The handler is applied to the service once, here, so work it
+    does before taking the delivery runs at registration. *)
 
 val traced :
   string ->
