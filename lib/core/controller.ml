@@ -109,31 +109,29 @@ let sys_req_create ctrl ~caller ~tag ~imms ~caps (reply : int reply) =
 let sys_req_derive ctrl ~caller ~parent ~imms ~caps (reply : int reply) =
   charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup
     (2 + List.length caps);
-  match space_of ctrl caller with
+  match (space_of ctrl caller, resolve_cid ctrl caller parent) with
   | exception Error.Fractos e -> reply_to ctrl reply (Error e)
-  | space -> (
-    match resolve_cid ctrl caller parent with
+  | _, Error e -> reply_to ctrl reply (Error e)
+  | space, Ok parent_entry -> (
+    match resolve_cap_args ctrl caller caps with
     | Error e -> reply_to ctrl reply (Error e)
-    | Ok parent_entry -> (
-      match resolve_cap_args ctrl caller caps with
-      | Error e -> reply_to ctrl reply (Error e)
-      | Ok cap_args -> (
-        let parent = parent_entry.e_addr in
-        match Directory.shard_home ctrl with
-        | Some home ->
-          Directory.place_remote ctrl home space reply (fun key rr ->
-              P_place_req
-                { provider = caller; imms; caps = cap_args; parent; key;
-                  reply = rr })
-        | None ->
-          let addr =
-            Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms
-              ~caps:cap_args ~parent:(Some parent)
-          in
-          reply_to ctrl reply
-            (insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
-               ~audit_detail:(fun () ->
-                 Printf.sprintf "request derive parent_oid=%d" parent.a_oid)))))
+    | Ok cap_args -> (
+      let parent = parent_entry.e_addr in
+      match Directory.shard_home ctrl with
+      | Some home ->
+        Directory.place_remote ctrl home space reply (fun key rr ->
+            P_place_req
+              { provider = caller; imms; caps = cap_args; parent; key;
+                reply = rr })
+      | None ->
+        let addr =
+          Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms
+            ~caps:cap_args ~parent:(Some parent)
+        in
+        reply_to ctrl reply
+          (insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
+             ~audit_detail:(fun () ->
+               Printf.sprintf "request derive parent_oid=%d" parent.a_oid))))
 
 let sys_req_invoke ctrl ~caller cid (reply : unit reply) =
   match charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid with
