@@ -241,6 +241,44 @@ let test_hw_copy_cross_node () =
       check_bool "bytes equal" true
         (Bytes.equal (contents src_buf) (contents dst_buf)))
 
+(* Turn on or off a fault hook that delivers every network message
+   twice. *)
+let duplicate_every_message tb on =
+  let dup ~src:_ ~dst:_ ~cls:_ ~size:_ = Fractos_net.Fabric.Duplicate in
+  Fractos_net.Fabric.set_fault_hook tb.Tb.fabric (if on then Some dup else None)
+
+(* A duplicated one-sided write lands twice but is acknowledged once: the
+   copy under a fabric that duplicates every message sends exactly the
+   messages it sends on a clean fabric (a duplicate is no new message),
+   so a second acknowledgment would show as one more. *)
+let test_hw_copy_duplicated () =
+  with_hw_copies (fun tb ->
+      let pa, pb, _, _ = two_node_setup tb in
+      let src_buf = random_buf pa 4096 ~seed:5 in
+      let dst_buf = Process.alloc pb 4096 in
+      let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
+      let dst =
+        Tb.grant ~src:pb ~dst:pa
+          (ok_exn (Api.memory_create pb dst_buf Perms.rw))
+      in
+      let messages () =
+        (Fractos_net.Stats.census (Fractos_net.Fabric.stats tb.Tb.fabric))
+          .Fractos_net.Stats.messages
+      in
+      let copy () =
+        let m0 = messages () in
+        ok_exn (Api.memory_copy pa ~src ~dst);
+        Engine.sleep (Time.ms 1);
+        messages () - m0
+      in
+      let clean = copy () in
+      duplicate_every_message tb true;
+      let duplicated = copy () in
+      duplicate_every_message tb false;
+      check_int "messages of a duplicated copy" clean duplicated;
+      check_bool "bytes equal" true
+        (Bytes.equal (contents src_buf) (contents dst_buf)))
+
 let test_hw_copy_readonly_dst () =
   with_hw_copies (fun tb ->
       let pa, _, _, _ = two_node_setup tb in
@@ -684,6 +722,22 @@ let test_monitor_receive_on_revoke () =
       match Api.monitor_next pa with
       | State.Receive_cb 77 -> ()
       | _ -> Alcotest.fail "wrong monitor event")
+
+(* A monitor event delivered twice by the fabric reaches its watcher
+   once. *)
+let test_monitor_event_duplicated () =
+  Tb.run (fun tb ->
+      let pa, pb, _, _ = two_node_setup tb in
+      let req = ok_exn (Api.request_create pb ~tag:"svc" ()) in
+      let req_a = Tb.grant ~src:pb ~dst:pa req in
+      ok_exn (Api.monitor_receive pa req_a ~cb:78);
+      duplicate_every_message tb true;
+      ok_exn (Api.cap_revoke pb req);
+      Engine.sleep (Time.ms 1);
+      duplicate_every_message tb false;
+      check_bool "one event" true
+        (Api.try_monitor_next pa = Some (State.Receive_cb 78));
+      check_bool "no second event" true (Api.try_monitor_next pa = None))
 
 let test_monitor_delegate_counts () =
   Tb.run (fun tb ->
@@ -1158,6 +1212,8 @@ let () =
         [
           Alcotest.test_case "copy local" `Quick test_hw_copy_local;
           Alcotest.test_case "copy cross node" `Quick test_hw_copy_cross_node;
+          Alcotest.test_case "duplicated write acknowledged once" `Quick
+            test_hw_copy_duplicated;
           Alcotest.test_case "read-only destination" `Quick
             test_hw_copy_readonly_dst;
           Alcotest.test_case "copy bounds" `Quick test_hw_copy_bounds;
@@ -1260,6 +1316,8 @@ let () =
         [
           Alcotest.test_case "receive on revoke" `Quick
             test_monitor_receive_on_revoke;
+          Alcotest.test_case "duplicated event delivered once" `Quick
+            test_monitor_event_duplicated;
           Alcotest.test_case "delegate counts" `Quick
             test_monitor_delegate_counts;
           Alcotest.test_case "multiple clients" `Quick

@@ -346,12 +346,16 @@ let test_retry_absorbs_overloaded () =
 (* Fabric duplication end-to-end: no duplicate side effects            *)
 (* ------------------------------------------------------------------ *)
 
-let test_duplicated_invoke_single_side_effect () =
+(* With [~remote_provider] the server runs on the client's host but is
+   managed by the other host's controller, so the delivery to it crosses
+   the switch and is duplicated too (a local delivery never is). *)
+let duplicated_invoke ~remote_provider () =
   Tb.run (fun tb ->
       let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
       let sa = List.nth setups 0 and sb = List.nth setups 1 in
       let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "client" in
-      let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "server" in
+      let server_node = if remote_provider then sa.Tb.node else sb.Tb.node in
+      let pb = Tb.add_proc tb ~on:server_node ~ctrl:sb.Tb.ctrl "server" in
       let client = Svc.create pa and server = Svc.create pb in
       let effects = ref 0 in
       Svc.handle server ~tag:"incr" (fun svc d ->
@@ -738,7 +742,9 @@ let () =
           Alcotest.test_case "overloaded is retryable" `Quick
             test_retry_absorbs_overloaded;
           Alcotest.test_case "duplicated invoke, one side effect" `Quick
-            test_duplicated_invoke_single_side_effect;
+            (duplicated_invoke ~remote_provider:false);
+          Alcotest.test_case "duplicated delivery to a remote provider" `Quick
+            (duplicated_invoke ~remote_provider:true);
           Alcotest.test_case "local sends ignore drop/duplicate" `Quick
             test_local_faults_ignored;
         ] );
