@@ -21,6 +21,12 @@
 # the metric's bound. The failed share of operations prints per side,
 # and the raw result lines stay in a temp file whose path prints last.
 # The script exits 1 when any row of any table reads REGRESSION.
+#
+# A last row, host_s, is informational: the CPU seconds of one measured
+# phase, from the note line run.exe prints above its result (the result
+# JSON omits it). It shows both medians, the change's wins (lower is
+# better) and the parent's spread, and never a verdict: on a shared host
+# its spread is too wide to gate (benchmark/README.md).
 set -eu
 
 usage="usage: bench_ab.sh PARENT_EXE CHANGE_EXE WORKLOAD|all N"
@@ -45,12 +51,13 @@ else
 fi
 out=$(mktemp /tmp/bench_ab.XXXXXX)
 
-# run SIDE EXE WORKLOAD SEED: one benchmark run, its result line
-# appended to $out
+# run SIDE EXE WORKLOAD SEED: one benchmark run, its result line and
+# its host_s note appended to $out
 run() {
-  line=$("$2" --workload "$3" --seed "$4" --seconds "$secs" \
-    --trace 0 | tail -n 1)
-  echo "{\"side\": \"$1\", \"workload\": \"$3\", \"seed\": $4, \"result\": $line}" >> "$out"
+  res=$("$2" --workload "$3" --seed "$4" --seconds "$secs" --trace 0)
+  line=$(printf '%s\n' "$res" | tail -n 1)
+  host=$(printf '%s\n' "$res" | awk '$1 == "host_s" { print $2; exit }')
+  echo "{\"side\": \"$1\", \"workload\": \"$3\", \"seed\": $4, \"host_s\": ${host:-null}, \"result\": $line}" >> "$out"
 }
 
 for w in $workloads; do
@@ -77,9 +84,11 @@ spec = json.load(open("BENCHMARK.json"))["end_to_end"]
 regressions = 0
 for workload in sys.argv[2:]:
     runs = {"parent": {}, "change": {}}
+    host = {"parent": {}, "change": {}}
     for r in rows:
         if r["workload"] == workload:
             runs[r["side"]][r["seed"]] = r["result"]
+            host[r["side"]][r["seed"]] = r.get("host_s")
     seeds = sorted(runs["parent"])
     print(f"{workload}: {len(seeds)} pairs, seeds {seeds[0]}..{seeds[-1]}")
     for side, res in runs.items():
@@ -91,17 +100,18 @@ for workload in sys.argv[2:]:
               + (f", incorrect output on seeds {bad}" if bad else ""))
     print(f"  {'metric':16} {'parent':>12} {'change':>12} {'wins':>6}"
           f" {'parent iqr':>12} {'verdict':>10}")
+    def summary(p, c, higher):
+        better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
+        wins = sum(better(b, a) for a, b in zip(p, c))
+        q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0],) * 3
+        return statistics.median(p), statistics.median(c), wins, q3 - q1
     for m in spec:
         name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
         if name not in runs["parent"][seeds[0]]["metrics"]:
             continue
         p = [runs["parent"][s]["metrics"][name]["value"] for s in seeds]
         c = [runs["change"][s]["metrics"][name]["value"] for s in seeds]
-        better = (lambda a, b: a > b) if higher else (lambda a, b: a < b)
-        wins = sum(better(b, a) for a, b in zip(p, c))
-        pm, cm = statistics.median(p), statistics.median(c)
-        q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (p[0],) * 3
-        iqr = q3 - q1
+        pm, cm, wins, iqr = summary(p, c, higher)
         gap = (cm - pm) if higher else (pm - cm)
         if wins >= 0.9 * len(seeds) and gap > iqr:
             verdict = "gain"
@@ -114,6 +124,12 @@ for workload in sys.argv[2:]:
             verdict = "-"
         print(f"  {name:16} {pm:12.6g} {cm:12.6g} {wins:3}/{len(seeds):<2}"
               f" {iqr:12.6g} {verdict:>10}")
+    p = [host["parent"][s] for s in seeds]
+    c = [host["change"][s] for s in seeds]
+    if None not in p + c:
+        pm, cm, wins, iqr = summary(p, c, False)
+        print(f"  {'host_s':16} {pm:12.6g} {cm:12.6g} {wins:3}/{len(seeds):<2}"
+              f" {iqr:12.6g} {'(info)':>10}")
 sys.exit(1 if regressions else 0)
 EOF
 echo "raw results: $out" >&2

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo health check: no dead or unset Net.Config knobs, exports, optional
-# arguments or modules, build, tests, formatting (if ocamlformat is
-# installed), the smoke runs (trace / breakdown / seeded chaos gate —
+# arguments or modules, no Obj outside the engine, build, tests,
+# formatting (if ocamlformat is installed), the smoke runs (trace / breakdown / seeded chaos gate —
 # including the chaos seed battery byte-diffed across domains=1 and
 # domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh) and the
 # figures golden (every bench table, byte for byte).
@@ -188,6 +188,21 @@ if [ -n "$bad" ]; then
   echo "$bad"
   echo "use the Membuf API (read, write, blit, materialize, holders) instead"
   echo "of .data or .store"
+  exit 1
+fi
+
+echo "== Obj outside the engine"
+# Sim.Engine keeps pending events in untyped slot arrays: the kind of a
+# slot determines its payload types, and only its typed pushes and its
+# dispatch convert to and from Obj.t. Obj anywhere else would be an
+# unchecked cast with no such invariant behind it, so only
+# lib/sim/engine.ml may name it.
+bad=$(grep -rnE --include='*.ml' --include='*.mli' "(^|[^A-Za-z0-9_'])Obj\." \
+        lib bin bench benchmark test examples |
+        grep -v '^lib/sim/engine\.ml:' || true)
+if [ -n "$bad" ]; then
+  echo "$bad"
+  echo "Obj is confined to lib/sim/engine.ml"
   exit 1
 fi
 

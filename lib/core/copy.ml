@@ -357,11 +357,11 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk =
   in
   match do_copy_open ctrl ~copy_id ~dst ~base ~total with
   | Ok () -> (
-    match Hashtbl.find_opt ctrl.copy_sessions copy_id with
-    | Some chan ->
+    match Hashtbl.find ctrl.copy_sessions copy_id with
+    | chan ->
       Sim.Channel.send chan chunk;
       drain_pending (fun ck -> Sim.Channel.send chan ck)
-    | None -> ())
+    | exception Not_found -> ())
   | Error e ->
     let reject = reject_chunk ctrl ~reply:rreply_to ~copy_id e in
     reject chunk;
@@ -370,11 +370,12 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk =
 (* [P_copy_chunk]: feed the open session, answer a rejected one, or park
    the chunk while the open is still being processed (handlers run
    concurrently). Never blocks: the controller runs it as an engine event,
-   not a fiber. *)
+   not a fiber. The session lookup raises on a miss rather than box a
+   hit in [Some]: a hit is the per-chunk path. *)
 let on_chunk ctrl ~copy_id ~chunk =
-  match Hashtbl.find_opt ctrl.copy_sessions copy_id with
-  | Some chan -> Sim.Channel.send chan chunk
-  | None -> (
+  match Hashtbl.find ctrl.copy_sessions copy_id with
+  | chan -> Sim.Channel.send chan chunk
+  | exception Not_found -> (
     match Hashtbl.find_opt ctrl.copy_failures copy_id with
     | Some e ->
       reject_chunk ctrl ~reply:rreply_from_event ~copy_id e chunk

@@ -2,16 +2,39 @@ exception Deadlock of string
 
 open Effect.Deep
 
-(* Every heap entry is one typed event. Each carries the trace context
-   of the fiber or caller that scheduled it, and [dispatch] restores it
-   before running the event, so a fiber keeps its own ambient context no
-   matter how events interleave. A resumer is itself the context and
+(* Pending events live unboxed in the engine's slot arrays: slot [s]
+   holds an event's kind, the trace context [dispatch] restores before
+   running it, and at most two payload fields, [a.(s)] and [b.(s)]. The
+   heap orders slot ids by [(time, seq)], and freed slots go back on the
+   [free] stack, so scheduling an event allocates nothing once the pool
+   has grown to the working set. A resumer is itself the context and
    continuation of the suspended fiber, so [Resume] and [Fail] need only
    point at it. [Call_with] and [Spawn_with] carry a function and its
-   argument instead of a closure over them, so a per-message event whose
-   function is built once allocates only the event. *)
+   argument instead of a closure over them.
+
+   The payload arrays are [Obj.t array]s because most kinds are
+   existential: the kind stored in a slot determines its payload types,
+   as listed below, and only the typed pushes and [dispatch] convert
+   between them and [Obj.t]. The arrays are made with an immediate
+   ([empty]), never a float, so they are never flat float arrays and a
+   boxed float payload is stored as a pointer. *)
+type kind =
+  | Wake (* a: (unit, unit) continuation *)
+  | Call (* a: unit -> unit *)
+  | Call_with (* a: 'x -> unit; b: 'x *)
+  | Spawn (* a: unit -> unit; b: string option, the fiber's name *)
+  | Spawn_with (* a: 'x -> unit; b: 'x *)
+  | Resume (* a: 'x resumer; b: 'x *)
+  | Fail (* a: 'x resumer; b: exn *)
+
 type t = {
-  heap : event Heap.t;
+  heap : Heap.t;
+  mutable kind : kind array;
+  mutable ev_ctx : int array;
+  mutable a : Obj.t array;
+  mutable b : Obj.t array;
+  mutable free : int array; (* free slot ids, a stack of [nfree] *)
+  mutable nfree : int;
   mutable now : int;
   mutable seq : int;
   mutable fibers : int;
@@ -25,22 +48,14 @@ type t = {
   mutable on_sleep : ((unit, unit) continuation -> unit) option;
 }
 
-and event =
-  | Nop (* fills the heap's empty payload slots; never scheduled *)
-  | Call of { ctx : int; f : unit -> unit }
-  | Call_with : { ctx : int; g : 'a -> unit; x : 'a } -> event
-  | Spawn of { ctx : int; name : string option; f : unit -> unit }
-  | Spawn_with : { ctx : int; g : 'a -> unit; x : 'a } -> event
-  | Wake of { ctx : int; k : (unit, unit) continuation }
-  | Resume : { r : 'a resumer; v : 'a } -> event
-  | Fail : { r : 'a resumer; e : exn } -> event
-
 and 'a resumer = {
   mutable used : bool;
   eng : t;
   r_ctx : int;
   k : ('a, unit) continuation;
 }
+
+let empty = Obj.repr 0
 
 (* The running engine is domain-local, so independent simulations on
    sibling domains (Domains.map) never observe each other. *)
@@ -53,23 +68,75 @@ let get () =
   | Some t -> t
   | None -> failwith "Fractos_sim.Engine: no engine is running"
 
-let schedule_at t ~time ev =
+(* The pool grows by doubling, as the heap does. It only grows when
+   every slot is taken, so the new slots [n .. 2n - 1] are all the free
+   ones. *)
+let grow t =
+  let n = Array.length t.kind in
+  let extend a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.kind <- extend t.kind Wake;
+  t.ev_ctx <- extend t.ev_ctx 0;
+  t.a <- extend t.a empty;
+  t.b <- extend t.b empty;
+  t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
+  t.nfree <- n
+
+(* Take a free slot for an event of [kind] with payloads [a] and [b]
+   ([empty] for a one-field kind), and queue it at [time] (never before
+   [now]). The typed pushes below are its only callers. A slot id on the
+   free stack is below the pool's length, so the slot accesses here and
+   in [dispatch] skip the bounds checks. *)
+let enqueue t ~time kind ctx a b =
+  if t.nfree = 0 then grow t;
+  let s = t.free.(t.nfree - 1) in
+  t.nfree <- t.nfree - 1;
+  Array.unsafe_set t.kind s kind;
+  Array.unsafe_set t.ev_ctx s ctx;
+  Array.unsafe_set t.a s a;
+  Array.unsafe_set t.b s b;
   let time = if time < t.now then t.now else time in
   t.seq <- t.seq + 1;
-  Heap.push t.heap ~time ~seq:t.seq ev
+  Heap.push t.heap ~time ~seq:t.seq s
+
+let push_wake t ~time ctx (k : (unit, unit) continuation) =
+  enqueue t ~time Wake ctx (Obj.repr k) empty
+
+let push_call t ~time ctx (f : unit -> unit) =
+  enqueue t ~time Call ctx (Obj.repr f) empty
+
+let push_call_with t ~time ctx (g : 'x -> unit) (x : 'x) =
+  enqueue t ~time Call_with ctx (Obj.repr g) (Obj.repr x)
+
+let push_spawn t ctx (name : string option) (f : unit -> unit) =
+  enqueue t ~time:t.now Spawn ctx (Obj.repr f) (Obj.repr name)
+
+let push_spawn_with t ctx (g : 'x -> unit) (x : 'x) =
+  enqueue t ~time:t.now Spawn_with ctx (Obj.repr g) (Obj.repr x)
+
+let push_resume (r : 'x resumer) (v : 'x) =
+  let t = r.eng in
+  enqueue t ~time:t.now Resume r.r_ctx (Obj.repr r) (Obj.repr v)
+
+let push_fail (r : 'x resumer) (e : exn) =
+  let t = r.eng in
+  enqueue t ~time:t.now Fail r.r_ctx (Obj.repr r) (Obj.repr e)
 
 (* Continuations are one-shot; the [used] flag makes a second [resume]
    or [abort] a no-op. *)
 let resume r v =
   if not r.used then begin
     r.used <- true;
-    schedule_at r.eng ~time:r.eng.now (Resume { r; v })
+    push_resume r v
   end
 
 let abort r e =
   if not r.used then begin
     r.used <- true;
-    schedule_at r.eng ~time:r.eng.now (Fail { r; e })
+    push_fail r e
   end
 
 (* What a suspending fiber hands the handler: the function of its
@@ -113,7 +180,7 @@ let make_handler t =
 
 let on_sleep t k =
   let d = if t.sleep_for < 0 then 0 else t.sleep_for in
-  schedule_at t ~time:(t.now + d) (Wake { ctx = t.ctx; k })
+  push_wake t ~time:(t.now + d) t.ctx k
 
 let new_fiber t =
   t.fibers <- t.fibers + 1;
@@ -140,10 +207,18 @@ let exec t ?(root = false) ?name f =
             record_failure t ~root e);
       }
 
+let initial_slots = 64
+
 let create () =
   let t =
     {
-      heap = Heap.create ~dummy:Nop;
+      heap = Heap.create ();
+      kind = Array.make initial_slots Wake;
+      ev_ctx = Array.make initial_slots 0;
+      a = Array.make initial_slots empty;
+      b = Array.make initial_slots empty;
+      free = Array.init initial_slots (fun i -> initial_slots - 1 - i);
+      nfree = initial_slots;
       now = 0;
       seq = 0;
       fibers = 0;
@@ -161,30 +236,28 @@ let create () =
   t.on_sleep <- Some (on_sleep t);
   t
 
-let dispatch t = function
-  | Nop -> ()
-  | Call { ctx; f } ->
-    t.ctx <- ctx;
-    f ()
-  | Call_with { ctx; g; x } ->
-    t.ctx <- ctx;
-    g x
-  | Spawn { ctx; name; f } ->
-    t.ctx <- ctx;
-    exec t ?name f
-  | Spawn_with { ctx; g; x } ->
-    t.ctx <- ctx;
+(* Read slot [s], clear its payload and free it before running the
+   event, so a dispatched event's closure, argument or continuation is
+   never retained, and an event that raises leaks no slot. *)
+let dispatch t s =
+  let kind = Array.unsafe_get t.kind s
+  and a = Array.unsafe_get t.a s
+  and b = Array.unsafe_get t.b s in
+  t.ctx <- Array.unsafe_get t.ev_ctx s;
+  Array.unsafe_set t.a s empty;
+  Array.unsafe_set t.b s empty;
+  t.free.(t.nfree) <- s;
+  t.nfree <- t.nfree + 1;
+  match kind with
+  | Wake -> continue (Obj.obj a : (unit, unit) continuation) ()
+  | Call -> (Obj.obj a : unit -> unit) ()
+  | Call_with -> (Obj.obj a : Obj.t -> unit) b
+  | Spawn -> exec t ?name:(Obj.obj b : string option) (Obj.obj a : unit -> unit)
+  | Spawn_with ->
     ignore (new_fiber t : int);
-    match_with g x t.handler
-  | Wake { ctx; k } ->
-    t.ctx <- ctx;
-    continue k ()
-  | Resume { r; v } ->
-    t.ctx <- r.r_ctx;
-    continue r.k v
-  | Fail { r; e } ->
-    t.ctx <- r.r_ctx;
-    discontinue r.k e
+    match_with (Obj.obj a : Obj.t -> unit) b t.handler
+  | Resume -> continue (Obj.obj a : Obj.t resumer).k b
+  | Fail -> discontinue (Obj.obj a : Obj.t resumer).k (Obj.obj b : exn)
 
 (* Run the heap until it is exhausted. After a failure is recorded, keep
    draining events scheduled for the *same* instant before stopping: the
@@ -197,10 +270,10 @@ let rec drain t =
     match t.failure with
     | Some _ when time > t.now -> ()
     | _ ->
-      let ev = Heap.pop_payload t.heap in
+      let s = Heap.pop t.heap in
       t.now <- time;
       t.events <- t.events + 1;
-      (try dispatch t ev with e -> record_failure t ~root:false e);
+      (try dispatch t s with e -> record_failure t ~root:false e);
       drain t
   end
 
@@ -243,14 +316,8 @@ let run ?(name = "main") main =
   let result = ref None in
   let finally () = set_current None in
   Fun.protect ~finally (fun () ->
-      schedule_at t ~time:0
-        (Call
-           {
-             ctx = 0;
-             f =
-               (fun () ->
-                 exec t ~root:true ~name (fun () -> result := Some (main ())));
-           });
+      push_call t ~time:0 0 (fun () ->
+          exec t ~root:true ~name (fun () -> result := Some (main ())));
       drain t;
       match t.failure with
       | Some (_, e) -> raise e
@@ -270,11 +337,11 @@ let sleep_until time =
 
 let spawn ?name f =
   let t = get () in
-  schedule_at t ~time:t.now (Spawn { ctx = t.ctx; name; f })
+  push_spawn t t.ctx name f
 
 let spawn_with g x =
   let t = get () in
-  schedule_at t ~time:t.now (Spawn_with { ctx = t.ctx; g; x })
+  push_spawn_with t t.ctx g x
 
 let yield () = sleep 0
 
@@ -292,12 +359,12 @@ let suspend setup = wait (waiter (fun f r -> f r) setup)
 let schedule d f =
   let t = get () in
   let d = if d < 0 then 0 else d in
-  schedule_at t ~time:(t.now + d) (Call { ctx = t.ctx; f })
+  push_call t ~time:(t.now + d) t.ctx f
 
 let schedule_with d g x =
   let t = get () in
   let d = if d < 0 then 0 else d in
-  schedule_at t ~time:(t.now + d) (Call_with { ctx = t.ctx; g; x })
+  push_call_with t ~time:(t.now + d) t.ctx g x
 
 let fiber_count () = (get ()).fibers
 let event_count () = (get ()).events

@@ -1,25 +1,22 @@
-(* Struct of arrays: entry [i] is ([time.(i)], [seq.(i)], [payload.(i)]).
-   Keys live in unboxed int arrays, so neither a push nor a pop allocates
-   once the arrays have grown to the working-set size. Vacated payload
-   slots are overwritten with [dummy], so a popped payload is not kept
-   alive by the heap. *)
-type 'a t = {
+(* Struct of arrays: entry [i] is ([time.(i)], [seq.(i)], [slot.(i)]).
+   All three are unboxed int arrays, so neither a push nor a pop
+   allocates once the arrays have grown to the working-set size, and no
+   sift writes a pointer (no write barrier runs). *)
+type t = {
   mutable time : int array;
   mutable seq : int array;
-  mutable payload : 'a array;
+  mutable slot : int array;
   mutable size : int;
-  dummy : 'a;
 }
 
 let initial = 64
 
-let create ~dummy =
+let create () =
   {
     time = Array.make initial 0;
     seq = Array.make initial 0;
-    payload = Array.make initial dummy;
+    slot = Array.make initial 0;
     size = 0;
-    dummy;
   }
 
 let length h = h.size
@@ -27,49 +24,54 @@ let is_empty h = h.size = 0
 
 let grow h =
   let n = 2 * Array.length h.time in
-  let extend a fill =
-    let b = Array.make n fill in
+  let extend a =
+    let b = Array.make n 0 in
     Array.blit a 0 b 0 h.size;
     b
   in
-  h.time <- extend h.time 0;
-  h.seq <- extend h.seq 0;
-  h.payload <- extend h.payload h.dummy
+  h.time <- extend h.time;
+  h.seq <- extend h.seq;
+  h.slot <- extend h.slot
 
 (* Both sifts move a hole instead of swapping, and write the entry being
-   placed once, at its final slot. *)
-let push h ~time ~seq payload =
+   placed once, at its final position. Every index they touch is below
+   [size], which never exceeds the arrays' length, so they skip the
+   bounds checks. *)
+let push h ~time ~seq slot =
   if h.size = Array.length h.time then grow h;
+  let ts = h.time and ss = h.seq and sl = h.slot in
   let i = ref h.size in
   h.size <- h.size + 1;
   let moving = ref true in
   while !moving && !i > 0 do
     let p = (!i - 1) / 2 in
-    let pt = h.time.(p) in
-    if time < pt || (time = pt && seq < h.seq.(p)) then begin
-      h.time.(!i) <- pt;
-      h.seq.(!i) <- h.seq.(p);
-      h.payload.(!i) <- h.payload.(p);
+    let pt = Array.unsafe_get ts p and ps = Array.unsafe_get ss p in
+    if time < pt || (time = pt && seq < ps) then begin
+      Array.unsafe_set ts !i pt;
+      Array.unsafe_set ss !i ps;
+      Array.unsafe_set sl !i (Array.unsafe_get sl p);
       i := p
     end
     else moving := false
   done;
-  h.time.(!i) <- time;
-  h.seq.(!i) <- seq;
-  h.payload.(!i) <- payload
+  Array.unsafe_set ts !i time;
+  Array.unsafe_set ss !i seq;
+  Array.unsafe_set sl !i slot
 
 let min_time h =
   if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
   h.time.(0)
 
-let pop_payload h =
-  if h.size = 0 then invalid_arg "Heap.pop_payload: empty heap";
-  let top = h.payload.(0) in
+let pop h =
+  if h.size = 0 then invalid_arg "Heap.pop: empty heap";
+  let ts = h.time and ss = h.seq and sl = h.slot in
+  let top = Array.unsafe_get sl 0 in
   let n = h.size - 1 in
   h.size <- n;
   (* re-insert the last entry from the root down *)
-  let time = h.time.(n) and seq = h.seq.(n) and payload = h.payload.(n) in
-  h.payload.(n) <- h.dummy;
+  let time = Array.unsafe_get ts n
+  and seq = Array.unsafe_get ss n
+  and slot = Array.unsafe_get sl n in
   if n > 0 then begin
     let i = ref 0 in
     let moving = ref true in
@@ -79,29 +81,30 @@ let pop_payload h =
       else begin
         let r = l + 1 in
         let c =
-          if
-            r < n
-            && (h.time.(r) < h.time.(l)
-               || (h.time.(r) = h.time.(l) && h.seq.(r) < h.seq.(l)))
-          then r
+          if r < n then begin
+            let rt = Array.unsafe_get ts r and lt = Array.unsafe_get ts l in
+            if
+              rt < lt
+              || (rt = lt && Array.unsafe_get ss r < Array.unsafe_get ss l)
+            then r
+            else l
+          end
           else l
         in
-        let ct = h.time.(c) in
-        if ct < time || (ct = time && h.seq.(c) < seq) then begin
-          h.time.(!i) <- ct;
-          h.seq.(!i) <- h.seq.(c);
-          h.payload.(!i) <- h.payload.(c);
+        let ct = Array.unsafe_get ts c and cs = Array.unsafe_get ss c in
+        if ct < time || (ct = time && cs < seq) then begin
+          Array.unsafe_set ts !i ct;
+          Array.unsafe_set ss !i cs;
+          Array.unsafe_set sl !i (Array.unsafe_get sl c);
           i := c
         end
         else moving := false
       end
     done;
-    h.time.(!i) <- time;
-    h.seq.(!i) <- seq;
-    h.payload.(!i) <- payload
+    Array.unsafe_set ts !i time;
+    Array.unsafe_set ss !i seq;
+    Array.unsafe_set sl !i slot
   end;
   top
 
-let clear h =
-  Array.fill h.payload 0 h.size h.dummy;
-  h.size <- 0
+let clear h = h.size <- 0

@@ -18,10 +18,10 @@ let try_acquire s =
   end
   else false
 
+(* [is_empty] then [take], so a release boxes no [Some]. *)
 let release s =
-  match Queue.take_opt s.waiters with
-  | Some r -> Engine.resume r ()
-  | None -> s.permits <- s.permits + 1
+  if Queue.is_empty s.waiters then s.permits <- s.permits + 1
+  else Engine.resume (Queue.take s.waiters) ()
 
 let with_permit s f =
   acquire s;

@@ -79,17 +79,17 @@ let per_invoke ~n ~target =
       (* the events less the closing sleep's wake-up *)
       (per (w1 -. w0), per (float_of_int (e1 - e0 - 1))))
 
-(* Measured at 256.9 words per invoke (x86-64, OCaml 5.1; 232 on the
-   own shard, 281 across), plus ~10 % headroom: tight enough that the
-   328 measured before per-message events carried a function and its
-   argument instead of a closure, and before lookups on the invoke hop
-   stopped boxing their results, fails. The same harness measures 1190
-   before the allocation-free event queue and the untraced-path guards,
-   524 before event-run handlers, timed-wake transfers and the
+(* Measured at 188.4 words per invoke (x86-64, OCaml 5.1), plus ~10 %
+   headroom: tight enough that the 256.9 measured while each pending
+   event was a boxed record in a polymorphic heap fails. The same
+   harness measured 328 before per-message events carried a function and
+   its argument instead of a closure, and before lookups on the invoke
+   hop stopped boxing their results, 1190 before the struct-of-arrays
+   event heap and the untraced-path guards, 524 before event-run handlers, timed-wake transfers and the
    allocation-free endpoint, stats and metrics path, and 370 before
    list-free charges, one-capability resolves and the closure-free peer
    lookup. *)
-let budget = 283.
+let budget = 207.
 
 let test_null_invoke_budget () =
   (* half of the invokes cross to the neighbour shard *)
@@ -176,16 +176,18 @@ let per_chunk ~n =
         stored,
         (float_of_int len, first, next) ))
 
-(* Measured at 98.7 minor words per chunk and 4 fibers per 64-chunk copy
+(* Measured at 63.8 minor words per chunk and 4 fibers per 64-chunk copy
    (x86-64, OCaml 5.1). The budget leaves less than one word of
    headroom: a record of its own per chunk (a slice of the source, say)
-   adds four words and fails here. The same harness measured 112.5 before
+   adds four words and fails here. The same harness measured 98.7 while
+   each pending event was a boxed record in a polymorphic heap and the
+   chunk's session lookup boxed its hit in [Some], 112.5 before
    per-message events carried a function and its argument instead of a
    closure (112.6 before a chunk pinned its source's store itself, 112.8
    while a copy's chunks shared a pin record), and 277 words and one
    fiber per chunk before chunk messages ran as engine events and
    transfers as timed wakes. *)
-let copy_budget = 99.
+let copy_budget = 64.
 let fiber_budget = 0.1
 
 (* Engine events per chunk, pinned exactly as for an invoke: 656 per
