@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo health check: no dead or unset Net.Config knobs, exports, optional
-# arguments or modules, no Obj outside the engine, build, tests,
+# arguments or modules, no Obj outside the engine, no blocking call in
+# controller code, build, tests,
 # formatting (if ocamlformat is installed), the smoke runs (trace / breakdown / seeded chaos gate —
 # including the chaos seed battery byte-diffed across domains=1 and
 # domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh) and the
@@ -203,6 +204,26 @@ bad=$(grep -rnE --include='*.ml' --include='*.mli' "(^|[^A-Za-z0-9_'])Obj\." \
 if [ -n "$bad" ]; then
   echo "$bad"
   echo "Obj is confined to lib/sim/engine.ml"
+  exit 1
+fi
+
+echo "== blocking calls in controller code"
+# Controller work runs as run-to-completion steps, engine events that
+# never block (HACKING.md, "Writing a controller step"): every fiber
+# belongs to a process. So lib/core may not wait in a fiber, except in
+# the process-side veneer (api.ml, process.ml). Comments and strings are
+# blanked first (bin/code_only.awk), so prose may name these calls. The
+# copy engine runs as steps too, so no file of lib/core is excepted.
+bad=$(for f in lib/core/*.ml; do
+        case "$f" in lib/core/api.ml | lib/core/process.ml) continue ;; esac
+        awk -f bin/code_only.awk "$f" |
+          grep -nE "(^|[^A-Za-z0-9_'])(Ivar\.await(_timeout)?|Resource\.use|Engine\.(sleep(_until)?|spawn(_with)?|suspend|wait|yield)|Semaphore\.(acquire|with_permit)|Channel\.recv|Endpoint\.recv|Fabric\.transfer(_chunked)?)([^A-Za-z0-9_']|\$)" |
+          sed "s|^|$f:|"
+      done)
+if [ -n "$bad" ]; then
+  echo "$bad"
+  echo "controller code must not block: write a step (charge/after_cpu, an"
+  echo "rreply continuation, Semaphore.acquire_then, Fabric.transfer_then)"
   exit 1
 fi
 

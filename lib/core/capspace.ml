@@ -40,11 +40,22 @@ let ref_dec ctrl addr =
    count (on the critical path: exactly the cost the paper's design
    avoids). [op] records how the capability came to exist (Mint for a
    freshly created object, Delegate for delegation-on-invoke / grant) in
-   the audit log. *)
-let insert_cap ?audit_detail ctrl space addr ~counts ~op =
+   the audit log. The result goes on with [k]: at once, or under the
+   ablation after the owner's acknowledgment, as a step under trace
+   context [ctx]. *)
+let ref_inc_acked ctrl addr k cid = function
+  | Error Error.Timeout ->
+    Obs.Metrics.incr ctrl.cm.cm_ref_inc_timeouts;
+    journal ctrl Obs.Journal.Warn "ctrl.ref_inc_timeout" (fun () ->
+        Printf.sprintf "peer=%d" addr.a_ctrl);
+    k (Ok cid)
+  | Ok () | Error _ -> k (Ok cid)
+
+let insert_cap ?(ctx = Sim.Engine.get_ctx ()) ?audit_detail ctrl space addr
+    ~counts ~op k =
   let cfg = config ctrl in
   if Hashtbl.length space.cs_caps >= cfg.capspace_quota then
-    Error Error.Quota_exceeded
+    k (Error Error.Quota_exceeded)
   else begin
     let cid = space.cs_next in
     space.cs_next <- cid + 1;
@@ -57,10 +68,13 @@ let insert_cap ?audit_detail ctrl space addr ~counts ~op =
       };
     Obs.Metrics.add ctrl.cm.cm_captable 1;
     audit ctrl op ~pid:space.cs_proc.pid ~cid ?detail:audit_detail addr;
-    if cfg.track_delegations then (
+    if not cfg.track_delegations then k (Ok cid)
+    else
       match peer_of_addr ctrl addr with
-      | exception Error.Fractos _ -> ()
-      | owner when owner == ctrl -> ref_inc ctrl addr
+      | exception Error.Fractos _ -> k (Ok cid)
+      | owner when owner == ctrl ->
+        ref_inc ctrl addr;
+        k (Ok cid)
       | peer ->
         (* reliable tracking: wait for the owner's acknowledgment — the
            critical-path cost the paper's design avoids. The wait is
@@ -69,19 +83,9 @@ let insert_cap ?audit_detail ctrl space addr ~counts ~op =
            proceeds best-effort rather than blocking the delegation
            forever; the owner's count may briefly overshoot, which only
            delays a tombstone until its next reboot. *)
-        let iv = Sim.Ivar.create () in
-        send_peer ctrl peer ~size:Wire.credit
-          (P_ref_inc { addr; reply = { rr_ivar = iv; rr_ctrl = ctrl } });
-        if Option.is_none
-             (Sim.Ivar.await_timeout iv ~timeout:cfg.peer_ack_timeout)
-        then begin
-          Obs.Metrics.incr ctrl.cm.cm_ref_inc_timeouts;
-          journal ctrl Obs.Journal.Warn "ctrl.ref_inc_timeout" (fun () ->
-              Printf.sprintf "peer=%d" addr.a_ctrl);
-          Logs.debug (fun m ->
-              m "ref_inc ack from ctrl %d timed out; continuing" addr.a_ctrl)
-        end);
-    Ok cid
+        let rr = rreply_at ctx ctrl (ref_inc_acked ctrl addr k cid) in
+        send_peer ctrl peer ~size:Wire.credit (P_ref_inc { addr; reply = rr });
+        await_timeout rr ~timeout:cfg.peer_ack_timeout
   end
 
 let resolve_cid ctrl proc cid =
@@ -103,14 +107,14 @@ let resolve_cid ctrl proc cid =
    epoch/validity checks still run on every use downstream, so a cached
    translation can never outlive the object or epoch it names.
 
-   [charged_resolve1 ctrl proc ~base cid] charges [base] plus one Lookup
-   and resolves [cid]; [charged_resolve2] does the same for two cids, in
-   order, stopping at the first failure. With the memo off this is a
-   single combined charge before the resolution (identical to the
-   pre-cache cost model); with it on, the charge comes after and memo hits
-   skip their Lookup — the class with the largest SmartNIC multiplier,
-   which is exactly where the paper's wimpy-core controllers hurt. Both
-   resolve the cids directly and charge through [charge_plus], so a
+   [charged_resolve1 ctrl proc cid k] charges a message and one Lookup,
+   resolves [cid] and goes on with [k] on the result; [charged_resolve2]
+   does the same for two cids, in order, stopping at the first failure.
+   With the memo off this is a single combined charge before the
+   resolution (identical to the pre-cache cost model); with it on, the
+   charge comes after and memo hits skip their Lookup — the class with
+   the largest SmartNIC multiplier, which is exactly where the paper's
+   wimpy-core controllers hurt. Both charge through [charge_plus], so a
    resolve builds no list (HACKING.md, "Hot path"). *)
 let memo_invalidate ctrl =
   ctrl.cap_gen <- ctrl.cap_gen + 1;
@@ -152,49 +156,41 @@ let memo_resolve space hit cid =
 
 let lookups = function Some _ -> 0 | None -> 1
 
-let charged_resolve1 ctrl proc ~base cid =
-  if not (config ctrl).translation_cache then begin
-    charge_plus ctrl base Net.Cost.Lookup 1;
-    resolve_cid ctrl proc cid
-  end
+let msg = [ (Net.Cost.Msg, 1) ]
+let resolve1_at (ctrl, proc, cid, k) = k (resolve_cid ctrl proc cid)
+
+let charged_resolve1 ctrl proc cid k =
+  if not (config ctrl).translation_cache then
+    charge_plus ctrl msg Net.Cost.Lookup 1 resolve1_at (ctrl, proc, cid, k)
   else
     match memo_space ctrl proc with
-    | exception Error.Fractos e ->
-      charge_plus ctrl base Net.Cost.Lookup 1;
-      Error e
+    | exception Error.Fractos e -> charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
     | space ->
       let hit = memo_hit ctrl space cid in
-      let resolved = memo_resolve space hit cid in
-      charge_plus ctrl base Net.Cost.Lookup (lookups hit);
-      resolved
+      charge_plus ctrl msg Net.Cost.Lookup (lookups hit) k
+        (memo_resolve space hit cid)
 
-let charged_resolve2 ctrl proc ~base a b =
-  if not (config ctrl).translation_cache then begin
-    charge_plus ctrl base Net.Cost.Lookup 2;
-    match resolve_cid ctrl proc a with
-    | Error _ as e -> e
-    | Ok ea -> (
-      match resolve_cid ctrl proc b with
-      | Error _ as e -> e
-      | Ok eb -> Ok (ea, eb))
-  end
+let pair ea = Result.map (fun eb -> (ea, eb))
+
+let charged_resolve2 ctrl proc a b k =
+  if not (config ctrl).translation_cache then
+    charge_plus ctrl msg Net.Cost.Lookup 2
+      (fun () ->
+        k (Result.bind (resolve_cid ctrl proc a) (fun ea ->
+               pair ea (resolve_cid ctrl proc b))))
+      ()
   else
     match memo_space ctrl proc with
-    | exception Error.Fractos e ->
-      charge_plus ctrl base Net.Cost.Lookup 1;
-      Error e
+    | exception Error.Fractos e -> charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
     | space -> (
       let hit_a = memo_hit ctrl space a in
       match memo_resolve space hit_a a with
-      | Error _ as e ->
-        charge_plus ctrl base Net.Cost.Lookup (lookups hit_a);
-        e
+      | Error e -> charge_plus ctrl msg Net.Cost.Lookup (lookups hit_a) k (Error e)
       | Ok ea ->
         let hit_b = memo_hit ctrl space b in
-        let resolved = memo_resolve space hit_b b in
-        charge_plus ctrl base Net.Cost.Lookup
-          (lookups hit_a + lookups hit_b);
-        match resolved with Error _ as e -> e | Ok eb -> Ok (ea, eb))
+        let resolved = pair ea (memo_resolve space hit_b b) in
+        charge_plus ctrl msg Net.Cost.Lookup (lookups hit_a + lookups hit_b) k
+          resolved)
 
 (* Resolve a list of capability arguments to (addr, monitored) pairs, where
    monitored records whether the argument came from a monitor_delegator
@@ -216,10 +212,13 @@ let resolve_cap_args ctrl proc cids =
 let monitor_once o =
   if first_arrival o && o.to_.alive then Sim.Channel.send o.to_.monitor_box o.d
 
-let post_monitor_event ctrl (watcher : proc) ev =
-  charge ctrl [ (Net.Cost.Msg, 1) ];
+let send_monitor_event (ctrl, (watcher : proc), ev, k) =
   Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:watcher.pnode
-    ~size:Wire.monitor_cb monitor_once (one_shot watcher ev)
+    ~size:Wire.monitor_cb monitor_once (one_shot watcher ev);
+  k ()
+
+let post_monitor_event ctrl (watcher : proc) ev k =
+  charge_with ctrl [ (Net.Cost.Msg, 1) ] send_monitor_event (ctrl, watcher, ev, k)
 
 (* Fire-and-forget counter update at the owner of a monitored delegator
    object. *)
@@ -238,17 +237,18 @@ let apply_increment ctrl addr =
     | Some md -> md.md_outstanding <- md.md_outstanding + 1
     | None -> ())
 
-let apply_decrement ctrl addr =
+let apply_decrement ctrl addr k =
   match Hashtbl.find_opt ctrl.objects addr.a_oid with
-  | None -> ()
-  | Some _ when addr.a_epoch <> ctrl.epoch -> ()
+  | None -> k ()
+  | Some _ when addr.a_epoch <> ctrl.epoch -> k ()
   | Some obj -> (
     match obj.o_mon_delegator with
     | Some md ->
       md.md_outstanding <- md.md_outstanding - 1;
       if md.md_outstanding = 0 && md.md_watcher.alive then
-        post_monitor_event ctrl md.md_watcher (Delegate_cb md.md_cb)
-    | None -> ())
+        post_monitor_event ctrl md.md_watcher (Delegate_cb md.md_cb) k
+      else k ()
+    | None -> k ())
 
 (* Register [watcher] as the monitor_delegate watcher of the object at
    [addr] (we are its owner). *)
@@ -317,66 +317,71 @@ let cleanup_local ctrl addr =
 
 (* Broadcast-based cleanup (§3.5: outside the critical path): ask every
    peer to drop capabilities referencing the invalidated objects, then
-   delete the tombstones. *)
+   delete the tombstones once every peer has acknowledged, waiting for
+   the acknowledgments in the order they were asked for. It starts from
+   an event of its own at the current instant and charges one message per
+   peer and address. An acknowledgment fills its ivar at its arrival, so
+   a join that waits for it wakes as an awaiting fiber would. *)
+let rec await_acks acks k =
+  match acks with
+  | [] -> k ()
+  | iv :: rest -> Sim.Ivar.upon iv (fun _ -> await_acks rest k)
+
+let cleanup_start (ctrl, addrs) =
+  List.iter (fun addr -> cleanup_local ctrl addr) addrs;
+  let rec ask acks = function
+    | [] ->
+      await_acks (List.rev acks) (fun () ->
+          List.iter (fun addr -> Objects.remove ctrl addr.a_oid) addrs)
+    | (peer, addr) :: rest ->
+      let iv = Sim.Ivar.create () in
+      charge ctrl [ (Net.Cost.Msg, 1) ] (fun () ->
+          let reply = rreply_at (-1) ctrl (fun v -> Sim.Ivar.fill iv v) in
+          send_peer ctrl peer ~size:Wire.peer_fixed (P_cleanup { addr; reply });
+          ask (iv :: acks) rest)
+  in
+  ask [] (List.concat_map (fun p -> List.map (fun a -> (p, a)) addrs) ctrl.peers)
+
 let cleanup_broadcast ctrl addrs =
-  Sim.Engine.spawn (fun () ->
-      List.iter (fun addr -> cleanup_local ctrl addr) addrs;
-      let acks =
-        List.concat_map
-          (fun peer ->
-            List.map
-              (fun addr ->
-                let iv = Sim.Ivar.create () in
-                charge ctrl [ (Net.Cost.Msg, 1) ];
-                send_peer ctrl peer ~size:Wire.peer_fixed
-                  (P_cleanup { addr; reply = { rr_ivar = iv; rr_ctrl = ctrl } });
-                iv)
-              addrs)
-          ctrl.peers
-      in
-      List.iter (fun iv -> ignore (Sim.Ivar.await iv)) acks;
-      List.iter (fun addr -> Objects.remove ctrl addr.a_oid) addrs)
+  Sim.Engine.schedule_with 0 cleanup_start (ctrl, addrs)
 
 (* Invalidate an object subtree at this controller (we are the owner):
-   immediate revocation, monitor_receive callbacks, then async cleanup. *)
-let invalidate_at_owner ctrl obj =
+   immediate revocation, monitor_receive callbacks, then async cleanup,
+   and go on with [k]. *)
+let invalidate_at_owner ctrl obj k =
   let invalidated = Objects.invalidate ctrl obj in
-  charge_plus ctrl [] Net.Cost.Revoke (List.length invalidated);
-  (* one Revoke event per invalidated object, subtree root first (the
-     order Objects.invalidate walks the revocation tree) *)
-  List.iter
-    (fun o ->
-      audit ctrl Obs.Audit.Revoke
-        ~detail:(fun () -> Printf.sprintf "subtree_root=%d" obj.o_id)
-        { a_ctrl = ctrl.ctrl_id; a_epoch = ctrl.epoch; a_oid = o.o_id })
-    invalidated;
-  List.iter
-    (fun o ->
+  let addr o = { a_ctrl = ctrl.ctrl_id; a_epoch = ctrl.epoch; a_oid = o.o_id } in
+  charge_plus ctrl [] Net.Cost.Revoke (List.length invalidated) (fun () ->
+      (* one Revoke event per invalidated object, subtree root first (the
+         order Objects.invalidate walks the revocation tree) *)
       List.iter
-        (fun (watcher, cb) ->
-          if watcher.alive then post_monitor_event ctrl watcher (Receive_cb cb))
-        o.o_mon_receivers)
-    invalidated;
-  let addrs =
-    List.map
-      (fun o -> { a_ctrl = ctrl.ctrl_id; a_epoch = ctrl.epoch; a_oid = o.o_id })
-      invalidated
-  in
-  if (config ctrl).track_delegations then
-    (* reference-counted cleanup (ablation): no broadcast — tombstones die
-       when their remote reference count drains; unreferenced ones now *)
-    List.iter
-      (fun o -> if o.o_remote_refs <= 0 then Objects.remove ctrl o.o_id)
-      invalidated
-  else if addrs <> [] then cleanup_broadcast ctrl addrs
+        (fun o ->
+          audit ctrl Obs.Audit.Revoke
+            ~detail:(fun () -> Printf.sprintf "subtree_root=%d" obj.o_id)
+            (addr o))
+        invalidated;
+      let notify (watcher, cb) k =
+        if watcher.alive then post_monitor_event ctrl watcher (Receive_cb cb) k
+        else k ()
+      in
+      each (fun o k -> each notify o.o_mon_receivers k) invalidated (fun () ->
+          if (config ctrl).track_delegations then
+            (* reference-counted cleanup (ablation): no broadcast —
+               tombstones die when their remote reference count drains;
+               unreferenced ones now *)
+            List.iter
+              (fun o -> if o.o_remote_refs <= 0 then Objects.remove ctrl o.o_id)
+              invalidated
+          else if invalidated <> [] then
+            cleanup_broadcast ctrl (List.map addr invalidated);
+          k ()))
+    ()
 
-let do_revoke ctrl addr =
-  charge ctrl [ (Net.Cost.Lookup, 1) ];
-  match Objects.find ctrl addr with
-  | exception Error.Fractos e -> Error e
-  | obj ->
-    invalidate_at_owner ctrl obj;
-    Ok ()
+let do_revoke ctrl addr k =
+  charge ctrl [ (Net.Cost.Lookup, 1) ] (fun () ->
+      match Objects.find ctrl addr with
+      | exception Error.Fractos e -> k (Error e)
+      | obj -> invalidate_at_owner ctrl obj (fun () -> k (Ok ())))
 
 (* ------------------------------------------------------------------ *)
 (* Memory diminish / revtree at the owner                              *)
@@ -396,8 +401,7 @@ let find_memory ctrl addr ~not_memory =
       | O_memory m -> Ok (obj, m)
       | O_request _ | O_indirect -> Error (Error.Bad_argument not_memory)))
 
-let do_diminish ctrl addr ~off ~len ~drop =
-  charge ctrl [ (Net.Cost.Lookup, 2) ];
+let diminish ctrl addr ~off ~len ~drop =
   match
     find_memory ctrl addr ~not_memory:"memory_diminish on a non-Memory object"
   with
@@ -415,8 +419,14 @@ let do_diminish ctrl addr ~off ~len ~drop =
              m_owner = m.m_owner;
            })
 
-let do_revtree ctrl addr =
-  charge ctrl [ (Net.Cost.Lookup, 1) ];
+let do_diminish ctrl addr ~off ~len ~drop k =
+  charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
+      k (diminish ctrl addr ~off ~len ~drop))
+
+let revtree ctrl addr =
   match Objects.find ctrl addr with
   | exception Error.Fractos e -> Error e
   | obj -> Ok (Objects.add_indirect ctrl ~parent:obj)
+
+let do_revtree ctrl addr k =
+  charge ctrl [ (Net.Cost.Lookup, 1) ] (fun () -> k (revtree ctrl addr))

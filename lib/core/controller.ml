@@ -19,247 +19,236 @@ let next_ctrl_id : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 (* Syscall handlers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let sys_mem_create ctrl ~caller buf ~off ~len perms (reply : int reply) =
-  charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ];
-  match space_of ctrl caller with
-  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
-  | space ->
-    if off < 0 || len < 0 || off + len > Membuf.size buf then
-      reply_to ctrl reply (Error Error.Bounds)
-    else (
-      match Directory.shard_home ctrl with
-      | Some home ->
-        Directory.place_remote ctrl home space reply (fun key rr ->
-            P_place_mem
-              { buf; off; len; perms; owner = caller; key; reply = rr })
-      | None ->
-        let addr =
-          Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner:caller
-        in
-        reply_to ctrl reply
-          (insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
-             ~audit_detail:(fun () -> "memory perms=" ^ Perms.to_string perms)))
+(* Each handler is a chain of steps (Ctrl_base). [ans] answers the
+   caller and then runs what follows the handler ([answer]). *)
 
-let sys_mem_diminish ctrl ~caller cid ~off ~len ~drop (reply : int reply) =
-  match charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid with
-  | Error e -> reply_to ctrl reply (Error e)
-  | Ok entry -> (
-    let res =
-      Directory.at_owner ctrl entry.e_addr ~size:Wire.peer_fixed
-        ~local:(fun () -> do_diminish ctrl entry.e_addr ~off ~len ~drop)
-        ~make_msg:(fun rr ->
-          P_diminish { addr = entry.e_addr; off; len; drop; reply = rr })
-    in
-    match res with
-    | Error e -> reply_to ctrl reply (Error e)
-    | Ok child_addr -> (
+let answer ctrl reply k v = reply_to ctrl reply v k
+
+(* A capability to the fresh object [addr] for [space], then the answer. *)
+let mint_cap ctrl space ans detail addr =
+  insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
+    ~audit_detail:detail ans
+
+(* A fresh object for [space]: placed at its shard-map home, when the map
+   names another controller, or minted here. *)
+let fresh ctrl space ans ~place ~mint detail =
+  match Directory.shard_home ctrl with
+  | Some home -> Directory.place_remote ctrl home space ans place
+  | None -> mint_cap ctrl space ans detail (mint ())
+
+let sys_mem_create ctrl ~caller buf ~off ~len perms ans =
+  charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ] (fun () ->
       match space_of ctrl caller with
-      | exception Error.Fractos e -> reply_to ctrl reply (Error e)
+      | exception Error.Fractos e -> ans (Error e)
+      | _ when off < 0 || len < 0 || off + len > Membuf.size buf ->
+        ans (Error Error.Bounds)
       | space ->
-        reply_to ctrl reply
-          (insert_cap ctrl space child_addr ~counts:None ~op:Obs.Audit.Mint
-             ~audit_detail:(fun () ->
-               "memory diminish drop=" ^ Perms.to_string drop))))
+        fresh ctrl space ans
+          ~place:(fun key rr ->
+            P_place_mem { buf; off; len; perms; owner = caller; key; reply = rr })
+          ~mint:(fun () ->
+            Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner:caller)
+          (fun () -> "memory perms=" ^ Perms.to_string perms))
 
-(* The fibers that run a copy or an invocation chain here, spawned with
-   their arguments rather than a closure over them. *)
-let pull_here (ctrl, src, dst, rr) = Copy.do_copy_pull ctrl ~src ~dst rr
-let invoke_here (ctrl, addr, rr) = Invoke.do_invoke ctrl addr [] [] (Some rr)
+let sys_mem_diminish ctrl ~caller cid ~off ~len ~drop ans =
+  charged_resolve1 ctrl caller cid (function
+    | Error e -> ans (Error e)
+    | Ok entry ->
+      let addr = entry.e_addr in
+      Directory.at_owner ctrl addr
+        ~local:(do_diminish ctrl addr ~off ~len ~drop)
+        ~make_msg:(fun rr -> P_diminish { addr; off; len; drop; reply = rr })
+        (function
+          | Error e -> ans (Error e)
+          | Ok child -> (
+            match space_of ctrl caller with
+            | exception Error.Fractos e -> ans (Error e)
+            | space ->
+              mint_cap ctrl space ans
+                (fun () -> "memory diminish drop=" ^ Perms.to_string drop)
+                child)))
 
-let sys_mem_copy ctrl ~caller ~src ~dst (reply : unit reply) =
-  match charged_resolve2 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] src dst with
-  | Error e -> reply_to ctrl reply (Error e)
-  | Ok (src_e, dst_e) ->
-    let src = src_e.e_addr and dst = dst_e.e_addr in
-    let rr_iv = Sim.Ivar.create () in
-    let rr = { rr_ivar = rr_iv; rr_ctrl = ctrl } in
-    (* third-party RDMA, or a pull at the source's owner — locally for
-       our own objects and when we are the failover successor of the
-       source's minter (the lookup answers a foreign address with typed
-       Stale) *)
-    (if (config ctrl).hw_copies then Copy.hw_copy ctrl ~src ~dst rr
-     else
-       match Directory.locate ctrl src with
-       | exception Error.Fractos e -> Sim.Ivar.fill rr_iv (Error e)
-       | owner when owner == ctrl ->
-         Sim.Engine.spawn_with pull_here (ctrl, src, dst, rr)
-       | peer ->
-         charge ctrl [ (Net.Cost.Serialize, 1) ];
-         send_peer ctrl peer ~size:Wire.peer_fixed
-           (P_copy_pull { src; dst; reply = rr }));
-    reply_to ctrl reply (Sim.Ivar.await rr_iv)
+(* The steps that run a copy or an invocation chain here, started from
+   an event with their arguments rather than a closure over them. *)
+let pull_here (ctrl, src, dst, rr) = Copy.do_copy_pull ctrl ~src ~dst rr stop
+let invoke_here (ctrl, addr, rr) = Invoke.do_invoke ctrl addr [] [] (Some rr) stop
 
-let sys_req_create ctrl ~caller ~tag ~imms ~caps (reply : int reply) =
-  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup
-    (1 + List.length caps);
-  match space_of ctrl caller with
-  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
-  | space -> (
-    match resolve_cap_args ctrl caller caps with
-    | Error e -> reply_to ctrl reply (Error e)
-    | Ok cap_args ->
-      let addr =
-        Directory.mint_request ctrl ~provider:caller ~tag ~imms ~caps:cap_args
-          ~parent:None
-      in
-      reply_to ctrl reply
-        (insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
-           ~audit_detail:(fun () -> "request tag=" ^ tag)))
+(* A failure before the [rreply] of a remote hop went out answers at once. *)
+let fail_now (rr : _ rreply) e = rr.rr_k (Error e)
 
-let sys_req_derive ctrl ~caller ~parent ~imms ~caps (reply : int reply) =
-  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup
-    (2 + List.length caps);
-  match (space_of ctrl caller, resolve_cid ctrl caller parent) with
-  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
-  | _, Error e -> reply_to ctrl reply (Error e)
-  | space, Ok parent_entry -> (
-    match resolve_cap_args ctrl caller caps with
-    | Error e -> reply_to ctrl reply (Error e)
-    | Ok cap_args -> (
-      let parent = parent_entry.e_addr in
-      match Directory.shard_home ctrl with
-      | Some home ->
-        Directory.place_remote ctrl home space reply (fun key rr ->
-            P_place_req
-              { provider = caller; imms; caps = cap_args; parent; key;
-                reply = rr })
-      | None ->
-        let addr =
-          Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms
-            ~caps:cap_args ~parent:(Some parent)
-        in
-        reply_to ctrl reply
-          (insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
-             ~audit_detail:(fun () ->
-               Printf.sprintf "request derive parent_oid=%d" parent.a_oid))))
-
-let sys_req_invoke ctrl ~caller cid (reply : unit reply) =
-  match charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid with
-  | Error e -> reply_to ctrl reply (Error e)
-  | Ok entry ->
-    let rr_iv = Sim.Ivar.create () in
-    let rr = { rr_ivar = rr_iv; rr_ctrl = ctrl } in
-    (match Directory.locate ctrl entry.e_addr with
-    | exception Error.Fractos e -> Sim.Ivar.fill rr_iv (Error e)
-    | owner when owner == ctrl ->
-      (* ours, or we are the failover successor of the minter: run the
-         chain here (the lookup answers a foreign address with typed
+let sys_mem_copy ctrl ~caller ~src ~dst ans =
+  charged_resolve2 ctrl caller src dst (function
+    | Error e -> ans (Error e)
+    | Ok (src_e, dst_e) ->
+      let src = src_e.e_addr and dst = dst_e.e_addr in
+      let rr = rreply ctrl ans in
+      (* third-party RDMA, or a pull at the source's owner — locally for
+         our own objects and when we are the failover successor of the
+         source's minter (the lookup answers a foreign address with typed
          Stale) *)
-      Sim.Engine.spawn_with invoke_here (ctrl, entry.e_addr, rr)
-    | peer ->
-      charge ctrl [ (Net.Cost.Serialize, 1) ];
-      send_peer ctrl peer
-        ~size:(Wire.invoke ~imms:[] ~caps:0)
-        (P_invoke
-           { addr = entry.e_addr; suffix_imms = []; suffix_caps = [];
-             reply = Some rr }));
-    reply_to ctrl reply (Sim.Ivar.await rr_iv)
+      if (config ctrl).hw_copies then Copy.hw_copy ctrl ~src ~dst rr
+      else
+        Directory.locate ctrl src ~err:fail_now
+          (fun rr owner ->
+            if owner == ctrl then
+              Sim.Engine.schedule_with 0 pull_here (ctrl, src, dst, rr)
+            else
+              charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
+                  send_peer ctrl owner ~size:Wire.peer_fixed
+                    (P_copy_pull { src; dst; reply = rr })))
+          rr)
+
+let sys_req_create ctrl ~caller ~tag ~imms ~caps ans =
+  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup (1 + List.length caps)
+    (fun () ->
+      match (space_of ctrl caller, resolve_cap_args ctrl caller caps) with
+      | exception Error.Fractos e -> ans (Error e)
+      | _, Error e -> ans (Error e)
+      | space, Ok caps ->
+        mint_cap ctrl space ans
+          (fun () -> "request tag=" ^ tag)
+          (Directory.mint_request ctrl ~provider:caller ~tag ~imms ~caps
+             ~parent:None))
+    ()
+
+let sys_req_derive ctrl ~caller ~parent ~imms ~caps ans =
+  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup (2 + List.length caps)
+    (fun () ->
+      match (space_of ctrl caller, resolve_cid ctrl caller parent) with
+      | exception Error.Fractos e -> ans (Error e)
+      | _, Error e -> ans (Error e)
+      | space, Ok parent_entry -> (
+        match resolve_cap_args ctrl caller caps with
+        | Error e -> ans (Error e)
+        | Ok caps ->
+          let parent = parent_entry.e_addr in
+          fresh ctrl space ans
+            ~place:(fun key rr ->
+              P_place_req { provider = caller; imms; caps; parent; key; reply = rr })
+            ~mint:(fun () ->
+              Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms ~caps
+                ~parent:(Some parent))
+            (fun () -> Printf.sprintf "request derive parent_oid=%d" parent.a_oid)))
+    ()
+
+(* [x]: the invoked Request and the [rreply] for the posting ack. *)
+let send_invoke (((ctrl, addr, rr), owner)) =
+  send_peer ctrl owner
+    ~size:(Wire.invoke ~imms:[] ~caps:0)
+    (P_invoke { addr; suffix_imms = []; suffix_caps = []; reply = Some rr })
+
+let invoke_at ((ctrl, _, _) as x) owner =
+  if owner == ctrl then
+    (* ours, or we are the failover successor of the minter: run the
+       chain here (the lookup answers a foreign address with typed
+       Stale) *)
+    Sim.Engine.schedule_with 0 invoke_here x
+  else charge_with ctrl [ (Net.Cost.Serialize, 1) ] send_invoke (x, owner)
+
+let sys_req_invoke ctrl ~caller cid ans =
+  charged_resolve1 ctrl caller cid (function
+    | Error e -> ans (Error e)
+    | Ok entry ->
+      Directory.locate ctrl entry.e_addr
+        ~err:(fun (_, _, rr) e -> fail_now rr e)
+        invoke_at
+        (ctrl, entry.e_addr, rreply ctrl ans))
 
 (* Here and in [sys_revoke] the resolve runs (and charges) before the
    space lookup, whose error wins when both fail. *)
-let sys_revtree_create ctrl ~caller cid (reply : int reply) =
-  let resolved = charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid in
-  match (space_of ctrl caller, resolved) with
-  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
-  | _, Error e -> reply_to ctrl reply (Error e)
-  | space, Ok entry -> (
-    let res =
-      Directory.at_owner ctrl entry.e_addr ~size:Wire.peer_fixed
-        ~local:(fun () -> do_revtree ctrl entry.e_addr)
-        ~make_msg:(fun rr -> P_revtree { addr = entry.e_addr; reply = rr })
-    in
-    match res with
-    | Error e -> reply_to ctrl reply (Error e)
-    | Ok child_addr ->
-      reply_to ctrl reply
-        (insert_cap ctrl space child_addr ~counts:None ~op:Obs.Audit.Mint
-           ~audit_detail:(fun () -> "revtree")))
+let sys_revtree_create ctrl ~caller cid ans =
+  charged_resolve1 ctrl caller cid (fun resolved ->
+      match (space_of ctrl caller, resolved) with
+      | exception Error.Fractos e -> ans (Error e)
+      | _, Error e -> ans (Error e)
+      | space, Ok { e_addr = addr; _ } ->
+        Directory.at_owner ctrl addr ~local:(do_revtree ctrl addr)
+          ~make_msg:(fun rr -> P_revtree { addr; reply = rr })
+          (function
+            | Error e -> ans (Error e)
+            | Ok child -> mint_cap ctrl space ans (fun () -> "revtree") child))
 
-let sys_revoke ctrl ~caller cid (reply : unit reply) =
-  let resolved = charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid in
-  match (space_of ctrl caller, resolved) with
-  | exception Error.Fractos e -> reply_to ctrl reply (Error e)
-  | _, Error e -> reply_to ctrl reply (Error e)
-  | space, Ok entry ->
-    drop_entry ctrl space cid entry;
-    if entry.e_counts <> None then
-      (* A monitored-delegation capability is a counted reference: revoking
-         it destroys the delegatee's own capability (decrementing the
-         delegator's child counter via [drop_entry]) without invalidating
-         the shared object. This is the behavioral equivalent of the
-         paper's per-delegation revocable marks on the revocation tree —
-         other delegatees of the same object are unaffected. *)
-      reply_to ctrl reply (Ok ())
-    else
-      let res =
-        Directory.at_owner ctrl entry.e_addr ~size:Wire.peer_fixed
-          ~local:(fun () -> do_revoke ctrl entry.e_addr)
-          ~make_msg:(fun rr -> P_revoke { addr = entry.e_addr; reply = rr })
-      in
-      reply_to ctrl reply res
+let sys_revoke ctrl ~caller cid ans =
+  charged_resolve1 ctrl caller cid (fun resolved ->
+      match (space_of ctrl caller, resolved) with
+      | exception Error.Fractos e -> ans (Error e)
+      | _, Error e -> ans (Error e)
+      | space, Ok entry ->
+        drop_entry ctrl space cid entry;
+        (* A monitored-delegation capability is a counted reference:
+           revoking it destroys the delegatee's own capability
+           (decrementing the delegator's child counter via [drop_entry])
+           without invalidating the shared object. This is the behavioral
+           equivalent of the paper's per-delegation revocable marks on the
+           revocation tree — other delegatees of the same object are
+           unaffected. *)
+        if entry.e_counts <> None then ans (Ok ())
+        else
+          let addr = entry.e_addr in
+          Directory.at_owner ctrl addr ~local:(do_revoke ctrl addr)
+            ~make_msg:(fun rr -> P_revoke { addr; reply = rr })
+            ans)
 
-let sys_mon_delegate ctrl ~caller cid ~cb (reply : unit reply) =
-  match charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid with
-  | Error e -> reply_to ctrl reply (Error e)
-  | Ok entry ->
-    let res =
-      Directory.at_owner ctrl entry.e_addr ~size:Wire.peer_fixed
-        ~local:(fun () ->
-          do_mon_delegate ctrl entry.e_addr ~watcher:caller ~cb)
-        ~make_msg:(fun rr ->
-          P_mon_delegate { addr = entry.e_addr; watcher = caller; cb; reply = rr })
-    in
-    (match res with
-    | Ok () ->
-      entry.e_delegator <- true;
-      audit ctrl Obs.Audit.Monitor_delegate ~pid:caller.pid ~cid entry.e_addr
-    | Error _ -> ());
-    reply_to ctrl reply res
+(* monitor_delegate / monitor_receive: register [caller] at the object's
+   owner, then [on_ok entry] here. *)
+let sys_monitor ctrl ~caller cid ans ~local ~make_msg on_ok =
+  charged_resolve1 ctrl caller cid (function
+    | Error e -> ans (Error e)
+    | Ok entry ->
+      let addr = entry.e_addr in
+      Directory.at_owner ctrl addr
+        ~local:(fun k -> k (local addr))
+        ~make_msg:(make_msg addr)
+        (fun res ->
+          if Result.is_ok res then on_ok entry;
+          ans res))
 
-let sys_mon_receive ctrl ~caller cid ~cb (reply : unit reply) =
-  match charged_resolve1 ctrl caller ~base:[ (Net.Cost.Msg, 1) ] cid with
-  | Error e -> reply_to ctrl reply (Error e)
-  | Ok entry ->
-    let res =
-      Directory.at_owner ctrl entry.e_addr ~size:Wire.peer_fixed
-        ~local:(fun () -> do_mon_receive ctrl entry.e_addr ~watcher:caller ~cb)
-        ~make_msg:(fun rr ->
-          P_mon_receive { addr = entry.e_addr; watcher = caller; cb; reply = rr })
-    in
-    (match res with
-    | Ok () ->
-      audit ctrl Obs.Audit.Monitor_receive ~pid:caller.pid ~cid entry.e_addr
-    | Error _ -> ());
-    reply_to ctrl reply res
-
-let dispatch_syscall ctrl msg =
+let dispatch_syscall ctrl msg k =
   match msg with
   | Sys_null reply ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    reply_to ctrl reply (Ok ())
+    charge_with ctrl [ (Net.Cost.Msg, 1) ] (answer ctrl reply k) (Ok ())
   | Sys_mem_create { buf; off; len; perms; reply } ->
-    sys_mem_create ctrl ~caller:reply.r_proc buf ~off ~len perms reply
+    sys_mem_create ctrl ~caller:reply.r_proc buf ~off ~len perms
+      (answer ctrl reply k)
   | Sys_mem_diminish { cid; off; len; drop; reply } ->
-    sys_mem_diminish ctrl ~caller:reply.r_proc cid ~off ~len ~drop reply
+    sys_mem_diminish ctrl ~caller:reply.r_proc cid ~off ~len ~drop
+      (answer ctrl reply k)
   | Sys_mem_copy { src; dst; reply } ->
-    sys_mem_copy ctrl ~caller:reply.r_proc ~src ~dst reply
+    sys_mem_copy ctrl ~caller:reply.r_proc ~src ~dst (answer ctrl reply k)
   | Sys_req_create { tag; imms; caps; reply } ->
-    sys_req_create ctrl ~caller:reply.r_proc ~tag ~imms ~caps reply
+    sys_req_create ctrl ~caller:reply.r_proc ~tag ~imms ~caps
+      (answer ctrl reply k)
   | Sys_req_derive { parent; imms; caps; reply } ->
-    sys_req_derive ctrl ~caller:reply.r_proc ~parent ~imms ~caps reply
+    sys_req_derive ctrl ~caller:reply.r_proc ~parent ~imms ~caps
+      (answer ctrl reply k)
   | Sys_req_invoke { cid; reply } ->
-    sys_req_invoke ctrl ~caller:reply.r_proc cid reply
+    sys_req_invoke ctrl ~caller:reply.r_proc cid (answer ctrl reply k)
   | Sys_revtree_create { cid; reply } ->
-    sys_revtree_create ctrl ~caller:reply.r_proc cid reply
-  | Sys_revoke { cid; reply } -> sys_revoke ctrl ~caller:reply.r_proc cid reply
+    sys_revtree_create ctrl ~caller:reply.r_proc cid (answer ctrl reply k)
+  | Sys_revoke { cid; reply } ->
+    sys_revoke ctrl ~caller:reply.r_proc cid (answer ctrl reply k)
   | Sys_mon_delegate { cid; cb; reply } ->
-    sys_mon_delegate ctrl ~caller:reply.r_proc cid ~cb reply
+    let caller = reply.r_proc in
+    sys_monitor ctrl ~caller cid (answer ctrl reply k)
+      ~local:(do_mon_delegate ctrl ~watcher:caller ~cb)
+      ~make_msg:(fun addr rr ->
+        P_mon_delegate { addr; watcher = caller; cb; reply = rr })
+      (fun entry ->
+        entry.e_delegator <- true;
+        audit ctrl Obs.Audit.Monitor_delegate ~pid:caller.pid ~cid entry.e_addr)
   | Sys_mon_receive { cid; cb; reply } ->
-    sys_mon_receive ctrl ~caller:reply.r_proc cid ~cb reply
-  | Sys_credit proc -> (
-    match Hashtbl.find ctrl.windows proc.pid with
+    let caller = reply.r_proc in
+    sys_monitor ctrl ~caller cid (answer ctrl reply k)
+      ~local:(do_mon_receive ctrl ~watcher:caller ~cb)
+      ~make_msg:(fun addr rr ->
+        P_mon_receive { addr; watcher = caller; cb; reply = rr })
+      (fun entry ->
+        audit ctrl Obs.Audit.Monitor_receive ~pid:caller.pid ~cid entry.e_addr)
+  | Sys_credit proc ->
+    (match Hashtbl.find ctrl.windows proc.pid with
     | w -> Sim.Semaphore.release w
-    | exception Not_found -> ())
+    | exception Not_found -> ());
+    k ()
 
 let syscall_name = function
   | Sys_null _ -> "null"
@@ -280,7 +269,7 @@ let handle_syscall ctrl msg =
   | Sys_credit _ ->
     (* flow-control credits are not requests: keep them out of the
        syscall counter and trace *)
-    dispatch_syscall ctrl msg
+    dispatch_syscall ctrl msg stop
   | _ ->
     Obs.Metrics.incr ctrl.cm.cm_syscalls;
     Obs.Metrics.set ctrl.cm.cm_sys_backlog (Net.Endpoint.pending ctrl.sys_ep);
@@ -289,9 +278,8 @@ let handle_syscall ctrl msg =
     if Obs.Journal.enabled () then
       journal ctrl Obs.Journal.Debug "ctrl.admit" (fun () -> syscall_name msg);
     if Obs.Span.enabled () then
-      span ctrl ("ctrl." ^ syscall_name msg) (fun () ->
-          dispatch_syscall ctrl msg)
-    else dispatch_syscall ctrl msg
+      span ctrl ("ctrl." ^ syscall_name msg) (dispatch_syscall ctrl msg) stop
+    else dispatch_syscall ctrl msg stop
 
 (* Fail a syscall's reply path without running any controller software:
    used when the controller has crashed (the caller's QP times out,
@@ -336,92 +324,93 @@ let shed_syscall ctrl msg =
 (* Peer message handlers                                               *)
 (* ------------------------------------------------------------------ *)
 
-let dispatch_peer ctrl msg =
+(* A peer message's handler, after the message's own charge
+   ([peer_units]). *)
+let serve_peer (ctrl, msg, k) =
   match msg with
   | P_invoke { addr; suffix_imms; suffix_caps; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Serialize, 1) ];
-    Invoke.do_invoke ctrl addr suffix_imms suffix_caps reply
+    Invoke.do_invoke ctrl addr suffix_imms suffix_caps reply k
   | P_diminish { addr; off; len; drop; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    rreply_to ctrl reply (do_diminish ctrl addr ~off ~len ~drop)
+    do_diminish ctrl addr ~off ~len ~drop (fun v -> rreply_to ctrl reply v k)
   | P_revtree { addr; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    rreply_to ctrl reply (do_revtree ctrl addr)
+    do_revtree ctrl addr (fun v -> rreply_to ctrl reply v k)
   | P_revoke { addr; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    rreply_to ctrl reply (do_revoke ctrl addr)
+    do_revoke ctrl addr (fun v -> rreply_to ctrl reply v k)
   | P_cleanup { addr; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ];
     cleanup_local ctrl addr;
-    rreply_to ctrl reply (Ok ())
+    rreply_to ctrl reply (Ok ()) k
   | P_increment { addr } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    apply_increment ctrl addr
-  | P_decrement { addr } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    apply_decrement ctrl addr
+    apply_increment ctrl addr;
+    k ()
+  | P_decrement { addr } -> apply_decrement ctrl addr k
   | P_ref_inc { addr; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
     ref_inc ctrl addr;
-    rreply_to ctrl reply (Ok ())
+    rreply_to ctrl reply (Ok ()) k
   | P_ref_dec { addr } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    ref_dec ctrl addr
+    ref_dec ctrl addr;
+    k ()
   | P_mon_delegate { addr; watcher; cb; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ];
-    rreply_to ctrl reply (do_mon_delegate ctrl addr ~watcher ~cb)
+    rreply_to ctrl reply (do_mon_delegate ctrl ~watcher ~cb addr) k
   | P_mon_receive { addr; watcher; cb; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ];
-    rreply_to ctrl reply (do_mon_receive ctrl addr ~watcher ~cb)
-  | P_copy_pull { src; dst; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    Copy.do_copy_pull ctrl ~src ~dst reply
+    rreply_to ctrl reply (do_mon_receive ctrl ~watcher ~cb addr) k
+  | P_copy_pull { src; dst; reply } -> Copy.do_copy_pull ctrl ~src ~dst reply k
   | P_copy_open { copy_id; dst; base; total; chunk } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    Copy.on_open ctrl ~copy_id ~dst ~base ~total ~chunk
-  | P_copy_chunk { copy_id; chunk } -> Copy.on_chunk ctrl ~copy_id ~chunk
+    Copy.on_open ctrl ~copy_id ~dst ~base ~total ~chunk k
+  | P_copy_chunk { copy_id; chunk } -> Copy.on_chunk ctrl ~copy_id ~chunk k
   | P_place_mem { buf; off; len; perms; owner; key; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ];
     Directory.place_at_home ctrl reply ~key
       (Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner)
+      k
   | P_place_req { provider; imms; caps; parent; key; reply } ->
-    charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Serialize, 1) ];
     Directory.place_at_home ctrl reply ~key
       (Directory.mint_request ctrl ~provider ~tag:"" ~imms ~caps
          ~parent:(Some parent))
+      k
   | P_place_ack { caller; key } ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    Hashtbl.remove ctrl.placed_pending (caller, key)
+    Hashtbl.remove ctrl.placed_pending (caller, key);
+    k ()
 
-let peer_name = function
-  | P_invoke _ -> "invoke"
-  | P_diminish _ -> "diminish"
-  | P_revtree _ -> "revtree"
-  | P_revoke _ -> "revoke"
-  | P_cleanup _ -> "cleanup"
-  | P_increment _ -> "increment"
-  | P_decrement _ -> "decrement"
-  | P_ref_inc _ -> "ref_inc"
-  | P_ref_dec _ -> "ref_dec"
-  | P_mon_delegate _ -> "mon_delegate"
-  | P_mon_receive _ -> "mon_receive"
-  | P_copy_pull _ -> "copy_pull"
-  | P_copy_open _ -> "copy_open"
-  | P_copy_chunk _ -> "copy_chunk"
-  | P_place_mem _ -> "place_mem"
-  | P_place_req _ -> "place_req"
-  | P_place_ack _ -> "place_ack"
+(* Each peer message's name and the charge its handler starts with. *)
+let peer_kind =
+  let msg = [ (Net.Cost.Msg, 1) ]
+  and lookup = [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ]
+  and serialize = [ (Net.Cost.Msg, 1); (Net.Cost.Serialize, 1) ] in
+  function
+  | P_invoke _ -> ("invoke", serialize)
+  | P_diminish _ -> ("diminish", msg)
+  | P_revtree _ -> ("revtree", msg)
+  | P_revoke _ -> ("revoke", msg)
+  | P_cleanup _ -> ("cleanup", lookup)
+  | P_increment _ -> ("increment", msg)
+  | P_decrement _ -> ("decrement", msg)
+  | P_ref_inc _ -> ("ref_inc", msg)
+  | P_ref_dec _ -> ("ref_dec", msg)
+  | P_mon_delegate _ -> ("mon_delegate", lookup)
+  | P_mon_receive _ -> ("mon_receive", lookup)
+  | P_copy_pull _ -> ("copy_pull", msg)
+  | P_copy_open _ -> ("copy_open", msg)
+  | P_copy_chunk _ -> ("copy_chunk", [])
+  | P_place_mem _ -> ("place_mem", lookup)
+  | P_place_req _ -> ("place_req", serialize)
+  | P_place_ack _ -> ("place_ack", msg)
+
+(* A copy chunk costs no controller time of its own, so it is served at
+   once, without the charge's argument tuple: it is the per-chunk path. *)
+let dispatch_peer ctrl msg k =
+  match msg with
+  | P_copy_chunk { copy_id; chunk } -> Copy.on_chunk ctrl ~copy_id ~chunk k
+  | _ -> charge_with ctrl (snd (peer_kind msg)) serve_peer (ctrl, msg, k)
 
 let handle_peer ctrl msg =
   Obs.Metrics.incr ctrl.cm.cm_peer_msgs;
   Obs.Metrics.set ctrl.cm.cm_peer_backlog (Net.Endpoint.pending ctrl.peer_ep);
   if Obs.Span.enabled () then
-    span ctrl ("ctrl.peer." ^ peer_name msg) (fun () -> dispatch_peer ctrl msg)
-  else dispatch_peer ctrl msg
+    span ctrl ("ctrl.peer." ^ fst (peer_kind msg)) (dispatch_peer ctrl msg) stop
+  else dispatch_peer ctrl msg stop
 
 let reject_peer msg =
   let kill : type a. a rreply -> unit =
-   fun rr -> Sim.Ivar.fill rr.rr_ivar (Error Error.Ctrl_unreachable)
+   fun rr -> rr_fill rr (Error Error.Ctrl_unreachable)
   in
   match msg with
   | P_invoke { reply = Some rr; _ } -> kill rr
@@ -431,7 +420,7 @@ let reject_peer msg =
   | P_revoke { reply; _ } -> kill reply
   | P_cleanup { reply; _ } ->
     (* a dead controller holds no capabilities: cleanup trivially done *)
-    Sim.Ivar.fill reply.rr_ivar (Ok ())
+    rr_fill reply (Ok ())
   | P_increment _ | P_decrement _ | P_ref_dec _ -> ()
   | P_ref_inc { reply; _ } -> kill reply
   | P_mon_delegate { reply; _ } -> kill reply
@@ -519,6 +508,7 @@ let create fabric ~node =
             Obs.Metrics.counter ~node:nn "ctrl.place_timeouts";
           cm_place_reclaims =
             Obs.Metrics.counter ~node:nn "ctrl.place_reclaims";
+          cm_tail_failures = Obs.Metrics.counter ~node:nn "ctrl.tail_failures";
         };
     }
   in
@@ -570,58 +560,49 @@ let shard_mark ctrl live =
             g.sg_gen)
     end
 
-(* Message-loop skeleton shared by the syscall and peer endpoints. One
-   blocking [recv] wakes the loop (paying the doorbell charge, if the
-   config splits one out of c_msg), then up to [ctrl_batch - 1] further
-   already-queued messages are drained with [try_recv] under the same
-   wakeup — doorbell coalescing. With the default knobs (batch = 1,
-   doorbell = 0) this is one plain [recv] per message.
+(* Message-loop skeleton shared by the syscall and peer endpoints, as
+   steps: the endpoint hands the loop each message that arrives while it
+   waits ([Net.Endpoint.recv_then]). One wake-up takes a message (paying
+   the doorbell charge, if the config splits one out of c_msg), then up
+   to [ctrl_batch - 1] further already-queued messages under the same
+   wake-up — doorbell coalescing. With the default knobs (batch = 1,
+   doorbell = 0) this is one plain receive per message.
 
-   A message whose handler never blocks ([inline msg]) runs as an engine
-   event at the current instant instead of in a fiber of its own: the
-   event takes the heap slot the fiber's start would, so same-instant
+   Every handler runs as an engine event of its own at the current
+   instant, the heap slot a fiber's start would take, so same-instant
    events keep their order. The loop's functions, [handle ctrl] among
-   them, are built once per loop, so a message costs its event and, for
-   a blocking handler, its fiber, but no closure. *)
-let service_loop ctrl ~name ep ~inline handle reject =
+   them, are built once per loop, so a message costs its event but no
+   closure. *)
+let service_loop ctrl ep handle reject =
   let cfg = config ctrl in
   let batch = max 1 cfg.Net.Config.ctrl_batch in
   let doorbell = cfg.Net.Config.c_doorbell in
-  Sim.Engine.spawn ~name (fun () ->
-      let handle = handle ctrl in
-      let dispatch msg =
-        if not ctrl.running then reject msg
-        else if inline msg then Sim.Engine.schedule_with 0 handle msg
-        else Sim.Engine.spawn_with handle msg
-      in
-      let rec drain k =
-        if k < batch then
-          match Net.Endpoint.try_recv ep with
-          | Some msg ->
-            dispatch msg;
-            drain (k + 1)
-          | None -> ()
-      in
-      let rec loop () =
-        let msg = Net.Endpoint.recv ep in
-        if doorbell > 0 then charge_scaled ctrl Net.Cost.Msg doorbell;
+  let handle = handle ctrl in
+  let dispatch msg =
+    if not ctrl.running then reject msg
+    else Sim.Engine.schedule_with 0 handle msg
+  in
+  let rec drain k =
+    if k < batch then
+      match Net.Endpoint.try_recv ep with
+      | Some msg ->
         dispatch msg;
-        drain 1;
-        loop ()
-      in
-      loop ())
-
-(* The handlers that never block: a credit releases a semaphore, and a
-   copy chunk feeds its session's channel, parks, or answers a rejected
-   session through [rreply_from_event]. *)
-let sys_inline = function Sys_credit _ -> true | _ -> false
-let peer_inline = function P_copy_chunk _ -> true | _ -> false
+        drain (k + 1)
+      | None -> ()
+  in
+  let rec rung msg =
+    dispatch msg;
+    drain 1;
+    Net.Endpoint.recv_then ep wake
+  and wake msg =
+    if doorbell > 0 then charge_scaled ctrl Net.Cost.Msg doorbell rung msg
+    else rung msg
+  in
+  Net.Endpoint.recv_then ep wake
 
 let start ctrl =
-  service_loop ctrl ~name:"ctrl.sys" ctrl.sys_ep ~inline:sys_inline
-    handle_syscall reject_syscall;
-  service_loop ctrl ~name:"ctrl.peer" ctrl.peer_ep ~inline:peer_inline
-    handle_peer reject_peer
+  service_loop ctrl ctrl.sys_ep handle_syscall reject_syscall;
+  service_loop ctrl ctrl.peer_ep handle_peer reject_peer
 
 let attach ctrl proc =
   (match proc.pctrl with
@@ -644,14 +625,14 @@ let grant ctrl proc addr =
   match space_of ctrl proc with
   | exception Error.Fractos _ ->
     invalid_arg "Controller.grant: process not attached"
-  | space -> (
-    match
-      insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Delegate
-        ~audit_detail:(fun () -> "grant")
-    with
-    | Ok cid -> cid
-    | Error e ->
-      invalid_arg ("Controller.grant: " ^ Error.to_string e))
+  | space ->
+    let iv = Sim.Ivar.create () in
+    (* the caller's fiber awaits [iv]: the owner's acknowledgment (under
+       track_delegations) resumes it directly *)
+    insert_cap ~ctx:(-1) ctrl space addr ~counts:None ~op:Obs.Audit.Delegate
+      ~audit_detail:(fun () -> "grant")
+      (Sim.Ivar.fill iv);
+    iv
 
 let addr_of_cid ctrl proc cid =
   match resolve_cid ctrl proc cid with
@@ -684,9 +665,9 @@ let fail_process ctrl proc =
           | O_memory _ | O_request _ | O_indirect -> acc)
       ctrl.objects []
   in
-  List.iter
-    (fun obj -> if obj.o_valid then invalidate_at_owner ctrl obj)
-    owned
+  each
+    (fun obj k -> if obj.o_valid then invalidate_at_owner ctrl obj k else k ())
+    owned stop
 
 let fail ctrl =
   journal ctrl Obs.Journal.Error "ctrl.crash" (fun () ->

@@ -10,9 +10,10 @@
     buffering (or third-party RDMA when the fabric supports it), capability
     monitors, congestion control, and failure translation.
 
-    A Controller runs as two service fibers (one per queue: Process
-    syscalls and peer messages), modeling the prototype's two polling
-    cores; all software costs are charged to a 2-server CPU
+    A Controller serves two queues (Process syscalls and peer messages),
+    modeling the prototype's two polling cores. Its work runs as
+    run-to-completion engine events, never in fibers: every fiber belongs
+    to a Process. All software costs are booked on a 2-server CPU
     {!Fractos_sim.Resource.t} scaled by the node kind it runs on (host CPU
     vs SmartNIC — see {!Fractos_net.Cost}). *)
 
@@ -39,18 +40,21 @@ val connect_shards : t list -> unit
     objects and derived Requests are scattered across the group. *)
 
 val start : t -> unit
-(** Spawn the service loops. Must run inside {!Fractos_sim.Engine.run}. *)
+(** Start serving both queues. Must run inside {!Fractos_sim.Engine.run}. *)
 
 val attach : t -> proc -> unit
 (** Register a Process with this Controller: creates its capability space
     and congestion window, and connects its queues. A Process attaches to
     exactly one Controller. *)
 
-val grant : t -> proc -> addr -> int
+val grant : t -> proc -> addr -> (int, Error.t) result Sim.Ivar.t
 (** Trusted bootstrap: insert a capability to [addr] directly into the
-    Process's space, returning the new cid. Models the operator's
+    Process's space; the ivar gets the new cid. Models the operator's
     pre-deployed resource-management service handing out initial
-    capabilities; zero simulated cost. *)
+    capabilities; zero simulated cost. It is filled at once, or under
+    {!Net.Config.track_delegations} with a remote owner once the owner has
+    acknowledged (or the wait timed out), which the caller awaits. Raises
+    [Invalid_argument] for a process not attached to this Controller. *)
 
 val addr_of_cid : t -> proc -> int -> addr option
 (** Debug/testbed introspection: resolve a Process's cid. *)

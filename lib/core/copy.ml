@@ -49,33 +49,31 @@ let drop_chunk ck =
   ck.ck_pin <- Membuf.no_pin
 
 (* Staging memcpy of [len] bytes through a bounce buffer, charged to the
-   controller's cores. *)
-let stage ctrl len =
+   controller's cores; [g x] follows. *)
+let stage ctrl len g x =
   let cfg = config ctrl in
-  Sim.Resource.use ctrl.cpu
+  Sim.Resource.use_then ctrl.cpu
     ~duration:
       (Net.Config.scale_time cfg.scale_ctrl
          (Net.Config.bytes_time ~bw_bps:Net.Config.memcpy_bw_bps len))
+    g x
 
-(* RDMA read of a [len]-byte source chunk into the bounce buffer, then
-   its staging memcpy. *)
-let read_chunk ctrl (m : mem) len =
-  if len > 0 then begin
-    Net.Fabric.transfer ctrl.fabric ~src:m.m_buf.Membuf.node ~dst:ctrl.cnode
-      ~cls:Net.Stats.Data ~size:len ();
-    stage ctrl len
-  end
+(* [body k] under a chunk span (traced runs only: the caller tests
+   [Obs.Span.enabled], so that untraced chunks build no closure). *)
+let chunk_span ctrl name ~off ~len body k =
+  span ctrl
+    ~attrs:(fun () -> [ ("off", string_of_int off); ("len", string_of_int len) ])
+    name body k
 
-(* [f x] under a chunk span. Untraced, this is the direct call: no
-   attribute thunk and no closure (HACKING.md, "Hot path"). *)
-let chunk_span ctrl name ~off ~len f x =
-  if Obs.Span.enabled () then
-    span ctrl
-      ~attrs:(fun () ->
-        [ ("off", string_of_int off); ("len", string_of_int len) ])
-      name
-      (fun () -> f x)
-  else f x
+(* A chunk of a session that will not be written releases its pin; the
+   final chunk carries [e] to the caller. *)
+let reject_chunk ctrl ~copy_id e (ck : copy_chunk) k =
+  drop_chunk ck;
+  match ck.ck_last with
+  | Some rr ->
+    Hashtbl.remove ctrl.copy_failures copy_id;
+    rreply_to ctrl rr (Error e) k
+  | None -> k ()
 
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
    session's chunks parked in [copy_pending] — and a dropped final chunk
@@ -95,16 +93,11 @@ let schedule_pending_sweep ctrl copy_id q =
       match Hashtbl.find_opt ctrl.copy_pending copy_id with
       | Some q' when q' == q ->
         reclaim_orphan ctrl ctrl.copy_pending copy_id "pending";
-        (* scheduled events run outside any fiber: the Timeout reply
-           charges cpu time, so hop into a fresh fiber *)
-        Sim.Engine.spawn (fun () ->
-            Queue.iter
-              (fun ck ->
-                drop_chunk ck;
-                match ck.ck_last with
-                | Some rr -> rreply_to ctrl rr (Error Error.Timeout)
-                | None -> ())
-              q')
+        (* the Timeout reply is a charged step: it starts from an event of
+           its own, as the fiber it replaces did *)
+        let parked = List.of_seq (Queue.to_seq q) in
+        Sim.Engine.schedule 0 (fun () ->
+            each (reject_chunk ctrl ~copy_id Error.Timeout) parked stop)
       | Some _ | None -> ())
 
 let schedule_failure_sweep ctrl copy_id =
@@ -127,65 +120,61 @@ let write_chunk dst_mem ~base ~total ck len =
     ~whole:(ck.ck_off = 0 && total = Membuf.size dst_mem.m_buf);
   ck.ck_pin <- Membuf.no_pin
 
-(* Destination side: one writer fiber per copy session, consuming in-order
-   chunks, staging them through the bounce buffer and RDMA-writing into the
-   destination process's memory. The writer counts delivered bytes: if the
-   final chunk lands with incomplete coverage (a middle chunk was dropped
-   by fault injection — the endpoint layer already absorbs duplicates), it
-   must answer with a typed error, not ack a silent hole. Fault-free
-   sessions always cover [total] exactly. *)
+(* Destination side: one writer per copy session, taking in-order chunks
+   (a few steps each), staging them through the bounce buffer and
+   RDMA-writing them into the destination process's memory. The writer
+   counts delivered bytes: if the final chunk lands with incomplete
+   coverage (a middle chunk was dropped by fault injection — the endpoint
+   layer already absorbs duplicates), it must answer with a typed error,
+   not ack a silent hole. Fault-free sessions always cover [total]
+   exactly. Its functions are built once per session and it starts from
+   an event of its own. *)
 let start_copy_session ctrl ~copy_id ~base ~total ~dst_mem =
-  let chan = Sim.Channel.create () in
+  let chan = Sim.Channel.create () and received = ref 0 in
   Hashtbl.replace ctrl.copy_sessions copy_id chan;
-  (* one closure block for both functions, shared by the fiber *)
-  let rec write ck =
+  let rec next () = Sim.Channel.recv_then chan write
+  and write ck =
     let len = ck_len ctrl ~total ck in
-    if len > 0 then begin
-      (* staging memcpy through the bounce buffer *)
-      stage ctrl len;
-      write_chunk dst_mem ~base ~total ck len;
-      (* RDMA write from the bounce buffer into process memory *)
-      Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode
-        ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len ()
-    end
-  and loop received =
-    let ck = Sim.Channel.recv chan in
-    let len = ck_len ctrl ~total ck in
-    let received = received + len in
-    chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len write ck;
+    received := !received + len;
+    if Obs.Span.enabled () then
+      chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len (store len ck)
+        written
+    else store len ck written
+  and store len ck k =
+    if len = 0 then k ck
+    else
+      (* staging memcpy through the bounce buffer, then the RDMA write
+         into process memory *)
+      stage ctrl len
+        (fun () ->
+          write_chunk dst_mem ~base ~total ck len;
+          Net.Fabric.transfer_then ctrl.fabric ~src:ctrl.cnode
+            ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len k ck)
+        ()
+  and written ck =
     match ck.ck_last with
+    | None -> next ()
     | Some rr ->
       Hashtbl.remove ctrl.copy_sessions copy_id;
       rreply_to ctrl rr
-        (if received >= total then Ok () else Error Error.Timeout)
-    | None -> loop received
+        (if !received >= total then Ok () else Error Error.Timeout)
+        stop
   in
-  Sim.Engine.spawn (fun () -> loop 0)
+  Sim.Engine.schedule 0 next;
+  chan
 
 (* Validate and open a copy session on the first (optimistic) chunk. On
    failure the error is parked until the final chunk's reply path. *)
-let do_copy_open ctrl ~copy_id ~dst ~base ~total =
-  charge ctrl [ (Net.Cost.Lookup, 2) ];
-  let validated =
-    match
-      Capspace.find_memory ctrl dst
-        ~not_memory:"memory_copy destination is not Memory"
-    with
-    | Error e -> Error e
-    | Ok (_, m) ->
-      if not m.m_perms.Perms.write then Error Error.Perm_denied
-      else if total > m.m_len then Error Error.Bounds
-      else if not m.m_owner.alive then Error Error.Provider_dead
-      else Ok m
-  in
-  match validated with
-  | Ok m ->
-    start_copy_session ctrl ~copy_id ~base ~total ~dst_mem:m;
-    Ok ()
-  | Error e ->
-    Hashtbl.replace ctrl.copy_failures copy_id e;
-    schedule_failure_sweep ctrl copy_id;
-    Error e
+let open_session ctrl ~copy_id ~dst ~base ~total =
+  match
+    Capspace.find_memory ctrl dst
+      ~not_memory:"memory_copy destination is not Memory"
+  with
+  | Ok (_, m) when not m.m_perms.Perms.write -> Error Error.Perm_denied
+  | Ok (_, m) when total > m.m_len -> Error Error.Bounds
+  | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
+  | Ok (_, m) -> Ok (start_copy_session ctrl ~copy_id ~base ~total ~dst_mem:m)
+  | Error e -> Error e
 
 (* Source side (we own the source object): validate, open the session at
    the destination owner, then stream chunks. With double buffering the
@@ -200,71 +189,94 @@ let do_copy_open ctrl ~copy_id ~dst ~base ~total =
    Staging pins the source's current store and copies or allocates
    nothing: a store into the source afterwards (after a revoke, say)
    copies the source's bytes instead, so it never reaches the
-   destination. *)
-let do_copy_chunks ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id
-    (rr : unit rreply) =
-  let cfg = config ctrl in
-  let chunk = cfg.bounce_chunk in
-  let n = n_chunks m.m_len chunk in
-  let send_chunk i =
-    let off = i * chunk and len = chunk_len m.m_len chunk i in
-    read_chunk ctrl m len;
-    let ck_pin =
-      if len = 0 then Membuf.no_pin
-      else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len
-    in
+   destination. The loop's functions are built once per copy. *)
+let copy_chunks ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) k =
+  let chunk = (config ctrl).bounce_chunk in
+  let n = n_chunks m.m_len chunk and i = ref 0 and after = ref stop in
+  let len () = chunk_len m.m_len chunk !i in
+  let rec next () =
+    if !i = n then k ()
+    else if Obs.Span.enabled () then
+      chunk_span ctrl "ctrl.copy.chunk" ~off:(!i * chunk) ~len:(len ())
+        (fun k ->
+          after := k;
+          read ())
+        sent
+    else begin
+      after := sent;
+      read ()
+    end
+  and sent () =
+    incr i;
+    next ()
+  (* RDMA read of the chunk's source range into the bounce buffer, then
+     its staging memcpy *)
+  and read () =
+    if len () = 0 then post ()
+    else
+      Net.Fabric.transfer_then ctrl.fabric ~src:m.m_buf.Membuf.node
+        ~dst:ctrl.cnode ~cls:Net.Stats.Data ~size:(len ()) staged ()
+  and staged () = stage ctrl (len ()) post ()
+  and post () =
+    let len = len () in
     let ck =
-      { ck_off = off; ck_pin; ck_last = (if i = n - 1 then Some rr else None) }
-    in
-    let msg =
-      if i = 0 then
-        P_copy_open
-          { copy_id; dst; base = m.m_off; total = m.m_len; chunk = ck }
-      else P_copy_chunk { copy_id; chunk = ck }
+      {
+        ck_off = !i * chunk;
+        ck_pin =
+          (if len = 0 then Membuf.no_pin
+           else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len);
+        ck_last = (if !i = n - 1 then Some rr else None);
+      }
     in
     Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
-      ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header) msg;
+      ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header)
+      (if !i = 0 then
+         P_copy_open { copy_id; dst; base = m.m_off; total = m.m_len; chunk = ck }
+       else P_copy_chunk { copy_id; chunk = ck });
     Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len;
-    if not cfg.double_buffering then
-      (* strict serial chunks: wait out the wire time before
-         reading the next chunk *)
-      Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode ~dst:dst_ctrl.cnode
-        ~cls:Net.Stats.Control ~size:1 ()
+    if not (config ctrl).double_buffering then
+      (* strict serial chunks: wait out the wire time before reading the
+         next chunk *)
+      Net.Fabric.transfer_then ctrl.fabric ~src:ctrl.cnode ~dst:dst_ctrl.cnode
+        ~cls:Net.Stats.Control ~size:1 !after ()
+    else !after ()
   in
-  for i = 0 to n - 1 do
-    chunk_span ctrl "ctrl.copy.chunk" ~off:(i * chunk)
-      ~len:(chunk_len m.m_len chunk i) send_chunk i
-  done
+  next ()
 
-let do_copy_pull ctrl ~src ~dst (rr : unit rreply) =
-  span ctrl
-    ~attrs:(fun () -> [ ("src_oid", string_of_int src.a_oid) ])
-    "ctrl.copy"
-  @@ fun () ->
-  charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup;
-  charge ctrl [ (Net.Cost.Lookup, 2) ];
-  match
-    Capspace.find_memory ctrl src ~not_memory:"memory_copy source is not Memory"
-  with
-  | Error e -> rreply_to ctrl rr (Error e)
-  | Ok (_, m) -> (
-    if not m.m_perms.Perms.read then rreply_to ctrl rr (Error Error.Perm_denied)
-    else if not m.m_owner.alive then
-      (* symmetric with do_copy_open's destination check: never read a
-         dead owner's buffer *)
-      rreply_to ctrl rr (Error Error.Provider_dead)
-    else
-      (* destination routing goes through the shard directory too: a
-         self-successor destination loops back through our own peer
-         endpoint, where the open fails typed-Stale and the final chunk
-         carries the error home *)
-      match Directory.locate ctrl dst with
-      | exception Error.Fractos e -> rreply_to ctrl rr (Error e)
-      | dst_ctrl ->
-        let next_copy_id = Domain.DLS.get next_copy_id in
-        incr next_copy_id;
-        let copy_id = !next_copy_id in
-        do_copy_chunks ctrl ~dst ~dst_ctrl ~m ~copy_id rr)
+let copy_pull ctrl ~src ~dst (rr : unit rreply) k =
+  charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup (fun () ->
+      charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
+          match
+            Capspace.find_memory ctrl src
+              ~not_memory:"memory_copy source is not Memory"
+          with
+          | Error e -> rreply_to ctrl rr (Error e) k
+          | Ok (_, m) when not m.m_perms.Perms.read ->
+            rreply_to ctrl rr (Error Error.Perm_denied) k
+          | Ok (_, m) when not m.m_owner.alive ->
+            (* symmetric with open_session's destination check: never
+               read a dead owner's buffer *)
+            rreply_to ctrl rr (Error Error.Provider_dead) k
+          | Ok (_, m) ->
+            (* destination routing goes through the shard directory too: a
+               self-successor destination loops back through our own peer
+               endpoint, where the open fails typed-Stale and the final
+               chunk carries the error home *)
+            Directory.locate ctrl dst
+              ~err:(fun () e -> rreply_to ctrl rr (Error e) k)
+              (fun () dst_ctrl ->
+                let next_copy_id = Domain.DLS.get next_copy_id in
+                incr next_copy_id;
+                copy_chunks ctrl ~dst ~dst_ctrl ~m ~copy_id:!next_copy_id rr k)
+              ()))
+    ()
+
+let do_copy_pull ctrl ~src ~dst (rr : unit rreply) k =
+  if Obs.Span.enabled () then
+    span ctrl
+      ~attrs:(fun () -> [ ("src_oid", string_of_int src.a_oid) ])
+      "ctrl.copy" (copy_pull ctrl ~src ~dst rr) k
+  else copy_pull ctrl ~src ~dst rr k
 
 (* The one-sided write has landed at the destination node [dst]: finish
    its span and acknowledge to the waiting controller, once. *)
@@ -273,7 +285,7 @@ let hw_landed o =
     let rr = o.to_ and dst, sp = o.d in
     Obs.Span.finish sp;
     Net.Fabric.send_with rr.rr_ctrl.fabric ~src:dst ~dst:rr.rr_ctrl.cnode
-      ~size:Wire.response fill_reply (rr.rr_ivar, Ok ())
+      ~size:Wire.response deliver_reply (rr.rr_ctrl, rr, Ok ())
   end
 
 (* Hardware third-party RDMA (the paper's "HW copies" projection): the
@@ -301,84 +313,74 @@ let do_copy_hw ctrl ~src_mem ~dst_mem (rr : unit rreply) =
 (* The caller's controller must be able to resolve both extents. The
    hw-copies projection (Fig. 5) is measured with objects registered at
    the caller's controller; remote owners fall back on a peer extent
-   query. *)
+   query: one control round trip before [k] gets the extent. *)
+let hw_resolve ctrl addr k =
+  match peer_of_addr ctrl addr with
+  | exception Error.Fractos e -> k (Error e)
+  | owner -> (
+    match Capspace.find_memory owner addr ~not_memory:"not memory" with
+    | Error e -> k (Error e)
+    | Ok (_, m) when owner == ctrl -> k (Ok m)
+    | Ok (_, m) ->
+      let fab = ctrl.fabric in
+      Net.Fabric.transfer_then fab ~src:ctrl.cnode ~dst:owner.cnode
+        ~size:Wire.peer_fixed
+        (fun () ->
+          Net.Fabric.transfer_then fab ~src:owner.cnode ~dst:ctrl.cnode
+            ~size:Wire.response k (Ok m))
+        ())
+
+(* The destination is resolved first, then the source; a source error
+   wins when both fail. A failure is at hand before anything was sent, so
+   [rr]'s continuation runs at once. *)
 let hw_copy ctrl ~src ~dst (rr : unit rreply) =
-  let resolve addr =
-    match peer_of_addr ctrl addr with
-    | exception Error.Fractos e -> Error e
-    | owner -> (
-      match Capspace.find_memory owner addr ~not_memory:"not memory" with
-      | Error e -> Error e
-      | Ok (_, m) ->
-        if owner != ctrl then begin
-          (* extent metadata fetch: one control round trip *)
-          Net.Fabric.transfer ctrl.fabric ~src:ctrl.cnode ~dst:owner.cnode
-            ~size:Wire.peer_fixed ();
-          Net.Fabric.transfer ctrl.fabric ~src:owner.cnode ~dst:ctrl.cnode
-            ~size:Wire.response ()
-        end;
-        Ok m)
-  in
-  match (resolve src, resolve dst) with
-  | Error e, _ | _, Error e -> Sim.Ivar.fill rr.rr_ivar (Error e)
-  | Ok sm, Ok dm ->
-    if not sm.m_perms.Perms.read then
-      Sim.Ivar.fill rr.rr_ivar (Error Error.Perm_denied)
-    else if not dm.m_perms.Perms.write then
-      Sim.Ivar.fill rr.rr_ivar (Error Error.Perm_denied)
-    else if sm.m_len > dm.m_len then
-      Sim.Ivar.fill rr.rr_ivar (Error Error.Bounds)
-    else do_copy_hw ctrl ~src_mem:sm ~dst_mem:dm rr
+  hw_resolve ctrl dst (fun dm ->
+      hw_resolve ctrl src (fun sm ->
+          match (sm, dm) with
+          | Error e, _ | _, Error e -> rr.rr_k (Error e)
+          | Ok sm, Ok dm ->
+            if not (sm.m_perms.Perms.read && dm.m_perms.Perms.write) then
+              rr.rr_k (Error Error.Perm_denied)
+            else if sm.m_len > dm.m_len then rr.rr_k (Error Error.Bounds)
+            else do_copy_hw ctrl ~src_mem:sm ~dst_mem:dm rr))
 
 (* ------------------------------------------------------------------ *)
 (* Destination-side peer handlers                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A chunk of a session rejected at open time never reaches a writer: it
-   releases its pin here, and the final chunk carries the open's error to
-   the caller. *)
-let reject_chunk ctrl ~reply ~copy_id e (ck : copy_chunk) =
-  drop_chunk ck;
-  match ck.ck_last with
-  | Some rr ->
-    Hashtbl.remove ctrl.copy_failures copy_id;
-    reply ctrl rr (Error e)
-  | None -> ()
-
 (* [P_copy_open]: open the session, then feed it the first chunk and any
-   that overtook the open. *)
-let on_open ctrl ~copy_id ~dst ~base ~total ~chunk =
-  let drain_pending deliver =
-    match Hashtbl.find_opt ctrl.copy_pending copy_id with
-    | None -> ()
-    | Some q ->
-      Hashtbl.remove ctrl.copy_pending copy_id;
-      Queue.iter deliver q
-  in
-  match do_copy_open ctrl ~copy_id ~dst ~base ~total with
-  | Ok () -> (
-    match Hashtbl.find ctrl.copy_sessions copy_id with
-    | chan ->
-      Sim.Channel.send chan chunk;
-      drain_pending (fun ck -> Sim.Channel.send chan ck)
-    | exception Not_found -> ())
-  | Error e ->
-    let reject = reject_chunk ctrl ~reply:rreply_to ~copy_id e in
-    reject chunk;
-    drain_pending reject
+   that overtook the open; or reject them all. *)
+let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
+  charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
+      let opened = open_session ctrl ~copy_id ~dst ~base ~total in
+      let chunks =
+        match Hashtbl.find_opt ctrl.copy_pending copy_id with
+        | Some q ->
+          Hashtbl.remove ctrl.copy_pending copy_id;
+          chunk :: List.of_seq (Queue.to_seq q)
+        | None -> [ chunk ]
+      in
+      match opened with
+      | Ok chan ->
+        List.iter (Sim.Channel.send chan) chunks;
+        k ()
+      | Error e ->
+        Hashtbl.replace ctrl.copy_failures copy_id e;
+        schedule_failure_sweep ctrl copy_id;
+        each (reject_chunk ctrl ~copy_id e) chunks k)
 
 (* [P_copy_chunk]: feed the open session, answer a rejected one, or park
    the chunk while the open is still being processed (handlers run
-   concurrently). Never blocks: the controller runs it as an engine event,
-   not a fiber. The session lookup raises on a miss rather than box a
-   hit in [Some]: a hit is the per-chunk path. *)
-let on_chunk ctrl ~copy_id ~chunk =
-  match Hashtbl.find ctrl.copy_sessions copy_id with
+   concurrently). It ends in the step it starts in: a rejected final
+   chunk's reply is a charged step of its own. The session lookup raises
+   on a miss rather than box a hit in [Some]: a hit is the per-chunk
+   path. *)
+let on_chunk ctrl ~copy_id ~chunk k =
+  (match Hashtbl.find ctrl.copy_sessions copy_id with
   | chan -> Sim.Channel.send chan chunk
   | exception Not_found -> (
     match Hashtbl.find_opt ctrl.copy_failures copy_id with
-    | Some e ->
-      reject_chunk ctrl ~reply:rreply_from_event ~copy_id e chunk
+    | Some e -> reject_chunk ctrl ~copy_id e chunk stop
     | None ->
       let q =
         match Hashtbl.find_opt ctrl.copy_pending copy_id with
@@ -391,4 +393,5 @@ let on_chunk ctrl ~copy_id ~chunk =
           schedule_pending_sweep ctrl copy_id q;
           q
       in
-      Queue.add chunk q)
+      Queue.add chunk q));
+  k ()

@@ -9,12 +9,7 @@ let node_name ctrl = ctrl.cnode.Net.Node.name
 
 (* Observability: metrics are always on (integer arithmetic on handles
    interned once at Controller.create — see State.ctrl_metrics); spans
-   only when tracing is enabled, with the attribute thunk left
-   unevaluated otherwise. *)
-let span ctrl ?(attrs = fun () -> []) name f =
-  if Obs.Span.enabled () then
-    Obs.Span.with_ ~node:(node_name ctrl) ~attrs:(attrs ()) ~name f
-  else f ()
+   only when tracing is enabled ([span] below). *)
 
 (* Capability audit log (see Obs.Audit): one event per capability
    lifecycle transition, keyed by the object's global address. Off by
@@ -35,28 +30,52 @@ let journal ctrl sev kind detail =
   if Obs.Journal.enabled () then
     Obs.Journal.record_lazy ~node:(node_name ctrl) ~sev ~kind ~detail ()
 
-(* Charge controller software cost: occupies one of the controller's two
-   cores for the class-scaled duration (queueing under load is implicit). *)
-let use_cpu ctrl d = if d > 0 then Sim.Resource.use ctrl.cpu ~duration:d
-let charge ctrl units =
-  use_cpu ctrl (Net.Cost.v (config ctrl) (kind ctrl) units)
+(* Controller work runs as run-to-completion steps: engine events, never
+   fibers (HACKING.md, "Writing a controller step"). A step that charges
+   software cost books it on the controller's two cores (queueing under
+   load is implicit) and continues with [g x] at the booking's finish,
+   from the event a fiber's wake-up from [Resource.use] would be. *)
+let after_cpu ctrl d g x =
+  if d > 0 then Sim.Resource.use_then ctrl.cpu ~duration:d g x else g x
+
+let charge_with ctrl units g x =
+  after_cpu ctrl (Net.Cost.v (config ctrl) (kind ctrl) units) g x
+
+let charge ctrl units k = charge_with ctrl units k ()
 
 (* [units] plus [n] units of [cls], the sum [charge] takes of the list
    [units @ [ (cls, n) ]] but without building it: the form for a count
    computed at run time (HACKING.md, "Hot path"). *)
-let charge_plus ctrl units cls n =
-  use_cpu ctrl (Net.Cost.v_plus (config ctrl) (kind ctrl) units cls n)
+let charge_plus ctrl units cls n g x =
+  after_cpu ctrl (Net.Cost.v_plus (config ctrl) (kind ctrl) units cls n) g x
 
-let charge_scaled ctrl cls base =
-  use_cpu ctrl (Net.Cost.scaled (config ctrl) (kind ctrl) cls base)
+let charge_scaled ctrl cls base g x =
+  after_cpu ctrl (Net.Cost.scaled (config ctrl) (kind ctrl) cls base) g x
+
+(* [body k] under a span ([Obs.Span.with_then]). Callers test
+   [Obs.Span.enabled ()] first so that untraced steps build no closure
+   (HACKING.md, "Hot path"). *)
+let span ctrl ?(attrs = fun () -> []) name body k =
+  if Obs.Span.enabled () then
+    Obs.Span.with_then ~node:(node_name ctrl) ~attrs:(attrs ()) ~name body k
+  else body k
+
+(* A step that ends nothing: the continuation of a handler's last step. *)
+let stop () = ()
+
+(* [f x k'] for each [x] of [xs] in order, each after the steps of the one
+   before, then [k ()]. *)
+let rec each f xs k =
+  match xs with [] -> k () | x :: rest -> f x (fun () -> each f rest k)
 
 (* Replies and raw deliveries ride the fabric outside the endpoint layer,
    so they see duplicated messages (fault injection) as repeated
-   deliveries: fill ivars with [try_fill], and send a side-effecting
-   delivery as a [one_shot] to a function that acts only on its
-   [first_arrival], so a retransmission is absorbed, as an RDMA RC QP
-   would. The flag lives in the message, so the delivery needs no
-   closure ([Net.Fabric.send_with]). *)
+   deliveries: fill ivars with [try_fill], run a reply continuation only
+   on its first arrival ([rr_fill]), and send a side-effecting delivery
+   as a [one_shot] to a function that acts only on its [first_arrival],
+   so a retransmission is absorbed, as an RDMA RC QP would. The flag
+   lives in the message, so the delivery needs no closure
+   ([Net.Fabric.send_with]). *)
 type ('a, 'b) one_shot = { mutable fired : bool; to_ : 'a; d : 'b }
 
 let one_shot to_ d = { fired = false; to_; d }
@@ -68,39 +87,51 @@ let first_arrival o =
     true
   end
 
-let fill_reply (iv, v) = ignore (Sim.Ivar.try_fill iv v)
+(* A reply path whose arrival continues with [k] under trace context [ctx]. *)
+let rreply_at ctx ctrl k = { rr_ctrl = ctrl; rr_ctx = ctx; rr_fired = false; rr_k = k }
+let rreply ctrl k = rreply_at (Sim.Engine.get_ctx ()) ctrl k
 
-let post_reply ctrl ~dst iv v =
-  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst ~size:Wire.response
-    fill_reply (iv, v)
+(* The reply [v] lands: its first arrival runs the continuation, as the
+   event that would resume an awaiting fiber. *)
+let rr_fill rr v =
+  if not rr.rr_fired then begin
+    rr.rr_fired <- true;
+    if rr.rr_ctx < 0 then rr.rr_k v else Sim.Engine.wake_with rr.rr_ctx rr.rr_k v
+  end
 
-let send_reply ctrl ~dst iv v =
+(* Bound the wait on [rr], from where an awaiting fiber would suspend:
+   with no reply within [timeout], the continuation runs with [Error
+   Timeout] (which no peer replies itself) and a later reply is absorbed. *)
+let await_timeout rr ~timeout =
+  Sim.Engine.schedule_with timeout (fun rr -> rr_fill rr (Error Error.Timeout)) rr
+
+(* Reply to a Process's syscall / to a peer controller's request: charge
+   the reply's cpu time, post it at the booking's finish and go on with
+   [k]. The [(sender, reply path, value)] triple is the step's argument
+   and the delivery's both, so a reply that ends its handler ([k] is
+   [stop]) costs that triple and no more. *)
+let fill_reply (_, (r : _ reply), v) = ignore (Sim.Ivar.try_fill r.r_ivar v)
+let deliver_reply (_, rr, v) = rr_fill rr v
+
+let post_reply ((ctrl, (r : _ reply), _) as x) =
+  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:r.r_proc.pnode
+    ~size:Wire.response fill_reply x
+
+let post_rreply ((ctrl, rr, _) as x) =
+  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:rr.rr_ctrl.cnode
+    ~size:Wire.response deliver_reply x
+
+let reply_with post ((ctrl, _, _) as x) k =
   if Obs.Span.enabled () then
     Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ();
-  charge ctrl [ (Net.Cost.Msg, 1) ];
-  post_reply ctrl ~dst iv v
+  if k == stop then charge_with ctrl [ (Net.Cost.Msg, 1) ] post x
+  else
+    charge ctrl [ (Net.Cost.Msg, 1) ] (fun () ->
+        post x;
+        k ())
 
-(* Reply to a Process's syscall / to a peer controller's request. *)
-let reply_to ctrl (r : _ reply) v =
-  send_reply ctrl ~dst:r.r_proc.pnode r.r_ivar v
-
-let rreply_to ctrl (rr : _ rreply) v =
-  send_reply ctrl ~dst:rr.rr_ctrl.cnode rr.rr_ivar v
-
-(* [rreply_to] from a handler that runs as an engine event, not a fiber,
-   and so cannot block in [charge]: the reply's cpu time is booked now,
-   and the reply leaves from an event at the booking's finish — the heap
-   slot a fiber's wake-up from [charge] would take. *)
-let rreply_from_event ctrl (rr : _ rreply) v =
-  if Obs.Span.enabled () then
-    Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ();
-  let post () = post_reply ctrl ~dst:rr.rr_ctrl.cnode rr.rr_ivar v in
-  let d = Net.Cost.v (config ctrl) (kind ctrl) [ (Net.Cost.Msg, 1) ] in
-  if d > 0 then
-    Sim.Engine.schedule
-      (Sim.Resource.reserve ctrl.cpu ~duration:d - Sim.Engine.now ())
-      post
-  else post ()
+let reply_to ctrl (reply : _ reply) v k = reply_with post_reply (ctrl, reply, v) k
+let rreply_to ctrl (rr : _ rreply) v k = reply_with post_rreply (ctrl, rr, v) k
 
 let send_peer ctrl (dst : ctrl) ~size msg =
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst.peer_ep ~size msg

@@ -28,26 +28,48 @@ let shard_owner_id (g : shard_group) minting_id =
    Shard groups are small, so this is a safety valve, not a tuning knob. *)
 let dir_cache_limit = 1024
 
-(* Locate the controller currently owning [addr]. Without a shard group
-   this is exactly the flat peer list (bit-identical to the pre-shard
-   code). With one, the directory cache memoizes minting-id -> owner-id,
-   stamped with the group's liveness generation and reset wholesale on a
-   mismatch — the translation-cache discipline applied to routing.
-   A miss is priced controller work (one Lookup): the directory is
-   consulted locally from the shared map, never over the fabric, so a
-   lookup can neither be dropped nor hang. A self-minted address is
-   [ctrl] on both paths, with no charge and no metric. An address no live
-   controller owns raises [Error.Fractos Ctrl_unreachable], so a hit
-   allocates nothing. *)
-let locate ctrl addr =
-  match ctrl.shard with
-  | None -> peer_of_addr ctrl addr
-  | Some g ->
-    if addr.a_ctrl = ctrl.ctrl_id then ctrl
-    else begin
-      if ctrl.dir_gen <> g.sg_gen then begin
+(* Locate the controller currently owning [addr] and go on with [g x
+   owner], or with [err x e] for an address no live controller owns.
+   Without a shard group this is exactly the flat peer list (bit-identical
+   to the pre-shard code). With one, the directory cache memoizes
+   minting-id -> owner-id, stamped with the group's liveness generation
+   and reset wholesale on a mismatch — the translation-cache discipline
+   applied to routing. A miss is priced controller work (one Lookup, a
+   step): the directory is consulted locally from the shared map, never
+   over the fabric, so a lookup can neither be dropped nor hang. A
+   self-minted address is [ctrl] on both paths, with no charge and no
+   metric. A hit continues at once and allocates nothing. *)
+let located ctrl id ~err g x =
+  match peer_of_id ctrl id with
+  | owner -> g x owner
+  | exception Error.Fractos e -> err x e
+
+let locate_miss ctrl (g : shard_group) addr ~err k x =
+  if Obs.Span.enabled () then
+    Obs.Span.set_attr (Obs.Span.current ()) "dir" "miss";
+  if Option.is_none (slot_of_ctrl_id g addr.a_ctrl) then
+    (* minted outside the group: flat routing *)
+    located ctrl addr.a_ctrl ~err k x
+  else
+    match shard_owner_id g addr.a_ctrl with
+    | None -> err x Error.Ctrl_unreachable (* every slot down *)
+    | Some owner_id ->
+      if owner_id <> addr.a_ctrl then
+        Obs.Metrics.incr ctrl.cm.cm_shard_reroutes;
+      if Hashtbl.length ctrl.dir_cache >= dir_cache_limit then
         Hashtbl.reset ctrl.dir_cache;
-        ctrl.dir_gen <- g.sg_gen;
+      Hashtbl.replace ctrl.dir_cache addr.a_ctrl owner_id;
+      located ctrl owner_id ~err k x
+
+let locate ctrl addr ~err g x =
+  match ctrl.shard with
+  | None -> located ctrl addr.a_ctrl ~err g x
+  | Some grp ->
+    if addr.a_ctrl = ctrl.ctrl_id then g x ctrl
+    else begin
+      if ctrl.dir_gen <> grp.sg_gen then begin
+        Hashtbl.reset ctrl.dir_cache;
+        ctrl.dir_gen <- grp.sg_gen;
         Obs.Metrics.incr ctrl.cm.cm_dir_invalidations
       end;
       match Hashtbl.find ctrl.dir_cache addr.a_ctrl with
@@ -55,43 +77,30 @@ let locate ctrl addr =
         Obs.Metrics.incr ctrl.cm.cm_dir_hits;
         if Obs.Span.enabled () then
           Obs.Span.set_attr (Obs.Span.current ()) "dir" "hit";
-        peer_of_id ctrl owner_id
-      | exception Not_found -> (
+        located ctrl owner_id ~err g x
+      | exception Not_found ->
         Obs.Metrics.incr ctrl.cm.cm_dir_misses;
-        charge ctrl [ (Net.Cost.Lookup, 1) ];
-        if Obs.Span.enabled () then
-          Obs.Span.set_attr (Obs.Span.current ()) "dir" "miss";
-        if Option.is_none (slot_of_ctrl_id g addr.a_ctrl) then
-          (* minted outside the group: flat routing *)
-          peer_of_addr ctrl addr
-        else
-          match shard_owner_id g addr.a_ctrl with
-          | None -> raise unreachable (* every slot down *)
-          | Some owner_id ->
-            if owner_id <> addr.a_ctrl then
-              Obs.Metrics.incr ctrl.cm.cm_shard_reroutes;
-            if Hashtbl.length ctrl.dir_cache >= dir_cache_limit then
-              Hashtbl.reset ctrl.dir_cache;
-            Hashtbl.replace ctrl.dir_cache addr.a_ctrl owner_id;
-            peer_of_id ctrl owner_id)
+        charge ctrl [ (Net.Cost.Lookup, 1) ] (fun () ->
+            locate_miss ctrl grp addr ~err g x)
     end
 
-(* Run a peer operation at the owner of [addr]: locally when we are the
-   owner, otherwise by sending [make_msg] and awaiting the remote reply.
-   [serialize] charges the wire-marshaling cost class on the sending side.
-   When shard failover routes a dead minter's address to us (we are its
-   live successor), the operation runs locally and the object table
-   answers the foreign address with typed [Stale] — the owner-side
+(* Run a peer operation at the owner of [addr], then [k] on its result:
+   locally ([local k]) when we are the owner, otherwise by charging the
+   wire marshaling and sending [make_msg] a reply path that continues
+   with [k]. When shard failover routes a dead minter's address to us
+   (we are its live successor), the operation runs locally and the object
+   table answers the foreign address with typed [Stale] — the owner-side
    metadata handoff surfaces as staleness, exactly like a reboot. *)
-let at_owner ctrl addr ~size ~local ~make_msg =
-  match locate ctrl addr with
-  | exception Error.Fractos e -> Error e
-  | owner when owner == ctrl -> local ()
-  | peer ->
-    charge ctrl [ (Net.Cost.Serialize, 1) ];
-    let iv = Sim.Ivar.create () in
-    send_peer ctrl peer ~size (make_msg { rr_ivar = iv; rr_ctrl = ctrl });
-    Sim.Ivar.await iv
+let at_owner ctrl addr ~local ~make_msg k =
+  locate ctrl addr
+    ~err:(fun k e -> k (Error e))
+    (fun k owner ->
+      if owner == ctrl then local k
+      else
+        charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
+            send_peer ctrl owner ~size:Wire.peer_fixed
+              (make_msg (rreply ctrl k))))
+    k
 
 (* Directory-coherence check (Fault.Invariants pass 6): every entry of a
    current-generation directory cache must name exactly the owner the
@@ -184,60 +193,69 @@ let mint_request ctrl ~provider ~tag ~imms ~caps ~parent =
    dropped-reply) placement is reclaimed by the home when its lease
    expires; no caller-driven cancel is attempted because that cancel
    could itself be lost to fault injection. *)
-let place_remote ctrl (home : ctrl) space (reply : int reply) make_msg =
-  charge ctrl [ (Net.Cost.Serialize, 1) ];
-  let key = ctrl.place_ack_seq in
-  ctrl.place_ack_seq <- ctrl.place_ack_seq + 1;
-  let iv = Sim.Ivar.create () in
-  send_peer ctrl home ~size:Wire.peer_fixed
-    (make_msg key { rr_ivar = iv; rr_ctrl = ctrl });
-  match Sim.Ivar.await_timeout iv ~timeout:(config ctrl).peer_ack_timeout with
-  | Some (Ok addr) ->
-    charge ctrl [ (Net.Cost.Msg, 1) ];
-    send_peer ctrl home ~size:Wire.peer_fixed
-      (P_place_ack { caller = ctrl.ctrl_id; key });
-    (* the home audited the Mint; this side only gains a capability *)
-    reply_to ctrl reply
-      (Capspace.insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Delegate
-         ~audit_detail:(fun () -> "shard placement"))
-  | Some (Error e) -> reply_to ctrl reply (Error e)
-  | None ->
-    Obs.Metrics.incr ctrl.cm.cm_place_timeouts;
-    journal ctrl Obs.Journal.Warn "ctrl.place_timeout" (fun () ->
-        Printf.sprintf "home=%d" home.ctrl_id);
-    reply_to ctrl reply (Error Error.Timeout)
+let place_remote ctrl (home : ctrl) space ans make_msg =
+  charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
+      let key = ctrl.place_ack_seq in
+      ctrl.place_ack_seq <- ctrl.place_ack_seq + 1;
+      let rr =
+        rreply ctrl (function
+          | Ok addr ->
+            charge ctrl [ (Net.Cost.Msg, 1) ] (fun () ->
+                send_peer ctrl home ~size:Wire.peer_fixed
+                  (P_place_ack { caller = ctrl.ctrl_id; key });
+                (* the home audited the Mint; this side only gains a
+                   capability *)
+                Capspace.insert_cap ctrl space addr ~counts:None
+                  ~op:Obs.Audit.Delegate
+                  ~audit_detail:(fun () -> "shard placement")
+                  ans)
+          | Error Error.Timeout as timeout ->
+            Obs.Metrics.incr ctrl.cm.cm_place_timeouts;
+            journal ctrl Obs.Journal.Warn "ctrl.place_timeout" (fun () ->
+                Printf.sprintf "home=%d" home.ctrl_id);
+            ans timeout
+          | Error _ as e -> ans e)
+      in
+      send_peer ctrl home ~size:Wire.peer_fixed (make_msg key rr);
+      await_timeout rr ~timeout:(config ctrl).peer_ack_timeout)
 
 (* Home side of the placement lease: remember the freshly minted object
    under the caller's key and reclaim it if no P_place_ack lands within
    twice the caller's wait (once for the caller's own timeout, once as
    transit slack for the ack). Reclamation goes through the ordinary
    revocation path — the Revoke is audited and remote capabilities are
-   cleaned up — so Invariants' live-object accounting stays balanced. *)
+   cleaned up — so Invariants' live-object accounting stays balanced.
+   The timer is armed from an event of its own at the current instant,
+   the two events of the fiber that slept here before. *)
+let place_lease_expire (ctrl, caller, key, armed_epoch) =
+  match Hashtbl.find_opt ctrl.placed_pending (caller, key) with
+  | None -> () (* confirmed (or the table was reset by a reboot) *)
+  | Some addr ->
+    Hashtbl.remove ctrl.placed_pending (caller, key);
+    if ctrl.running && ctrl.epoch = armed_epoch then (
+      match Objects.find ctrl addr with
+      | obj when obj.o_valid ->
+        Obs.Metrics.incr ctrl.cm.cm_place_reclaims;
+        journal ctrl Obs.Journal.Warn "ctrl.place_reclaim" (fun () ->
+            Printf.sprintf "caller=%d oid=%d" caller addr.a_oid);
+        Capspace.invalidate_at_owner ctrl obj stop
+      | _ | (exception Error.Fractos _) -> ())
+
 let place_lease_arm ctrl ~caller ~key addr =
   Hashtbl.replace ctrl.placed_pending (caller, key) addr;
-  let armed_epoch = ctrl.epoch in
-  Sim.Engine.spawn (fun () ->
-      Sim.Engine.sleep (2 * (config ctrl).peer_ack_timeout);
-      match Hashtbl.find_opt ctrl.placed_pending (caller, key) with
-      | None -> () (* confirmed (or the table was reset by a reboot) *)
-      | Some addr ->
-        Hashtbl.remove ctrl.placed_pending (caller, key);
-        if ctrl.running && ctrl.epoch = armed_epoch then (
-          match Objects.find ctrl addr with
-          | obj when obj.o_valid ->
-            Obs.Metrics.incr ctrl.cm.cm_place_reclaims;
-            journal ctrl Obs.Journal.Warn "ctrl.place_reclaim" (fun () ->
-                Printf.sprintf "caller=%d oid=%d" caller addr.a_oid);
-            Capspace.invalidate_at_owner ctrl obj
-          | _ | (exception Error.Fractos _) -> ()))
+  let lease = (ctrl, caller, key, ctrl.epoch) in
+  Sim.Engine.schedule 0 (fun () ->
+      Sim.Engine.schedule_with
+        (2 * (config ctrl).peer_ack_timeout)
+        place_lease_expire lease)
 
 (* Home side of [P_place_mem] / [P_place_req], given the freshly minted
    [addr]: record the Mint (so live-object accounting balances even when
    the address reply is dropped by fault injection), arm the lease and
    reply. *)
-let place_at_home ctrl (reply : addr rreply) ~key addr =
+let place_at_home ctrl (reply : addr rreply) ~key addr k =
   Obs.Metrics.incr ctrl.cm.cm_shard_placed;
   audit ctrl Obs.Audit.Mint ~detail:(fun () -> "shard placement") addr;
   place_lease_arm ctrl ~caller:reply.rr_ctrl.ctrl_id ~key addr;
-  rreply_to ctrl reply (Ok addr)
+  rreply_to ctrl reply (Ok addr) k
 

@@ -148,6 +148,9 @@ and ctrl_metrics = {
   cm_place_reclaims : Obs.Metrics.counter;
       (* placement leases that expired without a P_place_ack: the object
          minted for a remote caller was reclaimed at the home *)
+  cm_tail_failures : Obs.Metrics.counter;
+      (* invocations that failed past their acknowledgment, where no
+         reply path reports it *)
 }
 
 and capspace = {
@@ -220,10 +223,21 @@ and monitor_event =
   | Delegate_cb of int (* all delegated children gone (callback id) *)
   | Receive_cb of int (* watched capability revoked (callback id) *)
 
-(* Reply paths. Fabric messages carry the ivar to fill; the fill happens in
-   the delivery callback so timing and accounting are exact. *)
+(* Reply paths; the fabric delivers a reply at its arrival instant, so
+   timing and accounting are exact. A Process awaits its syscall's ivar.
+   A controller step waiting for a peer's reply stores its continuation
+   [rr_k] instead, which the first arrival runs once, as the event that
+   would resume a fiber suspended under [rr_ctx] (Ctrl_base.rr_fill); a
+   negative [rr_ctx] runs it at the arrival itself. [rr_fired] absorbs a
+   duplicated reply and one that lands after the wait timed out. *)
 and 'a reply = { r_ivar : ('a, Error.t) result Sim.Ivar.t; r_proc : proc }
-and 'a rreply = { rr_ivar : ('a, Error.t) result Sim.Ivar.t; rr_ctrl : ctrl }
+
+and 'a rreply = {
+  rr_ctrl : ctrl; (* the waiting controller: where the reply goes *)
+  rr_ctx : int;
+  mutable rr_fired : bool;
+  rr_k : ('a, Error.t) result -> unit;
+}
 
 (* Process -> Controller syscalls (Table 1 of the paper, plus null for
    benchmarking, credit returns for congestion control, and the monitor

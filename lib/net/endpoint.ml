@@ -56,5 +56,7 @@ let post fab ~src ep ?cls ~size msg =
   Fabric.send_with fab ~src ~dst:ep.node ?cls ~size arrive { ep; seq; msg }
 
 let recv ep = Sim.Channel.recv ep.chan
+
+let recv_then ep g = Sim.Channel.recv_then ep.chan g
 let try_recv ep = Sim.Channel.try_recv ep.chan
 let pending ep = Sim.Channel.length ep.chan

@@ -36,5 +36,13 @@ val post :
 val recv : 'a t -> 'a
 (** Block until the next message arrives at this endpoint. *)
 
+val recv_then : 'a t -> ('a -> unit) -> unit
+(** [recv_then ep g] is {!recv} for code that runs as engine events
+    rather than in a fiber: [g msg] runs at once on a message already
+    waiting, or else on the next one to arrive, as the event that would
+    resume a fiber blocked in {!recv}, under the sender's trace context.
+    One reader at a time: a server calls it again from [g] for the next
+    message. *)
+
 val try_recv : 'a t -> 'a option
 val pending : 'a t -> int

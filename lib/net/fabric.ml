@@ -213,6 +213,22 @@ let transfer t ~src ~dst ?(cls = Stats.Control) ~size () =
     Sim.Engine.yield ()
   end
 
+(* [transfer] for code that runs as events: the delivery instant's event
+   takes the heap slot of [transfer]'s wake-up, and the one it pushes in
+   turn that of its yield, where [g x] then runs. *)
+let landed (sp, g, x) =
+  if sp <> 0 then Obs.Span.finish sp;
+  Sim.Engine.schedule_with 0 g x
+
+let transfer_then t ~src ~dst ?(cls = Stats.Control) ~size g x =
+  let at = book t ~src ~dst ~cls ~size in
+  if at >= 0 then begin
+    let sp = t.xfer_span in
+    let now = Sim.Engine.now () in
+    if t.dup_at >= 0 then Sim.Engine.schedule (t.dup_at - now) ignore;
+    Sim.Engine.schedule_with (at - now) landed (sp, g, x)
+  end
+
 type utilization = {
   u_node : string;
   u_tx : float;

@@ -112,6 +112,22 @@ val transfer :
     forever, so fault-injected code should wrap transfers in a timeout
     (see [Fault.Retry]). *)
 
+val transfer_then :
+  t ->
+  src:Node.t ->
+  dst:Node.t ->
+  ?cls:Stats.cls ->
+  size:int ->
+  ('a -> unit) ->
+  'a ->
+  unit
+(** [transfer_then t ~src ~dst ~size g x] is {!transfer} for code that
+    runs as engine events rather than in a fiber: it returns at once, and
+    [g x] runs when the message has arrived, from the events that
+    {!transfer}'s wake-up and yield would be, so it orders against every
+    other event exactly as {!transfer} does. A dropped message never runs
+    [g x]. *)
+
 val transfer_chunked :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit
 (** Like {!transfer} but segments the payload into messages of the

@@ -121,6 +121,18 @@ let with_ ?attrs ?node ~name f =
       f
   end
 
+let with_then ?attrs ?node ~name body k =
+  if not (st ()).s_enabled then body k
+  else begin
+    let id = start ?attrs ?node ~name () in
+    let saved = Sim.Engine.get_ctx () in
+    Sim.Engine.set_ctx id;
+    body (fun v ->
+        Sim.Engine.set_ctx saved;
+        finish id;
+        k v)
+  end
+
 let all () = List.of_seq (Queue.to_seq (st ()).s_collected)
 let count () = Queue.length (st ()).s_collected
 let dropped () = (st ()).s_dropped

@@ -75,6 +75,19 @@ val with_ :
     it (restored afterwards, also on exceptions), and closes it when [f]
     returns. When tracing is disabled this is exactly [f ()]. *)
 
+val with_then :
+  ?attrs:(string * string) list ->
+  ?node:string ->
+  name:string ->
+  (('a -> unit) -> unit) ->
+  ('a -> unit) ->
+  unit
+(** [with_then ~name body k] is {!with_} for code that runs as engine
+    events rather than in a fiber: [body] runs with the ambient context
+    set to a new span and calls its argument with its result when its
+    last step is done, which closes the span, restores the context and
+    runs [k] with the result. Untraced, this is exactly [body k]. *)
+
 val instant : ?attrs:(string * string) list -> ?node:string -> name:string -> unit -> unit
 (** A zero-duration marker event under the ambient parent. *)
 

@@ -7,6 +7,8 @@ type 'a t = {
   items : (int * 'a) Queue.t;
   readers : (int * 'a) Engine.resumer Queue.t;
   reader : (int * 'a) Engine.waiter; (* built once: [recv] allocates none *)
+  mutable stepping : bool; (* a [recv_then] step waits *)
+  mutable step : 'a -> unit;
 }
 
 let add_reader readers r = Queue.add r readers
@@ -17,12 +19,21 @@ let create () =
     items = Queue.create ();
     readers;
     reader = Engine.waiter add_reader readers;
+    stepping = false;
+    step = ignore;
   }
 
+(* A waiting step runs from the event a resumed reader would, under the
+   sender's context, so it needs no [(ctx, v)] pair. *)
 let send ch v =
-  let m = (Engine.get_ctx (), v) in
-  if Queue.is_empty ch.readers then Queue.add m ch.items
-  else Engine.resume (Queue.take ch.readers) m
+  if ch.stepping then begin
+    ch.stepping <- false;
+    Engine.schedule_with 0 ch.step v
+  end
+  else
+    let m = (Engine.get_ctx (), v) in
+    if Queue.is_empty ch.readers then Queue.add m ch.items
+    else Engine.resume (Queue.take ch.readers) m
 
 let recv ch =
   let ctx, v =
@@ -31,6 +42,13 @@ let recv ch =
   in
   Engine.set_ctx ctx;
   v
+
+let recv_then ch g =
+  if Queue.is_empty ch.items then begin
+    ch.stepping <- true;
+    ch.step <- g
+  end
+  else g (recv ch)
 
 let try_recv ch =
   if Queue.is_empty ch.items then None

@@ -23,6 +23,14 @@ val recv : 'a t -> 'a
 (** Dequeue the next message, blocking the calling fiber until one
     arrives. *)
 
+val recv_then : 'a t -> ('a -> unit) -> unit
+(** [recv_then ch g] is {!recv} for code that runs as engine events
+    rather than in a fiber: [g v] runs at once on a queued message, or
+    else on the next one sent, from the event that would resume a fiber
+    blocked in {!recv}, and under the sender's trace context either way.
+    One such reader at a time, and none beside fibers in {!recv}: a
+    server calls it again from [g] for the next message. *)
+
 val try_recv : 'a t -> 'a option
 (** Dequeue the next message if one is immediately available. *)
 

@@ -366,6 +366,10 @@ let schedule_with d g x =
   let d = if d < 0 then 0 else d in
   push_call_with t ~time:(t.now + d) t.ctx g x
 
+let wake_with ctx g x =
+  let t = get () in
+  push_call_with t ~time:t.now ctx g x
+
 let fiber_count () = (get ()).fibers
 let event_count () = (get ()).events
 

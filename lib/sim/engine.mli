@@ -102,6 +102,12 @@ val schedule_with : Time.t -> ('a -> unit) -> 'a -> unit
 (** [schedule_with d g x] is [schedule d (fun () -> g x)] without the
     closure, as {!spawn_with} is to {!spawn}. *)
 
+val wake_with : int -> ('a -> unit) -> 'a -> unit
+(** [wake_with ctx g x] runs [g x] as an event at the current instant,
+    under trace context [ctx]: the event that {!resume} pushes for a fiber
+    suspended under [ctx]. A continuation stored where a fiber would have
+    suspended takes that fiber's place in the order of events with it. *)
+
 val fiber_count : unit -> int
 (** Number of fibers spawned so far in this run (diagnostic). *)
 

@@ -1,10 +1,12 @@
 (* Waiters, newest first. [W_opt] is an [await_timeout] waiter, which
-   wants [Some v]; it is a list cell of its own, so neither kind of waiter
-   costs more than one cons. *)
+   wants [Some v]; [K] is an [upon] step, a function and the trace
+   context to run it under. Each is a list cell of its own, so no kind of
+   waiter costs more than one cons. *)
 type 'a waiters =
   | Nil
   | W of 'a Engine.resumer * 'a waiters
   | W_opt of 'a option Engine.resumer * 'a waiters
+  | K of int * ('a -> unit) * 'a waiters
 
 type 'a state =
   | Empty of 'a waiters
@@ -24,6 +26,9 @@ let rec wake_all v = function
   | W_opt (r, rest) ->
     wake_all v rest;
     Engine.resume r (Some v)
+  | K (ctx, g, rest) ->
+    wake_all v rest;
+    Engine.wake_with ctx g v
 
 let rec abort_all e = function
   | Nil -> ()
@@ -33,6 +38,9 @@ let rec abort_all e = function
   | W_opt (r, rest) ->
     abort_all e rest;
     Engine.abort r e
+  | K (ctx, _, rest) ->
+    abort_all e rest;
+    Engine.wake_with ctx raise e
 
 let fill iv v =
   match iv.state with
@@ -80,6 +88,12 @@ let await_timeout iv ~timeout =
         | Full v -> Engine.resume r (Some v)
         | Broken e -> Engine.abort r e);
         Engine.schedule timeout (fun () -> Engine.resume r None))
+
+let upon iv g =
+  match iv.state with
+  | Full v -> g v
+  | Broken e -> raise e
+  | Empty waiters -> iv.state <- Empty (K (Engine.get_ctx (), g, waiters))
 
 let peek iv =
   match iv.state with

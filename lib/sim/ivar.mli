@@ -31,6 +31,13 @@ val await_timeout : 'a t -> timeout:Time.t -> 'a option
     [timeout] ns, [None] otherwise (the ivar may still fill later — the
     caller has simply stopped waiting). Re-raises on a failed ivar. *)
 
+val upon : 'a t -> ('a -> unit) -> unit
+(** [upon iv g] is {!await} for code that runs as engine events rather
+    than in a fiber: [g v] runs at once on a filled ivar, or else as the
+    event that would resume a fiber awaiting it, under the trace context
+    of the call. On a failed ivar it raises the exception, there or from
+    that event. *)
+
 val peek : 'a t -> 'a option
 (** [peek iv] is [Some v] if [iv] was filled with [v]; [None] if empty or
     failed. Never blocks. *)

@@ -26,6 +26,11 @@ let reserve r ~duration = reserve_at r ~start:(Engine.now ()) ~duration
 
 let use r ~duration = Engine.sleep_until (reserve r ~duration)
 
+(* [use]'s wake-up, or its immediate return, as an event or a call *)
+let use_then r ~duration g x =
+  let finish = reserve r ~duration and now = Engine.now () in
+  if finish > now then Engine.schedule_with (finish - now) g x else g x
+
 let busy_until r =
   let now = Engine.now () in
   max now r.free_at.(earliest r)

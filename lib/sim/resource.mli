@@ -34,6 +34,13 @@ val use : t -> duration:Time.t -> unit
 (** [use r ~duration] books a server as {!reserve} and blocks the calling
     fiber until the booked interval has elapsed. *)
 
+val use_then : t -> duration:Time.t -> ('a -> unit) -> 'a -> unit
+(** [use_then r ~duration g x] is {!use} for code that runs as engine
+    events rather than in a fiber: it books a server as {!reserve} and
+    runs [g x] once the booked interval has elapsed, from the event that
+    would wake a fiber blocked in {!use} (or at once, where {!use} would
+    not block). *)
+
 val busy_until : t -> Time.t
 (** Earliest instant at which some server becomes free (>= now if a server
     is idle). Diagnostic / utilization accounting. *)

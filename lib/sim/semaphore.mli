@@ -12,6 +12,13 @@ val create : int -> t
 val acquire : t -> unit
 (** Take one permit, blocking in FIFO order until one is available. *)
 
+val acquire_then : t -> ('a -> unit) -> 'a -> unit
+(** [acquire_then s g x] takes one permit and runs [g x]: at once when a
+    permit is free, else as an event when a {!release} hands it one, in
+    the same FIFO order as {!acquire} and under the trace context of the
+    call. It is {!acquire} for code that runs as events, not in a fiber:
+    the wake-up is the one event {!acquire}'s resume would be. *)
+
 val try_acquire : t -> bool
 (** Take one permit if immediately available. *)
 
@@ -26,4 +33,5 @@ val available : t -> int
 (** Current number of free permits. *)
 
 val waiting : t -> int
-(** Number of fibers blocked in {!acquire}. *)
+(** Number of fibers blocked in {!acquire} and steps queued by
+    {!acquire_then}. *)

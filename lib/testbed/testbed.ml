@@ -75,7 +75,10 @@ let grant ~src ~dst cid =
   in
   match Core.Controller.addr_of_cid src_ctrl src cid with
   | None -> invalid_arg "Testbed.grant: unknown capability"
-  | Some addr -> Core.Controller.grant dst_ctrl dst addr
+  | Some addr -> (
+    match Sim.Ivar.await (Core.Controller.grant dst_ctrl dst addr) with
+    | Ok cid -> cid
+    | Error e -> invalid_arg ("Controller.grant: " ^ Core.Error.to_string e))
 
 type placement = Ctrl_cpu | Ctrl_snic | Ctrl_shared
 type node_setup = { node : Net.Node.t; ctrl : Core.Controller.t }

@@ -884,6 +884,189 @@ let test_capspace_quota () =
       in
       check_int "quota enforced" 4 (fill 0))
 
+(* A failure past the acknowledgment point has no reply path, but it is
+   counted and journaled on the request's trace. pa derives from pb's
+   root at its own controller, which acknowledges the invoke and forwards
+   it; pb's space is full, so delegating the derived Request's memory
+   capability at pb's controller fails with Quota_exceeded. *)
+let test_tail_failure_visible () =
+  let config = { Fractos_net.Config.default with capspace_quota = 3 } in
+  Obs.Journal.reset ();
+  Obs.Span.reset ();
+  Obs.Journal.set_enabled true;
+  Obs.Span.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.Journal.set_enabled false;
+      Obs.Span.set_enabled false)
+  @@ fun () ->
+  Tb.run ~config (fun tb ->
+      let pa, pb, _, cb = two_node_setup tb in
+      let failures0 =
+        Obs.Metrics.counter_value cb.State.cm.State.cm_tail_failures
+      in
+      let mem = ok_exn (Api.memory_create pa (Process.alloc pa 16) Perms.ro) in
+      let base = ok_exn (Api.request_create pb ~tag:"t" ()) in
+      for _ = 1 to 2 do
+        ignore (ok_exn (Api.memory_create pb (Process.alloc pb 8) Perms.ro))
+      done;
+      let base_a = Tb.grant ~src:pb ~dst:pa base in
+      let derived = ok_exn (Api.request_derive pa base_a ~caps:[ mem ] ()) in
+      Alcotest.check (result_t Alcotest.unit) "invoke acknowledged" (Ok ())
+        (Api.request_invoke pa derived);
+      Engine.sleep (Time.ms 1);
+      check_int "one tail failure" (failures0 + 1)
+        (Obs.Metrics.counter_value cb.State.cm.State.cm_tail_failures);
+      let incidents =
+        List.filter
+          (fun e -> e.Obs.Journal.j_kind = "ctrl.tail_failure")
+          (Obs.Journal.events ())
+      in
+      check_int "one incident" 1 (List.length incidents);
+      let invoke =
+        List.find
+          (fun s -> s.Obs.Span.sp_name = "sys.request_invoke")
+          (List.rev (Obs.Span.all ()))
+      in
+      check_int "on the invoke's trace" invoke.Obs.Span.sp_id
+        (Obs.Span.root_of (List.hd incidents).Obs.Journal.j_trace))
+
+(* Reply continuations run once. Each scenario runs on a fresh testbed,
+   clean and then under a fabric that delivers every network message
+   twice: a duplicated peer reply that ran its continuation again would
+   send one more message (its reply to the caller, a second capability's
+   placement ack), so the message counts and results must match. *)
+let messages tb =
+  (Fractos_net.Stats.census (Fractos_net.Fabric.stats tb.Tb.fabric))
+    .Fractos_net.Stats.messages
+
+let run_twice ?config scenario =
+  let once dup =
+    Controller.reset_ids ();
+    Process.reset_ids ();
+    Tb.run ?config (fun tb -> scenario tb (fun () -> duplicate_every_message tb dup))
+  in
+  let clean = once false and duplicated = once true in
+  check_int "messages under duplication" (fst clean) (fst duplicated);
+  check_bool "results under duplication" true (snd clean = snd duplicated)
+
+(* [ops] runs after [arm] turned the faults on; the scenario answers the
+   messages it sent and what it returned. *)
+let measured tb arm ops =
+  arm ();
+  let m0 = messages tb in
+  let r = ops () in
+  Engine.sleep (Time.ms 5);
+  duplicate_every_message tb false;
+  (messages tb - m0, r)
+
+let test_dup_reply_invoke () =
+  run_twice (fun tb arm ->
+      let pa, pb, _, _ = two_node_setup tb in
+      let svc = Tb.grant ~src:pb ~dst:pa (ok_exn (Api.request_create pb ~tag:"s" ())) in
+      measured tb arm (fun () ->
+          let r = Api.request_invoke pa svc in
+          ignore (Api.receive pb);
+          r))
+
+let test_dup_reply_diminish () =
+  run_twice (fun tb arm ->
+      let pa, pb, _, _ = two_node_setup tb in
+      let m =
+        Tb.grant ~src:pb ~dst:pa
+          (ok_exn (Api.memory_create pb (Process.alloc pb 64) Perms.rw))
+      in
+      measured tb arm (fun () ->
+          let r = Api.memory_diminish pa m ~off:0 ~len:16 ~drop:Perms.none in
+          (r, Controller.addr_of_cid (Option.get (Process.controller pa)) pa
+                (ok_exn r + 1))))
+
+let test_dup_reply_placement () =
+  let config = { Fractos_net.Config.default with shard_placement = true } in
+  run_twice ~config (fun tb arm ->
+      let pa, _, ca, cb = two_node_setup tb in
+      Tb.shard_all tb;
+      let caps () = Obs.Metrics.gauge_value ca.State.cm.State.cm_captable in
+      let placed () =
+        Obs.Metrics.counter_value cb.State.cm.State.cm_shard_placed
+      in
+      let caps0 = caps () and placed0 = placed () in
+      measured tb arm (fun () ->
+          let rs =
+            List.init 8 (fun _ ->
+                Api.memory_create pa (Process.alloc pa 16) Perms.rw)
+          in
+          check_bool "some placed remotely" true (placed () > placed0);
+          check_int "every capability held once" 8 (caps () - caps0);
+          rs))
+
+(* A peer reply that lands after [peer_ack_timeout] finds its wait timed
+   out and is absorbed: only the timeout branch ran, so the caller gets
+   one reply, and the late reply neither confirms a placement nor
+   answers twice. [late] delays every reply between the two hosts past
+   the timeout and counts the replies each controller sends its own
+   process. *)
+let late_replies tb (pa : State.proc) =
+  let to_client = ref 0 in
+  let hook ~src ~dst ~cls:_ ~size =
+    if dst == pa.State.pnode && src == dst && size = Wire.response then
+      incr to_client;
+    if src != dst && size = Wire.response then
+      Fractos_net.Fabric.Delay (Time.ms 5)
+    else Fractos_net.Fabric.Pass
+  in
+  Fractos_net.Fabric.set_fault_hook tb.Tb.fabric (Some hook);
+  to_client
+
+let test_late_reply_placement () =
+  let config = { Fractos_net.Config.default with shard_placement = true } in
+  Controller.reset_ids ();
+  Process.reset_ids ();
+  Tb.run ~config (fun tb ->
+      let pa, _, ca, cb = two_node_setup tb in
+      Tb.shard_all tb;
+      let to_client = late_replies tb pa in
+      let counter c = Obs.Metrics.counter_value c in
+      let timeouts0 = counter ca.State.cm.State.cm_place_timeouts
+      and reclaims0 = counter cb.State.cm.State.cm_place_reclaims
+      and caps0 = Obs.Metrics.gauge_value ca.State.cm.State.cm_captable in
+      let rec placed_remotely n =
+        let before = Obs.Metrics.counter_value cb.State.cm.State.cm_shard_placed in
+        let r = Api.memory_create pa (Process.alloc pa 16) Perms.rw in
+        if Obs.Metrics.counter_value cb.State.cm.State.cm_shard_placed > before
+        then (r, n + 1)
+        else placed_remotely (n + 1)
+      in
+      let r, calls = placed_remotely 0 in
+      Alcotest.check (result_t Alcotest.int) "placement timed out"
+        (Error Error.Timeout) r;
+      Engine.sleep (Time.ms 20);
+      check_int "one timeout" 1
+        (counter ca.State.cm.State.cm_place_timeouts - timeouts0);
+      check_int "one reply per call" calls !to_client;
+      check_int "lease reclaimed, never confirmed" 1
+        (counter cb.State.cm.State.cm_place_reclaims - reclaims0);
+      check_int "no capability for the timed-out placement" (calls - 1)
+        (Obs.Metrics.gauge_value ca.State.cm.State.cm_captable - caps0))
+
+let test_late_reply_ref_inc () =
+  let config = { Fractos_net.Config.default with track_delegations = true } in
+  Tb.run ~config (fun tb ->
+      let pa, pb, ca, _ = two_node_setup tb in
+      let m =
+        Tb.grant ~src:pb ~dst:pa
+          (ok_exn (Api.memory_create pb (Process.alloc pb 64) Perms.rw))
+      in
+      let to_client = late_replies tb pa in
+      let timeouts () =
+        Obs.Metrics.counter_value ca.State.cm.State.cm_ref_inc_timeouts
+      in
+      let timeouts0 = timeouts () in
+      let r = Api.memory_diminish pa m ~off:0 ~len:16 ~drop:Perms.none in
+      check_bool "inserted after the timeout" true (Result.is_ok r);
+      Engine.sleep (Time.ms 20);
+      check_int "one ref_inc timeout" 1 (timeouts () - timeouts0);
+      check_int "one reply" 1 !to_client)
+
 (* A raised [Error.Fractos] prints its error, not the constructor index:
    uncaught in a tool, it must say what went wrong. *)
 let test_fractos_exn_printer () =
@@ -1303,6 +1486,18 @@ let () =
       ( "quota-tracking",
         [
           Alcotest.test_case "capspace quota" `Quick test_capspace_quota;
+          Alcotest.test_case "tail failure counted and journaled" `Quick
+            test_tail_failure_visible;
+          Alcotest.test_case "duplicated invoke ack runs once" `Quick
+            test_dup_reply_invoke;
+          Alcotest.test_case "duplicated diminish reply runs once" `Quick
+            test_dup_reply_diminish;
+          Alcotest.test_case "duplicated placement reply runs once" `Quick
+            test_dup_reply_placement;
+          Alcotest.test_case "late placement reply absorbed" `Quick
+            test_late_reply_placement;
+          Alcotest.test_case "late ref_inc ack absorbed" `Quick
+            test_late_reply_ref_inc;
           Alcotest.test_case "Fractos exception printer" `Quick
             test_fractos_exn_printer;
           Alcotest.test_case "refcount cleanup" `Quick

@@ -85,14 +85,15 @@ let words_per_batch ~n =
       in
       words_per ~n verify)
 
-(* Measured at 3 320 words per batch (x86-64, OCaml 5.1), plus ~25 %
+(* Measured at 3 170 words per batch (x86-64, OCaml 5.1), plus ~25 %
    headroom. One per-request copy of the batch's 64 KiB payload adds
-   about 8 200 words, so it fails here. The same harness measured 4 187
+   about 8 200 words, so it fails here. The same harness measured 3 320
+   while the controller ran its handlers in fibers, 4 187
    while each pending event was a boxed record, and 4 862 before
    per-message events carried a function and its argument instead of a
    closure (4 365 before [words_per] read [Gc.minor_words], on a window
    that happened to hold a minor collection). *)
-let budget = 4_150.
+let budget = 3_960.
 
 let test_faceverify_batch_budget () =
   let words = words_per_batch ~n:64 in
@@ -123,14 +124,15 @@ let words_per_pd_request ~n =
         words_per ~n request
       | _ -> assert false)
 
-(* Measured at 3 488 words per request (x86-64, OCaml 5.1), plus 2 %:
+(* Measured at 3 391 words per request (x86-64, OCaml 5.1), plus 2 %:
    the request path runs a reply, two handler decodes, two status decodes
    and two status fires, and this holds their cost to the measured one.
-   The same harness measured 4 290 while each pending event was a boxed
+   The same harness measured 3 488 while the controller ran its handlers
+   in fibers, 4 290 while each pending event was a boxed
    record, 5 048 before per-message events carried a
    function and its argument instead of a closure (4 344 before
    [words_per] read [Gc.minor_words]). *)
-let pd_budget = 3_558.
+let pd_budget = 3_459.
 
 let test_pd_request_budget () =
   let words = words_per_pd_request ~n:64 in

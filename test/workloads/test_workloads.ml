@@ -160,7 +160,9 @@ let words_per_open_loop_request ~n =
       (w1 -. w0) /. float_of_int n)
 
 (* Measured at 20.0 words per request (x86-64, OCaml 5.1), plus ~25 %
-   headroom. The same harness measured 27.0 while each pending event was
+   headroom; the request does no controller work, so running the
+   controller as steps left it there. The same harness measured 27.0
+   while each pending event was
    a boxed record, 36.0 when each arrival's fiber was a closure over the
    run's state, and 83.3 when each latency was consed onto a list and the
    list sorted polymorphically. *)
