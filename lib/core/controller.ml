@@ -73,9 +73,6 @@ let sys_mem_diminish ctrl ~caller cid ~off ~len ~drop ans =
 let pull_here (ctrl, src, dst, rr) = Copy.do_copy_pull ctrl ~src ~dst rr stop
 let invoke_here (ctrl, addr, rr) = Invoke.do_invoke ctrl addr [] [] (Some rr) stop
 
-(* A failure before the [rreply] of a remote hop went out answers at once. *)
-let fail_now (rr : _ rreply) e = rr.rr_k (Error e)
-
 let sys_mem_copy ctrl ~caller ~src ~dst ans =
   charged_resolve2 ctrl caller src dst (function
     | Error e -> ans (Error e)
@@ -88,7 +85,8 @@ let sys_mem_copy ctrl ~caller ~src ~dst ans =
          Stale) *)
       if (config ctrl).hw_copies then Copy.hw_copy ctrl ~src ~dst rr
       else
-        Directory.locate ctrl src ~err:fail_now
+        Directory.locate ctrl src
+          ~err:(fun rr e -> rr.rr_k (Error e))
           (fun rr owner ->
             if owner == ctrl then
               Sim.Engine.schedule_with 0 pull_here (ctrl, src, dst, rr)
@@ -150,7 +148,7 @@ let sys_req_invoke ctrl ~caller cid ans =
     | Error e -> ans (Error e)
     | Ok entry ->
       Directory.locate ctrl entry.e_addr
-        ~err:(fun (_, _, rr) e -> fail_now rr e)
+        ~err:(fun (_, _, rr) e -> rr.rr_k (Error e))
         invoke_at
         (ctrl, entry.e_addr, rreply ctrl ans))
 

@@ -66,7 +66,9 @@ val fail_process : t -> proc -> unit
     invalidates every object it owns (Memory it registered, Requests it
     provides) with the usual monitor callbacks and cleanup broadcast, drops
     its capability space (decrementing monitored-delegation counters), and
-    frees its congestion window. *)
+    frees its congestion window. The invalidations run as controller
+    steps, one after the other: the first at once, the rest as the
+    controller's cores come free, so the call returns before they end. *)
 
 val fail : t -> unit
 (** Crash the Controller: it stops serving (in-flight and future messages

@@ -65,15 +65,16 @@ let chunk_span ctrl name ~off ~len body k =
     ~attrs:(fun () -> [ ("off", string_of_int off); ("len", string_of_int len) ])
     name body k
 
-(* A chunk of a session that will not be written releases its pin; the
-   final chunk carries [e] to the caller. *)
-let reject_chunk ctrl ~copy_id e (ck : copy_chunk) k =
+(* A chunk that will not be written releases its pin; the final chunk
+   carries [e] to the caller. A session rejected at open gets its parked
+   error back with its final chunk. *)
+let drop_with ctrl e (ck : copy_chunk) k =
   drop_chunk ck;
-  match ck.ck_last with
-  | Some rr ->
-    Hashtbl.remove ctrl.copy_failures copy_id;
-    rreply_to ctrl rr (Error e) k
-  | None -> k ()
+  match ck.ck_last with Some rr -> rreply_to ctrl rr (Error e) k | None -> k ()
+
+let reject_chunk ctrl ~copy_id e (ck : copy_chunk) k =
+  if ck.ck_last <> None then Hashtbl.remove ctrl.copy_failures copy_id;
+  drop_with ctrl e ck k
 
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
    session's chunks parked in [copy_pending] — and a dropped final chunk
@@ -93,11 +94,11 @@ let schedule_pending_sweep ctrl copy_id q =
       match Hashtbl.find_opt ctrl.copy_pending copy_id with
       | Some q' when q' == q ->
         reclaim_orphan ctrl ctrl.copy_pending copy_id "pending";
-        (* the Timeout reply is a charged step: it starts from an event of
-           its own, as the fiber it replaces did *)
+        (* the Timeout reply is a charged step: it starts from an event
+           of its own at this instant, as a spawned fiber would *)
         let parked = List.of_seq (Queue.to_seq q) in
         Sim.Engine.schedule 0 (fun () ->
-            each (reject_chunk ctrl ~copy_id Error.Timeout) parked stop)
+            each (drop_with ctrl Error.Timeout) parked stop)
       | Some _ | None -> ())
 
 let schedule_failure_sweep ctrl copy_id =

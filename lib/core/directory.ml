@@ -225,8 +225,8 @@ let place_remote ctrl (home : ctrl) space ans make_msg =
    transit slack for the ack). Reclamation goes through the ordinary
    revocation path — the Revoke is audited and remote capabilities are
    cleaned up — so Invariants' live-object accounting stays balanced.
-   The timer is armed from an event of its own at the current instant,
-   the two events of the fiber that slept here before. *)
+   Arming takes an event at the current instant and then the timer, as
+   a spawned sleeper would, so same-instant ties keep their order. *)
 let place_lease_expire (ctrl, caller, key, armed_epoch) =
   match Hashtbl.find_opt ctrl.placed_pending (caller, key) with
   | None -> () (* confirmed (or the table was reset by a reboot) *)

@@ -181,7 +181,7 @@ let per_chunk ~n =
         stored,
         (float_of_int len, first, next) ))
 
-(* Measured at 40.7 minor words per chunk and no fiber (x86-64, OCaml
+(* Measured at 38.8 minor words per chunk and no fiber (x86-64, OCaml
    5.1). The budget leaves less than one word of headroom: a record of
    its own per chunk (a slice of the source, say) adds four words and
    fails here, and so does a fiber. The same harness measured 63.8 words
@@ -195,7 +195,7 @@ let per_chunk ~n =
    while a copy's chunks shared a pin record), and 277 words and one
    fiber per chunk before chunk messages ran as engine events and
    transfers as timed wakes. *)
-let copy_budget = 41.
+let copy_budget = 39.
 
 (* Engine events per chunk, pinned exactly as for an invoke: 656 per
    64-chunk copy, its open, chunks and completion. *)

@@ -856,6 +856,61 @@ let test_engine_fiber_count () =
          Engine.sleep 1;
          check_int "spawned fibers counted" (before + 4) (Engine.fiber_count ())))
 
+(* The step forms of the blocking calls, which controller code runs as
+   events, continue from the very event that would wake a fiber blocked
+   in the call, under the same trace context: started from an event where
+   a fiber would be spawned, each waiter's continuation interleaves with
+   same-instant events exactly as the fiber does. Each waiter and the
+   filler run under a context of their own, and the log records the
+   context each continuation ran under. *)
+let blocking_order ~step =
+  let log = ref [] in
+  let mark label () = log := (label, Engine.get_ctx ()) :: !log in
+  Engine.run (fun () ->
+      let r = Resource.create () and iv = Ivar.create () in
+      let ch = Channel.create () and sem = Semaphore.create 0 in
+      let start ctx f =
+        Engine.set_ctx ctx;
+        if step then Engine.schedule 0 f else Engine.spawn f
+      in
+      start 1 (fun () ->
+          if step then Resource.use_then r ~duration:10 (mark "use") ()
+          else (
+            Resource.use r ~duration:10;
+            mark "use" ()));
+      start 2 (fun () ->
+          if step then Ivar.upon iv (fun v -> mark v ())
+          else mark (Ivar.await iv) ());
+      start 3 (fun () ->
+          if step then Channel.recv_then ch (fun v -> mark v ())
+          else mark (Channel.recv ch) ());
+      start 4 (fun () ->
+          if step then Semaphore.acquire_then sem (mark "sem") ()
+          else (
+            Semaphore.acquire sem;
+            mark "sem" ()));
+      Engine.set_ctx 5;
+      Engine.schedule 10 (mark "timer");
+      Engine.sleep 10;
+      Engine.schedule 0 (mark "before");
+      Ivar.fill iv "ivar";
+      Channel.send ch "chan";
+      Semaphore.release sem;
+      Engine.schedule 0 (mark "after");
+      Engine.sleep 1;
+      (List.rev !log, Engine.event_count ()))
+
+let test_step_forms_keep_order () =
+  let fibers, fiber_events = blocking_order ~step:false in
+  let steps, step_events = blocking_order ~step:true in
+  let show l =
+    String.concat " " (List.map (fun (s, c) -> Printf.sprintf "%s@%d" s c) l)
+  in
+  Alcotest.(check string) "same order and contexts" (show fibers) (show steps);
+  check_int "same events" fiber_events step_events;
+  Alcotest.(check string) "the order"
+    "timer@5 use@1 before@5 ivar@2 chan@5 sem@4 after@5" (show steps)
+
 let test_ivar_try_fill_and_peek () =
   let iv = Ivar.create () in
   check_bool "try_fill fresh" true (Ivar.try_fill iv 5);
@@ -1478,6 +1533,8 @@ let () =
           Alcotest.test_case "resource busy_until" `Quick
             test_resource_busy_until;
           Alcotest.test_case "fiber count" `Quick test_engine_fiber_count;
+          Alcotest.test_case "step forms keep the blocking order" `Quick
+            test_step_forms_keep_order;
           Alcotest.test_case "ivar try_fill/peek" `Quick
             test_ivar_try_fill_and_peek;
         ] );
