@@ -134,7 +134,8 @@ done
 [ "$dead" = 0 ]
 
 echo "== list-built charges"
-# A `charge ctrl [ ... ]` (or `charge ctrl (units @ [ ... ])`) in lib/core
+# A `charge ctrl [ ... ]` or `charge_with ctrl [ ... ]` (or the same with
+# `(units @ [ ... ])`) in lib/core
 # whose counts are all integer literals is static data; a computed count
 # builds the list on every call, so it must take the positional
 # `charge_plus ctrl units cls n` instead (HACKING.md, "Hot path").
@@ -142,9 +143,8 @@ bad=$(awk '
   FNR == 1 { open = 0 }
   {
     if (!open) {
-      i = index($0, "charge ctrl")
-      if (i == 0) next
-      buf = substr($0, i + length("charge ctrl"))
+      if (!match($0, /charge(_with)? ctrl/)) next
+      buf = substr($0, RSTART + RLENGTH)
       if (buf !~ /^ *(\(.*@ *)?(\[|$)/) next
       open = 1
       start = FNR

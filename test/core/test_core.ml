@@ -897,7 +897,9 @@ let test_tail_failure_visible () =
   Obs.Span.set_enabled true;
   Fun.protect ~finally:(fun () ->
       Obs.Journal.set_enabled false;
-      Obs.Span.set_enabled false)
+      Obs.Span.set_enabled false;
+      Obs.Journal.reset ();
+      Obs.Span.reset ())
   @@ fun () ->
   Tb.run ~config (fun tb ->
       let pa, pb, _, cb = two_node_setup tb in
@@ -943,7 +945,8 @@ let run_twice ?config scenario =
   let once dup =
     Controller.reset_ids ();
     Process.reset_ids ();
-    Tb.run ?config (fun tb -> scenario tb (fun () -> duplicate_every_message tb dup))
+    Tb.run ?config (fun tb ->
+        scenario tb (fun () -> duplicate_every_message tb dup))
   in
   let clean = once false and duplicated = once true in
   check_int "messages under duplication" (fst clean) (fst duplicated);
@@ -962,7 +965,9 @@ let measured tb arm ops =
 let test_dup_reply_invoke () =
   run_twice (fun tb arm ->
       let pa, pb, _, _ = two_node_setup tb in
-      let svc = Tb.grant ~src:pb ~dst:pa (ok_exn (Api.request_create pb ~tag:"s" ())) in
+      let svc =
+        Tb.grant ~src:pb ~dst:pa (ok_exn (Api.request_create pb ~tag:"s" ()))
+      in
       measured tb arm (fun () ->
           let r = Api.request_invoke pa svc in
           ignore (Api.receive pb);
@@ -977,8 +982,9 @@ let test_dup_reply_diminish () =
       in
       measured tb arm (fun () ->
           let r = Api.memory_diminish pa m ~off:0 ~len:16 ~drop:Perms.none in
-          (r, Controller.addr_of_cid (Option.get (Process.controller pa)) pa
-                (ok_exn r + 1))))
+          (* a second run of the continuation would insert a second cid *)
+          let ca = Option.get (Process.controller pa) in
+          (r, Controller.addr_of_cid ca pa (ok_exn r + 1))))
 
 let test_dup_reply_placement () =
   let config = { Fractos_net.Config.default with shard_placement = true } in
@@ -1002,9 +1008,8 @@ let test_dup_reply_placement () =
 (* A peer reply that lands after [peer_ack_timeout] finds its wait timed
    out and is absorbed: only the timeout branch ran, so the caller gets
    one reply, and the late reply neither confirms a placement nor
-   answers twice. [late] delays every reply between the two hosts past
-   the timeout and counts the replies each controller sends its own
-   process. *)
+   answers twice. [late_replies] delays every reply between the two
+   hosts past the timeout and counts the replies to [pa]. *)
 let late_replies tb (pa : State.proc) =
   let to_client = ref 0 in
   let hook ~src ~dst ~cls:_ ~size =
@@ -1029,11 +1034,11 @@ let test_late_reply_placement () =
       let timeouts0 = counter ca.State.cm.State.cm_place_timeouts
       and reclaims0 = counter cb.State.cm.State.cm_place_reclaims
       and caps0 = Obs.Metrics.gauge_value ca.State.cm.State.cm_captable in
+      (* create until one placement goes to the remote home *)
       let rec placed_remotely n =
-        let before = Obs.Metrics.counter_value cb.State.cm.State.cm_shard_placed in
+        let before = counter cb.State.cm.State.cm_shard_placed in
         let r = Api.memory_create pa (Process.alloc pa 16) Perms.rw in
-        if Obs.Metrics.counter_value cb.State.cm.State.cm_shard_placed > before
-        then (r, n + 1)
+        if counter cb.State.cm.State.cm_shard_placed > before then (r, n + 1)
         else placed_remotely (n + 1)
       in
       let r, calls = placed_remotely 0 in
@@ -1486,18 +1491,6 @@ let () =
       ( "quota-tracking",
         [
           Alcotest.test_case "capspace quota" `Quick test_capspace_quota;
-          Alcotest.test_case "tail failure counted and journaled" `Quick
-            test_tail_failure_visible;
-          Alcotest.test_case "duplicated invoke ack runs once" `Quick
-            test_dup_reply_invoke;
-          Alcotest.test_case "duplicated diminish reply runs once" `Quick
-            test_dup_reply_diminish;
-          Alcotest.test_case "duplicated placement reply runs once" `Quick
-            test_dup_reply_placement;
-          Alcotest.test_case "late placement reply absorbed" `Quick
-            test_late_reply_placement;
-          Alcotest.test_case "late ref_inc ack absorbed" `Quick
-            test_late_reply_ref_inc;
           Alcotest.test_case "Fractos exception printer" `Quick
             test_fractos_exn_printer;
           Alcotest.test_case "refcount cleanup" `Quick
@@ -1527,6 +1520,21 @@ let () =
           Alcotest.test_case "window backpressure" `Quick test_congestion_window;
           Alcotest.test_case "async invoke + try_receive" `Quick
             test_invoke_async_and_try_receive;
+        ] );
+      ( "replies",
+        [
+          Alcotest.test_case "tail failure counted and journaled" `Quick
+            test_tail_failure_visible;
+          Alcotest.test_case "duplicated invoke ack runs once" `Quick
+            test_dup_reply_invoke;
+          Alcotest.test_case "duplicated diminish reply runs once" `Quick
+            test_dup_reply_diminish;
+          Alcotest.test_case "duplicated placement reply runs once" `Quick
+            test_dup_reply_placement;
+          Alcotest.test_case "late placement reply absorbed" `Quick
+            test_late_reply_placement;
+          Alcotest.test_case "late ref_inc ack absorbed" `Quick
+            test_late_reply_ref_inc;
         ] );
       ( "admission",
         [
