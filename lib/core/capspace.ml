@@ -43,13 +43,13 @@ let ref_dec ctrl addr =
    the audit log. The result goes on with [k]: at once, or under the
    ablation after the owner's acknowledgment, as a step under trace
    context [ctx]. *)
-let ref_inc_acked ctrl addr k cid = function
-  | Error Error.Timeout ->
+let ref_inc_acked ctrl addr k cid ack =
+  if ack = Error Error.Timeout then begin
     Obs.Metrics.incr ctrl.cm.cm_ref_inc_timeouts;
     journal ctrl Obs.Journal.Warn "ctrl.ref_inc_timeout" (fun () ->
-        Printf.sprintf "peer=%d" addr.a_ctrl);
-    k (Ok cid)
-  | Ok () | Error _ -> k (Ok cid)
+        Printf.sprintf "peer=%d" addr.a_ctrl)
+  end;
+  k (Ok cid)
 
 let insert_cap ?(ctx = Sim.Engine.get_ctx ()) ?audit_detail ctrl space addr
     ~counts ~op k =
@@ -164,7 +164,8 @@ let charged_resolve1 ctrl proc cid k =
     charge_plus ctrl msg Net.Cost.Lookup 1 resolve1_at (ctrl, proc, cid, k)
   else
     match memo_space ctrl proc with
-    | exception Error.Fractos e -> charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
+    | exception Error.Fractos e ->
+      charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
     | space ->
       let hit = memo_hit ctrl space cid in
       charge_plus ctrl msg Net.Cost.Lookup (lookups hit) k
@@ -181,11 +182,13 @@ let charged_resolve2 ctrl proc a b k =
       ()
   else
     match memo_space ctrl proc with
-    | exception Error.Fractos e -> charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
+    | exception Error.Fractos e ->
+      charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
     | space -> (
       let hit_a = memo_hit ctrl space a in
       match memo_resolve space hit_a a with
-      | Error e -> charge_plus ctrl msg Net.Cost.Lookup (lookups hit_a) k (Error e)
+      | Error e ->
+        charge_plus ctrl msg Net.Cost.Lookup (lookups hit_a) k (Error e)
       | Ok ea ->
         let hit_b = memo_hit ctrl space b in
         let resolved = pair ea (memo_resolve space hit_b b) in
@@ -218,7 +221,8 @@ let send_monitor_event (ctrl, (watcher : proc), ev, k) =
   k ()
 
 let post_monitor_event ctrl (watcher : proc) ev k =
-  charge_with ctrl [ (Net.Cost.Msg, 1) ] send_monitor_event (ctrl, watcher, ev, k)
+  charge_with ctrl [ (Net.Cost.Msg, 1) ] send_monitor_event
+    (ctrl, watcher, ev, k)
 
 (* Fire-and-forget counter update at the owner of a monitored delegator
    object. *)
@@ -318,10 +322,8 @@ let cleanup_local ctrl addr =
 (* Broadcast-based cleanup (§3.5: outside the critical path): ask every
    peer to drop capabilities referencing the invalidated objects, then
    delete the tombstones once every peer has acknowledged, waiting for
-   the acknowledgments in the order they were asked for. It starts from
-   an event of its own at the current instant and charges one message per
-   peer and address. An acknowledgment fills its ivar at its arrival, so
-   a join that waits for it wakes as an awaiting fiber would. *)
+   the acknowledgments in order. An acknowledgment fills its ivar at its
+   arrival, so the wait wakes as an awaiting fiber would. *)
 let rec await_acks acks k =
   match acks with
   | [] -> k ()
@@ -340,7 +342,8 @@ let cleanup_start (ctrl, addrs) =
           send_peer ctrl peer ~size:Wire.peer_fixed (P_cleanup { addr; reply });
           ask (iv :: acks) rest)
   in
-  ask [] (List.concat_map (fun p -> List.map (fun a -> (p, a)) addrs) ctrl.peers)
+  ask []
+    (List.concat_map (fun p -> List.map (fun a -> (p, a)) addrs) ctrl.peers)
 
 let cleanup_broadcast ctrl addrs =
   Sim.Engine.schedule_with 0 cleanup_start (ctrl, addrs)
@@ -350,7 +353,9 @@ let cleanup_broadcast ctrl addrs =
    and go on with [k]. *)
 let invalidate_at_owner ctrl obj k =
   let invalidated = Objects.invalidate ctrl obj in
-  let addr o = { a_ctrl = ctrl.ctrl_id; a_epoch = ctrl.epoch; a_oid = o.o_id } in
+  let addr o =
+    { a_ctrl = ctrl.ctrl_id; a_epoch = ctrl.epoch; a_oid = o.o_id }
+  in
   charge_plus ctrl [] Net.Cost.Revoke (List.length invalidated) (fun () ->
       (* one Revoke event per invalidated object, subtree root first (the
          order Objects.invalidate walks the revocation tree) *)

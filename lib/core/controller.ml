@@ -45,7 +45,8 @@ let sys_mem_create ctrl ~caller buf ~off ~len perms ans =
       | space ->
         fresh ctrl space ans
           ~place:(fun key rr ->
-            P_place_mem { buf; off; len; perms; owner = caller; key; reply = rr })
+            P_place_mem
+              { buf; off; len; perms; owner = caller; key; reply = rr })
           ~mint:(fun () ->
             Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner:caller)
           (fun () -> "memory perms=" ^ Perms.to_string perms))
@@ -71,7 +72,8 @@ let sys_mem_diminish ctrl ~caller cid ~off ~len ~drop ans =
 (* The steps that run a copy or an invocation chain here, started from
    an event with their arguments rather than a closure over them. *)
 let pull_here (ctrl, src, dst, rr) = Copy.do_copy_pull ctrl ~src ~dst rr stop
-let invoke_here (ctrl, addr, rr) = Invoke.do_invoke ctrl addr [] [] (Some rr) stop
+let invoke_here (ctrl, addr, rr) =
+  Invoke.do_invoke ctrl addr [] [] (Some rr) stop
 
 let sys_mem_copy ctrl ~caller ~src ~dst ans =
   charged_resolve2 ctrl caller src dst (function
@@ -122,11 +124,13 @@ let sys_req_derive ctrl ~caller ~parent ~imms ~caps ans =
           let parent = parent_entry.e_addr in
           fresh ctrl space ans
             ~place:(fun key rr ->
-              P_place_req { provider = caller; imms; caps; parent; key; reply = rr })
+              P_place_req
+                { provider = caller; imms; caps; parent; key; reply = rr })
             ~mint:(fun () ->
               Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms ~caps
                 ~parent:(Some parent))
-            (fun () -> Printf.sprintf "request derive parent_oid=%d" parent.a_oid)))
+            (fun () ->
+              Printf.sprintf "request derive parent_oid=%d" parent.a_oid)))
     ()
 
 (* [x]: the invoked Request and the [rreply] for the posting ack. *)
@@ -558,19 +562,15 @@ let shard_mark ctrl live =
             g.sg_gen)
     end
 
-(* Message-loop skeleton shared by the syscall and peer endpoints, as
-   steps: the endpoint hands the loop each message that arrives while it
-   waits ([Net.Endpoint.recv_then]). One wake-up takes a message (paying
-   the doorbell charge, if the config splits one out of c_msg), then up
-   to [ctrl_batch - 1] further already-queued messages under the same
-   wake-up — doorbell coalescing. With the default knobs (batch = 1,
-   doorbell = 0) this is one plain receive per message.
-
-   Every handler runs as an engine event of its own at the current
-   instant, the heap slot a fiber's start would take, so same-instant
-   events keep their order. The loop's functions, [handle ctrl] among
-   them, are built once per loop, so a message costs its event but no
-   closure. *)
+(* Message-loop skeleton shared by the syscall and peer endpoints. One
+   wake-up takes a message (paying the doorbell charge, if the config
+   splits one out of c_msg), then up to [ctrl_batch - 1] further
+   already-queued messages under the same wake-up — doorbell coalescing.
+   With the default knobs (batch = 1, doorbell = 0) this is one plain
+   receive per message. Each handler runs as an event of its own at the
+   current instant, the heap slot a fiber's start would take, so
+   same-instant events keep their order. The loop's functions, [handle
+   ctrl] among them, are built once per loop. *)
 let service_loop ctrl ep handle reject =
   let cfg = config ctrl in
   let batch = max 1 cfg.Net.Config.ctrl_batch in
@@ -625,8 +625,6 @@ let grant ctrl proc addr =
     invalid_arg "Controller.grant: process not attached"
   | space ->
     let iv = Sim.Ivar.create () in
-    (* the caller's fiber awaits [iv]: the owner's acknowledgment (under
-       track_delegations) resumes it directly *)
     insert_cap ~ctx:(-1) ctrl space addr ~counts:None ~op:Obs.Audit.Delegate
       ~audit_detail:(fun () -> "grant")
       (Sim.Ivar.fill iv);

@@ -11,9 +11,8 @@
     monitors, congestion control, and failure translation.
 
     A Controller serves two queues (Process syscalls and peer messages),
-    modeling the prototype's two polling cores. Its work runs as
-    run-to-completion engine events, never in fibers: every fiber belongs
-    to a Process. All software costs are booked on a 2-server CPU
+    modeling the prototype's two polling cores, as engine events, never
+    in fibers; all software costs are booked on a 2-server CPU
     {!Fractos_sim.Resource.t} scaled by the node kind it runs on (host CPU
     vs SmartNIC — see {!Fractos_net.Cost}). *)
 
@@ -51,10 +50,9 @@ val grant : t -> proc -> addr -> (int, Error.t) result Sim.Ivar.t
 (** Trusted bootstrap: insert a capability to [addr] directly into the
     Process's space; the ivar gets the new cid. Models the operator's
     pre-deployed resource-management service handing out initial
-    capabilities; zero simulated cost. It is filled at once, or under
-    {!Net.Config.track_delegations} with a remote owner once the owner has
-    acknowledged (or the wait timed out), which the caller awaits. Raises
-    [Invalid_argument] for a process not attached to this Controller. *)
+    capabilities; zero simulated cost. Under
+    {!Net.Config.track_delegations} it fills once a remote owner has
+    acknowledged. *)
 
 val addr_of_cid : t -> proc -> int -> addr option
 (** Debug/testbed introspection: resolve a Process's cid. *)
@@ -66,9 +64,8 @@ val fail_process : t -> proc -> unit
     invalidates every object it owns (Memory it registered, Requests it
     provides) with the usual monitor callbacks and cleanup broadcast, drops
     its capability space (decrementing monitored-delegation counters), and
-    frees its congestion window. The invalidations run as controller
-    steps, one after the other: the first at once, the rest as the
-    controller's cores come free, so the call returns before they end. *)
+    frees its congestion window. The invalidations are controller steps
+    that may end after the call returns. *)
 
 val fail : t -> unit
 (** Crash the Controller: it stops serving (in-flight and future messages

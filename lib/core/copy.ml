@@ -62,7 +62,8 @@ let stage ctrl len g x =
    [Obs.Span.enabled], so that untraced chunks build no closure). *)
 let chunk_span ctrl name ~off ~len body k =
   span ctrl
-    ~attrs:(fun () -> [ ("off", string_of_int off); ("len", string_of_int len) ])
+    ~attrs:(fun () ->
+      [ ("off", string_of_int off); ("len", string_of_int len) ])
     name body k
 
 (* A chunk that will not be written releases its pin; the final chunk
@@ -128,9 +129,8 @@ let write_chunk dst_mem ~base ~total ck len =
    coverage (a middle chunk was dropped by fault injection — the endpoint
    layer already absorbs duplicates), it must answer with a typed error,
    not ack a silent hole. Fault-free sessions always cover [total]
-   exactly. Its functions are built once per session and it starts from
-   an event of its own. *)
-let start_copy_session ctrl ~copy_id ~base ~total ~dst_mem =
+   exactly. *)
+let start_copy_session ctrl ~copy_id ~base ~total dst_mem =
   let chan = Sim.Channel.create () and received = ref 0 in
   Hashtbl.replace ctrl.copy_sessions copy_id chan;
   let rec next () = Sim.Channel.recv_then chan write
@@ -163,19 +163,6 @@ let start_copy_session ctrl ~copy_id ~base ~total ~dst_mem =
   in
   Sim.Engine.schedule 0 next;
   chan
-
-(* Validate and open a copy session on the first (optimistic) chunk. On
-   failure the error is parked until the final chunk's reply path. *)
-let open_session ctrl ~copy_id ~dst ~base ~total =
-  match
-    Capspace.find_memory ctrl dst
-      ~not_memory:"memory_copy destination is not Memory"
-  with
-  | Ok (_, m) when not m.m_perms.Perms.write -> Error Error.Perm_denied
-  | Ok (_, m) when total > m.m_len -> Error Error.Bounds
-  | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
-  | Ok (_, m) -> Ok (start_copy_session ctrl ~copy_id ~base ~total ~dst_mem:m)
-  | Error e -> Error e
 
 (* Source side (we own the source object): validate, open the session at
    the destination owner, then stream chunks. With double buffering the
@@ -232,7 +219,8 @@ let copy_chunks ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) k =
     Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
       ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header)
       (if !i = 0 then
-         P_copy_open { copy_id; dst; base = m.m_off; total = m.m_len; chunk = ck }
+         P_copy_open
+           { copy_id; dst; base = m.m_off; total = m.m_len; chunk = ck }
        else P_copy_chunk { copy_id; chunk = ck });
     Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len;
     if not (config ctrl).double_buffering then
@@ -255,8 +243,8 @@ let copy_pull ctrl ~src ~dst (rr : unit rreply) k =
           | Ok (_, m) when not m.m_perms.Perms.read ->
             rreply_to ctrl rr (Error Error.Perm_denied) k
           | Ok (_, m) when not m.m_owner.alive ->
-            (* symmetric with open_session's destination check: never
-               read a dead owner's buffer *)
+            (* symmetric with on_open's destination check: never read a
+               dead owner's buffer *)
             rreply_to ctrl rr (Error Error.Provider_dead) k
           | Ok (_, m) ->
             (* destination routing goes through the shard directory too: a
@@ -349,11 +337,22 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
 (* Destination-side peer handlers                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [P_copy_open]: open the session, then feed it the first chunk and any
-   that overtook the open; or reject them all. *)
+(* [P_copy_open]: validate and open the session, then feed it the first
+   chunk and any that overtook the open. On failure they are all rejected
+   and the error is parked until the final chunk's reply path. *)
 let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
   charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
-      let opened = open_session ctrl ~copy_id ~dst ~base ~total in
+      let opened =
+        match
+          Capspace.find_memory ctrl dst
+            ~not_memory:"memory_copy destination is not Memory"
+        with
+        | Ok (_, m) when not m.m_perms.Perms.write -> Error Error.Perm_denied
+        | Ok (_, m) when total > m.m_len -> Error Error.Bounds
+        | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
+        | Ok (_, m) -> Ok (start_copy_session ctrl ~copy_id ~base ~total m)
+        | Error e -> Error e
+      in
       let chunks =
         match Hashtbl.find_opt ctrl.copy_pending copy_id with
         | Some q ->

@@ -30,11 +30,10 @@ let journal ctrl sev kind detail =
   if Obs.Journal.enabled () then
     Obs.Journal.record_lazy ~node:(node_name ctrl) ~sev ~kind ~detail ()
 
-(* Controller work runs as run-to-completion steps: engine events, never
-   fibers (HACKING.md, "Writing a controller step"). A step that charges
-   software cost books it on the controller's two cores (queueing under
-   load is implicit) and continues with [g x] at the booking's finish,
-   from the event a fiber's wake-up from [Resource.use] would be. *)
+(* Controller work runs as steps, engine events that never block
+   (HACKING.md, "Writing a controller step"). A charge books the
+   controller's two cores (queueing under load is implicit) and continues
+   with [g x] at the booking's finish. *)
 let after_cpu ctrl d g x =
   if d > 0 then Sim.Resource.use_then ctrl.cpu ~duration:d g x else g x
 
@@ -52,9 +51,8 @@ let charge_plus ctrl units cls n g x =
 let charge_scaled ctrl cls base g x =
   after_cpu ctrl (Net.Cost.scaled (config ctrl) (kind ctrl) cls base) g x
 
-(* [body k] under a span ([Obs.Span.with_then]). Callers test
-   [Obs.Span.enabled ()] first so that untraced steps build no closure
-   (HACKING.md, "Hot path"). *)
+(* [body k] under a span; callers test [Obs.Span.enabled ()] first so
+   that untraced steps build no closure (HACKING.md, "Hot path"). *)
 let span ctrl ?(attrs = fun () -> []) name body k =
   if Obs.Span.enabled () then
     Obs.Span.with_then ~node:(node_name ctrl) ~attrs:(attrs ()) ~name body k
@@ -63,8 +61,7 @@ let span ctrl ?(attrs = fun () -> []) name body k =
 (* A step that ends nothing: the continuation of a handler's last step. *)
 let stop () = ()
 
-(* [f x k'] for each [x] of [xs] in order, each after the steps of the one
-   before, then [k ()]. *)
+(* [f x k'] for each [x] of [xs], each after the one before, then [k ()]. *)
 let rec each f xs k =
   match xs with [] -> k () | x :: rest -> f x (fun () -> each f rest k)
 
@@ -88,22 +85,24 @@ let first_arrival o =
   end
 
 (* A reply path whose arrival continues with [k] under trace context [ctx]. *)
-let rreply_at ctx ctrl k = { rr_ctrl = ctrl; rr_ctx = ctx; rr_fired = false; rr_k = k }
+let rreply_at ctx ctrl k =
+  { rr_ctrl = ctrl; rr_ctx = ctx; rr_fired = false; rr_k = k }
 let rreply ctrl k = rreply_at (Sim.Engine.get_ctx ()) ctrl k
 
-(* The reply [v] lands: its first arrival runs the continuation, as the
-   event that would resume an awaiting fiber. *)
+(* The reply [v] lands: its first arrival runs the continuation. *)
 let rr_fill rr v =
   if not rr.rr_fired then begin
     rr.rr_fired <- true;
-    if rr.rr_ctx < 0 then rr.rr_k v else Sim.Engine.wake_with rr.rr_ctx rr.rr_k v
+    if rr.rr_ctx < 0 then rr.rr_k v
+    else Sim.Engine.wake_with rr.rr_ctx rr.rr_k v
   end
 
-(* Bound the wait on [rr], from where an awaiting fiber would suspend:
-   with no reply within [timeout], the continuation runs with [Error
-   Timeout] (which no peer replies itself) and a later reply is absorbed. *)
+(* Bound the wait on [rr]: with no reply within [timeout], the
+   continuation gets [Error Timeout] (which no peer replies itself). *)
 let await_timeout rr ~timeout =
-  Sim.Engine.schedule_with timeout (fun rr -> rr_fill rr (Error Error.Timeout)) rr
+  Sim.Engine.schedule_with timeout
+    (fun rr -> rr_fill rr (Error Error.Timeout))
+    rr
 
 (* Reply to a Process's syscall / to a peer controller's request: charge
    the reply's cpu time, post it at the booking's finish and go on with
@@ -130,7 +129,7 @@ let reply_with post ((ctrl, _, _) as x) k =
         post x;
         k ())
 
-let reply_to ctrl (reply : _ reply) v k = reply_with post_reply (ctrl, reply, v) k
+let reply_to ctrl (r : _ reply) v k = reply_with post_reply (ctrl, r, v) k
 let rreply_to ctrl (rr : _ rreply) v k = reply_with post_rreply (ctrl, rr, v) k
 
 let send_peer ctrl (dst : ctrl) ~size msg =

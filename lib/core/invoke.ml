@@ -174,7 +174,8 @@ and forward hop owner =
            the chain validated *)
         rreply_opt ctrl hop.h_rr (Ok ()) (fun () ->
             send_peer ctrl owner
-              ~size:(Wire.invoke ~imms:hop.h_imms ~caps:(List.length hop.h_caps))
+              ~size:
+                (Wire.invoke ~imms:hop.h_imms ~caps:(List.length hop.h_caps))
               (P_invoke
                  { addr = hop.h_addr; suffix_imms = hop.h_imms;
                    suffix_caps = hop.h_caps; reply = None });

@@ -148,9 +148,7 @@ and ctrl_metrics = {
   cm_place_reclaims : Obs.Metrics.counter;
       (* placement leases that expired without a P_place_ack: the object
          minted for a remote caller was reclaimed at the home *)
-  cm_tail_failures : Obs.Metrics.counter;
-      (* invocations that failed past their acknowledgment, where no
-         reply path reports it *)
+  cm_tail_failures : Obs.Metrics.counter; (* failures past the invoke ack *)
 }
 
 and capspace = {
@@ -223,13 +221,11 @@ and monitor_event =
   | Delegate_cb of int (* all delegated children gone (callback id) *)
   | Receive_cb of int (* watched capability revoked (callback id) *)
 
-(* Reply paths; the fabric delivers a reply at its arrival instant, so
-   timing and accounting are exact. A Process awaits its syscall's ivar.
-   A controller step waiting for a peer's reply stores its continuation
-   [rr_k] instead, which the first arrival runs once, as the event that
-   would resume a fiber suspended under [rr_ctx] (Ctrl_base.rr_fill); a
-   negative [rr_ctx] runs it at the arrival itself. [rr_fired] absorbs a
-   duplicated reply and one that lands after the wait timed out. *)
+(* Reply paths, delivered at the arrival instant. A Process awaits its
+   syscall's ivar; a controller step stores its continuation [rr_k],
+   which the first arrival runs once (Ctrl_base.rr_fill) as an event
+   under [rr_ctx], or at the arrival itself if [rr_ctx] is negative.
+   [rr_fired] absorbs a duplicate and a reply after a timeout. *)
 and 'a reply = { r_ivar : ('a, Error.t) result Sim.Ivar.t; r_proc : proc }
 
 and 'a rreply = {

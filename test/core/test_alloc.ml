@@ -261,7 +261,8 @@ let test_invoke_events () =
   Printf.printf "events per null invoke: %.2f own shard, %.2f across\n" local
     cross;
   Alcotest.(check (float 0.)) "events per own-shard invoke" local_events local;
-  Alcotest.(check (float 0.)) "events per cross-shard invoke" cross_events cross;
+  Alcotest.(check (float 0.))
+    "events per cross-shard invoke" cross_events cross;
   Alcotest.(check int) "fibers of 200 own-shard invokes" 0 local_fibers;
   Alcotest.(check int) "fibers of 200 cross-shard invokes" 0 cross_fibers
 
