@@ -129,40 +129,74 @@ let write_chunk dst_mem ~base ~total ck len =
    coverage (a middle chunk was dropped by fault injection — the endpoint
    layer already absorbs duplicates), it must answer with a typed error,
    not ack a silent hole. Fault-free sessions always cover [total]
-   exactly. *)
-let start_copy_session ctrl ~copy_id ~base ~total dst_mem =
-  let chan = Sim.Channel.create () and received = ref 0 in
-  Hashtbl.replace ctrl.copy_sessions copy_id chan;
-  let rec next () = Sim.Channel.recv_then chan write
-  and write ck =
-    let len = ck_len ctrl ~total ck in
-    received := !received + len;
-    if Obs.Span.enabled () then
-      chunk_span ctrl "ctrl.copy.write" ~off:ck.ck_off ~len (store len ck)
-        written
-    else store len ck written
-  and store len ck k =
-    if len = 0 then k ck
-    else
-      (* staging memcpy through the bounce buffer, then the RDMA write
-         into process memory *)
-      stage ctrl len
-        (fun () ->
-          write_chunk dst_mem ~base ~total ck len;
-          Net.Fabric.transfer_then ctrl.fabric ~src:ctrl.cnode
-            ~dst:dst_mem.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len k ck)
-        ()
-  and written ck =
-    match ck.ck_last with
-    | None -> next ()
-    | Some rr ->
-      Hashtbl.remove ctrl.copy_sessions copy_id;
-      rreply_to ctrl rr
-        (if !received >= total then Ok () else Error Error.Timeout)
-        stop
+   exactly. The session record is the steps' argument: a session builds
+   one closure, its receive step, and a chunk none (HACKING.md, "Hot
+   path"). *)
+let rec receive s = Sim.Channel.recv_then s.cs_chan s.cs_recv
+
+and write s ck =
+  let len = ck_len s.cs_ctrl ~total:s.cs_total ck in
+  s.cs_received <- s.cs_received + len;
+  s.cs_ck <- ck;
+  s.cs_len <- len;
+  if Obs.Span.enabled () then
+    chunk_span s.cs_ctrl "ctrl.copy.write" ~off:ck.ck_off ~len
+      (fun k ->
+        s.cs_after <- k;
+        store s)
+      (fun () -> written s)
+  else store s
+
+(* the staging memcpy through the bounce buffer, then the RDMA write
+   into process memory *)
+and store s =
+  if s.cs_len = 0 then stored s else stage s.cs_ctrl s.cs_len staged_write s
+
+and staged_write s =
+  write_chunk s.cs_dst ~base:s.cs_base ~total:s.cs_total s.cs_ck s.cs_len;
+  Net.Fabric.transfer_then s.cs_ctrl.fabric ~src:s.cs_ctrl.cnode
+    ~dst:s.cs_dst.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:s.cs_len stored
+    s
+
+(* a traced chunk ends with its span's continuation, reset so that the
+   next chunk never runs it; an untraced one ([cs_after] is [stop]) goes
+   straight on *)
+and stored s =
+  let after = s.cs_after in
+  if after == stop then written s
+  else begin
+    s.cs_after <- stop;
+    after ()
+  end
+
+and written s =
+  match s.cs_ck.ck_last with
+  | None -> receive s
+  | Some rr ->
+    Hashtbl.remove s.cs_ctrl.copy_sessions s.cs_copy_id;
+    rreply_to s.cs_ctrl rr
+      (if s.cs_received >= s.cs_total then Ok () else Error Error.Timeout)
+      stop
+
+let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck =
+  let rec s =
+    {
+      cs_ctrl = ctrl;
+      cs_copy_id = copy_id;
+      cs_base = base;
+      cs_total = total;
+      cs_dst = dst_mem;
+      cs_chan = Sim.Channel.create ();
+      cs_recv = (fun ck -> write s ck);
+      cs_received = 0;
+      cs_ck = ck;
+      cs_len = 0;
+      cs_after = stop;
+    }
   in
-  Sim.Engine.schedule 0 next;
-  chan
+  Hashtbl.replace ctrl.copy_sessions copy_id s;
+  Sim.Engine.schedule_with 0 receive s;
+  s
 
 (* Source side (we own the source object): validate, open the session at
    the destination owner, then stream chunks. With double buffering the
@@ -177,60 +211,106 @@ let start_copy_session ctrl ~copy_id ~base ~total dst_mem =
    Staging pins the source's current store and copies or allocates
    nothing: a store into the source afterwards (after a revoke, say)
    copies the source's bytes instead, so it never reaches the
-   destination. The loop's functions are built once per copy. *)
-let copy_chunks ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) k =
-  let chunk = (config ctrl).bounce_chunk in
-  let n = n_chunks m.m_len chunk and i = ref 0 and after = ref stop in
-  let len () = chunk_len m.m_len chunk !i in
-  let rec next () =
-    if !i = n then k ()
-    else if Obs.Span.enabled () then
-      chunk_span ctrl "ctrl.copy.chunk" ~off:(!i * chunk) ~len:(len ())
-        (fun k ->
-          after := k;
-          read ())
-        sent
-    else begin
-      after := sent;
-      read ()
-    end
-  and sent () =
-    incr i;
-    next ()
-  (* RDMA read of the chunk's source range into the bounce buffer, then
-     its staging memcpy *)
-  and read () =
-    if len () = 0 then post ()
-    else
-      Net.Fabric.transfer_then ctrl.fabric ~src:m.m_buf.Membuf.node
-        ~dst:ctrl.cnode ~cls:Net.Stats.Data ~size:(len ()) staged ()
-  and staged () = stage ctrl (len ()) post ()
-  and post () =
-    let len = len () in
-    let ck =
-      {
-        ck_off = !i * chunk;
-        ck_pin =
-          (if len = 0 then Membuf.no_pin
-           else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len);
-        ck_last = (if !i = n - 1 then Some rr else None);
-      }
-    in
-    Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst_ctrl.peer_ep
-      ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header)
-      (if !i = 0 then
-         P_copy_open
-           { copy_id; dst; base = m.m_off; total = m.m_len; chunk = ck }
-       else P_copy_chunk { copy_id; chunk = ck });
-    Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len;
-    if not (config ctrl).double_buffering then
-      (* strict serial chunks: wait out the wire time before reading the
-         next chunk *)
-      Net.Fabric.transfer_then ctrl.fabric ~src:ctrl.cnode ~dst:dst_ctrl.cnode
-        ~cls:Net.Stats.Control ~size:1 !after ()
-    else !after ()
+   destination. One record holds the copy's state and is its steps'
+   argument, so the loop builds no closure untraced (HACKING.md, "Hot
+   path"). *)
+type outgoing = {
+  cp_ctrl : ctrl;
+  cp_mem : mem;
+  cp_dst : addr;
+  cp_dst_ctrl : ctrl;
+  cp_copy_id : int;
+  cp_rr : unit rreply;
+  cp_k : unit -> unit; (* after the last chunk is posted *)
+  cp_n : int; (* chunks *)
+  mutable cp_i : int; (* the chunk in hand *)
+  mutable cp_after : unit -> unit; (* as [cs_after] *)
+}
+
+let cp_chunk c = (config c.cp_ctrl).bounce_chunk
+let cp_len c = chunk_len c.cp_mem.m_len (cp_chunk c) c.cp_i
+
+let rec next c =
+  if c.cp_i = c.cp_n then c.cp_k ()
+  else if Obs.Span.enabled () then
+    chunk_span c.cp_ctrl "ctrl.copy.chunk" ~off:(c.cp_i * cp_chunk c)
+      ~len:(cp_len c)
+      (fun k ->
+        c.cp_after <- k;
+        read c)
+      (fun () -> sent c)
+  else read c
+
+and sent c =
+  c.cp_i <- c.cp_i + 1;
+  next c
+
+(* RDMA read of the chunk's source range into the bounce buffer, then
+   its staging memcpy *)
+and read c =
+  let len = cp_len c in
+  if len = 0 then post c
+  else
+    Net.Fabric.transfer_then c.cp_ctrl.fabric
+      ~src:c.cp_mem.m_buf.Membuf.node ~dst:c.cp_ctrl.cnode ~cls:Net.Stats.Data
+      ~size:len staged c
+
+and staged c = stage c.cp_ctrl (cp_len c) post c
+
+and post c =
+  let ctrl = c.cp_ctrl and m = c.cp_mem and len = cp_len c in
+  let ck =
+    {
+      ck_off = c.cp_i * cp_chunk c;
+      ck_pin =
+        (if len = 0 then Membuf.no_pin
+         else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len);
+      ck_last = (if c.cp_i = c.cp_n - 1 then Some c.cp_rr else None);
+    }
   in
-  next ()
+  Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode c.cp_dst_ctrl.peer_ep
+    ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header)
+    (if c.cp_i = 0 then
+       P_copy_open
+         {
+           copy_id = c.cp_copy_id;
+           dst = c.cp_dst;
+           base = m.m_off;
+           total = m.m_len;
+           chunk = ck;
+         }
+     else P_copy_chunk { copy_id = c.cp_copy_id; chunk = ck });
+  Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len;
+  if not (config ctrl).double_buffering then
+    (* strict serial chunks: wait out the wire time before reading the
+       next chunk *)
+    Net.Fabric.transfer_then ctrl.fabric ~src:ctrl.cnode
+      ~dst:c.cp_dst_ctrl.cnode ~cls:Net.Stats.Control ~size:1 chunk_sent c
+  else chunk_sent c
+
+(* as the writer's [stored] *)
+and chunk_sent c =
+  let after = c.cp_after in
+  if after == stop then sent c
+  else begin
+    c.cp_after <- stop;
+    after ()
+  end
+
+let copy_chunks ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) k =
+  next
+    {
+      cp_ctrl = ctrl;
+      cp_mem = m;
+      cp_dst = dst;
+      cp_dst_ctrl = dst_ctrl;
+      cp_copy_id = copy_id;
+      cp_rr = rr;
+      cp_k = k;
+      cp_n = n_chunks m.m_len (config ctrl).bounce_chunk;
+      cp_i = 0;
+      cp_after = stop;
+    }
 
 let copy_pull ctrl ~src ~dst (rr : unit rreply) k =
   charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup (fun () ->
@@ -350,7 +430,8 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
         | Ok (_, m) when not m.m_perms.Perms.write -> Error Error.Perm_denied
         | Ok (_, m) when total > m.m_len -> Error Error.Bounds
         | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
-        | Ok (_, m) -> Ok (start_copy_session ctrl ~copy_id ~base ~total m)
+        | Ok (_, m) ->
+          Ok (start_copy_session ctrl ~copy_id ~base ~total m chunk)
         | Error e -> Error e
       in
       let chunks =
@@ -361,8 +442,8 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
         | None -> [ chunk ]
       in
       match opened with
-      | Ok chan ->
-        List.iter (Sim.Channel.send chan) chunks;
+      | Ok s ->
+        List.iter (Sim.Channel.send s.cs_chan) chunks;
         k ()
       | Error e ->
         Hashtbl.replace ctrl.copy_failures copy_id e;
@@ -377,7 +458,7 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
    path. *)
 let on_chunk ctrl ~copy_id ~chunk k =
   (match Hashtbl.find ctrl.copy_sessions copy_id with
-  | chan -> Sim.Channel.send chan chunk
+  | s -> Sim.Channel.send s.cs_chan chunk
   | exception Not_found -> (
     match Hashtbl.find_opt ctrl.copy_failures copy_id with
     | Some e -> reject_chunk ctrl ~copy_id e chunk stop

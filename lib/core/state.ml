@@ -63,7 +63,7 @@ and ctrl = {
   fabric : Net.Fabric.t;
   mutable running : bool;
   windows : (int, Sim.Semaphore.t) Hashtbl.t; (* per-proc delivery window *)
-  copy_sessions : (int, copy_chunk Sim.Channel.t) Hashtbl.t;
+  copy_sessions : (int, copy_session) Hashtbl.t;
   copy_failures : (int, Error.t) Hashtbl.t;
       (* sessions rejected at open; the error is replied on the last chunk *)
   copy_pending : (int, copy_chunk Queue.t) Hashtbl.t;
@@ -366,6 +366,24 @@ and copy_chunk = {
          copy's total and [bounce_chunk], and the source offset from the
          session's base. *)
   ck_last : unit rreply option; (* final chunk carries the caller's ack *)
+}
+
+(* A copy session at its destination: the writer's state, which its
+   steps take as their argument (Copy.start_copy_session). *)
+and copy_session = {
+  cs_ctrl : ctrl;
+  cs_copy_id : int;
+  cs_base : int; (* the source view's offset in its buffer *)
+  cs_total : int;
+  cs_dst : mem;
+  cs_chan : copy_chunk Sim.Channel.t;
+  cs_recv : copy_chunk -> unit; (* the writer's receive step *)
+  mutable cs_received : int; (* bytes delivered so far *)
+  mutable cs_ck : copy_chunk; (* the chunk being written *)
+  mutable cs_len : int; (* and its length *)
+  mutable cs_after : unit -> unit;
+      (* the chunk span's continuation in traced runs, else
+         [Ctrl_base.stop] *)
 }
 
 let addr_equal a b =

@@ -215,9 +215,11 @@ let transfer t ~src ~dst ?(cls = Stats.Control) ~size () =
 
 (* [transfer] for code that runs as events: the delivery instant's event
    takes the heap slot of [transfer]'s wake-up, and the one it pushes in
-   turn that of its yield, where [g x] then runs. *)
+   turn that of its yield, where [g x] then runs. Untraced, that pair is
+   one [Sim.Engine.relay_with], which allocates nothing; traced, the
+   first event also finishes the message's span. *)
 let landed (sp, g, x) =
-  if sp <> 0 then Obs.Span.finish sp;
+  Obs.Span.finish sp;
   Sim.Engine.schedule_with 0 g x
 
 let transfer_then t ~src ~dst ?(cls = Stats.Control) ~size g x =
@@ -226,7 +228,8 @@ let transfer_then t ~src ~dst ?(cls = Stats.Control) ~size g x =
     let sp = t.xfer_span in
     let now = Sim.Engine.now () in
     if t.dup_at >= 0 then Sim.Engine.schedule (t.dup_at - now) ignore;
-    Sim.Engine.schedule_with (at - now) landed (sp, g, x)
+    if sp = 0 then Sim.Engine.relay_with (at - now) g x
+    else Sim.Engine.schedule_with (at - now) landed (sp, g, x)
   end
 
 type utilization = {

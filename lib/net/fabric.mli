@@ -126,7 +126,14 @@ val transfer_then :
     [g x] runs when the message has arrived, from the events that
     {!transfer}'s wake-up and yield would be, so it orders against every
     other event exactly as {!transfer} does. A dropped message never runs
-    [g x]. *)
+    [g x]; a duplicated one runs it once, and its second copy is an empty
+    event.
+
+    Pass [g] as a function defined once and [x] as the step's own state
+    (a record of the activity, say), not a closure built per call:
+    untraced, the two events are one {!Sim.Engine.relay_with} that
+    carries [g] and [x], so the call allocates nothing of its own. Traced,
+    the first event also finishes the message's [fabric.xfer] span. *)
 
 val transfer_chunked :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit

@@ -10,7 +10,8 @@ open Effect.Deep
    has grown to the working set. A resumer is itself the context and
    continuation of the suspended fiber, so [Resume] and [Fail] need only
    point at it. [Call_with] and [Spawn_with] carry a function and its
-   argument instead of a closure over them.
+   argument instead of a closure over them, and so does [Relay], whose
+   dispatch pushes that [Call_with] at its own instant.
 
    The payload arrays are [Obj.t array]s because most kinds are
    existential: the kind stored in a slot determines its payload types,
@@ -22,6 +23,7 @@ type kind =
   | Wake (* a: (unit, unit) continuation *)
   | Call (* a: unit -> unit *)
   | Call_with (* a: 'x -> unit; b: 'x *)
+  | Relay (* a: 'x -> unit; b: 'x, pushed on as a [Call_with] *)
   | Spawn (* a: unit -> unit; b: string option, the fiber's name *)
   | Spawn_with (* a: 'x -> unit; b: 'x *)
   | Resume (* a: 'x resumer; b: 'x *)
@@ -110,6 +112,9 @@ let push_call t ~time ctx (f : unit -> unit) =
 
 let push_call_with t ~time ctx (g : 'x -> unit) (x : 'x) =
   enqueue t ~time Call_with ctx (Obj.repr g) (Obj.repr x)
+
+let push_relay t ~time ctx (g : 'x -> unit) (x : 'x) =
+  enqueue t ~time Relay ctx (Obj.repr g) (Obj.repr x)
 
 let push_spawn t ctx (name : string option) (f : unit -> unit) =
   enqueue t ~time:t.now Spawn ctx (Obj.repr f) (Obj.repr name)
@@ -252,6 +257,7 @@ let dispatch t s =
   | Wake -> continue (Obj.obj a : (unit, unit) continuation) ()
   | Call -> (Obj.obj a : unit -> unit) ()
   | Call_with -> (Obj.obj a : Obj.t -> unit) b
+  | Relay -> push_call_with t ~time:t.now t.ctx (Obj.obj a : Obj.t -> unit) b
   | Spawn -> exec t ?name:(Obj.obj b : string option) (Obj.obj a : unit -> unit)
   | Spawn_with ->
     ignore (new_fiber t : int);
@@ -365,6 +371,11 @@ let schedule_with d g x =
   let t = get () in
   let d = if d < 0 then 0 else d in
   push_call_with t ~time:(t.now + d) t.ctx g x
+
+let relay_with d g x =
+  let t = get () in
+  let d = if d < 0 then 0 else d in
+  push_relay t ~time:(t.now + d) t.ctx g x
 
 let wake_with ctx g x =
   let t = get () in

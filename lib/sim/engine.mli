@@ -102,6 +102,15 @@ val schedule_with : Time.t -> ('a -> unit) -> 'a -> unit
 (** [schedule_with d g x] is [schedule d (fun () -> g x)] without the
     closure, as {!spawn_with} is to {!spawn}. *)
 
+val relay_with : Time.t -> ('a -> unit) -> 'a -> unit
+(** [relay_with d g x] runs [g x] one event late: [d] nanoseconds from
+    now an event pushes [g x] as a second event at its own instant, under
+    the context both were scheduled with. It orders as
+    [schedule_with d (fun x -> schedule_with 0 g x) x], with neither a
+    closure nor a tuple, and is how an untraced
+    [Net.Fabric.transfer_then] takes the two events of a blocking
+    transfer's wake-up and yield. *)
+
 val wake_with : int -> ('a -> unit) -> 'a -> unit
 (** [wake_with ctx g x] runs [g x] as an event at the current instant,
     under trace context [ctx]: the event that {!resume} pushes for a fiber
