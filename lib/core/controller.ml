@@ -356,8 +356,8 @@ let serve_peer (ctrl, msg, k) =
   | P_mon_receive { addr; watcher; cb; reply } ->
     rreply_to ctrl reply (do_mon_receive ctrl ~watcher ~cb addr) k
   | P_copy_pull { src; dst; reply } -> Copy.do_copy_pull ctrl ~src ~dst reply k
-  | P_copy_open { copy_id; dst; base; total; chunk } ->
-    Copy.on_open ctrl ~copy_id ~dst ~base ~total ~chunk k
+  | P_copy_open { copy_id; dst; base; total; chunk; reply } ->
+    Copy.on_open ctrl ~copy_id ~dst ~base ~total ~chunk ~reply k
   | P_copy_chunk { copy_id; chunk } -> Copy.on_chunk ctrl ~copy_id ~chunk k
   | P_place_mem { buf; off; len; perms; owner; key; reply } ->
     Directory.place_at_home ctrl reply ~key
@@ -702,6 +702,7 @@ let restart ctrl =
 
 let live_objects ctrl = Objects.live_count ctrl
 let tombstones ctrl = Objects.tombstone_count ctrl
+let copy_sessions_count = Copy.sessions_count
 let copy_pending_count = Copy.pending_count
 let copy_failures_count = Copy.failures_count
 let placed_pending_count ctrl = Hashtbl.length ctrl.placed_pending

@@ -84,6 +84,12 @@ val live_objects : t -> int
 val tombstones : t -> int
 val is_running : t -> bool
 
+val copy_sessions_count : t -> int
+(** Copy sessions open at this controller as a destination: each is
+    closed by its final chunk, or, with no chunk received or written for
+    {!Net.Config.copy_open_timeout}, answered with [Timeout] and
+    reclaimed. Zero once a run has quiesced. *)
+
 val copy_pending_count : t -> int
 (** Copy chunks parked waiting for a session open that never arrived (plus
     any whose open is still in flight). Zero once a run has quiesced —

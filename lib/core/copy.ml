@@ -21,6 +21,7 @@ let reset ctrl =
   Hashtbl.reset ctrl.copy_failures;
   Hashtbl.reset ctrl.copy_pending
 
+let sessions_count ctrl = Hashtbl.length ctrl.copy_sessions
 let pending_count ctrl = Hashtbl.length ctrl.copy_pending
 let failures_count ctrl = Hashtbl.length ctrl.copy_failures
 
@@ -78,11 +79,14 @@ let reject_chunk ctrl ~copy_id e (ck : copy_chunk) k =
   drop_with ctrl e ck k
 
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
-   session's chunks parked in [copy_pending] — and a dropped final chunk
-   leaves an open-time failure parked in [copy_failures] — forever. Sweep
-   the entry after [copy_open_timeout]: parked chunks release their pins
-   and a reclaimed final chunk replies [Timeout] so the caller's retry
-   path gets a typed completion. In fault-free runs the open (or final
+   session's chunks parked in [copy_pending], a dropped final chunk leaves
+   an open-time failure parked in [copy_failures] or a session open in
+   [copy_sessions], forever. Sweep the entry after [copy_open_timeout]:
+   parked chunks release their pins and a reclaimed final chunk replies
+   [Timeout]; a reclaimed failure answers with its error, and a reclaimed
+   session with [Timeout], over the reply path that the open carried. So
+   the caller's retry path always gets a typed completion. A crashed
+   controller answers nothing. In fault-free runs the open (or final
    chunk) always lands first and the sweep is a no-op. *)
 let reclaim_orphan ctrl tbl copy_id what =
   Hashtbl.remove tbl copy_id;
@@ -104,8 +108,11 @@ let schedule_pending_sweep ctrl copy_id q =
 
 let schedule_failure_sweep ctrl copy_id =
   Sim.Engine.schedule Net.Config.copy_open_timeout (fun () ->
-      if Hashtbl.mem ctrl.copy_failures copy_id then
-        reclaim_orphan ctrl ctrl.copy_failures copy_id "failure")
+      match Hashtbl.find_opt ctrl.copy_failures copy_id with
+      | Some (e, rr) ->
+        reclaim_orphan ctrl ctrl.copy_failures copy_id "failure";
+        if ctrl.running then rreply_to ctrl rr (Error e) stop
+      | None -> ())
 
 (* The destination writer's store of a [len]-byte chunk of a [total]-byte
    copy whose source view starts at [base], which releases the chunk's
@@ -170,7 +177,9 @@ and stored s =
   end
 
 and written s =
+  s.cs_last <- Sim.Engine.now ();
   match s.cs_ck.ck_last with
+  | _ when s.cs_closed -> ()
   | None -> receive s
   | Some rr ->
     Hashtbl.remove s.cs_ctrl.copy_sessions s.cs_copy_id;
@@ -178,7 +187,34 @@ and written s =
       (if s.cs_received >= s.cs_total then Ok () else Error Error.Timeout)
       stop
 
-let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck =
+(* The idle sweep of a session: one with no chunk received or written for
+   [copy_open_timeout] lost one on the wire. The final chunk alone
+   carries the caller's ack, so without the sweep a lost final chunk
+   would leave the caller waiting forever. The session is closed, its
+   parked chunks release their pins, and a writer still stuck on a chunk
+   stops when it gets past it. *)
+let rec idle_sweep s =
+  let ctrl = s.cs_ctrl and timeout = Net.Config.copy_open_timeout in
+  match Hashtbl.find_opt ctrl.copy_sessions s.cs_copy_id with
+  | Some s' when s' == s ->
+    let idle = Sim.Engine.now () - s.cs_last in
+    if idle < timeout then Sim.Engine.schedule_with (timeout - idle) idle_sweep s
+    else begin
+      reclaim_orphan ctrl ctrl.copy_sessions s.cs_copy_id "session";
+      s.cs_closed <- true;
+      if ctrl.running then rreply_to ctrl s.cs_rr (Error Error.Timeout) stop;
+      let rec drain () =
+        match Sim.Channel.try_recv s.cs_chan with
+        | Some ck ->
+          drop_chunk ck;
+          drain ()
+        | None -> ()
+      in
+      drain ()
+    end
+  | Some _ | None -> ()
+
+let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck rr =
   let rec s =
     {
       cs_ctrl = ctrl;
@@ -186,16 +222,20 @@ let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck =
       cs_base = base;
       cs_total = total;
       cs_dst = dst_mem;
+      cs_rr = rr;
       cs_chan = Sim.Channel.create ();
       cs_recv = (fun ck -> write s ck);
       cs_received = 0;
       cs_ck = ck;
       cs_len = 0;
       cs_after = stop;
+      cs_last = Sim.Engine.now ();
+      cs_closed = false;
     }
   in
   Hashtbl.replace ctrl.copy_sessions copy_id s;
   Sim.Engine.schedule_with 0 receive s;
+  Sim.Engine.schedule_with Net.Config.copy_open_timeout idle_sweep s;
   s
 
 (* Source side (we own the source object): validate, open the session at
@@ -278,6 +318,7 @@ and post c =
            base = m.m_off;
            total = m.m_len;
            chunk = ck;
+           reply = c.cp_rr;
          }
      else P_copy_chunk { copy_id = c.cp_copy_id; chunk = ck });
   Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len;
@@ -419,8 +460,10 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
 
 (* [P_copy_open]: validate and open the session, then feed it the first
    chunk and any that overtook the open. On failure they are all rejected
-   and the error is parked until the final chunk's reply path. *)
-let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
+   and the error is parked until the final chunk's reply path. The open
+   carries the caller's reply path too, for the sweeps: a session or a
+   failure whose final chunk never comes answers over it. *)
+let on_open ctrl ~copy_id ~dst ~base ~total ~chunk ~reply k =
   charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
       let opened =
         match
@@ -431,7 +474,7 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
         | Ok (_, m) when total > m.m_len -> Error Error.Bounds
         | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
         | Ok (_, m) ->
-          Ok (start_copy_session ctrl ~copy_id ~base ~total m chunk)
+          Ok (start_copy_session ctrl ~copy_id ~base ~total m chunk reply)
         | Error e -> Error e
       in
       let chunks =
@@ -446,7 +489,7 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
         List.iter (Sim.Channel.send s.cs_chan) chunks;
         k ()
       | Error e ->
-        Hashtbl.replace ctrl.copy_failures copy_id e;
+        Hashtbl.replace ctrl.copy_failures copy_id (e, reply);
         schedule_failure_sweep ctrl copy_id;
         each (reject_chunk ctrl ~copy_id e) chunks k)
 
@@ -458,10 +501,12 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk k =
    path. *)
 let on_chunk ctrl ~copy_id ~chunk k =
   (match Hashtbl.find ctrl.copy_sessions copy_id with
-  | s -> Sim.Channel.send s.cs_chan chunk
+  | s ->
+    s.cs_last <- Sim.Engine.now ();
+    Sim.Channel.send s.cs_chan chunk
   | exception Not_found -> (
     match Hashtbl.find_opt ctrl.copy_failures copy_id with
-    | Some e -> reject_chunk ctrl ~copy_id e chunk stop
+    | Some (e, _) -> reject_chunk ctrl ~copy_id e chunk stop
     | None ->
       let q =
         match Hashtbl.find_opt ctrl.copy_pending copy_id with

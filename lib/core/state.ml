@@ -64,8 +64,9 @@ and ctrl = {
   mutable running : bool;
   windows : (int, Sim.Semaphore.t) Hashtbl.t; (* per-proc delivery window *)
   copy_sessions : (int, copy_session) Hashtbl.t;
-  copy_failures : (int, Error.t) Hashtbl.t;
-      (* sessions rejected at open; the error is replied on the last chunk *)
+  copy_failures : (int, Error.t * unit rreply) Hashtbl.t;
+      (* sessions rejected at open; the error is replied on the last chunk,
+         or over the open's reply path if that chunk never comes *)
   copy_pending : (int, copy_chunk Queue.t) Hashtbl.t;
       (* chunks that overtook their session's open (handlers run
          concurrently; delivery order alone does not serialize them);
@@ -321,10 +322,12 @@ and peer_msg =
       base : int; (* the source view's offset in its buffer *)
       total : int;
       chunk : copy_chunk;
+      reply : unit rreply;
     }
       (* Optimistic session open: the first data chunk carries the session
          parameters, saving the begin/ack round trip; validation failures
-         surface on the final chunk's reply. *)
+         surface on the final chunk's reply. The reply path, which the
+         final chunk carries too, is for the open's sweeps (Copy). *)
   | P_copy_chunk of { copy_id : int; chunk : copy_chunk }
   | P_place_mem of {
       buf : Membuf.t;
@@ -376,6 +379,7 @@ and copy_session = {
   cs_base : int; (* the source view's offset in its buffer *)
   cs_total : int;
   cs_dst : mem;
+  cs_rr : unit rreply; (* the caller's, from the open *)
   cs_chan : copy_chunk Sim.Channel.t;
   cs_recv : copy_chunk -> unit; (* the writer's receive step *)
   mutable cs_received : int; (* bytes delivered so far *)
@@ -384,6 +388,8 @@ and copy_session = {
   mutable cs_after : unit -> unit;
       (* the chunk span's continuation in traced runs, else
          [Ctrl_base.stop] *)
+  mutable cs_last : Sim.Time.t; (* when a chunk last arrived or was written *)
+  mutable cs_closed : bool; (* closed by the idle sweep *)
 }
 
 let addr_equal a b =

@@ -110,11 +110,17 @@ let check ~ctrls ~plan ~install_time () =
             (Core.Controller.id c) t)
       ctrl_arr;
   (* Pass 5: no leaked copy-session state. Once the run has quiesced, every
-     parked chunk (open lost or still in flight) and every parked open-time
-     failure must have been consumed or reclaimed by the open timeout —
-     anything left is a permanent leak at the destination controller. *)
+     session must have been closed by its final chunk or by its idle
+     sweep, and every parked chunk (open lost or still in flight) and
+     every parked open-time failure consumed or reclaimed by the open
+     timeout — anything left is a permanent leak at the destination
+     controller. *)
   Array.iter
     (fun c ->
+      let sessions = Core.Controller.copy_sessions_count c in
+      if sessions <> 0 then
+        add "ctrl %d leaked %d open copy session(s) after quiescence"
+          (Core.Controller.id c) sessions;
       let pending = Core.Controller.copy_pending_count c in
       if pending <> 0 then
         add "ctrl %d leaked %d parked copy-chunk queue(s) after quiescence"

@@ -570,6 +570,66 @@ let test_copy_open_drop_cleanup () =
       Engine.sleep (Time.ms 7);
       List.iter
         (fun c ->
+          check_int "no open copy sessions" 0
+            (Core.Controller.copy_sessions_count c);
+          check_int "no parked chunk queues" 0
+            (Core.Controller.copy_pending_count c);
+          check_int "no parked open failures" 0
+            (Core.Controller.copy_failures_count c))
+        tb.Tb.ctrls)
+
+(* A lost chunk of a 128 KiB copy (8 chunks of 16 KiB), whichever it is,
+   ends the copy with a typed Timeout and leaves no copy state behind.
+   Chunk 1 carries the session open, a middle chunk leaves a hole that
+   the final chunk's coverage check reports, and the final chunk carries
+   the caller's ack: there the destination must notice that its session
+   went idle and answer over the reply path the open carried. A copy into
+   a read-only destination fails at the open, and without its final
+   chunk gets that error over the same path. *)
+let test_copy_lost_chunk_cleanup ?(perms = Core.Perms.rw)
+    ?(expect = Core.Error.Timeout) nth () =
+  Tb.run (fun tb ->
+      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
+      let sa = List.nth setups 0 and sb = List.nth setups 1 in
+      let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "pa" in
+      let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "pb" in
+      let n = 128 * 1024 in
+      let src_buf = Core.Process.alloc pa n in
+      let dst_buf = Core.Process.alloc pb n in
+      let src = ok_exn (Core.Api.memory_create pa src_buf Core.Perms.ro) in
+      let dst =
+        Tb.grant ~src:pb ~dst:pa
+          (ok_exn (Core.Api.memory_create pb dst_buf perms))
+      in
+      (* the cross-node bulk Data messages are the copy's chunks, in
+         order; drop the [nth] *)
+      let seen = ref 0 in
+      Net.Fabric.set_fault_hook tb.Tb.fabric
+        (Some
+           (fun ~src ~dst ~cls ~size ->
+             if
+               cls = Net.Stats.Data && size > 1024
+               && not (Net.Node.same_machine src dst)
+             then begin
+               incr seen;
+               if !seen = nth then Net.Fabric.Drop else Net.Fabric.Pass
+             end
+             else Net.Fabric.Pass));
+      (match Core.Api.memory_copy pa ~src ~dst with
+      | Error e when e = expect -> ()
+      | Ok () -> Alcotest.fail "copy succeeded without one of its chunks"
+      | Error e ->
+        Alcotest.failf "expected %s, got %s"
+          (Core.Error.to_string expect)
+          (Core.Error.to_string e));
+      Net.Fabric.set_fault_hook tb.Tb.fabric None;
+      check_int "every chunk was sent" 8 !seen;
+      (* wait out any stragglers, then check nothing leaked *)
+      Engine.sleep (Time.ms 7);
+      List.iter
+        (fun c ->
+          check_int "no open copy sessions" 0
+            (Core.Controller.copy_sessions_count c);
           check_int "no parked chunk queues" 0
             (Core.Controller.copy_pending_count c);
           check_int "no parked open failures" 0
@@ -763,6 +823,15 @@ let () =
             test_chaos_copy_deterministic;
           Alcotest.test_case "dropped open is reclaimed" `Quick
             test_copy_open_drop_cleanup;
+          Alcotest.test_case "copy lost open chunk" `Quick
+            (test_copy_lost_chunk_cleanup 1);
+          Alcotest.test_case "copy lost middle chunk" `Quick
+            (test_copy_lost_chunk_cleanup 4);
+          Alcotest.test_case "copy lost final chunk" `Quick
+            (test_copy_lost_chunk_cleanup 8);
+          Alcotest.test_case "failed copy lost final chunk" `Quick
+            (test_copy_lost_chunk_cleanup ~perms:Core.Perms.ro
+               ~expect:Core.Error.Perm_denied 8);
           Alcotest.test_case "xshard clean run" `Quick test_chaos_xshard_clean;
           Alcotest.test_case "xshard under faults" `Quick
             test_chaos_xshard_under_faults;
