@@ -54,11 +54,13 @@ let link t ~(src : Node.t) ~(dst : Node.t) =
     l.l_c
   end
 
-let bucket_of_size bytes =
-  let rec go b bound =
-    if bytes <= bound || b = n_buckets - 1 then b else go (b + 1) (bound * 2)
-  in
-  go 0 1
+(* A plain recursion over its arguments, not a local function closing
+   over [bytes]: every network message passes through here. *)
+let rec bucket bytes b bound =
+  if bytes <= bound || b = n_buckets - 1 then b
+  else bucket bytes (b + 1) (bound * 2)
+
+let bucket_of_size bytes = bucket bytes 0 1
 
 let bump c bytes =
   c.msgs <- c.msgs + 1;
