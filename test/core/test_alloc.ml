@@ -10,9 +10,11 @@
    It pins the words and fibers per chunk of a cross-controller copy the
    same way, so a chunk message that goes back to a fiber of its own, a
    transfer that goes back to an ivar, a chunk that gets a record of its
-   own, or a chunk payload that goes back to a copy, fails here too. The
-   engine events of an invoke and of a chunk are pinned exactly, so a
-   change that cuts allocation shows it moved no simulated work. *)
+   own, or a chunk payload that goes back to a copy, fails here too, and
+   the words of a whole single-chunk copy, so a closure built per copy
+   does. The engine events of an invoke, of a chunk and of a single-chunk
+   copy are pinned exactly, so a change that cuts allocation shows it
+   moved no simulated work. *)
 
 open Fractos_sim
 open Fractos_core
@@ -82,7 +84,7 @@ let per_invoke ~n ~target =
       (* the events less the closing sleep's wake-up *)
       (per (w1 -. w0), per (float_of_int (e1 - e0 - 1)), f1 - f0))
 
-(* Measured at 133.9 words per invoke (x86-64, OCaml 5.1), plus ~10 %
+(* Measured at 128.9 words per invoke (x86-64, OCaml 5.1), plus ~10 %
    headroom: tight enough that the 188.4 measured while the controller
    ran each syscall and each peer message but credits and copy chunks in
    a fiber of its own fails. The same harness measured 256.9 while each
@@ -93,8 +95,9 @@ let per_invoke ~n ~target =
    event heap and the untraced-path guards, 524 before event-run handlers, timed-wake transfers and the
    allocation-free endpoint, stats and metrics path, and 370 before
    list-free charges, one-capability resolves and the closure-free peer
-   lookup. *)
-let budget = 147.
+   lookup; 133.9 while the fabric's size histogram built a closure per
+   network message. *)
+let budget = 142.
 
 let test_null_invoke_budget () =
   (* half of the invokes cross to the neighbour shard *)
@@ -119,24 +122,31 @@ let test_null_invoke_budget () =
    source's store, and the bytes allocated by the two stores into the
    source after it. The window starts on an empty minor heap, as in
    [per_invoke]. *)
+(* Long enough for a copy's destination session to run its idle sweep *)
+let idle = Net.Config.copy_open_timeout + 1
+
+(* Two hosts, each with a controller and a process, and a maker of
+   [len]-byte source and destination buffers with the copy between them:
+   the source on the first host, the destination on the second. *)
+let copy_pairs tb len =
+  let a = Tb.add_host tb "alpha" and b = Tb.add_host tb "beta" in
+  let ca = Tb.add_ctrl tb ~on:a and cb = Tb.add_ctrl tb ~on:b in
+  let pa = Tb.add_proc tb ~on:a ~ctrl:ca "proc-a" in
+  let pb = Tb.add_proc tb ~on:b ~ctrl:cb "proc-b" in
+  fun () ->
+    let src_buf = Process.alloc pa len and dst_buf = Process.alloc pb len in
+    Membuf.fill src_buf 'x';
+    let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
+    let dst =
+      Tb.grant ~src:pb ~dst:pa (ok_exn (Api.memory_create pb dst_buf Perms.rw))
+    in
+    (src_buf, dst_buf, fun () -> ok_exn (Api.memory_copy pa ~src ~dst))
+
 let per_chunk ~n =
-  let len = 1 lsl 20 and idle = Net.Config.copy_open_timeout + 1 in
+  let len = 1 lsl 20 in
   let chunks = len / (16 * 1024) in
   Tb.run (fun tb ->
-      let a = Tb.add_host tb "alpha" and b = Tb.add_host tb "beta" in
-      let ca = Tb.add_ctrl tb ~on:a and cb = Tb.add_ctrl tb ~on:b in
-      let pa = Tb.add_proc tb ~on:a ~ctrl:ca "proc-a" in
-      let pb = Tb.add_proc tb ~on:b ~ctrl:cb "proc-b" in
-      let pair () =
-        let src_buf = Process.alloc pa len and dst_buf = Process.alloc pb len in
-        Membuf.fill src_buf 'x';
-        let src = ok_exn (Api.memory_create pa src_buf Perms.ro) in
-        let dst =
-          Tb.grant ~src:pb ~dst:pa
-            (ok_exn (Api.memory_create pb dst_buf Perms.rw))
-        in
-        (src_buf, dst_buf, fun () -> ok_exn (Api.memory_copy pa ~src ~dst))
-      in
+      let pair = copy_pairs tb len in
       let src_buf, dst_buf, copy = pair () in
       Membuf.fill dst_buf 'd';
       (* warm-up: grow the event heap and the dedup windows, and let the
@@ -185,10 +195,14 @@ let per_chunk ~n =
         stored,
         (float_of_int len, first, next) ))
 
-(* Measured at 38.8 minor words per chunk and no fiber (x86-64, OCaml
+(* Measured at 15.4 minor words per chunk and no fiber (x86-64, OCaml
    5.1). The budget leaves less than one word of headroom: a record of
    its own per chunk (a slice of the source, say) adds four words and
-   fails here, and so does a fiber. The same harness measured 63.8 words
+   fails here, and so does a fiber or a closure per chunk. The same
+   harness measured 20.5 words while the fabric's size histogram built a
+   closure per network message, 38.7 while the copy loop's steps were
+   closures built per copy and per chunk and each transfer's delivery
+   carried a tuple (38.8 before sessions were swept when idle), 63.8 words
    and 4 fibers per 64-chunk copy while the source's chunk loop, the
    destination writer and the syscall waiting on the copy each ran in a
    fiber, 98.7 while
@@ -199,7 +213,7 @@ let per_chunk ~n =
    while a copy's chunks shared a pin record), and 277 words and one
    fiber per chunk before chunk messages ran as engine events and
    transfers as timed wakes. *)
-let copy_budget = 39.
+let copy_budget = 16.
 
 (* Engine events per chunk, pinned exactly as for an invoke: 657 per
    64-chunk copy, its open, chunks and completion, and the destination
@@ -220,6 +234,52 @@ let major_budget = 8.
    store into the source costs one copy of it (at least [len], under
    [2 * len]) and the next one is made in place, within [store_budget]. *)
 let store_budget = 64.
+
+(* Minor-heap words and engine events per whole single-chunk (16 KiB)
+   copy, over [n] sequential copies into a written destination, each
+   window ending after the sessions' idle sweeps: the syscall, the
+   source's set-up, the open, the one chunk, the session and the reply,
+   which the per-chunk figures above spread over 64 chunks. *)
+let per_small_copy ~n =
+  Tb.run (fun tb ->
+      let _, dst_buf, copy = copy_pairs tb (16 * 1024) () in
+      Membuf.fill dst_buf 'd';
+      for _ = 1 to 4 do
+        copy ()
+      done;
+      Engine.sleep idle;
+      Gc.minor ();
+      let w0 = Gc.minor_words () and e0 = Engine.event_count () in
+      for _ = 1 to n do
+        copy ()
+      done;
+      Engine.sleep idle;
+      let w1 = Gc.minor_words () and e1 = Engine.event_count () - 1 in
+      let per x = x /. float_of_int n in
+      (per (w1 -. w0), per (float_of_int (e1 - e0))))
+
+(* Measured at 321.6 minor words per single-chunk copy (x86-64, OCaml
+   5.1), plus under three words: a closure built per copy (four words or
+   more) fails here, though over a 64-chunk copy it would add less than
+   a word per chunk. The same harness measured 345.3 while the copy
+   loop's steps were closures built per copy and per chunk, each
+   transfer's delivery carried a tuple and the fabric's size histogram
+   built a closure per network message. The events are pinned exactly:
+   27, the idle sweep of the destination session among them (26 before
+   sessions were swept). *)
+let small_copy_budget = 324.
+
+let small_copy_events = 27.
+
+let test_small_copy_budget () =
+  let words, events = per_small_copy ~n:64 in
+  Printf.printf
+    "minor words per 16 KiB copy: %.1f (budget %.0f); events: %.2f\n" words
+    small_copy_budget events;
+  Alcotest.(check (float 0.)) "events per 16 KiB copy" small_copy_events events;
+  if words > small_copy_budget then
+    Alcotest.failf "%.1f minor words per 16 KiB copy, budget %.0f" words
+      small_copy_budget
 
 let test_copy_chunk_budget () =
   let words, major, fibers, events, stored, (len, first, next) =
@@ -280,6 +340,8 @@ let () =
           Alcotest.test_case "null invoke budget" `Quick
             test_null_invoke_budget;
           Alcotest.test_case "copy chunk budget" `Quick test_copy_chunk_budget;
+          Alcotest.test_case "single-chunk copy budget" `Quick
+            test_small_copy_budget;
           Alcotest.test_case "null invoke events" `Quick test_invoke_events;
         ] );
     ]

@@ -391,6 +391,80 @@ let test_endpoint_dedups_duplicates () =
       Engine.sleep (Time.ms 10);
       check_int "later messages still flow" 2 (Endpoint.pending ep))
 
+(* A [transfer_then] that delivers at the same instant as a [send_with]
+   on another link and two timers runs its step after every event pushed
+   before its delivery event ran, whether or not spans are on: untraced,
+   the delivery is one [Relay] event that pushes the step; traced, a
+   [Call_with] that finishes the span and pushes it. Both runs dispatch
+   the same events, in the same order, under the same context. *)
+let relay_order ~spans =
+  let module Span = Fractos_obs.Span in
+  Span.reset ();
+  Span.set_enabled spans;
+  let log = ref [] in
+  let note what = log := (what, Engine.get_ctx (), Engine.now ()) :: !log in
+  let events =
+    with_fabric (fun fab ->
+        let a, b, _ = three_nodes fab in
+        let c = Fabric.add_node fab ~name:"c2" Node.Host_cpu in
+        let d = Fabric.add_node fab ~name:"d" Node.Host_cpu in
+        (* the latency of a 64-byte message between two hosts *)
+        let t0 = Engine.now () in
+        Fabric.transfer fab ~src:a ~dst:b ~size:64 ();
+        let lat = Engine.now () - t0 in
+        Engine.sleep (Time.us 10);
+        let e0 = Engine.event_count () in
+        Engine.set_ctx 7;
+        Engine.schedule_with lat note "timer before";
+        Fabric.transfer_then fab ~src:a ~dst:b ~size:64 note "transfer";
+        Fabric.send_with fab ~src:c ~dst:d ~size:64 note "send";
+        Engine.schedule_with lat
+          (fun what ->
+            note what;
+            Engine.schedule_with 0 note "timer's step")
+          "timer after";
+        Engine.set_ctx 0;
+        Engine.sleep (Time.us 10);
+        (* less the sleep's wake-up *)
+        Engine.event_count () - e0 - 1)
+  in
+  Span.set_enabled false;
+  let xfers =
+    List.length
+      (List.filter
+         (fun s -> s.Span.sp_name = "fabric.xfer" && s.Span.sp_finished)
+         (Span.all ()))
+  in
+  Span.reset ();
+  (List.rev !log, events, xfers)
+
+let test_relay_keeps_order () =
+  let show l =
+    String.concat " "
+      (List.map (fun (w, c, t) -> Printf.sprintf "%s@%d/%d" w c t) l)
+  in
+  let off, off_events, off_spans = relay_order ~spans:false in
+  let on, on_events, on_spans = relay_order ~spans:true in
+  Alcotest.(check string) "same order, contexts and instants" (show off)
+    (show on);
+  check_int "same events" off_events on_events;
+  check_int "untraced: no span" 0 off_spans;
+  (* the calibration transfer's, the send's and the relayed transfer's *)
+  check_int "traced: every message's span, finished" 3 on_spans;
+  (* every step at one instant, the transfer's after every event pushed
+     before its delivery ran *)
+  let t = match off with (_, _, t) :: _ -> t | [] -> 0 in
+  check_bool "one instant" true (List.for_all (fun (_, _, t') -> t' = t) off);
+  Alcotest.(check (list string))
+    "the order"
+    [ "timer before"; "send"; "timer after"; "transfer"; "timer's step" ]
+    (List.map (fun (w, _, _) -> w) off);
+  check_bool "under the scheduling context" true
+    (List.for_all (fun (_, c, _) -> c = 7) off);
+  (* the two timers and their step, the send's delivery, and the
+     transfer's two events *)
+  check_int "events" 6 off_events
+
 (* ------------------------------------------------------------------ *)
 (* Message trace: the fabric.xfer span                                *)
 (* ------------------------------------------------------------------ *)
@@ -730,6 +804,8 @@ let () =
           qtest prop_transfer_orders_as_ivar;
           Alcotest.test_case "transfer drop never wakes" `Quick
             test_transfer_drop_never_wakes;
+          Alcotest.test_case "relay keeps the order" `Quick
+            test_relay_keeps_order;
           Alcotest.test_case "endpoint dedup" `Quick
             test_endpoint_dedups_duplicates;
         ] );

@@ -774,20 +774,39 @@ let test_engine_fifo_across_growth () =
    5.1). A boxed event of 3 or more words fails either pin. *)
 let test_engine_event_alloc () =
   let n = 10_000 in
-  let schedule_words, sleep_words =
+  let schedule_words, relay_words, transfer_words, sleep_words =
     Engine.run (fun () ->
         let hits = ref 0 in
         let hit (_ : int) = incr hits in
+        (* each window ends after the last of its events has run: a
+           transfer's after its delivery, 10 000 serializations of a
+           64-byte message later (about 1 ms at the default 10 Gb/s) *)
         let window f =
           Gc.minor ();
           let w0 = Gc.minor_words () in
           f ();
-          Engine.yield ();
+          Engine.sleep (Time.ms 10);
           Gc.minor_words () -. w0
         in
         let schedule () =
           for i = 1 to n do
             Engine.schedule_with 0 hit i
+          done
+        in
+        let relay () =
+          for i = 1 to n do
+            Engine.relay_with 1 hit i
+          done
+        in
+        let fab = Fractos_net.Fabric.create () in
+        let node name =
+          Fractos_net.Fabric.add_node fab ~name Fractos_net.Node.Host_cpu
+        in
+        let a = node "a" and b = node "b" in
+        (* untraced (spans are off by default) *)
+        let transfer () =
+          for i = 1 to n do
+            Fractos_net.Fabric.transfer_then fab ~src:a ~dst:b ~size:64 hit i
           done
         in
         let sleep () =
@@ -797,15 +816,21 @@ let test_engine_event_alloc () =
         in
         (* grow the slot pool and the heap to the working set *)
         ignore (window schedule : float);
+        ignore (window transfer : float);
         let empty = window ignore in
         let per f = (window f -. empty) /. float_of_int n in
-        let s = per schedule in
-        check_int "every event ran" (2 * n) !hits;
-        (s, per sleep))
+        let s = per schedule and r = per relay and t = per transfer in
+        check_int "every event ran" (5 * n) !hits;
+        (s, r, t, per sleep))
   in
-  Printf.printf "minor words per schedule_with: %.3f, per sleep: %.3f\n"
-    schedule_words sleep_words;
+  Printf.printf
+    "minor words per schedule_with: %.3f, per relay_with: %.3f, per \
+     untraced transfer_then: %.3f, per sleep: %.3f\n"
+    schedule_words relay_words transfer_words sleep_words;
   Alcotest.(check (float 0.)) "schedule_with words" 0. schedule_words;
+  Alcotest.(check (float 0.)) "relay_with words" 0. relay_words;
+  Alcotest.(check (float 0.))
+    "untraced transfer_then words" 0. transfer_words;
   Alcotest.(check (float 0.)) "sleep words" 2. sleep_words
 
 let test_time_seconds_pp () =
