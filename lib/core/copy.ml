@@ -424,6 +424,10 @@ let do_copy_hw ctrl ~src_mem ~dst_mem (rr : unit rreply) =
    hw-copies projection (Fig. 5) is measured with objects registered at
    the caller's controller; remote owners fall back on a peer extent
    query: one control round trip before [k] gets the extent. *)
+let extent_back (ctrl, owner, k, m) =
+  Net.Fabric.transfer_then ctrl.fabric ~src:owner.cnode ~dst:ctrl.cnode
+    ~size:Wire.response k (Ok m)
+
 let hw_resolve ctrl addr k =
   match peer_of_addr ctrl addr with
   | exception Error.Fractos e -> k (Error e)
@@ -432,13 +436,8 @@ let hw_resolve ctrl addr k =
     | Error e -> k (Error e)
     | Ok (_, m) when owner == ctrl -> k (Ok m)
     | Ok (_, m) ->
-      let fab = ctrl.fabric in
-      Net.Fabric.transfer_then fab ~src:ctrl.cnode ~dst:owner.cnode
-        ~size:Wire.peer_fixed
-        (fun () ->
-          Net.Fabric.transfer_then fab ~src:owner.cnode ~dst:ctrl.cnode
-            ~size:Wire.response k (Ok m))
-        ())
+      Net.Fabric.transfer_then ctrl.fabric ~src:ctrl.cnode ~dst:owner.cnode
+        ~size:Wire.peer_fixed extent_back (ctrl, owner, k, m))
 
 (* The destination is resolved first, then the source; a source error
    wins when both fail. A failure is at hand before anything was sent, so
