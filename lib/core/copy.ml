@@ -258,8 +258,8 @@ type outgoing = {
   cp_ctrl : ctrl;
   cp_mem : mem;
   cp_dst : addr;
-  cp_dst_ctrl : ctrl;
-  cp_copy_id : int;
+  mutable cp_dst_ctrl : ctrl; (* once routed *)
+  mutable cp_copy_id : int; (* minted once routed *)
   cp_rr : unit rreply;
   cp_k : unit -> unit; (* after the last chunk is posted *)
   cp_n : int; (* chunks *)
@@ -338,48 +338,54 @@ and chunk_sent c =
     after ()
   end
 
-let copy_chunks ctrl ~dst ~dst_ctrl ~(m : mem) ~copy_id (rr : unit rreply) k =
-  next
-    {
-      cp_ctrl = ctrl;
-      cp_mem = m;
-      cp_dst = dst;
-      cp_dst_ctrl = dst_ctrl;
-      cp_copy_id = copy_id;
-      cp_rr = rr;
-      cp_k = k;
-      cp_n = n_chunks m.m_len (config ctrl).bounce_chunk;
-      cp_i = 0;
-      cp_after = stop;
-    }
+(* The copy's set-up at the source, as steps over its arguments and then
+   over its record: the charges, the source's checks and the routing of
+   the destination. *)
+let pull_unrouted c e = rreply_to c.cp_ctrl c.cp_rr (Error e) c.cp_k
+
+let pull_routed c dst_ctrl =
+  let next_copy_id = Domain.DLS.get next_copy_id in
+  incr next_copy_id;
+  c.cp_dst_ctrl <- dst_ctrl;
+  c.cp_copy_id <- !next_copy_id;
+  next c
+
+let pull_source (ctrl, src, dst, rr, k) =
+  match
+    Capspace.find_memory ctrl src ~not_memory:"memory_copy source is not Memory"
+  with
+  | Error e -> rreply_to ctrl rr (Error e) k
+  | Ok (_, m) when not m.m_perms.Perms.read ->
+    rreply_to ctrl rr (Error Error.Perm_denied) k
+  | Ok (_, m) when not m.m_owner.alive ->
+    (* symmetric with on_open's destination check: never read a dead
+       owner's buffer *)
+    rreply_to ctrl rr (Error Error.Provider_dead) k
+  | Ok (_, m) ->
+    (* destination routing goes through the shard directory too: a
+       self-successor destination loops back through our own peer
+       endpoint, where the open fails typed-Stale and the final chunk
+       carries the error home *)
+    Directory.locate ctrl dst ~err:pull_unrouted pull_routed
+      {
+        cp_ctrl = ctrl;
+        cp_mem = m;
+        cp_dst = dst;
+        cp_dst_ctrl = ctrl;
+        cp_copy_id = 0;
+        cp_rr = rr;
+        cp_k = k;
+        cp_n = n_chunks m.m_len (config ctrl).bounce_chunk;
+        cp_i = 0;
+        cp_after = stop;
+      }
+
+let pull_lookup ((ctrl, _, _, _, _) as p) =
+  charge_with ctrl [ (Net.Cost.Lookup, 2) ] pull_source p
 
 let copy_pull ctrl ~src ~dst (rr : unit rreply) k =
-  charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup (fun () ->
-      charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
-          match
-            Capspace.find_memory ctrl src
-              ~not_memory:"memory_copy source is not Memory"
-          with
-          | Error e -> rreply_to ctrl rr (Error e) k
-          | Ok (_, m) when not m.m_perms.Perms.read ->
-            rreply_to ctrl rr (Error Error.Perm_denied) k
-          | Ok (_, m) when not m.m_owner.alive ->
-            (* symmetric with on_open's destination check: never read a
-               dead owner's buffer *)
-            rreply_to ctrl rr (Error Error.Provider_dead) k
-          | Ok (_, m) ->
-            (* destination routing goes through the shard directory too: a
-               self-successor destination loops back through our own peer
-               endpoint, where the open fails typed-Stale and the final
-               chunk carries the error home *)
-            Directory.locate ctrl dst
-              ~err:(fun () e -> rreply_to ctrl rr (Error e) k)
-              (fun () dst_ctrl ->
-                let next_copy_id = Domain.DLS.get next_copy_id in
-                incr next_copy_id;
-                copy_chunks ctrl ~dst ~dst_ctrl ~m ~copy_id:!next_copy_id rr k)
-              ()))
-    ()
+  charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup pull_lookup
+    (ctrl, src, dst, rr, k)
 
 let do_copy_pull ctrl ~src ~dst (rr : unit rreply) k =
   if Obs.Span.enabled () then
@@ -462,35 +468,43 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
    and the error is parked until the final chunk's reply path. The open
    carries the caller's reply path too, for the sweeps: a session or a
    failure whose final chunk never comes answers over it. *)
+let open_failed ctrl ~copy_id ~chunk ~reply e k =
+  let chunks =
+    match Hashtbl.find_opt ctrl.copy_pending copy_id with
+    | Some q ->
+      Hashtbl.remove ctrl.copy_pending copy_id;
+      chunk :: List.of_seq (Queue.to_seq q)
+    | None -> [ chunk ]
+  in
+  Hashtbl.replace ctrl.copy_failures copy_id (e, reply);
+  schedule_failure_sweep ctrl copy_id;
+  each (reject_chunk ctrl ~copy_id e) chunks k
+
+(* The destination's extent, if a copy may write [total] bytes to it *)
+let writable ctrl dst ~total =
+  match
+    Capspace.find_memory ctrl dst
+      ~not_memory:"memory_copy destination is not Memory"
+  with
+  | Ok (_, m) when not m.m_perms.Perms.write -> Error Error.Perm_denied
+  | Ok (_, m) when total > m.m_len -> Error Error.Bounds
+  | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
+  | Ok (_, m) -> Ok m
+  | Error e -> Error e
+
 let on_open ctrl ~copy_id ~dst ~base ~total ~chunk ~reply k =
   charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
-      let opened =
-        match
-          Capspace.find_memory ctrl dst
-            ~not_memory:"memory_copy destination is not Memory"
-        with
-        | Ok (_, m) when not m.m_perms.Perms.write -> Error Error.Perm_denied
-        | Ok (_, m) when total > m.m_len -> Error Error.Bounds
-        | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
-        | Ok (_, m) ->
-          Ok (start_copy_session ctrl ~copy_id ~base ~total m chunk reply)
-        | Error e -> Error e
-      in
-      let chunks =
-        match Hashtbl.find_opt ctrl.copy_pending copy_id with
+      match writable ctrl dst ~total with
+      | Error e -> open_failed ctrl ~copy_id ~chunk ~reply e k
+      | Ok m ->
+        let s = start_copy_session ctrl ~copy_id ~base ~total m chunk reply in
+        Sim.Channel.send s.cs_chan chunk;
+        (match Hashtbl.find_opt ctrl.copy_pending copy_id with
         | Some q ->
           Hashtbl.remove ctrl.copy_pending copy_id;
-          chunk :: List.of_seq (Queue.to_seq q)
-        | None -> [ chunk ]
-      in
-      match opened with
-      | Ok s ->
-        List.iter (Sim.Channel.send s.cs_chan) chunks;
-        k ()
-      | Error e ->
-        Hashtbl.replace ctrl.copy_failures copy_id (e, reply);
-        schedule_failure_sweep ctrl copy_id;
-        each (reject_chunk ctrl ~copy_id e) chunks k)
+          Queue.iter (Sim.Channel.send s.cs_chan) q
+        | None -> ());
+        k ())
 
 (* [P_copy_chunk]: feed the open session, answer a rejected one, or park
    the chunk while the open is still being processed (handlers run

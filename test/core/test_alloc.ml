@@ -195,12 +195,13 @@ let per_chunk ~n =
         stored,
         (float_of_int len, first, next) ))
 
-(* Measured at 15.4 minor words per chunk and no fiber (x86-64, OCaml
+(* Measured at 14.9 minor words per chunk and no fiber (x86-64, OCaml
    5.1). The budget leaves less than one word of headroom: a record of
    its own per chunk (a slice of the source, say) adds four words and
    fails here, and so does a fiber or a closure per chunk. The same
-   harness measured 20.5 words while the fabric's size histogram built a
-   closure per network message, 38.7 while the copy loop's steps were
+   harness measured 15.4 words while the copy's set-up built closures,
+   20.5 while the fabric's size histogram built a closure per network
+   message, 38.7 while the copy loop's steps were
    closures built per copy and per chunk and each transfer's delivery
    carried a tuple (38.8 before sessions were swept when idle), 63.8 words
    and 4 fibers per 64-chunk copy while the source's chunk loop, the
@@ -213,7 +214,7 @@ let per_chunk ~n =
    while a copy's chunks shared a pin record), and 277 words and one
    fiber per chunk before chunk messages ran as engine events and
    transfers as timed wakes. *)
-let copy_budget = 16.
+let copy_budget = 15.
 
 (* Engine events per chunk, pinned exactly as for an invoke: 657 per
    64-chunk copy, its open, chunks and completion, and the destination
@@ -258,16 +259,18 @@ let per_small_copy ~n =
       let per x = x /. float_of_int n in
       (per (w1 -. w0), per (float_of_int (e1 - e0))))
 
-(* Measured at 321.6 minor words per single-chunk copy (x86-64, OCaml
+(* Measured at 287.6 minor words per single-chunk copy (x86-64, OCaml
    5.1), plus under three words: a closure built per copy (four words or
    more) fails here, though over a 64-chunk copy it would add less than
-   a word per chunk. The same harness measured 345.3 while the copy
-   loop's steps were closures built per copy and per chunk, each
-   transfer's delivery carried a tuple and the fabric's size histogram
-   built a closure per network message. The events are pinned exactly:
+   a word per chunk. The same harness measured 321.6 while the source's
+   set-up charges and routing were closures and the open built a list of
+   its chunks, and 345.3 while the copy loop's steps were closures built
+   per copy and per chunk, each transfer's delivery carried a tuple and
+   the fabric's size histogram built a closure per network message. The
+   events are pinned exactly:
    27, the idle sweep of the destination session among them (26 before
    sessions were swept). *)
-let small_copy_budget = 324.
+let small_copy_budget = 290.
 
 let small_copy_events = 27.
 
