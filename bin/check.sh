@@ -232,68 +232,11 @@ echo "== closures on the copy data path"
 # (HACKING.md, "Hot path"): a closure passed to a step builds one per copy
 # or per chunk. So lib/core/copy.ml may not pass an anonymous function to
 # stage, Fabric.transfer_then, Channel.recv_then or Endpoint.post, except
-# inside a chunk_span call, which only traced runs make. A call's
-# arguments run to the end of its enclosing parentheses, or to a `;`, a
-# `|` or a keyword that ends an expression at its own depth. Comments and
-# strings are blanked first (bin/code_only.awk).
-bad=$(awk -f bin/code_only.awk lib/core/copy.ml | awk '
-  { text = text $0 "\n" }
-  function ident(c) { return c ~ /[A-Za-z0-9_'"'"']/ }
-  # the index just past the arguments of the call whose name ends at i
-  function call_end(i,   n, d, c, rest) {
-    n = length(text)
-    d = 0
-    for (; i <= n; i++) {
-      c = substr(text, i, 1)
-      if (c ~ /[([{]/) d++
-      else if (c ~ /[)\]}]/) { if (--d < 0) return i }
-      else if (d == 0 && (c == ";" || c == "|")) return i
-      else if (!ident(substr(text, i - 1, 1)) && c ~ /[a-z]/) {
-        rest = substr(text, i, 6)
-        if (rest ~ /^begin[^A-Za-z0-9_]/) d++
-        else if (rest ~ /^end[^A-Za-z0-9_]/) { if (--d < 0) return i }
-        else if (d == 0 && rest ~ /^(in|then|else|with|and|let|do|done)[^A-Za-z0-9_]/)
-          return i
-      }
-    }
-    return n + 1
-  }
-  # the start index of each call of [name], not its definition
-  function calls(name, starts,   re, s, off, k, p) {
-    re = "(^|[^A-Za-z0-9_'"'"'])" name "[^A-Za-z0-9_'"'"']"
-    s = text
-    off = 0
-    k = 0
-    while (match(s, re)) {
-      p = off + RSTART + (RSTART > 1 || substr(s, 1, 1) !~ /[A-Za-z]/)
-      if (substr(text, 1, p - 1) !~ /(let|and)( rec)? +$/) starts[++k] = p
-      off += RSTART + RLENGTH - 1
-      s = substr(s, RSTART + RLENGTH)
-    }
-    return k
-  }
-  END {
-    nx = calls("chunk_span", xs)
-    for (j = 1; j <= nx; j++) xe[j] = call_end(xs[j] + length("chunk_span"))
-    split("stage Fabric.transfer_then Channel.recv_then Endpoint.post", names, " ")
-    for (f = 1; f <= 4; f++) {
-      name = names[f]
-      gsub(/\./, "\\.", name)
-      nc = calls(name, cs)
-      for (j = 1; j <= nc; j++) {
-        p = cs[j]
-        inside = 0
-        for (x = 1; x <= nx; x++) if (p > xs[x] && p < xe[x]) inside = 1
-        if (inside) continue
-        args = substr(text, p, call_end(p + length(names[f])) - p)
-        if (args ~ /\((fun|function)[^A-Za-z0-9_]/) {
-          line = split(substr(text, 1, p), ignored, "\n")
-          print "lib/core/copy.ml:" line ": a closure passed to " names[f]
-        }
-        delete cs[j]
-      }
-    }
-  }')
+# inside a chunk_span call, which only traced runs make
+# (bin/copy_closures.awk). Comments and strings are blanked first
+# (bin/code_only.awk).
+bad=$(awk -f bin/code_only.awk lib/core/copy.ml |
+        awk -v file=lib/core/copy.ml -f bin/copy_closures.awk)
 if [ -n "$bad" ]; then
   echo "$bad"
   echo "pass a step defined once and the copy or session record instead"
