@@ -22,25 +22,14 @@ type part =
     }
       -> part
 
-(* A shared input (the face database): built once, before any point runs,
-   then only read, from any domain. *)
-type input = Input : 'a Lazy.t -> input
+type experiment = { name : string; parts : part list }
 
-type experiment = { name : string; inputs : input list; parts : part list }
-
-let experiment name ~inputs parts = { name; inputs; parts }
+let experiment name parts = { name; parts }
 
 (* Optional machine-readable output: when [csv_dir] is set (bench main's
    --csv flag), every printed table is also written as
    <dir>/<section-slug>-<n>.csv. *)
 let csv_dir : string option ref = ref None
-
-(* The runner measures on one domain. Two domains over the same points
-   measured 5-15 % faster on a 2-core host, below the 20 % that would pay
-   for the memory: the face-verification points allocate and free 64 MiB
-   buffers, and the page faults of two domains contend in one address
-   space. *)
-let domains = 1
 
 (* Wall-clock start of the running experiment, stamped by [run] and read
    back by [meta_json]: every BENCH_*.json reports how long the sweep
@@ -48,8 +37,8 @@ let domains = 1
    on it). *)
 let wall_t0 = ref (Unix.gettimeofday ())
 
-(* Every point starts from the same domain-local state, whatever ran
-   before it: fresh metrics and id counters. *)
+(* Every point starts from the same state, whatever ran before it: fresh
+   metrics and id counters. *)
 let prepare () =
   Obs.Metrics.reset ();
   Fractos_core.Controller.reset_ids ();
@@ -60,21 +49,20 @@ let measure_and_render e =
   List.iter
     (fun (Part p) ->
       p.render
-        (Sim.Domains.map ~domains ~prepare
-           (fun x -> (x, p.measure x))
+        (List.map
+           (fun x ->
+             prepare ();
+             (x, p.measure x))
            p.points))
     e.parts
 
-(* Build every shared input, then measure and render [exps] in order.
+(* Measure and render [exps] in order.
    With a [trace_dir] (bench main's --trace) each experiment also writes
    <dir>/<name>.json, loadable in Perfetto; with a [breakdown_dir]
    (--breakdown) it writes <dir>/<name>.csv, one row per traced root
    span: the disaggregation-tax attribution of its requests (see
    Obs.Analysis). *)
 let run ~trace_dir ~breakdown_dir exps =
-  List.iter
-    (fun e -> List.iter (fun (Input i) -> ignore (Lazy.force i)) e.inputs)
-    exps;
   List.iter
     (fun e ->
       if trace_dir = None && breakdown_dir = None then measure_and_render e
@@ -114,12 +102,11 @@ let git_describe () =
 let meta_json ~seeds ~knobs () =
   Printf.sprintf
     "\"meta\": {\"git\": %S, \"seeds\": [%s], \"wallclock_s\": %.3f, \
-     \"domains\": %d, \"cores\": %d, \"knobs\": {%s}}"
+     \"cores\": %d, \"knobs\": {%s}}"
     (git_describe ())
     (String.concat ", " (List.map string_of_int seeds))
     (Unix.gettimeofday () -. !wall_t0)
-    domains
-    (Sim.Domains.recommended ())
+    (Domain.recommended_domain_count ())
     (String.concat ", " knobs)
 
 (* Write a BENCH_*.json and say so on stdout. *)

@@ -21,9 +21,8 @@ let img_size = 4096
    working sets, so its random reads miss (§6.4). *)
 let n_images = 16384
 
-(* Every experiment that reads it lists it as an [Input], so the runner
-   forces it before the first point: two domains forcing one lazy at
-   once would raise [Lazy.Undefined]. *)
+(* Built at first use; every image comes from its own seed, so the bytes
+   do not depend on which point forces it. *)
 let db = lazy (Facedata.db ~img_size ~n:n_images)
 
 type sys = {

@@ -147,7 +147,7 @@ let monitored_delegation ~monitored =
       ((Engine.now () - t0) / reps, census.net_messages / reps))
 
 let experiment =
-  Bench_util.experiment "ablation" ~inputs:[]
+  Bench_util.experiment "ablation"
     [
       Part
         {

@@ -238,7 +238,7 @@ let render ~tiny ~json res =
 (* --tiny (the @bench-smoke and @bench-gate aliases) shrinks the sweep;
    [json] is the output path. *)
 let experiment ~tiny ~json =
-  Bench_util.experiment "cluster" ~inputs:[]
+  Bench_util.experiment "cluster"
     [
       Part
         {

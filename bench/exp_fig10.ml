@@ -91,7 +91,7 @@ let sequential_lat ~cached ~len =
           Engine.now () - t0))
 
 let experiment =
-  Bench_util.experiment "fig10" ~inputs:[]
+  Bench_util.experiment "fig10"
     [
       half ~write:false ~title:"Figure 10 (left): random-read latency (usec)"
         ~anchor:"";

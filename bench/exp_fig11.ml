@@ -45,7 +45,7 @@ let local_tput ~sequential =
       closed_loop ~sequential (S.local_read l ~len:block))
 
 let experiment =
-  Bench_util.experiment "fig11" ~inputs:[]
+  Bench_util.experiment "fig11"
     [
       Bench_util.grid_table
         ~title:"Figure 11: read throughput (MB/s), 1 MiB blocks, 4 in flight"

@@ -14,7 +14,7 @@ let latency (batch, (_, system)) =
       E.latency sys ~batch ~reps:3)
 
 let experiment =
-  Bench_util.experiment "fig12" ~inputs:[ Input E.db ]
+  Bench_util.experiment "fig12"
     [
       Bench_util.latency_figure
         ~title:

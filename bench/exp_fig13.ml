@@ -15,7 +15,7 @@ let throughput (inflight, (_, system)) =
       E.throughput sys ~batch ~inflight ~reqs:32)
 
 let experiment =
-  Bench_util.experiment "fig13" ~inputs:[ Input E.db ]
+  Bench_util.experiment "fig13"
     [
       Bench_util.grid_table
         ~title:

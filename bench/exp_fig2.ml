@@ -90,7 +90,7 @@ let render = function
   | _ -> assert false
 
 let experiment =
-  Bench_util.experiment "fig2" ~inputs:[ Input E.db ]
+  Bench_util.experiment "fig2"
     [
       Part
         {

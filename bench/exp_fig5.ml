@@ -101,7 +101,7 @@ let series =
   ]
 
 let experiment =
-  Bench_util.experiment "fig5" ~inputs:[]
+  Bench_util.experiment "fig5"
     [
       Part
         {

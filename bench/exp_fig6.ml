@@ -62,7 +62,7 @@ let cases =
   ]
 
 let experiment =
-  Bench_util.experiment "fig6" ~inputs:[]
+  Bench_util.experiment "fig6"
     [
       Bench_util.grid_table
         ~title:

@@ -92,7 +92,7 @@ let revoke_shared ~placement n =
       Engine.now () - t0)
 
 let experiment =
-  Bench_util.experiment "fig7" ~inputs:[]
+  Bench_util.experiment "fig7"
     [
       Bench_util.grid_table
         ~title:"Figure 7 (left): RPC with n delegated capabilities (usec)"

@@ -46,7 +46,7 @@ let modes =
     [ B.Pipeline.Star; B.Pipeline.Fast_star; B.Pipeline.Chain ]
 
 let experiment =
-  Bench_util.experiment "fig8" ~inputs:[]
+  Bench_util.experiment "fig8"
     [
       Bench_util.latency_figure
         ~title:"Figure 8a: pipeline latency (usec) vs copy size, 4 stages"

@@ -195,7 +195,7 @@ let gpus =
   ]
 
 let experiment =
-  Bench_util.experiment "fig9" ~inputs:[]
+  Bench_util.experiment "fig9"
     [
       Bench_util.grid_table
         ~title:

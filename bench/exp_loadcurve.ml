@@ -247,5 +247,4 @@ let saturation_part ~tiny ~json =
    saturation sweep, shrunk; [json] is the output path. *)
 let experiment ~tiny ~json =
   Bench_util.experiment "loadcurve"
-    ~inputs:(if tiny then [] else [ Input E.db ])
     ((if tiny then [] else [ service_part ]) @ [ saturation_part ~tiny ~json ])

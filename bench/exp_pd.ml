@@ -214,7 +214,7 @@ let render ~tiny ~json res =
 (* --tiny (the @bench-smoke and @bench-gate aliases) shrinks the sweep;
    [json] is the output path. *)
 let experiment ~tiny ~json =
-  Bench_util.experiment "pd" ~inputs:[]
+  Bench_util.experiment "pd"
     [
       Part
         {

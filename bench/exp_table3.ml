@@ -48,7 +48,7 @@ let fractos_null ~snic () =
       (Engine.now () - t0) / reps)
 
 let experiment =
-  Bench_util.experiment "table3" ~inputs:[]
+  Bench_util.experiment "table3"
     [
       Bench_util.grid_table
         ~title:

@@ -12,7 +12,7 @@
 # - run the prefill/decode sweep in --tiny mode and validate the emitted
 #   BENCH_pd.json — split goodput must stay within half of the unified
 #   baseline and scale with the decode count;
-# - every BENCH_*.json meta must carry wallclock_s / domains / cores.
+# - every BENCH_*.json meta must carry wallclock_s / cores.
 #   bin/bench_smoke.sh <bench-main.exe>
 set -eu
 
@@ -35,7 +35,7 @@ d = json.load(open(sys.argv[1]))
 assert d["experiment"] == "loadcurve"
 meta = d["meta"]
 assert meta["git"], meta
-assert meta["wallclock_s"] >= 0 and meta["domains"] >= 1 and meta["cores"] >= 1, meta
+assert meta["wallclock_s"] >= 0 and meta["cores"] >= 1, meta
 assert meta["seeds"] == [5, 6, 11], meta
 assert "rates_rps" in meta["knobs"], meta
 variants = d["variants"]
@@ -73,7 +73,7 @@ d = json.load(open(sys.argv[1]))
 assert d["experiment"] == "cluster"
 meta = d["meta"]
 assert meta["git"], meta
-assert meta["wallclock_s"] >= 0 and meta["domains"] >= 1 and meta["cores"] >= 1, meta
+assert meta["wallclock_s"] >= 0 and meta["cores"] >= 1, meta
 assert meta["seeds"] == [11], meta
 assert "shard_counts" in meta["knobs"], meta
 pts = d["points"]
@@ -115,7 +115,7 @@ d = json.load(open(sys.argv[1]))
 assert d["experiment"] == "pd"
 meta = d["meta"]
 assert meta["git"], meta
-assert meta["wallclock_s"] >= 0 and meta["domains"] >= 1 and meta["cores"] >= 1, meta
+assert meta["wallclock_s"] >= 0 and meta["cores"] >= 1, meta
 assert meta["seeds"] == [17], meta
 assert "decode_counts" in meta["knobs"], meta
 pts = d["points"]

@@ -10,8 +10,8 @@
 #    bench/baselines/chaos.txt (each report carries its run's audit
 #    digest, so this is also the determinism check of HACKING.md);
 # 2. each entry must also pass under a crash-heavy spec;
-# 3. the ten-seed battery fanned over 4 OS domains (--seeds 1-10
-#    --domains 4) must match the single-domain battery byte for byte.
+# 3. the ten-seed battery run in reverse order (--seeds 10,9,...,1) must
+#    print each seed's section byte for byte as the forward run does.
 set -eu
 
 fractos=$1
@@ -57,27 +57,29 @@ for wl in $workloads; do
   fi
 done
 
-# The parallel-battery contract: fanning the ten-seed battery over 4 OS
-# domains (Sim.Domains.map) must reproduce the single-domain output byte
-# for byte — each seed's report, journal and counters come from an
-# isolated per-domain simulation, printed in seed order.
-echo "== chaos: seed battery domains=1 vs domains=4, byte-identical"
-if ! "$fractos" chaos --seeds 1-10 --journal --domains 1 \
-    > "$tmp/battery-d1.txt" 2>&1; then
-  echo "chaos --seeds 1-10 --domains 1 FAILED:"
-  cat "$tmp/battery-d1.txt"
-  exit 1
-fi
-if ! "$fractos" chaos --seeds 1-10 --journal --domains 4 \
-    > "$tmp/battery-d4.txt" 2>&1; then
-  echo "chaos --seeds 1-10 --domains 4 FAILED:"
-  cat "$tmp/battery-d4.txt"
-  exit 1
-fi
-if ! cmp -s "$tmp/battery-d1.txt" "$tmp/battery-d4.txt"; then
-  echo "chaos seed battery diverges between domains=1 and domains=4:"
-  diff "$tmp/battery-d1.txt" "$tmp/battery-d4.txt" || true
-  exit 1
-fi
+# Hermeticity: a seed's report, journal and counters must not depend on
+# the seeds that ran before it in the same process. The battery runs
+# forward and in reverse; each seed's section (from its
+# "=== chaos seed N ===" header to the next) must match byte for byte.
+echo "== chaos: seed battery forward vs reversed, per seed byte-identical"
+for run in fwd:1-10 rev:10,9,8,7,6,5,4,3,2,1; do
+  name=${run%%:*}
+  if ! "$fractos" chaos --seeds "${run#*:}" --journal \
+      > "$tmp/$name.txt" 2> "$tmp/$name.err"; then
+    echo "chaos --seeds ${run#*:} --journal FAILED:"
+    cat "$tmp/$name.txt" "$tmp/$name.err"
+    exit 1
+  fi
+  mkdir "$tmp/$name"
+  awk -v dir="$tmp/$name" '/^=== chaos seed [0-9]+ ===$/ { out = dir "/" $4 }
+                           { print > out }' "$tmp/$name.txt"
+done
+for sd in 1 2 3 4 5 6 7 8 9 10; do
+  if ! cmp -s "$tmp/fwd/$sd" "$tmp/rev/$sd"; then
+    echo "chaos seed $sd prints differently in the reversed battery:"
+    diff "$tmp/fwd/$sd" "$tmp/rev/$sd" || true
+    exit 1
+  fi
+done
 
 echo "== chaos OK"

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Repo health check: no dead or unset Net.Config knobs, exports, optional
-# arguments or modules, no Obj outside the engine, no blocking call in
-# controller code, build, tests,
-# formatting (if ocamlformat is installed), the smoke runs (trace / breakdown / seeded chaos gate —
-# including the chaos seed battery byte-diffed across domains=1 and
-# domains=4 — / audit; see bin/smoke.sh and bin/chaos.sh) and the
-# figures golden (every bench table, byte for byte).
+# arguments or modules, no Obj outside the engine, no second domain or
+# thread, no blocking call in controller code, build, tests,
+# formatting (if ocamlformat is installed), the smoke runs (trace /
+# breakdown / seeded chaos gate — including each seed of the chaos
+# battery byte-diffed between forward and reversed runs — / audit; see
+# bin/smoke.sh and bin/chaos.sh) and the figures golden (every bench
+# table, byte for byte).
 # Run from the repo root:
 # ./bin/check.sh
 # The same checks are wired as a dune alias: dune build @check
@@ -204,6 +205,25 @@ bad=$(grep -rnE --include='*.ml' --include='*.mli' "(^|[^A-Za-z0-9_'])Obj\." \
 if [ -n "$bad" ]; then
   echo "$bad"
   echo "Obj is confined to lib/sim/engine.ml"
+  exit 1
+fi
+
+echo "== one domain"
+# The engine's current run, the obs registries and rings, the retry
+# counter and the id mints are plain module state: every simulation in a
+# process runs on one domain, one after another. A second domain or a
+# thread would race that state, so no .ml under lib bin bench test
+# examples may spawn one or keep domain-local state. Comments and strings
+# are blanked first (bin/code_only.awk), so prose may name these calls.
+bad=$(for f in $(find lib bin bench test examples -name '*.ml' | sort); do
+        awk -f bin/code_only.awk "$f" |
+          grep -nE "(^|[^A-Za-z0-9_'])(Domain\.(spawn|DLS)|Thread\.)" |
+          sed "s|^|$f:|"
+      done)
+if [ -n "$bad" ]; then
+  echo "$bad"
+  echo "simulations share plain module state: run them one after another on"
+  echo "one domain"
   exit 1
 fi
 

@@ -295,8 +295,8 @@ let parse_seeds s =
     try List.map int_of_string (String.split_on_char ',' (String.trim s))
     with _ -> bad ())
 
-let chaos_cmd seed seeds domains faults workload clients requests journal
-    journal_cap sample_keep sample_threshold_us =
+let chaos_cmd seed seeds faults workload clients requests journal journal_cap
+    sample_keep sample_threshold_us =
   let module F = Fractos_fault in
   let spec =
     match F.Spec.of_string faults with
@@ -314,18 +314,10 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
         ( Time.us (Option.value ~default:1000 threshold),
           Option.value ~default:0.01 keep )
   in
-  (* Each seed's complete output (report, sampler retention, journal
-     dump) is rendered to a string inside its task: journal and sampler
-     state are per-domain. *)
+  let line fmt = Printf.ksprintf print_endline fmt in
+  (* Prints one seed's complete output (report, sampler retention, journal
+     dump) and returns whether its invariants held. *)
   let run_one seed =
-    let buf = Buffer.create 4096 in
-    let line fmt =
-      Printf.ksprintf
-        (fun s ->
-          Buffer.add_string buf s;
-          Buffer.add_char buf '\n')
-        fmt
-    in
     if journal then start_journal journal_cap;
     let report =
       F.Chaos.run ~clients ~requests ~workload ?sampling ~spec ~seed ()
@@ -352,27 +344,23 @@ let chaos_cmd seed seeds domains faults workload clients requests journal
      end);
     if journal then begin
       Obs.Journal.set_enabled false;
-      Buffer.add_string buf (Format.asprintf "@.%a" Obs.Journal.dump ())
+      print_string (Format.asprintf "@.%a" Obs.Journal.dump ())
     end;
-    (Buffer.contents buf, F.Chaos.passed report)
+    F.Chaos.passed report
   in
   match seeds with
-  | None ->
-    let out, ok = run_one seed in
-    print_string out;
-    if not ok then exit 1
+  | None -> if not (run_one seed) then exit 1
   | Some sspec ->
-    (* Multi-seed battery, fanned out over [domains] OS domains via
-       Domains.map; the coordinator prints in seed order, so stdout is
-       byte-identical for any domain count. *)
-    let seeds = parse_seeds sspec in
-    let outputs = Domains.map ~domains ~prepare:(fun () -> ()) run_one seeds in
-    List.iter2
-      (fun sd (out, _) ->
-        Printf.printf "=== chaos seed %d ===\n" sd;
-        print_string out)
-      seeds outputs;
-    if not (List.for_all snd outputs) then exit 1
+    (* A seed battery: each seed runs to the end under its own header, in
+       the order given, before the next starts. *)
+    let ok =
+      List.fold_left
+        (fun ok sd ->
+          Printf.printf "=== chaos seed %d ===\n" sd;
+          run_one sd && ok)
+        true (parse_seeds sspec)
+    in
+    if not ok then exit 1
 
 (* ---------------- config ------------------------------------------- *)
 
@@ -803,20 +791,14 @@ let chaos_t =
       & info [ "seeds" ] ~docv:"A-B"
           ~doc:"Run a whole seed battery ($(docv) inclusive, or a,b,c) \
                 instead of one --seed; each seed's full output is printed \
-                in seed order and is byte-identical for any --domains.")
-  in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:"OS domains to fan a --seeds battery over (default 1).")
+                under its own header, in the order given.")
   in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Run workloads under a seeded fault plan and check \
              failure-to-revocation invariants (exit 1 on violation)")
     Term.(
-      const chaos_cmd $ seed $ seeds $ domains $ faults $ workload $ clients
+      const chaos_cmd $ seed $ seeds $ faults $ workload $ clients
       $ chaos_requests $ journal $ journal_cap $ sample_keep
       $ sample_threshold_us)
 

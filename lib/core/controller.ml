@@ -11,9 +11,8 @@ open Capspace
 
 type t = ctrl
 
-(* Domain-local: controller ids seed the shard map, so sibling
-   simulations must mint from their own counters. *)
-let next_ctrl_id : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+(* Controller ids seed the shard map; [reset_ids] restarts them. *)
+let next_ctrl_id = ref 0
 
 (* ------------------------------------------------------------------ *)
 (* Syscall handlers                                                    *)
@@ -441,7 +440,6 @@ let reject_peer msg =
 (* ------------------------------------------------------------------ *)
 
 let create fabric ~node =
-  let next_ctrl_id = Domain.DLS.get next_ctrl_id in
   incr next_ctrl_id;
   let id = !next_ctrl_id in
   let cfg = Net.Fabric.config fabric in
@@ -720,7 +718,7 @@ let dir_incoherences = Directory.dir_incoherences
    identical controller, copy-session and buffer ids. Call only between engine
    runs. *)
 let reset_ids () =
-  Domain.DLS.get next_ctrl_id := 0;
+  next_ctrl_id := 0;
   Copy.reset_ids ();
   Membuf.reset_ids ()
 

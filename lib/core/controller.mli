@@ -138,7 +138,7 @@ val node_name : t -> string
     audit, and journal events carry. *)
 
 val reset_ids : unit -> unit
-(** Reset this domain's controller, copy-session and buffer id counters
+(** Reset the controller, copy-session and buffer id counters
     ({!Membuf.reset_ids}). Only for
     harnesses that run several simulations in one OS process and need the
     runs to be bit-identical (e.g. chaos determinism checks); call between

@@ -7,10 +7,9 @@
 open State
 open Ctrl_base
 
-(* Domain-local: copy ids name sessions, so sibling simulations must mint
-   from their own counters. *)
-let next_copy_id : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-let reset_ids () = Domain.DLS.get next_copy_id := 0
+(* Copy ids name sessions. *)
+let next_copy_id = ref 0
+let reset_ids () = next_copy_id := 0
 
 (* A fresh controller's copy tables: sessions, failures, pending. *)
 let tables () = (Hashtbl.create 8, Hashtbl.create 8, Hashtbl.create 8)
@@ -344,7 +343,6 @@ and chunk_sent c =
 let pull_unrouted c e = rreply_to c.cp_ctrl c.cp_rr (Error e) c.cp_k
 
 let pull_routed c dst_ctrl =
-  let next_copy_id = Domain.DLS.get next_copy_id in
   incr next_copy_id;
   c.cp_dst_ctrl <- dst_ctrl;
   c.cp_copy_id <- !next_copy_id;

@@ -19,16 +19,13 @@ type t = {
 
 let unwritten = { bytes = Bytes.empty; holders = 0 }
 
-(* Domain-local, like the controller, copy and pid counters: sibling
-   simulations under [Domains.map] must not race one counter, or two
-   buffers of one simulation could share an id ([Gpu] keys its
-   allocations by it). *)
-let next_id : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-let reset_ids () = Domain.DLS.get next_id := 0
+(* Buffer ids are unique within a simulation ([Gpu] keys its
+   allocations by them). *)
+let next_id = ref 0
+let reset_ids () = next_id := 0
 
 let create ~node size =
   if size < 0 then invalid_arg "Membuf.create: negative size";
-  let next_id = Domain.DLS.get next_id in
   incr next_id;
   { id = !next_id; node; size; data = Bytes.empty; store = unwritten }
 

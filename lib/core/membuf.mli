@@ -45,7 +45,7 @@ type t = private {
 val create : node:Fractos_net.Node.t -> int -> t
 (** [create ~node size] is an unwritten [size]-byte buffer on [node]. It
     allocates no bytes, whatever its size. Ids are minted from a
-    domain-local counter. Raises [Invalid_argument] on a negative size. *)
+    module counter. Raises [Invalid_argument] on a negative size. *)
 
 val of_bytes : node:Fractos_net.Node.t -> bytes -> t
 (** [of_bytes ~node b] is a [Bytes.length b]-byte buffer on [node] that
@@ -58,7 +58,7 @@ val of_bytes : node:Fractos_net.Node.t -> bytes -> t
     its store. [holders] of a non-empty borrowed buffer is at least 2. *)
 
 val reset_ids : unit -> unit
-(** Reset this domain's buffer-id counter; see {!Controller.reset_ids},
+(** Reset the buffer-id counter; see {!Controller.reset_ids},
     which calls it. *)
 
 val size : t -> int

@@ -2,12 +2,10 @@ open State
 
 type t = proc
 
-(* Domain-local: pids feed deterministic placement hashes, so sibling
-   simulations on other domains must mint from their own counter. *)
-let next_pid : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+(* Pids feed deterministic placement hashes; [reset_ids] restarts them. *)
+let next_pid = ref 0
 
 let create ~node name =
-  let next_pid = Domain.DLS.get next_pid in
   incr next_pid;
   let h n = Obs.Metrics.histogram ~node:node.Net.Node.name ("syscall." ^ n) in
   {
@@ -34,7 +32,7 @@ let create ~node name =
       };
   }
 
-let reset_ids () = Domain.DLS.get next_pid := 0
+let reset_ids () = next_pid := 0
 let alloc t size = Membuf.create ~node:t.pnode size
 let is_alive t = t.alive
 let name t = t.pname

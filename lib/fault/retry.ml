@@ -29,13 +29,10 @@ let retryable = function
       true
   | _ -> false
 
-(* Domain-local so sibling simulations (Sim.Domains.map) count their own
-   retries; chaos resets per run. *)
-let retry_count : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-let retries () = !(Domain.DLS.get retry_count)
-let reset_counters () = Domain.DLS.get retry_count := 0
+(* Retries since the last reset; chaos resets per run. *)
+let retry_count = ref 0
+let retries () = !retry_count
+let reset_counters () = retry_count := 0
 
 let with_timeout ~timeout f =
   let iv = Sim.Ivar.create () in
@@ -62,7 +59,7 @@ let run ?(policy = default) ?(refresh = fun _ -> ()) f =
                  (Core.Error.to_string e))
              ());
         refresh e;
-        incr (Domain.DLS.get retry_count);
+        incr retry_count;
         Sim.Engine.sleep (backoff policy ~attempt);
         go (attempt + 1)
     | Error _ -> r

@@ -10,9 +10,8 @@
    other capspaces, invokes, eventual revocation — can be stitched back
    together with {!lineage}.
 
-   Like Span, collection is domain-local and off by default; when
-   disabled every record site is one branch. The store is a Ring, as
-   for Journal. *)
+   Like Span, collection is off by default; when disabled every record
+   site is one branch. The store is a Ring, as for Journal. *)
 
 type kind =
   | Mint
@@ -51,7 +50,6 @@ type event = {
   au_detail : string;
 }
 
-(* Domain-local, like Span: fresh per sibling simulation. *)
 let ring = Ring.create ~capacity:(1 lsl 20) ()
 
 let enabled () = Ring.enabled ring

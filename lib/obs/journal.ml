@@ -30,14 +30,13 @@ type event = {
 
 let sev_count = 4
 
-(* Per-severity overflow counts; domain-local like the ring itself. *)
-let overflow_by_sev : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make sev_count 0)
+(* Per-severity overflow counts. *)
+let overflow_by_sev = Array.make sev_count 0
 
 let ring =
   Ring.create ~capacity:16_384 ~on_drop:(fun ev ->
-      let a = Domain.DLS.get overflow_by_sev and r = severity_rank ev.j_sev in
-      a.(r) <- a.(r) + 1)
+      let r = severity_rank ev.j_sev in
+      overflow_by_sev.(r) <- overflow_by_sev.(r) + 1)
     ()
 
 let enabled () = Ring.enabled ring
@@ -46,7 +45,7 @@ let set_capacity n = Ring.set_capacity ring n
 
 let reset () =
   Ring.reset ring;
-  Array.fill (Domain.DLS.get overflow_by_sev) 0 sev_count 0
+  Array.fill overflow_by_sev 0 sev_count 0
 
 let record_lazy ~node ~sev ~kind ~detail () =
   if Ring.enabled ring then
@@ -69,8 +68,7 @@ let count () = Ring.count ring
 let recorded () = Ring.recorded ring
 let overflowed () = Ring.overflowed ring
 
-let overflowed_by_severity s =
-  (Domain.DLS.get overflow_by_sev).(severity_rank s)
+let overflowed_by_severity s = overflow_by_sev.(severity_rank s)
 
 let summary () = List.sort compare (Ring.summary ring)
 

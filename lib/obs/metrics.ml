@@ -39,9 +39,6 @@ let bucket_upper k = Float.exp2 (float_of_int k /. float_of_int sub)
 (* Registry: one table per instrument family, keyed by (node, name).
    Find-or-create so instrumentation sites stay one-liners.
 
-   The registry is domain-local (Domain.DLS), so independent simulations
-   on sibling domains (Sim.Domains.map) record into disjoint registries.
-
    Reset is generational: instruments are interned forever (so a handle
    obtained before a reset is the same physical object returned after it),
    and [reset] just bumps the generation. An instrument whose stamp is
@@ -59,26 +56,23 @@ type registry = {
   histograms : (key, histogram) Hashtbl.t;
 }
 
-let registry_key : registry Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        generation = 0;
-        counters = Hashtbl.create 64;
-        gauges = Hashtbl.create 64;
-        histograms = Hashtbl.create 64;
-      })
-
-let reg () = Domain.DLS.get registry_key
+let reg =
+  {
+    generation = 0;
+    counters = Hashtbl.create 64;
+    gauges = Hashtbl.create 64;
+    histograms = Hashtbl.create 64;
+  }
 
 let refresh_counter c =
-  let gen = (reg ()).generation in
+  let gen = reg.generation in
   if c.c_gen <> gen then begin
     c.c_v <- 0;
     c.c_gen <- gen
   end
 
 let refresh_gauge g =
-  let gen = (reg ()).generation in
+  let gen = reg.generation in
   if g.g_gen <> gen then begin
     g.g_v <- 0;
     g.g_max <- 0;
@@ -86,7 +80,7 @@ let refresh_gauge g =
   end
 
 let refresh_histogram h =
-  let gen = (reg ()).generation in
+  let gen = reg.generation in
   if h.h_gen <> gen then begin
     h.h_n <- 0;
     h.h_sum <- 0;
@@ -109,27 +103,24 @@ let intern tbl make refresh ~node name =
   v
 
 let counter ~node name =
-  let r = reg () in
-  intern r.counters
-    (fun () -> { c_v = 0; c_gen = r.generation })
+  intern reg.counters
+    (fun () -> { c_v = 0; c_gen = reg.generation })
     refresh_counter ~node name
 
 let gauge ~node name =
-  let r = reg () in
-  intern r.gauges
-    (fun () -> { g_v = 0; g_max = 0; g_gen = r.generation })
+  intern reg.gauges
+    (fun () -> { g_v = 0; g_max = 0; g_gen = reg.generation })
     refresh_gauge ~node name
 
 let histogram ~node name =
-  let r = reg () in
-  intern r.histograms
+  intern reg.histograms
     (fun () ->
       {
         h_n = 0;
         h_sum = 0;
         h_max = 0;
         h_buckets = Array.make n_buckets 0;
-        h_gen = r.generation;
+        h_gen = reg.generation;
       })
     refresh_histogram ~node name
 
@@ -205,8 +196,7 @@ let p95 h = percentile h 0.95
 let p99 h = percentile h 0.99
 
 let reset () =
-  let r = reg () in
-  r.generation <- r.generation + 1
+  reg.generation <- reg.generation + 1
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot: live (current-generation) instruments, sorted by key — the
@@ -214,18 +204,18 @@ let reset () =
 (* ------------------------------------------------------------------ *)
 
 let live_keys tbl stamp =
-  let gen = (reg ()).generation in
+  let gen = reg.generation in
   Hashtbl.fold (fun k v acc -> if stamp v = gen then k :: acc else acc) tbl []
   |> List.sort compare
 
 let counters_list () =
-  let tbl = (reg ()).counters in
+  let tbl = reg.counters in
   List.map
     (fun ((node, name) as key) -> (node, name, (Hashtbl.find tbl key).c_v))
     (live_keys tbl (fun c -> c.c_gen))
 
 let gauges_list () =
-  let tbl = (reg ()).gauges in
+  let tbl = reg.gauges in
   List.map
     (fun ((node, name) as key) ->
       let g = Hashtbl.find tbl key in
@@ -255,7 +245,7 @@ let snapshot_histogram h =
   }
 
 let histograms_list () =
-  let tbl = (reg ()).histograms in
+  let tbl = reg.histograms in
   List.map
     (fun ((node, name) as key) ->
       (node, name, snapshot_histogram (Hashtbl.find tbl key)))
@@ -290,7 +280,7 @@ let pp fmt () =
     fprintf fmt "latency histograms (us):@.";
     List.iter
       (fun (node, name, _) ->
-        let h = Hashtbl.find (reg ()).histograms (node, name) in
+        let h = Hashtbl.find reg.histograms (node, name) in
         fprintf fmt
           "  %-10s %-28s n=%-6d p50=%-9.2f p95=%-9.2f p99=%-9.2f max=%-9.2f \
            mean=%.2f@."

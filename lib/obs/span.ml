@@ -14,11 +14,10 @@ type t = {
   mutable sp_attrs : (string * string) list;
 }
 
-(* One collector per domain: engines do not nest and runs are
-   deterministic, so a domain-local singleton keeps every instrumentation
-   site free of plumbing while independent simulations on sibling domains
-   (Sim.Domains.map) stay isolated. Disabled (the default) every entry
-   point is a cheap bool check. *)
+(* One collector per process: engines do not nest and runs are
+   deterministic, so a module singleton keeps every instrumentation site
+   free of plumbing. Disabled (the default) every entry point is a cheap
+   bool check. *)
 type state = {
   mutable s_enabled : bool;
   mutable s_limit : int;
@@ -28,46 +27,41 @@ type state = {
   mutable s_dropped : int;
 }
 
-let state_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        s_enabled = false;
-        s_limit = 500_000;
-        s_next_id = 1;
-        s_collected = Queue.create ();
-        s_index = Hashtbl.create 1024;
-        s_dropped = 0;
-      })
+let st =
+  {
+    s_enabled = false;
+    s_limit = 500_000;
+    s_next_id = 1;
+    s_collected = Queue.create ();
+    s_index = Hashtbl.create 1024;
+    s_dropped = 0;
+  }
 
-let st () = Domain.DLS.get state_key
-
-let enabled () = (st ()).s_enabled
-let set_enabled b = (st ()).s_enabled <- b
-let set_limit n = (st ()).s_limit <- max 1 n
-let get_limit () = (st ()).s_limit
+let enabled () = st.s_enabled
+let set_enabled b = st.s_enabled <- b
+let set_limit n = st.s_limit <- max 1 n
+let get_limit () = st.s_limit
 
 let reset () =
-  let s = st () in
-  Queue.clear s.s_collected;
-  Hashtbl.reset s.s_index;
-  s.s_next_id <- 1;
-  s.s_dropped <- 0
+  Queue.clear st.s_collected;
+  Hashtbl.reset st.s_index;
+  st.s_next_id <- 1;
+  st.s_dropped <- 0
 
 let current () = Sim.Engine.get_ctx ()
 
 let add kind ?parent ?(attrs = []) ?(node = "") ~name () =
-  let s = st () in
-  if not s.s_enabled then 0
-  else if Queue.length s.s_collected >= s.s_limit then begin
-    s.s_dropped <- s.s_dropped + 1;
+  if not st.s_enabled then 0
+  else if Queue.length st.s_collected >= st.s_limit then begin
+    st.s_dropped <- st.s_dropped + 1;
     0
   end
   else begin
     let parent =
       match parent with Some p -> p | None -> Sim.Engine.get_ctx ()
     in
-    let id = s.s_next_id in
-    s.s_next_id <- id + 1;
+    let id = st.s_next_id in
+    st.s_next_id <- id + 1;
     let now = Sim.Engine.now () in
     let sp =
       {
@@ -82,8 +76,8 @@ let add kind ?parent ?(attrs = []) ?(node = "") ~name () =
         sp_attrs = attrs;
       }
     in
-    Queue.add sp s.s_collected;
-    Hashtbl.replace s.s_index id sp;
+    Queue.add sp st.s_collected;
+    Hashtbl.replace st.s_index id sp;
     id
   end
 
@@ -94,12 +88,12 @@ let instant ?attrs ?node ~name () =
   ignore (add Instant ?attrs ?node ~name ())
 
 let set_attr id k v =
-  match Hashtbl.find_opt (st ()).s_index id with
+  match Hashtbl.find_opt st.s_index id with
   | Some sp -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
   | None -> ()
 
 let finish ?(attrs = []) id =
-  match Hashtbl.find_opt (st ()).s_index id with
+  match Hashtbl.find_opt st.s_index id with
   | None -> ()
   | Some sp ->
     if not sp.sp_finished then begin
@@ -109,7 +103,7 @@ let finish ?(attrs = []) id =
     end
 
 let with_ ?attrs ?node ~name f =
-  if not (st ()).s_enabled then f ()
+  if not st.s_enabled then f ()
   else begin
     let id = start ?attrs ?node ~name () in
     let saved = Sim.Engine.get_ctx () in
@@ -122,7 +116,7 @@ let with_ ?attrs ?node ~name f =
   end
 
 let with_then ?attrs ?node ~name body k =
-  if not (st ()).s_enabled then body k
+  if not st.s_enabled then body k
   else begin
     let id = start ?attrs ?node ~name () in
     let saved = Sim.Engine.get_ctx () in
@@ -133,10 +127,10 @@ let with_then ?attrs ?node ~name body k =
         k v)
   end
 
-let all () = List.of_seq (Queue.to_seq (st ()).s_collected)
-let count () = Queue.length (st ()).s_collected
-let dropped () = (st ()).s_dropped
-let find id = Hashtbl.find_opt (st ()).s_index id
+let all () = List.of_seq (Queue.to_seq st.s_collected)
+let count () = Queue.length st.s_collected
+let dropped () = st.s_dropped
+let find id = Hashtbl.find_opt st.s_index id
 
 let warn_if_truncated path =
   if dropped () > 0 then
@@ -146,24 +140,23 @@ let warn_if_truncated path =
       path (dropped ()) (get_limit ())
 
 let rec root_of id =
-  match Hashtbl.find_opt (st ()).s_index id with
+  match Hashtbl.find_opt st.s_index id with
   | Some sp when sp.sp_parent <> 0 -> root_of sp.sp_parent
   | _ -> id
 
 let prune keep =
-  let s = st () in
   let kept = Queue.create () in
   let removed = ref 0 in
   Queue.iter
     (fun sp ->
       if keep sp then Queue.add sp kept
       else begin
-        Hashtbl.remove s.s_index sp.sp_id;
+        Hashtbl.remove st.s_index sp.sp_id;
         incr removed
       end)
-    s.s_collected;
-  Queue.clear s.s_collected;
-  Queue.transfer kept s.s_collected;
+    st.s_collected;
+  Queue.clear st.s_collected;
+  Queue.transfer kept st.s_collected;
   !removed
 
 type layer = Ctrl | Copy | Fabric | Gpu | Nvme | Adaptor | Client

@@ -59,14 +59,11 @@ and 'a resumer = {
 
 let empty = Obj.repr 0
 
-(* The running engine is domain-local, so independent simulations on
-   sibling domains (Domains.map) never observe each other. *)
-let current_key : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-let current () = Domain.DLS.get current_key
-let set_current v = Domain.DLS.set current_key v
+(* The running engine, if any: engines do not nest. *)
+let current : t option ref = ref None
 
 let get () =
-  match current () with
+  match !current with
   | Some t -> t
   | None -> failwith "Fractos_sim.Engine: no engine is running"
 
@@ -316,11 +313,12 @@ let raise_deadlock ~name t =
   raise (Deadlock msg)
 
 let run ?(name = "main") main =
-  if current () <> None then failwith "Fractos_sim.Engine: engines do not nest";
+  if Option.is_some !current then
+    failwith "Fractos_sim.Engine: engines do not nest";
   let t = create () in
-  set_current (Some t);
+  current := Some t;
   let result = ref None in
-  let finally () = set_current None in
+  let finally () = current := None in
   Fun.protect ~finally (fun () ->
       push_call t ~time:0 0 (fun () ->
           exec t ~root:true ~name (fun () -> result := Some (main ())));
@@ -384,5 +382,5 @@ let wake_with ctx g x =
 let fiber_count () = (get ()).fibers
 let event_count () = (get ()).events
 
-let get_ctx () = match current () with Some t -> t.ctx | None -> 0
-let set_ctx c = match current () with Some t -> t.ctx <- c | None -> ()
+let get_ctx () = match !current with Some t -> t.ctx | None -> 0
+let set_ctx c = match !current with Some t -> t.ctx <- c | None -> ()

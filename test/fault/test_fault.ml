@@ -472,6 +472,18 @@ let test_chaos_deterministic () =
   check_bool "different seed, different digest" true
     (a.Chaos.r_audit_digest <> c.Chaos.r_audit_digest)
 
+(* A chaos run resets every piece of process state its report reads, so
+   a seed's report does not depend on what ran before it in the process.
+   The seed batteries rely on this. *)
+let test_chaos_hermetic () =
+  let run workload seed =
+    Chaos.to_lines (small_chaos ~spec:Spec.default ~workload seed)
+  in
+  let first = run "copy" 13 in
+  ignore (run "xshard" 11);
+  Alcotest.(check (list string))
+    "copy seed 13 again, after xshard seed 11" first (run "copy" 13)
+
 let test_chaos_default_spec_invariants () =
   let r = small_chaos ~spec:Spec.default 3 in
   check_bool
@@ -812,6 +824,8 @@ let () =
         [
           Alcotest.test_case "clean run" `Quick test_chaos_clean_run;
           Alcotest.test_case "deterministic" `Quick test_chaos_deterministic;
+          Alcotest.test_case "run is hermetic in-process" `Quick
+            test_chaos_hermetic;
           Alcotest.test_case "default spec invariants" `Quick
             test_chaos_default_spec_invariants;
           Alcotest.test_case "crash bumps epoch" `Quick

@@ -2,9 +2,7 @@
    random sequences of record, set_capacity, reset and enable/disable run
    through both, and each must match a list model — retained events are
    the last min(cap, n) recorded, with overflow/eviction counts, the
-   journal's per-severity overflow and a cumulative per-kind summary.
-   The same check runs on two sibling domains at once, which must not
-   see each other's rings or the caller's. *)
+   journal's per-severity overflow and a cumulative per-kind summary. *)
 
 module Sim = Fractos_sim
 module Obs = Fractos_obs
@@ -111,7 +109,7 @@ let index_of arr x =
   let rec go i = if arr.(i) = x then i else go (i + 1) in
   go 0
 
-(* Run [ops] through the real Journal and Audit of the calling domain. *)
+(* Run [ops] through the real Journal and Audit. *)
 let run ops =
   J.reset ();
   A.reset ();
@@ -171,31 +169,8 @@ let prop_matches_model =
   QCheck.Test.make ~name:"journal and audit match the list model" ~count:300
     arb_ops (fun ops -> run ops = model ops)
 
-(* Two sequences on two sibling domains at once: each ring matches its
-   own model, and the caller's journal is untouched. *)
-let prop_domains_isolated =
-  QCheck.Test.make ~name:"rings are isolated across sibling domains"
-    ~count:20 (QCheck.pair arb_ops arb_ops) (fun (ops1, ops2) ->
-      J.reset ();
-      J.set_enabled true;
-      Sim.Engine.run (fun () ->
-          J.record ~node:"main" ~sev:J.Warn ~kind:"main" ());
-      J.set_enabled false;
-      let got =
-        Sim.Domains.map ~domains:2 ~prepare:(fun () -> ()) run [ ops1; ops2 ]
-      in
-      let main_kept =
-        J.recorded () = 1
-        && List.map (fun (e : J.event) -> e.J.j_kind) (J.events ())
-           = [ "main" ]
-      in
-      J.reset ();
-      main_kept && got = [ model ops1; model ops2 ])
-
 let () =
   Alcotest.run "obs-ring"
     [
-      ( "ring",
-        List.map QCheck_alcotest.to_alcotest
-          [ prop_matches_model; prop_domains_isolated ] );
+      ("ring", List.map QCheck_alcotest.to_alcotest [ prop_matches_model ]);
     ]

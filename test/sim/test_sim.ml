@@ -1393,44 +1393,6 @@ let test_named_fiber_failure_reported () =
        blocked: \"named-blocked\""
       msg
 
-(* ------------------------------------------------------------------ *)
-(* Domains: parallel independent simulations                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_domains_map_order () =
-  let tasks = List.init 10 (fun i -> i) in
-  let f i =
-    (* each task is its own little simulation, proving isolation *)
-    Engine.run (fun () ->
-        Engine.sleep (100 - (10 * i));
-        i * i)
-  in
-  let expect = List.map (fun i -> i * i) tasks in
-  Alcotest.(check (list int))
-    "serial path ordered" expect
-    (Domains.map ~domains:1 ~prepare:(fun () -> ()) f tasks);
-  Alcotest.(check (list int))
-    "parallel path ordered" expect
-    (Domains.map ~domains:4 ~prepare:(fun () -> ()) f tasks)
-
-let test_domains_map_prepare_runs_per_task () =
-  let calls = Atomic.make 0 in
-  let r =
-    Domains.map ~domains:3
-      ~prepare:(fun () -> Atomic.incr calls)
-      (fun i -> i + 1)
-      [ 1; 2; 3; 4; 5 ]
-  in
-  Alcotest.(check (list int)) "results" [ 2; 3; 4; 5; 6 ] r;
-  check_int "prepare per task" 5 (Atomic.get calls)
-
-let test_domains_map_first_failure_wins () =
-  let f i = if i >= 3 then failwith (Printf.sprintf "task-%d" i) else i in
-  match Domains.map ~domains:4 ~prepare:(fun () -> ()) f [ 0; 1; 2; 3; 4; 5 ] with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure m ->
-    Alcotest.(check string) "first by task order" "task-3" m
-
 let () =
   Alcotest.run "fractos_sim"
     [
@@ -1454,14 +1416,6 @@ let () =
             test_finished_fiber_not_reported;
           Alcotest.test_case "named fiber failure" `Quick
             test_named_fiber_failure_reported;
-        ] );
-      ( "domains",
-        [
-          Alcotest.test_case "map preserves order" `Quick test_domains_map_order;
-          Alcotest.test_case "prepare per task" `Quick
-            test_domains_map_prepare_runs_per_task;
-          Alcotest.test_case "first failure wins" `Quick
-            test_domains_map_first_failure_wins;
         ] );
       ( "prng",
         [
