@@ -2,36 +2,50 @@ open State
 
 type cid = int
 
-(* A fresh reply path for one syscall of [proc]. Each call builds its
-   message around one, so posting takes the message itself rather than a
-   closure that builds it. *)
-let reply_of (proc : proc) = { r_ivar = Sim.Ivar.create (); r_proc = proc }
+(* A fresh reply path for one synchronous syscall of [proc], which the
+   waiting fiber claims ([call]). Each call builds its message around
+   one, so posting takes the message itself rather than a closure that
+   builds it. *)
+let reply_of (proc : proc) = { r_proc = proc; r_to = Unclaimed }
 
-(* Post syscall [msg], whose reply path is [reply], returning the
-   completion ivar. The user-side cost of building and posting the
-   descriptor is charged to the calling fiber; the syscall itself proceeds
+(* Post syscall [msg]: [Ok ()], or the error that keeps it from being
+   posted. The user-side cost of building and posting the descriptor is
+   charged to the calling fiber; the syscall itself proceeds
    asynchronously (Table 1: "all syscalls are fully asynchronous and
    posted into a message-passing channel"). *)
-let call_async (proc : proc) ~size msg (reply : _ reply) =
-  let iv = reply.r_ivar in
-  (match proc.pctrl with
-  | None ->
-    Sim.Ivar.fill iv
-      (Error (Error.Bad_argument "process not attached to a controller"))
+let post (proc : proc) ~size msg =
+  match proc.pctrl with
+  | None -> Error (Error.Bad_argument "process not attached to a controller")
   | Some ctrl ->
-    if not proc.alive then
-      Sim.Ivar.fill iv (Error (Error.Bad_argument "process is dead"))
+    if not proc.alive then Error (Error.Bad_argument "process is dead")
     else begin
       let cfg = Controller.config ctrl in
       Sim.Engine.sleep
         (Net.Config.scale_time cfg.Net.Config.scale_client
            Net.Config.proc_syscall);
-      Controller.enqueue_syscall ctrl msg ~size ~src:proc.pnode
-    end);
+      Controller.enqueue_syscall ctrl msg ~size ~src:proc.pnode;
+      Ok ()
+    end
+
+(* Asynchronous veneer: post a syscall whose reply path fills [iv], and
+   return [iv]. *)
+let call_async proc ~size msg iv =
+  (match post proc ~size msg with
+  | Ok () -> ()
+  | Error e -> Sim.Ivar.fill iv (Error e));
   iv
 
-(* Synchronous veneer: post and await. *)
-let call proc ~size msg reply = Sim.Ivar.await (call_async proc ~size msg reply)
+(* The waiting fiber takes its reply path: the answer resumes it. *)
+let claim (reply : _ reply) r =
+  match reply.r_to with
+  | Answered v -> Sim.Engine.resume r v
+  | Unclaimed | Fiber _ | Ivar _ -> reply.r_to <- Fiber r
+
+(* Synchronous veneer: post and wait for the answer. *)
+let call proc ~size msg reply =
+  match post proc ~size msg with
+  | Ok () -> Sim.Engine.suspend_with claim reply
+  | Error e -> Error e
 
 (* Timed synchronous veneer: wraps the post-to-completion interval of one
    named syscall in a span ("sys.<name>") and the process's hoisted
@@ -73,10 +87,10 @@ let memory_copy proc ~src ~dst =
     reply
 
 let memory_copy_async proc ~src ~dst =
-  let reply = reply_of proc in
+  let iv = Sim.Ivar.create () in
   call_async proc ~size:(Wire.syscall ~caps:2 ())
-    (Sys_mem_copy { src; dst; reply })
-    reply
+    (Sys_mem_copy { src; dst; reply = { r_proc = proc; r_to = Ivar iv } })
+    iv
 
 let request_create proc ~tag ?(imms = []) ?(caps = []) () =
   let reply = reply_of proc in
@@ -100,10 +114,10 @@ let request_invoke proc cid =
     reply
 
 let request_invoke_async proc cid =
-  let reply = reply_of proc in
+  let iv = Sim.Ivar.create () in
   call_async proc ~size:(Wire.syscall ~caps:1 ())
-    (Sys_req_invoke { cid; reply })
-    reply
+    (Sys_req_invoke { cid; reply = { r_proc = proc; r_to = Ivar iv } })
+    iv
 
 let request_invoke_timeout proc ~timeout cid =
   let t0 = Sim.Engine.now () in
@@ -120,7 +134,7 @@ let credit (proc : proc) =
   match proc.pctrl with
   | None -> ()
   | Some ctrl ->
-    Controller.enqueue_syscall ctrl (Sys_credit proc) ~size:Wire.credit
+    Controller.enqueue_syscall ctrl proc.pcredit ~size:Wire.credit
       ~src:proc.pnode
 
 let receive (proc : proc) =

@@ -40,22 +40,22 @@ let ref_dec ctrl addr =
    count (on the critical path: exactly the cost the paper's design
    avoids). [op] records how the capability came to exist (Mint for a
    freshly created object, Delegate for delegation-on-invoke / grant) in
-   the audit log. The result goes on with [k]: at once, or under the
+   the audit log. The result goes on with [g x]: at once, or under the
    ablation after the owner's acknowledgment, as a step under trace
    context [ctx]. *)
-let ref_inc_acked ctrl addr k cid ack =
+let ref_inc_acked (ctrl, addr, g, x, cid) ack =
   if ack = Error Error.Timeout then begin
     Obs.Metrics.incr ctrl.cm.cm_ref_inc_timeouts;
     journal ctrl Obs.Journal.Warn "ctrl.ref_inc_timeout" (fun () ->
         Printf.sprintf "peer=%d" addr.a_ctrl)
   end;
-  k (Ok cid)
+  g x (Ok cid)
 
 let insert_cap ?(ctx = Sim.Engine.get_ctx ()) ?audit_detail ctrl space addr
-    ~counts ~op k =
+    ~counts ~op g x =
   let cfg = config ctrl in
   if Hashtbl.length space.cs_caps >= cfg.capspace_quota then
-    k (Error Error.Quota_exceeded)
+    g x (Error Error.Quota_exceeded)
   else begin
     let cid = space.cs_next in
     space.cs_next <- cid + 1;
@@ -68,13 +68,13 @@ let insert_cap ?(ctx = Sim.Engine.get_ctx ()) ?audit_detail ctrl space addr
       };
     Obs.Metrics.add ctrl.cm.cm_captable 1;
     audit ctrl op ~pid:space.cs_proc.pid ~cid ?detail:audit_detail addr;
-    if not cfg.track_delegations then k (Ok cid)
+    if not cfg.track_delegations then g x (Ok cid)
     else
       match peer_of_addr ctrl addr with
-      | exception Error.Fractos _ -> k (Ok cid)
+      | exception Error.Fractos _ -> g x (Ok cid)
       | owner when owner == ctrl ->
         ref_inc ctrl addr;
-        k (Ok cid)
+        g x (Ok cid)
       | peer ->
         (* reliable tracking: wait for the owner's acknowledgment — the
            critical-path cost the paper's design avoids. The wait is
@@ -83,18 +83,24 @@ let insert_cap ?(ctx = Sim.Engine.get_ctx ()) ?audit_detail ctrl space addr
            proceeds best-effort rather than blocking the delegation
            forever; the owner's count may briefly overshoot, which only
            delays a tombstone until its next reboot. *)
-        let rr = rreply_at ctx ctrl (ref_inc_acked ctrl addr k cid) in
+        let rr = rreply_at ctx ctrl ref_inc_acked (ctrl, addr, g, x, cid) in
         send_peer ctrl peer ~size:Wire.credit (P_ref_inc { addr; reply = rr });
         await_timeout rr ~timeout:cfg.peer_ack_timeout
   end
 
+(* The entry [cid] names in [space]. A miss raises [Error.Fractos
+   Invalid_cap], so a hit allocates nothing. *)
+let invalid_cap = Error.Fractos Error.Invalid_cap
+
+let cap_entry space cid =
+  match Hashtbl.find space.cs_caps cid with
+  | entry -> entry
+  | exception Not_found -> raise invalid_cap
+
 let resolve_cid ctrl proc cid =
-  match space_of ctrl proc with
+  match cap_entry (space_of ctrl proc) cid with
+  | entry -> Ok entry
   | exception Error.Fractos e -> Error e
-  | space -> (
-    match Hashtbl.find_opt space.cs_caps cid with
-    | Some entry -> Ok entry
-    | None -> Error Error.Invalid_cap)
 
 (* Translation fast path (Config.translation_cache): memoize cid -> entry
    per capability space, stamped with the controller's capability
@@ -107,15 +113,18 @@ let resolve_cid ctrl proc cid =
    epoch/validity checks still run on every use downstream, so a cached
    translation can never outlive the object or epoch it names.
 
-   [charged_resolve1 ctrl proc cid k] charges a message and one Lookup,
-   resolves [cid] and goes on with [k] on the result; [charged_resolve2]
-   does the same for two cids, in order, stopping at the first failure.
-   With the memo off this is a single combined charge before the
-   resolution (identical to the pre-cache cost model); with it on, the
-   charge comes after and memo hits skip their Lookup — the class with
-   the largest SmartNIC multiplier, which is exactly where the paper's
-   wimpy-core controllers hurt. Both charge through [charge_plus], so a
-   resolve builds no list (HACKING.md, "Hot path"). *)
+   [charged_resolve1 s cid g] charges a message and one Lookup, resolves
+   [cid] into the syscall's [s_entry] and goes on with [g s];
+   [charged_resolve2] does the same for two cids, the second into
+   [s_dst], stopping at the first failure. A failure leaves the entry at
+   [no_entry] and the error in [s_v] ([resolved] tells). With the memo
+   off this is a single combined charge before the resolution (identical
+   to the pre-cache cost model), and [g]'s [resolved] resolves; with it
+   on, the resolution comes first and memo hits skip their Lookup — the
+   class with the largest SmartNIC multiplier, which is exactly where the
+   paper's wimpy-core controllers hurt. Both charge through
+   [charge_plus], so a resolve builds no list, and a hit allocates
+   nothing (HACKING.md, "Hot path"). *)
 let memo_invalidate ctrl =
   ctrl.cap_gen <- ctrl.cap_gen + 1;
   journal ctrl Obs.Journal.Debug "ctrl.tcache_invalidate" (fun () ->
@@ -131,69 +140,85 @@ let memo_space ctrl proc =
   end;
   space
 
-(* One translation through the memo, in two steps so that a caller counts
-   its Lookups without a tuple: [memo_hit] is the memoized entry, if any
-   (no Lookup); [memo_fill] walks the table after a miss (one Lookup, also
-   when the cid is unbound) and memoizes what it finds. *)
-let memo_hit ctrl space cid =
-  match Hashtbl.find_opt space.cs_memo cid with
-  | Some _ as hit ->
+let set_entry s entry = s.s_entry <- entry
+let set_dst s entry = s.s_dst <- entry
+
+(* One translation of [cid] through the memo into [set s]: the Lookups
+   it takes, none on a hit, one on a miss (also when the cid is
+   unbound), which walks the table and memoizes what it finds. *)
+let memo_resolve s space cid set =
+  let ctrl = s.s_ctrl in
+  match Hashtbl.find space.cs_memo cid with
+  | entry ->
     Obs.Metrics.incr ctrl.cm.cm_tcache_hits;
-    hit
-  | None ->
+    set s entry;
+    0
+  | exception Not_found ->
     Obs.Metrics.incr ctrl.cm.cm_tcache_misses;
-    None
+    (match Hashtbl.find space.cs_caps cid with
+    | entry ->
+      Hashtbl.replace space.cs_memo cid entry;
+      set s entry
+    | exception Not_found -> s.s_v <- Error Error.Invalid_cap);
+    1
 
-let memo_fill space cid =
-  match Hashtbl.find_opt space.cs_caps cid with
-  | Some entry ->
-    Hashtbl.replace space.cs_memo cid entry;
-    Ok entry
-  | None -> Error Error.Invalid_cap
+(* One translation of [cid] in the caller's space into [set s]. *)
+let resolve_into s cid set =
+  match cap_entry (space_of s.s_ctrl (caller s)) cid with
+  | entry -> set s entry
+  | exception Error.Fractos e -> s.s_v <- Error e
 
-let memo_resolve space hit cid =
-  match hit with Some entry -> Ok entry | None -> memo_fill space cid
-
-let lookups = function Some _ -> 0 | None -> 1
-
-let msg = [ (Net.Cost.Msg, 1) ]
-let resolve1_at (ctrl, proc, cid, k) = k (resolve_cid ctrl proc cid)
-
-let charged_resolve1 ctrl proc cid k =
+let charged_resolve1 s cid g =
+  let ctrl = s.s_ctrl in
   if not (config ctrl).translation_cache then
-    charge_plus ctrl msg Net.Cost.Lookup 1 resolve1_at (ctrl, proc, cid, k)
+    charge_plus ctrl msg_cost Net.Cost.Lookup 1 g s
   else
-    match memo_space ctrl proc with
+    match memo_space ctrl (caller s) with
     | exception Error.Fractos e ->
-      charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
+      s.s_v <- Error e;
+      charge_plus ctrl msg_cost Net.Cost.Lookup 1 g s
     | space ->
-      let hit = memo_hit ctrl space cid in
-      charge_plus ctrl msg Net.Cost.Lookup (lookups hit) k
-        (memo_resolve space hit cid)
+      charge_plus ctrl msg_cost Net.Cost.Lookup (memo_resolve s space cid set_entry)
+        g s
 
-let pair ea = Result.map (fun eb -> (ea, eb))
-
-let charged_resolve2 ctrl proc a b k =
+let charged_resolve2 s a b g =
+  let ctrl = s.s_ctrl in
   if not (config ctrl).translation_cache then
-    charge_plus ctrl msg Net.Cost.Lookup 2
-      (fun () ->
-        k (Result.bind (resolve_cid ctrl proc a) (fun ea ->
-               pair ea (resolve_cid ctrl proc b))))
-      ()
+    charge_plus ctrl msg_cost Net.Cost.Lookup 2 g s
   else
-    match memo_space ctrl proc with
+    match memo_space ctrl (caller s) with
     | exception Error.Fractos e ->
-      charge_plus ctrl msg Net.Cost.Lookup 1 k (Error e)
-    | space -> (
-      let hit_a = memo_hit ctrl space a in
-      match memo_resolve space hit_a a with
-      | Error e ->
-        charge_plus ctrl msg Net.Cost.Lookup (lookups hit_a) k (Error e)
-      | Ok ea ->
-        let hit_b = memo_hit ctrl space b in
-        let resolved = pair ea (memo_resolve space hit_b b) in
-        charge_plus ctrl msg Net.Cost.Lookup (lookups hit_a + lookups hit_b) k
-          resolved)
+      s.s_v <- Error e;
+      charge_plus ctrl msg_cost Net.Cost.Lookup 1 g s
+    | space ->
+      let n = memo_resolve s space a set_entry in
+      let n =
+        if s.s_entry == no_entry then n else n + memo_resolve s space b set_dst
+      in
+      charge_plus ctrl msg_cost Net.Cost.Lookup n g s
+
+(* In the step a charged resolve goes on with: whether its cids
+   resolved. With the memo off, the resolution runs here, after the
+   charge. *)
+let resolved s =
+  if not (config s.s_ctrl).translation_cache then begin
+    match s.s_msg with
+    | Sys_mem_copy { src; dst; _ } ->
+      resolve_into s src set_entry;
+      if s.s_entry != no_entry then resolve_into s dst set_dst
+    | Sys_mem_diminish { cid; _ }
+    | Sys_req_invoke { cid; _ }
+    | Sys_revtree_create { cid; _ }
+    | Sys_revoke { cid; _ }
+    | Sys_mon_delegate { cid; _ }
+    | Sys_mon_receive { cid; _ } ->
+      resolve_into s cid set_entry
+    | Sys_null _ | Sys_mem_create _ | Sys_req_create _ | Sys_req_derive _
+    | Sys_credit _ ->
+      ()
+  end;
+  s.s_entry != no_entry
+  && match s.s_msg with Sys_mem_copy _ -> s.s_dst != no_entry | _ -> true
 
 (* Resolve a list of capability arguments to (addr, monitored) pairs, where
    monitored records whether the argument came from a monitor_delegator
@@ -338,7 +363,7 @@ let cleanup_start (ctrl, addrs) =
     | (peer, addr) :: rest ->
       let iv = Sim.Ivar.create () in
       charge ctrl [ (Net.Cost.Msg, 1) ] (fun () ->
-          let reply = rreply_at (-1) ctrl (fun v -> Sim.Ivar.fill iv v) in
+          let reply = rreply_at (-1) ctrl Sim.Ivar.fill iv in
           send_peer ctrl peer ~size:Wire.peer_fixed (P_cleanup { addr; reply });
           ask (iv :: acks) rest)
   in
@@ -350,43 +375,49 @@ let cleanup_broadcast ctrl addrs =
 
 (* Invalidate an object subtree at this controller (we are the owner):
    immediate revocation, monitor_receive callbacks, then async cleanup,
-   and go on with [k]. *)
-let invalidate_at_owner ctrl obj k =
-  let invalidated = Objects.invalidate ctrl obj in
+   and go on with [g x]. *)
+let invalidated (ctrl, obj, objs, g, x) =
   let addr o =
     { a_ctrl = ctrl.ctrl_id; a_epoch = ctrl.epoch; a_oid = o.o_id }
   in
-  charge_plus ctrl [] Net.Cost.Revoke (List.length invalidated) (fun () ->
-      (* one Revoke event per invalidated object, subtree root first (the
-         order Objects.invalidate walks the revocation tree) *)
-      List.iter
-        (fun o ->
-          audit ctrl Obs.Audit.Revoke
-            ~detail:(fun () -> Printf.sprintf "subtree_root=%d" obj.o_id)
-            (addr o))
-        invalidated;
-      let notify (watcher, cb) k =
-        if watcher.alive then post_monitor_event ctrl watcher (Receive_cb cb) k
-        else k ()
-      in
-      each (fun o k -> each notify o.o_mon_receivers k) invalidated (fun () ->
-          if (config ctrl).track_delegations then
-            (* reference-counted cleanup (ablation): no broadcast —
-               tombstones die when their remote reference count drains;
-               unreferenced ones now *)
-            List.iter
-              (fun o -> if o.o_remote_refs <= 0 then Objects.remove ctrl o.o_id)
-              invalidated
-          else if invalidated <> [] then
-            cleanup_broadcast ctrl (List.map addr invalidated);
-          k ()))
-    ()
+  (* one Revoke event per invalidated object, subtree root first (the
+     order Objects.invalidate walks the revocation tree) *)
+  List.iter
+    (fun o ->
+      audit ctrl Obs.Audit.Revoke
+        ~detail:(fun () -> Printf.sprintf "subtree_root=%d" obj.o_id)
+        (addr o))
+    objs;
+  let notify (watcher, cb) k =
+    if watcher.alive then post_monitor_event ctrl watcher (Receive_cb cb) k
+    else k ()
+  in
+  each (fun o k -> each notify o.o_mon_receivers k) objs (fun () ->
+      if (config ctrl).track_delegations then
+        (* reference-counted cleanup (ablation): no broadcast —
+           tombstones die when their remote reference count drains;
+           unreferenced ones now *)
+        List.iter
+          (fun o -> if o.o_remote_refs <= 0 then Objects.remove ctrl o.o_id)
+          objs
+      else if objs <> [] then cleanup_broadcast ctrl (List.map addr objs);
+      g x)
 
-let do_revoke ctrl addr k =
-  charge ctrl [ (Net.Cost.Lookup, 1) ] (fun () ->
-      match Objects.find ctrl addr with
-      | exception Error.Fractos e -> k (Error e)
-      | obj -> invalidate_at_owner ctrl obj (fun () -> k (Ok ())))
+let invalidate_at_owner ctrl obj g x =
+  let objs = Objects.invalidate ctrl obj in
+  charge_plus ctrl [] Net.Cost.Revoke (List.length objs) invalidated
+    (ctrl, obj, objs, g, x)
+
+(* The owner's side of a revoke, after its charge ([revoke_cost]): the
+   object at [addr] and its subtree are invalidated, then [g x] gets the
+   result. *)
+let revoke_cost = [ (Net.Cost.Lookup, 1) ]
+let revoke_ok (g, x) = g x (Ok ())
+
+let revoke_at ctrl addr g x =
+  match Objects.find ctrl addr with
+  | exception Error.Fractos e -> g x (Error e)
+  | obj -> invalidate_at_owner ctrl obj revoke_ok (g, x)
 
 (* ------------------------------------------------------------------ *)
 (* Memory diminish / revtree at the owner                              *)
@@ -406,6 +437,10 @@ let find_memory ctrl addr ~not_memory =
       | O_memory m -> Ok (obj, m)
       | O_request _ | O_indirect -> Error (Error.Bad_argument not_memory)))
 
+(* The owner's side of a diminish and of a revtree, after their charges
+   ([diminish_cost], [revtree_cost]): the child object's address. *)
+let diminish_cost = [ (Net.Cost.Lookup, 2) ]
+
 let diminish ctrl addr ~off ~len ~drop =
   match
     find_memory ctrl addr ~not_memory:"memory_diminish on a non-Memory object"
@@ -424,14 +459,9 @@ let diminish ctrl addr ~off ~len ~drop =
              m_owner = m.m_owner;
            })
 
-let do_diminish ctrl addr ~off ~len ~drop k =
-  charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
-      k (diminish ctrl addr ~off ~len ~drop))
+let revtree_cost = [ (Net.Cost.Lookup, 1) ]
 
 let revtree ctrl addr =
   match Objects.find ctrl addr with
   | exception Error.Fractos e -> Error e
   | obj -> Ok (Objects.add_indirect ctrl ~parent:obj)
-
-let do_revtree ctrl addr k =
-  charge ctrl [ (Net.Cost.Lookup, 1) ] (fun () -> k (revtree ctrl addr))

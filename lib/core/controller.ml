@@ -18,239 +18,12 @@ let next_ctrl_id = ref 0
 (* Syscall handlers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each handler is a chain of steps (Ctrl_base). [ans] answers the
-   caller and then runs what follows the handler ([answer]). *)
-
-let answer ctrl reply k v = reply_to ctrl reply v k
-
-(* A capability to the fresh object [addr] for [space], then the answer. *)
-let mint_cap ctrl space ans detail addr =
-  insert_cap ctrl space addr ~counts:None ~op:Obs.Audit.Mint
-    ~audit_detail:detail ans
-
-(* A fresh object for [space]: placed at its shard-map home, when the map
-   names another controller, or minted here. *)
-let fresh ctrl space ans ~place ~mint detail =
-  match Directory.shard_home ctrl with
-  | Some home -> Directory.place_remote ctrl home space ans place
-  | None -> mint_cap ctrl space ans detail (mint ())
-
-let sys_mem_create ctrl ~caller buf ~off ~len perms ans =
-  charge ctrl [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ] (fun () ->
-      match space_of ctrl caller with
-      | exception Error.Fractos e -> ans (Error e)
-      | _ when off < 0 || len < 0 || off + len > Membuf.size buf ->
-        ans (Error Error.Bounds)
-      | space ->
-        fresh ctrl space ans
-          ~place:(fun key rr ->
-            P_place_mem
-              { buf; off; len; perms; owner = caller; key; reply = rr })
-          ~mint:(fun () ->
-            Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner:caller)
-          (fun () -> "memory perms=" ^ Perms.to_string perms))
-
-let sys_mem_diminish ctrl ~caller cid ~off ~len ~drop ans =
-  charged_resolve1 ctrl caller cid (function
-    | Error e -> ans (Error e)
-    | Ok entry ->
-      let addr = entry.e_addr in
-      Directory.at_owner ctrl addr
-        ~local:(do_diminish ctrl addr ~off ~len ~drop)
-        ~make_msg:(fun rr -> P_diminish { addr; off; len; drop; reply = rr })
-        (function
-          | Error e -> ans (Error e)
-          | Ok child -> (
-            match space_of ctrl caller with
-            | exception Error.Fractos e -> ans (Error e)
-            | space ->
-              mint_cap ctrl space ans
-                (fun () -> "memory diminish drop=" ^ Perms.to_string drop)
-                child)))
-
-(* The steps that run a copy or an invocation chain here, started from
-   an event with their arguments rather than a closure over them. *)
-let pull_here (ctrl, src, dst, rr) = Copy.do_copy_pull ctrl ~src ~dst rr stop
-let invoke_here (ctrl, addr, rr) =
-  Invoke.do_invoke ctrl addr [] [] (Some rr) stop
-
-let sys_mem_copy ctrl ~caller ~src ~dst ans =
-  charged_resolve2 ctrl caller src dst (function
-    | Error e -> ans (Error e)
-    | Ok (src_e, dst_e) ->
-      let src = src_e.e_addr and dst = dst_e.e_addr in
-      let rr = rreply ctrl ans in
-      (* third-party RDMA, or a pull at the source's owner — locally for
-         our own objects and when we are the failover successor of the
-         source's minter (the lookup answers a foreign address with typed
-         Stale) *)
-      if (config ctrl).hw_copies then Copy.hw_copy ctrl ~src ~dst rr
-      else
-        Directory.locate ctrl src
-          ~err:(fun rr e -> rr.rr_k (Error e))
-          (fun rr owner ->
-            if owner == ctrl then
-              Sim.Engine.schedule_with 0 pull_here (ctrl, src, dst, rr)
-            else
-              charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
-                  send_peer ctrl owner ~size:Wire.peer_fixed
-                    (P_copy_pull { src; dst; reply = rr })))
-          rr)
-
-let sys_req_create ctrl ~caller ~tag ~imms ~caps ans =
-  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup (1 + List.length caps)
-    (fun () ->
-      match (space_of ctrl caller, resolve_cap_args ctrl caller caps) with
-      | exception Error.Fractos e -> ans (Error e)
-      | _, Error e -> ans (Error e)
-      | space, Ok caps ->
-        mint_cap ctrl space ans
-          (fun () -> "request tag=" ^ tag)
-          (Directory.mint_request ctrl ~provider:caller ~tag ~imms ~caps
-             ~parent:None))
-    ()
-
-let sys_req_derive ctrl ~caller ~parent ~imms ~caps ans =
-  charge_plus ctrl [ (Net.Cost.Msg, 1) ] Net.Cost.Lookup (2 + List.length caps)
-    (fun () ->
-      match (space_of ctrl caller, resolve_cid ctrl caller parent) with
-      | exception Error.Fractos e -> ans (Error e)
-      | _, Error e -> ans (Error e)
-      | space, Ok parent_entry -> (
-        match resolve_cap_args ctrl caller caps with
-        | Error e -> ans (Error e)
-        | Ok caps ->
-          let parent = parent_entry.e_addr in
-          fresh ctrl space ans
-            ~place:(fun key rr ->
-              P_place_req
-                { provider = caller; imms; caps; parent; key; reply = rr })
-            ~mint:(fun () ->
-              Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms ~caps
-                ~parent:(Some parent))
-            (fun () ->
-              Printf.sprintf "request derive parent_oid=%d" parent.a_oid)))
-    ()
-
-(* [x]: the invoked Request and the [rreply] for the posting ack. *)
-let send_invoke (((ctrl, addr, rr), owner)) =
-  send_peer ctrl owner
-    ~size:(Wire.invoke ~imms:[] ~caps:0)
-    (P_invoke { addr; suffix_imms = []; suffix_caps = []; reply = Some rr })
-
-let invoke_at ((ctrl, _, _) as x) owner =
-  if owner == ctrl then
-    (* ours, or we are the failover successor of the minter: run the
-       chain here (the lookup answers a foreign address with typed
-       Stale) *)
-    Sim.Engine.schedule_with 0 invoke_here x
-  else charge_with ctrl [ (Net.Cost.Serialize, 1) ] send_invoke (x, owner)
-
-let sys_req_invoke ctrl ~caller cid ans =
-  charged_resolve1 ctrl caller cid (function
-    | Error e -> ans (Error e)
-    | Ok entry ->
-      Directory.locate ctrl entry.e_addr
-        ~err:(fun (_, _, rr) e -> rr.rr_k (Error e))
-        invoke_at
-        (ctrl, entry.e_addr, rreply ctrl ans))
-
-(* Here and in [sys_revoke] the resolve runs (and charges) before the
-   space lookup, whose error wins when both fail. *)
-let sys_revtree_create ctrl ~caller cid ans =
-  charged_resolve1 ctrl caller cid (fun resolved ->
-      match (space_of ctrl caller, resolved) with
-      | exception Error.Fractos e -> ans (Error e)
-      | _, Error e -> ans (Error e)
-      | space, Ok { e_addr = addr; _ } ->
-        Directory.at_owner ctrl addr ~local:(do_revtree ctrl addr)
-          ~make_msg:(fun rr -> P_revtree { addr; reply = rr })
-          (function
-            | Error e -> ans (Error e)
-            | Ok child -> mint_cap ctrl space ans (fun () -> "revtree") child))
-
-let sys_revoke ctrl ~caller cid ans =
-  charged_resolve1 ctrl caller cid (fun resolved ->
-      match (space_of ctrl caller, resolved) with
-      | exception Error.Fractos e -> ans (Error e)
-      | _, Error e -> ans (Error e)
-      | space, Ok entry ->
-        drop_entry ctrl space cid entry;
-        (* A monitored-delegation capability is a counted reference:
-           revoking it destroys the delegatee's own capability
-           (decrementing the delegator's child counter via [drop_entry])
-           without invalidating the shared object. This is the behavioral
-           equivalent of the paper's per-delegation revocable marks on the
-           revocation tree — other delegatees of the same object are
-           unaffected. *)
-        if entry.e_counts <> None then ans (Ok ())
-        else
-          let addr = entry.e_addr in
-          Directory.at_owner ctrl addr ~local:(do_revoke ctrl addr)
-            ~make_msg:(fun rr -> P_revoke { addr; reply = rr })
-            ans)
-
-(* monitor_delegate / monitor_receive: register [caller] at the object's
-   owner, then [on_ok entry] here. *)
-let sys_monitor ctrl ~caller cid ans ~local ~make_msg on_ok =
-  charged_resolve1 ctrl caller cid (function
-    | Error e -> ans (Error e)
-    | Ok entry ->
-      let addr = entry.e_addr in
-      Directory.at_owner ctrl addr
-        ~local:(fun k -> k (local addr))
-        ~make_msg:(make_msg addr)
-        (fun res ->
-          if Result.is_ok res then on_ok entry;
-          ans res))
-
-let dispatch_syscall ctrl msg k =
-  match msg with
-  | Sys_null reply ->
-    charge_with ctrl [ (Net.Cost.Msg, 1) ] (answer ctrl reply k) (Ok ())
-  | Sys_mem_create { buf; off; len; perms; reply } ->
-    sys_mem_create ctrl ~caller:reply.r_proc buf ~off ~len perms
-      (answer ctrl reply k)
-  | Sys_mem_diminish { cid; off; len; drop; reply } ->
-    sys_mem_diminish ctrl ~caller:reply.r_proc cid ~off ~len ~drop
-      (answer ctrl reply k)
-  | Sys_mem_copy { src; dst; reply } ->
-    sys_mem_copy ctrl ~caller:reply.r_proc ~src ~dst (answer ctrl reply k)
-  | Sys_req_create { tag; imms; caps; reply } ->
-    sys_req_create ctrl ~caller:reply.r_proc ~tag ~imms ~caps
-      (answer ctrl reply k)
-  | Sys_req_derive { parent; imms; caps; reply } ->
-    sys_req_derive ctrl ~caller:reply.r_proc ~parent ~imms ~caps
-      (answer ctrl reply k)
-  | Sys_req_invoke { cid; reply } ->
-    sys_req_invoke ctrl ~caller:reply.r_proc cid (answer ctrl reply k)
-  | Sys_revtree_create { cid; reply } ->
-    sys_revtree_create ctrl ~caller:reply.r_proc cid (answer ctrl reply k)
-  | Sys_revoke { cid; reply } ->
-    sys_revoke ctrl ~caller:reply.r_proc cid (answer ctrl reply k)
-  | Sys_mon_delegate { cid; cb; reply } ->
-    let caller = reply.r_proc in
-    sys_monitor ctrl ~caller cid (answer ctrl reply k)
-      ~local:(do_mon_delegate ctrl ~watcher:caller ~cb)
-      ~make_msg:(fun addr rr ->
-        P_mon_delegate { addr; watcher = caller; cb; reply = rr })
-      (fun entry ->
-        entry.e_delegator <- true;
-        audit ctrl Obs.Audit.Monitor_delegate ~pid:caller.pid ~cid entry.e_addr)
-  | Sys_mon_receive { cid; cb; reply } ->
-    let caller = reply.r_proc in
-    sys_monitor ctrl ~caller cid (answer ctrl reply k)
-      ~local:(do_mon_receive ctrl ~watcher:caller ~cb)
-      ~make_msg:(fun addr rr ->
-        P_mon_receive { addr; watcher = caller; cb; reply = rr })
-      (fun entry ->
-        audit ctrl Obs.Audit.Monitor_receive ~pid:caller.pid ~cid entry.e_addr)
-  | Sys_credit proc ->
-    (match Hashtbl.find ctrl.windows proc.pid with
-    | w -> Sim.Semaphore.release w
-    | exception Not_found -> ());
-    k ()
-
+(* Each handler is a chain of steps (Ctrl_base) over one [sys] record,
+   built at dispatch: every step is a function of it, defined once, so a
+   syscall allocates its record and whatever its work needs, and no
+   closure (HACKING.md, "Writing a controller step"). A step reads its
+   syscall's arguments from [s_msg]; [other] is the arm no dispatched
+   syscall reaches. *)
 let syscall_name = function
   | Sys_null _ -> "null"
   | Sys_mem_create _ -> "memory_create"
@@ -264,6 +37,313 @@ let syscall_name = function
   | Sys_mon_delegate _ -> "monitor_delegate"
   | Sys_mon_receive _ -> "monitor_receive"
   | Sys_credit _ -> "credit"
+
+let other s = invalid_arg ("Controller: no step of " ^ syscall_name s.s_msg)
+
+(* A capability to the fresh object [addr] for [space], then the answer.
+   The audit detail is built only when the log records it. *)
+let mint_detail s =
+  match s.s_msg with
+  | Sys_mem_create { perms; _ } -> "memory perms=" ^ Perms.to_string perms
+  | Sys_mem_diminish { drop; _ } -> "memory diminish drop=" ^ Perms.to_string drop
+  | Sys_req_create { tag; _ } -> "request tag=" ^ tag
+  | Sys_req_derive _ ->
+    Printf.sprintf "request derive parent_oid=%d" s.s_entry.e_addr.a_oid
+  | Sys_revtree_create _ -> "revtree"
+  | _ -> other s
+
+let mint_cap s space addr =
+  insert_cap s.s_ctrl space addr ~counts:None ~op:Obs.Audit.Mint
+    ?audit_detail:
+      (if Obs.Audit.enabled () then Some (fun () -> mint_detail s) else None)
+    answer_with s
+
+let serialize = [ (Net.Cost.Serialize, 1) ]
+
+(* memory_create: a fresh object for the caller, placed at its shard-map
+   home when the map names another controller, or minted here. *)
+let mem_create s =
+  match s.s_msg with
+  | Sys_mem_create { buf; off; len; perms; _ } -> (
+    let ctrl = s.s_ctrl and caller = caller s in
+    match space_of ctrl caller with
+    | exception Error.Fractos e -> answer_error s e
+    | _ when off < 0 || len < 0 || off + len > Membuf.size buf ->
+      answer_error s Error.Bounds
+    | space -> (
+      match Directory.shard_home ctrl with
+      | Some home ->
+        Directory.place_remote ctrl home space
+          (fun key reply ->
+            P_place_mem { buf; off; len; perms; owner = caller; key; reply })
+          answer_with s
+      | None ->
+        mint_cap s space
+          (Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner:caller)))
+  | _ -> other s
+
+(* The owner's part of diminish, revtree, revoke and the monitor calls:
+   here, when this controller owns the resolved object, or at the owner
+   over the peer protocol. When shard failover routes a dead minter's
+   address to us (we are its live successor), it runs here and the
+   object table answers the foreign address with typed [Stale] — the
+   owner-side metadata handoff surfaces as staleness, exactly like a
+   reboot. An object's child ([child]) or the owner's verdict ([owned])
+   comes back to the caller's steps. *)
+let child s v =
+  match (v, s.s_msg) with
+  | Error e, _ -> answer_error s e
+  | Ok addr, (Sys_mem_diminish _ | Sys_revtree_create _) -> (
+    match space_of s.s_ctrl (caller s) with
+    | exception Error.Fractos e -> answer_error s e
+    | space -> mint_cap s space addr)
+  | Ok _, _ -> other s
+
+let owned s v =
+  (match (v, s.s_msg) with
+  | Ok (), Sys_mon_delegate { cid; _ } ->
+    let entry = s.s_entry in
+    entry.e_delegator <- true;
+    audit s.s_ctrl Obs.Audit.Monitor_delegate ~pid:(caller s).pid ~cid
+      entry.e_addr
+  | Ok (), Sys_mon_receive { cid; _ } ->
+    audit s.s_ctrl Obs.Audit.Monitor_receive ~pid:(caller s).pid ~cid
+      s.s_entry.e_addr
+  | _ -> ());
+  answer_with s v
+
+let diminish_here s =
+  match s.s_msg with
+  | Sys_mem_diminish { off; len; drop; _ } ->
+    child s (diminish s.s_ctrl s.s_entry.e_addr ~off ~len ~drop)
+  | _ -> other s
+
+let revtree_here s = child s (revtree s.s_ctrl s.s_entry.e_addr)
+let revoke_here s = revoke_at s.s_ctrl s.s_entry.e_addr owned s
+
+(* The owner's part here, or at [owner] after its charge: [here s] or
+   [send s]. *)
+let route here send s owner =
+  if owner == s.s_ctrl then here s
+  else begin
+    s.s_owner <- owner;
+    charge_with s.s_ctrl serialize send s
+  end
+
+let child_here s =
+  match s.s_msg with
+  | Sys_mem_diminish _ -> charge_with s.s_ctrl diminish_cost diminish_here s
+  | Sys_revtree_create _ -> charge_with s.s_ctrl revtree_cost revtree_here s
+  | _ -> other s
+
+let child_send s =
+  let ctrl = s.s_ctrl and addr = s.s_entry.e_addr in
+  send_peer ctrl s.s_owner ~size:Wire.peer_fixed
+    (match s.s_msg with
+    | Sys_mem_diminish { off; len; drop; _ } ->
+      P_diminish { addr; off; len; drop; reply = rreply ctrl child s }
+    | Sys_revtree_create _ -> P_revtree { addr; reply = rreply ctrl child s }
+    | _ -> other s)
+
+let owned_here s =
+  let ctrl = s.s_ctrl and addr = s.s_entry.e_addr in
+  match s.s_msg with
+  | Sys_revoke _ -> charge_with ctrl revoke_cost revoke_here s
+  | Sys_mon_delegate { cb; _ } ->
+    owned s (do_mon_delegate ctrl addr ~watcher:(caller s) ~cb)
+  | Sys_mon_receive { cb; _ } ->
+    owned s (do_mon_receive ctrl addr ~watcher:(caller s) ~cb)
+  | _ -> other s
+
+let owned_send s =
+  let ctrl = s.s_ctrl and addr = s.s_entry.e_addr in
+  send_peer ctrl s.s_owner ~size:Wire.peer_fixed
+    (match s.s_msg with
+    | Sys_revoke _ -> P_revoke { addr; reply = rreply ctrl owned s }
+    | Sys_mon_delegate { cb; _ } ->
+      P_mon_delegate
+        { addr; watcher = caller s; cb; reply = rreply ctrl owned s }
+    | Sys_mon_receive { cb; _ } ->
+      P_mon_receive { addr; watcher = caller s; cb; reply = rreply ctrl owned s }
+    | _ -> other s)
+
+let child_at s owner = route child_here child_send s owner
+let owned_at s owner = route owned_here owned_send s owner
+
+let at_owner s found =
+  Directory.locate s.s_ctrl s.s_entry.e_addr ~err:answer_error found s
+
+let mem_diminish s = if resolved s then at_owner s child_at else answer s
+
+(* memory_copy: a third-party RDMA, or a pull at the source's owner —
+   here for our own objects and when we are the failover successor of
+   the source's minter (the lookup answers a foreign address with typed
+   Stale). *)
+let pull_here s =
+  Copy.do_copy_pull s.s_ctrl ~src:s.s_entry.e_addr ~dst:s.s_dst.e_addr
+    (rreply s.s_ctrl answer_with s)
+    stop
+
+let send_pull s =
+  send_peer s.s_ctrl s.s_owner ~size:Wire.peer_fixed
+    (P_copy_pull
+       {
+         src = s.s_entry.e_addr;
+         dst = s.s_dst.e_addr;
+         reply = rreply s.s_ctrl answer_with s;
+       })
+
+let pull_at s owner =
+  if owner == s.s_ctrl then Sim.Engine.schedule_with 0 pull_here s
+  else begin
+    s.s_owner <- owner;
+    charge_with s.s_ctrl serialize send_pull s
+  end
+
+let mem_copy s =
+  let ctrl = s.s_ctrl in
+  if not (resolved s) then answer s
+  else if (config ctrl).hw_copies then
+    Copy.hw_copy ctrl ~src:s.s_entry.e_addr ~dst:s.s_dst.e_addr
+      (rreply ctrl answer_with s)
+  else Directory.locate ctrl s.s_entry.e_addr ~err:answer_error pull_at s
+
+(* request_create / request_derive. A tuple is built right to left, so
+   the space lookup's exception wins over a failed resolve. *)
+let req_create s =
+  match s.s_msg with
+  | Sys_req_create { tag; imms; caps; _ } -> (
+    let ctrl = s.s_ctrl and caller = caller s in
+    match (space_of ctrl caller, resolve_cap_args ctrl caller caps) with
+    | exception Error.Fractos e -> answer_error s e
+    | _, Error e -> answer_error s e
+    | space, Ok caps ->
+      mint_cap s space
+        (Directory.mint_request ctrl ~provider:caller ~tag ~imms ~caps
+           ~parent:None))
+  | _ -> other s
+
+let req_derive s =
+  match s.s_msg with
+  | Sys_req_derive { parent; imms; caps; _ } -> (
+    let ctrl = s.s_ctrl and caller = caller s in
+    match (space_of ctrl caller, resolve_cid ctrl caller parent) with
+    | exception Error.Fractos e -> answer_error s e
+    | _, Error e -> answer_error s e
+    | space, Ok parent_entry -> (
+      match resolve_cap_args ctrl caller caps with
+      | Error e -> answer_error s e
+      | Ok caps -> (
+        s.s_entry <- parent_entry;
+        let parent = parent_entry.e_addr in
+        match Directory.shard_home ctrl with
+        | Some home ->
+          Directory.place_remote ctrl home space
+            (fun key reply ->
+              P_place_req
+                { provider = caller; imms; caps; parent; key; reply })
+            answer_with s
+        | None ->
+          mint_cap s space
+            (Directory.mint_request ctrl ~provider:caller ~tag:"" ~imms
+               ~caps ~parent:(Some parent)))))
+  | _ -> other s
+
+(* request_invoke: the chain starts at the Request's owner, here or
+   across the peer protocol, and its first owner's posting
+   acknowledgment answers the syscall. *)
+let send_invoke s =
+  send_peer s.s_ctrl s.s_owner
+    ~size:(Wire.invoke ~imms:[] ~caps:0)
+    (P_invoke
+       {
+         addr = s.s_entry.e_addr;
+         suffix_imms = [];
+         suffix_caps = [];
+         reply = rreply s.s_ctrl answer_with s;
+       })
+
+let invoke_at s owner =
+  if owner == s.s_ctrl then
+    (* ours, or we are the failover successor of the minter: run the
+       chain here (the lookup answers a foreign address with typed
+       Stale) *)
+    Sim.Engine.schedule_with 0 Invoke.start s
+  else begin
+    s.s_owner <- owner;
+    charge_with s.s_ctrl serialize send_invoke s
+  end
+
+let req_invoke s =
+  if not (resolved s) then answer s
+  else Directory.locate s.s_ctrl s.s_entry.e_addr ~err:answer_error invoke_at s
+
+(* Here and in [revoke] the resolve runs (and charges) before the space
+   lookup, whose error wins when both fail. Like diminish, revtree mints
+   its capability into the caller's space as it stands when the owner's
+   part comes back. *)
+let revtree_create s =
+  match space_of s.s_ctrl (caller s) with
+  | exception Error.Fractos e -> answer_error s e
+  | _ -> if resolved s then at_owner s child_at else answer s
+
+let revoke s =
+  match (space_of s.s_ctrl (caller s), s.s_msg) with
+  | exception Error.Fractos e -> answer_error s e
+  | space, Sys_revoke { cid; _ } ->
+    if not (resolved s) then answer s
+    else begin
+      let entry = s.s_entry in
+      drop_entry s.s_ctrl space cid entry;
+      (* A monitored-delegation capability is a counted reference:
+         revoking it destroys the delegatee's own capability
+         (decrementing the delegator's child counter via [drop_entry])
+         without invalidating the shared object. This is the behavioral
+         equivalent of the paper's per-delegation revocable marks on the
+         revocation tree — other delegatees of the same object are
+         unaffected. *)
+      if entry.e_counts <> None then answer_with s (Ok ())
+      else at_owner s owned_at
+    end
+  | _ -> other s
+
+(* monitor_delegate / monitor_receive: register the caller at the
+   object's owner, then record the watch here ([owned]). *)
+let monitor s = if resolved s then at_owner s owned_at else answer s
+
+let mem_create_cost = [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ]
+
+let dispatch_syscall ctrl msg k =
+  match msg with
+  | Sys_null reply ->
+    let s = sys ctrl msg reply k in
+    s.s_v <- Ok ();
+    charge_with ctrl msg_cost answer s
+  | Sys_mem_create { reply; _ } ->
+    charge_with ctrl mem_create_cost mem_create (sys ctrl msg reply k)
+  | Sys_mem_diminish { cid; reply; _ } ->
+    charged_resolve1 (sys ctrl msg reply k) cid mem_diminish
+  | Sys_mem_copy { src; dst; reply } ->
+    charged_resolve2 (sys ctrl msg reply k) src dst mem_copy
+  | Sys_req_create { caps; reply; _ } ->
+    charge_plus ctrl msg_cost Net.Cost.Lookup (1 + List.length caps) req_create
+      (sys ctrl msg reply k)
+  | Sys_req_derive { caps; reply; _ } ->
+    charge_plus ctrl msg_cost Net.Cost.Lookup (2 + List.length caps) req_derive
+      (sys ctrl msg reply k)
+  | Sys_req_invoke { cid; reply } ->
+    charged_resolve1 (sys ctrl msg reply k) cid req_invoke
+  | Sys_revtree_create { cid; reply } ->
+    charged_resolve1 (sys ctrl msg reply k) cid revtree_create
+  | Sys_revoke { cid; reply } -> charged_resolve1 (sys ctrl msg reply k) cid revoke
+  | Sys_mon_delegate { cid; reply; _ } | Sys_mon_receive { cid; reply; _ } ->
+    charged_resolve1 (sys ctrl msg reply k) cid monitor
+  | Sys_credit proc ->
+    (match Hashtbl.find ctrl.windows proc.pid with
+    | w -> Sim.Semaphore.release w
+    | exception Not_found -> ());
+    k ()
+
 
 let handle_syscall ctrl msg =
   match msg with
@@ -287,9 +367,7 @@ let handle_syscall ctrl msg =
    [Ctrl_unreachable]) and when the bounded request queue sheds at
    admission ([Overloaded]). *)
 let fail_syscall err msg =
-  let kill : type a. a reply -> unit =
-   fun r -> ignore (Sim.Ivar.try_fill r.r_ivar (Error err))
-  in
+  let kill : type a. a reply -> unit = fun r -> fill_reply r (Error err) in
   match msg with
   | Sys_null r -> kill r
   | Sys_mem_create { reply; _ } -> kill reply
@@ -325,18 +403,35 @@ let shed_syscall ctrl msg =
 (* Peer message handlers                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The owner's side of a peer's diminish, revtree and revoke, after
+   their own charges: steps over the message's [(ctrl, msg, k)]. *)
+let peer_diminished (ctrl, msg, k) =
+  match msg with
+  | P_diminish { addr; off; len; drop; reply } ->
+    rreply_to ctrl reply (diminish ctrl addr ~off ~len ~drop) k
+  | _ -> invalid_arg "Controller.peer_diminished"
+
+let peer_revtreed (ctrl, msg, k) =
+  match msg with
+  | P_revtree { addr; reply } -> rreply_to ctrl reply (revtree ctrl addr) k
+  | _ -> invalid_arg "Controller.peer_revtreed"
+
+let peer_revoked (ctrl, reply, k) v = rreply_to ctrl reply v k
+
+let peer_revoke (ctrl, msg, k) =
+  match msg with
+  | P_revoke { addr; reply } -> revoke_at ctrl addr peer_revoked (ctrl, reply, k)
+  | _ -> invalid_arg "Controller.peer_revoke"
+
 (* A peer message's handler, after the message's own charge
    ([peer_units]). *)
-let serve_peer (ctrl, msg, k) =
+let serve_peer ((ctrl, msg, k) as x) =
   match msg with
   | P_invoke { addr; suffix_imms; suffix_caps; reply } ->
     Invoke.do_invoke ctrl addr suffix_imms suffix_caps reply k
-  | P_diminish { addr; off; len; drop; reply } ->
-    do_diminish ctrl addr ~off ~len ~drop (fun v -> rreply_to ctrl reply v k)
-  | P_revtree { addr; reply } ->
-    do_revtree ctrl addr (fun v -> rreply_to ctrl reply v k)
-  | P_revoke { addr; reply } ->
-    do_revoke ctrl addr (fun v -> rreply_to ctrl reply v k)
+  | P_diminish _ -> charge_with ctrl diminish_cost peer_diminished x
+  | P_revtree _ -> charge_with ctrl revtree_cost peer_revtreed x
+  | P_revoke _ -> charge_with ctrl revoke_cost peer_revoke x
   | P_cleanup { addr; reply } ->
     cleanup_local ctrl addr;
     rreply_to ctrl reply (Ok ()) k
@@ -414,8 +509,7 @@ let reject_peer msg =
    fun rr -> rr_fill rr (Error Error.Ctrl_unreachable)
   in
   match msg with
-  | P_invoke { reply = Some rr; _ } -> kill rr
-  | P_invoke { reply = None; _ } -> ()
+  | P_invoke { reply; _ } -> kill reply
   | P_diminish { reply; _ } -> kill reply
   | P_revtree { reply; _ } -> kill reply
   | P_revoke { reply; _ } -> kill reply
@@ -427,10 +521,7 @@ let reject_peer msg =
   | P_mon_delegate { reply; _ } -> kill reply
   | P_mon_receive { reply; _ } -> kill reply
   | P_copy_pull { reply; _ } -> kill reply
-  | P_copy_open { chunk; _ } | P_copy_chunk { chunk; _ } -> (
-    match chunk.ck_last with
-    | Some rr -> kill rr
-    | None -> ())
+  | P_copy_open { chunk; _ } | P_copy_chunk { chunk; _ } -> kill chunk.ck_last
   | P_place_mem { reply; _ } -> kill reply
   | P_place_req { reply; _ } -> kill reply
   | P_place_ack _ -> ()
@@ -625,7 +716,7 @@ let grant ctrl proc addr =
     let iv = Sim.Ivar.create () in
     insert_cap ~ctx:(-1) ctrl space addr ~counts:None ~op:Obs.Audit.Delegate
       ~audit_detail:(fun () -> "grant")
-      (Sim.Ivar.fill iv);
+      Sim.Ivar.fill iv;
     iv
 
 let addr_of_cid ctrl proc cid =
@@ -660,7 +751,7 @@ let fail_process ctrl proc =
       ctrl.objects []
   in
   each
-    (fun obj k -> if obj.o_valid then invalidate_at_owner ctrl obj k else k ())
+    (fun obj k -> if obj.o_valid then invalidate_at_owner ctrl obj k () else k ())
     owned stop
 
 let fail ctrl =

@@ -42,6 +42,9 @@ let ck_len ctrl ~total ck =
   if ck.ck_pin == Membuf.no_pin then 0
   else min (config ctrl).bounce_chunk (total - ck.ck_off)
 
+(* What a closed session holds in place of its last chunk. *)
+let no_chunk = { ck_off = 0; ck_pin = Membuf.no_pin; ck_last = No_reply }
+
 (* Release a chunk that will not be written. Emptying it keeps a
    duplicate of its message from releasing the pin twice. *)
 let drop_chunk ck =
@@ -71,10 +74,10 @@ let chunk_span ctrl name ~off ~len body k =
    error back with its final chunk. *)
 let drop_with ctrl e (ck : copy_chunk) k =
   drop_chunk ck;
-  match ck.ck_last with Some rr -> rreply_to ctrl rr (Error e) k | None -> k ()
+  if has_reply ck.ck_last then rreply_to ctrl ck.ck_last (Error e) k else k ()
 
 let reject_chunk ctrl ~copy_id e (ck : copy_chunk) k =
-  if ck.ck_last <> None then Hashtbl.remove ctrl.copy_failures copy_id;
+  if has_reply ck.ck_last then Hashtbl.remove ctrl.copy_failures copy_id;
   drop_with ctrl e ck k
 
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
@@ -177,14 +180,19 @@ and stored s =
 
 and written s =
   s.cs_last <- Sim.Engine.now ();
-  match s.cs_ck.ck_last with
-  | _ when s.cs_closed -> ()
-  | None -> receive s
-  | Some rr ->
+  let rr = s.cs_ck.ck_last in
+  if s.cs_closed then ()
+  else if not (has_reply rr) then receive s
+  else begin
+    (* closed: the pending idle sweep keeps the session reachable until
+       it fires, so let go of the last chunk and the reply path now *)
     Hashtbl.remove s.cs_ctrl.copy_sessions s.cs_copy_id;
+    s.cs_ck <- no_chunk;
+    s.cs_rr <- No_reply;
     rreply_to s.cs_ctrl rr
       (if s.cs_received >= s.cs_total then Ok () else Error Error.Timeout)
       stop
+  end
 
 (* The idle sweep of a session: one with no chunk received or written for
    [copy_open_timeout] lost one on the wire. The final chunk alone
@@ -304,7 +312,7 @@ and post c =
       ck_pin =
         (if len = 0 then Membuf.no_pin
          else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len);
-      ck_last = (if c.cp_i = c.cp_n - 1 then Some c.cp_rr else None);
+      ck_last = (if c.cp_i = c.cp_n - 1 then c.cp_rr else No_reply);
     }
   in
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode c.cp_dst_ctrl.peer_ep
@@ -397,9 +405,10 @@ let do_copy_pull ctrl ~src ~dst (rr : unit rreply) k =
 let hw_landed o =
   if first_arrival o then begin
     let rr = o.to_ and dst, sp = o.d in
+    let ctrl = rr_ctrl rr in
     Obs.Span.finish sp;
-    Net.Fabric.send_with rr.rr_ctrl.fabric ~src:dst ~dst:rr.rr_ctrl.cnode
-      ~size:Wire.response deliver_reply (rr.rr_ctrl, rr, Ok ())
+    Net.Fabric.send_with ctrl.fabric ~src:dst ~dst:ctrl.cnode
+      ~size:Wire.response deliver_reply (ctrl, rr, Ok ())
   end
 
 (* Hardware third-party RDMA (the paper's "HW copies" projection): the
@@ -450,11 +459,11 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
   hw_resolve ctrl dst (fun dm ->
       hw_resolve ctrl src (fun sm ->
           match (sm, dm) with
-          | Error e, _ | _, Error e -> rr.rr_k (Error e)
+          | Error e, _ | _, Error e -> rr_run rr (Error e)
           | Ok sm, Ok dm ->
             if not (sm.m_perms.Perms.read && dm.m_perms.Perms.write) then
-              rr.rr_k (Error Error.Perm_denied)
-            else if sm.m_len > dm.m_len then rr.rr_k (Error Error.Bounds)
+              rr_run rr (Error Error.Perm_denied)
+            else if sm.m_len > dm.m_len then rr_run rr (Error Error.Bounds)
             else do_copy_hw ctrl ~src_mem:sm ~dst_mem:dm rr))
 
 (* ------------------------------------------------------------------ *)

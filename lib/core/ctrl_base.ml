@@ -84,53 +84,154 @@ let first_arrival o =
     true
   end
 
-(* A reply path whose arrival continues with [k] under trace context [ctx]. *)
-let rreply_at ctx ctrl k =
-  { rr_ctrl = ctrl; rr_ctx = ctx; rr_fired = false; rr_k = k }
-let rreply ctrl k = rreply_at (Sim.Engine.get_ctx ()) ctrl k
+(* A reply path whose arrival continues with [k x] under trace context
+   [ctx]: a static step and its argument, not a closure. *)
+let rreply_at ctx ctrl k x =
+  Rreply
+    {
+      rr_ctrl = ctrl;
+      rr_ctx = ctx;
+      rr_fired = false;
+      rr_v = Error Error.Timeout;
+      rr_k = k;
+      rr_x = x;
+    }
+
+let rreply ctrl k x = rreply_at (Sim.Engine.get_ctx ()) ctrl k x
+
+(* The controller waiting on [rr]. *)
+let rr_ctrl (type a) (rr : a rreply) =
+  match rr with
+  | Rreply r -> r.rr_ctrl
+  | No_reply -> invalid_arg "Ctrl_base.rr_ctrl: no reply path"
+
+let has_reply (type a) (rr : a rreply) =
+  match rr with Rreply _ -> true | No_reply -> false
+
+(* The event a landed reply runs: its continuation on its value. *)
+let rr_landed (type a) (rr : a rreply) =
+  match rr with Rreply r -> r.rr_k r.rr_x r.rr_v | No_reply -> ()
 
 (* The reply [v] lands: its first arrival runs the continuation. *)
-let rr_fill rr v =
-  if not rr.rr_fired then begin
-    rr.rr_fired <- true;
-    if rr.rr_ctx < 0 then rr.rr_k v
-    else Sim.Engine.wake_with rr.rr_ctx rr.rr_k v
-  end
+let rr_fill (type a) (rr : a rreply) v =
+  match rr with
+  | Rreply r when not r.rr_fired ->
+    r.rr_fired <- true;
+    if r.rr_ctx < 0 then r.rr_k r.rr_x v
+    else begin
+      r.rr_v <- v;
+      Sim.Engine.wake_with r.rr_ctx rr_landed rr
+    end
+  | Rreply _ | No_reply -> ()
+
+(* [v] is at hand where the reply path was made, before anything was
+   sent: its continuation runs at once. *)
+let rr_run (type a) (rr : a rreply) v =
+  match rr with
+  | Rreply r when not r.rr_fired ->
+    r.rr_fired <- true;
+    r.rr_k r.rr_x v
+  | Rreply _ | No_reply -> ()
 
 (* Bound the wait on [rr]: with no reply within [timeout], the
    continuation gets [Error Timeout] (which no peer replies itself). *)
-let await_timeout rr ~timeout =
-  Sim.Engine.schedule_with timeout
-    (fun rr -> rr_fill rr (Error Error.Timeout))
-    rr
+let time_out rr = rr_fill rr (Error Error.Timeout)
+let await_timeout rr ~timeout = Sim.Engine.schedule_with timeout time_out rr
+
+(* A Process's syscall is answered: resume the fiber waiting on it, or
+   fill its ivar. A duplicated answer finds the resumer used or the ivar
+   full, and an answer that comes before the wait is kept for it. *)
+let fill_reply (r : _ reply) v =
+  match r.r_to with
+  | Fiber f -> Sim.Engine.resume f v
+  | Ivar iv -> ignore (Sim.Ivar.try_fill iv v)
+  | Unclaimed -> r.r_to <- Answered v
+  | Answered _ -> ()
+
+(* One syscall at its controller, from the admission to the answer: the
+   state its handler's steps share, and their argument (HACKING.md,
+   "Writing a controller step"). [s_v] is the answer once there is one;
+   a failed capability resolve leaves [s_entry] at [no_entry] and its
+   error there. The reply to the caller carries the record itself. *)
+type 'a sys = {
+  s_ctrl : ctrl;
+  s_msg : syscall; (* for the handler's arguments *)
+  s_reply : 'a reply;
+  s_k : unit -> unit; (* what follows the handler *)
+  mutable s_v : ('a, Error.t) result;
+  mutable s_entry : entry; (* the resolved capability; memory_copy's source *)
+  mutable s_dst : entry; (* memory_copy's destination *)
+  mutable s_owner : ctrl; (* where the syscall's work goes, once routed *)
+}
+
+let no_entry =
+  {
+    e_addr = { a_ctrl = -1; a_epoch = -1; a_oid = -1 };
+    e_delegator = false;
+    e_counts = None;
+    e_born = 0;
+  }
+
+let sys ctrl msg reply k =
+  {
+    s_ctrl = ctrl;
+    s_msg = msg;
+    s_reply = reply;
+    s_k = k;
+    s_v = Error Error.Timeout;
+    s_entry = no_entry;
+    s_dst = no_entry;
+    s_owner = ctrl;
+  }
+
+let caller s = s.s_reply.r_proc
 
 (* Reply to a Process's syscall / to a peer controller's request: charge
-   the reply's cpu time, post it at the booking's finish and go on with
-   [k]. The [(sender, reply path, value)] triple is the step's argument
-   and the delivery's both, so a reply that ends its handler ([k] is
-   [stop]) costs that triple and no more. *)
-let fill_reply (_, (r : _ reply), v) = ignore (Sim.Ivar.try_fill r.r_ivar v)
+   the reply's cpu time, post it at the booking's finish and go on. The
+   syscall record is the answer's step argument and its delivery's both;
+   a peer reply travels as a [(sender, reply path, value)] triple. So a
+   reply that ends its handler (the continuation is [stop]) costs the
+   triple and no more, and an answer nothing. *)
+let reply_span ctrl =
+  if Obs.Span.enabled () then
+    Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ()
+
+let msg_cost = [ (Net.Cost.Msg, 1) ]
+let fill_answer s = fill_reply s.s_reply s.s_v
+
+let post_answer s =
+  Net.Fabric.send_with s.s_ctrl.fabric ~src:s.s_ctrl.cnode
+    ~dst:s.s_reply.r_proc.pnode ~size:Wire.response fill_answer s
+
+let post_answer_then s =
+  post_answer s;
+  s.s_k ()
+
+(* Answer the syscall with [s.s_v], then run what follows its handler. *)
+let answer s =
+  reply_span s.s_ctrl;
+  if s.s_k == stop then charge_with s.s_ctrl msg_cost post_answer s
+  else charge_with s.s_ctrl msg_cost post_answer_then s
+
+let answer_with s v =
+  s.s_v <- v;
+  answer s
+
+let answer_error s e = answer_with s (Error e)
+
 let deliver_reply (_, rr, v) = rr_fill rr v
 
-let post_reply ((ctrl, (r : _ reply), _) as x) =
-  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:r.r_proc.pnode
-    ~size:Wire.response fill_reply x
-
 let post_rreply ((ctrl, rr, _) as x) =
-  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:rr.rr_ctrl.cnode
+  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:(rr_ctrl rr).cnode
     ~size:Wire.response deliver_reply x
 
-let reply_with post ((ctrl, _, _) as x) k =
-  if Obs.Span.enabled () then
-    Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ();
-  if k == stop then charge_with ctrl [ (Net.Cost.Msg, 1) ] post x
+let rreply_to ctrl (rr : _ rreply) v k =
+  reply_span ctrl;
+  if k == stop then charge_with ctrl msg_cost post_rreply (ctrl, rr, v)
   else
-    charge ctrl [ (Net.Cost.Msg, 1) ] (fun () ->
-        post x;
+    charge ctrl msg_cost (fun () ->
+        post_rreply (ctrl, rr, v);
         k ())
-
-let reply_to ctrl (r : _ reply) v k = reply_with post_reply (ctrl, r, v) k
-let rreply_to ctrl (rr : _ rreply) v k = reply_with post_rreply (ctrl, rr, v) k
 
 let send_peer ctrl (dst : ctrl) ~size msg =
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst.peer_ep ~size msg

@@ -84,24 +84,6 @@ let locate ctrl addr ~err g x =
             locate_miss ctrl grp addr ~err g x)
     end
 
-(* Run a peer operation at the owner of [addr], then [k] on its result:
-   locally ([local k]) when we are the owner, otherwise by charging the
-   wire marshaling and sending [make_msg] a reply path that continues
-   with [k]. When shard failover routes a dead minter's address to us
-   (we are its live successor), the operation runs locally and the object
-   table answers the foreign address with typed [Stale] — the owner-side
-   metadata handoff surfaces as staleness, exactly like a reboot. *)
-let at_owner ctrl addr ~local ~make_msg k =
-  locate ctrl addr
-    ~err:(fun k e -> k (Error e))
-    (fun k owner ->
-      if owner == ctrl then local k
-      else
-        charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
-            send_peer ctrl owner ~size:Wire.peer_fixed
-              (make_msg (rreply ctrl k))))
-    k
-
 (* Directory-coherence check (Fault.Invariants pass 6): every entry of a
    current-generation directory cache must name exactly the owner the
    shard map computes, and that owner must be running. A cache stamped
@@ -182,7 +164,8 @@ let mint_request ctrl ~provider ~tag ~imms ~caps ~parent =
     }
 
 (* Mint an object at [home] and wait (bounded) for its address, then
-   give the caller's [space] a capability to it and [reply]. The wait
+   give the caller's [space] a capability to it and go on with [g x] on
+   the result. [make_msg key rr] is the placement message. The wait
    mirrors the P_ref_inc ack discipline: if the home crashed or the reply
    was dropped, the caller gets a typed [Timeout] — never a hang.
 
@@ -193,31 +176,54 @@ let mint_request ctrl ~provider ~tag ~imms ~caps ~parent =
    dropped-reply) placement is reclaimed by the home when its lease
    expires; no caller-driven cancel is attempted because that cancel
    could itself be lost to fault injection. *)
-let place_remote ctrl (home : ctrl) space ans make_msg =
-  charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
-      let key = ctrl.place_ack_seq in
-      ctrl.place_ack_seq <- ctrl.place_ack_seq + 1;
-      let rr =
-        rreply ctrl (function
-          | Ok addr ->
-            charge ctrl [ (Net.Cost.Msg, 1) ] (fun () ->
-                send_peer ctrl home ~size:Wire.peer_fixed
-                  (P_place_ack { caller = ctrl.ctrl_id; key });
-                (* the home audited the Mint; this side only gains a
-                   capability *)
-                Capspace.insert_cap ctrl space addr ~counts:None
-                  ~op:Obs.Audit.Delegate
-                  ~audit_detail:(fun () -> "shard placement")
-                  ans)
-          | Error Error.Timeout as timeout ->
-            Obs.Metrics.incr ctrl.cm.cm_place_timeouts;
-            journal ctrl Obs.Journal.Warn "ctrl.place_timeout" (fun () ->
-                Printf.sprintf "home=%d" home.ctrl_id);
-            ans timeout
-          | Error _ as e -> ans e)
-      in
-      send_peer ctrl home ~size:Wire.peer_fixed (make_msg key rr);
-      await_timeout rr ~timeout:(config ctrl).peer_ack_timeout)
+type 'x placing = {
+  pl_ctrl : ctrl;
+  pl_home : ctrl;
+  pl_space : capspace;
+  pl_key : int;
+  pl_g : 'x -> (int, Error.t) result -> unit;
+  pl_x : 'x;
+}
+
+let placed pl v =
+  let ctrl = pl.pl_ctrl in
+  match v with
+  | Ok addr ->
+    charge ctrl [ (Net.Cost.Msg, 1) ] (fun () ->
+        send_peer ctrl pl.pl_home ~size:Wire.peer_fixed
+          (P_place_ack { caller = ctrl.ctrl_id; key = pl.pl_key });
+        (* the home audited the Mint; this side only gains a capability *)
+        Capspace.insert_cap ctrl pl.pl_space addr ~counts:None
+          ~op:Obs.Audit.Delegate
+          ~audit_detail:(fun () -> "shard placement")
+          pl.pl_g pl.pl_x)
+  | Error Error.Timeout as timeout ->
+    Obs.Metrics.incr ctrl.cm.cm_place_timeouts;
+    journal ctrl Obs.Journal.Warn "ctrl.place_timeout" (fun () ->
+        Printf.sprintf "home=%d" pl.pl_home.ctrl_id);
+    pl.pl_g pl.pl_x timeout
+  | Error _ as e -> pl.pl_g pl.pl_x e
+
+let place_send (ctrl, home, space, make_msg, g, x) =
+  let key = ctrl.place_ack_seq in
+  ctrl.place_ack_seq <- ctrl.place_ack_seq + 1;
+  let rr =
+    rreply ctrl placed
+      {
+        pl_ctrl = ctrl;
+        pl_home = home;
+        pl_space = space;
+        pl_key = key;
+        pl_g = g;
+        pl_x = x;
+      }
+  in
+  send_peer ctrl home ~size:Wire.peer_fixed (make_msg key rr);
+  await_timeout rr ~timeout:(config ctrl).peer_ack_timeout
+
+let place_remote ctrl (home : ctrl) space make_msg g x =
+  charge_with ctrl [ (Net.Cost.Serialize, 1) ] place_send
+    (ctrl, home, space, make_msg, g, x)
 
 (* Home side of the placement lease: remember the freshly minted object
    under the caller's key and reclaim it if no P_place_ack lands within
@@ -238,7 +244,7 @@ let place_lease_expire (ctrl, caller, key, armed_epoch) =
         Obs.Metrics.incr ctrl.cm.cm_place_reclaims;
         journal ctrl Obs.Journal.Warn "ctrl.place_reclaim" (fun () ->
             Printf.sprintf "caller=%d oid=%d" caller addr.a_oid);
-        Capspace.invalidate_at_owner ctrl obj stop
+        Capspace.invalidate_at_owner ctrl obj stop ()
       | _ | (exception Error.Fractos _) -> ())
 
 let place_lease_arm ctrl ~caller ~key addr =
@@ -256,6 +262,6 @@ let place_lease_arm ctrl ~caller ~key addr =
 let place_at_home ctrl (reply : addr rreply) ~key addr k =
   Obs.Metrics.incr ctrl.cm.cm_shard_placed;
   audit ctrl Obs.Audit.Mint ~detail:(fun () -> "shard placement") addr;
-  place_lease_arm ctrl ~caller:reply.rr_ctrl.ctrl_id ~key addr;
+  place_lease_arm ctrl ~caller:(rr_ctrl reply).ctrl_id ~key addr;
   rreply_to ctrl reply (Ok addr) k
 

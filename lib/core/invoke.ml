@@ -11,7 +11,7 @@ type hop = {
   h_addr : addr; (* the Request object this hop visits *)
   h_imms : Args.imm list; (* arguments of the more-derived Requests *)
   h_caps : (addr * bool) list;
-  h_rr : unit rreply option; (* the posting acknowledgment, until sent *)
+  h_rr : unit rreply; (* the posting acknowledgment, until sent *)
   h_k : unit -> unit; (* what follows the hop *)
 }
 
@@ -19,17 +19,17 @@ type hop = {
    failure: it is the application's business (error continuations,
    §3.4), and no reply path reports it, so it is counted and journaled on
    the request's trace (the journal records the ambient trace context). *)
-let rreply_opt ctrl rr v k =
+let ack ctrl rr v k =
   match (rr, v) with
-  | Some rr, _ -> rreply_to ctrl rr v k
-  | None, Ok () -> k ()
-  | None, Error e ->
+  | Rreply _, _ -> rreply_to ctrl rr v k
+  | No_reply, Ok () -> k ()
+  | No_reply, Error e ->
     Obs.Metrics.incr ctrl.cm.cm_tail_failures;
     journal ctrl Obs.Journal.Warn "ctrl.tail_failure" (fun () ->
         Error.to_string e);
     k ()
 
-let fail hop e = rreply_opt hop.h_ctrl hop.h_rr (Error e) hop.h_k
+let fail hop e = ack hop.h_ctrl hop.h_rr (Error e) hop.h_k
 
 (* Delegate capability arguments into the provider's space, in order,
    stopping at the first failure; the new cids come back reversed. *)
@@ -40,6 +40,7 @@ let rec delegate_caps ctrl space (r : req) rev_cids caps k =
     let counts = if monitored then Some addr else None in
     Capspace.insert_cap ctrl space addr ~counts ~op:Obs.Audit.Delegate
       ~audit_detail:(fun () -> "invoke tag=" ^ r.r_tag)
+      ( @@ )
       (function
         | Error e -> k (Error e)
         | Ok cid ->
@@ -59,7 +60,7 @@ let post_delivery hop (r : req) imms cids =
     ~size:(Wire.invoke ~imms ~caps:(List.length cids))
     deliver_once
     (one_shot provider { d_tag = r.r_tag; d_imms = imms; d_caps = cids });
-  rreply_opt ctrl hop.h_rr (Ok ()) hop.h_k
+  ack ctrl hop.h_rr (Ok ()) hop.h_k
 
 let post_delivery_at (hop, r, imms, cids) = post_delivery hop r imms cids
 
@@ -172,11 +173,17 @@ and forward hop owner =
     charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
         (* acknowledge the posting before forwarding: the local part of
            the chain validated *)
-        rreply_opt ctrl hop.h_rr (Ok ()) (fun () ->
+        ack ctrl hop.h_rr (Ok ()) (fun () ->
             send_peer ctrl owner
               ~size:
                 (Wire.invoke ~imms:hop.h_imms ~caps:(List.length hop.h_caps))
               (P_invoke
                  { addr = hop.h_addr; suffix_imms = hop.h_imms;
-                   suffix_caps = hop.h_caps; reply = None });
+                   suffix_caps = hop.h_caps; reply = No_reply });
             hop.h_k ()))
+
+(* The invocation a [request_invoke] syscall starts here, at the owner
+   of its Request: one hop, whose posting acknowledgment answers the
+   syscall. *)
+let start s =
+  do_invoke s.s_ctrl s.s_entry.e_addr [] [] (rreply s.s_ctrl answer_with s) stop

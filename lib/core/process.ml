@@ -8,6 +8,7 @@ let next_pid = ref 0
 let create ~node name =
   incr next_pid;
   let h n = Obs.Metrics.histogram ~node:node.Net.Node.name ("syscall." ^ n) in
+  let rec p =
   {
     pid = !next_pid;
     pname = name;
@@ -30,7 +31,10 @@ let create ~node name =
         pm_mon_delegate = h "monitor_delegate";
         pm_mon_receive = h "monitor_receive";
       };
+    pcredit = Sys_credit p;
   }
+  in
+  p
 
 let reset_ids () = next_pid := 0
 let alloc t size = Membuf.create ~node:t.pnode size

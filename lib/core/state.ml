@@ -28,6 +28,7 @@ type proc = {
   monitor_box : monitor_event Sim.Channel.t;
   mutable alive : bool;
   pm : proc_metrics;
+  pcredit : syscall; (* [Sys_credit] of this process, built once *)
 }
 
 (* Client-side syscall-latency histograms ("syscall.<name>" keyed by the
@@ -222,19 +223,35 @@ and monitor_event =
   | Delegate_cb of int (* all delegated children gone (callback id) *)
   | Receive_cb of int (* watched capability revoked (callback id) *)
 
-(* Reply paths, delivered at the arrival instant. A Process awaits its
-   syscall's ivar; a controller step stores its continuation [rr_k],
-   which the first arrival runs once (Ctrl_base.rr_fill) as an event
-   under [rr_ctx], or at the arrival itself if [rr_ctx] is negative.
-   [rr_fired] absorbs a duplicate and a reply after a timeout. *)
-and 'a reply = { r_ivar : ('a, Error.t) result Sim.Ivar.t; r_proc : proc }
+(* Reply paths, delivered at the arrival instant. A Process's syscall
+   answers the fiber that waits on it, resuming it with the answer
+   (a synchronous call: [Fiber]), or fills an ivar (an asynchronous one:
+   [Ivar]); [r_to] is [Unclaimed] between the post and the wait. A
+   controller step leaves a static function [rr_k] and its argument
+   [rr_x], which the first arrival runs once (Ctrl_base.rr_fill) as an
+   event under [rr_ctx], or at the arrival itself if [rr_ctx] is
+   negative. [rr_fired] absorbs a duplicate and a reply after a timeout.
+   [No_reply] is the reply path of a forwarded invocation hop and of a
+   copy's middle chunks: nobody waits on it. *)
+and 'a reply = { r_proc : proc; mutable r_to : 'a reply_to }
 
-and 'a rreply = {
-  rr_ctrl : ctrl; (* the waiting controller: where the reply goes *)
-  rr_ctx : int;
-  mutable rr_fired : bool;
-  rr_k : ('a, Error.t) result -> unit;
-}
+and 'a reply_to =
+  | Unclaimed
+  | Answered of ('a, Error.t) result (* before anyone waited *)
+  | Fiber of ('a, Error.t) result Sim.Engine.resumer
+  | Ivar of ('a, Error.t) result Sim.Ivar.t
+
+and 'a rreply =
+  | No_reply : 'a rreply
+  | Rreply : {
+      rr_ctrl : ctrl; (* the waiting controller: where the reply goes *)
+      rr_ctx : int;
+      mutable rr_fired : bool;
+      mutable rr_v : ('a, Error.t) result; (* the reply, once it landed *)
+      rr_k : 'x -> ('a, Error.t) result -> unit;
+      rr_x : 'x;
+    }
+      -> 'a rreply
 
 (* Process -> Controller syscalls (Table 1 of the paper, plus null for
    benchmarking, credit returns for congestion control, and the monitor
@@ -281,11 +298,11 @@ and peer_msg =
       addr : addr;
       suffix_imms : Args.imm list;
       suffix_caps : (addr * bool) list;
-      reply : unit rreply option;
+      reply : unit rreply;
           (* The posting acknowledgment: present only until the first
              owner has validated the invocation; forwarded hops carry
-             [None] (the chain is then on its own — exceptions are the
-             application's continuation Requests' business, §3.4). *)
+             [No_reply] (the chain is then on its own — exceptions are
+             the application's continuation Requests' business, §3.4). *)
     }
   | P_diminish of {
       addr : addr;
@@ -368,7 +385,7 @@ and copy_chunk = {
          [Membuf.no_pin] here. The length follows from [ck_off], the
          copy's total and [bounce_chunk], and the source offset from the
          session's base. *)
-  ck_last : unit rreply option; (* final chunk carries the caller's ack *)
+  ck_last : unit rreply; (* the final chunk carries the caller's ack *)
 }
 
 (* A copy session at its destination: the writer's state, which its
@@ -379,7 +396,7 @@ and copy_session = {
   cs_base : int; (* the source view's offset in its buffer *)
   cs_total : int;
   cs_dst : mem;
-  cs_rr : unit rreply; (* the caller's, from the open *)
+  mutable cs_rr : unit rreply; (* the caller's, from the open *)
   cs_chan : copy_chunk Sim.Channel.t;
   cs_recv : copy_chunk -> unit; (* the writer's receive step *)
   mutable cs_received : int; (* bytes delivered so far *)

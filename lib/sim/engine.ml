@@ -48,6 +48,9 @@ type t = {
   mutable handler : (unit, unit) handler; (* shared by unnamed fibers *)
   mutable sleep_for : int; (* the pending [Sleep]'s duration *)
   mutable on_sleep : ((unit, unit) continuation -> unit) option;
+  mutable park_g : Obj.t; (* the pending [Park]'s function, ['x -> 'a resumer -> unit] *)
+  mutable park_x : Obj.t; (* and its argument, ['x] *)
+  mutable on_park : ((Obj.t, unit) continuation -> unit) option;
 }
 
 and 'a resumer = {
@@ -147,10 +150,13 @@ let abort r e =
 type 'a waiter = (('a, unit) continuation -> unit) option
 
 (* [Sleep] is a constant: [sleep] leaves its duration in the engine's
-   [sleep_for], so performing it allocates nothing. *)
+   [sleep_for], so performing it allocates nothing. [Park] is one too:
+   [suspend_with] leaves its function and argument in [park_g] and
+   [park_x]. *)
 type _ Effect.t +=
   | Sleep : unit Effect.t
   | Suspend : 'a waiter -> 'a Effect.t
+  | Park : 'a Effect.t
 
 (* First failure wins within an origin class, but a failure coming from the
    root fiber outranks one recorded earlier by a background fiber at the
@@ -177,12 +183,24 @@ let make_handler t =
         match eff with
         | Sleep -> t.on_sleep
         | Suspend w -> w
+        | Park ->
+          (Obj.magic t.on_park : ((a, unit) continuation -> unit) option)
         | _ -> None);
   }
 
 let on_sleep t k =
   let d = if t.sleep_for < 0 then 0 else t.sleep_for in
   push_wake t ~time:(t.now + d) t.ctx k
+
+(* The handler applies this at once, so [park_g] and [park_x] are still
+   the suspending fiber's; they are cleared before [g] runs, so nothing
+   parked is retained. *)
+let on_park t (k : (Obj.t, unit) continuation) =
+  let g = (Obj.obj t.park_g : Obj.t -> Obj.t resumer -> unit)
+  and x = t.park_x in
+  t.park_g <- empty;
+  t.park_x <- empty;
+  g x { used = false; eng = t; r_ctx = t.ctx; k }
 
 let new_fiber t =
   t.fibers <- t.fibers + 1;
@@ -232,10 +250,14 @@ let create () =
       handler = { retc = ignore; exnc = raise; effc = (fun _ -> None) };
       sleep_for = 0;
       on_sleep = None;
+      park_g = empty;
+      park_x = empty;
+      on_park = None;
     }
   in
   t.handler <- make_handler t;
   t.on_sleep <- Some (on_sleep t);
+  t.on_park <- Some (on_park t);
   t
 
 (* Read slot [s], clear its payload and free it before running the
@@ -358,7 +380,14 @@ let waiter f x =
       f x { used = false; eng = t; r_ctx = t.ctx; k })
 
 let wait w = Effect.perform (Suspend w)
-let suspend setup = wait (waiter (fun f r -> f r) setup)
+
+let suspend_with (g : 'x -> 'a resumer -> unit) (x : 'x) : 'a =
+  let t = get () in
+  t.park_g <- Obj.repr g;
+  t.park_x <- Obj.repr x;
+  Effect.perform Park
+
+let suspend setup = suspend_with (fun f r -> f r) setup
 
 let schedule d f =
   let t = get () in

@@ -78,7 +78,13 @@ val suspend : ('a resumer -> unit) -> 'a
     The fiber resumes — at the instant {!resume}/{!abort} is called — with
     the provided value, or raises the provided exception. This is the
     primitive from which semaphores, wait groups and timers are built;
-    ivars and channels use {!wait}. *)
+    ivars use {!suspend_with} and channels {!wait}. *)
+
+val suspend_with : ('b -> 'a resumer -> unit) -> 'b -> 'a
+(** [suspend_with g x] is [suspend (g x)] without the closure, as
+    {!spawn_with} is to {!spawn}: the engine keeps [g] and [x] until the
+    suspend hands [g x] the resumer, so the suspend allocates only the
+    resumer. *)
 
 type 'a waiter
 (** A reusable suspension: what {!wait} hands the engine. *)

@@ -73,7 +73,7 @@ let await iv =
   match iv.state with
   | Full v -> v
   | Broken e -> raise e
-  | Empty _ -> Engine.wait (Engine.waiter add_waiter iv)
+  | Empty _ -> Engine.suspend_with add_waiter iv
 
 let await_timeout iv ~timeout =
   match iv.state with
