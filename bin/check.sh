@@ -247,19 +247,32 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
-echo "== closures on the copy data path"
-# The copy engine's steps take their activity's record as their argument
-# (HACKING.md, "Hot path"): a closure passed to a step builds one per copy
-# or per chunk. So lib/core/copy.ml may not pass an anonymous function to
-# stage, Fabric.transfer_then, Channel.recv_then or Endpoint.post, except
-# inside a chunk_span call, which only traced runs make
-# (bin/copy_closures.awk). Comments and strings are blanked first
-# (bin/code_only.awk).
-bad=$(awk -f bin/code_only.awk lib/core/copy.ml |
-        awk -v file=lib/core/copy.ml -f bin/copy_closures.awk)
+echo "== closures on the copy data path and the syscall path"
+# The copy engine's and the syscall handlers' steps take their activity's
+# record as their argument (HACKING.md, "Hot path"): a closure passed to
+# a step builds one per copy, per chunk or per syscall. So
+# lib/core/copy.ml may not pass an anonymous function to stage,
+# Fabric.transfer_then, Channel.recv_then or Endpoint.post, except inside
+# a chunk_span call, and lib/core/controller.ml, capspace.ml and invoke.ml
+# may not pass one to charge_with, charge_plus, charged_resolve1,
+# charged_resolve2, Directory.locate or rreply, except inside a span
+# call: only traced runs make those (bin/step_closures.awk). Comments and
+# strings are blanked first (bin/code_only.awk).
+closures() {
+  awk -f bin/code_only.awk "$1" |
+    awk -v file="$1" -v traced="$2" -v names="$3" -f bin/step_closures.awk
+}
+syscall_steps="charge_with charge_plus charged_resolve1 charged_resolve2"
+syscall_steps="$syscall_steps Directory.locate rreply"
+bad=$(closures lib/core/copy.ml chunk_span \
+        "stage Fabric.transfer_then Channel.recv_then Endpoint.post"
+      for f in lib/core/controller.ml lib/core/capspace.ml lib/core/invoke.ml
+      do
+        closures "$f" span "$syscall_steps"
+      done)
 if [ -n "$bad" ]; then
   echo "$bad"
-  echo "pass a step defined once and the copy or session record instead"
+  echo "pass a step defined once and the copy, session or syscall record instead"
   exit 1
 fi
 

@@ -178,8 +178,8 @@ let charged_resolve1 s cid g =
       s.s_v <- Error e;
       charge_plus ctrl msg_cost Net.Cost.Lookup 1 g s
     | space ->
-      charge_plus ctrl msg_cost Net.Cost.Lookup (memo_resolve s space cid set_entry)
-        g s
+      let n = memo_resolve s space cid set_entry in
+      charge_plus ctrl msg_cost Net.Cost.Lookup n g s
 
 let charged_resolve2 s a b g =
   let ctrl = s.s_ctrl in

@@ -18,12 +18,6 @@ let next_ctrl_id = ref 0
 (* Syscall handlers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each handler is a chain of steps (Ctrl_base) over one [sys] record,
-   built at dispatch: every step is a function of it, defined once, so a
-   syscall allocates its record and whatever its work needs, and no
-   closure (HACKING.md, "Writing a controller step"). A step reads its
-   syscall's arguments from [s_msg]; [other] is the arm no dispatched
-   syscall reaches. *)
 let syscall_name = function
   | Sys_null _ -> "null"
   | Sys_mem_create _ -> "memory_create"
@@ -38,6 +32,12 @@ let syscall_name = function
   | Sys_mon_receive _ -> "monitor_receive"
   | Sys_credit _ -> "credit"
 
+(* Each handler is a chain of steps (Ctrl_base) over one [sys] record,
+   built at dispatch: every step is a function of it, defined once, so a
+   syscall allocates its record and whatever its work needs, and no
+   closure (HACKING.md, "Writing a controller step"). A step reads its
+   syscall's arguments from [s_msg]; [other] is the arm no dispatched
+   syscall reaches. *)
 let other s = invalid_arg ("Controller: no step of " ^ syscall_name s.s_msg)
 
 (* A capability to the fresh object [addr] for [space], then the answer.
@@ -45,7 +45,8 @@ let other s = invalid_arg ("Controller: no step of " ^ syscall_name s.s_msg)
 let mint_detail s =
   match s.s_msg with
   | Sys_mem_create { perms; _ } -> "memory perms=" ^ Perms.to_string perms
-  | Sys_mem_diminish { drop; _ } -> "memory diminish drop=" ^ Perms.to_string drop
+  | Sys_mem_diminish { drop; _ } ->
+    "memory diminish drop=" ^ Perms.to_string drop
   | Sys_req_create { tag; _ } -> "request tag=" ^ tag
   | Sys_req_derive _ ->
     Printf.sprintf "request derive parent_oid=%d" s.s_entry.e_addr.a_oid
@@ -164,7 +165,8 @@ let owned_send s =
       P_mon_delegate
         { addr; watcher = caller s; cb; reply = rreply ctrl owned s }
     | Sys_mon_receive { cb; _ } ->
-      P_mon_receive { addr; watcher = caller s; cb; reply = rreply ctrl owned s }
+      P_mon_receive
+        { addr; watcher = caller s; cb; reply = rreply ctrl owned s }
     | _ -> other s)
 
 let child_at s owner = route child_here child_send s owner
@@ -335,7 +337,8 @@ let dispatch_syscall ctrl msg k =
     charged_resolve1 (sys ctrl msg reply k) cid req_invoke
   | Sys_revtree_create { cid; reply } ->
     charged_resolve1 (sys ctrl msg reply k) cid revtree_create
-  | Sys_revoke { cid; reply } -> charged_resolve1 (sys ctrl msg reply k) cid revoke
+  | Sys_revoke { cid; reply } ->
+    charged_resolve1 (sys ctrl msg reply k) cid revoke
   | Sys_mon_delegate { cid; reply; _ } | Sys_mon_receive { cid; reply; _ } ->
     charged_resolve1 (sys ctrl msg reply k) cid monitor
   | Sys_credit proc ->
@@ -420,7 +423,8 @@ let peer_revoked (ctrl, reply, k) v = rreply_to ctrl reply v k
 
 let peer_revoke (ctrl, msg, k) =
   match msg with
-  | P_revoke { addr; reply } -> revoke_at ctrl addr peer_revoked (ctrl, reply, k)
+  | P_revoke { addr; reply } ->
+    revoke_at ctrl addr peer_revoked (ctrl, reply, k)
   | _ -> invalid_arg "Controller.peer_revoke"
 
 (* A peer message's handler, after the message's own charge
@@ -751,7 +755,8 @@ let fail_process ctrl proc =
       ctrl.objects []
   in
   each
-    (fun obj k -> if obj.o_valid then invalidate_at_owner ctrl obj k () else k ())
+    (fun obj k ->
+      if obj.o_valid then invalidate_at_owner ctrl obj k () else k ())
     owned stop
 
 let fail ctrl =

@@ -48,7 +48,8 @@ type t = {
   mutable handler : (unit, unit) handler; (* shared by unnamed fibers *)
   mutable sleep_for : int; (* the pending [Sleep]'s duration *)
   mutable on_sleep : ((unit, unit) continuation -> unit) option;
-  mutable park_g : Obj.t; (* the pending [Park]'s function, ['x -> 'a resumer -> unit] *)
+  mutable park_g : Obj.t;
+      (* the pending [Park]'s function, ['x -> 'a resumer -> unit] *)
   mutable park_x : Obj.t; (* and its argument, ['x] *)
   mutable on_park : ((Obj.t, unit) continuation -> unit) option;
 }

@@ -377,10 +377,282 @@ let duplicated_invoke ~remote_provider () =
       check_int "handler ran once per logical invoke" 5 !effects)
 
 (* ------------------------------------------------------------------ *)
-(* Local (loopback) sends ignore Drop/Duplicate                        *)
+(* The syscall reply path under faults                                 *)
 (* ------------------------------------------------------------------ *)
 
+module Api = Core.Api
 module Obs = Fractos_obs
+module Audit = Obs.Audit
+
+(* Every syscall of the Api, made ready on a fresh testbed. The client
+   runs on host c and is managed by the controller on host a, so each
+   syscall and its answer cross the switch; the objects it works on
+   belong to a process managed by the controller on host b, so the
+   owner's part of each crosses it too. Each entry names the audit kind
+   of its one effect, if it has one, and returns the syscall as a thunk
+   once its set-up is done. [delivered] counts the invocations the
+   objects' owner receives. *)
+type world = {
+  w_tb : Tb.t;
+  w_ca : Core.Controller.t; (* the client's controller *)
+  w_cb : Core.Controller.t; (* the objects' *)
+  w_pc : Core.State.proc; (* the client *)
+  delivered : int ref;
+}
+
+let world tb =
+  let a = Tb.add_host tb "a" and b = Tb.add_host tb "b" in
+  let c = Tb.add_host tb "c" in
+  let ca = Tb.add_ctrl tb ~on:a and cb = Tb.add_ctrl tb ~on:b in
+  let pc = Tb.add_proc tb ~on:c ~ctrl:ca "client" in
+  let po = Tb.add_proc tb ~on:b ~ctrl:cb "owner" in
+  let delivered = ref 0 in
+  Engine.spawn (fun () ->
+      let rec loop () =
+        ignore (Api.receive po);
+        incr delivered;
+        loop ()
+      in
+      loop ());
+  ({ w_tb = tb; w_ca = ca; w_cb = cb; w_pc = pc; delivered }, po)
+
+let unit_of r = Result.map ignore r
+
+let syscalls w po =
+  let pc = w.w_pc in
+  let mem () =
+    let buf = Core.Process.alloc po 4096 in
+    Core.Membuf.fill buf 'o';
+    Tb.grant ~src:po ~dst:pc (ok_exn (Api.memory_create po buf Core.Perms.rw))
+  in
+  let req () =
+    Tb.grant ~src:po ~dst:pc (ok_exn (Api.request_create po ~tag:"t" ()))
+  in
+  [
+    ("null", None, fun () () -> Api.null pc);
+    ( "memory_create",
+      Some Audit.Mint,
+      fun () ->
+        let buf = Core.Process.alloc pc 64 in
+        fun () -> unit_of (Api.memory_create pc buf Core.Perms.rw) );
+    ( "memory_diminish",
+      Some Audit.Mint,
+      fun () ->
+        let cid = mem () in
+        fun () ->
+          unit_of
+            (Api.memory_diminish pc cid ~off:0 ~len:64 ~drop:Core.Perms.wo) );
+    ( "memory_copy",
+      None,
+      fun () ->
+        let src = mem () and dst = mem () in
+        fun () -> Api.memory_copy pc ~src ~dst );
+    ( "request_create",
+      Some Audit.Mint,
+      fun () () -> unit_of (Api.request_create pc ~tag:"c" ()) );
+    ( "request_derive",
+      Some Audit.Mint,
+      fun () ->
+        let parent = req () in
+        fun () -> unit_of (Api.request_derive pc parent ()) );
+    ( "request_invoke",
+      Some Audit.Invoke,
+      fun () ->
+        let cid = req () in
+        fun () -> Api.request_invoke pc cid );
+    ( "cap_create_revtree",
+      Some Audit.Mint,
+      fun () ->
+        let cid = mem () in
+        fun () -> unit_of (Api.cap_create_revtree pc cid) );
+    ( "cap_revoke",
+      Some Audit.Revoke,
+      fun () ->
+        let cid = mem () in
+        fun () -> Api.cap_revoke pc cid );
+    ( "monitor_delegate",
+      Some Audit.Monitor_delegate,
+      fun () ->
+        let cid = mem () in
+        fun () -> Api.monitor_delegate pc cid ~cb:1 );
+    ( "monitor_receive",
+      Some Audit.Monitor_receive,
+      fun () ->
+        let cid = mem () in
+        fun () -> Api.monitor_receive pc cid ~cb:2 );
+  ]
+
+let audited kind =
+  match List.assoc_opt kind (Audit.summary ()) with Some n -> n | None -> 0
+
+(* The replies the client's controller sent, its answers among them:
+   its "ctrl.reply" marks. *)
+let answers w =
+  let node = Core.Controller.node_name w.w_ca in
+  List.length
+    (List.filter
+       (fun sp ->
+         sp.Obs.Span.sp_name = "ctrl.reply" && sp.Obs.Span.sp_node = node)
+       (Obs.Span.all ()))
+
+(* With audit and spans on, run [f] on a fresh testbed of [config]. *)
+let with_world ?config f =
+  Audit.reset ();
+  Audit.set_enabled true;
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Audit.set_enabled false;
+      Obs.Span.set_enabled false)
+    (fun () ->
+      Tb.run ?config (fun tb ->
+          let w, po = world tb in
+          f w (syscalls w po)))
+
+(* Each syscall made ready, and the audit count of its effect's kind. *)
+let ready calls =
+  let ready =
+    List.map (fun (name, kind, prepare) -> (name, kind, prepare ())) calls
+  in
+  let count (_, kind, _) = (kind, Option.fold ~none:0 ~some:audited kind) in
+  (ready, List.map count ready)
+
+let check_no_effect name kind k0 =
+  match kind with
+  | Some kind -> check_int (name ^ ": no effect") k0 (audited kind)
+  | None -> ()
+
+(* Every syscall with the fabric duplicating every message: it acts once
+   and answers once. The copy's bytes are counted once, and the
+   invocation is delivered once. *)
+let test_syscalls_duplicated () =
+  with_world (fun w calls ->
+      List.iter
+        (fun (name, kind, prepare) ->
+          let call = prepare () in
+          let k0 = Option.fold ~none:0 ~some:audited kind in
+          let n0 = answers w and d0 = !(w.delivered) in
+          let copied0 =
+            Obs.Metrics.counter_value
+              (Obs.Metrics.counter
+                 ~node:(Core.Controller.node_name w.w_cb)
+                 "ctrl.copy_bytes")
+          in
+          Net.Fabric.set_fault_hook w.w_tb.Tb.fabric
+            (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Net.Fabric.Duplicate));
+          let r = call () in
+          Engine.sleep (Time.ms 1);
+          Net.Fabric.set_fault_hook w.w_tb.Tb.fabric None;
+          (match r with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" name (Core.Error.to_string e));
+          (match kind with
+          | Some kind ->
+            check_int (name ^ ": acts once") (k0 + 1) (audited kind)
+          | None -> ());
+          (* a revoke's cleanup asks the client's controller for an
+             acknowledgment, a reply of its own *)
+          let replies = if name = "cap_revoke" then 2 else 1 in
+          check_int (name ^ ": answers once") (n0 + replies) (answers w);
+          let copied =
+            Obs.Metrics.counter_value
+              (Obs.Metrics.counter
+                 ~node:(Core.Controller.node_name w.w_cb)
+                 "ctrl.copy_bytes")
+            - copied0
+          in
+          check_int (name ^ ": bytes copied once")
+            (if name = "memory_copy" then 4096 else 0)
+            copied;
+          check_int (name ^ ": delivered once")
+            (if name = "request_invoke" then d0 + 1 else d0)
+            !(w.delivered))
+        calls;
+      let dups =
+        Obs.Metrics.counter_value
+          (Obs.Metrics.counter ~node:"c" "net.fault_dups")
+      in
+      check_bool "the client's messages were duplicated" true (dups > 0))
+
+(* Every syscall posted to a controller that crashes before it arrives:
+   the reply path answers [Ctrl_unreachable] once, and no controller
+   software runs. *)
+let test_syscalls_crashed_controller () =
+  with_world (fun w calls ->
+      let ready, kinds = ready calls in
+      let n0 = answers w in
+      let results =
+        List.map
+          (fun (_, _, call) ->
+            let iv = Ivar.create () in
+            Engine.spawn (fun () -> Ivar.fill iv (call ()));
+            iv)
+          ready
+      in
+      (* every syscall is posted, none has arrived *)
+      let cfg = Core.Controller.config w.w_ca in
+      Engine.sleep
+        (Net.Config.scale_time cfg.Net.Config.scale_client
+           Net.Config.proc_syscall
+        + 1);
+      Core.Controller.fail w.w_ca;
+      Engine.sleep (Time.ms 1);
+      List.iter2
+        (fun (name, _, _) iv ->
+          match Ivar.peek iv with
+          | Some (Error Core.Error.Ctrl_unreachable) -> ()
+          | Some (Ok ()) -> Alcotest.failf "%s: answered Ok" name
+          | Some (Error e) ->
+            Alcotest.failf "%s: %s" name (Core.Error.to_string e)
+          | None -> Alcotest.failf "%s: never answered" name)
+        ready results;
+      List.iter2
+        (fun (name, _, _) (kind, k0) -> check_no_effect name kind k0)
+        ready kinds;
+      check_int "no answer from the crashed controller" n0 (answers w))
+
+(* Every syscall shed at admission behind a burst that fills the
+   bounded syscall queue: each answers [Overloaded] once and acts not at
+   all. *)
+let test_syscalls_shed () =
+  let config =
+    {
+      Net.Config.default with
+      c_doorbell = Time.us 5;
+      ctrl_queue_bound = 4;
+    }
+  in
+  with_world ~config (fun w calls ->
+      let ready, kinds = ready calls in
+      for _ = 1 to 16 do
+        Engine.spawn (fun () -> ignore (Api.null w.w_pc))
+      done;
+      let results =
+        List.map
+          (fun (_, _, call) ->
+            let iv = Ivar.create () in
+            Engine.spawn (fun () -> Ivar.fill iv (call ()));
+            iv)
+          ready
+      in
+      Engine.sleep (Time.ms 1);
+      List.iter2
+        (fun (name, _, _) iv ->
+          match Ivar.peek iv with
+          | Some (Error Core.Error.Overloaded) -> ()
+          | Some (Ok ()) -> Alcotest.failf "%s: answered Ok" name
+          | Some (Error e) ->
+            Alcotest.failf "%s: %s" name (Core.Error.to_string e)
+          | None -> Alcotest.failf "%s: never answered" name)
+        ready results;
+      List.iter2
+        (fun (name, _, _) (kind, k0) -> check_no_effect name kind k0)
+        ready kinds)
+
+(* ------------------------------------------------------------------ *)
+(* Local (loopback) sends ignore Drop/Duplicate                        *)
+(* ------------------------------------------------------------------ *)
 
 (* Injected faults model a lossy switch; a Process talking to its
    co-located controller never crosses one. Drop/Duplicate on the local
@@ -819,6 +1091,12 @@ let () =
             (duplicated_invoke ~remote_provider:true);
           Alcotest.test_case "local sends ignore drop/duplicate" `Quick
             test_local_faults_ignored;
+          Alcotest.test_case "every syscall duplicated" `Quick
+            test_syscalls_duplicated;
+          Alcotest.test_case "every syscall, crashed controller" `Quick
+            test_syscalls_crashed_controller;
+          Alcotest.test_case "every syscall shed at admission" `Quick
+            test_syscalls_shed;
         ] );
       ( "chaos",
         [

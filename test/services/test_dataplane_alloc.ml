@@ -85,9 +85,12 @@ let words_per_batch ~n =
       in
       words_per ~n verify)
 
-(* Measured at 2 780 words per batch (x86-64, OCaml 5.1), plus ~25 %
+(* Measured at 2 250 words per batch (x86-64, OCaml 5.1), plus ~5 %
    headroom. One per-request copy of the batch's 64 KiB payload adds
-   about 8 200 words, so it fails here. The same harness measured 3 170
+   about 8 200 words, so it fails here, and so do two closures built per
+   syscall. The same harness measured 2 780 while each syscall's handler
+   built its steps as closures and a synchronous syscall waited on an
+   ivar, 3 170
    while the copy engine built its step closures per copy and per chunk,
    each transfer's delivery carried a tuple and the fabric's size
    histogram built a closure per network message, 3 320
@@ -96,7 +99,7 @@ let words_per_batch ~n =
    per-message events carried a function and its argument instead of a
    closure (4 365 before [words_per] read [Gc.minor_words], on a window
    that happened to hold a minor collection). *)
-let budget = 3_475.
+let budget = 2_360.
 
 let test_faceverify_batch_budget () =
   let words = words_per_batch ~n:64 in
@@ -127,10 +130,12 @@ let words_per_pd_request ~n =
         words_per ~n request
       | _ -> assert false)
 
-(* Measured at 3 223 words per request (x86-64, OCaml 5.1), plus 2 %:
+(* Measured at 2 543 words per request (x86-64, OCaml 5.1), plus 2 %:
    the request path runs a reply, two handler decodes, two status decodes
    and two status fires, and this holds their cost to the measured one.
-   The same harness measured 3 391 while the copy engine built its step
+   The same harness measured 3 223 while each syscall's handler built
+   its steps as closures and a synchronous syscall waited on an ivar,
+   3 391 while the copy engine built its step
    closures per copy and per chunk, each transfer's delivery carried a
    tuple and the fabric's size histogram built a closure per network
    message, 3 488 while the controller ran its handlers
@@ -138,7 +143,7 @@ let words_per_pd_request ~n =
    record, 5 048 before per-message events carried a
    function and its argument instead of a closure (4 344 before
    [words_per] read [Gc.minor_words]). *)
-let pd_budget = 3_288.
+let pd_budget = 2_594.
 
 let test_pd_request_budget () =
   let words = words_per_pd_request ~n:64 in
