@@ -225,13 +225,17 @@ let post_rreply ((ctrl, rr, _) as x) =
   Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:(rr_ctrl rr).cnode
     ~size:Wire.response deliver_reply x
 
-let rreply_to ctrl (rr : _ rreply) v k =
+(* Charge a reply's message, then [post x], then [k]. *)
+let reply_with ctrl post x k =
   reply_span ctrl;
-  if k == stop then charge_with ctrl msg_cost post_rreply (ctrl, rr, v)
+  if k == stop then charge_with ctrl msg_cost post x
   else
     charge ctrl msg_cost (fun () ->
-        post_rreply (ctrl, rr, v);
+        post x;
         k ())
+
+let rreply_to ctrl (rr : _ rreply) v k =
+  reply_with ctrl post_rreply (ctrl, rr, v) k
 
 let send_peer ctrl (dst : ctrl) ~size msg =
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst.peer_ep ~size msg

@@ -12,16 +12,29 @@ type hop = {
   h_imms : Args.imm list; (* arguments of the more-derived Requests *)
   h_caps : (addr * bool) list;
   h_rr : unit rreply; (* the posting acknowledgment, until sent *)
+  mutable h_v : (unit, Error.t) result; (* and its value, once sent *)
   h_k : unit -> unit; (* what follows the hop *)
 }
 
 (* Acknowledge the posting, or, past the ack point, account for a
    failure: it is the application's business (error continuations,
    §3.4), and no reply path reports it, so it is counted and journaled on
-   the request's trace (the journal records the ambient trace context). *)
-let ack ctrl rr v k =
-  match (rr, v) with
-  | Rreply _, _ -> rreply_to ctrl rr v k
+   the request's trace (the journal records the ambient trace context).
+   A hop acknowledges once, so the acknowledgment travels as the hop
+   record itself. *)
+let deliver_ack hop = rr_fill hop.h_rr hop.h_v
+
+let post_ack hop =
+  let ctrl = hop.h_ctrl in
+  Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode
+    ~dst:(rr_ctrl hop.h_rr).cnode ~size:Wire.response deliver_ack hop
+
+let ack hop v k =
+  let ctrl = hop.h_ctrl in
+  match (hop.h_rr, v) with
+  | Rreply _, _ ->
+    hop.h_v <- v;
+    reply_with ctrl post_ack hop k
   | No_reply, Ok () -> k ()
   | No_reply, Error e ->
     Obs.Metrics.incr ctrl.cm.cm_tail_failures;
@@ -29,7 +42,7 @@ let ack ctrl rr v k =
         Error.to_string e);
     k ()
 
-let fail hop e = ack hop.h_ctrl hop.h_rr (Error e) hop.h_k
+let fail hop e = ack hop (Error e) hop.h_k
 
 (* Delegate capability arguments into the provider's space, in order,
    stopping at the first failure; the new cids come back reversed. *)
@@ -60,7 +73,7 @@ let post_delivery hop (r : req) imms cids =
     ~size:(Wire.invoke ~imms ~caps:(List.length cids))
     deliver_once
     (one_shot provider { d_tag = r.r_tag; d_imms = imms; d_caps = cids });
-  ack ctrl hop.h_rr (Ok ()) hop.h_k
+  ack hop (Ok ()) hop.h_k
 
 let post_delivery_at (hop, r, imms, cids) = post_delivery hop r imms cids
 
@@ -122,7 +135,7 @@ let deliver hop (r : req) imms caps =
 let rec do_invoke ctrl addr suffix_imms suffix_caps rr k =
   let hop =
     { h_ctrl = ctrl; h_addr = addr; h_imms = suffix_imms; h_caps = suffix_caps;
-      h_rr = rr; h_k = k }
+      h_rr = rr; h_v = Error Error.Timeout; h_k = k }
   in
   if Obs.Span.enabled () then
     span ctrl
@@ -173,7 +186,7 @@ and forward hop owner =
     charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
         (* acknowledge the posting before forwarding: the local part of
            the chain validated *)
-        ack ctrl hop.h_rr (Ok ()) (fun () ->
+        ack hop (Ok ()) (fun () ->
             send_peer ctrl owner
               ~size:
                 (Wire.invoke ~imms:hop.h_imms ~caps:(List.length hop.h_caps))

@@ -84,11 +84,12 @@ let per_invoke ~n ~target =
       (* the events less the closing sleep's wake-up *)
       (per (w1 -. w0), per (float_of_int (e1 - e0 - 1)), f1 - f0))
 
-(* Measured at 88.4 words per invoke (x86-64, OCaml 5.1), plus ~10 %
+(* Measured at 85.4 words per invoke (x86-64, OCaml 5.1), plus ~10 %
    headroom: tight enough that the 118.9 measured while each syscall's
    handler built its steps as closures (its answer, its resolve's
    continuation, the invoke's start tuple and reply path) fails. The
-   same harness measured 128.9 while a synchronous syscall waited on an
+   same harness measured 88.4 while the invoke's posting acknowledgment
+   travelled as a (controller, reply path, value) triple, 128.9 while a synchronous syscall waited on an
    ivar through a waiter closure, 188.4 while the controller ran each
    syscall and each peer message but credits and copy chunks in a fiber
    of its own, 256.9 while each pending event was a boxed record in a
@@ -100,7 +101,7 @@ let per_invoke ~n ~target =
    endpoint, stats and metrics path, and 370 before list-free charges,
    one-capability resolves and the closure-free peer lookup; 133.9 while
    the fabric's size histogram built a closure per network message. *)
-let budget = 97.
+let budget = 94.
 
 let test_null_invoke_budget () =
   (* half of the invokes cross to the neighbour shard *)
@@ -473,7 +474,7 @@ let per_syscall ~n name =
 
 (* Measured (x86-64, OCaml 5.1) at 40.7 words per null, 88.1 per
    memory_create, 109.2 per memory_diminish, 214.8 per memory_copy, 99.1
-   per request_create, 102.2 per request_derive, 94.3 per
+   per request_create, 102.2 per request_derive, 91.3 per
    request_invoke, 83.2 per cap_create_revtree, 195.1 per cap_revoke and
    45.1 per monitor call, each pinned at its figure plus three words.
    While each handler built its steps as closures and a synchronous call
@@ -487,7 +488,7 @@ let syscall_budgets =
     ("memory_copy", 217.8);
     ("request_create", 102.1);
     ("request_derive", 105.2);
-    ("request_invoke", 97.3);
+    ("request_invoke", 94.3);
     ("cap_create_revtree", 86.2);
     ("cap_revoke", 198.1);
     ("monitor_delegate", 48.1);
