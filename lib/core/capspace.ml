@@ -67,7 +67,8 @@ let insert_cap ?(ctx = Sim.Engine.get_ctx ()) ?audit_detail ctrl space addr
         e_born = Sim.Engine.now ();
       };
     Obs.Metrics.add ctrl.cm.cm_captable 1;
-    audit ctrl op ~pid:space.cs_proc.pid ~cid ?detail:audit_detail addr;
+    if Obs.Audit.enabled () then
+      audit ctrl op ~pid:space.cs_proc.pid ~cid ?detail:audit_detail addr;
     if not cfg.track_delegations then g x (Ok cid)
     else
       match peer_of_addr ctrl addr with
@@ -127,8 +128,9 @@ let resolve_cid ctrl proc cid =
    nothing (HACKING.md, "Hot path"). *)
 let memo_invalidate ctrl =
   ctrl.cap_gen <- ctrl.cap_gen + 1;
-  journal ctrl Obs.Journal.Debug "ctrl.tcache_invalidate" (fun () ->
-      Printf.sprintf "gen=%d" ctrl.cap_gen)
+  if Obs.Journal.enabled () then
+    journal ctrl Obs.Journal.Debug "ctrl.tcache_invalidate" (fun () ->
+        Printf.sprintf "gen=%d" ctrl.cap_gen)
 
 (* [proc]'s capability space with its memo brought up to the current
    capability generation. *)
@@ -311,11 +313,12 @@ let drop_entry ctrl space cid (entry : entry) =
   (* any removal invalidates every translation memo (epoch-style bump) *)
   memo_invalidate ctrl;
   Obs.Metrics.add ctrl.cm.cm_captable (-1);
-  audit ctrl Obs.Audit.Drop ~pid:space.cs_proc.pid ~cid
-    ~detail:(fun () ->
-      Printf.sprintf "age=%s"
-        (Sim.Time.to_string (Sim.Engine.now () - entry.e_born)))
-    entry.e_addr;
+  if Obs.Audit.enabled () then
+    audit ctrl Obs.Audit.Drop ~pid:space.cs_proc.pid ~cid
+      ~detail:(fun () ->
+        Printf.sprintf "age=%s"
+          (Sim.Time.to_string (Sim.Engine.now () - entry.e_born)))
+      entry.e_addr;
   (if (config ctrl).track_delegations then
      let addr = entry.e_addr in
      match peer_of_addr ctrl addr with

@@ -105,11 +105,13 @@ let owned s v =
   | Ok (), Sys_mon_delegate { cid; _ } ->
     let entry = s.s_entry in
     entry.e_delegator <- true;
-    audit s.s_ctrl Obs.Audit.Monitor_delegate ~pid:(caller s).pid ~cid
-      entry.e_addr
+    if Obs.Audit.enabled () then
+      audit s.s_ctrl Obs.Audit.Monitor_delegate ~pid:(caller s).pid ~cid
+        entry.e_addr
   | Ok (), Sys_mon_receive { cid; _ } ->
-    audit s.s_ctrl Obs.Audit.Monitor_receive ~pid:(caller s).pid ~cid
-      s.s_entry.e_addr
+    if Obs.Audit.enabled () then
+      audit s.s_ctrl Obs.Audit.Monitor_receive ~pid:(caller s).pid ~cid
+        s.s_entry.e_addr
   | _ -> ());
   answer_with s v
 

@@ -14,7 +14,9 @@ let node_name ctrl = ctrl.cnode.Net.Node.name
 (* Capability audit log (see Obs.Audit): one event per capability
    lifecycle transition, keyed by the object's global address. Off by
    default; when disabled this is one branch and the detail thunk is
-   never evaluated. *)
+   never evaluated. A call boxes its optional arguments and builds its
+   thunk before that branch, so a per-syscall caller tests
+   [Obs.Audit.enabled] first (HACKING.md, "Hot path"). *)
 let audit ctrl kind ?pid ?cid ?detail addr =
   if Obs.Audit.enabled () then
     Obs.Audit.record ~node:(node_name ctrl) ~kind ~ctrl:addr.a_ctrl

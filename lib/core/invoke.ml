@@ -52,7 +52,9 @@ let rec delegate_caps ctrl space (r : req) rev_cids caps k =
   | (addr, monitored) :: rest ->
     let counts = if monitored then Some addr else None in
     Capspace.insert_cap ctrl space addr ~counts ~op:Obs.Audit.Delegate
-      ~audit_detail:(fun () -> "invoke tag=" ^ r.r_tag)
+      ?audit_detail:
+        (if Obs.Audit.enabled () then Some (fun () -> "invoke tag=" ^ r.r_tag)
+         else None)
       ( @@ )
       (function
         | Error e -> k (Error e)

@@ -6,7 +6,6 @@
 type 'a t = {
   items : (int * 'a) Queue.t;
   readers : (int * 'a) Engine.resumer Queue.t;
-  reader : (int * 'a) Engine.waiter; (* built once: [recv] allocates none *)
   mutable stepping : bool; (* a [recv_then] step waits *)
   mutable step : 'a -> unit;
 }
@@ -14,11 +13,9 @@ type 'a t = {
 let add_reader readers r = Queue.add r readers
 
 let create () =
-  let readers = Queue.create () in
   {
     items = Queue.create ();
-    readers;
-    reader = Engine.waiter add_reader readers;
+    readers = Queue.create ();
     stepping = false;
     step = ignore;
   }
@@ -37,7 +34,7 @@ let send ch v =
 
 let recv ch =
   let ctx, v =
-    if Queue.is_empty ch.items then Engine.wait ch.reader
+    if Queue.is_empty ch.items then Engine.suspend_with add_reader ch.readers
     else Queue.take ch.items
   in
   Engine.set_ctx ctx;

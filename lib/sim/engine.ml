@@ -49,7 +49,7 @@ type t = {
   mutable sleep_for : int; (* the pending [Sleep]'s duration *)
   mutable on_sleep : ((unit, unit) continuation -> unit) option;
   mutable park_g : Obj.t;
-      (* the pending [Park]'s function, ['x -> 'a resumer -> unit] *)
+      (* the pending [Suspend]'s function, ['x -> 'a resumer -> unit] *)
   mutable park_x : Obj.t; (* and its argument, ['x] *)
   mutable on_park : ((Obj.t, unit) continuation -> unit) option;
 }
@@ -145,19 +145,10 @@ let abort r e =
     push_fail r e
   end
 
-(* What a suspending fiber hands the handler: the function of its
-   continuation, already in the [Some] the handler returns, so the
-   handler builds nothing per suspend. *)
-type 'a waiter = (('a, unit) continuation -> unit) option
-
-(* [Sleep] is a constant: [sleep] leaves its duration in the engine's
-   [sleep_for], so performing it allocates nothing. [Park] is one too:
-   [suspend_with] leaves its function and argument in [park_g] and
-   [park_x]. *)
-type _ Effect.t +=
-  | Sleep : unit Effect.t
-  | Suspend : 'a waiter -> 'a Effect.t
-  | Park : 'a Effect.t
+(* Both effects are constants, so performing one allocates nothing:
+   [sleep] leaves its duration in the engine's [sleep_for], and
+   [suspend_with] its function and argument in [park_g] and [park_x]. *)
+type _ Effect.t += Sleep : unit Effect.t | Suspend : 'a Effect.t
 
 (* First failure wins within an origin class, but a failure coming from the
    root fiber outranks one recorded earlier by a background fiber at the
@@ -172,8 +163,8 @@ let record_failure t ~root e =
 (* One handler per engine serves every unnamed fiber. OCaml applies the
    function [effc] returns before anything else runs, so [Sleep] can hand
    back the preallocated [on_sleep], which reads the duration [sleep]
-   left in [sleep_for], and a [waiter] can read the engine's clock and
-   context when it runs. *)
+   left in [sleep_for], and [Suspend] the preallocated [on_park], which
+   reads [park_g] and [park_x] and the suspending fiber's context. *)
 let make_handler t =
   {
     retc = (fun () -> ());
@@ -183,8 +174,7 @@ let make_handler t =
            ((a, unit) continuation -> unit) option ->
         match eff with
         | Sleep -> t.on_sleep
-        | Suspend w -> w
-        | Park ->
+        | Suspend ->
           (Obj.magic t.on_park : ((a, unit) continuation -> unit) option)
         | _ -> None);
   }
@@ -372,21 +362,11 @@ let spawn_with g x =
 
 let yield () = sleep 0
 
-(* Applied by the handler at the suspend, so [get ()] is the suspending
-   fiber's engine and its [ctx] the fiber's own. *)
-let waiter f x =
-  Some
-    (fun k ->
-      let t = get () in
-      f x { used = false; eng = t; r_ctx = t.ctx; k })
-
-let wait w = Effect.perform (Suspend w)
-
 let suspend_with (g : 'x -> 'a resumer -> unit) (x : 'x) : 'a =
   let t = get () in
   t.park_g <- Obj.repr g;
   t.park_x <- Obj.repr x;
-  Effect.perform Park
+  Effect.perform Suspend
 
 let suspend setup = suspend_with (fun f r -> f r) setup
 

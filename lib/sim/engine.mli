@@ -78,26 +78,13 @@ val suspend : ('a resumer -> unit) -> 'a
     The fiber resumes — at the instant {!resume}/{!abort} is called — with
     the provided value, or raises the provided exception. This is the
     primitive from which semaphores, wait groups and timers are built;
-    ivars use {!suspend_with} and channels {!wait}. *)
+    ivars and channels use {!suspend_with}. *)
 
 val suspend_with : ('b -> 'a resumer -> unit) -> 'b -> 'a
 (** [suspend_with g x] is [suspend (g x)] without the closure, as
     {!spawn_with} is to {!spawn}: the engine keeps [g] and [x] until the
-    suspend hands [g x] the resumer, so the suspend allocates only the
-    resumer. *)
-
-type 'a waiter
-(** A reusable suspension: what {!wait} hands the engine. *)
-
-val waiter : ('b -> 'a resumer -> unit) -> 'b -> 'a waiter
-(** [waiter f x] is the suspension that hands [f x] a fresh {!resumer}
-    each time a fiber {!wait}s on it. Build it once and keep it (a
-    channel keeps one for its readers), or build it per wait: either way
-    the engine allocates no closure of its own for the suspend. *)
-
-val wait : 'a waiter -> 'a
-(** [wait w] is {!suspend} on a prebuilt waiter: [wait (waiter f x)]
-    behaves as [suspend (f x)]. *)
+    suspend hands [g x] a fresh resumer, so the suspend allocates only
+    the resumer. *)
 
 val schedule : Time.t -> (unit -> unit) -> unit
 (** [schedule d f] arranges for [f] to run as a raw event [d] nanoseconds

@@ -84,12 +84,11 @@ let per_invoke ~n ~target =
       (* the events less the closing sleep's wake-up *)
       (per (w1 -. w0), per (float_of_int (e1 - e0 - 1)), f1 - f0))
 
-(* Measured at 85.4 words per invoke (x86-64, OCaml 5.1), plus ~10 %
+(* Measured at 82.4 words per invoke (x86-64, OCaml 5.1), plus ~10 %
    headroom: tight enough that the 118.9 measured while each syscall's
    handler built its steps as closures (its answer, its resolve's
    continuation, the invoke's start tuple and reply path) fails. The
-   same harness measured 88.4 while the invoke's posting acknowledgment
-   travelled as a (controller, reply path, value) triple, 128.9 while a synchronous syscall waited on an
+   same harness measured 128.9 while a synchronous syscall waited on an
    ivar through a waiter closure, 188.4 while the controller ran each
    syscall and each peer message but credits and copy chunks in a fiber
    of its own, 256.9 while each pending event was a boxed record in a
@@ -101,7 +100,7 @@ let per_invoke ~n ~target =
    endpoint, stats and metrics path, and 370 before list-free charges,
    one-capability resolves and the closure-free peer lookup; 133.9 while
    the fabric's size histogram built a closure per network message. *)
-let budget = 94.
+let budget = 91.
 
 let test_null_invoke_budget () =
   (* half of the invokes cross to the neighbour shard *)
@@ -199,7 +198,7 @@ let per_chunk ~n =
         stored,
         (float_of_int len, first, next) ))
 
-(* Measured at 13.8 minor words per chunk and no fiber (x86-64, OCaml
+(* Measured at 13.6 minor words per chunk and no fiber (x86-64, OCaml
    5.1). The budget leaves less than one word of headroom: a record of
    its own per chunk (a slice of the source, say) adds four words and
    fails here, and so does a fiber or a closure per chunk. The same
@@ -265,7 +264,7 @@ let per_small_copy ~n =
       let per x = x /. float_of_int n in
       (per (w1 -. w0), per (float_of_int (e1 - e0))))
 
-(* Measured at 215.6 minor words per single-chunk copy (x86-64, OCaml
+(* Measured at 207.6 minor words per single-chunk copy (x86-64, OCaml
    5.1), plus under three words: a closure built per copy (four words or
    more) fails here, though over a 64-chunk copy it would add less than
    a word per chunk. The same harness measured 287.6 while the syscall's
@@ -278,7 +277,7 @@ let per_small_copy ~n =
    events are pinned exactly:
    27, the idle sweep of the destination session among them (26 before
    sessions were swept). *)
-let small_copy_budget = 218.
+let small_copy_budget = 210.
 
 let small_copy_events = 27.
 
@@ -472,27 +471,27 @@ let per_syscall ~n name =
       Engine.sleep idle;
       (Gc.minor_words () -. w0) /. float_of_int n)
 
-(* Measured (x86-64, OCaml 5.1) at 40.7 words per null, 88.1 per
-   memory_create, 109.2 per memory_diminish, 214.8 per memory_copy, 99.1
-   per request_create, 102.2 per request_derive, 91.3 per
-   request_invoke, 83.2 per cap_create_revtree, 195.1 per cap_revoke and
-   45.1 per monitor call, each pinned at its figure plus three words.
+(* Measured (x86-64, OCaml 5.1) at 40.7 words per null, 84.1 per
+   memory_create, 105.2 per memory_diminish, 206.8 per memory_copy, 95.1
+   per request_create, 98.2 per request_derive, 88.3 per request_invoke,
+   79.2 per cap_create_revtree, 181.1 per cap_revoke and 41.1 per
+   monitor call, each pinned at its figure plus three words.
    While each handler built its steps as closures and a synchronous call
    waited on an ivar, the same harness read 59.7, 141.1, 211.2, 286.8,
    133.1, 154.2, 133.3, 153.2, 260.1 and 128.1. *)
 let syscall_budgets =
   [
     ("null", 43.7);
-    ("memory_create", 91.1);
-    ("memory_diminish", 112.2);
-    ("memory_copy", 217.8);
-    ("request_create", 102.1);
-    ("request_derive", 105.2);
-    ("request_invoke", 94.3);
-    ("cap_create_revtree", 86.2);
-    ("cap_revoke", 198.1);
-    ("monitor_delegate", 48.1);
-    ("monitor_receive", 48.1);
+    ("memory_create", 87.1);
+    ("memory_diminish", 108.2);
+    ("memory_copy", 209.8);
+    ("request_create", 98.1);
+    ("request_derive", 101.2);
+    ("request_invoke", 91.3);
+    ("cap_create_revtree", 82.2);
+    ("cap_revoke", 184.1);
+    ("monitor_delegate", 44.1);
+    ("monitor_receive", 44.1);
   ]
 
 let test_syscall_budget (name, budget) () =

@@ -1095,17 +1095,19 @@ let test_ctx_abort_preserves_awaiter () =
 (* Waiters and timed wakes                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One prebuilt waiter serves every wait on it: each wait gets a fresh
-   resumer carrying the waiting fiber's own context. *)
+(* One parking function and its argument serve every suspend on them:
+   each suspend gets a fresh resumer carrying the waiting fiber's own
+   context. *)
+let park q r = Queue.add r q
+
 let test_waiter_reusable () =
   Engine.run (fun () ->
       let parked = Queue.create () in
-      let w = Engine.waiter (fun q r -> Queue.add r q) parked in
       let got = ref [] in
       for f = 1 to 3 do
         Engine.spawn (fun () ->
             Engine.set_ctx (10 * f);
-            let v = Engine.wait w in
+            let v = Engine.suspend_with park parked in
             got := (v, Engine.get_ctx ()) :: !got)
       done;
       Engine.sleep 5;
