@@ -154,7 +154,7 @@ let fill_reply (r : _ reply) v =
    state its handler's steps share, and their argument (HACKING.md,
    "Writing a controller step"). [s_v] is the answer once there is one;
    a failed capability resolve leaves [s_entry] at [no_entry] and its
-   error there. The reply to the caller carries the record itself. *)
+   error in [s_v]. The answer's delivery carries the record itself. *)
 type 'a sys = {
   s_ctrl : ctrl;
   s_msg : syscall; (* for the handler's arguments *)

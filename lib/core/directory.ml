@@ -163,19 +163,7 @@ let mint_request ctrl ~provider ~tag ~imms ~caps ~parent =
       r_parent = parent;
     }
 
-(* Mint an object at [home] and wait (bounded) for its address, then
-   give the caller's [space] a capability to it and go on with [g x] on
-   the result. [make_msg key rr] is the placement message. The wait
-   mirrors the P_ref_inc ack discipline: if the home crashed or the reply
-   was dropped, the caller gets a typed [Timeout] — never a hang.
-
-   The home minted the object the moment it processed the message, so a
-   caller-side timeout leaves an orphan behind: the home guards every
-   placement with a lease (see [place_lease_arm]) and the caller confirms
-   receipt with a fire-and-forget [P_place_ack]. A timed-out (or
-   dropped-reply) placement is reclaimed by the home when its lease
-   expires; no caller-driven cancel is attempted because that cancel
-   could itself be lost to fault injection. *)
+(* One placement in flight: the argument of its reply path's step. *)
 type 'x placing = {
   pl_ctrl : ctrl;
   pl_home : ctrl;
@@ -221,6 +209,19 @@ let place_send (ctrl, home, space, make_msg, g, x) =
   send_peer ctrl home ~size:Wire.peer_fixed (make_msg key rr);
   await_timeout rr ~timeout:(config ctrl).peer_ack_timeout
 
+(* Mint an object at [home] and wait (bounded) for its address, then
+   give the caller's [space] a capability to it and go on with [g x] on
+   the result. [make_msg key rr] is the placement message. The wait
+   mirrors the P_ref_inc ack discipline: if the home crashed or the reply
+   was dropped, the caller gets a typed [Timeout] — never a hang.
+
+   The home minted the object the moment it processed the message, so a
+   caller-side timeout leaves an orphan behind: the home guards every
+   placement with a lease (see [place_lease_arm]) and the caller confirms
+   receipt with a fire-and-forget [P_place_ack]. A timed-out (or
+   dropped-reply) placement is reclaimed by the home when its lease
+   expires; no caller-driven cancel is attempted because that cancel
+   could itself be lost to fault injection. *)
 let place_remote ctrl (home : ctrl) space make_msg g x =
   charge_with ctrl [ (Net.Cost.Serialize, 1) ] place_send
     (ctrl, home, space, make_msg, g, x)
