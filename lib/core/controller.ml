@@ -124,8 +124,10 @@ let diminish_here s =
 let revtree_here s = child s (revtree s.s_ctrl s.s_entry.e_addr)
 let revoke_here s = revoke_at s.s_ctrl s.s_entry.e_addr owned s
 
-(* The owner's part here, or at [owner] after its charge: [here s] or
-   [send s]. *)
+(* The syscall's work at [owner], the owner of its object: [here s] when
+   that is this controller, else [send s] after the serialization's
+   charge. [at_owner s found] locates the owner and goes on with
+   [found s owner]. *)
 let route here send s owner =
   if owner == s.s_ctrl then here s
   else begin
@@ -171,11 +173,11 @@ let owned_send s =
         { addr; watcher = caller s; cb; reply = rreply ctrl owned s }
     | _ -> other s)
 
-let child_at s owner = route child_here child_send s owner
-let owned_at s owner = route owned_here owned_send s owner
-
 let at_owner s found =
   Directory.locate s.s_ctrl s.s_entry.e_addr ~err:answer_error found s
+
+let child_at s owner = route child_here child_send s owner
+let owned_at s owner = route owned_here owned_send s owner
 
 let mem_diminish s = if resolved s then at_owner s child_at else answer s
 
@@ -197,12 +199,8 @@ let send_pull s =
          reply = rreply s.s_ctrl answer_with s;
        })
 
-let pull_at s owner =
-  if owner == s.s_ctrl then Sim.Engine.schedule_with 0 pull_here s
-  else begin
-    s.s_owner <- owner;
-    charge_with s.s_ctrl serialize send_pull s
-  end
+let pull_locally s = Sim.Engine.schedule_with 0 pull_here s
+let pull_at s owner = route pull_locally send_pull s owner
 
 let mem_copy s =
   let ctrl = s.s_ctrl in
@@ -210,7 +208,7 @@ let mem_copy s =
   else if (config ctrl).hw_copies then
     Copy.hw_copy ctrl ~src:s.s_entry.e_addr ~dst:s.s_dst.e_addr
       (rreply ctrl answer_with s)
-  else Directory.locate ctrl s.s_entry.e_addr ~err:answer_error pull_at s
+  else at_owner s pull_at
 
 (* request_create / request_derive. A tuple is built right to left, so
    the space lookup's exception wins over a failed resolve. *)
@@ -267,20 +265,11 @@ let send_invoke s =
          reply = rreply s.s_ctrl answer_with s;
        })
 
-let invoke_at s owner =
-  if owner == s.s_ctrl then
-    (* ours, or we are the failover successor of the minter: run the
-       chain here (the lookup answers a foreign address with typed
-       Stale) *)
-    Sim.Engine.schedule_with 0 Invoke.start s
-  else begin
-    s.s_owner <- owner;
-    charge_with s.s_ctrl serialize send_invoke s
-  end
-
-let req_invoke s =
-  if not (resolved s) then answer s
-  else Directory.locate s.s_ctrl s.s_entry.e_addr ~err:answer_error invoke_at s
+(* ours, or we are the failover successor of the minter: the chain runs
+   here (the lookup answers a foreign address with typed Stale) *)
+let invoke_locally s = Sim.Engine.schedule_with 0 Invoke.start s
+let invoke_at s owner = route invoke_locally send_invoke s owner
+let req_invoke s = if resolved s then at_owner s invoke_at else answer s
 
 (* Here and in [revoke] the resolve runs (and charges) before the space
    lookup, whose error wins when both fail. Like diminish, revtree mints
