@@ -518,10 +518,32 @@ let ready calls =
   let count (_, kind, _) = (kind, Option.fold ~none:0 ~some:audited kind) in
   (ready, List.map count ready)
 
-let check_no_effect name kind k0 =
-  match kind with
-  | Some kind -> check_int (name ^ ": no effect") k0 (audited kind)
-  | None -> ()
+(* Each ready syscall in a fiber of its own, its answer in an ivar. *)
+let spawn_all ready =
+  List.map
+    (fun (_, _, call) ->
+      let iv = Ivar.create () in
+      Engine.spawn (fun () -> Ivar.fill iv (call ()));
+      iv)
+    ready
+
+(* Each of [ready]'s syscalls answered [Error expected] and acted not at
+   all. *)
+let check_failed expected ready kinds results =
+  List.iter2
+    (fun (name, _, _) iv ->
+      match Ivar.peek iv with
+      | Some (Error e) when e = expected -> ()
+      | Some (Ok ()) -> Alcotest.failf "%s: answered Ok" name
+      | Some (Error e) -> Alcotest.failf "%s: %s" name (Core.Error.to_string e)
+      | None -> Alcotest.failf "%s: never answered" name)
+    ready results;
+  List.iter2
+    (fun (name, _, _) (kind, k0) ->
+      match kind with
+      | Some kind -> check_int (name ^ ": no effect") k0 (audited kind)
+      | None -> ())
+    ready kinds
 
 (* Every syscall with the fabric duplicating every message: it acts once
    and answers once. The copy's bytes are counted once, and the
@@ -582,14 +604,7 @@ let test_syscalls_crashed_controller () =
   with_world (fun w calls ->
       let ready, kinds = ready calls in
       let n0 = answers w in
-      let results =
-        List.map
-          (fun (_, _, call) ->
-            let iv = Ivar.create () in
-            Engine.spawn (fun () -> Ivar.fill iv (call ()));
-            iv)
-          ready
-      in
+      let results = spawn_all ready in
       (* every syscall is posted, none has arrived *)
       let cfg = Core.Controller.config w.w_ca in
       Engine.sleep
@@ -598,18 +613,7 @@ let test_syscalls_crashed_controller () =
         + 1);
       Core.Controller.fail w.w_ca;
       Engine.sleep (Time.ms 1);
-      List.iter2
-        (fun (name, _, _) iv ->
-          match Ivar.peek iv with
-          | Some (Error Core.Error.Ctrl_unreachable) -> ()
-          | Some (Ok ()) -> Alcotest.failf "%s: answered Ok" name
-          | Some (Error e) ->
-            Alcotest.failf "%s: %s" name (Core.Error.to_string e)
-          | None -> Alcotest.failf "%s: never answered" name)
-        ready results;
-      List.iter2
-        (fun (name, _, _) (kind, k0) -> check_no_effect name kind k0)
-        ready kinds;
+      check_failed Core.Error.Ctrl_unreachable ready kinds results;
       check_int "no answer from the crashed controller" n0 (answers w))
 
 (* Every syscall shed at admission behind a burst that fills the
@@ -628,27 +632,9 @@ let test_syscalls_shed () =
       for _ = 1 to 16 do
         Engine.spawn (fun () -> ignore (Api.null w.w_pc))
       done;
-      let results =
-        List.map
-          (fun (_, _, call) ->
-            let iv = Ivar.create () in
-            Engine.spawn (fun () -> Ivar.fill iv (call ()));
-            iv)
-          ready
-      in
+      let results = spawn_all ready in
       Engine.sleep (Time.ms 1);
-      List.iter2
-        (fun (name, _, _) iv ->
-          match Ivar.peek iv with
-          | Some (Error Core.Error.Overloaded) -> ()
-          | Some (Ok ()) -> Alcotest.failf "%s: answered Ok" name
-          | Some (Error e) ->
-            Alcotest.failf "%s: %s" name (Core.Error.to_string e)
-          | None -> Alcotest.failf "%s: never answered" name)
-        ready results;
-      List.iter2
-        (fun (name, _, _) (kind, k0) -> check_no_effect name kind k0)
-        ready kinds)
+      check_failed Core.Error.Overloaded ready kinds results)
 
 (* ------------------------------------------------------------------ *)
 (* Local (loopback) sends ignore Drop/Duplicate                        *)
