@@ -247,7 +247,7 @@ if [ -n "$bad" ]; then
   exit 1
 fi
 
-echo "== closures on the copy data path and the syscall path"
+echo "== closures on the copy data path, the syscall path and the message path"
 # The copy engine's and the syscall handlers' steps take their activity's
 # record as their argument (HACKING.md, "Hot path"): a closure passed to
 # a step builds one per copy, per chunk or per syscall. So
@@ -256,8 +256,13 @@ echo "== closures on the copy data path and the syscall path"
 # a chunk_span call, and lib/core/controller.ml, capspace.ml and invoke.ml
 # may not pass one to charge_with, charge_plus, charged_resolve1,
 # charged_resolve2, Directory.locate or rreply, except inside a span
-# call: only traced runs make those (bin/step_closures.awk). Comments and
-# strings are blanked first (bin/code_only.awk).
+# call: only traced runs make those (bin/step_closures.awk). A posted
+# message allocates only its own value, so lib/net/endpoint.ml may not
+# pass one to Fabric.send_with or Fabric.send_with_n, and
+# lib/sim/channel.ml none to Engine.schedule_with, Engine.resume_in,
+# Engine.resume or Engine.suspend_with; neither file has a traced
+# branch, so no call is exempt. Comments and strings are blanked first
+# (bin/code_only.awk).
 closures() {
   awk -f bin/code_only.awk "$1" |
     awk -v file="$1" -v traced="$2" -v names="$3" -f bin/step_closures.awk
@@ -269,10 +274,14 @@ bad=$(closures lib/core/copy.ml chunk_span \
       for f in lib/core/controller.ml lib/core/capspace.ml lib/core/invoke.ml
       do
         closures "$f" span "$syscall_steps"
-      done)
+      done
+      closures lib/net/endpoint.ml "" "Fabric.send_with Fabric.send_with_n"
+      channel_steps="Engine.schedule_with Engine.resume_in Engine.resume"
+      closures lib/sim/channel.ml "" "$channel_steps Engine.suspend_with")
 if [ -n "$bad" ]; then
   echo "$bad"
-  echo "pass a step defined once and the copy, session or syscall record instead"
+  echo "pass a step defined once and the copy, session, syscall or message"
+  echo "record instead"
   exit 1
 fi
 

@@ -426,41 +426,44 @@ let revoke_at ctrl addr g x =
 (* Memory diminish / revtree at the owner                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The Memory object at [addr] (we are its owner), looked up through any
-   indirection: the object the address names and the extent it resolves
-   to. [not_memory] is the [Bad_argument] text for any other kind. *)
+(* The extent of the Memory object [obj] (we are its owner), looked up
+   through any indirection. [not_memory] is the [Bad_argument] text for
+   any other kind. Failures raise [Error.Fractos], so a hit allocates
+   nothing. *)
+let extent ctrl obj ~not_memory =
+  match (Objects.resolve_payload ctrl obj).o_kind with
+  | O_memory m -> m
+  | O_request _ | O_indirect ->
+    raise (Error.Fractos (Error.Bad_argument not_memory))
+
+(* The extent of the Memory object at [addr]; raises as [extent]. *)
 let find_memory ctrl addr ~not_memory =
-  match Objects.find ctrl addr with
-  | exception Error.Fractos e -> Error e
-  | obj -> (
-    match Objects.resolve_payload ctrl obj with
-    | exception Error.Fractos e -> Error e
-    | payload -> (
-      match payload.o_kind with
-      | O_memory m -> Ok (obj, m)
-      | O_request _ | O_indirect -> Error (Error.Bad_argument not_memory)))
+  extent ctrl (Objects.find ctrl addr) ~not_memory
 
 (* The owner's side of a diminish and of a revtree, after their charges
    ([diminish_cost], [revtree_cost]): the child object's address. *)
 let diminish_cost = [ (Net.Cost.Lookup, 2) ]
 
 let diminish ctrl addr ~off ~len ~drop =
-  match
-    find_memory ctrl addr ~not_memory:"memory_diminish on a non-Memory object"
-  with
-  | Error e -> Error e
-  | Ok (obj, m) ->
-    if off < 0 || len < 0 || off + len > m.m_len then Error Error.Bounds
-    else
-      Ok
-        (Objects.add_memory ctrl ~parent:obj
-           {
-             m_buf = m.m_buf;
-             m_off = m.m_off + off;
-             m_len = len;
-             m_perms = Perms.drop m.m_perms ~drop;
-             m_owner = m.m_owner;
-           })
+  match Objects.find ctrl addr with
+  | exception Error.Fractos e -> Error e
+  | obj -> (
+    match
+      extent ctrl obj ~not_memory:"memory_diminish on a non-Memory object"
+    with
+    | exception Error.Fractos e -> Error e
+    | m ->
+      if off < 0 || len < 0 || off + len > m.m_len then Error Error.Bounds
+      else
+        Ok
+          (Objects.add_memory ctrl ~parent:obj
+             {
+               m_buf = m.m_buf;
+               m_off = m.m_off + off;
+               m_len = len;
+               m_perms = Perms.drop m.m_perms ~drop;
+               m_owner = m.m_owner;
+             }))
 
 let revtree_cost = [ (Net.Cost.Lookup, 1) ]
 

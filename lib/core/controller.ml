@@ -445,9 +445,8 @@ let serve_peer ((ctrl, msg, k) as x) =
   | P_mon_receive { addr; watcher; cb; reply } ->
     rreply_to ctrl reply (do_mon_receive ctrl ~watcher ~cb addr) k
   | P_copy_pull { src; dst; reply } -> Copy.do_copy_pull ctrl ~src ~dst reply k
-  | P_copy_open { copy_id; dst; base; total; chunk; reply } ->
-    Copy.on_open ctrl ~copy_id ~dst ~base ~total ~chunk ~reply k
-  | P_copy_chunk { copy_id; chunk } -> Copy.on_chunk ctrl ~copy_id ~chunk k
+  | P_copy_open _ -> Copy.on_open x
+  | P_copy_chunk _ -> Copy.on_chunk ctrl msg k
   | P_place_mem { buf; off; len; perms; owner; key; reply } ->
     Directory.place_at_home ctrl reply ~key
       (Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner)
@@ -489,7 +488,7 @@ let peer_kind =
    once, without the charge's argument tuple: it is the per-chunk path. *)
 let dispatch_peer ctrl msg k =
   match msg with
-  | P_copy_chunk { copy_id; chunk } -> Copy.on_chunk ctrl ~copy_id ~chunk k
+  | P_copy_chunk _ -> Copy.on_chunk ctrl msg k
   | _ -> charge_with ctrl (snd (peer_kind msg)) serve_peer (ctrl, msg, k)
 
 let handle_peer ctrl msg =
@@ -516,7 +515,8 @@ let reject_peer msg =
   | P_mon_delegate { reply; _ } -> kill reply
   | P_mon_receive { reply; _ } -> kill reply
   | P_copy_pull { reply; _ } -> kill reply
-  | P_copy_open { chunk; _ } | P_copy_chunk { chunk; _ } -> kill chunk.ck_last
+  | P_copy_open { chunk; _ } -> kill (Copy.chunk_last chunk)
+  | P_copy_chunk { last; _ } -> kill last
   | P_place_mem { reply; _ } -> kill reply
   | P_place_req { reply; _ } -> kill reply
   | P_place_ack _ -> ()

@@ -36,20 +36,40 @@ let n_chunks total chunk =
 
 let chunk_len total chunk i = min chunk (total - (i * chunk))
 
+(* A chunk is its own peer message, a [P_copy_chunk], from its post to
+   its write-out (the open carries the first one). The functions below
+   read and write its fields; [no_chunk] ends a session's queue and is
+   what a closed session holds in place of its last chunk. *)
+let rec no_chunk =
+  P_copy_chunk
+    {
+      copy_id = 0;
+      off = 0;
+      pin = Membuf.no_pin;
+      last = No_reply;
+      next = no_chunk;
+      ctx = 0;
+    }
+
+let not_chunk () = invalid_arg "Copy: not a copy chunk"
+let chunk_off = function P_copy_chunk c -> c.off | _ -> not_chunk ()
+let chunk_last = function P_copy_chunk c -> c.last | _ -> not_chunk ()
+
 (* The bytes chunk [ck] of a [total]-byte copy still carries: none once
    written or dropped. *)
-let ck_len ctrl ~total ck =
-  if ck.ck_pin == Membuf.no_pin then 0
-  else min (config ctrl).bounce_chunk (total - ck.ck_off)
-
-(* What a closed session holds in place of its last chunk. *)
-let no_chunk = { ck_off = 0; ck_pin = Membuf.no_pin; ck_last = No_reply }
+let ck_len ctrl ~total = function
+  | P_copy_chunk c ->
+    if c.pin == Membuf.no_pin then 0
+    else min (config ctrl).bounce_chunk (total - c.off)
+  | _ -> not_chunk ()
 
 (* Release a chunk that will not be written. Emptying it keeps a
    duplicate of its message from releasing the pin twice. *)
-let drop_chunk ck =
-  Membuf.unpin ck.ck_pin;
-  ck.ck_pin <- Membuf.no_pin
+let drop_chunk = function
+  | P_copy_chunk c ->
+    Membuf.unpin c.pin;
+    c.pin <- Membuf.no_pin
+  | _ -> not_chunk ()
 
 (* Staging memcpy of [len] bytes through a bounce buffer, charged to the
    controller's cores; [g x] follows. *)
@@ -72,12 +92,13 @@ let chunk_span ctrl name ~off ~len body k =
 (* A chunk that will not be written releases its pin; the final chunk
    carries [e] to the caller. A session rejected at open gets its parked
    error back with its final chunk. *)
-let drop_with ctrl e (ck : copy_chunk) k =
+let drop_with ctrl e ck k =
   drop_chunk ck;
-  if has_reply ck.ck_last then rreply_to ctrl ck.ck_last (Error e) k else k ()
+  let last = chunk_last ck in
+  if has_reply last then rreply_to ctrl last (Error e) k else k ()
 
-let reject_chunk ctrl ~copy_id e (ck : copy_chunk) k =
-  if has_reply ck.ck_last then Hashtbl.remove ctrl.copy_failures copy_id;
+let reject_chunk ctrl ~copy_id e ck k =
+  if has_reply (chunk_last ck) then Hashtbl.remove ctrl.copy_failures copy_id;
   drop_with ctrl e ck k
 
 (* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
@@ -126,10 +147,13 @@ let schedule_failure_sweep ctrl copy_id =
    duplicate delivery that slipped past the endpoint's dedup window
    finds nothing to write. *)
 let write_chunk dst_mem ~base ~total ck len =
-  Membuf.write_pin dst_mem.m_buf ~off:(dst_mem.m_off + ck.ck_off) ck.ck_pin
-    ~src_off:(base + ck.ck_off) ~len
-    ~whole:(ck.ck_off = 0 && total = Membuf.size dst_mem.m_buf);
-  ck.ck_pin <- Membuf.no_pin
+  match ck with
+  | P_copy_chunk c ->
+    Membuf.write_pin dst_mem.m_buf ~off:(dst_mem.m_off + c.off) c.pin
+      ~src_off:(base + c.off) ~len
+      ~whole:(c.off = 0 && total = Membuf.size dst_mem.m_buf);
+    c.pin <- Membuf.no_pin
+  | _ -> not_chunk ()
 
 (* Destination side: one writer per copy session, taking in-order chunks
    (a few steps each), staging them through the bounce buffer and
@@ -138,10 +162,23 @@ let write_chunk dst_mem ~base ~total ck len =
    coverage (a middle chunk was dropped by fault injection — the endpoint
    layer already absorbs duplicates), it must answer with a typed error,
    not ack a silent hole. Fault-free sessions always cover [total]
-   exactly. The session record is the steps' argument: a session builds
-   one closure, its receive step, and a chunk none (HACKING.md, "Hot
-   path"). *)
-let rec receive s = Sim.Channel.recv_then s.cs_chan s.cs_recv
+   exactly. The session record is the steps' argument, and its chunks
+   wait for the writer in a queue linked through the chunks themselves,
+   so neither a session nor a chunk builds a closure or allocates queue
+   storage (HACKING.md, "Hot path").
+
+   [receive] takes the oldest waiting chunk, under the trace context it
+   was queued under, as a channel's reader would; with none waiting, the
+   writer waits and [feed] wakes it with an event of its own. *)
+let rec receive s =
+  match s.cs_head with
+  | P_copy_chunk c as ck when ck != no_chunk ->
+    s.cs_head <- c.next;
+    if c.next == no_chunk then s.cs_tail <- no_chunk;
+    c.next <- no_chunk;
+    Sim.Engine.set_ctx c.ctx;
+    write s ck
+  | _ -> s.cs_waiting <- true
 
 and write s ck =
   let len = ck_len s.cs_ctrl ~total:s.cs_total ck in
@@ -149,7 +186,7 @@ and write s ck =
   s.cs_ck <- ck;
   s.cs_len <- len;
   if Obs.Span.enabled () then
-    chunk_span s.cs_ctrl "ctrl.copy.write" ~off:ck.ck_off ~len
+    chunk_span s.cs_ctrl "ctrl.copy.write" ~off:(chunk_off ck) ~len
       (fun k ->
         s.cs_after <- k;
         store s)
@@ -180,7 +217,7 @@ and stored s =
 
 and written s =
   s.cs_last <- Sim.Engine.now ();
-  let rr = s.cs_ck.ck_last in
+  let rr = chunk_last s.cs_ck in
   if s.cs_closed then ()
   else if not (has_reply rr) then receive s
   else begin
@@ -210,19 +247,42 @@ let rec idle_sweep s =
       reclaim_orphan ctrl ctrl.copy_sessions s.cs_copy_id "session";
       s.cs_closed <- true;
       if ctrl.running then rreply_to ctrl s.cs_rr (Error Error.Timeout) stop;
-      let rec drain () =
-        match Sim.Channel.try_recv s.cs_chan with
-        | Some ck ->
+      let rec drain = function
+        | P_copy_chunk c as ck when ck != no_chunk ->
+          let next = c.next in
+          c.next <- no_chunk;
           drop_chunk ck;
-          drain ()
-        | None -> ()
+          drain next
+        | _ -> ()
       in
-      drain ()
+      drain s.cs_head;
+      s.cs_head <- no_chunk;
+      s.cs_tail <- no_chunk
     end
   | Some _ | None -> ()
 
+(* Queue chunk [ck] for session [s]'s writer under the current trace
+   context, waking the writer if it waits. A chunk already queued (a
+   duplicate that slipped past the endpoint's dedup window while its
+   first delivery waited) is left where it is. *)
+let feed s ck =
+  match ck with
+  | P_copy_chunk c ->
+    if c.next == no_chunk && s.cs_tail != ck then begin
+      c.ctx <- Sim.Engine.get_ctx ();
+      (match s.cs_tail with
+      | P_copy_chunk t when s.cs_tail != no_chunk -> t.next <- ck
+      | _ -> s.cs_head <- ck);
+      s.cs_tail <- ck;
+      if s.cs_waiting then begin
+        s.cs_waiting <- false;
+        Sim.Engine.schedule_with 0 receive s
+      end
+    end
+  | _ -> not_chunk ()
+
 let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck rr =
-  let rec s =
+  let s =
     {
       cs_ctrl = ctrl;
       cs_copy_id = copy_id;
@@ -230,8 +290,9 @@ let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck rr =
       cs_total = total;
       cs_dst = dst_mem;
       cs_rr = rr;
-      cs_chan = Sim.Channel.create ();
-      cs_recv = (fun ck -> write s ck);
+      cs_head = no_chunk;
+      cs_tail = no_chunk;
+      cs_waiting = false;
       cs_received = 0;
       cs_ck = ck;
       cs_len = 0;
@@ -259,23 +320,30 @@ let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck rr =
    nothing: a store into the source afterwards (after a revoke, say)
    copies the source's bytes instead, so it never reaches the
    destination. One record holds the copy's state and is its steps'
-   argument, so the loop builds no closure untraced (HACKING.md, "Hot
+   argument from the set-up's first charge on, so neither the set-up nor
+   the loop builds a closure or a tuple untraced (HACKING.md, "Hot
    path"). *)
 type outgoing = {
   cp_ctrl : ctrl;
-  cp_mem : mem;
+  cp_src : addr;
+  mutable cp_mem : mem option; (* the source's extent, once checked *)
   cp_dst : addr;
   mutable cp_dst_ctrl : ctrl; (* once routed *)
   mutable cp_copy_id : int; (* minted once routed *)
   cp_rr : unit rreply;
   cp_k : unit -> unit; (* after the last chunk is posted *)
-  cp_n : int; (* chunks *)
+  mutable cp_n : int; (* chunks, once the source is checked *)
   mutable cp_i : int; (* the chunk in hand *)
   mutable cp_after : unit -> unit; (* as [cs_after] *)
 }
 
+let cp_src_mem c =
+  match c.cp_mem with
+  | Some m -> m
+  | None -> invalid_arg "Copy: the source is not checked yet"
+
 let cp_chunk c = (config c.cp_ctrl).bounce_chunk
-let cp_len c = chunk_len c.cp_mem.m_len (cp_chunk c) c.cp_i
+let cp_len c = chunk_len (cp_src_mem c).m_len (cp_chunk c) c.cp_i
 
 let rec next c =
   if c.cp_i = c.cp_n then c.cp_k ()
@@ -299,21 +367,25 @@ and read c =
   if len = 0 then post c
   else
     Net.Fabric.transfer_then c.cp_ctrl.fabric
-      ~src:c.cp_mem.m_buf.Membuf.node ~dst:c.cp_ctrl.cnode ~cls:Net.Stats.Data
-      ~size:len staged c
+      ~src:(cp_src_mem c).m_buf.Membuf.node ~dst:c.cp_ctrl.cnode
+      ~cls:Net.Stats.Data ~size:len staged c
 
 and staged c = stage c.cp_ctrl (cp_len c) post c
 
 and post c =
-  let ctrl = c.cp_ctrl and m = c.cp_mem and len = cp_len c in
+  let ctrl = c.cp_ctrl and m = cp_src_mem c and len = cp_len c in
   let ck =
-    {
-      ck_off = c.cp_i * cp_chunk c;
-      ck_pin =
-        (if len = 0 then Membuf.no_pin
-         else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len);
-      ck_last = (if c.cp_i = c.cp_n - 1 then c.cp_rr else No_reply);
-    }
+    P_copy_chunk
+      {
+        copy_id = c.cp_copy_id;
+        off = c.cp_i * cp_chunk c;
+        pin =
+          (if len = 0 then Membuf.no_pin
+           else Membuf.pin m.m_buf ~off:m.m_off ~len:m.m_len);
+        last = (if c.cp_i = c.cp_n - 1 then c.cp_rr else No_reply);
+        next = no_chunk;
+        ctx = 0;
+      }
   in
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode c.cp_dst_ctrl.peer_ep
     ~cls:Net.Stats.Data ~size:(len + Wire.chunk_header)
@@ -327,7 +399,7 @@ and post c =
            chunk = ck;
            reply = c.cp_rr;
          }
-     else P_copy_chunk { copy_id = c.cp_copy_id; chunk = ck });
+     else ck);
   Obs.Metrics.incr_by ctrl.cm.cm_copy_bytes len;
   if not (config ctrl).double_buffering then
     (* strict serial chunks: wait out the wire time before reading the
@@ -345,10 +417,9 @@ and chunk_sent c =
     after ()
   end
 
-(* The copy's set-up at the source, as steps over its arguments and then
-   over its record: the charges, the source's checks and the routing of
-   the destination. *)
-let pull_unrouted c e = rreply_to c.cp_ctrl c.cp_rr (Error e) c.cp_k
+(* The copy's set-up at the source, as steps over its record: the
+   charges, the source's checks and the routing of the destination. *)
+let pull_failed c e = rreply_to c.cp_ctrl c.cp_rr (Error e) c.cp_k
 
 let pull_routed c dst_ctrl =
   incr next_copy_id;
@@ -356,42 +427,45 @@ let pull_routed c dst_ctrl =
   c.cp_copy_id <- !next_copy_id;
   next c
 
-let pull_source (ctrl, src, dst, rr, k) =
+let pull_source c =
+  let ctrl = c.cp_ctrl in
   match
-    Capspace.find_memory ctrl src ~not_memory:"memory_copy source is not Memory"
+    Capspace.find_memory ctrl c.cp_src
+      ~not_memory:"memory_copy source is not Memory"
   with
-  | Error e -> rreply_to ctrl rr (Error e) k
-  | Ok (_, m) when not m.m_perms.Perms.read ->
-    rreply_to ctrl rr (Error Error.Perm_denied) k
-  | Ok (_, m) when not m.m_owner.alive ->
+  | exception Error.Fractos e -> pull_failed c e
+  | m when not m.m_perms.Perms.read -> pull_failed c Error.Perm_denied
+  | m when not m.m_owner.alive ->
     (* symmetric with on_open's destination check: never read a dead
        owner's buffer *)
-    rreply_to ctrl rr (Error Error.Provider_dead) k
-  | Ok (_, m) ->
+    pull_failed c Error.Provider_dead
+  | m ->
+    c.cp_mem <- Some m;
+    c.cp_n <- n_chunks m.m_len (config ctrl).bounce_chunk;
     (* destination routing goes through the shard directory too: a
        self-successor destination loops back through our own peer
        endpoint, where the open fails typed-Stale and the final chunk
        carries the error home *)
-    Directory.locate ctrl dst ~err:pull_unrouted pull_routed
-      {
-        cp_ctrl = ctrl;
-        cp_mem = m;
-        cp_dst = dst;
-        cp_dst_ctrl = ctrl;
-        cp_copy_id = 0;
-        cp_rr = rr;
-        cp_k = k;
-        cp_n = n_chunks m.m_len (config ctrl).bounce_chunk;
-        cp_i = 0;
-        cp_after = stop;
-      }
+    Directory.locate ctrl c.cp_dst ~err:pull_failed pull_routed c
 
-let pull_lookup ((ctrl, _, _, _, _) as p) =
-  charge_with ctrl [ (Net.Cost.Lookup, 2) ] pull_source p
+let pull_lookup c =
+  charge_with c.cp_ctrl [ (Net.Cost.Lookup, 2) ] pull_source c
 
 let copy_pull ctrl ~src ~dst (rr : unit rreply) k =
   charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup pull_lookup
-    (ctrl, src, dst, rr, k)
+    {
+      cp_ctrl = ctrl;
+      cp_src = src;
+      cp_mem = None;
+      cp_dst = dst;
+      cp_dst_ctrl = ctrl;
+      cp_copy_id = 0;
+      cp_rr = rr;
+      cp_k = k;
+      cp_n = 0;
+      cp_i = 0;
+      cp_after = stop;
+    }
 
 let do_copy_pull ctrl ~src ~dst (rr : unit rreply) k =
   if Obs.Span.enabled () then
@@ -446,9 +520,9 @@ let hw_resolve ctrl addr k =
   | exception Error.Fractos e -> k (Error e)
   | owner -> (
     match Capspace.find_memory owner addr ~not_memory:"not memory" with
-    | Error e -> k (Error e)
-    | Ok (_, m) when owner == ctrl -> k (Ok m)
-    | Ok (_, m) ->
+    | exception Error.Fractos e -> k (Error e)
+    | m when owner == ctrl -> k (Ok m)
+    | m ->
       Net.Fabric.transfer_then ctrl.fabric ~src:ctrl.cnode ~dst:owner.cnode
         ~size:Wire.peer_fixed extent_back (ctrl, owner, k, m))
 
@@ -487,31 +561,39 @@ let open_failed ctrl ~copy_id ~chunk ~reply e k =
   schedule_failure_sweep ctrl copy_id;
   each (reject_chunk ctrl ~copy_id e) chunks k
 
-(* The destination's extent, if a copy may write [total] bytes to it *)
+(* The destination's extent, if a copy may write [total] bytes to it;
+   raises [Error.Fractos] otherwise *)
 let writable ctrl dst ~total =
-  match
+  let m =
     Capspace.find_memory ctrl dst
       ~not_memory:"memory_copy destination is not Memory"
-  with
-  | Ok (_, m) when not m.m_perms.Perms.write -> Error Error.Perm_denied
-  | Ok (_, m) when total > m.m_len -> Error Error.Bounds
-  | Ok (_, m) when not m.m_owner.alive -> Error Error.Provider_dead
-  | Ok (_, m) -> Ok m
-  | Error e -> Error e
+  in
+  if not m.m_perms.Perms.write then raise (Error.Fractos Error.Perm_denied)
+  else if total > m.m_len then raise (Error.Fractos Error.Bounds)
+  else if not m.m_owner.alive then raise (Error.Fractos Error.Provider_dead)
+  else m
 
-let on_open ctrl ~copy_id ~dst ~base ~total ~chunk ~reply k =
-  charge ctrl [ (Net.Cost.Lookup, 2) ] (fun () ->
-      match writable ctrl dst ~total with
-      | Error e -> open_failed ctrl ~copy_id ~chunk ~reply e k
-      | Ok m ->
-        let s = start_copy_session ctrl ~copy_id ~base ~total m chunk reply in
-        Sim.Channel.send s.cs_chan chunk;
-        (match Hashtbl.find_opt ctrl.copy_pending copy_id with
-        | Some q ->
-          Hashtbl.remove ctrl.copy_pending copy_id;
-          Queue.iter (Sim.Channel.send s.cs_chan) q
-        | None -> ());
-        k ())
+(* The open after its lookups' charge, a step over the peer handler's
+   [(ctrl, msg, k)] *)
+let opened (ctrl, msg, k) =
+  match msg with
+  | P_copy_open { copy_id; dst; base; total; chunk; reply } -> (
+    match writable ctrl dst ~total with
+    | exception Error.Fractos e -> open_failed ctrl ~copy_id ~chunk ~reply e k
+    | m ->
+      let s = start_copy_session ctrl ~copy_id ~base ~total m chunk reply in
+      feed s chunk;
+      (match Hashtbl.find_opt ctrl.copy_pending copy_id with
+      | Some q ->
+        Hashtbl.remove ctrl.copy_pending copy_id;
+        Queue.iter (feed s) q
+      | None -> ());
+      k ())
+  | _ -> invalid_arg "Copy.opened"
+
+let on_open x =
+  let ctrl, _, _ = x in
+  charge_with ctrl [ (Net.Cost.Lookup, 2) ] opened x
 
 (* [P_copy_chunk]: feed the open session, answer a rejected one, or park
    the chunk while the open is still being processed (handlers run
@@ -519,25 +601,28 @@ let on_open ctrl ~copy_id ~dst ~base ~total ~chunk ~reply k =
    chunk's reply is a charged step of its own. The session lookup raises
    on a miss rather than box a hit in [Some]: a hit is the per-chunk
    path. *)
-let on_chunk ctrl ~copy_id ~chunk k =
-  (match Hashtbl.find ctrl.copy_sessions copy_id with
-  | s ->
-    s.cs_last <- Sim.Engine.now ();
-    Sim.Channel.send s.cs_chan chunk
-  | exception Not_found -> (
-    match Hashtbl.find_opt ctrl.copy_failures copy_id with
-    | Some (e, _) -> reject_chunk ctrl ~copy_id e chunk stop
-    | None ->
-      let q =
-        match Hashtbl.find_opt ctrl.copy_pending copy_id with
-        | Some q -> q
-        | None ->
-          let q = Queue.create () in
-          Hashtbl.replace ctrl.copy_pending copy_id q;
-          (* a lost open (fault injection) would park these forever:
-             reclaim after copy_open_timeout *)
-          schedule_pending_sweep ctrl copy_id q;
-          q
-      in
-      Queue.add chunk q));
+let on_chunk ctrl ck k =
+  (match ck with
+  | P_copy_chunk { copy_id; _ } -> (
+    match Hashtbl.find ctrl.copy_sessions copy_id with
+    | s ->
+      s.cs_last <- Sim.Engine.now ();
+      feed s ck
+    | exception Not_found -> (
+      match Hashtbl.find_opt ctrl.copy_failures copy_id with
+      | Some (e, _) -> reject_chunk ctrl ~copy_id e ck stop
+      | None ->
+        let q =
+          match Hashtbl.find_opt ctrl.copy_pending copy_id with
+          | Some q -> q
+          | None ->
+            let q = Queue.create () in
+            Hashtbl.replace ctrl.copy_pending copy_id q;
+            (* a lost open (fault injection) would park these forever:
+               reclaim after copy_open_timeout *)
+            schedule_pending_sweep ctrl copy_id q;
+            q
+        in
+        Queue.add ck q))
+  | _ -> not_chunk ());
   k ()

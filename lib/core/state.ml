@@ -68,7 +68,7 @@ and ctrl = {
   copy_failures : (int, Error.t * unit rreply) Hashtbl.t;
       (* sessions rejected at open; the error is replied on the last chunk,
          or over the open's reply path if that chunk never comes *)
-  copy_pending : (int, copy_chunk Queue.t) Hashtbl.t;
+  copy_pending : (int, peer_msg Queue.t) Hashtbl.t;
       (* chunks that overtook their session's open (handlers run
          concurrently; delivery order alone does not serialize them);
          reclaimed after Config.copy_open_timeout *)
@@ -338,14 +338,30 @@ and peer_msg =
       dst : addr;
       base : int; (* the source view's offset in its buffer *)
       total : int;
-      chunk : copy_chunk;
+      chunk : peer_msg; (* the first chunk, a [P_copy_chunk] *)
       reply : unit rreply;
     }
       (* Optimistic session open: the first data chunk carries the session
          parameters, saving the begin/ack round trip; validation failures
          surface on the final chunk's reply. The reply path, which the
          final chunk carries too, is for the open's sweeps (Copy). *)
-  | P_copy_chunk of { copy_id : int; chunk : copy_chunk }
+  | P_copy_chunk of {
+      copy_id : int;
+      off : int; (* the chunk's offset in the copy *)
+      mutable pin : Membuf.pin;
+          (* the source's store as staged, shared by the copy's chunks;
+             the destination writer writes the chunk's range of it and
+             leaves [Membuf.no_pin] here. The length follows from [off],
+             the copy's total and [bounce_chunk], and the source offset
+             from the session's base. *)
+      last : unit rreply; (* the final chunk carries the caller's ack *)
+      mutable next : peer_msg;
+          (* the chunk behind it in its session's queue, or [Copy.no_chunk] *)
+      mutable ctx : int; (* the trace context it was queued under *)
+    }
+      (* One record per chunk from its post to its write-out: the message
+         is the chunk, and it waits in its session's queue through its
+         own [next] link (Copy). *)
   | P_place_mem of {
       buf : Membuf.t;
       off : int;
@@ -377,17 +393,6 @@ and peer_msg =
          Without it the home cannot tell a confirmed placement from one
          whose caller timed out, and the minted object would leak. *)
 
-and copy_chunk = {
-  ck_off : int;
-  mutable ck_pin : Membuf.pin;
-      (* the source's store as staged, shared by the copy's chunks; the
-         destination writer writes the chunk's range of it and leaves
-         [Membuf.no_pin] here. The length follows from [ck_off], the
-         copy's total and [bounce_chunk], and the source offset from the
-         session's base. *)
-  ck_last : unit rreply; (* the final chunk carries the caller's ack *)
-}
-
 (* A copy session at its destination: the writer's state, which its
    steps take as their argument (Copy.start_copy_session). *)
 and copy_session = {
@@ -397,10 +402,11 @@ and copy_session = {
   cs_total : int;
   cs_dst : mem;
   mutable cs_rr : unit rreply; (* the caller's, from the open *)
-  cs_chan : copy_chunk Sim.Channel.t;
-  cs_recv : copy_chunk -> unit; (* the writer's receive step *)
+  mutable cs_head : peer_msg; (* the chunks waiting for the writer, *)
+  mutable cs_tail : peer_msg; (* linked through their [next] fields *)
+  mutable cs_waiting : bool; (* the writer waits for a chunk *)
   mutable cs_received : int; (* bytes delivered so far *)
-  mutable cs_ck : copy_chunk; (* the chunk being written *)
+  mutable cs_ck : peer_msg; (* the chunk being written *)
   mutable cs_len : int; (* and its length *)
   mutable cs_after : unit -> unit;
       (* the chunk span's continuation in traced runs, else

@@ -7,6 +7,7 @@ type 'a t = {
   dup_discards : Obs.Metrics.counter;
   capacity : int; (* 0 = unbounded *)
   mutable overflow : ('a -> bool) option;
+  arrive : 'a -> int -> unit; (* [arrive ep], built once *)
 }
 
 (* Sliding dedup window, modeling an RDMA RC endpoint's PSN check: each
@@ -15,27 +16,8 @@ type 'a t = {
    discarded at the receiver. *)
 let window = 1024
 
-let create ~node ?(capacity = 0) name =
-  {
-    name;
-    node;
-    chan = Sim.Channel.create ();
-    next_seq = 0;
-    seen = Dedup.create ~window;
-    dup_discards =
-      Obs.Metrics.counter ~node:node.Node.name "net.dup_discards";
-    capacity;
-    overflow = None;
-  }
-
-let set_overflow ep f = ep.overflow <- Some f
-
-(* One posted message in flight: what the static [arrive] needs at the
-   receive side, so a post allocates this record and its delivery event
-   but no closure. *)
-type 'a arrival = { ep : 'a t; seq : int; msg : 'a }
-
-let arrive { ep; seq; msg } =
+(* A posted message at its arrival instant, with its sequence number. *)
+let arrive ep msg seq =
   if not (Dedup.admit ep.seen seq) then Obs.Metrics.incr ep.dup_discards
   else begin
     (* Admission control at the receive queue: above [capacity] the
@@ -50,10 +32,32 @@ let arrive { ep; seq; msg } =
     else Sim.Channel.send ep.chan msg
   end
 
+let create ~node ?(capacity = 0) name =
+  let rec ep =
+    {
+      name;
+      node;
+      chan = Sim.Channel.create ();
+      next_seq = 0;
+      seen = Dedup.create ~window;
+      dup_discards =
+        Obs.Metrics.counter ~node:node.Node.name "net.dup_discards";
+      capacity;
+      overflow = None;
+      arrive = (fun msg seq -> arrive ep msg seq);
+    }
+  in
+  ep
+
+let set_overflow ep f = ep.overflow <- Some f
+
+(* The delivery event carries the endpoint's own arrival step, the
+   message and its sequence number, so a post allocates nothing beyond
+   the message; a duplicate carries the same number. *)
 let post fab ~src ep ?cls ~size msg =
   let seq = ep.next_seq in
   ep.next_seq <- seq + 1;
-  Fabric.send_with fab ~src ~dst:ep.node ?cls ~size arrive { ep; seq; msg }
+  Fabric.send_with_n fab ~src ~dst:ep.node ?cls ~size ep.arrive msg seq
 
 let recv ep = Sim.Channel.recv ep.chan
 

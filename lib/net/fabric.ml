@@ -191,6 +191,21 @@ let send_with t ~src ~dst ?(cls = Stats.Control) ~size g x =
     if dup_at >= 0 then Sim.Engine.schedule_with (dup_at - now) g x
   end
 
+(* [send_with] with an int beside [x], for a message and its sequence
+   number ([Endpoint.post]) *)
+let send_with_n t ~src ~dst ?(cls = Stats.Control) ~size g x n =
+  let at = book t ~src ~dst ~cls ~size in
+  if at >= 0 then begin
+    let sp = t.xfer_span and dup_at = t.dup_at in
+    let now = Sim.Engine.now () in
+    if sp = 0 then Sim.Engine.schedule_with_n (at - now) g x n
+    else
+      Sim.Engine.schedule (at - now) (fun () ->
+          Obs.Span.finish sp;
+          g x n);
+    if dup_at >= 0 then Sim.Engine.schedule_with_n (dup_at - now) g x n
+  end
+
 let send t ~src ~dst ?cls ~size deliver =
   send_with t ~src ~dst ?cls ~size deliver ()
 

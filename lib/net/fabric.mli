@@ -102,6 +102,20 @@ val send_with :
     twice; a delivery that must absorb the duplicate keeps its own flag
     in [x]. *)
 
+val send_with_n :
+  t ->
+  src:Node.t ->
+  dst:Node.t ->
+  ?cls:Stats.cls ->
+  size:int ->
+  ('a -> int -> unit) ->
+  'a ->
+  int ->
+  unit
+(** [send_with_n t ~src ~dst ~size g x n] is {!send_with} for a delivery
+    that takes an int beside [x]: it runs [g x n], and a duplicate runs
+    it again with the same [n] (see {!Sim.Engine.schedule_with_n}). *)
+
 val transfer :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit
 (** Blocking variant of {!send}: returns when the message has arrived.

@@ -8,7 +8,12 @@
     Each message additionally carries the sender's fiber-local trace
     context ({!Engine.get_ctx}); {!recv} and {!try_recv} adopt it in the
     receiving fiber, so distributed traces follow requests across the
-    queues that connect layers. *)
+    queues that connect layers.
+
+    Messages wait in a ring that grows by doubling, and a taken message
+    is not kept alive by it. Sending and receiving allocate nothing once
+    the ring has grown, apart from {!try_recv}'s option and the resumer
+    of a fiber that blocks in {!recv}. *)
 
 type 'a t
 

@@ -4,14 +4,18 @@ open Effect.Deep
 
 (* Pending events live unboxed in the engine's slot arrays: slot [s]
    holds an event's kind, the trace context [dispatch] restores before
-   running it, and at most two payload fields, [a.(s)] and [b.(s)]. The
+   running it, at most two payload fields, [a.(s)] and [b.(s)], and an
+   int, [n.(s)], which only [Call_with_n] reads. The
    heap orders slot ids by [(time, seq)], and freed slots go back on the
    [free] stack, so scheduling an event allocates nothing once the pool
    has grown to the working set. A resumer is itself the context and
    continuation of the suspended fiber, so [Resume] and [Fail] need only
-   point at it. [Call_with] and [Spawn_with] carry a function and its
-   argument instead of a closure over them, and so does [Relay], whose
-   dispatch pushes that [Call_with] at its own instant.
+   point at it, and a [Resume] may run under another context than the
+   fiber's own ([resume_in]). [Call_with] and [Spawn_with] carry a
+   function and its argument instead of a closure over them, and so does
+   [Relay], whose dispatch pushes that [Call_with] at its own instant;
+   [Call_with_n] carries an int beside them, such as a message's
+   sequence number.
 
    The payload arrays are [Obj.t array]s because most kinds are
    existential: the kind stored in a slot determines its payload types,
@@ -23,6 +27,7 @@ type kind =
   | Wake (* a: (unit, unit) continuation *)
   | Call (* a: unit -> unit *)
   | Call_with (* a: 'x -> unit; b: 'x *)
+  | Call_with_n (* a: 'x -> int -> unit; b: 'x; n *)
   | Relay (* a: 'x -> unit; b: 'x, pushed on as a [Call_with] *)
   | Spawn (* a: unit -> unit; b: string option, the fiber's name *)
   | Spawn_with (* a: 'x -> unit; b: 'x *)
@@ -35,6 +40,7 @@ type t = {
   mutable ev_ctx : int array;
   mutable a : Obj.t array;
   mutable b : Obj.t array;
+  mutable n : int array;
   mutable free : int array; (* free slot ids, a stack of [nfree] *)
   mutable nfree : int;
   mutable now : int;
@@ -63,6 +69,20 @@ and 'a resumer = {
 
 let empty = Obj.repr 0
 
+(* Value slots for a polymorphic ring that must empty a slot it takes
+   from without a value of ['a] at hand ([Channel]). Like the event
+   payloads, they are made with an immediate, so they are never flat
+   float arrays, and an empty slot holds [empty]. *)
+type 'a slots = Obj.t array
+
+let slots n : 'a slots = Array.make n empty
+let set_slot (a : 'a slots) i (v : 'a) = a.(i) <- Obj.repr v
+
+let take_slot (a : 'a slots) i : 'a =
+  let v = a.(i) in
+  a.(i) <- empty;
+  Obj.obj v
+
 (* The running engine, if any: engines do not nest. *)
 let current : t option ref = ref None
 
@@ -85,15 +105,16 @@ let grow t =
   t.ev_ctx <- extend t.ev_ctx 0;
   t.a <- extend t.a empty;
   t.b <- extend t.b empty;
+  t.n <- extend t.n 0;
   t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
   t.nfree <- n
 
-(* Take a free slot for an event of [kind] with payloads [a] and [b]
-   ([empty] for a one-field kind), and queue it at [time] (never before
-   [now]). The typed pushes below are its only callers. A slot id on the
-   free stack is below the pool's length, so the slot accesses here and
-   in [dispatch] skip the bounds checks. *)
-let enqueue t ~time kind ctx a b =
+(* Take a free slot for an event of [kind] with payloads [a], [b] and
+   [n] ([empty] and 0 for the fields a kind does not read), and queue it
+   at [time] (never before [now]). The typed pushes below are its only
+   callers. A slot id on the free stack is below the pool's length, so
+   the slot accesses here and in [dispatch] skip the bounds checks. *)
+let enqueue_n t ~time kind ctx a b n =
   if t.nfree = 0 then grow t;
   let s = t.free.(t.nfree - 1) in
   t.nfree <- t.nfree - 1;
@@ -101,9 +122,12 @@ let enqueue t ~time kind ctx a b =
   Array.unsafe_set t.ev_ctx s ctx;
   Array.unsafe_set t.a s a;
   Array.unsafe_set t.b s b;
+  Array.unsafe_set t.n s n;
   let time = if time < t.now then t.now else time in
   t.seq <- t.seq + 1;
   Heap.push t.heap ~time ~seq:t.seq s
+
+let enqueue t ~time kind ctx a b = enqueue_n t ~time kind ctx a b 0
 
 let push_wake t ~time ctx (k : (unit, unit) continuation) =
   enqueue t ~time Wake ctx (Obj.repr k) empty
@@ -114,6 +138,9 @@ let push_call t ~time ctx (f : unit -> unit) =
 let push_call_with t ~time ctx (g : 'x -> unit) (x : 'x) =
   enqueue t ~time Call_with ctx (Obj.repr g) (Obj.repr x)
 
+let push_call_with_n t ~time ctx (g : 'x -> int -> unit) (x : 'x) n =
+  enqueue_n t ~time Call_with_n ctx (Obj.repr g) (Obj.repr x) n
+
 let push_relay t ~time ctx (g : 'x -> unit) (x : 'x) =
   enqueue t ~time Relay ctx (Obj.repr g) (Obj.repr x)
 
@@ -123,9 +150,9 @@ let push_spawn t ctx (name : string option) (f : unit -> unit) =
 let push_spawn_with t ctx (g : 'x -> unit) (x : 'x) =
   enqueue t ~time:t.now Spawn_with ctx (Obj.repr g) (Obj.repr x)
 
-let push_resume (r : 'x resumer) (v : 'x) =
+let push_resume ctx (r : 'x resumer) (v : 'x) =
   let t = r.eng in
-  enqueue t ~time:t.now Resume r.r_ctx (Obj.repr r) (Obj.repr v)
+  enqueue t ~time:t.now Resume ctx (Obj.repr r) (Obj.repr v)
 
 let push_fail (r : 'x resumer) (e : exn) =
   let t = r.eng in
@@ -133,11 +160,13 @@ let push_fail (r : 'x resumer) (e : exn) =
 
 (* Continuations are one-shot; the [used] flag makes a second [resume]
    or [abort] a no-op. *)
-let resume r v =
+let resume_in ctx r v =
   if not r.used then begin
     r.used <- true;
-    push_resume r v
+    push_resume ctx r v
   end
+
+let resume r v = resume_in r.r_ctx r v
 
 let abort r e =
   if not r.used then begin
@@ -228,6 +257,7 @@ let create () =
       ev_ctx = Array.make initial_slots 0;
       a = Array.make initial_slots empty;
       b = Array.make initial_slots empty;
+      n = Array.make initial_slots 0;
       free = Array.init initial_slots (fun i -> initial_slots - 1 - i);
       nfree = initial_slots;
       now = 0;
@@ -257,7 +287,8 @@ let create () =
 let dispatch t s =
   let kind = Array.unsafe_get t.kind s
   and a = Array.unsafe_get t.a s
-  and b = Array.unsafe_get t.b s in
+  and b = Array.unsafe_get t.b s
+  and n = Array.unsafe_get t.n s in
   t.ctx <- Array.unsafe_get t.ev_ctx s;
   Array.unsafe_set t.a s empty;
   Array.unsafe_set t.b s empty;
@@ -267,6 +298,7 @@ let dispatch t s =
   | Wake -> continue (Obj.obj a : (unit, unit) continuation) ()
   | Call -> (Obj.obj a : unit -> unit) ()
   | Call_with -> (Obj.obj a : Obj.t -> unit) b
+  | Call_with_n -> (Obj.obj a : Obj.t -> int -> unit) b n
   | Relay -> push_call_with t ~time:t.now t.ctx (Obj.obj a : Obj.t -> unit) b
   | Spawn -> exec t ?name:(Obj.obj b : string option) (Obj.obj a : unit -> unit)
   | Spawn_with ->
@@ -379,6 +411,11 @@ let schedule_with d g x =
   let t = get () in
   let d = if d < 0 then 0 else d in
   push_call_with t ~time:(t.now + d) t.ctx g x
+
+let schedule_with_n d g x n =
+  let t = get () in
+  let d = if d < 0 then 0 else d in
+  push_call_with_n t ~time:(t.now + d) t.ctx g x n
 
 let relay_with d g x =
   let t = get () in

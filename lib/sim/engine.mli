@@ -69,6 +69,11 @@ val resume : 'a resumer -> 'a -> unit
     any effect; later calls are no-ops. Safe to call from any fiber or
     scheduled event. *)
 
+val resume_in : int -> 'a resumer -> 'a -> unit
+(** [resume_in ctx r v] is {!resume} with the fiber woken under trace
+    context [ctx] instead of its own: how {!Channel} hands a waiting
+    reader a message with its sender's context, with no pair. *)
+
 val abort : 'a resumer -> exn -> unit
 (** [abort r e] makes the fiber suspended on [r] raise [e] instead; same
     one-shot rule as {!resume}. *)
@@ -94,6 +99,11 @@ val schedule : Time.t -> (unit -> unit) -> unit
 val schedule_with : Time.t -> ('a -> unit) -> 'a -> unit
 (** [schedule_with d g x] is [schedule d (fun () -> g x)] without the
     closure, as {!spawn_with} is to {!spawn}. *)
+
+val schedule_with_n : Time.t -> ('a -> int -> unit) -> 'a -> int -> unit
+(** [schedule_with_n d g x n] is [schedule d (fun () -> g x n)] without
+    the closure: the event carries the int [n] beside [g] and [x], as
+    [Net.Endpoint.post] passes a message and its sequence number. *)
 
 val relay_with : Time.t -> ('a -> unit) -> 'a -> unit
 (** [relay_with d g x] runs [g x] one event late: [d] nanoseconds from
@@ -133,3 +143,20 @@ val get_ctx : unit -> int
 val set_ctx : int -> unit
 (** Replace the current fiber's trace context (no-op outside an engine).
     Callers are expected to save and restore around scoped use. *)
+
+(** {2 Value slots}
+
+    The storage of {!Channel}'s ring: an array of ['a] values whose slots
+    can be emptied, so that a taken message is not kept alive, without a
+    value of ['a] to fill them with. *)
+
+type 'a slots
+
+val slots : int -> 'a slots
+(** [slots n] is [n] empty slots. *)
+
+val set_slot : 'a slots -> int -> 'a -> unit
+
+val take_slot : 'a slots -> int -> 'a
+(** [take_slot a i] returns the value in slot [i] and empties the slot.
+    The slot must hold a value: taking from an empty slot is undefined. *)

@@ -84,8 +84,11 @@ let per_invoke ~n ~target =
       (* the events less the closing sleep's wake-up *)
       (per (w1 -. w0), per (float_of_int (e1 - e0 - 1)), f1 - f0))
 
-(* Measured at 82.4 words per invoke (x86-64, OCaml 5.1), plus ~10 %
-   headroom: tight enough that the 118.9 measured while each syscall's
+(* Measured at 69.4 words per invoke (x86-64, OCaml 5.1), plus ~10 %
+   headroom: tight enough that the 82.4 measured while each posted
+   message built an arrival record and each message that waited in a
+   channel a pair and a queue cell fails, and so does the 118.9 measured
+   while each syscall's
    handler built its steps as closures (its answer, its resolve's
    continuation, the invoke's start tuple and reply path) fails. The
    same harness measured 128.9 while a synchronous syscall waited on an
@@ -100,7 +103,7 @@ let per_invoke ~n ~target =
    endpoint, stats and metrics path, and 370 before list-free charges,
    one-capability resolves and the closure-free peer lookup; 133.9 while
    the fabric's size histogram built a closure per network message. *)
-let budget = 91.
+let budget = 76.
 
 let test_null_invoke_budget () =
   (* half of the invokes cross to the neighbour shard *)
@@ -198,11 +201,14 @@ let per_chunk ~n =
         stored,
         (float_of_int len, first, next) ))
 
-(* Measured at 13.6 minor words per chunk and no fiber (x86-64, OCaml
+(* Measured at 8.6 minor words per chunk and no fiber (x86-64, OCaml
    5.1). The budget leaves less than one word of headroom: a record of
    its own per chunk (a slice of the source, say) adds four words and
    fails here, and so does a fiber or a closure per chunk. The same
-   harness measured 14.9 words while the syscall's reply path built
+   harness measured 13.6 words while each post built an arrival record,
+   each chunk message boxed a chunk record of its own and each chunk that
+   waited for its session's writer a pair and a queue cell, 14.9 while
+   the syscall's reply path built
    closures and the caller waited on an ivar, 15.4 while the copy's
    set-up built closures,
    20.5 while the fabric's size histogram built a closure per network
@@ -219,7 +225,7 @@ let per_chunk ~n =
    while a copy's chunks shared a pin record), and 277 words and one
    fiber per chunk before chunk messages ran as engine events and
    transfers as timed wakes. *)
-let copy_budget = 14.
+let copy_budget = 9.
 
 (* Engine events per chunk, pinned exactly as for an invoke: 657 per
    64-chunk copy, its open, chunks and completion, and the destination
@@ -264,10 +270,15 @@ let per_small_copy ~n =
       let per x = x /. float_of_int n in
       (per (w1 -. w0), per (float_of_int (e1 - e0))))
 
-(* Measured at 207.6 minor words per single-chunk copy (x86-64, OCaml
+(* Measured at 141.6 minor words per single-chunk copy (x86-64, OCaml
    5.1), plus under three words: a closure built per copy (four words or
    more) fails here, though over a 64-chunk copy it would add less than
-   a word per chunk. The same harness measured 287.6 while the syscall's
+   a word per chunk. The same harness measured 207.6 while each post
+   built an arrival record, the copy's set-up carried a tuple through
+   its charges and boxed its lookups' results, and each destination
+   session built a channel and a receive closure (212.6 with the
+   channel's queue in ring arrays that each session grew), 287.6 while
+   the syscall's
    handler built its steps as closures, its reply path held a closure
    and the caller waited on an ivar, 321.6 while the source's
    set-up charges and routing were closures and the open built a list of
@@ -277,7 +288,7 @@ let per_small_copy ~n =
    events are pinned exactly:
    27, the idle sweep of the destination session among them (26 before
    sessions were swept). *)
-let small_copy_budget = 210.
+let small_copy_budget = 144.
 
 let small_copy_events = 27.
 
@@ -471,27 +482,32 @@ let per_syscall ~n name =
       Engine.sleep idle;
       (Gc.minor_words () -. w0) /. float_of_int n)
 
-(* Measured (x86-64, OCaml 5.1) at 40.7 words per null, 84.1 per
-   memory_create, 105.2 per memory_diminish, 206.8 per memory_copy, 95.1
-   per request_create, 98.2 per request_derive, 88.3 per request_invoke,
-   79.2 per cap_create_revtree, 181.1 per cap_revoke and 41.1 per
+(* Measured (x86-64, OCaml 5.1) at 36.7 words per null, 80.1 per
+   memory_create, 96.2 per memory_diminish, 140.8 per memory_copy, 91.1
+   per request_create, 94.2 per request_derive, 77.3 per request_invoke,
+   75.2 per cap_create_revtree, 177.1 per cap_revoke and 37.1 per
    monitor call, each pinned at its figure plus three words.
-   While each handler built its steps as closures and a synchronous call
-   waited on an ivar, the same harness read 59.7, 141.1, 211.2, 286.8,
-   133.1, 154.2, 133.3, 153.2, 260.1 and 128.1. *)
+   While each post built an arrival record (4 words per message), each
+   message that waited in a channel a pair and a queue cell, a memory
+   lookup boxed its result and a copy's set-up and session built a tuple,
+   a channel and closures, the same harness read 40.7, 84.1, 105.2,
+   206.8, 95.1, 98.2, 88.3, 79.2, 181.1 and 41.1; while each handler
+   built its steps as closures and a synchronous call waited on an ivar,
+   59.7, 141.1, 211.2, 286.8, 133.1, 154.2, 133.3, 153.2, 260.1 and
+   128.1. *)
 let syscall_budgets =
   [
-    ("null", 43.7);
-    ("memory_create", 87.1);
-    ("memory_diminish", 108.2);
-    ("memory_copy", 209.8);
-    ("request_create", 98.1);
-    ("request_derive", 101.2);
-    ("request_invoke", 91.3);
-    ("cap_create_revtree", 82.2);
-    ("cap_revoke", 184.1);
-    ("monitor_delegate", 44.1);
-    ("monitor_receive", 44.1);
+    ("null", 39.7);
+    ("memory_create", 83.1);
+    ("memory_diminish", 99.2);
+    ("memory_copy", 143.8);
+    ("request_create", 94.1);
+    ("request_derive", 97.2);
+    ("request_invoke", 80.3);
+    ("cap_create_revtree", 78.2);
+    ("cap_revoke", 180.1);
+    ("monitor_delegate", 40.1);
+    ("monitor_receive", 40.1);
   ]
 
 let test_syscall_budget (name, budget) () =

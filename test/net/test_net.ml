@@ -391,6 +391,89 @@ let test_endpoint_dedups_duplicates () =
       Engine.sleep (Time.ms 10);
       check_int "later messages still flow" 2 (Endpoint.pending ep))
 
+(* Posted messages a receiver has taken so far, in arrival order *)
+let drain ep =
+  let rec go acc =
+    match Endpoint.try_recv ep with Some v -> go (v :: acc) | None -> acc
+  in
+  List.rev (go [])
+
+let dup_discards node =
+  Fractos_obs.Metrics.counter_value
+    (Fractos_obs.Metrics.counter ~node "net.dup_discards")
+
+(* The fabric duplicates every message but one in five, which it delays
+   instead, so it arrives behind later posts. The receiver still takes
+   each post exactly once, and counts each discarded copy: the duplicate
+   carries its post's sequence number in its delivery event. *)
+let test_endpoint_once_under_dups_and_delays () =
+  with_fabric (fun fab ->
+      let a, b, _ = three_nodes fab in
+      let ep = Endpoint.create ~node:b "b-svc" in
+      let k = ref 0 and dups = ref 0 in
+      Fabric.set_fault_hook fab
+        (Some
+           (fun ~src:_ ~dst:_ ~cls:_ ~size:_ ->
+             incr k;
+             if !k mod 5 = 3 then Fabric.Delay 1_500
+             else begin
+               incr dups;
+               Fabric.Duplicate
+             end));
+      let discards0 = dup_discards "b" in
+      let n = 300 in
+      for i = 0 to n - 1 do
+        Endpoint.post fab ~src:a ep ~size:64 i
+      done;
+      Engine.sleep (Time.ms 10);
+      let got = drain ep in
+      Alcotest.(check (list int))
+        "each post once" (List.init n Fun.id) (List.sort compare got);
+      check_bool "the delays reordered some" true (got <> List.init n Fun.id);
+      check_int "every duplicate discarded" !dups
+        (dup_discards "b" - discards0))
+
+(* The dedup window holds the last 1024 admitted sequence numbers, so a
+   duplicate admitted after more than 1024 later posts is delivered a
+   second time: the receiver sees what an RDMA RC endpoint's PSN window
+   would let through. At 1 Tb/s a 64-byte post serializes in 1 ns, so
+   1 100 posts behind a duplicated one all arrive before its second copy,
+   one base latency after its first; 1 000 of them do not push it out. *)
+let late_duplicate ~behind =
+  Engine.run (fun () ->
+      let fab =
+        Fabric.create
+          ~config:{ Config.default with net_bandwidth_bps = 1_000_000_000_000 }
+          ()
+      in
+      let a, b, _ = three_nodes fab in
+      let ep = Endpoint.create ~node:b "b-svc" in
+      let first = ref true in
+      Fabric.set_fault_hook fab
+        (Some
+           (fun ~src:_ ~dst:_ ~cls:_ ~size:_ ->
+             if !first then begin
+               first := false;
+               Fabric.Duplicate
+             end
+             else Fabric.Pass));
+      let discards0 = dup_discards "b" in
+      for i = 0 to behind do
+        Endpoint.post fab ~src:a ep ~size:4 i
+      done;
+      Engine.sleep (Time.ms 1);
+      let got = drain ep in
+      ( List.length (List.filter (fun v -> v = 0) got),
+        dup_discards "b" - discards0 ))
+
+let test_endpoint_late_duplicate () =
+  let copies, discards = late_duplicate ~behind:1_100 in
+  check_int "a duplicate past the window is delivered again" 2 copies;
+  check_int "and not counted as discarded" 0 discards;
+  let copies, discards = late_duplicate ~behind:1_000 in
+  check_int "a duplicate inside the window is delivered once" 1 copies;
+  check_int "and counted" 1 discards
+
 (* A [transfer_then] that delivers at the same instant as a [send_with]
    on another link and two timers runs its step after every event pushed
    before its delivery event ran, whether or not spans are on: untraced,
@@ -808,6 +891,10 @@ let () =
             test_relay_keeps_order;
           Alcotest.test_case "endpoint dedup" `Quick
             test_endpoint_dedups_duplicates;
+          Alcotest.test_case "endpoint once under dups and delays" `Quick
+            test_endpoint_once_under_dups_and_delays;
+          Alcotest.test_case "endpoint admits a duplicate past the window"
+            `Quick test_endpoint_late_duplicate;
         ] );
       ( "trace",
         [

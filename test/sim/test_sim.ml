@@ -774,7 +774,12 @@ let test_engine_fifo_across_growth () =
    5.1). A boxed event of 3 or more words fails either pin. *)
 let test_engine_event_alloc () =
   let n = 10_000 in
-  let schedule_words, relay_words, transfer_words, sleep_words =
+  let ( schedule_words,
+        relay_words,
+        transfer_words,
+        sleep_words,
+        channel_words,
+        post_words ) =
     Engine.run (fun () ->
         let hits = ref 0 in
         let hit (_ : int) = incr hits in
@@ -814,24 +819,58 @@ let test_engine_event_alloc () =
             Engine.sleep 1
           done
         in
-        (* grow the slot pool and the heap to the working set *)
+        (* a queued message: sent with no reader waiting, then received,
+           eight at a time on a channel whose ring has grown to them *)
+        let ch = Channel.create () in
+        let channel () =
+          for i = 1 to n / 8 do
+            for j = 1 to 8 do
+              Channel.send ch ((8 * i) + j)
+            done;
+            for _ = 1 to 8 do
+              hit (Channel.recv ch)
+            done
+          done
+        in
+        (* a posted message, delivered through the endpoint's dedup to a
+           waiting step; an int allocates nothing of its own *)
+        let ep = Fractos_net.Endpoint.create ~node:b "ep" in
+        let rec served (v : int) =
+          hit v;
+          Fractos_net.Endpoint.recv_then ep served
+        in
+        Fractos_net.Endpoint.recv_then ep served;
+        let post () =
+          for i = 1 to n do
+            Fractos_net.Endpoint.post fab ~src:a ep ~size:64 i
+          done
+        in
+        (* grow the slot pool and the heap to the working set, the ring,
+           and the dedup window (1024 sequence numbers) *)
         ignore (window schedule : float);
         ignore (window transfer : float);
+        ignore (window channel : float);
+        ignore (window post : float);
         let empty = window ignore in
         let per f = (window f -. empty) /. float_of_int n in
         let s = per schedule and r = per relay and t = per transfer in
-        check_int "every event ran" (5 * n) !hits;
-        (s, r, t, per sleep))
+        let c = per channel and p = per post in
+        check_int "every event ran" (9 * n) !hits;
+        (s, r, t, per sleep, c, p))
   in
   Printf.printf
     "minor words per schedule_with: %.3f, per relay_with: %.3f, per \
-     untraced transfer_then: %.3f, per sleep: %.3f\n"
-    schedule_words relay_words transfer_words sleep_words;
+     untraced transfer_then: %.3f, per sleep: %.3f, per queued channel \
+     message: %.3f, per untraced Endpoint.post: %.3f\n"
+    schedule_words relay_words transfer_words sleep_words channel_words
+    post_words;
   Alcotest.(check (float 0.)) "schedule_with words" 0. schedule_words;
   Alcotest.(check (float 0.)) "relay_with words" 0. relay_words;
   Alcotest.(check (float 0.))
     "untraced transfer_then words" 0. transfer_words;
-  Alcotest.(check (float 0.)) "sleep words" 2. sleep_words
+  Alcotest.(check (float 0.)) "sleep words" 2. sleep_words;
+  Alcotest.(check (float 0.)) "queued send and recv words" 0. channel_words;
+  Alcotest.(check (float 0.)) "untraced Endpoint.post words" 0. post_words
 
 let test_time_seconds_pp () =
   Alcotest.(check string) "s" "1.500s" (Time.to_string (Time.ms 1500));
@@ -1066,6 +1105,131 @@ let test_ctx_channel_adopts_sender () =
       Engine.set_ctx 9;
       let _ = Channel.recv ch in
       check_int "receiver adopted sender ctx" 3 (Engine.get_ctx ()))
+
+(* The channel against a [Queue] model, over random interleavings of
+   [send], a fiber's [recv], [recv_then] and [try_recv]. The main fiber
+   yields after each operation, so a woken reader or step has taken its
+   message before the next one. Each send runs under a trace context of
+   its own, and each receive must adopt it. A [recv] while a step waits,
+   or a [recv_then] while anyone waits, is skipped: the channel allows
+   one step at a time and none beside fibers. With sends weighted above
+   receives, the ring grows with its head anywhere and wraps around. *)
+type chan_op = Send | Recv | Recv_then | Try_recv
+
+let chan_op_name = function
+  | Send -> "send"
+  | Recv -> "recv"
+  | Recv_then -> "recv_then"
+  | Try_recv -> "try_recv"
+
+let channel_matches_model ops =
+  Engine.run (fun () ->
+      let ch = Channel.create () in
+      (* queued [(v, ctx)]s, and the receivers waiting, oldest first *)
+      let items = Queue.create () and waiting = Queue.create () in
+      let step_waits = ref false and sent = ref 0 and ok = ref true in
+      let expected = ref [] and got = ref [] in
+      let receiver id v = got := (id, v, Engine.get_ctx ()) :: !got in
+      let expect id (v, ctx) = expected := (id, v, ctx) :: !expected in
+      List.iteri
+        (fun id op ->
+          Engine.set_ctx 0;
+          (match op with
+          | Send -> (
+            incr sent;
+            let m = (!sent, 1000 + !sent) in
+            Engine.set_ctx (snd m);
+            Channel.send ch (fst m);
+            match Queue.take_opt waiting with
+            | Some r ->
+              step_waits := false;
+              expect r m
+            | None -> Queue.add m items)
+          | Recv when not !step_waits -> (
+            Engine.spawn (fun () ->
+                Engine.set_ctx (-1);
+                receiver id (Channel.recv ch));
+            match Queue.take_opt items with
+            | Some m -> expect id m
+            | None -> Queue.add id waiting)
+          | Recv_then when Queue.is_empty waiting -> (
+            Channel.recv_then ch (receiver id);
+            match Queue.take_opt items with
+            | Some m -> expect id m
+            | None ->
+              step_waits := true;
+              Queue.add id waiting)
+          | Try_recv -> (
+            match (Channel.try_recv ch, Queue.take_opt items) with
+            | Some v, Some (v', ctx) ->
+              if v <> v' || Engine.get_ctx () <> ctx then ok := false
+            | None, None -> ()
+            | _ -> ok := false)
+          | Recv | Recv_then -> ());
+          Engine.yield ();
+          let fibers = if !step_waits then 0 else Queue.length waiting in
+          if
+            Channel.length ch <> Queue.length items
+            || Channel.waiters ch <> fibers
+          then ok := false)
+        ops;
+      !ok && List.rev !got = List.rev !expected)
+
+let prop_channel_matches_model =
+  let ops =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun w ->
+      list_size (int_range 0 300)
+        (frequency
+           [
+             (w, return Send);
+             (2, return Recv);
+             (1, return Recv_then);
+             (2, return Try_recv);
+           ]))
+  in
+  QCheck.Test.make
+    ~name:"channel matches a FIFO model and adopts the sender's ctx"
+    ~count:200
+    (QCheck.make ~print:(QCheck.Print.list chan_op_name) ops)
+    channel_matches_model
+
+(* A message taken from the ring is not kept alive by it: the slot it
+   waited in is emptied, before and after the ring grows. *)
+let test_channel_no_retention () =
+  let w = Weak.create 2 in
+  let collected i =
+    Gc.full_major ();
+    not (Weak.check w i)
+  in
+  Engine.run (fun () ->
+      let ch = Channel.create () in
+      (* built out of line, so no local of this fiber holds them *)
+      let[@inline never] send_tracked i =
+        let m = ref i in
+        Weak.set w i (Some m);
+        Channel.send ch m
+      in
+      let[@inline never] send_untracked () = Channel.send ch (ref (-1)) in
+      let[@inline never] take () =
+        ignore (Sys.opaque_identity (Channel.recv ch))
+      in
+      send_tracked 0;
+      send_untracked ();
+      take ();
+      check_bool "taken message collected" true (collected 0);
+      (* ten queued messages outgrow the first eight slots *)
+      for _ = 1 to 8 do
+        send_untracked ()
+      done;
+      send_tracked 1;
+      for _ = 1 to 10 do
+        take ()
+      done;
+      send_untracked ();
+      check_int "still queued" 1 (Channel.length ch);
+      check_bool "message taken after growth collected" true (collected 1);
+      ignore (Sys.opaque_identity ch))
 
 let test_ctx_ivar_preserves_awaiter () =
   Engine.run (fun () ->
@@ -1493,6 +1657,9 @@ let () =
           Alcotest.test_case "receiver order" `Quick
             test_channel_multiple_receivers_fifo;
           Alcotest.test_case "try_recv" `Quick test_channel_try_recv;
+          Alcotest.test_case "taken message not retained" `Quick
+            test_channel_no_retention;
+          qtest prop_channel_matches_model;
         ] );
       ( "resource",
         [
