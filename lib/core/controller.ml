@@ -654,7 +654,9 @@ let shard_mark ctrl live =
    receive per message. Each handler runs as an event of its own at the
    current instant, the heap slot a fiber's start would take, so
    same-instant events keep their order. The loop's functions, [handle
-   ctrl] among them, are built once per loop. *)
+   ctrl] among them, are built once per loop. A queued message is taken
+   with [recv_then], which hands it over at once and, unlike [try_recv],
+   boxes nothing. *)
 let service_loop ctrl ep handle reject =
   let cfg = config ctrl in
   let batch = max 1 cfg.Net.Config.ctrl_batch in
@@ -665,12 +667,10 @@ let service_loop ctrl ep handle reject =
     else Sim.Engine.schedule_with 0 handle msg
   in
   let rec drain k =
-    if k < batch then
-      match Net.Endpoint.try_recv ep with
-      | Some msg ->
-        dispatch msg;
-        drain (k + 1)
-      | None -> ()
+    if k < batch && Net.Endpoint.pending ep > 0 then begin
+      Net.Endpoint.recv_then ep dispatch;
+      drain (k + 1)
+    end
   in
   let rec rung msg =
     dispatch msg;

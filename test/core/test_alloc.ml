@@ -516,6 +516,50 @@ let test_syscall_budget (name, budget) () =
   if words > budget then
     Alcotest.failf "%.1f minor words per %s, budget %.1f" words name budget
 
+(* Minor-heap words per null syscall over bursts of 64 concurrent calls
+   on one controller whose service loop takes up to [batch] queued
+   messages per doorbell (a 2 us doorbell charge, so bursts queue). *)
+let per_burst_null ~batch =
+  let config =
+    { Net.Config.default with c_doorbell = Time.us 2; ctrl_batch = batch }
+  in
+  Tb.run ~config (fun tb ->
+      let h = Tb.add_host tb "h" in
+      let c = Tb.add_ctrl tb ~on:h in
+      let p = Tb.add_proc tb ~on:h ~ctrl:c "client" in
+      let n = 64 in
+      let burst () =
+        let left = ref n and all_done = Ivar.create () in
+        for _ = 1 to n do
+          Engine.spawn (fun () ->
+              ok_exn (Api.null p);
+              decr left;
+              if !left = 0 then Ivar.fill all_done ())
+        done;
+        Ivar.await all_done
+      in
+      burst ();
+      burst ();
+      Gc.minor ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 20 do
+        burst ()
+      done;
+      (Gc.minor_words () -. w0) /. float_of_int (20 * n))
+
+(* A batched service loop takes each queued message as the serial one
+   does, without boxing it: both measured 36.5 words per null (x86-64,
+   OCaml 5.1), and 38.4 batched while the loop took its batch with
+   [try_recv]. *)
+let test_batched_loop_budget () =
+  let serial = per_burst_null ~batch:1
+  and batched = per_burst_null ~batch:16 in
+  Printf.printf "minor words per burst null: %.2f serial, %.2f batched\n"
+    serial batched;
+  if batched > serial +. 0.5 then
+    Alcotest.failf "%.2f minor words per batched null, %.2f serial" batched
+      serial
+
 let () =
   Alcotest.run "fractos_alloc"
     [
@@ -529,6 +573,8 @@ let () =
           Alcotest.test_case "null invoke events" `Quick test_invoke_events;
           Alcotest.test_case "closed copy session releases the copy" `Quick
             test_closed_session_releases;
+          Alcotest.test_case "batched service loop" `Quick
+            test_batched_loop_budget;
         ] );
       ( "syscall",
         List.map
