@@ -18,12 +18,16 @@
 #    bench/baselines/run.txt;
 # 7. `fractos run -n 2 --workload W` must pass for every entry W of the
 #    scenario table, and `run --workload pd --trace-json` must write a
-#    trace with one root `request` span per request.
+#    trace with one root `request` span per request;
+# 8. `fractos run -n 2 --workload W --trace-json` must write the trace
+#    committed in bench/baselines/trace_W.json byte for byte, for W in
+#    pd, xshard and copy.
 set -eu
 
 fractos=$1
 bench=$2
 run_golden=$(dirname "$0")/../bench/baselines/run.txt
+baselines=$(dirname "$0")/../bench/baselines
 
 tmp=$(mktemp -d /tmp/fractos-smoke.XXXXXX)
 trap 'rm -rf "$tmp"' EXIT
@@ -142,5 +146,20 @@ if ! cmp "$tmp/run-golden.txt" "$run_golden"; then
   diff "$tmp/run-golden.txt" "$run_golden" | head -40
   exit 1
 fi
+
+# The trace goldens: a traced run executes the same steps as an
+# untraced one, so a change that keeps simulated output keeps these
+# traces too. One that moves them on purpose regenerates them
+# (HACKING.md, "Fault injection and chaos repro") and says why in
+# CHANGES.md.
+for wl in pd xshard copy; do
+  echo "== smoke: fractos run trace golden (bench/baselines/trace_$wl.json)"
+  "$fractos" run -n 2 --workload "$wl" --trace-json "$tmp/trace_$wl.json" \
+    >/dev/null
+  if ! cmp "$tmp/trace_$wl.json" "$baselines/trace_$wl.json"; then
+    diff "$tmp/trace_$wl.json" "$baselines/trace_$wl.json" | head -40
+    exit 1
+  fi
+done
 
 echo "== smoke OK"
