@@ -188,7 +188,6 @@ let mem_diminish s = if resolved s then at_owner s child_at else answer s
 let pull_here s =
   Copy.do_copy_pull s.s_ctrl ~src:s.s_entry.e_addr ~dst:s.s_dst.e_addr
     (rreply s.s_ctrl answer_with s)
-    stop
 
 let send_pull s =
   send_peer s.s_ctrl s.s_owner ~size:Wire.peer_fixed
@@ -306,55 +305,55 @@ let monitor s = if resolved s then at_owner s owned_at else answer s
 
 let mem_create_cost = [ (Net.Cost.Msg, 1); (Net.Cost.Lookup, 1) ]
 
-let dispatch_syscall ctrl msg k =
+let dispatch_syscall ctrl msg =
   match msg with
   | Sys_null reply ->
-    let s = sys ctrl msg reply k in
+    let s = sys ctrl msg reply in
     s.s_v <- Ok ();
     charge_with ctrl msg_cost answer s
   | Sys_mem_create { reply; _ } ->
-    charge_with ctrl mem_create_cost mem_create (sys ctrl msg reply k)
+    charge_with ctrl mem_create_cost mem_create (sys ctrl msg reply)
   | Sys_mem_diminish { cid; reply; _ } ->
-    charged_resolve1 (sys ctrl msg reply k) cid mem_diminish
+    charged_resolve1 (sys ctrl msg reply) cid mem_diminish
   | Sys_mem_copy { src; dst; reply } ->
-    charged_resolve2 (sys ctrl msg reply k) src dst mem_copy
+    charged_resolve2 (sys ctrl msg reply) src dst mem_copy
   | Sys_req_create { caps; reply; _ } ->
     charge_plus ctrl msg_cost Net.Cost.Lookup (1 + List.length caps) req_create
-      (sys ctrl msg reply k)
+      (sys ctrl msg reply)
   | Sys_req_derive { caps; reply; _ } ->
     charge_plus ctrl msg_cost Net.Cost.Lookup (2 + List.length caps) req_derive
-      (sys ctrl msg reply k)
+      (sys ctrl msg reply)
   | Sys_req_invoke { cid; reply } ->
-    charged_resolve1 (sys ctrl msg reply k) cid req_invoke
+    charged_resolve1 (sys ctrl msg reply) cid req_invoke
   | Sys_revtree_create { cid; reply } ->
-    charged_resolve1 (sys ctrl msg reply k) cid revtree_create
+    charged_resolve1 (sys ctrl msg reply) cid revtree_create
   | Sys_revoke { cid; reply } ->
-    charged_resolve1 (sys ctrl msg reply k) cid revoke
+    charged_resolve1 (sys ctrl msg reply) cid revoke
   | Sys_mon_delegate { cid; reply; _ } | Sys_mon_receive { cid; reply; _ } ->
-    charged_resolve1 (sys ctrl msg reply k) cid monitor
+    charged_resolve1 (sys ctrl msg reply) cid monitor
   | Sys_credit proc ->
     (match Hashtbl.find ctrl.windows proc.pid with
     | w -> Sim.Semaphore.release w
-    | exception Not_found -> ());
-    k ()
+    | exception Not_found -> ())
 
+(* A syscall's handler runs under its span, which its answer ends. *)
+let syscall_span msg = ("ctrl." ^ syscall_name msg, [])
 
 let handle_syscall ctrl msg =
   match msg with
   | Sys_credit _ ->
     (* flow-control credits are not requests: keep them out of the
        syscall counter and trace *)
-    dispatch_syscall ctrl msg stop
+    dispatch_syscall ctrl msg
   | _ ->
     Obs.Metrics.incr ctrl.cm.cm_syscalls;
     Obs.Metrics.set ctrl.cm.cm_sys_backlog (Net.Endpoint.pending ctrl.sys_ep);
-    (* the detail thunk and the span closure are built only when their
-       recorder is on (HACKING.md, "Hot path") *)
+    (* the detail thunk is built only when the journal is on (HACKING.md,
+       "Hot path") *)
     if Obs.Journal.enabled () then
       journal ctrl Obs.Journal.Debug "ctrl.admit" (fun () -> syscall_name msg);
-    if Obs.Span.enabled () then
-      span ctrl ("ctrl." ^ syscall_name msg) (dispatch_syscall ctrl msg) stop
-    else dispatch_syscall ctrl msg stop
+    enter ctrl syscall_span msg;
+    dispatch_syscall ctrl msg
 
 (* Fail a syscall's reply path without running any controller software:
    used when the controller has crashed (the caller's QP times out,
@@ -423,7 +422,7 @@ let peer_revoke (ctrl, msg, k) =
 let serve_peer ((ctrl, msg, k) as x) =
   match msg with
   | P_invoke { addr; suffix_imms; suffix_caps; reply } ->
-    Invoke.do_invoke ctrl addr suffix_imms suffix_caps reply k
+    Invoke.do_invoke ~tail:true ctrl addr suffix_imms suffix_caps reply
   | P_diminish _ -> charge_with ctrl diminish_cost peer_diminished x
   | P_revtree _ -> charge_with ctrl revtree_cost peer_revtreed x
   | P_revoke _ -> charge_with ctrl revoke_cost peer_revoke x
@@ -444,7 +443,8 @@ let serve_peer ((ctrl, msg, k) as x) =
     rreply_to ctrl reply (do_mon_delegate ctrl ~watcher ~cb addr) k
   | P_mon_receive { addr; watcher; cb; reply } ->
     rreply_to ctrl reply (do_mon_receive ctrl ~watcher ~cb addr) k
-  | P_copy_pull { src; dst; reply } -> Copy.do_copy_pull ctrl ~src ~dst reply k
+  | P_copy_pull { src; dst; reply } ->
+    Copy.do_copy_pull ~tail:true ctrl ~src ~dst reply
   | P_copy_open _ -> Copy.on_open x
   | P_copy_chunk _ -> Copy.on_chunk ctrl msg k
   | P_place_mem { buf; off; len; perms; owner; key; reply } ->
@@ -491,12 +491,16 @@ let dispatch_peer ctrl msg k =
   | P_copy_chunk _ -> Copy.on_chunk ctrl msg k
   | _ -> charge_with ctrl (snd (peer_kind msg)) serve_peer (ctrl, msg, k)
 
+(* A peer message's handler runs under its span, and ends with [leave]
+   or with the end of the invocation or copy it starts, whose span it
+   enters as its tail. *)
+let peer_span msg = ("ctrl.peer." ^ fst (peer_kind msg), [])
+
 let handle_peer ctrl msg =
   Obs.Metrics.incr ctrl.cm.cm_peer_msgs;
   Obs.Metrics.set ctrl.cm.cm_peer_backlog (Net.Endpoint.pending ctrl.peer_ep);
-  if Obs.Span.enabled () then
-    span ctrl ("ctrl.peer." ^ fst (peer_kind msg)) (dispatch_peer ctrl msg) stop
-  else dispatch_peer ctrl msg stop
+  enter ctrl peer_span msg;
+  dispatch_peer ctrl msg leave
 
 let reject_peer msg =
   let kill : type a. a rreply -> unit =

@@ -81,14 +81,6 @@ let stage ctrl len g x =
          (Net.Config.bytes_time ~bw_bps:Net.Config.memcpy_bw_bps len))
     g x
 
-(* [body k] under a chunk span (traced runs only: the caller tests
-   [Obs.Span.enabled], so that untraced chunks build no closure). *)
-let chunk_span ctrl name ~off ~len body k =
-  span ctrl
-    ~attrs:(fun () ->
-      [ ("off", string_of_int off); ("len", string_of_int len) ])
-    name body k
-
 (* A chunk that will not be written releases its pin; the final chunk
    carries [e] to the caller. A session rejected at open gets its parked
    error back with its final chunk. *)
@@ -169,7 +161,14 @@ let write_chunk dst_mem ~base ~total ck len =
 
    [receive] takes the oldest waiting chunk, under the trace context it
    was queued under, as a channel's reader would; with none waiting, the
-   writer waits and [feed] wakes it with an event of its own. *)
+   writer waits and [feed] wakes it with an event of its own. A chunk's
+   write runs under its ctrl.copy.write span, from [write] to
+   [stored]. *)
+let chunk_attrs off len =
+  [ ("off", string_of_int off); ("len", string_of_int len) ]
+
+let write_span s = ("ctrl.copy.write", chunk_attrs (chunk_off s.cs_ck) s.cs_len)
+
 let rec receive s =
   match s.cs_head with
   | P_copy_chunk c as ck when ck != no_chunk ->
@@ -185,18 +184,10 @@ and write s ck =
   s.cs_received <- s.cs_received + len;
   s.cs_ck <- ck;
   s.cs_len <- len;
-  if Obs.Span.enabled () then
-    chunk_span s.cs_ctrl "ctrl.copy.write" ~off:(chunk_off ck) ~len
-      (fun k ->
-        s.cs_after <- k;
-        store s)
-      (fun () -> written s)
-  else store s
-
-(* the staging memcpy through the bounce buffer, then the RDMA write
-   into process memory *)
-and store s =
-  if s.cs_len = 0 then stored s else stage s.cs_ctrl s.cs_len staged_write s
+  enter s.cs_ctrl write_span s;
+  (* the staging memcpy through the bounce buffer, then the RDMA write
+     into process memory *)
+  if len = 0 then stored s else stage s.cs_ctrl len staged_write s
 
 and staged_write s =
   write_chunk s.cs_dst ~base:s.cs_base ~total:s.cs_total s.cs_ck s.cs_len;
@@ -204,16 +195,9 @@ and staged_write s =
     ~dst:s.cs_dst.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:s.cs_len stored
     s
 
-(* a traced chunk ends with its span's continuation, reset so that the
-   next chunk never runs it; an untraced one ([cs_after] is [stop]) goes
-   straight on *)
 and stored s =
-  let after = s.cs_after in
-  if after == stop then written s
-  else begin
-    s.cs_after <- stop;
-    after ()
-  end
+  leave ();
+  written s
 
 and written s =
   s.cs_last <- Sim.Engine.now ();
@@ -296,7 +280,6 @@ let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck rr =
       cs_received = 0;
       cs_ck = ck;
       cs_len = 0;
-      cs_after = stop;
       cs_last = Sim.Engine.now ();
       cs_closed = false;
     }
@@ -321,8 +304,10 @@ let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck rr =
    copies the source's bytes instead, so it never reaches the
    destination. One record holds the copy's state and is its steps'
    argument from the set-up's first charge on, so neither the set-up nor
-   the loop builds a closure or a tuple untraced (HACKING.md, "Hot
-   path"). *)
+   the loop builds a closure or a tuple (HACKING.md, "Hot path"). The
+   copy runs under its ctrl.copy span, which its last chunk's post ends,
+   and each chunk under a ctrl.copy.chunk span, from [next] to
+   [chunk_sent]. *)
 type outgoing = {
   cp_ctrl : ctrl;
   cp_src : addr;
@@ -331,10 +316,8 @@ type outgoing = {
   mutable cp_dst_ctrl : ctrl; (* once routed *)
   mutable cp_copy_id : int; (* minted once routed *)
   cp_rr : unit rreply;
-  cp_k : unit -> unit; (* after the last chunk is posted *)
   mutable cp_n : int; (* chunks, once the source is checked *)
   mutable cp_i : int; (* the chunk in hand *)
-  mutable cp_after : unit -> unit; (* as [cs_after] *)
 }
 
 let cp_src_mem c =
@@ -345,16 +328,15 @@ let cp_src_mem c =
 let cp_chunk c = (config c.cp_ctrl).bounce_chunk
 let cp_len c = chunk_len (cp_src_mem c).m_len (cp_chunk c) c.cp_i
 
+let copy_span src = ("ctrl.copy", [ ("src_oid", string_of_int src.a_oid) ])
+let chunk_span c = ("ctrl.copy.chunk", chunk_attrs (c.cp_i * cp_chunk c) (cp_len c))
+
 let rec next c =
-  if c.cp_i = c.cp_n then c.cp_k ()
-  else if Obs.Span.enabled () then
-    chunk_span c.cp_ctrl "ctrl.copy.chunk" ~off:(c.cp_i * cp_chunk c)
-      ~len:(cp_len c)
-      (fun k ->
-        c.cp_after <- k;
-        read c)
-      (fun () -> sent c)
-  else read c
+  if c.cp_i = c.cp_n then leave ()
+  else begin
+    enter c.cp_ctrl chunk_span c;
+    read c
+  end
 
 and sent c =
   c.cp_i <- c.cp_i + 1;
@@ -408,18 +390,13 @@ and post c =
       ~dst:c.cp_dst_ctrl.cnode ~cls:Net.Stats.Control ~size:1 chunk_sent c
   else chunk_sent c
 
-(* as the writer's [stored] *)
 and chunk_sent c =
-  let after = c.cp_after in
-  if after == stop then sent c
-  else begin
-    c.cp_after <- stop;
-    after ()
-  end
+  leave ();
+  sent c
 
 (* The copy's set-up at the source, as steps over its record: the
    charges, the source's checks and the routing of the destination. *)
-let pull_failed c e = rreply_to c.cp_ctrl c.cp_rr (Error e) c.cp_k
+let pull_failed c e = rreply_to c.cp_ctrl c.cp_rr (Error e) leave
 
 let pull_routed c dst_ctrl =
   incr next_copy_id;
@@ -451,7 +428,9 @@ let pull_source c =
 let pull_lookup c =
   charge_with c.cp_ctrl [ (Net.Cost.Lookup, 2) ] pull_source c
 
-let copy_pull ctrl ~src ~dst (rr : unit rreply) k =
+(* [tail]: the copy's span ends a peer message's ([P_copy_pull]) *)
+let do_copy_pull ?tail ctrl ~src ~dst (rr : unit rreply) =
+  enter ?tail ctrl copy_span src;
   charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup pull_lookup
     {
       cp_ctrl = ctrl;
@@ -461,18 +440,9 @@ let copy_pull ctrl ~src ~dst (rr : unit rreply) k =
       cp_dst_ctrl = ctrl;
       cp_copy_id = 0;
       cp_rr = rr;
-      cp_k = k;
       cp_n = 0;
       cp_i = 0;
-      cp_after = stop;
     }
-
-let do_copy_pull ctrl ~src ~dst (rr : unit rreply) k =
-  if Obs.Span.enabled () then
-    span ctrl
-      ~attrs:(fun () -> [ ("src_oid", string_of_int src.a_oid) ])
-      "ctrl.copy" (copy_pull ctrl ~src ~dst rr) k
-  else copy_pull ctrl ~src ~dst rr k
 
 (* The one-sided write has landed at the destination node [dst]: finish
    its span and acknowledge to the waiting controller, once. *)

@@ -9,7 +9,7 @@ let node_name ctrl = ctrl.cnode.Net.Node.name
 
 (* Observability: metrics are always on (integer arithmetic on handles
    interned once at Controller.create — see State.ctrl_metrics); spans
-   only when tracing is enabled ([span] below). *)
+   only when tracing is enabled ([enter] below). *)
 
 (* Capability audit log (see Obs.Audit): one event per capability
    lifecycle transition, keyed by the object's global address. Off by
@@ -53,14 +53,26 @@ let charge_plus ctrl units cls n g x =
 let charge_scaled ctrl cls base g x =
   after_cpu ctrl (Net.Cost.scaled (config ctrl) (kind ctrl) cls base) g x
 
-(* [body k] under a span; callers test [Obs.Span.enabled ()] first so
-   that untraced steps build no closure (HACKING.md, "Hot path"). *)
-let span ctrl ?(attrs = fun () -> []) name body k =
-  if Obs.Span.enabled () then
-    Obs.Span.with_then ~node:(node_name ctrl) ~attrs:(attrs ()) ~name body k
-  else body k
+(* Spans follow the steps (HACKING.md, "Writing a controller step"): a
+   step opens one on this controller with [enter ctrl what x], named and
+   attributed by [what x], and the step that ends the span's work closes
+   it with [leave]. Between the two, the span is the ambient trace
+   context, which every event the steps schedule inherits. Traced and
+   untraced runs take the same steps; untraced, [enter] is one branch and
+   never calls [what], so a step passes a function defined once and its
+   own argument, and builds no name or attribute list (HACKING.md, "Hot
+   path"). [~tail:true] enters a span that ends its parent's work as
+   well, so the step that leaves it leaves the parent too. *)
+let enter ?tail ctrl what x =
+  if Obs.Span.enabled () then begin
+    let name, attrs = what x in
+    Obs.Span.enter ?tail ~node:(node_name ctrl) ~attrs ~name ()
+  end
 
-(* A step that ends nothing: the continuation of a handler's last step. *)
+let leave = Obs.Span.leave
+
+(* A step that ends nothing: the continuation of work that opened no
+   span. *)
 let stop () = ()
 
 (* [f x k'] for each [x] of [xs], each after the one before, then [k ()]. *)
@@ -154,12 +166,12 @@ let fill_reply (r : _ reply) v =
    state its handler's steps share, and their argument (HACKING.md,
    "Writing a controller step"). [s_v] is the answer once there is one;
    a failed capability resolve leaves [s_entry] at [no_entry] and its
-   error in [s_v]. The answer's delivery carries the record itself. *)
+   error in [s_v]. The answer's delivery carries the record itself, and
+   the answer ends the handler, and its span. *)
 type 'a sys = {
   s_ctrl : ctrl;
   s_msg : syscall; (* for the handler's arguments *)
   s_reply : 'a reply;
-  s_k : unit -> unit; (* what follows the handler *)
   mutable s_v : ('a, Error.t) result;
   mutable s_entry : entry; (* the resolved capability; memory_copy's source *)
   mutable s_dst : entry; (* memory_copy's destination *)
@@ -174,12 +186,11 @@ let no_entry =
     e_born = 0;
   }
 
-let sys ctrl msg reply k =
+let sys ctrl msg reply =
   {
     s_ctrl = ctrl;
     s_msg = msg;
     s_reply = reply;
-    s_k = k;
     s_v = Error Error.Timeout;
     s_entry = no_entry;
     s_dst = no_entry;
@@ -191,9 +202,10 @@ let caller s = s.s_reply.r_proc
 (* Reply to a Process's syscall / to a peer controller's request: charge
    the reply's cpu time, post it at the booking's finish and go on. The
    syscall record is the answer's step argument and its delivery's both;
-   a peer reply travels as a [(sender, reply path, value)] triple. So a
-   reply that ends its handler (the continuation is [stop]) costs the
-   triple and no more, and an answer nothing. *)
+   a peer reply travels as a [(sender, reply path, value)] triple. So an
+   answer costs nothing of its own, and a reply that ends its handler
+   (the continuation is [leave] or [stop]) costs the triple and no
+   more. *)
 let reply_span ctrl =
   if Obs.Span.enabled () then
     Obs.Span.instant ~node:(node_name ctrl) ~name:"ctrl.reply" ()
@@ -203,17 +215,13 @@ let fill_answer s = fill_reply s.s_reply s.s_v
 
 let post_answer s =
   Net.Fabric.send_with s.s_ctrl.fabric ~src:s.s_ctrl.cnode
-    ~dst:s.s_reply.r_proc.pnode ~size:Wire.response fill_answer s
+    ~dst:s.s_reply.r_proc.pnode ~size:Wire.response fill_answer s;
+  leave ()
 
-let post_answer_then s =
-  post_answer s;
-  s.s_k ()
-
-(* Answer the syscall with [s.s_v], then run what follows its handler. *)
+(* Answer the syscall with [s.s_v], which ends its handler. *)
 let answer s =
   reply_span s.s_ctrl;
-  if s.s_k == stop then charge_with s.s_ctrl msg_cost post_answer s
-  else charge_with s.s_ctrl msg_cost post_answer_then s
+  charge_with s.s_ctrl msg_cost post_answer s
 
 let answer_with s v =
   s.s_v <- v;
@@ -227,17 +235,20 @@ let post_rreply ((ctrl, rr, _) as x) =
   Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode ~dst:(rr_ctrl rr).cnode
     ~size:Wire.response deliver_reply x
 
-(* Charge a reply's message, then [post x], then [k]. *)
-let reply_with ctrl post x k =
+let post_rreply_leave x =
+  post_rreply x;
+  leave ()
+
+(* Charge a reply's message, then post it, then [k]. *)
+let rreply_to ctrl (rr : _ rreply) v k =
+  let x = (ctrl, rr, v) in
   reply_span ctrl;
-  if k == stop then charge_with ctrl msg_cost post x
+  if k == stop then charge_with ctrl msg_cost post_rreply x
+  else if k == leave then charge_with ctrl msg_cost post_rreply_leave x
   else
     charge ctrl msg_cost (fun () ->
-        post x;
+        post_rreply x;
         k ())
-
-let rreply_to ctrl (rr : _ rreply) v k =
-  reply_with ctrl post_rreply (ctrl, rr, v) k
 
 let send_peer ctrl (dst : ctrl) ~size msg =
   Net.Endpoint.post ctrl.fabric ~src:ctrl.cnode dst.peer_ep ~size msg

@@ -45,8 +45,7 @@ let located ctrl id ~err g x =
   | exception Error.Fractos e -> err x e
 
 let locate_miss ctrl (g : shard_group) addr ~err k x =
-  if Obs.Span.enabled () then
-    Obs.Span.set_attr (Obs.Span.current ()) "dir" "miss";
+  Obs.Span.set_attr (Obs.Span.current ()) "dir" "miss";
   if Option.is_none (slot_of_ctrl_id g addr.a_ctrl) then
     (* minted outside the group: flat routing *)
     located ctrl addr.a_ctrl ~err k x
@@ -75,8 +74,7 @@ let locate ctrl addr ~err g x =
       match Hashtbl.find ctrl.dir_cache addr.a_ctrl with
       | owner_id ->
         Obs.Metrics.incr ctrl.cm.cm_dir_hits;
-        if Obs.Span.enabled () then
-          Obs.Span.set_attr (Obs.Span.current ()) "dir" "hit";
+        Obs.Span.set_attr (Obs.Span.current ()) "dir" "hit";
         located ctrl owner_id ~err g x
       | exception Not_found ->
         Obs.Metrics.incr ctrl.cm.cm_dir_misses;

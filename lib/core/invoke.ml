@@ -13,15 +13,26 @@ type hop = {
   h_caps : (addr * bool) list;
   h_rr : unit rreply; (* the posting acknowledgment, until sent *)
   mutable h_v : (unit, Error.t) result; (* and its value, once sent *)
-  h_k : unit -> unit; (* what follows the hop *)
 }
+
+(* A hop's steps run under its ctrl.invoke span, and under its
+   ctrl.deliver span once it delivers, which is entered as the invoke
+   span's tail: a hop ends with one [leave], whatever it reached. A
+   hop's span is itself the tail of a peer message's span, or of the
+   invoke span of the derived Request it continues, so the work they
+   stand for ends with it; one that a [request_invoke] syscall starts
+   ends before the syscall's answer, and is no tail. *)
+let invoke_span addr = ("ctrl.invoke", [ ("oid", string_of_int addr.a_oid) ])
+
+let deliver_span caps = ("ctrl.deliver", [ ("caps", string_of_int caps) ])
+let delegate_span () = ("ctrl.delegate", [])
 
 (* Acknowledge the posting, or, past the ack point, account for a
    failure: it is the application's business (error continuations,
    §3.4), and no reply path reports it, so it is counted and journaled on
    the request's trace (the journal records the ambient trace context).
    A hop acknowledges once, so the acknowledgment travels as the hop
-   record itself. *)
+   record itself. Either way the hop ends. *)
 let deliver_ack hop = rr_fill hop.h_rr hop.h_v
 
 let post_ack hop =
@@ -29,20 +40,25 @@ let post_ack hop =
   Net.Fabric.send_with ctrl.fabric ~src:ctrl.cnode
     ~dst:(rr_ctrl hop.h_rr).cnode ~size:Wire.response deliver_ack hop
 
-let ack hop v k =
+let post_ack_leave hop =
+  post_ack hop;
+  leave ()
+
+let ack hop v =
   let ctrl = hop.h_ctrl in
   match (hop.h_rr, v) with
   | Rreply _, _ ->
     hop.h_v <- v;
-    reply_with ctrl post_ack hop k
-  | No_reply, Ok () -> k ()
+    reply_span ctrl;
+    charge_with ctrl msg_cost post_ack_leave hop
+  | No_reply, Ok () -> leave ()
   | No_reply, Error e ->
     Obs.Metrics.incr ctrl.cm.cm_tail_failures;
     journal ctrl Obs.Journal.Warn "ctrl.tail_failure" (fun () ->
         Error.to_string e);
-    k ()
+    leave ()
 
-let fail hop e = ack hop (Error e) hop.h_k
+let fail hop e = ack hop (Error e)
 
 (* Delegate capability arguments into the provider's space, in order,
    stopping at the first failure; the new cids come back reversed. *)
@@ -75,11 +91,16 @@ let post_delivery hop (r : req) imms cids =
     ~size:(Wire.invoke ~imms ~caps:(List.length cids))
     deliver_once
     (one_shot provider { d_tag = r.r_tag; d_imms = imms; d_caps = cids });
-  ack hop (Ok ()) hop.h_k
+  ack hop (Ok ())
 
 let post_delivery_at (hop, r, imms, cids) = post_delivery hop r imms cids
 
-let delegated hop (r : req) imms = function
+(* The capability arguments are in the provider's space: the
+   ctrl.delegate span ends, and the request waits for the provider's
+   delivery window. *)
+let delegated hop (r : req) imms v =
+  leave ();
+  match v with
   | Error e -> fail hop e
   | Ok rev_cids -> (
     match Hashtbl.find hop.h_ctrl.windows r.r_provider.pid with
@@ -95,59 +116,34 @@ let delegated hop (r : req) imms = function
         Sim.Semaphore.acquire_then window post_delivery_at (hop, r, imms, cids))
 
 let delegate (hop, space, r, imms, caps) =
-  if Obs.Span.enabled () then
-    span hop.h_ctrl "ctrl.delegate"
-      (delegate_caps hop.h_ctrl space r [] caps)
-      (delegated hop r imms)
-  else delegate_caps hop.h_ctrl space r [] caps (delegated hop r imms)
+  enter hop.h_ctrl delegate_span ();
+  delegate_caps hop.h_ctrl space r [] caps (delegated hop r imms)
 
 (* Deliver a fully materialized request to its provider process, charging
-   the capability transfers. An untraced delivery without capability
-   arguments books no time and goes straight to the window. *)
-let deliver_untraced hop (r : req) imms caps =
+   the capability transfers. A delivery without capability arguments
+   books no time: its ctrl.delegate span opens and closes at once. *)
+let deliver hop (r : req) imms caps =
   let ctrl = hop.h_ctrl and provider = r.r_provider in
+  enter ~tail:true ctrl deliver_span (List.length caps);
+  Obs.Span.set_attr (Obs.Span.current ()) "tag" r.r_tag;
   if not provider.alive then fail hop Error.Provider_dead
   else
     match Capspace.space_of ctrl provider with
     | exception Error.Fractos e -> fail hop e
-    | _ when caps = [] && not (Obs.Span.enabled ()) ->
+    | _ when caps = [] ->
+      enter ctrl delegate_span ();
       delegated hop r imms (Ok [])
     | space ->
       charge_plus ctrl [] Net.Cost.Cap_transfer (List.length caps) delegate
         (hop, space, r, imms, caps)
 
-(* The span closures are built only when tracing is on (HACKING.md, "Hot
-   path"). *)
-let deliver hop (r : req) imms caps =
-  if Obs.Span.enabled () then
-    span hop.h_ctrl
-      ~attrs:(fun () ->
-        [ ("tag", r.r_tag); ("caps", string_of_int (List.length caps)) ])
-      "ctrl.deliver"
-      (fun k -> deliver_untraced { hop with h_k = k } r imms caps)
-      hop.h_k
-  else deliver_untraced hop r imms caps
-
 (* Process one hop of an invocation: [addr] names a Request object at this
    controller; [suffix] holds the arguments accumulated from more-derived
-   Requests. Either deliver (root) or forward toward the parent, then go
-   on with [k]. The caller's posting acknowledgment is sent by the first
-   owner that validates the invocation; forwarded hops carry no reply
-   path. *)
-let rec do_invoke ctrl addr suffix_imms suffix_caps rr k =
-  let hop =
-    { h_ctrl = ctrl; h_addr = addr; h_imms = suffix_imms; h_caps = suffix_caps;
-      h_rr = rr; h_v = Error Error.Timeout; h_k = k }
-  in
-  if Obs.Span.enabled () then
-    span ctrl
-      ~attrs:(fun () -> [ ("oid", string_of_int addr.a_oid) ])
-      "ctrl.invoke"
-      (fun k -> invoke_hop { hop with h_k = k })
-      k
-  else invoke_hop hop
-
-and invoke_hop hop =
+   Requests. Either deliver (root) or forward toward the parent. The
+   caller's posting acknowledgment is sent by the first owner that
+   validates the invocation; forwarded hops carry no reply path. *)
+let rec invoke_hop ?tail hop =
+  enter ?tail hop.h_ctrl invoke_span hop.h_addr;
   audit hop.h_ctrl Obs.Audit.Invoke hop.h_addr;
   charge_with hop.h_ctrl [ (Net.Cost.Lookup, 1) ] hop_found hop
 
@@ -177,28 +173,46 @@ and hop_payload hop payload =
 (* [hop] now names the parent Request, with the arguments accumulated so
    far, and [owner] owns it. *)
 and forward hop owner =
-  let ctrl = hop.h_ctrl in
-  if owner == ctrl then
+  if owner == hop.h_ctrl then
     (* self, or we are the failover successor of the parent's dead
-       minter: continue the chain here. The recursion is bounded — a
-       foreign parent address fails typed-Stale in the recursive call's
-       own lookup. *)
-    do_invoke ctrl hop.h_addr hop.h_imms hop.h_caps hop.h_rr hop.h_k
+       minter: continue the chain here, as the tail of this hop. The
+       recursion is bounded — a foreign parent address fails typed-Stale
+       in the recursive call's own lookup. *)
+    invoke_hop ~tail:true hop
   else
-    charge ctrl [ (Net.Cost.Serialize, 1) ] (fun () ->
-        (* acknowledge the posting before forwarding: the local part of
-           the chain validated *)
-        ack hop (Ok ()) (fun () ->
-            send_peer ctrl owner
-              ~size:
-                (Wire.invoke ~imms:hop.h_imms ~caps:(List.length hop.h_caps))
-              (P_invoke
-                 { addr = hop.h_addr; suffix_imms = hop.h_imms;
-                   suffix_caps = hop.h_caps; reply = No_reply });
-            hop.h_k ()))
+    charge_with hop.h_ctrl [ (Net.Cost.Serialize, 1) ] forward_charged
+      (hop, owner)
 
-(* The invocation a [request_invoke] syscall starts here, at the owner
-   of its Request: one hop, whose posting acknowledgment answers the
-   syscall. *)
+(* acknowledge the posting before forwarding: the local part of the
+   chain validated *)
+and forward_charged ((hop, _) as x) =
+  match hop.h_rr with
+  | Rreply _ ->
+    hop.h_v <- Ok ();
+    reply_span hop.h_ctrl;
+    charge_with hop.h_ctrl msg_cost post_ack_forward x
+  | No_reply -> send_forward x
+
+and post_ack_forward ((hop, _) as x) =
+  post_ack hop;
+  send_forward x
+
+and send_forward (hop, owner) =
+  send_peer hop.h_ctrl owner
+    ~size:(Wire.invoke ~imms:hop.h_imms ~caps:(List.length hop.h_caps))
+    (P_invoke
+       { addr = hop.h_addr; suffix_imms = hop.h_imms;
+         suffix_caps = hop.h_caps; reply = No_reply });
+  leave ()
+
+(* One hop at the owner of [addr]: the invocation a peer message carries
+   ([tail]: the hop's span ends the message's), or the one a
+   [request_invoke] syscall starts here, at the owner of its Request,
+   whose posting acknowledgment answers the syscall. *)
+let do_invoke ?tail ctrl addr suffix_imms suffix_caps rr =
+  invoke_hop ?tail
+    { h_ctrl = ctrl; h_addr = addr; h_imms = suffix_imms; h_caps = suffix_caps;
+      h_rr = rr; h_v = Error Error.Timeout }
+
 let start s =
-  do_invoke s.s_ctrl s.s_entry.e_addr [] [] (rreply s.s_ctrl answer_with s) stop
+  do_invoke s.s_ctrl s.s_entry.e_addr [] [] (rreply s.s_ctrl answer_with s)

@@ -408,9 +408,6 @@ and copy_session = {
   mutable cs_received : int; (* bytes delivered so far *)
   mutable cs_ck : peer_msg; (* the chunk being written *)
   mutable cs_len : int; (* and its length *)
-  mutable cs_after : unit -> unit;
-      (* the chunk span's continuation in traced runs, else
-         [Ctrl_base.stop] *)
   mutable cs_last : Sim.Time.t; (* when a chunk last arrived or was written *)
   mutable cs_closed : bool; (* closed by the idle sweep *)
 }

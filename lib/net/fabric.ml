@@ -9,9 +9,7 @@ type t = {
   mutable next_id : int;
   mutable nodes : Node.t list; (* reverse creation order *)
   mutable fault_hook : fault_hook option;
-  (* [book]'s two results besides the delivery instant *)
-  mutable xfer_span : Obs.Span.id;
-  mutable dup_at : Sim.Time.t;
+  mutable dup_at : Sim.Time.t; (* [book]'s result besides the delivery instant *)
 }
 
 let create ?(config = Config.default) () =
@@ -22,7 +20,6 @@ let create ?(config = Config.default) () =
     next_id = 0;
     nodes = [];
     fault_hook = None;
-    xfer_span = 0;
     dup_at = -1;
   }
 
@@ -56,9 +53,10 @@ let base_latency t ~src ~dst =
    message, apply its fault, book the NIC or DMA engines and return the
    delivery instant, or -1 for a message lost in the switch. A duplicate's
    second copy arrives one base latency after the delivery instant;
-   [book] leaves that instant in [dup_at] (-1 for no duplicate) and the
-   message's fabric.xfer span in [xfer_span] (0 untraced), for the caller
-   to schedule and finish. *)
+   [book] leaves that instant in [dup_at] (-1 for no duplicate) for the
+   caller to schedule. The instants are known here, so [book] closes the
+   message's fabric.xfer span too: the caller schedules the same events
+   whether tracing is on or off. *)
 let book t ~src ~dst ~cls ~size =
   let cfg = t.config in
   let fault =
@@ -126,7 +124,6 @@ let book t ~src ~dst ~cls ~size =
         ()
     else 0
   in
-  t.xfer_span <- sp;
   t.dup_at <- -1;
   let wire_bytes = size + Config.header_bytes in
   let base = base_latency t ~src ~dst in
@@ -144,7 +141,7 @@ let book t ~src ~dst ~cls ~size =
       (* serialized out of the sender's NIC, then lost in the switch *)
       if sp <> 0 then begin
         Obs.Span.set_attr sp "fault" "drop";
-        Sim.Engine.schedule (tx_done - now) (fun () -> Obs.Span.finish sp)
+        Obs.Span.finish_at sp tx_done
       end;
       -1
     | Pass | Duplicate | Delay _ ->
@@ -152,12 +149,13 @@ let book t ~src ~dst ~cls ~size =
         Sim.Resource.reserve_at dst.Node.rx ~start:(tx_start + base)
           ~duration:ser
       in
+      let at = rx_done + extra in
       if sp <> 0 then begin
         let rx_start = rx_done - ser in
         Obs.Span.set_attr sp "q"
-          (string_of_int ((tx_start - now) + (rx_start - (tx_start + base))))
+          (string_of_int ((tx_start - now) + (rx_start - (tx_start + base))));
+        Obs.Span.finish_at sp at
       end;
-      let at = rx_done + extra in
       (match fault with Duplicate -> t.dup_at <- at + base | _ -> ());
       at
   end
@@ -171,24 +169,22 @@ let book t ~src ~dst ~cls ~size =
     in
     let dma_done = Sim.Resource.reserve src.Node.dma ~duration:ser in
     let dma_start = dma_done - ser in
-    if sp <> 0 then Obs.Span.set_attr sp "q" (string_of_int (dma_start - now));
-    dma_done + base + extra
+    let at = dma_done + base + extra in
+    if sp <> 0 then begin
+      Obs.Span.set_attr sp "q" (string_of_int (dma_start - now));
+      Obs.Span.finish_at sp at
+    end;
+    at
   end
 
-(* The duplicate copy (fault injection) re-runs the raw delivery without
-   the span-finish wrapper, so the fabric.xfer span is finished exactly
-   once; receivers deduplicate at the endpoint layer. *)
+(* A duplicate's second copy (fault injection) is one more delivery
+   event; receivers deduplicate at the endpoint layer. *)
 let send_with t ~src ~dst ?(cls = Stats.Control) ~size g x =
   let at = book t ~src ~dst ~cls ~size in
   if at >= 0 then begin
-    let sp = t.xfer_span and dup_at = t.dup_at in
     let now = Sim.Engine.now () in
-    if sp = 0 then Sim.Engine.schedule_with (at - now) g x
-    else
-      Sim.Engine.schedule (at - now) (fun () ->
-          Obs.Span.finish sp;
-          g x);
-    if dup_at >= 0 then Sim.Engine.schedule_with (dup_at - now) g x
+    Sim.Engine.schedule_with (at - now) g x;
+    if t.dup_at >= 0 then Sim.Engine.schedule_with (t.dup_at - now) g x
   end
 
 (* [send_with] with an int beside [x], for a message and its sequence
@@ -196,14 +192,9 @@ let send_with t ~src ~dst ?(cls = Stats.Control) ~size g x =
 let send_with_n t ~src ~dst ?(cls = Stats.Control) ~size g x n =
   let at = book t ~src ~dst ~cls ~size in
   if at >= 0 then begin
-    let sp = t.xfer_span and dup_at = t.dup_at in
     let now = Sim.Engine.now () in
-    if sp = 0 then Sim.Engine.schedule_with_n (at - now) g x n
-    else
-      Sim.Engine.schedule (at - now) (fun () ->
-          Obs.Span.finish sp;
-          g x n);
-    if dup_at >= 0 then Sim.Engine.schedule_with_n (dup_at - now) g x n
+    Sim.Engine.schedule_with_n (at - now) g x n;
+    if t.dup_at >= 0 then Sim.Engine.schedule_with_n (t.dup_at - now) g x n
   end
 
 let send t ~src ~dst ?cls ~size deliver =
@@ -220,31 +211,22 @@ let transfer t ~src ~dst ?(cls = Stats.Control) ~size () =
   let at = book t ~src ~dst ~cls ~size in
   if at < 0 then Sim.Engine.suspend ignore
   else begin
-    let sp = t.xfer_span in
     let now = Sim.Engine.now () in
     if t.dup_at >= 0 then Sim.Engine.schedule (t.dup_at - now) ignore;
     Sim.Engine.sleep (at - now);
-    if sp <> 0 then Obs.Span.finish sp;
     Sim.Engine.yield ()
   end
 
 (* [transfer] for code that runs as events: the delivery instant's event
    takes the heap slot of [transfer]'s wake-up, and the one it pushes in
-   turn that of its yield, where [g x] then runs. Untraced, that pair is
-   one [Sim.Engine.relay_with], which allocates nothing; traced, the
-   first event also finishes the message's span. *)
-let landed (sp, g, x) =
-  Obs.Span.finish sp;
-  Sim.Engine.schedule_with 0 g x
-
+   turn that of its yield, where [g x] then runs. That pair is one
+   [Sim.Engine.relay_with], which allocates nothing. *)
 let transfer_then t ~src ~dst ?(cls = Stats.Control) ~size g x =
   let at = book t ~src ~dst ~cls ~size in
   if at >= 0 then begin
-    let sp = t.xfer_span in
     let now = Sim.Engine.now () in
     if t.dup_at >= 0 then Sim.Engine.schedule (t.dup_at - now) ignore;
-    if sp = 0 then Sim.Engine.relay_with (at - now) g x
-    else Sim.Engine.schedule_with (at - now) landed (sp, g, x)
+    Sim.Engine.relay_with (at - now) g x
   end
 
 type utilization = {

@@ -144,10 +144,9 @@ val transfer_then :
     event.
 
     Pass [g] as a function defined once and [x] as the step's own state
-    (a record of the activity, say), not a closure built per call:
-    untraced, the two events are one {!Sim.Engine.relay_with} that
-    carries [g] and [x], so the call allocates nothing of its own. Traced,
-    the first event also finishes the message's [fabric.xfer] span. *)
+    (a record of the activity, say), not a closure built per call: the
+    two events are one {!Sim.Engine.relay_with} that carries [g] and [x],
+    so the call allocates nothing of its own, traced or not. *)
 
 val transfer_chunked :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit

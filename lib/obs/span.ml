@@ -25,6 +25,9 @@ type state = {
   s_collected : t Queue.t;
   s_index : (int, t) Hashtbl.t;
   mutable s_dropped : int;
+  s_entered : (int, int) Hashtbl.t; (* [enter]'s open spans, see there *)
+  mutable s_next_stand_in : int;
+  s_due : (t * Sim.Time.t) Queue.t; (* closed ahead of the clock *)
 }
 
 let st =
@@ -35,6 +38,9 @@ let st =
     s_collected = Queue.create ();
     s_index = Hashtbl.create 1024;
     s_dropped = 0;
+    s_entered = Hashtbl.create 64;
+    s_next_stand_in = max_int;
+    s_due = Queue.create ();
   }
 
 let enabled () = st.s_enabled
@@ -45,6 +51,9 @@ let get_limit () = st.s_limit
 let reset () =
   Queue.clear st.s_collected;
   Hashtbl.reset st.s_index;
+  Hashtbl.reset st.s_entered;
+  st.s_next_stand_in <- max_int;
+  Queue.clear st.s_due;
   st.s_next_id <- 1;
   st.s_dropped <- 0
 
@@ -88,19 +97,41 @@ let instant ?attrs ?node ~name () =
   ignore (add Instant ?attrs ?node ~name ())
 
 let set_attr id k v =
-  match Hashtbl.find_opt st.s_index id with
-  | Some sp -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
-  | None -> ()
+  if id <> 0 then
+    match Hashtbl.find_opt st.s_index id with
+    | Some sp -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
+    | None -> ()
+
+let close sp at attrs =
+  if not sp.sp_finished then begin
+    sp.sp_finished <- true;
+    sp.sp_end <- at;
+    if attrs <> [] then sp.sp_attrs <- attrs @ sp.sp_attrs
+  end
 
 let finish ?(attrs = []) id =
   match Hashtbl.find_opt st.s_index id with
   | None -> ()
-  | Some sp ->
-    if not sp.sp_finished then begin
-      sp.sp_finished <- true;
-      sp.sp_end <- Sim.Engine.now ();
-      if attrs <> [] then sp.sp_attrs <- attrs @ sp.sp_attrs
-    end
+  | Some sp -> close sp (Sim.Engine.now ()) attrs
+
+(* A span closed at an instant still ahead of the clock reads as open
+   until the clock gets there: [settle] closes the due ones before the
+   collected spans are read. Outside a run every delivery has run. *)
+let finish_at id at =
+  match Hashtbl.find_opt st.s_index id with
+  | None -> ()
+  | Some sp -> Queue.add (sp, at) st.s_due
+
+let settle () =
+  if not (Queue.is_empty st.s_due) then begin
+    let now =
+      match Sim.Engine.now () with t -> t | exception Failure _ -> max_int
+    in
+    for _ = 1 to Queue.length st.s_due do
+      let ((sp, at) as due) = Queue.pop st.s_due in
+      if at <= now then close sp at [] else Queue.add due st.s_due
+    done
+  end
 
 let with_ ?attrs ?node ~name f =
   if not st.s_enabled then f ()
@@ -115,22 +146,48 @@ let with_ ?attrs ?node ~name f =
       f
   end
 
-let with_then ?attrs ?node ~name body k =
-  if not st.s_enabled then body k
-  else begin
-    let id = start ?attrs ?node ~name () in
-    let saved = Sim.Engine.get_ctx () in
-    Sim.Engine.set_ctx id;
-    body (fun v ->
-        Sim.Engine.set_ctx saved;
-        finish id;
-        k v)
+(* The ambient context is the innermost open span of the work at hand,
+   so a step closes it with no record of its own: [enter] keeps the
+   context to restore under the span's id, with the tail flag in its low
+   bit, and [leave] takes it back. A span the limit drops still needs
+   that entry, so it gets a stand-in id, counted down from [max_int],
+   that no collected span has. *)
+let enter ?(tail = false) ?attrs ?node ~name () =
+  if st.s_enabled then begin
+    let parent = Sim.Engine.get_ctx () in
+    let id =
+      match start ?attrs ?node ~name () with
+      | 0 ->
+        st.s_next_stand_in <- st.s_next_stand_in - 1;
+        st.s_next_stand_in + 1
+      | id -> id
+    in
+    Hashtbl.replace st.s_entered id ((parent lsl 1) lor Bool.to_int tail);
+    Sim.Engine.set_ctx id
   end
 
-let all () = List.of_seq (Queue.to_seq st.s_collected)
+let rec leave () =
+  let id = Sim.Engine.get_ctx () in
+  if id <> 0 then
+    match Hashtbl.find st.s_entered id with
+    | exception Not_found -> ()
+    | saved ->
+      Hashtbl.remove st.s_entered id;
+      (match Hashtbl.find_opt st.s_index id with
+      | Some sp -> close sp (Sim.Engine.now ()) []
+      | None -> ());
+      Sim.Engine.set_ctx (saved lsr 1);
+      if saved land 1 = 1 then leave ()
+
+let all () =
+  settle ();
+  List.of_seq (Queue.to_seq st.s_collected)
+
 let count () = Queue.length st.s_collected
 let dropped () = st.s_dropped
-let find id = Hashtbl.find_opt st.s_index id
+let find id =
+  settle ();
+  Hashtbl.find_opt st.s_index id
 
 let warn_if_truncated path =
   if dropped () > 0 then

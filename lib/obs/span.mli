@@ -7,8 +7,9 @@
 
     Parenting is ambient: unless [?parent] is given, a new span's parent
     is the calling fiber's trace context ({!Fractos_sim.Engine.get_ctx}),
-    which {!with_} sets for the dynamic extent of its callback and which
-    channels propagate across fabric messages. One client
+    which {!with_} sets for the dynamic extent of its callback, {!enter}
+    and {!leave} set for a chain of engine events, and channels propagate
+    across fabric messages. One client
     [request_invoke] therefore yields a connected span tree spanning every
     controller and device it touched, with no explicit context argument
     anywhere in the protocol.
@@ -65,6 +66,12 @@ val start :
 val finish : ?attrs:(string * string) list -> id -> unit
 (** Close a span at the current instant (idempotent; no-op on id 0). *)
 
+val finish_at : id -> Fractos_sim.Time.t -> unit
+(** [finish_at id t] closes a span whose end instant [t] is already
+    known, as {!finish} would at [t]: how the fabric closes a message's
+    span when it books the delivery. Until the clock reaches [t], the
+    span reads as open in {!all} and {!find}. *)
+
 val with_ :
   ?attrs:(string * string) list ->
   ?node:string ->
@@ -75,23 +82,32 @@ val with_ :
     it (restored afterwards, also on exceptions), and closes it when [f]
     returns. When tracing is disabled this is exactly [f ()]. *)
 
-val with_then :
+val enter :
+  ?tail:bool ->
   ?attrs:(string * string) list ->
   ?node:string ->
   name:string ->
-  (('a -> unit) -> unit) ->
-  ('a -> unit) ->
+  unit ->
   unit
-(** [with_then ~name body k] is {!with_} for code that runs as engine
-    events rather than in a fiber: [body] runs with the ambient context
-    set to a new span and calls its argument with its result when its
-    last step is done, which closes the span, restores the context and
-    runs [k] with the result. Untraced, this is exactly [body k]. *)
+(** [enter ~name ()] is {!with_} for code that runs as engine events
+    rather than in a fiber: it opens a span under the ambient context and
+    makes it the ambient context, which the events the code schedules
+    inherit, until the step that ends the work calls {!leave}. With
+    [~tail:true] the span ends its parent's work too: leaving it leaves
+    the parent as well. When tracing is disabled this does nothing. *)
+
+val leave : unit -> unit
+(** Close the ambient span at the current instant and make the context
+    it was entered under the ambient context again; then, if it was
+    entered with [~tail:true], leave that one too. A span dropped at the
+    {!set_limit} cap is left the same way, with nothing to close. No-op
+    when no {!enter} set the ambient context (untraced, say). *)
 
 val instant : ?attrs:(string * string) list -> ?node:string -> name:string -> unit -> unit
 (** A zero-duration marker event under the ambient parent. *)
 
 val set_attr : id -> string -> string -> unit
+(** Add an attribute to an open or closed span (no-op on id 0). *)
 
 val all : unit -> t list
 (** Collected spans in creation (= start-time) order. *)

@@ -110,9 +110,8 @@ val relay_with : Time.t -> ('a -> unit) -> 'a -> unit
     now an event pushes [g x] as a second event at its own instant, under
     the context both were scheduled with. It orders as
     [schedule_with d (fun x -> schedule_with 0 g x) x], with neither a
-    closure nor a tuple, and is how an untraced
-    [Net.Fabric.transfer_then] takes the two events of a blocking
-    transfer's wake-up and yield. *)
+    closure nor a tuple, and is how [Net.Fabric.transfer_then] takes the
+    two events of a blocking transfer's wake-up and yield. *)
 
 val wake_with : int -> ('a -> unit) -> 'a -> unit
 (** [wake_with ctx g x] runs [g x] as an event at the current instant,

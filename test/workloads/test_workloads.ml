@@ -283,6 +283,76 @@ let test_every_entry_serves () =
             (sc.Scenario.summary () <> "")))
     Scenario.all
 
+(* Tracing observes a run and changes nothing in it: an entry's
+   requests print the same lines, its summary is the same, and its run
+   dispatches the same events and ends at the same instant, traced or
+   not. [fault ()], if given, makes the hook that perturbs the messages
+   the fabric books while the requests run; each request is then
+   bounded, as a dropped message may leave it waiting forever. *)
+let observed ?fault e ~traced =
+  Fractos_core.Controller.reset_ids ();
+  Fractos_core.Process.reset_ids ();
+  Fractos_obs.Span.reset ();
+  Fractos_obs.Span.set_enabled traced;
+  Fun.protect
+    ~finally:(fun () ->
+      Fractos_obs.Span.set_enabled false;
+      Fractos_obs.Span.reset ())
+    (fun () ->
+      Tb.run ~config:(Scenario.config e Fractos_net.Config.default) (fun tb ->
+          let sc = Scenario.deploy e small ~placement:Tb.Ctrl_cpu tb in
+          let fabric = tb.Tb.fabric in
+          Option.iter
+            (fun f -> Fractos_net.Fabric.set_fault_hook fabric (Some (f ())))
+            fault;
+          let rng = Prng.create ~seed:3 in
+          let lines =
+            List.init 6 (fun r ->
+                let iv = Ivar.create () in
+                let client = sc.Scenario.client (r mod small.Scenario.clients) in
+                Engine.spawn (fun () ->
+                    Ivar.fill iv (client.Scenario.request rng ()));
+                match Ivar.await_timeout iv ~timeout:(Time.ms 20) with
+                | Some (Ok { Scenario.line; _ }) -> line
+                | Some (Error err) -> Fractos_core.Error.to_string err
+                | None -> "no answer")
+          in
+          Fractos_net.Fabric.set_fault_hook fabric None;
+          (* past every sweep and lease the requests left armed *)
+          Engine.sleep (Time.ms 50);
+          (lines, sc.Scenario.summary (), Engine.event_count (), Engine.now ())))
+
+let check_same_run ?fault e =
+  let name = Scenario.name e in
+  let lines, summary, events, ended = observed ?fault e ~traced:false in
+  let lines', summary', events', ended' = observed ?fault e ~traced:true in
+  Alcotest.(check (list string)) (name ^ ": report lines") lines lines';
+  Alcotest.(check string) (name ^ ": summary") summary summary';
+  check_int (name ^ ": events") events events';
+  check_int (name ^ ": end time") ended ended'
+
+let test_traced_runs_the_same () = List.iter check_same_run Scenario.all
+
+(* Every 53rd message the fabric books is dropped, every 31st
+   duplicated and every 19th delayed (a local drop or duplicate is
+   delivered as is); [drops] counts the drops on the network. *)
+let test_traced_runs_the_same_under_faults () =
+  let drops = ref 0 in
+  let fault () =
+    let n = ref 0 in
+    fun ~src ~dst ~cls:_ ~size:_ ->
+      incr n;
+      if !n mod 53 = 0 then begin
+        if not (Fractos_net.Node.same_machine src dst) then incr drops;
+        Fractos_net.Fabric.Drop
+      end
+      else if !n mod 31 = 0 then Fractos_net.Fabric.Duplicate
+      else if !n mod 19 = 0 then Fractos_net.Fabric.Delay (Time.us 3)
+      else Fractos_net.Fabric.Pass
+  in
+  check_same_run ~fault (Result.get_ok (Scenario.find "xshard"));
+  check_bool "messages were dropped on the network" true (!drops > 0)
+
 let test_unknown_entry_lists_all () =
   match Scenario.find "no-such-workload" with
   | Ok _ -> Alcotest.fail "an unknown name resolved"
@@ -344,6 +414,10 @@ let () =
             test_every_entry_serves;
           Alcotest.test_case "unknown name lists every entry" `Quick
             test_unknown_entry_lists_all;
+          Alcotest.test_case "traced runs the same" `Quick
+            test_traced_runs_the_same;
+          Alcotest.test_case "traced runs the same under faults" `Quick
+            test_traced_runs_the_same_under_faults;
           Alcotest.test_case "find round-trips every name" `Quick
             test_find_round_trips;
         ] );
