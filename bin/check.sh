@@ -237,7 +237,7 @@ echo "== blocking calls in controller code"
 bad=$(for f in lib/core/*.ml; do
         case "$f" in lib/core/api.ml | lib/core/process.ml) continue ;; esac
         awk -f bin/code_only.awk "$f" |
-          grep -nE "(^|[^A-Za-z0-9_'])(Ivar\.await(_timeout)?|Resource\.use|Engine\.(sleep(_until)?|spawn(_with)?|suspend|wait|yield)|Semaphore\.(acquire|with_permit)|Channel\.recv|Endpoint\.recv|Fabric\.transfer(_chunked)?)([^A-Za-z0-9_']|\$)" |
+          grep -nE "(^|[^A-Za-z0-9_'])(Ivar\.await(_timeout)?|Resource\.use|Engine\.(sleep(_until)?|spawn(_with)?|suspend|wait|yield)|Semaphore\.with_permit|Channel\.recv|Fabric\.transfer(_chunked)?)([^A-Za-z0-9_']|\$)" |
           sed "s|^|$f:|"
       done)
 if [ -n "$bad" ]; then
@@ -250,34 +250,38 @@ fi
 echo "== closures on the copy data path, the syscall path and the message path"
 # The copy engine's and the syscall handlers' steps take their activity's
 # record as their argument (HACKING.md, "Hot path"): a closure passed to
-# a step builds one per copy, per chunk or per syscall. So
+# a step builds one per copy, per chunk or per syscall. Traced and
+# untraced runs take the same steps, so no call is exempt. So
 # lib/core/copy.ml may not pass an anonymous function to stage,
-# Fabric.transfer_then, Channel.recv_then or Endpoint.post, except inside
-# a chunk_span call, and lib/core/controller.ml, capspace.ml and invoke.ml
-# may not pass one to charge_with, charge_plus, charged_resolve1,
-# charged_resolve2, Directory.locate or rreply, except inside a span
-# call: only traced runs make those (bin/step_closures.awk). A posted
-# message allocates only its own value, so lib/net/endpoint.ml may not
-# pass one to Fabric.send_with or Fabric.send_with_n, and
-# lib/sim/channel.ml none to Engine.schedule_with, Engine.resume_in,
-# Engine.resume or Engine.suspend_with; neither file has a traced
-# branch, so no call is exempt. Comments and strings are blanked first
+# Fabric.transfer_then, Channel.recv_then or Endpoint.post, and
+# lib/core/controller.ml, capspace.ml and invoke.ml may not pass one to
+# charge_with, charge_plus, charged_resolve1, charged_resolve2,
+# Directory.locate or rreply (bin/step_closures.awk). A message
+# allocates only its own value, so lib/net/fabric.ml may not pass one to
+# Engine.schedule, Engine.schedule_with, Engine.schedule_with_n or
+# Engine.relay_with, lib/net/endpoint.ml none to Fabric.send_with or
+# Fabric.send_with_n, and lib/sim/channel.ml none to
+# Engine.schedule_with, Engine.resume_in, Engine.resume or
+# Engine.suspend_with. Comments and strings are blanked first
 # (bin/code_only.awk).
 closures() {
   awk -f bin/code_only.awk "$1" |
-    awk -v file="$1" -v traced="$2" -v names="$3" -f bin/step_closures.awk
+    awk -v file="$1" -v names="$2" -f bin/step_closures.awk
 }
 syscall_steps="charge_with charge_plus charged_resolve1 charged_resolve2"
 syscall_steps="$syscall_steps Directory.locate rreply"
-bad=$(closures lib/core/copy.ml chunk_span \
+bad=$(closures lib/core/copy.ml \
         "stage Fabric.transfer_then Channel.recv_then Endpoint.post"
       for f in lib/core/controller.ml lib/core/capspace.ml lib/core/invoke.ml
       do
-        closures "$f" span "$syscall_steps"
+        closures "$f" "$syscall_steps"
       done
-      closures lib/net/endpoint.ml "" "Fabric.send_with Fabric.send_with_n"
+      fabric_steps="Engine.schedule Engine.schedule_with"
+      closures lib/net/fabric.ml \
+        "$fabric_steps Engine.schedule_with_n Engine.relay_with"
+      closures lib/net/endpoint.ml "Fabric.send_with Fabric.send_with_n"
       channel_steps="Engine.schedule_with Engine.resume_in Engine.resume"
-      closures lib/sim/channel.ml "" "$channel_steps Engine.suspend_with")
+      closures lib/sim/channel.ml "$channel_steps Engine.suspend_with")
 if [ -n "$bad" ]; then
   echo "$bad"
   echo "pass a step defined once and the copy, session, syscall or message"

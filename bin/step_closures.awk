@@ -1,11 +1,9 @@
 # Print each call in an OCaml file, already blanked by bin/code_only.awk,
 # that passes an anonymous function (`(fun` or `(function`) to one of the
-# step-taking functions in `names`, outside the arguments of a call of
-# the function `traced` (a span wrapper that only traced runs call), as
-# FILE:LINE:
+# step-taking functions in `names`, as FILE:LINE:
 #
 #   awk -f bin/code_only.awk lib/core/copy.ml |
-#     awk -v file=lib/core/copy.ml -v traced=chunk_span \
+#     awk -v file=lib/core/copy.ml \
 #       -v names="stage Fabric.transfer_then Channel.recv_then Endpoint.post" \
 #       -f bin/step_closures.awk
 #
@@ -13,7 +11,7 @@
 # around it, or to a `;`, a `|` or a keyword that ends an expression
 # (in, then, else, with, and, let, do, done) at the call's own depth;
 # begin/end count as parentheses. A name right after `let` or `and` is
-# a definition, not a call. With `traced` empty, no call is exempt.
+# a definition, not a call.
 { text = text $0 "\n" }
 
 function ident(c) { return c ~ /[A-Za-z0-9_']/ }
@@ -55,17 +53,13 @@ function calls(name, starts,   re, s, off, k, p) {
 }
 
 END {
-  nx = traced == "" ? 0 : calls(traced, xs)
-  for (j = 1; j <= nx; j++) xe[j] = call_end(xs[j] + length(traced))
   n = split(names, steps, " ")
   for (f = 1; f <= n; f++) {
     nc = calls(steps[f], cs)
     for (j = 1; j <= nc; j++) {
       p = cs[j]
-      exempt = 0
-      for (x = 1; x <= nx; x++) if (p > xs[x] && p < xe[x]) exempt = 1
       args = substr(text, p, call_end(p + length(steps[f])) - p)
-      if (!exempt && args ~ /\((fun|function)[^A-Za-z0-9_]/) {
+      if (args ~ /\((fun|function)[^A-Za-z0-9_]/) {
         line = split(substr(text, 1, p), ignored, "\n")
         print file ":" line ": a closure passed to " steps[f]
       }

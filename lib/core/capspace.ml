@@ -268,18 +268,18 @@ let apply_increment ctrl addr =
     | Some md -> md.md_outstanding <- md.md_outstanding + 1
     | None -> ())
 
-let apply_decrement ctrl addr k =
+let apply_decrement ctrl addr =
   match Hashtbl.find_opt ctrl.objects addr.a_oid with
-  | None -> k ()
-  | Some _ when addr.a_epoch <> ctrl.epoch -> k ()
+  | None -> leave ()
+  | Some _ when addr.a_epoch <> ctrl.epoch -> leave ()
   | Some obj -> (
     match obj.o_mon_delegator with
     | Some md ->
       md.md_outstanding <- md.md_outstanding - 1;
       if md.md_outstanding = 0 && md.md_watcher.alive then
-        post_monitor_event ctrl md.md_watcher (Delegate_cb md.md_cb) k
-      else k ()
-    | None -> k ())
+        post_monitor_event ctrl md.md_watcher (Delegate_cb md.md_cb) leave
+      else leave ()
+    | None -> leave ())
 
 (* Register [watcher] as the monitor_delegate watcher of the object at
    [addr] (we are its owner). *)

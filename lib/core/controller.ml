@@ -115,13 +115,14 @@ let owned s v =
   | _ -> ());
   answer_with s v
 
-let diminish_here s =
+(* diminish and revtree at the owner, after their charges ([child_here]) *)
+let child_made s =
+  let ctrl = s.s_ctrl and addr = s.s_entry.e_addr in
   match s.s_msg with
   | Sys_mem_diminish { off; len; drop; _ } ->
-    child s (diminish s.s_ctrl s.s_entry.e_addr ~off ~len ~drop)
-  | _ -> other s
+    child s (diminish ctrl addr ~off ~len ~drop)
+  | _ -> child s (revtree ctrl addr)
 
-let revtree_here s = child s (revtree s.s_ctrl s.s_entry.e_addr)
 let revoke_here s = revoke_at s.s_ctrl s.s_entry.e_addr owned s
 
 (* The syscall's work at [owner], the owner of its object: [here s] when
@@ -137,8 +138,8 @@ let route here send s owner =
 
 let child_here s =
   match s.s_msg with
-  | Sys_mem_diminish _ -> charge_with s.s_ctrl diminish_cost diminish_here s
-  | Sys_revtree_create _ -> charge_with s.s_ctrl revtree_cost revtree_here s
+  | Sys_mem_diminish _ -> charge_with s.s_ctrl diminish_cost child_made s
+  | Sys_revtree_create _ -> charge_with s.s_ctrl revtree_cost child_made s
   | _ -> other s
 
 let child_send s =
@@ -396,69 +397,66 @@ let shed_syscall ctrl msg =
 (* Peer message handlers                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A peer message's handler ends with [leave], which closes its span
+   ([handle_peer]), or with the end of the invocation or copy it starts,
+   whose span it enters as its tail. *)
+
 (* The owner's side of a peer's diminish, revtree and revoke, after
-   their own charges: steps over the message's [(ctrl, msg, k)]. *)
-let peer_diminished (ctrl, msg, k) =
+   their own charges: steps over the message's [(ctrl, msg)]. *)
+let peer_child (ctrl, msg) =
   match msg with
   | P_diminish { addr; off; len; drop; reply } ->
-    rreply_to ctrl reply (diminish ctrl addr ~off ~len ~drop) k
-  | _ -> invalid_arg "Controller.peer_diminished"
+    rreply_to ctrl reply (diminish ctrl addr ~off ~len ~drop) leave
+  | P_revtree { addr; reply } -> rreply_to ctrl reply (revtree ctrl addr) leave
+  | _ -> invalid_arg "Controller.peer_child"
 
-let peer_revtreed (ctrl, msg, k) =
+let peer_revoked (ctrl, reply) v = rreply_to ctrl reply v leave
+
+let peer_revoke (ctrl, msg) =
   match msg with
-  | P_revtree { addr; reply } -> rreply_to ctrl reply (revtree ctrl addr) k
-  | _ -> invalid_arg "Controller.peer_revtreed"
-
-let peer_revoked (ctrl, reply, k) v = rreply_to ctrl reply v k
-
-let peer_revoke (ctrl, msg, k) =
-  match msg with
-  | P_revoke { addr; reply } ->
-    revoke_at ctrl addr peer_revoked (ctrl, reply, k)
+  | P_revoke { addr; reply } -> revoke_at ctrl addr peer_revoked (ctrl, reply)
   | _ -> invalid_arg "Controller.peer_revoke"
 
 (* A peer message's handler, after the message's own charge
    ([peer_units]). *)
-let serve_peer ((ctrl, msg, k) as x) =
+let serve_peer ((ctrl, msg) as x) =
   match msg with
   | P_invoke { addr; suffix_imms; suffix_caps; reply } ->
     Invoke.do_invoke ~tail:true ctrl addr suffix_imms suffix_caps reply
-  | P_diminish _ -> charge_with ctrl diminish_cost peer_diminished x
-  | P_revtree _ -> charge_with ctrl revtree_cost peer_revtreed x
+  | P_diminish _ -> charge_with ctrl diminish_cost peer_child x
+  | P_revtree _ -> charge_with ctrl revtree_cost peer_child x
   | P_revoke _ -> charge_with ctrl revoke_cost peer_revoke x
   | P_cleanup { addr; reply } ->
     cleanup_local ctrl addr;
-    rreply_to ctrl reply (Ok ()) k
+    rreply_to ctrl reply (Ok ()) leave
   | P_increment { addr } ->
     apply_increment ctrl addr;
-    k ()
-  | P_decrement { addr } -> apply_decrement ctrl addr k
+    leave ()
+  | P_decrement { addr } -> apply_decrement ctrl addr
   | P_ref_inc { addr; reply } ->
     ref_inc ctrl addr;
-    rreply_to ctrl reply (Ok ()) k
+    rreply_to ctrl reply (Ok ()) leave
   | P_ref_dec { addr } ->
     ref_dec ctrl addr;
-    k ()
+    leave ()
   | P_mon_delegate { addr; watcher; cb; reply } ->
-    rreply_to ctrl reply (do_mon_delegate ctrl ~watcher ~cb addr) k
+    rreply_to ctrl reply (do_mon_delegate ctrl ~watcher ~cb addr) leave
   | P_mon_receive { addr; watcher; cb; reply } ->
-    rreply_to ctrl reply (do_mon_receive ctrl ~watcher ~cb addr) k
+    rreply_to ctrl reply (do_mon_receive ctrl ~watcher ~cb addr) leave
   | P_copy_pull { src; dst; reply } ->
     Copy.do_copy_pull ~tail:true ctrl ~src ~dst reply
-  | P_copy_open _ -> Copy.on_open x
-  | P_copy_chunk _ -> Copy.on_chunk ctrl msg k
+  | P_copy_open _ -> charge_with ctrl Copy.open_cost Copy.opened x
+  | P_copy_chunk _ -> Copy.on_chunk ctrl msg
   | P_place_mem { buf; off; len; perms; owner; key; reply } ->
     Directory.place_at_home ctrl reply ~key
       (Directory.mint_memory ctrl ~buf ~off ~len ~perms ~owner)
-      k
   | P_place_req { provider; imms; caps; parent; key; reply } ->
     Directory.place_at_home ctrl reply ~key
       (Directory.mint_request ctrl ~provider ~tag:"" ~imms ~caps
          ~parent:(Some parent))
-      k
   | P_place_ack { caller; key } ->
     Hashtbl.remove ctrl.placed_pending (caller, key);
-    k ()
+    leave ()
 
 (* Each peer message's name and the charge its handler starts with. *)
 let peer_kind =
@@ -486,21 +484,18 @@ let peer_kind =
 
 (* A copy chunk costs no controller time of its own, so it is served at
    once, without the charge's argument tuple: it is the per-chunk path. *)
-let dispatch_peer ctrl msg k =
+let dispatch_peer ctrl msg =
   match msg with
-  | P_copy_chunk _ -> Copy.on_chunk ctrl msg k
-  | _ -> charge_with ctrl (snd (peer_kind msg)) serve_peer (ctrl, msg, k)
+  | P_copy_chunk _ -> Copy.on_chunk ctrl msg
+  | _ -> charge_with ctrl (snd (peer_kind msg)) serve_peer (ctrl, msg)
 
-(* A peer message's handler runs under its span, and ends with [leave]
-   or with the end of the invocation or copy it starts, whose span it
-   enters as its tail. *)
 let peer_span msg = ("ctrl.peer." ^ fst (peer_kind msg), [])
 
 let handle_peer ctrl msg =
   Obs.Metrics.incr ctrl.cm.cm_peer_msgs;
   Obs.Metrics.set ctrl.cm.cm_peer_backlog (Net.Endpoint.pending ctrl.peer_ep);
   enter ctrl peer_span msg;
-  dispatch_peer ctrl msg leave
+  dispatch_peer ctrl msg
 
 let reject_peer msg =
   let kill : type a. a rreply -> unit =
@@ -659,8 +654,7 @@ let shard_mark ctrl live =
    current instant, the heap slot a fiber's start would take, so
    same-instant events keep their order. The loop's functions, [handle
    ctrl] among them, are built once per loop. A queued message is taken
-   with [recv_then], which hands it over at once and, unlike [try_recv],
-   boxes nothing. *)
+   with [recv_then], which hands it over at once and boxes nothing. *)
 let service_loop ctrl ep handle reject =
   let cfg = config ctrl in
   let batch = max 1 cfg.Net.Config.ctrl_batch in

@@ -197,9 +197,6 @@ and staged_write s =
 
 and stored s =
   leave ();
-  written s
-
-and written s =
   s.cs_last <- Sim.Engine.now ();
   let rr = chunk_last s.cs_ck in
   if s.cs_closed then ()
@@ -329,7 +326,8 @@ let cp_chunk c = (config c.cp_ctrl).bounce_chunk
 let cp_len c = chunk_len (cp_src_mem c).m_len (cp_chunk c) c.cp_i
 
 let copy_span src = ("ctrl.copy", [ ("src_oid", string_of_int src.a_oid) ])
-let chunk_span c = ("ctrl.copy.chunk", chunk_attrs (c.cp_i * cp_chunk c) (cp_len c))
+let chunk_span c =
+  ("ctrl.copy.chunk", chunk_attrs (c.cp_i * cp_chunk c) (cp_len c))
 
 let rec next c =
   if c.cp_i = c.cp_n then leave ()
@@ -337,10 +335,6 @@ let rec next c =
     enter c.cp_ctrl chunk_span c;
     read c
   end
-
-and sent c =
-  c.cp_i <- c.cp_i + 1;
-  next c
 
 (* RDMA read of the chunk's source range into the bounce buffer, then
    its staging memcpy *)
@@ -392,7 +386,8 @@ and post c =
 
 and chunk_sent c =
   leave ();
-  sent c
+  c.cp_i <- c.cp_i + 1;
+  next c
 
 (* The copy's set-up at the source, as steps over its record: the
    charges, the source's checks and the routing of the destination. *)
@@ -413,7 +408,7 @@ let pull_source c =
   | exception Error.Fractos e -> pull_failed c e
   | m when not m.m_perms.Perms.read -> pull_failed c Error.Perm_denied
   | m when not m.m_owner.alive ->
-    (* symmetric with on_open's destination check: never read a dead
+    (* symmetric with opened's destination check: never read a dead
        owner's buffer *)
     pull_failed c Error.Provider_dead
   | m ->
@@ -519,7 +514,7 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
    and the error is parked until the final chunk's reply path. The open
    carries the caller's reply path too, for the sweeps: a session or a
    failure whose final chunk never comes answers over it. *)
-let open_failed ctrl ~copy_id ~chunk ~reply e k =
+let open_failed ctrl ~copy_id ~chunk ~reply e =
   let chunks =
     match Hashtbl.find_opt ctrl.copy_pending copy_id with
     | Some q ->
@@ -529,7 +524,7 @@ let open_failed ctrl ~copy_id ~chunk ~reply e k =
   in
   Hashtbl.replace ctrl.copy_failures copy_id (e, reply);
   schedule_failure_sweep ctrl copy_id;
-  each (reject_chunk ctrl ~copy_id e) chunks k
+  each (reject_chunk ctrl ~copy_id e) chunks leave
 
 (* The destination's extent, if a copy may write [total] bytes to it;
    raises [Error.Fractos] otherwise *)
@@ -543,13 +538,15 @@ let writable ctrl dst ~total =
   else if not m.m_owner.alive then raise (Error.Fractos Error.Provider_dead)
   else m
 
-(* The open after its lookups' charge, a step over the peer handler's
-   [(ctrl, msg, k)] *)
-let opened (ctrl, msg, k) =
+(* The open after its lookups' charge ([open_cost]), a step over the peer
+   handler's [(ctrl, msg)] *)
+let open_cost = [ (Net.Cost.Lookup, 2) ]
+
+let opened (ctrl, msg) =
   match msg with
   | P_copy_open { copy_id; dst; base; total; chunk; reply } -> (
     match writable ctrl dst ~total with
-    | exception Error.Fractos e -> open_failed ctrl ~copy_id ~chunk ~reply e k
+    | exception Error.Fractos e -> open_failed ctrl ~copy_id ~chunk ~reply e
     | m ->
       let s = start_copy_session ctrl ~copy_id ~base ~total m chunk reply in
       feed s chunk;
@@ -558,12 +555,8 @@ let opened (ctrl, msg, k) =
         Hashtbl.remove ctrl.copy_pending copy_id;
         Queue.iter (feed s) q
       | None -> ());
-      k ())
+      leave ())
   | _ -> invalid_arg "Copy.opened"
-
-let on_open x =
-  let ctrl, _, _ = x in
-  charge_with ctrl [ (Net.Cost.Lookup, 2) ] opened x
 
 (* [P_copy_chunk]: feed the open session, answer a rejected one, or park
    the chunk while the open is still being processed (handlers run
@@ -571,7 +564,7 @@ let on_open x =
    chunk's reply is a charged step of its own. The session lookup raises
    on a miss rather than box a hit in [Some]: a hit is the per-chunk
    path. *)
-let on_chunk ctrl ck k =
+let on_chunk ctrl ck =
   (match ck with
   | P_copy_chunk { copy_id; _ } -> (
     match Hashtbl.find ctrl.copy_sessions copy_id with
@@ -595,4 +588,4 @@ let on_chunk ctrl ck k =
         in
         Queue.add ck q))
   | _ -> not_chunk ());
-  k ()
+  leave ()

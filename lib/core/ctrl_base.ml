@@ -53,16 +53,12 @@ let charge_plus ctrl units cls n g x =
 let charge_scaled ctrl cls base g x =
   after_cpu ctrl (Net.Cost.scaled (config ctrl) (kind ctrl) cls base) g x
 
-(* Spans follow the steps (HACKING.md, "Writing a controller step"): a
-   step opens one on this controller with [enter ctrl what x], named and
-   attributed by [what x], and the step that ends the span's work closes
-   it with [leave]. Between the two, the span is the ambient trace
-   context, which every event the steps schedule inherits. Traced and
-   untraced runs take the same steps; untraced, [enter] is one branch and
-   never calls [what], so a step passes a function defined once and its
-   own argument, and builds no name or attribute list (HACKING.md, "Hot
-   path"). [~tail:true] enters a span that ends its parent's work as
-   well, so the step that leaves it leaves the parent too. *)
+(* A step opens a span on this controller, named and attributed by
+   [what x], and the step that ends its work closes it with [leave]
+   (HACKING.md, "Writing a controller step"); [~tail:true], a span whose
+   end ends its parent's work too. Untraced, [enter] is one branch and
+   never calls [what], a function defined once (HACKING.md, "Hot
+   path"). *)
 let enter ?tail ctrl what x =
   if Obs.Span.enabled () then begin
     let name, attrs = what x in
@@ -71,8 +67,7 @@ let enter ?tail ctrl what x =
 
 let leave = Obs.Span.leave
 
-(* A step that ends nothing: the continuation of work that opened no
-   span. *)
+(* A step that ends nothing, in work that opened no span. *)
 let stop () = ()
 
 (* [f x k'] for each [x] of [xs], each after the one before, then [k ()]. *)

@@ -257,10 +257,10 @@ let place_lease_arm ctrl ~caller ~key addr =
 (* Home side of [P_place_mem] / [P_place_req], given the freshly minted
    [addr]: record the Mint (so live-object accounting balances even when
    the address reply is dropped by fault injection), arm the lease and
-   reply. *)
-let place_at_home ctrl (reply : addr rreply) ~key addr k =
+   reply, which ends the peer handler. *)
+let place_at_home ctrl (reply : addr rreply) ~key addr =
   Obs.Metrics.incr ctrl.cm.cm_shard_placed;
   audit ctrl Obs.Audit.Mint ~detail:(fun () -> "shard placement") addr;
   place_lease_arm ctrl ~caller:(rr_ctrl reply).ctrl_id ~key addr;
-  rreply_to ctrl reply (Ok addr) k
+  rreply_to ctrl reply (Ok addr) leave
 

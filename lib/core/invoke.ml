@@ -1,7 +1,7 @@
 (* The Request invocation chain: walk derived Requests toward their root
    at each owner, then deliver to the provider with delegation-on-invoke.
    A hop runs as controller steps (Ctrl_base) whose state is one [hop]
-   record, so the untraced steps of a null invoke build no closure. *)
+   record, so the steps of a null invoke build no closure. *)
 
 open State
 open Ctrl_base
@@ -15,16 +15,14 @@ type hop = {
   mutable h_v : (unit, Error.t) result; (* and its value, once sent *)
 }
 
-(* A hop's steps run under its ctrl.invoke span, and under its
-   ctrl.deliver span once it delivers, which is entered as the invoke
-   span's tail: a hop ends with one [leave], whatever it reached. A
-   hop's span is itself the tail of a peer message's span, or of the
-   invoke span of the derived Request it continues, so the work they
-   stand for ends with it; one that a [request_invoke] syscall starts
-   ends before the syscall's answer, and is no tail. *)
+(* A hop runs under its ctrl.invoke span, and its delivery under a
+   ctrl.deliver span entered as that one's tail, so a hop ends with one
+   [leave] wherever it stops. *)
 let invoke_span addr = ("ctrl.invoke", [ ("oid", string_of_int addr.a_oid) ])
 
-let deliver_span caps = ("ctrl.deliver", [ ("caps", string_of_int caps) ])
+let deliver_span caps =
+  ("ctrl.deliver", [ ("caps", string_of_int (List.length caps)) ])
+
 let delegate_span () = ("ctrl.delegate", [])
 
 (* Acknowledge the posting, or, past the ack point, account for a
@@ -95,9 +93,8 @@ let post_delivery hop (r : req) imms cids =
 
 let post_delivery_at (hop, r, imms, cids) = post_delivery hop r imms cids
 
-(* The capability arguments are in the provider's space: the
-   ctrl.delegate span ends, and the request waits for the provider's
-   delivery window. *)
+(* The capability arguments are in the provider's space: the request
+   waits for the provider's delivery window. *)
 let delegated hop (r : req) imms v =
   leave ();
   match v with
@@ -124,7 +121,7 @@ let delegate (hop, space, r, imms, caps) =
    books no time: its ctrl.delegate span opens and closes at once. *)
 let deliver hop (r : req) imms caps =
   let ctrl = hop.h_ctrl and provider = r.r_provider in
-  enter ~tail:true ctrl deliver_span (List.length caps);
+  enter ~tail:true ctrl deliver_span caps;
   Obs.Span.set_attr (Obs.Span.current ()) "tag" r.r_tag;
   if not provider.alive then fail hop Error.Provider_dead
   else
@@ -186,18 +183,15 @@ and forward hop owner =
 (* acknowledge the posting before forwarding: the local part of the
    chain validated *)
 and forward_charged ((hop, _) as x) =
-  match hop.h_rr with
-  | Rreply _ ->
+  if has_reply hop.h_rr then begin
     hop.h_v <- Ok ();
     reply_span hop.h_ctrl;
-    charge_with hop.h_ctrl msg_cost post_ack_forward x
-  | No_reply -> send_forward x
-
-and post_ack_forward ((hop, _) as x) =
-  post_ack hop;
-  send_forward x
+    charge_with hop.h_ctrl msg_cost send_forward x
+  end
+  else send_forward x
 
 and send_forward (hop, owner) =
+  if has_reply hop.h_rr then post_ack hop;
   send_peer hop.h_ctrl owner
     ~size:(Wire.invoke ~imms:hop.h_imms ~caps:(List.length hop.h_caps))
     (P_invoke
@@ -206,9 +200,9 @@ and send_forward (hop, owner) =
   leave ()
 
 (* One hop at the owner of [addr]: the invocation a peer message carries
-   ([tail]: the hop's span ends the message's), or the one a
-   [request_invoke] syscall starts here, at the owner of its Request,
-   whose posting acknowledgment answers the syscall. *)
+   ([tail]: it ends the message's span), or the one a [request_invoke]
+   syscall starts at the owner of its Request, whose posting
+   acknowledgment answers the syscall. *)
 let do_invoke ?tail ctrl addr suffix_imms suffix_caps rr =
   invoke_hop ?tail
     { h_ctrl = ctrl; h_addr = addr; h_imms = suffix_imms; h_caps = suffix_caps;

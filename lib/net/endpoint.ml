@@ -59,8 +59,5 @@ let post fab ~src ep ?cls ~size msg =
   ep.next_seq <- seq + 1;
   Fabric.send_with_n fab ~src ~dst:ep.node ?cls ~size ep.arrive msg seq
 
-let recv ep = Sim.Channel.recv ep.chan
-
 let recv_then ep g = Sim.Channel.recv_then ep.chan g
-let try_recv ep = Sim.Channel.try_recv ep.chan
 let pending ep = Sim.Channel.length ep.chan

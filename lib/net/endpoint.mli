@@ -2,7 +2,7 @@
 
     An endpoint pairs a node with a mailbox. Processes and Controllers each
     own one endpoint per peer relationship and exchange typed messages with
-    {!post} / {!recv}; the fabric handles latency, bandwidth and
+    {!post} / {!recv_then}; the fabric handles latency, bandwidth and
     accounting underneath. *)
 
 type 'a t
@@ -33,16 +33,12 @@ val post :
     nodes. Discards are counted in the receiver's [net.dup_discards]
     metric. *)
 
-val recv : 'a t -> 'a
-(** Block until the next message arrives at this endpoint. *)
-
 val recv_then : 'a t -> ('a -> unit) -> unit
-(** [recv_then ep g] is {!recv} for code that runs as engine events
-    rather than in a fiber: [g msg] runs at once on a message already
-    waiting, or else on the next one to arrive, as the event that would
-    resume a fiber blocked in {!recv}, under the sender's trace context.
+(** [recv_then ep g] takes the next message for code that runs as engine
+    events: [g msg] runs at once on a message already waiting, or else on
+    the next one to arrive, as the event that would resume a fiber
+    blocked in {!Sim.Channel.recv}, under the sender's trace context.
     One reader at a time: a server calls it again from [g] for the next
     message. *)
 
-val try_recv : 'a t -> 'a option
 val pending : 'a t -> int

@@ -9,7 +9,7 @@ type t = {
   mutable next_id : int;
   mutable nodes : Node.t list; (* reverse creation order *)
   mutable fault_hook : fault_hook option;
-  mutable dup_at : Sim.Time.t; (* [book]'s result besides the delivery instant *)
+  mutable dup_at : Sim.Time.t; (* [book]'s result beside the delivery *)
 }
 
 let create ?(config = Config.default) () =

@@ -26,7 +26,6 @@ type state = {
   s_index : (int, t) Hashtbl.t;
   mutable s_dropped : int;
   s_entered : (int, int) Hashtbl.t; (* [enter]'s open spans, see there *)
-  mutable s_next_stand_in : int;
   s_due : (t * Sim.Time.t) Queue.t; (* closed ahead of the clock *)
 }
 
@@ -39,7 +38,6 @@ let st =
     s_index = Hashtbl.create 1024;
     s_dropped = 0;
     s_entered = Hashtbl.create 64;
-    s_next_stand_in = max_int;
     s_due = Queue.create ();
   }
 
@@ -52,7 +50,6 @@ let reset () =
   Queue.clear st.s_collected;
   Hashtbl.reset st.s_index;
   Hashtbl.reset st.s_entered;
-  st.s_next_stand_in <- max_int;
   Queue.clear st.s_due;
   st.s_next_id <- 1;
   st.s_dropped <- 0
@@ -97,10 +94,9 @@ let instant ?attrs ?node ~name () =
   ignore (add Instant ?attrs ?node ~name ())
 
 let set_attr id k v =
-  if id <> 0 then
-    match Hashtbl.find_opt st.s_index id with
-    | Some sp -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
-    | None -> ()
+  match Hashtbl.find_opt st.s_index id with
+  | Some sp -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
+  | None -> ()
 
 let close sp at attrs =
   if not sp.sp_finished then begin
@@ -114,24 +110,22 @@ let finish ?(attrs = []) id =
   | None -> ()
   | Some sp -> close sp (Sim.Engine.now ()) attrs
 
-(* A span closed at an instant still ahead of the clock reads as open
-   until the clock gets there: [settle] closes the due ones before the
-   collected spans are read. Outside a run every delivery has run. *)
+(* A span closed ahead of the clock reads as open until the clock gets
+   there: [settle] closes the due ones before [all] reads the spans, and
+   all of them after a run, when every delivery has run. *)
 let finish_at id at =
   match Hashtbl.find_opt st.s_index id with
-  | None -> ()
   | Some sp -> Queue.add (sp, at) st.s_due
+  | None -> ()
 
 let settle () =
-  if not (Queue.is_empty st.s_due) then begin
-    let now =
-      match Sim.Engine.now () with t -> t | exception Failure _ -> max_int
-    in
-    for _ = 1 to Queue.length st.s_due do
-      let ((sp, at) as due) = Queue.pop st.s_due in
-      if at <= now then close sp at [] else Queue.add due st.s_due
-    done
-  end
+  let now =
+    match Sim.Engine.now () with t -> t | exception Failure _ -> max_int
+  in
+  for _ = 1 to Queue.length st.s_due do
+    let ((sp, at) as due) = Queue.pop st.s_due in
+    if at <= now then close sp at [] else Queue.add due st.s_due
+  done
 
 let with_ ?attrs ?node ~name f =
   if not st.s_enabled then f ()
@@ -146,23 +140,21 @@ let with_ ?attrs ?node ~name f =
       f
   end
 
-(* The ambient context is the innermost open span of the work at hand,
-   so a step closes it with no record of its own: [enter] keeps the
-   context to restore under the span's id, with the tail flag in its low
-   bit, and [leave] takes it back. A span the limit drops still needs
-   that entry, so it gets a stand-in id, counted down from [max_int],
-   that no collected span has. *)
+(* A step closes the ambient span with no record of its own: [enter]
+   keeps the context to restore under the span's id ([lnot] of it for a
+   tail), and [leave] takes it back. A span the limit drops still takes
+   an id, which nothing collected has, for that entry. *)
 let enter ?(tail = false) ?attrs ?node ~name () =
   if st.s_enabled then begin
     let parent = Sim.Engine.get_ctx () in
     let id =
       match start ?attrs ?node ~name () with
       | 0 ->
-        st.s_next_stand_in <- st.s_next_stand_in - 1;
-        st.s_next_stand_in + 1
+        st.s_next_id <- st.s_next_id + 1;
+        st.s_next_id - 1
       | id -> id
     in
-    Hashtbl.replace st.s_entered id ((parent lsl 1) lor Bool.to_int tail);
+    Hashtbl.replace st.s_entered id (if tail then lnot parent else parent);
     Sim.Engine.set_ctx id
   end
 
@@ -173,11 +165,9 @@ let rec leave () =
     | exception Not_found -> ()
     | saved ->
       Hashtbl.remove st.s_entered id;
-      (match Hashtbl.find_opt st.s_index id with
-      | Some sp -> close sp (Sim.Engine.now ()) []
-      | None -> ());
-      Sim.Engine.set_ctx (saved lsr 1);
-      if saved land 1 = 1 then leave ()
+      finish id;
+      Sim.Engine.set_ctx (if saved < 0 then lnot saved else saved);
+      if saved < 0 then leave ()
 
 let all () =
   settle ();
@@ -185,9 +175,7 @@ let all () =
 
 let count () = Queue.length st.s_collected
 let dropped () = st.s_dropped
-let find id =
-  settle ();
-  Hashtbl.find_opt st.s_index id
+let find id = Hashtbl.find_opt st.s_index id
 
 let warn_if_truncated path =
   if dropped () > 0 then

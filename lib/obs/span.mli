@@ -15,7 +15,8 @@
     anywhere in the protocol.
 
     Collection is process-global and off by default ({!set_enabled});
-    when disabled, every operation is a single branch. Export with
+    when disabled, every operation is a single branch, and code that
+    runs as events calls {!enter} and {!leave} alike. Export with
     {!Export}. *)
 
 type id = int
@@ -67,10 +68,9 @@ val finish : ?attrs:(string * string) list -> id -> unit
 (** Close a span at the current instant (idempotent; no-op on id 0). *)
 
 val finish_at : id -> Fractos_sim.Time.t -> unit
-(** [finish_at id t] closes a span whose end instant [t] is already
-    known, as {!finish} would at [t]: how the fabric closes a message's
-    span when it books the delivery. Until the clock reaches [t], the
-    span reads as open in {!all} and {!find}. *)
+(** [finish_at id t] is {!finish} at a known end instant [t], as the
+    fabric closes a message's span when it books the delivery. Until the
+    clock reaches [t], the span reads as open in {!all}. *)
 
 val with_ :
   ?attrs:(string * string) list ->
@@ -89,25 +89,22 @@ val enter :
   name:string ->
   unit ->
   unit
-(** [enter ~name ()] is {!with_} for code that runs as engine events
-    rather than in a fiber: it opens a span under the ambient context and
-    makes it the ambient context, which the events the code schedules
-    inherit, until the step that ends the work calls {!leave}. With
-    [~tail:true] the span ends its parent's work too: leaving it leaves
-    the parent as well. When tracing is disabled this does nothing. *)
+(** [enter ~name ()] is {!with_} for code that runs as engine events: it
+    opens a span under the ambient context and makes it the ambient
+    context, which the events scheduled from there inherit, until the
+    step that ends the work calls {!leave}. With [~tail:true], leaving it
+    leaves its parent too. When tracing is disabled this does nothing. *)
 
 val leave : unit -> unit
-(** Close the ambient span at the current instant and make the context
-    it was entered under the ambient context again; then, if it was
-    entered with [~tail:true], leave that one too. A span dropped at the
-    {!set_limit} cap is left the same way, with nothing to close. No-op
-    when no {!enter} set the ambient context (untraced, say). *)
+(** Close the ambient span and restore the context it was entered under;
+    leave that one too if the span is a tail. A span dropped at the
+    {!set_limit} cap is left the same way. No-op when no {!enter} set the
+    ambient context (untraced, say). *)
 
 val instant : ?attrs:(string * string) list -> ?node:string -> name:string -> unit -> unit
 (** A zero-duration marker event under the ambient parent. *)
 
 val set_attr : id -> string -> string -> unit
-(** Add an attribute to an open or closed span (no-op on id 0). *)
 
 val all : unit -> t list
 (** Collected spans in creation (= start-time) order. *)

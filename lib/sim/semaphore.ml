@@ -13,10 +13,6 @@ let create n =
   if n < 0 then invalid_arg "Semaphore.create: negative permits";
   { permits = n; waiters = Queue.create () }
 
-let acquire s =
-  if s.permits > 0 then s.permits <- s.permits - 1
-  else Engine.suspend (fun r -> Queue.add (Fiber r) s.waiters)
-
 let acquire_then s g x =
   if s.permits > 0 then begin
     s.permits <- s.permits - 1;
@@ -40,7 +36,8 @@ let release s =
     | Step (ctx, g, x) -> Engine.wake_with ctx g x
 
 let with_permit s f =
-  acquire s;
+  if s.permits > 0 then s.permits <- s.permits - 1
+  else Engine.suspend (fun r -> Queue.add (Fiber r) s.waiters);
   Fun.protect ~finally:(fun () -> release s) f
 
 let available s = s.permits

@@ -9,15 +9,12 @@ type t
 val create : int -> t
 (** [create n] is a semaphore with [n] initial permits ([n >= 0]). *)
 
-val acquire : t -> unit
-(** Take one permit, blocking in FIFO order until one is available. *)
-
 val acquire_then : t -> ('a -> unit) -> 'a -> unit
 (** [acquire_then s g x] takes one permit and runs [g x]: at once when a
     permit is free, else as an event when a {!release} hands it one, in
-    the same FIFO order as {!acquire} and under the trace context of the
-    call. It is {!acquire} for code that runs as events, not in a fiber:
-    the wake-up is the one event {!acquire}'s resume would be. *)
+    FIFO order with the fibers blocked in {!with_permit} and under the
+    trace context of the call. The wake-up is the one event a blocked
+    fiber's resume would be. *)
 
 val try_acquire : t -> bool
 (** Take one permit if immediately available. *)
@@ -27,11 +24,11 @@ val release : t -> unit
 
 val with_permit : t -> (unit -> 'a) -> 'a
 (** [with_permit s f] runs [f] holding one permit, releasing it on return
-    or exception. *)
+    or exception; it blocks in FIFO order until a permit is free. *)
 
 val available : t -> int
 (** Current number of free permits. *)
 
 val waiting : t -> int
-(** Number of fibers blocked in {!acquire} and steps queued by
+(** Number of fibers blocked in {!with_permit} and steps queued by
     {!acquire_then}. *)

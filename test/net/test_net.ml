@@ -275,14 +275,23 @@ let test_stats_reset () =
 (* Endpoint                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The message waiting at [ep], taken as a service step takes it:
+   [recv_then] runs its step at once on a waiting message. *)
+let take ep =
+  let got = ref None in
+  Endpoint.recv_then ep (fun v -> got := Some v);
+  !got
+
 let test_endpoint_roundtrip () =
   let v =
     with_fabric (fun fab ->
         let a, b, _ = three_nodes fab in
         let ep = Endpoint.create ~node:b "b-svc" in
+        let got = Ivar.create () in
+        Endpoint.recv_then ep (Ivar.fill got);
         Engine.spawn (fun () ->
             Endpoint.post fab ~src:a ep ~size:64 "hello");
-        Endpoint.recv ep)
+        Ivar.await got)
   in
   Alcotest.(check string) "delivered" "hello" v
 
@@ -294,7 +303,8 @@ let test_endpoint_pending () =
       Endpoint.post fab ~src:a ep ~size:1 2;
       Engine.sleep (Time.ms 1);
       check_int "two pending" 2 (Endpoint.pending ep);
-      check_bool "fifo" true (Endpoint.try_recv ep = Some 1))
+      check_bool "fifo" true (take ep = Some 1);
+      check_int "one pending" 1 (Endpoint.pending ep))
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                    *)
@@ -383,7 +393,7 @@ let test_endpoint_dedups_duplicates () =
       Endpoint.post fab ~src:a ep ~size:64 "once";
       Engine.sleep (Time.ms 10);
       check_int "one copy visible to receiver" 1 (Endpoint.pending ep);
-      check_bool "payload intact" true (Endpoint.try_recv ep = Some "once");
+      check_bool "payload intact" true (take ep = Some "once");
       (* distinct messages are not confused with retransmissions *)
       Fabric.set_fault_hook fab None;
       Endpoint.post fab ~src:a ep ~size:64 "two";
@@ -391,10 +401,11 @@ let test_endpoint_dedups_duplicates () =
       Engine.sleep (Time.ms 10);
       check_int "later messages still flow" 2 (Endpoint.pending ep))
 
-(* Posted messages a receiver has taken so far, in arrival order *)
+(* The posted messages waiting at [ep], taken in arrival order *)
 let drain ep =
   let rec go acc =
-    match Endpoint.try_recv ep with Some v -> go (v :: acc) | None -> acc
+    if Endpoint.pending ep = 0 then acc
+    else match take ep with Some v -> go (v :: acc) | None -> acc
   in
   List.rev (go [])
 

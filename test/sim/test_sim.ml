@@ -633,8 +633,7 @@ let test_semaphore_fifo () =
         let log = ref [] in
         for i = 0 to 3 do
           Engine.spawn (fun () ->
-              Semaphore.acquire s;
-              log := i :: !log)
+              Semaphore.with_permit s (fun () -> log := i :: !log))
         done;
         Engine.sleep 1;
         for _ = 0 to 3 do
@@ -658,7 +657,7 @@ let test_semaphore_release_while_waiting () =
   ignore
     (Engine.run (fun () ->
          let s = Semaphore.create 0 in
-         Engine.spawn (fun () -> Semaphore.acquire s);
+         Semaphore.acquire_then s ignore ();
          Engine.sleep 1;
          check_int "one waiting" 1 (Semaphore.waiting s);
          Semaphore.release s;
@@ -950,9 +949,7 @@ let blocking_order ~step =
           else mark (Channel.recv ch) ());
       start 4 (fun () ->
           if step then Semaphore.acquire_then sem (mark "sem") ()
-          else (
-            Semaphore.acquire sem;
-            mark "sem" ()));
+          else Semaphore.with_permit sem (mark "sem"));
       Engine.set_ctx 5;
       Engine.schedule 10 (mark "timer");
       Engine.sleep 10;

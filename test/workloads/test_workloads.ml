@@ -309,7 +309,8 @@ let observed ?fault e ~traced =
           let lines =
             List.init 6 (fun r ->
                 let iv = Ivar.create () in
-                let client = sc.Scenario.client (r mod small.Scenario.clients) in
+                let k = r mod small.Scenario.clients in
+                let client = sc.Scenario.client k in
                 Engine.spawn (fun () ->
                     Ivar.fill iv (client.Scenario.request rng ()));
                 match Ivar.await_timeout iv ~timeout:(Time.ms 20) with
@@ -320,7 +321,8 @@ let observed ?fault e ~traced =
           Fractos_net.Fabric.set_fault_hook fabric None;
           (* past every sweep and lease the requests left armed *)
           Engine.sleep (Time.ms 50);
-          (lines, sc.Scenario.summary (), Engine.event_count (), Engine.now ())))
+          let summary = sc.Scenario.summary () in
+          (lines, summary, Engine.event_count (), Engine.now ())))
 
 let check_same_run ?fault e =
   let name = Scenario.name e in
