@@ -251,7 +251,7 @@ echo "== closures on the copy data path, the syscall path and the message path"
 # The copy engine's and the syscall handlers' steps take their activity's
 # record as their argument (HACKING.md, "Hot path"): a closure passed to
 # a step builds one per copy, per chunk or per syscall. Traced and
-# untraced runs take the same steps, so no call is exempt. So
+# untraced runs take the same steps, so no call is exempt:
 # lib/core/copy.ml may not pass an anonymous function to stage,
 # Fabric.transfer_then, Channel.recv_then or Endpoint.post, and
 # lib/core/controller.ml, capspace.ml and invoke.ml may not pass one to

@@ -122,6 +122,7 @@ let delegate (hop, space, r, imms, caps) =
 let deliver hop (r : req) imms caps =
   let ctrl = hop.h_ctrl and provider = r.r_provider in
   enter ~tail:true ctrl deliver_span caps;
+  (* the request's tag goes in front of the caps count *)
   Obs.Span.set_attr (Obs.Span.current ()) "tag" r.r_tag;
   if not provider.alive then fail hop Error.Provider_dead
   else

@@ -94,9 +94,10 @@ let instant ?attrs ?node ~name () =
   ignore (add Instant ?attrs ?node ~name ())
 
 let set_attr id k v =
-  match Hashtbl.find_opt st.s_index id with
-  | Some sp -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
-  | None -> ()
+  if id <> 0 then
+    match Hashtbl.find_opt st.s_index id with
+    | Some sp -> sp.sp_attrs <- (k, v) :: sp.sp_attrs
+    | None -> ()
 
 let close sp at attrs =
   if not sp.sp_finished then begin
