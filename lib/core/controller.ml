@@ -187,8 +187,8 @@ let mem_diminish s = if resolved s then at_owner s child_at else answer s
    the source's minter (the lookup answers a foreign address with typed
    Stale). *)
 let pull_here s =
-  Copy.do_copy_pull s.s_ctrl ~src:s.s_entry.e_addr ~dst:s.s_dst.e_addr
-    (rreply s.s_ctrl answer_with s)
+  Copy.do_copy_pull ~tail:false s.s_ctrl ~src:s.s_entry.e_addr
+    ~dst:s.s_dst.e_addr (rreply s.s_ctrl answer_with s)
 
 let send_pull s =
   send_peer s.s_ctrl s.s_owner ~size:Wire.peer_fixed
@@ -353,7 +353,7 @@ let handle_syscall ctrl msg =
        "Hot path") *)
     if Obs.Journal.enabled () then
       journal ctrl Obs.Journal.Debug "ctrl.admit" (fun () -> syscall_name msg);
-    enter ctrl syscall_span msg;
+    enter ~tail:false ctrl syscall_span msg;
     dispatch_syscall ctrl msg
 
 (* Fail a syscall's reply path without running any controller software:
@@ -494,7 +494,7 @@ let peer_span msg = ("ctrl.peer." ^ fst (peer_kind msg), [])
 let handle_peer ctrl msg =
   Obs.Metrics.incr ctrl.cm.cm_peer_msgs;
   Obs.Metrics.set ctrl.cm.cm_peer_backlog (Net.Endpoint.pending ctrl.peer_ep);
-  enter ctrl peer_span msg;
+  enter ~tail:false ctrl peer_span msg;
   dispatch_peer ctrl msg
 
 let reject_peer msg =

@@ -184,7 +184,7 @@ and write s ck =
   s.cs_received <- s.cs_received + len;
   s.cs_ck <- ck;
   s.cs_len <- len;
-  enter s.cs_ctrl write_span s;
+  enter ~tail:false s.cs_ctrl write_span s;
   (* the staging memcpy through the bounce buffer, then the RDMA write
      into process memory *)
   if len = 0 then stored s else stage s.cs_ctrl len staged_write s
@@ -332,7 +332,7 @@ let chunk_span c =
 let rec next c =
   if c.cp_i = c.cp_n then leave ()
   else begin
-    enter c.cp_ctrl chunk_span c;
+    enter ~tail:false c.cp_ctrl chunk_span c;
     read c
   end
 
@@ -424,8 +424,8 @@ let pull_lookup c =
   charge_with c.cp_ctrl [ (Net.Cost.Lookup, 2) ] pull_source c
 
 (* [tail]: the copy's span ends a peer message's ([P_copy_pull]) *)
-let do_copy_pull ?tail ctrl ~src ~dst (rr : unit rreply) =
-  enter ?tail ctrl copy_span src;
+let do_copy_pull ~tail ctrl ~src ~dst (rr : unit rreply) =
+  enter ~tail ctrl copy_span src;
   charge_scaled ctrl Net.Cost.Serialize Net.Config.copy_setup pull_lookup
     {
       cp_ctrl = ctrl;

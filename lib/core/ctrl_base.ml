@@ -59,10 +59,10 @@ let charge_scaled ctrl cls base g x =
    end ends its parent's work too. Untraced, [enter] is one branch and
    never calls [what], a function defined once (HACKING.md, "Hot
    path"). *)
-let enter ?tail ctrl what x =
+let enter ~tail ctrl what x =
   if Obs.Span.enabled () then begin
     let name, attrs = what x in
-    Obs.Span.enter ?tail ~node:(node_name ctrl) ~attrs ~name ()
+    Obs.Span.enter ~tail ~node:(node_name ctrl) ~name attrs
   end
 
 let leave = Obs.Span.leave

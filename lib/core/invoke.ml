@@ -113,7 +113,7 @@ let delegated hop (r : req) imms v =
         Sim.Semaphore.acquire_then window post_delivery_at (hop, r, imms, cids))
 
 let delegate (hop, space, r, imms, caps) =
-  enter hop.h_ctrl delegate_span ();
+  enter ~tail:false hop.h_ctrl delegate_span ();
   delegate_caps hop.h_ctrl space r [] caps (delegated hop r imms)
 
 (* Deliver a fully materialized request to its provider process, charging
@@ -129,7 +129,7 @@ let deliver hop (r : req) imms caps =
     match Capspace.space_of ctrl provider with
     | exception Error.Fractos e -> fail hop e
     | _ when caps = [] ->
-      enter ctrl delegate_span ();
+      enter ~tail:false ctrl delegate_span ();
       delegated hop r imms (Ok [])
     | space ->
       charge_plus ctrl [] Net.Cost.Cap_transfer (List.length caps) delegate
@@ -140,8 +140,8 @@ let deliver hop (r : req) imms caps =
    Requests. Either deliver (root) or forward toward the parent. The
    caller's posting acknowledgment is sent by the first owner that
    validates the invocation; forwarded hops carry no reply path. *)
-let rec invoke_hop ?tail hop =
-  enter ?tail hop.h_ctrl invoke_span hop.h_addr;
+let rec invoke_hop ~tail hop =
+  enter ~tail hop.h_ctrl invoke_span hop.h_addr;
   audit hop.h_ctrl Obs.Audit.Invoke hop.h_addr;
   charge_with hop.h_ctrl [ (Net.Cost.Lookup, 1) ] hop_found hop
 
@@ -204,10 +204,11 @@ and send_forward (hop, owner) =
    ([tail]: it ends the message's span), or the one a [request_invoke]
    syscall starts at the owner of its Request, whose posting
    acknowledgment answers the syscall. *)
-let do_invoke ?tail ctrl addr suffix_imms suffix_caps rr =
-  invoke_hop ?tail
+let do_invoke ~tail ctrl addr suffix_imms suffix_caps rr =
+  invoke_hop ~tail
     { h_ctrl = ctrl; h_addr = addr; h_imms = suffix_imms; h_caps = suffix_caps;
       h_rr = rr; h_v = Error Error.Timeout }
 
 let start s =
-  do_invoke s.s_ctrl s.s_entry.e_addr [] [] (rreply s.s_ctrl answer_with s)
+  do_invoke ~tail:false s.s_ctrl s.s_entry.e_addr [] []
+    (rreply s.s_ctrl answer_with s)

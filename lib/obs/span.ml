@@ -145,11 +145,11 @@ let with_ ?attrs ?node ~name f =
    keeps the context to restore under the span's id ([lnot] of it for a
    tail), and [leave] takes it back. A span the limit drops still takes
    an id, which nothing collected has, for that entry. *)
-let enter ?(tail = false) ?attrs ?node ~name () =
+let enter ~tail ~node ~name attrs =
   if st.s_enabled then begin
     let parent = Sim.Engine.get_ctx () in
     let id =
-      match start ?attrs ?node ~name () with
+      match start ~attrs ~node ~name () with
       | 0 ->
         st.s_next_id <- st.s_next_id + 1;
         st.s_next_id - 1

@@ -83,17 +83,13 @@ val with_ :
     returns. When tracing is disabled this is exactly [f ()]. *)
 
 val enter :
-  ?tail:bool ->
-  ?attrs:(string * string) list ->
-  ?node:string ->
-  name:string ->
-  unit ->
-  unit
-(** [enter ~name ()] is {!with_} for code that runs as engine events: it
-    opens a span under the ambient context and makes it the ambient
-    context, which the events scheduled from there inherit, until the
-    step that ends the work calls {!leave}. With [~tail:true], leaving it
-    leaves its parent too. When tracing is disabled this does nothing. *)
+  tail:bool -> node:string -> name:string -> (string * string) list -> unit
+(** [enter ~tail ~node ~name attrs] is {!with_} for code that runs as
+    engine events: it opens a span under the ambient context and makes it
+    the ambient context, which the events scheduled from there inherit,
+    until the step that ends the work calls {!leave}. With [~tail:true],
+    leaving it leaves its parent too. When tracing is disabled this does
+    nothing. *)
 
 val leave : unit -> unit
 (** Close the ambient span and restore the context it was entered under;
