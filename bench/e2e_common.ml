@@ -25,6 +25,19 @@ let n_images = 16384
    do not depend on which point forces it. *)
 let db = lazy (Facedata.db ~img_size ~n:n_images)
 
+(* The set-up upload alone, as faceverify's populate step: the database
+   written into the FS of a fresh cluster with two chunked third-party
+   copies (app to FS staging, FS staging to block device). *)
+let populate () =
+  Tb.run (fun tb ->
+      let c =
+        Cluster.make ~placement:Tb.Ctrl_cpu ~extent_size:(n_images * img_size)
+          tb
+      in
+      ok_exn
+        (Faceverify.populate_db c.Cluster.app ~fs:c.Cluster.fs_cap
+           ~name:"facedb" ~content:(Lazy.force db)))
+
 type sys = {
   verify : start_id:int -> batch:int -> probes:bytes -> unit;
   stats : Net.Stats.t;

@@ -69,6 +69,7 @@ let bechamel_tests () =
           ignore (Exp_fig12.latency (1, List.hd E2e_common.systems)));
       t "fig13: e2e closed loop" (fun () ->
           ignore (Exp_fig13.throughput (2, List.hd E2e_common.systems)));
+      t "setup: 64 MiB FS write" E2e_common.populate;
       t "ablation: 1M copy" (fun () ->
           ignore
             (Exp_ablation.copy_latency ~chunk:16384 ~double_buffering:true

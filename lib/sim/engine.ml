@@ -5,15 +5,17 @@ open Effect.Deep
 (* Pending events live unboxed in the engine's slot arrays: slot [s]
    holds an event's kind, the trace context [dispatch] restores before
    running it, at most two payload fields, [a.(s)] and [b.(s)], and an
-   int, [n.(s)], which only [Call_with_n] reads. The
-   heap orders slot ids by [(time, seq)], and freed slots go back on the
-   [free] stack, so scheduling an event allocates nothing once the pool
-   has grown to the working set. A resumer is itself the context and
-   continuation of the suspended fiber, so [Resume] and [Fail] need only
-   point at it, and a [Resume] may run under another context than the
-   fiber's own ([resume_in]). [Call_with] and [Spawn_with] carry a
-   function and its argument instead of a closure over them, and so does
-   [Relay], whose dispatch pushes that [Call_with] at its own instant;
+   int, [n.(s)], which only [Call_with_n] reads. An event due later
+   than [now] queues its slot id in the heap, ordered by [(time, seq)];
+   one due at [now] goes to the [lane], a FIFO ring of slot ids. Freed
+   slots go back on the [free] stack, so scheduling an event allocates
+   nothing once the pool and the queues have grown to the working set.
+   A resumer is itself the context and continuation of the suspended
+   fiber, so [Resume] and [Fail] need only point at it, and a [Resume]
+   may run under another context than the fiber's own ([resume_in]).
+   [Call_with] and [Spawn_with] carry a function and its argument
+   instead of a closure over them, and so does [Relay], whose dispatch
+   re-queues its own slot on the lane as that [Call_with];
    [Call_with_n] carries an int beside them, such as a message's
    sequence number.
 
@@ -28,7 +30,7 @@ type kind =
   | Call (* a: unit -> unit *)
   | Call_with (* a: 'x -> unit; b: 'x *)
   | Call_with_n (* a: 'x -> int -> unit; b: 'x; n *)
-  | Relay (* a: 'x -> unit; b: 'x, pushed on as a [Call_with] *)
+  | Relay (* a: 'x -> unit; b: 'x, re-queued as a [Call_with] *)
   | Spawn (* a: unit -> unit; b: string option, the fiber's name *)
   | Spawn_with (* a: 'x -> unit; b: 'x *)
   | Resume (* a: 'x resumer; b: 'x *)
@@ -36,6 +38,9 @@ type kind =
 
 type t = {
   heap : Heap.t;
+  mutable lane : int array; (* a ring of [nlane] slot ids from [lhead] *)
+  mutable lhead : int;
+  mutable nlane : int;
   mutable kind : kind array;
   mutable ev_ctx : int array;
   mutable a : Obj.t array;
@@ -109,11 +114,30 @@ let grow t =
   t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
   t.nfree <- n
 
+(* The lane's ring has a power-of-two length; it doubles when full,
+   unrolled so its head lands at index 0. *)
+let lane_push t s =
+  let len = Array.length t.lane in
+  if t.nlane = len then begin
+    let l = t.lane and h = t.lhead in
+    t.lane <- Array.init (2 * len) (fun i -> l.((h + i) land (len - 1)));
+    t.lhead <- 0
+  end;
+  t.lane.((t.lhead + t.nlane) land (Array.length t.lane - 1)) <- s;
+  t.nlane <- t.nlane + 1
+
+let lane_pop t =
+  let s = t.lane.(t.lhead) in
+  t.lhead <- (t.lhead + 1) land (Array.length t.lane - 1);
+  t.nlane <- t.nlane - 1;
+  s
+
 (* Take a free slot for an event of [kind] with payloads [a], [b] and
    [n] ([empty] and 0 for the fields a kind does not read), and queue it
-   at [time] (never before [now]). The typed pushes below are its only
-   callers. A slot id on the free stack is below the pool's length, so
-   the slot accesses here and in [dispatch] skip the bounds checks. *)
+   at [time], on the lane if that is [now] or before. The typed pushes
+   below are its only callers. A slot id on the free stack is below the
+   pool's length, so the slot accesses here and in [dispatch] skip the
+   bounds checks. *)
 let enqueue_n t ~time kind ctx a b n =
   if t.nfree = 0 then grow t;
   let s = t.free.(t.nfree - 1) in
@@ -123,9 +147,11 @@ let enqueue_n t ~time kind ctx a b n =
   Array.unsafe_set t.a s a;
   Array.unsafe_set t.b s b;
   Array.unsafe_set t.n s n;
-  let time = if time < t.now then t.now else time in
-  t.seq <- t.seq + 1;
-  Heap.push t.heap ~time ~seq:t.seq s
+  if time <= t.now then lane_push t s
+  else begin
+    t.seq <- t.seq + 1;
+    Heap.push t.heap ~time ~seq:t.seq s
+  end
 
 let enqueue t ~time kind ctx a b = enqueue_n t ~time kind ctx a b 0
 
@@ -253,6 +279,9 @@ let create () =
   let t =
     {
       heap = Heap.create ();
+      lane = Array.make initial_slots 0;
+      lhead = 0;
+      nlane = 0;
       kind = Array.make initial_slots Wake;
       ev_ctx = Array.make initial_slots 0;
       a = Array.make initial_slots empty;
@@ -283,46 +312,63 @@ let create () =
 
 (* Read slot [s], clear its payload and free it before running the
    event, so a dispatched event's closure, argument or continuation is
-   never retained, and an event that raises leaks no slot. *)
+   never retained, and an event that raises leaks no slot. A [Relay]
+   instead keeps its slot and payload and queues them on the lane as
+   its second event, a [Call_with] under the same context. *)
 let dispatch t s =
-  let kind = Array.unsafe_get t.kind s
-  and a = Array.unsafe_get t.a s
-  and b = Array.unsafe_get t.b s
-  and n = Array.unsafe_get t.n s in
+  let kind = Array.unsafe_get t.kind s in
   t.ctx <- Array.unsafe_get t.ev_ctx s;
-  Array.unsafe_set t.a s empty;
-  Array.unsafe_set t.b s empty;
-  t.free.(t.nfree) <- s;
-  t.nfree <- t.nfree + 1;
-  match kind with
-  | Wake -> continue (Obj.obj a : (unit, unit) continuation) ()
-  | Call -> (Obj.obj a : unit -> unit) ()
-  | Call_with -> (Obj.obj a : Obj.t -> unit) b
-  | Call_with_n -> (Obj.obj a : Obj.t -> int -> unit) b n
-  | Relay -> push_call_with t ~time:t.now t.ctx (Obj.obj a : Obj.t -> unit) b
-  | Spawn -> exec t ?name:(Obj.obj b : string option) (Obj.obj a : unit -> unit)
-  | Spawn_with ->
-    ignore (new_fiber t : int);
-    match_with (Obj.obj a : Obj.t -> unit) b t.handler
-  | Resume -> continue (Obj.obj a : Obj.t resumer).k b
-  | Fail -> discontinue (Obj.obj a : Obj.t resumer).k (Obj.obj b : exn)
+  if kind == Relay then begin
+    Array.unsafe_set t.kind s Call_with;
+    lane_push t s
+  end
+  else begin
+    let a = Array.unsafe_get t.a s
+    and b = Array.unsafe_get t.b s
+    and n = Array.unsafe_get t.n s in
+    Array.unsafe_set t.a s empty;
+    Array.unsafe_set t.b s empty;
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1;
+    match kind with
+    | Wake -> continue (Obj.obj a : (unit, unit) continuation) ()
+    | Call -> (Obj.obj a : unit -> unit) ()
+    | Call_with | Relay -> (Obj.obj a : Obj.t -> unit) b
+    | Call_with_n -> (Obj.obj a : Obj.t -> int -> unit) b n
+    | Spawn ->
+      exec t ?name:(Obj.obj b : string option) (Obj.obj a : unit -> unit)
+    | Spawn_with ->
+      ignore (new_fiber t : int);
+      match_with (Obj.obj a : Obj.t -> unit) b t.handler
+    | Resume -> continue (Obj.obj a : Obj.t resumer).k b
+    | Fail -> discontinue (Obj.obj a : Obj.t resumer).k (Obj.obj b : exn)
+  end
 
-(* Run the heap until it is exhausted. After a failure is recorded, keep
-   draining events scheduled for the *same* instant before stopping: the
-   root fiber may be queued right behind the failing background fiber,
-   and its own error (or completion) is the one the caller should see.
-   Events at a later time never run once a failure exists. *)
+(* The next event, or -1 once none may run. Heap entries due at [now]
+   go before the lane: each was pushed before the clock reached [now],
+   so its seq is below that of every lane entry, and the lane empties
+   before the clock moves on. The order is thus [(time, seq)] exactly.
+   After a failure is recorded, the events of the *same* instant still
+   run: the root fiber may be queued right behind the failing background
+   fiber, and its own error (or completion) is the one the caller should
+   see. Events at a later time never run once a failure exists. *)
+let next t =
+  let h = t.heap in
+  if (not (Heap.is_empty h)) && Heap.min_time h = t.now then Heap.pop h
+  else if t.nlane > 0 then lane_pop t
+  else if Heap.is_empty h || Option.is_some t.failure then -1
+  else begin
+    t.now <- Heap.min_time h;
+    Heap.pop h
+  end
+
+(* Run events until none is left. *)
 let rec drain t =
-  if not (Heap.is_empty t.heap) then begin
-    let time = Heap.min_time t.heap in
-    match t.failure with
-    | Some _ when time > t.now -> ()
-    | _ ->
-      let s = Heap.pop t.heap in
-      t.now <- time;
-      t.events <- t.events + 1;
-      (try dispatch t s with e -> record_failure t ~root:false e);
-      drain t
+  let s = next t in
+  if s >= 0 then begin
+    t.events <- t.events + 1;
+    (try dispatch t s with e -> record_failure t ~root:false e);
+    drain t
   end
 
 (* Deadlock report: the historical one-liner about the root fiber, plus

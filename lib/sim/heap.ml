@@ -1,43 +1,61 @@
 (* Struct of arrays: entry [i] is ([time.(i)], [seq.(i)], [slot.(i)]).
    All three are unboxed int arrays, so neither a push nor a pop
    allocates once the arrays have grown to the working-set size, and no
-   sift writes a pointer (no write barrier runs). *)
+   sift writes a pointer (no write barrier runs). The sorted run
+   (heap.mli) is a ring of [rlen] entries from [rhead], in the same
+   three-array form, whose keys never fall from head to tail. *)
 type t = {
   mutable time : int array;
   mutable seq : int array;
   mutable slot : int array;
   mutable size : int;
+  mutable rtime : int array; (* ring capacities are powers of two *)
+  mutable rseq : int array;
+  mutable rslot : int array;
+  mutable rhead : int;
+  mutable rlen : int;
 }
 
 let initial = 64
 
 let create () =
+  let z () = Array.make initial 0 in
   {
-    time = Array.make initial 0;
-    seq = Array.make initial 0;
-    slot = Array.make initial 0;
+    time = z ();
+    seq = z ();
+    slot = z ();
     size = 0;
+    rtime = z ();
+    rseq = z ();
+    rslot = z ();
+    rhead = 0;
+    rlen = 0;
   }
 
-let length h = h.size
-let is_empty h = h.size = 0
+let length h = h.size + h.rlen
+let is_empty h = h.size = 0 && h.rlen = 0
+
+(* [a] doubled, read as a ring from [head], which lands at index 0. *)
+let double head a =
+  let n = Array.length a in
+  Array.init (2 * n) (fun i -> a.((head + i) land (n - 1)))
 
 let grow h =
-  let n = 2 * Array.length h.time in
-  let extend a =
-    let b = Array.make n 0 in
-    Array.blit a 0 b 0 h.size;
-    b
-  in
-  h.time <- extend h.time;
-  h.seq <- extend h.seq;
-  h.slot <- extend h.slot
+  h.time <- double 0 h.time;
+  h.seq <- double 0 h.seq;
+  h.slot <- double 0 h.slot
+
+let grow_run h =
+  h.rtime <- double h.rhead h.rtime;
+  h.rseq <- double h.rhead h.rseq;
+  h.rslot <- double h.rhead h.rslot;
+  h.rhead <- 0
 
 (* Both sifts move a hole instead of swapping, and write the entry being
    placed once, at its final position. Every index they touch is below
    [size], which never exceeds the arrays' length, so they skip the
    bounds checks. *)
-let push h ~time ~seq slot =
+let sift_up h ~time ~seq slot =
   if h.size = Array.length h.time then grow h;
   let ts = h.time and ss = h.seq and sl = h.slot in
   let i = ref h.size in
@@ -58,12 +76,36 @@ let push h ~time ~seq slot =
   Array.unsafe_set ss !i seq;
   Array.unsafe_set sl !i slot
 
-let min_time h =
-  if h.size = 0 then invalid_arg "Heap.min_time: empty heap";
-  h.time.(0)
+let push h ~time ~seq slot =
+  let m = Array.length h.rtime - 1 in
+  let tail = (h.rhead + h.rlen - 1) land m in
+  if
+    h.rlen = 0
+    || time > h.rtime.(tail)
+    || (time = h.rtime.(tail) && seq >= h.rseq.(tail))
+  then begin
+    if h.rlen = m + 1 then grow_run h;
+    let j = (h.rhead + h.rlen) land (Array.length h.rtime - 1) in
+    h.rtime.(j) <- time;
+    h.rseq.(j) <- seq;
+    h.rslot.(j) <- slot;
+    h.rlen <- h.rlen + 1
+  end
+  else sift_up h ~time ~seq slot
 
-let pop h =
-  if h.size = 0 then invalid_arg "Heap.pop: empty heap";
+(* Whether the minimum is the run's head rather than the heap's root. *)
+let run_first h =
+  h.size = 0
+  || h.rlen > 0
+     &&
+     let rt = h.rtime.(h.rhead) and ht = h.time.(0) in
+     rt < ht || (rt = ht && h.rseq.(h.rhead) < h.seq.(0))
+
+let min_time h =
+  if is_empty h then invalid_arg "Heap.min_time: empty heap";
+  if run_first h then h.rtime.(h.rhead) else h.time.(0)
+
+let pop_heap h =
   let ts = h.time and ss = h.seq and sl = h.slot in
   let top = Array.unsafe_get sl 0 in
   let n = h.size - 1 in
@@ -107,4 +149,12 @@ let pop h =
   end;
   top
 
-let clear h = h.size <- 0
+let pop h =
+  if is_empty h then invalid_arg "Heap.pop: empty heap";
+  if run_first h then begin
+    let s = h.rslot.(h.rhead) in
+    h.rhead <- (h.rhead + 1) land (Array.length h.rtime - 1);
+    h.rlen <- h.rlen - 1;
+    s
+  end
+  else pop_heap h

@@ -1,4 +1,5 @@
-(** Binary min-heap of timestamped slot ids.
+(** Min-priority queue of timestamped slot ids: a binary heap beside a
+    sorted run.
 
     The heap orders entries by [(time, seq)]: earlier times first, and for
     equal times the entry inserted first pops first. The tiebreaker makes the
@@ -9,7 +10,12 @@
     whose fields live in the engine's own slot arrays. Entries are stored
     as three int arrays, so {!push}, {!min_time} and {!pop} allocate
     nothing once the heap has grown to its working size, and moving an
-    entry writes no pointer. *)
+    entry writes no pointer.
+
+    A push whose key is not below the last one appended to the sorted
+    run joins that run in O(1); the others take a binary heap's
+    O(log n) sift. {!pop} takes the lesser of the two heads, so the
+    order is [(time, seq)] whatever keys are pushed. *)
 
 type t
 (** A min-heap of int slot ids. *)
@@ -32,6 +38,3 @@ val min_time : t -> int
 val pop : t -> int
 (** Remove the minimum entry and return its slot id. Raises
     [Invalid_argument] if the heap is empty. *)
-
-val clear : t -> unit
-(** Remove all entries. *)

@@ -669,7 +669,7 @@ let test_semaphore_release_while_waiting () =
 (* Coverage sweep: smaller API corners                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_heap_peek_and_clear () =
+let test_heap_peek_and_empty () =
   let h = Heap.create () in
   let raises f =
     match f () with _ -> false | exception Invalid_argument _ -> true
@@ -678,8 +678,9 @@ let test_heap_peek_and_clear () =
   Heap.push h ~time:9 ~seq:0 0;
   Heap.push h ~time:3 ~seq:1 1;
   check_int "peek min" 3 (Heap.min_time h);
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h && Heap.length h = 0);
+  check_int "pop min" 1 (Heap.pop h);
+  check_int "pop last" 0 (Heap.pop h);
+  check_bool "emptied" true (Heap.is_empty h && Heap.length h = 0);
   check_bool "pop empty raises" true (raises (fun () -> Heap.pop h))
 
 (* [dispatch] clears and frees an event's slot before running it, so the
@@ -844,9 +845,12 @@ let test_engine_event_alloc () =
             Fractos_net.Endpoint.post fab ~src:a ep ~size:64 i
           done
         in
-        (* grow the slot pool and the heap to the working set, the ring,
-           and the dedup window (1024 sequence numbers) *)
+        (* grow the slot pool, the engine's same-instant lane (which
+           [schedule_with 0] pushes to), the heap's sorted run (which
+           [relay_with 1]'s in-order pushes append to), the channel's
+           ring and the dedup window (1024 sequence numbers) *)
         ignore (window schedule : float);
+        ignore (window relay : float);
         ignore (window transfer : float);
         ignore (window channel : float);
         ignore (window post : float);
@@ -854,7 +858,7 @@ let test_engine_event_alloc () =
         let per f = (window f -. empty) /. float_of_int n in
         let s = per schedule and r = per relay and t = per transfer in
         let c = per channel and p = per post in
-        check_int "every event ran" (9 * n) !hits;
+        check_int "every event ran" (10 * n) !hits;
         (s, r, t, per sleep, c, p))
   in
   Printf.printf
@@ -1481,6 +1485,283 @@ let prop_heap_never_rewinds =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Queue models: the two rings, and the engine's (time, seq) order     *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine's lane and the heap's sorted run as rings of 64 entries to
+   start, doubled (and unrolled to index 0) when full. [wrapped] is set
+   once an entry is stored below the ring's head. *)
+type ring = {
+  mutable cap : int;
+  mutable head : int;
+  mutable len : int;
+  mutable grown : bool;
+  mutable wrapped : bool;
+}
+
+let ring () = { cap = 64; head = 0; len = 0; grown = false; wrapped = false }
+
+let ring_push r =
+  if r.len = r.cap then begin
+    r.cap <- 2 * r.cap;
+    r.head <- 0;
+    r.grown <- true
+  end;
+  if r.head + r.len >= r.cap then r.wrapped <- true;
+  r.len <- r.len + 1
+
+let ring_pop r =
+  r.head <- (r.head + 1) mod r.cap;
+  r.len <- r.len - 1
+
+module Key = struct
+  type t = int * int
+
+  let compare = compare
+end
+
+module Key_set = Set.Make (Key)
+module Key_map = Map.Make (Key)
+
+(* Engine-shaped pushes: seq rises by one a push, and a push ([Some d])
+   is due [d] after the last popped time, as the engine books an event
+   [d] after [now]: 0 to 3, or 50 for an arrival booked ahead of the
+   rest. [None] pops. The heap must pop exactly the least pending key.
+   Beside that verdict come three counts, from a mirror of the split:
+   pushes appended to the sorted run, pushes that fell back to the
+   binary part, and pops at which the run's head tied the binary part's
+   minimum on time. *)
+let heap_engine_shaped ops =
+  let h = Heap.create () in
+  let all = ref Key_set.empty and bin = ref Key_set.empty in
+  let run = Queue.create () and tail = ref (0, 0) in
+  let now = ref 0 and seq = ref 0 and ok = ref true in
+  let appends = ref 0 and fallbacks = ref 0 and ties = ref 0 in
+  List.iter
+    (function
+      | Some d ->
+        incr seq;
+        let k = (!now + d, !seq) in
+        Heap.push h ~time:(fst k) ~seq:!seq !seq;
+        all := Key_set.add k !all;
+        if Queue.is_empty run || k >= !tail then begin
+          Queue.push k run;
+          tail := k;
+          incr appends
+        end
+        else begin
+          bin := Key_set.add k !bin;
+          incr fallbacks
+        end
+      | None -> (
+        match Key_set.min_elt_opt !all with
+        | None -> if not (Heap.is_empty h) then ok := false
+        | Some ((t, s) as k) ->
+          (match (Queue.peek_opt run, Key_set.min_elt_opt !bin) with
+          | Some (rt, _), Some (bt, _) when rt = bt -> incr ties
+          | _ -> ());
+          if Heap.min_time h <> t || Heap.pop h <> s then ok := false;
+          all := Key_set.remove k !all;
+          if Queue.peek_opt run = Some k then ignore (Queue.pop run : int * int)
+          else bin := Key_set.remove k !bin;
+          now := t))
+    ops;
+  (!ok && Heap.length h = Key_set.cardinal !all, !appends, !fallbacks, !ties)
+
+let gen_engine_shaped =
+  QCheck.Gen.(
+    list_size (int_range 0 400)
+      (frequency
+         [
+           ( 3,
+             map Option.some
+               (frequency [ (4, int_range 0 3); (1, return 50) ]) );
+           (2, return None);
+         ]))
+
+let prop_heap_engine_shaped =
+  QCheck.Test.make ~name:"heap engine-shaped pushes pop in order" ~count:300
+    (QCheck.make gen_engine_shaped)
+    (fun ops ->
+      let ok, _, _, _ = heap_engine_shaped ops in
+      ok)
+
+(* The property's programs reach all three cases: a push appended to the
+   run, one that falls back to the binary part, and a run head tying a
+   binary entry at a pop. *)
+let test_heap_engine_shaped_cases () =
+  let rand = Random.State.make [| 42 |] in
+  let appends = ref 0 and fallbacks = ref 0 and ties = ref 0 in
+  List.iter
+    (fun ops ->
+      let ok, a, f, t = heap_engine_shaped ops in
+      check_bool "pops in order" true ok;
+      appends := !appends + a;
+      fallbacks := !fallbacks + f;
+      ties := !ties + t)
+    (QCheck.Gen.generate ~rand ~n:20 gen_engine_shaped);
+  Printf.printf "run appends %d, binary fallbacks %d, head ties %d\n" !appends
+    !fallbacks !ties;
+  check_bool "appends to the run" true (!appends > 0);
+  check_bool "falls back to the binary part" true (!fallbacks > 0);
+  check_bool "run head ties a binary entry" true (!ties > 0)
+
+(* An event program. Node [i] is pushed when its parent [parent.(i)]
+   runs (-1 is the root fiber), siblings in index order, by
+   [Sched d] ([schedule_with d]), [Relay d] ([relay_with d]), [Spawn]
+   ([spawn_with]) or [Resume] ([resume_in] on a parked fiber, or
+   [spawn_with] when none is parked). Delays run from -2 (clamped to
+   now) through 0 and 1 to 3 to 1000, an arrival booked ahead of the
+   rest, so heap entries tie lane entries on time throughout. *)
+type op = Sched of int | Relay of int | Spawn | Resume
+
+type program = {
+  op : op array;
+  parent : int array;
+  kids : int list array; (* [kids.(i + 1)]: node [i]'s; [kids.(0)]: root's *)
+}
+
+let gen_program =
+  QCheck.Gen.(
+    let delay = frequency [ (3, int_range (-2) 0); (3, int_range 1 3); (2, return 1000) ] in
+    let op =
+      frequency
+        [
+          (2, map (fun d -> Sched d) delay);
+          (2, map (fun d -> Relay d) delay);
+          (1, return Spawn);
+          (1, return Resume);
+        ]
+    in
+    int_range 1 1000 >>= fun n ->
+    array_repeat n op >>= fun op ->
+    let parent i = if i = 0 then return (-1) else frequency [ (1, return (-1)); (3, int_bound (i - 1)) ] in
+    flatten_a (Array.init n parent) >|= fun parent ->
+    let kids = Array.make (n + 1) [] in
+    for i = n - 1 downto 0 do
+      kids.(parent.(i) + 1) <- i :: kids.(parent.(i) + 1)
+    done;
+    { op; parent; kids })
+
+let print_program p =
+  String.concat " "
+    (List.init (Array.length p.op) (fun i ->
+         Printf.sprintf "%d<%d:%s" i p.parent.(i)
+           (match p.op.(i) with
+           | Sched d -> Printf.sprintf "S%d" d
+           | Relay d -> Printf.sprintf "R%d" d
+           | Spawn -> "P"
+           | Resume -> "W")))
+
+(* Run [p] on the engine: each node's event logs [(node, now, events
+   dispatched so far)] and pushes the node's children, every push under
+   the context [node + 1], which the event must run under. Eight fibers
+   park to be resumed; each logs the node it is resumed with, pushes its
+   children and parks again. The program starts from an empty queue
+   once the fibers are parked, at the event count it returns. *)
+let run_program p =
+  let log = ref [] and ctx_ok = ref true and base = ref 0 in
+  let parked = Queue.create () in
+  Engine.run (fun () ->
+      let rec push c =
+        Engine.set_ctx (c + 1);
+        match p.op.(c) with
+        | Sched d -> Engine.schedule_with d visit c
+        | Relay d -> Engine.relay_with d visit c
+        | Spawn -> Engine.spawn_with visit c
+        | Resume -> (
+          match Queue.take_opt parked with
+          | Some r -> Engine.resume_in (c + 1) r c
+          | None -> Engine.spawn_with visit c)
+      and visit c =
+        if Engine.get_ctx () <> c + 1 then ctx_ok := false;
+        log := (c, Engine.now (), Engine.event_count ()) :: !log;
+        List.iter push p.kids.(c + 1)
+      in
+      let rec server () =
+        visit (Engine.suspend (fun r -> Queue.push r parked));
+        server ()
+      in
+      for _ = 1 to 8 do
+        Engine.spawn server
+      done;
+      Engine.yield ();
+      base := Engine.event_count ();
+      List.iter push p.kids.(0));
+  (!ctx_ok, !base, List.rev !log)
+
+(* The reference: a queue ordered by [(time, seq)], seq rising by one a
+   push, times clamped to now; a relay's first event pushes its second
+   at its own instant. It logs what [run_program] logs, counting events
+   from 0, and mirrors which entries the engine keeps on its lane (due
+   at now) and which on the heap's sorted run. *)
+let model_program p =
+  let q = ref Key_map.empty and now = ref 0 and seq = ref 0 in
+  let lane = ring () and run = ring () and tail = ref (0, 0) in
+  let push time c first =
+    incr seq;
+    let k = (max time !now, !seq) in
+    let where =
+      if fst k = !now then (ring_push lane; `Lane)
+      else if run.len = 0 || k >= !tail then (ring_push run; tail := k; `Run)
+      else `Bin
+    in
+    q := Key_map.add k (c, first, where) !q
+  in
+  let push_node c =
+    match p.op.(c) with
+    | Sched d -> push (!now + d) c false
+    | Relay d -> push (!now + d) c true
+    | Spawn | Resume -> push !now c false
+  in
+  List.iter push_node p.kids.(0);
+  let log = ref [] and count = ref 0 in
+  while not (Key_map.is_empty !q) do
+    let ((t, _) as k), (c, first, where) = Key_map.min_binding !q in
+    q := Key_map.remove k !q;
+    (match where with `Lane -> ring_pop lane | `Run -> ring_pop run | `Bin -> ());
+    now := t;
+    incr count;
+    if first then push t c false
+    else begin
+      log := (c, t, !count) :: !log;
+      List.iter push_node p.kids.(c + 1)
+    end
+  done;
+  (List.rev !log, lane, run)
+
+let program_order_ok p =
+  let ctx_ok, base, got = run_program p in
+  let want, lane, run = model_program p in
+  (ctx_ok && got = List.map (fun (c, t, n) -> (c, t, base + n)) want, lane, run)
+
+let prop_engine_order =
+  QCheck.Test.make ~name:"engine dispatches in (time, seq) order" ~count:100
+    (QCheck.make ~print:print_program gen_program)
+    (fun p ->
+      let ok, _, _ = program_order_ok p in
+      ok)
+
+(* The property's programs grow and wrap both rings. *)
+let test_engine_order_rings () =
+  let rand = Random.State.make [| 42 |] in
+  let lane_grown = ref false and lane_wrapped = ref false in
+  let run_grown = ref false and run_wrapped = ref false in
+  List.iter
+    (fun p ->
+      let ok, lane, run = program_order_ok p in
+      check_bool "dispatch order" true ok;
+      lane_grown := !lane_grown || lane.grown;
+      lane_wrapped := !lane_wrapped || lane.wrapped;
+      run_grown := !run_grown || run.grown;
+      run_wrapped := !run_wrapped || run.wrapped)
+    (QCheck.Gen.generate ~rand ~n:10 gen_program);
+  check_bool "lane grown" true !lane_grown;
+  check_bool "lane wrapped" true !lane_wrapped;
+  check_bool "run grown" true !run_grown;
+  check_bool "run wrapped" true !run_wrapped
+
+(* ------------------------------------------------------------------ *)
 (* Deadlock reports name surviving fibers                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1568,6 +1849,9 @@ let () =
           qtest prop_heap_total_order;
           qtest prop_heap_interleaved;
           qtest prop_heap_never_rewinds;
+          qtest prop_heap_engine_shaped;
+          Alcotest.test_case "engine-shaped cases" `Quick
+            test_heap_engine_shaped_cases;
         ] );
       ( "deadlock",
         [
@@ -1631,6 +1915,9 @@ let () =
             test_engine_fifo_across_growth;
           Alcotest.test_case "event allocation" `Quick test_engine_event_alloc;
           qtest prop_timed_wake_orders_as_ivar;
+          qtest prop_engine_order;
+          Alcotest.test_case "order model grows both rings" `Quick
+            test_engine_order_rings;
         ] );
       ( "ivar",
         [
@@ -1669,7 +1956,7 @@ let () =
         ] );
       ( "coverage",
         [
-          Alcotest.test_case "heap peek/clear" `Quick test_heap_peek_and_clear;
+          Alcotest.test_case "heap peek/empty" `Quick test_heap_peek_and_empty;
           Alcotest.test_case "time pp seconds" `Quick test_time_seconds_pp;
           Alcotest.test_case "exponential mean" `Quick
             test_prng_exponential_mean;
