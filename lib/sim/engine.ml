@@ -117,10 +117,12 @@ let grow t =
 (* The lane's ring has a power-of-two length; it doubles when full,
    unrolled so its head lands at index 0. *)
 let lane_push t s =
-  let len = Array.length t.lane in
+  let len = Array.length t.lane and h = t.lhead in
   if t.nlane = len then begin
-    let l = t.lane and h = t.lhead in
-    t.lane <- Array.init (2 * len) (fun i -> l.((h + i) land (len - 1)));
+    let l = Array.make (2 * len) 0 in
+    Array.blit t.lane h l 0 (len - h);
+    Array.blit t.lane 0 l (len - h) h;
+    t.lane <- l;
     t.lhead <- 0
   end;
   t.lane.((t.lhead + t.nlane) land (Array.length t.lane - 1)) <- s;

@@ -38,7 +38,10 @@ let is_empty h = h.size = 0 && h.rlen = 0
 (* [a] doubled, read as a ring from [head], which lands at index 0. *)
 let double head a =
   let n = Array.length a in
-  Array.init (2 * n) (fun i -> a.((head + i) land (n - 1)))
+  let b = Array.make (2 * n) 0 in
+  Array.blit a head b 0 (n - head);
+  Array.blit a 0 b (n - head) head;
+  b
 
 let grow h =
   h.time <- double 0 h.time;
@@ -50,6 +53,9 @@ let grow_run h =
   h.rseq <- double h.rhead h.rseq;
   h.rslot <- double h.rhead h.rslot;
   h.rhead <- 0
+
+(* Key [(t, s)] before [(t', s')], compared as ints, not polymorphically. *)
+let[@inline] before (t : int) (s : int) t' s' = t < t' || (t = t' && s < s')
 
 (* Both sifts move a hole instead of swapping, and write the entry being
    placed once, at its final position. Every index they touch is below
@@ -64,7 +70,7 @@ let sift_up h ~time ~seq slot =
   while !moving && !i > 0 do
     let p = (!i - 1) / 2 in
     let pt = Array.unsafe_get ts p and ps = Array.unsafe_get ss p in
-    if time < pt || (time = pt && seq < ps) then begin
+    if before time seq pt ps then begin
       Array.unsafe_set ts !i pt;
       Array.unsafe_set ss !i ps;
       Array.unsafe_set sl !i (Array.unsafe_get sl p);
@@ -79,10 +85,7 @@ let sift_up h ~time ~seq slot =
 let push h ~time ~seq slot =
   let m = Array.length h.rtime - 1 in
   let tail = (h.rhead + h.rlen - 1) land m in
-  if
-    h.rlen = 0
-    || time > h.rtime.(tail)
-    || (time = h.rtime.(tail) && seq >= h.rseq.(tail))
+  if h.rlen = 0 || not (before time seq h.rtime.(tail) h.rseq.(tail))
   then begin
     if h.rlen = m + 1 then grow_run h;
     let j = (h.rhead + h.rlen) land (Array.length h.rtime - 1) in
@@ -97,9 +100,7 @@ let push h ~time ~seq slot =
 let run_first h =
   h.size = 0
   || h.rlen > 0
-     &&
-     let rt = h.rtime.(h.rhead) and ht = h.time.(0) in
-     rt < ht || (rt = ht && h.rseq.(h.rhead) < h.seq.(0))
+     && before h.rtime.(h.rhead) h.rseq.(h.rhead) h.time.(0) h.seq.(0)
 
 let min_time h =
   if is_empty h then invalid_arg "Heap.min_time: empty heap";
@@ -123,18 +124,15 @@ let pop_heap h =
       else begin
         let r = l + 1 in
         let c =
-          if r < n then begin
-            let rt = Array.unsafe_get ts r and lt = Array.unsafe_get ts l in
-            if
-              rt < lt
-              || (rt = lt && Array.unsafe_get ss r < Array.unsafe_get ss l)
-            then r
-            else l
-          end
+          if
+            r < n
+            && before (Array.unsafe_get ts r) (Array.unsafe_get ss r)
+                 (Array.unsafe_get ts l) (Array.unsafe_get ss l)
+          then r
           else l
         in
         let ct = Array.unsafe_get ts c and cs = Array.unsafe_get ss c in
-        if ct < time || (ct = time && cs < seq) then begin
+        if before ct cs time seq then begin
           Array.unsafe_set ts !i ct;
           Array.unsafe_set ss !i cs;
           Array.unsafe_set sl !i (Array.unsafe_get sl c);
