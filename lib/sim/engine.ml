@@ -15,9 +15,8 @@ open Effect.Deep
    may run under another context than the fiber's own ([resume_in]).
    [Call_with] and [Spawn_with] carry a function and its argument
    instead of a closure over them, and so does [Relay], whose dispatch
-   re-queues its own slot on the lane as that [Call_with];
-   [Call_with_n] carries an int beside them, such as a message's
-   sequence number.
+   re-queues its slot on the lane as that [Call_with]; [Call_with_n]
+   carries an int beside them, such as a message's sequence number.
 
    The payload arrays are [Obj.t array]s because most kinds are
    existential: the kind stored in a slot determines its payload types,
@@ -114,8 +113,7 @@ let grow t =
   t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
   t.nfree <- n
 
-(* The lane's ring has a power-of-two length; it doubles when full,
-   unrolled so its head lands at index 0. *)
+(* A ring of power-of-two length, doubled and unrolled to 0 when full. *)
 let lane_push t s =
   let len = Array.length t.lane and h = t.lhead in
   if t.nlane = len then begin
@@ -348,21 +346,23 @@ let dispatch t s =
 
 (* The next event, or -1 once none may run. Heap entries due at [now]
    go before the lane: each was pushed before the clock reached [now],
-   so its seq is below that of every lane entry, and the lane empties
-   before the clock moves on. The order is thus [(time, seq)] exactly.
-   After a failure is recorded, the events of the *same* instant still
-   run: the root fiber may be queued right behind the failing background
-   fiber, and its own error (or completion) is the one the caller should
-   see. Events at a later time never run once a failure exists. *)
+   so its seq is below every lane entry's, and the lane empties before
+   the clock moves on, so the order is [(time, seq)] exactly. After a
+   failure, the events of the *same* instant still run: the root fiber
+   may be queued right behind the failing background fiber, and its own
+   error (or completion) is the one the caller should see. *)
 let next t =
   let h = t.heap in
-  if (not (Heap.is_empty h)) && Heap.min_time h = t.now then Heap.pop h
-  else if t.nlane > 0 then lane_pop t
-  else if Heap.is_empty h || Option.is_some t.failure then -1
-  else begin
-    t.now <- Heap.min_time h;
-    Heap.pop h
-  end
+  if Heap.is_empty h then (if t.nlane > 0 then lane_pop t else -1)
+  else
+    let time = Heap.min_time h in
+    if time = t.now then Heap.pop h
+    else if t.nlane > 0 then lane_pop t
+    else if Option.is_some t.failure then -1
+    else begin
+      t.now <- time;
+      Heap.pop h
+    end
 
 (* Run events until none is left. *)
 let rec drain t =
