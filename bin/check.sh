@@ -53,50 +53,99 @@ for f in $(awk '/^type t = \{/ { on = 1; next }
 done
 [ "$unset" = 0 ]
 
-echo "== dead exports"
-# Every `val` of a lib/**/*.mli must have a whole-word reference in its
-# module's own .ml beyond its definition (a `let`/`and` line), or in some
-# other .ml under lib bin bench benchmark test examples that names the
-# module (`M.`, `open M`, `include M` or an alias `= M`, possibly
-# qualified by its library). A match in a file that never names the
-# module is another module's value of the same name, so an unused
-# `val pp` or `val run` is still caught; an export nothing references is
-# dead code. Only code counts: the .ml files are searched with their
-# comments and string literals blanked (bin/code_only.awk), so a value
-# whose name a comment mentions or a message prints is still caught.
-code=$(mktemp -d /tmp/fractos-code.XXXXXX)
-for f in $(find lib bin bench benchmark test examples -name '*.ml'); do
-  mkdir -p "$code/$(dirname "$f")"
-  awk -f bin/code_only.awk "$f" >"$code/$f"
-done
-root=$(pwd)
-cd "$code"
-dead=0
-for mli in $(cd "$root" && find lib -name '*.mli' | sort); do
-  ml=${mli%.mli}.ml
-  b=$(basename "$ml" .ml)
-  m=$(printf '%s' "$b" | cut -c1 | tr a-z A-Z)$(printf '%s' "$b" | cut -c2-)
-  q='([A-Z][A-Za-z0-9_]*\.)*'
-  users=$(grep -rlE --include='*.ml' \
-            "\b$m\.|\b(open!?|include) +$q$m\b|= *$q$m\b" \
-            lib bin bench benchmark test examples | grep -Fvx "$ml" || true)
-  for v in $(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\)\( *:.*\)*$/\1/p' \
-               "$root/$mli" | sort -u); do
-    own=$(grep -cw -e "$v" "$ml" 2>/dev/null || true)
-    defs=$(grep -cE "^ *(let|and)( rec)? +$v( |$)" "$ml" 2>/dev/null || true)
-    ext=0
-    if [ -n "$users" ]; then
-      ext=$(printf '%s\n' "$users" | xargs grep -hw -e "$v" | wc -l)
-    fi
-    if [ "$ext" -eq 0 ] && [ "${own:-0}" -le "${defs:-0}" ]; then
-      echo "dead export: $mli: val $v has no reference outside its definition"
-      dead=1
-    fi
+# [unreferenced DIR...] prints "<mli> <val>" for every `val` of a
+# lib/**/*.mli with no whole-word reference in its module's own .ml
+# beyond its definition (a `let`/`and` line), or in some other .ml under
+# DIR... that names the module (`M.`, `open M`, `include M` or an alias
+# `= M`, possibly qualified by its library). A match in a file that
+# never names the module is another module's value of the same name, so
+# an unused `val pp` or `val run` is still caught. Only code counts: the
+# .ml files are searched with their comments and string literals
+# blanked (bin/code_only.awk), so a value whose name a comment mentions
+# or a message prints is still caught.
+unreferenced() (
+  root=$(pwd)
+  code=$(mktemp -d /tmp/fractos-code.XXXXXX)
+  for f in $(find "$@" -name '*.ml'); do
+    mkdir -p "$code/$(dirname "$f")"
+    awk -f bin/code_only.awk "$f" >"$code/$f"
   done
-done
-cd "$root"
-rm -rf "$code"
-[ "$dead" = 0 ]
+  cd "$code"
+  for mli in $(cd "$root" && find lib -name '*.mli' | sort); do
+    ml=${mli%.mli}.ml
+    b=$(basename "$ml" .ml)
+    m=$(printf '%s' "$b" | cut -c1 | tr a-z A-Z)$(printf '%s' "$b" | cut -c2-)
+    q='([A-Z][A-Za-z0-9_]*\.)*'
+    users=$(grep -rlE --include='*.ml' \
+              "\b$m\.|\b(open!?|include) +$q$m\b|= *$q$m\b" \
+              "$@" | grep -Fvx "$ml" || true)
+    for v in $(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\)\( *:.*\)*$/\1/p' \
+                 "$root/$mli" | sort -u); do
+      own=$(grep -cw -e "$v" "$ml" 2>/dev/null || true)
+      defs=$(grep -cE "^ *(let|and)( rec)? +$v( |$)" "$ml" 2>/dev/null || true)
+      ext=0
+      if [ -n "$users" ]; then
+        ext=$(printf '%s\n' "$users" | xargs grep -hw -e "$v" | wc -l)
+      fi
+      if [ "$ext" -eq 0 ] && [ "${own:-0}" -le "${defs:-0}" ]; then
+        echo "$mli $v"
+      fi
+    done
+  done
+  cd "$root"
+  rm -rf "$code"
+)
+
+echo "== dead exports"
+# An export nothing references, tests and examples included, is dead
+# code.
+dead=$(unreferenced lib bin bench benchmark test examples)
+printf '%s\n' "$dead" | awk 'NF { print "dead export: " $1 ": val " $2 \
+  " has no reference outside its definition" }'
+[ -z "$dead" ]
+
+echo "== test-only exports"
+# The same scan without test/: an export that only tests reference has
+# no job in the program, so it goes, and its tests with it. The kept
+# ones are listed here, one reason each; any other fails, and so does a
+# listed one that is no longer test-only.
+kept='
+lib/baselines/pipeline.mli expected_output  the transform a baseline run is checked against
+lib/baselines/pipeline.mli last_output      the application buffer after a baseline run
+lib/core/codec.mli decode_delivery  Codec round trips: the layouts Wire sizes are tested against
+lib/core/codec.mli decode_perms     Codec round trips
+lib/core/codec.mli decode_request   Codec round trips
+lib/core/codec.mli encode_delivery  Codec round trips
+lib/core/codec.mli encode_perms     Codec round trips
+lib/core/codec.mli encode_request   Codec round trips
+lib/core/codec.mli request_size     Codec round trips
+lib/core/controller.mli dir_cache_size  the directory cache, which no other API shows
+lib/core/controller.mli shard_gen       the shard group generation, which no other API shows
+lib/device/gpu.mli mem_free_bytes   GPU memory accounting, which no other API shows
+lib/obs/metrics.mli counter_value   metric values the tests pin
+lib/obs/metrics.mli gauge_max       metric values the tests pin
+lib/obs/metrics.mli hist_max        metric values the tests pin
+lib/obs/span.mli set_limit          the span cap, so truncation is testable without 500 000 spans
+lib/services/fs.mli cache_hits      FS cache hits, which no other API shows
+lib/services/fs.mli delete          FS unlink and its revocation of open and DAX handles; no workload unlinks yet
+lib/services/fs.mli stat            FS file size; no workload asks yet
+lib/services/gpu_adaptor.mli push_request  the gpu.push Request of the chained-GPU tests; no workload chains GPUs yet
+lib/sim/channel.mli try_recv        the non-blocking take of the channel model test
+lib/sim/channel.mli waiters         blocked readers, which no other API shows
+lib/sim/engine.mli event_count      engine events, pinned exactly by test_alloc
+lib/sim/semaphore.mli available     free permits, which no other API shows
+lib/sim/semaphore.mli waiting       blocked waiters, which no other API shows
+lib/workloads/facedata.mli image    the reference image the dataset tests check against
+'
+only=$(unreferenced lib bin bench benchmark examples)
+listed=$(printf '%s\n' "$kept" | awk 'NF { print $1, $2 }')
+extra=$(printf '%s\n' "$only" | grep -Fvx -e "$listed" || true)
+stale=$(printf '%s\n' "$listed" | grep -Fvx -e "$only" || true)
+printf '%s\n' "$extra" | awk 'NF { print "test-only export: " $1 ": val " $2 \
+  " has no caller outside test/" }'
+printf '%s\n' "$stale" | awk 'NF { print "stale kept export: " $1 ": val " $2 \
+  " is listed but not test-only" }'
+[ -z "$extra" ] && [ -z "$stale" ]
 
 echo "== dead optional arguments"
 # Every `?label:` of a lib/**/*.mli must be passed as `~label` or `?label`

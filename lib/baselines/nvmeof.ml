@@ -39,10 +39,6 @@ let fetch t ~off ~len =
       ~cls:Net.Stats.Data ~size:len ();
     Ok (Membuf.materialize buf)
 
-let read_nocache t ~off ~len =
-  kernel_path ();
-  fetch t ~off ~len
-
 let take n xs =
   let rec go i = function
     | [] -> []

@@ -23,8 +23,3 @@ val connect :
 
 val read : t -> off:int -> len:int -> (bytes, string) result
 val write : t -> off:int -> bytes -> (unit, string) result
-
-val read_nocache : t -> off:int -> len:int -> (bytes, string) result
-(** O_DIRECT-style read, bypassing the page cache (used by the
-    random-access experiments to defeat read-ahead, like the paper's
-    random reads on which "the Linux cache is ineffective"). *)

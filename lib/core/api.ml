@@ -142,13 +142,6 @@ let receive (proc : proc) =
   credit proc;
   d
 
-let try_receive (proc : proc) =
-  match Sim.Channel.try_recv proc.inbox with
-  | Some d ->
-    credit proc;
-    Some d
-  | None -> None
-
 let cap_create_revtree proc cid =
   let reply = reply_of proc in
   timed "cap_create_revtree" proc.pm.pm_revtree proc
@@ -177,4 +170,3 @@ let monitor_receive proc cid ~cb =
     reply
 
 let monitor_next (proc : proc) = Sim.Channel.recv proc.monitor_box
-let try_monitor_next (proc : proc) = Sim.Channel.try_recv proc.monitor_box

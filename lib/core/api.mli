@@ -84,9 +84,6 @@ val receive : proc -> delivery
     arrives, returning its descriptor (request_receive). Dequeuing returns
     a congestion-control credit to the Controller. *)
 
-val try_receive : proc -> delivery option
-(** Non-blocking {!receive} (no credit is returned when empty). *)
-
 (** {1 Capability management} *)
 
 val cap_create_revtree : proc -> cid -> (cid, Error.t) result
@@ -111,5 +108,3 @@ val monitor_receive : proc -> cid -> cb:int -> (unit, Error.t) result
 
 val monitor_next : proc -> monitor_event
 (** Block until the next monitor event. *)
-
-val try_monitor_next : proc -> monitor_event option

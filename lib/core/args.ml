@@ -14,12 +14,3 @@ let to_int b =
 let of_string s = Bytes.of_string s
 let to_string b = Bytes.to_string b
 
-let pp fmt b =
-  let n = Bytes.length b in
-  let shown = min n 8 in
-  Format.fprintf fmt "imm[%d:" n;
-  for i = 0 to shown - 1 do
-    Format.fprintf fmt "%02x" (Char.code (Bytes.get b i))
-  done;
-  if n > shown then Format.fprintf fmt "...";
-  Format.fprintf fmt "]"

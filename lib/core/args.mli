@@ -29,6 +29,3 @@ val is_int : imm -> bool
 
 val of_string : string -> imm
 val to_string : imm -> string
-
-val pp : Format.formatter -> imm -> unit
-(** Hex-ish debugging output, truncated. *)

@@ -529,7 +529,6 @@ let create fabric ~node =
   let id = !next_ctrl_id in
   let cfg = Net.Fabric.config fabric in
   let nn = node.Net.Node.name in
-  let copy_sessions, copy_failures, copy_pending = Copy.tables () in
   let ctrl =
     {
       ctrl_id = id;
@@ -552,9 +551,7 @@ let create fabric ~node =
       fabric;
       running = true;
       windows = Hashtbl.create 8;
-      copy_sessions;
-      copy_failures;
-      copy_pending;
+      copies = Hashtbl.create 8;
       cap_gen = 0;
       shard = None;
       shard_slot = -1;
@@ -785,9 +782,7 @@ let restart ctrl =
 
 let live_objects ctrl = Objects.live_count ctrl
 let tombstones ctrl = Objects.tombstone_count ctrl
-let copy_sessions_count = Copy.sessions_count
-let copy_pending_count = Copy.pending_count
-let copy_failures_count = Copy.failures_count
+let copy_count = Copy.count
 let placed_pending_count ctrl = Hashtbl.length ctrl.placed_pending
 let is_running ctrl = ctrl.running
 let epoch ctrl = ctrl.epoch

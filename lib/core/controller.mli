@@ -84,22 +84,13 @@ val live_objects : t -> int
 val tombstones : t -> int
 val is_running : t -> bool
 
-val copy_sessions_count : t -> int
-(** Copy sessions open at this controller as a destination: each is
-    closed by its final chunk, or, with no chunk received or written for
-    {!Net.Config.copy_open_timeout}, answered with [Timeout] and
-    reclaimed. Zero once a run has quiesced. *)
-
-val copy_pending_count : t -> int
-(** Copy chunks parked waiting for a session open that never arrived (plus
-    any whose open is still in flight). Zero once a run has quiesced —
-    leaked entries mean a lost [P_copy_open] was never reclaimed; see
-    {!Net.Config.copy_open_timeout} and [Fault.Invariants]. *)
-
-val copy_failures_count : t -> int
-(** Open-time copy failures parked for their final chunk's reply path.
-    Zero once a run has quiesced, same reclamation rules as
-    {!copy_pending_count}. *)
+val copy_count : t -> int
+(** Copies this controller keeps a record of as their destination:
+    chunks parked before their open, a failed open, or an open session.
+    Each record ends with its final chunk or, after
+    {!Net.Config.copy_open_timeout} without one, is swept with a typed
+    answer to the caller. Zero once a run has quiesced; a record left
+    then is a leak ([Fault.Invariants]). *)
 
 val placed_pending_count : t -> int
 (** Placement leases still armed at this controller: objects minted here

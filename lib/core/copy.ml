@@ -1,28 +1,18 @@
 (* The memory_copy engine: the source side (the chunk loop), the
-   destination's copy sessions and their peer handlers, the orphan sweeps,
-   and the hardware third-party RDMA path. This module is the only one
-   that creates, resets or counts the controller's copy tables
-   ([copy_sessions], [copy_failures], [copy_pending]). *)
+   destination's copy records, their peer handlers and their sweep, and
+   the hardware third-party RDMA path. This module is the only one that
+   adds, resets or counts the controller's copy records ([copies]). *)
 
 open State
 open Ctrl_base
 
-(* Copy ids name sessions. *)
+(* Copy ids name the records. *)
 let next_copy_id = ref 0
 let reset_ids () = next_copy_id := 0
 
-(* A fresh controller's copy tables: sessions, failures, pending. *)
-let tables () = (Hashtbl.create 8, Hashtbl.create 8, Hashtbl.create 8)
-
 (* A reboot forgets every copy in flight. *)
-let reset ctrl =
-  Hashtbl.reset ctrl.copy_sessions;
-  Hashtbl.reset ctrl.copy_failures;
-  Hashtbl.reset ctrl.copy_pending
-
-let sessions_count ctrl = Hashtbl.length ctrl.copy_sessions
-let pending_count ctrl = Hashtbl.length ctrl.copy_pending
-let failures_count ctrl = Hashtbl.length ctrl.copy_failures
+let reset ctrl = Hashtbl.reset ctrl.copies
+let count ctrl = Hashtbl.length ctrl.copies
 
 (* A [total]-byte copy moves in chunks of [chunk] bytes: chunk [i] starts
    at [i * chunk] and is [chunk_len] long, the last one short. A zero-byte
@@ -38,19 +28,7 @@ let chunk_len total chunk i = min chunk (total - (i * chunk))
 
 (* A chunk is its own peer message, a [P_copy_chunk], from its post to
    its write-out (the open carries the first one). The functions below
-   read and write its fields; [no_chunk] ends a session's queue and is
-   what a closed session holds in place of its last chunk. *)
-let rec no_chunk =
-  P_copy_chunk
-    {
-      copy_id = 0;
-      off = 0;
-      pin = Membuf.no_pin;
-      last = No_reply;
-      next = no_chunk;
-      ctx = 0;
-    }
-
+   read and write its fields. *)
 let not_chunk () = invalid_arg "Copy: not a copy chunk"
 let chunk_off = function P_copy_chunk c -> c.off | _ -> not_chunk ()
 let chunk_last = function P_copy_chunk c -> c.last | _ -> not_chunk ()
@@ -90,44 +68,23 @@ let drop_with ctrl e ck k =
   if has_reply last then rreply_to ctrl last (Error e) k else k ()
 
 let reject_chunk ctrl ~copy_id e ck k =
-  if has_reply (chunk_last ck) then Hashtbl.remove ctrl.copy_failures copy_id;
+  if has_reply (chunk_last ck) then Hashtbl.remove ctrl.copies copy_id;
   drop_with ctrl e ck k
 
-(* Orphan reclamation. A dropped [P_copy_open] (fault injection) leaves its
-   session's chunks parked in [copy_pending], a dropped final chunk leaves
-   an open-time failure parked in [copy_failures] or a session open in
-   [copy_sessions], forever. Sweep the entry after [copy_open_timeout]:
-   parked chunks release their pins and a reclaimed final chunk replies
-   [Timeout]; a reclaimed failure answers with its error, and a reclaimed
-   session with [Timeout], over the reply path that the open carried. So
-   the caller's retry path always gets a typed completion. A crashed
-   controller answers nothing. In fault-free runs the open (or final
-   chunk) always lands first and the sweep is a no-op. *)
-let reclaim_orphan ctrl tbl copy_id what =
-  Hashtbl.remove tbl copy_id;
-  Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
-  journal ctrl Obs.Journal.Warn "ctrl.copy_orphan" (fun () ->
-      Printf.sprintf "copy=%d %s" copy_id what)
-
-let schedule_pending_sweep ctrl copy_id q =
-  Sim.Engine.schedule Net.Config.copy_open_timeout (fun () ->
-      match Hashtbl.find_opt ctrl.copy_pending copy_id with
-      | Some q' when q' == q ->
-        reclaim_orphan ctrl ctrl.copy_pending copy_id "pending";
-        (* the Timeout reply is a charged step: it starts from an event
-           of its own at this instant, as a spawned fiber would *)
-        let parked = List.of_seq (Queue.to_seq q) in
-        Sim.Engine.schedule 0 (fun () ->
-            each (drop_with ctrl Error.Timeout) parked stop)
-      | Some _ | None -> ())
-
-let schedule_failure_sweep ctrl copy_id =
-  Sim.Engine.schedule Net.Config.copy_open_timeout (fun () ->
-      match Hashtbl.find_opt ctrl.copy_failures copy_id with
-      | Some (e, rr) ->
-        reclaim_orphan ctrl ctrl.copy_failures copy_id "failure";
-        if ctrl.running then rreply_to ctrl rr (Error e) stop
-      | None -> ())
+(* The chunks waiting at [s], oldest first, unlinked from it and from
+   each other. *)
+let take s =
+  let rec unlink = function
+    | P_copy_chunk c as ck when ck != no_chunk ->
+      let next = c.next in
+      c.next <- no_chunk;
+      ck :: unlink next
+    | _ -> []
+  in
+  let cks = unlink s.cs_head in
+  s.cs_head <- no_chunk;
+  s.cs_tail <- no_chunk;
+  cks
 
 (* The destination writer's store of a [len]-byte chunk of a [total]-byte
    copy whose source view starts at [base], which releases the chunk's
@@ -147,15 +104,15 @@ let write_chunk dst_mem ~base ~total ck len =
     c.pin <- Membuf.no_pin
   | _ -> not_chunk ()
 
-(* Destination side: one writer per copy session, taking in-order chunks
+(* Destination side: one writer per open copy, taking in-order chunks
    (a few steps each), staging them through the bounce buffer and
    RDMA-writing them into the destination process's memory. The writer
    counts delivered bytes: if the final chunk lands with incomplete
    coverage (a middle chunk was dropped by fault injection — the endpoint
    layer already absorbs duplicates), it must answer with a typed error,
    not ack a silent hole. Fault-free sessions always cover [total]
-   exactly. The session record is the steps' argument, and its chunks
-   wait for the writer in a queue linked through the chunks themselves,
+   exactly. The copy's record is the steps' argument, and its chunks
+   wait for the writer in a list linked through the chunks themselves,
    so neither a session nor a chunk builds a closure or allocates queue
    storage (HACKING.md, "Hot path").
 
@@ -167,7 +124,15 @@ let write_chunk dst_mem ~base ~total ck len =
 let chunk_attrs off len =
   [ ("off", string_of_int off); ("len", string_of_int len) ]
 
-let write_span s = ("ctrl.copy.write", chunk_attrs (chunk_off s.cs_ck) s.cs_len)
+let ck_written s = ck_len s.cs_ctrl ~total:s.cs_total s.cs_ck
+
+let write_span s =
+  ("ctrl.copy.write", chunk_attrs (chunk_off s.cs_ck) (ck_written s))
+
+let dst s =
+  match s.cs_state with
+  | Open m | Closed m -> m
+  | Parked | Failed _ -> invalid_arg "Copy: the copy is not open"
 
 let rec receive s =
   match s.cs_head with
@@ -180,72 +145,41 @@ let rec receive s =
   | _ -> s.cs_waiting <- true
 
 and write s ck =
-  let len = ck_len s.cs_ctrl ~total:s.cs_total ck in
-  s.cs_received <- s.cs_received + len;
   s.cs_ck <- ck;
-  s.cs_len <- len;
+  let len = ck_written s in
+  s.cs_received <- s.cs_received + len;
   enter ~tail:false s.cs_ctrl write_span s;
   (* the staging memcpy through the bounce buffer, then the RDMA write
      into process memory *)
   if len = 0 then stored s else stage s.cs_ctrl len staged_write s
 
 and staged_write s =
-  write_chunk s.cs_dst ~base:s.cs_base ~total:s.cs_total s.cs_ck s.cs_len;
+  let len = ck_written s and m = dst s in
+  write_chunk m ~base:s.cs_base ~total:s.cs_total s.cs_ck len;
   Net.Fabric.transfer_then s.cs_ctrl.fabric ~src:s.cs_ctrl.cnode
-    ~dst:s.cs_dst.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:s.cs_len stored
-    s
+    ~dst:m.m_buf.Membuf.node ~cls:Net.Stats.Data ~size:len stored s
 
 and stored s =
   leave ();
   s.cs_last <- Sim.Engine.now ();
   let rr = chunk_last s.cs_ck in
-  if s.cs_closed then ()
-  else if not (has_reply rr) then receive s
-  else begin
-    (* closed: the pending idle sweep keeps the session reachable until
-       it fires, so let go of the last chunk and the reply path now *)
-    Hashtbl.remove s.cs_ctrl.copy_sessions s.cs_copy_id;
+  match s.cs_state with
+  | Closed _ -> ()
+  | _ when not (has_reply rr) -> receive s
+  | _ ->
+    (* closed: the pending sweep keeps the record reachable until it
+       fires, so let go of the last chunk and the reply path now *)
+    Hashtbl.remove s.cs_ctrl.copies s.cs_copy_id;
     s.cs_ck <- no_chunk;
     s.cs_rr <- No_reply;
     rreply_to s.cs_ctrl rr
       (if s.cs_received >= s.cs_total then Ok () else Error Error.Timeout)
       stop
-  end
 
-(* The idle sweep of a session: one with no chunk received or written for
-   [copy_open_timeout] lost one on the wire. The final chunk alone
-   carries the caller's ack, so without the sweep a lost final chunk
-   would leave the caller waiting forever. The session is closed, its
-   parked chunks release their pins, and a writer still stuck on a chunk
-   stops when it gets past it. *)
-let rec idle_sweep s =
-  let ctrl = s.cs_ctrl and timeout = Net.Config.copy_open_timeout in
-  match Hashtbl.find_opt ctrl.copy_sessions s.cs_copy_id with
-  | Some s' when s' == s ->
-    let idle = Sim.Engine.now () - s.cs_last in
-    if idle < timeout then Sim.Engine.schedule_with (timeout - idle) idle_sweep s
-    else begin
-      reclaim_orphan ctrl ctrl.copy_sessions s.cs_copy_id "session";
-      s.cs_closed <- true;
-      if ctrl.running then rreply_to ctrl s.cs_rr (Error Error.Timeout) stop;
-      let rec drain = function
-        | P_copy_chunk c as ck when ck != no_chunk ->
-          let next = c.next in
-          c.next <- no_chunk;
-          drop_chunk ck;
-          drain next
-        | _ -> ()
-      in
-      drain s.cs_head;
-      s.cs_head <- no_chunk;
-      s.cs_tail <- no_chunk
-    end
-  | Some _ | None -> ()
-
-(* Queue chunk [ck] for session [s]'s writer under the current trace
-   context, waking the writer if it waits. A chunk already queued (a
-   duplicate that slipped past the endpoint's dedup window while its
-   first delivery waited) is left where it is. *)
+(* Link chunk [ck] at [s] under the current trace context, waking the
+   writer if it waits. A chunk already queued (a duplicate that slipped
+   past the endpoint's dedup window while its first delivery waited) is
+   left where it is. *)
 let feed s ck =
   match ck with
   | P_copy_chunk c ->
@@ -262,28 +196,81 @@ let feed s ck =
     end
   | _ -> not_chunk ()
 
-let start_copy_session ctrl ~copy_id ~base ~total dst_mem ck rr =
+(* Orphan reclamation. A dropped [P_copy_open] (fault injection) would
+   leave a copy's chunks parked forever, and a dropped final chunk a
+   failed open or an open session. So each state of a record arms its
+   sweep, [copy_open_timeout] after the first parked chunk, the failure
+   or the open, and the sweep does nothing once the record has moved on
+   (its int is the state it was armed for). A session is idle only once
+   that long has passed with no chunk received or written, so its sweep
+   re-arms from its last activity. Parked chunks release their pins and a
+   reclaimed final chunk replies [Timeout]; a failed open answers with
+   its error, and a session with [Timeout], over the reply path that the
+   open carried. So the caller's retry path always gets a typed
+   completion. A crashed controller answers nothing. A closed session's
+   waiting chunks release their pins, and a writer still stuck on a chunk
+   stops when it gets past it. In fault-free runs the open (or final
+   chunk) always lands first and the sweep is a no-op. *)
+let state_code = function
+  | Parked -> 0
+  | Failed _ -> 1
+  | Open _ -> 2
+  | Closed _ -> 3
+
+let orphan_word = [| "pending"; "failure"; "session" |]
+
+(* the Timeout reply is a charged step: it starts from an event of its
+   own at the sweep's instant, as a spawned fiber would *)
+let drop_parked s = each (drop_with s.cs_ctrl Error.Timeout) (take s) stop
+
+let rec sweep s n =
+  let ctrl = s.cs_ctrl and timeout = Net.Config.copy_open_timeout in
+  match Hashtbl.find_opt ctrl.copies s.cs_copy_id with
+  | Some s' when s' == s && state_code s.cs_state = n -> (
+    let idle = Sim.Engine.now () - s.cs_last in
+    match s.cs_state with
+    | Open _ when idle < timeout ->
+      Sim.Engine.schedule_with_n (timeout - idle) sweep s n
+    | st -> (
+      Hashtbl.remove ctrl.copies s.cs_copy_id;
+      Obs.Metrics.incr ctrl.cm.cm_copy_orphans;
+      journal ctrl Obs.Journal.Warn "ctrl.copy_orphan" (fun () ->
+          Printf.sprintf "copy=%d %s" s.cs_copy_id orphan_word.(n));
+      match st with
+      | Parked -> Sim.Engine.schedule_with 0 drop_parked s
+      | Failed e ->
+        if ctrl.running then rreply_to ctrl s.cs_rr (Error e) stop
+      | Open m | Closed m ->
+        s.cs_state <- Closed m;
+        if ctrl.running then rreply_to ctrl s.cs_rr (Error Error.Timeout) stop;
+        List.iter drop_chunk (take s)))
+  | Some _ | None -> ()
+
+(* [s] enters state [st] and arms its sweep. *)
+let arm s st =
+  s.cs_state <- st;
+  Sim.Engine.schedule_with_n Net.Config.copy_open_timeout sweep s
+    (state_code st)
+
+(* A copy's record, made by its first message *)
+let add ctrl copy_id =
   let s =
     {
       cs_ctrl = ctrl;
       cs_copy_id = copy_id;
-      cs_base = base;
-      cs_total = total;
-      cs_dst = dst_mem;
-      cs_rr = rr;
+      cs_state = Parked;
+      cs_base = 0;
+      cs_total = 0;
+      cs_rr = No_reply;
       cs_head = no_chunk;
       cs_tail = no_chunk;
       cs_waiting = false;
       cs_received = 0;
-      cs_ck = ck;
-      cs_len = 0;
+      cs_ck = no_chunk;
       cs_last = Sim.Engine.now ();
-      cs_closed = false;
     }
   in
-  Hashtbl.replace ctrl.copy_sessions copy_id s;
-  Sim.Engine.schedule_with 0 receive s;
-  Sim.Engine.schedule_with Net.Config.copy_open_timeout idle_sweep s;
+  Hashtbl.replace ctrl.copies copy_id s;
   s
 
 (* Source side (we own the source object): validate, open the session at
@@ -509,23 +496,6 @@ let hw_copy ctrl ~src ~dst (rr : unit rreply) =
 (* Destination-side peer handlers                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [P_copy_open]: validate and open the session, then feed it the first
-   chunk and any that overtook the open. On failure they are all rejected
-   and the error is parked until the final chunk's reply path. The open
-   carries the caller's reply path too, for the sweeps: a session or a
-   failure whose final chunk never comes answers over it. *)
-let open_failed ctrl ~copy_id ~chunk ~reply e =
-  let chunks =
-    match Hashtbl.find_opt ctrl.copy_pending copy_id with
-    | Some q ->
-      Hashtbl.remove ctrl.copy_pending copy_id;
-      chunk :: List.of_seq (Queue.to_seq q)
-    | None -> [ chunk ]
-  in
-  Hashtbl.replace ctrl.copy_failures copy_id (e, reply);
-  schedule_failure_sweep ctrl copy_id;
-  each (reject_chunk ctrl ~copy_id e) chunks leave
-
 (* The destination's extent, if a copy may write [total] bytes to it;
    raises [Error.Fractos] otherwise *)
 let writable ctrl dst ~total =
@@ -538,54 +508,58 @@ let writable ctrl dst ~total =
   else if not m.m_owner.alive then raise (Error.Fractos Error.Provider_dead)
   else m
 
-(* The open after its lookups' charge ([open_cost]), a step over the peer
-   handler's [(ctrl, msg)] *)
+(* [P_copy_open]: validate and open the session, then feed it the first
+   chunk and any that overtook the open, under the open's trace context.
+   On failure they are all rejected and the error is kept for the chunks
+   still to come. The open carries the caller's reply path too, for the
+   sweep: a session or a failure whose final chunk never comes answers
+   over it. It runs after its lookups' charge ([open_cost]), a step over
+   the peer handler's [(ctrl, msg)]. *)
 let open_cost = [ (Net.Cost.Lookup, 2) ]
 
 let opened (ctrl, msg) =
   match msg with
   | P_copy_open { copy_id; dst; base; total; chunk; reply } -> (
+    let s =
+      match Hashtbl.find_opt ctrl.copies copy_id with
+      | Some ({ cs_state = Parked; _ } as s) -> s
+      | Some _ | None -> add ctrl copy_id
+    in
+    let parked = take s in
+    s.cs_rr <- reply;
     match writable ctrl dst ~total with
-    | exception Error.Fractos e -> open_failed ctrl ~copy_id ~chunk ~reply e
+    | exception Error.Fractos e ->
+      arm s (Failed e);
+      each (reject_chunk ctrl ~copy_id e) (chunk :: parked) leave
     | m ->
-      let s = start_copy_session ctrl ~copy_id ~base ~total m chunk reply in
+      s.cs_base <- base;
+      s.cs_total <- total;
+      s.cs_last <- Sim.Engine.now ();
+      Sim.Engine.schedule_with 0 receive s;
+      arm s (Open m);
       feed s chunk;
-      (match Hashtbl.find_opt ctrl.copy_pending copy_id with
-      | Some q ->
-        Hashtbl.remove ctrl.copy_pending copy_id;
-        Queue.iter (feed s) q
-      | None -> ());
+      (* [feed s] allocates a closure: build it only for parked chunks *)
+      if parked <> [] then List.iter (feed s) parked;
       leave ())
   | _ -> invalid_arg "Copy.opened"
 
-(* [P_copy_chunk]: feed the open session, answer a rejected one, or park
-   the chunk while the open is still being processed (handlers run
-   concurrently). It ends in the step it starts in: a rejected final
-   chunk's reply is a charged step of its own. The session lookup raises
-   on a miss rather than box a hit in [Some]: a hit is the per-chunk
-   path. *)
+(* [P_copy_chunk]: feed the open session, reject a failed one's chunk,
+   or park the chunk while the open is still being processed (handlers
+   run concurrently) or lost. It ends in the step it starts in: a
+   rejected final chunk's reply is a charged step of its own. The lookup
+   raises on a miss rather than box a hit in [Some]: a hit is the
+   per-chunk path. *)
 let on_chunk ctrl ck =
   (match ck with
   | P_copy_chunk { copy_id; _ } -> (
-    match Hashtbl.find ctrl.copy_sessions copy_id with
+    match Hashtbl.find ctrl.copies copy_id with
+    | { cs_state = Failed e; _ } -> reject_chunk ctrl ~copy_id e ck stop
     | s ->
       s.cs_last <- Sim.Engine.now ();
       feed s ck
-    | exception Not_found -> (
-      match Hashtbl.find_opt ctrl.copy_failures copy_id with
-      | Some (e, _) -> reject_chunk ctrl ~copy_id e ck stop
-      | None ->
-        let q =
-          match Hashtbl.find_opt ctrl.copy_pending copy_id with
-          | Some q -> q
-          | None ->
-            let q = Queue.create () in
-            Hashtbl.replace ctrl.copy_pending copy_id q;
-            (* a lost open (fault injection) would park these forever:
-               reclaim after copy_open_timeout *)
-            schedule_pending_sweep ctrl copy_id q;
-            q
-        in
-        Queue.add ck q))
+    | exception Not_found ->
+      let s = add ctrl copy_id in
+      arm s Parked;
+      feed s ck)
   | _ -> not_chunk ());
   leave ()

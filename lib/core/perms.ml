@@ -4,7 +4,6 @@ let rw = { read = true; write = true }
 let ro = { read = true; write = false }
 let wo = { read = false; write = true }
 let none = { read = false; write = false }
-let subset a b = ((not a.read) || b.read) && ((not a.write) || b.write)
 let drop p ~drop = { read = p.read && not drop.read; write = p.write && not drop.write }
 
 let to_string p =

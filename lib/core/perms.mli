@@ -11,9 +11,6 @@ val ro : t
 val wo : t
 val none : t
 
-val subset : t -> t -> bool
-(** [subset a b] is true when [a] grants no right that [b] does not. *)
-
 val drop : t -> drop:t -> t
 (** [drop p ~drop:d] removes the rights in [d] from [p]. *)
 

@@ -38,7 +38,6 @@ let create ~node name =
 
 let reset_ids () = next_pid := 0
 let alloc t size = Membuf.create ~node:t.pnode size
-let is_alive t = t.alive
 let name t = t.pname
 let node t = t.pnode
 let controller t = t.pctrl

@@ -21,7 +21,6 @@ val alloc : t -> int -> Membuf.t
 val reset_ids : unit -> unit
 (** Reset the module-global pid counter; see {!Controller.reset_ids}. *)
 
-val is_alive : t -> bool
 val name : t -> string
 val node : t -> Net.Node.t
 val controller : t -> Controller.t option

@@ -64,14 +64,8 @@ and ctrl = {
   fabric : Net.Fabric.t;
   mutable running : bool;
   windows : (int, Sim.Semaphore.t) Hashtbl.t; (* per-proc delivery window *)
-  copy_sessions : (int, copy_session) Hashtbl.t;
-  copy_failures : (int, Error.t * unit rreply) Hashtbl.t;
-      (* sessions rejected at open; the error is replied on the last chunk,
-         or over the open's reply path if that chunk never comes *)
-  copy_pending : (int, peer_msg Queue.t) Hashtbl.t;
-      (* chunks that overtook their session's open (handlers run
-         concurrently; delivery order alone does not serialize them);
-         reclaimed after Config.copy_open_timeout *)
+  copies : (int, copy_session) Hashtbl.t;
+      (* the copies this controller is the destination of, by copy id *)
   mutable cap_gen : int;
       (* capability generation: bumped by every entry removal (revoke,
          cleanup, process death) and by reboot; stamps the per-capspace
@@ -133,7 +127,7 @@ and ctrl_metrics = {
   cm_ref_inc_timeouts : Obs.Metrics.counter;
   cm_copy_bytes : Obs.Metrics.counter; (* payload bytes shipped by copies *)
   cm_copy_orphans : Obs.Metrics.counter;
-      (* copy_pending/copy_failures entries reclaimed by the open timeout *)
+      (* copy records reclaimed by their sweep (Copy) *)
   cm_dir_hits : Obs.Metrics.counter; (* directory-cache hits *)
   cm_dir_misses : Obs.Metrics.counter; (* priced directory resolutions *)
   cm_dir_invalidations : Obs.Metrics.counter;
@@ -356,7 +350,7 @@ and peer_msg =
              from the session's base. *)
       last : unit rreply; (* the final chunk carries the caller's ack *)
       mutable next : peer_msg;
-          (* the chunk behind it in its session's queue, or [Copy.no_chunk] *)
+          (* the chunk behind it at its destination, or [no_chunk] *)
       mutable ctx : int; (* the trace context it was queued under *)
     }
       (* One record per chunk from its post to its write-out: the message
@@ -393,24 +387,43 @@ and peer_msg =
          Without it the home cannot tell a confirmed placement from one
          whose caller timed out, and the minted object would leak. *)
 
-(* A copy session at its destination: the writer's state, which its
-   steps take as their argument (Copy.start_copy_session). *)
+(* A copy at its destination, from its first message (the open, or a
+   chunk that overtook it) to its answer (Copy). Its chunks wait in a
+   list linked through their [next] fields: parked until the open, then
+   for the writer, whose steps take the record as their argument. *)
 and copy_session = {
   cs_ctrl : ctrl;
   cs_copy_id : int;
-  cs_base : int; (* the source view's offset in its buffer *)
-  cs_total : int;
-  cs_dst : mem;
+  mutable cs_state : copy_state;
+  mutable cs_base : int; (* the source view's offset in its buffer *)
+  mutable cs_total : int;
   mutable cs_rr : unit rreply; (* the caller's, from the open *)
-  mutable cs_head : peer_msg; (* the chunks waiting for the writer, *)
+  mutable cs_head : peer_msg; (* the chunks waiting, *)
   mutable cs_tail : peer_msg; (* linked through their [next] fields *)
   mutable cs_waiting : bool; (* the writer waits for a chunk *)
   mutable cs_received : int; (* bytes delivered so far *)
   mutable cs_ck : peer_msg; (* the chunk being written *)
-  mutable cs_len : int; (* and its length *)
   mutable cs_last : Sim.Time.t; (* when a chunk last arrived or was written *)
-  mutable cs_closed : bool; (* closed by the idle sweep *)
 }
+
+and copy_state =
+  | Parked (* chunks came before the open *)
+  | Failed of Error.t (* the open failed: each chunk is rejected with this *)
+  | Open of mem (* the writer writes the chunks into this extent *)
+  | Closed of mem (* swept while idle: a write under way still lands *)
+
+(* What ends a copy's chunk list, and what a closed session holds in
+   place of its last chunk. *)
+let rec no_chunk =
+  P_copy_chunk
+    {
+      copy_id = 0;
+      off = 0;
+      pin = Membuf.no_pin;
+      last = No_reply;
+      next = no_chunk;
+      ctx = 0;
+    }
 
 let addr_equal a b =
   a.a_ctrl = b.a_ctrl && a.a_epoch = b.a_epoch && a.a_oid = b.a_oid

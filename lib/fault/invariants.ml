@@ -109,26 +109,17 @@ let check ~ctrls ~plan ~install_time () =
           add "ctrl %d holds %d tombstone(s) after a lossless crash-free run"
             (Core.Controller.id c) t)
       ctrl_arr;
-  (* Pass 5: no leaked copy-session state. Once the run has quiesced, every
-     session must have been closed by its final chunk or by its idle
-     sweep, and every parked chunk (open lost or still in flight) and
-     every parked open-time failure consumed or reclaimed by the open
-     timeout — anything left is a permanent leak at the destination
+  (* Pass 5: no leaked copy state. Once the run has quiesced, every copy
+     record at a destination (parked chunks, a failed open, an open
+     session) must have been ended by its final chunk or reclaimed by its
+     sweep: anything left is a permanent leak at the destination
      controller. *)
   Array.iter
     (fun c ->
-      let sessions = Core.Controller.copy_sessions_count c in
-      if sessions <> 0 then
-        add "ctrl %d leaked %d open copy session(s) after quiescence"
-          (Core.Controller.id c) sessions;
-      let pending = Core.Controller.copy_pending_count c in
-      if pending <> 0 then
-        add "ctrl %d leaked %d parked copy-chunk queue(s) after quiescence"
-          (Core.Controller.id c) pending;
-      let failures = Core.Controller.copy_failures_count c in
-      if failures <> 0 then
-        add "ctrl %d leaked %d parked copy failure(s) after quiescence"
-          (Core.Controller.id c) failures)
+      let n = Core.Controller.copy_count c in
+      if n <> 0 then
+        add "ctrl %d leaked %d copy record(s) after quiescence"
+          (Core.Controller.id c) n)
     ctrl_arr;
   (* Pass 6: directory coherence. In a sharded capability space every
      current-generation directory cache must agree with the shard map and

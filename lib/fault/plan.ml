@@ -81,8 +81,6 @@ let generate ~spec ~seed ~n_ctrls ~n_nodes =
     pl_fault_seed = fault_seed;
   }
 
-let equal a b = a = b
-
 let line = function
   | Crash { at; ctrl } ->
       Printf.sprintf "t=%-8s crash   ctrl=%d" (Sim.Time.to_string at) ctrl

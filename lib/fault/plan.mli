@@ -35,7 +35,5 @@ val generate : spec:Spec.t -> seed:int -> n_ctrls:int -> n_nodes:int -> t
     Counts are clamped to what the topology supports: no crash events when
     [n_ctrls = 0], no partitions or stalls when [n_nodes < 2]. *)
 
-val equal : t -> t -> bool
-
 val to_lines : t -> string list
 (** Human-readable one-line-per-event rendering, used by [fractos chaos]. *)

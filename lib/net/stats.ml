@@ -14,13 +14,10 @@ type t = {
      the link has carried nothing *)
   mutable links : link array;
   mutable n_ids : int;
-  size_buckets : int array; (* log2 histogram of network payload sizes *)
 }
 
 let fresh () = { msgs = 0; bytes = 0 }
 let no_link = { l_src = ""; l_dst = ""; l_c = fresh () }
-
-let n_buckets = 32
 
 let create () =
   {
@@ -30,7 +27,6 @@ let create () =
     net_data = fresh ();
     links = [||];
     n_ids = 0;
-    size_buckets = Array.make n_buckets 0;
   }
 
 (* Grow the link table to cover node id [id]. *)
@@ -54,14 +50,6 @@ let link t ~(src : Node.t) ~(dst : Node.t) =
     l.l_c
   end
 
-(* A plain recursion over its arguments, not a local function closing
-   over [bytes]: every network message passes through here. *)
-let rec bucket bytes b bound =
-  if bytes <= bound || b = n_buckets - 1 then b
-  else bucket bytes (b + 1) (bound * 2)
-
-let bucket_of_size bytes = bucket bytes 0 1
-
 let bump c bytes =
   c.msgs <- c.msgs + 1;
   c.bytes <- c.bytes + bytes
@@ -70,8 +58,6 @@ let record t ~src ~dst ~cls ~bytes ~on_network =
   bump t.all bytes;
   if on_network then begin
     bump t.net bytes;
-    let b = bucket_of_size bytes in
-    t.size_buckets.(b) <- t.size_buckets.(b) + 1;
     (match cls with
     | Control -> bump t.net_control bytes
     | Data -> bump t.net_data bytes);
@@ -87,7 +73,6 @@ let reset t =
   zero t.net;
   zero t.net_control;
   zero t.net_data;
-  Array.fill t.size_buckets 0 n_buckets 0;
   Array.fill t.links 0 (Array.length t.links) no_link
 
 type census = {
@@ -128,15 +113,6 @@ let per_link t =
       end)
     t.links;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_name [] |> List.sort compare
-
-let size_histogram t =
-  let out = ref [] in
-  let bound = ref 1 in
-  for b = 0 to n_buckets - 1 do
-    if t.size_buckets.(b) > 0 then out := (!bound, t.size_buckets.(b)) :: !out;
-    bound := !bound * 2
-  done;
-  List.rev !out
 
 let pp_census fmt c =
   Format.fprintf fmt

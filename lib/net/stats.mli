@@ -52,10 +52,5 @@ val per_link : t -> ((string * string) * (int * int)) list
 (** [(src, dst), (messages, bytes)] for every directed link that carried
     network traffic, sorted by source then destination name. *)
 
-val size_histogram : t -> (int * int) list
-(** Power-of-two histogram of network-message payload sizes:
-    [(bucket_upper_bound, count)] for non-empty buckets, ascending. Shows
-    at a glance whether a workload is control-chatter or bulk-data
-    dominated. *)
 
 val pp_census : Format.formatter -> census -> unit

@@ -242,7 +242,6 @@ let load dir =
       }
 
 let meta t k = List.assoc_opt k t.a_meta
-let series t k = List.assoc_opt k t.a_series
 
 let timeline ?buckets t = Timeline.build ?buckets t.a_spans
 

@@ -52,7 +52,6 @@ val load : string -> (t, string) result
     is rejected as not an artifact set. *)
 
 val meta : t -> string -> string option
-val series : t -> string -> float option
 val timeline : ?buckets:int -> t -> Timeline.t
 
 val pp : Format.formatter -> t -> unit

@@ -171,8 +171,6 @@ let chrome_trace_buffer () =
        (Span.count ()) (Span.dropped ()));
   b
 
-let chrome_trace_string () = Buffer.contents (chrome_trace_buffer ())
-
 let write_chrome_trace path =
   Out_channel.with_open_text path (fun oc ->
       Buffer.output_buffer oc (chrome_trace_buffer ()));

@@ -8,8 +8,6 @@
     and parent ids plus attributes in [args], so the logical trace tree
     survives even where concurrent spans land on separate tracks. *)
 
-val chrome_trace_string : unit -> string
-
 val write_chrome_trace : string -> unit
 (** Write the trace to a file (overwrites). The export's [otherData]
     records the collected/dropped span counts; if any spans were dropped

@@ -115,7 +115,6 @@ let observe ~trace ~latency ~outcome ?hist () =
   end
 
 let retained () = List.of_seq (Queue.to_seq st.sm_retained_order)
-let is_retained id = Hashtbl.mem st.sm_retained_tbl id
 
 let exemplars () =
   Hashtbl.fold
@@ -123,7 +122,6 @@ let exemplars () =
     st.sm_exemplar_tbl []
   |> List.sort compare
 
-let exemplar ~hist ~bucket = Hashtbl.find_opt st.sm_exemplar_tbl (hist, bucket)
 let seen () = st.sm_seen
 let kept_by r = st.sm_kept_counts.(reason_rank r)
 let healthy_seen () = st.sm_healthy

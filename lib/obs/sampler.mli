@@ -61,12 +61,8 @@ val observe :
 val retained : unit -> (Span.id * reason) list
 (** Retained traces in decision order. *)
 
-val is_retained : Span.id -> bool
-
 val exemplars : unit -> (string * int * float * Span.id) list
 (** [(hist name, bucket index, bucket upper bound, trace id)], sorted. *)
-
-val exemplar : hist:string -> bucket:int -> Span.id option
 
 val seen : unit -> int
 (** Total observations. *)

@@ -78,8 +78,6 @@ let profile ~components ~factors ~measure =
   in
   { w_base = base; w_factors = factors; w_ranked = ranked }
 
-let top t = match t.w_ranked with [] -> None | a :: _ -> Some a.a_component
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)

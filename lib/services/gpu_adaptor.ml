@@ -147,10 +147,6 @@ let svc t = t.asvc
 let base_requests t = (t.alloc_req, t.load_req, t.free_req)
 let push_request t = t.push_req
 
-let push_args buffer ~len =
-  ignore buffer.size;
-  [ Args.of_int buffer.handle; Args.of_int len ]
-
 let alloc svc ~alloc_req ~size =
   match Svc.call svc ~svc:alloc_req ~imms:[ Args.of_int size ] () with
   | Error _ as e -> e

@@ -60,7 +60,3 @@ val invoke_args :
   items:int -> bufs:buffer list -> user:Core.Args.imm list ->
   Core.Args.imm list
 (** Build the immediate-argument refinement for a kernel invocation. *)
-
-val push_args : buffer -> len:int -> Core.Args.imm list
-(** Immediate refinement for a [gpu.push] of the first [len] bytes of a
-    buffer. *)

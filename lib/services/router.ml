@@ -34,9 +34,6 @@ let create ?(slack = 0) ?(seed = 0) ~policy ~backlog n =
 let size t = t.n
 let mark_dead t i = if i >= 0 && i < t.n then t.live.(i) <- false
 
-let live_count t =
-  Array.fold_left (fun n l -> if l then n + 1 else n) 0 t.live
-
 (* Least-loaded live instance; ties break to the lowest index so two
    routers with the same view agree. *)
 let least_loaded t =

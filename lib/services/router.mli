@@ -42,8 +42,6 @@ val mark_dead : t -> int -> unit
 (** Exclude instance [i] from routing (the pool observed a typed
     [Stale]/[Provider_dead] from it). Out-of-range indices are ignored. *)
 
-val live_count : t -> int
-
 val pick : t -> key:int -> int option
 (** Choose an instance for a request whose prompt-prefix hash is [key]
     (only [Cache_aware] reads it). [None] when no instance is live. *)

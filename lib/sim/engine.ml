@@ -11,8 +11,8 @@ open Effect.Deep
    slots go back on the [free] stack, so scheduling an event allocates
    nothing once the pool and the queues have grown to the working set.
    A resumer is itself the context and continuation of the suspended
-   fiber, so [Resume] and [Fail] need only point at it, and a [Resume]
-   may run under another context than the fiber's own ([resume_in]).
+   fiber, so a [Resume] need only point at it, and it may run under
+   another context than the fiber's own ([resume_in]).
    [Call_with] and [Spawn_with] carry a function and its argument
    instead of a closure over them, and so does [Relay], whose dispatch
    re-queues its slot on the lane as that [Call_with]; [Call_with_n]
@@ -33,7 +33,6 @@ type kind =
   | Spawn (* a: unit -> unit; b: string option, the fiber's name *)
   | Spawn_with (* a: 'x -> unit; b: 'x *)
   | Resume (* a: 'x resumer; b: 'x *)
-  | Fail (* a: 'x resumer; b: exn *)
 
 type t = {
   heap : Heap.t;
@@ -180,12 +179,8 @@ let push_resume ctx (r : 'x resumer) (v : 'x) =
   let t = r.eng in
   enqueue t ~time:t.now Resume ctx (Obj.repr r) (Obj.repr v)
 
-let push_fail (r : 'x resumer) (e : exn) =
-  let t = r.eng in
-  enqueue t ~time:t.now Fail r.r_ctx (Obj.repr r) (Obj.repr e)
-
-(* Continuations are one-shot; the [used] flag makes a second [resume]
-   or [abort] a no-op. *)
+(* Continuations are one-shot; the [used] flag makes a second [resume] a
+   no-op. *)
 let resume_in ctx r v =
   if not r.used then begin
     r.used <- true;
@@ -193,12 +188,6 @@ let resume_in ctx r v =
   end
 
 let resume r v = resume_in r.r_ctx r v
-
-let abort r e =
-  if not r.used then begin
-    r.used <- true;
-    push_fail r e
-  end
 
 (* Both effects are constants, so performing one allocates nothing:
    [sleep] leaves its duration in the engine's [sleep_for], and
@@ -341,7 +330,6 @@ let dispatch t s =
       ignore (new_fiber t : int);
       match_with (Obj.obj a : Obj.t -> unit) b t.handler
     | Resume -> continue (Obj.obj a : Obj.t resumer).k b
-    | Fail -> discontinue (Obj.obj a : Obj.t resumer).k (Obj.obj b : exn)
   end
 
 (* The next event, or -1 once none may run. Heap entries due at [now]

@@ -65,8 +65,8 @@ type 'a resumer
 val resume : 'a resumer -> 'a -> unit
 (** [resume r v] makes the fiber suspended on [r] return [v], at the
     current instant (after the caller yields), with its own trace context
-    restored. Only the first of {!resume} and {!abort} on a resumer has
-    any effect; later calls are no-ops. Safe to call from any fiber or
+    restored. Only the first resume of a resumer has any effect; later
+    calls are no-ops. Safe to call from any fiber or
     scheduled event. *)
 
 val resume_in : int -> 'a resumer -> 'a -> unit
@@ -74,14 +74,10 @@ val resume_in : int -> 'a resumer -> 'a -> unit
     context [ctx] instead of its own: how {!Channel} hands a waiting
     reader a message with its sender's context, with no pair. *)
 
-val abort : 'a resumer -> exn -> unit
-(** [abort r e] makes the fiber suspended on [r] raise [e] instead; same
-    one-shot rule as {!resume}. *)
-
 val suspend : ('a resumer -> unit) -> 'a
 (** [suspend f] blocks the calling fiber and hands [f] a {!resumer} for it.
-    The fiber resumes — at the instant {!resume}/{!abort} is called — with
-    the provided value, or raises the provided exception. This is the
+    The fiber resumes, at the instant {!resume} is called, with the
+    provided value. This is the
     primitive from which semaphores, wait groups and timers are built;
     ivars and channels use {!suspend_with}. *)
 

@@ -44,11 +44,11 @@ let float t bound =
   float_of_int bits /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (int64 t) 1L = 1L
-let byte t = Char.chr (int t 256)
 
-(* The bytes successive [byte] draws would give (the low 8 bits of each
-   masked draw), with the state in a local: boxing it per byte made
-   building the 64 MiB face database take about a second. *)
+(* The bytes that successive [Char.chr (int t 256)] draws would give
+   (the low 8 bits of each masked draw), with the state in a local:
+   boxing it per byte made building the 64 MiB face database take about
+   a second. *)
 let fill_sub t b ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Prng.fill_sub: range outside the buffer";
@@ -58,8 +58,6 @@ let fill_sub t b ~off ~len =
     Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int (mix !s) land 0xff))
   done;
   t.state <- !s
-
-let fill_bytes t b = fill_sub t b ~off:0 ~len:(Bytes.length b)
 
 let exponential t ~mean =
   let u = float t 1.0 in

@@ -33,12 +33,6 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val byte : t -> char
-(** Uniform random byte. *)
-
-val fill_bytes : t -> Bytes.t -> unit
-(** Fill a buffer with deterministic pseudo-random bytes. *)
-
 val fill_sub : t -> Bytes.t -> off:int -> len:int -> unit
 (** [fill_sub t b ~off ~len] fills bytes [off .. off+len-1] of [b] as
     {!fill_bytes} fills a buffer of [len] bytes, leaving the rest of [b]

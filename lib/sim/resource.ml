@@ -31,8 +31,4 @@ let use_then r ~duration g x =
   let finish = reserve r ~duration and now = Engine.now () in
   if finish > now then Engine.schedule_with (finish - now) g x else g x
 
-let busy_until r =
-  let now = Engine.now () in
-  max now r.free_at.(earliest r)
-
 let busy_time r = r.booked

@@ -41,10 +41,6 @@ val use_then : t -> duration:Time.t -> ('a -> unit) -> 'a -> unit
     would wake a fiber blocked in {!use} (or at once, where {!use} would
     not block). *)
 
-val busy_until : t -> Time.t
-(** Earliest instant at which some server becomes free (>= now if a server
-    is idle). Diagnostic / utilization accounting. *)
-
 val busy_time : t -> Time.t
 (** Total booked service time since creation, summed over servers; divide by
     elapsed wall time and [servers] for utilization. *)

@@ -4,7 +4,6 @@ let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let s x = x * 1_000_000_000
-let of_us_f x = int_of_float (Float.round (x *. 1_000.))
 let to_us_f t = float_of_int t /. 1_000.
 let to_ms_f t = float_of_int t /. 1_000_000.
 let to_s_f t = float_of_int t /. 1_000_000_000.

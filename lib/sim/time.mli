@@ -20,10 +20,6 @@ val ms : int -> t
 val s : int -> t
 (** [s x] is [x] seconds. *)
 
-val of_us_f : float -> t
-(** [of_us_f x] converts a fractional microsecond count, rounding to the
-    nearest nanosecond. *)
-
 val to_us_f : t -> float
 (** [to_us_f t] is [t] expressed in (fractional) microseconds. *)
 

@@ -40,28 +40,6 @@ let ctrl_on t node =
     (fun c -> Net.Node.same_machine Core.State.(c.cnode) node)
     t.ctrls
 
-let fail_node t node =
-  (* Controllers physically on the failed machine crash outright. *)
-  let ctrl_node c = Core.State.(c.cnode) in
-  List.iter
-    (fun c ->
-      if Net.Node.same_machine (ctrl_node c) node then Core.Controller.fail c)
-    t.ctrls;
-  (* Processes on the node that are managed by surviving (remote)
-     Controllers are failed through the normal channel-severed path. *)
-  List.iter
-    (fun c ->
-      if not (Net.Node.same_machine (ctrl_node c) node) then
-        let procs =
-          Hashtbl.fold
-            (fun _ p acc ->
-              if Net.Node.same_machine Core.State.(p.pnode) node then p :: acc
-              else acc)
-            Core.State.(c.procs) []
-        in
-        List.iter (fun p -> Core.Controller.fail_process c p) procs)
-    t.ctrls
-
 let grant ~src ~dst cid =
   let src_ctrl =
     match Core.Process.controller src with

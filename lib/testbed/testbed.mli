@@ -44,13 +44,6 @@ val ctrl_on : t -> Net.Node.t -> Core.Controller.t
     itself or its attached SmartNIC). Raises [Not_found] when there is
     none. *)
 
-val fail_node : t -> Net.Node.t -> unit
-(** Model a whole-node failure (power loss), as detected by the external
-    monitoring service the paper assumes (§3.6): every Controller on the
-    node (or its attached SmartNIC) crashes, and every Process those
-    Controllers manage is failed — triggering the usual
-    failure-to-revocation translation at the surviving Controllers. *)
-
 val grant :
   src:Core.Process.t -> dst:Core.Process.t -> Core.Api.cid -> Core.Api.cid
 (** Operator bootstrap: copy the capability behind [src]'s cid into [dst]'s

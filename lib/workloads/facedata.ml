@@ -21,11 +21,6 @@ let db ~img_size ~n =
   done;
   out
 
-let probe ~img_size ~id ~genuine =
-  let b = image ~img_size ~id in
-  if not genuine then perturb b ~off:0;
-  b
-
 let is_impostor ~impostor_every i =
   impostor_every > 0 && i mod impostor_every = impostor_every - 1
 

@@ -12,10 +12,6 @@ val image : img_size:int -> id:int -> bytes
 val db : img_size:int -> n:int -> bytes
 (** The concatenated database of images [0 .. n-1]. *)
 
-val probe : img_size:int -> id:int -> genuine:bool -> bytes
-(** A probe claiming to be [id]: byte-identical to the database image when
-    [genuine], perturbed otherwise. *)
-
 val probe_batch :
   img_size:int -> start_id:int -> batch:int -> impostor_every:int -> bytes
 (** A batch of probes for ids [start_id .. start_id+batch-1], with every

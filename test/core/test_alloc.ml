@@ -85,26 +85,9 @@ let per_invoke ~n ~target =
       (per (w1 -. w0), per (float_of_int (e1 - e0 - 1)), f1 - f0))
 
 (* Measured at 66.9 words per invoke (x86-64, OCaml 5.1), plus ~10 %
-   headroom. The same harness measured 69.4 while each syscall record,
-   invoke hop and peer message carried the continuation that a traced
-   run's span closed; the 82.4 measured while each posted message built
-   an arrival record and each message that waited in a channel a pair
-   and a queue cell fails here, and so does the 118.9 measured while
-   each syscall's
-   handler built its steps as closures (its answer, its resolve's
-   continuation, the invoke's start tuple and reply path) fails. The
-   same harness measured 128.9 while a synchronous syscall waited on an
-   ivar through a waiter closure, 188.4 while the controller ran each
-   syscall and each peer message but credits and copy chunks in a fiber
-   of its own, 256.9 while each pending event was a boxed record in a
-   polymorphic heap, 328 before per-message events carried a function
-   and its argument instead of a closure, and before lookups on the
-   invoke hop stopped boxing their results, 1190 before the
-   struct-of-arrays event heap and the untraced-path guards, 524 before
-   event-run handlers, timed-wake transfers and the allocation-free
-   endpoint, stats and metrics path, and 370 before list-free charges,
-   one-capability resolves and the closure-free peer lookup; 133.9 while
-   the fabric's size histogram built a closure per network message. *)
+   headroom. A closure built per syscall on any handler fails here, and
+   so does a record built per posted message or a pair and a queue cell
+   per message that waits in a channel. *)
 let budget = 74.
 
 let test_null_invoke_budget () =
@@ -206,38 +189,17 @@ let per_chunk ~n =
 (* Measured at 8.6 minor words per chunk and no fiber (x86-64, OCaml
    5.1). The budget leaves less than one word of headroom: a record of
    its own per chunk (a slice of the source, say) adds four words and
-   fails here, and so does a fiber or a closure per chunk. The same
-   harness measured 13.6 words while each post built an arrival record,
-   each chunk message boxed a chunk record of its own and each chunk that
-   waited for its session's writer a pair and a queue cell, 14.9 while
-   the syscall's reply path built
-   closures and the caller waited on an ivar, 15.4 while the copy's
-   set-up built closures,
-   20.5 while the fabric's size histogram built a closure per network
-   message, 38.7 while the copy loop's steps were
-   closures built per copy and per chunk and each transfer's delivery
-   carried a tuple (38.8 before sessions were swept when idle), 63.8 words
-   and 4 fibers per 64-chunk copy while the source's chunk loop, the
-   destination writer and the syscall waiting on the copy each ran in a
-   fiber, 98.7 while
-   each pending event was a boxed record in a polymorphic heap and the
-   chunk's session lookup boxed its hit in [Some], 112.5 before
-   per-message events carried a function and its argument instead of a
-   closure (112.6 before a chunk pinned its source's store itself, 112.8
-   while a copy's chunks shared a pin record), and 277 words and one
-   fiber per chunk before chunk messages ran as engine events and
-   transfers as timed wakes. *)
+   fails here, and so does a fiber or a closure per chunk. *)
 let copy_budget = 9.
 
 (* Engine events per chunk, pinned exactly as for an invoke: 657 per
    64-chunk copy, its open, chunks and completion, and the destination
-   session's idle sweep, which finds it closed (656 before a session
-   that lost its final chunk was swept). *)
+   session's idle sweep, which finds it closed. *)
 let chunk_events = 10.265625
 
-(* Measured at 2.5 major words per chunk (x86-64, OCaml 5.1): promoted
-   plumbing only. A recycled snapshot per chunk, copied at staging,
-   measured 13.5 here, and a fresh 16 KiB block per chunk 2060. *)
+(* Major-heap words per chunk are promoted plumbing only: a chunk that
+   copied its payload at staging, into a recycled snapshot or a fresh
+   16 KiB block, fails here. *)
 let major_budget = 8.
 
 (* A store into the 1 MiB source of a completed copy into a destination
@@ -253,12 +215,14 @@ let store_budget = 64.
    copy, over [n] sequential copies into a written destination, each
    window ending after the sessions' idle sweeps: the syscall, the
    source's set-up, the open, the one chunk, the session and the reply,
-   which the per-chunk figures above spread over 64 chunks. *)
+   which the per-chunk figures above spread over 64 chunks. The warm-up
+   runs as many copies as the window, so the tables and the engine's
+   queue have grown before it starts. *)
 let per_small_copy ~n =
   Tb.run (fun tb ->
       let _, dst_buf, copy = copy_pairs tb (16 * 1024) () in
       Membuf.fill dst_buf 'd';
-      for _ = 1 to 4 do
+      for _ = 1 to n do
         copy ()
       done;
       Engine.sleep idle;
@@ -272,27 +236,12 @@ let per_small_copy ~n =
       let per x = x /. float_of_int n in
       (per (w1 -. w0), per (float_of_int (e1 - e0))))
 
-(* Measured at 136.6 minor words per single-chunk copy (x86-64, OCaml
+(* Measured at 105.2 minor words per single-chunk copy (x86-64, OCaml
    5.1), plus under three words: a closure built per copy (four words or
    more) fails here, though over a 64-chunk copy it would add less than
-   a word per chunk. The same harness measured 141.6 while the syscall
-   record, the copy record and the session each kept a continuation for
-   a traced run's span, 207.6 while each post
-   built an arrival record, the copy's set-up carried a tuple through
-   its charges and boxed its lookups' results, and each destination
-   session built a channel and a receive closure (212.6 with the
-   channel's queue in ring arrays that each session grew), 287.6 while
-   the syscall's
-   handler built its steps as closures, its reply path held a closure
-   and the caller waited on an ivar, 321.6 while the source's
-   set-up charges and routing were closures and the open built a list of
-   its chunks, and 345.3 while the copy loop's steps were closures built
-   per copy and per chunk, each transfer's delivery carried a tuple and
-   the fabric's size histogram built a closure per network message. The
-   events are pinned exactly:
-   27, the idle sweep of the destination session among them (26 before
-   sessions were swept). *)
-let small_copy_budget = 139.
+   a word per chunk. The events are pinned exactly: 27, the idle sweep
+   of the destination session among them. *)
+let small_copy_budget = 108.
 
 let small_copy_events = 27.
 
@@ -370,7 +319,7 @@ let test_closed_session_releases () =
          timeout *)
       Engine.sleep (Time.us 100);
       Alcotest.(check int) "the session is closed" 0
-        (Controller.copy_sessions_count cb);
+        (Controller.copy_count cb);
       Gc.full_major ();
       let live_before = (Gc.stat ()).Gc.live_words in
       Alcotest.(check bool)
@@ -392,8 +341,7 @@ let test_closed_session_releases () =
    simulated work of an invoke, which allocation work must leave alone.
    On the own shard 18 (15 raw calls, the client's timed wake and 2
    process resumes), across shards 22. The controller starts no fiber:
-   its 2 fiber starts, 4 timed wakes and 3 resumes of an own-shard invoke
-   became raw calls, one for one, when its handlers became steps. *)
+   its handlers run as steps. *)
 let local_events = 18.
 let cross_events = 22.
 
@@ -490,17 +438,8 @@ let per_syscall ~n name =
    memory_create, 95.2 per memory_diminish, 135.8 per memory_copy, 90.1
    per request_create, 93.2 per request_derive, 75.3 per request_invoke,
    74.2 per cap_create_revtree, 176.1 per cap_revoke and 36.1 per
-   monitor call, each pinned at its figure plus three words. While the
-   syscall record kept a continuation for a traced run's span, the same
-   harness read 36.7, 80.1, 96.2, 140.8, 91.1, 94.2, 77.3, 75.2, 177.1
-   and 37.1. While each post built an arrival record (4 words per message), each
-   message that waited in a channel a pair and a queue cell, a memory
-   lookup boxed its result and a copy's set-up and session built a tuple,
-   a channel and closures, the same harness read 40.7, 84.1, 105.2,
-   206.8, 95.1, 98.2, 88.3, 79.2, 181.1 and 41.1; while each handler
-   built its steps as closures and a synchronous call waited on an ivar,
-   59.7, 141.1, 211.2, 286.8, 133.1, 154.2, 133.3, 153.2, 260.1 and
-   128.1. *)
+   monitor call, each pinned at its figure plus three words: a closure
+   built per syscall on any handler fails its own pin. *)
 let syscall_budgets =
   [
     ("null", 38.7);
@@ -554,9 +493,8 @@ let per_burst_null ~batch =
       (Gc.minor_words () -. w0) /. float_of_int (20 * n))
 
 (* A batched service loop takes each queued message as the serial one
-   does, without boxing it: both measured 36.5 words per null (x86-64,
-   OCaml 5.1), and 38.4 batched while the loop took its batch with
-   [try_recv]. *)
+   does, without boxing it, so a null costs the same words either way,
+   within half a word. *)
 let test_batched_loop_budget () =
   let serial = per_burst_null ~batch:1
   and batched = per_burst_null ~batch:16 in

@@ -12,7 +12,7 @@ let contents b = Membuf.read b ~off:0 ~len:(Membuf.size b)
 (* store [g]'s next [Membuf.size b] bytes into [b] *)
 let randomize g b =
   let d = Bytes.create (Membuf.size b) in
-  Prng.fill_bytes g d;
+  Prng.fill_sub g d ~off:0 ~len:(Bytes.length d);
   Membuf.write b ~off:0 d
 
 let check_int = Alcotest.(check int)
@@ -26,6 +26,28 @@ let err =
 
 let result_t ok = Alcotest.result ok err
 let ok_exn = Error.ok_exn
+
+(* The next monitor event of [p], if one is queued. *)
+let try_monitor_next p = Channel.try_recv p.State.monitor_box
+
+(* A whole-node failure (power loss), as the external monitoring service
+   the paper assumes reports it (§3.6): every controller on the node's
+   machine crashes, and every process there that a surviving controller
+   manages is failed through the channel-severed path, with the usual
+   failure-to-revocation translation. *)
+let fail_node tb node =
+  let on_node n = Fractos_net.Node.same_machine n node in
+  List.iter
+    (fun c -> if on_node c.State.cnode then Controller.fail c)
+    tb.Tb.ctrls;
+  List.iter
+    (fun c ->
+      if not (on_node c.State.cnode) then
+        Hashtbl.fold
+          (fun _ p acc -> if on_node p.State.pnode then p :: acc else acc)
+          c.State.procs []
+        |> List.iter (Controller.fail_process c))
+    tb.Tb.ctrls
 
 (* Two hosts, one controller each, one process each. *)
 let two_node_setup tb =
@@ -736,8 +758,8 @@ let test_monitor_event_duplicated () =
       Engine.sleep (Time.ms 1);
       duplicate_every_message tb false;
       check_bool "one event" true
-        (Api.try_monitor_next pa = Some (State.Receive_cb 78));
-      check_bool "no second event" true (Api.try_monitor_next pa = None))
+        (try_monitor_next pa = Some (State.Receive_cb 78));
+      check_bool "no second event" true (try_monitor_next pa = None))
 
 let test_monitor_delegate_counts () =
   Tb.run (fun tb ->
@@ -757,7 +779,7 @@ let test_monitor_delegate_counts () =
       (* client drops its capability -> counter reaches zero -> callback *)
       ok_exn (Api.cap_revoke pa got);
       Engine.sleep (Time.ms 1);
-      match Api.try_monitor_next pb with
+      match try_monitor_next pb with
       | Some (State.Delegate_cb 5) -> ()
       | Some _ -> Alcotest.fail "wrong event"
       | None -> Alcotest.fail "no delegate callback")
@@ -780,11 +802,11 @@ let test_monitor_delegate_multiple_clients () =
       ok_exn (Api.cap_revoke pa (List.hd d1.State.d_caps));
       Engine.sleep (Time.ms 1);
       check_bool "no callback after first drop" true
-        (Api.try_monitor_next pb = None);
+        (try_monitor_next pb = None);
       ok_exn (Api.cap_revoke pa (List.hd d2.State.d_caps));
       Engine.sleep (Time.ms 1);
       check_bool "callback after second drop" true
-        (Api.try_monitor_next pb = Some (State.Delegate_cb 9)))
+        (try_monitor_next pb = Some (State.Delegate_cb 9)))
 
 let test_monitor_failure_translation () =
   (* A provider failure is observed by clients via monitor_receive. *)
@@ -796,7 +818,7 @@ let test_monitor_failure_translation () =
       Controller.fail_process cb pb;
       Engine.sleep (Time.ms 1);
       check_bool "failure translated to revocation" true
-        (Api.try_monitor_next pa = Some (State.Receive_cb 13)))
+        (try_monitor_next pa = Some (State.Receive_cb 13)))
 
 let test_monitor_delegate_client_death () =
   (* Service learns its client died because the delegated capability is
@@ -814,7 +836,7 @@ let test_monitor_delegate_client_death () =
       Controller.fail_process ca pa;
       Engine.sleep (Time.ms 1);
       check_bool "service notified of client death" true
-        (Api.try_monitor_next pb = Some (State.Delegate_cb 21)))
+        (try_monitor_next pb = Some (State.Delegate_cb 21)))
 
 (* ------------------------------------------------------------------ *)
 (* Process failure translation                                        *)
@@ -840,8 +862,8 @@ let test_node_failure () =
       let req = ok_exn (Api.request_create pb ~tag:"t" ()) in
       let req_a = Tb.grant ~src:pb ~dst:pa req in
       (* beta (provider node + its controller) loses power *)
-      Tb.fail_node tb (Process.node pb);
-      check_bool "provider dead" false (Process.is_alive pb);
+      fail_node tb (Process.node pb);
+      check_bool "provider dead" false pb.State.alive;
       (match Api.request_invoke pa req_a with
       | Error Error.Ctrl_unreachable -> ()
       | Ok () -> Alcotest.fail "invoked through a dead node"
@@ -862,10 +884,10 @@ let test_node_failure_remote_ctrl () =
       let req = ok_exn (Api.request_create pb ~tag:"t" ()) in
       let req_a = Tb.grant ~src:pb ~dst:pa req in
       ok_exn (Api.monitor_receive pa req_a ~cb:99);
-      Tb.fail_node tb b;
+      fail_node tb b;
       Engine.sleep (Time.ms 1);
       check_bool "watcher notified of node death" true
-        (Api.try_monitor_next pa = Some (State.Receive_cb 99)))
+        (try_monitor_next pa = Some (State.Receive_cb 99)))
 
 (* ------------------------------------------------------------------ *)
 (* Quotas and delegation tracking                                     *)
@@ -1207,11 +1229,10 @@ let test_congestion_window () =
       check_int "all acked after drain" 6 !acked;
       check_int "inbox drained" 0 (Sim.Channel.length pb.State.inbox))
 
-(* The non-blocking halves of the invocation API: [request_invoke_async]
-   posts without waiting for the acknowledgment, and [try_receive]
-   dequeues without blocking and returns the delivery's credit. With a
-   window of one, the second posting is held until the provider drains
-   the first delivery. *)
+(* The non-blocking half of the invocation API: [request_invoke_async]
+   posts without waiting for the acknowledgment. With a window of one,
+   the second posting is held until the provider takes the first
+   delivery, which returns its credit. *)
 let test_invoke_async_and_try_receive () =
   let config = { Fractos_net.Config.default with congestion_window = 1 } in
   Tb.run ~config (fun tb ->
@@ -1219,23 +1240,26 @@ let test_invoke_async_and_try_receive () =
       let svc =
         Tb.grant ~src:pb ~dst:pa (ok_exn (Api.request_create pb ~tag:"s" ()))
       in
-      check_bool "empty inbox" true (Api.try_receive pb = None);
+      let queued () = Channel.length pb.State.inbox in
+      check_int "empty inbox" 0 (queued ());
       let first = Api.request_invoke_async pa svc in
       let second = Api.request_invoke_async pa svc in
       Engine.sleep (Time.ms 1);
       Alcotest.check
         (Alcotest.option (result_t Alcotest.unit))
-        "first posted" (Some (Ok ())) (Ivar.peek first);
-      check_bool "second held by the window" false (Ivar.is_filled second);
-      (match Api.try_receive pb with
-      | Some d -> check_str "delivered tag" "s" d.State.d_tag
-      | None -> Alcotest.fail "first delivery missing");
-      (* the credit try_receive returned lets the second through *)
+        "first posted" (Some (Ok ()))
+        (Ivar.await_timeout first ~timeout:0);
+      check_bool "second held by the window" true
+        (Ivar.await_timeout second ~timeout:0 = None);
+      check_int "first delivery queued" 1 (queued ());
+      check_str "delivered tag" "s" (Api.receive pb).State.d_tag;
+      (* the credit receive returned lets the second through *)
       Alcotest.check (result_t Alcotest.unit) "second posted" (Ok ())
         (Ivar.await second);
       Engine.sleep (Time.ms 1);
-      check_bool "second delivered" true (Api.try_receive pb <> None);
-      check_bool "inbox empty again" true (Api.try_receive pb = None))
+      check_int "second delivered" 1 (queued ());
+      ignore (Api.receive pb);
+      check_int "inbox empty again" 0 (queued ()))
 
 (* ------------------------------------------------------------------ *)
 (* Admission control and doorbell batching                             *)
@@ -1359,7 +1383,8 @@ let prop_diminish_monotone =
        QCheck.Gen.(pair perm_gen perm_gen))
     (fun (base, drop) ->
       let derived = Perms.drop base ~drop in
-      Perms.subset derived base)
+      ((not derived.Perms.read) || base.Perms.read)
+      && ((not derived.Perms.write) || base.Perms.write))
 
 (* Args codec roundtrip. *)
 let prop_args_int_roundtrip =

@@ -28,7 +28,7 @@ let zeros n = Bytes.make n '\000'
 
 let pattern ~seed n =
   let b = Bytes.create n in
-  Prng.fill_bytes (Prng.create ~seed) b;
+  Prng.fill_sub (Prng.create ~seed) b ~off:0 ~len:(Bytes.length b);
   b
 
 (* Host bytes allocated while [f] runs, minor and major heap together. *)

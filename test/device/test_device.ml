@@ -369,7 +369,7 @@ let prop_nvme_roundtrip =
           else begin
             let g = Prng.create ~seed:(off + len) in
             let data = Bytes.create len in
-            Prng.fill_bytes g data;
+            Prng.fill_sub g data ~off:0 ~len:(Bytes.length data);
             ignore (write_bytes ssd vol ~off data);
             let back = Result.get_ok (read_bytes ssd vol ~off ~len) in
             Bytes.equal data back

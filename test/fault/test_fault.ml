@@ -167,7 +167,7 @@ let qcheck_plan_deterministic =
     (fun (spec, seed) ->
       let a = Plan.generate ~spec ~seed ~n_ctrls:4 ~n_nodes:4 in
       let b = Plan.generate ~spec ~seed ~n_ctrls:4 ~n_nodes:4 in
-      Plan.equal a b && Plan.to_lines a = Plan.to_lines b)
+      a = b && Plan.to_lines a = Plan.to_lines b)
 
 let qcheck_plan_well_formed =
   QCheck.Test.make ~name:"plan events are sorted, bounded and well-formed"
@@ -532,7 +532,7 @@ let spawn_all ready =
 let check_failed expected ready kinds results =
   List.iter2
     (fun (name, _, _) iv ->
-      match Ivar.peek iv with
+      match Ivar.await_timeout iv ~timeout:0 with
       | Some (Error e) when e = expected -> ()
       | Some (Ok ()) -> Alcotest.failf "%s: answered Ok" name
       | Some (Error e) -> Alcotest.failf "%s: %s" name (Core.Error.to_string e)
@@ -796,24 +796,48 @@ let test_chaos_copy_deterministic () =
     b.Chaos.r_audit_digest;
   check_bool "bit-identical report" true (Chaos.to_lines a = Chaos.to_lines b)
 
-(* A lost P_copy_open used to park the session's chunks in [copy_pending]
+(* A 128 KiB copy (8 chunks of 16 KiB) between two hosts with a
+   controller each: the source process, its source and destination
+   capabilities, the destination controller and both buffers. *)
+let copy_pair ?(perms = Core.Perms.rw) tb =
+  let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
+  let sa = List.nth setups 0 and sb = List.nth setups 1 in
+  let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "pa" in
+  let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "pb" in
+  let n = 128 * 1024 in
+  let src_buf = Core.Process.alloc pa n in
+  let dst_buf = Core.Process.alloc pb n in
+  let src = ok_exn (Core.Api.memory_create pa src_buf Core.Perms.ro) in
+  let dst =
+    Tb.grant ~src:pb ~dst:pa (ok_exn (Core.Api.memory_create pb dst_buf perms))
+  in
+  (pa, src, dst, sb.Tb.ctrl, src_buf, dst_buf)
+
+let expect_copy e = function
+  | Error e' when e' = e -> ()
+  | Ok () -> Alcotest.fail "copy succeeded"
+  | Error e' ->
+    Alcotest.failf "expected %s, got %s" (Core.Error.to_string e)
+      (Core.Error.to_string e')
+
+(* Wait out any stragglers and every sweep, then check that no copy
+   entry is left anywhere. *)
+let no_copy_entries tb =
+  Engine.sleep (Time.ms 7);
+  List.iter
+    (fun c -> check_int "no copy entries" 0 (Core.Controller.copy_count c))
+    tb.Tb.ctrls
+
+let orphans c =
+  Obs.Metrics.counter_value c.Core.State.cm.Core.State.cm_copy_orphans
+
+(* A lost P_copy_open used to leave the session's chunks parked
    forever (and hang the caller, whose ack rides the final chunk). The
    open timeout must reclaim the parked state and fail the copy with a
    typed error. *)
 let test_copy_open_drop_cleanup () =
   Tb.run (fun tb ->
-      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
-      let sa = List.nth setups 0 and sb = List.nth setups 1 in
-      let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "pa" in
-      let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "pb" in
-      let n = 128 * 1024 in
-      let src_buf = Core.Process.alloc pa n in
-      let dst_buf = Core.Process.alloc pb n in
-      let src = ok_exn (Core.Api.memory_create pa src_buf Core.Perms.ro) in
-      let dst =
-        Tb.grant ~src:pb ~dst:pa
-          (ok_exn (Core.Api.memory_create pb dst_buf Core.Perms.rw))
-      in
+      let pa, src, dst, _, _, _ = copy_pair tb in
       (* drop exactly the first cross-node bulk Data message: the
          session-opening chunk; the later chunks sail past it *)
       let dropped = ref false in
@@ -829,24 +853,33 @@ let test_copy_open_drop_cleanup () =
                Net.Fabric.Drop
              end
              else Net.Fabric.Pass));
-      (match Core.Api.memory_copy pa ~src ~dst with
-      | Error Core.Error.Timeout -> ()
-      | Ok () -> Alcotest.fail "copy succeeded without its open"
-      | Error e ->
-        Alcotest.failf "expected Timeout, got %s" (Core.Error.to_string e));
+      expect_copy Core.Error.Timeout (Core.Api.memory_copy pa ~src ~dst);
       Net.Fabric.set_fault_hook tb.Tb.fabric None;
       check_bool "the open was dropped" true !dropped;
-      (* wait out any stragglers, then check nothing leaked *)
-      Engine.sleep (Time.ms 7);
-      List.iter
-        (fun c ->
-          check_int "no open copy sessions" 0
-            (Core.Controller.copy_sessions_count c);
-          check_int "no parked chunk queues" 0
-            (Core.Controller.copy_pending_count c);
-          check_int "no parked open failures" 0
-            (Core.Controller.copy_failures_count c))
-        tb.Tb.ctrls)
+      no_copy_entries tb)
+
+(* The cross-node bulk Data messages are a copy's chunks, in order: drop
+   the [nth], and count them in the ref returned. *)
+let drop_nth_chunk tb nth =
+  let seen = ref 0 in
+  Net.Fabric.set_fault_hook tb.Tb.fabric
+    (Some
+       (fun ~src ~dst ~cls ~size ->
+         if
+           cls = Net.Stats.Data && size > 1024
+           && not (Net.Node.same_machine src dst)
+         then begin
+           incr seen;
+           if !seen = nth then Net.Fabric.Drop else Net.Fabric.Pass
+         end
+         else Net.Fabric.Pass));
+  seen
+
+(* Both of controller [c]'s cores, for [busy] from now. *)
+let hold_cores c busy =
+  for _ = 1 to 2 do
+    ignore (Sim.Resource.reserve c.Core.State.cpu ~duration:busy)
+  done
 
 (* A lost chunk of a 128 KiB copy (8 chunks of 16 KiB), whichever it is,
    ends the copy with a typed Timeout and leaves no copy state behind.
@@ -856,55 +889,140 @@ let test_copy_open_drop_cleanup () =
    went idle and answer over the reply path the open carried. A copy into
    a read-only destination fails at the open, and without its final
    chunk gets that error over the same path. *)
-let test_copy_lost_chunk_cleanup ?(perms = Core.Perms.rw)
-    ?(expect = Core.Error.Timeout) nth () =
+let test_copy_lost_chunk_cleanup ?perms ?(expect = Core.Error.Timeout) nth () =
   Tb.run (fun tb ->
-      let setups = Tb.nodes_with_ctrls tb Tb.Ctrl_cpu [ "a"; "b" ] in
-      let sa = List.nth setups 0 and sb = List.nth setups 1 in
-      let pa = Tb.add_proc tb ~on:sa.Tb.node ~ctrl:sa.Tb.ctrl "pa" in
-      let pb = Tb.add_proc tb ~on:sb.Tb.node ~ctrl:sb.Tb.ctrl "pb" in
-      let n = 128 * 1024 in
-      let src_buf = Core.Process.alloc pa n in
-      let dst_buf = Core.Process.alloc pb n in
-      let src = ok_exn (Core.Api.memory_create pa src_buf Core.Perms.ro) in
-      let dst =
-        Tb.grant ~src:pb ~dst:pa
-          (ok_exn (Core.Api.memory_create pb dst_buf perms))
-      in
-      (* the cross-node bulk Data messages are the copy's chunks, in
-         order; drop the [nth] *)
-      let seen = ref 0 in
-      Net.Fabric.set_fault_hook tb.Tb.fabric
-        (Some
-           (fun ~src ~dst ~cls ~size ->
-             if
-               cls = Net.Stats.Data && size > 1024
-               && not (Net.Node.same_machine src dst)
-             then begin
-               incr seen;
-               if !seen = nth then Net.Fabric.Drop else Net.Fabric.Pass
-             end
-             else Net.Fabric.Pass));
-      (match Core.Api.memory_copy pa ~src ~dst with
-      | Error e when e = expect -> ()
-      | Ok () -> Alcotest.fail "copy succeeded without one of its chunks"
-      | Error e ->
-        Alcotest.failf "expected %s, got %s"
-          (Core.Error.to_string expect)
-          (Core.Error.to_string e));
+      let pa, src, dst, _, _, _ = copy_pair ?perms tb in
+      let seen = drop_nth_chunk tb nth in
+      expect_copy expect (Core.Api.memory_copy pa ~src ~dst);
       Net.Fabric.set_fault_hook tb.Tb.fabric None;
       check_int "every chunk was sent" 8 !seen;
-      (* wait out any stragglers, then check nothing leaked *)
-      Engine.sleep (Time.ms 7);
-      List.iter
-        (fun c ->
-          check_int "no open copy sessions" 0
-            (Core.Controller.copy_sessions_count c);
-          check_int "no parked chunk queues" 0
-            (Core.Controller.copy_pending_count c);
-          check_int "no parked open failures" 0
-            (Core.Controller.copy_failures_count c))
-        tb.Tb.ctrls)
+      no_copy_entries tb)
+
+(* On a fault-free run, chunks overtake their open when the destination
+   controller is busy: the open waits for a core, and the chunks, which
+   cost the controller nothing on arrival, park at the copy's entry.
+   The open then takes them up under its own trace context, and the
+   writer writes all eight in order. *)
+let test_copy_overtaken_open () =
+  Obs.Span.reset ();
+  Obs.Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Span.set_enabled false)
+    (fun () ->
+      Tb.run (fun tb ->
+          let pa, src, dst, cb, src_buf, dst_buf = copy_pair tb in
+          Core.Membuf.fill src_buf 's';
+          let swept = orphans cb in
+          hold_cores cb (Time.us 200);
+          let parked = ref [] in
+          Engine.spawn (fun () ->
+              Engine.sleep (Time.us 150);
+              Hashtbl.iter
+                (fun _ s ->
+                  let rec waiting = function
+                    | Core.State.P_copy_chunk c as ck
+                      when ck != Core.State.no_chunk ->
+                      1 + waiting c.next
+                    | _ -> 0
+                  in
+                  match s.Core.State.cs_state with
+                  | Core.State.Parked ->
+                    parked := waiting s.Core.State.cs_head :: !parked
+                  | _ -> parked := -1 :: !parked)
+                cb.Core.State.copies);
+          ok_exn (Core.Api.memory_copy pa ~src ~dst);
+          Alcotest.(check (list int))
+            "one entry, 7 chunks parked before the open" [ 7 ] !parked;
+          check_bool "the bytes" true
+            (Core.Membuf.equal_range src_buf dst_buf ~off:0 ~len:(128 * 1024));
+          let offs =
+            List.filter_map
+              (fun sp ->
+                let open Obs.Span in
+                if sp.sp_name = "ctrl.copy.write" then
+                  Some (sp.sp_start, List.assoc "off" sp.sp_attrs)
+                else None)
+              (Obs.Span.all ())
+            |> List.stable_sort compare |> List.map snd
+          in
+          Alcotest.(check (list string))
+            "the chunks written in order"
+            (List.init 8 (fun i -> string_of_int (i * 16 * 1024)))
+            offs;
+          no_copy_entries tb;
+          check_int "nothing swept" swept (orphans cb)))
+
+(* A fault-free copy into a read-only destination fails at the open. The
+   failed entry rejects every chunk, each releasing its pin of the
+   source, and the final chunk answers Perm_denied and ends the entry:
+   its sweep then finds nothing to reclaim. *)
+let test_copy_read_only_destination () =
+  Tb.run (fun tb ->
+      let pa, src, dst, cb, src_buf, _ =
+        copy_pair ~perms:Core.Perms.ro tb
+      in
+      Core.Membuf.fill src_buf 's';
+      let swept = orphans cb in
+      expect_copy Core.Error.Perm_denied (Core.Api.memory_copy pa ~src ~dst);
+      check_int "no entry after the answer" 0 (Core.Controller.copy_count cb);
+      check_int "every chunk released its pin" 1 (Core.Membuf.holders src_buf);
+      no_copy_entries tb;
+      check_int "nothing swept" swept (orphans cb))
+
+(* Chunks park at a busy read-only destination, its open fails once a
+   core frees, and the final chunk is lost. The sweep armed by the first
+   parked chunk must leave the failed record alone: the caller gets
+   Perm_denied from the failure's own sweep, a full copy_open_timeout
+   after the open failed, and the record is swept once. *)
+let test_copy_failed_after_parked () =
+  Tb.run (fun tb ->
+      let pa, src, dst, cb, _, _ = copy_pair ~perms:Core.Perms.ro tb in
+      let swept = orphans cb and t0 = Engine.now () in
+      hold_cores cb (Time.us 200);
+      let seen = drop_nth_chunk tb 8 in
+      expect_copy Core.Error.Perm_denied (Core.Api.memory_copy pa ~src ~dst);
+      Net.Fabric.set_fault_hook tb.Tb.fabric None;
+      check_int "every chunk was sent" 8 !seen;
+      check_bool "answered a full timeout after the open failed" true
+        (Engine.now () - t0 >= Time.us 200 + Net.Config.copy_open_timeout);
+      no_copy_entries tb;
+      check_int "swept once" (swept + 1) (orphans cb))
+
+(* A duplicate of a written chunk (one that slipped past the endpoint's
+   dedup window) arrives after its session closed. Its pin was released
+   when it was written, so it finds nothing to write: it parks as a chunk
+   whose open has not come, and its sweep reclaims it without touching
+   the destination. *)
+let test_copy_duplicate_after_close () =
+  Core.Controller.reset_ids ();
+  Tb.run (fun tb ->
+      let pa, src, dst, cb, src_buf, dst_buf = copy_pair tb in
+      Core.Membuf.fill src_buf 's';
+      ok_exn (Core.Api.memory_copy pa ~src ~dst);
+      check_int "the session closed" 0 (Core.Controller.copy_count cb);
+      (* the destination process writes its buffer afresh *)
+      Core.Membuf.fill dst_buf 'd';
+      let swept = orphans cb in
+      let ca = List.find (fun c -> c != cb) tb.Tb.ctrls in
+      Net.Endpoint.post tb.Tb.fabric ~src:ca.Core.State.cnode
+        cb.Core.State.peer_ep ~cls:Net.Stats.Data ~size:Core.Wire.chunk_header
+        (Core.State.P_copy_chunk
+           {
+             copy_id = 1;
+             off = 16 * 1024;
+             pin = Core.Membuf.no_pin;
+             last = Core.State.No_reply;
+             next = Core.State.no_chunk;
+             ctx = 0;
+           });
+      Engine.sleep (Time.us 50);
+      check_int "the duplicate parked" 1 (Core.Controller.copy_count cb);
+      no_copy_entries tb;
+      check_int "its sweep reclaimed it" (swept + 1) (orphans cb);
+      check_bool "the destination untouched" true
+        (Bytes.equal
+           (Core.Membuf.read dst_buf ~off:0 ~len:(128 * 1024))
+           (Bytes.make (128 * 1024) 'd')))
 
 (* Cross-shard battery: the xshard entry forces shard placement and
    shard_all, drives odd clients through three-shard third-party copies
@@ -1110,6 +1228,14 @@ let () =
           Alcotest.test_case "failed copy lost final chunk" `Quick
             (test_copy_lost_chunk_cleanup ~perms:Core.Perms.ro
                ~expect:Core.Error.Perm_denied 8);
+          Alcotest.test_case "copy chunks overtake a busy open" `Quick
+            test_copy_overtaken_open;
+          Alcotest.test_case "copy into a read-only destination" `Quick
+            test_copy_read_only_destination;
+          Alcotest.test_case "copy duplicate chunk after close" `Quick
+            test_copy_duplicate_after_close;
+          Alcotest.test_case "copy failed open after parked chunks" `Quick
+            test_copy_failed_after_parked;
           Alcotest.test_case "xshard clean run" `Quick test_chaos_xshard_clean;
           Alcotest.test_case "xshard under faults" `Quick
             test_chaos_xshard_under_faults;

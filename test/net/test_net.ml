@@ -249,19 +249,6 @@ let test_stats_per_link () =
         [ (("a", "b"), (2, 30)); (("a", "c"), (1, 30)) ]
         links)
 
-let test_stats_size_histogram () =
-  with_fabric (fun fab ->
-      let a, b, _ = three_nodes fab in
-      Fabric.transfer fab ~src:a ~dst:b ~size:1 ();
-      Fabric.transfer fab ~src:a ~dst:b ~size:100 ();
-      Fabric.transfer fab ~src:a ~dst:b ~size:100 ();
-      Fabric.transfer fab ~src:a ~dst:b ~size:5000 ();
-      (* intra-machine messages do not count *)
-      Fabric.transfer fab ~src:a ~dst:a ~size:100 ();
-      let h = Stats.size_histogram (Fabric.stats fab) in
-      Alcotest.(check (list (pair int int)))
-        "buckets" [ (1, 1); (128, 2); (8192, 1) ] h)
-
 let test_stats_reset () =
   with_fabric (fun fab ->
       let a, b, _ = three_nodes fab in
@@ -875,7 +862,6 @@ let () =
           Alcotest.test_case "census" `Quick test_stats_census;
           Alcotest.test_case "local excluded" `Quick test_stats_local_excluded;
           Alcotest.test_case "per link" `Quick test_stats_per_link;
-          Alcotest.test_case "size histogram" `Quick test_stats_size_histogram;
           Alcotest.test_case "reset" `Quick test_stats_reset;
         ] );
       ( "endpoint",

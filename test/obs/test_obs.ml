@@ -379,7 +379,12 @@ let as_num = function
 
 let test_chrome_trace_golden () =
   with_spans (fun () -> run_invoke_scenario ());
-  let raw = Obs.Export.chrome_trace_string () in
+  let raw =
+    let path = Filename.temp_file "fractos_trace" ".json" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Obs.Export.write_chrome_trace path;
+    In_channel.with_open_text path In_channel.input_all
+  in
   let j = parse_json raw in
   let evs =
     match field "traceEvents" j with

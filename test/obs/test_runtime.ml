@@ -148,9 +148,10 @@ let test_sampler_retention () =
   check_int "seen" 13 (Obs.Sampler.seen ());
   check_int "healthy" 10 (Obs.Sampler.healthy_seen ());
   (* every error/shed/slow trace retained, unconditionally *)
-  check_bool "error kept" true (Obs.Sampler.is_retained 1);
-  check_bool "shed kept" true (Obs.Sampler.is_retained 2);
-  check_bool "slow kept" true (Obs.Sampler.is_retained 3);
+  let is_retained id = List.mem_assoc id (Obs.Sampler.retained ()) in
+  check_bool "error kept" true (is_retained 1);
+  check_bool "shed kept" true (is_retained 2);
+  check_bool "slow kept" true (is_retained 3);
   check_int "kept by error" 1 (Obs.Sampler.kept_by Obs.Sampler.Kept_error);
   check_int "kept by shed" 1 (Obs.Sampler.kept_by Obs.Sampler.Kept_shed);
   check_int "kept by slow" 1 (Obs.Sampler.kept_by Obs.Sampler.Kept_slow);
@@ -160,16 +161,21 @@ let test_sampler_retention () =
   check_int "head kept deterministically" 2 head;
   check_bool "head bound" true
     (float_of_int head <= Float.ceil (0.25 *. 10.));
-  check_bool "healthy 4 kept" true (Obs.Sampler.is_retained 13);
-  check_bool "healthy 8 kept" true (Obs.Sampler.is_retained 17);
-  check_bool "healthy 1 dropped" false (Obs.Sampler.is_retained 10);
+  check_bool "healthy 4 kept" true (is_retained 13);
+  check_bool "healthy 8 kept" true (is_retained 17);
+  check_bool "healthy 1 dropped" false (is_retained 10);
   (* exemplars: first retained trace per (hist, bucket) wins *)
   let b_fast = Obs.Metrics.bucket_of (Sim.Time.us 1) in
   let b_slow = Obs.Metrics.bucket_of (Sim.Time.us 100) in
+  let exemplar bucket =
+    List.find_map
+      (fun (h, k, _, trace) ->
+        if h = "req" && k = bucket then Some trace else None)
+      (Obs.Sampler.exemplars ())
+  in
   check_int "fast bucket exemplar = first retained (the error)" 1
-    (Option.get (Obs.Sampler.exemplar ~hist:"req" ~bucket:b_fast));
-  check_int "slow bucket exemplar" 3
-    (Option.get (Obs.Sampler.exemplar ~hist:"req" ~bucket:b_slow))
+    (Option.get (exemplar b_fast));
+  check_int "slow bucket exemplar" 3 (Option.get (exemplar b_slow))
 
 let test_sampler_deterministic () =
   let run () =

@@ -50,7 +50,7 @@ let ops_arb =
 let payload ~len ~seed =
   let g = Prng.create ~seed in
   let b = Bytes.create len in
-  Prng.fill_bytes g b;
+  Prng.fill_sub g b ~off:0 ~len:(Bytes.length b);
   b
 
 let replay ~cache ops =

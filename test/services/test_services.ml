@@ -22,6 +22,10 @@ let ok_exn = Error.ok_exn
 
 (* [r] failed with [expected]'s constructor. A [Bad_argument]'s message
    is not compared: it does not cross the wire. *)
+(* The immediates of a [gpu.push] of the first [len] bytes of [b]. *)
+let push_args (b : Gpu_adaptor.buffer) ~len =
+  [ Args.of_int b.handle; Args.of_int len ]
+
 let check_error what expected r =
   let same =
     match (expected, r) with
@@ -242,7 +246,7 @@ let test_gpu_adaptor_negative_push () =
       let dst = ok_exn (Api.memory_create proc (Process.alloc proc 64) Perms.rw) in
       check_error "negative push" Error.Bounds
         (Svc.call_cont c.app ~svc:push
-           ~imms:(Gpu_adaptor.push_args buf ~len:(-1))
+           ~imms:(push_args buf ~len:(-1))
            ~place:(fun ~ok ~err -> [ dst; ok; err ])
            ()))
 
@@ -338,7 +342,7 @@ let test_gpu_to_gpu_pipeline () =
              let push =
                ok_exn
                  (Api.request_derive proc g1_push
-                    ~imms:(Gpu_adaptor.push_args b1 ~len:data_len)
+                    ~imms:(push_args b1 ~len:data_len)
                     ~caps:[ probe2.Gpu_adaptor.mem; verify; err ] ())
              in
              [ push; err ])
@@ -938,7 +942,7 @@ let test_gpu_push_bounds () =
       (* pushing more than the buffer holds takes the error path *)
       match
         Svc.call_cont app ~svc:push
-          ~imms:(Gpu_adaptor.push_args buf ~len:256)
+          ~imms:(push_args buf ~len:256)
           ~place:(fun ~ok ~err -> [ dst; ok; err ])
           ()
       with

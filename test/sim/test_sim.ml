@@ -120,30 +120,34 @@ let test_prng_split_independent () =
       ignore a3;
       first_a)
 
+(* [fill_sub] over the whole of [b]. *)
+let fill g b = Prng.fill_sub g b ~off:0 ~len:(Bytes.length b)
+
 let test_prng_fill_bytes () =
   let g = Prng.create ~seed:9 in
   let b = Bytes.create 256 in
-  Prng.fill_bytes g b;
+  fill g b;
   let g' = Prng.create ~seed:9 in
   let b' = Bytes.create 256 in
-  Prng.fill_bytes g' b';
+  fill g' b';
   check_bool "deterministic bytes" true (Bytes.equal b b');
-  (* the same bytes, and the same state after, as one [byte] draw each *)
+  (* the same bytes, and the same state after, as one draw below 256
+     each *)
   let h = Prng.create ~seed:9 in
   check_bool "bytes are byte draws" true
-    (Bytes.equal b (Bytes.init 256 (fun _ -> Prng.byte h)));
+    (Bytes.equal b (Bytes.init 256 (fun _ -> Char.chr (Prng.int h 256))));
   Alcotest.(check int64) "state after" (Prng.int64 h) (Prng.int64 g)
 
 (* [fill_sub] writes exactly its range, with the bytes and final state
-   [fill_bytes] gives a buffer of that length. *)
+   a whole-buffer fill gives a buffer of that length. *)
 let test_prng_fill_sub () =
   let b = Bytes.make 64 '.' in
   let g = Prng.create ~seed:9 in
   Prng.fill_sub g b ~off:10 ~len:40;
   let g' = Prng.create ~seed:9 in
   let b' = Bytes.create 40 in
-  Prng.fill_bytes g' b';
-  check_bool "range holds the fill_bytes bytes" true
+  fill g' b';
+  check_bool "range holds the whole-buffer fill's bytes" true
     (Bytes.equal (Bytes.sub b 10 40) b');
   check_bool "bytes outside the range untouched" true
     (Bytes.sub b 0 10 = Bytes.make 10 '.'
@@ -161,7 +165,6 @@ let test_time_units () =
   check_int "us" 1_000 (Time.us 1);
   check_int "ms" 1_000_000 (Time.ms 1);
   check_int "s" 1_000_000_000 (Time.s 1);
-  check_int "of_us_f rounds" 1_500 (Time.of_us_f 1.5);
   Alcotest.(check (float 1e-9)) "to_us_f" 2.5 (Time.to_us_f 2_500)
 
 let test_time_pp () =
@@ -433,20 +436,6 @@ let test_ivar_double_fill_rejected () =
          | exception Invalid_argument _ -> ());
          check_int "value preserved" 1 (Ivar.await iv)))
 
-let test_ivar_exn () =
-  let exception Custom in
-  ignore
-    (Engine.run (fun () ->
-         let iv : int Ivar.t = Ivar.create () in
-         Engine.spawn (fun () ->
-             Engine.sleep 5;
-             Ivar.fill_exn iv Custom);
-         (match Ivar.await iv with
-         | _ -> Alcotest.fail "expected Custom"
-         | exception Custom -> ());
-         check_bool "filled" true (Ivar.is_filled iv);
-         check_bool "peek none" true (Ivar.peek iv = None)))
-
 let test_ivar_timeout_expires () =
   let v =
     Engine.run (fun () ->
@@ -457,7 +446,7 @@ let test_ivar_timeout_expires () =
         let first = Ivar.await_timeout iv ~timeout:100 in
         check_int "gave up at deadline" 100 (Engine.now ());
         Engine.sleep 1000;
-        (first, Ivar.peek iv))
+        (first, Some (Ivar.await iv)))
   in
   check_bool "timed out" true (fst v = None);
   check_bool "late fill still lands" true (snd v = Some 7)
@@ -718,30 +707,24 @@ let test_engine_no_retention () =
       check_bool "argument collected once run" true (collected wx 1))
 
 (* The payload arrays never become flat float arrays: a float travels
-   intact through a raw event, a fiber start, a resume and a failure. *)
+   intact through a raw event, a fiber start and a resume. *)
 let test_engine_float_payloads () =
   let got = ref [] in
   let note tag (x : float) = got := (tag, x) :: !got in
   Engine.run (fun () ->
-      let iv = Ivar.create () and broken = Ivar.create () in
+      let iv = Ivar.create () in
       let ch = Channel.create () in
       Engine.schedule_with 1 (note "schedule_with") 1.5;
       Engine.spawn_with (note "spawn_with") 2.5;
       Engine.spawn (fun () -> note "ivar" (Ivar.await iv));
       Engine.spawn (fun () -> note "channel" (Channel.recv ch));
-      Engine.spawn (fun () ->
-          match Ivar.await broken with
-          | v -> note "abort not raised" v
-          | exception Failure m -> note m (float_of_string m));
       Engine.sleep 1;
       Ivar.fill iv 3.5;
       Channel.send ch 4.5;
-      Ivar.fill_exn broken (Failure "5.5");
       Engine.sleep 1);
   Alcotest.(check (list (pair string (float 0.))))
     "every float intact"
     [
-      ("5.5", 5.5);
       ("channel", 4.5);
       ("ivar", 3.5);
       ("schedule_with", 1.5);
@@ -905,14 +888,6 @@ let test_channel_waiters_count () =
          Engine.sleep 1;
          check_int "one released" 2 (Channel.waiters ch)))
 
-let test_resource_busy_until () =
-  ignore
-    (Engine.run (fun () ->
-         let r = Resource.create () in
-         check_int "idle now" 0 (Resource.busy_until r);
-         let fin = Resource.reserve r ~duration:100 in
-         check_int "busy until booking ends" fin (Resource.busy_until r)))
-
 let test_engine_fiber_count () =
   ignore
     (Engine.run (fun () ->
@@ -976,11 +951,12 @@ let test_step_forms_keep_order () =
   Alcotest.(check string) "the order"
     "timer@5 use@1 before@5 ivar@2 chan@5 sem@4 after@5" (show steps)
 
-let test_ivar_try_fill_and_peek () =
-  let iv = Ivar.create () in
-  check_bool "try_fill fresh" true (Ivar.try_fill iv 5);
-  check_bool "peek" true (Ivar.peek iv = Some 5);
-  check_bool "second try_fill" false (Ivar.try_fill iv 6)
+let test_ivar_try_fill () =
+  Engine.run (fun () ->
+      let iv = Ivar.create () in
+      check_bool "try_fill fresh" true (Ivar.try_fill iv 5);
+      check_bool "second try_fill" false (Ivar.try_fill iv 6);
+      check_int "the first value" 5 (Ivar.await iv))
 
 (* ------------------------------------------------------------------ *)
 (* Waitgroup                                                          *)
@@ -1243,19 +1219,6 @@ let test_ctx_ivar_preserves_awaiter () =
       Ivar.await iv;
       check_int "awaiter keeps its own ctx" 4 (Engine.get_ctx ()))
 
-let test_ctx_abort_preserves_awaiter () =
-  Engine.run (fun () ->
-      let iv : unit Ivar.t = Ivar.create () in
-      Engine.spawn (fun () ->
-          Engine.set_ctx 8;
-          Engine.sleep 10;
-          Ivar.fill_exn iv Exit);
-      Engine.set_ctx 4;
-      (match Ivar.await iv with
-      | () -> Alcotest.fail "expected Exit"
-      | exception Exit -> ());
-      check_int "aborted awaiter keeps its own ctx" 4 (Engine.get_ctx ()))
-
 (* ------------------------------------------------------------------ *)
 (* Waiters and timed wakes                                            *)
 (* ------------------------------------------------------------------ *)
@@ -1338,38 +1301,23 @@ let prop_timed_wake_orders_as_ivar =
       = wake_log ~wait:ivar_wait plans events)
 
 (* ------------------------------------------------------------------ *)
-(* Resumers: one-shot in every order, and the ivar timeout race        *)
+(* Resumers: one-shot, and the ivar timeout race                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_resumer_one_shot () =
-  let outcome first second =
+  let got =
     Engine.run (fun () ->
         let slot = ref None and got = ref [] in
         Engine.spawn (fun () ->
-            let v =
-              match Engine.suspend (fun r -> slot := Some r) with
-              | v -> Ok v
-              | exception Failure m -> Error m
-            in
-            got := v :: !got);
+            got := Engine.suspend (fun r -> slot := Some r) :: !got);
         Engine.sleep 1;
         let r = Option.get !slot in
-        let act = function
-          | `Resume v -> Engine.resume r v
-          | `Abort m -> Engine.abort r (Failure m)
-        in
-        act first;
-        act second;
+        Engine.resume r 1;
+        Engine.resume r 2;
         Engine.sleep 1;
         !got)
   in
-  let check name expect got =
-    Alcotest.(check (list (result int string))) name [ expect ] got
-  in
-  check "resume, resume" (Ok 1) (outcome (`Resume 1) (`Resume 2));
-  check "resume, abort" (Ok 1) (outcome (`Resume 1) (`Abort "b"));
-  check "abort, resume" (Error "a") (outcome (`Abort "a") (`Resume 2));
-  check "abort, abort" (Error "a") (outcome (`Abort "a") (`Abort "b"))
+  Alcotest.(check (list int)) "resume, resume" [ 1 ] got
 
 (* A fill and the await_timeout timer due at the same instant: whichever
    was scheduled first wins, the other is a no-op, and the waiter
@@ -1805,17 +1753,19 @@ let test_finished_fiber_not_reported () =
     check_bool "finished fiber absent" false (contains ~sub:"done-worker" msg)
 
 (* Named fibers run under their own handler, unnamed ones under the
-   engine's shared one: a named fiber aborted out of a suspension fails
-   the run with its own exception, and a named fiber blocked beside
-   unnamed ones is still the one the deadlock report names. *)
+   engine's shared one: a named fiber that fails once resumed from a
+   suspension fails the run with its own exception, and a named fiber
+   blocked beside unnamed ones is still the one the deadlock report
+   names. *)
 let test_named_fiber_failure_reported () =
   (match
      Engine.run ~name:"root" (fun () ->
          let iv : unit Ivar.t = Ivar.create () in
-         Engine.spawn ~name:"crasher" (fun () -> Ivar.await iv);
+         Engine.spawn ~name:"crasher" (fun () ->
+             Ivar.await iv;
+             failwith "crasher-boom");
          Engine.spawn (fun () -> Engine.sleep 3);
-         Engine.schedule 5 (fun () ->
-             Ivar.fill_exn iv (Failure "crasher-boom"));
+         Engine.schedule 5 (fun () -> Ivar.fill iv ());
          ignore (Ivar.await (Ivar.create () : unit Ivar.t)))
    with
   | () -> Alcotest.fail "expected the named fiber's failure"
@@ -1926,7 +1876,6 @@ let () =
           Alcotest.test_case "multiple waiters" `Quick
             test_ivar_multiple_waiters;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill_rejected;
-          Alcotest.test_case "exn" `Quick test_ivar_exn;
           Alcotest.test_case "resume time" `Quick
             test_ivar_await_resumes_at_fill_time;
           Alcotest.test_case "timeout expires" `Quick test_ivar_timeout_expires;
@@ -1962,13 +1911,11 @@ let () =
             test_prng_exponential_mean;
           Alcotest.test_case "channel waiters" `Quick
             test_channel_waiters_count;
-          Alcotest.test_case "resource busy_until" `Quick
-            test_resource_busy_until;
           Alcotest.test_case "fiber count" `Quick test_engine_fiber_count;
           Alcotest.test_case "step forms keep the blocking order" `Quick
             test_step_forms_keep_order;
           Alcotest.test_case "ivar try_fill/peek" `Quick
-            test_ivar_try_fill_and_peek;
+            test_ivar_try_fill;
         ] );
       ( "ctx",
         [
@@ -1980,8 +1927,6 @@ let () =
             test_ctx_channel_adopts_sender;
           Alcotest.test_case "ivar preserves awaiter" `Quick
             test_ctx_ivar_preserves_awaiter;
-          Alcotest.test_case "abort preserves awaiter" `Quick
-            test_ctx_abort_preserves_awaiter;
         ] );
       ( "waitgroup",
         [
