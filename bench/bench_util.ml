@@ -37,23 +37,10 @@ let csv_dir : string option ref = ref None
    on it). *)
 let wall_t0 = ref (Unix.gettimeofday ())
 
-(* Every point starts from the same state, whatever ran before it: fresh
-   metrics and id counters. *)
-let prepare () =
-  Obs.Metrics.reset ();
-  Fractos_core.Controller.reset_ids ();
-  Fractos_core.Process.reset_ids ()
-
 let measure_and_render e =
   wall_t0 := Unix.gettimeofday ();
   List.iter
-    (fun (Part p) ->
-      p.render
-        (List.map
-           (fun x ->
-             prepare ();
-             (x, p.measure x))
-           p.points))
+    (fun (Part p) -> p.render (List.map (fun x -> (x, p.measure x)) p.points))
     e.parts
 
 (* Measure and render [exps] in order.

@@ -258,9 +258,9 @@ if [ -n "$bad" ]; then
 fi
 
 echo "== one domain"
-# The engine's current run, the obs registries and rings, the retry
-# counter and the id mints are plain module state: every simulation in a
-# process runs on one domain, one after another. A second domain or a
+# The engine's current run and the obs registries and rings are plain
+# module state: every simulation in a process runs on one domain, one
+# after another. A second domain or a
 # thread would race that state, so no .ml under lib bin bench test
 # examples may spawn one or keep domain-local state. Comments and strings
 # are blanked first (bin/code_only.awk), so prose may name these calls.
@@ -273,6 +273,27 @@ if [ -n "$bad" ]; then
   echo "$bad"
   echo "simulations share plain module state: run them one after another on"
   echo "one domain"
+  exit 1
+fi
+
+echo "== one start"
+# Testbed.run is where every simulation starts: its fabric mints the
+# ids, and it clears Obs.Metrics, Obs.Journal and Obs.Audit before it
+# builds the testbed. So no .ml under lib bin bench examples test calls
+# reset_ids or resets those records, except lib/testbed/testbed.ml and
+# the registries' own tests in test/obs/ (benchmark/ is not scanned).
+# Comments and strings are blanked first (bin/code_only.awk), so prose
+# may name these calls.
+bad=$(for f in $(find lib bin bench examples test -name '*.ml' | sort); do
+        case "$f" in lib/testbed/testbed.ml | test/obs/*) continue ;; esac
+        awk -f bin/code_only.awk "$f" |
+          grep -nE "(^|[^A-Za-z0-9_'])(reset_ids|(Metrics|Journal|Audit)\.reset)([^A-Za-z0-9_']|\$)" |
+          grep -vE '^[0-9]+: *let reset_ids ' |
+          sed "s|^|$f:|"
+      done)
+if [ -n "$bad" ]; then
+  echo "$bad"
+  echo "Testbed.run starts each simulation afresh: drop the reset"
   exit 1
 fi
 

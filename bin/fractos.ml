@@ -87,7 +87,6 @@ let journal_cap =
               events and is counted per severity.")
 
 let start_journal cap =
-  Obs.Journal.reset ();
   Obs.Journal.set_capacity cap;
   Obs.Journal.set_enabled true
 
@@ -142,13 +141,9 @@ let run_cmd workload placement batch requests seed trace_json metrics
   (* artifact capture needs the journal recording even when the user did
      not ask for the post-mortem dump *)
   let journal_on = journal || artifacts <> None in
-  Obs.Metrics.reset ();
-  if audit then begin
-    (* from the very start: the lineage of a capability begins with mint
-       and grant events during cluster setup *)
-    Obs.Audit.reset ();
-    Obs.Audit.set_enabled true
-  end;
+  (* from the very start: the lineage of a capability begins with mint
+     and grant events during cluster setup *)
+  if audit then Obs.Audit.set_enabled true;
   if journal_on then start_journal journal_cap;
   try
     Tb.run ~config:(Scenario.config entry Net.Config.default) (fun tb ->
@@ -184,16 +179,7 @@ let run_cmd workload placement batch requests seed trace_json metrics
           Format.printf "@.%a" Obs.Analysis.pp_report
             (Obs.Analysis.analyze ~root_name:"request" ())
         end;
-        (match trace_json with
-        | Some path -> (
-          Obs.Span.set_enabled false;
-          try
-            Obs.Export.write_chrome_trace path;
-            Format.printf "@.wrote %d spans to %s@." (Obs.Span.count ()) path
-          with Sys_error msg ->
-            Format.eprintf "@.fractos: cannot write trace: %s@." msg;
-            exit 1)
-        | None -> ());
+        if trace_json <> None then Obs.Span.set_enabled false;
         if audit then begin
           (* teardown: revoke the app's FS service capability, so the log
              closes with the full delegate -> invoke -> revoke lineage *)
@@ -221,7 +207,18 @@ let run_cmd workload placement batch requests seed trace_json metrics
               ]
             ();
           Format.printf "@.saved run artifacts to %s/@." dir
-        | None -> ())
+        | None -> ());
+    (* written once the run is over, when every span whose reply was
+       still in flight has closed *)
+    Option.iter
+      (fun path ->
+        try
+          Obs.Export.write_chrome_trace path;
+          Format.printf "@.wrote %d spans to %s@." (Obs.Span.count ()) path
+        with Sys_error msg ->
+          Format.eprintf "@.fractos: cannot write trace: %s@." msg;
+          exit 1)
+      trace_json
   with Core.Error.Fractos e -> fail (Core.Error.to_string e)
 
 (* ---------------- primitives --------------------------------------- *)

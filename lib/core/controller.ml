@@ -11,9 +11,6 @@ open Capspace
 
 type t = ctrl
 
-(* Controller ids seed the shard map; [reset_ids] restarts them. *)
-let next_ctrl_id = ref 0
-
 (* ------------------------------------------------------------------ *)
 (* Syscall handlers                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -525,8 +522,7 @@ let reject_peer msg =
 (* ------------------------------------------------------------------ *)
 
 let create fabric ~node =
-  incr next_ctrl_id;
-  let id = !next_ctrl_id in
+  let id = Net.Fabric.next_ctrl_id fabric in
   let cfg = Net.Fabric.config fabric in
   let nn = node.Net.Node.name in
   let ctrl =
@@ -793,14 +789,7 @@ let dir_cache_size ctrl = Hashtbl.length ctrl.dir_cache
 
 let dir_incoherences = Directory.dir_incoherences
 
-(* Reset the module-global id counters so two in-process simulation runs
-   (e.g. back-to-back chaos runs compared for bit-determinism) mint
-   identical controller, copy-session and buffer ids. Call only between engine
-   runs. *)
-let reset_ids () =
-  next_ctrl_id := 0;
-  Copy.reset_ids ();
-  Membuf.reset_ids ()
+let reset_ids () = ()
 
 type memory_report = {
   mr_proc_buffers : int;

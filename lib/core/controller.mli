@@ -129,11 +129,9 @@ val node_name : t -> string
     audit, and journal events carry. *)
 
 val reset_ids : unit -> unit
-(** Reset the controller, copy-session and buffer id counters
-    ({!Membuf.reset_ids}). Only for
-    harnesses that run several simulations in one OS process and need the
-    runs to be bit-identical (e.g. chaos determinism checks); call between
-    {!Sim.Engine.run}s, never during one. *)
+(** Does nothing. Controller and copy ids are minted per fabric
+    ({!Net.Fabric.next_ctrl_id}), so each testbed starts its own; this is
+    kept only for the benchmark harness, which still calls it. *)
 
 type memory_report = {
   mr_proc_buffers : int;

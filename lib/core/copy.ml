@@ -6,10 +6,6 @@
 open State
 open Ctrl_base
 
-(* Copy ids name the records. *)
-let next_copy_id = ref 0
-let reset_ids () = next_copy_id := 0
-
 (* A reboot forgets every copy in flight. *)
 let reset ctrl = Hashtbl.reset ctrl.copies
 let count ctrl = Hashtbl.length ctrl.copies
@@ -381,9 +377,8 @@ and chunk_sent c =
 let pull_failed c e = rreply_to c.cp_ctrl c.cp_rr (Error e) leave
 
 let pull_routed c dst_ctrl =
-  incr next_copy_id;
   c.cp_dst_ctrl <- dst_ctrl;
-  c.cp_copy_id <- !next_copy_id;
+  c.cp_copy_id <- Net.Fabric.next_copy_id c.cp_ctrl.fabric;
   next c
 
 let pull_source c =

@@ -10,7 +10,6 @@
 type store = { bytes : Bytes.t; mutable holders : int }
 
 type t = {
-  id : int;
   node : Fractos_net.Node.t;
   size : int;
   mutable data : Bytes.t;
@@ -19,15 +18,9 @@ type t = {
 
 let unwritten = { bytes = Bytes.empty; holders = 0 }
 
-(* Buffer ids are unique within a simulation ([Gpu] keys its
-   allocations by them). *)
-let next_id = ref 0
-let reset_ids () = next_id := 0
-
 let create ~node size =
   if size < 0 then invalid_arg "Membuf.create: negative size";
-  incr next_id;
-  { id = !next_id; node; size; data = Bytes.empty; store = unwritten }
+  { node; size; data = Bytes.empty; store = unwritten }
 
 let size t = t.size
 let holders t = t.store.holders
@@ -152,7 +145,3 @@ let equal_range a b ~off ~len =
   | true, false -> zero_words a.data off stop
   | false, true -> zero_words b.data off stop
   | false, false -> true
-
-let pp fmt t =
-  Format.fprintf fmt "membuf#%d(%dB@%s)" t.id t.size
-    t.node.Fractos_net.Node.name

@@ -30,7 +30,6 @@ type store
     [Membuf] reads or counts it. *)
 
 type t = private {
-  id : int;
   node : Fractos_net.Node.t;
   size : int;
   mutable data : Bytes.t;
@@ -44,22 +43,18 @@ type t = private {
 
 val create : node:Fractos_net.Node.t -> int -> t
 (** [create ~node size] is an unwritten [size]-byte buffer on [node]. It
-    allocates no bytes, whatever its size. Ids are minted from a
-    module counter. Raises [Invalid_argument] on a negative size. *)
+    allocates no bytes, whatever its size. Raises [Invalid_argument] on a
+    negative size. *)
 
 val of_bytes : node:Fractos_net.Node.t -> bytes -> t
 (** [of_bytes ~node b] is a [Bytes.length b]-byte buffer on [node] that
-    reads as [b], without copying it: the buffer {e borrows} [b]. Its id
-    is minted as {!create} mints one. The store counts one holder that is
-    never released, the caller's, so a store into the buffer, or into a
-    buffer that adopted its store through a whole-buffer copy, copies
-    first: [Membuf] never writes into [b]. The caller must not change
+    reads as [b], without copying it: the buffer {e borrows} [b]. The
+    store counts one holder that is never released, the caller's, so a
+    store into the buffer, or into a buffer that adopted its store
+    through a whole-buffer copy, copies first: [Membuf] never writes into
+    [b]. The caller must not change
     [b] while a simulation may read the buffer or a buffer that adopted
     its store. [holders] of a non-empty borrowed buffer is at least 2. *)
-
-val reset_ids : unit -> unit
-(** Reset the buffer-id counter; see {!Controller.reset_ids},
-    which calls it. *)
 
 val size : t -> int
 
@@ -165,5 +160,3 @@ val unpin : pin -> unit
 (** Release one chunk's pin: its store counts one holder fewer. A pin
     never released (its chunk was dropped) costs each buffer holding the
     store one copy of its bytes at its next store, nothing else. *)
-
-val pp : Format.formatter -> t -> unit

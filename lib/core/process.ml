@@ -2,15 +2,11 @@ open State
 
 type t = proc
 
-(* Pids feed deterministic placement hashes; [reset_ids] restarts them. *)
-let next_pid = ref 0
-
-let create ~node name =
-  incr next_pid;
+let create fabric ~node name =
   let h n = Obs.Metrics.histogram ~node:node.Net.Node.name ("syscall." ^ n) in
   let rec p =
     {
-      pid = !next_pid;
+      pid = Net.Fabric.next_pid fabric;
       pname = name;
       pnode = node;
       pctrl = None;
@@ -36,7 +32,7 @@ let create ~node name =
   in
   p
 
-let reset_ids () = next_pid := 0
+let reset_ids () = ()
 let alloc t size = Membuf.create ~node:t.pnode size
 let name t = t.pname
 let node t = t.pnode

@@ -9,9 +9,10 @@ open State
 
 type t = proc
 
-val create : node:Net.Node.t -> string -> t
-(** A new Process on [node]. Attach it with {!Controller.attach} before
-    issuing syscalls. *)
+val create : Net.Fabric.t -> node:Net.Node.t -> string -> t
+(** A new Process on [node], with a pid minted from the fabric
+    ({!Net.Fabric.next_pid}; pids feed deterministic placement hashes).
+    Attach it with {!Controller.attach} before issuing syscalls. *)
 
 val alloc : t -> int -> Membuf.t
 (** Allocate a local memory buffer (host DRAM / device memory of the node
@@ -19,7 +20,7 @@ val alloc : t -> int -> Membuf.t
     visible to FractOS. *)
 
 val reset_ids : unit -> unit
-(** Reset the module-global pid counter; see {!Controller.reset_ids}. *)
+(** Does nothing; see {!Controller.reset_ids}. *)
 
 val name : t -> string
 val node : t -> Net.Node.t

@@ -14,7 +14,7 @@ type t = {
   config : Net.Config.t;
   engine : Sim.Resource.t;
   mutable mem_free : int;
-  allocations : (int, int) Hashtbl.t; (* membuf id -> size *)
+  mutable allocations : Core.Membuf.t list; (* live, by identity *)
   kernels : (string, kernel) Hashtbl.t;
   exec_hist : Obs.Metrics.histogram Lazy.t; (* interned on first launch *)
 }
@@ -29,7 +29,7 @@ let create ~node ~config ~mem_bytes =
     config;
     engine = Sim.Resource.create ();
     mem_free = mem_bytes;
-    allocations = Hashtbl.create 16;
+    allocations = [];
     kernels = Hashtbl.create 8;
     exec_hist = lazy (Obs.Metrics.histogram ~node:node.Net.Node.name "gpu.exec");
   }
@@ -43,17 +43,16 @@ let alloc t size =
   else begin
     t.mem_free <- t.mem_free - size;
     let buf = Core.Membuf.create ~node:t.gnode size in
-    Hashtbl.replace t.allocations buf.Core.Membuf.id size;
+    t.allocations <- buf :: t.allocations;
     Ok buf
   end
 
 let free t buf =
   Sim.Engine.sleep (dt t.config Net.Config.gpu_alloc);
-  match Hashtbl.find_opt t.allocations buf.Core.Membuf.id with
-  | Some size ->
-    Hashtbl.remove t.allocations buf.Core.Membuf.id;
-    t.mem_free <- t.mem_free + size
-  | None -> ()
+  if List.memq buf t.allocations then begin
+    t.allocations <- List.filter (fun b -> b != buf) t.allocations;
+    t.mem_free <- t.mem_free + Core.Membuf.size buf
+  end
 
 let mem_free_bytes t = t.mem_free
 

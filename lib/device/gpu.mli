@@ -39,7 +39,8 @@ val alloc : t -> int -> (Core.Membuf.t, string) result
     with a message on a negative size or when memory is exhausted. *)
 
 val free : t -> Core.Membuf.t -> unit
-(** Release device memory. *)
+(** Release a buffer this GPU allocated. A second free of it, or a free
+    of a buffer it did not allocate, gives back nothing. *)
 
 val mem_free_bytes : t -> int
 

@@ -60,16 +60,10 @@ let mixed = Result.get_ok (Scenario.find "mixed")
 
 let run ?(clients = 6) ?(requests = 24) ?(workload = mixed) ?sampling
     ~spec ~seed () =
-  (* Reset process-global state so chaos runs are independent of whatever
-     ran earlier in the same process (in-process determinism). *)
-  Core.Controller.reset_ids ();
-  Core.Process.reset_ids ();
-  Obs.Metrics.reset ();
+  (* Tb.run starts the ids and records afresh; the spans are this run's
+     to reset. *)
   Obs.Span.reset ();
-  Obs.Journal.reset ();
-  Obs.Audit.reset ();
   Obs.Audit.set_enabled true;
-  Retry.reset_counters ();
   let spans_were_enabled = Obs.Span.enabled () in
   (match sampling with
   | Some (threshold, keep) ->
@@ -84,6 +78,7 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = mixed) ?sampling
     Array.make (max 0 requests) None
   in
   let requests = Array.length results in
+  let retries = ref 0 in
   let violations = ref [] in
   let viol fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let plan_lines = ref [] in
@@ -113,7 +108,9 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = mixed) ?sampling
              let c = sc.Scenario.client k in
              let attempt = c.Scenario.request rngs.(k) in
              Retry.run ~policy
-               ~refresh:(fun _e -> c.Scenario.refresh within)
+               ~refresh:(fun _e ->
+                 c.Scenario.refresh within;
+                 incr retries)
                (fun () ->
                  match attempt () with
                  | Ok r ->
@@ -250,7 +247,7 @@ let run ?(clients = 6) ?(requests = 24) ?(workload = mixed) ?sampling
     r_requests = requests;
     r_ok = ok;
     r_errors = errors;
-    r_retries = Retry.retries ();
+    r_retries = !retries;
     r_violations = List.rev !violations;
     r_ctrls = !ctrl_summary;
     r_audit_events = Obs.Audit.count ();

@@ -29,11 +29,6 @@ let retryable = function
       true
   | _ -> false
 
-(* Retries since the last reset; chaos resets per run. *)
-let retry_count = ref 0
-let retries () = !retry_count
-let reset_counters () = retry_count := 0
-
 let with_timeout ~timeout f =
   let iv = Sim.Ivar.create () in
   Sim.Engine.spawn (fun () ->
@@ -59,7 +54,6 @@ let run ?(policy = default) ?(refresh = fun _ -> ()) f =
                  (Core.Error.to_string e))
              ());
         refresh e;
-        incr retry_count;
         Sim.Engine.sleep (backoff policy ~attempt);
         go (attempt + 1)
     | Error _ -> r

@@ -47,9 +47,3 @@ val run :
     attempt. Returns the first [Ok] or the last error once attempts are
     exhausted or a non-retryable error appears. Never raises on a typed
     failure. *)
-
-val retries : unit -> int
-(** Process-wide count of retry sleeps performed since {!reset_counters} —
-    chaos reporting. *)
-
-val reset_counters : unit -> unit

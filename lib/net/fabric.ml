@@ -7,6 +7,9 @@ type t = {
   config : Config.t;
   stats : Stats.t;
   mutable next_id : int;
+  mutable ctrl_ids : int; (* the last id [next_ctrl_id] gave; same below *)
+  mutable pids : int;
+  mutable copy_ids : int;
   mutable nodes : Node.t list; (* reverse creation order *)
   mutable fault_hook : fault_hook option;
   mutable dup_at : Sim.Time.t; (* [book]'s result beside the delivery *)
@@ -18,6 +21,9 @@ let create ?(config = Config.default) () =
     config;
     stats = Stats.create ();
     next_id = 0;
+    ctrl_ids = 0;
+    pids = 0;
+    copy_ids = 0;
     nodes = [];
     fault_hook = None;
     dup_at = -1;
@@ -40,6 +46,18 @@ let add_node t ?attached_to ~name kind =
   node
 
 let nodes t = List.rev t.nodes
+
+let next_ctrl_id t =
+  t.ctrl_ids <- t.ctrl_ids + 1;
+  t.ctrl_ids
+
+let next_pid t =
+  t.pids <- t.pids + 1;
+  t.pids
+
+let next_copy_id t =
+  t.copy_ids <- t.copy_ids + 1;
+  t.copy_ids
 
 let base_latency t ~src ~dst =
   let cfg = t.config in

@@ -69,6 +69,23 @@ val add_node : t -> ?attached_to:Node.t -> name:string -> Node.kind -> Node.t
 val nodes : t -> Node.t list
 (** All nodes, in creation order. *)
 
+(** {2 Ids}
+
+    A fabric is one deployment, and the ids of its objects mean something
+    only inside it. Each mint counts from 1 in a fresh fabric, so two
+    simulations that build the same testbed get the same ids, whatever
+    ran before them in the process. *)
+
+val next_ctrl_id : t -> int
+(** A fresh Controller id (the [a_ctrl] of its objects' addresses). *)
+
+val next_pid : t -> int
+(** A fresh Process id. *)
+
+val next_copy_id : t -> int
+(** A fresh [memory_copy] id, naming the copy's record at its
+    destination. *)
+
 val base_latency : t -> src:Node.t -> dst:Node.t -> Sim.Time.t
 (** One-way propagation latency between two nodes, excluding serialization
     (exposed for tests and for modeling hardware third-party RDMA). *)

@@ -1,11 +1,19 @@
 module Sim = Fractos_sim
 module Net = Fractos_net
 module Core = Fractos_core
+module Obs = Fractos_obs
 
 type t = { fabric : Net.Fabric.t; mutable ctrls : Core.Controller.t list }
 
-let create ?config () = { fabric = Net.Fabric.create ?config (); ctrls = [] }
-let run ?config f = Sim.Engine.run (fun () -> f (create ?config ()))
+(* Every simulation starts here: its ids are minted by its own fabric,
+   and the metrics, journal and audit records start empty. *)
+let run ?config f =
+  Obs.Metrics.reset ();
+  Obs.Journal.reset ();
+  Obs.Audit.reset ();
+  Sim.Engine.run (fun () ->
+      f { fabric = Net.Fabric.create ?config (); ctrls = [] })
+
 let add_host t name = Net.Fabric.add_node t.fabric ~name Net.Node.Host_cpu
 
 let register_ctrl t ctrl =
@@ -30,8 +38,7 @@ let add_snic_ctrl t ~host =
   register_ctrl t (Core.Controller.create t.fabric ~node:snic)
 
 let add_proc t ~on ~ctrl name =
-  ignore t;
-  let proc = Core.Process.create ~node:on name in
+  let proc = Core.Process.create t.fabric ~node:on name in
   Core.Controller.attach ctrl proc;
   proc
 

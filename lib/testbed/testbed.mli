@@ -14,11 +14,15 @@ type t = {
   mutable ctrls : Core.Controller.t list;
 }
 
-val create : ?config:Net.Config.t -> unit -> t
-(** Fresh testbed (call inside [Sim.Engine.run]). *)
-
 val run : ?config:Net.Config.t -> (t -> 'a) -> 'a
-(** [run f] = [Sim.Engine.run (fun () -> f (create ()))]. *)
+(** [run f] runs [f] on a fresh testbed inside {!Sim.Engine.run}: the one
+    place a simulation starts. The testbed's fabric mints its node,
+    Controller, Process and copy ids afresh, and [run] clears
+    [Obs.Metrics], [Obs.Journal] and [Obs.Audit] first (keeping whether
+    each records, and the journal's capacity), so a run's ids and records
+    do not depend on what ran before it in the process. Spans and the
+    tail sampler are the caller's to reset: a trace may span several
+    runs. *)
 
 val add_host : t -> string -> Net.Node.t
 (** Add a host-CPU node. *)

@@ -94,13 +94,62 @@ let test_null_latency_snic_higher () =
 
 let test_unattached_process () =
   Tb.run (fun tb ->
-      ignore tb;
       let node = Tb.add_host tb "n" in
-      let p = Process.create ~node "loose" in
+      let p = Process.create tb.Tb.fabric ~node "loose" in
       match Api.null p with
       | Error (Error.Bad_argument _) -> ()
       | Ok () -> Alcotest.fail "unattached syscall succeeded"
       | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e))
+
+(* Scenario A, then B, then A again in one process, with no reset between
+   them: [Tb.run] starts each from scratch, so A's two runs mint the same
+   controller ids and pids, and leave the same metrics, journal and audit
+   records. *)
+let test_runs_start_afresh () =
+  let scenario_a () =
+    let ids =
+      Tb.run (fun tb ->
+          let pa, pb, ca, cb = two_node_setup tb in
+          let mem p perms =
+            ok_exn (Api.memory_create p (Process.alloc p 4096) perms)
+          in
+          let src = mem pa Perms.ro in
+          let dst = Tb.grant ~src:pb ~dst:pa (mem pb Perms.rw) in
+          ok_exn (Api.memory_copy pa ~src ~dst);
+          ok_exn (Api.null pa);
+          ( List.map Controller.id [ ca; cb ],
+            List.map (fun p -> p.State.pid) [ pa; pb ] ))
+    in
+    check_bool "the journal recorded" true (Obs.Journal.count () > 0);
+    check_bool "the audit recorded" true (Obs.Audit.count () > 0);
+    ( ids,
+      Format.asprintf "%a" Obs.Metrics.pp (),
+      Format.asprintf "%a" Obs.Journal.dump (),
+      Format.asprintf "%a" Obs.Audit.dump () )
+  in
+  let scenario_b () =
+    Tb.run (fun tb ->
+        List.iter
+          (fun s ->
+            let p = Tb.add_proc tb ~on:s.Tb.node ~ctrl:s.Tb.ctrl "p" in
+            ok_exn (Api.null p))
+          (Tb.nodes_with_ctrls tb Tb.Ctrl_snic [ "x"; "y"; "z" ]))
+  in
+  Obs.Journal.set_enabled true;
+  Obs.Audit.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.Journal.set_enabled false;
+      Obs.Audit.set_enabled false)
+  @@ fun () ->
+  let (ctrls, pids), metrics, journal, audit = scenario_a () in
+  scenario_b ();
+  let (ctrls', pids'), metrics', journal', audit' = scenario_a () in
+  let ints = Alcotest.(list int) in
+  Alcotest.check ints "controller ids" ctrls ctrls';
+  Alcotest.check ints "pids" pids pids';
+  check_str "metrics" metrics metrics';
+  check_str "journal" journal journal';
+  check_str "audit" audit audit'
 
 (* ------------------------------------------------------------------ *)
 (* Memory objects                                                     *)
@@ -913,14 +962,12 @@ let test_capspace_quota () =
    capability at pb's controller fails with Quota_exceeded. *)
 let test_tail_failure_visible () =
   let config = { Fractos_net.Config.default with capspace_quota = 3 } in
-  Obs.Journal.reset ();
   Obs.Span.reset ();
   Obs.Journal.set_enabled true;
   Obs.Span.set_enabled true;
   Fun.protect ~finally:(fun () ->
       Obs.Journal.set_enabled false;
       Obs.Span.set_enabled false;
-      Obs.Journal.reset ();
       Obs.Span.reset ())
   @@ fun () ->
   Tb.run ~config (fun tb ->
@@ -965,8 +1012,6 @@ let messages tb =
 
 let run_twice ?config scenario =
   let once dup =
-    Controller.reset_ids ();
-    Process.reset_ids ();
     Tb.run ?config (fun tb ->
         scenario tb (fun () -> duplicate_every_message tb dup))
   in
@@ -1046,8 +1091,6 @@ let late_replies tb (pa : State.proc) =
 
 let test_late_reply_placement () =
   let config = { Fractos_net.Config.default with shard_placement = true } in
-  Controller.reset_ids ();
-  Process.reset_ids ();
   Tb.run ~config (fun tb ->
       let pa, _, ca, cb = two_node_setup tb in
       Tb.shard_all tb;
@@ -1404,6 +1447,8 @@ let () =
           Alcotest.test_case "null latency (Table 3 sNIC)" `Quick
             test_null_latency_snic_higher;
           Alcotest.test_case "unattached process" `Quick test_unattached_process;
+          Alcotest.test_case "each run starts afresh" `Quick
+            test_runs_start_afresh;
           Alcotest.test_case "invalid cid" `Quick test_invalid_cid;
         ] );
       ( "memory",

@@ -470,7 +470,6 @@ let typed_or_ok = function
    pre-crash capability is rejected as Stale with a Stale_reject audit
    record (failure-to-revocation, §3.6). *)
 let test_restart_during_delegated_hop () =
-  Obs.Audit.reset ();
   Obs.Audit.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.Audit.set_enabled false) @@ fun () ->
   List.iter

@@ -195,9 +195,6 @@ let shard_config =
    shard generation, cache size, and the hit/miss/invalidation
    counters after each step. The trace is the determinism witness. *)
 let dir_trace seed =
-  Controller.reset_ids ();
-  Process.reset_ids ();
-  Obs.Metrics.reset ();
   Tb.run ~config:shard_config (fun tb ->
       let hosts = List.init 3 (fun i -> Tb.add_host tb (Printf.sprintf "h%d" i)) in
       let ctrls = List.map (fun h -> Tb.add_ctrl tb ~on:h) hosts in
@@ -305,9 +302,6 @@ let prop_dir_invalidation_deterministic =
    object when its lease expires, leaving no pending leases and only the
    locally-minted (successful) objects live. *)
 let test_place_timeout_reclaims () =
-  Controller.reset_ids ();
-  Process.reset_ids ();
-  Obs.Metrics.reset ();
   let tiny =
     {
       Net.Config.default with

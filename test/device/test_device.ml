@@ -48,6 +48,27 @@ let test_gpu_alloc_free () =
       Gpu.free gpu b1;
       check_int "free after free" 1024 (Gpu.mem_free_bytes gpu))
 
+(* A buffer is given back once, and only to the GPU that allocated it: a
+   second free of it, and a free of another GPU's buffer of the same
+   size, change nothing. *)
+let test_gpu_free_once () =
+  with_node (fun node ->
+      let gpu = Gpu.create ~node ~config:cfg ~mem_bytes:1024 in
+      let other = Gpu.create ~node ~config:cfg ~mem_bytes:1024 in
+      let b1 = Result.get_ok (Gpu.alloc gpu 512) in
+      let b2 = Result.get_ok (Gpu.alloc gpu 256) in
+      let foreign = Result.get_ok (Gpu.alloc other 256) in
+      Gpu.free gpu b1;
+      check_int "free after the first free" 768 (Gpu.mem_free_bytes gpu);
+      Gpu.free gpu b1;
+      check_int "a second free gives back nothing" 768
+        (Gpu.mem_free_bytes gpu);
+      Gpu.free gpu foreign;
+      check_int "a foreign buffer gives back nothing" 768
+        (Gpu.mem_free_bytes gpu);
+      Gpu.free gpu b2;
+      check_int "the other buffer still frees" 1024 (Gpu.mem_free_bytes gpu))
+
 let test_gpu_kernel_runs () =
   with_node (fun node ->
       let gpu = Gpu.create ~node ~config:cfg ~mem_bytes:1024 in
@@ -383,6 +404,7 @@ let () =
       ( "gpu",
         [
           Alcotest.test_case "alloc/free" `Quick test_gpu_alloc_free;
+          Alcotest.test_case "free gives back once" `Quick test_gpu_free_once;
           Alcotest.test_case "kernel runs" `Quick test_gpu_kernel_runs;
           Alcotest.test_case "unknown kernel" `Quick test_gpu_unknown_kernel;
           Alcotest.test_case "launch cost" `Quick test_gpu_launch_cost;

@@ -267,8 +267,8 @@ let test_retry_backoff_golden () =
 
 let test_retry_budget_exhaustion () =
   Engine.run (fun () ->
-      Retry.reset_counters ();
       let attempts = ref 0 in
+      let retries = ref 0 in
       let r =
         Retry.run
           ~policy:
@@ -278,6 +278,7 @@ let test_retry_budget_exhaustion () =
               p_backoff_base = Time.us 10;
               p_backoff_cap = Time.us 40;
             }
+          ~refresh:(fun _ -> incr retries)
           (fun () ->
             incr attempts;
             Error Core.Error.Timeout)
@@ -285,7 +286,7 @@ let test_retry_budget_exhaustion () =
       check_bool "returns the typed error, never raises" true
         (r = Error Core.Error.Timeout);
       check_int "exactly p_attempts attempts" 4 !attempts;
-      check_int "three retry sleeps counted" 3 (Retry.retries ()))
+      check_int "three retry sleeps counted" 3 !retries)
 
 let test_retry_transient_then_ok () =
   Engine.run (fun () ->
@@ -497,7 +498,6 @@ let answers w =
 
 (* With audit and spans on, run [f] on a fresh testbed of [config]. *)
 let with_world ?config f =
-  Audit.reset ();
   Audit.set_enabled true;
   Obs.Span.reset ();
   Obs.Span.set_enabled true;
@@ -994,7 +994,6 @@ let test_copy_failed_after_parked () =
    whose open has not come, and its sweep reclaims it without touching
    the destination. *)
 let test_copy_duplicate_after_close () =
-  Core.Controller.reset_ids ();
   Tb.run (fun tb ->
       let pa, src, dst, cb, src_buf, dst_buf = copy_pair tb in
       Core.Membuf.fill src_buf 's';

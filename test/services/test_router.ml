@@ -181,8 +181,6 @@ let test_placement_scorer () =
 (* ---------- PD workload end to end ---------- *)
 
 let pd_setup ?(config = Net.Config.default) ~prefills ~decodes f =
-  Core.Controller.reset_ids ();
-  Core.Process.reset_ids ();
   Tb.run ~config (fun tb ->
       let names =
         "client"

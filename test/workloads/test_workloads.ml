@@ -292,8 +292,6 @@ let test_every_entry_serves () =
    the fabric books while the requests run; each request is then
    bounded, as a dropped message may leave it waiting forever. *)
 let observed ?fault e ~traced =
-  Fractos_core.Controller.reset_ids ();
-  Fractos_core.Process.reset_ids ();
   Fractos_obs.Span.reset ();
   Fractos_obs.Span.set_enabled traced;
   Fun.protect
