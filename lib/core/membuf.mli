@@ -52,9 +52,9 @@ val of_bytes : node:Fractos_net.Node.t -> bytes -> t
     store counts one holder that is never released, the caller's, so a
     store into the buffer, or into a buffer that adopted its store
     through a whole-buffer copy, copies first: [Membuf] never writes into
-    [b]. The caller must not change
-    [b] while a simulation may read the buffer or a buffer that adopted
-    its store. [holders] of a non-empty borrowed buffer is at least 2. *)
+    [b]. The caller must not change [b] while a simulation may read the
+    buffer or a buffer that adopted its store. [holders] of a non-empty
+    borrowed buffer is at least 2. *)
 
 val size : t -> int
 

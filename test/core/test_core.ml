@@ -1447,9 +1447,9 @@ let () =
           Alcotest.test_case "null latency (Table 3 sNIC)" `Quick
             test_null_latency_snic_higher;
           Alcotest.test_case "unattached process" `Quick test_unattached_process;
+          Alcotest.test_case "invalid cid" `Quick test_invalid_cid;
           Alcotest.test_case "each run starts afresh" `Quick
             test_runs_start_afresh;
-          Alcotest.test_case "invalid cid" `Quick test_invalid_cid;
         ] );
       ( "memory",
         [

@@ -404,12 +404,12 @@ let () =
       ( "gpu",
         [
           Alcotest.test_case "alloc/free" `Quick test_gpu_alloc_free;
-          Alcotest.test_case "free gives back once" `Quick test_gpu_free_once;
           Alcotest.test_case "kernel runs" `Quick test_gpu_kernel_runs;
           Alcotest.test_case "unknown kernel" `Quick test_gpu_unknown_kernel;
           Alcotest.test_case "launch cost" `Quick test_gpu_launch_cost;
           Alcotest.test_case "serial engine" `Quick
             test_gpu_serial_execution_engine;
+          Alcotest.test_case "free gives back once" `Quick test_gpu_free_once;
         ] );
       ( "nvme",
         [
