@@ -144,8 +144,7 @@ let write_json ~tiny points path =
               Printf.sprintf "\"n\": %d" (sweep_n ~tiny);
               Printf.sprintf "\"prefills\": %d" prefills;
               Printf.sprintf "\"iters\": %d" iters;
-              Printf.sprintf "\"router_policy\": %S"
-                (Fractos_services.Router.policy_to_string Pd.policy);
+              "\"router_policy\": \"least\"";
               Printf.sprintf "\"decode_counts\": [%s]"
                 (String.concat ", "
                    (List.map string_of_int (decode_counts ~tiny)));

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repo health check: no dead or unset Net.Config knobs, exports, optional
-# arguments or modules, no Obj outside the engine, no second domain or
+# arguments or modules, no test-only exports or constructors outside
+# their kept lists, no Obj outside the engine, no second domain or
 # thread, no blocking call in controller code, build, tests,
 # formatting (if ocamlformat is installed), the smoke runs (trace /
 # breakdown / seeded chaos gate — including each seed of the chaos
@@ -53,41 +54,45 @@ for f in $(awk '/^type t = \{/ { on = 1; next }
 done
 [ "$unset" = 0 ]
 
-# [unreferenced DIR...] prints "<mli> <val>" for every `val` of a
-# lib/**/*.mli with no whole-word reference in its module's own .ml
-# beyond its definition (a `let`/`and` line), or in some other .ml under
-# DIR... that names the module (`M.`, `open M`, `include M` or an alias
-# `= M`, possibly qualified by its library). A match in a file that
-# never names the module is another module's value of the same name, so
-# an unused `val pp` or `val run` is still caught. Only code counts: the
-# .ml files are searched with their comments and string literals
-# blanked (bin/code_only.awk), so a value whose name a comment mentions
-# or a message prints is still caught.
-unreferenced() (
-  root=$(pwd)
+# [code_tree DIR...] copies every .ml under DIR... into a fresh temp
+# dir, with its comments and string literals blanked (bin/code_only.awk),
+# and prints the dir's path; the caller removes it.
+code_tree() {
   code=$(mktemp -d /tmp/fractos-code.XXXXXX)
   for f in $(find "$@" -name '*.ml'); do
     mkdir -p "$code/$(dirname "$f")"
     awk -f bin/code_only.awk "$f" >"$code/$f"
   done
+  echo "$code"
+}
+
+# [unreferenced DIR...] prints "<mli> <val>" for every `val` of a
+# lib/**/m.mli that no .ml under DIR... other than its own m.ml takes
+# from module M (bin/module_refs.awk): as `M.v`, also through a library
+# path (`Lib.M.v`) or a local alias (`module X = M`, then `X.v`), or as
+# a bare `v` after the file opens M (`open M`, `include M`,
+# `let open M in`, `M.(`). A same-named value of another module does not
+# count, and neither do uses in m.ml itself: an export only its own
+# module uses leaves the .mli. Only code counts: the .ml files are
+# searched with their comments and string literals blanked
+# (bin/code_only.awk), so a value whose name a comment mentions or a
+# message prints is still caught.
+unreferenced() (
+  root=$(pwd)
+  code=$(code_tree "$@")
   cd "$code"
   for mli in $(cd "$root" && find lib -name '*.mli' | sort); do
     ml=${mli%.mli}.ml
     b=$(basename "$ml" .ml)
     m=$(printf '%s' "$b" | cut -c1 | tr a-z A-Z)$(printf '%s' "$b" | cut -c2-)
-    q='([A-Z][A-Za-z0-9_]*\.)*'
-    users=$(grep -rlE --include='*.ml' \
-              "\b$m\.|\b(open!?|include) +$q$m\b|= *$q$m\b" \
-              "$@" | grep -Fvx "$ml" || true)
+    users=$(grep -rlw --include='*.ml' "$m" "$@" | grep -Fvx "$ml" || true)
+    refs=$(if [ -n "$users" ]; then
+             printf '%s\n' "$users" |
+               xargs awk -v m="$m" -f "$root/bin/module_refs.awk" | sort -u
+           fi)
     for v in $(sed -n 's/^ *val \([a-z_][A-Za-z0-9_]*\)\( *:.*\)*$/\1/p' \
                  "$root/$mli" | sort -u); do
-      own=$(grep -cw -e "$v" "$ml" 2>/dev/null || true)
-      defs=$(grep -cE "^ *(let|and)( rec)? +$v( |$)" "$ml" 2>/dev/null || true)
-      ext=0
-      if [ -n "$users" ]; then
-        ext=$(printf '%s\n' "$users" | xargs grep -hw -e "$v" | wc -l)
-      fi
-      if [ "$ext" -eq 0 ] && [ "${own:-0}" -le "${defs:-0}" ]; then
+      if ! printf '%s\n' "$refs" | grep -Fxq "$v"; then
         echo "$mli $v"
       fi
     done
@@ -112,30 +117,72 @@ echo "== test-only exports"
 kept='
 lib/baselines/pipeline.mli expected_output  the transform a baseline run is checked against
 lib/baselines/pipeline.mli last_output      the application buffer after a baseline run
-lib/core/codec.mli decode_delivery  Codec round trips: the layouts Wire sizes are tested against
+lib/core/api.mli request_invoke_async  the unacknowledged posting under request_invoke, which the congestion-window test drives
+lib/core/codec.mli addr_size        Codec round trips: the layouts Wire sizes are tested against
+lib/core/codec.mli decode_addr      Codec round trips
+lib/core/codec.mli decode_caps      Codec round trips
+lib/core/codec.mli decode_delivery  Codec round trips
+lib/core/codec.mli decode_imms      Codec round trips
 lib/core/codec.mli decode_perms     Codec round trips
 lib/core/codec.mli decode_request   Codec round trips
+lib/core/codec.mli encode_addr      Codec round trips
+lib/core/codec.mli encode_caps      Codec round trips
 lib/core/codec.mli encode_delivery  Codec round trips
+lib/core/codec.mli encode_imms      Codec round trips
 lib/core/codec.mli encode_perms     Codec round trips
 lib/core/codec.mli encode_request   Codec round trips
 lib/core/codec.mli request_size     Codec round trips
 lib/core/controller.mli dir_cache_size  the directory cache, which no other API shows
 lib/core/controller.mli shard_gen       the shard group generation, which no other API shows
+lib/core/membuf.mli holders         the holders of the bytes of a buffer, which no other API shows
+lib/core/wire.mli syscall_fixed     the fixed syscall size the Codec layouts are checked against
 lib/device/gpu.mli mem_free_bytes   GPU memory accounting, which no other API shows
+lib/fault/retry.mli backoff         the schedule Retry.run sleeps by, pinned by test_fault
+lib/fault/retry.mli default         the policy Retry.run takes when given none, whose schedule test_fault pins
+lib/fault/spec.mli default          the preset Spec.of_string "default" parses to, for tests that plan directly
+lib/fault/spec.mli none             the preset Spec.of_string "none" parses to, for tests that plan directly
+lib/net/cost.mli one                the unit charge tests price expected controller costs with
+lib/net/fabric.mli base_latency     the propagation latency tests time expected deliveries with
+lib/obs/analysis.mli category_of_span  the span taxonomy the breakdown and timeline tests share
+lib/obs/analysis.mli csv_header     the breakdown CSV layout the tests pin
+lib/obs/analysis.mli csv_row        the breakdown CSV layout the tests pin
+lib/obs/analysis.mli get            one category of a breakdown, which no other API shows
+lib/obs/audit.mli kind_name         the audit event names the tests pin
+lib/obs/audit.mli set_capacity      the audit ring size, so eviction is testable without a million events
+lib/obs/audit.mli summary           per-kind audit counts, which no other API shows
+lib/obs/gate.mli baseline_tolerance   the baseline parsing under Gate.check, pinned by test_profiler
+lib/obs/gate.mli metrics_of_baseline  the baseline parsing under Gate.check, pinned by test_profiler
+lib/obs/journal.mli events          retained journal events, which no other API shows
 lib/obs/metrics.mli counter_value   metric values the tests pin
 lib/obs/metrics.mli gauge_max       metric values the tests pin
+lib/obs/metrics.mli gauge_value     metric values the tests pin
 lib/obs/metrics.mli hist_max        metric values the tests pin
+lib/obs/metrics.mli observations    metric values the tests pin
+lib/obs/metrics.mli percentile      metric values the tests pin
+lib/obs/openmetrics.mli escape_label  the label escaping every exporter applies, pinned on hostile names
+lib/obs/openmetrics.mli histograms_csv_header  the hist.csv layout the tests pin
+lib/obs/span.mli find               a recorded span by id, which no other API shows
+lib/obs/span.mli get_limit          the span cap, which tests restore after set_limit
 lib/obs/span.mli set_limit          the span cap, so truncation is testable without 500 000 spans
+lib/obs/timeline.mli elapsed        timeline pieces the profiler tests pin
+lib/obs/timeline.mli heatmap        timeline pieces the profiler tests pin
+lib/obs/timeline.mli resource_of    timeline pieces the profiler tests pin
+lib/obs/timeline.mli row_of_span    timeline pieces the profiler tests pin
+lib/obs/whatif.mli csv_header       the what-if CSV layout the tests pin
 lib/services/fs.mli cache_hits      FS cache hits, which no other API shows
-lib/services/fs.mli delete          FS unlink and its revocation of open and DAX handles; no workload unlinks yet
-lib/services/fs.mli stat            FS file size; no workload asks yet
-lib/services/gpu_adaptor.mli push_request  the gpu.push Request of the chained-GPU tests; no workload chains GPUs yet
+lib/services/gpu_adaptor.mli free   the client of gpu.free, whose Request the adaptor mints at start
+lib/services/gpu_adaptor.mli push_request  minted at adaptor start, so removing it moves set-up time and object ids: it goes with the rebaseline of ROADMAP item 16
+lib/services/gpu_adaptor.mli svc    the Svc of the adaptor, whose process tests grant push_request from
 lib/sim/channel.mli try_recv        the non-blocking take of the channel model test
 lib/sim/channel.mli waiters         blocked readers, which no other API shows
 lib/sim/engine.mli event_count      engine events, pinned exactly by test_alloc
+lib/sim/heap.mli length             heap size, which no other API shows
 lib/sim/semaphore.mli available     free permits, which no other API shows
 lib/sim/semaphore.mli waiting       blocked waiters, which no other API shows
+lib/sim/waitgroup.mli add           the count Waitgroup.spawn keeps, whose misuse test_sim pins
+lib/sim/waitgroup.mli done_         the count Waitgroup.spawn keeps, whose misuse test_sim pins
 lib/workloads/facedata.mli image    the reference image the dataset tests check against
+lib/workloads/loadgen.mli summarize the percentile reader of every load report, pinned on fixed samples
 '
 only=$(unreferenced lib bin bench benchmark examples)
 listed=$(printf '%s\n' "$kept" | awk 'NF { print $1, $2 }')
@@ -145,7 +192,48 @@ printf '%s\n' "$extra" | awk 'NF { print "test-only export: " $1 ": val " $2 \
   " has no caller outside test/" }'
 printf '%s\n' "$stale" | awk 'NF { print "stale kept export: " $1 ": val " $2 \
   " is listed but not test-only" }'
-[ -z "$extra" ] && [ -z "$stale" ]
+[ -z "$extra$stale" ]
+
+echo "== test-only constructors"
+# A variant constructor of a lib/**/m.mli (bin/constructors.awk) that
+# some test names but no .ml under lib bin bench benchmark examples
+# other than m.ml does is a case only tests build: the program never
+# makes or asks for it, so it goes with its tests (a removed policy
+# cannot come back through its test). Constructors and other modules
+# are told apart by what follows the name (`.` for a module path), and
+# comments and strings are blanked first (bin/code_only.awk). The kept
+# ones are listed here, one reason each; a listed one the program names
+# fails too.
+kept='
+lib/core/codec.mli Truncated  the error of the reference decoder, which the Codec round trips match
+lib/obs/json.mli Null         JSON input the parser must accept, though no program reads a null
+'
+only=$(
+  root=$(pwd)
+  code=$(code_tree lib bin bench benchmark examples test)
+  cd "$code"
+  for mli in $(cd "$root" && find lib -name '*.mli' | sort); do
+    ml=${mli%.mli}.ml
+    for c in $(awk -f "$root/bin/code_only.awk" "$root/$mli" |
+                 awk -f "$root/bin/constructors.awk" | sort -u); do
+      re="(^|[^A-Za-z0-9_'\`])$c([^A-Za-z0-9_'.]|\$)"
+      if grep -rqE --include='*.ml' "$re" test &&
+         ! grep -rlE --include='*.ml' "$re" lib bin bench benchmark examples |
+           grep -Fvxq "$ml"; then
+        echo "$mli $c"
+      fi
+    done
+  done
+  cd "$root"
+  rm -rf "$code")
+listed=$(printf '%s\n' "$kept" | awk 'NF { print $1, $2 }')
+extra=$(printf '%s\n' "$only" | grep -Fvx -e "$listed" || true)
+stale=$(printf '%s\n' "$listed" | grep -Fvx -e "$only" || true)
+printf '%s\n' "$extra" | awk 'NF { print "test-only constructor: " $1 ": " $2 \
+  " is named outside its module only under test/" }'
+printf '%s\n' "$stale" | awk 'NF { print "stale kept constructor: " $1 ": " $2 \
+  " is listed but not test-only" }'
+[ -z "$extra$stale" ]
 
 echo "== dead optional arguments"
 # Every `?label:` of a lib/**/*.mli must be passed as `~label` or `?label`

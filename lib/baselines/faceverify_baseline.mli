@@ -15,22 +15,6 @@ module Device = Fractos_device
 
 type t
 
-val setup :
-  fabric:Net.Fabric.t ->
-  frontend:Net.Node.t ->
-  nfs_server:Net.Node.t ->
-  ssd:Device.Nvme.t ->
-  gpu:Device.Gpu.t ->
-  db:bytes ->
-  img_size:int ->
-  max_batch:int ->
-  depth:int ->
-  (t, string) result
-(** Provision the volume with the database bytes, mount NFS, connect
-    rCUDA, and pre-allocate [depth] GPU buffer sets. The volume borrows
-    [db] (see {!Fractos_core.Membuf.of_bytes}): [db] must not change
-    while the simulation may read the volume. *)
-
 val build :
   db:bytes ->
   img_size:int ->
@@ -40,7 +24,11 @@ val build :
 (** The stack of §6.5 on a fresh 4-node fabric at the default
     calibration: a frontend, an NFS server, an NVMe-oF target (wimpy CPU)
     with a 1 GiB SSD, and a GPU node with 1 GiB of device memory and the
-    face-verification kernel; then {!setup}. Runs inside a simulation. *)
+    face-verification kernel; then provision the volume with the
+    database bytes, mount NFS, connect rCUDA, and pre-allocate [depth] GPU
+    buffer sets. The volume borrows [db] (see
+    {!Fractos_core.Membuf.of_bytes}): [db] must not change while the
+    simulation may read the volume. Runs inside a simulation. *)
 
 val verify :
   t -> start_id:int -> batch:int -> probes:bytes -> (bytes, string) result

@@ -34,16 +34,3 @@ let read t ~off ~len =
     Net.Fabric.transfer_chunked t.fabric ~src:t.server ~dst:t.client
       ~cls:Net.Stats.Data ~size:len ();
     Ok data
-
-let write t ~off data =
-  kernel_path ();
-  Net.Fabric.transfer_chunked t.fabric ~src:t.client ~dst:t.server
-    ~cls:Net.Stats.Data
-    ~size:(Bytes.length data) ();
-  kernel_path ();
-  match Nvmeof.write t.backing ~off data with
-  | Error _ as e -> e
-  | Ok () ->
-    Net.Fabric.transfer t.fabric ~src:t.server ~dst:t.client
-      ~cls:Net.Stats.Control ~size:64 ();
-    Ok ()

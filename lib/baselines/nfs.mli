@@ -2,9 +2,9 @@
 
     The frontend mounts a remote ext4-style file system; the NFS server
     holds the file on NVMe-oF-attached storage. Every read travels
-    [storage target -> NFS server -> client] and every write the reverse —
-    the doubled data path that FractOS's DAX composition eliminates. Used
-    as the storage leg of the end-to-end baseline (Figs. 12/13). *)
+    [storage target -> NFS server -> client] — the doubled data path that
+    FractOS's DAX composition eliminates. Used as the storage leg of the
+    end-to-end baseline (Figs. 12/13). *)
 
 module Net = Fractos_net
 
@@ -20,4 +20,3 @@ val open_rpc : t -> unit
 (** The open/lookup round trip (counted in the paper's 8-message census). *)
 
 val read : t -> off:int -> len:int -> (bytes, string) result
-val write : t -> off:int -> bytes -> (unit, string) result

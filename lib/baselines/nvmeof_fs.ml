@@ -67,6 +67,5 @@ let start proc ~backing =
   Svc.handle fsvc ~tag:"bfs.write" (handle_write t);
   t
 
-let svc t = t.fsvc
 let read_request t = t.read_req
 let write_request t = t.write_req

@@ -18,6 +18,5 @@ type t
 
 val start : Core.Process.t -> backing:Nvmeof.t -> t
 
-val svc : t -> Fractos_services.Svc.t
 val read_request : t -> Core.Api.cid
 val write_request : t -> Core.Api.cid

@@ -783,7 +783,6 @@ let placed_pending_count ctrl = Hashtbl.length ctrl.placed_pending
 let is_running ctrl = ctrl.running
 let epoch ctrl = ctrl.epoch
 let id ctrl = ctrl.ctrl_id
-let shard_slot ctrl = ctrl.shard_slot
 let shard_gen ctrl = match ctrl.shard with Some g -> g.sg_gen | None -> -1
 let dir_cache_size ctrl = Hashtbl.length ctrl.dir_cache
 

@@ -104,9 +104,6 @@ val placed_pending_count : t -> int
 val epoch : t -> int
 (** Current epoch; bumped by every {!restart}. *)
 
-val shard_slot : t -> int
-(** This controller's slot in its shard group, or [-1] when unsharded. *)
-
 val shard_gen : t -> int
 (** The shard group's liveness generation (bumped by every member crash
     and reboot), or [-1] when unsharded. *)

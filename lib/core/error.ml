@@ -24,9 +24,6 @@ let to_string = function
   | Timeout -> "deadline expired"
   | Overloaded -> "controller overloaded (request shed at admission)"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal a b = a = b
-
 exception Fractos of t
 
 let () =

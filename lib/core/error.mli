@@ -24,8 +24,6 @@ type t =
           [Net.Config.ctrl_queue_bound]). Transient — retry with backoff. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool
 
 exception Fractos of t
 (** Used by convenience wrappers that prefer raising; the core API itself

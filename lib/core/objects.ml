@@ -27,7 +27,7 @@ let add ctrl kind ~rev_parent =
   Obs.Metrics.add (g_objects ctrl) 1;
   { a_ctrl = ctrl.ctrl_id; a_epoch = ctrl.epoch; a_oid = oid }
 
-let link_child' ~parent ~child =
+let link_child ~parent ~child =
   parent.o_rev_children <- child.o_id :: parent.o_rev_children
 
 let add_memory ctrl ?parent mem =
@@ -36,12 +36,10 @@ let add_memory ctrl ?parent mem =
   | Some p ->
     let addr = add ctrl (O_memory mem) ~rev_parent:(Some p.o_id) in
     let child = Hashtbl.find ctrl.objects addr.a_oid in
-    link_child' ~parent:p ~child;
+    link_child ~parent:p ~child;
     addr
 
 let add_request ctrl req = add ctrl (O_request req) ~rev_parent:None
-
-let link_child = link_child'
 
 let add_indirect ctrl ~parent =
   let addr = add ctrl O_indirect ~rev_parent:(Some parent.o_id) in

@@ -14,8 +14,6 @@
 
 open State
 
-val fresh_oid : ctrl -> int
-
 val add_memory : ctrl -> ?parent:obj -> mem -> addr
 (** Register a new Memory object, returning its global address. When
     [parent] is given (a diminished view), the new object is linked as a
@@ -28,9 +26,6 @@ val add_request : ctrl -> req -> addr
 val add_indirect : ctrl -> parent:obj -> addr
 (** Register a revocation-tree indirection node under [parent]
     (cap_create_revtree, Redell's caretaker pattern). *)
-
-val link_child : parent:obj -> child:obj -> unit
-(** Record [child] as a revocation child of [parent] (both local). *)
 
 val find : ctrl -> addr -> obj
 (** Resolve an address at its owner: checks the controller is the owner and

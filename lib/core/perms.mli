@@ -14,9 +14,4 @@ val none : t
 val drop : t -> drop:t -> t
 (** [drop p ~drop:d] removes the rights in [d] from [p]. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-val of_string : string -> t option
-(** Inverse of {!to_string} ("rw" / "r-" / "-w" / "--"); [None] on any
-    other input. Used to round-trip permissions through the audit log. *)

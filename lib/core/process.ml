@@ -37,6 +37,3 @@ let alloc t size = Membuf.create ~node:t.pnode size
 let name t = t.pname
 let node t = t.pnode
 let controller t = t.pctrl
-
-let pp fmt t =
-  Format.fprintf fmt "%s(pid%d@%s)" t.pname t.pid t.pnode.Net.Node.name

@@ -25,4 +25,3 @@ val reset_ids : unit -> unit
 val name : t -> string
 val node : t -> Net.Node.t
 val controller : t -> Controller.t option
-val pp : Format.formatter -> t -> unit

@@ -17,9 +17,9 @@
    whose generation counter doubles as the directory-cache invalidation
    stamp. *)
 
-(* Seed of the placement hash used by controller placement and by the PD
-   routers. Not a secret: it only decorrelates placement across
-   deployments, and two runs with the same seed place identically. *)
+(* Seed of the placement hash used by controller placement. Not a
+   secret: it only decorrelates placement across deployments, and two
+   runs with the same seed place identically. *)
 let seed = 7
 
 (* Multiplicative hash (golden-ratio constant), folded to a non-negative

@@ -42,7 +42,6 @@ let create ~node ~config ~capacity =
   }
 
 let node t = t.dnode
-let capacity t = t.capacity
 
 let create_volume t ~size =
   if size < 0 then Error "negative size"

@@ -38,7 +38,6 @@ val create : node:Net.Node.t -> config:Net.Config.t -> capacity:int -> t
 (** An SSD installed on [node] holding [capacity] bytes. *)
 
 val node : t -> Net.Node.t
-val capacity : t -> int
 
 val create_volume : t -> size:int -> (volume, string) result
 (** Carve a fresh logical volume out of the device (bump allocation; no

@@ -21,11 +21,6 @@ val backoff : policy -> attempt:int -> Sim.Time.t
 (** [backoff p ~attempt] is the sleep inserted after failed attempt
     [attempt] (1-based): [base * 2^(attempt-1)] capped at [p_backoff_cap]. *)
 
-val retryable : Core.Error.t -> bool
-(** [Timeout], [Ctrl_unreachable], [Stale], [Provider_dead] and
-    [Overloaded] (backpressure shed — the queue will drain) are retryable;
-    everything else is permanent. *)
-
 val with_timeout :
   timeout:Sim.Time.t ->
   (unit -> ('a, Core.Error.t) result) ->
@@ -42,8 +37,10 @@ val run :
   (unit -> ('a, Core.Error.t) result) ->
   ('a, Core.Error.t) result
 (** [run f] retries [f] per [policy] (default {!default}). After a
-    {!retryable} error: [refresh] is called (e.g. to re-acquire
-    capabilities after [Stale]), then the backoff sleep, then the next
-    attempt. Returns the first [Ok] or the last error once attempts are
-    exhausted or a non-retryable error appears. Never raises on a typed
-    failure. *)
+    retryable error ([Timeout], [Ctrl_unreachable], [Stale],
+    [Provider_dead] and [Overloaded], a backpressure shed: the queue will
+    drain; everything else is permanent): [refresh] is called (e.g. to
+    re-acquire capabilities after [Stale]), then the backoff sleep, then
+    the next attempt. Returns the first [Ok] or the last error once
+    attempts are exhausted or a non-retryable error appears. Never raises
+    on a typed failure. *)

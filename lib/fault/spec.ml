@@ -189,5 +189,3 @@ let of_string str =
                    in
                    set_field s k v))
          (Ok none)
-
-let pp fmt s = Format.pp_print_string fmt (to_string s)

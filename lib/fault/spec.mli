@@ -49,5 +49,3 @@ val of_string : string -> (t, string) result
     [links], [linkdrop], [horizon]. Durations accept [ns]/[us]/[ms]/[s]
     suffixes (e.g. [delay=30us]); a duration that does not fit in
     nanoseconds is an [Error]. *)
-
-val pp : Format.formatter -> t -> unit

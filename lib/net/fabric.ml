@@ -67,7 +67,7 @@ let base_latency t ~src ~dst =
        Config.loopback_oneway + Config.pcie_extra
      else Config.wire_oneway)
 
-(* The one delivery model, shared by [send] and [transfer]: account the
+(* The one delivery model, shared by [send_with] and [transfer]: account the
    message, apply its fault, book the NIC or DMA engines and return the
    delivery instant, or -1 for a message lost in the switch. A duplicate's
    second copy arrives one base latency after the delivery instant;
@@ -215,14 +215,11 @@ let send_with_n t ~src ~dst ?(cls = Stats.Control) ~size g x n =
     if t.dup_at >= 0 then Sim.Engine.schedule_with_n (t.dup_at - now) g x n
   end
 
-let send t ~src ~dst ?cls ~size deliver =
-  send_with t ~src ~dst ?cls ~size deliver ()
-
 (* A timed wake on the delivery instant. Sleeping puts the wake-up in
-   the heap slot [send]'s delivery event would take, and the one yield
+   the heap slot [send_with]'s delivery event would take, and the one yield
    after it puts the resume in the slot that event's wake-up of an
    awaiting fiber would take, so a transfer orders against every other
-   event exactly as a [send] whose callback fills an awaited ivar. A
+   event exactly as a [send_with] whose callback fills an awaited ivar. A
    duplicate still pushes its (empty) event; a dropped message never
    wakes the caller. *)
 let transfer t ~src ~dst ?(cls = Stats.Control) ~size () =
@@ -278,7 +275,7 @@ let transfer_chunked t ~src ~dst ?cls ~size () =
     let n = min chunk (size - off) in
     if off + n >= size then transfer t ~src ~dst ?cls ~size:n ()
     else begin
-      send t ~src ~dst ?cls ~size:n ignore;
+      send_with t ~src ~dst ?cls ~size:n ignore ();
       post (off + n)
     end
   in

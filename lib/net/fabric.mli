@@ -1,9 +1,9 @@
 (** The simulated data-center fabric.
 
     The fabric owns the node set, the calibration {!Config.t}, and the
-    traffic {!Stats.t}. Its one verb is {!send}: move a message of a given
-    size from one node to another, invoking a delivery callback when the
-    last byte arrives. The transport model is:
+    traffic {!Stats.t}. Its one verb is {!send_with}: move a message of a
+    given size from one node to another, invoking a delivery callback when
+    the last byte arrives. The transport model is:
 
     - base one-way latency chosen by path: NIC loopback on the same node,
       loopback + PCIe between a host and its own SmartNIC, or the wire
@@ -24,7 +24,7 @@ val stats : t -> Stats.t
 
 (** {2 Fault injection}
 
-    A fault hook is consulted once per {!send}, in deterministic message
+    A fault hook is consulted once per {!send_with}, in deterministic message
     order, and decides the fate of that message. Faults model a lossy RDMA
     fabric: the link layer may drop a packet (sender-side retransmission is
     the {e caller's} job, via timeouts), deliver it twice (stale
@@ -90,20 +90,6 @@ val base_latency : t -> src:Node.t -> dst:Node.t -> Sim.Time.t
 (** One-way propagation latency between two nodes, excluding serialization
     (exposed for tests and for modeling hardware third-party RDMA). *)
 
-val send :
-  t ->
-  src:Node.t ->
-  dst:Node.t ->
-  ?cls:Stats.cls ->
-  size:int ->
-  (unit -> unit) ->
-  unit
-(** [send t ~src ~dst ~size deliver] accounts and transports one message of
-    [size] payload bytes, then runs [deliver] at the arrival instant.
-    [deliver] runs as a raw event and must not block; have it fill an ivar
-    or send on a channel. Never blocks the caller. [cls] defaults to
-    [Control]. *)
-
 val send_with :
   t ->
   src:Node.t ->
@@ -113,11 +99,14 @@ val send_with :
   ('a -> unit) ->
   'a ->
   unit
-(** [send_with t ~src ~dst ~size g x] is [send t ~src ~dst ~size (fun () ->
-    g x)] without the closure: the delivery event carries [g] and [x]
-    (see {!Sim.Engine.schedule_with}). A duplicated message runs [g x]
-    twice; a delivery that must absorb the duplicate keeps its own flag
-    in [x]. *)
+(** [send_with t ~src ~dst ~size g x] accounts and transports one
+    message of [size] payload bytes, then runs [g x] at the arrival
+    instant. The delivery event carries [g] and [x], so no closure is
+    built (see {!Sim.Engine.schedule_with}). [g] runs as a raw event and
+    must not block; have it fill an ivar or send on a channel. Never
+    blocks the caller. [cls] defaults to [Control]. A duplicated message
+    runs [g x] twice; a delivery that must absorb the duplicate keeps its
+    own flag in [x]. *)
 
 val send_with_n :
   t ->
@@ -135,9 +124,9 @@ val send_with_n :
 
 val transfer :
   t -> src:Node.t -> dst:Node.t -> ?cls:Stats.cls -> size:int -> unit -> unit
-(** Blocking variant of {!send}: returns when the message has arrived.
+(** Blocking variant of {!send_with}: returns when the message has arrived.
     It sleeps to the delivery instant and yields once, which orders it
-    against every other event exactly as a {!send} whose callback fills
+    against every other event exactly as a {!send_with} whose callback fills
     an ivar the caller awaits, without the ivar. Duplicate-safe under
     fault injection; if the message is {e dropped} the caller blocks
     forever, so fault-injected code should wrap transfers in a timeout

@@ -32,9 +32,6 @@ let same_machine a b =
   let root n = match n.attached_to with Some h -> h.id | None -> n.id in
   root a = root b
 
-let pp fmt t =
-  Format.fprintf fmt "%s(%s#%d)" t.name (kind_to_string t.kind) t.id
-
 let make ~id ~name ~kind ~attached_to =
   {
     id;

@@ -19,7 +19,7 @@ type instruments = private {
   i_fault_local_ignored : Obs.Metrics.counter;
 }
 (** The node's fabric metrics ([net.tx_msgs], [net.tx_bytes],
-    [net.fault_*]), interned once at node creation so {!Fabric.send} does
+    [net.fault_*]), interned once at node creation so {!Fabric.send_with} does
     no registry lookups on the hot path. *)
 
 type t = private {
@@ -40,8 +40,6 @@ val kind_to_string : kind -> string
 val same_machine : t -> t -> bool
 (** True when the two nodes share a physical machine: equal, or one is the
     SmartNIC of the other. *)
-
-val pp : Format.formatter -> t -> unit
 
 (**/**)
 

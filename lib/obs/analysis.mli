@@ -16,8 +16,6 @@ type category = Ctrl | Fabric | Queue | Device | Client | Idle
 val categories : category list
 (** All categories, in the fixed presentation/CSV order. *)
 
-val category_name : category -> string
-
 val category_of_span : Span.t -> category
 (** {!Span.layer} of the span's name, folded into a category: [Ctrl] and
     [Copy] are ctrl; [Gpu], [Nvme] and [Adaptor] are device. *)

@@ -241,8 +241,6 @@ let load dir =
         a_spans = parse_spans (lines spans_file);
       }
 
-let meta t k = List.assoc_opt k t.a_meta
-
 let timeline ?buckets t = Timeline.build ?buckets t.a_spans
 
 (* ------------------------------------------------------------------ *)

@@ -8,17 +8,6 @@
     line-oriented text this repo already emits elsewhere, so loading
     needs no external parsers. *)
 
-val meta_file : string
-val metrics_file : string
-val hist_file : string
-val breakdown_file : string
-val spans_file : string
-val journal_file : string
-val timeline_file : string
-
-val spans_csv_header : string
-(** [name,node,start_ns,end_ns,q_ns] *)
-
 val save : dir:string -> meta:(string * string) list -> unit -> unit
 (** Snapshot the live registries (metrics, histograms, spans, journal,
     breakdown, timeline) into [dir], creating it if needed. Must run
@@ -50,9 +39,6 @@ type t = {
 val load : string -> (t, string) result
 (** Missing member files load as empty; a directory without [meta.txt]
     is rejected as not an artifact set. *)
-
-val meta : t -> string -> string option
-val timeline : ?buckets:int -> t -> Timeline.t
 
 val pp : Format.formatter -> t -> unit
 (** The [fractos analyze DIR] view: meta, breakdown shares, journal

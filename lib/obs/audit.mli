@@ -21,7 +21,6 @@ type kind =
   | Monitor_receive  (** monitor receive armed *)
   | Stale_reject  (** access denied: address minted in an older epoch *)
 
-val kinds : kind list
 val kind_name : kind -> string
 
 type event = {

@@ -60,9 +60,6 @@ let record_lazy ~node ~sev ~kind ~detail () =
         j_trace = Sim.Engine.get_ctx ();
       }
 
-let record ~node ~sev ~kind ?(detail = "") () =
-  record_lazy ~node ~sev ~kind ~detail:(fun () -> detail) ()
-
 let events () = Ring.events ring
 let count () = Ring.count ring
 let recorded () = Ring.recorded ring

@@ -39,10 +39,6 @@ val set_capacity : int -> unit
 
 val reset : unit -> unit
 
-val record :
-  node:string -> sev:severity -> kind:string -> ?detail:string -> unit -> unit
-(** Append one event (no-op when disabled). Must run inside an engine. *)
-
 val record_lazy :
   node:string ->
   sev:severity ->
@@ -50,8 +46,9 @@ val record_lazy :
   detail:(unit -> string) ->
   unit ->
   unit
-(** Like {!record} but builds the detail string only when it will actually
-    be stored — for hot paths where formatting dominates. *)
+(** Append one event (no-op when disabled). The detail string is built
+    only when it will actually be stored — for hot paths where formatting
+    dominates. Must run inside an engine. *)
 
 val events : unit -> event list
 (** Retained events, oldest first. *)
@@ -70,8 +67,6 @@ val overflowed_by_severity : severity -> int
 val summary : unit -> (string * int) list
 (** Cumulative per-kind counts since reset (overflow does not decrement),
     sorted by kind. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val dump : Format.formatter -> unit -> unit
 (** Post-mortem listing: overflow header plus every retained

@@ -33,11 +33,7 @@ val of_file : string -> (t, string) result
 val member : string -> t -> t option
 val to_list : t -> t list option
 val to_float : t -> float option
-val to_string : t -> string option
 val to_bool : t -> bool option
-
-val path : string list -> t -> t option
-(** Follow a chain of object keys. *)
 
 val number_at : string list -> t -> float option
 val string_at : string list -> t -> string option

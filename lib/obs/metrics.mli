@@ -83,7 +83,6 @@ type histogram_snapshot = {
           increasing bound order (not cumulative). *)
 }
 
-val snapshot_histogram : histogram -> histogram_snapshot
 val histograms_list : unit -> (string * string * histogram_snapshot) list
 
 val pp : Format.formatter -> unit -> unit

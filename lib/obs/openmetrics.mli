@@ -13,12 +13,6 @@
     (["le<bound>:t<id>" ...] joined by [';'], from {!Sampler.exemplars};
     empty when tail sampling is off). *)
 
-val sanitize : string -> string
-(** Replace every character outside [[A-Za-z0-9_]] with ['_']. *)
-
-val metric : string -> string
-(** ["fractos_" ^ sanitize name]. *)
-
 val escape_label : string -> string
 (** Escape a label {e value} per the OpenMetrics exposition format:
     backslash, double-quote, and newline become two-character escape

@@ -52,7 +52,6 @@ let reason_rank = function
   | Kept_slow -> 2
   | Kept_head -> 3
 
-let enabled () = st.sm_enabled
 let set_enabled b = st.sm_enabled <- b
 
 let configure ?threshold ?keep () =
@@ -60,8 +59,6 @@ let configure ?threshold ?keep () =
   Option.iter
     (fun k -> st.sm_keep_frac <- Float.min 1.0 (Float.max 0.0 k))
     keep
-
-let threshold () = st.sm_threshold_ns
 
 let reset () =
   st.sm_acc <- 0.0;

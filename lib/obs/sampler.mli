@@ -31,7 +31,6 @@ type reason =
 
 val reason_name : reason -> string
 
-val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val configure : ?threshold:Sim.Time.t -> ?keep:float -> unit -> unit
@@ -39,7 +38,6 @@ val configure : ?threshold:Sim.Time.t -> ?keep:float -> unit -> unit
     [keep] (default 0.01), clamped to [[0, 1]]: fraction of healthy
     traces retained. *)
 
-val threshold : unit -> Sim.Time.t
 val reset : unit -> unit
 (** Clear retained set, exemplars, counters, and the rate accumulator
     (configuration is kept). *)

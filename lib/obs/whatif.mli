@@ -39,9 +39,6 @@ val profile :
     then one measurement per component x factor. [measure] must re-run
     the same seed-deterministic scenario each time. *)
 
-val pct_gain : base:float -> float -> float
-val pct_drop : base:float -> float -> float
-
 val pp : Format.formatter -> t -> unit
 
 val csv_header : string

@@ -320,51 +320,6 @@ let handle_write t svc d =
   | _, _ :: _ :: errs -> Svc.resolve svc errs (Error malformed)
   | _ -> Logs.warn (fun m -> m "fs.write: malformed arguments")
 
-(* Unlink: drop the file, its open handles, and its cache windows, and
-   revoke the underlying volume Requests — outstanding FS and DAX handles
-   all die through the capability system. *)
-let handle_delete t svc d =
-  match d.State.d_imms with
-  | [ name ] -> (
-    let name = Args.to_string name in
-    match Hashtbl.find_opt t.files name with
-    | None -> Svc.fail svc d Error.Invalid_cap
-    | Some file ->
-      Hashtbl.remove t.files name;
-      Hashtbl.remove t.windows name;
-      let doomed =
-        Hashtbl.fold
-          (fun fid f acc -> if f == file then fid :: acc else acc)
-          t.opens []
-      in
-      List.iter (fun fid -> Hashtbl.remove t.opens fid) doomed;
-      Array.iter
-        (fun vol ->
-          (match Api.cap_revoke (Svc.proc svc) vol.Blockdev.read_req with
-          | Ok () | Error _ -> ());
-          match Api.cap_revoke (Svc.proc svc) vol.Blockdev.write_req with
-          | Ok () | Error _ -> ())
-        file.f_extents;
-      Svc.reply svc d ())
-  | _ -> Svc.fail svc d malformed
-
-let handle_list t svc d =
-  let names =
-    Hashtbl.fold (fun name _ acc -> name :: acc) t.files []
-    |> List.sort compare
-  in
-  Svc.reply svc d
-    ~imms:(Args.of_int (List.length names) :: List.map Args.of_string names)
-    ()
-
-let handle_stat t svc d =
-  match d.State.d_imms with
-  | [ name ] -> (
-    match Hashtbl.find_opt t.files (Args.to_string name) with
-    | None -> Svc.fail svc d Error.Invalid_cap
-    | Some file -> Svc.reply svc d ~imms:[ Args.of_int file.f_size ] ())
-  | _ -> Svc.fail svc d malformed
-
 (* ------------------------------------------------------------------ *)
 (* Lifecycle and client wrappers                                       *)
 (* ------------------------------------------------------------------ *)
@@ -394,16 +349,12 @@ let start proc ~create_vol ?(extent_size = 1 lsl 20) ?(cache = false) () =
         match Args.to_string op with
         | "create" -> handle_create t svc d'
         | "open" -> handle_open t svc d'
-        | "delete" -> handle_delete t svc d'
-        | "list" -> handle_list t svc d'
-        | "stat" -> handle_stat t svc d'
         | _ -> Svc.fail svc d malformed)
       | [] -> Svc.fail svc d malformed);
   Svc.handle fsvc ~tag:"fs.read" (handle_read t);
   Svc.handle fsvc ~tag:"fs.write" (handle_write t);
   t
 
-let svc t = t.fsvc
 let base_request t = t.base
 let cache_hits t = t.hits
 
@@ -412,31 +363,6 @@ let create svc ~fs ~name ~size =
     (Svc.call svc ~svc:fs
        ~imms:[ Args.of_string "create"; Args.of_string name; Args.of_int size ]
        ())
-
-let delete svc ~fs ~name =
-  Result.map ignore
-    (Svc.call svc ~svc:fs
-       ~imms:[ Args.of_string "delete"; Args.of_string name ]
-       ())
-
-let list svc ~fs =
-  match Svc.call svc ~svc:fs ~imms:[ Args.of_string "list" ] () with
-  | Error _ as e -> e
-  | Ok d -> (
-    match Svc.payload_imms d with
-    | count :: names when Svc.ints [ count ] = Some [| List.length names |] ->
-      Ok (List.map Args.to_string names)
-    | _ -> Error (Error.Bad_argument "fs.list: malformed reply"))
-
-let stat svc ~fs ~name =
-  match
-    Svc.call svc ~svc:fs ~imms:[ Args.of_string "stat"; Args.of_string name ] ()
-  with
-  | Error _ as e -> e
-  | Ok d -> (
-    match Svc.ints (Svc.payload_imms d) with
-    | Some [| size |] -> Ok size
-    | _ -> Error (Error.Bad_argument "fs.stat: malformed reply"))
 
 let open_ svc ~fs ~name mode =
   match

@@ -36,8 +36,6 @@ val start :
 val cache_hits : t -> int
 (** Reads served from the FS cache (diagnostics). *)
 
-val svc : t -> Svc.t
-
 val base_request : t -> Core.Api.cid
 (** The FS root Request ([fs] RPCs), for bootstrap/registry. *)
 
@@ -57,21 +55,6 @@ type handle = {
 val create :
   Svc.t -> fs:Core.Api.cid -> name:string -> size:int ->
   (unit, Core.Error.t) result
-
-val delete :
-  Svc.t -> fs:Core.Api.cid -> name:string -> (unit, Core.Error.t) result
-(** Remove a file: its per-open mediation Requests and the underlying
-    volume Requests are revoked, so FS handles and outstanding DAX handles
-    all die with it (immediate selective revocation doing the unlink
-    semantics). *)
-
-val list :
-  Svc.t -> fs:Core.Api.cid -> (string list, Core.Error.t) result
-(** Names of all files, sorted. *)
-
-val stat :
-  Svc.t -> fs:Core.Api.cid -> name:string -> (int, Core.Error.t) result
-(** File size; [Error Invalid_cap] if absent. *)
 
 val open_ :
   Svc.t -> fs:Core.Api.cid -> name:string -> mode ->

@@ -23,12 +23,6 @@ type t
 
 val create : Core.Process.t -> t
 
-val take : t -> int -> (slot, Core.Error.t) result
-(** Check out a registered RW staging buffer of exactly the given size. *)
-
-val put : t -> slot -> unit
-(** Return a slot to the pool. *)
-
 val with_slot :
   t -> int -> (slot -> ('a, Core.Error.t) result) -> ('a, Core.Error.t) result
 (** [with_slot t size f] checks out, runs [f], and returns the slot even on

@@ -43,8 +43,6 @@ let float t bound =
   let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int bits /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 (* The bytes that successive [Char.chr (int t 256)] draws would give
    (the low 8 bits of each masked draw), with the state in a local:
    boxing it per byte made building the 64 MiB face database take about

@@ -31,8 +31,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val fill_sub : t -> Bytes.t -> off:int -> len:int -> unit
 (** [fill_sub t b ~off ~len] fills bytes [off .. off+len-1] of [b] as
     {!fill_bytes} fills a buffer of [len] bytes, leaving the rest of [b]

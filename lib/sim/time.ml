@@ -1,6 +1,5 @@
 type t = int
 
-let ns x = x
 let us x = x * 1_000
 let ms x = x * 1_000_000
 let s x = x * 1_000_000_000

@@ -8,9 +8,6 @@
 type t = int
 (** A point in (or duration of) simulated time, in nanoseconds. *)
 
-val ns : int -> t
-(** [ns x] is [x] nanoseconds. *)
-
 val us : int -> t
 (** [us x] is [x] microseconds. *)
 
@@ -29,8 +26,5 @@ val to_ms_f : t -> float
 val to_s_f : t -> float
 (** [to_s_f t] is [t] expressed in (fractional) seconds. *)
 
-val pp : Format.formatter -> t -> unit
-(** Pretty-print a time with an adaptive unit (ns, us, ms or s). *)
-
 val to_string : t -> string
-(** [to_string t] is [Fmt.str "%a" pp t]. *)
+(** [to_string t] prints [t] with an adaptive unit (ns, us, ms or s). *)

@@ -25,11 +25,9 @@ module Tb = Fractos_testbed.Testbed
 module Svc = Services.Svc
 module Router = Services.Router
 
-(* Router policy and affinity slack: both pools pick the least-loaded
-   live instance, and decode placement's zero-copy preference yields to
-   the least-loaded instance once it is backed up by more than
-   [router_slack] requests. *)
-let policy = Router.Least_loaded
+(* Router slack: both pools pick the least-loaded live instance, and
+   decode placement's zero-copy preference yields to the least-loaded
+   instance once it is backed up by more than [router_slack] requests. *)
 let router_slack = 4
 
 (* Compute model of one instance's GPU engine: the prompt pass costs
@@ -177,7 +175,7 @@ let deploy_generic tb ~split ~prefill ~decode =
   let prefill_arr = mk (if split then "prefill" else "unified") prefill in
   let decode_arr = if split then mk "decode" decode else [||] in
   let router arr =
-    Router.create ~policy ~slack:router_slack ~seed:Core.Shard.seed
+    Router.create ~slack:router_slack
       ~backlog:(fun i -> arr.(i).i_backlog)
       (Array.length arr)
   in
@@ -269,11 +267,11 @@ let probe_and_mark client ~timeout ~prefill ~decode =
 
 let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v
 
-let request client ?(prefix = 0) ~prompt_len ~kv_len ~iters ~timeout () =
+let request client ?prefix:_ ~prompt_len ~kv_len ~iters ~timeout () =
   let pool = client.c_pool in
   let svc = client.c_svc in
   let proc = Svc.proc svc in
-  match Router.pick pool.p_prefill_router ~key:prefix with
+  match Router.pick pool.p_prefill_router with
   | None -> Error Core.Error.Provider_dead
   | Some p ->
       let d =

@@ -8,7 +8,7 @@
     the bytes never touch the client) and streams decode iterations,
     firing a first-token continuation (TTFT) and a completion
     continuation back at the client. Instance selection goes through
-    {!Fractos_services.Router} under {!policy}; decode placement
+    {!Fractos_services.Router} (least-loaded); decode placement
     minimizes projected KV bytes moved
     ({!Fractos_services.Router.pick_min_cost}).
 
@@ -21,9 +21,6 @@ module Sim = Fractos_sim
 module Core = Fractos_core
 module Services = Fractos_services
 module Tb = Fractos_testbed.Testbed
-
-val policy : Services.Router.policy
-(** The policy both pools route by: [Least_loaded]. *)
 
 type t
 (** A deployed pool: prefill + decode instance arrays (or a unified
@@ -38,8 +35,7 @@ val deploy :
 (** Stand up a disaggregated pool: one prefill instance per [prefill]
     setup and one decode instance per [decode] setup (a Process + Svc +
     service-root Request + single-server GPU engine each). The routers
-    use {!policy}, an affinity slack of 4 and the
-    {!Fractos_core.Shard.seed} prefix-hash seed. Raises
+    pick the least-loaded instance, with a placement slack of 4. Raises
     [Invalid_argument] on an empty role. *)
 
 val deploy_unified :
@@ -54,10 +50,6 @@ val deploy_unified :
 
 val prefill_instances : t -> int
 val decode_instances : t -> int
-
-val mark_decode_dead : t -> int -> unit
-(** Exclude a decode instance from routing (chaos harness hook; the
-    client's own probe path does this automatically on typed errors). *)
 
 type client
 (** A client's view of a pool: granted capabilities to every instance
@@ -85,9 +77,9 @@ val request :
   unit ->
   (outcome, Core.Error.t) result
 (** One end-to-end inference: route ([prefix] is the prompt-prefix hash
-    a cache-aware policy would key on; {!policy} ignores it), build the
-    continuation ring back to front (first/done continuations -> decode
-    request -> prefill request), invoke with a timed posting, and await
+    a cache-aware router would key on; least-loaded routing ignores it),
+    build the continuation ring back to front (first/done continuations
+    -> decode request -> prefill request), invoke with a timed posting, and await
     first token and completion with [timeout]-bounded waits. On any failure the chosen instances
     are probed and dead ones marked out of the routers, so the caller's
     retry re-routes; the error is always typed, never a hang. *)

@@ -301,9 +301,8 @@ let inference : deploy =
   {
     cluster = cl;
     detail =
-      Printf.sprintf ", %d prefill + %d decode instances, policy %s"
-        (Pd.prefill_instances pool) (Pd.decode_instances pool)
-        (S.Router.policy_to_string Pd.policy);
+      Printf.sprintf ", %d prefill + %d decode instances, policy least"
+        (Pd.prefill_instances pool) (Pd.decode_instances pool);
     client = (fun _ -> { request; refresh = ignore });
     summary =
       (fun () ->

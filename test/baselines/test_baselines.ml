@@ -183,7 +183,12 @@ let test_nfs_proxies_data () =
       let backing = B.Nvmeof.connect fab ~initiator:server ssd vol in
       let nfs = B.Nfs.mount fab ~client ~server ~backing in
       let data = Bytes.init 10_000 (fun i -> Char.chr ((i * 3) land 0xff)) in
-      (match B.Nfs.write nfs ~off:100 data with
+      (* the file's bytes are on the SSD, behind the server's NVMe-oF *)
+      (match
+         Dev.Nvme.write ssd vol ~off:100
+           ~src:(Core.Membuf.of_bytes ~node:target data)
+           ~src_off:0 ~len:(Bytes.length data)
+       with
       | Ok () -> ()
       | Error e -> Alcotest.fail e);
       let back = Result.get_ok (B.Nfs.read nfs ~off:100 ~len:10_000) in
@@ -355,20 +360,12 @@ let test_pipeline_stage_malformed_len () =
 (* ------------------------------------------------------------------ *)
 
 let test_faceverify_baseline_correct () =
-  with_fabric (fun fab ->
-      let frontend = Net.Fabric.add_node fab ~name:"frontend" Net.Node.Host_cpu in
-      let nfs_server = Net.Fabric.add_node fab ~name:"nfs" Net.Node.Host_cpu in
-      let target = Net.Fabric.add_node fab ~name:"target" Net.Node.Wimpy_cpu in
-      let gpu_node = Net.Fabric.add_node fab ~name:"gpu" Net.Node.Host_cpu in
-      let ssd = Dev.Nvme.create ~node:target ~config:cfg ~capacity:(1 lsl 26) in
-      let gpu = Dev.Gpu.create ~node:gpu_node ~config:cfg ~mem_bytes:(1 lsl 26) in
-      Dev.Gpu.load_kernel gpu Faceverify.kernel;
+  Engine.run (fun () ->
       let img_size = 1024 and n = 64 in
       let db = Facedata.db ~img_size ~n in
-      let fv =
+      let fv, fab =
         Result.get_ok
-          (B.Faceverify_baseline.setup ~fabric:fab ~frontend ~nfs_server ~ssd
-             ~gpu ~db ~img_size ~max_batch:16 ~depth:2)
+          (B.Faceverify_baseline.build ~db ~img_size ~max_batch:16 ~depth:2)
       in
       let batch = 8 and start_id = 4 in
       let probes =

@@ -19,10 +19,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
-let err =
-  Alcotest.testable
-    (fun fmt e -> Error.pp fmt e)
-    (fun a b -> Error.equal a b)
+let err = Alcotest.testable (Fmt.of_to_string Error.to_string) ( = )
 
 let result_t ok = Alcotest.result ok err
 let ok_exn = Error.ok_exn

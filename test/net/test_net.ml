@@ -13,6 +13,10 @@ let with_fabric f =
       let fab = Fabric.create () in
       f fab)
 
+(* A delivery callback with no argument, as most tests here want one. *)
+let send fab ~src ~dst ~size deliver =
+  Fabric.send_with fab ~src ~dst ~size deliver ()
+
 let three_nodes fab =
   let a = Fabric.add_node fab ~name:"a" Node.Host_cpu in
   let b = Fabric.add_node fab ~name:"b" Node.Host_cpu in
@@ -167,8 +171,8 @@ let test_tx_contention_serializes () =
         let a, b, c = three_nodes fab in
         let size = 125_000 (* 100 us at 10 Gbps *) in
         let t1 = ref 0 and t2 = ref 0 in
-        Fabric.send fab ~src:a ~dst:b ~size (fun () -> t1 := Engine.now ());
-        Fabric.send fab ~src:a ~dst:c ~size (fun () -> t2 := Engine.now ());
+        send fab ~src:a ~dst:b ~size (fun () -> t1 := Engine.now ());
+        send fab ~src:a ~dst:c ~size (fun () -> t2 := Engine.now ());
         Engine.sleep (Time.ms 10);
         (!t1, !t2))
   in
@@ -187,8 +191,8 @@ let test_rx_incast_contention () =
         let a, b, c = three_nodes fab in
         let size = 125_000 in
         let t1 = ref 0 and t2 = ref 0 in
-        Fabric.send fab ~src:a ~dst:c ~size (fun () -> t1 := Engine.now ());
-        Fabric.send fab ~src:b ~dst:c ~size (fun () -> t2 := Engine.now ());
+        send fab ~src:a ~dst:c ~size (fun () -> t1 := Engine.now ());
+        send fab ~src:b ~dst:c ~size (fun () -> t2 := Engine.now ());
         Engine.sleep (Time.ms 10);
         (!t1, !t2))
   in
@@ -200,7 +204,7 @@ let test_send_preserves_order_same_pair () =
         let a, b, _ = three_nodes fab in
         let log = ref [] in
         for i = 1 to 5 do
-          Fabric.send fab ~src:a ~dst:b ~size:100 (fun () ->
+          send fab ~src:a ~dst:b ~size:100 (fun () ->
               log := i :: !log)
         done;
         Engine.sleep (Time.ms 1);
@@ -303,7 +307,7 @@ let test_fault_drop () =
       Fabric.set_fault_hook fab
         (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Fabric.Drop));
       let arrived = ref false in
-      Fabric.send fab ~src:a ~dst:b ~size:64 (fun () -> arrived := true);
+      send fab ~src:a ~dst:b ~size:64 (fun () -> arrived := true);
       Engine.sleep (Time.ms 10);
       check_bool "dropped message never arrives" false !arrived)
 
@@ -314,7 +318,7 @@ let test_fault_delay () =
         Fabric.set_fault_hook fab
           (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> fault));
         let at = ref 0 in
-        Fabric.send fab ~src:a ~dst:b ~size:64 (fun () -> at := Engine.now ());
+        send fab ~src:a ~dst:b ~size:64 (fun () -> at := Engine.now ());
         Engine.sleep (Time.ms 10);
         !at)
   in
@@ -330,7 +334,7 @@ let test_fault_duplicate_delivers_twice () =
         Fabric.set_fault_hook fab
           (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Fabric.Duplicate));
         let n = ref 0 in
-        Fabric.send fab ~src:a ~dst:b ~size:64 (fun () -> incr n);
+        send fab ~src:a ~dst:b ~size:64 (fun () -> incr n);
         Engine.sleep (Time.ms 10);
         !n)
   in
@@ -344,7 +348,7 @@ let test_fault_hook_removable () =
           (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Fabric.Drop));
         Fabric.set_fault_hook fab None;
         let arrived = ref false in
-        Fabric.send fab ~src:a ~dst:b ~size:64 (fun () -> arrived := true);
+        send fab ~src:a ~dst:b ~size:64 (fun () -> arrived := true);
         Engine.sleep (Time.ms 10);
         !arrived)
   in
@@ -745,7 +749,7 @@ let test_dedup_window_edge () =
 (* The blocking transfer as a send whose callback fills an ivar. *)
 let ivar_transfer fab ~src ~dst ~size =
   let iv = Ivar.create () in
-  Fabric.send fab ~src ~dst ~size (fun () -> ignore (Ivar.try_fill iv ()));
+  send fab ~src ~dst ~size (fun () -> ignore (Ivar.try_fill iv ()));
   Ivar.await iv
 
 (* Three fibers run chains of blocking transfers and logged sends under
@@ -781,7 +785,7 @@ let transfer_log ~transfer ~faults ~ops =
                     Engine.schedule 0 (fun () -> note ("x" ^ tag))
                   end
                   else
-                    Fabric.send fab ~src ~dst ~size (fun () -> note ("d" ^ tag)))
+                    send fab ~src ~dst ~size (fun () -> note ("d" ^ tag)))
                 ops))
         ops;
       Engine.sleep (Time.ms 50);

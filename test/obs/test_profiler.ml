@@ -33,7 +33,7 @@ let test_json_parse () =
       check_bool "2.5" true (Obs.Json.to_float half = Some 2.5);
       check_bool "true" true (Obs.Json.to_bool t = Some true);
       check_bool "null" true (n = Obs.Json.Null);
-      check_bool "escapes" true (Obs.Json.to_string s = Some "xA\n")
+      check_bool "escapes" true (Obs.Json.string_at [] s = Some "xA\n")
     | _ -> Alcotest.fail "array shape");
     check_bool "path" true (Obs.Json.number_at [ "b"; "c" ] j = Some (-300.0));
     check_bool "missing path" true (Obs.Json.number_at [ "b"; "z" ] j = None);

@@ -121,7 +121,8 @@ let run ops =
       List.iteri
         (fun i -> function
           | Record (s, k) ->
-            J.record ~node:"n" ~sev:sevs.(s) ~kind:(jkind k) ();
+            J.record_lazy ~node:"n" ~sev:sevs.(s) ~kind:(jkind k)
+              ~detail:(fun () -> "") ();
             A.record ~node:"n" ~kind:audit_kinds.(k) ~ctrl:0 ~epoch:0 ~oid:i
               ()
           | Set_capacity n ->

@@ -35,9 +35,9 @@ let test_journal_ring_overflow () =
         let sev =
           if i mod 2 = 0 then Obs.Journal.Warn else Obs.Journal.Debug
         in
-        Obs.Journal.record ~node:"n" ~sev
+        Obs.Journal.record_lazy ~node:"n" ~sev
           ~kind:(if i <= 3 then "a" else "b")
-          ~detail:(string_of_int i) ()
+          ~detail:(fun () -> string_of_int i) ()
       done;
       check_int "retained" 4 (Obs.Journal.count ());
       check_int "recorded" 7 (Obs.Journal.recorded ());

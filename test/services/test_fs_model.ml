@@ -1,7 +1,7 @@
 (* Model-based tests for the file system: random operation sequences are
    replayed against the FS service (plain and cached) and checked
-   against a plain Bytes.t reference model. Plus tests for the newer FS operations
-   (delete / list / stat / cache behaviour). *)
+   against a plain Bytes.t reference model. Plus tests for the FS read
+   cache. *)
 
 open Fractos_sim
 module Net = Fractos_net
@@ -14,7 +14,6 @@ open Core
 (* every byte of [b]; an unwritten buffer reads as zeros *)
 let contents b = Membuf.read b ~off:0 ~len:(Membuf.size b)
 
-let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let ok_exn = Error.ok_exn
 let file_size = 40_000
@@ -91,51 +90,8 @@ let prop config_name ~cache =
     (replay ~cache)
 
 (* ------------------------------------------------------------------ *)
-(* Directed tests for the newer FS operations                          *)
+(* Directed tests for the FS read cache                                *)
 (* ------------------------------------------------------------------ *)
-
-let test_fs_list_stat_delete () =
-  Tb.run (fun tb ->
-      let c = Cluster.make tb in
-      let app = c.Cluster.app in
-      let fs = c.Cluster.fs_cap in
-      check_bool "empty" true (ok_exn (Fs.list app ~fs) = []);
-      ok_exn (Fs.create app ~fs ~name:"b" ~size:1000);
-      ok_exn (Fs.create app ~fs ~name:"a" ~size:2000);
-      Alcotest.(check (list string)) "sorted" [ "a"; "b" ] (ok_exn (Fs.list app ~fs));
-      check_int "stat a" 2000 (ok_exn (Fs.stat app ~fs ~name:"a"));
-      (match Fs.stat app ~fs ~name:"zzz" with
-      | Error Error.Invalid_cap -> ()
-      | _ -> Alcotest.fail "stat of missing file");
-      ok_exn (Fs.delete app ~fs ~name:"a");
-      Alcotest.(check (list string)) "after delete" [ "b" ] (ok_exn (Fs.list app ~fs));
-      match Fs.delete app ~fs ~name:"a" with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "double delete succeeded")
-
-let test_fs_delete_kills_dax () =
-  Tb.run (fun tb ->
-      let c = Cluster.make tb in
-      let app = c.Cluster.app in
-      let proc = Svc.proc app in
-      let fs = c.Cluster.fs_cap in
-      ok_exn (Fs.create app ~fs ~name:"f" ~size:4096);
-      let dax = ok_exn (Fs.open_ app ~fs ~name:"f" Fs.Dax_ro) in
-      ok_exn (Fs.delete app ~fs ~name:"f");
-      Engine.sleep (Time.ms 2);
-      let dst = ok_exn (Api.memory_create proc (Process.alloc proc 64) Perms.rw) in
-      match
-        Api.request_derive proc dax.Fs.h_dax_read.(0)
-          ~imms:(Blockdev.read_args ~off:0 ~len:64)
-          ~caps:[ dst ] ()
-      with
-      | Error (Error.Revoked | Error.Invalid_cap) -> ()
-      | Error e -> Alcotest.failf "unexpected: %s" (Error.to_string e)
-      | Ok r -> (
-        match Api.request_invoke proc r with
-        | Error (Error.Revoked | Error.Invalid_cap) -> ()
-        | Error e -> Alcotest.failf "unexpected: %s" (Error.to_string e)
-        | Ok () -> Alcotest.fail "DAX handle survived delete"))
 
 let test_fs_cache_hits_and_latency () =
   Tb.run (fun tb ->
@@ -202,9 +158,6 @@ let () =
         ] );
       ( "fs-ops",
         [
-          Alcotest.test_case "list/stat/delete" `Quick test_fs_list_stat_delete;
-          Alcotest.test_case "delete kills dax handles" `Quick
-            test_fs_delete_kills_dax;
           Alcotest.test_case "cache hits + latency" `Quick
             test_fs_cache_hits_and_latency;
           Alcotest.test_case "cache coherent after write" `Quick

@@ -1,4 +1,4 @@
-(* Router policy properties (pure, qcheck) and the PD disaggregated
+(* Router properties (pure, qcheck) and the PD disaggregated
    inference workload end to end: prefill -> KV handoff via third-party
    copy -> decode streaming, unified baseline, and crash re-routing. *)
 
@@ -16,28 +16,15 @@ let qtest t = QCheck_alcotest.to_alcotest t
 
 (* ---------- qcheck generators ---------- *)
 
-(* A pool size and a non-empty live subset of it. *)
-let gen_live =
+(* A pool size, a non-empty live subset of it and a backlog each. *)
+let gen_backlogs =
   QCheck.Gen.(
     int_range 1 9 >>= fun n ->
     list_repeat n bool >>= fun flags ->
     let flags = Array.of_list flags in
     (* force at least one live slot deterministically *)
-    int_range 0 (n - 1) >|= fun keep ->
+    int_range 0 (n - 1) >>= fun keep ->
     flags.(keep) <- true;
-    (n, flags))
-
-let arb_live =
-  QCheck.make
-    ~print:(fun (n, flags) ->
-      Printf.sprintf "n=%d live=%s" n
-        (String.concat ""
-           (List.map (fun b -> if b then "1" else "0") (Array.to_list flags))))
-    gen_live
-
-let gen_backlogs =
-  QCheck.Gen.(
-    gen_live >>= fun (n, flags) ->
     list_repeat n (int_range 0 20) >|= fun bl -> (n, flags, Array.of_list bl))
 
 let arb_backlogs =
@@ -49,43 +36,14 @@ let arb_backlogs =
         (String.concat ";" (List.map string_of_int (Array.to_list bl))))
     gen_backlogs
 
-let live_count flags =
-  Array.fold_left (fun n l -> if l then n + 1 else n) 0 flags
-
-let router ?slack ?seed ~policy ?(backlog = fun _ -> 0) (n, flags) =
-  let r = Router.create ?slack ?seed ~policy ~backlog n in
-  Array.iteri (fun i live -> if not live then Router.mark_dead r i) flags;
-  r
-
-(* Round-robin is fair over the live set: across live_count * k picks,
-   every live instance is chosen exactly k times and no dead instance is
-   ever chosen. *)
-let prop_rr_fair =
-  QCheck.Test.make ~name:"round-robin fair over live set" ~count:200 arb_live
-    (fun (n, flags) ->
-      let r = router ~policy:Router.Round_robin (n, flags) in
-      let live = live_count flags in
-      let k = 3 in
-      let counts = Array.make n 0 in
-      for _ = 1 to live * k do
-        match Router.pick r ~key:0 with
-        | None -> QCheck.Test.fail_report "no pick despite live instances"
-        | Some i -> counts.(i) <- counts.(i) + 1
-      done;
-      Array.for_all2
-        (fun c l -> if l then c = k else c = 0)
-        counts flags)
-
 (* Least-loaded never picks an instance strictly more backlogged than
    some other live instance. *)
 let prop_least_loaded =
   QCheck.Test.make ~name:"least-loaded picks a minimum" ~count:200
     arb_backlogs (fun (n, flags, bl) ->
-      let r =
-        router ~policy:Router.Least_loaded ~backlog:(fun i -> bl.(i))
-          (n, flags)
-      in
-      match Router.pick r ~key:0 with
+      let r = Router.create ~slack:0 ~backlog:(fun i -> bl.(i)) n in
+      Array.iteri (fun i live -> if not live then Router.mark_dead r i) flags;
+      match Router.pick r with
       | None -> false
       | Some i ->
           flags.(i)
@@ -93,90 +51,34 @@ let prop_least_loaded =
                (fun b l -> (not l) || bl.(i) <= b)
                bl flags)
 
-(* Cache-aware routing is a deterministic function of (key, live set):
-   two routers with the same view agree on every key; a key asks the same
-   instance every time; and when the chosen instance dies, only keys that
-   mapped to it move (they re-stabilize on a deterministic survivor while
-   everyone else's affinity is untouched). *)
-let prop_cache_deterministic =
-  QCheck.Test.make ~name:"cache-aware deterministic + re-stabilizes"
-    ~count:200
-    QCheck.(pair arb_live small_nat)
-    (fun ((n, flags), key) ->
-      let r1 = router ~policy:Router.Cache_aware (n, flags) in
-      let r2 = router ~policy:Router.Cache_aware (n, flags) in
-      let p1 = Router.pick r1 ~key in
-      let agree = p1 = Router.pick r2 ~key && p1 = Router.pick r1 ~key in
-      match p1 with
-      | None -> false
-      | Some chosen ->
-          agree
-          &&
-          if live_count flags = 1 then true
-          else begin
-            (* crash the chosen instance: this key must deterministically
-               re-route (both routers agree), other keys keep their map *)
-            let others =
-              List.filter_map
-                (fun k ->
-                  if k = key then None
-                  else
-                    match Router.pick r1 ~key:k with
-                    | Some i when i <> chosen -> Some (k, i)
-                    | _ -> None)
-                (List.init 32 (fun i -> key + i))
-            in
-            Router.mark_dead r1 chosen;
-            Router.mark_dead r2 chosen;
-            (match Router.pick r1 ~key with
-            | None -> false
-            | Some moved ->
-                moved <> chosen
-                && Router.pick r2 ~key = Some moved
-                && List.for_all
-                     (fun (k, i) -> Router.pick r1 ~key:k = Some i)
-                     others)
-          end)
-
-(* The slack escape hatch: with slack = 0 affinity always wins; with a
-   finite slack, a sufficiently backlogged affine choice loses to the
-   least-loaded instance. *)
+(* The slack escape hatch, both branches: at slack 0 the zero-cost
+   instance wins however backed up it is; at slack 3 it wins while it is
+   backed up by at most 3 over the least-loaded instance, and loses once
+   it is backed up past that. *)
 let test_slack_fallback () =
-  let bl = [| 0; 100 |] in
-  let affine_of r = Option.get (Router.pick r ~key:42) in
-  let r0 =
-    Router.create ~slack:0 ~policy:Router.Cache_aware
-      ~backlog:(fun i -> bl.(i))
-      2
-  in
-  let affine = affine_of r0 in
-  bl.(affine) <- 100;
-  bl.(1 - affine) <- 0;
-  check_int "slack=0 honors affinity" affine (affine_of r0);
-  let r3 =
-    Router.create ~slack:3 ~policy:Router.Cache_aware
-      ~backlog:(fun i -> bl.(i))
-      2
-  in
-  check_int "backed-up affine falls back" (1 - affine) (affine_of r3)
+  let bl = [| 100; 0 |] in
+  let cost i = if i = 0 then 0 else 4096 in
+  let r0 = Router.create ~slack:0 ~backlog:(fun i -> bl.(i)) 2 in
+  check_bool "slack=0 honors the zero-cost instance" true
+    (Router.pick_min_cost r0 ~cost = Some 0);
+  let r3 = Router.create ~slack:3 ~backlog:(fun i -> bl.(i)) 2 in
+  bl.(0) <- 3;
+  check_bool "within the slack it still wins" true
+    (Router.pick_min_cost r3 ~cost = Some 0);
+  bl.(0) <- 4;
+  check_bool "past the slack it loses" true
+    (Router.pick_min_cost r3 ~cost = Some 1)
 
-(* Placement scorer: zero-cost instance wins over a less-loaded remote
-   one within slack; past the slack it loses. *)
+(* Placement scorer: the zero-cost instance wins over a less-loaded
+   remote one, which plain least-loaded routing would pick. *)
 let test_placement_scorer () =
   let bl = [| 2; 0 |] in
   let cost i = if i = 0 then 0 else 4096 in
-  let r =
-    Router.create ~slack:3 ~policy:Router.Least_loaded
-      ~backlog:(fun i -> bl.(i))
-      2
-  in
+  let r = Router.create ~slack:3 ~backlog:(fun i -> bl.(i)) 2 in
   check_bool "co-located wins within slack" true
     (Router.pick_min_cost r ~cost = Some 0);
-  bl.(0) <- 10;
-  check_bool "drowning co-located loses" true
-    (Router.pick_min_cost r ~cost = Some 1);
-  check_bool "without scorer falls back to policy" true
-    (Router.pick r ~key:0 = Some 1)
+  check_bool "without scorer picks the least loaded" true
+    (Router.pick r = Some 1)
 
 (* ---------- PD workload end to end ---------- *)
 
@@ -288,9 +190,7 @@ let () =
     [
       ( "policies",
         [
-          qtest prop_rr_fair;
           qtest prop_least_loaded;
-          qtest prop_cache_deterministic;
           Alcotest.test_case "affinity slack" `Quick test_slack_fallback;
           Alcotest.test_case "placement scorer" `Quick test_placement_scorer;
         ] );
