@@ -21,12 +21,15 @@
 #    trace with one root `request` span per request;
 # 8. `fractos run -n 2 --workload W --trace-json` must write the trace
 #    committed in bench/baselines/trace_W.json byte for byte, for W in
-#    pd, xshard and copy.
+#    pd, xshard and copy;
+# 9. `fractos run --metrics` and the metrics files of `run --artifacts`
+#    must print byte for byte as committed in bench/baselines/metrics.txt.
 set -eu
 
 fractos=$1
 bench=$2
 run_golden=$(dirname "$0")/../bench/baselines/run.txt
+metrics_golden=$(dirname "$0")/../bench/baselines/metrics.txt
 baselines=$(dirname "$0")/../bench/baselines
 
 tmp=$(mktemp -d /tmp/fractos-smoke.XXXXXX)
@@ -161,5 +164,26 @@ for wl in pd xshard copy; do
     exit 1
   fi
 done
+
+# The metrics golden: every live instrument of a run, its sharing
+# between the owners on one node and its value, as the text dump and
+# the artifact exporters print them. Regenerated like run.txt.
+echo "== smoke: fractos run metrics golden (bench/baselines/metrics.txt)"
+{
+  for args in "-n 8" "-n 4 --workload pd" "-n 4 --workload xshard"; do
+    echo "== fractos run $args --metrics"
+    # shellcheck disable=SC2086 # $args is a word list on purpose
+    "$fractos" run $args --metrics
+  done
+  "$fractos" run -n 4 --workload xshard --artifacts "$tmp/art" >/dev/null
+  for f in openmetrics.txt hist.csv; do
+    echo "== fractos run -n 4 --workload xshard --artifacts: $f"
+    cat "$tmp/art/$f"
+  done
+} > "$tmp/metrics-golden.txt"
+if ! cmp "$tmp/metrics-golden.txt" "$metrics_golden"; then
+  diff "$tmp/metrics-golden.txt" "$metrics_golden" | head -40
+  exit 1
+fi
 
 echo "== smoke OK"
