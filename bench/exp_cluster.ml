@@ -55,21 +55,25 @@ type point = {
   pt_elapsed_us : float; (* slowest shard's elapsed *)
 }
 
+(* [shards] hosts, each with a controller, a server and a client, in
+   one sharded capability space: the servers and the clients. *)
+let topology tb ~shards =
+  let hosts =
+    List.init shards (fun i -> Tb.add_host tb (Printf.sprintf "host%d" i))
+  in
+  let ctrls = List.map (fun h -> Tb.add_ctrl tb ~on:h) hosts in
+  let servers =
+    List.map2 (fun h c -> Tb.add_proc tb ~on:h ~ctrl:c "server") hosts ctrls
+  in
+  let clients =
+    List.map2 (fun h c -> Tb.add_proc tb ~on:h ~ctrl:c "client") hosts ctrls
+  in
+  Tb.shard_all tb;
+  (servers, clients)
+
 let saturation_point ~shards ~rate ~n =
   Tb.run ~config:cluster_config (fun tb ->
-      let hosts =
-        List.init shards (fun i -> Tb.add_host tb (Printf.sprintf "host%d" i))
-      in
-      let ctrls = List.map (fun h -> Tb.add_ctrl tb ~on:h) hosts in
-      let servers =
-        List.map2 (fun h c -> Tb.add_proc tb ~on:h ~ctrl:c "server") hosts
-          ctrls
-      in
-      let clients =
-        List.map2 (fun h c -> Tb.add_proc tb ~on:h ~ctrl:c "client") hosts
-          ctrls
-      in
-      Tb.shard_all tb;
+      let servers, clients = topology tb ~shards in
       List.iter
         (fun server ->
           Engine.spawn (fun () ->

@@ -70,6 +70,9 @@ let bechamel_tests () =
       t "fig13: e2e closed loop" (fun () ->
           ignore (Exp_fig13.throughput (2, List.hd E2e_common.systems)));
       t "setup: 64 MiB FS write" E2e_common.populate;
+      t "setup: sharded 4-host testbed" (fun () ->
+          Tb.run ~config:Exp_cluster.cluster_config (fun tb ->
+              ignore (Exp_cluster.topology tb ~shards:4)));
       t "ablation: 1M copy" (fun () ->
           ignore
             (Exp_ablation.copy_latency ~chunk:16384 ~double_buffering:true

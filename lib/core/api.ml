@@ -49,7 +49,7 @@ let call proc ~size msg reply =
 
 (* Timed synchronous veneer: wraps the post-to-completion interval of one
    named syscall in a span ("sys.<name>") and the process's hoisted
-   latency histogram ("syscall.<name>", interned at Process.create). *)
+   latency histogram ("syscall.<name>", taken at Process.create). *)
 let timed name hist (proc : proc) ~size msg reply =
   let t0 = Sim.Engine.now () in
   let r =

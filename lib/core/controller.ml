@@ -521,10 +521,38 @@ let reject_peer msg =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The node's "ctrl.*" instruments, shared by its controllers *)
+let ctrl_instruments =
+  Obs.Metrics.shared (fun m ->
+      let c = Obs.Metrics.new_counter m and g = Obs.Metrics.new_gauge m in
+      {
+        cm_captable = g "ctrl.captable";
+        cm_revtree = g "ctrl.revtree";
+        cm_syscalls = c "ctrl.syscalls";
+        cm_sys_backlog = g "ctrl.sys_backlog";
+        cm_peer_msgs = c "ctrl.peer_msgs";
+        cm_peer_backlog = g "ctrl.peer_backlog";
+        cm_delivered = c "ctrl.requests_delivered";
+        cm_overloads = c "ctrl.overloads";
+        cm_tcache_hits = c "ctrl.tcache_hits";
+        cm_tcache_misses = c "ctrl.tcache_misses";
+        cm_ref_inc_timeouts = c "ctrl.ref_inc_timeouts";
+        cm_copy_bytes = c "ctrl.copy_bytes";
+        cm_copy_orphans = c "ctrl.copy_orphans";
+        cm_dir_hits = c "ctrl.dir_hits";
+        cm_dir_misses = c "ctrl.dir_misses";
+        cm_dir_invalidations = c "ctrl.dir_invalidations";
+        cm_shard_placed = c "ctrl.shard_placed";
+        cm_shard_reroutes = c "ctrl.shard_reroutes";
+        cm_handoff_rejects = c "ctrl.handoff_rejects";
+        cm_place_timeouts = c "ctrl.place_timeouts";
+        cm_place_reclaims = c "ctrl.place_reclaims";
+        cm_tail_failures = c "ctrl.tail_failures";
+      })
+
 let create fabric ~node =
   let id = Net.Fabric.next_ctrl_id fabric in
   let cfg = Net.Fabric.config fabric in
-  let nn = node.Net.Node.name in
   let ctrl =
     {
       ctrl_id = id;
@@ -557,37 +585,7 @@ let create fabric ~node =
       place_ack_seq = 0;
       placed_pending = Hashtbl.create 8;
       payload_hops = 0;
-      cm =
-        {
-          cm_captable = Obs.Metrics.gauge ~node:nn "ctrl.captable";
-          cm_revtree = Obs.Metrics.gauge ~node:nn "ctrl.revtree";
-          cm_syscalls = Obs.Metrics.counter ~node:nn "ctrl.syscalls";
-          cm_sys_backlog = Obs.Metrics.gauge ~node:nn "ctrl.sys_backlog";
-          cm_peer_msgs = Obs.Metrics.counter ~node:nn "ctrl.peer_msgs";
-          cm_peer_backlog = Obs.Metrics.gauge ~node:nn "ctrl.peer_backlog";
-          cm_delivered = Obs.Metrics.counter ~node:nn "ctrl.requests_delivered";
-          cm_overloads = Obs.Metrics.counter ~node:nn "ctrl.overloads";
-          cm_tcache_hits = Obs.Metrics.counter ~node:nn "ctrl.tcache_hits";
-          cm_tcache_misses = Obs.Metrics.counter ~node:nn "ctrl.tcache_misses";
-          cm_ref_inc_timeouts =
-            Obs.Metrics.counter ~node:nn "ctrl.ref_inc_timeouts";
-          cm_copy_bytes = Obs.Metrics.counter ~node:nn "ctrl.copy_bytes";
-          cm_copy_orphans = Obs.Metrics.counter ~node:nn "ctrl.copy_orphans";
-          cm_dir_hits = Obs.Metrics.counter ~node:nn "ctrl.dir_hits";
-          cm_dir_misses = Obs.Metrics.counter ~node:nn "ctrl.dir_misses";
-          cm_dir_invalidations =
-            Obs.Metrics.counter ~node:nn "ctrl.dir_invalidations";
-          cm_shard_placed = Obs.Metrics.counter ~node:nn "ctrl.shard_placed";
-          cm_shard_reroutes =
-            Obs.Metrics.counter ~node:nn "ctrl.shard_reroutes";
-          cm_handoff_rejects =
-            Obs.Metrics.counter ~node:nn "ctrl.handoff_rejects";
-          cm_place_timeouts =
-            Obs.Metrics.counter ~node:nn "ctrl.place_timeouts";
-          cm_place_reclaims =
-            Obs.Metrics.counter ~node:nn "ctrl.place_reclaims";
-          cm_tail_failures = Obs.Metrics.counter ~node:nn "ctrl.tail_failures";
-        };
+      cm = Obs.Metrics.share node.Net.Node.metrics ctrl_instruments;
     }
   in
   Net.Endpoint.set_overflow ctrl.sys_ep (shed_syscall ctrl);

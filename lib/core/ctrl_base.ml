@@ -8,7 +8,7 @@ let kind ctrl = ctrl.cnode.Net.Node.kind
 let node_name ctrl = ctrl.cnode.Net.Node.name
 
 (* Observability: metrics are always on (integer arithmetic on handles
-   interned once at Controller.create — see State.ctrl_metrics); spans
+   made once per node at Controller.create — see State.ctrl_metrics); spans
    only when tracing is enabled ([enter] below). *)
 
 (* Capability audit log (see Obs.Audit): one event per capability

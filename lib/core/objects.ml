@@ -1,7 +1,7 @@
 open State
 
 (* Object-table size (the revocation trees live here) as a per-node gauge,
-   interned once at Controller.create. *)
+   made once per node at Controller.create. *)
 let g_objects ctrl = ctrl.cm.cm_revtree
 
 let fresh_oid ctrl =

@@ -2,8 +2,25 @@ open State
 
 type t = proc
 
+(* The node's "syscall.*" histograms, shared by its processes *)
+let syscall_histograms =
+  Obs.Metrics.shared (fun m ->
+      let h = Obs.Metrics.new_histogram m in
+      {
+        pm_null = h "syscall.null";
+        pm_mem_create = h "syscall.memory_create";
+        pm_mem_diminish = h "syscall.memory_diminish";
+        pm_mem_copy = h "syscall.memory_copy";
+        pm_req_create = h "syscall.request_create";
+        pm_req_derive = h "syscall.request_derive";
+        pm_req_invoke = h "syscall.request_invoke";
+        pm_revtree = h "syscall.cap_create_revtree";
+        pm_revoke = h "syscall.cap_revoke";
+        pm_mon_delegate = h "syscall.monitor_delegate";
+        pm_mon_receive = h "syscall.monitor_receive";
+      })
+
 let create fabric ~node name =
-  let h n = Obs.Metrics.histogram ~node:node.Net.Node.name ("syscall." ^ n) in
   let rec p =
     {
       pid = Net.Fabric.next_pid fabric;
@@ -13,20 +30,7 @@ let create fabric ~node name =
       inbox = Sim.Channel.create ();
       monitor_box = Sim.Channel.create ();
       alive = true;
-      pm =
-        {
-          pm_null = h "null";
-          pm_mem_create = h "memory_create";
-          pm_mem_diminish = h "memory_diminish";
-          pm_mem_copy = h "memory_copy";
-          pm_req_create = h "request_create";
-          pm_req_derive = h "request_derive";
-          pm_req_invoke = h "request_invoke";
-          pm_revtree = h "cap_create_revtree";
-          pm_revoke = h "cap_revoke";
-          pm_mon_delegate = h "monitor_delegate";
-          pm_mon_receive = h "monitor_receive";
-        };
+      pm = Obs.Metrics.share node.Net.Node.metrics syscall_histograms;
       pcredit = Sys_credit p;
     }
   in

@@ -31,10 +31,9 @@ type proc = {
   pcredit : syscall; (* [Sys_credit] of this process, built once *)
 }
 
-(* Client-side syscall-latency histograms ("syscall.<name>" keyed by the
-   process's node), interned once at Process.create so the hot path of
-   every timed syscall touches a record field, not the metrics registry's
-   hashtable. Handles stay valid across Obs.Metrics.reset. *)
+(* Client-side syscall-latency histograms ("syscall.<name>"), one bundle
+   per node shared by its processes (Process.create), so the hot path of
+   every timed syscall touches a record field. *)
 and proc_metrics = {
   pm_null : Obs.Metrics.histogram;
   pm_mem_create : Obs.Metrics.histogram;
@@ -110,9 +109,9 @@ and shard_group = {
   mutable sg_gen : int;
 }
 
-(* Controller-side hot-path instruments ("ctrl.*" keyed by the
-   controller's node), interned once at Controller.create — the message
-   loops touch record fields, never the registry's hashtable. *)
+(* Controller-side hot-path instruments ("ctrl.*"), one bundle per node
+   shared by its controllers (Controller.create) — the message loops
+   touch record fields. *)
 and ctrl_metrics = {
   cm_captable : Obs.Metrics.gauge;
   cm_revtree : Obs.Metrics.gauge;

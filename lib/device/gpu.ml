@@ -16,7 +16,7 @@ type t = {
   mutable mem_free : int;
   mutable allocations : Core.Membuf.t list; (* live, by identity *)
   kernels : (string, kernel) Hashtbl.t;
-  exec_hist : Obs.Metrics.histogram Lazy.t; (* interned on first launch *)
+  exec_hist : Obs.Metrics.histogram Lazy.t; (* made on first launch *)
 }
 
 (* Every timed GPU step goes through [dt], so the what-if device factor

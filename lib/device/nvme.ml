@@ -26,8 +26,8 @@ type t = {
 }
 
 let create ~node ~config ~capacity =
-  (* interned on first use, so a device that never reads or never writes
-     adds no empty histogram to the registry *)
+  (* made on first use, so a device that never reads or never writes
+     adds no empty histogram to the run *)
   let hist name = lazy (Obs.Metrics.histogram ~node:node.Net.Node.name name) in
   {
     dnode = node;

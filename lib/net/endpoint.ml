@@ -32,6 +32,10 @@ let arrive ep msg seq =
     else Sim.Channel.send ep.chan msg
   end
 
+(* One [net.dup_discards] per node, shared by its endpoints *)
+let dup_discards =
+  Obs.Metrics.shared (fun m -> Obs.Metrics.new_counter m "net.dup_discards")
+
 let create ~node ?(capacity = 0) name =
   let rec ep =
     {
@@ -40,8 +44,7 @@ let create ~node ?(capacity = 0) name =
       chan = Sim.Channel.create ();
       next_seq = 0;
       seen = Dedup.create ~window;
-      dup_discards =
-        Obs.Metrics.counter ~node:node.Node.name "net.dup_discards";
+      dup_discards = Obs.Metrics.share node.Node.metrics dup_discards;
       capacity;
       overflow = None;
       arrive = (fun msg seq -> arrive ep msg seq);

@@ -1,8 +1,7 @@
 type kind = Host_cpu | Smart_nic | Wimpy_cpu
 
-(* Per-node fabric instruments, interned once at node creation so the
-   send hot path touches record fields instead of the metrics registry's
-   hashtable (handles stay valid across Obs.Metrics.reset). *)
+(* Per-node fabric instruments, made once per node name in a run so the
+   send hot path touches record fields. *)
 type instruments = {
   i_tx_msgs : Obs.Metrics.counter;
   i_tx_bytes : Obs.Metrics.counter;
@@ -20,6 +19,7 @@ type t = {
   tx : Sim.Resource.t;
   rx : Sim.Resource.t;
   dma : Sim.Resource.t;
+  metrics : Obs.Metrics.node;
   ins : instruments;
 }
 
@@ -32,7 +32,20 @@ let same_machine a b =
   let root n = match n.attached_to with Some h -> h.id | None -> n.id in
   root a = root b
 
+let fabric_instruments =
+  Obs.Metrics.shared (fun m ->
+      let c = Obs.Metrics.new_counter m in
+      {
+        i_tx_msgs = c "net.tx_msgs";
+        i_tx_bytes = c "net.tx_bytes";
+        i_fault_drops = c "net.fault_drops";
+        i_fault_dups = c "net.fault_dups";
+        i_fault_delays = c "net.fault_delays";
+        i_fault_local_ignored = c "net.fault_local_ignored";
+      })
+
 let make ~id ~name ~kind ~attached_to =
+  let metrics = Obs.Metrics.node name in
   {
     id;
     name;
@@ -41,14 +54,6 @@ let make ~id ~name ~kind ~attached_to =
     tx = Sim.Resource.create ();
     rx = Sim.Resource.create ();
     dma = Sim.Resource.create ();
-    ins =
-      {
-        i_tx_msgs = Obs.Metrics.counter ~node:name "net.tx_msgs";
-        i_tx_bytes = Obs.Metrics.counter ~node:name "net.tx_bytes";
-        i_fault_drops = Obs.Metrics.counter ~node:name "net.fault_drops";
-        i_fault_dups = Obs.Metrics.counter ~node:name "net.fault_dups";
-        i_fault_delays = Obs.Metrics.counter ~node:name "net.fault_delays";
-        i_fault_local_ignored =
-          Obs.Metrics.counter ~node:name "net.fault_local_ignored";
-      };
+    metrics;
+    ins = Obs.Metrics.share metrics fabric_instruments;
   }

@@ -19,8 +19,8 @@ type instruments = private {
   i_fault_local_ignored : Obs.Metrics.counter;
 }
 (** The node's fabric metrics ([net.tx_msgs], [net.tx_bytes],
-    [net.fault_*]), interned once at node creation so {!Fabric.send_with} does
-    no registry lookups on the hot path. *)
+    [net.fault_*]), shared by the nodes of one name in a run, so
+    {!Fabric.send_with} touches record fields only. *)
 
 type t = private {
   id : int;
@@ -32,6 +32,7 @@ type t = private {
   dma : Sim.Resource.t;
       (** Intra-machine DMA engine (loopback QPs, PCIe): local transfers
           serialize here instead of occupying the NIC wire resources. *)
+  metrics : Obs.Metrics.node;  (** Where the node's owners make theirs. *)
   ins : instruments;
 }
 

@@ -1,5 +1,5 @@
-type counter = { mutable c_v : int; mutable c_gen : int }
-type gauge = { mutable g_v : int; mutable g_max : int; mutable g_gen : int }
+type counter = { c_name : string; mutable c_v : int }
+type gauge = { g_name : string; mutable g_v : int; mutable g_max : int }
 
 (* Log-bucketed histogram: [sub] buckets per octave, so bucket k holds
    values in (2^((k-1)/sub), 2^(k/sub)] — ~19 % relative resolution at
@@ -9,13 +9,14 @@ let sub = 4
 let n_buckets = 256 (* covers values up to 2^(255/4) — effectively all ints *)
 
 (* [h_sum] is an int, so [observe] boxes no float. Readers convert it to
-   a float, which is exact while the sum stays below 2^53 ns (~104 days). *)
+   a float, which is exact while the sum stays below 2^53 ns (~104 days).
+   [h_buckets] is empty until the first [observe] allocates it. *)
 type histogram = {
+  h_name : string;
   mutable h_n : int;
   mutable h_sum : int;
   mutable h_max : int;
-  h_buckets : int array;
-  mutable h_gen : int;
+  mutable h_buckets : int array;
 }
 
 let bucket_of v =
@@ -36,191 +37,161 @@ let bucket_value k =
 let bucket_upper k = Float.exp2 (float_of_int k /. float_of_int sub)
 
 (* ------------------------------------------------------------------ *)
-(* Registry: one table per instrument family, keyed by (node, name).
-   Find-or-create so instrumentation sites stay one-liners.
-
-   Reset is generational: instruments are interned forever (so a handle
-   obtained before a reset is the same physical object returned after it),
-   and [reset] just bumps the generation. An instrument whose stamp is
-   stale is zeroed on first touch and skipped by the dump/snapshot, so old
-   handles keep recording into the *live* registry rather than a detached
-   object. *)
+(* The run: one record per node name, holding its owners' instruments.
+   An owner takes the record once and builds its bundle through it (an
+   allocation, not a keyed lookup); the owners on one node share their
+   bundle through [share]. [reset] drops the whole run.                *)
 (* ------------------------------------------------------------------ *)
 
-type key = string * string
-
-type registry = {
-  mutable generation : int;
-  counters : (key, counter) Hashtbl.t;
-  gauges : (key, gauge) Hashtbl.t;
-  histograms : (key, histogram) Hashtbl.t;
+type node = {
+  n_name : string;
+  mutable n_counters : counter list;
+  mutable n_gauges : gauge list;
+  mutable n_histograms : histogram list;
+  mutable n_shared : exn list; (* one bundle per [shared] family *)
 }
 
-let reg =
+let run : (string, node) Hashtbl.t = Hashtbl.create 16
+
+let node name =
+  match Hashtbl.find_opt run name with
+  | Some m -> m
+  | None ->
+    let m =
+      {
+        n_name = name;
+        n_counters = [];
+        n_gauges = [];
+        n_histograms = [];
+        n_shared = [];
+      }
+    in
+    Hashtbl.add run name m;
+    m
+
+let new_counter m name =
+  let c = { c_name = name; c_v = 0 } in
+  m.n_counters <- c :: m.n_counters;
+  c
+
+let new_gauge m name =
+  let g = { g_name = name; g_v = 0; g_max = 0 } in
+  m.n_gauges <- g :: m.n_gauges;
+  g
+
+let new_histogram m name =
+  let h = { h_name = name; h_n = 0; h_sum = 0; h_max = 0; h_buckets = [||] } in
+  m.n_histograms <- h :: m.n_histograms;
+  h
+
+(* Find-or-create by name, for readers and one-off instruments *)
+let named instruments name_of make ~node:n name =
+  let m = node n in
+  match List.find_opt (fun i -> name_of i = name) (instruments m) with
+  | Some i -> i
+  | None -> make m name
+
+let counter = named (fun m -> m.n_counters) (fun c -> c.c_name) new_counter
+let gauge = named (fun m -> m.n_gauges) (fun g -> g.g_name) new_gauge
+
+let histogram =
+  named (fun m -> m.n_histograms) (fun h -> h.h_name) new_histogram
+
+(* A bundle type, kept in [n_shared] under an exception of its own. *)
+type 'a shared = { make : node -> 'a; inj : 'a -> exn; prj : exn -> 'a option }
+
+let shared (type a) (make : node -> a) =
+  let module B = struct
+    exception Bundle of a
+  end in
   {
-    generation = 0;
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 64;
-    histograms = Hashtbl.create 64;
+    make;
+    inj = (fun b -> B.Bundle b);
+    prj = (function B.Bundle b -> Some b | _ -> None);
   }
 
-let refresh_counter c =
-  let gen = reg.generation in
-  if c.c_gen <> gen then begin
-    c.c_v <- 0;
-    c.c_gen <- gen
-  end
-
-let refresh_gauge g =
-  let gen = reg.generation in
-  if g.g_gen <> gen then begin
-    g.g_v <- 0;
-    g.g_max <- 0;
-    g.g_gen <- gen
-  end
-
-let refresh_histogram h =
-  let gen = reg.generation in
-  if h.h_gen <> gen then begin
-    h.h_n <- 0;
-    h.h_sum <- 0;
-    h.h_max <- 0;
-    Array.fill h.h_buckets 0 n_buckets 0;
-    h.h_gen <- gen
-  end
-
-let intern tbl make refresh ~node name =
-  let key = (node, name) in
-  let v =
-    match Hashtbl.find_opt tbl key with
-    | Some v -> v
-    | None ->
-      let v = make () in
-      Hashtbl.add tbl key v;
-      v
+let share m s =
+  let rec find = function
+    | e :: rest -> ( match s.prj e with Some b -> b | None -> find rest)
+    | [] ->
+      let b = s.make m in
+      m.n_shared <- s.inj b :: m.n_shared;
+      b
   in
-  refresh v;
-  v
+  find m.n_shared
 
-let counter ~node name =
-  intern reg.counters
-    (fun () -> { c_v = 0; c_gen = reg.generation })
-    refresh_counter ~node name
-
-let gauge ~node name =
-  intern reg.gauges
-    (fun () -> { g_v = 0; g_max = 0; g_gen = reg.generation })
-    refresh_gauge ~node name
-
-let histogram ~node name =
-  intern reg.histograms
-    (fun () ->
-      {
-        h_n = 0;
-        h_sum = 0;
-        h_max = 0;
-        h_buckets = Array.make n_buckets 0;
-        h_gen = reg.generation;
-      })
-    refresh_histogram ~node name
-
-let incr_by c n =
-  refresh_counter c;
-  c.c_v <- c.c_v + n
-
-let incr c =
-  refresh_counter c;
-  c.c_v <- c.c_v + 1
-
-let counter_value c =
-  refresh_counter c;
-  c.c_v
+let incr_by c n = c.c_v <- c.c_v + n
+let incr c = c.c_v <- c.c_v + 1
+let counter_value c = c.c_v
 
 let set g v =
-  refresh_gauge g;
   g.g_v <- v;
   if v > g.g_max then g.g_max <- v
 
-let gauge_value g =
-  refresh_gauge g;
-  g.g_v
-
-let add g d = set g (gauge_value g + d)
-
-let gauge_max g =
-  refresh_gauge g;
-  g.g_max
+let add g d = set g (g.g_v + d)
+let gauge_value g = g.g_v
+let gauge_max g = g.g_max
 
 let observe h v =
-  refresh_histogram h;
   let v = if v < 0 then 0 else v in
   h.h_n <- h.h_n + 1;
   h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v;
+  if Array.length h.h_buckets = 0 then h.h_buckets <- Array.make n_buckets 0;
   let k = bucket_of v in
   h.h_buckets.(k) <- h.h_buckets.(k) + 1
 
-let observations h =
-  refresh_histogram h;
-  h.h_n
-
-let hist_max h =
-  refresh_histogram h;
-  h.h_max
+let observations h = h.h_n
+let hist_max h = h.h_max
 
 let mean h =
-  if observations h = 0 then Float.nan
-  else float_of_int h.h_sum /. float_of_int h.h_n
+  if h.h_n = 0 then Float.nan else float_of_int h.h_sum /. float_of_int h.h_n
 
+(* the first bucket whose running count reaches the rank *)
 let percentile h p =
-  if observations h = 0 then Float.nan
+  if h.h_n = 0 then Float.nan
   else begin
     let p = Float.max 0. (Float.min 1. p) in
     let rank = Float.max 1. (Float.round (p *. float_of_int h.h_n)) in
     let rank = int_of_float rank in
-    let k = ref 0 and cum = ref 0 in
-    (try
-       for i = 0 to n_buckets - 1 do
-         cum := !cum + h.h_buckets.(i);
-         if !cum >= rank then begin
-           k := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    Float.min (bucket_value !k) (float_of_int h.h_max)
+    let rec find k cum =
+      let cum = cum + h.h_buckets.(k) in
+      if cum >= rank || k = n_buckets - 1 then k else find (k + 1) cum
+    in
+    Float.min (bucket_value (find 0 0)) (float_of_int h.h_max)
   end
 
 let p50 h = percentile h 0.50
 let p95 h = percentile h 0.95
 let p99 h = percentile h 0.99
 
-let reset () =
-  reg.generation <- reg.generation + 1
+let reset () = Hashtbl.reset run
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot: live (current-generation) instruments, sorted by key — the
-   basis for the text dump and the machine-readable exporters.           *)
+(* Snapshot: the run's instruments, sorted by (node, name) — the basis
+   for the text dump and the machine-readable exporters.               *)
 (* ------------------------------------------------------------------ *)
 
-let live_keys tbl stamp =
-  let gen = reg.generation in
-  Hashtbl.fold (fun k v acc -> if stamp v = gen then k :: acc else acc) tbl []
-  |> List.sort compare
+let rows instruments name =
+  Hashtbl.fold
+    (fun _ m acc ->
+      List.fold_left
+        (fun acc i -> ((m.n_name, name i), i) :: acc)
+        acc (instruments m))
+    run []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let counters_list () =
-  let tbl = reg.counters in
   List.map
-    (fun ((node, name) as key) -> (node, name, (Hashtbl.find tbl key).c_v))
-    (live_keys tbl (fun c -> c.c_gen))
+    (fun ((node, name), c) -> (node, name, c.c_v))
+    (rows (fun m -> m.n_counters) (fun c -> c.c_name))
 
 let gauges_list () =
-  let tbl = reg.gauges in
   List.map
-    (fun ((node, name) as key) ->
-      let g = Hashtbl.find tbl key in
-      (node, name, g.g_v, g.g_max))
-    (live_keys tbl (fun g -> g.g_gen))
+    (fun ((node, name), g) -> (node, name, g.g_v, g.g_max))
+    (rows (fun m -> m.n_gauges) (fun g -> g.g_name))
+
+let histogram_rows () = rows (fun m -> m.n_histograms) (fun h -> h.h_name)
 
 type histogram_snapshot = {
   hs_count : int;
@@ -231,9 +202,8 @@ type histogram_snapshot = {
 }
 
 let snapshot_histogram h =
-  refresh_histogram h;
   let buckets = ref [] in
-  for k = n_buckets - 1 downto 0 do
+  for k = Array.length h.h_buckets - 1 downto 0 do
     if h.h_buckets.(k) > 0 then
       buckets := (bucket_upper k, h.h_buckets.(k)) :: !buckets
   done;
@@ -245,11 +215,9 @@ let snapshot_histogram h =
   }
 
 let histograms_list () =
-  let tbl = reg.histograms in
   List.map
-    (fun ((node, name) as key) ->
-      (node, name, snapshot_histogram (Hashtbl.find tbl key)))
-    (live_keys tbl (fun h -> h.h_gen))
+    (fun ((node, name), h) -> (node, name, snapshot_histogram h))
+    (histogram_rows ())
 
 (* ------------------------------------------------------------------ *)
 (* Text dump                                                           *)
@@ -272,15 +240,12 @@ let pp fmt () =
       (fun (node, name, v, peak) ->
         fprintf fmt "  %-10s %-28s %d (peak %d)@." node name v peak)
       gs);
-  match
-    List.filter (fun (_, _, hs) -> hs.hs_count > 0) (histograms_list ())
-  with
+  match List.filter (fun (_, h) -> h.h_n > 0) (histogram_rows ()) with
   | [] -> ()
   | hs ->
     fprintf fmt "latency histograms (us):@.";
     List.iter
-      (fun (node, name, _) ->
-        let h = Hashtbl.find reg.histograms (node, name) in
+      (fun ((node, name), h) ->
         fprintf fmt
           "  %-10s %-28s n=%-6d p50=%-9.2f p95=%-9.2f p99=%-9.2f max=%-9.2f \
            mean=%.2f@."

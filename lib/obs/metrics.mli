@@ -1,21 +1,46 @@
-(** Per-node metrics registry: counters, gauges, log-bucketed latency
-    histograms with percentile accessors.
+(** Per-node metrics: counters, gauges, log-bucketed latency histograms
+    with percentile accessors.
 
-    Instruments are interned by [(node, name)] in a process-global
-    registry, so instrumentation sites are one-liners:
-    [Metrics.incr (Metrics.counter ~node "ctrl.syscalls")]. Always on —
-    each operation is a hash lookup plus integer arithmetic. Histogram
-    values are plain non-negative ints; the FractOS convention is
-    nanoseconds (the dump prints microseconds). *)
+    Instruments belong to the current run, which {!reset} starts empty.
+    The run keeps one {!node} record per node name; an owner (a node, a
+    controller, a process, an endpoint) takes its node's record once and
+    makes its instruments through it, so building one is an allocation,
+    not a keyed lookup. Owners on one node share a bundle through
+    {!share}, one row per [(node, name)]. Recording is integer arithmetic
+    on a handle; a histogram allocates its buckets at its first
+    {!observe}. Histogram values are plain non-negative ints; the FractOS
+    convention is nanoseconds (the dump prints microseconds). *)
 
 type counter
 type gauge
 type histogram
 
+type node
+(** One node's instruments in the current run. *)
+
+val node : string -> node
+(** The record of the named node in the current run, made on first use. *)
+
+val new_counter : node -> string -> counter
+val new_gauge : node -> string -> gauge
+val new_histogram : node -> string -> histogram
+(** A fresh instrument of the node: build a bundle with these. *)
+
+type 'a shared
+(** A family of instrument bundles, one per node. *)
+
+val shared : (node -> 'a) -> 'a shared
+(** [shared make] declares a family whose bundle [make] builds. *)
+
+val share : node -> 'a shared -> 'a
+(** The node's bundle of the family, built by its first owner. *)
+
 val counter : node:string -> string -> counter
 val gauge : node:string -> string -> gauge
 val histogram : node:string -> string -> histogram
-(** Find-or-create the named instrument for [node]. *)
+(** Find-or-create the named instrument of [node] in the current run, for
+    readers and one-off instruments. A reader finds an owner's instrument
+    once the owner is built. *)
 
 val incr : counter -> unit
 val incr_by : counter -> int -> unit
@@ -58,21 +83,19 @@ val p95 : histogram -> float
 val p99 : histogram -> float
 
 val reset : unit -> unit
-(** Zero the whole registry. Generational: handles obtained before the
-    reset stay valid — they are re-zeroed on first use afterwards and keep
-    recording into the live registry (and [counter]/[gauge]/[histogram]
-    return the same physical handle across resets). *)
+(** Start an empty run. Handles of the run before it stay usable, but
+    record into instruments no reader sees. *)
 
 (** {2 Snapshots}
 
-    Live (touched-since-last-reset) instruments sorted by (node, name) —
-    the basis for {!pp} and the {!Openmetrics} exporters. *)
+    The run's instruments sorted by (node, name) — the basis for {!pp}
+    and the {!Openmetrics} exporters. *)
 
 val counters_list : unit -> (string * string * int) list
-(** [(node, name, value)] per live counter. *)
+(** [(node, name, value)] per counter. *)
 
 val gauges_list : unit -> (string * string * int * int) list
-(** [(node, name, value, peak)] per live gauge. *)
+(** [(node, name, value, peak)] per gauge. *)
 
 type histogram_snapshot = {
   hs_count : int;

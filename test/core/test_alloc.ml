@@ -14,10 +14,14 @@
    the words of a whole single-chunk copy, so a closure built per copy
    does. The engine events of an invoke, of a chunk and of a single-chunk
    copy are pinned exactly, so a change that cuts allocation shows it
-   moved no simulated work. *)
+   moved no simulated work. Last, it pins the words to build the
+   invoke-xshard topology and that a histogram makes its buckets at its
+   first observation, so eager buckets or a keyed entry per instrument
+   fail here. *)
 
 open Fractos_sim
 open Fractos_core
+module Obs = Fractos_obs
 module Tb = Fractos_testbed.Testbed
 
 (* every byte of [b]; an unwritten buffer reads as zeros *)
@@ -504,6 +508,73 @@ let test_batched_loop_budget () =
     Alcotest.failf "%.2f minor words per batched null, %.2f serial" batched
       serial
 
+(* Words allocated by [f] (minor + major - promoted, so a block is
+   counted once wherever it was made), each end on an empty minor heap:
+   on OCaml 5.1 the quick_stat counts move only at a minor collection.
+   The measurement's own words, those of an empty [f], are taken off. *)
+let words_of =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let measure f =
+    let w0 = words () in
+    f ();
+    words () -. w0
+  in
+  let own = measure ignore in
+  fun f -> measure f -. own
+
+(* The invoke-xshard topology: 4 hosts, a controller and two processes
+   on each, one sharded capability space. *)
+let xshard_topology tb =
+  let hosts = Array.init 4 (fun i -> Tb.add_host tb (Printf.sprintf "h%d" i)) in
+  let ctrls = Array.map (fun h -> Tb.add_ctrl tb ~on:h) hosts in
+  Array.iteri
+    (fun i h ->
+      ignore (Tb.add_proc tb ~on:h ~ctrl:ctrls.(i) "server");
+      ignore (Tb.add_proc tb ~on:h ~ctrl:ctrls.(i) "client"))
+    hosts;
+  Tb.shard_all tb
+
+(* Measured at 6 267 words a testbed (x86-64, OCaml 5.1), the 208
+   instruments of its 4 nodes among them, plus about 5 %. A bucket array
+   per histogram at construction (88 of them, 257 words each) fails here,
+   and so does a keyed table entry per instrument. *)
+let topology_budget = 6_550.
+
+let test_topology_budget () =
+  Tb.run xshard_topology;
+  let words = words_of (fun () -> Tb.run xshard_topology) in
+  Printf.printf "words to build the invoke-xshard topology: %.0f (budget %.0f)\n"
+    words topology_budget;
+  if words > topology_budget then
+    Alcotest.failf "%.0f words to build the invoke-xshard topology, budget %.0f"
+      words topology_budget
+
+(* A histogram is a few words until its first observation allocates its
+   256 buckets; later observations allocate nothing. *)
+let test_histogram_buckets_on_first_observe () =
+  Tb.run (fun _ ->
+      let h = ref None in
+      let made =
+        words_of (fun () -> h := Some (Obs.Metrics.histogram ~node:"h" "lat"))
+      in
+      let h = Option.get !h in
+      let first = words_of (fun () -> Obs.Metrics.observe h 1_000) in
+      let next = words_of (fun () -> Obs.Metrics.observe h 2_000) in
+      Printf.printf
+        "words: %.0f to make a histogram, %.0f at its first observe, %.0f at \
+         the next\n"
+        made first next;
+      if made >= 64. then
+        Alcotest.failf "%.0f words to make a histogram: buckets made eagerly"
+          made;
+      if first < 256. then
+        Alcotest.failf "%.0f words at the first observe: no bucket array" first;
+      Alcotest.(check (float 0.)) "words at the next observe" 0. next)
+
 let () =
   Alcotest.run "fractos_alloc"
     [
@@ -519,6 +590,10 @@ let () =
             test_closed_session_releases;
           Alcotest.test_case "batched service loop" `Quick
             test_batched_loop_budget;
+          Alcotest.test_case "invoke-xshard topology budget" `Quick
+            test_topology_budget;
+          Alcotest.test_case "histogram buckets on first observe" `Quick
+            test_histogram_buckets_on_first_observe;
         ] );
       ( "syscall",
         List.map

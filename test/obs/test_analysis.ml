@@ -2,8 +2,8 @@
    critical-path breakdowns on a synthetic span tree, the breakdown of a
    real delegated-invoke + third-party-copy scenario, capability
    audit-log ordering across a subtree revocation and a stale-epoch
-   rejection, OpenMetrics text-exposition round-trips, and the
-   Metrics.reset handle semantics. *)
+   rejection, OpenMetrics text-exposition round-trips, and the run that
+   Metrics.reset starts. *)
 
 module Sim = Fractos_sim
 module Obs = Fractos_obs
@@ -325,7 +325,7 @@ let test_openmetrics_roundtrip () =
     (contains ~sub:Obs.Openmetrics.histograms_csv_header csv);
   check_bool "csv row for the histogram" true (contains ~sub:"b,lat,4," csv)
 
-let test_metrics_reset_reinterns_handles () =
+let test_metrics_reset_starts_an_empty_run () =
   Obs.Metrics.reset ();
   let c = Obs.Metrics.counter ~node:"n" "c" in
   Obs.Metrics.incr_by c 3;
@@ -334,20 +334,32 @@ let test_metrics_reset_reinterns_handles () =
   let h = Obs.Metrics.histogram ~node:"n" "h" in
   Obs.Metrics.observe h 500;
   Obs.Metrics.reset ();
-  check_int "counter re-zeroed" 0 (Obs.Metrics.counter_value c);
-  check_int "gauge re-zeroed" 0 (Obs.Metrics.gauge_value g);
-  check_int "gauge peak re-zeroed" 0 (Obs.Metrics.gauge_max g);
-  check_int "histogram re-zeroed" 0 (Obs.Metrics.observations h);
-  (* a handle obtained before the reset keeps recording into the live
-     registry, not into a detached instrument *)
+  check_bool "no counter row" true (Obs.Metrics.counters_list () = []);
+  check_bool "no gauge row" true (Obs.Metrics.gauges_list () = []);
+  check_bool "no histogram row" true (Obs.Metrics.histograms_list () = []);
+  (* a handle of the earlier run keeps its own values and records into
+     an instrument no reader of this run sees *)
+  check_int "old counter keeps its value" 3 (Obs.Metrics.counter_value c);
+  check_int "old gauge keeps its peak" 8 (Obs.Metrics.gauge_max g);
+  check_int "old histogram keeps its count" 1 (Obs.Metrics.observations h);
   Obs.Metrics.incr c;
   Obs.Metrics.observe h 100;
-  check_bool "handle still interned" true
-    (Obs.Metrics.counter ~node:"n" "c" == c);
-  check_int "old counter handle recorded post-reset" 1
-    (Obs.Metrics.counter_value (Obs.Metrics.counter ~node:"n" "c"));
-  check_int "old histogram handle recorded post-reset" 1
-    (Obs.Metrics.observations (Obs.Metrics.histogram ~node:"n" "h"))
+  check_bool "still no counter row" true (Obs.Metrics.counters_list () = []);
+  check_bool "still no histogram row" true
+    (Obs.Metrics.histograms_list () = []);
+  (* this run's lookups build fresh instruments, from zero *)
+  let c' = Obs.Metrics.counter ~node:"n" "c" in
+  check_bool "a fresh counter" true (c' != c);
+  check_int "fresh counter at zero" 0 (Obs.Metrics.counter_value c');
+  check_int "fresh gauge at zero" 0
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge ~node:"n" "g"));
+  check_int "fresh gauge peak at zero" 0
+    (Obs.Metrics.gauge_max (Obs.Metrics.gauge ~node:"n" "g"));
+  check_int "fresh histogram empty" 0
+    (Obs.Metrics.observations (Obs.Metrics.histogram ~node:"n" "h"));
+  Obs.Metrics.incr c';
+  check_bool "the row reads the fresh counter" true
+    (Obs.Metrics.counters_list () = [ ("n", "c", 1) ])
 
 let test_truncated_trace_metadata () =
   Obs.Span.reset ();
@@ -400,8 +412,8 @@ let () =
         [
           Alcotest.test_case "openmetrics roundtrip" `Quick
             test_openmetrics_roundtrip;
-          Alcotest.test_case "metrics reset reinterns handles" `Quick
-            test_metrics_reset_reinterns_handles;
+          Alcotest.test_case "metrics reset starts an empty run" `Quick
+            test_metrics_reset_starts_an_empty_run;
           Alcotest.test_case "truncated trace metadata" `Quick
             test_truncated_trace_metadata;
         ] );

@@ -5,6 +5,7 @@
 
 module Sim = Fractos_sim
 module Obs = Fractos_obs
+module Net = Fractos_net
 module Core = Fractos_core
 module Tb = Fractos_testbed.Testbed
 
@@ -68,13 +69,84 @@ let test_counters_gauges () =
   Obs.Metrics.incr c;
   Obs.Metrics.incr_by c 4;
   check_int "counter" 5 (Obs.Metrics.counter_value c);
-  check_bool "interned" true (Obs.Metrics.counter ~node:"n" "c" == c);
+  check_bool "one instrument per (node, name) in a run" true
+    (Obs.Metrics.counter ~node:"n" "c" == c);
   check_bool "per-node" true (Obs.Metrics.counter ~node:"m" "c" != c);
   let g = Obs.Metrics.gauge ~node:"n" "g" in
   Obs.Metrics.set g 7;
   Obs.Metrics.add g (-3);
   check_int "gauge" 4 (Obs.Metrics.gauge_value g);
-  check_int "peak" 7 (Obs.Metrics.gauge_max g)
+  check_int "peak" 7 (Obs.Metrics.gauge_max g);
+  (* the next run builds its own instruments, from zero *)
+  Obs.Metrics.reset ();
+  let c' = Obs.Metrics.counter ~node:"n" "c" in
+  check_bool "a new run, a new counter" true (c' != c);
+  check_int "the new counter starts at zero" 0 (Obs.Metrics.counter_value c');
+  let g' = Obs.Metrics.gauge ~node:"n" "g" in
+  check_bool "a new run, a new gauge" true (g' != g);
+  check_int "the new gauge's peak starts at zero" 0 (Obs.Metrics.gauge_max g')
+
+(* Owners on one node share its rows: two endpoints feed one
+   net.dup_discards, two processes one syscall.null, in the lists, the
+   OpenMetrics text and a lookup by (node, name). The next run starts
+   with none of them. *)
+let test_owners_share_rows () =
+  Tb.run (fun tb ->
+      let h = Tb.add_host tb "h" and g = Tb.add_host tb "g" in
+      let c = Tb.add_ctrl tb ~on:h in
+      let p1 = Tb.add_proc tb ~on:h ~ctrl:c "p1" in
+      let p2 = Tb.add_proc tb ~on:h ~ctrl:c "p2" in
+      let fab = tb.Tb.fabric in
+      let a = Net.Endpoint.create ~node:h "a" in
+      let b = Net.Endpoint.create ~node:h "b" in
+      Net.Fabric.set_fault_hook fab
+        (Some (fun ~src:_ ~dst:_ ~cls:_ ~size:_ -> Net.Fabric.Duplicate));
+      Net.Endpoint.post fab ~src:g a ~size:8 1;
+      Net.Endpoint.post fab ~src:g b ~size:8 2;
+      Sim.Engine.sleep (Sim.Time.us 100);
+      Net.Fabric.set_fault_hook fab None;
+      ok_exn (Core.Api.null p1);
+      ok_exn (Core.Api.null p2);
+      let rows name =
+        List.filter (fun (n, m, _) -> n = "h" && m = name)
+          (Obs.Metrics.counters_list ())
+      in
+      check_bool "one net.dup_discards row, fed by both endpoints" true
+        (rows "net.dup_discards" = [ ("h", "net.dup_discards", 2) ]);
+      check_int "the lookup by (node, name) reads it" 2
+        (Obs.Metrics.counter_value
+           (Obs.Metrics.counter ~node:"h" "net.dup_discards"));
+      let nulls =
+        List.filter_map
+          (fun (n, m, hs) ->
+            if n = "h" && m = "syscall.null" then Some hs.Obs.Metrics.hs_count
+            else None)
+          (Obs.Metrics.histograms_list ())
+      in
+      check_bool "one syscall.null row, fed by both processes" true
+        (nulls = [ 2 ]);
+      check_int "the lookup by (node, name) reads it" 2
+        (Obs.Metrics.observations
+           (Obs.Metrics.histogram ~node:"h" "syscall.null"));
+      let lines =
+        String.split_on_char '\n' (Obs.Openmetrics.to_string ())
+      in
+      let count l = List.length (List.filter (String.equal l) lines) in
+      check_int "one OpenMetrics sample for the endpoints" 1
+        (count "fractos_net_dup_discards_total{node=\"h\"} 2");
+      check_int "one OpenMetrics count for the processes" 1
+        (count "fractos_syscall_null_count{node=\"h\"} 2"));
+  Tb.run (fun _ ->
+      check_bool "no counter of the earlier run" true
+        (Obs.Metrics.counters_list () = []);
+      check_bool "no gauge of the earlier run" true
+        (Obs.Metrics.gauges_list () = []);
+      check_bool "no histogram of the earlier run" true
+        (Obs.Metrics.histograms_list () = []);
+      check_bool "nothing in the dump" true
+        (Format.asprintf "%a" Obs.Metrics.pp () = "");
+      check_bool "no sample in the OpenMetrics text" true
+        (Obs.Openmetrics.to_string () = "# EOF\n"))
 
 (* Uniform 1000..1000_000 in steps of 1000: percentiles are known, and
    log-bucketing guarantees ~19 % relative resolution. *)
@@ -447,6 +519,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "counters and gauges" `Quick test_counters_gauges;
+          Alcotest.test_case "owners on one node share its rows" `Quick
+            test_owners_share_rows;
           Alcotest.test_case "percentiles on a uniform distribution" `Quick
             test_histogram_percentiles;
           Alcotest.test_case "point mass" `Quick test_histogram_point_mass;

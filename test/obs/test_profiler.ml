@@ -1,8 +1,7 @@
 (* Tests for the what-if profiler stack and artifact tooling: the JSON
    reader, per-resource timeline interval math and resource mapping,
    Whatif ranking determinism, the bench regression gate, the artifact
-   differ, and the generational Metrics.reset / OpenMetrics exposition
-   interaction. *)
+   differ, and the OpenMetrics exposition across a Metrics.reset. *)
 
 module Sim = Fractos_sim
 module Obs = Fractos_obs
@@ -402,7 +401,7 @@ let test_diff_appeared_vanished () =
   check_bool "both-zero hists quiet" false (Obs.Diff.significant q)
 
 (* ------------------------------------------------------------------ *)
-(* Generational Metrics.reset x OpenMetrics exposition                 *)
+(* Metrics.reset x OpenMetrics exposition                              *)
 (* ------------------------------------------------------------------ *)
 
 let test_exposition_across_resets () =
@@ -416,27 +415,32 @@ let test_exposition_across_resets () =
     (contains ~sub:"fractos_reqs_total{node=\"n\"} 5" before);
   check_bool "histogram exposed" true
     (contains ~sub:"fractos_lat_count{node=\"n\"} 1" before);
-  (* generational reset: stale instruments vanish from the exposition
-     entirely — no zero-valued ghosts *)
+  (* a reset starts an empty run: the earlier instruments vanish from
+     the exposition entirely — no zero-valued ghosts *)
   Obs.Metrics.reset ();
   let after = Obs.Openmetrics.to_string () in
-  check_bool "stale counter gone" false (contains ~sub:"fractos_reqs" after);
-  check_bool "stale histogram gone" false (contains ~sub:"fractos_lat" after);
+  check_bool "earlier counter gone" false (contains ~sub:"fractos_reqs" after);
+  check_bool "earlier histogram gone" false (contains ~sub:"fractos_lat" after);
   check_bool "still well-formed" true (contains ~sub:"# EOF" after);
-  (* a pre-reset handle lazily re-zeroes on first use: the new value, not
-     the pre-reset accumulation, is what gets exposed *)
+  (* a handle of the earlier run records into no exposed instrument *)
   Obs.Metrics.incr_by c 2;
   Obs.Metrics.observe h 500;
-  let revived = Obs.Openmetrics.to_string () in
-  check_bool "revived counter re-zeroed" true
-    (contains ~sub:"fractos_reqs_total{node=\"n\"} 2" revived);
-  check_bool "revived histogram re-zeroed" true
-    (contains ~sub:"fractos_lat_count{node=\"n\"} 1" revived);
-  check_bool "revived histogram sum restarts" true
-    (contains ~sub:"fractos_lat_sum{node=\"n\"} 500" revived);
-  (* the CSV summary tracks the same generation *)
+  check_bool "earlier handles stay unexposed" true
+    (Obs.Openmetrics.to_string () = after);
+  (* the same names in this run are fresh instruments: only this run's
+     values are exposed *)
+  Obs.Metrics.incr_by (Obs.Metrics.counter ~node:"n" "reqs") 2;
+  Obs.Metrics.observe (Obs.Metrics.histogram ~node:"n" "lat") 500;
+  let fresh = Obs.Openmetrics.to_string () in
+  check_bool "fresh counter from zero" true
+    (contains ~sub:"fractos_reqs_total{node=\"n\"} 2" fresh);
+  check_bool "fresh histogram from zero" true
+    (contains ~sub:"fractos_lat_count{node=\"n\"} 1" fresh);
+  check_bool "fresh histogram sum" true
+    (contains ~sub:"fractos_lat_sum{node=\"n\"} 500" fresh);
+  (* the CSV summary reads the same run *)
   let csv = Obs.Openmetrics.histograms_csv_string () in
-  check_bool "csv row re-zeroed" true (contains ~sub:"n,lat,1,500" csv)
+  check_bool "csv row of this run" true (contains ~sub:"n,lat,1,500" csv)
 
 let () =
   Alcotest.run "obs-profiler"
