@@ -189,7 +189,8 @@ let populate_growth ~n_images =
    system's staging slot, then the block adaptor's), the block adaptor's
    slot hands them on to the volume, and the file system's slot drops
    its share; the copy engine's chunks hold only pins, released at
-   write-out. Measured at 0.01 N (x86-64, OCaml 5.1), bookkeeping only.
+   write-out. Measured at 0.02 N (x86-64, OCaml 5.1), bookkeeping only,
+   the buckets of the histograms the upload observes first among it.
    With the application's buffer allocating and filling its own copy of
    the content, the same harness measured 1.01 N; with each copy into a
    staging slot allocating its own bytes as well, 2.01 N; with 0.48 N of
