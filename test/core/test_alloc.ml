@@ -538,9 +538,9 @@ let xshard_topology tb =
     hosts;
   Tb.shard_all tb
 
-(* Measured at 6 267 words a testbed (x86-64, OCaml 5.1), the 208
+(* Measured at 6 267 words a testbed (x86-64, OCaml 5.1), the 160
    instruments of its 4 nodes among them, plus about 5 %. A bucket array
-   per histogram at construction (88 of them, 257 words each) fails here,
+   per histogram at construction (44 of them, 257 words each) fails here,
    and so does a keyed table entry per instrument. *)
 let topology_budget = 6_550.
 
